@@ -195,28 +195,23 @@ impl Conv2d {
         Tensor::from_vec(&[n, oc, oh, ow], out)
     }
 
-    /// Backward body shared by the plain and arena entry points; three
-    /// GEMM-shaped products, each arranged to reproduce the original
-    /// tap-by-tap accumulation order bitwise:
+    /// Parameter-gradient half of the backward pass; two GEMM-shaped
+    /// products, each arranged to reproduce the original tap-by-tap
+    /// accumulation order bitwise:
     ///
     /// * `db[oci]` accumulates `grad_out` element-by-element in
     ///   `(ni, oy, ox)` order, directly into the persistent gradient;
     /// * `dW += g · colᵀ` per sample (samples ascending), with the
     ///   persistent gradient preloaded as C so cross-call accumulation
-    ///   keeps the original chain;
-    /// * `dx = Wrot · colg` per sample into fresh zeros, where `Wrot` holds
-    ///   the 180°-rotated kernels laid out `[C, OC·K·K]` and `colg` gathers
-    ///   the stride-dilated, padded gradient — for a fixed input cell the
-    ///   original contributions arrive in `(oci ↑, oy ↑, ox ↑)` order,
-    ///   which is exactly ascending rotated-tap order.
+    ///   keeps the original chain.
     ///
     /// Dropping the original `go == 0.0` skip is bitwise-safe: skipped
     /// contributions become `±0.0` adds, and none of these accumulators can
     /// reach `-0.0` (exact cancellation rounds to `+0.0`).
-    fn backward_with(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
+    fn param_grads_with(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) {
         let input = self
             .cached_input
-            .take()
+            .as_ref()
             .expect("backward before forward on Conv2d");
         let (n, c, h, w) = (
             input.shape().dim(0),
@@ -224,14 +219,13 @@ impl Conv2d {
             input.shape().dim(2),
             input.shape().dim(3),
         );
+        let (k, pad, stride) = (self.kernel, self.pad, self.stride);
         let (oh, ow) = self.out_hw(h, w);
         let oc = self.out_channels();
-        let k = self.kernel;
         assert_eq!(grad_out.shape().dims(), &[n, oc, oh, ow], "grad shape");
         let (ckk, ohow, hw) = (c * k * k, oh * ow, h * w);
         let x = input.data();
         let g = grad_out.data();
-        let wgt = self.weight.value.data();
         let dw = self.weight.grad.data_mut();
         let db = self.bias.grad.data_mut();
         let threads = gemm::default_threads();
@@ -245,6 +239,62 @@ impl Conv2d {
                 }
             }
         }
+
+        // dW += g_s · colᵀ, preloading the persistent gradient.
+        let mut col = arena.take_zeroed(ckk * ohow);
+        for ni in 0..n {
+            im2col(
+                &x[ni * c * hw..][..c * hw],
+                c,
+                h,
+                w,
+                oh,
+                ow,
+                k,
+                pad,
+                stride,
+                &mut col,
+            );
+            gemm::gemm_into(
+                oc,
+                ckk,
+                ohow,
+                &g[ni * oc * ohow..][..oc * ohow],
+                gemm::Trans::No,
+                &col,
+                gemm::Trans::Yes,
+                dw,
+                threads,
+            );
+        }
+        arena.recycle(col);
+    }
+
+    /// Input-gradient half of the backward pass: `dx = Wrot · colg` per
+    /// sample into fresh zeros, where `Wrot` holds the 180°-rotated kernels
+    /// laid out `[C, OC·K·K]` and `colg` gathers the stride-dilated, padded
+    /// gradient — for a fixed input cell the original contributions arrive
+    /// in `(oci ↑, oy ↑, ox ↑)` order, which is exactly ascending
+    /// rotated-tap order.
+    fn input_grad_with(&self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("backward before forward on Conv2d");
+        let (n, c, h, w) = (
+            input.shape().dim(0),
+            input.shape().dim(1),
+            input.shape().dim(2),
+            input.shape().dim(3),
+        );
+        let (oh, ow) = self.out_hw(h, w);
+        let oc = self.out_channels();
+        let k = self.kernel;
+        assert_eq!(grad_out.shape().dims(), &[n, oc, oh, ow], "grad shape");
+        let (ohow, hw) = (oh * ow, h * w);
+        let g = grad_out.data();
+        let wgt = self.weight.value.data();
+        let threads = gemm::default_threads();
 
         // Rotated kernels: wrot[ci][(oci·K + kyr)·K + kxr] = w[oci, ci, K−1−kyr, K−1−kxr].
         let mut wrot = arena.take_zeroed(c * oc * k * k);
@@ -260,28 +310,11 @@ impl Conv2d {
             }
         }
 
-        let mut col = arena.take_zeroed(ckk * ohow);
         let mut colg = arena.take_zeroed(oc * k * k * hw);
         let mut dx = arena.take_zeroed(n * c * hw);
         for ni in 0..n {
-            let x_s = &x[ni * c * hw..][..c * hw];
             let g_s = &g[ni * oc * ohow..][..oc * ohow];
-            // dW += g_s · colᵀ, preloading the persistent gradient.
-            im2col(x_s, c, h, w, oh, ow, k, self.pad, self.stride, &mut col);
-            gemm::gemm_into(
-                oc,
-                ckk,
-                ohow,
-                g_s,
-                gemm::Trans::No,
-                &col,
-                gemm::Trans::Yes,
-                dw,
-                threads,
-            );
-            // dx_s = Wrot · colg into fresh zeros.
             im2col_grad(g_s, oc, oh, ow, h, w, k, self.pad, self.stride, &mut colg);
-            let dx_s = &mut dx[ni * c * hw..][..c * hw];
             gemm::gemm_into(
                 c,
                 hw,
@@ -290,22 +323,38 @@ impl Conv2d {
                 gemm::Trans::No,
                 &colg,
                 gemm::Trans::No,
-                dx_s,
+                &mut dx[ni * c * hw..][..c * hw],
                 threads,
             );
         }
         arena.recycle(wrot);
-        arena.recycle(col);
         arena.recycle(colg);
-        self.cached_input = Some(input);
         Tensor::from_vec(&[n, c, h, w], dx)
     }
+}
+
+/// The output positions `[lo, hi)` along one axis whose tap at kernel
+/// offset `k_off` reads a real (unpadded) input cell, i.e. those `o` with
+/// `pad ≤ o·stride + k_off < len + pad`, clipped to `out_len`. Empty
+/// ranges come back as `lo ≥ hi`.
+fn valid_outputs(
+    k_off: usize,
+    pad: usize,
+    stride: usize,
+    len: usize,
+    out_len: usize,
+) -> (usize, usize) {
+    let lo = pad.saturating_sub(k_off).div_ceil(stride);
+    let hi = (len + pad).saturating_sub(k_off).div_ceil(stride);
+    (lo, hi.min(out_len))
 }
 
 /// Gathers the receptive fields of one `[C, H, W]` sample into
 /// `col[(ci·K + ky)·K + kx][oy·OW + ox]`. Only in-bounds taps are written;
 /// the caller provides a zeroed buffer and the valid-tap set depends only
-/// on geometry, so the buffer can be reused across samples.
+/// on geometry, so the buffer can be reused across samples. Per tap the
+/// in-bounds outputs form one span per row ([`valid_outputs`]), copied
+/// without a per-element bounds decision — a `memcpy` at stride 1.
 #[allow(clippy::too_many_arguments)]
 fn im2col(
     x: &[f32],
@@ -322,21 +371,23 @@ fn im2col(
     let ohow = oh * ow;
     for ci in 0..c {
         for ky in 0..k {
+            let (oy_lo, oy_hi) = valid_outputs(ky, pad, stride, h, oh);
             for kx in 0..k {
+                let (ox_lo, ox_hi) = valid_outputs(kx, pad, stride, w, ow);
+                if ox_lo >= ox_hi {
+                    continue;
+                }
                 let row = &mut col[((ci * k + ky) * k + kx) * ohow..][..ohow];
-                for oy in 0..oh {
-                    let iy = oy * stride + ky;
-                    if iy < pad || iy >= h + pad {
-                        continue;
-                    }
-                    let xrow = (ci * h + (iy - pad)) * w;
-                    let dst = &mut row[oy * ow..][..ow];
-                    for (ox, d) in dst.iter_mut().enumerate() {
-                        let ix = ox * stride + kx;
-                        if ix < pad || ix >= w + pad {
-                            continue;
+                let ix_lo = ox_lo * stride + kx - pad;
+                for oy in oy_lo..oy_hi {
+                    let src = &x[(ci * h + oy * stride + ky - pad) * w + ix_lo..];
+                    let dst = &mut row[oy * ow + ox_lo..oy * ow + ox_hi];
+                    if stride == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = v;
                         }
-                        *d = x[xrow + ix - pad];
                     }
                 }
             }
@@ -350,7 +401,8 @@ fn im2col(
 /// `g[oci, oy, ox]` when the rotated tap `(K−1−kyr, K−1−kxr)` at input
 /// cell `(iy, ix)` maps onto a valid output cell, else stays zero. Valid
 /// positions depend only on geometry, so the caller's zeroed buffer can be
-/// reused across samples.
+/// reused across samples. Walks the same per-tap output spans as
+/// [`im2col`], scattering instead of gathering.
 #[allow(clippy::too_many_arguments)]
 fn im2col_grad(
     g: &[f32],
@@ -368,30 +420,24 @@ fn im2col_grad(
     for oci in 0..oc {
         for kyr in 0..k {
             let ky = k - 1 - kyr;
+            let (oy_lo, oy_hi) = valid_outputs(ky, pad, stride, h, oh);
             for kxr in 0..k {
                 let kx = k - 1 - kxr;
+                let (ox_lo, ox_hi) = valid_outputs(kx, pad, stride, w, ow);
+                if ox_lo >= ox_hi {
+                    continue;
+                }
                 let row = &mut colg[((oci * k + kyr) * k + kxr) * hw..][..hw];
-                for iy in 0..h {
-                    let t = iy + pad;
-                    if t < ky || !(t - ky).is_multiple_of(stride) {
-                        continue;
-                    }
-                    let oy = (t - ky) / stride;
-                    if oy >= oh {
-                        continue;
-                    }
-                    let grow = (oci * oh + oy) * ow;
-                    let dst = &mut row[iy * w..][..w];
-                    for (ix, d) in dst.iter_mut().enumerate() {
-                        let u = ix + pad;
-                        if u < kx || !(u - kx).is_multiple_of(stride) {
-                            continue;
+                let ix_lo = ox_lo * stride + kx - pad;
+                for oy in oy_lo..oy_hi {
+                    let src = &g[(oci * oh + oy) * ow + ox_lo..(oci * oh + oy) * ow + ox_hi];
+                    let dst = &mut row[(oy * stride + ky - pad) * w + ix_lo..];
+                    if stride == 1 {
+                        dst[..src.len()].copy_from_slice(src);
+                    } else {
+                        for (&v, d) in src.iter().zip(dst.iter_mut().step_by(stride)) {
+                            *d = v;
                         }
-                        let ox = (u - kx) / stride;
-                        if ox >= ow {
-                            continue;
-                        }
-                        *d = g[grow + ox];
                     }
                 }
             }
@@ -406,8 +452,7 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut arena = ScratchArena::new();
-        self.backward_with(grad_out, &mut arena)
+        self.backward_scratch(grad_out, &mut ScratchArena::new())
     }
 
     fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
@@ -415,7 +460,12 @@ impl Layer for Conv2d {
     }
 
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
-        self.backward_with(grad_out, arena)
+        self.param_grads_with(grad_out, arena);
+        self.input_grad_with(grad_out, arena)
+    }
+
+    fn backward_params_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) {
+        self.param_grads_with(grad_out, arena);
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
@@ -432,6 +482,137 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Element-wise oracle for [`im2col`]: one bounds decision per cell.
+    #[allow(clippy::too_many_arguments)]
+    fn im2col_elementwise(
+        x: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        oh: usize,
+        ow: usize,
+        k: usize,
+        pad: usize,
+        stride: usize,
+        col: &mut [f32],
+    ) {
+        let ohow = oh * ow;
+        for ci in 0..c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = &mut col[((ci * k + ky) * k + kx) * ohow..][..ohow];
+                    for oy in 0..oh {
+                        let iy = oy * stride + ky;
+                        if iy < pad || iy >= h + pad {
+                            continue;
+                        }
+                        let xrow = (ci * h + (iy - pad)) * w;
+                        let dst = &mut row[oy * ow..][..ow];
+                        for (ox, d) in dst.iter_mut().enumerate() {
+                            let ix = ox * stride + kx;
+                            if ix < pad || ix >= w + pad {
+                                continue;
+                            }
+                            *d = x[xrow + ix - pad];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Element-wise oracle for [`im2col_grad`].
+    #[allow(clippy::too_many_arguments)]
+    fn im2col_grad_elementwise(
+        g: &[f32],
+        oc: usize,
+        oh: usize,
+        ow: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+        pad: usize,
+        stride: usize,
+        colg: &mut [f32],
+    ) {
+        let hw = h * w;
+        for oci in 0..oc {
+            for kyr in 0..k {
+                let ky = k - 1 - kyr;
+                for kxr in 0..k {
+                    let kx = k - 1 - kxr;
+                    let row = &mut colg[((oci * k + kyr) * k + kxr) * hw..][..hw];
+                    for iy in 0..h {
+                        let t = iy + pad;
+                        if t < ky || !(t - ky).is_multiple_of(stride) {
+                            continue;
+                        }
+                        let oy = (t - ky) / stride;
+                        if oy >= oh {
+                            continue;
+                        }
+                        let grow = (oci * oh + oy) * ow;
+                        let dst = &mut row[iy * w..][..w];
+                        for (ix, d) in dst.iter_mut().enumerate() {
+                            let u = ix + pad;
+                            if u < kx || !(u - kx).is_multiple_of(stride) {
+                                continue;
+                            }
+                            let ox = (u - kx) / stride;
+                            if ox >= ow {
+                                continue;
+                            }
+                            *d = g[grow + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The span copies write exactly the cells the element-wise
+        /// oracles write, with the same values, for k ∈ {1,3,5},
+        /// pad ∈ {0,1,2}, stride ∈ {1,2,3} and non-square inputs down to
+        /// one cell wide — narrower than the kernel reaches.
+        #[test]
+        fn span_copies_match_the_elementwise_oracles(
+            seed in proptest::prelude::any::<u64>(),
+            k_pick in 0usize..3,
+            pad in 0usize..3,
+            stride in 1usize..4,
+            c in 1usize..3,
+            h in 1usize..8,
+            w in 1usize..8,
+        ) {
+            let k = 2 * k_pick + 1;
+            proptest::prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+            let (oh, ow) = ((h + 2 * pad - k) / stride + 1, (w + 2 * pad - k) / stride + 1);
+            let mut rng = Pcg32::seed_from(seed);
+            // Nonzero everywhere, so a skipped cell shows against the
+            // sentinel-filled buffers.
+            let mut draw = |n: usize| -> Vec<f32> {
+                (0..n).map(|_| 1.0 + rng.next_f32()).collect()
+            };
+
+            let x = draw(c * h * w);
+            let mut got = vec![-7.0f32; c * k * k * oh * ow];
+            let mut want = got.clone();
+            im2col(&x, c, h, w, oh, ow, k, pad, stride, &mut got);
+            im2col_elementwise(&x, c, h, w, oh, ow, k, pad, stride, &mut want);
+            proptest::prop_assert_eq!(got, want);
+
+            let g = draw(c * oh * ow);
+            let mut got = vec![-7.0f32; c * k * k * h * w];
+            let mut want = got.clone();
+            im2col_grad(&g, c, oh, ow, h, w, k, pad, stride, &mut got);
+            im2col_grad_elementwise(&g, c, oh, ow, h, w, k, pad, stride, &mut want);
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
 
     #[test]
     fn identity_kernel_passthrough() {

@@ -119,15 +119,9 @@ impl Dense {
         Tensor::from_vec(&[n, out], y)
     }
 
-    /// Backward body shared by the plain and arena entry points. `dw` and
-    /// `dx` are zeroed buffers for the weight-gradient temporary and the
-    /// input gradient; `dw` is returned for recycling.
-    fn backward_into(
-        &mut self,
-        grad_out: &Tensor,
-        mut dw: Vec<f32>,
-        mut dx: Vec<f32>,
-    ) -> (Tensor, Vec<f32>) {
+    /// Parameter-gradient half of the backward pass. `dw` is a zeroed
+    /// buffer for the weight-gradient temporary, returned for recycling.
+    fn param_grads_into(&mut self, grad_out: &Tensor, mut dw: Vec<f32>) -> Vec<f32> {
         let input = self
             .cached_input
             .as_ref()
@@ -163,20 +157,27 @@ impl Dense {
             }
             *dbj += s;
         }
-        // dx = g · W
+        dw
+    }
+
+    /// Input-gradient half of the backward pass: `dx = g · W` into the
+    /// zeroed buffer `dx`.
+    fn input_grad_into(&self, grad_out: &Tensor, mut dx: Vec<f32>) -> Tensor {
+        let n = grad_out.shape().dim(0);
+        let inf = self.in_features();
         debug_assert_eq!(dx.len(), n * inf);
         gemm::gemm_into(
             n,
             inf,
-            out,
-            g,
+            self.out_features(),
+            grad_out.data(),
             gemm::Trans::No,
             self.weight.value.data(),
             gemm::Trans::No,
             &mut dx,
             gemm::default_threads(),
         );
-        (Tensor::from_vec(&[n, inf], dx), dw)
+        Tensor::from_vec(&[n, inf], dx)
     }
 }
 
@@ -187,9 +188,9 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let dw = vec![0.0f32; self.weight.value.len()];
+        self.param_grads_into(grad_out, vec![0.0f32; self.weight.value.len()]);
         let dx = vec![0.0f32; grad_out.shape().dim(0) * self.in_features()];
-        self.backward_into(grad_out, dw, dx).0
+        self.input_grad_into(grad_out, dx)
     }
 
     fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
@@ -198,11 +199,15 @@ impl Layer for Dense {
     }
 
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
-        let dw = arena.take_zeroed(self.weight.value.len());
+        self.backward_params_scratch(grad_out, arena);
         let dx = arena.take_zeroed(grad_out.shape().dim(0) * self.in_features());
-        let (dx, dw) = self.backward_into(grad_out, dw, dx);
+        self.input_grad_into(grad_out, dx)
+    }
+
+    fn backward_params_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) {
+        let dw = arena.take_zeroed(self.weight.value.len());
+        let dw = self.param_grads_into(grad_out, dw);
         arena.recycle(dw);
-        dx
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {

@@ -57,7 +57,8 @@ impl Param {
 /// * [`Layer::forward`] consumes a batch-first input (`[N, features]` or
 ///   `[N, C, H, W]`), caches whatever it needs, and returns the output;
 /// * [`Layer::backward`] consumes `∂L/∂output`, accumulates `∂L/∂params`
-///   into its [`Param`]s, and returns `∂L/∂input`;
+///   into its [`Param`]s, and returns `∂L/∂input`
+///   ([`Layer::backward_params_scratch`] is the same minus the return);
 /// * parameter traversal ([`Layer::visit_params`]/[`Layer::visit_params_mut`])
 ///   exposes parameters in a stable, deterministic order so optimizers can
 ///   key per-parameter state by index and RPoL can flatten the model into
@@ -94,6 +95,16 @@ pub trait Layer: Send + Sync {
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
         let _ = arena;
         self.backward(grad_out)
+    }
+
+    /// Accumulates `∂L/∂params` exactly as [`Layer::backward_scratch`]
+    /// does, without producing `∂L/∂input` — what a model asks of its
+    /// first trainable layer, whose input gradient nobody reads. The
+    /// default runs the full backward and recycles the result; layers
+    /// whose input gradient is separable work override it to skip that.
+    fn backward_params_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) {
+        let dx = self.backward_scratch(grad_out, arena);
+        arena.recycle(dx.into_vec());
     }
 
     /// Visits all parameters in deterministic order.

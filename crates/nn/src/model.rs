@@ -92,22 +92,42 @@ impl Sequential {
         x
     }
 
-    /// Backward pass through all layers (reverse order), accumulating
-    /// parameter gradients. Returns `∂L/∂input`. Intermediate gradients
-    /// are recycled like forward activations.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// The parameter-gradient pass: back-propagates `grad_out` from the
+    /// last layer down to the first layer (from the front) that owns a
+    /// non-frozen [`Param`], accumulating `∂L/∂params` on the way. That
+    /// layer is asked for parameter gradients only, and a frozen prefix in
+    /// front of it (RPoL's AMLayer) is never entered: its gradients would
+    /// be discarded by [`Sequential::step`] and `∂L/∂input` has no reader
+    /// in a training step. The trainable parameters' gradients are
+    /// bitwise those [`Sequential::backward_to_input`] leaves.
+    pub fn backward(&mut self, grad_out: &Tensor) {
         if rpol_obs::global_enabled() {
             rpol_obs::global().counter_add("nn.model.backwards", 1);
         }
-        let mut layers = self.layers.iter_mut().rev();
-        let last = layers.next().expect("model needs at least one layer");
-        let mut g = last.backward_scratch(grad_out, &mut self.arena);
-        for layer in layers {
-            let g_next = layer.backward_scratch(&g, &mut self.arena);
-            self.arena.recycle(g.into_vec());
-            g = g_next;
+        let Some(first) = self.layers.iter().position(|l| {
+            let mut trainable = false;
+            l.visit_params(&mut |p| trainable |= !p.frozen);
+            trainable
+        }) else {
+            return;
+        };
+        let (head, tail) = self.layers[first..]
+            .split_first_mut()
+            .expect("position is in range");
+        let g = backward_chain(tail, grad_out, &mut self.arena);
+        head.backward_params_scratch(g.as_ref().unwrap_or(grad_out), &mut self.arena);
+        if let Some(spent) = g {
+            self.arena.recycle(spent.into_vec());
         }
-        g
+    }
+
+    /// The full backward chain through every layer, frozen or not:
+    /// accumulates all parameter gradients and returns `∂L/∂input` — for
+    /// gradient checks and input-space attacks. Training uses
+    /// [`Sequential::backward`].
+    pub fn backward_to_input(&mut self, grad_out: &Tensor) -> Tensor {
+        backward_chain(&mut self.layers, grad_out, &mut self.arena)
+            .expect("model needs at least one layer")
     }
 
     /// Applies the optimizer to every non-frozen parameter, then zeroes
@@ -212,6 +232,25 @@ impl std::fmt::Debug for Sequential {
             self.param_count()
         )
     }
+}
+
+/// Full backward through `layers`, last to first, recycling each
+/// intermediate gradient once the next layer has consumed it. Returns the
+/// gradient with respect to the first layer's input, or `None` for an
+/// empty slice.
+fn backward_chain(
+    layers: &mut [Box<dyn Layer>],
+    grad_out: &Tensor,
+    arena: &mut ScratchArena,
+) -> Option<Tensor> {
+    let mut g: Option<Tensor> = None;
+    for layer in layers.iter_mut().rev() {
+        let g_next = layer.backward_scratch(g.as_ref().unwrap_or(grad_out), arena);
+        if let Some(spent) = g.replace(g_next) {
+            arena.recycle(spent.into_vec());
+        }
+    }
+    g
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@ use rpol_crypto::{Address, Prf};
 use rpol_nn::conv::Conv2d;
 use rpol_nn::layer::{Layer, Param};
 use rpol_tensor::rng::Pcg32;
+use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -351,28 +352,44 @@ impl std::fmt::Debug for AmLayer {
 
 impl Layer for AmLayer {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for block in &mut self.blocks {
-            let fx = block.forward(&x, train);
-            assert_eq!(
-                fx.shape(),
-                x.shape(),
-                "AMLayer blocks must preserve shape (equal channels, same-size conv)"
-            );
-            x = &fx + &x;
-        }
-        x
+        self.forward_scratch(input, train, &mut ScratchArena::new())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_scratch(grad_out, &mut ScratchArena::new())
+    }
+
+    fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        let mut x: Option<Tensor> = None;
+        for block in &mut self.blocks {
+            let cur = x.as_ref().unwrap_or(input);
+            let mut y = block.forward_scratch(cur, train, arena);
+            assert_eq!(
+                y.shape(),
+                cur.shape(),
+                "AMLayer blocks must preserve shape (equal channels, same-size conv)"
+            );
+            y += cur;
+            if let Some(spent) = x.replace(y) {
+                arena.recycle(spent.into_vec());
+            }
+        }
+        x.unwrap_or_else(|| input.clone())
+    }
+
+    fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
         // Chain through the stack in reverse; parameter gradients are
         // accumulated but never applied (frozen).
-        let mut g = grad_out.clone();
+        let mut g: Option<Tensor> = None;
         for block in self.blocks.iter_mut().rev() {
-            let dconv = block.backward(&g);
-            g = &dconv + &g;
+            let cur = g.as_ref().unwrap_or(grad_out);
+            let mut dx = block.backward_scratch(cur, arena);
+            dx += cur;
+            if let Some(spent) = g.replace(dx) {
+                arena.recycle(spent.into_vec());
+            }
         }
-        g
+        g.unwrap_or_else(|| grad_out.clone())
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {

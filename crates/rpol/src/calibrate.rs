@@ -256,7 +256,9 @@ impl<'a> Calibrator<'a> {
                 (0..trace.segments.len()).map(move |j| (replay_idx as u64, gpu, j))
             })
             .collect();
-        let measure = |&(replay_idx, gpu, j): &(u64, GpuModel, usize)| -> f32 {
+        let measure = |&(replay_idx, gpu, j): &(u64, GpuModel, usize),
+                       model: &mut rpol_nn::model::Sequential|
+         -> f32 {
             let _g = span!(
                 self.recorder,
                 "rpol.calibrate.unit",
@@ -264,7 +266,6 @@ impl<'a> Calibrator<'a> {
                 replay = replay_idx,
                 segment = j
             );
-            let mut model = self.config.build_model_like(global_weights);
             let mut trainer = LocalTrainer::new(
                 self.config,
                 self.shard,
@@ -272,19 +273,24 @@ impl<'a> Calibrator<'a> {
             );
             let replayed = if self.quantized {
                 trainer.replay_segment_quantized(
-                    &mut model,
+                    model,
                     &trace.checkpoints[j],
                     nonce,
                     trace.segments[j],
                 )
             } else {
-                trainer.replay_segment(&mut model, &trace.checkpoints[j], nonce, trace.segments[j])
+                trainer.replay_segment(model, &trace.checkpoints[j], nonce, trace.segments[j])
             };
             euclidean(&replayed, &trace.checkpoints[j + 1])
         };
+        // A replay loads its input checkpoint and reseeds, which resets
+        // every piece of model state, so the serial path keeps replaying on
+        // run A's model; pool threads each need their own.
         let distances: Vec<f32> = match exec {
-            Some(exec) => exec.run_indexed(units.len(), |i| measure(&units[i])),
-            None => units.iter().map(measure).collect(),
+            Some(exec) => exec.run_indexed(units.len(), |i| {
+                measure(&units[i], &mut self.config.build_model_like(global_weights))
+            }),
+            None => units.iter().map(|u| measure(u, &mut model_a)).collect(),
         };
         let mut stats = RunningStats::new();
         for &dist in &distances {
@@ -327,25 +333,23 @@ impl<'a> Calibrator<'a> {
 }
 
 impl TaskConfig {
-    /// Builds a bare task model and loads the provided flat weights
-    /// if they match the bare geometry; if the weights include the
-    /// AMLayer prefix, the caller should build the encoded model instead.
+    /// Builds a model of the geometry `weights` was flattened from — the
+    /// bare task model, or the encoded one when the vector carries an
+    /// AMLayer prefix — and loads them.
     pub(crate) fn build_model_like(&self, weights: &[f32]) -> rpol_nn::model::Sequential {
         let mut model = self.build_model();
-        if model.param_count() == weights.len() {
-            model.load_params(weights);
-            return model;
+        if model.param_count() != weights.len() {
+            // Encoded geometry: any address gives the right shape, and the
+            // load below overwrites the frozen prefix with the true values.
+            self.prepend_amlayer(&mut model, &rpol_crypto::Address::from_seed(0));
         }
-        // Encoded geometry: rebuild with a placeholder address, then load —
-        // the frozen prefix is overwritten by the checkpoint's true values.
-        let mut encoded = self.build_encoded_model(&rpol_crypto::Address::from_seed(0));
         assert_eq!(
-            encoded.param_count(),
+            model.param_count(),
             weights.len(),
             "weight vector matches neither bare nor encoded model geometry"
         );
-        encoded.load_params(weights);
-        encoded
+        model.load_params(weights);
+        model
     }
 }
 

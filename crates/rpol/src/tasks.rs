@@ -212,9 +212,14 @@ impl TaskConfig {
     /// the task model (§V-A).
     pub fn build_encoded_model(&self, address: &Address) -> Sequential {
         let mut model = self.build_model();
+        self.prepend_amlayer(&mut model, address);
+        model
+    }
+
+    /// Puts the AMLayer for `address` in front of a bare task model.
+    pub(crate) fn prepend_amlayer(&self, model: &mut Sequential, address: &Address) {
         let am = AmLayer::generate(address, self.amlayer_spec(), self.lipschitz_c);
         model.push_front(Box::new(am));
-        model
     }
 
     /// The AMLayer geometry for this task.

@@ -23,6 +23,7 @@
 use rpol_tensor::rng::Pcg32;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// The four GPU models of the paper's evaluation (§VII-C), ordered by
 /// descending FP32 throughput.
@@ -128,6 +129,10 @@ pub struct NoiseInjector {
     rng: Pcg32,
     /// When set, the injector is a deterministic-hardware baseline.
     zero: bool,
+    /// The leading draws of the GPU model's fingerprint stream, built on
+    /// first use, regrown when a longer weight vector arrives and shared
+    /// with every clone (the verifier clones one injector per sample).
+    fingerprint: Arc<Mutex<Arc<Vec<f32>>>>,
 }
 
 impl NoiseInjector {
@@ -137,6 +142,7 @@ impl NoiseInjector {
             model,
             rng: Pcg32::seed_from(run_seed ^ 0x6E01_5E00),
             zero: false,
+            fingerprint: Arc::default(),
         }
     }
 
@@ -174,11 +180,22 @@ impl NoiseInjector {
             return;
         }
         let sigma = self.model.noise_rel_sigma() * update_norm / (weights.len() as f32).sqrt();
-        // The fingerprint direction is a pure function of the GPU model.
-        let mut fingerprint = Pcg32::seed_from(0xF17E_0000 ^ self.model.fp32_tflops().to_bits());
-        for w in weights.iter_mut() {
-            *w += self.rng.normal(0.0, sigma) + sigma * fingerprint.next_normal();
+        let fingerprint = self.fingerprint(weights.len());
+        for (w, &f) in weights.iter_mut().zip(fingerprint.iter()) {
+            *w += self.rng.normal(0.0, sigma) + sigma * f;
         }
+    }
+
+    /// At least the first `len` standard normals of the fingerprint
+    /// stream. The direction is a pure function of the GPU model, so it
+    /// is drawn once per injector family instead of once per step.
+    fn fingerprint(&self, len: usize) -> Arc<Vec<f32>> {
+        let mut cached = self.fingerprint.lock().expect("fingerprint cache poisoned");
+        if cached.len() < len {
+            let mut rng = Pcg32::seed_from(0xF17E_0000 ^ self.model.fp32_tflops().to_bits());
+            *cached = Arc::new((0..len).map(|_| rng.next_normal()).collect());
+        }
+        Arc::clone(&cached)
     }
 }
 

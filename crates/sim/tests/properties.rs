@@ -6,6 +6,24 @@ use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_sim::net::NetworkModel;
 use rpol_sim::workload::{DatasetKind, ModelKind, Workload};
 use rpol_sim::SimClock;
+use rpol_tensor::rng::Pcg32;
+
+/// `NoiseInjector::perturb_after_step` as it was before the fingerprint
+/// was cached: the per-GPU stream re-derived from its seed on every call.
+fn perturb_uncached(rng: &mut Pcg32, gpu: GpuModel, weights: &mut [f32], update_norm: f32) {
+    if !(update_norm.is_finite() && update_norm > 0.0) || weights.is_empty() {
+        return;
+    }
+    let sigma = gpu.noise_rel_sigma() * update_norm / (weights.len() as f32).sqrt();
+    let mut fingerprint = Pcg32::seed_from(0xF17E_0000 ^ gpu.fp32_tflops().to_bits());
+    for w in weights.iter_mut() {
+        *w += rng.normal(0.0, sigma) + sigma * fingerprint.next_normal();
+    }
+}
+
+fn bits(weights: &[f32]) -> Vec<u32> {
+    weights.iter().map(|w| w.to_bits()).collect()
+}
 
 proptest! {
     #[test]
@@ -26,6 +44,53 @@ proptest! {
             w
         };
         prop_assert_eq!(run(seed), run(seed));
+    }
+
+    #[test]
+    fn cached_fingerprint_equals_the_uncached_expression(
+        seed in any::<u64>(),
+        gpu_pick in 0usize..4,
+        len in 2usize..300,
+        shorter in 1usize..300,
+        longer in 1usize..300,
+        norm in 0.01f32..10.0,
+    ) {
+        let gpu = GpuModel::ALL[gpu_pick];
+        let (shorter, longer) = (shorter.min(len - 1), len + longer);
+        let mut inj = NoiseInjector::new(gpu, seed);
+        let mut oracle = Pcg32::seed_from(seed ^ 0x6E01_5E00);
+        // (use the clone?, weight count, update norm): the clone is taken
+        // after the first step and shares the cache; lengths shrink, then
+        // grow past the cached prefix; invalid norms must neither perturb
+        // nor consume the run's noise stream.
+        let mut fork: Option<(NoiseInjector, Pcg32)> = None;
+        let steps = [
+            (false, len, norm),
+            (true, shorter, norm * 0.5),
+            (false, longer, norm * 2.0),
+            (false, len, f32::NAN),
+            (false, len, 0.0),
+            (true, longer, norm),
+            (false, shorter, norm),
+        ];
+        for (i, &(on_fork, n, update_norm)) in steps.iter().enumerate() {
+            let (inj, oracle) = if on_fork {
+                let (inj, oracle) = fork.get_or_insert_with(|| (inj.clone(), oracle.clone()));
+                (inj, oracle)
+            } else {
+                (&mut inj, &mut oracle)
+            };
+            let mut got: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 3.0).collect();
+            let mut want = got.clone();
+            inj.perturb_after_step(&mut got, update_norm);
+            perturb_uncached(oracle, gpu, &mut want, update_norm);
+            prop_assert_eq!(bits(&got), bits(&want), "step {}", i);
+        }
+
+        let mut silent = NoiseInjector::noiseless(gpu);
+        let mut w = vec![0.5f32; len];
+        silent.perturb_after_step(&mut w, norm);
+        prop_assert!(w.iter().all(|&x| x == 0.5));
     }
 
     #[test]

@@ -29,6 +29,10 @@ scripts/fault_matrix.sh
 echo "== bench smoke: verification data plane vs committed baseline"
 scripts/check_bench.sh
 
+echo "== epoch benchmark gates: equivalence, socket-vs-in-process parity, 0 failed operations"
+cargo run --release -p rpol-bench --bin epoch_bench -- --smoke
+cargo test -q -p rpol-bench --bin epoch_bench
+
 echo "== net smoke: full epoch over loopback TCP, readiness reactor, lossy chaos"
 scripts/net_smoke.sh
 

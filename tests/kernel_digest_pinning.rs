@@ -8,9 +8,20 @@
 //! change to reduction order anywhere in the math stack fails this test.
 //! Also exercised with multiple GEMM thread counts, since a checkpoint
 //! digest must not depend on the host's parallelism.
+//!
+//! The `ENCODED_*` and `STRIDED_*` constants pin what the eight original
+//! ones do not reach: an AMLayer-prefixed model (the path the pool runs —
+//! train one epoch, replay one segment with a fresh injector) and
+//! stride-2 convolutions. They were recorded on commit 149e81b, *before*
+//! the training step stopped backward at the frozen prefix, before
+//! `im2col`/`im2col_grad` became span copies and before the GPU
+//! fingerprint was cached, with `examples/digest_probe.rs` (which prints
+//! all of them).
 
 use rpol_repro::crypto::sha256::sha256_f32;
+use rpol_repro::crypto::Address;
 use rpol_repro::nn::data::SyntheticImages;
+use rpol_repro::nn::prelude::*;
 use rpol_repro::rpol::tasks::{ModelArch, TaskConfig};
 use rpol_repro::rpol::trainer::LocalTrainer;
 use rpol_repro::sim::gpu::{GpuModel, NoiseInjector};
@@ -30,6 +41,25 @@ const VGG_DIGESTS: [&str; 4] = [
     "887c8de393fb0023b079f742192abf3350728aaf4436181eab8550960c06493e",
     "c6d37a3332dcc3ba3a12a2eee627245013c1faeeb7b9f029431a5a52fa0d3244",
 ];
+/// Recorded on commit 149e81b (see the module header).
+const ENCODED_DIGESTS: [&str; 4] = [
+    "7230b8a1d0be3ce3d485a0fd63fda778c67638e3df329c63d82cae4669b9639f",
+    "00eaaf0955a3a90f77dbd44cb15de3a180871a103f790e64d237ff252bcee0e1",
+    "f895d8d13987c7bae140d5525b8f14ded650eaa8b7711816d34dea3d9aa17a43",
+    "735017ec21130d14083291f428be06b4a6b5b2c1db0d675ba4366921e150f35b",
+];
+const ENCODED_REPLAY_DIGEST: &str =
+    "61048fd54c95ea2f0b0a8fb4930bd7b724a671f93e3155d39d2a166e762403a6";
+const STRIDED_DIGESTS: [&str; 4] = [
+    "02749f9100070412142ae712c27493f779cb3fc1c60fdc9217ddfbf2ae0803c6",
+    "899541a02f244111fc6fbb76f48bc26126701019333796b8bc0b5d88373f8292",
+    "ab11fa768af395cd3506adb7b60bf7cd467308155d7a3f3ac28507ba5fca6193",
+    "7f0c1170817e357b983188d4aabb01f25b688585c16ef42ee9108d361105c9ae",
+];
+
+fn hex_digests(checkpoints: &[Vec<f32>]) -> Vec<String> {
+    checkpoints.iter().map(|c| sha256_f32(c).to_hex()).collect()
+}
 
 fn epoch_digests(arch: ModelArch) -> Vec<String> {
     let mut cfg = TaskConfig::tiny();
@@ -37,12 +67,7 @@ fn epoch_digests(arch: ModelArch) -> Vec<String> {
     let data = SyntheticImages::generate(&cfg.spec, 64, &mut Pcg32::seed_from(1));
     let mut model = cfg.build_model();
     let mut trainer = LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::GA10, 5));
-    let trace = trainer.run_epoch(&mut model, 7, 6);
-    trace
-        .checkpoints
-        .iter()
-        .map(|c| sha256_f32(c).to_hex())
-        .collect()
+    hex_digests(&trainer.run_epoch(&mut model, 7, 6).checkpoints)
 }
 
 #[test]
@@ -61,4 +86,57 @@ fn resnet_epoch_digests_match_seed_kernels() {
 #[test]
 fn vgg_epoch_digests_match_seed_kernels() {
     assert_eq!(epoch_digests(ModelArch::MiniVgg16), VGG_DIGESTS);
+}
+
+#[test]
+fn encoded_model_train_and_replay_digests_match_parent_kernels() {
+    for threads in [1, 4] {
+        set_default_threads(threads);
+        let cfg = TaskConfig::tiny();
+        let address = Address::from_seed(0xE1C0);
+        let data = SyntheticImages::generate(&cfg.spec, 64, &mut Pcg32::seed_from(1));
+        let mut model = cfg.build_encoded_model(&address);
+        let mut trainer = LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::GA10, 5));
+        let trace = trainer.run_epoch(&mut model, 7, 6);
+        assert_eq!(
+            hex_digests(&trace.checkpoints),
+            ENCODED_DIGESTS,
+            "with {threads} GEMM threads"
+        );
+        let mut replay_model = cfg.build_encoded_model(&address);
+        let mut verifier = LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::G3090, 9));
+        let replayed = verifier.replay_segment(
+            &mut replay_model,
+            &trace.checkpoints[1],
+            7,
+            trace.segments[1],
+        );
+        assert_eq!(
+            sha256_f32(&replayed).to_hex(),
+            ENCODED_REPLAY_DIGEST,
+            "with {threads} GEMM threads"
+        );
+    }
+    set_default_threads(1);
+}
+
+#[test]
+fn strided_conv_epoch_digests_match_parent_kernels() {
+    let mut cfg = TaskConfig::tiny();
+    cfg.spec.channels = 2;
+    cfg.spec.height = 9;
+    cfg.spec.width = 7;
+    let data = SyntheticImages::generate(&cfg.spec, 64, &mut Pcg32::seed_from(1));
+    let mut rng = Pcg32::seed_from(cfg.init_seed);
+    let mut model = Sequential::new(vec![
+        Box::new(Conv2d::with_stride(2, 6, 3, 1, 2, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(Conv2d::with_stride(6, 8, 3, 1, 2, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(Flatten::new()),
+        Box::new(Dense::new(8 * 3 * 2, cfg.spec.classes, &mut rng)),
+    ]);
+    let mut trainer = LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::GA10, 5));
+    let trace = trainer.run_epoch(&mut model, 7, 6);
+    assert_eq!(hex_digests(&trace.checkpoints), STRIDED_DIGESTS);
 }
