@@ -55,6 +55,27 @@ fn bench_lsh(c: &mut Criterion) {
     c.bench_function("lsh_signature_digest", |b| b.iter(|| sig.digest()));
 }
 
+/// One training step's worth of run-to-run noise at the epoch benchmark's
+/// task P: the scalar definition against the block path.
+fn bench_normals(c: &mut Criterion) {
+    let mut out = vec![0.0f32; 97_152];
+    let mut rng = Pcg32::seed_from(1);
+    c.bench_function("rng/next_normal_97k", |b| {
+        b.iter(|| {
+            for z in out.iter_mut() {
+                *z = rng.next_normal();
+            }
+            black_box(&mut out);
+        })
+    });
+    c.bench_function("rng/fill_normal_97k", |b| {
+        b.iter(|| {
+            rng.fill_normal(&mut out);
+            black_box(&mut out);
+        })
+    });
+}
+
 fn bench_amlayer(c: &mut Criterion) {
     let spec = AmLayerSpec::for_channels(3);
     c.bench_function("amlayer_derive_weights", |b| {
@@ -146,6 +167,7 @@ criterion_group!(
     bench_sha256,
     bench_merkle,
     bench_lsh,
+    bench_normals,
     bench_amlayer,
     bench_commitments,
     bench_training_and_replay,

@@ -192,10 +192,13 @@ impl Shared {
     }
 
     fn run_job(&self, job: Job) {
-        job();
+        // Counted before the job runs: the job's last act releases its
+        // scope's latch, and a caller that returns from `scope` must find
+        // every one of its tasks in `exec.tasks`.
         if self.recorder.enabled() {
             self.recorder.counter_add("exec.tasks", 1);
         }
+        job();
     }
 
     /// The main loop of one pool thread.
@@ -567,6 +570,25 @@ mod tests {
         assert_eq!(threads, Some(4.0));
         // No trace events, ever: scheduling facts are metrics-only.
         assert!(rec.events().is_empty());
+    }
+
+    /// Regression: `exec.tasks` used to be bumped after the job had
+    /// released its scope's latch, so a snapshot taken right after
+    /// `run_indexed` returned could read 31 of 32.
+    #[test]
+    fn task_count_is_exact_when_the_scope_returns() {
+        let rec = Arc::new(Recorder::logical());
+        // Default width, so `scripts/ci.sh` can widen the race window with
+        // `RPOL_EXEC_THREADS=8`.
+        let exec = Executor::with_recorder(Executor::default_threads(), rec.clone());
+        for round in 1..=400u64 {
+            let _ = exec.run_indexed(32, |i| i);
+            assert_eq!(
+                rec.snapshot().counter("exec.tasks"),
+                32 * round,
+                "round {round}"
+            );
+        }
     }
 
     #[test]

@@ -92,7 +92,8 @@ impl LshFamily {
         let prf = Prf::new(&seed.to_be_bytes());
         let total = params.total_hashes();
         let mut rng = Pcg32::seed_from(prf.derive_seed(0));
-        let projections = (0..total * dim).map(|_| rng.next_normal()).collect();
+        let mut projections = vec![0.0; total * dim];
+        rng.fill_normal(&mut projections);
         let mut rng_b = Pcg32::seed_from(prf.derive_seed(1));
         let offsets = (0..total).map(|_| rng_b.uniform(0.0, params.r)).collect();
         Self {
@@ -272,6 +273,21 @@ mod tests {
         assert_eq!(a, b);
         let c = LshFamily::generate(10, p, 100);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn projections_are_the_elementwise_normal_stream() {
+        let params = LshParams::new(2.0, 3, 5);
+        for (dim, seed) in [(1, 0u64), (7, 3), (97, 9), (1031, 0xFEED)] {
+            let family = LshFamily::generate(dim, params, seed);
+            let prf = Prf::new(&seed.to_be_bytes());
+            let mut rng = Pcg32::seed_from(prf.derive_seed(0));
+            let want: Vec<u32> = (0..params.total_hashes() * dim)
+                .map(|_| rng.next_normal().to_bits())
+                .collect();
+            let got: Vec<u32> = family.projections.iter().map(|p| p.to_bits()).collect();
+            assert_eq!(got, want, "dim {dim} seed {seed}");
+        }
     }
 
     #[test]

@@ -128,23 +128,26 @@ impl SyntheticImages {
         let mut proto_rng = Pcg32::seed_from(spec.task_seed);
         let pixels = spec.pixel_count();
         let prototypes: Vec<Vec<f32>> = (0..spec.classes)
-            .map(|_| (0..pixels).map(|_| proto_rng.next_normal() * 1.5).collect())
+            .map(|_| {
+                let mut proto = vec![0.0; pixels];
+                proto_rng.fill_normal(&mut proto);
+                proto.iter_mut().for_each(|p| *p *= 1.5);
+                proto
+            })
             .collect();
 
         let mut images = Vec::with_capacity(n);
         let mut labels = Vec::with_capacity(n);
         for i in 0..n {
             let label = i % spec.classes;
-            let proto = &prototypes[label];
-            let img: Vec<f32> = proto
-                .iter()
-                .map(|&p| {
-                    let raw = p + rng.next_normal() * spec.noise;
-                    // Mild nonlinearity keeps the task from being linearly
-                    // separable at zero effort.
-                    raw.tanh() + 0.1 * raw
-                })
-                .collect();
+            let mut img = vec![0.0; pixels];
+            rng.fill_normal(&mut img);
+            for (z, &p) in img.iter_mut().zip(&prototypes[label]) {
+                let raw = p + *z * spec.noise;
+                // Mild nonlinearity keeps the task from being linearly
+                // separable at zero effort.
+                *z = raw.tanh() + 0.1 * raw;
+            }
             images.push(img);
             labels.push(label);
         }
@@ -274,6 +277,57 @@ impl SyntheticImages {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `SyntheticImages::generate` as it was before normals were drawn in
+    /// blocks: one `next_normal` per pixel.
+    fn generate_elementwise(spec: &ImageSpec, n: usize, rng: &mut Pcg32) -> SyntheticImages {
+        let mut proto_rng = Pcg32::seed_from(spec.task_seed);
+        let pixels = spec.pixel_count();
+        let prototypes: Vec<Vec<f32>> = (0..spec.classes)
+            .map(|_| (0..pixels).map(|_| proto_rng.next_normal() * 1.5).collect())
+            .collect();
+        let mut images = Vec::with_capacity(n);
+        let mut labels = Vec::with_capacity(n);
+        for i in 0..n {
+            let label = i % spec.classes;
+            let img: Vec<f32> = prototypes[label]
+                .iter()
+                .map(|&p| {
+                    let raw = p + rng.next_normal() * spec.noise;
+                    raw.tanh() + 0.1 * raw
+                })
+                .collect();
+            images.push(img);
+            labels.push(label);
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut order);
+        SyntheticImages {
+            spec: *spec,
+            images: order.iter().map(|&i| images[i].clone()).collect(),
+            labels: order.iter().map(|&i| labels[i]).collect(),
+        }
+    }
+
+    #[test]
+    fn generation_equals_the_elementwise_oracle() {
+        // 3·5·7 = 105 pixels: an odd count, so every image after the first
+        // starts on the cached half of a Box–Muller pair.
+        let mut odd = ImageSpec::tiny();
+        (odd.channels, odd.height, odd.width) = (3, 5, 7);
+        for (spec, n, seed) in [(ImageSpec::tiny(), 20, 1u64), (odd, 33, 2)] {
+            let (mut rng, mut oracle_rng) = (Pcg32::seed_from(seed), Pcg32::seed_from(seed));
+            let got = SyntheticImages::generate(&spec, n, &mut rng);
+            let want = generate_elementwise(&spec, n, &mut oracle_rng);
+            assert_eq!(got.labels, want.labels);
+            let bits = |d: &SyntheticImages| -> Vec<Vec<u32>> {
+                let row = |img: &Vec<f32>| img.iter().map(|p| p.to_bits()).collect();
+                d.images.iter().map(row).collect()
+            };
+            assert_eq!(bits(&got), bits(&want));
+            assert_eq!(rng, oracle_rng, "generator state after generation");
+        }
+    }
 
     #[test]
     fn generation_is_seeded() {

@@ -228,13 +228,17 @@ impl<'a> Calibrator<'a> {
         exec: Option<&Executor>,
     ) -> (CalibrationResult, Vec<f32>) {
         assert!(steps > 0, "empty calibration run");
+        // One injector per calibration GPU, rerun for run A and every
+        // replay unit, so each GPU's fingerprint is drawn once per
+        // calibration instead of once per run.
+        let (noise_a, noise_b) = (
+            NoiseInjector::new(self.gpus.0, 0),
+            NoiseInjector::new(self.gpus.1, 0),
+        );
+        let run_seed = |run: u64| epoch.wrapping_mul(0x9E37).wrapping_add(run);
         // Run A: train on the faster GPU.
         let mut model_a = self.config.build_model_like(global_weights);
-        let mut trainer_a = LocalTrainer::new(
-            self.config,
-            self.shard,
-            NoiseInjector::new(self.gpus.0, epoch.wrapping_mul(0x9E37).wrapping_add(1)),
-        );
+        let mut trainer_a = LocalTrainer::new(self.config, self.shard, noise_a.rerun(run_seed(1)));
         let trace = {
             let _g = span!(self.recorder, "rpol.calibrate.trace", epoch, steps);
             if self.quantized {
@@ -249,14 +253,14 @@ impl<'a> Calibrator<'a> {
         // measuring per-checkpoint distances exactly as verification
         // would. Two independent replays per segment double the sample
         // count behind the tail estimate for α.
-        let units: Vec<(u64, GpuModel, usize)> = [self.gpus.1, self.gpus.0]
+        let units: Vec<(u64, &NoiseInjector, usize)> = [&noise_b, &noise_a]
             .into_iter()
             .enumerate()
-            .flat_map(|(replay_idx, gpu)| {
-                (0..trace.segments.len()).map(move |j| (replay_idx as u64, gpu, j))
+            .flat_map(|(replay_idx, noise)| {
+                (0..trace.segments.len()).map(move |j| (replay_idx as u64, noise, j))
             })
             .collect();
-        let measure = |&(replay_idx, gpu, j): &(u64, GpuModel, usize),
+        let measure = |&(replay_idx, noise, j): &(u64, &NoiseInjector, usize),
                        model: &mut rpol_nn::model::Sequential|
          -> f32 {
             let _g = span!(
@@ -269,7 +273,7 @@ impl<'a> Calibrator<'a> {
             let mut trainer = LocalTrainer::new(
                 self.config,
                 self.shard,
-                NoiseInjector::new(gpu, epoch.wrapping_mul(0x9E37).wrapping_add(2 + replay_idx)),
+                noise.rerun(run_seed(2 + replay_idx)),
             );
             let replayed = if self.quantized {
                 trainer.replay_segment_quantized(

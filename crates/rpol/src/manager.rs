@@ -232,7 +232,10 @@ pub struct PoolManager {
     q_samples: usize,
     steps_per_epoch: usize,
     policy: CalibrationPolicy,
-    verifier_gpu: GpuModel,
+    /// Injector of the GPU the manager verifies on, never run itself:
+    /// every verification `rerun`s it, so the GPU's fingerprint is drawn
+    /// once per manager.
+    verifier_noise: NoiseInjector,
     calibration_gpus: (GpuModel, GpuModel),
     rng: Pcg32,
     /// β cached from the first calibration, reused by RPoLv1.
@@ -277,7 +280,7 @@ impl PoolManager {
             q_samples,
             steps_per_epoch,
             policy: CalibrationPolicy::default(),
-            verifier_gpu: GpuModel::G3090,
+            verifier_noise: NoiseInjector::new(GpuModel::G3090, 0),
             calibration_gpus: GpuModel::top2(),
             rng: Pcg32::seed_from(seed ^ 0x4D47_5200),
             cached_beta: None,
@@ -967,7 +970,7 @@ impl PoolManager {
             plan.nonces[part.id],
             beta,
             plan.family.as_ref(),
-            NoiseInjector::new(self.verifier_gpu, assignment.noise_seed),
+            self.verifier_noise.rerun(assignment.noise_seed),
             arena,
         )
         .with_recorder(&self.recorder);
@@ -1036,7 +1039,7 @@ impl PoolManager {
             plan.nonces[part.id],
             beta,
             plan.family.as_ref(),
-            NoiseInjector::new(self.verifier_gpu, assignment.noise_seed),
+            self.verifier_noise.rerun(assignment.noise_seed),
             std::mem::take(arena),
         )
         .with_recorder(&self.recorder);

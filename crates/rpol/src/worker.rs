@@ -80,6 +80,9 @@ pub struct PoolWorker {
     /// reproduction-error magnitude).
     pub gpu: GpuModel,
     behavior: WorkerBehavior,
+    /// Injector of the registered GPU, never run itself: every epoch
+    /// `rerun`s it, so the GPU's fingerprint is drawn once per worker.
+    noise: NoiseInjector,
     shard: SyntheticImages,
     model: Sequential,
     /// Checkpoints of the most recent epoch (the worker's local "proof"
@@ -104,6 +107,7 @@ impl PoolWorker {
             address: Address::from_seed(0xF00D_0000 ^ id as u64),
             gpu,
             behavior,
+            noise: NoiseInjector::new(gpu, 0),
             shard,
             model: config.build_encoded_model(manager),
             checkpoints: Vec::new(),
@@ -151,6 +155,11 @@ impl PoolWorker {
     ) -> EpochSubmission {
         let segments = epoch_segments(total_steps, config.checkpoint_interval);
         let run_seed = (epoch << 20) ^ (self.id as u64) << 4 ^ nonce;
+        debug_assert_eq!(
+            self.noise.model(),
+            self.gpu,
+            "`gpu` changed after registration"
+        );
         // RPoLv3 trains on the bf16 lattice: every protocol-visible state
         // (epoch input, checkpoints, spoofed extrapolations) is snapped,
         // honest and adversarial alike — an off-lattice opening is
@@ -165,7 +174,7 @@ impl PoolWorker {
             | WorkerBehavior::Straggler { .. } => {
                 self.model.load_params(global_weights);
                 let mut trainer =
-                    LocalTrainer::new(config, &self.shard, NoiseInjector::new(self.gpu, run_seed));
+                    LocalTrainer::new(config, &self.shard, self.noise.rerun(run_seed));
                 if quantized {
                     trainer
                         .run_epoch_quantized(&mut self.model, nonce, total_steps)
@@ -204,7 +213,7 @@ impl PoolWorker {
                 }
                 self.model.load_params(&input);
                 let mut trainer =
-                    LocalTrainer::new(config, &self.shard, NoiseInjector::new(self.gpu, run_seed));
+                    LocalTrainer::new(config, &self.shard, self.noise.rerun(run_seed));
                 let mut checkpoints = vec![input];
                 for seg in &segments[..honest_segments] {
                     trainer.run_segment(&mut self.model, nonce, *seg);

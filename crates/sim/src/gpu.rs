@@ -131,7 +131,8 @@ pub struct NoiseInjector {
     zero: bool,
     /// The leading draws of the GPU model's fingerprint stream, built on
     /// first use, regrown when a longer weight vector arrives and shared
-    /// with every clone (the verifier clones one injector per sample).
+    /// with every clone (the verifier clones one injector per sample) and
+    /// every [`NoiseInjector::rerun`].
     fingerprint: Arc<Mutex<Arc<Vec<f32>>>>,
 }
 
@@ -140,10 +141,29 @@ impl NoiseInjector {
     pub fn new(model: GpuModel, run_seed: u64) -> Self {
         Self {
             model,
-            rng: Pcg32::seed_from(run_seed ^ 0x6E01_5E00),
+            rng: Self::run_rng(run_seed),
             zero: false,
             fingerprint: Arc::default(),
         }
+    }
+
+    /// An injector for another run on the same hardware: what
+    /// [`NoiseInjector::new`] would build for this model (a noiseless
+    /// template stays noiseless) with `run_seed`, except that it shares
+    /// this injector's fingerprint cache. An owner that starts many runs on
+    /// one GPU keeps a template and `rerun`s it, so the fingerprint is
+    /// drawn once per owner instead of once per run.
+    pub fn rerun(&self, run_seed: u64) -> Self {
+        Self {
+            model: self.model,
+            rng: Self::run_rng(run_seed),
+            zero: self.zero,
+            fingerprint: Arc::clone(&self.fingerprint),
+        }
+    }
+
+    fn run_rng(run_seed: u64) -> Pcg32 {
+        Pcg32::seed_from(run_seed ^ 0x6E01_5E00)
     }
 
     /// A silent injector useful as a "perfectly deterministic hardware"
@@ -180,9 +200,17 @@ impl NoiseInjector {
             return;
         }
         let sigma = self.model.noise_rel_sigma() * update_norm / (weights.len() as f32).sqrt();
+        assert!(sigma.is_finite() && sigma >= 0.0, "invalid std dev {sigma}");
         let fingerprint = self.fingerprint(weights.len());
-        for (w, &f) in weights.iter_mut().zip(fingerprint.iter()) {
-            *w += self.rng.normal(0.0, sigma) + sigma * f;
+        let mut normals = [0.0f32; 1024];
+        for (ws, fs) in weights.chunks_mut(1024).zip(fingerprint.chunks(1024)) {
+            let zs = &mut normals[..ws.len()];
+            self.rng.fill_normal(zs);
+            for ((w, &z), &f) in ws.iter_mut().zip(zs.iter()).zip(fs) {
+                // `0.0 + σ·z` is what `Pcg32::normal(0.0, σ)` computes; the
+                // addition turns a `-0.0` product into `+0.0`.
+                *w += (0.0 + sigma * z) + sigma * f;
+            }
         }
     }
 
@@ -193,7 +221,9 @@ impl NoiseInjector {
         let mut cached = self.fingerprint.lock().expect("fingerprint cache poisoned");
         if cached.len() < len {
             let mut rng = Pcg32::seed_from(0xF17E_0000 ^ self.model.fp32_tflops().to_bits());
-            *cached = Arc::new((0..len).map(|_| rng.next_normal()).collect());
+            let mut draws = vec![0.0; len];
+            rng.fill_normal(&mut draws);
+            *cached = Arc::new(draws);
         }
         Arc::clone(&cached)
     }
@@ -312,6 +342,23 @@ mod tests {
         let mut w = vec![1.0f32; 10];
         inj.perturb_after_step(&mut w, 5.0);
         assert_eq!(w, vec![1.0f32; 10]);
+    }
+
+    #[test]
+    fn rerun_shares_the_fingerprint_cache() {
+        let template = NoiseInjector::new(GpuModel::GA10, 1);
+        let mut first = template.rerun(2);
+        first.perturb_after_step(&mut [0.0f32; 100], 1.0);
+        // The draw made through one rerun serves the template and every
+        // later rerun: all of them hand out the same allocation.
+        let second = template.rerun(3);
+        assert!(Arc::ptr_eq(&template.fingerprint, &second.fingerprint));
+        let drawn = first.fingerprint(100);
+        assert!(Arc::ptr_eq(&drawn, &template.fingerprint(50)));
+        assert!(Arc::ptr_eq(&drawn, &second.fingerprint(100)));
+        // A fresh injector has a cache of its own.
+        let fresh = NoiseInjector::new(GpuModel::GA10, 3);
+        assert!(!Arc::ptr_eq(&drawn, &fresh.fingerprint(100)));
     }
 
     #[test]

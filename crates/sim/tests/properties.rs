@@ -9,7 +9,9 @@ use rpol_sim::SimClock;
 use rpol_tensor::rng::Pcg32;
 
 /// `NoiseInjector::perturb_after_step` as it was before the fingerprint
-/// was cached: the per-GPU stream re-derived from its seed on every call.
+/// was cached and the normals were drawn in blocks: one `next_normal` per
+/// element from each stream, the per-GPU stream re-derived from its seed
+/// on every call.
 fn perturb_uncached(rng: &mut Pcg32, gpu: GpuModel, weights: &mut [f32], update_norm: f32) {
     if !(update_norm.is_finite() && update_norm > 0.0) || weights.is_empty() {
         return;
@@ -50,9 +52,11 @@ proptest! {
     fn cached_fingerprint_equals_the_uncached_expression(
         seed in any::<u64>(),
         gpu_pick in 0usize..4,
-        len in 2usize..300,
-        shorter in 1usize..300,
-        longer in 1usize..300,
+        // Up to 3000 weights: below, at and across the injector's
+        // 1024-float chunks, odd tails included.
+        len in 2usize..1500,
+        shorter in 1usize..1500,
+        longer in 1usize..1500,
         norm in 0.01f32..10.0,
     ) {
         let gpu = GpuModel::ALL[gpu_pick];
@@ -89,6 +93,39 @@ proptest! {
 
         let mut silent = NoiseInjector::noiseless(gpu);
         let mut w = vec![0.5f32; len];
+        silent.perturb_after_step(&mut w, norm);
+        prop_assert!(w.iter().all(|&x| x == 0.5));
+    }
+
+    #[test]
+    fn rerun_equals_a_fresh_injector(
+        template_seed in any::<u64>(),
+        run_seed in any::<u64>(),
+        gpu_pick in 0usize..4,
+        lens in proptest::collection::vec(1usize..2500, 1..5),
+        norm in 0.01f32..10.0,
+        warm in any::<bool>(),
+    ) {
+        let gpu = GpuModel::ALL[gpu_pick];
+        let mut template = NoiseInjector::new(gpu, template_seed);
+        if warm {
+            // A template that has already run: its cache is populated and
+            // its own noise stream has advanced; neither may leak.
+            template.perturb_after_step(&mut vec![0.0; lens[0]], norm);
+        }
+        let mut rerun = template.rerun(run_seed);
+        let mut fresh = NoiseInjector::new(gpu, run_seed);
+        prop_assert_eq!(rerun.model(), gpu);
+        for (step, &n) in lens.iter().enumerate() {
+            let mut got: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 3.0).collect();
+            let mut want = got.clone();
+            rerun.perturb_after_step(&mut got, norm);
+            fresh.perturb_after_step(&mut want, norm);
+            prop_assert_eq!(bits(&got), bits(&want), "step {}", step);
+        }
+
+        let mut silent = NoiseInjector::noiseless(gpu).rerun(run_seed);
+        let mut w = vec![0.5f32; lens[0]];
         silent.perturb_after_step(&mut w, norm);
         prop_assert!(w.iter().all(|&x| x == 0.5));
     }

@@ -406,7 +406,7 @@ unsafe fn microkernel_avx512(kc: usize, pa: &[f32], pb: &[f32], c: &mut [f32], l
 static ISA_TIER: AtomicUsize = AtomicUsize::new(0);
 
 #[cfg(target_arch = "x86_64")]
-fn isa_tier() -> usize {
+pub(crate) fn isa_tier() -> usize {
     let cached = ISA_TIER.load(Ordering::Relaxed);
     if cached != 0 {
         return cached;
@@ -423,7 +423,7 @@ fn isa_tier() -> usize {
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn isa_tier() -> usize {
+pub(crate) fn isa_tier() -> usize {
     1
 }
 

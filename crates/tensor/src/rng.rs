@@ -3,9 +3,16 @@
 //! Every piece of randomness that takes part in the RPoL protocol — model
 //! initialization, AMLayer weights, LSH projection vectors, batch selection —
 //! must be reproducible by a remote verifier from a seed. These generators
-//! are therefore fully deterministic and platform-independent (integer-only
-//! state transitions; floating-point values are derived the same way on
-//! every platform).
+//! are therefore fully deterministic: state transitions are integer-only,
+//! and integer and uniform outputs are bit-identical on every platform.
+//!
+//! Normal draws are the one exception to *cross-platform* equality:
+//! [`Pcg32::next_normal`] rounds a Box–Muller pair computed with the
+//! platform's `f64` `ln`/`sin`/`cos`, so two hosts whose math libraries
+//! round a result differently can disagree in the last `f32` bit of a
+//! draw. On one platform the stream is a pure function of the seed, and
+//! [`Pcg32::fill_normal`] reproduces that platform's stream bit for bit
+//! (DESIGN.md §6 and §19).
 
 /// SplitMix64: a tiny, high-quality 64-bit generator.
 ///
@@ -45,8 +52,9 @@ impl SplitMix64 {
 /// PCG32 (XSH-RR variant): the workhorse generator for the workspace.
 ///
 /// Deterministic, seedable, `O(1)` state. All floating-point sampling
-/// (uniform, normal) is implemented on top of its integer output so results
-/// are bit-identical across platforms.
+/// (uniform, normal) is implemented on top of its integer output; integer
+/// and uniform results are bit-identical across platforms, normal draws
+/// across runs on one platform (see the module documentation).
 ///
 /// # Examples
 ///
@@ -148,23 +156,89 @@ impl Pcg32 {
     /// Returns a standard-normal draw via the Box–Muller transform.
     ///
     /// Deterministic given the generator state; the paired output is cached
-    /// so consecutive calls consume uniform draws two at a time.
+    /// so consecutive calls consume uniform draws two at a time. This is
+    /// the definition of the normal stream: [`Pcg32::fill_normal`] is
+    /// specified, and tested, against it.
     pub fn next_normal(&mut self) -> f32 {
         if let Some(z) = self.cached_normal.take() {
             return z;
         }
+        let (u1, u2) = self.next_uniform_pair();
+        let (z0, z1) = box_muller(u1, u2);
+        self.cached_normal = Some(z1);
+        z0
+    }
+
+    /// The two uniforms behind one Box–Muller pair, in stream order.
+    fn next_uniform_pair(&mut self) -> (f64, f64) {
         // Avoid u1 == 0 which would produce -inf.
         let mut u1 = self.next_f64();
         while u1 <= f64::EPSILON {
             u1 = self.next_f64();
         }
-        let u2 = self.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        let z0 = (r * theta.cos()) as f32;
-        let z1 = (r * theta.sin()) as f32;
-        self.cached_normal = Some(z1);
-        z0
+        (u1, self.next_f64())
+    }
+
+    /// Fills `out` with exactly what `out.len()` calls of
+    /// [`Pcg32::next_normal`] would return, and leaves the generator in the
+    /// same state (a pending cached value is consumed first; an odd tail
+    /// caches its unused second output).
+    ///
+    /// Uniforms are drawn one by one in stream order; only the Box–Muller
+    /// arithmetic runs over blocks, with kernels that vectorise. A lane
+    /// whose result could round differently from the platform's math
+    /// library is recomputed by the scalar expression `next_normal` uses,
+    /// so the output does not depend on which kernels ran.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rpol_tensor::rng::Pcg32;
+    ///
+    /// let mut a = Pcg32::seed_from(9);
+    /// let mut b = a.clone();
+    /// let mut block = [0.0f32; 7];
+    /// a.fill_normal(&mut block);
+    /// assert!(block.iter().all(|&z| z == b.next_normal()));
+    /// assert_eq!(a, b);
+    /// ```
+    pub fn fill_normal(&mut self, out: &mut [f32]) {
+        let mut out = out;
+        if out.is_empty() {
+            return;
+        }
+        if let Some(z) = self.cached_normal.take() {
+            out[0] = z;
+            out = &mut out[1..];
+        }
+        let tier = crate::gemm::isa_tier();
+        let mut u1 = [0.0f64; BLOCK_PAIRS];
+        let mut u2 = [0.0f64; BLOCK_PAIRS];
+        let mut z0 = [0.0f32; BLOCK_PAIRS];
+        let mut z1 = [0.0f32; BLOCK_PAIRS];
+        while !out.is_empty() {
+            let pairs = out.len().div_ceil(2).min(BLOCK_PAIRS);
+            for (a, b) in u1[..pairs].iter_mut().zip(&mut u2[..pairs]) {
+                (*a, *b) = self.next_uniform_pair();
+            }
+            box_muller_block(
+                tier,
+                &u1[..pairs],
+                &u2[..pairs],
+                &mut z0[..pairs],
+                &mut z1[..pairs],
+            );
+            let take = out.len().min(2 * pairs);
+            let (head, rest) = out.split_at_mut(take);
+            for (pair, (&a, &b)) in head.chunks_mut(2).zip(z0.iter().zip(&z1)) {
+                pair[0] = a;
+                match pair.get_mut(1) {
+                    Some(second) => *second = b,
+                    None => self.cached_normal = Some(b),
+                }
+            }
+            out = rest;
+        }
     }
 
     /// Returns a normal draw with the given mean and standard deviation.
@@ -187,6 +261,235 @@ impl Pcg32 {
             xs.swap(i, j);
         }
     }
+}
+
+/// One Box–Muller pair through the platform's math library: the expression
+/// that defines the normal stream. [`Pcg32::next_normal`] evaluates it per
+/// draw and [`box_muller_block`] for every lane it flags.
+fn box_muller(u1: f64, u2: f64) -> (f32, f32) {
+    let r = (-2.0 * u1.ln()).sqrt();
+    let theta = 2.0 * std::f64::consts::PI * u2;
+    ((r * theta.cos()) as f32, (r * theta.sin()) as f32)
+}
+
+/// Pairs per block of [`Pcg32::fill_normal`]: the block's buffers (two
+/// uniforms, a flag and two outputs per pair) are 8 KiB of stack,
+/// L1-resident.
+const BLOCK_PAIRS: usize = 256;
+
+/// Half-width, in `f64` ulps, of the band around every `f32` rounding
+/// midpoint inside which a product is recomputed with [`box_muller`]. The
+/// block kernels stay within a few ulp of the platform's `ln`/`sin`/`cos`
+/// (`kernels_stay_within_4_ulp_of_libm` enforces it), so outside the band
+/// both values lie on the same side of the midpoint and round to the same
+/// `f32`; the band costs 2 · 2¹⁴ / 2²⁹ ≈ 6·10⁻⁵ of the pairs.
+const GUARD_ULPS: u64 = 1 << 13;
+
+/// The `f64` mantissa bits an `as f32` cast rounds away, and their midpoint.
+const DROPPED_BITS: u64 = (1 << 29) - 1;
+const DROPPED_MIDPOINT: u64 = 1 << 28;
+
+/// At or below this reduced angle the block kernels defer to
+/// [`box_muller`]: the Cody–Waite reduction's absolute error (below 1e-30)
+/// stops being negligible relative to the angle only far below it, and
+/// `u2 ∈ {0, ¼, ½, ¾}` lands here.
+const SMALL_ANGLE: f64 = 1e-7;
+
+/// `1.5 · 2⁵²`: adding it to a small non-negative `f64` rounds that value
+/// to an integer and leaves the integer in the low mantissa bits.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// `ln x` for a normal `x` in `(0, 1)`: fdlibm's `__ieee754_log` without
+/// its special-case branches (the unified form musl used), error < 1 ulp.
+/// Here and in [`sin_cos_kernel`] the constants are fdlibm's, written as
+/// the bit patterns its sources list.
+#[inline(always)]
+fn ln_kernel(x: f64) -> f64 {
+    const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+    const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+    const LG1: f64 = f64::from_bits(0x3fe5_5555_5555_5593);
+    const LG2: f64 = f64::from_bits(0x3fd9_9999_9997_fa04);
+    const LG3: f64 = f64::from_bits(0x3fd2_4924_9422_9359);
+    const LG4: f64 = f64::from_bits(0x3fcc_71c5_1d8e_78af);
+    const LG5: f64 = f64::from_bits(0x3fc7_4664_96cb_03de);
+    const LG6: f64 = f64::from_bits(0x3fc3_9a09_d078_c69f);
+    const LG7: f64 = f64::from_bits(0x3fc2_f112_df3e_5244);
+    /// High word of `√2 / 2`, shifted into place.
+    const SQRT_HALF_HI: u64 = 0x3fe6_a09e << 32;
+    const ONE_HI: u64 = 0x3ff0_0000 << 32;
+    // Split x = 2^k · m with m in [√2/2, √2).
+    let shifted = x.to_bits().wrapping_add(ONE_HI - SQRT_HALF_HI);
+    let biased_k = shifted >> 52;
+    let m = f64::from_bits((shifted & 0x000f_ffff_ffff_ffff).wrapping_add(SQRT_HALF_HI));
+    // Exact small-integer-to-f64 conversion that every ISA tier vectorises.
+    let dk = f64::from_bits(ROUND_MAGIC.to_bits() | biased_k) - (ROUND_MAGIC + 1023.0);
+    let f = m - 1.0;
+    let hfsq = 0.5 * f * f;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let t1 = w * (LG2 + w * (LG4 + w * LG6));
+    let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
+    let r = t2 + t1;
+    s * (hfsq + r) + dk * LN2_LO - hfsq + f + dk * LN2_HI
+}
+
+/// `(sin θ, cos θ, |reduced angle|)` for `θ` in `[0, 2π]`: a three-term
+/// Cody–Waite reduction to `[-π/4, π/4]` that keeps a tail, fdlibm's
+/// `__kernel_sin` / musl's branch-free `__cos` polynomials, and a quadrant
+/// rotation done with bit masks. Error < 1 ulp each once the reduced angle
+/// exceeds [`SMALL_ANGLE`].
+#[inline(always)]
+fn sin_cos_kernel(theta: f64) -> (f64, f64, f64) {
+    const INV_PIO2: f64 = f64::from_bits(0x3fe4_5f30_6dc9_c883);
+    /// First 33 bits of π/2, the next 33, and what remains.
+    const PIO2_1: f64 = f64::from_bits(0x3ff9_21fb_5440_0000);
+    const PIO2_2: f64 = f64::from_bits(0x3dd0_b461_1a60_0000);
+    const PIO2_2T: f64 = f64::from_bits(0x3ba3_198a_2e03_7073);
+    const S1: f64 = f64::from_bits(0xbfc5_5555_5555_5549);
+    const S2: f64 = f64::from_bits(0x3f81_1111_1110_f8a6);
+    const S3: f64 = f64::from_bits(0xbf2a_01a0_19c1_61d5);
+    const S4: f64 = f64::from_bits(0x3ec7_1de3_57b1_fe7d);
+    const S5: f64 = f64::from_bits(0xbe5a_e5e6_8a2b_9ceb);
+    const S6: f64 = f64::from_bits(0x3de5_d93a_5acf_d57c);
+    const C1: f64 = f64::from_bits(0x3fa5_5555_5555_554c);
+    const C2: f64 = f64::from_bits(0xbf56_c16c_16c1_5177);
+    const C3: f64 = f64::from_bits(0x3efa_01a0_19cb_1590);
+    const C4: f64 = f64::from_bits(0xbe92_7e4f_809c_52ad);
+    const C5: f64 = f64::from_bits(0x3e21_ee9e_bdb4_b1c4);
+    const C6: f64 = f64::from_bits(0xbda8_fae9_be88_38d4);
+    // θ = n·π/2 + (y0 + y1), n in 0..=4. The products n·PIO2_1 and
+    // n·PIO2_2 are exact (33-bit × 3-bit), as is the first subtraction.
+    let rounded = theta * INV_PIO2 + ROUND_MAGIC;
+    let quadrant = rounded.to_bits();
+    let n = rounded - ROUND_MAGIC;
+    let t = theta - n * PIO2_1;
+    let w = n * PIO2_2;
+    let r = t - w;
+    let w = n * PIO2_2T - ((t - r) - w);
+    let y0 = r - w;
+    let y1 = (r - y0) - w;
+
+    let z = y0 * y0;
+    let v = z * y0;
+    let poly = S2 + z * (S3 + z * (S4 + z * (S5 + z * S6)));
+    let sin = y0 - ((z * (0.5 * y1 - v * poly) - y1) - v * S1);
+
+    let zz = z * z;
+    let poly = z * (C1 + z * (C2 + z * C3)) + zz * zz * (C4 + z * (C5 + z * C6));
+    let hz = 0.5 * z;
+    let one_minus = 1.0 - hz;
+    let cos = one_minus + (((1.0 - one_minus) - hz) + (z * poly - y0 * y1));
+
+    // Quadrant n: sin θ = [s, c, -s, -c][n & 3], cos θ = [c, -s, -c, s][n & 3].
+    let swap = 0u64.wrapping_sub(quadrant & 1);
+    let (sin, cos) = (sin.to_bits(), cos.to_bits());
+    let sin_theta = ((sin & !swap) | (cos & swap)) ^ ((quadrant & 2) << 62);
+    let cos_theta = ((cos & !swap) | (sin & swap)) ^ ((quadrant.wrapping_add(1) & 2) << 62);
+    (
+        f64::from_bits(sin_theta),
+        f64::from_bits(cos_theta),
+        y0.abs(),
+    )
+}
+
+/// Whether the `f32` a product casts to could depend on the last few ulp
+/// of the product: it sits within [`GUARD_ULPS`] of a rounding midpoint, or
+/// its exponent is outside ±120 (towards the `f32` subnormals the midpoints
+/// move; zero lands here too).
+#[inline(always)]
+fn cast_is_fragile(product: f64) -> bool {
+    let bits = product.to_bits();
+    let near_midpoint =
+        (bits & DROPPED_BITS).wrapping_sub(DROPPED_MIDPOINT - GUARD_ULPS) <= 2 * GUARD_ULPS;
+    let exponent = (bits >> 52) & 0x7ff;
+    near_midpoint | (exponent.wrapping_sub(1023 - 120) > 240)
+}
+
+/// The block kernel: one branch-free loop over structure-of-arrays
+/// buffers that the compiler vectorises for whichever ISA tier the wrapper
+/// enables. Writes both outputs of every pair and a flag per pair that is
+/// nonzero when the pair must be recomputed with [`box_muller`]. No
+/// `mul_add`: every tier performs the same IEEE operations per lane, so
+/// neither the flags nor the outputs depend on the tier.
+#[inline(always)]
+fn box_muller_block_body(
+    u1: &[f64],
+    u2: &[f64],
+    z0: &mut [f32],
+    z1: &mut [f32],
+    flags: &mut [u64],
+) {
+    let n = u1.len();
+    let (u2, z0, z1, flags) = (&u2[..n], &mut z0[..n], &mut z1[..n], &mut flags[..n]);
+    for i in 0..n {
+        let radius = (-2.0 * ln_kernel(u1[i])).sqrt();
+        let theta = 2.0 * std::f64::consts::PI * u2[i];
+        let (sin, cos, reduced) = sin_cos_kernel(theta);
+        let (p0, p1) = (radius * cos, radius * sin);
+        z0[i] = p0 as f32;
+        z1[i] = p1 as f32;
+        let fragile = (reduced <= SMALL_ANGLE) | cast_is_fragile(p0) | cast_is_fragile(p1);
+        flags[i] = fragile as u64;
+    }
+}
+
+/// # Safety
+///
+/// Callers must have verified `avx2` support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn box_muller_block_avx2(
+    u1: &[f64],
+    u2: &[f64],
+    z0: &mut [f32],
+    z1: &mut [f32],
+    flags: &mut [u64],
+) {
+    box_muller_block_body(u1, u2, z0, z1, flags);
+}
+
+/// # Safety
+///
+/// Callers must have verified `avx512f` support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn box_muller_block_avx512(
+    u1: &[f64],
+    u2: &[f64],
+    z0: &mut [f32],
+    z1: &mut [f32],
+    flags: &mut [u64],
+) {
+    box_muller_block_body(u1, u2, z0, z1, flags);
+}
+
+/// Box–Muller over up to [`BLOCK_PAIRS`] uniform pairs on the given
+/// [`crate::gemm::isa_tier`]: `(z0[i], z1[i])` is bitwise
+/// `box_muller(u1[i], u2[i])` for every lane, whatever the tier. Returns
+/// how many lanes took the scalar fallback.
+fn box_muller_block(tier: usize, u1: &[f64], u2: &[f64], z0: &mut [f32], z1: &mut [f32]) -> usize {
+    let n = u1.len();
+    assert!(
+        n <= BLOCK_PAIRS && u2.len() == n && z0.len() == n && z1.len() == n,
+        "block of {n} pairs with mismatched or oversized buffers"
+    );
+    let mut flags = [0u64; BLOCK_PAIRS];
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: tier 3 is only reported after avx512f was detected.
+        3 => unsafe { box_muller_block_avx512(u1, u2, z0, z1, &mut flags) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: tier 2 is only reported after avx2 was detected.
+        2 => unsafe { box_muller_block_avx2(u1, u2, z0, z1, &mut flags) },
+        _ => box_muller_block_body(u1, u2, z0, z1, &mut flags),
+    }
+    let mut fallbacks = 0;
+    for i in (0..n).filter(|&i| flags[i] != 0) {
+        (z0[i], z1[i]) = box_muller(u1[i], u2[i]);
+        fallbacks += 1;
+    }
+    fallbacks
 }
 
 #[cfg(test)]
@@ -266,5 +569,193 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "shuffle left input in order"
         );
+    }
+
+    /// Every ISA tier this host can run, baseline first.
+    fn host_tiers() -> Vec<usize> {
+        (1..=crate::gemm::isa_tier()).collect()
+    }
+
+    fn ulp_distance(a: f64, b: f64) -> u64 {
+        assert!(a.is_finite() && b.is_finite() && (a < 0.0) == (b < 0.0));
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    /// The pair-level hook: runs one pair through the block path on `tier`
+    /// and reports whether it took the fallback.
+    fn block_pair(tier: usize, u1: f64, u2: f64) -> ((f32, f32), bool) {
+        let (mut z0, mut z1) = ([0.0f32], [0.0f32]);
+        let fallbacks = box_muller_block(tier, &[u1], &[u2], &mut z0, &mut z1);
+        ((z0[0], z1[0]), fallbacks == 1)
+    }
+
+    fn bits2((a, b): (f32, f32)) -> (u32, u32) {
+        (a.to_bits(), b.to_bits())
+    }
+
+    /// u1 × u2 values where the kernels are most likely to part from libm:
+    /// the ends of both ranges, powers of two, and the quadrant boundaries.
+    fn edge_grid() -> Vec<(f64, f64)> {
+        let ulp = f64::EPSILON / 2.0;
+        let mut u1s = vec![
+            f64::EPSILON * (1.0 + f64::EPSILON),
+            0.5 - ulp / 2.0,
+            0.5,
+            0.5 + ulp,
+            1.0 - ulp,
+            1.0 - 2f64.powi(-30),
+            std::f64::consts::FRAC_1_SQRT_2,
+        ];
+        u1s.extend((1..=52).map(|k| 2f64.powi(-k)));
+        let mut u2s = vec![0.0, ulp, 1.0 - ulp];
+        for q in [0.25, 0.5, 0.75] {
+            u2s.extend([q - ulp, q, q + ulp, q - 1e-9, q + 1e-9, q - 1e-6, q + 1e-6]);
+        }
+        u2s.extend([0.125, 0.375, 0.625, 0.875, 1e-9, 1e-6]);
+        u1s.iter()
+            .flat_map(|&a| u2s.iter().map(move |&b| (a, b)))
+            .collect()
+    }
+
+    #[test]
+    fn fill_normal_equals_a_next_normal_loop() {
+        for seed in 0..8u64 {
+            for len in [0usize, 1, 2, 3, 511, 512, 513, 1000, 100_001] {
+                for pending in [false, true] {
+                    let mut bulk = Pcg32::seed_from(seed);
+                    if pending {
+                        bulk.next_normal();
+                    }
+                    let mut scalar = bulk.clone();
+                    let mut out = vec![f32::NAN; len];
+                    bulk.fill_normal(&mut out);
+                    for (i, z) in out.iter().enumerate() {
+                        assert_eq!(
+                            z.to_bits(),
+                            scalar.next_normal().to_bits(),
+                            "seed {seed} len {len} pending {pending} draw {i}"
+                        );
+                    }
+                    assert_eq!(bulk, scalar, "seed {seed} len {len} pending {pending}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn edge_grid_is_flagged_or_equal_to_libm() {
+        for tier in host_tiers() {
+            for (u1, u2) in edge_grid() {
+                let (got, _) = block_pair(tier, u1, u2);
+                assert_eq!(
+                    bits2(got),
+                    bits2(box_muller(u1, u2)),
+                    "tier {tier} u1 {u1:e} u2 {u2:e}"
+                );
+            }
+        }
+        // The quadrant boundaries themselves must take the fallback: their
+        // reduced angle is the rounding error of π/2.
+        for u2 in [0.0, 0.25, 0.5, 0.75] {
+            assert!(block_pair(1, 0.3, u2).1, "u2 {u2} not flagged");
+        }
+    }
+
+    /// Protects the guard band: [`GUARD_ULPS`] is sized for kernels within
+    /// a few ulp of libm, so a kernel edit that loosens them fails here
+    /// before it can flip an `f32`.
+    #[test]
+    fn kernels_stay_within_4_ulp_of_libm() {
+        let mut rng = Pcg32::seed_from(0xB0C5);
+        let random = (0..1 << 22).map(|_| rng.next_uniform_pair());
+        let (mut worst_ln, mut worst_trig, mut worst_product) = (0, 0, 0);
+        for (u1, u2) in random.chain(edge_grid()) {
+            let (ln, ln_libm) = (ln_kernel(u1), u1.ln());
+            worst_ln = worst_ln.max(ulp_distance(ln, ln_libm));
+            let theta = 2.0 * std::f64::consts::PI * u2;
+            let (sin, cos, reduced) = sin_cos_kernel(theta);
+            if reduced > SMALL_ANGLE {
+                let (sin_libm, cos_libm) = theta.sin_cos();
+                worst_trig = worst_trig
+                    .max(ulp_distance(sin, sin_libm))
+                    .max(ulp_distance(cos, cos_libm));
+                let (r, r_libm) = ((-2.0 * ln).sqrt(), (-2.0 * ln_libm).sqrt());
+                worst_product = worst_product
+                    .max(ulp_distance(r * sin, r_libm * sin_libm))
+                    .max(ulp_distance(r * cos, r_libm * cos_libm));
+            }
+        }
+        println!("worst ulp vs libm: ln {worst_ln}, sin/cos {worst_trig}, product {worst_product}");
+        assert!(worst_ln <= 4, "ln kernel {worst_ln} ulp from libm");
+        assert!(worst_trig <= 4, "sin/cos kernel {worst_trig} ulp from libm");
+        assert!(
+            worst_product <= GUARD_ULPS / 1000,
+            "products {worst_product} ulp from libm"
+        );
+    }
+
+    #[test]
+    fn isa_tiers_produce_identical_output() {
+        let mut rng = Pcg32::seed_from(77);
+        let (mut u1, mut u2) = ([0.0; BLOCK_PAIRS], [0.0; BLOCK_PAIRS]);
+        for _ in 0..64 {
+            for (a, b) in u1.iter_mut().zip(&mut u2) {
+                (*a, *b) = rng.next_uniform_pair();
+            }
+            let run = |tier: usize| {
+                let (mut z0, mut z1) = ([0.0f32; BLOCK_PAIRS], [0.0f32; BLOCK_PAIRS]);
+                let fallbacks = box_muller_block(tier, &u1, &u2, &mut z0, &mut z1);
+                let bits = |z: [f32; BLOCK_PAIRS]| z.map(f32::to_bits);
+                (bits(z0), bits(z1), fallbacks)
+            };
+            let baseline = run(1);
+            for tier in host_tiers() {
+                assert_eq!(run(tier), baseline, "tier {tier}");
+            }
+        }
+    }
+
+    /// Compares `draws` block-path normals with the libm expression and
+    /// returns the share of pairs that took the fallback.
+    fn soak(draws: u64) -> f64 {
+        let tier = crate::gemm::isa_tier();
+        let mut rng = Pcg32::seed_from(0x50AC);
+        let (mut u1, mut u2) = ([0.0; BLOCK_PAIRS], [0.0; BLOCK_PAIRS]);
+        let (mut z0, mut z1) = ([0.0f32; BLOCK_PAIRS], [0.0f32; BLOCK_PAIRS]);
+        let blocks = draws / (2 * BLOCK_PAIRS as u64);
+        let (mut fallbacks, mut mismatches) = (0u64, 0u64);
+        for _ in 0..blocks {
+            for (a, b) in u1.iter_mut().zip(&mut u2) {
+                (*a, *b) = rng.next_uniform_pair();
+            }
+            fallbacks += box_muller_block(tier, &u1, &u2, &mut z0, &mut z1) as u64;
+            for i in 0..BLOCK_PAIRS {
+                mismatches += (bits2((z0[i], z1[i])) != bits2(box_muller(u1[i], u2[i]))) as u64;
+            }
+        }
+        let share = fallbacks as f64 / (blocks * BLOCK_PAIRS as u64) as f64;
+        println!("{draws} draws, tier {tier}: {mismatches} mismatches, fallback share {share:.3e}");
+        assert_eq!(mismatches, 0);
+        share
+    }
+
+    #[test]
+    fn fallback_share_is_the_guard_band() {
+        // Two products per pair, each flagged with probability 2·2¹³/2²⁹.
+        let share = soak(1 << 22);
+        assert!((3e-5..1.2e-4).contains(&share), "fallback share {share:e}");
+    }
+
+    /// `scripts/ci.sh` runs this one in release (a few seconds).
+    #[test]
+    #[ignore = "2^28 draws; run in release"]
+    fn fill_normal_soak() {
+        assert!(soak(1 << 28) < 2e-4);
+    }
+
+    #[test]
+    #[ignore = "2^30 draws; run in release"]
+    fn fill_normal_long_soak() {
+        assert!(soak(1 << 30) < 2e-4);
     }
 }

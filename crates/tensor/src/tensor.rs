@@ -82,7 +82,8 @@ impl Tensor {
     /// Creates a tensor of i.i.d. standard-normal draws.
     pub fn randn(dims: &[usize], rng: &mut Pcg32) -> Self {
         let shape = Shape::new(dims);
-        let data = (0..shape.len()).map(|_| rng.next_normal()).collect();
+        let mut data = vec![0.0; shape.len()];
+        rng.fill_normal(&mut data);
         Self { shape, data }
     }
 

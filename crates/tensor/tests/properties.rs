@@ -116,6 +116,54 @@ proptest! {
     }
 
     #[test]
+    fn fill_normal_interleaves_with_every_other_draw(
+        seed in any::<u64>(),
+        // (operation, length): block fills of any length mixed with single
+        // normals and integer draws, so fills start with and without a
+        // pending cached value and at every uniform-stream offset.
+        ops in proptest::collection::vec((0u8..4, 0usize..1200), 1..12),
+    ) {
+        let mut bulk = Pcg32::seed_from(seed);
+        let mut scalar = bulk.clone();
+        for (step, &(op, len)) in ops.iter().enumerate() {
+            match op {
+                0 => prop_assert_eq!(bulk.next_u32(), scalar.next_u32()),
+                1 => prop_assert_eq!(
+                    bulk.next_normal().to_bits(),
+                    scalar.next_normal().to_bits()
+                ),
+                _ => {
+                    let mut got = vec![f32::NAN; len];
+                    bulk.fill_normal(&mut got);
+                    let want: Vec<u32> = (0..len).map(|_| scalar.next_normal().to_bits()).collect();
+                    let got: Vec<u32> = got.iter().map(|z| z.to_bits()).collect();
+                    prop_assert_eq!(got, want, "step {}", step);
+                }
+            }
+            prop_assert_eq!(&bulk, &scalar, "state after step {}", step);
+        }
+    }
+
+    #[test]
+    fn randn_equals_elementwise_next_normal(
+        seed in any::<u64>(),
+        dims in proptest::collection::vec(1usize..12, 1..4),
+        pending in any::<bool>(),
+    ) {
+        let mut rng = Pcg32::seed_from(seed);
+        if pending {
+            rng.next_normal();
+        }
+        let mut oracle = rng.clone();
+        let t = Tensor::randn(&dims, &mut rng);
+        prop_assert_eq!(t.shape().dims(), &dims[..]);
+        for (i, z) in t.data().iter().enumerate() {
+            prop_assert_eq!(z.to_bits(), oracle.next_normal().to_bits(), "element {}", i);
+        }
+        prop_assert_eq!(rng, oracle);
+    }
+
+    #[test]
     fn next_below_in_range(seed in any::<u64>(), bound in 1u32..10_000) {
         let mut rng = Pcg32::seed_from(seed);
         for _ in 0..32 {

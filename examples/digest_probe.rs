@@ -77,8 +77,7 @@ fn main() {
     probe(ModelArch::MiniVgg16, "mini_vgg16");
     probe_encoded(&TaskConfig::tiny(), "encoded", 6);
     probe_strided();
-    // The epoch benchmark's task P (97,320 weights); too slow for the
-    // debug-mode pinning test, so compare this line across commits by hand.
+    // The epoch benchmark's task P (97,320 weights).
     let mut task_p = TaskConfig::task_c();
     task_p.spec.height = 24;
     task_p.spec.width = 24;

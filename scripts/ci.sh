@@ -16,12 +16,15 @@ echo "== tier-1: build + tests"
 cargo build --release
 cargo test -q
 
-echo "== executor: 8-thread pass (scheduling + determinism under contention)"
+echo "== executor: 8-thread pass (scheduling + determinism under contention, exact exec.tasks count)"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-exec
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test exec_determinism
 
 echo "== GEMM on the executor: 8-thread invariance + quantizer determinism"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-tensor
+
+echo "== Gaussian blocks: 2^28 draws against the libm expression, 0 mismatches"
+cargo test -q --release -p rpol-tensor -- --ignored fill_normal_soak --nocapture
 
 echo "== fault-injection matrix"
 scripts/fault_matrix.sh

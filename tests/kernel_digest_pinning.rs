@@ -17,6 +17,12 @@
 //! `im2col`/`im2col_grad` became span copies and before the GPU
 //! fingerprint was cached, with `examples/digest_probe.rs` (which prints
 //! all of them).
+//!
+//! The `TASK_P_*` constants pin the epoch benchmark's own 97,320-weight
+//! task, the one `epoch_bench`'s performance claims are made on. They were
+//! recorded on commit 2f6422c, before Gaussians were drawn in blocks
+//! (`Pcg32::fill_normal`) and before owners started sharing one GPU
+//! fingerprint through `NoiseInjector::rerun`.
 
 use rpol_repro::crypto::sha256::sha256_f32;
 use rpol_repro::crypto::Address;
@@ -56,6 +62,14 @@ const STRIDED_DIGESTS: [&str; 4] = [
     "ab11fa768af395cd3506adb7b60bf7cd467308155d7a3f3ac28507ba5fca6193",
     "7f0c1170817e357b983188d4aabb01f25b688585c16ef42ee9108d361105c9ae",
 ];
+/// Recorded on commit 2f6422c (see the module header).
+const TASK_P_DIGESTS: [&str; 3] = [
+    "b3ed4e26b49b93c8cc4de3a5c9b9910cfc72fdc771e86dd29ae9820cdbea1005",
+    "573850d044e078bc5421e75f755d1827f805e473a0e08557e9325b09949a616e",
+    "7abd4d934bc3dbd494254897aba47b5fd154171c51c9962dc586eb3a8e95f6cc",
+];
+const TASK_P_REPLAY_DIGEST: &str =
+    "294d5e1309c256ce3abc9910bd5d66e026e44535e60fc0b7a2a04f81b74816a5";
 
 fn hex_digests(checkpoints: &[Vec<f32>]) -> Vec<String> {
     checkpoints.iter().map(|c| sha256_f32(c).to_hex()).collect()
@@ -88,36 +102,47 @@ fn vgg_epoch_digests_match_seed_kernels() {
     assert_eq!(epoch_digests(ModelArch::MiniVgg16), VGG_DIGESTS);
 }
 
+/// The path the pool runs: an AMLayer-prefixed model trained for one
+/// epoch, then one segment replayed on a second GPU with a fresh injector.
+fn encoded_train_and_replay_digests(cfg: &TaskConfig, steps: usize) -> (Vec<String>, String) {
+    let address = Address::from_seed(0xE1C0);
+    let data = SyntheticImages::generate(&cfg.spec, 64, &mut Pcg32::seed_from(1));
+    let mut model = cfg.build_encoded_model(&address);
+    let mut trainer = LocalTrainer::new(cfg, &data, NoiseInjector::new(GpuModel::GA10, 5));
+    let trace = trainer.run_epoch(&mut model, 7, steps);
+    let mut replay_model = cfg.build_encoded_model(&address);
+    let mut verifier = LocalTrainer::new(cfg, &data, NoiseInjector::new(GpuModel::G3090, 9));
+    let replayed = verifier.replay_segment(
+        &mut replay_model,
+        &trace.checkpoints[1],
+        7,
+        trace.segments[1],
+    );
+    (
+        hex_digests(&trace.checkpoints),
+        sha256_f32(&replayed).to_hex(),
+    )
+}
+
 #[test]
 fn encoded_model_train_and_replay_digests_match_parent_kernels() {
     for threads in [1, 4] {
         set_default_threads(threads);
-        let cfg = TaskConfig::tiny();
-        let address = Address::from_seed(0xE1C0);
-        let data = SyntheticImages::generate(&cfg.spec, 64, &mut Pcg32::seed_from(1));
-        let mut model = cfg.build_encoded_model(&address);
-        let mut trainer = LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::GA10, 5));
-        let trace = trainer.run_epoch(&mut model, 7, 6);
-        assert_eq!(
-            hex_digests(&trace.checkpoints),
-            ENCODED_DIGESTS,
-            "with {threads} GEMM threads"
-        );
-        let mut replay_model = cfg.build_encoded_model(&address);
-        let mut verifier = LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::G3090, 9));
-        let replayed = verifier.replay_segment(
-            &mut replay_model,
-            &trace.checkpoints[1],
-            7,
-            trace.segments[1],
-        );
-        assert_eq!(
-            sha256_f32(&replayed).to_hex(),
-            ENCODED_REPLAY_DIGEST,
-            "with {threads} GEMM threads"
-        );
+        let (checkpoints, replay) = encoded_train_and_replay_digests(&TaskConfig::tiny(), 6);
+        assert_eq!(checkpoints, ENCODED_DIGESTS, "with {threads} GEMM threads");
+        assert_eq!(replay, ENCODED_REPLAY_DIGEST, "with {threads} GEMM threads");
     }
     set_default_threads(1);
+}
+
+#[test]
+fn task_p_train_and_replay_digests_match_parent_kernels() {
+    let mut task_p = TaskConfig::task_c();
+    task_p.spec.height = 24;
+    task_p.spec.width = 24;
+    let (checkpoints, replay) = encoded_train_and_replay_digests(&task_p, 10);
+    assert_eq!(checkpoints, TASK_P_DIGESTS);
+    assert_eq!(replay, TASK_P_REPLAY_DIGEST);
 }
 
 #[test]
