@@ -16,7 +16,9 @@ use rpol_crypto::{Address, MerkleTree};
 use rpol_lsh::{LshFamily, LshParams};
 use rpol_nn::data::SyntheticImages;
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
+use rpol_tensor::conv;
 use rpol_tensor::rng::Pcg32;
+use rpol_tensor::scratch::ScratchArena;
 use std::hint::black_box;
 
 fn bench_sha256(c: &mut Criterion) {
@@ -71,6 +73,52 @@ fn bench_normals(c: &mut Criterion) {
     c.bench_function("rng/fill_normal_97k", |b| {
         b.iter(|| {
             rng.fill_normal(&mut out);
+            black_box(&mut out);
+        })
+    });
+}
+
+/// The three convolution products of one step at task P's conv2
+/// (`[16, 10, 24, 24]`, 3×3 / pad 1 / stride 1, 1.04 MFLOP per sample
+/// each), on the two kernels `Conv2d` lowers onto.
+fn bench_conv(c: &mut Criterion) {
+    let (n, ch, hw, k) = (16, 10, 24, 3);
+    let mut rng = Pcg32::seed_from(2);
+    let mut randn = |len: usize| -> Vec<f32> {
+        let mut v = vec![0.0f32; len];
+        rng.fill_normal(&mut v);
+        v
+    };
+    let x = randn(n * ch * hw * hw);
+    let g = randn(n * ch * hw * hw);
+    let weights = randn(ch * ch * k * k);
+    let bias = randn(ch);
+    let mut out = vec![0.0f32; n * ch * hw * hw];
+    let mut dw = vec![0.0f32; ch * ch * k * k];
+    let mut arena = ScratchArena::new();
+    c.bench_function("conv/task_p_forward", |b| {
+        b.iter(|| {
+            conv::shifted(
+                n, ch, &weights, &bias, ch, hw, hw, &x, 1, 1, k, 1, hw, hw, &mut out, &mut arena,
+            );
+            black_box(&mut out);
+        })
+    });
+    c.bench_function("conv/task_p_dw", |b| {
+        b.iter(|| {
+            conv::gather(
+                n, ch, &g, ch, hw, hw, &x, 1, k, 1, hw, hw, &mut dw, &mut arena,
+            );
+            black_box(&mut dw);
+        })
+    });
+    // `weights` stands in for the rotated kernels: same shape, same work.
+    let zeros = vec![0.0f32; ch];
+    c.bench_function("conv/task_p_dx", |b| {
+        b.iter(|| {
+            conv::shifted(
+                n, ch, &weights, &zeros, ch, hw, hw, &g, 1, 1, k, 1, hw, hw, &mut out, &mut arena,
+            );
             black_box(&mut out);
         })
     });
@@ -168,6 +216,7 @@ criterion_group!(
     bench_merkle,
     bench_lsh,
     bench_normals,
+    bench_conv,
     bench_amlayer,
     bench_commitments,
     bench_training_and_replay,

@@ -1,6 +1,7 @@
 //! Pooling layers.
 
 use crate::layer::{Layer, Param};
+use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
 
 /// 2×2 average pooling with stride 2.
@@ -140,21 +141,46 @@ impl Layer for GlobalAvgPool {
 #[derive(Debug, Clone, Default)]
 pub struct MaxPool2 {
     input_dims: Option<Vec<usize>>,
-    argmax: Vec<usize>,
+    /// Flat input index of each output's maximum; refilled in place by
+    /// every training-mode forward, untouched by inference.
+    argmax: Vec<u32>,
 }
 
 impl MaxPool2 {
     /// Creates a 2×2 max-pooling layer.
     pub fn new() -> Self {
-        Self {
-            input_dims: None,
-            argmax: Vec::new(),
-        }
+        Self::default()
     }
+}
+
+/// The maximum of window `ox` of a row pair (`rows` = two rows of `w`)
+/// and its offset within the pair. Compared with `>` against the running
+/// best in the order top-left, top-right, bottom-left, bottom-right: the
+/// first maximum wins ties and a NaN never replaces the best. Written as
+/// selects — which of four random activations is largest is not a branch
+/// a predictor can learn.
+#[inline(always)]
+fn window_max(rows: &[f32], w: usize, ox: usize) -> (f32, usize) {
+    let (mut best, mut at) = (rows[2 * ox], 2 * ox);
+    for i in [2 * ox + 1, w + 2 * ox, w + 2 * ox + 1] {
+        let take = rows[i] > best;
+        best = if take { rows[i] } else { best };
+        at = if take { i } else { at };
+    }
+    (best, at)
 }
 
 impl Layer for MaxPool2 {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.forward_scratch(input, train, &mut ScratchArena::new())
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_scratch(grad_out, &mut ScratchArena::new())
+    }
+
+    /// Walks two input rows per output row ([`window_max`] per window).
+    fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
         assert_eq!(input.shape().rank(), 4, "pool expects [N, C, H, W]");
         let (n, c, h, w) = (
             input.shape().dim(0),
@@ -163,10 +189,60 @@ impl Layer for MaxPool2 {
             input.shape().dim(3),
         );
         assert!(h % 2 == 0 && w % 2 == 0, "MaxPool2 needs even H and W");
+        assert!(input.len() <= u32::MAX as usize, "MaxPool2 input too large");
         let (oh, ow) = (h / 2, w / 2);
-        let x = input.data();
+        let mut out = arena.take_zeroed(n * c * oh * ow);
+        let row_pairs = input.data().chunks_exact(2 * w);
+        if train {
+            self.input_dims = Some(input.shape().dims().to_vec());
+            self.argmax.resize(out.len(), 0);
+            let slots = out
+                .chunks_exact_mut(ow)
+                .zip(self.argmax.chunks_exact_mut(ow));
+            for ((pair, rows), (out_row, at_row)) in row_pairs.enumerate().zip(slots) {
+                for (ox, (o, at)) in out_row.iter_mut().zip(at_row).enumerate() {
+                    let (best, offset) = window_max(rows, w, ox);
+                    *o = best;
+                    *at = (pair * 2 * w + offset) as u32;
+                }
+            }
+        } else {
+            for (rows, out_row) in row_pairs.zip(out.chunks_exact_mut(ow)) {
+                for (ox, o) in out_row.iter_mut().enumerate() {
+                    *o = window_max(rows, w, ox).0;
+                }
+            }
+        }
+        Tensor::from_vec(&[n, c, oh, ow], out)
+    }
+
+    fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
+        let dims = self
+            .input_dims
+            .as_ref()
+            .expect("backward before forward on MaxPool2");
+        assert_eq!(grad_out.len(), self.argmax.len(), "grad shape");
+        let mut dx = arena.take_zeroed(dims.iter().product());
+        for (&at, &g) in self.argmax.iter().zip(grad_out.data()) {
+            dx[at as usize] += g;
+        }
+        Tensor::from_vec(dims, dx)
+    }
+
+    fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
+    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `MaxPool2` as it was before it moved onto the arena: four flat
+    /// indices per window through a `candidates` array, fresh buffers.
+    fn maxpool_oracle(x: &[f32], [n, c, h, w]: [usize; 4], g: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let (oh, ow) = (h / 2, w / 2);
         let mut out = vec![0.0f32; n * c * oh * ow];
-        let mut argmax = vec![0usize; n * c * oh * ow];
+        let mut dx = vec![0.0f32; n * c * h * w];
         for nc in 0..n * c {
             for oy in 0..oh {
                 for ox in 0..ow {
@@ -185,36 +261,59 @@ impl Layer for MaxPool2 {
                     }
                     let o = nc * oh * ow + oy * ow + ox;
                     out[o] = x[best];
-                    argmax[o] = best;
+                    dx[best] += g[o];
                 }
             }
         }
-        if train {
-            self.input_dims = Some(input.shape().dims().to_vec());
-            self.argmax = argmax;
-        }
-        Tensor::from_vec(&[n, c, oh, ow], out)
+        (out, dx)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let dims = self
-            .input_dims
-            .as_ref()
-            .expect("backward before forward on MaxPool2");
-        let mut dx = vec![0.0f32; dims.iter().product()];
-        for (o, &g) in grad_out.data().iter().enumerate() {
-            dx[self.argmax[o]] += g;
+    #[test]
+    fn maxpool_on_the_arena_matches_the_old_loops_bitwise() {
+        use rpol_tensor::rng::Pcg32;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut rng = Pcg32::seed_from(0x9001);
+        let mut pool = MaxPool2::new();
+        let mut arena = ScratchArena::new();
+        for round in 0..40 {
+            let dims = [
+                1 + rng.next_below(3) as usize,
+                1 + rng.next_below(4) as usize,
+                2 * (1 + rng.next_below(4) as usize),
+                2 * (1 + rng.next_below(5) as usize),
+            ];
+            let len: usize = dims.iter().product();
+            // A small value set: exact ties in most windows, `-0.0` against
+            // `+0.0` (equal under `>`, so the first one wins), and NaN.
+            let values = [0.0, -0.0, 1.5, -2.0, 1.5, f32::NAN, 0.25];
+            let mut draw = |n: usize| -> Vec<f32> {
+                (0..n)
+                    .map(|_| match rng.next_below(3) {
+                        0 => rng.next_normal(),
+                        _ => values[rng.next_below(values.len() as u32) as usize],
+                    })
+                    .collect()
+            };
+            let x = Tensor::from_vec(&dims, draw(len));
+            let g = Tensor::from_vec(&[dims[0], dims[1], dims[2] / 2, dims[3] / 2], draw(len / 4));
+            let (want_y, want_dx) = maxpool_oracle(x.data(), dims, g.data());
+
+            let y = pool.forward_scratch(&x, true, &mut arena);
+            assert_eq!(bits(y.data()), bits(&want_y), "round {round}");
+            // An inference pass in between leaves the routing alone.
+            let other = Tensor::from_vec(&dims, draw(len));
+            let y_eval = pool.forward_scratch(&other, false, &mut arena);
+            assert_eq!(
+                bits(y_eval.data()),
+                bits(&maxpool_oracle(other.data(), dims, g.data()).0)
+            );
+            let dx = pool.backward_scratch(&g, &mut arena);
+            assert_eq!(bits(dx.data()), bits(&want_dx), "round {round}");
+            for spent in [y, y_eval, dx] {
+                arena.recycle(spent.into_vec());
+            }
         }
-        Tensor::from_vec(dims, dx)
     }
-
-    fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
-    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn maxpool_known_values() {

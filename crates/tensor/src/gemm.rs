@@ -219,7 +219,9 @@ fn gemm_rows(
 }
 
 /// Packs an `mc × kc` block of A into `⌈mc/MR⌉` panels laid out
-/// `[panel][p][ii]`, zero-padding the tail panel's missing rows.
+/// `[panel][p][ii]`, zero-padding the tail panel's missing rows. `out`
+/// only ever grows (to the largest block of the call); everything else in
+/// the packed range is overwritten, so nothing else is cleared.
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
     a: &[f32],
@@ -232,12 +234,20 @@ fn pack_a(
     out: &mut Vec<f32>,
 ) {
     let panels = mc.div_ceil(MR);
-    out.clear();
-    out.resize(panels * kc * MR, 0.0);
+    if out.len() < panels * kc * MR {
+        out.resize(panels * kc * MR, 0.0);
+    }
     for pi in 0..panels {
         let ir = i0 + pi * MR;
         let rows = MR.min(i0 + mc - ir);
         let panel = &mut out[pi * kc * MR..][..kc * MR];
+        if rows < MR {
+            // Only the tail panel has lanes the copy below leaves alone;
+            // an earlier, larger block may have left values in them.
+            for lanes in panel.chunks_exact_mut(MR) {
+                lanes[rows..].fill(0.0);
+            }
+        }
         match ta {
             Trans::No => {
                 for ii in 0..rows {
@@ -258,7 +268,8 @@ fn pack_a(
 }
 
 /// Packs a `kc × nc` block of B into `⌈nc/NR⌉` panels laid out
-/// `[panel][p][jj]`, zero-padding the tail panel's missing columns.
+/// `[panel][p][jj]`, zero-padding the tail panel's missing columns; `out`
+/// is reused as in [`pack_a`].
 #[allow(clippy::too_many_arguments)]
 fn pack_b(
     b: &[f32],
@@ -271,12 +282,18 @@ fn pack_b(
     out: &mut Vec<f32>,
 ) {
     let panels = nc.div_ceil(NR);
-    out.clear();
-    out.resize(panels * kc * NR, 0.0);
+    if out.len() < panels * kc * NR {
+        out.resize(panels * kc * NR, 0.0);
+    }
     for pj in 0..panels {
         let jr = j0 + pj * NR;
         let cols = NR.min(j0 + nc - jr);
         let panel = &mut out[pj * kc * NR..][..kc * NR];
+        if cols < NR {
+            for lanes in panel.chunks_exact_mut(NR) {
+                lanes[cols..].fill(0.0);
+            }
+        }
         match tb {
             Trans::No => {
                 for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
@@ -640,6 +657,66 @@ mod tests {
             let fast = matmul(m, n, k, &a, Trans::No, &b, Trans::No, 1);
             let slow = matmul_naive(m, n, k, &a, &b);
             assert_eq!(bits(&fast), bits(&slow), "{m}x{n}x{k}");
+        }
+    }
+
+    /// The pack buffers keep their high-water length and are not cleared
+    /// between blocks: a large block followed by a smaller one with
+    /// `m % MR ≠ 0` and `n % NR ≠ 0` must find zeros, not the large block's
+    /// values, in the edge tile's padding lanes.
+    #[test]
+    fn stale_pack_lanes_do_not_leak_into_the_edge_tile() {
+        let mut rng = Pcg32::seed_from(16);
+        let (mut packed_a, mut packed_b) = (Vec::new(), Vec::new());
+        for &(m, n, k) in &[(MR + 3, NR + 5, 7), (2, 3, KC)] {
+            for (ta, tb) in [(Trans::No, Trans::No), (Trans::Yes, Trans::Yes)] {
+                // NaN everywhere a stale lane could be read from.
+                let a = vec![f32::NAN; MC * KC];
+                let b = vec![f32::NAN; KC * NC];
+                pack_a(
+                    &a,
+                    if ta == Trans::No { KC } else { MC },
+                    ta,
+                    0,
+                    MC,
+                    0,
+                    KC,
+                    &mut packed_a,
+                );
+                pack_b(
+                    &b,
+                    if tb == Trans::No { NC } else { KC },
+                    tb,
+                    0,
+                    KC,
+                    0,
+                    NC,
+                    &mut packed_b,
+                );
+
+                let a = randn(m * k, &mut rng);
+                let b = randn(k * n, &mut rng);
+                let (lda, ldb) = (
+                    if ta == Trans::No { k } else { m },
+                    if tb == Trans::No { n } else { k },
+                );
+                pack_a(&a, lda, ta, 0, m, 0, k, &mut packed_a);
+                pack_b(&b, ldb, tb, 0, k, 0, n, &mut packed_b);
+                let (mut fresh_a, mut fresh_b) = (Vec::new(), Vec::new());
+                pack_a(&a, lda, ta, 0, m, 0, k, &mut fresh_a);
+                pack_b(&b, ldb, tb, 0, k, 0, n, &mut fresh_b);
+                assert_eq!(
+                    bits(&packed_a[..fresh_a.len()]),
+                    bits(&fresh_a),
+                    "A {m}x{k}"
+                );
+                assert_eq!(
+                    bits(&packed_b[..fresh_b.len()]),
+                    bits(&fresh_b),
+                    "B {k}x{n}"
+                );
+                assert!(packed_a.len() >= MC * KC && packed_b.len() >= KC * NC);
+            }
         }
     }
 

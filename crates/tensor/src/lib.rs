@@ -10,6 +10,9 @@
 //!   [`Tensor::matmul`] and its fused-transpose variants; every kernel is
 //!   bitwise deterministic across blockings and thread counts because
 //!   checkpoint commitments hash exact `f32` bytes,
+//! * [`conv`] — the two implicit-operand products `Conv2d` lowers onto:
+//!   im2col read through an offset table instead of built, under the same
+//!   one-chain-per-element contract as [`gemm`],
 //! * [`quant`] — the deterministic bf16-pattern weight quantizer behind
 //!   RPoLv3's halved commitment and wire bytes,
 //! * [`scratch`] — a recycling pool for activation-sized work buffers so
@@ -33,6 +36,7 @@
 //! assert_eq!(c.shape().dims(), &[2, 2]);
 //! ```
 
+pub mod conv;
 pub mod gemm;
 pub mod quant;
 pub mod rng;

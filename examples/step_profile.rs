@@ -1,0 +1,178 @@
+//! Per-layer budget of one training step at the epoch benchmark's task P
+//! (task_c at 24×24, 97,320 weights, batch 16, AMLayer-encoded) — the
+//! profiler behind EXPERIMENTS.md's "Training-step budget".
+//!
+//! Each layer is fed its real input and its real output gradient through
+//! one shared arena; "bwd" is what the step runs for that layer (nothing
+//! for the frozen AMLayer, parameter gradients only for conv1, the full
+//! backward elsewhere). The last lines time the whole model and the whole
+//! `run_segment` step. Prints the median of `REPS` repetitions in µs.
+//!
+//! ```text
+//! RPOL_GEMM_THREADS=2 cargo run --release --example step_profile
+//! ```
+
+use rpol::amlayer::AmLayer;
+use rpol::tasks::TaskConfig;
+use rpol::trainer::{LocalTrainer, Segment};
+use rpol_crypto::Address;
+use rpol_nn::data::SyntheticImages;
+use rpol_nn::norm::LayerNorm;
+use rpol_nn::prelude::*;
+use rpol_sim::gpu::{GpuModel, NoiseInjector};
+use rpol_tensor::rng::Pcg32;
+use rpol_tensor::scratch::ScratchArena;
+use rpol_tensor::Tensor;
+use std::hint::black_box;
+use std::time::Instant;
+
+const WARMUP: usize = 20;
+const REPS: usize = 200;
+
+/// Median wall time of `f` in µs.
+fn median_us(mut f: impl FnMut()) -> f64 {
+    for _ in 0..WARMUP {
+        f();
+    }
+    let mut samples: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[REPS / 2]
+}
+
+/// What a training step asks of a layer on the way back.
+#[derive(Clone, Copy, PartialEq)]
+enum Bwd {
+    /// Behind no trainable layer: never entered.
+    Skipped,
+    /// First trainable layer: `backward_params_scratch`.
+    ParamsOnly,
+    Full,
+}
+
+fn main() {
+    let mut cfg = TaskConfig::task_c();
+    cfg.spec.height = 24;
+    cfg.spec.width = 24;
+    let address = Address::from_seed(0xE1C0);
+    let data = SyntheticImages::generate(&cfg.spec, 256, &mut Pcg32::seed_from(1));
+
+    // The encoded mini-VGG16 layer by layer, as `build_encoded_model`
+    // stacks it (checked against it below).
+    let (stem, feat) = (10, 10 * (cfg.spec.height / 2) * (cfg.spec.width / 2));
+    let mut rng = Pcg32::seed_from(cfg.init_seed);
+    let am = AmLayer::generate(&address, cfg.amlayer_spec(), cfg.lipschitz_c);
+    let mut layers: Vec<(&str, Bwd, Box<dyn Layer>)> = vec![
+        ("amlayer", Bwd::Skipped, Box::new(am)),
+        (
+            "conv1",
+            Bwd::ParamsOnly,
+            Box::new(Conv2d::new(cfg.spec.channels, stem, 3, 1, &mut rng)),
+        ),
+        ("relu1", Bwd::Full, Box::new(Relu::new())),
+        (
+            "conv2",
+            Bwd::Full,
+            Box::new(Conv2d::new(stem, stem, 3, 1, &mut rng)),
+        ),
+        ("relu2", Bwd::Full, Box::new(Relu::new())),
+        ("maxpool", Bwd::Full, Box::new(MaxPool2::new())),
+        ("flatten", Bwd::Full, Box::new(Flatten::new())),
+        (
+            "dense1",
+            Bwd::Full,
+            Box::new(Dense::new(feat, 64, &mut rng)),
+        ),
+        ("layernorm", Bwd::Full, Box::new(LayerNorm::new(64))),
+        ("relu3", Bwd::Full, Box::new(Relu::new())),
+        ("dropout", Bwd::Full, Box::new(Dropout::new(0.2, 0xD20))),
+        ("dense2", Bwd::Full, Box::new(Dense::new(64, 48, &mut rng))),
+        ("relu4", Bwd::Full, Box::new(Relu::new())),
+        (
+            "dense3",
+            Bwd::Full,
+            Box::new(Dense::new(48, cfg.spec.classes, &mut rng)),
+        ),
+    ];
+    let mut model = cfg.build_encoded_model(&address);
+    let mut flat = Vec::new();
+    for (_, _, layer) in &layers {
+        layer.visit_params(&mut |p| flat.extend_from_slice(p.value.data()));
+    }
+    assert_eq!(
+        flat,
+        model.flatten_params(),
+        "the layer list drifted from tasks.rs"
+    );
+
+    // Real activations and gradients: one forward and one backward sweep.
+    let (x, labels) = data.batch(&(0..cfg.batch_size).collect::<Vec<_>>());
+    let mut arena = ScratchArena::new();
+    let mut inputs = vec![x.clone()];
+    for (_, _, layer) in &mut layers {
+        let y = layer.forward_scratch(inputs.last().expect("seeded"), true, &mut arena);
+        inputs.push(y);
+    }
+    let (_, loss_grad) = softmax_cross_entropy(inputs.last().expect("seeded"), &labels);
+    let mut grads: Vec<Option<Tensor>> = vec![None; layers.len()];
+    let mut g = loss_grad;
+    for (i, (_, bwd, layer)) in layers.iter_mut().enumerate().rev() {
+        grads[i] = Some(g.clone());
+        if *bwd != Bwd::Full {
+            break;
+        }
+        g = layer.backward_scratch(&g, &mut arena);
+    }
+
+    println!(
+        "task P, batch {}, RPOL_GEMM_THREADS={} — median of {REPS} µs",
+        cfg.batch_size,
+        rpol_tensor::gemm::default_threads()
+    );
+    println!("{:<12} {:>10} {:>10}", "layer", "fwd", "bwd");
+    let (mut fwd_sum, mut bwd_sum) = (0.0, 0.0);
+    for (i, (name, bwd, layer)) in layers.iter_mut().enumerate() {
+        let fwd = median_us(|| {
+            let y = layer.forward_scratch(black_box(&inputs[i]), true, &mut arena);
+            arena.recycle(black_box(y).into_vec());
+        });
+        let back = match (*bwd, &grads[i]) {
+            (Bwd::Full, Some(g)) => median_us(|| {
+                let dx = layer.backward_scratch(black_box(g), &mut arena);
+                arena.recycle(black_box(dx).into_vec());
+            }),
+            (Bwd::ParamsOnly, Some(g)) => {
+                median_us(|| layer.backward_params_scratch(black_box(g), &mut arena))
+            }
+            _ => 0.0,
+        };
+        fwd_sum += fwd;
+        bwd_sum += back;
+        println!("{name:<12} {fwd:>10.1} {back:>10.1}");
+    }
+    println!("{:<12} {fwd_sum:>10.1} {bwd_sum:>10.1}", "sum");
+
+    let fwd = median_us(|| {
+        black_box(model.forward(black_box(&x), true));
+    });
+    let logits = model.forward(&x, true);
+    let (_, grad) = softmax_cross_entropy(&logits, &labels);
+    let back = median_us(|| model.backward(black_box(&grad)));
+    println!("{:<12} {fwd:>10.1} {back:>10.1}", "model");
+
+    let mut trainer = LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::GA10, 5));
+    let steps = 5;
+    let segment = median_us(|| {
+        let segment = Segment {
+            start_step: 0,
+            steps,
+        };
+        black_box(trainer.run_segment(&mut model, 7, segment));
+    });
+    println!("{:<12} {:>10.1}", "step", segment / steps as f64);
+}
