@@ -11,15 +11,21 @@ use rpol::amlayer::{AmLayer, AmLayerSpec};
 use rpol::commitment::EpochCommitment;
 use rpol::tasks::TaskConfig;
 use rpol::trainer::{LocalTrainer, Segment};
+use rpol::transport::{FaultConfig, LinkState, MsgKind, Transport, TransportStats};
+use rpol_crypto::hmac::hmac_sha256;
 use rpol_crypto::sha256::{sha256, sha256_f32};
-use rpol_crypto::{Address, MerkleTree};
+use rpol_crypto::{sha256_batch, Address, MerkleTree};
 use rpol_lsh::{LshFamily, LshParams};
 use rpol_nn::data::SyntheticImages;
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
+use rpol_sim::SimClock;
 use rpol_tensor::conv;
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch::ScratchArena;
 use std::hint::black_box;
+
+/// Bytes in one f32 checkpoint of the epoch benchmark's task P.
+const TASK_P_CHECKPOINT: usize = 389_296;
 
 fn bench_sha256(c: &mut Criterion) {
     let data = vec![0xABu8; 1 << 20];
@@ -27,6 +33,69 @@ fn bench_sha256(c: &mut Criterion) {
     let weights = vec![0.5f32; 100_000];
     c.bench_function("sha256_f32_100k_weights", |b| {
         b.iter(|| sha256_f32(black_box(&weights)))
+    });
+
+    // One f32 checkpoint of the epoch benchmark's task P (97,324 weights):
+    // the frame checksum's unit of work, alone and as `commit_v1` batches
+    // it (3 checkpoints per worker) and as a full 8-lane step.
+    let checkpoints: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; TASK_P_CHECKPOINT]).collect();
+    let refs: Vec<&[u8]> = checkpoints.iter().map(|m| m.as_slice()).collect();
+    c.bench_function("sha256/single_389k", |b| {
+        b.iter(|| sha256(black_box(refs[0])))
+    });
+    c.bench_function("sha256/batch3_389k", |b| {
+        b.iter(|| sha256_batch(black_box(&refs[..3])))
+    });
+    c.bench_function("sha256/batch8_389k", |b| {
+        b.iter(|| sha256_batch(black_box(&refs)))
+    });
+    // Two `finalize` calls over short messages: PRF batch selection,
+    // address derivation.
+    let (key, msg) = ([7u8; 32], [9u8; 32]);
+    c.bench_function("sha256/hmac_32b", |b| {
+        b.iter(|| hmac_sha256(black_box(&key), black_box(&msg)))
+    });
+}
+
+/// One checkpoint-sized message through the lossy link model, as the
+/// sender of a chaos-proxied socket runs it (frames for the stream) and as
+/// the receiver does (the outcome, from the length alone).
+fn bench_transport(c: &mut Criterion) {
+    let transport = Transport::new(&FaultConfig::lossy(42));
+    let payload = rpol::wire::encode_submission(&vec![0.5f32; TASK_P_CHECKPOINT / 4], None);
+    let rec = rpol_obs::noop();
+    let mut seq = 0u64;
+    c.bench_function("transport/chaos_frames_389k", |b| {
+        b.iter(|| {
+            seq += 1;
+            transport.chaos_frames(
+                1,
+                3,
+                MsgKind::ProofResponse,
+                seq,
+                black_box(&payload),
+                LinkState::healthy(),
+                &mut TransportStats::default(),
+                &mut SimClock::new(),
+                rec,
+            )
+        })
+    });
+    c.bench_function("transport/chaos_outcome_389k", |b| {
+        b.iter(|| {
+            seq += 1;
+            transport.chaos_outcome(
+                1,
+                3,
+                MsgKind::ProofResponse,
+                seq,
+                black_box(payload.len()),
+                LinkState::healthy(),
+                &mut TransportStats::default(),
+                &mut SimClock::new(),
+                rec,
+            )
+        })
     });
 }
 
@@ -213,6 +282,7 @@ fn bench_json(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sha256,
+    bench_transport,
     bench_merkle,
     bench_lsh,
     bench_normals,

@@ -2,7 +2,7 @@
 //!
 //! Finer-grained companions to `verify_bench` (which emits the
 //! `BENCH_verify.json` acceptance artifact): checkpoint commitment
-//! hashing scalar vs batch, LSH digests scalar vs GEMM-lowered, and the
+//! hashing portable vs production batch, LSH digests scalar vs GEMM-lowered, and the
 //! end-to-end `verify_samples` replay on the tiny task. Shapes are scaled
 //! down from the standalone binary so `cargo bench` stays interactive.
 
@@ -11,7 +11,8 @@ use rpol::commitment::EpochCommitment;
 use rpol::tasks::TaskConfig;
 use rpol::trainer::LocalTrainer;
 use rpol::verify::{ProofProvider, ProofUnavailable, Verifier};
-use rpol_crypto::sha256::{sha256_f32, Digest};
+use rpol_crypto::bytes::f32s_as_le_bytes;
+use rpol_crypto::sha256::{sha256_with, Digest, Tier};
 use rpol_crypto::sha256_f32_batch;
 use rpol_lsh::{LshFamily, LshParams, Signature};
 use rpol_nn::data::SyntheticImages;
@@ -40,11 +41,11 @@ fn bench_verify(c: &mut Criterion) {
         .collect();
     let refs: Vec<&[f32]> = checkpoints.iter().map(|w| w.as_slice()).collect();
 
-    c.bench_function("commit_hash_scalar", |bch| {
+    c.bench_function("commit_hash_portable", |bch| {
         bch.iter(|| {
             black_box(&refs)
                 .iter()
-                .map(|w| sha256_f32(w))
+                .map(|w| sha256_with(Tier::Portable, &f32s_as_le_bytes(w)))
                 .collect::<Vec<Digest>>()
         })
     });

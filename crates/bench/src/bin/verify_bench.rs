@@ -3,8 +3,14 @@
 //! Times the three vectorized stages of the commit/verify path against
 //! their retained scalar oracles:
 //!
-//! * **checkpoint commitment hashing** — per-checkpoint `sha256_f32` vs
-//!   the multi-lane `sha256_f32_batch` used by `EpochCommitment::commit_v1`;
+//! * **checkpoint commitment hashing** — one row per SHA-256 tier the
+//!   host has, each through the explicit-tier entry: the portable
+//!   compression one stream per checkpoint (`commit_hash_portable`, the
+//!   base of `speedup_vs_scalar`), the AVX2 8-lane lockstep
+//!   (`commit_hash_lanes8`) and the SHA-extensions single stream
+//!   (`commit_hash_sha_ni`) — then `commit_hash_batch`, the
+//!   `sha256_f32_batch` that `EpochCommitment::commit_v1` calls, on
+//!   whichever of those tiers the host detects;
 //! * **LSH digest computation** — per-checkpoint `hash_scalar` +
 //!   `group_digests` vs the GEMM-lowered `hash_batch` +
 //!   `group_digests_batch` used by `LshCommitment::commit`;
@@ -26,7 +32,9 @@ use rpol::trainer::LocalTrainer;
 use rpol::verify::{ProofProvider, ProofUnavailable, Verifier, WorkerVerdict};
 use rpol::wire;
 use rpol_crypto::bytes::bf16_as_le_bytes;
-use rpol_crypto::sha256::{sha256, sha256_f32, Digest};
+use rpol_crypto::bytes::f32s_as_le_bytes;
+use rpol_crypto::sha256::{sha256_with, Digest, Tier};
+use rpol_crypto::sha256x8::sha256_batch_with;
 use rpol_crypto::{sha256_bf16_batch, sha256_f32_batch};
 use rpol_exec::Executor;
 use rpol_lsh::{LshFamily, LshParams, Signature};
@@ -108,28 +116,55 @@ fn main() {
         .collect();
     let refs: Vec<&[f32]> = checkpoints.iter().map(|w| w.as_slice()).collect();
 
-    // --- Checkpoint commitment hashing: scalar oracle vs batch lanes. ---
-    let scalar_digests: Vec<Digest> = refs.iter().map(|w| sha256_f32(w)).collect();
+    // --- Checkpoint commitment hashing: the portable oracle, then every
+    // faster tier the host has, then what production dispatches to. ---
+    let views: Vec<_> = refs.iter().map(|w| f32s_as_le_bytes(w)).collect();
+    let byte_refs: Vec<&[u8]> = views.iter().map(|v| &v[..]).collect();
+    let portable = |msgs: &[&[u8]]| -> Vec<Digest> {
+        msgs.iter()
+            .map(|m| sha256_with(Tier::Portable, m))
+            .collect()
+    };
+    let scalar_digests = portable(&byte_refs);
     assert_eq!(
         scalar_digests,
         sha256_f32_batch(&refs),
-        "batch hasher diverged from the scalar oracle"
+        "batch hasher diverged from the portable oracle"
     );
     let hash_scalar_ns = time_ns(&mut || {
-        black_box(
-            black_box(&refs)
-                .iter()
-                .map(|w| sha256_f32(w))
-                .collect::<Vec<Digest>>(),
-        );
+        black_box(portable(black_box(&byte_refs)));
     });
     records.push(Record {
-        op: "commit_hash_scalar",
+        op: "commit_hash_portable",
         shape: shape.clone(),
         ns_per_iter: hash_scalar_ns,
         mb_per_s: bytes * 1000.0 / hash_scalar_ns,
         speedup_vs_scalar: 1.0,
     });
+    for (tier, op) in [
+        (Tier::Avx2Lanes, "commit_hash_lanes8"),
+        (Tier::ShaNi, "commit_hash_sha_ni"),
+    ] {
+        if !tier.available() {
+            println!("{op}: {tier:?} tier absent on this host, row skipped");
+            continue;
+        }
+        assert_eq!(
+            scalar_digests,
+            sha256_batch_with(tier, &byte_refs),
+            "{tier:?} diverged from the portable oracle"
+        );
+        let ns = time_ns(&mut || {
+            black_box(sha256_batch_with(tier, black_box(&byte_refs)));
+        });
+        records.push(Record {
+            op,
+            shape: shape.clone(),
+            ns_per_iter: ns,
+            mb_per_s: bytes * 1000.0 / ns,
+            speedup_vs_scalar: hash_scalar_ns / ns,
+        });
+    }
     let hash_batch_ns = time_ns(&mut || {
         black_box(sha256_f32_batch(black_box(&refs)));
     });
@@ -145,13 +180,16 @@ fn main() {
     // halves the bytes SHA-256 has to move per checkpoint. Throughput is
     // still reported in committed *model* bytes (f32), so the record is
     // directly comparable to the full-precision rows above: same work
-    // accounted, fewer bytes hashed. Oracle: scalar SHA-256 over the same
-    // packed image.
-    let quant_oracle: Vec<Digest> = refs.iter().map(|w| sha256(&bf16_as_le_bytes(w))).collect();
+    // accounted, fewer bytes hashed. Oracle: portable SHA-256 over the
+    // same packed image.
+    let quant_oracle: Vec<Digest> = refs
+        .iter()
+        .map(|w| sha256_with(Tier::Portable, &bf16_as_le_bytes(w)))
+        .collect();
     assert_eq!(
         quant_oracle,
         sha256_bf16_batch(&refs),
-        "quantized batch hasher diverged from the scalar packed-image oracle"
+        "quantized batch hasher diverged from the portable packed-image oracle"
     );
     let hash_quant_ns = time_ns(&mut || {
         black_box(sha256_bf16_batch(black_box(&refs)));

@@ -119,12 +119,19 @@ pub fn copy_f32s_from_le(bytes: &[u8], out: &mut Vec<f32>) {
 /// canonical truncating quantizer.
 pub fn extend_bf16_le(out: &mut Vec<u8>, src: &[f32]) {
     out.reserve(src.len() * 2);
+    bf16_le_chunks(src, |bytes| out.extend_from_slice(bytes));
+}
+
+/// Feeds the packed bf16 image of `src` (see [`extend_bf16_le`]) to `sink`
+/// in order, a stack buffer at a time — a consumer that streams (a hasher)
+/// never needs the whole image in memory.
+pub fn bf16_le_chunks(src: &[f32], mut sink: impl FnMut(&[u8])) {
     let mut staging = [0u8; 1024];
     for chunk in src.chunks(staging.len() / 2) {
         for (dst, &x) in staging.chunks_exact_mut(2).zip(chunk) {
             dst.copy_from_slice(&((x.to_bits() >> 16) as u16).to_le_bytes());
         }
-        out.extend_from_slice(&staging[..chunk.len() * 2]);
+        sink(&staging[..chunk.len() * 2]);
     }
 }
 

@@ -84,6 +84,62 @@ pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// The compression implementations this crate carries. Production code
+/// never names one: [`Sha256::new`] and `sha256x8::sha256_batch` run
+/// [`Tier::detect`]. The explicit-tier entry points
+/// ([`Sha256::with_tier`], `sha256x8::sha256_batch_with`) exist so tests
+/// and benchmarks can put every tier the host has beside the reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// Portable scalar rounds (`compress_block`) — the reference every
+    /// other tier is tested against, and the only tier off x86-64.
+    Portable,
+    /// AVX2: eight equal-length messages in lockstep (`sha256x8`). A
+    /// single stream has nothing to put in the other seven lanes and
+    /// runs the portable rounds.
+    Avx2Lanes,
+    /// x86-64 SHA extensions: two rounds per instruction on one stream.
+    /// Faster than the lockstep lanes at any batch size, so batches on
+    /// this tier are hashed message by message.
+    ShaNi,
+}
+
+impl Tier {
+    /// Whether this CPU can run the tier.
+    pub fn available(self) -> bool {
+        match self {
+            Tier::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2Lanes => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Tier::ShaNi => {
+                std::arch::is_x86_feature_detected!("sha")
+                    && std::arch::is_x86_feature_detected!("sse2")
+                    && std::arch::is_x86_feature_detected!("ssse3")
+                    && std::arch::is_x86_feature_detected!("sse4.1")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            Tier::Avx2Lanes | Tier::ShaNi => false,
+        }
+    }
+
+    /// The fastest tier this host supports.
+    pub fn detect() -> Tier {
+        [Tier::ShaNi, Tier::Avx2Lanes]
+            .into_iter()
+            .find(|tier| tier.available())
+            .unwrap_or(Tier::Portable)
+    }
+
+    /// Every tier this host can run, reference first, fastest last.
+    pub fn host_tiers() -> Vec<Tier> {
+        [Tier::Portable, Tier::Avx2Lanes, Tier::ShaNi]
+            .into_iter()
+            .filter(|tier| tier.available())
+            .collect()
+    }
+}
+
 /// An incremental SHA-256 hasher.
 ///
 /// # Examples
@@ -102,6 +158,7 @@ pub struct Sha256 {
     buffer: [u8; 64],
     buffer_len: usize,
     total_len: u64,
+    tier: Tier,
 }
 
 impl Default for Sha256 {
@@ -111,13 +168,21 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a fresh hasher.
+    /// Creates a fresh hasher on the fastest tier the host supports.
     pub fn new() -> Self {
+        Self::with_tier(Tier::detect())
+    }
+
+    /// Creates a fresh hasher on an explicit tier — for tests and
+    /// benchmarks. A tier the host lacks degrades to the portable rounds
+    /// (the hardware call site re-checks the CPU).
+    pub fn with_tier(tier: Tier) -> Self {
         Self {
             state: H0,
             buffer: [0u8; 64],
             buffer_len: 0,
             total_len: 0,
+            tier,
         }
     }
 
@@ -130,48 +195,163 @@ impl Sha256 {
             self.buffer_len += take;
             data = &data[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress_blocks(self.tier, &mut self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().expect("64-byte block"));
-            data = rest;
+        // The whole run of full blocks in one call: the hardware tier
+        // shuffles the state into its register layout once per call.
+        let (blocks, tail) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            compress_blocks(self.tier, &mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
+        if !tail.is_empty() {
+            self.buffer[..tail.len()].copy_from_slice(tail);
+            self.buffer_len = tail.len();
         }
     }
 
     /// Finishes the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
+        // `update` never leaves a full buffer behind, so 0x80 always fits.
+        let used = self.buffer_len;
+        self.buffer[used] = 0x80;
+        self.buffer[used + 1..].fill(0);
+        if used >= 56 {
+            // No room for the length: it goes in a block of its own.
+            compress_blocks(self.tier, &mut self.state, &self.buffer);
+            self.buffer.fill(0);
+        }
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-        }
-        // Manually absorb the length to avoid recounting it.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress_block(&mut self.state, block);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(self.tier, &mut self.state, &self.buffer);
+        digest_of_state(&self.state)
     }
 }
 
-/// One FIPS 180-4 compression round over a 64-byte block — the scalar
-/// reference compression shared by the incremental hasher above and the
-/// multi-lane batch hasher's fallback tier (`sha256x8`).
+/// The digest a final chaining state encodes: its eight words, big-endian.
+pub(crate) fn digest_of_state(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
+    }
+    Digest(out)
+}
+
+/// Compresses a run of whole 64-byte blocks into `state` on `tier`.
+fn compress_blocks(tier: Tier, state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::ShaNi && tier.available() {
+        // SAFETY: `Tier::ShaNi.available()` is the runtime detection of
+        // exactly the features `compress_blocks_sha_ni` enables.
+        unsafe { compress_blocks_sha_ni(state, blocks) };
+        return;
+    }
+    let _ = tier;
+    for block in blocks.chunks_exact(64) {
+        compress_block(state, block.try_into().expect("64-byte block"));
+    }
+}
+
+/// The SHA-extensions tier: `sha256rnds2` runs two rounds per
+/// instruction on the state held as `ABEF` / `CDGH`, and `sha256msg1` /
+/// `sha256msg2` extend the message schedule four words at a time in four
+/// registers. The layout shuffle in and out of `state` is paid once per
+/// call, not per block. Integer arithmetic throughout — the same digest
+/// as [`compress_block`] by construction, and by `tests/cavp.rs`.
+///
+/// `blocks.len()` must be a multiple of 64; a trailing partial block is
+/// ignored.
+///
+/// # Safety
+///
+/// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+unsafe fn compress_blocks_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+    use std::arch::x86_64::*;
+
+    let be = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    // SAFETY: `state` is eight `u32`s — two unaligned 16-byte loads.
+    let (abcd, efgh) = unsafe {
+        (
+            _mm_loadu_si128(state.as_ptr().cast()),
+            _mm_loadu_si128(state.as_ptr().add(4).cast()),
+        )
+    };
+    let cdab = _mm_shuffle_epi32(abcd, 0xB1);
+    let efgh = _mm_shuffle_epi32(efgh, 0x1B);
+    let mut s0 = _mm_alignr_epi8(cdab, efgh, 8); // ABEF
+    let mut s1 = _mm_blend_epi16(efgh, cdab, 0xF0); // CDGH
+
+    // Four rounds on the schedule words in `$m0`. `finish` completes the
+    // next four words (`msg2`, rounds 12..60); `start` begins the four
+    // needed twelve rounds on (`msg1`, rounds 4..52).
+    macro_rules! rounds4 {
+        ($g:literal, $m0:ident $(; finish $m1:ident from $prev:ident)? $(; start $m3:ident)?) => {
+            // SAFETY: `K` has 64 words and `$g` < 16, so words
+            // 4g..4g+4 are in bounds; the load is unaligned.
+            let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * $g).cast()) };
+            let wk = _mm_add_epi32($m0, k);
+            s1 = _mm_sha256rnds2_epu32(s1, s0, wk);
+            $($m1 = _mm_sha256msg2_epu32(
+                _mm_add_epi32($m1, _mm_alignr_epi8($m0, $prev, 4)),
+                $m0,
+            );)?
+            s0 = _mm_sha256rnds2_epu32(s0, s1, _mm_shuffle_epi32(wk, 0x0E));
+            $($m3 = _mm_sha256msg1_epu32($m3, $m0);)?
+        };
+    }
+
+    for block in blocks.chunks_exact(64) {
+        let (save0, save1) = (s0, s1);
+        let p = block.as_ptr();
+        // SAFETY: `block` is 64 bytes — four unaligned 16-byte loads.
+        let (mut m0, mut m1, mut m2, mut m3) = unsafe {
+            (
+                _mm_shuffle_epi8(_mm_loadu_si128(p.cast()), be),
+                _mm_shuffle_epi8(_mm_loadu_si128(p.add(16).cast()), be),
+                _mm_shuffle_epi8(_mm_loadu_si128(p.add(32).cast()), be),
+                _mm_shuffle_epi8(_mm_loadu_si128(p.add(48).cast()), be),
+            )
+        };
+        rounds4!(0, m0);
+        rounds4!(1, m1; start m0);
+        rounds4!(2, m2; start m1);
+        rounds4!(3, m3; finish m0 from m2; start m2);
+        rounds4!(4, m0; finish m1 from m3; start m3);
+        rounds4!(5, m1; finish m2 from m0; start m0);
+        rounds4!(6, m2; finish m3 from m1; start m1);
+        rounds4!(7, m3; finish m0 from m2; start m2);
+        rounds4!(8, m0; finish m1 from m3; start m3);
+        rounds4!(9, m1; finish m2 from m0; start m0);
+        rounds4!(10, m2; finish m3 from m1; start m1);
+        rounds4!(11, m3; finish m0 from m2; start m2);
+        rounds4!(12, m0; finish m1 from m3; start m3);
+        rounds4!(13, m1; finish m2 from m0);
+        rounds4!(14, m2; finish m3 from m1);
+        rounds4!(15, m3);
+        s0 = _mm_add_epi32(s0, save0);
+        s1 = _mm_add_epi32(s1, save1);
+    }
+
+    let feba = _mm_shuffle_epi32(s0, 0x1B);
+    let dchg = _mm_shuffle_epi32(s1, 0xB1);
+    // SAFETY: `state` is eight `u32`s — two unaligned 16-byte stores.
+    unsafe {
+        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+        _mm_storeu_si128(
+            state.as_mut_ptr().add(4).cast(),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
+    }
+}
+
+/// One FIPS 180-4 compression round over a 64-byte block — the portable
+/// reference compression: what [`Tier::Portable`] runs in the incremental
+/// hasher above and in the multi-lane batch hasher (`sha256x8`), and what
+/// the other tiers are tested against.
 pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for i in 0..16 {
@@ -218,7 +398,12 @@ pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
 
 /// One-shot SHA-256 of a byte slice.
 pub fn sha256(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
+    sha256_with(Tier::detect(), data)
+}
+
+/// [`sha256`] on an explicit tier — for tests and benchmarks.
+pub fn sha256_with(tier: Tier, data: &[u8]) -> Digest {
+    let mut h = Sha256::with_tier(tier);
     h.update(data);
     h.finalize()
 }
@@ -280,6 +465,39 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split {split}");
+        }
+    }
+
+    /// FIPS 180-4 §5.1.1 padding written out longhand, compressed by the
+    /// reference rounds: what `finalize` must equal without sharing its
+    /// buffer bookkeeping.
+    fn padded_reference(data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            compress_block(&mut state, block.try_into().expect("64-byte block"));
+        }
+        digest_of_state(&state)
+    }
+
+    #[test]
+    fn finalize_pads_every_length_and_every_split() {
+        let data: Vec<u8> = (0..200usize).map(|i| (i * 7 + 13) as u8).collect();
+        for tier in Tier::host_tiers() {
+            for len in 0..=data.len() {
+                let want = padded_reference(&data[..len]);
+                for split in 0..=len {
+                    let mut h = Sha256::with_tier(tier);
+                    h.update(&data[..split]);
+                    h.update(&data[split..len]);
+                    assert_eq!(h.finalize(), want, "{tier:?} len {len} split {split}");
+                }
+            }
         }
     }
 

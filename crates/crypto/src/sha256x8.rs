@@ -9,62 +9,40 @@
 //! computes `Σ₁`, `Ch`, `Maj`, … for all eight blocks with one instruction
 //! each.
 //!
-//! Determinism contract: SHA-256 is pure integer arithmetic, so every lane
-//! tier produces byte-identical digests to the scalar [`Sha256`] reference
-//! by construction — no rounding, no reassociation. The CAVP vector suite
-//! and property tests in `tests/cavp.rs` enforce scalar/SIMD agreement
-//! anyway, so a transposition bug in the vector path cannot hide.
+//! Determinism contract: SHA-256 is pure integer arithmetic, so every tier
+//! produces byte-identical digests to the portable reference
+//! ([`Tier::Portable`]) by construction — no rounding, no reassociation.
+//! The CAVP vector suite and property tests in `tests/cavp.rs` enforce
+//! agreement between every tier the host has anyway, so a transposition
+//! bug in a vector path cannot hide.
 //!
-//! Dispatch: the widest supported tier is detected once at runtime
-//! (`avx2` → 8-way vectors; anything else → the scalar compression looped
-//! over lanes). Batching still pays without AVX2 — the padded tail blocks
-//! are built once per batch instead of once per message.
+//! Dispatch: [`Tier::detect`] picks, once per batch. On a host with the
+//! SHA extensions one hardware stream outruns all eight AVX2 lanes
+//! (DESIGN.md §21), so a batch is hashed message by message and nothing
+//! here runs in lockstep. An AVX2 host without them gets the 8-way
+//! vectors; anything else gets the portable compression looped over
+//! lanes — batching still pays there, because the padded tail blocks are
+//! built once per batch instead of once per message.
 
 use crate::bytes::f32s_as_le_bytes;
-use crate::sha256::{compress_block, Digest, Sha256, H0};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::sha256::{compress_block, digest_of_state, sha256_with, Digest, Sha256, Tier, H0};
 
 /// Messages hashed in lockstep per batch step.
 pub const LANES: usize = 8;
 
-/// Cached lane tier: 0 = undetected, 1 = scalar loop, 2 = AVX2 8-way.
-static LANE_TIER: AtomicUsize = AtomicUsize::new(0);
-
-fn lane_tier() -> usize {
-    let cached = LANE_TIER.load(Ordering::Relaxed);
-    if cached != 0 {
-        return cached;
-    }
-    #[cfg(target_arch = "x86_64")]
-    let tier = if std::arch::is_x86_feature_detected!("avx2") {
-        2
-    } else {
-        1
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let tier = 1;
-    LANE_TIER.store(tier, Ordering::Relaxed);
-    tier
-}
-
-/// Forces the scalar fallback tier (`wide = false`) or re-enables runtime
-/// detection (`wide = true`) — for tests and benchmarks that compare tiers.
-pub fn force_scalar_lanes(scalar: bool) {
-    LANE_TIER.store(if scalar { 1 } else { 0 }, Ordering::Relaxed);
-}
-
 /// Compresses one 64-byte block into each of the 8 lane states, in
 /// lockstep. All lanes advance by exactly one block.
-fn compress8(states: &mut [[u32; 8]; LANES], blocks: &[&[u8; 64]; LANES]) {
-    match lane_tier() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: tier 2 is only cached after `avx2` was detected.
-        2 => unsafe { compress8_avx2(states, blocks) },
-        _ => {
-            for (state, block) in states.iter_mut().zip(blocks) {
-                compress_block(state, block);
-            }
-        }
+fn compress8(tier: Tier, states: &mut [[u32; 8]; LANES], blocks: &[&[u8; 64]; LANES]) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx2Lanes && tier.available() {
+        // SAFETY: `Tier::Avx2Lanes.available()` is the runtime detection
+        // of `avx2`.
+        unsafe { compress8_avx2(states, blocks) };
+        return;
+    }
+    let _ = tier;
+    for (state, block) in states.iter_mut().zip(blocks) {
+        compress_block(state, block);
     }
 }
 
@@ -176,7 +154,7 @@ unsafe fn compress8_avx2(states: &mut [[u32; 8]; LANES], blocks: &[&[u8; 64]; LA
 /// Hashes up to [`LANES`] equal-length messages in lockstep; `msgs` may be
 /// shorter than [`LANES`], in which case the trailing lanes duplicate the
 /// first message and their digests are discarded.
-fn sha256_lockstep(msgs: &[&[u8]], out: &mut [Digest]) {
+fn sha256_lockstep(tier: Tier, msgs: &[&[u8]], out: &mut [Digest]) {
     debug_assert!(!msgs.is_empty() && msgs.len() <= LANES);
     debug_assert_eq!(msgs.len(), out.len());
     let len = msgs[0].len();
@@ -200,7 +178,7 @@ fn sha256_lockstep(msgs: &[&[u8]], out: &mut [Digest]) {
                 .try_into()
                 .expect("64-byte block")
         });
-        compress8(&mut states, &blocks);
+        compress8(tier, &mut states, &blocks);
     }
 
     // Padding: identical structure across lanes because lengths agree.
@@ -221,25 +199,25 @@ fn sha256_lockstep(msgs: &[&[u8]], out: &mut [Digest]) {
                 .try_into()
                 .expect("64-byte block")
         });
-        compress8(&mut states, &blocks);
+        compress8(tier, &mut states, &blocks);
     }
 
     for (digest, state) in out.iter_mut().zip(&states) {
-        let mut raw = [0u8; 32];
-        for (i, word) in state.iter().enumerate() {
-            raw[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
-        }
-        *digest = Digest(raw);
+        *digest = digest_of_state(state);
     }
 }
 
-/// Hashes a batch of messages, compressing up to [`LANES`] of them in
-/// parallel. Digests are byte-identical to hashing each message with the
-/// scalar [`Sha256`] reference, and are returned in input order.
+/// Hashes a batch of messages on the fastest tier the host has. Digests
+/// are byte-identical to hashing each message with [`sha256`], and are
+/// returned in input order.
 ///
-/// Messages of equal length ride the SIMD lanes together (the checkpoint
-/// commitment shape: every digest of an epoch covers the same model size);
-/// lengths that appear only once fall back to the scalar path.
+/// With the SHA extensions each message is one hardware stream. Without
+/// them, messages of equal length ride the SIMD lanes together, up to
+/// [`LANES`] at a time (the checkpoint commitment shape: every digest of
+/// an epoch covers the same model size), and a length that appears only
+/// once is hashed on its own.
+///
+/// [`sha256`]: crate::sha256::sha256
 ///
 /// # Examples
 ///
@@ -255,6 +233,15 @@ fn sha256_lockstep(msgs: &[&[u8]], out: &mut [Digest]) {
 /// }
 /// ```
 pub fn sha256_batch(msgs: &[&[u8]]) -> Vec<Digest> {
+    sha256_batch_with(Tier::detect(), msgs)
+}
+
+/// [`sha256_batch`] on an explicit tier — for tests and benchmarks. A tier
+/// the host lacks degrades to the portable compression.
+pub fn sha256_batch_with(tier: Tier, msgs: &[&[u8]]) -> Vec<Digest> {
+    if tier == Tier::ShaNi {
+        return msgs.iter().map(|m| sha256_with(tier, m)).collect();
+    }
     let mut out = vec![Digest::ZERO; msgs.len()];
     // Group message indices by length, preserving input order within a
     // group; equal-length runs then share lockstep batches.
@@ -269,13 +256,11 @@ pub fn sha256_batch(msgs: &[&[u8]]) -> Vec<Digest> {
         }
         for chunk in order[start..end].chunks(LANES) {
             if chunk.len() == 1 {
-                let mut h = Sha256::new();
-                h.update(msgs[chunk[0]]);
-                out[chunk[0]] = h.finalize();
+                out[chunk[0]] = sha256_with(tier, msgs[chunk[0]]);
             } else {
                 let lane_msgs: Vec<&[u8]> = chunk.iter().map(|&i| msgs[i]).collect();
                 let mut digests = vec![Digest::ZERO; chunk.len()];
-                sha256_lockstep(&lane_msgs, &mut digests);
+                sha256_lockstep(tier, &lane_msgs, &mut digests);
                 for (&i, d) in chunk.iter().zip(digests) {
                     out[i] = d;
                 }
@@ -297,16 +282,29 @@ pub fn sha256_f32_batch(slices: &[&[f32]]) -> Vec<Digest> {
 
 /// Batched SHA-256 over the packed **bf16 images** of `f32` slices (see
 /// [`crate::bytes::bf16_as_le_bytes`]): the RPoLv3 quantized checkpoint
-/// digest. Each message is 2 bytes per weight instead of 4, so the SIMD
-/// lanes digest a commitment list in roughly half the compression passes
-/// of [`sha256_f32_batch`].
+/// digest. Each message is 2 bytes per weight instead of 4, so a
+/// commitment list takes roughly half the compression passes of
+/// [`sha256_f32_batch`].
 pub fn sha256_bf16_batch(slices: &[&[f32]]) -> Vec<Digest> {
+    let tier = Tier::detect();
+    if tier == Tier::ShaNi {
+        // One stream per message: the image is packed a stack buffer at a
+        // time straight into the hasher and never exists in memory.
+        return slices
+            .iter()
+            .map(|s| {
+                let mut h = Sha256::with_tier(tier);
+                crate::bytes::bf16_le_chunks(s, |bytes| h.update(bytes));
+                h.finalize()
+            })
+            .collect();
+    }
     let views: Vec<Vec<u8>> = slices
         .iter()
         .map(|s| crate::bytes::bf16_as_le_bytes(s))
         .collect();
     let refs: Vec<&[u8]> = views.iter().map(|v| &v[..]).collect();
-    sha256_batch(&refs)
+    sha256_batch_with(tier, &refs)
 }
 
 #[cfg(test)]
@@ -345,14 +343,13 @@ mod tests {
     }
 
     #[test]
-    fn scalar_tier_agrees_with_wide_tier() {
+    fn every_host_tier_agrees_with_the_portable_lanes() {
         let msgs: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 777]).collect();
         let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        force_scalar_lanes(true);
-        let narrow = sha256_batch(&refs);
-        force_scalar_lanes(false);
-        let wide = sha256_batch(&refs);
-        assert_eq!(narrow, wide);
+        let portable = sha256_batch_with(Tier::Portable, &refs);
+        for tier in Tier::host_tiers() {
+            assert_eq!(sha256_batch_with(tier, &refs), portable, "{tier:?}");
+        }
     }
 
     #[test]

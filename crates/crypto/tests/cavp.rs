@@ -1,17 +1,18 @@
-//! NIST CAVP-style test vectors for SHA-256, enforced on both the scalar
-//! reference hasher and the multi-lane batch hasher.
+//! NIST CAVP-style test vectors for SHA-256, enforced on every tier the
+//! host has (portable reference, AVX2 lockstep lanes, SHA extensions),
+//! single-stream and batched.
 //!
 //! The short-message vectors are the byte-oriented `SHA256ShortMsg.rsp`
 //! messages for lengths 0–64 bits; the long-message vectors exercise every
 //! interesting padding boundary (55/56/57, 63/64/65, one/two/many blocks)
 //! with deterministic byte patterns. All expected digests were
 //! cross-checked against an independent SHA-256 implementation (OpenSSL
-//! via Python's `hashlib`), so the from-scratch hasher and its SIMD lanes
-//! are anchored to an external oracle, not to each other.
+//! via Python's `hashlib`), so the from-scratch hasher, its SIMD lanes and
+//! its hardware tier are anchored to an external oracle, not to each other.
 
 use proptest::prelude::*;
-use rpol_crypto::sha256::{sha256, Sha256};
-use rpol_crypto::sha256x8::{force_scalar_lanes, sha256_batch};
+use rpol_crypto::sha256::{sha256, sha256_with, Digest, Sha256, Tier};
+use rpol_crypto::sha256x8::{sha256_batch, sha256_batch_with};
 
 /// CAVP SHA256ShortMsg byte-oriented vectors, Len = 0..64 bits.
 const SHORT_MSG: &[(&str, &str)] = &[
@@ -119,23 +120,109 @@ fn long_msg(len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i * 7 + 13) % 256) as u8).collect()
 }
 
-#[test]
-fn cavp_short_messages_scalar() {
-    for (msg_hex, digest_hex) in SHORT_MSG {
-        let msg = unhex(msg_hex);
-        assert_eq!(&sha256(&msg).to_hex(), digest_hex, "msg {msg_hex:?}");
+/// Every tier this host can run; says so when the hardware one is not
+/// among them, so a run that never executed it cannot read as a pass.
+fn host_tiers() -> Vec<Tier> {
+    let tiers = Tier::host_tiers();
+    if !tiers.contains(&Tier::ShaNi) {
+        eprintln!("hardware tier absent, skipped (host tiers: {tiers:?})");
     }
+    tiers
+}
+
+/// Absorbs `data` in the pieces `cuts` marks out (clamped, any order).
+fn hash_in_pieces(tier: Tier, data: &[u8], cuts: &[usize]) -> Digest {
+    let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(data.len())).collect();
+    bounds.push(0);
+    bounds.push(data.len());
+    bounds.sort_unstable();
+    let mut h = Sha256::with_tier(tier);
+    for pair in bounds.windows(2) {
+        h.update(&data[pair[0]..pair[1]]);
+    }
+    h.finalize()
+}
+
+/// SHA-256 over the concatenated digests of `long_msg(0)..=long_msg(top)`:
+/// one externally computed constant pins every length in the range.
+fn digest_of_digests(tier: Tier, top: usize) -> String {
+    let mut all = Sha256::with_tier(Tier::Portable);
+    for len in 0..=top {
+        all.update(sha256_with(tier, &long_msg(len)).as_bytes());
+    }
+    all.finalize().to_hex()
 }
 
 #[test]
-fn cavp_long_messages_scalar() {
-    for &(len, digest_hex) in LONG_MSG {
-        assert_eq!(&sha256(&long_msg(len)).to_hex(), digest_hex, "len {len}");
+fn cavp_vectors_on_every_host_tier() {
+    for tier in host_tiers() {
+        for (msg_hex, digest_hex) in SHORT_MSG {
+            let got = sha256_with(tier, &unhex(msg_hex)).to_hex();
+            assert_eq!(&got, digest_hex, "{tier:?} msg {msg_hex:?}");
+        }
+        for &(len, digest_hex) in LONG_MSG {
+            let got = sha256_with(tier, &long_msg(len)).to_hex();
+            assert_eq!(&got, digest_hex, "{tier:?} len {len}");
+        }
+    }
+    // What production runs is one of the above.
+    assert_eq!(sha256(b"abc"), sha256_with(Tier::Portable, b"abc"));
+}
+
+/// Every length 0..=1100 — each padding shape at every block count up to
+/// 17 — against `hashlib`, one-shot and split at block-straddling cuts.
+#[test]
+fn every_length_to_1100_on_every_host_tier() {
+    for tier in host_tiers() {
+        assert_eq!(
+            digest_of_digests(tier, 200),
+            "9480f99591ac94133736c1c2a996100bbd1bfe8f887de3b5b22adb408ac9959e",
+            "{tier:?}"
+        );
+        assert_eq!(
+            digest_of_digests(tier, 1100),
+            "ef8cbabcb5df3a6ba3237ede5afbdb9fc650bd1edfd4a09f0b09c39dbf0dba16",
+            "{tier:?}"
+        );
+        for len in 0..=1100usize {
+            let msg = long_msg(len);
+            let want = sha256_with(Tier::Portable, &msg);
+            for cuts in [
+                [1, 63],
+                [64, 65],
+                [len / 2, len / 2 + 64],
+                [len - len % 64, len],
+            ] {
+                assert_eq!(
+                    hash_in_pieces(tier, &msg, &cuts),
+                    want,
+                    "{tier:?} len {len} cuts {cuts:?}"
+                );
+            }
+        }
     }
 }
 
-/// Every CAVP vector through the batch hasher, on both lane tiers: the
-/// SIMD path must agree byte-for-byte with the published digests even when
+/// One f32 checkpoint of the epoch benchmark's task (97,324 weights).
+#[test]
+fn checkpoint_sized_message_on_every_host_tier() {
+    let msg = long_msg(389_296);
+    for tier in host_tiers() {
+        assert_eq!(
+            sha256_with(tier, &msg).to_hex(),
+            "8b6e965df79b2eb7ce45084b8789bb2f227d5e72cad4eadac3781a4b54d3306e",
+            "{tier:?}"
+        );
+        assert_eq!(
+            hash_in_pieces(tier, &msg, &[1, 4097, 65_536 + 63, 389_295]),
+            sha256_with(Tier::Portable, &msg),
+            "{tier:?}"
+        );
+    }
+}
+
+/// Every CAVP vector through the batch hasher, on every tier: the SIMD
+/// lanes must agree byte-for-byte with the published digests even when
 /// lanes are partially filled or mixed-length.
 #[test]
 fn cavp_vectors_through_batch_hasher() {
@@ -152,37 +239,68 @@ fn cavp_vectors_through_batch_hasher() {
         .chain(msgs.iter())
         .map(|m| m.as_slice())
         .collect();
-    for scalar in [true, false] {
-        force_scalar_lanes(scalar);
-        let digests = sha256_batch(&refs);
+    for tier in host_tiers() {
+        let digests = sha256_batch_with(tier, &refs);
         for (i, d) in digests.iter().enumerate() {
             let want = expected[i % expected.len()];
-            assert_eq!(&d.to_hex(), want, "vector {i}, scalar_tier={scalar}");
+            assert_eq!(&d.to_hex(), want, "vector {i}, {tier:?}");
         }
     }
-    force_scalar_lanes(false);
+}
+
+/// Batches of 1/2/3/8/9/17 messages — empty lanes, one full step, a full
+/// step plus a straggler, two plus one — of equal and of mixed length.
+#[test]
+fn batch_counts_and_length_mixes_on_every_host_tier() {
+    for count in [1usize, 2, 3, 8, 9, 17] {
+        for mixed in [false, true] {
+            let msgs: Vec<Vec<u8>> = (0..count)
+                .map(|i| {
+                    let len = if mixed {
+                        [777, 64, 1100, 55][i % 4]
+                    } else {
+                        777
+                    };
+                    (0..len).map(|j| (i * 31 + j * 7) as u8).collect()
+                })
+                .collect();
+            let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
+            let want: Vec<Digest> = refs
+                .iter()
+                .map(|m| sha256_with(Tier::Portable, m))
+                .collect();
+            for tier in host_tiers() {
+                assert_eq!(
+                    sha256_batch_with(tier, &refs),
+                    want,
+                    "{tier:?} count {count} mixed {mixed}"
+                );
+            }
+            assert_eq!(
+                sha256_batch(&refs),
+                want,
+                "detected tier, count {count} mixed {mixed}"
+            );
+        }
+    }
 }
 
 proptest! {
     /// Incremental `update` chunking never changes the digest: absorbing a
-    /// message in arbitrary pieces equals the one-shot hash.
+    /// message in arbitrary pieces equals the one-shot portable hash, on
+    /// every tier.
     #[test]
     fn incremental_chunking_never_changes_digest(
         data in proptest::collection::vec(any::<u8>(), 0..4096),
         cuts in proptest::collection::vec(0usize..4096, 0..8)
     ) {
-        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(data.len())).collect();
-        bounds.push(0);
-        bounds.push(data.len());
-        bounds.sort_unstable();
-        let mut h = Sha256::new();
-        for pair in bounds.windows(2) {
-            h.update(&data[pair[0]..pair[1]]);
+        let want = sha256_with(Tier::Portable, &data);
+        for tier in Tier::host_tiers() {
+            prop_assert_eq!(hash_in_pieces(tier, &data, &cuts), want);
         }
-        prop_assert_eq!(h.finalize(), sha256(&data));
     }
 
-    /// Batch hashing equals scalar hashing for arbitrary message mixes —
+    /// Batch hashing equals portable hashing for arbitrary message mixes —
     /// arbitrary counts, lengths, and lane occupancy.
     #[test]
     fn batch_matches_scalar_on_random_messages(
@@ -191,9 +309,11 @@ proptest! {
         )
     ) {
         let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let batch = sha256_batch(&refs);
-        for (i, m) in msgs.iter().enumerate() {
-            prop_assert_eq!(batch[i], sha256(m));
+        for tier in Tier::host_tiers() {
+            let batch = sha256_batch_with(tier, &refs);
+            for (i, m) in msgs.iter().enumerate() {
+                prop_assert_eq!(batch[i], sha256_with(Tier::Portable, m));
+            }
         }
     }
 }

@@ -445,6 +445,60 @@ fn stream_safe_ghost(framed: &Bytes, flips: &[(usize, u8)], trunc_keep: Option<u
     Bytes::from(ghost)
 }
 
+/// What the receiver's checksum makes of a frame the link flipped and
+/// truncated: the payload if it still opens (flips that cancel each
+/// other leave it intact), `None` for everything else.
+fn reopen_mutated(
+    framed: &Bytes,
+    flips: &[(usize, u8)],
+    trunc_keep: Option<usize>,
+) -> Option<Bytes> {
+    let mut delivered = framed.to_vec();
+    for &(pos, mask) in flips {
+        delivered[pos] ^= mask;
+    }
+    if let Some(keep) = trunc_keep {
+        delivered.truncate(keep);
+    }
+    open_frame(Bytes::from(delivered)).ok()
+}
+
+/// What an exchange carries. The sender has the bytes; the receiving side
+/// of a chaos-proxied socket accounts the same exchange from their length
+/// (no fault draw depends on content).
+#[derive(Clone, Copy)]
+enum Cargo<'a> {
+    Payload(&'a Bytes),
+    Len(usize),
+}
+
+impl Cargo<'_> {
+    fn len(&self) -> usize {
+        match *self {
+            Cargo::Payload(p) => p.len(),
+            Cargo::Len(n) => n,
+        }
+    }
+
+    /// The sealed frame — built at most once per exchange, and only when a
+    /// stream tap or a mutated attempt needs real bytes. A bare length is
+    /// stood in for by zeros.
+    fn seal(&self) -> Bytes {
+        match *self {
+            Cargo::Payload(p) => seal_frame(p),
+            Cargo::Len(n) => seal_frame(&Bytes::from(vec![0u8; n])),
+        }
+    }
+
+    /// What an untouched attempt delivers: the payload as given.
+    fn delivered(&self) -> Bytes {
+        match *self {
+            Cargo::Payload(p) => p.clone(),
+            Cargo::Len(_) => Bytes::new(),
+        }
+    }
+}
+
 /// The fault-injecting channel. Stateless apart from its configuration:
 /// all randomness is derived per-exchange, so a `Transport` can be shared
 /// freely across threads.
@@ -527,7 +581,16 @@ impl Transport {
         rec: &Recorder,
     ) -> Result<Bytes, TransportError> {
         self.exchange_tapped(
-            epoch, worker, kind, seq, payload, link, stats, clock, rec, None,
+            epoch,
+            worker,
+            kind,
+            seq,
+            Cargo::Payload(payload),
+            link,
+            stats,
+            clock,
+            rec,
+            None,
         )
     }
 
@@ -564,7 +627,7 @@ impl Transport {
                 worker,
                 kind,
                 seq,
-                payload,
+                Cargo::Payload(payload),
                 link,
                 stats,
                 clock,
@@ -580,7 +643,10 @@ impl Transport {
     /// exchange coordinates and the framed length — never on payload
     /// content — so the receiving side of a chaos-proxied socket can
     /// account an exchange it did not send and agree bit-for-bit with the
-    /// sender (and with the simulated link).
+    /// sender (and with the simulated link). Nothing proportional to
+    /// `payload_len` is allocated or hashed unless an attempt draws a
+    /// corruption or truncation; that attempt re-opens a mutated frame of
+    /// zeros, which fails or survives exactly as the sender's does.
     #[allow(clippy::too_many_arguments)]
     pub fn chaos_outcome(
         &self,
@@ -594,13 +660,28 @@ impl Transport {
         clock: &mut SimClock,
         rec: &Recorder,
     ) -> Result<(), TransportError> {
-        let dummy = Bytes::from(vec![0u8; payload_len]);
         self.exchange_tapped(
-            epoch, worker, kind, seq, &dummy, link, stats, clock, rec, None,
+            epoch,
+            worker,
+            kind,
+            seq,
+            Cargo::Len(payload_len),
+            link,
+            stats,
+            clock,
+            rec,
+            None,
         )
         .map(|_| ())
     }
 
+    /// The one body behind [`exchange`](Self::exchange),
+    /// [`chaos_frames`](Self::chaos_frames) and
+    /// [`chaos_outcome`](Self::chaos_outcome). Every draw and every charge
+    /// needs only the framed *length*; bytes are sealed (once, lazily) for
+    /// a stream tap or for an attempt that drew a mutation, and only such
+    /// an attempt is re-opened — an untouched copy of a frame this call
+    /// would have sealed itself can only open (DESIGN.md §21).
     #[allow(clippy::too_many_arguments)]
     fn exchange_tapped(
         &self,
@@ -608,14 +689,15 @@ impl Transport {
         worker: usize,
         kind: MsgKind,
         seq: u64,
-        payload: &Bytes,
+        cargo: Cargo<'_>,
         link: LinkState,
         stats: &mut TransportStats,
         clock: &mut SimClock,
         rec: &Recorder,
         mut taps: Option<&mut Vec<Bytes>>,
     ) -> Result<Bytes, TransportError> {
-        let framed = seal_frame(payload);
+        let framed_len = FRAME_HEADER_BYTES + cargo.len();
+        let mut framed: Option<Bytes> = None;
         stats.exchanges += 1;
         let done = |attempts: u32, ok: bool, rec: &Recorder| {
             rec.observe("rpol.transport.attempts_per_exchange", u64::from(attempts));
@@ -641,7 +723,7 @@ impl Transport {
             }
 
             // The frame leaves the sender no matter what happens to it.
-            stats.wire_bytes += framed.len() as u64;
+            stats.wire_bytes += framed_len as u64;
 
             // A dead peer never acknowledges: the sender waits out its
             // full timeout each attempt.
@@ -661,7 +743,7 @@ impl Transport {
 
             // Transfer time plus exponential jitter, scaled by the peer's
             // slowdown. Arriving after the timeout is as good as lost.
-            let base = self.net.p2p_seconds(framed.len() as u64) * link.slowdown;
+            let base = self.net.p2p_seconds(framed_len as u64) * link.slowdown;
             let jitter = if self.profile.jitter_latency_s > 0.0 {
                 -self.profile.jitter_latency_s * (1.0 - rng.next_f64()).ln()
             } else {
@@ -700,8 +782,6 @@ impl Transport {
             }
 
             clock.add(kind.label(), latency);
-            let mut delivered = framed.to_vec();
-            let mut mutated = false;
             let mut flips: Vec<(usize, u8)> = Vec::new();
             let mut trunc_keep: Option<usize> = None;
             if rng.next_f64() < self.profile.corrupt_prob {
@@ -715,12 +795,10 @@ impl Transport {
                     kind = kind.label(),
                     attempt
                 );
-                mutated = true;
                 let n_flips = 1 + rng.next_below(4) as usize;
                 for _ in 0..n_flips {
-                    let pos = rng.next_below(delivered.len() as u32) as usize;
+                    let pos = rng.next_below(framed_len as u32) as usize;
                     let mask = (rng.next_u32() % 255 + 1) as u8; // never 0: always a real flip
-                    delivered[pos] ^= mask;
                     flips.push((pos, mask));
                 }
             }
@@ -735,28 +813,30 @@ impl Transport {
                     kind = kind.label(),
                     attempt
                 );
-                mutated = true;
-                let keep = rng.next_below(delivered.len() as u32) as usize;
-                delivered.truncate(keep);
-                trunc_keep = Some(keep);
+                trunc_keep = Some(rng.next_below(framed_len as u32) as usize);
             }
 
-            match open_frame(Bytes::from(delivered)) {
-                Ok(verified) => {
+            let opened = if flips.is_empty() && trunc_keep.is_none() {
+                Some(cargo.delivered())
+            } else {
+                let framed = framed.get_or_insert_with(|| cargo.seal());
+                reopen_mutated(framed, &flips, trunc_keep)
+            };
+            match opened {
+                Some(verified) => {
                     if let Some(taps) = taps.as_deref_mut() {
-                        taps.push(framed.clone());
+                        taps.push(framed.take().unwrap_or_else(|| cargo.seal()));
                     }
                     done(attempt + 1, true, rec);
                     return Ok(verified);
                 }
-                Err(_) => {
-                    if let Some(taps) = taps.as_deref_mut() {
-                        taps.push(stream_safe_ghost(&framed, &flips, trunc_keep));
-                    }
+                None => {
                     // The checksum caught the mutation — indistinguishable
-                    // from a drop to the protocol, so retry. An unmutated
-                    // frame always reopens (we sealed it ourselves).
-                    debug_assert!(mutated, "pristine frame failed to open");
+                    // from a drop to the protocol, so retry.
+                    if let Some(taps) = taps.as_deref_mut() {
+                        let framed = framed.as_ref().expect("a mutated attempt sealed the frame");
+                        taps.push(stream_safe_ghost(framed, &flips, trunc_keep));
+                    }
                     continue;
                 }
             }
@@ -805,6 +885,334 @@ mod tests {
             rpol_obs::noop(),
         );
         (got, stats, clock)
+    }
+
+    /// The body `exchange_tapped` replaced, kept verbatim as the oracle:
+    /// seal up front, copy, flip and truncate the copy, and re-open every
+    /// attempt that arrives — mutated or not.
+    impl Transport {
+        #[allow(clippy::too_many_arguments)]
+        fn exchange_oracle(
+            &self,
+            epoch: u64,
+            worker: usize,
+            kind: MsgKind,
+            seq: u64,
+            payload: &Bytes,
+            link: LinkState,
+            stats: &mut TransportStats,
+            clock: &mut SimClock,
+            rec: &Recorder,
+            mut taps: Option<&mut Vec<Bytes>>,
+        ) -> Result<Bytes, TransportError> {
+            let framed = seal_frame(payload);
+            stats.exchanges += 1;
+            let done = |attempts: u32, ok: bool, rec: &Recorder| {
+                rec.observe("rpol.transport.attempts_per_exchange", u64::from(attempts));
+                event!(
+                    rec,
+                    "rpol.transport.exchange",
+                    epoch,
+                    worker,
+                    kind = kind.label(),
+                    seq,
+                    attempts,
+                    ok,
+                );
+            };
+            for attempt in 0..self.policy.max_attempts {
+                let mut rng = self.attempt_rng(epoch, worker, kind, seq, attempt);
+                stats.attempts += 1;
+                if attempt > 0 {
+                    stats.retries += 1;
+                    clock.tick("retry");
+                    let jitter = 1.0 + self.policy.jitter_frac * (rng.next_f64() - 0.5);
+                    clock.add(kind.label(), self.policy.backoff_s(attempt) * jitter);
+                }
+
+                // The frame leaves the sender no matter what happens to it.
+                stats.wire_bytes += framed.len() as u64;
+
+                // A dead peer never acknowledges: the sender waits out its
+                // full timeout each attempt.
+                if !link.alive {
+                    stats.timeouts += 1;
+                    clock.add(kind.label(), self.policy.timeout_s);
+                    event!(
+                        rec,
+                        "rpol.transport.dead_peer",
+                        epoch,
+                        worker,
+                        kind = kind.label(),
+                        attempt
+                    );
+                    continue;
+                }
+
+                // Transfer time plus exponential jitter, scaled by the peer's
+                // slowdown. Arriving after the timeout is as good as lost.
+                let base = self.net.p2p_seconds(framed.len() as u64) * link.slowdown;
+                let jitter = if self.profile.jitter_latency_s > 0.0 {
+                    -self.profile.jitter_latency_s * (1.0 - rng.next_f64()).ln()
+                } else {
+                    0.0
+                };
+                let latency = base + jitter;
+                if latency > self.policy.timeout_s {
+                    stats.timeouts += 1;
+                    clock.tick("latency_timeout");
+                    clock.add(kind.label(), self.policy.timeout_s);
+                    event!(
+                        rec,
+                        "rpol.transport.latency_timeout",
+                        epoch,
+                        worker,
+                        kind = kind.label(),
+                        attempt
+                    );
+                    continue;
+                }
+
+                if rng.next_f64() < self.profile.drop_prob {
+                    stats.drops += 1;
+                    stats.timeouts += 1;
+                    clock.tick("drop");
+                    clock.add(kind.label(), self.policy.timeout_s);
+                    event!(
+                        rec,
+                        "rpol.transport.drop",
+                        epoch,
+                        worker,
+                        kind = kind.label(),
+                        attempt
+                    );
+                    continue;
+                }
+
+                clock.add(kind.label(), latency);
+                let mut delivered = framed.to_vec();
+                let mut mutated = false;
+                let mut flips: Vec<(usize, u8)> = Vec::new();
+                let mut trunc_keep: Option<usize> = None;
+                if rng.next_f64() < self.profile.corrupt_prob {
+                    stats.corruptions += 1;
+                    clock.tick("corruption");
+                    event!(
+                        rec,
+                        "rpol.transport.corruption",
+                        epoch,
+                        worker,
+                        kind = kind.label(),
+                        attempt
+                    );
+                    mutated = true;
+                    let n_flips = 1 + rng.next_below(4) as usize;
+                    for _ in 0..n_flips {
+                        let pos = rng.next_below(delivered.len() as u32) as usize;
+                        let mask = (rng.next_u32() % 255 + 1) as u8; // never 0: always a real flip
+                        delivered[pos] ^= mask;
+                        flips.push((pos, mask));
+                    }
+                }
+                if rng.next_f64() < self.profile.truncate_prob {
+                    stats.truncations += 1;
+                    clock.tick("truncation");
+                    event!(
+                        rec,
+                        "rpol.transport.truncation",
+                        epoch,
+                        worker,
+                        kind = kind.label(),
+                        attempt
+                    );
+                    mutated = true;
+                    let keep = rng.next_below(delivered.len() as u32) as usize;
+                    delivered.truncate(keep);
+                    trunc_keep = Some(keep);
+                }
+
+                match open_frame(Bytes::from(delivered)) {
+                    Ok(verified) => {
+                        if let Some(taps) = taps.as_deref_mut() {
+                            taps.push(framed.clone());
+                        }
+                        done(attempt + 1, true, rec);
+                        return Ok(verified);
+                    }
+                    Err(_) => {
+                        if let Some(taps) = taps.as_deref_mut() {
+                            taps.push(stream_safe_ghost(&framed, &flips, trunc_keep));
+                        }
+                        // The checksum caught the mutation — indistinguishable
+                        // from a drop to the protocol, so retry. An unmutated
+                        // frame always reopens (we sealed it ourselves).
+                        debug_assert!(mutated, "pristine frame failed to open");
+                        continue;
+                    }
+                }
+            }
+            stats.failures += 1;
+            clock.tick("exchange_failure");
+            done(self.policy.max_attempts, false, rec);
+            Err(TransportError::Exhausted {
+                attempts: self.policy.max_attempts,
+            })
+        }
+    }
+
+    /// One exchange's observable result: outcome, counters, clock, trace.
+    type Observed<T> = (T, TransportStats, SimClock, Vec<rpol_obs::Event>);
+
+    fn observe<T>(
+        run: impl FnOnce(&mut TransportStats, &mut SimClock, &Recorder) -> T,
+    ) -> Observed<T> {
+        let rec = Recorder::logical();
+        let mut stats = TransportStats::default();
+        let mut clock = SimClock::new();
+        let got = run(&mut stats, &mut clock, &rec);
+        (got, stats, clock, rec.events())
+    }
+
+    /// `exchange`, `chaos_frames` and `chaos_outcome(len)` against the
+    /// always-seal-always-reopen oracle: same outcome, same counters, same
+    /// clock, same events and (for the tap) the same bytes, over random
+    /// profiles — certain corruption, certain truncation, both, neither —
+    /// seeds, coordinates and payload lengths.
+    #[test]
+    fn lazy_sealing_matches_the_always_reopen_oracle() {
+        const CASES: u64 = 12_000;
+        let kinds = [
+            MsgKind::Task,
+            MsgKind::Submission,
+            MsgKind::ProofRequest,
+            MsgKind::ProofResponse,
+        ];
+        let (mut delivered, mut exhausted, mut mutated_attempts) = (0u64, 0u64, 0u64);
+        for case in 0..CASES {
+            let mut g = Pcg32::seed_from(0xC0FFEE ^ case);
+            // 0, 1, or anything between — `Transport::new` would refuse a
+            // probability of 1, so the struct is built directly.
+            let prob = |g: &mut Pcg32| match g.next_below(4) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => g.next_f64(),
+            };
+            let transport = Transport {
+                profile: FaultProfile {
+                    drop_prob: prob(&mut g) * 0.6,
+                    corrupt_prob: prob(&mut g),
+                    truncate_prob: prob(&mut g),
+                    jitter_latency_s: if g.next_below(2) == 0 { 0.0 } else { 0.4 },
+                },
+                policy: RetryPolicy::default(),
+                net: NetworkModel::paper_default(),
+                seed: g.next_u64(),
+            };
+            let (epoch, worker, seq) = (g.next_u64() % 50, g.next_below(64) as usize, g.next_u64());
+            let kind = kinds[g.next_below(4) as usize];
+            let link = LinkState {
+                alive: g.next_below(16) != 0,
+                slowdown: if g.next_below(4) == 0 { 8.0 } else { 1.0 },
+            };
+            let len = 1 + g.next_below(4096) as usize;
+            let payload = Bytes::from((0..len).map(|_| g.next_u32() as u8).collect::<Vec<u8>>());
+            let zeros = Bytes::from(vec![0u8; len]);
+
+            let want = observe(|s, c, r| {
+                transport.exchange_oracle(epoch, worker, kind, seq, &payload, link, s, c, r, None)
+            });
+            let got = observe(|s, c, r| {
+                transport.exchange(epoch, worker, kind, seq, &payload, link, s, c, r)
+            });
+            assert_eq!(got, want, "exchange, case {case}");
+            if let Ok(bytes) = &got.0 {
+                assert_eq!(bytes, &payload, "case {case}");
+            }
+
+            let want_tap = observe(|s, c, r| {
+                let mut writes = Vec::new();
+                let out = transport
+                    .exchange_oracle(
+                        epoch,
+                        worker,
+                        kind,
+                        seq,
+                        &payload,
+                        link,
+                        s,
+                        c,
+                        r,
+                        Some(&mut writes),
+                    )
+                    .map(|_| ());
+                (writes, out)
+            });
+            let got_tap = observe(|s, c, r| {
+                transport.chaos_frames(epoch, worker, kind, seq, &payload, link, s, c, r)
+            });
+            assert_eq!(got_tap, want_tap, "chaos_frames, case {case}");
+
+            let want_len = observe(|s, c, r| {
+                transport
+                    .exchange_oracle(epoch, worker, kind, seq, &zeros, link, s, c, r, None)
+                    .map(|_| ())
+            });
+            let got_len = observe(|s, c, r| {
+                transport.chaos_outcome(epoch, worker, kind, seq, len, link, s, c, r)
+            });
+            assert_eq!(got_len, want_len, "chaos_outcome, case {case}");
+            // The receiver's account agrees with the sender's.
+            assert_eq!(got_len.0.is_ok(), got.0.is_ok(), "case {case}");
+            assert_eq!((&got_len.1, &got_len.2), (&got.1, &got.2), "case {case}");
+
+            delivered += u64::from(got.0.is_ok());
+            exhausted += u64::from(got.0.is_err());
+            mutated_attempts += got.1.corruptions.max(got.1.truncations);
+        }
+        // The sweep must actually visit both outcomes and the re-open path.
+        assert!(delivered > CASES / 10 && exhausted > CASES / 10);
+        assert!(mutated_attempts > CASES);
+    }
+
+    /// Two flips on one byte with one mask cancel: the frame is intact and
+    /// the checksum — really run — lets it through.
+    #[test]
+    fn cancelling_flips_still_deliver() {
+        let framed = seal_frame(&payload());
+        for pos in [0, 5, 9, FRAME_HEADER_BYTES, framed.len() - 1] {
+            let got = reopen_mutated(&framed, &[(pos, 0x5A), (pos, 0x5A)], None);
+            assert_eq!(got, Some(payload()), "pos {pos}");
+            // One of the pair alone does not.
+            assert_eq!(
+                reopen_mutated(&framed, &[(pos, 0x5A)], None),
+                None,
+                "pos {pos}"
+            );
+        }
+    }
+
+    /// A flip in the length field (header bytes 4..8) makes the frame
+    /// claim more or fewer bytes than arrived; a cut anywhere loses bytes
+    /// the header promised. Neither opens.
+    #[test]
+    fn length_field_flips_and_truncations_never_open() {
+        let framed = seal_frame(&payload());
+        for pos in 4..8 {
+            for mask in [0x01, 0x80, 0xFF] {
+                assert_eq!(
+                    reopen_mutated(&framed, &[(pos, mask)], None),
+                    None,
+                    "pos {pos}"
+                );
+            }
+        }
+        for keep in 0..framed.len() {
+            assert_eq!(
+                reopen_mutated(&framed, &[], Some(keep)),
+                None,
+                "keep {keep}"
+            );
+        }
     }
 
     #[test]

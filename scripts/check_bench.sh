@@ -5,8 +5,9 @@
 # shapes, shorter timing budget — the same regimes at a fraction of the
 # wall-clock) and fails if a headline number fell too far below its
 # committed baseline (BENCH_verify.json, BENCH_pool.json). Speedup
-# *ratios* are compared, not absolute ns, so the gate is robust to host
-# differences.
+# *ratios* are compared where both sides of the ratio still run different
+# code; commitment hashing is compared in MB/s against the committed row
+# of the same SHA-256 tier (see the gate below).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,15 +44,37 @@ cargo bench -p rpol-bench --bench verify -- verify_samples_e2e_v2 \
 python3 - <<'EOF'
 import json
 
-# --- Verification data plane: vectorization speedups hold. ---
+# --- Verification data plane. Commitment hashing is gated on absolute
+# throughput: once the "scalar" side of a ratio runs on the same SHA unit
+# as the batch side, the ratio reads ~1.0 and says nothing. The committed
+# file carries one row per SHA-256 tier of the host that recorded it; a
+# fresh run is held to the committed row of the tier *it* dispatched to
+# (its fastest tier row), so the bar means the same on a host without SHA
+# extensions. The LSH lowering keeps its ratio gate (both sides run the
+# same hasher; the ratio measures the GEMM lowering).
 base = {r["op"]: r for r in json.load(open("BENCH_verify.json"))}
 fresh = {r["op"]: r for r in json.load(open("target/BENCH_verify.fresh.json"))}
-for op in ("commit_hash_batch", "lsh_digest_gemm_1t"):
-    b = base[op]["speedup_vs_scalar"]
-    f = fresh[op]["speedup_vs_scalar"]
-    ratio = f / b
-    print(f"{op}: baseline {b:.2f}x, fresh {f:.2f}x ({ratio:.2f} of baseline)")
-    assert ratio >= 0.8, f"{op} speedup regressed >20% vs committed baseline"
+tiers = ("commit_hash_sha_ni", "commit_hash_lanes8", "commit_hash_portable")
+fresh_tier = next(op for op in tiers if op in fresh)
+base_tier = next(op for op in tiers if op in base)
+assert fresh_tier in base, \
+    f"committed BENCH_verify.json has no {fresh_tier} row; re-record it (scripts/bench_verify.sh)"
+b = base[fresh_tier]["mb_per_s"]
+f = fresh["commit_hash_batch"]["mb_per_s"]
+print(f"commit_hash_batch: fresh {f:.0f} MB/s vs committed {fresh_tier} {b:.0f} MB/s ({f / b:.2f})")
+assert f >= 0.8 * b, f"commit_hash_batch fell >20% below the committed {fresh_tier} throughput"
+if fresh_tier == base_tier:
+    b = base["commit_hash_quant"]["mb_per_s"]
+    f = fresh["commit_hash_quant"]["mb_per_s"]
+    print(f"commit_hash_quant: fresh {f:.0f} MB/s vs committed {b:.0f} MB/s ({f / b:.2f})")
+    assert f >= 0.8 * b, "commit_hash_quant fell >20% below the committed throughput"
+else:
+    print(f"commit_hash_quant: committed on {base_tier}, this host runs {fresh_tier}; "
+          "throughput gate skipped, quantized-edge gate below still applies")
+b = base["lsh_digest_gemm_1t"]["speedup_vs_scalar"]
+f = fresh["lsh_digest_gemm_1t"]["speedup_vs_scalar"]
+print(f"lsh_digest_gemm_1t: baseline {b:.2f}x, fresh {f:.2f}x ({f / b:.2f} of baseline)")
+assert f / b >= 0.8, "lsh_digest_gemm_1t speedup regressed >20% vs committed baseline"
 
 # --- Quantized digests (RPoLv3): hashing the bf16 image must keep its
 # byte-halving edge over the full-precision batch hasher.

@@ -23,8 +23,8 @@ RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test exec_determinism
 echo "== GEMM on the executor: 8-thread invariance + quantizer determinism"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-tensor
 
-echo "== intrinsics tiers as production runs them: tensor + nn suites in --release"
-cargo test -q --release -p rpol-tensor -p rpol-nn
+echo "== intrinsics tiers as production runs them: tensor + nn + crypto suites in --release"
+cargo test -q --release -p rpol-tensor -p rpol-nn -p rpol-crypto
 
 echo "== Gaussian blocks: 2^28 draws against the libm expression, 0 mismatches"
 cargo test -q --release -p rpol-tensor -- --ignored fill_normal_soak --nocapture
