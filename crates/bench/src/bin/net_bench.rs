@@ -284,8 +284,7 @@ fn sweep_rep(
         heartbeat_interval: Duration::from_secs(3600),
         ..ClientTuning::default()
     };
-    let handles: Vec<_> = MiningPool::new(config, behaviors)
-        .into_workers()
+    let handles: Vec<_> = MiningPool::build_workers(config, &behaviors)
         .into_iter()
         .map(|worker| {
             let addr = addr.clone();

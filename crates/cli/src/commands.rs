@@ -888,8 +888,7 @@ pub fn worker(raw: &[String]) -> Result<(), String> {
     // data shards, behaviours, and chaos draws all derive from them.
     let config = roster_pool_config(&args, scheme, workers, epochs)?;
     let behaviors = roster_behaviors(workers, adversaries);
-    let worker = MiningPool::new(config, behaviors)
-        .into_workers()
+    let worker = MiningPool::build_workers(config, &behaviors)
         .into_iter()
         .nth(id)
         .expect("id checked against roster");

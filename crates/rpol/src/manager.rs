@@ -345,6 +345,36 @@ impl PoolManager {
         &self.global
     }
 
+    /// This epoch's global-model block for the task broadcast, encoded
+    /// once and shared by every worker's task frame. Every RPoLv3 consumer
+    /// of a task starts from `snap_to_bf16(global)` (`PoolWorker::run_epoch`,
+    /// `LocalTrainer::run_epoch_quantized`) and the snap is idempotent, so
+    /// v3 ships the packed lattice image; the other schemes ship raw f32.
+    /// The manager's own f32 aggregate is untouched.
+    pub(crate) fn task_block(&self) -> crate::wire::TaskBlock {
+        self.recorder
+            .counter_add("rpol.wire.task_blocks_encoded", 1);
+        match self.scheme {
+            Scheme::RPoLv3 => {
+                crate::wire::TaskBlock::packed(&rpol_tensor::quant::bf16_image(&self.global))
+            }
+            Scheme::Baseline | Scheme::RPoLv1 | Scheme::RPoLv2 => {
+                crate::wire::TaskBlock::raw(&self.global)
+            }
+        }
+    }
+
+    /// Broadcast bytes the in-process paths charge for sending the global
+    /// model to `n_workers`: 4 bytes per weight, or the packed 2 under
+    /// RPoLv3 — the same story the wire tells (see [`Self::task_block`]).
+    pub(crate) fn broadcast_bytes(&self, n_workers: usize) -> u64 {
+        let per_weight = match self.scheme {
+            Scheme::RPoLv3 => 2,
+            Scheme::Baseline | Scheme::RPoLv1 | Scheme::RPoLv2 => 4,
+        };
+        (self.global.len() * per_weight * n_workers) as u64
+    }
+
     /// The task configuration.
     pub fn config(&self) -> &TaskConfig {
         &self.config
@@ -488,9 +518,8 @@ impl PoolManager {
                 provider: worker,
             })
             .collect();
-        let model_bytes = (self.global.len() * 4) as u64;
         let mut comm = CommStats {
-            broadcast_bytes: model_bytes * n as u64,
+            broadcast_bytes: self.broadcast_bytes(n),
             ..CommStats::default()
         };
         for sub in submissions {

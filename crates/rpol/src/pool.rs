@@ -407,6 +407,40 @@ pub struct MiningPool {
     eval_pool: parking_lot::Mutex<Vec<Sequential>>,
 }
 
+/// The manager's reward address (defines the AMLayer geometry of every
+/// model in the pool).
+fn manager_address(config: &PoolConfig) -> Address {
+    Address::derive(&config.seed.to_be_bytes())
+}
+
+/// The data half of a pool build: the training set drawn from the config
+/// seed, cut into one shard per worker plus the manager's, and the workers
+/// over their shards. Returns the generator positioned where the test set
+/// is drawn next.
+fn build_roster(
+    config: &PoolConfig,
+    behaviors: &[WorkerBehavior],
+) -> (Vec<PoolWorker>, SyntheticImages, Pcg32) {
+    assert!(!behaviors.is_empty(), "pool needs at least one worker");
+    let mut rng = Pcg32::seed_from(config.seed);
+    let data = SyntheticImages::generate(&config.task.spec, config.train_samples, &mut rng);
+    let mut shards = data.shard(behaviors.len() + 1);
+    let manager_shard = shards.pop().expect("manager shard");
+    let address = manager_address(config);
+    let workers = behaviors
+        .iter()
+        .zip(shards)
+        .enumerate()
+        .map(|(i, (&behavior, shard))| {
+            // Workers register heterogeneous GPUs, cycling the catalogue
+            // (the manager calibrates against the top-2).
+            let gpu = GpuModel::ALL[i % GpuModel::ALL.len()];
+            PoolWorker::new(i, &config.task, &address, shard, gpu, behavior)
+        })
+        .collect();
+    (workers, manager_shard, rng)
+}
+
 impl MiningPool {
     /// Builds a pool with one worker per behaviour entry.
     ///
@@ -415,12 +449,7 @@ impl MiningPool {
     /// Panics if `behaviors` is empty or the configured sample counts are
     /// too small for `behaviors.len() + 1` shards.
     pub fn new(config: PoolConfig, behaviors: Vec<WorkerBehavior>) -> Self {
-        assert!(!behaviors.is_empty(), "pool needs at least one worker");
-        let n = behaviors.len();
-        let mut rng = Pcg32::seed_from(config.seed);
-        let data = SyntheticImages::generate(&config.task.spec, config.train_samples, &mut rng);
-        let mut shards = data.shard(n + 1);
-        let manager_shard = shards.pop().expect("manager shard");
+        let (workers, manager_shard, mut rng) = build_roster(&config, &behaviors);
         let test = SyntheticImages::generate(&config.task.spec, config.test_samples, &mut rng);
         let test_chunks: Vec<(rpol_tensor::Tensor, Vec<usize>)> = (0..test.len())
             .step_by(EVAL_CHUNK)
@@ -430,18 +459,7 @@ impl MiningPool {
             })
             .collect();
 
-        let address = Address::derive(&config.seed.to_be_bytes());
-        let workers: Vec<PoolWorker> = behaviors
-            .iter()
-            .zip(shards)
-            .enumerate()
-            .map(|(i, (&behavior, shard))| {
-                // Workers register heterogeneous GPUs, cycling the catalogue
-                // (the manager calibrates against the top-2).
-                let gpu = GpuModel::ALL[i % GpuModel::ALL.len()];
-                PoolWorker::new(i, &config.task, &address, shard, gpu, behavior)
-            })
-            .collect();
+        let address = manager_address(&config);
         let mut manager = PoolManager::new(
             config.task,
             config.scheme,
@@ -524,11 +542,17 @@ impl MiningPool {
         &self.config
     }
 
-    /// Dissolves the pool into its workers — the client side of a socket
-    /// run builds a pool with the shared seed (so data generation matches
-    /// the server bit-for-bit), then takes the workers and drops the rest.
-    pub fn into_workers(self) -> Vec<PoolWorker> {
-        self.workers
+    /// Only the workers of the pool [`MiningPool::new`] would build — the
+    /// client side of a socket run. Data generation and sharding go
+    /// through the same code on the same seeded stream, so every shard
+    /// matches the server's replica bit for bit; the test set, manager
+    /// and evaluation state are never built.
+    ///
+    /// # Panics
+    ///
+    /// As [`MiningPool::new`].
+    pub fn build_workers(config: PoolConfig, behaviors: &[WorkerBehavior]) -> Vec<PoolWorker> {
+        build_roster(&config, behaviors).0
     }
 
     /// Current global-model accuracy on the held-out test set, evaluated
@@ -733,9 +757,8 @@ impl MiningPool {
                 provider: worker,
             })
             .collect();
-        let model_bytes = (self.manager.global_weights().len() * 4) as u64;
         let mut comm = CommStats {
-            broadcast_bytes: model_bytes * n as u64,
+            broadcast_bytes: self.manager.broadcast_bytes(n),
             ..CommStats::default()
         };
         for sub in &submissions {
@@ -800,9 +823,8 @@ impl MiningPool {
 
         let config = *self.manager.config();
         let global = self.manager.global_weights().to_vec();
-        let model_bytes = (global.len() * 4) as u64;
         let mut comm = CommStats {
-            broadcast_bytes: model_bytes * n as u64,
+            broadcast_bytes: self.manager.broadcast_bytes(n),
             ..CommStats::default()
         };
         let mut ingest = self.manager.ingest_begin(hierarchy, &[]);
@@ -1137,17 +1159,12 @@ impl MiningPool {
 
         // Phase 1: task broadcast, serial in worker order.
         let phase_broadcast = span!(recorder, "rpol.pool.task_broadcast", epoch);
-        let global = self.manager.global_weights().to_vec();
+        let block = self.manager.task_block();
         let mut tasks: Vec<Option<wire::EpochTask>> = (0..n).map(|_| None).collect();
         for (w, worker) in self.workers.iter().enumerate() {
-            let task = wire::EpochTask {
-                epoch,
-                nonce: plan.nonces[w],
-                steps: plan.steps as u32,
-                global_weights: global.clone(),
-            };
-            let payload = wire::encode_epoch_task(&task);
+            let payload = block.frame(epoch, plan.nonces[w], plan.steps as u32);
             comm.broadcast_bytes += payload.len() as u64;
+            stats.bytes_saved += block.bytes_saved();
             let link = link_state(&worker.behavior(), epoch, MsgKind::Task);
             match transport
                 .exchange(
@@ -1416,6 +1433,34 @@ mod tests {
         assert_eq!(report.acceptances(), 6); // 3 workers × 2 epochs
         assert!(report.total_comm_bytes() > 0);
         assert!(report.worker_storage_bytes > 0);
+    }
+
+    /// The client half of a socket run builds workers without the rest of
+    /// the pool; they must be the workers `MiningPool::new` builds — same
+    /// shards bit for bit, same GPUs, behaviours and addresses — or the
+    /// server's replay would run on different data than the client trained on.
+    #[test]
+    fn build_workers_yields_the_full_pools_workers() {
+        let behaviors = vec![
+            WorkerBehavior::Honest,
+            WorkerBehavior::ReplayPrevious,
+            WorkerBehavior::Honest,
+            WorkerBehavior::Honest,
+        ];
+        let config = PoolConfig::tiny_demo(Scheme::RPoLv3);
+        let pool = MiningPool::new(config, behaviors.clone());
+        let alone = MiningPool::build_workers(config, &behaviors);
+        assert_eq!(alone.len(), pool.workers().len());
+        for (a, b) in alone.iter().zip(pool.workers()) {
+            assert_eq!((a.id, a.gpu, a.address), (b.id, b.gpu, b.address));
+            assert_eq!(a.behavior(), b.behavior());
+            let ((xa, ya), (xb, yb)) = (a.shard().full_batch(), b.shard().full_batch());
+            assert_eq!(ya, yb);
+            let bits = |t: &rpol_tensor::Tensor| -> Vec<u32> {
+                t.data().iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&xa), bits(&xb), "worker {} shard", a.id);
+        }
     }
 
     #[test]

@@ -1921,18 +1921,13 @@ impl PoolServer {
             under_epoch,
             &[("epoch", Value::from(epoch))],
         );
-        let global = self.pool.manager.global_weights().to_vec();
+        let block = self.pool.manager.task_block();
         let mut tasked = vec![false; n];
         #[allow(clippy::needless_range_loop)] // worker order fixes the chaos draw order
         for w in 0..n {
-            let task = wire::EpochTask {
-                epoch,
-                nonce: plan.nonces[w],
-                steps: plan.steps as u32,
-                global_weights: global.clone(),
-            };
-            let payload = wire::encode_epoch_task(&task);
+            let payload = block.frame(epoch, plan.nonces[w], plan.steps as u32);
             comm.broadcast_bytes += payload.len() as u64;
+            stats.bytes_saved += block.bytes_saved();
             let (mut writes, outcome) = self.transport.chaos_frames(
                 epoch,
                 w,
@@ -2294,10 +2289,11 @@ pub struct SocketRunOutcome {
 /// port, spawns one [`WorkerClient`] thread per behaviour, runs every
 /// epoch over TCP, and joins the clients.
 ///
-/// Both sides build an identical [`MiningPool`] from the shared config
-/// seed, so data sharding and training match the in-process pool bit for
-/// bit; the clients then take the workers and the server keeps the
-/// manager (plus worker replicas for their shard handles).
+/// Both sides derive their workers from the shared config seed through
+/// the same roster build, so data sharding and training match the
+/// in-process pool bit for bit: the server builds the whole
+/// [`MiningPool`] (the manager, plus worker replicas for their shard
+/// handles), the clients only [`MiningPool::build_workers`].
 ///
 /// # Errors
 ///
@@ -2316,8 +2312,7 @@ pub fn run_socket_pool(
     let mut server = PoolServer::bind(pool, &BindAddr::loopback(), options.server)?;
     let addr = server.local_addr();
     let handles: Vec<std::thread::JoinHandle<crate::client::ClientReport>> =
-        MiningPool::new(config, behaviors)
-            .into_workers()
+        MiningPool::build_workers(config, &behaviors)
             .into_iter()
             .enumerate()
             .map(|(i, worker)| {

@@ -115,6 +115,7 @@ const TAG_PROOF_REQUEST: u8 = 0x10;
 const TAG_PROOF_RESPONSE: u8 = 0x11;
 const TAG_PROOF_RESPONSE_PACKED: u8 = 0x12;
 const TAG_EPOCH_TASK: u8 = 0x20;
+const TAG_EPOCH_TASK_PACKED: u8 = 0x21;
 const TAG_COMMITTEE_BATCH: u8 = 0x40;
 
 /// Packed bf16 weight-block codec version. Bumping this (and teaching the
@@ -146,17 +147,62 @@ fn put_weights_packed(out: &mut BytesMut, weights: &[f32]) {
     out.put_u8(PACKED_WEIGHTS_V1);
     out.put_u32_le(weights.len() as u32);
     let n = weights.len();
-    let mut hi = Vec::with_capacity(n);
-    let mut lo = Vec::with_capacity(n);
-    for &w in weights {
-        let q = (w.to_bits() >> 16) as u16;
-        hi.push((q >> 8) as u8);
-        lo.push((q & 0xFF) as u8);
+    let mut hi = vec![0u8; n];
+    let mut lo = vec![0u8; n];
+    for ((h, l), w) in hi.iter_mut().zip(&mut lo).zip(weights) {
+        let q = w.to_bits() >> 16;
+        *h = (q >> 8) as u8;
+        *l = q as u8;
     }
-    // Delta-code the hi plane, then RLE the delta stream as (value, run)
-    // byte pairs. Trained weights cluster in a narrow exponent band, so
-    // the deltas are mostly zero and runs are long.
-    let mut rle = Vec::new();
+    match rle_hi_plane(&hi) {
+        Some(rle) => {
+            out.put_u8(HI_PLANE_DELTA_RLE);
+            out.put_u32_le(rle.len() as u32);
+            out.put_slice(&rle);
+        }
+        None => {
+            // RLE would expand (noisy hi plane): ship the plane raw so the
+            // worst case stays at exactly 2 bytes per weight.
+            out.put_u8(HI_PLANE_RAW);
+            out.put_slice(&hi);
+        }
+    }
+    out.put_slice(&lo);
+}
+
+/// Delta-codes the hi plane and run-length encodes the delta stream as
+/// (delta, run) byte pairs, runs capped at 255 — `Some` only when that is
+/// shorter than the plane itself. Trained weights cluster in a narrow
+/// exponent band, but sign and low exponent bit still vary from weight to
+/// weight, so at task scale the stream almost never wins: the pair count
+/// is bounded below by the number of maximal equal-delta runs (the cap
+/// only adds pairs), and one counting pass rules the stream out before
+/// any of it is built.
+fn rle_hi_plane(hi: &[u8]) -> Option<Vec<u8>> {
+    let n = hi.len();
+    let &first = hi.first()?;
+    // delta[0] = hi[0] - 0, delta[i] = hi[i] - hi[i-1]; a run ends where
+    // consecutive deltas differ. Counted in `u8` lanes over 128-element
+    // blocks: that shape compiles to 16-byte compares, a `usize`
+    // accumulator does not.
+    let mut runs = 1 + usize::from(n > 1 && hi[1].wrapping_sub(first) != first);
+    if n > 2 {
+        let blocks = hi[2..]
+            .chunks(128)
+            .zip(hi[1..].chunks(128))
+            .zip(hi.chunks(128));
+        for ((next, mid), prev) in blocks {
+            let mut changes = 0u8;
+            for ((&c, &b), &a) in next.iter().zip(mid).zip(prev) {
+                changes += u8::from(c.wrapping_sub(b) != b.wrapping_sub(a));
+            }
+            runs += usize::from(changes);
+        }
+    }
+    if 2 * runs >= n {
+        return None;
+    }
+    let mut rle = Vec::with_capacity(2 * runs);
     let mut prev = 0u8;
     let mut i = 0;
     while i < n {
@@ -170,17 +216,7 @@ fn put_weights_packed(out: &mut BytesMut, weights: &[f32]) {
         prev = hi[i + run - 1];
         i += run;
     }
-    if rle.len() < n {
-        out.put_u8(HI_PLANE_DELTA_RLE);
-        out.put_u32_le(rle.len() as u32);
-        out.put_slice(&rle);
-    } else {
-        // RLE would expand (noisy hi plane): ship the plane raw so the
-        // worst case stays at exactly 2 bytes per weight.
-        out.put_u8(HI_PLANE_RAW);
-        out.put_slice(&hi);
-    }
-    out.put_slice(&lo);
+    (rle.len() < n).then_some(rle)
 }
 
 /// Decodes a versioned packed weight block back into exact bf16-lattice
@@ -611,33 +647,94 @@ pub struct EpochTask {
     pub global_weights: Vec<f32>,
 }
 
-/// Encodes an epoch task assignment.
-pub fn encode_epoch_task(task: &EpochTask) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u8(TAG_EPOCH_TASK);
-    out.put_u64_le(task.epoch);
-    out.put_u64_le(task.nonce);
-    out.put_u32_le(task.steps);
-    put_weights(&mut out, &task.global_weights);
-    out.freeze()
+/// Task header: tag (1) + epoch (8) + nonce (8) + steps (4).
+const TASK_HEADER_BYTES: usize = 1 + 8 + 8 + 4;
+
+/// The global-model block of an epoch's task broadcast, encoded once and
+/// spliced behind every worker's 21-byte header by [`TaskBlock::frame`].
+///
+/// [`TaskBlock::raw`] frames are byte-identical to [`encode_epoch_task`];
+/// [`TaskBlock::packed`] ships the versioned packed bf16 block under its
+/// own tag. [`decode_epoch_task`] accepts both, so the encoding is
+/// negotiated by frame tag like every other packed message.
+#[derive(Debug, Clone)]
+pub struct TaskBlock {
+    tag: u8,
+    block: Bytes,
+    saved: u64,
 }
 
-/// Decodes an epoch task assignment.
+impl TaskBlock {
+    /// Raw f32 framing (Baseline / RPoLv1 / RPoLv2).
+    pub fn raw(global_weights: &[f32]) -> Self {
+        let mut block = BytesMut::with_capacity(raw_weights_wire_size(global_weights.len()));
+        put_weights(&mut block, global_weights);
+        Self {
+            tag: TAG_EPOCH_TASK,
+            block: block.freeze(),
+            saved: 0,
+        }
+    }
+
+    /// Packed bf16 framing (RPoLv3). `lattice_weights` must already be on
+    /// the bf16 lattice — the image every v3 receiver snaps to anyway.
+    pub fn packed(lattice_weights: &[f32]) -> Self {
+        let mut block = BytesMut::with_capacity(2 * lattice_weights.len() + 10);
+        put_weights_packed(&mut block, lattice_weights);
+        let saved = raw_weights_wire_size(lattice_weights.len()).saturating_sub(block.len());
+        Self {
+            tag: TAG_EPOCH_TASK_PACKED,
+            block: block.freeze(),
+            saved: saved as u64,
+        }
+    }
+
+    /// One worker's task payload: tag, `epoch`, `nonce`, `steps`, then the
+    /// shared block.
+    pub fn frame(&self, epoch: u64, nonce: u64, steps: u32) -> Bytes {
+        let mut out = BytesMut::with_capacity(TASK_HEADER_BYTES + self.block.len());
+        out.put_u8(self.tag);
+        out.put_u64_le(epoch);
+        out.put_u64_le(nonce);
+        out.put_u32_le(steps);
+        out.put_slice(&self.block);
+        out.freeze()
+    }
+
+    /// Payload bytes each framed task avoids versus raw f32 framing — the
+    /// per-message `bytes_saved` contribution (0 for [`TaskBlock::raw`]).
+    pub fn bytes_saved(&self) -> u64 {
+        self.saved
+    }
+}
+
+/// Encodes an epoch task assignment with raw f32 weights.
+pub fn encode_epoch_task(task: &EpochTask) -> Bytes {
+    TaskBlock::raw(&task.global_weights).frame(task.epoch, task.nonce, task.steps)
+}
+
+/// Decodes an epoch task assignment, raw or packed — the frame's tag
+/// selects the weight codec.
 ///
 /// # Errors
 ///
 /// Returns [`DecodeError`] on truncated or malformed input.
 pub fn decode_epoch_task(mut buf: Bytes) -> Result<EpochTask, DecodeError> {
-    if buf.remaining() < 1 || buf.get_u8() != TAG_EPOCH_TASK {
+    let Some(&tag @ (TAG_EPOCH_TASK | TAG_EPOCH_TASK_PACKED)) = buf.first() else {
         return Err(DecodeError::Malformed("not an epoch task"));
-    }
+    };
+    buf.advance(1);
     let epoch = get_u64(&mut buf)?;
     let nonce = get_u64(&mut buf)?;
     let steps = get_u32(&mut buf)?;
     if steps == 0 {
         return Err(DecodeError::Malformed("empty epoch"));
     }
-    let global_weights = get_weights(&mut buf)?;
+    let global_weights = if tag == TAG_EPOCH_TASK_PACKED {
+        get_weights_packed(&mut buf)?
+    } else {
+        get_weights(&mut buf)?
+    };
     if global_weights.is_empty() {
         return Err(DecodeError::Malformed("empty global model"));
     }
@@ -904,7 +1001,7 @@ pub enum PayloadClass {
     ProofRequest,
     /// A checkpoint opening (raw or packed).
     ProofResponse,
-    /// An epoch assignment.
+    /// An epoch assignment (raw or packed).
     EpochTask,
     /// A Merkle-committed committee verdict batch (sub-manager → top
     /// manager).
@@ -923,7 +1020,7 @@ pub fn classify_payload(payload: &[u8]) -> PayloadClass {
         ) => PayloadClass::Submission,
         Some(&TAG_PROOF_REQUEST) => PayloadClass::ProofRequest,
         Some(&(TAG_PROOF_RESPONSE | TAG_PROOF_RESPONSE_PACKED)) => PayloadClass::ProofResponse,
-        Some(&TAG_EPOCH_TASK) => PayloadClass::EpochTask,
+        Some(&(TAG_EPOCH_TASK | TAG_EPOCH_TASK_PACKED)) => PayloadClass::EpochTask,
         Some(&TAG_COMMITTEE_BATCH) => PayloadClass::CommitteeBatch,
         Some(&t) if (TAG_NET_HELLO..=TAG_NET_LAST).contains(&t) => PayloadClass::Control,
         _ => PayloadClass::Unknown,
@@ -1589,6 +1686,109 @@ mod tests {
         );
     }
 
+    /// The packed-block encoder as first shipped: planes pushed a byte at
+    /// a time, the RLE stream always built and then measured. Kept as the
+    /// byte-equality oracle for [`put_weights_packed`].
+    fn put_weights_packed_oracle(out: &mut BytesMut, weights: &[f32]) {
+        out.put_u8(PACKED_WEIGHTS_V1);
+        out.put_u32_le(weights.len() as u32);
+        let n = weights.len();
+        let mut hi = Vec::with_capacity(n);
+        let mut lo = Vec::with_capacity(n);
+        for &w in weights {
+            let q = (w.to_bits() >> 16) as u16;
+            hi.push((q >> 8) as u8);
+            lo.push((q & 0xFF) as u8);
+        }
+        let mut rle = Vec::new();
+        let mut prev = 0u8;
+        let mut i = 0;
+        while i < n {
+            let delta = hi[i].wrapping_sub(prev);
+            let mut run = 1usize;
+            while i + run < n && hi[i + run].wrapping_sub(hi[i + run - 1]) == delta && run < 255 {
+                run += 1;
+            }
+            rle.push(delta);
+            rle.push(run as u8);
+            prev = hi[i + run - 1];
+            i += run;
+        }
+        if rle.len() < n {
+            out.put_u8(HI_PLANE_DELTA_RLE);
+            out.put_u32_le(rle.len() as u32);
+            out.put_slice(&rle);
+        } else {
+            out.put_u8(HI_PLANE_RAW);
+            out.put_slice(&hi);
+        }
+        out.put_slice(&lo);
+    }
+
+    /// Both encoders over `weights`; returns the hi-plane mode byte.
+    fn assert_packs_like_the_oracle(weights: &[f32]) -> u8 {
+        let mut fast = BytesMut::new();
+        put_weights_packed(&mut fast, weights);
+        let mut oracle = BytesMut::new();
+        put_weights_packed_oracle(&mut oracle, weights);
+        assert_eq!(fast.as_ref(), oracle.as_ref(), "{} weights", weights.len());
+        fast.as_ref()[5]
+    }
+
+    /// A lattice vector whose hi plane is exactly `hi`.
+    fn with_hi_plane(hi: impl IntoIterator<Item = u8>) -> Vec<f32> {
+        hi.into_iter()
+            .enumerate()
+            .map(|(i, h)| f32::from_bits((u32::from(h) << 24) | ((i as u32 & 0xFF) << 16)))
+            .collect()
+    }
+
+    #[test]
+    fn packed_encoder_matches_the_oracle_on_structured_planes() {
+        // Constant plane and a ramp: one or two delta runs, RLE wins.
+        for n in [5usize, 255, 256, 511, 4096] {
+            assert_eq!(
+                assert_packs_like_the_oracle(&with_hi_plane((0..n).map(|_| 0x3C))),
+                HI_PLANE_DELTA_RLE,
+                "constant, n = {n}"
+            );
+            assert_eq!(
+                assert_packs_like_the_oracle(&with_hi_plane((0..n).map(|i| i as u8))),
+                HI_PLANE_DELTA_RLE,
+                "ramp, n = {n}"
+            );
+        }
+        // Two alternating values whose up and down steps differ mod 256
+        // (a bare sign flip is ±0x80, one constant delta): every delta
+        // differs from the last, RLE loses.
+        for n in [0usize, 1, 2, 3, 97, 4096] {
+            let plane = (0..n).map(|i| if i % 2 == 0 { 0x3C } else { 0xBD });
+            assert_eq!(
+                assert_packs_like_the_oracle(&with_hi_plane(plane)),
+                HI_PLANE_RAW,
+                "alternating, n = {n}"
+            );
+        }
+        // Runs right at the break-even: period-p plateaus make n/p delta
+        // runs of zero plus n/p jumps, so p = 4 sits on `2·runs == n`.
+        for period in 2usize..=6 {
+            for n in [16usize, 64, 1000, 1001] {
+                let plane = (0..n).map(|i| ((i / period) * 7) as u8);
+                assert_packs_like_the_oracle(&with_hi_plane(plane));
+            }
+        }
+        // Plateaus longer than the 255 run cap: pairs exceed delta runs.
+        for n in [256usize, 600, 4096] {
+            let plane = (0..n).map(|i| (i / 300) as u8);
+            assert_packs_like_the_oracle(&with_hi_plane(plane));
+        }
+        // Task P's size, on weights shaped like a trained vector.
+        let mut rng = rpol_tensor::rng::Pcg32::seed_from(42);
+        let mut weights: Vec<f32> = (0..97_320).map(|_| rng.next_normal() * 0.05).collect();
+        rpol_tensor::quant::snap_to_bf16(&mut weights);
+        assert_eq!(assert_packs_like_the_oracle(&weights), HI_PLANE_RAW);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -1608,6 +1808,30 @@ mod tests {
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             proptest::prop_assert_eq!(bits(&back), bits(&weights));
             proptest::prop_assert_eq!(buf.remaining(), 0);
+        }
+
+        /// The one-pass "RLE cannot win" decision never changes a byte:
+        /// random lattice vectors of every length 0..=4096, with hi planes
+        /// from uniformly noisy (few distinct values → raw) down to long
+        /// plateaus (RLE), encode exactly as the oracle does.
+        #[test]
+        fn packed_encoder_matches_the_oracle(
+            seed in 0u64..10_000, len in 0usize..=4096, spread in 0u32..6
+        ) {
+            let mut rng = rpol_tensor::rng::Pcg32::seed_from(seed ^ 0x0A_C1E);
+            // `spread` sets how often the hi byte changes: 0 → every
+            // element, 5 → about once in 32.
+            let mut hi = 0u32;
+            let weights: Vec<f32> = (0..len)
+                .map(|_| {
+                    let r = rng.next_u32();
+                    if r & ((1 << spread) - 1) == 0 {
+                        hi = (r >> 8) & 0xFF;
+                    }
+                    f32::from_bits((hi << 24) | (r & 0x00FF_0000))
+                })
+                .collect();
+            assert_packs_like_the_oracle(&weights);
         }
 
         /// Fuzz: truncating a valid V3 submission at any byte must fail
@@ -1733,6 +1957,97 @@ mod tests {
         task.steps = 4;
         task.global_weights.clear();
         assert!(decode_epoch_task(encode_epoch_task(&task)).is_err());
+    }
+
+    /// The parent commit's task encoding, written out field by field: the
+    /// raw block spliced behind a header must reproduce it byte for byte,
+    /// or every lossy fault draw keyed on frame bytes would move.
+    #[test]
+    fn raw_task_frame_is_byte_identical_to_the_parent_encoding() {
+        let weights = [0.25f32, -1.5, 3.0, f32::MIN_POSITIVE, -0.0];
+        let mut golden = vec![0x20u8];
+        golden.extend_from_slice(&7u64.to_le_bytes());
+        golden.extend_from_slice(&0xDEAD_BEEFu64.to_le_bytes());
+        golden.extend_from_slice(&15u32.to_le_bytes());
+        golden.extend_from_slice(&(weights.len() as u32).to_le_bytes());
+        for w in weights {
+            golden.extend_from_slice(&w.to_le_bytes());
+        }
+        let block = TaskBlock::raw(&weights);
+        assert_eq!(&block.frame(7, 0xDEAD_BEEF, 15)[..], &golden[..]);
+        assert_eq!(block.bytes_saved(), 0);
+        let task = EpochTask {
+            epoch: 7,
+            nonce: 0xDEAD_BEEF,
+            steps: 15,
+            global_weights: weights.to_vec(),
+        };
+        assert_eq!(&encode_epoch_task(&task)[..], &golden[..]);
+    }
+
+    #[test]
+    fn packed_task_roundtrips_classifies_and_counts_its_saving() {
+        let weights = rpol_tensor::quant::bf16_image(&[0.5f32, -0.25, 1.5e-3, 0.0, -7.25, 3.0]);
+        let block = TaskBlock::packed(&weights);
+        let payload = block.frame(3, 99, 10);
+        assert_eq!(payload[0], 0x21);
+        assert_eq!(classify_payload(&payload), PayloadClass::EpochTask);
+        // header + version + count + mode + two planes.
+        assert_eq!(payload.len(), TASK_HEADER_BYTES + 6 + 2 * weights.len());
+        let raw_len = encode_epoch_task(&EpochTask {
+            epoch: 3,
+            nonce: 99,
+            steps: 10,
+            global_weights: weights.clone(),
+        })
+        .len();
+        assert_eq!(block.bytes_saved(), (raw_len - payload.len()) as u64);
+        let task = decode_epoch_task(payload).expect("decodes");
+        assert_eq!((task.epoch, task.nonce, task.steps), (3, 99, 10));
+        assert_eq!(task.global_weights, weights);
+    }
+
+    #[test]
+    fn packed_task_rejects_degenerate_and_hostile_fields() {
+        let weights = rpol_tensor::quant::bf16_image(&[1.0f32; 8]);
+        let good = TaskBlock::packed(&weights).frame(1, 2, 4).to_vec();
+        let decode = |bytes: Vec<u8>| decode_epoch_task(Bytes::from(bytes));
+        for cut in 0..good.len() {
+            assert!(decode(good[..cut].to_vec()).is_err(), "cut at {cut}");
+        }
+        let mut zero_steps = good.clone();
+        zero_steps[17..21].copy_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            decode(zero_steps),
+            Err(DecodeError::Malformed("empty epoch"))
+        );
+        let mut bad_version = good.clone();
+        bad_version[TASK_HEADER_BYTES] = 0x7F;
+        assert_eq!(
+            decode(bad_version),
+            Err(DecodeError::Malformed("unknown packed-weight version"))
+        );
+        assert_eq!(
+            decode(TaskBlock::packed(&[]).frame(1, 2, 4).to_vec()),
+            Err(DecodeError::Malformed("empty global model"))
+        );
+        // A count of u32::MAX weights must fail the length check before
+        // any plane is allocated.
+        let mut hostile = good.clone();
+        hostile[TASK_HEADER_BYTES + 1..TASK_HEADER_BYTES + 5]
+            .copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(hostile), Err(DecodeError::Truncated));
+        // Ragged RLE stream (odd length) behind a task header.
+        let mut ragged = good[..TASK_HEADER_BYTES].to_vec();
+        ragged.push(PACKED_WEIGHTS_V1);
+        ragged.extend_from_slice(&3u32.to_le_bytes());
+        ragged.push(HI_PLANE_DELTA_RLE);
+        ragged.extend_from_slice(&3u32.to_le_bytes());
+        ragged.extend_from_slice(&[1, 3, 0, 0, 0, 0]);
+        assert_eq!(
+            decode(ragged),
+            Err(DecodeError::Malformed("ragged RLE stream"))
+        );
     }
 
     #[test]

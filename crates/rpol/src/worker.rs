@@ -407,6 +407,64 @@ mod tests {
         }
     }
 
+    /// What the packed task broadcast rests on: under V3 every behaviour
+    /// starts from `snap(global)`, so handing it the lattice image instead
+    /// of the f32 model changes nothing it submits, commits to or stores.
+    #[test]
+    fn v3_epoch_is_the_same_from_the_global_model_and_its_lattice_image() {
+        use rpol_lsh::{LshFamily, LshParams};
+        let behaviors = [
+            WorkerBehavior::Honest,
+            WorkerBehavior::ReplayPrevious,
+            WorkerBehavior::PartialSpoof {
+                honest_fraction: 0.5,
+                lambda: 0.5,
+            },
+            WorkerBehavior::CrashAt {
+                epoch: 9,
+                after_steps: 1,
+            },
+            WorkerBehavior::Straggler { slowdown: 4.0 },
+        ];
+        for behavior in behaviors {
+            // A new behaviour must join the list above (and hold the
+            // property) before this compiles again.
+            match behavior {
+                WorkerBehavior::Honest
+                | WorkerBehavior::ReplayPrevious
+                | WorkerBehavior::PartialSpoof { .. }
+                | WorkerBehavior::CrashAt { .. }
+                | WorkerBehavior::Straggler { .. } => {}
+            }
+            let (cfg, mut from_f32, global) = setup(behavior);
+            let (_, mut from_lattice, _) = setup(behavior);
+            assert!(!rpol_tensor::quant::is_bf16_lattice(&global));
+            let snapped = rpol_tensor::quant::bf16_image(&global);
+            let family = LshFamily::generate(global.len(), LshParams::new(1.0, 4, 4), 11);
+            let mode = CommitMode::V3(&family);
+            let a = from_f32.run_epoch(&cfg, &global, 1, 8, 0, mode);
+            let b = from_lattice.run_epoch(&cfg, &snapped, 1, 8, 0, mode);
+            assert_eq!(
+                crate::wire::encode_submission(&a.final_weights, a.commitment.as_ref()),
+                crate::wire::encode_submission(&b.final_weights, b.commitment.as_ref()),
+                "{behavior:?} submission bytes"
+            );
+            assert_eq!(a.commitment, b.commitment, "{behavior:?} commitment");
+            assert_eq!(a.upload_bytes, b.upload_bytes);
+            assert_eq!(a.commit_bytes_hashed, b.commit_bytes_hashed);
+            let bits = |cps: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                cps.iter()
+                    .map(|cp| cp.iter().map(|x| x.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(
+                bits(&from_f32.checkpoints),
+                bits(&from_lattice.checkpoints),
+                "{behavior:?} stored checkpoints"
+            );
+        }
+    }
+
     #[test]
     fn commit_bytes_hashed_tracks_mode() {
         use rpol_lsh::{LshFamily, LshParams};

@@ -97,17 +97,13 @@ fn hierarchical_socket_run_matches_flat_simulated_run() {
     );
 }
 
-#[test]
-fn socket_run_matches_simulated_run_bit_for_bit() {
-    let behaviors = vec![
-        WorkerBehavior::Honest,
-        WorkerBehavior::ReplayPrevious,
-        WorkerBehavior::Honest,
-    ];
-    let mut config = PoolConfig::tiny_demo(Scheme::RPoLv2);
-    config.epochs = 2;
-    config = config.with_faults(aggressive_faults(0xC0FFEE));
-
+/// Runs `config` over the simulated lossy link and over loopback TCP
+/// behind the chaos proxy, and holds the two to the parity contract: every
+/// protocol-visible number of every epoch agrees bit for bit.
+fn assert_socket_matches_simulated(
+    config: PoolConfig,
+    behaviors: Vec<WorkerBehavior>,
+) -> (rpol::pool::PoolReport, rpol::server::SocketRunOutcome) {
     let simulated = MiningPool::new(config, behaviors.clone()).run();
     let socket = run_socket_pool(
         config,
@@ -120,7 +116,6 @@ fn socket_run_matches_simulated_run_bit_for_bit() {
     .expect("socket run");
 
     assert_eq!(simulated.epochs.len(), socket.report.epochs.len());
-    let mut quarantine_events = 0;
     for (sim, sock) in simulated.epochs.iter().zip(&socket.report.epochs) {
         assert_eq!(sim.report.accepted, sock.report.accepted, "accepted set");
         assert_eq!(sim.report.rejected, sock.report.rejected, "rejected set");
@@ -148,8 +143,30 @@ fn socket_run_matches_simulated_run_bit_for_bit() {
             sock.test_accuracy.to_bits(),
             "global model must evolve identically"
         );
-        quarantine_events += sim.report.quarantined.len();
     }
+    (simulated, socket)
+}
+
+fn parity_roster() -> Vec<WorkerBehavior> {
+    vec![
+        WorkerBehavior::Honest,
+        WorkerBehavior::ReplayPrevious,
+        WorkerBehavior::Honest,
+    ]
+}
+
+#[test]
+fn socket_run_matches_simulated_run_bit_for_bit() {
+    let mut config = PoolConfig::tiny_demo(Scheme::RPoLv2);
+    config.epochs = 2;
+    config = config.with_faults(aggressive_faults(0xC0FFEE));
+    let (simulated, socket) = assert_socket_matches_simulated(config, parity_roster());
+
+    let quarantine_events: usize = simulated
+        .epochs
+        .iter()
+        .map(|e| e.report.quarantined.len())
+        .sum();
     assert!(
         quarantine_events > 0,
         "fixture must exercise quarantines to be meaningful (got none)"
@@ -160,6 +177,102 @@ fn socket_run_matches_simulated_run_bit_for_bit() {
     assert!(
         socket.net.corrupt_frames + client_corrupt > 0,
         "harsh profile must have produced ghost frames on the wire"
+    );
+}
+
+/// RPoLv3 rides packed frames on all three legs — task broadcast,
+/// submission, proof opening — and the socket must still account every
+/// one of them exactly as the simulated link does, on a clean link and on
+/// one that drops, corrupts and truncates.
+#[test]
+fn v3_socket_run_matches_simulated_run_on_ideal_and_lossy_links() {
+    for (fault, lossy) in [
+        (FaultConfig::ideal(5), false),
+        (FaultConfig::lossy(0xB16), true),
+    ] {
+        let mut config = PoolConfig::tiny_demo(Scheme::RPoLv3);
+        config.epochs = 2;
+        config = config.with_faults(fault);
+        let (simulated, _) = assert_socket_matches_simulated(config, parity_roster());
+        assert!(simulated.rejections() > 0, "the replayer must be caught");
+        let totals = simulated.transport_totals();
+        assert!(totals.bytes_saved > 0, "packed frames must be in play");
+        assert_eq!(
+            totals.retries > 0,
+            lossy,
+            "only the lossy fixture retransmits"
+        );
+    }
+}
+
+/// Broadcast accounting under RPoLv3: the socket charges exactly the task
+/// payloads it framed — one packed block behind each worker's header —
+/// the in-process pool charges the same block at 2 bytes per weight, the
+/// saving is counted once per task, and the block is encoded once an epoch.
+#[test]
+fn v3_broadcast_charges_the_packed_block_once_per_worker() {
+    use rpol::wire::{decode_epoch_task, encode_epoch_task, EpochTask, TaskBlock};
+
+    let behaviors = parity_roster();
+    let n = behaviors.len() as u64;
+    let mut config = PoolConfig::tiny_demo(Scheme::RPoLv3);
+    config.epochs = 1;
+
+    // Epoch 0 broadcasts the initial model, which a fresh pool exposes.
+    let fresh = MiningPool::new(config, behaviors.clone());
+    let global = fresh.manager().global_weights().to_vec();
+    let dim = global.len() as u64;
+    let lattice = rpol_tensor::quant::bf16_image(&global);
+    let block = TaskBlock::packed(&lattice);
+    let payload = block.frame(0, 0, config.steps_per_epoch as u32);
+    let raw_payload = encode_epoch_task(&EpochTask {
+        epoch: 0,
+        nonce: 0,
+        steps: config.steps_per_epoch as u32,
+        global_weights: global,
+    });
+    assert_eq!(
+        block.bytes_saved(),
+        (raw_payload.len() - payload.len()) as u64
+    );
+    assert_eq!(
+        decode_epoch_task(payload.clone())
+            .expect("decodes")
+            .global_weights,
+        lattice
+    );
+
+    let in_process = MiningPool::new(config, behaviors.clone()).run();
+    assert_eq!(
+        in_process.epochs[0].report.comm.broadcast_bytes,
+        n * dim * 2
+    );
+
+    let rec = Arc::new(Recorder::logical());
+    let socket = run_socket_pool(
+        config.with_faults(FaultConfig::ideal(5)),
+        behaviors,
+        SocketRunOptions {
+            client: quick_tuning(),
+            recorder: Some(rec.clone()),
+            ..SocketRunOptions::default()
+        },
+    )
+    .expect("socket run");
+    let report = &socket.report.epochs[0].report;
+    assert_eq!(report.comm.broadcast_bytes, n * payload.len() as u64);
+    // The wire adds only framing to what the in-process pool charges: the
+    // 21-byte header and the block's version / count / mode bytes (the
+    // initial model's hi plane does not compress).
+    assert_eq!(payload.len() as u64, 21 + 6 + 2 * dim);
+    // Submissions and openings save bytes too; the tasks' share is exact.
+    assert!(report.transport.bytes_saved >= n * block.bytes_saved());
+    let no_tasks = report.transport.bytes_saved - n * block.bytes_saved();
+    assert!(no_tasks > 0, "submissions and openings are packed as well");
+    assert_eq!(
+        rec.snapshot().counter("rpol.wire.task_blocks_encoded"),
+        config.epochs as u64,
+        "one weight block per epoch, whatever the roster size"
     );
 }
 
@@ -612,8 +725,7 @@ fn run_with_backend(
         ..quick_tuning()
     };
     let handles: Vec<std::thread::JoinHandle<rpol::client::ClientReport>> =
-        MiningPool::new(config, behaviors.to_vec())
-            .into_workers()
+        MiningPool::build_workers(config, behaviors)
             .into_iter()
             .enumerate()
             .map(|(i, worker)| {

@@ -94,8 +94,7 @@ fn status_report_counters_equal_embedded_net_stats() {
         PoolServer::bind(pool, &BindAddr::loopback(), ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
 
-    let workers: Vec<_> = MiningPool::new(config, behaviors)
-        .into_workers()
+    let workers: Vec<_> = MiningPool::build_workers(config, &behaviors)
         .into_iter()
         .map(|worker| {
             let addr = addr.clone();

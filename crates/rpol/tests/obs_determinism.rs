@@ -210,6 +210,24 @@ fn v3_byte_counters_equal_report_totals() {
     let saved = report.transport_totals().bytes_saved;
     assert!(saved > 0, "packed framing must save payload bytes");
     assert_eq!(snapshot.counter("rpol.wire.bytes_saved"), saved);
+
+    // The task broadcast rides the packed framing too: its block is built
+    // once an epoch, and each worker's frame undercuts the 4 bytes per
+    // weight raw f32 would charge (so the saving above includes it).
+    let epochs = report.epochs.len() as u64;
+    assert_eq!(snapshot.counter("rpol.wire.task_blocks_encoded"), epochs);
+    let broadcast: u64 = report
+        .epochs
+        .iter()
+        .map(|e| e.report.comm.broadcast_bytes)
+        .sum();
+    assert_eq!(snapshot.counter("rpol.comm.broadcast_bytes"), broadcast);
+    let dim = pool.manager().global_weights().len() as u64;
+    let raw = epochs * behaviors().len() as u64 * 4 * dim;
+    assert!(
+        broadcast < raw && raw - broadcast <= saved,
+        "broadcast {broadcast} vs raw {raw}, saved {saved}"
+    );
 }
 
 #[test]

@@ -10,7 +10,7 @@ use rpol::wire::{
     classify_payload, decode_committee_batch, decode_epoch_task, decode_proof_request,
     decode_proof_response, decode_submission, encode_committee_batch, encode_epoch_task,
     encode_proof_request, encode_proof_response, encode_submission, open_frame, seal_frame,
-    DecodeError, EpochTask, PayloadClass,
+    DecodeError, EpochTask, PayloadClass, TaskBlock,
 };
 use rpol_lsh::{LshFamily, LshParams};
 
@@ -111,6 +111,30 @@ proptest! {
         let task = EpochTask { epoch, nonce, steps, global_weights: weights };
         let decoded = decode_epoch_task(encode_epoch_task(&task)).expect("roundtrip");
         prop_assert_eq!(decoded, task);
+    }
+
+    #[test]
+    fn packed_epoch_task_roundtrip_and_mutations_never_panic(
+        epoch in any::<u64>(), nonce in any::<u64>(), steps in 1u32..10_000,
+        quants in proptest::collection::vec(any::<u16>(), 1..96),
+        cut_ppm in 0u32..1_000_000, pos_ppm in 0u32..1_000_000, xor in 1u8..=255
+    ) {
+        let weights: Vec<f32> =
+            quants.iter().map(|&q| f32::from_bits(u32::from(q) << 16)).collect();
+        let payload = TaskBlock::packed(&weights).frame(epoch, nonce, steps);
+        prop_assert_eq!(classify_payload(&payload), PayloadClass::EpochTask);
+        let task = decode_epoch_task(payload.clone()).expect("roundtrip");
+        prop_assert_eq!((task.epoch, task.nonce, task.steps), (epoch, nonce, steps));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&task.global_weights), bits(&weights));
+        // Any strict prefix is an error; any flipped byte errors or
+        // decodes to something, and neither panics.
+        let cut = (payload.len() as u64 * u64::from(cut_ppm) / 1_000_000) as usize;
+        prop_assert!(decode_epoch_task(payload.slice(0..cut)).is_err());
+        let mut bad = payload.to_vec();
+        let pos = (bad.len() as u64 * u64::from(pos_ppm) / 1_000_000) as usize;
+        bad[pos] ^= xor;
+        let _ = decode_epoch_task(Bytes::from(bad));
     }
 
     #[test]

@@ -16,6 +16,9 @@ echo "== tier-1: build + tests"
 cargo build --release
 cargo test -q
 
+echo "== workspace: every test of every crate, failing set held to scripts/known_red.txt"
+scripts/check_known_red.sh
+
 echo "== executor: 8-thread pass (scheduling + determinism under contention, exact exec.tasks count)"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-exec
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test exec_determinism
