@@ -132,37 +132,6 @@ pub fn partition(seed: u64, n: usize, committees: usize) -> Vec<Vec<usize>> {
     members
 }
 
-/// Groups delivered participants by rendezvous committee: `result[c]`
-/// holds committee `c`'s participants in member (worker-id) order.
-/// Committees whose members all failed to deliver come back empty —
-/// they still occupy their slot so callers can account every committee.
-///
-/// # Panics
-///
-/// Panics if `committees == 0` (via [`partition`]).
-pub(crate) fn select_present<'a>(
-    seed: u64,
-    n: usize,
-    committees: usize,
-    participants: &[crate::manager::Participant<'a>],
-) -> Vec<Vec<crate::manager::Participant<'a>>> {
-    let pos: std::collections::HashMap<usize, usize> = participants
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.id, i))
-        .collect();
-    partition(seed, n, committees)
-        .into_iter()
-        .map(|members| {
-            members
-                .iter()
-                .filter_map(|w| pos.get(w))
-                .map(|&i| participants[i])
-                .collect()
-        })
-        .collect()
-}
-
 /// Canonical verdict-leaf tags. One byte per outcome variant; the encoding
 /// is exact (f32 fields travel as raw LE bits), so decode∘encode is the
 /// identity and two verdicts encode identically iff they are equal.

@@ -7,7 +7,7 @@ use crate::tasks::TaskConfig;
 use crate::trainer::epoch_segments;
 use crate::transport::TransportStats;
 use crate::verify::{ProofProvider, SampleVerdict, Verifier, WorkerVerdict};
-use crate::worker::{CommitMode, PoolWorker};
+use crate::worker::{CommitMode, EpochSubmission, PoolWorker};
 use rpol_chain::rewards::ContributionLedger;
 use rpol_crypto::Address;
 use rpol_exec::Executor;
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 /// A pooled verification replay state: a scratch model sharing the global
 /// geometry plus the weight-sized staging arena its replay trainers use.
-pub(crate) type ReplayState = (Sequential, ScratchArena);
+type ReplayState = (Sequential, ScratchArena);
 
 /// Fixed-point scale of the order-invariant aggregation accumulator:
 /// per-weight deltas are quantized to multiples of 2⁻²⁴ and summed as
@@ -75,26 +75,25 @@ pub struct HierarchyReport {
     pub batch_bytes: u64,
 }
 
-/// In-flight state of one hierarchical epoch reduction: everything the
-/// top manager retains **between** committees. Deliberately O(pool size)
-/// in verdict ids only — never in submissions or commitments, which
-/// belong to exactly one committee at a time.
-pub(crate) struct HierarchicalIngest {
-    hierarchy: crate::committee::Hierarchy,
-    /// Order-invariant fixed-point aggregation accumulator.
+/// In-flight state of one epoch's `settle` stage: everything the manager
+/// retains **between** groups. Deliberately O(pool size) in verdict ids
+/// only — never in submissions or commitments, which belong to exactly one
+/// group at a time.
+pub(crate) struct Settlement {
+    /// `Some` routes every group's verdicts through the committee batch
+    /// round trip and the top tier's audits before they are classified.
+    hierarchy: Option<crate::committee::Hierarchy>,
+    /// Order-invariant fixed-point aggregation accumulator: per-weight
+    /// deltas as `i64` at scale 2⁻²⁴ (finer than f32 resolution on
+    /// unit-scale weights), so the sum is an associative, commutative
+    /// integer addition — folding in committee order and in worker order
+    /// land on bitwise-identical global weights. Allocated at the first
+    /// accept: held from the start of the epoch it would sit under the
+    /// training buffers and raise the process's peak RSS.
     acc: Vec<i64>,
-    accepted: Vec<usize>,
-    rejected: Vec<usize>,
-    quarantined: Vec<usize>,
-    verdicts: Vec<(usize, WorkerVerdict)>,
-    double_checks: usize,
-    replayed_steps: u64,
-    /// Proof bytes folded into [`CommStats`] at finish (kept separate so
-    /// committees never mutate the caller's comm accounting mid-epoch).
-    proof_bytes: u64,
-    commit_bytes_hashed: u64,
-    peak_commit_bytes: u64,
-    report: HierarchyReport,
+    /// The report under construction; its sets are in fold order until
+    /// [`PoolManager::settle_finish`] sorts them.
+    report: EpochReport,
 }
 
 /// What happened in one epoch of pooled training.
@@ -151,9 +150,23 @@ pub struct EpochPlan {
     /// This epoch's calibration, when one ran.
     pub calibration: Option<CalibrationResult>,
     family: Option<LshFamily>,
+    /// The verification schedule (`None` under the baseline scheme).
+    verification: Option<PreparedVerification>,
 }
 
 impl EpochPlan {
+    /// Whether submissions are verified at all (not under the baseline).
+    pub(crate) fn verifies(&self) -> bool {
+        self.verification.is_some()
+    }
+
+    /// Sampled checkpoints assigned to `worker` (none under the baseline).
+    pub(crate) fn sample_count(&self, worker: usize) -> usize {
+        self.verification
+            .as_ref()
+            .map_or(0, |v| v.assignments[worker].samples.len())
+    }
+
     /// The commitment mode workers must use this epoch.
     pub fn commit_mode(&self) -> CommitMode<'_> {
         match (self.scheme, &self.family) {
@@ -171,36 +184,28 @@ impl EpochPlan {
 /// One worker's sampling decision plus the verifier's noise seed, drawn
 /// serially so parallel verification stays deterministic.
 #[derive(Debug, Clone)]
-pub struct VerificationAssignment {
+struct VerificationAssignment {
     /// Sampled checkpoint indices.
-    pub samples: Vec<usize>,
+    samples: Vec<usize>,
     /// Seed of the manager-side replay noise.
-    pub noise_seed: u64,
+    noise_seed: u64,
 }
 
-/// The serially-drawn inputs of one epoch's verification phase: the
-/// checkpoint segment table plus every worker's sampling decision and
-/// noise seed, indexed by worker id.
+/// The serially-drawn inputs of one epoch's verification: the checkpoint
+/// segment table plus every worker's sampling decision and noise seed,
+/// indexed by worker id.
 ///
 /// Training never touches the manager's RNG, so drawing this eagerly —
-/// right after [`PoolManager::begin_epoch`] — consumes the exact same RNG
-/// stream as drawing it after training. That equivalence is what lets the
-/// overlapped pool runtime start verifying a worker's sampled checkpoints
-/// the moment its submission lands, while other workers are still
-/// training. The baseline scheme never draws sampling state, so
-/// [`PoolManager::prepare_verification`] returns `None` for it on every
-/// path.
+/// inside [`PoolManager::begin_epoch`], right after the nonces — consumes
+/// the exact same RNG stream as drawing it after training. That
+/// equivalence is what lets the pool start verifying a worker's sampled
+/// checkpoints the moment its submission lands, while other workers are
+/// still training. Workers see only the nonces and the commitment mode:
+/// the schedule stays private to the manager until they have committed.
 #[derive(Debug, Clone)]
-pub struct PreparedVerification {
-    pub(crate) segments: Vec<crate::trainer::Segment>,
-    pub(crate) assignments: Vec<VerificationAssignment>,
-}
-
-impl PreparedVerification {
-    /// Number of sampled checkpoints assigned to `worker`.
-    pub fn sample_count(&self, worker: usize) -> usize {
-        self.assignments[worker].samples.len()
-    }
+struct PreparedVerification {
+    segments: Vec<crate::trainer::Segment>,
+    assignments: Vec<VerificationAssignment>,
 }
 
 /// One worker whose submission actually reached the manager this epoch,
@@ -208,17 +213,32 @@ impl PreparedVerification {
 /// (in-process pools) or a fault-injecting transport endpoint. Workers
 /// quarantined before verification simply have no participant.
 #[derive(Clone, Copy)]
-pub struct Participant<'a> {
+pub(crate) struct Participant<'a> {
     /// The worker's pool index.
-    pub id: usize,
+    pub(crate) id: usize,
     /// The worker's reward address.
-    pub address: Address,
+    pub(crate) address: Address,
     /// The worker's data shard (the manager holds a copy).
-    pub shard: &'a SyntheticImages,
+    pub(crate) shard: &'a SyntheticImages,
     /// The delivered submission.
-    pub submission: &'a crate::worker::EpochSubmission,
+    pub(crate) submission: &'a EpochSubmission,
     /// Serves checkpoint openings; may fail over a faulty transport.
-    pub provider: &'a (dyn ProofProvider + Sync),
+    pub(crate) provider: &'a (dyn ProofProvider + Sync),
+}
+
+impl<'a> Participant<'a> {
+    /// A worker whose submission was handed over in process and who serves
+    /// its own openings (infallibly). Link-backed sources override
+    /// `provider` with their endpoint.
+    pub(crate) fn in_process(worker: &'a PoolWorker, submission: &'a EpochSubmission) -> Self {
+        Self {
+            id: worker.id,
+            address: worker.address,
+            shard: worker.shard(),
+            submission,
+            provider: worker,
+        }
+    }
 }
 
 /// The pool manager (assumed honest inside the pool, §III-B).
@@ -238,14 +258,17 @@ pub struct PoolManager {
     verifier_noise: NoiseInjector,
     calibration_gpus: (GpuModel, GpuModel),
     rng: Pcg32,
+    /// The pool seed: keys the top tier's audit PRF, which deliberately
+    /// never touches `rng`.
+    seed: u64,
     /// β cached from the first calibration, reused by RPoLv1.
     cached_beta: Option<f32>,
     contributions: ContributionLedger,
     /// Observability handle shared with the pool (defaults to no-op).
     recorder: Arc<Recorder>,
-    /// Persistent executor for parallel verification and calibration
-    /// fan-out. `None` on serial pools — the serial path never constructs
-    /// a thread pool.
+    /// Persistent executor for calibration fan-out (verification takes its
+    /// executor per call). `None` on serial pools — the serial path never
+    /// constructs a thread pool.
     executor: Option<Arc<Executor>>,
     /// Pooled replay states, checked out per verification task and
     /// returned afterwards, so steady-state verification stops allocating
@@ -283,6 +306,7 @@ impl PoolManager {
             verifier_noise: NoiseInjector::new(GpuModel::G3090, 0),
             calibration_gpus: GpuModel::top2(),
             rng: Pcg32::seed_from(seed ^ 0x4D47_5200),
+            seed,
             cached_beta: None,
             contributions: ContributionLedger::new(),
             recorder: rpol_obs::noop().clone(),
@@ -304,23 +328,17 @@ impl PoolManager {
         self.calibration_gpus = gpus;
     }
 
-    /// Attaches a persistent executor: parallel verification and
-    /// calibration fan out onto its long-lived workers instead of
-    /// spawning scoped threads per epoch. Serial pools never call this.
+    /// Attaches a persistent executor: calibration fans out onto its
+    /// long-lived workers. Serial pools never call this.
     pub fn set_executor(&mut self, exec: Arc<Executor>) {
         self.executor = Some(exec);
-    }
-
-    /// The attached executor, if any.
-    pub fn executor(&self) -> Option<&Arc<Executor>> {
-        self.executor.as_ref()
     }
 
     /// Checks a replay state out of the pool, building a fresh one on a
     /// miss. States recycle across epochs and samples: replay overwrites
     /// every parameter via `load_params` and the arena only lends
     /// capacity, so a reused state is bitwise-equivalent to a fresh one.
-    pub(crate) fn checkout_replay_state(&self) -> ReplayState {
+    fn checkout_replay_state(&self) -> ReplayState {
         let pooled = self.replay_pool.lock().pop();
         if self.recorder.enabled() {
             self.recorder.counter_add(
@@ -332,11 +350,16 @@ impl PoolManager {
                 1,
             );
         }
-        pooled.unwrap_or_else(|| (self.scratch_model(), ScratchArena::new()))
+        pooled.unwrap_or_else(|| {
+            (
+                self.config.build_model_like(&self.global),
+                ScratchArena::new(),
+            )
+        })
     }
 
     /// Returns a replay state to the pool for reuse.
-    pub(crate) fn checkin_replay_state(&self, state: ReplayState) {
+    fn checkin_replay_state(&self, state: ReplayState) {
         self.replay_pool.lock().push(state);
     }
 
@@ -390,44 +413,11 @@ impl PoolManager {
         &self.contributions
     }
 
-    /// Runs one full epoch of the pool protocol over `workers` and
-    /// advances the global model.
-    ///
-    /// Equivalent to [`PoolManager::begin_epoch`], collecting every
-    /// worker's submission serially, then [`PoolManager::finish_epoch`].
-    /// The parallel pool runtime uses the two-phase API directly.
-    pub fn run_epoch(&mut self, workers: &mut [PoolWorker], epoch: u64) -> EpochReport {
-        assert!(!workers.is_empty(), "pool has no workers");
-        let plan = self.begin_epoch(workers.len(), epoch);
-        let recorder = self.recorder.clone();
-        let submissions: Vec<_> = workers
-            .iter_mut()
-            .enumerate()
-            .map(|(w, worker)| {
-                let _g = span!(
-                    recorder,
-                    "rpol.worker.train_epoch",
-                    epoch,
-                    worker = w,
-                    steps = plan.steps
-                );
-                worker.run_epoch(
-                    &self.config,
-                    &self.global,
-                    plan.nonces[w],
-                    plan.steps,
-                    epoch,
-                    plan.commit_mode(),
-                )
-            })
-            .collect();
-        self.finish_epoch(workers, &plan, &submissions)
-    }
-
-    /// Phase 1 of an epoch: calibrate (per scheme policy) and fix the
-    /// per-worker nonces and the commitment mode. After this, workers can
-    /// train **concurrently** — nothing in the plan changes until
-    /// [`PoolManager::finish_epoch`].
+    /// The `plan` stage of an epoch: calibrate (per scheme policy), fix the
+    /// per-worker nonces and the commitment mode, and draw the verification
+    /// schedule — every draw the epoch takes from the manager's RNG. After
+    /// this, workers can train **concurrently**: nothing in the plan
+    /// changes, and no later stage is random.
     pub fn begin_epoch(&mut self, n_workers: usize, epoch: u64) -> EpochPlan {
         assert!(n_workers > 0, "pool has no workers");
         // Adaptive calibration: every epoch for v2, once for v1.
@@ -457,6 +447,7 @@ impl PoolManager {
         };
         // Per-worker nonces for stochastic-yet-deterministic selection.
         let nonces: Vec<u64> = (0..n_workers).map(|_| self.rng.next_u64()).collect();
+        let verification = self.prepare_verification(epoch, n_workers);
         EpochPlan {
             epoch,
             steps: self.steps_per_epoch,
@@ -464,12 +455,14 @@ impl PoolManager {
             nonces,
             calibration,
             family,
+            verification,
         }
     }
 
-    /// Phase 2 of an epoch: reveal sampling decisions, verify every
-    /// submission, aggregate the accepted updates (Eq. 1) and credit
-    /// contributions.
+    /// The rest of an epoch over in-process submissions, serially: reveal
+    /// the sampling decisions, verify every submission, aggregate the
+    /// accepted updates (Eq. 1) and credit contributions — `verify →
+    /// settle` over one group of everyone (DESIGN.md §22).
     ///
     /// # Panics
     ///
@@ -478,370 +471,52 @@ impl PoolManager {
         &mut self,
         workers: &[PoolWorker],
         plan: &EpochPlan,
-        submissions: &[crate::worker::EpochSubmission],
-    ) -> EpochReport {
-        self.finish_epoch_workers(workers, plan, submissions, false)
-    }
-
-    /// Like [`PoolManager::finish_epoch`], but verifies workers on
-    /// parallel threads (the paper's future-work "decentralized
-    /// verification" runs the same fan-out across worker nodes). Sampling
-    /// decisions and noise seeds are drawn serially first, so the result
-    /// is identical to the serial path.
-    pub fn finish_epoch_parallel(
-        &mut self,
-        workers: &[PoolWorker],
-        plan: &EpochPlan,
-        submissions: &[crate::worker::EpochSubmission],
-    ) -> EpochReport {
-        self.finish_epoch_workers(workers, plan, submissions, true)
-    }
-
-    /// Shared delegate for the in-process (fault-free) epoch finish: every
-    /// worker participates, openings are served locally and never fail.
-    fn finish_epoch_workers(
-        &mut self,
-        workers: &[PoolWorker],
-        plan: &EpochPlan,
-        submissions: &[crate::worker::EpochSubmission],
-        parallel: bool,
+        submissions: &[EpochSubmission],
     ) -> EpochReport {
         let n = workers.len();
         assert_eq!(submissions.len(), n, "one submission per worker");
         let participants: Vec<Participant<'_>> = workers
             .iter()
-            .map(|worker| Participant {
-                id: worker.id,
-                address: worker.address,
-                shard: worker.shard(),
-                submission: &submissions[worker.id],
-                provider: worker,
-            })
+            .map(|worker| Participant::in_process(worker, &submissions[worker.id]))
             .collect();
-        let mut comm = CommStats {
+        let comm = CommStats {
             broadcast_bytes: self.broadcast_bytes(n),
-            ..CommStats::default()
-        };
-        for sub in submissions {
-            comm.submission_bytes += sub.upload_bytes;
-        }
-        self.finish_epoch_partial(plan, n, &participants, &[], comm, parallel)
-    }
-
-    /// Phase 2 of an epoch under possible transport faults: verify the
-    /// submissions that *arrived*, aggregate the accepted updates (Eq. 1)
-    /// and credit contributions. Workers whose submissions never made it
-    /// are passed in `quarantined_before`; workers whose proof channel
-    /// dies mid-verification join them. `comm` carries the broadcast and
-    /// submission byte counts the caller already accounted.
-    ///
-    /// Sampling decisions and noise seeds are drawn for **all**
-    /// `n_workers` — quarantined ones included — so the manager's RNG
-    /// schedule is independent of which links happened to fail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a participant id is out of `0..n_workers`.
-    pub fn finish_epoch_partial(
-        &mut self,
-        plan: &EpochPlan,
-        n_workers: usize,
-        participants: &[Participant<'_>],
-        quarantined_before: &[usize],
-        comm: CommStats,
-        parallel: bool,
-    ) -> EpochReport {
-        assert!(
-            participants.iter().all(|p| p.id < n_workers),
-            "participant id out of range"
-        );
-        let prepared = self.prepare_verification(plan, n_workers);
-        let verdict_list = prepared
-            .as_ref()
-            .map(|prepared| self.verify_committee(participants, plan, prepared, parallel));
-        self.reduce_epoch(plan, participants, quarantined_before, comm, verdict_list)
-    }
-
-    /// Verifies a group of participants — a whole flat roster or one
-    /// committee's members — against an already-prepared verification
-    /// schedule, returning one verdict per participant in order. Shared by
-    /// the flat finish path and the hierarchical sub-managers: the verdict
-    /// for a worker depends only on its own assignment, so partitioning
-    /// the roster into committees cannot change any verdict.
-    pub(crate) fn verify_committee(
-        &self,
-        participants: &[Participant<'_>],
-        plan: &EpochPlan,
-        prepared: &PreparedVerification,
-        parallel: bool,
-    ) -> Vec<WorkerVerdict> {
-        if parallel {
-            self.verify_participants_parallel(participants, plan, prepared)
-        } else {
-            let (mut scratch, mut arena) = self.checkout_replay_state();
-            let verdicts = participants
-                .iter()
-                .map(|part| {
-                    self.verify_one(
-                        &mut scratch,
-                        &mut arena,
-                        part,
-                        plan,
-                        &prepared.segments,
-                        &prepared.assignments[part.id],
-                    )
-                })
-                .collect();
-            self.checkin_replay_state((scratch, arena));
-            verdicts
-        }
-    }
-
-    /// Re-verifies one participant from scratch — the top manager's audit
-    /// replay. Identical numerics to the sub-manager's verification (same
-    /// assignment, nonce, noise seed, pooled replay states), so an honest
-    /// committee's audited verdict always matches bit for bit; the audit's
-    /// replay and proof costs are charged to [`HierarchyReport`], never to
-    /// the tier-1 epoch accounting.
-    pub(crate) fn audit_one(
-        &self,
-        part: &Participant<'_>,
-        plan: &EpochPlan,
-        prepared: &PreparedVerification,
-    ) -> WorkerVerdict {
-        let (mut scratch, mut arena) = self.checkout_replay_state();
-        let verdict = self.verify_one(
-            &mut scratch,
-            &mut arena,
-            part,
-            plan,
-            &prepared.segments,
-            &prepared.assignments[part.id],
-        );
-        self.checkin_replay_state((scratch, arena));
-        verdict
-    }
-
-    /// Starts a hierarchical epoch reduction (DESIGN.md §15): committees
-    /// stream through [`PoolManager::ingest_committee`] one at a time, and
-    /// [`PoolManager::ingest_finish`] closes the epoch. Shared by the
-    /// in-process streaming pool and the socket server so the two-tier
-    /// accept/reject rule exists in exactly one place.
-    pub(crate) fn ingest_begin(
-        &self,
-        hierarchy: crate::committee::Hierarchy,
-        quarantined_before: &[usize],
-    ) -> HierarchicalIngest {
-        HierarchicalIngest {
-            hierarchy,
-            acc: self.agg_begin(),
-            accepted: Vec::new(),
-            rejected: Vec::new(),
-            quarantined: quarantined_before.to_vec(),
-            verdicts: Vec::new(),
-            double_checks: 0,
-            replayed_steps: 0,
+            submission_bytes: submissions.iter().map(|sub| sub.upload_bytes).sum(),
             proof_bytes: 0,
-            commit_bytes_hashed: 0,
-            peak_commit_bytes: 0,
-            report: HierarchyReport {
-                committees: hierarchy.committees,
-                ..HierarchyReport::default()
-            },
-        }
+        };
+        let mut settlement = self.settle_begin(plan, None);
+        self.verify_and_fold(&mut settlement, 0, &participants, plan, None);
+        self.settle_finish(settlement, comm, &[])
     }
 
-    /// One committee's full sub-manager → top-manager round trip:
-    ///
-    /// 1. **Sub-manager**: sampled-replay verification over the
-    ///    committee's delivered participants, verdicts Merkle-committed
-    ///    into a [`CommitteeBatch`](crate::committee::CommitteeBatch).
-    /// 2. **Wire**: the batch is encoded, framed, and decoded back — the
-    ///    byte accounting and codec are the real thing, not a model.
-    /// 3. **Top manager**: root-consistency check (anything else is
-    ///    sub-manager equivocation), then `q_top` spot-audits — Merkle
-    ///    inclusion proof plus a full re-replay of the audited worker —
-    ///    with audit costs charged to the [`HierarchyReport`] only.
-    /// 4. **Classification**: accept/reject/quarantine per the delivered
-    ///    verdicts, accepted updates folded into the order-invariant
-    ///    fixed-point accumulator so the caller can drop the committee's
-    ///    submissions before the next committee runs.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn ingest_committee(
+    /// The epoch's verification schedule: the segment table plus per-worker
+    /// sample indices and noise seeds. Returns `None` for the baseline
+    /// scheme, which never draws sampling state. Sampling decisions are
+    /// drawn serially for **all** `n_workers` (those whose links later fail
+    /// included), so the manager's RNG schedule is independent of which
+    /// links happened to fail and the `rpol.manager.sample` events land in
+    /// worker order, ahead of training, on every path.
+    fn prepare_verification(
         &mut self,
-        ingest: &mut HierarchicalIngest,
-        seed: u64,
-        committee: usize,
-        participants: &[Participant<'_>],
-        plan: &EpochPlan,
-        prepared: &PreparedVerification,
-        parallel: bool,
-    ) {
-        use crate::committee::{audit_indices, CommitteeBatch};
-        if participants.is_empty() {
-            return;
-        }
-        let verdict_list = self.verify_committee(participants, plan, prepared, parallel);
-        let committee_commit_bytes: u64 = participants
-            .iter()
-            .map(|p| p.submission.commit_bytes_hashed)
-            .sum();
-        let batch = CommitteeBatch::from_verdicts(
-            plan.epoch,
-            committee,
-            participants
-                .iter()
-                .map(|p| p.id)
-                .zip(verdict_list)
-                .collect(),
-            committee_commit_bytes,
-        );
-        let payload = crate::wire::encode_committee_batch(&batch);
-        ingest.report.batch_bytes += crate::wire::seal_frame(&payload).len() as u64;
-        let delivered = crate::wire::decode_committee_batch(payload)
-            .expect("self-encoded committee batch decodes");
-        assert!(
-            delivered.root_consistent(),
-            "committee batch equivocation: root does not cover the shipped verdicts"
-        );
-        for &i in &audit_indices(
-            seed,
-            plan.epoch,
-            committee,
-            ingest.hierarchy.q_top,
-            delivered.verdicts.len(),
-        ) {
-            let (w, committed) = &delivered.verdicts[i];
-            let proof = delivered.prove(i);
-            assert!(
-                delivered.verify_inclusion(&proof, *w, committed),
-                "audited verdict failed its inclusion proof"
-            );
-            let replayed = self.audit_one(&participants[i], plan, prepared);
-            ingest.report.audits += 1;
-            ingest.report.audit_replayed_steps += replayed.replayed_steps;
-            ingest.report.audit_proof_bytes += replayed.proof_bytes;
-            if replayed != *committed {
-                ingest.report.audit_mismatches += 1;
-                event!(
-                    self.recorder,
-                    "rpol.committee.audit_mismatch",
-                    epoch = plan.epoch,
-                    committee,
-                    worker = *w
-                );
-            }
-        }
-        ingest.report.verdicts += delivered.verdicts.len() as u64;
-        for ((w, verdict), part) in delivered.verdicts.into_iter().zip(participants) {
-            debug_assert_eq!(w, part.id, "batch order matches participant order");
-            ingest.proof_bytes += verdict.proof_bytes;
-            ingest.double_checks += verdict.double_checks();
-            ingest.replayed_steps += verdict.replayed_steps;
-            if verdict.transport_failed() {
-                ingest.quarantined.push(w);
-            } else if verdict.all_accepted() {
-                ingest.accepted.push(w);
-                self.agg_accumulate(&mut ingest.acc, &part.submission.final_weights);
-                self.credit(part.address);
-            } else {
-                ingest.rejected.push(w);
-            }
-            ingest.verdicts.push((w, verdict));
-        }
-        ingest.commit_bytes_hashed += committee_commit_bytes;
-        ingest.peak_commit_bytes = ingest.peak_commit_bytes.max(committee_commit_bytes);
-    }
-
-    /// Closes a hierarchical epoch: canonical worker-id ordering (the
-    /// flat reduce walks participants in id order, so sorting restores
-    /// the identical layout), one renormalized aggregation step, and the
-    /// assembled [`EpochReport`].
-    pub(crate) fn ingest_finish(
-        &mut self,
-        mut ingest: HierarchicalIngest,
-        plan: &EpochPlan,
-        mut comm: CommStats,
-    ) -> EpochReport {
-        ingest.accepted.sort_unstable();
-        ingest.rejected.sort_unstable();
-        ingest.quarantined.sort_unstable();
-        ingest.verdicts.sort_by_key(|&(w, _)| w);
-        self.agg_finalize(&ingest.acc, ingest.accepted.len());
-        comm.proof_bytes += ingest.proof_bytes;
-        EpochReport {
-            epoch: plan.epoch,
-            accepted: ingest.accepted,
-            rejected: ingest.rejected,
-            quarantined: ingest.quarantined,
-            transport: TransportStats::default(),
-            double_checks: ingest.double_checks,
-            replayed_steps: ingest.replayed_steps,
-            commit_bytes_hashed: ingest.commit_bytes_hashed,
-            peak_commit_bytes: ingest.peak_commit_bytes,
-            hierarchy: Some(ingest.report),
-            comm,
-            calibration: plan.calibration,
-            verdicts: ingest.verdicts,
-        }
-    }
-
-    /// Runs a whole two-tier reduction over one batch of delivered
-    /// participants: rendezvous-partition them into committees, stream
-    /// each committee through [`Self::ingest_committee`], and close the
-    /// epoch with [`Self::ingest_finish`].
-    ///
-    /// `enter_committee(c, present)` runs once per committee — including
-    /// empty ones, whose ingest is a no-op — and its return value is held
-    /// for that committee's duration, so callers can hang per-committee
-    /// trace spans (or any other scope guard) off the reduction without
-    /// owning its loop.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn ingest_partitioned<G>(
-        &mut self,
-        hierarchy: crate::committee::Hierarchy,
-        seed: u64,
-        n_workers: usize,
-        participants: &[Participant<'_>],
-        quarantined: &[usize],
-        plan: &EpochPlan,
-        prepared: &PreparedVerification,
-        parallel: bool,
-        comm: CommStats,
-        mut enter_committee: impl FnMut(usize, usize) -> G,
-    ) -> EpochReport {
-        let mut ingest = self.ingest_begin(hierarchy, quarantined);
-        let grouped =
-            crate::committee::select_present(seed, n_workers, hierarchy.committees, participants);
-        for (c, present) in grouped.iter().enumerate() {
-            let _guard = enter_committee(c, present.len());
-            self.ingest_committee(&mut ingest, seed, c, present, plan, prepared, parallel);
-        }
-        self.ingest_finish(ingest, plan, comm)
-    }
-
-    /// Draws the epoch's verification schedule: the segment table plus
-    /// per-worker sample indices and noise seeds. Returns `None` for the
-    /// baseline scheme, which never draws sampling state. Sampling
-    /// decisions are drawn serially for **all** `n_workers` (quarantined
-    /// included), so the `rpol.manager.sample` events land in worker
-    /// order on every code path.
-    pub(crate) fn prepare_verification(
-        &mut self,
-        plan: &EpochPlan,
+        epoch: u64,
         n_workers: usize,
     ) -> Option<PreparedVerification> {
         if matches!(self.scheme, Scheme::Baseline) {
             return None;
         }
-        let segments = epoch_segments(plan.steps, self.config.checkpoint_interval);
-        let assignments = self.verification_assignments(n_workers, segments.len());
+        let segments = epoch_segments(self.steps_per_epoch, self.config.checkpoint_interval);
+        let assignments: Vec<VerificationAssignment> = (0..n_workers)
+            .map(|_| VerificationAssignment {
+                samples: self.sample_indices(segments.len()),
+                noise_seed: self.rng.next_u64(),
+            })
+            .collect();
         if self.recorder.enabled() {
             for (w, assignment) in assignments.iter().enumerate() {
                 event!(
                     self.recorder,
                     "rpol.manager.sample",
-                    epoch = plan.epoch,
+                    epoch,
                     worker = w,
                     samples = assignment.samples.len()
                 );
@@ -853,140 +528,28 @@ impl PoolManager {
         })
     }
 
-    /// Worker-granular parallel verification: one task per participant,
-    /// on the persistent executor when one is attached (scoped threads
-    /// otherwise). Kept worker-granular — rather than per-sample — on the
-    /// transport path because a faulty provider's fault draws are keyed
-    /// by its own request sequence, which must advance in sample order.
-    fn verify_participants_parallel(
-        &self,
-        participants: &[Participant<'_>],
-        plan: &EpochPlan,
-        prepared: &PreparedVerification,
-    ) -> Vec<WorkerVerdict> {
-        let verify = |i: usize| {
-            let part = &participants[i];
-            let (mut scratch, mut arena) = self.checkout_replay_state();
-            let verdict = self.verify_one(
-                &mut scratch,
-                &mut arena,
-                part,
-                plan,
-                &prepared.segments,
-                &prepared.assignments[part.id],
-            );
-            self.checkin_replay_state((scratch, arena));
-            verdict
-        };
-        if let Some(exec) = &self.executor {
-            exec.run_indexed(participants.len(), verify)
-        } else {
-            let slots: parking_lot::Mutex<Vec<Option<WorkerVerdict>>> =
-                parking_lot::Mutex::new((0..participants.len()).map(|_| None).collect());
-            crossbeam::thread::scope(|scope| {
-                for i in 0..participants.len() {
-                    let verify = &verify;
-                    let slots = &slots;
-                    scope.spawn(move |_| {
-                        slots.lock()[i] = Some(verify(i));
-                    });
-                }
-            })
-            .expect("verification thread panicked");
-            slots
-                .into_inner()
-                .into_iter()
-                .map(|s| s.expect("every participant verified"))
-                .collect()
-        }
-    }
-
-    /// The serial tail of an epoch: merge per-worker verdicts in
-    /// participant order, aggregate the accepted updates (Eq. 1) and
-    /// credit contributions. `verdict_list` is `None` for the baseline
-    /// scheme (every delivered submission is aggregated) and otherwise
-    /// holds one verdict per participant, in participant order.
-    pub(crate) fn reduce_epoch(
-        &mut self,
-        plan: &EpochPlan,
-        participants: &[Participant<'_>],
-        quarantined_before: &[usize],
-        mut comm: CommStats,
-        verdict_list: Option<Vec<WorkerVerdict>>,
-    ) -> EpochReport {
-        let mut accepted = Vec::new();
-        let mut rejected = Vec::new();
-        let mut quarantined: Vec<usize> = quarantined_before.to_vec();
-        let mut double_checks = 0;
-        let mut replayed_steps = 0;
-        let mut verdicts = Vec::new();
-        match verdict_list {
-            // No verification: every delivered submission is aggregated.
-            None => accepted.extend(participants.iter().map(|p| p.id)),
-            Some(list) => {
-                assert_eq!(
-                    list.len(),
-                    participants.len(),
-                    "one verdict per participant"
-                );
-                for (part, verdict) in participants.iter().zip(list) {
-                    comm.proof_bytes += verdict.proof_bytes;
-                    double_checks += verdict.double_checks();
-                    replayed_steps += verdict.replayed_steps;
-                    if verdict.transport_failed() {
-                        // Openings stopped arriving: a dead or exhausted
-                        // link, not evidence of cheating.
-                        quarantined.push(part.id);
-                    } else if verdict.all_accepted() {
-                        accepted.push(part.id);
-                    } else {
-                        rejected.push(part.id);
-                    }
-                    verdicts.push((part.id, verdict));
-                }
-            }
-        }
-        quarantined.sort_unstable();
-        let commit_bytes_hashed = participants
-            .iter()
-            .map(|p| p.submission.commit_bytes_hashed)
-            .sum();
-
-        self.aggregate_and_credit(participants, &accepted);
-        EpochReport {
-            epoch: plan.epoch,
-            accepted,
-            rejected,
-            quarantined,
-            transport: TransportStats::default(),
-            double_checks,
-            replayed_steps,
-            commit_bytes_hashed,
-            // Flat epochs hold every delivered commitment at once.
-            peak_commit_bytes: commit_bytes_hashed,
-            hierarchy: None,
-            comm,
-            calibration: plan.calibration,
-            verdicts,
-        }
-    }
-
-    /// Verifies a single sampled checkpoint of one participant — the
-    /// segment-granular unit the overlapped pool runtime schedules as an
-    /// executor task the moment the worker's submission lands. Per-sample
-    /// verdicts merged in index order via [`WorkerVerdict::from_samples`]
-    /// are bitwise-identical to the batch [`Verifier::verify_samples`]
-    /// path: the verifier clones its pristine injector per sample either
-    /// way, and replay fully overwrites the pooled scratch model.
-    pub(crate) fn verify_prepared_sample(
+    /// The `verify` stage's unit: replays `range` of one participant's
+    /// prepared samples, in sample order, stopping after the first opening
+    /// that cannot be fetched (the link is dead or exhausted — later
+    /// fetches would fail too). Requires only shared access to the
+    /// manager, so callers may fan out across threads: the whole range as
+    /// one task ([`Self::verify_worker`]) or one sample per task (the pool's
+    /// overlap branch). Either way the per-sample verdicts merged by
+    /// [`WorkerVerdict::from_samples`] are bitwise identical — the verifier
+    /// clones its pristine injector per sample and replay fully overwrites
+    /// the pooled scratch model.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the baseline scheme: its plan schedules no samples.
+    pub(crate) fn verify_samples(
         &self,
         part: &Participant<'_>,
         plan: &EpochPlan,
-        prepared: &PreparedVerification,
-        sample_pos: usize,
-    ) -> SampleVerdict {
+        range: std::ops::Range<usize>,
+    ) -> Vec<SampleVerdict> {
+        let prepared = plan.verification.as_ref().expect("a verifying scheme");
         let assignment = &prepared.assignments[part.id];
-        let beta = self.cached_beta.expect("calibrated");
         let commitment = part
             .submission
             .commitment
@@ -997,152 +560,282 @@ impl PoolManager {
             &self.config,
             part.shard,
             plan.nonces[part.id],
-            beta,
+            self.cached_beta.expect("calibrated"),
             plan.family.as_ref(),
             self.verifier_noise.rerun(assignment.noise_seed),
             arena,
         )
         .with_recorder(&self.recorder);
-        let verdict = verifier.verify_sample(
+        let verdicts = verifier.verify_each(
             &mut scratch,
             commitment,
             &prepared.segments,
-            assignment.samples[sample_pos],
+            &assignment.samples[range],
             part.provider,
         );
         self.checkin_replay_state((scratch, verifier.into_arena()));
-        verdict
+        verdicts
     }
 
-    /// Draws the per-worker sampling decisions and verifier noise seeds —
-    /// the serial part of verification, kept deterministic under the
-    /// manager's RNG.
-    pub(crate) fn verification_assignments(
-        &mut self,
-        n_workers: usize,
-        segment_count: usize,
-    ) -> Vec<VerificationAssignment> {
-        (0..n_workers)
-            .map(|_| {
-                let samples = self.sample_indices(segment_count);
-                let noise_seed = self.rng.next_u64();
-                VerificationAssignment {
-                    samples,
-                    noise_seed,
-                }
-            })
-            .collect()
-    }
-
-    /// Verifies one participant's submission against one assignment.
-    /// Requires only shared access to the manager, so callers may fan out
-    /// across threads with per-thread scratch models and arenas; `arena`
-    /// carries the replay trainers' weight-sized staging buffers from one
-    /// participant to the next, so steady-state verification threads stop
-    /// allocating per checkpoint.
-    pub(crate) fn verify_one(
-        &self,
-        scratch: &mut rpol_nn::model::Sequential,
-        arena: &mut rpol_tensor::scratch::ScratchArena,
-        part: &Participant<'_>,
-        plan: &EpochPlan,
-        segments: &[crate::trainer::Segment],
-        assignment: &VerificationAssignment,
-    ) -> WorkerVerdict {
-        let beta = self.cached_beta.expect("calibrated");
+    /// Verifies all of one participant's prepared samples under its
+    /// `rpol.verify.worker` span. Also the top manager's audit replay:
+    /// identical numerics to the first verification (same assignment,
+    /// nonce, noise seed, pooled replay states), so an honest committee's
+    /// audited verdict always matches bit for bit.
+    fn verify_worker(&self, part: &Participant<'_>, plan: &EpochPlan) -> WorkerVerdict {
+        let samples = plan.sample_count(part.id);
         let _g = span!(
             self.recorder,
             "rpol.verify.worker",
             epoch = plan.epoch,
             worker = part.id,
-            samples = assignment.samples.len()
+            samples
         );
-        let commitment = part
-            .submission
-            .commitment
-            .as_ref()
-            .expect("verified schemes commit");
-        let mut verifier = Verifier::with_arena(
-            &self.config,
-            part.shard,
-            plan.nonces[part.id],
-            beta,
-            plan.family.as_ref(),
-            self.verifier_noise.rerun(assignment.noise_seed),
-            std::mem::take(arena),
-        )
-        .with_recorder(&self.recorder);
-        let verdict = verifier.verify_samples(
-            scratch,
-            commitment,
-            segments,
-            &assignment.samples,
-            part.provider,
-        );
-        *arena = verifier.into_arena();
-        verdict
+        WorkerVerdict::from_samples(self.verify_samples(part, plan, 0..samples))
     }
 
-    /// Builds a fresh scratch model with the current global geometry, for
-    /// per-thread verification.
-    pub(crate) fn scratch_model(&self) -> rpol_nn::model::Sequential {
-        self.config.build_model_like(&self.global)
+    /// `verify → settle` over one group whose submissions are in hand: one
+    /// worker-granular verification per participant — on `exec` when given
+    /// — then [`Self::settle_fold`]. Worker-granular rather than per-sample
+    /// because a link-backed provider's fault draws are keyed by its own
+    /// request sequence, which must advance in sample order. The verdict
+    /// for a worker depends only on its own assignment, so neither the
+    /// grouping nor the fan-out can change any verdict.
+    pub(crate) fn verify_and_fold(
+        &mut self,
+        settlement: &mut Settlement,
+        group: usize,
+        participants: &[Participant<'_>],
+        plan: &EpochPlan,
+        exec: Option<&Executor>,
+    ) {
+        let verdicts = plan.verifies().then(|| {
+            let verify = |i: usize| self.verify_worker(&participants[i], plan);
+            match exec {
+                Some(exec) => exec.run_indexed(participants.len(), verify),
+                None => (0..participants.len()).map(verify).collect(),
+            }
+        });
+        self.settle_fold(settlement, group, participants, verdicts, plan);
     }
 
-    fn aggregate_and_credit(&mut self, participants: &[Participant<'_>], accepted: &[usize]) {
-        // Aggregation (Eq. 1 with equal shards), restricted to accepted
-        // updates: `|D|` is the union of the data actually aggregated, so
-        // the weights renormalize over the accepted set — a verified pool
-        // full of cheaters (or quarantined links) still trains at full
-        // speed on its healthy honest workers' shards instead of being
-        // diluted by dropped terms.
-        let mut acc = self.agg_begin();
-        let mut n_accepted = 0usize;
-        for part in participants.iter().filter(|p| accepted.contains(&p.id)) {
-            self.agg_accumulate(&mut acc, &part.submission.final_weights);
-            n_accepted += 1;
-        }
-        self.agg_finalize(&acc, n_accepted);
-        // Credit verified contributions for the eventual reward split.
-        for part in participants.iter().filter(|p| accepted.contains(&p.id)) {
-            self.contributions.credit(part.address);
-        }
-    }
-
-    /// Starts an order-invariant aggregation of one epoch's accepted
-    /// updates. Per-weight deltas are accumulated as fixed-point `i64`
-    /// (scale 2⁻²⁴, finer than f32 resolution on unit-scale weights), so
-    /// the sum is an associative, commutative integer addition: the
-    /// hierarchical runtime folds updates in committee order, the flat one
-    /// in worker order, and both land on bitwise-identical global weights.
-    pub(crate) fn agg_begin(&self) -> Vec<i64> {
-        vec![0i64; self.global.len()]
-    }
-
-    /// Folds one accepted worker's final weights into the accumulator.
-    pub(crate) fn agg_accumulate(&self, acc: &mut [i64], final_weights: &[f32]) {
-        for (a, (&cur, &fin)) in acc.iter_mut().zip(self.global.iter().zip(final_weights)) {
-            *a += (((fin - cur) as f64) * AGG_SCALE).round() as i64;
+    /// Opens the `settle` stage (DESIGN.md §22): groups stream through
+    /// [`Self::settle_fold`] one at a time and [`Self::settle_finish`]
+    /// closes the epoch. The only place verdicts are classified, updates
+    /// aggregated, contributions credited and an [`EpochReport`] built —
+    /// for every source, flat or sharded.
+    pub(crate) fn settle_begin(
+        &self,
+        plan: &EpochPlan,
+        hierarchy: Option<crate::committee::Hierarchy>,
+    ) -> Settlement {
+        Settlement {
+            hierarchy,
+            acc: Vec::new(),
+            report: EpochReport {
+                epoch: plan.epoch,
+                accepted: Vec::new(),
+                rejected: Vec::new(),
+                quarantined: Vec::new(),
+                transport: TransportStats::default(),
+                double_checks: 0,
+                replayed_steps: 0,
+                commit_bytes_hashed: 0,
+                peak_commit_bytes: 0,
+                hierarchy: hierarchy.map(|h| HierarchyReport {
+                    committees: h.committees,
+                    ..HierarchyReport::default()
+                }),
+                comm: CommStats::default(),
+                calibration: plan.calibration,
+                verdicts: Vec::new(),
+            },
         }
     }
 
-    /// Applies the accumulated deltas, renormalized over the accepted
-    /// count, to the global model. No-op when nothing was accepted.
-    pub(crate) fn agg_finalize(&mut self, acc: &[i64], n_accepted: usize) {
-        if n_accepted == 0 {
+    /// Settles one group's delivered participants: accept / reject /
+    /// quarantine per verdict, accepted updates folded into the
+    /// order-invariant accumulator and credited, so the caller can drop the
+    /// group's submissions before the next group runs. `verdicts` holds one
+    /// verdict per participant, in participant order, or `None` under the
+    /// baseline scheme (every delivered submission is aggregated). Under a
+    /// hierarchy the verdicts first make the committee round trip.
+    pub(crate) fn settle_fold(
+        &mut self,
+        settlement: &mut Settlement,
+        group: usize,
+        participants: &[Participant<'_>],
+        verdicts: Option<Vec<WorkerVerdict>>,
+        plan: &EpochPlan,
+    ) {
+        if participants.is_empty() {
             return;
         }
-        let weight = 1.0f64 / n_accepted as f64;
-        for (g, &a) in self.global.iter_mut().zip(acc) {
-            *g = (*g as f64 + weight * (a as f64 / AGG_SCALE)) as f32;
+        let commit_bytes: u64 = participants
+            .iter()
+            .map(|p| p.submission.commit_bytes_hashed)
+            .sum();
+        let report = &mut settlement.report;
+        report.commit_bytes_hashed += commit_bytes;
+        // Only one group's commitments are resident at a time.
+        report.peak_commit_bytes = report.peak_commit_bytes.max(commit_bytes);
+        let Some(mut verdicts) = verdicts else {
+            for part in participants {
+                self.accept(settlement, part);
+            }
+            return;
+        };
+        assert_eq!(
+            verdicts.len(),
+            participants.len(),
+            "one verdict per participant"
+        );
+        if settlement.hierarchy.is_some() {
+            verdicts = self.committee_round_trip(
+                settlement,
+                group,
+                participants,
+                verdicts,
+                commit_bytes,
+                plan,
+            );
+        }
+        for (part, verdict) in participants.iter().zip(verdicts) {
+            let report = &mut settlement.report;
+            report.comm.proof_bytes += verdict.proof_bytes;
+            report.double_checks += verdict.double_checks();
+            report.replayed_steps += verdict.replayed_steps;
+            if verdict.transport_failed() {
+                // Openings stopped arriving: a dead or exhausted link, not
+                // evidence of cheating.
+                report.quarantined.push(part.id);
+            } else if verdict.all_accepted() {
+                self.accept(settlement, part);
+            } else {
+                report.rejected.push(part.id);
+            }
+            settlement.report.verdicts.push((part.id, verdict));
         }
     }
 
-    /// Credits one accepted worker for the eventual reward split — the
-    /// streaming hierarchical runtime's counterpart of the crediting loop
-    /// in [`PoolManager::reduce_epoch`].
-    pub(crate) fn credit(&mut self, address: Address) {
-        self.contributions.credit(address);
+    /// Aggregation (Eq. 1 with equal shards) is restricted to accepted
+    /// updates; credits drive the eventual reward split.
+    fn accept(&mut self, settlement: &mut Settlement, part: &Participant<'_>) {
+        settlement.report.accepted.push(part.id);
+        if settlement.acc.is_empty() {
+            settlement.acc = vec![0i64; self.global.len()];
+        }
+        let deltas = self.global.iter().zip(&part.submission.final_weights);
+        for (a, (&cur, &fin)) in settlement.acc.iter_mut().zip(deltas) {
+            *a += (((fin - cur) as f64) * AGG_SCALE).round() as i64;
+        }
+        self.contributions.credit(part.address);
+    }
+
+    /// One committee's sub-manager → top-manager round trip (DESIGN.md
+    /// §15), returning the verdicts as the top manager received them:
+    ///
+    /// 1. **Sub-manager**: the group's verdicts are Merkle-committed into a
+    ///    [`CommitteeBatch`](crate::committee::CommitteeBatch).
+    /// 2. **Wire**: the batch is encoded, framed, and decoded back — the
+    ///    byte accounting and codec are the real thing, not a model.
+    /// 3. **Top manager**: root-consistency check (anything else is
+    ///    sub-manager equivocation), then `q_top` spot-audits — Merkle
+    ///    inclusion proof plus a full re-replay of the audited worker —
+    ///    with audit replay and proof costs charged to the
+    ///    [`HierarchyReport`] only, never to the tier-1 epoch accounting.
+    fn committee_round_trip(
+        &self,
+        settlement: &mut Settlement,
+        committee: usize,
+        participants: &[Participant<'_>],
+        verdicts: Vec<WorkerVerdict>,
+        commit_bytes: u64,
+        plan: &EpochPlan,
+    ) -> Vec<WorkerVerdict> {
+        use crate::committee::{audit_indices, CommitteeBatch};
+        let hierarchy = settlement.hierarchy.expect("committee round trip");
+        let report = settlement.report.hierarchy.as_mut().expect("set at begin");
+        let batch = CommitteeBatch::from_verdicts(
+            plan.epoch,
+            committee,
+            participants.iter().map(|p| p.id).zip(verdicts).collect(),
+            commit_bytes,
+        );
+        let payload = crate::wire::encode_committee_batch(&batch);
+        report.batch_bytes += crate::wire::seal_frame(&payload).len() as u64;
+        let delivered = crate::wire::decode_committee_batch(payload)
+            .expect("self-encoded committee batch decodes");
+        assert!(
+            delivered.root_consistent(),
+            "committee batch equivocation: root does not cover the shipped verdicts"
+        );
+        for &i in &audit_indices(
+            self.seed,
+            plan.epoch,
+            committee,
+            hierarchy.q_top,
+            delivered.verdicts.len(),
+        ) {
+            let (w, committed) = &delivered.verdicts[i];
+            debug_assert_eq!(*w, participants[i].id, "batch order is participant order");
+            let proof = delivered.prove(i);
+            assert!(
+                delivered.verify_inclusion(&proof, *w, committed),
+                "audited verdict failed its inclusion proof"
+            );
+            let replayed = self.verify_worker(&participants[i], plan);
+            report.audits += 1;
+            report.audit_replayed_steps += replayed.replayed_steps;
+            report.audit_proof_bytes += replayed.proof_bytes;
+            if replayed != *committed {
+                report.audit_mismatches += 1;
+                event!(
+                    self.recorder,
+                    "rpol.committee.audit_mismatch",
+                    epoch = plan.epoch,
+                    committee,
+                    worker = *w
+                );
+            }
+        }
+        report.verdicts += delivered.verdicts.len() as u64;
+        delivered.verdicts.into_iter().map(|(_, v)| v).collect()
+    }
+
+    /// Closes the `settle` stage: `lost` workers (submission never
+    /// delivered) join the quarantined, every set takes canonical worker-id
+    /// order (groups fold in committee order), and the accumulated deltas
+    /// are applied once — renormalized over the accepted count, since `|D|`
+    /// is the union of the data actually aggregated: a verified pool full
+    /// of cheaters (or quarantined links) still trains at full speed on its
+    /// healthy honest workers' shards instead of being diluted by dropped
+    /// terms. `comm` carries the broadcast and submission bytes the
+    /// caller's source accounted.
+    pub(crate) fn settle_finish(
+        &mut self,
+        settlement: Settlement,
+        comm: CommStats,
+        lost: &[usize],
+    ) -> EpochReport {
+        let Settlement {
+            acc, mut report, ..
+        } = settlement;
+        report.quarantined.extend_from_slice(lost);
+        report.accepted.sort_unstable();
+        report.rejected.sort_unstable();
+        report.quarantined.sort_unstable();
+        report.verdicts.sort_by_key(|&(w, _)| w);
+        if !report.accepted.is_empty() {
+            let weight = 1.0f64 / report.accepted.len() as f64;
+            for (g, &a) in self.global.iter_mut().zip(&acc) {
+                *g = (*g as f64 + weight * (a as f64 / AGG_SCALE)) as f32;
+            }
+        }
+        report.comm.broadcast_bytes += comm.broadcast_bytes;
+        report.comm.submission_bytes += comm.submission_bytes;
+        report.comm.proof_bytes += comm.proof_bytes;
+        report
     }
 
     /// Samples `q` distinct checkpoint indices from `0..segment_count`
@@ -1214,6 +907,22 @@ mod tests {
             .collect();
         let manager = PoolManager::new(cfg, scheme, address, manager_shard, 2, 4, 99);
         (manager, workers)
+    }
+
+    impl PoolManager {
+        /// One serial epoch: begin, train every worker in order, finish.
+        fn run_epoch(&mut self, workers: &mut [PoolWorker], epoch: u64) -> EpochReport {
+            let plan = self.begin_epoch(workers.len(), epoch);
+            let (cfg, global, mode) = (self.config, self.global.clone(), plan.commit_mode());
+            let submissions: Vec<EpochSubmission> = workers
+                .iter_mut()
+                .enumerate()
+                .map(|(w, worker)| {
+                    worker.run_epoch(&cfg, &global, plan.nonces[w], plan.steps, epoch, mode)
+                })
+                .collect();
+            self.finish_epoch(workers, &plan, &submissions)
+        }
     }
 
     #[test]

@@ -4,12 +4,15 @@
 
 use crate::adversary::WorkerBehavior;
 use crate::committee::{partition, Hierarchy};
-use crate::manager::{CommStats, EpochReport, Participant, PoolManager};
+use crate::manager::{CommStats, EpochPlan, EpochReport, Participant, PoolManager};
 use crate::tasks::TaskConfig;
-use crate::transport::{link_state, FaultConfig, LinkState, MsgKind, Transport, TransportStats};
+use crate::transport::{
+    link_state, FaultConfig, LinkState, MsgKind, Transport, TransportError, TransportStats,
+};
 use crate::verify::{ProofProvider, ProofUnavailable, SampleVerdict, WorkerVerdict};
 use crate::wire;
-use crate::worker::{CommitMode, EpochSubmission, PoolWorker};
+use crate::worker::{EpochSubmission, PoolWorker};
+use bytes::Bytes;
 use rpol_crypto::Address;
 use rpol_exec::Executor;
 use rpol_nn::data::SyntheticImages;
@@ -21,23 +24,12 @@ use rpol_sim::SimClock;
 use rpol_tensor::rng::Pcg32;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 /// Fixed evaluation chunk (rows per forward pass). Serial and parallel
 /// evaluation run the same chunk shapes and merge integer correct-counts
 /// in index order, so their reported accuracy is bitwise identical.
 const EVAL_CHUNK: usize = 16;
-
-/// Which runtime drives a multi-epoch run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunMode {
-    /// Single-threaded reference path; never constructs an executor.
-    Serial,
-    /// Per-epoch crossbeam scoped threads (pre-executor baseline).
-    Scoped,
-    /// Persistent executor with train/verify phase overlap.
-    Overlapped,
-}
 
 /// Which verification scheme the pool runs (§VII-E).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -135,14 +127,10 @@ impl PoolConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the fault config fails [`FaultConfig::validate`].
+    /// Panics if the result fails [`PoolConfig::validate`].
     pub fn with_faults(mut self, fault: FaultConfig) -> Self {
-        fault.validate().expect("invalid fault config");
-        assert!(
-            self.hierarchy.is_none(),
-            "hierarchy over the fault-injecting transport is not supported"
-        );
         self.fault = Some(fault);
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         self
     }
 
@@ -150,19 +138,54 @@ impl PoolConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a baseline scheme (no verdicts to commit) or when faults
-    /// are configured (the chaos transport path stays flat).
+    /// Panics if the result fails [`PoolConfig::validate`].
     pub fn with_hierarchy(mut self, hierarchy: Hierarchy) -> Self {
-        assert!(
-            !matches!(self.scheme, Scheme::Baseline),
-            "hierarchy requires a verifying scheme: the baseline emits no verdicts to commit"
-        );
-        assert!(
-            self.fault.is_none(),
-            "hierarchy over the fault-injecting transport is not supported"
-        );
         self.hierarchy = Some(hierarchy);
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         self
+    }
+
+    /// Which field combinations a pool can run — the fields are public, so
+    /// every entry point ([`MiningPool::run_epoch`],
+    /// [`PoolServer::bind`](crate::server::PoolServer::bind)) checks, not
+    /// only the builders.
+    ///
+    /// # Errors
+    ///
+    /// An invalid fault config; a hierarchy under the baseline scheme (no
+    /// verdicts to commit) or over the in-process link (streaming by
+    /// committee would reorder the simulated clock's additions).
+    pub fn validate(&self) -> Result<(), String> {
+        if let Some(fault) = &self.fault {
+            fault
+                .validate()
+                .map_err(|e| format!("invalid fault config: {e}"))?;
+        }
+        if self.hierarchy.is_some() {
+            if matches!(self.scheme, Scheme::Baseline) {
+                return Err(
+                    "hierarchy requires a verifying scheme: the baseline emits no verdicts to commit"
+                        .to_string(),
+                );
+            }
+            if self.fault.is_some() {
+                return Err(
+                    "hierarchy over the fault-injecting transport is not supported".to_string(),
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The roster as the groups one epoch streams through: everyone at once on
+/// a flat pool; under a hierarchy the rendezvous committees — seeded on the
+/// pool seed, so the assignment is stable across epochs and churn moves
+/// O(1/C) workers. Members ascend within a group.
+pub(crate) fn roster_groups(config: &PoolConfig, n: usize) -> Vec<Vec<usize>> {
+    match config.hierarchy {
+        Some(hierarchy) => partition(config.seed, n, hierarchy.committees),
+        None => vec![(0..n).collect()],
     }
 }
 
@@ -256,12 +279,37 @@ impl PoolReport {
 /// Per-provider mutable state: the RPC sequence counter plus the stats
 /// and clock this worker's proof traffic accumulates. Kept behind a mutex
 /// so a provider can be shared with the parallel verification fan-out;
-/// the counters are merged back into the epoch totals in worker-id order,
-/// so scheduling never shows in the report.
-struct ProviderState {
-    seq: u64,
-    stats: TransportStats,
-    clock: SimClock,
+/// [`merge_proof_traffic`] folds the counters back into the epoch totals
+/// in worker-id order, so scheduling never shows in the report.
+#[derive(Default)]
+pub(crate) struct ProviderState {
+    pub(crate) seq: u64,
+    pub(crate) stats: TransportStats,
+    pub(crate) clock: SimClock,
+}
+
+impl ProviderState {
+    /// Claims the next opening's sequence number — part of its fault seed,
+    /// advanced even when the request leg then exhausts.
+    pub(crate) fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+}
+
+/// Merges the providers' proof-channel traffic, handed over in worker-id
+/// order, into the epoch's totals: deterministic regardless of how
+/// verification was scheduled.
+pub(crate) fn merge_proof_traffic(
+    states: impl IntoIterator<Item = ProviderState>,
+    stats: &mut TransportStats,
+    clock: &mut SimClock,
+) {
+    for state in states {
+        stats.merge(&state.stats);
+        clock.merge(&state.clock);
+    }
 }
 
 /// A [`ProofProvider`] that reaches its worker through the lossy
@@ -296,11 +344,7 @@ impl<'a> TransportProvider<'a> {
             packed,
             link_request: link_state(&worker.behavior(), epoch, MsgKind::ProofRequest),
             link_response: link_state(&worker.behavior(), epoch, MsgKind::ProofResponse),
-            state: parking_lot::Mutex::new(ProviderState {
-                seq: 0,
-                stats: TransportStats::default(),
-                clock: SimClock::new(),
-            }),
+            state: parking_lot::Mutex::new(ProviderState::default()),
         }
     }
 }
@@ -309,8 +353,7 @@ impl ProofProvider for TransportProvider<'_> {
     fn open_checkpoint(&self, index: usize) -> Result<Cow<'_, [f32]>, ProofUnavailable> {
         let unavailable = ProofUnavailable { index };
         let mut guard = self.state.lock();
-        let seq = guard.seq;
-        guard.seq += 1;
+        let seq = guard.next_seq();
         let ProviderState { stats, clock, .. } = &mut *guard;
 
         // Request leg: manager → worker.
@@ -367,6 +410,163 @@ impl ProofProvider for TransportProvider<'_> {
         }
         // Decoded off the wire: necessarily an owned buffer.
         Ok(Cow::Owned(got_weights))
+    }
+}
+
+/// What a worker trains from this epoch: read off the plan on the direct
+/// source, decoded from the delivered task frame on the link.
+struct Task<'a> {
+    global: Cow<'a, [f32]>,
+    nonce: u64,
+    steps: usize,
+}
+
+/// `members`' workers (ids ascending), mutably, each with its id.
+fn members_mut<'a>(
+    workers: &'a mut [PoolWorker],
+    members: &'a [usize],
+) -> impl Iterator<Item = (usize, &'a mut PoolWorker)> {
+    let mut wanted = members.iter().copied().peekable();
+    workers
+        .iter_mut()
+        .enumerate()
+        .filter(move |(w, _)| wanted.next_if_eq(w).is_some())
+}
+
+/// One epoch of the simulated link (`config.fault`, DESIGN.md §9, §22): every
+/// protocol message is framed and crosses a fault-injecting [`Transport`].
+/// Flat pools only ([`PoolConfig::validate`]), so a group is the roster and
+/// member positions are worker ids.
+///
+/// Byte accounting: [`CommStats`] counts each logical payload once (what
+/// the protocol *moved*); [`TransportStats::wire_bytes`] counts physical
+/// frames including retransmissions (what the network *carried*).
+struct Link {
+    transport: Transport,
+    stats: TransportStats,
+    clock: SimClock,
+    /// Workers whose task or submission never crossed: quarantined for the
+    /// epoch, never flagged as cheaters.
+    lost: Vec<usize>,
+}
+
+impl Link {
+    fn new(fault: &FaultConfig) -> Self {
+        Self {
+            transport: Transport::new(fault),
+            stats: TransportStats::default(),
+            clock: SimClock::new(),
+            lost: Vec::new(),
+        }
+    }
+
+    /// One of the epoch's two bulk exchanges with `worker`, charged to the
+    /// epoch's own counters (proof traffic has per-worker ones).
+    fn exchange(
+        &mut self,
+        epoch: u64,
+        worker: &PoolWorker,
+        kind: MsgKind,
+        payload: &Bytes,
+        rec: &Recorder,
+    ) -> Result<Bytes, TransportError> {
+        self.transport.exchange(
+            epoch,
+            worker.id,
+            kind,
+            0,
+            payload,
+            link_state(&worker.behavior(), epoch, kind),
+            &mut self.stats,
+            &mut self.clock,
+            rec,
+        )
+    }
+
+    /// Task broadcast, serial in worker order: each worker's
+    /// [`wire::EpochTask`] (nonce + global model) crosses its link; a
+    /// delivery failure loses the worker before it trains.
+    fn deliver_tasks(
+        &mut self,
+        workers: &[PoolWorker],
+        block: wire::TaskBlock,
+        plan: &EpochPlan,
+        comm: &mut CommStats,
+        rec: &Recorder,
+    ) -> Vec<Option<Task<'static>>> {
+        let epoch = plan.epoch;
+        let _phase = span!(rec, "rpol.pool.task_broadcast", epoch);
+        let mut deliver = |(w, worker): (usize, &PoolWorker)| {
+            let payload = block.frame(epoch, plan.nonces[w], plan.steps as u32);
+            comm.broadcast_bytes += payload.len() as u64;
+            self.stats.bytes_saved += block.bytes_saved();
+            let delivered = self
+                .exchange(epoch, worker, MsgKind::Task, &payload, rec)
+                .map(wire::decode_epoch_task);
+            let Ok(Ok(task)) = delivered else {
+                self.lost.push(w);
+                return None;
+            };
+            Some(Task {
+                global: Cow::Owned(task.global_weights),
+                nonce: task.nonce,
+                steps: task.steps as usize,
+            })
+        };
+        workers.iter().enumerate().map(&mut deliver).collect()
+    }
+
+    /// Submission upload, serial in worker order: results cross the links
+    /// back. A dead peer costs the manager one commitment deadline, an
+    /// exhausted retry budget loses the submission.
+    fn upload(
+        &mut self,
+        workers: &[PoolWorker],
+        tasks: &[Option<Task<'_>>],
+        mut local: Vec<Option<EpochSubmission>>,
+        plan: &EpochPlan,
+        comm: &mut CommStats,
+        rec: &Recorder,
+    ) -> Vec<Option<EpochSubmission>> {
+        let epoch = plan.epoch;
+        let _phase = span!(rec, "rpol.pool.submission", epoch);
+        let mut upload = |(w, worker): (usize, &PoolWorker)| {
+            tasks[w].as_ref()?; // already lost at task delivery
+            if !link_state(&worker.behavior(), epoch, MsgKind::Submission).alive {
+                // The worker fell silent: the manager waits out one
+                // commitment deadline, then gives up on it.
+                self.stats.timeouts += 1;
+                self.clock.add(
+                    MsgKind::Submission.label(),
+                    self.transport.policy().timeout_s,
+                );
+                self.clock.tick("deadline_miss");
+                event!(rec, "rpol.pool.deadline_miss", epoch, worker = w);
+                self.lost.push(w);
+                return None;
+            }
+            let sub = local[w].take().expect("tasked live worker trained");
+            let payload = wire::encode_submission(&sub.final_weights, sub.commitment.as_ref());
+            self.stats.bytes_saved +=
+                (wire::submission_raw_wire_size(sub.final_weights.len(), sub.commitment.as_ref())
+                    as u64)
+                    .saturating_sub(payload.len() as u64);
+            let delivered = self
+                .exchange(epoch, worker, MsgKind::Submission, &payload, rec)
+                .map(wire::decode_submission);
+            let Ok(Ok(decoded)) = delivered else {
+                self.lost.push(w);
+                return None;
+            };
+            comm.submission_bytes += payload.len() as u64;
+            Some(EpochSubmission::delivered(
+                w,
+                decoded,
+                payload.len(),
+                plan.commit_mode(),
+            ))
+        };
+        workers.iter().enumerate().map(&mut upload).collect()
     }
 }
 
@@ -601,467 +801,292 @@ impl MiningPool {
         model
     }
 
-    /// Runs one epoch and returns its record.
+    /// Runs one epoch — the paper's one protocol (§IV–V), written once as
+    /// four stages (DESIGN.md §22):
+    ///
+    /// 1. **plan** — [`PoolManager::begin_epoch`]: calibration, nonces,
+    ///    commitment mode and the verification schedule, i.e. every draw
+    ///    from the manager's RNG, before anything trains.
+    /// 2. **collect** — per group of the roster ([`roster_groups`]: one
+    ///    group of everyone, or committee by committee so only one
+    ///    committee's submissions are ever resident), deliver tasks, train,
+    ///    and bring the submissions back ([`Self::collect`]).
+    /// 3. **verify** — sampled replay of each delivered submission.
+    /// 4. **settle** — [`PoolManager::settle_fold`] per group, then
+    ///    [`PoolManager::settle_finish`]: verdicts classified, accepted
+    ///    updates aggregated (Eq. 1) and credited, the report built.
+    ///
+    /// Runs on the pool's persistent executor when one was constructed
+    /// ([`MiningPool::run_parallel`]) and serially otherwise. The record is
+    /// bitwise identical either way, at every thread count and committee
+    /// count (`tests/epoch_matrix.rs`): no stage after `plan` is random,
+    /// every fault draw is keyed by its own coordinates, per-sample
+    /// verdicts merge in index order, the aggregate is an order-invariant
+    /// integer sum, and evaluation chunks are fixed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`PoolConfig::validate`].
     pub fn run_epoch(&mut self, epoch: u64) -> EpochRecord {
+        self.config.validate().unwrap_or_else(|e| panic!("{e}"));
         let start = std::time::Instant::now();
-        let _epoch_span = span!(self.recorder, "rpol.pool.epoch", epoch);
-        let report = self.manager.run_epoch(&mut self.workers, epoch);
+        let recorder = self.recorder.clone();
+        let rec: &Recorder = &recorder;
+        let _epoch_span = span!(rec, "rpol.pool.epoch", epoch);
+        let executor = self.executor.clone();
+        let exec = executor.as_deref();
+        let n = self.workers.len();
+        let hierarchy = self.config.hierarchy;
+        let packed = matches!(self.config.scheme, Scheme::RPoLv3);
+
+        let plan = self.manager.begin_epoch(n, epoch);
+        let mut link = self.config.fault.map(|fault| Link::new(&fault));
+        let mut comm = CommStats::default();
+        if link.is_none() {
+            comm.broadcast_bytes = self.manager.broadcast_bytes(n);
+        }
+        let mut settlement = self.manager.settle_begin(&plan, hierarchy);
+
+        for (g, members) in roster_groups(&self.config, n).iter().enumerate() {
+            if members.is_empty() {
+                continue;
+            }
+            let _committee_span = hierarchy.map(|_| {
+                span!(
+                    rec,
+                    "rpol.pool.committee",
+                    epoch,
+                    committee = g,
+                    members = members.len()
+                )
+            });
+            let (delivered, verdicts) = self.collect(members, &plan, link.as_mut(), &mut comm);
+
+            // Openings are served by the worker itself, or over the link
+            // through a per-worker endpoint.
+            let _phase = link
+                .is_some()
+                .then(|| span!(rec, "rpol.pool.verification", epoch));
+            let present: Vec<(&PoolWorker, &EpochSubmission)> = members
+                .iter()
+                .zip(&delivered)
+                .filter_map(|(&w, sub)| Some((&self.workers[w], sub.as_ref()?)))
+                .collect();
+            let endpoint = |worker| {
+                let transport = &link.as_ref()?.transport;
+                Some(TransportProvider::new(
+                    transport, worker, epoch, rec, packed,
+                ))
+            };
+            let providers: Vec<Option<TransportProvider<'_>>> = present
+                .iter()
+                .map(|&(worker, _)| endpoint(worker))
+                .collect();
+            let participants: Vec<Participant<'_>> = present
+                .iter()
+                .zip(&providers)
+                .map(|(&(worker, sub), provider)| {
+                    let part = Participant::in_process(worker, sub);
+                    match provider {
+                        Some(provider) => Participant { provider, ..part },
+                        None => part,
+                    }
+                })
+                .collect();
+            match verdicts {
+                Some(verdicts) => self.manager.settle_fold(
+                    &mut settlement,
+                    g,
+                    &participants,
+                    Some(verdicts),
+                    &plan,
+                ),
+                None => {
+                    self.manager
+                        .verify_and_fold(&mut settlement, g, &participants, &plan, exec)
+                }
+            }
+            drop(participants);
+            let proof_traffic: Vec<ProviderState> = providers
+                .into_iter()
+                .flatten()
+                .map(|provider| provider.state.into_inner())
+                .collect();
+            if let Some(link) = &mut link {
+                merge_proof_traffic(proof_traffic, &mut link.stats, &mut link.clock);
+            }
+            // `delivered` drops here: the next group starts from a clean
+            // memory floor.
+        }
+
+        let (lost, stats, clock) = link
+            .map(|link| (link.lost, link.stats, link.clock))
+            .unwrap_or_default();
+        let mut report = self.manager.settle_finish(settlement, comm, &lost);
+        report.transport = stats;
         EpochRecord {
             report,
             test_accuracy: self.test_accuracy(),
             wall_seconds: start.elapsed().as_secs_f64(),
-            transport_time: SimClock::new(),
+            transport_time: clock,
         }
     }
 
-    /// Runs one epoch on the pool's persistent executor with **phase
-    /// overlap**: every worker's training is one task, and the moment
-    /// worker `w`'s submission lands, one verification task per sampled
-    /// checkpoint of `w` is spawned — other workers may still be training.
-    /// Zero threads are spawned per epoch; the executor is constructed
-    /// once for the pool's lifetime.
+    /// The `collect` stage for one group: the only stage that differs by
+    /// where submissions come from. Returns the group's delivered
+    /// submissions by member position (`None`: lost on the link) and, when
+    /// the overlap branch already verified them, the members' verdicts.
     ///
-    /// Bitwise identical to [`MiningPool::run_epoch`] at every thread
-    /// count: the sampling schedule is drawn eagerly from the same RNG
-    /// stream (training never touches the manager's RNG), per-sample
-    /// verdicts merge in index order, and evaluation chunks are fixed.
-    pub fn run_epoch_parallel(&mut self, epoch: u64) -> EpochRecord {
-        use parking_lot::Mutex;
+    /// * **Direct** (`link` is `None`): a member's task is read off the
+    ///   plan and its submission handed back as is.
+    /// * **Link**: tasks go out and submissions come back through
+    ///   [`Link::deliver_tasks`] / [`Link::upload`], serially in worker
+    ///   order around the training, so the executor changes scheduling but
+    ///   never a fault draw; members train from the *delivered* task bytes.
+    ///
+    /// Members train serially in order without an executor, as one task
+    /// each with one. **Overlap branch** — direct source, executor,
+    /// verifying scheme: the moment a member's submission lands, one
+    /// verification task per sampled checkpoint is spawned from its
+    /// training task, while other members may still be training. Openings
+    /// served in process cannot fail, so sample order is free; a link
+    /// provider's fault draws are keyed by its request sequence, which is
+    /// why that source verifies worker-granular after the upload instead.
+    fn collect(
+        &mut self,
+        members: &[usize],
+        plan: &EpochPlan,
+        mut link: Option<&mut Link>,
+        comm: &mut CommStats,
+    ) -> (Vec<Option<EpochSubmission>>, Option<Vec<WorkerVerdict>>) {
+        let (workers, manager) = (&mut self.workers[..], &self.manager);
+        let (exec, rec) = (self.executor.as_deref(), &*self.recorder);
+        let epoch = plan.epoch;
+        let tasks: Vec<Option<Task<'_>>> = match link.as_deref_mut() {
+            Some(link) => link.deliver_tasks(workers, manager.task_block(), plan, comm, rec),
+            None => members
+                .iter()
+                .map(|&w| {
+                    Some(Task {
+                        global: Cow::Borrowed(manager.global_weights()),
+                        nonce: plan.nonces[w],
+                        steps: plan.steps,
+                    })
+                })
+                .collect(),
+        };
 
-        let exec = self.ensure_executor();
-        let start = std::time::Instant::now();
-        let recorder = self.recorder.clone();
-        let _epoch_span = span!(recorder, "rpol.pool.epoch", epoch);
-        let n = self.workers.len();
-        let plan = self.manager.begin_epoch(n, epoch);
-        // Eager draw of the verification schedule — same RNG stream as the
-        // serial path's post-training draw. `None` for the baseline
-        // scheme, which never draws sampling state.
-        let prepared = self.manager.prepare_verification(&plan, n);
-
-        let config = *self.manager.config();
-        let global = self.manager.global_weights().to_vec();
-        let manager = &self.manager;
-
-        // Each worker moves by value into its training task; verification
-        // tasks read it back from its slot as soon as training stores it.
-        let slots: Vec<RwLock<Option<PoolWorker>>> = std::mem::take(&mut self.workers)
-            .into_iter()
-            .map(|w| RwLock::new(Some(w)))
+        let phase = link
+            .is_some()
+            .then(|| span!(rec, "rpol.pool.training", epoch));
+        let train = |w: usize, worker: &mut PoolWorker, task: &Task<'_>| {
+            let _g = span!(
+                rec,
+                "rpol.worker.train_epoch",
+                epoch,
+                worker = w,
+                steps = task.steps
+            );
+            worker.run_epoch(
+                manager.config(),
+                &task.global,
+                task.nonce,
+                task.steps,
+                epoch,
+                plan.commit_mode(),
+            )
+        };
+        let overlap = exec.is_some() && link.is_none() && plan.verifies();
+        let mut local: Vec<Option<EpochSubmission>> = members.iter().map(|_| None).collect();
+        let mut sample_verdicts: Vec<Vec<Option<SampleVerdict>>> = members
+            .iter()
+            .map(|&w| vec![None; if overlap { plan.sample_count(w) } else { 0 }])
             .collect();
-        let submissions: Vec<OnceLock<EpochSubmission>> = (0..n).map(|_| OnceLock::new()).collect();
-        let sample_slots: Vec<Vec<Mutex<Option<SampleVerdict>>>> = (0..n)
-            .map(|w| {
-                let q = prepared.as_ref().map_or(0, |p| p.sample_count(w));
-                (0..q).map(|_| Mutex::new(None)).collect()
-            })
-            .collect();
-
-        exec.scope(|s| {
-            for w in 0..n {
-                let slot = &slots[w];
-                let submission = &submissions[w];
-                let verdicts = &sample_slots[w];
-                let plan = &plan;
-                let prepared = prepared.as_ref();
-                let config = &config;
-                let global = &global;
-                let recorder = &recorder;
-                s.spawn(move || {
-                    let mut worker = slot.write().expect("worker slot").take().expect("present");
-                    let sub = {
-                        let _g = span!(
-                            recorder,
-                            "rpol.worker.train_epoch",
-                            epoch,
-                            worker = w,
-                            steps = plan.steps
-                        );
-                        worker.run_epoch(
-                            config,
-                            global,
-                            plan.nonces[w],
-                            plan.steps,
-                            epoch,
-                            plan.commit_mode(),
-                        )
-                    };
-                    *slot.write().expect("worker slot") = Some(worker);
-                    assert!(submission.set(sub).is_ok(), "one submission per worker");
-                    // This worker's commit landed: fan its sampled
-                    // checkpoints out as independent tasks right away.
-                    if let Some(prepared) = prepared {
+        // A member with no task, or whose link dies this epoch (its partial
+        // steps would never be seen), skips the doomed compute.
+        let jobs = members_mut(workers, members)
+            .zip(&tasks)
+            .zip(local.iter_mut().zip(&mut sample_verdicts))
+            .filter_map(|(((w, worker), task), slots)| {
+                let up = link.is_none()
+                    || link_state(&worker.behavior(), epoch, MsgKind::Submission).alive;
+                Some((w, worker, task.as_ref().filter(|_| up)?, slots))
+            });
+        match exec {
+            None => {
+                for (w, worker, task, (submission, _)) in jobs {
+                    *submission = Some(train(w, worker, task));
+                }
+            }
+            Some(exec) => exec.scope(|s| {
+                for (w, worker, task, (submission, verdicts)) in jobs {
+                    let train = &train;
+                    s.spawn(move || {
+                        let submission: &EpochSubmission =
+                            submission.insert(train(w, worker, task));
+                        if !overlap {
+                            return;
+                        }
+                        let part = Participant::in_process(worker, submission);
                         span!(
-                            recorder,
+                            rec,
                             "rpol.verify.worker",
-                            epoch = plan.epoch,
+                            epoch,
                             worker = w,
-                            samples = prepared.sample_count(w)
+                            samples = verdicts.len()
                         );
-                        for (pos, verdict_slot) in verdicts.iter().enumerate() {
+                        for (pos, verdict) in verdicts.iter_mut().enumerate() {
                             s.spawn(move || {
-                                let guard = slot.read().expect("worker slot");
-                                let worker = guard.as_ref().expect("trained worker stored");
-                                let part = Participant {
-                                    id: w,
-                                    address: worker.address,
-                                    shard: worker.shard(),
-                                    submission: submission.get().expect("submission stored"),
-                                    provider: worker,
-                                };
-                                *verdict_slot.lock() = Some(
-                                    manager.verify_prepared_sample(&part, plan, prepared, pos),
-                                );
+                                *verdict = manager.verify_samples(&part, plan, pos..pos + 1).pop();
                             });
                         }
-                    }
-                });
-            }
-        });
+                    });
+                }
+            }),
+        }
+        drop(phase);
 
-        // Deterministic reduction: reassemble state and merge per-sample
-        // verdicts in (worker, sample) index order.
-        self.workers = slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("worker slot")
-                    .expect("worker returned to its slot")
-            })
-            .collect();
-        let submissions: Vec<EpochSubmission> = submissions
-            .into_iter()
-            .map(|s| s.into_inner().expect("every worker submitted"))
-            .collect();
-        let verdict_list: Option<Vec<WorkerVerdict>> = prepared.as_ref().map(|_| {
-            sample_slots
-                .iter()
-                .map(|per_worker| {
+        let delivered = match link {
+            Some(link) => link.upload(workers, &tasks, local, plan, comm, rec),
+            None => {
+                comm.submission_bytes +=
+                    local.iter().flatten().map(|s| s.upload_bytes).sum::<u64>();
+                local
+            }
+        };
+        let verdicts = overlap.then(|| {
+            sample_verdicts
+                .into_iter()
+                .map(|samples| {
                     WorkerVerdict::from_samples(
-                        per_worker
-                            .iter()
-                            .map(|m| m.lock().take().expect("sample verified")),
+                        samples.into_iter().map(|v| v.expect("sample verified")),
                     )
                 })
                 .collect()
         });
-
-        let participants: Vec<Participant<'_>> = self
-            .workers
-            .iter()
-            .map(|worker| Participant {
-                id: worker.id,
-                address: worker.address,
-                shard: worker.shard(),
-                submission: &submissions[worker.id],
-                provider: worker,
-            })
-            .collect();
-        let mut comm = CommStats {
-            broadcast_bytes: self.manager.broadcast_bytes(n),
-            ..CommStats::default()
-        };
-        for sub in &submissions {
-            comm.submission_bytes += sub.upload_bytes;
-        }
-        let report = self
-            .manager
-            .reduce_epoch(&plan, &participants, &[], comm, verdict_list);
-        drop(participants);
-        EpochRecord {
-            report,
-            test_accuracy: self.test_accuracy(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            transport_time: SimClock::new(),
-        }
+        (delivered, verdicts)
     }
 
-    /// Runs one epoch through the two-tier committee hierarchy
-    /// (DESIGN.md §15), **streaming committee-by-committee** so peak
-    /// commitment memory is O(committee size), never O(pool size):
+    /// Runs the configured number of epochs — serially, unless the pool's
+    /// executor already exists. Never constructs it.
     ///
-    /// 1. The roster is rendezvous-partitioned into committees (seeded on
-    ///    the pool seed, so the assignment is stable across epochs and
-    ///    churn moves O(1/C) workers).
-    /// 2. Each committee's sub-manager trains its members (on the
-    ///    persistent executor when `parallel`), runs the existing
-    ///    sampled-replay verification over them, and emits a
-    ///    Merkle-committed verdict batch over canonical verdict leaves.
-    /// 3. The top manager ingests only the batch (root + verdicts + byte
-    ///    counts) off the framed wire format, checks root consistency,
-    ///    spot-audits `q_top` verdicts per committee — Merkle inclusion
-    ///    proof plus a full re-replay of the audited worker — and folds
-    ///    accepted updates into an order-invariant fixed-point aggregation
-    ///    accumulator. The committee's submissions are dropped before the
-    ///    next committee trains.
+    /// # Panics
     ///
-    /// Bitwise identical accept/reject/quarantine sets to the flat path at
-    /// equal sampling parameters and any thread count: the manager RNG is
-    /// consumed in exactly the flat order (`begin_epoch` nonces, then
-    /// `prepare_verification` assignments for all workers), each verdict
-    /// depends only on its own worker's assignment, audit sampling uses an
-    /// independent PRF, and the fixed-point aggregation makes the
-    /// committee-order fold equal the worker-order fold exactly.
-    fn run_epoch_hierarchical(&mut self, epoch: u64, parallel: bool) -> EpochRecord {
-        let start = std::time::Instant::now();
-        let recorder = self.recorder.clone();
-        let _epoch_span = span!(recorder, "rpol.pool.epoch", epoch);
-        let hierarchy = self
-            .config
-            .hierarchy
-            .expect("hierarchical path needs a hierarchy");
-        let exec = parallel.then(|| self.ensure_executor());
-        let n = self.workers.len();
-        // Identical RNG consumption to the flat paths: nonces, then the
-        // full verification schedule, before any committee runs.
-        let plan = self.manager.begin_epoch(n, epoch);
-        let prepared = self
-            .manager
-            .prepare_verification(&plan, n)
-            .expect("hierarchy requires a verifying scheme");
-        let committees = partition(self.config.seed, n, hierarchy.committees);
-
-        let config = *self.manager.config();
-        let global = self.manager.global_weights().to_vec();
-        let mut comm = CommStats {
-            broadcast_bytes: self.manager.broadcast_bytes(n),
-            ..CommStats::default()
-        };
-        let mut ingest = self.manager.ingest_begin(hierarchy, &[]);
-
-        for (c, members) in committees.iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            let _committee_span = span!(
-                recorder,
-                "rpol.pool.committee",
-                epoch,
-                committee = c,
-                members = members.len()
-            );
-            // Sub-manager phase 1: train this committee's members. Only
-            // their submissions are resident — the previous committee's
-            // were dropped at the end of its loop iteration.
-            let subs: Vec<EpochSubmission> = if let Some(exec) = &exec {
-                let slots: Vec<OnceLock<EpochSubmission>> =
-                    members.iter().map(|_| OnceLock::new()).collect();
-                let member_pos: std::collections::HashMap<usize, usize> =
-                    members.iter().enumerate().map(|(p, &w)| (w, p)).collect();
-                exec.scope(|s| {
-                    for (w, worker) in self.workers.iter_mut().enumerate() {
-                        let Some(&pos) = member_pos.get(&w) else {
-                            continue;
-                        };
-                        let slot = &slots[pos];
-                        let plan = &plan;
-                        let config = &config;
-                        let global = &global;
-                        let recorder = &recorder;
-                        s.spawn(move || {
-                            let _g = span!(
-                                recorder,
-                                "rpol.worker.train_epoch",
-                                epoch,
-                                worker = w,
-                                steps = plan.steps
-                            );
-                            let sub = worker.run_epoch(
-                                config,
-                                global,
-                                plan.nonces[w],
-                                plan.steps,
-                                epoch,
-                                plan.commit_mode(),
-                            );
-                            assert!(slot.set(sub).is_ok(), "one submission per worker");
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.into_inner().expect("member trained"))
-                    .collect()
-            } else {
-                members
-                    .iter()
-                    .map(|&w| {
-                        let _g = span!(
-                            recorder,
-                            "rpol.worker.train_epoch",
-                            epoch,
-                            worker = w,
-                            steps = plan.steps
-                        );
-                        self.workers[w].run_epoch(
-                            &config,
-                            &global,
-                            plan.nonces[w],
-                            plan.steps,
-                            epoch,
-                            plan.commit_mode(),
-                        )
-                    })
-                    .collect()
-            };
-
-            // Sub-manager phase 2 + top-manager ingest: sampled-replay
-            // verification, Merkle-committed batch over the framed wire
-            // format, root check, spot audits, classification, and the
-            // fixed-point aggregation fold — all shared with the socket
-            // server through the manager's ingest API.
-            let participants: Vec<Participant<'_>> = members
-                .iter()
-                .zip(&subs)
-                .map(|(&w, sub)| {
-                    let worker = &self.workers[w];
-                    Participant {
-                        id: w,
-                        address: worker.address,
-                        shard: worker.shard(),
-                        submission: sub,
-                        provider: worker,
-                    }
-                })
-                .collect();
-            self.manager.ingest_committee(
-                &mut ingest,
-                self.config.seed,
-                c,
-                &participants,
-                &plan,
-                &prepared,
-                parallel,
-            );
-            drop(participants);
-            comm.submission_bytes += subs.iter().map(|s| s.upload_bytes).sum::<u64>();
-            // `subs` drops here: the next committee starts from a clean
-            // memory floor.
-        }
-
-        let report = self.manager.ingest_finish(ingest, &plan, comm);
-        EpochRecord {
-            report,
-            test_accuracy: self.test_accuracy(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            transport_time: SimClock::new(),
-        }
-    }
-
-    /// Runs one epoch on per-epoch crossbeam scoped threads: the pre-
-    /// executor runtime, retained as the benchmark baseline the persistent
-    /// executor is measured against. Training is a hard barrier before
-    /// worker-granular verification — no phase overlap. Assumes no
-    /// executor has been attached (use a fresh pool for baseline runs).
-    pub fn run_epoch_scoped(&mut self, epoch: u64) -> EpochRecord {
-        use parking_lot::Mutex;
-
-        let start = std::time::Instant::now();
-        let recorder = self.recorder.clone();
-        let _epoch_span = span!(recorder, "rpol.pool.epoch", epoch);
-        let n = self.workers.len();
-        let plan = self.manager.begin_epoch(n, epoch);
-
-        // Phase 1: workers train concurrently.
-        let config = *self.manager.config();
-        let global = self.manager.global_weights().to_vec();
-        let submissions: Mutex<Vec<Option<crate::worker::EpochSubmission>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-        crossbeam::thread::scope(|scope| {
-            for (w, worker) in self.workers.iter_mut().enumerate() {
-                let plan = &plan;
-                let global = &global;
-                let submissions = &submissions;
-                let config = &config;
-                let recorder = &recorder;
-                scope.spawn(move |_| {
-                    let _g = span!(
-                        recorder,
-                        "rpol.worker.train_epoch",
-                        epoch,
-                        worker = w,
-                        steps = plan.steps
-                    );
-                    let sub = worker.run_epoch(
-                        config,
-                        global,
-                        plan.nonces[w],
-                        plan.steps,
-                        epoch,
-                        plan.commit_mode(),
-                    );
-                    submissions.lock()[w] = Some(sub);
-                });
-            }
-        })
-        .expect("worker thread panicked");
-        let submissions: Vec<crate::worker::EpochSubmission> = submissions
-            .into_inner()
-            .into_iter()
-            .map(|s| s.expect("every worker submitted"))
-            .collect();
-
-        // Phase 2: verification also fans out across threads.
-        let report = self
-            .manager
-            .finish_epoch_parallel(&self.workers, &plan, &submissions);
-        EpochRecord {
-            report,
-            test_accuracy: self.test_accuracy(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            transport_time: SimClock::new(),
-        }
-    }
-
-    /// Runs the configured number of epochs.
+    /// Panics on a configuration [`PoolConfig::validate`] refuses or a
+    /// hierarchy that does not fit the roster.
     pub fn run(&mut self) -> PoolReport {
-        self.run_with(RunMode::Serial)
-    }
-
-    /// Runs the configured number of epochs on the persistent executor
-    /// with train/verify phase overlap ([`MiningPool::run_epoch_parallel`]).
-    pub fn run_parallel(&mut self) -> PoolReport {
-        self.ensure_executor();
-        self.run_with(RunMode::Overlapped)
-    }
-
-    /// Runs the configured number of epochs on per-epoch scoped threads
-    /// ([`MiningPool::run_epoch_scoped`]) — the pre-executor baseline kept
-    /// for benchmarking. Never constructs the persistent executor.
-    pub fn run_scoped(&mut self) -> PoolReport {
-        self.run_with(RunMode::Scoped)
-    }
-
-    fn run_with(&mut self, mode: RunMode) -> PoolReport {
         if let Some(hierarchy) = self.config.hierarchy {
-            assert!(
-                !matches!(self.config.scheme, Scheme::Baseline),
-                "hierarchy requires a verifying scheme: the baseline emits no verdicts to commit"
-            );
-            assert!(
-                self.config.fault.is_none(),
-                "hierarchy over the fault-injecting transport is not supported"
-            );
             hierarchy
                 .validate(self.workers.len(), self.config.seed)
                 .expect("invalid hierarchy for this roster");
         }
-        let mut epochs = Vec::with_capacity(self.config.epochs);
-        for e in 0..self.config.epochs {
-            let record = if self.config.fault.is_some() {
-                self.run_epoch_transport(e as u64, mode != RunMode::Serial)
-            } else if self.config.hierarchy.is_some() {
-                self.run_epoch_hierarchical(e as u64, mode != RunMode::Serial)
-            } else {
-                match mode {
-                    RunMode::Serial => self.run_epoch(e as u64),
-                    RunMode::Scoped => self.run_epoch_scoped(e as u64),
-                    RunMode::Overlapped => self.run_epoch_parallel(e as u64),
-                }
-            };
-            self.publish_epoch(&record);
-            epochs.push(record);
-        }
+        let epochs = (0..self.config.epochs as u64)
+            .map(|e| {
+                let record = self.run_epoch(e);
+                self.publish_epoch(&record);
+                record
+            })
+            .collect();
         let report = PoolReport {
             scheme: self.config.scheme,
             epochs,
@@ -1072,6 +1097,14 @@ impl MiningPool {
             report.worker_storage_bytes as f64,
         );
         report
+    }
+
+    /// [`MiningPool::run`] on the persistent executor, constructed here if
+    /// need be: members train concurrently and verification overlaps
+    /// training where the source allows ([`Self::collect`]).
+    pub fn run_parallel(&mut self) -> PoolReport {
+        self.ensure_executor();
+        self.run()
     }
 
     /// Mirrors one finished epoch into the recorder. Runs at the serial
@@ -1116,305 +1149,6 @@ impl MiningPool {
         // Fold the epoch's simulated seconds into the (logical) clock so
         // trace timestamps advance with simulated time across epochs.
         rec.advance_ns((record.transport_time.total() * 1e9) as u64);
-    }
-
-    /// Runs one epoch with every protocol message crossing the
-    /// fault-injecting transport (DESIGN.md §9).
-    ///
-    /// Phases, with all fault draws serialized in worker-id order so
-    /// `parallel` changes scheduling but never outcomes:
-    ///
-    /// 1. **Task broadcast** — each worker's [`wire::EpochTask`] (nonce +
-    ///    global model) crosses its link; delivery failure quarantines the
-    ///    worker before it trains.
-    /// 2. **Training** — tasked workers whose submission link is up train
-    ///    from the *delivered* task bytes (serially or on threads). A
-    ///    worker crashing this epoch trains partial steps that nobody will
-    ///    ever see; the simulation skips the wasted compute.
-    /// 3. **Submission upload** — results cross the links back; a dead
-    ///    peer costs the manager one commitment deadline, an exhausted
-    ///    retry budget quarantines.
-    /// 4. **Verification** — proof RPCs ride the same transport; openings
-    ///    that stop arriving quarantine the worker instead of rejecting
-    ///    it. Aggregation and credit run over the survivors.
-    ///
-    /// Byte accounting: [`CommStats`] counts each logical payload once
-    /// (what the protocol *moved*); [`TransportStats::wire_bytes`] counts
-    /// physical frames including retransmissions (what the network
-    /// *carried*).
-    fn run_epoch_transport(&mut self, epoch: u64, parallel: bool) -> EpochRecord {
-        use parking_lot::Mutex;
-
-        let start = std::time::Instant::now();
-        let recorder = self.recorder.clone();
-        let _epoch_span = span!(recorder, "rpol.pool.epoch", epoch);
-        let fault = self.config.fault.expect("transport path needs faults");
-        let transport = Transport::new(&fault);
-        let n = self.workers.len();
-        let plan = self.manager.begin_epoch(n, epoch);
-        let mut stats = TransportStats::default();
-        let mut clock = SimClock::new();
-        let mut quarantined: Vec<usize> = Vec::new();
-        let mut comm = CommStats::default();
-
-        // Phase 1: task broadcast, serial in worker order.
-        let phase_broadcast = span!(recorder, "rpol.pool.task_broadcast", epoch);
-        let block = self.manager.task_block();
-        let mut tasks: Vec<Option<wire::EpochTask>> = (0..n).map(|_| None).collect();
-        for (w, worker) in self.workers.iter().enumerate() {
-            let payload = block.frame(epoch, plan.nonces[w], plan.steps as u32);
-            comm.broadcast_bytes += payload.len() as u64;
-            stats.bytes_saved += block.bytes_saved();
-            let link = link_state(&worker.behavior(), epoch, MsgKind::Task);
-            match transport
-                .exchange(
-                    epoch,
-                    w,
-                    MsgKind::Task,
-                    0,
-                    &payload,
-                    link,
-                    &mut stats,
-                    &mut clock,
-                    &recorder,
-                )
-                .map(wire::decode_epoch_task)
-            {
-                Ok(Ok(delivered)) => tasks[w] = Some(delivered),
-                _ => quarantined.push(w),
-            }
-        }
-        drop(phase_broadcast);
-
-        // Phase 2: training on the delivered tasks. Workers that will not
-        // be able to submit (crashed this epoch) skip the doomed compute.
-        let phase_training = span!(recorder, "rpol.pool.training", epoch);
-        let submission_links: Vec<LinkState> = self
-            .workers
-            .iter()
-            .map(|worker| link_state(&worker.behavior(), epoch, MsgKind::Submission))
-            .collect();
-        let config = *self.manager.config();
-        let commit_mode = plan.commit_mode();
-        let mut local: Vec<Option<EpochSubmission>> = (0..n).map(|_| None).collect();
-        if parallel {
-            let slots: Mutex<Vec<Option<EpochSubmission>>> =
-                Mutex::new((0..n).map(|_| None).collect());
-            if let Some(exec) = self.executor.clone() {
-                // Persistent-executor runtime: training tasks land on the
-                // long-lived pool instead of per-epoch OS threads.
-                exec.scope(|s| {
-                    for (w, worker) in self.workers.iter_mut().enumerate() {
-                        let Some(task) = tasks[w].as_ref() else {
-                            continue;
-                        };
-                        if !submission_links[w].alive {
-                            continue;
-                        }
-                        let slots = &slots;
-                        let config = &config;
-                        let recorder = &recorder;
-                        s.spawn(move || {
-                            let _g = span!(
-                                recorder,
-                                "rpol.worker.train_epoch",
-                                epoch,
-                                worker = w,
-                                steps = task.steps
-                            );
-                            let sub = worker.run_epoch(
-                                config,
-                                &task.global_weights,
-                                task.nonce,
-                                task.steps as usize,
-                                epoch,
-                                commit_mode,
-                            );
-                            slots.lock()[w] = Some(sub);
-                        });
-                    }
-                });
-            } else {
-                crossbeam::thread::scope(|scope| {
-                    for (w, worker) in self.workers.iter_mut().enumerate() {
-                        let Some(task) = tasks[w].as_ref() else {
-                            continue;
-                        };
-                        if !submission_links[w].alive {
-                            continue;
-                        }
-                        let slots = &slots;
-                        let config = &config;
-                        let recorder = &recorder;
-                        scope.spawn(move |_| {
-                            let _g = span!(
-                                recorder,
-                                "rpol.worker.train_epoch",
-                                epoch,
-                                worker = w,
-                                steps = task.steps
-                            );
-                            let sub = worker.run_epoch(
-                                config,
-                                &task.global_weights,
-                                task.nonce,
-                                task.steps as usize,
-                                epoch,
-                                commit_mode,
-                            );
-                            slots.lock()[w] = Some(sub);
-                        });
-                    }
-                })
-                .expect("worker thread panicked");
-            }
-            local = slots.into_inner();
-        } else {
-            for (w, worker) in self.workers.iter_mut().enumerate() {
-                let Some(task) = tasks[w].as_ref() else {
-                    continue;
-                };
-                if !submission_links[w].alive {
-                    continue;
-                }
-                let _g = span!(
-                    recorder,
-                    "rpol.worker.train_epoch",
-                    epoch,
-                    worker = w,
-                    steps = task.steps
-                );
-                local[w] = Some(worker.run_epoch(
-                    &config,
-                    &task.global_weights,
-                    task.nonce,
-                    task.steps as usize,
-                    epoch,
-                    commit_mode,
-                ));
-            }
-        }
-        drop(phase_training);
-
-        // Phase 3: submission upload, serial in worker order.
-        let phase_submission = span!(recorder, "rpol.pool.submission", epoch);
-        let hashes_per_group = match plan.commit_mode() {
-            CommitMode::V2(f) | CommitMode::V3(f) => f.params().k,
-            _ => 0,
-        };
-        let mut delivered: Vec<Option<EpochSubmission>> = (0..n).map(|_| None).collect();
-        for w in 0..n {
-            if tasks[w].is_none() {
-                continue; // already quarantined at task delivery
-            }
-            if !submission_links[w].alive {
-                // The worker fell silent: the manager waits out one
-                // commitment deadline, then quarantines it.
-                stats.timeouts += 1;
-                clock.add(MsgKind::Submission.label(), transport.policy().timeout_s);
-                clock.tick("deadline_miss");
-                event!(recorder, "rpol.pool.deadline_miss", epoch, worker = w);
-                quarantined.push(w);
-                continue;
-            }
-            let sub = local[w].take().expect("tasked live worker trained");
-            let payload = wire::encode_submission(&sub.final_weights, sub.commitment.as_ref());
-            stats.bytes_saved +=
-                (wire::submission_raw_wire_size(sub.final_weights.len(), sub.commitment.as_ref())
-                    as u64)
-                    .saturating_sub(payload.len() as u64);
-            match transport
-                .exchange(
-                    epoch,
-                    w,
-                    MsgKind::Submission,
-                    0,
-                    &payload,
-                    submission_links[w],
-                    &mut stats,
-                    &mut clock,
-                    &recorder,
-                )
-                .map(wire::decode_submission)
-            {
-                Ok(Ok((final_weights, commitment))) => {
-                    comm.submission_bytes += payload.len() as u64;
-                    // The manager works from what the wire delivered, not
-                    // from the worker's in-process state. Hashing cost is
-                    // recomputed from the decoded commitment — a pure
-                    // function of model size and scheme, so both sides of
-                    // the wire always account the same number.
-                    let commit_bytes_hashed = commitment
-                        .as_ref()
-                        .map_or(0, |c| c.bytes_hashed(final_weights.len(), hashes_per_group));
-                    delivered[w] = Some(EpochSubmission {
-                        worker_id: w,
-                        final_weights,
-                        commitment,
-                        upload_bytes: payload.len() as u64,
-                        commit_bytes_hashed,
-                    });
-                }
-                _ => quarantined.push(w),
-            }
-        }
-        drop(phase_submission);
-
-        // Phase 4: verification over the survivors, openings served
-        // through per-worker transport endpoints.
-        let phase_verification = span!(recorder, "rpol.pool.verification", epoch);
-        let packed = matches!(self.config.scheme, Scheme::RPoLv3);
-        let providers: Vec<Option<TransportProvider<'_>>> = self
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(w, worker)| {
-                delivered[w]
-                    .as_ref()
-                    .map(|_| TransportProvider::new(&transport, worker, epoch, &recorder, packed))
-            })
-            .collect();
-        let participants: Vec<Participant<'_>> = self
-            .workers
-            .iter()
-            .enumerate()
-            .filter_map(|(w, worker)| {
-                let submission = delivered[w].as_ref()?;
-                let provider = providers[w].as_ref()?;
-                Some(Participant {
-                    id: w,
-                    address: worker.address,
-                    shard: worker.shard(),
-                    submission,
-                    provider,
-                })
-            })
-            .collect();
-        let mut report = self.manager.finish_epoch_partial(
-            &plan,
-            n,
-            &participants,
-            &quarantined,
-            comm,
-            parallel,
-        );
-
-        // Merge proof-channel traffic in worker-id order: deterministic
-        // regardless of verification scheduling.
-        for provider in providers.into_iter().flatten() {
-            let state = provider.state.into_inner();
-            stats.merge(&state.stats);
-            clock.merge(&state.clock);
-        }
-        report.transport = stats;
-        drop(phase_verification);
-
-        EpochRecord {
-            report,
-            test_accuracy: self.test_accuracy(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            transport_time: clock,
-        }
     }
 }
 
@@ -1532,26 +1266,6 @@ mod tests {
     }
 
     #[test]
-    fn v3_parallel_run_matches_serial_exactly() {
-        let behaviors = vec![
-            WorkerBehavior::Honest,
-            WorkerBehavior::Honest,
-            WorkerBehavior::ReplayPrevious,
-        ];
-        let serial =
-            MiningPool::new(PoolConfig::tiny_demo(Scheme::RPoLv3), behaviors.clone()).run();
-        let parallel =
-            MiningPool::new(PoolConfig::tiny_demo(Scheme::RPoLv3), behaviors).run_parallel();
-        assert_eq!(serial.accuracy_curve(), parallel.accuracy_curve());
-        for (a, b) in serial.epochs.iter().zip(&parallel.epochs) {
-            assert_eq!(a.report.accepted, b.report.accepted);
-            assert_eq!(a.report.rejected, b.report.rejected);
-            assert_eq!(a.report.comm, b.report.comm);
-            assert_eq!(a.report.commit_bytes_hashed, b.report.commit_bytes_hashed);
-        }
-    }
-
-    #[test]
     fn v3_transport_saves_wire_bytes_without_losing_detection() {
         let behaviors = vec![WorkerBehavior::Honest, WorkerBehavior::ReplayPrevious];
         let cfg = PoolConfig::tiny_demo(Scheme::RPoLv3).with_faults(FaultConfig::ideal(3));
@@ -1603,60 +1317,40 @@ mod tests {
         }
     }
 
+    /// The fields are public, so a struct literal can dodge the builders:
+    /// the run must refuse what they refuse, in the same words.
     #[test]
-    fn parallel_run_matches_serial_exactly() {
-        let behaviors = vec![
-            WorkerBehavior::Honest,
-            WorkerBehavior::Honest,
-            WorkerBehavior::ReplayPrevious,
-        ];
-        let serial =
-            MiningPool::new(PoolConfig::tiny_demo(Scheme::RPoLv2), behaviors.clone()).run();
-        let parallel =
-            MiningPool::new(PoolConfig::tiny_demo(Scheme::RPoLv2), behaviors).run_parallel();
-        assert_eq!(serial.accuracy_curve(), parallel.accuracy_curve());
-        for (a, b) in serial.epochs.iter().zip(&parallel.epochs) {
-            assert_eq!(a.report.accepted, b.report.accepted);
-            assert_eq!(a.report.rejected, b.report.rejected);
-            assert_eq!(a.report.comm, b.report.comm);
-        }
-    }
-
-    #[test]
-    fn hierarchical_run_matches_flat_exactly() {
-        let behaviors = vec![
-            WorkerBehavior::Honest,
-            WorkerBehavior::Honest,
-            WorkerBehavior::ReplayPrevious,
-            WorkerBehavior::Honest,
-        ];
-        let flat = MiningPool::new(PoolConfig::tiny_demo(Scheme::RPoLv2), behaviors.clone()).run();
-        let cfg = PoolConfig::tiny_demo(Scheme::RPoLv2)
-            .with_hierarchy(Hierarchy::new(2, 1).expect("valid hierarchy"));
-        let hier = MiningPool::new(cfg, behaviors.clone()).run();
-        let hier_par = MiningPool::new(cfg, behaviors).run_parallel();
-        assert_eq!(flat.accuracy_curve(), hier.accuracy_curve());
-        assert_eq!(flat.accuracy_curve(), hier_par.accuracy_curve());
-        for (a, b) in flat.epochs.iter().zip(&hier.epochs) {
-            assert_eq!(a.report.accepted, b.report.accepted);
-            assert_eq!(a.report.rejected, b.report.rejected);
-            assert_eq!(a.report.quarantined, b.report.quarantined);
-            assert_eq!(a.report.verdicts, b.report.verdicts);
-            assert_eq!(a.report.comm, b.report.comm);
-            assert_eq!(a.report.commit_bytes_hashed, b.report.commit_bytes_hashed);
-            // Streaming bounds the peak at the largest committee's share.
-            let h = b.report.hierarchy.expect("hierarchical run reports");
-            assert!(b.report.peak_commit_bytes < a.report.peak_commit_bytes);
-            assert_eq!(h.verdicts, 4);
-            assert_eq!(h.audits, 2, "one audit per non-empty committee");
-            assert_eq!(h.audit_mismatches, 0, "in-process sub-managers are honest");
-            assert!(h.batch_bytes > 0);
-        }
-        for (a, b) in hier.epochs.iter().zip(&hier_par.epochs) {
-            assert_eq!(a.report.accepted, b.report.accepted);
-            assert_eq!(a.report.verdicts, b.report.verdicts);
-            assert_eq!(a.report.hierarchy, b.report.hierarchy);
-        }
+    fn struct_literal_configs_are_validated_at_run() {
+        let refused = PoolConfig {
+            fault: Some(FaultConfig::ideal(3)),
+            hierarchy: Some(Hierarchy::new(2, 1).expect("valid hierarchy")),
+            ..PoolConfig::tiny_demo(Scheme::RPoLv2)
+        };
+        let builder = std::panic::catch_unwind(|| {
+            PoolConfig::tiny_demo(Scheme::RPoLv2)
+                .with_faults(FaultConfig::ideal(3))
+                .with_hierarchy(Hierarchy::new(2, 1).expect("valid hierarchy"))
+        })
+        .expect_err("the builders refuse the combination");
+        let run = std::panic::catch_unwind(|| {
+            MiningPool::new(refused, vec![WorkerBehavior::Honest; 4]).run()
+        })
+        .expect_err("run() refuses the same configuration");
+        let message = |payload: Box<dyn std::any::Any + Send>| {
+            *payload.downcast::<String>().expect("a formatted panic")
+        };
+        let expected = "hierarchy over the fault-injecting transport is not supported";
+        assert_eq!(refused.validate(), Err(expected.to_string()));
+        assert_eq!(message(builder), expected);
+        assert_eq!(message(run), expected);
+        let baseline = PoolConfig {
+            hierarchy: refused.hierarchy,
+            ..PoolConfig::tiny_demo(Scheme::Baseline)
+        };
+        assert!(baseline
+            .validate()
+            .expect_err("no verdicts to commit")
+            .starts_with("hierarchy requires a verifying scheme"));
     }
 
     #[test]

@@ -62,13 +62,16 @@ use parking_lot::Mutex;
 use crate::adversary::WorkerBehavior;
 use crate::manager::{CommStats, Participant};
 use crate::poll;
-use crate::pool::{EpochRecord, MiningPool, PoolConfig, PoolReport, Scheme};
+use crate::pool::{
+    merge_proof_traffic, roster_groups, EpochRecord, MiningPool, PoolConfig, PoolReport,
+    ProviderState, Scheme,
+};
 use crate::transport::{FaultConfig, LinkState, MsgKind, Transport, TransportStats};
 use crate::verify::{ProofProvider, ProofUnavailable};
 use crate::wire::{
     self, BufPool, BusyReason, FamilySpec, FrameAssembler, NetControl, PayloadClass,
 };
-use crate::worker::{CommitMode, EpochSubmission};
+use crate::worker::EpochSubmission;
 use rpol_exec::Executor;
 use rpol_obs::{event, Recorder, TraceContext, Value};
 use rpol_sim::SimClock;
@@ -1483,13 +1486,6 @@ impl NetCore {
     }
 }
 
-#[derive(Default)]
-struct ProviderState {
-    seq: u64,
-    stats: TransportStats,
-    clock: SimClock,
-}
-
 /// A [`ProofProvider`] that reaches its worker over the socket, with the
 /// chaos proxy on both legs: the request's ghost frames and outcome come
 /// from the server's own draws, the response's are re-derived from the
@@ -1517,8 +1513,7 @@ impl ProofProvider for SocketProvider<'_> {
     ) -> Result<std::borrow::Cow<'_, [f32]>, ProofUnavailable> {
         let unavailable = ProofUnavailable { index };
         let mut guard = self.state.lock();
-        let seq = guard.seq;
-        guard.seq += 1;
+        let seq = guard.next_seq();
         let ProviderState { stats, clock, .. } = &mut *guard;
 
         // Request leg: manager → worker, chaos draws on the sender.
@@ -1663,8 +1658,12 @@ impl PoolServer {
     ///
     /// # Errors
     ///
-    /// Returns any socket `bind` error.
+    /// `InvalidInput` for a pool configuration [`PoolConfig::validate`]
+    /// refuses, else any socket `bind` error.
     pub fn bind(mut pool: MiningPool, addr: &BindAddr, cfg: ServerConfig) -> io::Result<Self> {
+        pool.config()
+            .validate()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let fault = pool
             .config()
             .fault
@@ -2019,10 +2018,6 @@ impl PoolServer {
             under_epoch,
             &[("epoch", Value::from(epoch))],
         );
-        let hashes_per_group = match plan.commit_mode() {
-            CommitMode::V2(f) | CommitMode::V3(f) => f.params().k,
-            _ => 0,
-        };
         let batch = self.core.lock().drain_submissions(&tasked);
         let (batch_span, _) = recorder.child_span(
             "rpol.server.ingest_batch",
@@ -2081,16 +2076,12 @@ impl PoolServer {
                             ) as u64)
                                 .saturating_sub(payload_len as u64);
                             comm.submission_bytes += payload_len as u64;
-                            let commit_bytes_hashed = commitment.as_ref().map_or(0, |c| {
-                                c.bytes_hashed(final_weights.len(), hashes_per_group)
-                            });
-                            delivered[w] = Some(EpochSubmission {
-                                worker_id: w,
-                                final_weights,
-                                commitment,
-                                upload_bytes: payload_len as u64,
-                                commit_bytes_hashed,
-                            });
+                            delivered[w] = Some(EpochSubmission::delivered(
+                                w,
+                                (final_weights, commitment),
+                                payload_len,
+                                plan.commit_mode(),
+                            ));
                         }
                         Err(_) => quarantined.push(w),
                     }
@@ -2159,93 +2150,66 @@ impl PoolServer {
                 })
             })
             .collect();
-        let participants: Vec<Participant<'_>> = (0..n)
-            .filter_map(|w| {
-                let submission = delivered[w].as_ref()?;
-                let provider = providers[w].as_ref()?;
-                let worker = &self.pool.workers[w];
-                Some(Participant {
-                    id: w,
-                    address: worker.address,
-                    shard: worker.shard(),
-                    submission,
-                    provider,
+        // verify → settle, the tail every source shares (DESIGN.md §22): the
+        // delivered participants stream through it group by group — one
+        // group of everyone, or the rendezvous committees, each under its
+        // own child span of the verification phase so stitched timelines
+        // show the two-tier structure.
+        let hierarchy = self.pool.config.hierarchy;
+        let exec = self.cfg.parallel_verify.then_some(&*self.exec);
+        let groups = roster_groups(&self.pool.config, n);
+        let manager = &mut self.pool.manager;
+        let mut settlement = manager.settle_begin(&plan, hierarchy);
+        for (g, members) in groups.iter().enumerate() {
+            let present: Vec<Participant<'_>> = members
+                .iter()
+                .filter_map(|&w| {
+                    let provider = providers[w].as_ref()?;
+                    let part =
+                        Participant::in_process(&self.pool.workers[w], delivered[w].as_ref()?);
+                    Some(Participant { provider, ..part })
                 })
-            })
-            .collect();
-        let mut report = if let Some(hierarchy) = self.pool.config().hierarchy {
-            // Two-tier reduction over the socket roster: the delivered
-            // participants are grouped into their rendezvous committees
-            // and stream through the same sub-manager → batch → audit
-            // pipeline as the in-process pool (DESIGN.md §15).
-            let seed = self.pool.config().seed;
-            let prepared = self
-                .pool
-                .manager
-                .prepare_verification(&plan, n)
-                .expect("hierarchy requires a verifying scheme");
-            // Each committee's sub-manager round trip runs under its own
-            // child span of the verification phase, so stitched timelines
-            // show the two-tier structure per committee.
-            self.pool.manager.ingest_partitioned(
-                hierarchy,
-                seed,
-                n,
-                &participants,
-                &quarantined,
-                &plan,
-                &prepared,
-                self.cfg.parallel_verify,
-                comm,
-                |c, members| {
-                    let (committee_span, _) = recorder.child_span(
-                        "rpol.server.committee",
-                        TraceContext {
-                            trace_id,
-                            parent_span: verify_sid,
-                            watermark: 0,
-                        },
-                        &[
-                            ("epoch", Value::from(epoch)),
-                            ("committee", Value::from(c)),
-                            ("members", Value::from(members)),
-                        ],
-                    );
-                    committee_span
-                },
-            )
-        } else {
-            self.pool.manager.finish_epoch_partial(
-                &plan,
-                n,
-                &participants,
-                &quarantined,
-                comm,
-                self.cfg.parallel_verify,
-            )
-        };
-        drop(participants);
-        // Merge proof-channel traffic in worker-id order: deterministic
-        // regardless of verification scheduling.
-        for provider in providers.into_iter().flatten() {
-            let state = provider.state.into_inner();
-            stats.merge(&state.stats);
-            clock.merge(&state.clock);
+                .collect();
+            let _committee_span = hierarchy.map(|_| {
+                recorder.child_span(
+                    "rpol.server.committee",
+                    TraceContext {
+                        trace_id,
+                        parent_span: verify_sid,
+                        watermark: 0,
+                    },
+                    &[
+                        ("epoch", Value::from(epoch)),
+                        ("committee", Value::from(g)),
+                        ("members", Value::from(present.len())),
+                    ],
+                )
+            });
+            manager.verify_and_fold(&mut settlement, g, &present, &plan, exec);
         }
+        let mut report = manager.settle_finish(settlement, comm, &quarantined);
+        merge_proof_traffic(
+            providers
+                .into_iter()
+                .flatten()
+                .map(|provider| provider.state.into_inner()),
+            &mut stats,
+            &mut clock,
+        );
         report.transport = stats;
         drop(phase_verification);
 
         // Verdicts back to the workers on the control plane.
         {
+            let mut status = vec![2u8; n];
+            for &w in &report.accepted {
+                status[w] = 0;
+            }
+            for &w in &report.rejected {
+                status[w] = 1;
+            }
             let mut core = self.core.lock();
-            for w in 0..n {
-                let status: u8 = if report.accepted.contains(&w) {
-                    0
-                } else if report.rejected.contains(&w) {
-                    1
-                } else {
-                    2
-                };
+            for (w, &status) in status.iter().enumerate() {
                 core.send_control_to_worker(w, &NetControl::EpochEnd { epoch, status });
             }
             core.pump();

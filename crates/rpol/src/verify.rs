@@ -306,18 +306,33 @@ impl<'a> Verifier<'a> {
         samples: &[usize],
         provider: &dyn ProofProvider,
     ) -> WorkerVerdict {
+        WorkerVerdict::from_samples(
+            self.verify_each(model, commitment, segments, samples, provider),
+        )
+    }
+
+    /// [`verify_samples`](Verifier::verify_samples) before the merge: one
+    /// [`SampleVerdict`] per sample, in order, ending with the first
+    /// [`VerificationOutcome::Unavailable`] — a fetch failure means the
+    /// link is dead or exhausted, later fetches would fail too.
+    pub(crate) fn verify_each(
+        &mut self,
+        model: &mut Sequential,
+        commitment: &EpochCommitment,
+        segments: &[Segment],
+        samples: &[usize],
+        provider: &dyn ProofProvider,
+    ) -> Vec<SampleVerdict> {
         let mut verdicts = Vec::with_capacity(samples.len());
         for &j in samples {
             let v = self.verify_sample(model, commitment, segments, j, provider);
-            // A fetch failure means the link is dead or exhausted — later
-            // fetches would fail too, so record one Unavailable and stop.
             let stop = matches!(v.outcome, VerificationOutcome::Unavailable);
             verdicts.push(v);
             if stop {
                 break;
             }
         }
-        WorkerVerdict::from_samples(verdicts)
+        verdicts
     }
 
     /// Verifies a single sampled checkpoint index — the segment-granular

@@ -27,6 +27,18 @@ pub enum CommitMode<'a> {
     V3(&'a LshFamily),
 }
 
+impl CommitMode<'_> {
+    /// LSH hashes per group (`k`) of the epoch's family; 0 for the schemes
+    /// without one. Together with the model size it fixes the commitment's
+    /// hashing cost.
+    fn hashes_per_group(&self) -> usize {
+        match self {
+            CommitMode::V2(f) | CommitMode::V3(f) => f.params().k,
+            CommitMode::Skip | CommitMode::V1 => 0,
+        }
+    }
+}
+
 /// What a worker uploads at the end of an epoch (§V-B): its local result
 /// plus the commitment over all checkpoints — *before* any sampling
 /// decision is revealed.
@@ -46,6 +58,31 @@ pub struct EpochSubmission {
     /// (see [`EpochCommitment::bytes_hashed`]); 0 under
     /// [`CommitMode::Skip`].
     pub commit_bytes_hashed: u64,
+}
+
+impl EpochSubmission {
+    /// The manager's copy of a submission that crossed a link, built from
+    /// what the `payload_len`-byte payload decoded to and never from the
+    /// worker's in-process state. Hashing cost is recomputed from the
+    /// decoded commitment — a pure function of model size and scheme, so
+    /// both sides of the wire always account the same number.
+    pub(crate) fn delivered(
+        worker_id: usize,
+        (final_weights, commitment): (Vec<f32>, Option<EpochCommitment>),
+        payload_len: usize,
+        mode: CommitMode<'_>,
+    ) -> Self {
+        let commit_bytes_hashed = commitment.as_ref().map_or(0, |c| {
+            c.bytes_hashed(final_weights.len(), mode.hashes_per_group())
+        });
+        Self {
+            worker_id,
+            final_weights,
+            commitment,
+            upload_bytes: payload_len as u64,
+            commit_bytes_hashed,
+        }
+    }
 }
 
 /// A pool worker: owns a data shard, a GPU profile, and a (possibly
@@ -244,13 +281,9 @@ impl PoolWorker {
         };
         let final_weights = checkpoints.last().expect("nonempty").clone();
         let commit_bytes = commitment.as_ref().map_or(0, EpochCommitment::wire_size);
-        let hashes_per_group = match mode {
-            CommitMode::V2(f) | CommitMode::V3(f) => f.params().k,
-            _ => 0,
-        };
-        let commit_bytes_hashed = commitment
-            .as_ref()
-            .map_or(0, |c| c.bytes_hashed(final_weights.len(), hashes_per_group));
+        let commit_bytes_hashed = commitment.as_ref().map_or(0, |c| {
+            c.bytes_hashed(final_weights.len(), mode.hashes_per_group())
+        });
         // V3 ships its lattice weights packed (2 bytes each, an upper
         // bound: the hi-plane RLE can only shrink further).
         let weight_bytes = if quantized {

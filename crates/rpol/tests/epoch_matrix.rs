@@ -1,0 +1,370 @@
+//! The epoch's determinism contract as one table (DESIGN.md §9, §12, §15):
+//!
+//! scheme {Baseline, v1, v2, v3} × source {direct, ideal link, lossy link}
+//! × threads {serial, 1, 2, 8} × groups {flat, C = 1, 2, 6}
+//!
+//! on one six-worker roster, minus the combinations the config refuses
+//! (a hierarchy under the baseline scheme or over the in-process link).
+//! Every cell must reproduce its (scheme, source) **serial flat** reference
+//! bit for bit: the whole serialized `EpochReport`, the accuracy bits and
+//! the simulated clock — and the same sorted multiset of trace events.
+//! Scheduling, thread count and committee count may move *where* work
+//! runs, never an outcome.
+//!
+//! Grouped cells differ from flat by construction in exactly three
+//! places — `peak_commit_bytes`, the `hierarchy` report and the extra
+//! committee / audit trace events — so they are held to the flat
+//! reference on everything else (the decision key), to the serial cell of
+//! the same `C` on the full key and the event multiset, and to the flat
+//! reference's events by inclusion.
+//!
+//! The reference cells' keys are additionally pinned by one SHA-256,
+//! recorded on the five pre-refactor epoch drivers (see
+//! `REFERENCE_DIGEST`): same platform, like `tests/kernel_digest_pinning.rs`.
+
+use rpol::adversary::WorkerBehavior;
+use rpol::committee::{partition, Hierarchy};
+use rpol::pool::{MiningPool, PoolConfig, PoolReport, Scheme};
+use rpol::transport::FaultConfig;
+use rpol_obs::{Event, MetricsSnapshot, Recorder};
+use std::sync::{Arc, OnceLock};
+
+const SCHEMES: [Scheme; 4] = [
+    Scheme::Baseline,
+    Scheme::RPoLv1,
+    Scheme::RPoLv2,
+    Scheme::RPoLv3,
+];
+const SOURCES: [Source; 3] = [Source::Direct, Source::IdealLink, Source::LossyLink];
+/// `None` is `run()` — the serial reference that never builds an executor.
+const THREADS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(8)];
+/// `None` is the flat roster; `Some(c)` shards it into `c` committees.
+const GROUPS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(6)];
+const FAULT_SEED: u64 = 0x9E;
+
+/// SHA-256 over the twelve reference cells' keys, in table order. Recorded
+/// at commit 49641cd by running this file, unchanged, against the five
+/// drivers `run_epoch{,_parallel,_hierarchical,_scoped,_transport}` the
+/// single plan → collect → verify → settle driver replaced; the refactor is
+/// held to those bits. Same-platform only (the LSH family and the noise
+/// model draw normals through the host's libm).
+const REFERENCE_DIGEST: &str = "ee943d81c9507cf9fcfa167f343d282e9c0e2f16e7832595ef083b339ea7ca37";
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Source {
+    /// Submissions and openings handed over in process.
+    Direct,
+    /// Every message framed through the simulated link, no faults.
+    IdealLink,
+    /// The link drops, corrupts, truncates and delays.
+    LossyLink,
+}
+
+/// Two cheaters the verified schemes must catch, and a worker that dies in
+/// epoch 1: invisible to the direct source (no channel to fail), a missed
+/// deadline and a quarantine on the link.
+fn behaviors() -> Vec<WorkerBehavior> {
+    vec![
+        WorkerBehavior::Honest,
+        WorkerBehavior::ReplayPrevious,
+        WorkerBehavior::Honest,
+        WorkerBehavior::CrashAt {
+            epoch: 1,
+            after_steps: 2,
+        },
+        WorkerBehavior::adv2_default(),
+        WorkerBehavior::Honest,
+    ]
+}
+
+fn hierarchy(committees: usize) -> Hierarchy {
+    Hierarchy::new(committees, 1).expect("valid hierarchy")
+}
+
+struct Cell {
+    report: PoolReport,
+    events: Vec<String>,
+    metrics: MetricsSnapshot,
+}
+
+fn run(scheme: Scheme, source: Source, threads: Option<usize>, groups: Option<usize>) -> Cell {
+    let mut cfg = PoolConfig::tiny_demo(scheme);
+    match source {
+        Source::Direct => {}
+        Source::IdealLink => cfg = cfg.with_faults(FaultConfig::ideal(FAULT_SEED)),
+        Source::LossyLink => cfg = cfg.with_faults(FaultConfig::lossy(FAULT_SEED)),
+    }
+    if let Some(c) = groups {
+        cfg = cfg.with_hierarchy(hierarchy(c));
+    }
+    let rec = Arc::new(Recorder::logical());
+    let pool = MiningPool::new(cfg, behaviors()).with_recorder(rec.clone());
+    let report = match threads {
+        None => {
+            let mut pool = pool;
+            pool.run()
+        }
+        Some(t) => pool.with_threads(t).run_parallel(),
+    };
+    Cell {
+        report,
+        events: sorted_multiset(&rec.events()),
+        metrics: rec.snapshot(),
+    }
+}
+
+/// An event with the scheduling-dependent parts (`seq`, `ts`, `dur`)
+/// stripped, as in the obs determinism contract.
+fn sorted_multiset(events: &[Event]) -> Vec<String> {
+    let mut keys: Vec<String> = events
+        .iter()
+        .map(|ev| format!("{:?}|{}|{:?}", ev.kind, ev.name, ev.fields))
+        .collect();
+    keys.sort();
+    keys
+}
+
+/// Everything scheduling could conceivably perturb, one string per epoch:
+/// the full `EpochReport` (verdicts, accounting, calibration, transport
+/// counters), the exact accuracy bits and every bucket of the simulated
+/// clock as f64 bits. Wall-clock seconds are the only field left out.
+fn full_key(report: &PoolReport) -> Vec<String> {
+    key(report, false)
+}
+
+/// [`full_key`] without the fields that *are* the hierarchy's value
+/// proposition (peak memory and committee accounting): what flat and
+/// grouped runs must agree on.
+fn decision_key(report: &PoolReport) -> Vec<String> {
+    key(report, true)
+}
+
+fn key(report: &PoolReport, decisions_only: bool) -> Vec<String> {
+    report
+        .epochs
+        .iter()
+        .map(|rec| {
+            let mut body = rec.report.clone();
+            if decisions_only {
+                body.peak_commit_bytes = 0;
+                body.hierarchy = None;
+            }
+            let body = rpol_json::to_string(&body).expect("serialize epoch report");
+            let clock: Vec<String> = rec
+                .transport_time
+                .iter()
+                .map(|(phase, s)| format!("{phase}={:016x}", s.to_bits()))
+                .chain(
+                    rec.transport_time
+                        .iter_events()
+                        .map(|(what, n)| format!("{what}#{n}")),
+                )
+                .collect();
+            format!(
+                "{body}|acc={:08x}|clock={}",
+                rec.test_accuracy.to_bits(),
+                clock.join(",")
+            )
+        })
+        .collect()
+}
+
+/// Whether sorted multiset `small` is contained in sorted multiset `big`.
+fn multiset_included(small: &[String], big: &[String]) -> bool {
+    let mut rest = big.iter();
+    small.iter().all(|want| rest.any(|have| have == want))
+}
+
+/// The serial flat run of every (scheme, source), in table order.
+fn references() -> &'static Vec<(Scheme, Source, Cell)> {
+    static REFS: OnceLock<Vec<(Scheme, Source, Cell)>> = OnceLock::new();
+    REFS.get_or_init(|| {
+        SCHEMES
+            .iter()
+            .flat_map(|&scheme| {
+                SOURCES
+                    .iter()
+                    .map(move |&source| (scheme, source, run(scheme, source, None, None)))
+            })
+            .collect()
+    })
+}
+
+#[test]
+fn reference_cells_match_the_digest_recorded_on_the_old_drivers() {
+    let mut text = String::new();
+    let mut per_cell = String::new();
+    for (scheme, source, cell) in references() {
+        let keys = format!(
+            "{scheme}/{source:?}\n{}\n",
+            full_key(&cell.report).join("\n")
+        );
+        let digest = rpol_crypto::sha256(keys.as_bytes()).to_hex();
+        per_cell.push_str(&format!("  {scheme}/{source:?}: {digest}\n"));
+        text.push_str(&keys);
+    }
+    assert_eq!(
+        rpol_crypto::sha256(text.as_bytes()).to_hex(),
+        REFERENCE_DIGEST,
+        "a reference cell moved; per-cell digests now:\n{per_cell}"
+    );
+}
+
+#[test]
+fn reference_cells_are_not_vacuous() {
+    for (scheme, source, cell) in references() {
+        let at = format!("{scheme}/{source:?}");
+        let report = &cell.report;
+        if *scheme == Scheme::Baseline {
+            // The baseline draws no sampling state on any path.
+            for rec in &report.epochs {
+                assert!(rec.report.verdicts.is_empty(), "{at}");
+                assert_eq!(rec.report.comm.proof_bytes, 0, "{at}");
+                assert!(rec.report.rejected.is_empty(), "{at}");
+            }
+        } else {
+            // Adversaries must actually be caught, or parity is vacuous.
+            assert!(report.rejections() > 0, "{at}: no rejections to compare");
+        }
+        match source {
+            Source::Direct => {
+                assert_eq!(report.quarantine_events(), 0, "{at}");
+                assert_eq!(report.transport_totals().exchanges, 0, "{at}");
+            }
+            Source::IdealLink | Source::LossyLink => {
+                // The crashed worker misses epoch 1's commitment deadline.
+                assert!(report.epochs[1].report.quarantined.contains(&3), "{at}");
+                assert!(report.transport_totals().exchanges > 0, "{at}");
+            }
+        }
+        if *source == Source::LossyLink {
+            assert!(
+                report.transport_totals().retries > 0,
+                "{at}: link lost nothing"
+            );
+        }
+        // A flat epoch holds every delivered commitment at once.
+        for rec in &report.epochs {
+            assert_eq!(
+                rec.report.peak_commit_bytes, rec.report.commit_bytes_hashed,
+                "{at}"
+            );
+            assert!(rec.report.hierarchy.is_none(), "{at}");
+        }
+    }
+}
+
+#[test]
+fn every_cell_matches_its_serial_flat_reference() {
+    let n = behaviors().len();
+    let mut cells = 0;
+    for (scheme, source, reference) in references() {
+        let (scheme, source) = (*scheme, *source);
+        let flat_key = full_key(&reference.report);
+        let flat_decisions = decision_key(&reference.report);
+        assert!(!flat_key.is_empty(), "reference run produced no epochs");
+        for groups in GROUPS {
+            if groups.is_some() && (scheme == Scheme::Baseline || source != Source::Direct) {
+                continue; // refused by the config
+            }
+            let serial_grouped = groups.map(|c| run(scheme, source, None, Some(c)));
+            for threads in THREADS {
+                let at = format!("{scheme}/{source:?}/threads {threads:?}/groups {groups:?}");
+                let fresh;
+                let cell = match (threads, &serial_grouped) {
+                    (None, None) => reference,
+                    (None, Some(serial)) => serial,
+                    _ => {
+                        fresh = run(scheme, source, threads, groups);
+                        &fresh
+                    }
+                };
+                cells += 1;
+
+                // The executor exists iff the cell asked for one.
+                match threads {
+                    None => assert_eq!(cell.metrics.counter("exec.tasks"), 0, "{at}"),
+                    Some(t) => {
+                        assert!(cell.metrics.counter("exec.tasks") > 0, "{at}");
+                        assert_eq!(cell.metrics.gauge("exec.threads"), t as f64, "{at}");
+                    }
+                }
+
+                assert_eq!(
+                    reference.report.accuracy_curve(),
+                    cell.report.accuracy_curve(),
+                    "{at}: accuracy curve diverged"
+                );
+                let Some(c) = groups else {
+                    assert_eq!(full_key(&cell.report), flat_key, "{at}: record diverged");
+                    assert_eq!(
+                        cell.events, reference.events,
+                        "{at}: trace multiset diverged"
+                    );
+                    continue;
+                };
+
+                let serial = serial_grouped.as_ref().expect("grouped cell");
+                assert_eq!(
+                    decision_key(&cell.report),
+                    flat_decisions,
+                    "{at}: decisions diverged from flat"
+                );
+                assert_eq!(
+                    full_key(&cell.report),
+                    full_key(&serial.report),
+                    "{at}: committee accounting moved with the thread count"
+                );
+                assert_eq!(
+                    cell.events, serial.events,
+                    "{at}: trace multiset moved with the thread count"
+                );
+                assert!(
+                    multiset_included(&reference.events, &cell.events),
+                    "{at}: a flat trace event is missing from the grouped run"
+                );
+                let non_empty = partition(PoolConfig::tiny_demo(scheme).seed, n, c)
+                    .iter()
+                    .filter(|members| !members.is_empty())
+                    .count();
+                for (flat, grouped) in reference.report.epochs.iter().zip(&cell.report.epochs) {
+                    let h = grouped.report.hierarchy.expect("grouped runs report");
+                    assert_eq!(h.committees, c, "{at}");
+                    assert_eq!(h.verdicts as usize, n, "{at}: not every worker judged");
+                    assert_eq!(
+                        h.audits as usize, non_empty,
+                        "{at}: one audit per committee"
+                    );
+                    assert_eq!(
+                        h.audit_mismatches, 0,
+                        "{at}: in-process sub-managers are honest"
+                    );
+                    // Audit replay cost is real and charged to the
+                    // hierarchy report, never to the tier-1 accounting the
+                    // decision key covers.
+                    assert!(h.audit_replayed_steps > 0, "{at}");
+                    assert!(h.batch_bytes > 0, "{at}");
+                    // Streaming peaks at the largest committee's share of
+                    // the same total.
+                    assert_eq!(
+                        flat.report.commit_bytes_hashed, grouped.report.commit_bytes_hashed,
+                        "{at}"
+                    );
+                    if non_empty > 1 {
+                        assert!(
+                            grouped.report.peak_commit_bytes < flat.report.peak_commit_bytes,
+                            "{at}: streaming did not lower the peak"
+                        );
+                    } else {
+                        assert_eq!(
+                            grouped.report.peak_commit_bytes, flat.report.peak_commit_bytes,
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // 4 baseline-direct + 3 × 16 verified-direct + 2 × 4 × 4 link cells.
+    assert_eq!(cells, 84, "the table lost cells");
+}

@@ -1,22 +1,20 @@
 #!/usr/bin/env bash
-# Regression gate for the verification data plane and the epoch pipeline.
+# Regression gate for the verification data plane, the socket transport
+# and committee sharding. (The pool epoch itself is gated by epoch_bench,
+# which scripts/ci.sh runs next.)
 #
-# Re-measures both benchmarks in smoke mode (BENCH_SMOKE=1: smaller
+# Re-measures each benchmark in smoke mode (BENCH_SMOKE=1: smaller
 # shapes, shorter timing budget — the same regimes at a fraction of the
 # wall-clock) and fails if a headline number fell too far below its
-# committed baseline (BENCH_verify.json, BENCH_pool.json). Speedup
-# *ratios* are compared where both sides of the ratio still run different
-# code; commitment hashing is compared in MB/s against the committed row
-# of the same SHA-256 tier (see the gate below).
+# committed baseline (BENCH_verify.json, BENCH_net.json,
+# BENCH_scale.json). Speedup *ratios* are compared where both sides of the
+# ratio still run different code; commitment hashing is compared in MB/s
+# against the committed row of the same SHA-256 tier (see the gate below).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ ! -f BENCH_verify.json ]; then
     echo "no committed BENCH_verify.json baseline; run scripts/bench_verify.sh first" >&2
-    exit 1
-fi
-if [ ! -f BENCH_pool.json ]; then
-    echo "no committed BENCH_pool.json baseline; run scripts/bench_pool.sh first" >&2
     exit 1
 fi
 if [ ! -f BENCH_net.json ]; then
@@ -31,7 +29,6 @@ fi
 export CARGO_NET_OFFLINE=true
 mkdir -p target
 BENCH_SMOKE=1 cargo run --release -p rpol-bench --bin verify_bench -- target/BENCH_verify.fresh.json
-BENCH_SMOKE=1 cargo run --release -p rpol-bench --bin pool_bench -- target/BENCH_pool.fresh.json
 BENCH_SMOKE=1 cargo run --release -p rpol-bench --bin net_bench -- target/BENCH_net.fresh.json
 BENCH_SMOKE=1 cargo run --release -p rpol-bench --bin pool_scale_bench -- target/BENCH_scale.fresh.json
 
@@ -101,46 +98,6 @@ for name, doc in (("committed", base), ("fresh", fresh)):
     assert "verify_samples_e2e_v2" in doc, f"verify_samples_e2e_v2 missing from {name} BENCH_verify"
     assert "verify_samples_e2e_v3" in doc, f"verify_samples_e2e_v3 missing from {name} BENCH_verify"
 print("verify_samples_e2e_{v2,v3,mt} present in committed and fresh baselines")
-
-# --- Epoch pipeline: the overlapped executor keeps its modeled edge. ---
-pool_base = json.load(open("BENCH_pool.json"))
-pool_fresh = json.load(open("target/BENCH_pool.fresh.json"))
-committed = {m["threads"]: m for m in pool_base["modeled"]}
-s8 = committed[8]["overlapped_vs_scoped"]
-print(f"committed modeled 8-thread overlapped vs scoped: {s8:.2f}x (bar: 2x)")
-assert s8 >= 2.0, f"committed 8-thread modeled speedup {s8:.2f}x below the 2x bar"
-# The smoke pool is intentionally tiny, so only sanity-gate the fresh run:
-# the model must still show the overlapped pipeline ahead at 8 threads and
-# level at 1 thread.
-fresh8 = {m["threads"]: m for m in pool_fresh["modeled"]}[8]["overlapped_vs_scoped"]
-fresh1 = {m["threads"]: m for m in pool_fresh["modeled"]}[1]["overlapped_vs_scoped"]
-print(f"fresh smoke modeled: {fresh1:.2f}x at 1t, {fresh8:.2f}x at 8t")
-assert fresh8 >= 1.2, f"fresh smoke 8-thread modeled speedup {fresh8:.2f}x lost the overlap edge"
-assert 0.9 <= fresh1 <= 1.1, f"fresh smoke 1-thread pipelines diverged ({fresh1:.2f}x)"
-
-# --- Wall-clock ratios: only meaningful when the host has real lanes.
-# On a 1-hardware-thread host the overlapped runtime cannot beat serial
-# (there is nothing to overlap onto), so ratio gating is skipped — the
-# modeled section above is the scaling evidence there.
-wall = {m["mode"]: m for m in pool_base["measured_wall"]}
-wall_threads = min(m.get("host_hw_threads", 1) for m in pool_base["measured_wall"])
-if wall_threads <= 1:
-    print(f"measured_wall recorded on a {wall_threads}-thread host; skipping wall-clock ratio gate")
-else:
-    r = wall["overlapped_8t"]["epochs_per_s"] / wall["scoped"]["epochs_per_s"]
-    print(f"measured wall ({wall_threads}-thread host): overlapped/scoped {r:.2f}x")
-    assert r >= 1.0, f"overlapped runtime slower than scoped on a {wall_threads}-thread host ({r:.2f}x)"
-
-# --- Pool-level packed framing: deterministic byte counts, so both the
-# committed and the fresh smoke run carry the full gate.
-for name, doc in (("committed", pool_base), ("fresh", pool_fresh)):
-    w = doc["wire"]
-    print(f"pool wire ({name}): v1 {w['v1_wire_bytes']} B → v3 {w['v3_wire_bytes']} B "
-          f"({w['wire_reduction']:.1%} reduction, {w['v3_bytes_saved']} B saved)")
-    assert w["detection_identical"], f"{name} v3 pool changed detection outcomes"
-    assert w["v3_bytes_saved"] > 0, f"{name} packed framing saved nothing"
-    assert w["wire_reduction"] >= 0.40, \
-        f"{name} pool wire reduction {w['wire_reduction']:.1%} below the 40% bar"
 
 # --- Socket transport: structure and positivity, committed and fresh.
 # Absolute submissions/s and latency are host-dependent, so cross-host
@@ -217,10 +174,9 @@ assert on <= 1.75, f"enabled recorder costs {on:.2f}x on the verify path (bar: 1
 
 # --- Committee sharding at scale (DESIGN.md §15): the hierarchy's value
 # claims are gated on *modeled per-node* numbers (single-thread costs,
-# one sub-manager per committee, serial top tier), so — unlike the
-# measured_wall section above — they hold even on a 1-hardware-thread
-# host and are never skipped. The raw bench_wall_s fields are
-# host-dependent and deliberately ungated.
+# one sub-manager per committee, serial top tier), so they hold even on a
+# 1-hardware-thread host and are never skipped. The raw bench_wall_s
+# fields are host-dependent and deliberately ungated.
 scale_base = {s["workers"]: s for s in json.load(open("BENCH_scale.json"))["scales"]}
 assert {100, 1_000, 10_000, 100_000} <= set(scale_base), \
     f"committed BENCH_scale scales wrong: {set(scale_base)}"
@@ -257,4 +213,4 @@ assert fresh1k["modeled_speedup"] >= 1.2, \
 assert fresh1k["hier_peak_bytes"] < fresh1k["flat_peak_bytes"], \
     "fresh 1k hierarchical peak not below flat"
 EOF
-echo "no regression vs committed BENCH_verify.json / BENCH_pool.json / BENCH_net.json / BENCH_scale.json"
+echo "no regression vs committed BENCH_verify.json / BENCH_net.json / BENCH_scale.json"

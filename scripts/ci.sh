@@ -21,7 +21,7 @@ scripts/check_known_red.sh
 
 echo "== executor: 8-thread pass (scheduling + determinism under contention, exact exec.tasks count)"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-exec
-RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test exec_determinism
+RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test epoch_matrix
 
 echo "== GEMM on the executor: 8-thread invariance + quantizer determinism"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-tensor
