@@ -5,6 +5,10 @@
 //! counters (commitments, nn passes) that would bleed into a concurrent
 //! test's exported snapshot.
 
+#[path = "../../rpol/tests/common/mod.rs"]
+mod common;
+
+use common::assert_same_text;
 use rpol_cli::commands;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
@@ -118,14 +122,18 @@ fn pool_trace_out_is_deterministic_and_checkable() {
     };
     run(&trace_a, &metrics_a);
     run(&trace_b, &metrics_b);
-    let bytes_a = std::fs::read(&trace_a).expect("trace a written");
-    let bytes_b = std::fs::read(&trace_b).expect("trace b written");
-    assert!(!bytes_a.is_empty());
-    assert_eq!(bytes_a, bytes_b, "same-seed traces must be byte-identical");
-    assert_eq!(
-        std::fs::read(&metrics_a).expect("metrics a written"),
-        std::fs::read(&metrics_b).expect("metrics b written"),
-        "same-seed metrics must be byte-identical"
+    let text = |path: &PathBuf| std::fs::read_to_string(path).expect("sink written");
+    let trace = text(&trace_a);
+    assert!(!trace.is_empty());
+    assert_same_text(
+        &trace,
+        &text(&trace_b),
+        "same-seed traces must be byte-identical",
+    );
+    assert_same_text(
+        &text(&metrics_a),
+        &text(&metrics_b),
+        "same-seed metrics must be byte-identical",
     );
 
     let file = format!("--file={}", trace_a.display());

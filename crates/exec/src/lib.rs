@@ -65,18 +65,15 @@ static SHARED: OnceLock<Arc<Executor>> = OnceLock::new();
 /// scoped threads.
 ///
 /// Built lazily on first call with [`Executor::default_threads`] workers
-/// and the global metrics recorder (`rpol_obs::global`), and never torn
-/// down — its threads park when idle and die with the process. Nesting is
-/// safe in both directions: a shared-pool worker that opens another shared
-/// scope help-drains instead of sleeping, and a worker of a *different*
-/// executor that blocks in a shared scope merely sleeps on the condvar.
+/// and never torn down — its threads park when idle and die with the
+/// process. It outlives every run, so it has no run to report to and
+/// publishes no metrics; per-run executors publish `exec.*` to the
+/// recorder their owner hands them. Nesting is safe in both directions:
+/// a shared-pool worker that opens another shared scope help-drains
+/// instead of sleeping, and a worker of a *different* executor that
+/// blocks in a shared scope merely sleeps on the condvar.
 pub fn shared() -> &'static Arc<Executor> {
-    SHARED.get_or_init(|| {
-        Arc::new(Executor::with_recorder(
-            Executor::default_threads(),
-            rpol_obs::global().clone(),
-        ))
-    })
+    SHARED.get_or_init(|| Arc::new(Executor::new(Executor::default_threads())))
 }
 
 /// A type-erased unit of work. Jobs are `'static` inside the pool; the

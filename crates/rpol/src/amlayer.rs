@@ -30,9 +30,6 @@ use rpol_nn::layer::{Layer, Param};
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Geometry of an AMLayer: `depth` stacked square-kernel residual
 /// convolutions over `channels`-channel images.
@@ -69,34 +66,6 @@ impl AmLayerSpec {
         self.depth = depth;
         self
     }
-}
-
-/// Cache key: the full generation input. `c` is keyed by its exact bit
-/// pattern so two floats that round-trip differently never alias.
-type StackKey = (Address, AmLayerSpec, u32);
-
-/// Process-wide memo of derived weight stacks. Derivation is a pure
-/// function of the key (PRF expansion + 30 power-iteration rounds per
-/// block), so a cached stack is bitwise-identical to a fresh one — the
-/// `cached_stack_is_bitwise_identical_to_generate` property test holds
-/// this invariant.
-static STACK_CACHE: OnceLock<Mutex<HashMap<StackKey, Arc<Vec<Tensor>>>>> = OnceLock::new();
-static STACK_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static STACK_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Entry bound: a pool run touches a handful of `(address, spec, c)`
-/// triples; anything past this is a leak (e.g. a fuzzer sweeping
-/// addresses), so drop the lot rather than grow without bound.
-const STACK_CACHE_CAP: usize = 128;
-
-/// Process-lifetime count of weight stacks served from the cache.
-pub fn stack_cache_hits() -> u64 {
-    STACK_CACHE_HITS.load(Ordering::Relaxed)
-}
-
-/// Process-lifetime count of weight stacks derived from scratch.
-pub fn stack_cache_misses() -> u64 {
-    STACK_CACHE_MISSES.load(Ordering::Relaxed)
 }
 
 /// The address-encoded mapping layer:
@@ -139,11 +108,11 @@ impl AmLayer {
             c > 0.0 && c < 1.0,
             "Lipschitz coefficient must be in (0, 1), got {c}"
         );
-        let blocks = Self::cached_weight_stack(address, spec, c)
-            .iter()
+        let blocks = Self::derive_weight_stack(address, spec, c)
+            .into_iter()
             .map(|weight| {
                 let bias = Tensor::zeros(&[spec.channels]);
-                let mut conv = Conv2d::from_parts(weight.clone(), bias, (spec.kernel - 1) / 2);
+                let mut conv = Conv2d::from_parts(weight, bias, (spec.kernel - 1) / 2);
                 // Freeze: the AMLayer never trains.
                 conv.visit_params_mut(&mut |p| p.frozen = true);
                 conv
@@ -157,42 +126,10 @@ impl AmLayer {
         }
     }
 
-    /// Memoized lookup of the weight stack for `(address, spec, c)`.
-    ///
-    /// The first request per key pays the full derivation (PRF expansion
-    /// plus [`Self::POWER_ITERS`] power-iteration rounds per block);
-    /// every later request — layer generation for `test_accuracy`'s
-    /// encoded model, flat-prefix commitment checks on the replay path,
-    /// consensus re-verification — is a map lookup returning a shared
-    /// handle to the identical tensors.
-    pub fn cached_weight_stack(address: &Address, spec: AmLayerSpec, c: f32) -> Arc<Vec<Tensor>> {
-        let key = (*address, spec, c.to_bits());
-        let cache = STACK_CACHE.get_or_init(Default::default);
-        if let Some(stack) = cache.lock().expect("amlayer cache poisoned").get(&key) {
-            STACK_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            if rpol_obs::global_enabled() {
-                rpol_obs::global().counter_add("rpol.amlayer.cache_hits", 1);
-            }
-            return stack.clone();
-        }
-        // Derive outside the lock: misses are rare and expensive, and two
-        // racing derivations of the same key produce identical tensors.
-        STACK_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        if rpol_obs::global_enabled() {
-            rpol_obs::global().counter_add("rpol.amlayer.cache_misses", 1);
-        }
-        let stack = Arc::new(Self::derive_weight_stack(address, spec, c));
-        let mut map = cache.lock().expect("amlayer cache poisoned");
-        if map.len() >= STACK_CACHE_CAP {
-            map.clear();
-        }
-        map.entry(key).or_insert_with(|| stack.clone());
-        stack
-    }
-
-    /// Recomputes the spectrally normalized kernel of every block from
-    /// scratch — the public verification path used by consensus nodes,
-    /// and the uncached oracle the memo above is property-tested against.
+    /// Derives the spectrally normalized kernel of every block: a pure
+    /// function of `(address, spec, c)` (PRF expansion plus
+    /// [`Self::POWER_ITERS`] power-iteration rounds per block), so any
+    /// consensus node recomputes the identical tensors.
     pub fn derive_weight_stack(address: &Address, spec: AmLayerSpec, c: f32) -> Vec<Tensor> {
         let prf = Prf::new(address.as_bytes());
         (0..spec.depth)
@@ -254,7 +191,7 @@ impl AmLayer {
     /// Whether this layer's weights equal the canonical expansion of
     /// `address` — what a consensus node checks before paying out.
     pub fn verify_encodes(&self, address: &Address) -> bool {
-        let expected = Self::cached_weight_stack(address, self.spec, self.lipschitz_c);
+        let expected = Self::derive_weight_stack(address, self.spec, self.lipschitz_c);
         self.blocks
             .iter()
             .zip(expected.iter())
@@ -271,7 +208,7 @@ impl AmLayer {
         if flat.len() < Self::weight_count(spec) {
             return false;
         }
-        let kernels = Self::cached_weight_stack(address, spec, c);
+        let kernels = Self::derive_weight_stack(address, spec, c);
         let bias_len = spec.channels;
         let mut offset = 0;
         for kernel in kernels.iter() {
@@ -563,32 +500,14 @@ mod tests {
         AmLayer::generate(&Address::from_seed(0), spec(), 1.5);
     }
 
-    #[test]
-    fn cache_hit_after_first_use() {
-        let addr = Address::from_seed(0xCAFE);
-        let fresh = AmLayer::derive_weight_stack(&addr, spec(), 0.77);
-        let first = AmLayer::cached_weight_stack(&addr, spec(), 0.77);
-        let hits_before = stack_cache_hits();
-        let second = AmLayer::cached_weight_stack(&addr, spec(), 0.77);
-        assert_eq!(*first, fresh, "cached stack differs from fresh derivation");
-        assert_eq!(*second, fresh);
-        assert!(
-            stack_cache_hits() > hits_before,
-            "second lookup of the same key must be a cache hit"
-        );
-        // Distinct c bit patterns are distinct keys.
-        let other = AmLayer::cached_weight_stack(&addr, spec(), 0.78);
-        assert_ne!(*other, fresh);
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
-        /// Satellite: across addresses, geometries, and coefficients, the
-        /// memoized stack is bitwise-identical to an uncached derivation —
-        /// both on the miss path (first call) and the hit path (second).
+        /// Across addresses, geometries and coefficients, a generated
+        /// layer holds exactly the bits `derive_weight_stack` returns, and
+        /// its flattened parameters verify as the owner's prefix.
         #[test]
-        fn cached_stack_is_bitwise_identical_to_generate(
+        fn generated_layer_is_bitwise_identical_to_derive_weight_stack(
             seed in proptest::prelude::any::<u64>(),
             channels in 1usize..4,
             depth in 1usize..3,
@@ -598,12 +517,9 @@ mod tests {
             let spec = AmLayerSpec::for_channels(channels).with_depth(depth);
             let c = c_mill as f32 / 1000.0;
             let oracle = AmLayer::derive_weight_stack(&addr, spec, c);
-            let miss_or_hit = AmLayer::cached_weight_stack(&addr, spec, c);
-            let hit = AmLayer::cached_weight_stack(&addr, spec, c);
-            proptest::prop_assert_eq!(&*miss_or_hit, &oracle);
-            proptest::prop_assert_eq!(&*hit, &oracle);
-            // The generated layer's flattened params embed the same bits.
             let layer = AmLayer::generate(&addr, spec, c);
+            let kernels: Vec<&Tensor> = layer.blocks.iter().map(|b| &b.weight().value).collect();
+            proptest::prop_assert_eq!(kernels, oracle.iter().collect::<Vec<_>>());
             let flat = flat_of(&layer);
             proptest::prop_assert!(AmLayer::verify_flat_prefix(&flat, &addr, spec, c));
         }

@@ -18,7 +18,7 @@ use rpol_exec::Executor;
 use rpol_lsh::tuning::{tune, TuningConfig, TuningOutcome};
 use rpol_lsh::{LshFamily, LshParams};
 use rpol_nn::data::SyntheticImages;
-use rpol_obs::{span, Recorder};
+use rpol_obs::{event, span, Recorder};
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::stats::RunningStats;
 use serde::{Deserialize, Serialize};
@@ -171,9 +171,10 @@ impl<'a> Calibrator<'a> {
 
     /// Attaches a recorder; the calibrator then emits a
     /// `rpol.calibrate.trace` span around its sub-task training run and
-    /// one `rpol.calibrate.unit` span per `(replay, segment)` replay
-    /// measurement. Fields are deterministic, so traces stay
-    /// multiset-identical across thread counts.
+    /// one `rpol.calibrate.unit` event per `(replay, segment)` replay
+    /// measurement carrying the measured `distance`, emitted by the
+    /// calling thread in index order — so the trace is byte-identical
+    /// whether the units ran serially or on an executor.
     #[must_use]
     pub fn with_recorder(mut self, rec: Arc<Recorder>) -> Self {
         self.recorder = rec;
@@ -264,13 +265,6 @@ impl<'a> Calibrator<'a> {
         let measure = |&(replay_idx, noise, j): &(u64, &NoiseInjector, usize),
                        model: &mut rpol_nn::model::Sequential|
          -> f32 {
-            let _g = span!(
-                self.recorder,
-                "rpol.calibrate.unit",
-                epoch,
-                replay = replay_idx,
-                segment = j
-            );
             let mut trainer = LocalTrainer::new(
                 self.config,
                 self.shard,
@@ -297,9 +291,19 @@ impl<'a> Calibrator<'a> {
             }),
             None => units.iter().map(|u| measure(u, &mut model_a)).collect(),
         };
+        // Recorded here, after the join and in index order — never from
+        // inside a task, where pool threads would race for clock ticks.
         let mut stats = RunningStats::new();
-        for &dist in &distances {
-            stats.push(dist);
+        for (&(replay, _, segment), &distance) in units.iter().zip(&distances) {
+            event!(
+                self.recorder,
+                "rpol.calibrate.unit",
+                epoch,
+                replay,
+                segment,
+                distance
+            );
+            stats.push(distance);
         }
 
         // §V-C: "α is set as the measured maximum reproduction error plus

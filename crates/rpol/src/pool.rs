@@ -767,26 +767,28 @@ impl MiningPool {
             .sum();
         let eval_chunk = |i: usize| {
             let (inputs, labels) = &self.test_chunks[i];
-            let _g = span!(
-                self.recorder,
-                "rpol.pool.eval_chunk",
-                chunk = i,
-                rows = labels.len()
-            );
             let mut model = self.checkout_eval_model();
             let logits = model.forward(inputs, false);
             let correct = correct_count(&logits, labels);
             self.eval_pool.lock().push(model);
             correct
         };
-        let correct: usize = match &self.executor {
-            Some(exec) => exec
-                .run_indexed(self.test_chunks.len(), eval_chunk)
-                .into_iter()
-                .sum(),
-            None => (0..self.test_chunks.len()).map(eval_chunk).sum(),
+        let counts: Vec<usize> = match &self.executor {
+            Some(exec) => exec.run_indexed(self.test_chunks.len(), eval_chunk),
+            None => (0..self.test_chunks.len()).map(eval_chunk).collect(),
         };
-        correct as f32 / total as f32
+        // Recorded here, after the join and in index order — never from
+        // inside a task, where pool threads would race for clock ticks.
+        for (chunk, (&correct, (_, labels))) in counts.iter().zip(&self.test_chunks).enumerate() {
+            event!(
+                self.recorder,
+                "rpol.pool.eval_chunk",
+                chunk,
+                rows = labels.len(),
+                correct
+            );
+        }
+        counts.iter().sum::<usize>() as f32 / total as f32
     }
 
     /// Checks an evaluation model out of the pool (building one on a

@@ -23,60 +23,6 @@ use rpol_nn::loss::softmax_cross_entropy;
 use rpol_nn::model::Sequential;
 use rpol_sim::gpu::NoiseInjector;
 use rpol_tensor::scratch::ScratchArena;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Cache key for one step's PRF batch selection: the full input of
-/// [`deterministic_batch`] — `(nonce, step, batch_size, shard_len)`.
-type BatchKey = (u64, u64, usize, u64);
-
-/// Process-wide memo of PRF sampling index streams. The same `(nonce,
-/// step)` batch is computed by the worker while training and again by the
-/// manager for every replay of the segment containing that step; the
-/// indices are a pure function of the key, so the replay side reuses the
-/// worker's stream instead of re-evaluating `batch_size` PRF calls.
-static BATCH_CACHE: OnceLock<Mutex<HashMap<BatchKey, Arc<Vec<usize>>>>> = OnceLock::new();
-static BATCH_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static BATCH_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Nonces rotate every epoch, so entries go stale fast; clearing the map
-/// when it fills is simpler than LRU and costs one warm-up per epoch.
-const BATCH_CACHE_CAP: usize = 8192;
-
-/// Process-lifetime count of batch index streams served from the cache.
-pub fn batch_cache_hits() -> u64 {
-    BATCH_CACHE_HITS.load(Ordering::Relaxed)
-}
-
-/// Process-lifetime count of batch index streams computed from scratch.
-pub fn batch_cache_misses() -> u64 {
-    BATCH_CACHE_MISSES.load(Ordering::Relaxed)
-}
-
-/// Memoized [`deterministic_batch`] — bitwise-identical indices, cached
-/// across the train/replay sides of an epoch.
-fn cached_batch(nonce: u64, step: u64, batch: usize, len: u64) -> Arc<Vec<usize>> {
-    let key = (nonce, step, batch, len);
-    let cache = BATCH_CACHE.get_or_init(Default::default);
-    if let Some(hit) = cache.lock().expect("batch cache poisoned").get(&key) {
-        BATCH_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return hit.clone();
-    }
-    BATCH_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let indices = Arc::new(deterministic_batch(
-        &Prf::from_nonce(nonce),
-        step,
-        batch,
-        len,
-    ));
-    let mut map = cache.lock().expect("batch cache poisoned");
-    if map.len() >= BATCH_CACHE_CAP {
-        map.clear();
-    }
-    map.entry(key).or_insert_with(|| indices.clone());
-    indices
-}
 
 /// Flattens only the trainable (non-frozen) parameters into `out`
 /// (cleared first), so callers can reuse a scratch buffer across steps.
@@ -209,11 +155,12 @@ impl<'a> LocalTrainer<'a> {
         // the protocol state so replay reproduces them exactly.
         model.reseed(nonce ^ (segment.start_step as u64).wrapping_mul(0x9E37_79B9));
         let mut opt = self.config.optimizer.build();
+        let prf = Prf::from_nonce(nonce);
         let mut total_loss = 0.0;
         for s in 0..segment.steps {
             let step = segment.start_step + s;
-            let indices = cached_batch(
-                nonce,
+            let indices = deterministic_batch(
+                &prf,
                 step as u64,
                 self.config.batch_size,
                 self.shard.len() as u64,
@@ -498,22 +445,6 @@ mod tests {
                 verifier.replay_segment(&mut verify_model, &trace.checkpoints[j], 21, *seg);
             assert_eq!(replayed, trace.checkpoints[j + 1], "segment {j}");
         }
-    }
-
-    #[test]
-    fn batch_cache_matches_prf_oracle() {
-        let oracle = deterministic_batch(&Prf::from_nonce(99), 5, 8, 64);
-        let first = cached_batch(99, 5, 8, 64);
-        let hits_before = batch_cache_hits();
-        let second = cached_batch(99, 5, 8, 64);
-        assert_eq!(*first, oracle, "cached indices differ from the PRF rule");
-        assert_eq!(*second, oracle);
-        assert!(
-            batch_cache_hits() > hits_before,
-            "second lookup of the same step must hit"
-        );
-        // A different nonce is a different stream, not a stale entry.
-        assert_ne!(*cached_batch(100, 5, 8, 64), oracle);
     }
 
     #[test]

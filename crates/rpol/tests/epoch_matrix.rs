@@ -18,14 +18,25 @@
 //! the same `C` on the full key and the event multiset, and to the flat
 //! reference's events by inclusion.
 //!
+//! Run-twice axis: *same seed ⇒ same bytes* must hold inside one process,
+//! where a warm process-wide cache or a once-per-process publication would
+//! show. Every reference cell is run a second time on a fresh recorder and
+//! must repeat its key, its whole metrics snapshot and its exported trace
+//! byte for byte; one threaded cell per scheme must repeat key and event
+//! multiset (its `exec.steals` / `exec.queue_depth_peak` are scheduling).
+//!
 //! The reference cells' keys are additionally pinned by one SHA-256,
 //! recorded on the five pre-refactor epoch drivers (see
 //! `REFERENCE_DIGEST`): same platform, like `tests/kernel_digest_pinning.rs`.
 
+mod common;
+
+use common::assert_same_text;
 use rpol::adversary::WorkerBehavior;
 use rpol::committee::{partition, Hierarchy};
 use rpol::pool::{MiningPool, PoolConfig, PoolReport, Scheme};
 use rpol::transport::FaultConfig;
+use rpol_obs::export::events_to_jsonl;
 use rpol_obs::{Event, MetricsSnapshot, Recorder};
 use std::sync::{Arc, OnceLock};
 
@@ -84,6 +95,8 @@ fn hierarchy(committees: usize) -> Hierarchy {
 struct Cell {
     report: PoolReport,
     events: Vec<String>,
+    /// The trace as exported, `seq` / `ts` / `dur` included.
+    jsonl: String,
     metrics: MetricsSnapshot,
 }
 
@@ -106,9 +119,11 @@ fn run(scheme: Scheme, source: Source, threads: Option<usize>, groups: Option<us
         }
         Some(t) => pool.with_threads(t).run_parallel(),
     };
+    let events = rec.events();
     Cell {
         report,
-        events: sorted_multiset(&rec.events()),
+        events: sorted_multiset(&events),
+        jsonl: events_to_jsonl(&events).expect("trace exports"),
         metrics: rec.snapshot(),
     }
 }
@@ -251,6 +266,32 @@ fn reference_cells_are_not_vacuous() {
             );
             assert!(rec.report.hierarchy.is_none(), "{at}");
         }
+    }
+}
+
+#[test]
+fn a_second_run_in_the_same_process_repeats_the_first() {
+    for (scheme, source, first) in references() {
+        let at = format!("{scheme}/{source:?}");
+        let second = run(*scheme, *source, None, None);
+        assert_eq!(
+            full_key(&second.report),
+            full_key(&first.report),
+            "{at}: record"
+        );
+        assert_eq!(second.metrics, first.metrics, "{at}: metrics snapshot");
+        assert_same_text(&first.jsonl, &second.jsonl, &format!("{at}: trace"));
+    }
+    for scheme in SCHEMES {
+        let at = format!("{scheme}/Direct/threads 8");
+        let first = run(scheme, Source::Direct, Some(8), None);
+        let second = run(scheme, Source::Direct, Some(8), None);
+        assert_eq!(
+            full_key(&second.report),
+            full_key(&first.report),
+            "{at}: record"
+        );
+        assert_eq!(second.events, first.events, "{at}: trace multiset");
     }
 }
 

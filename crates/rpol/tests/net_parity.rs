@@ -6,11 +6,14 @@
 //! the protocol runs over the simulated lossy link or over a real
 //! loopback TCP connection with the chaos proxy layered in front.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::assert_same_text;
 use rpol::adversary::WorkerBehavior;
 use rpol::client::ClientTuning;
 use rpol::committee::Hierarchy;
@@ -832,8 +835,9 @@ fn readiness_and_scan_reactors_are_bitwise_identical_at_1024_connections() {
         "fixture must exercise non-accept classifications"
     );
 
-    assert_eq!(
-        scan_trace, ready_trace,
-        "stitched traces must be byte-identical across reactor backends"
+    assert_same_text(
+        &scan_trace,
+        &ready_trace,
+        "stitched traces must be byte-identical across reactor backends",
     );
 }

@@ -13,14 +13,17 @@
 //!   runs, and whose verification work projects onto the simulated
 //!   path's trace exactly.
 
+mod common;
+
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::assert_same_text;
 use rpol::adversary::WorkerBehavior;
 use rpol::client::{ClientTuning, WorkerClient};
-use rpol::pool::{MiningPool, PoolConfig, Scheme};
+use rpol::pool::{MiningPool, PoolConfig, PoolReport, Scheme};
 use rpol::server::{run_socket_pool, BindAddr, PoolServer, ServerConfig, SocketRunOptions};
 use rpol::wire::{
     decode_net_control, encode_net_control, open_frame, seal_frame, NetControl, NET_PROTOCOL,
@@ -173,7 +176,11 @@ fn status_report_counters_equal_embedded_net_stats() {
 
 /// One fully traced loopback run: logical recorders on the manager and
 /// every worker process, stitched into a single timeline.
-fn traced_socket_run(config: PoolConfig, behaviors: &[WorkerBehavior]) -> (String, Vec<Event>) {
+fn traced_socket_run(
+    config: PoolConfig,
+    behaviors: &[WorkerBehavior],
+    server: ServerConfig,
+) -> (PoolReport, String, Vec<Event>) {
     let server_rec = Arc::new(Recorder::logical());
     let client_recs: Vec<Arc<Recorder>> = behaviors
         .iter()
@@ -183,10 +190,10 @@ fn traced_socket_run(config: PoolConfig, behaviors: &[WorkerBehavior]) -> (Strin
         config,
         behaviors.to_vec(),
         SocketRunOptions {
+            server,
             client: quick_tuning(),
             recorder: Some(server_rec.clone()),
             client_recorders: client_recs.clone(),
-            ..SocketRunOptions::default()
         },
     )
     .expect("socket run");
@@ -205,7 +212,33 @@ fn traced_socket_run(config: PoolConfig, behaviors: &[WorkerBehavior]) -> (Strin
         .iter()
         .map(|(name, jsonl)| (name.as_str(), jsonl.as_str()))
         .collect();
-    (stitch(&refs).expect("stitch"), server_rec.events())
+    (
+        outcome.report,
+        stitch(&refs).expect("stitch"),
+        server_rec.events(),
+    )
+}
+
+/// The stitched lines with the scheduling-dependent keys (`seq`, `ts`,
+/// `dur`) dropped, sorted: what two runs that verify on an executor must
+/// still agree on.
+fn sorted_multiset(stitched: &str) -> Vec<String> {
+    let mut keys: Vec<String> = stitched
+        .lines()
+        .map(|line| {
+            let v = rpol_json::parse(line).expect("stitched line is JSON");
+            let kept: Vec<String> = v
+                .entries()
+                .expect("trace record is an object")
+                .iter()
+                .filter(|(k, _)| !matches!(k.as_str(), "seq" | "ts" | "dur"))
+                .map(|(k, v)| format!("{k}={v:?}"))
+                .collect();
+            kept.join("|")
+        })
+        .collect();
+    keys.sort();
+    keys
 }
 
 #[test]
@@ -218,11 +251,12 @@ fn stitched_multiprocess_trace_is_byte_identical_across_same_seed_runs() {
         WorkerBehavior::ReplayPrevious,
     ];
 
-    let (first, server_events) = traced_socket_run(config, &behaviors);
-    let (second, _) = traced_socket_run(config, &behaviors);
-    assert_eq!(
-        first, second,
-        "same-seed loopback runs must stitch to identical bytes"
+    let (_, first, server_events) = traced_socket_run(config, &behaviors, ServerConfig::default());
+    let (_, second, _) = traced_socket_run(config, &behaviors, ServerConfig::default());
+    assert_same_text(
+        &first,
+        &second,
+        "same-seed loopback runs must stitch to identical bytes",
     );
 
     // The cross-process spine is present: client work under the server's
@@ -291,4 +325,39 @@ fn stitched_multiprocess_trace_is_byte_identical_across_same_seed_runs() {
             "socket and simulated paths disagree on {name}"
         );
     }
+}
+
+#[test]
+fn parallel_verify_socket_runs_agree_on_decisions_and_the_trace_multiset() {
+    // Verification fanned over the server's executor records from its
+    // tasks, so the stitched bytes may interleave differently run to run;
+    // what was decided, what crossed the link and which events happened
+    // may not.
+    let mut config = PoolConfig::tiny_demo(Scheme::RPoLv2);
+    config.epochs = 2;
+    let behaviors = vec![
+        WorkerBehavior::Honest,
+        WorkerBehavior::Honest,
+        WorkerBehavior::ReplayPrevious,
+    ];
+    let parallel = ServerConfig {
+        parallel_verify: true,
+        ..ServerConfig::default()
+    };
+
+    let (first, first_trace, _) = traced_socket_run(config, &behaviors, parallel);
+    let (second, second_trace, _) = traced_socket_run(config, &behaviors, parallel);
+    assert!(first.rejections() > 0, "the replayer must be caught");
+    for (a, b) in first.epochs.iter().zip(&second.epochs) {
+        assert_eq!(a.report.accepted, b.report.accepted, "accepted set");
+        assert_eq!(a.report.rejected, b.report.rejected, "rejected set");
+        assert_eq!(a.report.quarantined, b.report.quarantined, "quarantine");
+        assert_eq!(a.report.verdicts, b.report.verdicts, "verdicts");
+        assert_eq!(a.report.transport, b.report.transport, "TransportStats");
+    }
+    assert_same_text(
+        &sorted_multiset(&first_trace).join("\n"),
+        &sorted_multiset(&second_trace).join("\n"),
+        "same-seed parallel-verify runs must stitch to the same event multiset",
+    );
 }
