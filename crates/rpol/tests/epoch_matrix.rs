@@ -61,6 +61,13 @@ const FAULT_SEED: u64 = 0x9E;
 /// model draw normals through the host's libm).
 const REFERENCE_DIGEST: &str = "ee943d81c9507cf9fcfa167f343d282e9c0e2f16e7832595ef083b339ea7ca37";
 
+/// SHA-256 over the twelve reference cells' *decisions*, per epoch:
+/// `accepted | rejected | quarantined | accuracy bits | double_checks |
+/// replayed_steps`. Recorded at commit a73d092, before the manager bound
+/// both ends of the committed trajectory and stopped fetching them; that
+/// change moved `REFERENCE_DIGEST` (bytes, exchanges) and not this.
+const DECISION_DIGEST: &str = "d09f1ce02b13d2f4903743091618a1c021a77aa18179f7e8df2def728eed2907";
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Source {
     /// Submissions and openings handed over in process.
@@ -222,6 +229,34 @@ fn reference_cells_match_the_digest_recorded_on_the_old_drivers() {
         rpol_crypto::sha256(text.as_bytes()).to_hex(),
         REFERENCE_DIGEST,
         "a reference cell moved; per-cell digests now:\n{per_cell}"
+    );
+}
+
+/// What a change to *how* verification fetches its evidence must leave
+/// alone: who was accepted, rejected and quarantined, the model that came
+/// out, and how much was replayed — no byte or transport counter.
+#[test]
+fn reference_cells_decide_what_they_decided_on_a73d092() {
+    let mut text = String::new();
+    for (scheme, source, cell) in references() {
+        text.push_str(&format!("{scheme}/{source:?}\n"));
+        for rec in &cell.report.epochs {
+            let r = &rec.report;
+            text.push_str(&format!(
+                "{:?}|{:?}|{:?}|acc={:08x}|dc={}|steps={}\n",
+                r.accepted,
+                r.rejected,
+                r.quarantined,
+                rec.test_accuracy.to_bits(),
+                r.double_checks,
+                r.replayed_steps
+            ));
+        }
+    }
+    assert_eq!(
+        rpol_crypto::sha256(text.as_bytes()).to_hex(),
+        DECISION_DIGEST,
+        "a reference cell decided differently; decisions now:\n{text}"
     );
 }
 
