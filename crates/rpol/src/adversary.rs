@@ -47,6 +47,16 @@ pub enum WorkerBehavior {
         /// Latency multiplier (≥ 1).
         slowdown: f32,
     },
+    /// Trains and commits honestly, then submits a *different* model for
+    /// aggregation (its final weights sign-flipped). Every sampled segment
+    /// of its committed trajectory verifies; only binding the last
+    /// committed checkpoint to the submitted weights catches it.
+    SwapFinal,
+    /// Trains honestly from a model other than the one the manager
+    /// broadcast — its own previous result — and commits that trajectory.
+    /// Every sampled segment verifies; only binding checkpoint 0 to the
+    /// broadcast model catches it.
+    ForeignStart,
 }
 
 impl WorkerBehavior {
@@ -56,7 +66,10 @@ impl WorkerBehavior {
     pub fn is_adversarial(&self) -> bool {
         matches!(
             self,
-            WorkerBehavior::ReplayPrevious | WorkerBehavior::PartialSpoof { .. }
+            WorkerBehavior::ReplayPrevious
+                | WorkerBehavior::PartialSpoof { .. }
+                | WorkerBehavior::SwapFinal
+                | WorkerBehavior::ForeignStart
         )
     }
 
@@ -230,6 +243,9 @@ mod tests {
         assert!(!slow.is_adversarial() && slow.is_faulty());
         assert!(!WorkerBehavior::Honest.is_faulty());
         assert!(!WorkerBehavior::ReplayPrevious.is_faulty());
+        for cheat in [WorkerBehavior::SwapFinal, WorkerBehavior::ForeignStart] {
+            assert!(cheat.is_adversarial() && !cheat.is_faulty());
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@ use crate::pool::Scheme;
 use crate::tasks::TaskConfig;
 use crate::trainer::epoch_segments;
 use crate::transport::TransportStats;
-use crate::verify::{ProofProvider, SampleVerdict, Verifier, WorkerVerdict};
+use crate::verify::{
+    binds, well_formed, ProofProvider, ProofUnavailable, RejectReason, SampleVerdict,
+    VerificationOutcome, Verifier, WorkerVerdict,
+};
 use crate::worker::{CommitMode, EpochSubmission, PoolWorker};
 use rpol_chain::rewards::ContributionLedger;
 use rpol_crypto::Address;
@@ -19,6 +22,7 @@ use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch::ScratchArena;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A pooled verification replay state: a scratch model sharing the global
@@ -74,6 +78,11 @@ pub struct HierarchyReport {
     /// Wire bytes of the framed committee verdict batches.
     pub batch_bytes: u64,
 }
+
+/// What `verify` hands `settle` for one worker: its verdict and, beside it
+/// (a verdict crosses the committee wire field for field), the openings
+/// its verification was served from the manager's own copies.
+pub(crate) type Verified = (WorkerVerdict, u64);
 
 /// In-flight state of one epoch's `settle` stage: everything the manager
 /// retains **between** groups. Deliberately O(pool size) in verdict ids
@@ -152,6 +161,16 @@ pub struct EpochPlan {
     family: Option<LshFamily>,
     /// The verification schedule (`None` under the baseline scheme).
     verification: Option<PreparedVerification>,
+    /// The bf16 lattice image of the global model under RPoLv3 — what its
+    /// workers train from, so what checkpoint 0 must be. Built once per
+    /// epoch: the task broadcast ships it and sample 0 replays from it.
+    start_image: Option<Vec<f32>>,
+    /// What every worker's commitment entry 0 must carry: the start
+    /// model's [`CommitMode::binding_of`], hashed once per epoch. Drawn up
+    /// with the plan rather than at the first worker's verification — a
+    /// small buffer born there outlives the epoch's large ones and pins
+    /// the heap under them (+4.4 MB peak RSS on `flat_v2`, measured).
+    start_binding: Vec<rpol_crypto::sha256::Digest>,
 }
 
 impl EpochPlan {
@@ -238,6 +257,35 @@ impl<'a> Participant<'a> {
             submission,
             provider: worker,
         }
+    }
+}
+
+/// Serves both ends of a bound trajectory from the manager's own copies —
+/// checkpoint 0 is the start model it broadcast, the last one the final
+/// weights it was sent — and delegates every other opening. An elided
+/// opening still claims its `seq` on a link-backed provider, so the
+/// exchanges that remain keep their fault draws: eliding can only remove
+/// exchanges, retries and failures, never add one.
+struct HeldEnds<'a> {
+    inner: &'a dyn ProofProvider,
+    start: &'a [f32],
+    last: usize,
+    final_weights: &'a [f32],
+}
+
+impl ProofProvider for HeldEnds<'_> {
+    fn open_checkpoint(&self, index: usize) -> Result<Cow<'_, [f32]>, ProofUnavailable> {
+        let held = match index {
+            0 => self.start,
+            i if i == self.last => self.final_weights,
+            _ => return self.inner.open_checkpoint(index),
+        };
+        self.inner.skip_opening();
+        Ok(Cow::Borrowed(held))
+    }
+
+    fn held(&self, index: usize) -> bool {
+        index == 0 || index == self.last
     }
 }
 
@@ -374,17 +422,19 @@ impl PoolManager {
     /// `LocalTrainer::run_epoch_quantized`) and the snap is idempotent, so
     /// v3 ships the packed lattice image; the other schemes ship raw f32.
     /// The manager's own f32 aggregate is untouched.
-    pub(crate) fn task_block(&self) -> crate::wire::TaskBlock {
+    pub(crate) fn task_block(&self, plan: &EpochPlan) -> crate::wire::TaskBlock {
         self.recorder
             .counter_add("rpol.wire.task_blocks_encoded", 1);
-        match self.scheme {
-            Scheme::RPoLv3 => {
-                crate::wire::TaskBlock::packed(&rpol_tensor::quant::bf16_image(&self.global))
-            }
-            Scheme::Baseline | Scheme::RPoLv1 | Scheme::RPoLv2 => {
-                crate::wire::TaskBlock::raw(&self.global)
-            }
+        match &plan.start_image {
+            Some(image) => crate::wire::TaskBlock::packed(image),
+            None => crate::wire::TaskBlock::raw(&self.global),
         }
+    }
+
+    /// The model this epoch's workers train from, as checkpoint 0 holds
+    /// it: the global model, or its lattice image under RPoLv3.
+    fn start_model<'a>(&'a self, plan: &'a EpochPlan) -> &'a [f32] {
+        plan.start_image.as_deref().unwrap_or(&self.global)
     }
 
     /// Broadcast bytes the in-process paths charge for sending the global
@@ -448,7 +498,9 @@ impl PoolManager {
         // Per-worker nonces for stochastic-yet-deterministic selection.
         let nonces: Vec<u64> = (0..n_workers).map(|_| self.rng.next_u64()).collect();
         let verification = self.prepare_verification(epoch, n_workers);
-        EpochPlan {
+        let start_image = matches!(self.scheme, Scheme::RPoLv3)
+            .then(|| rpol_tensor::quant::bf16_image(&self.global));
+        let mut plan = EpochPlan {
             epoch,
             steps: self.steps_per_epoch,
             scheme: self.scheme,
@@ -456,7 +508,11 @@ impl PoolManager {
             calibration,
             family,
             verification,
-        }
+            start_image,
+            start_binding: Vec::new(),
+        };
+        plan.start_binding = plan.commit_mode().binding_of(self.start_model(&plan));
+        plan
     }
 
     /// The rest of an epoch over in-process submissions, serially: reveal
@@ -528,20 +584,66 @@ impl PoolManager {
         })
     }
 
+    /// The `verify` stage's first step, once per worker per epoch and
+    /// before any opening or replay: the delivered submission has the
+    /// epoch's shape, and both ends of its committed trajectory are models
+    /// the manager holds — `commitment[0]` binds the start model it
+    /// broadcast, `commitment[last]` the final weights it would aggregate,
+    /// each by the scheme's own commitment check. What verification then
+    /// samples is a path between those two, and what aggregation uses is
+    /// its end. `Err` is the rejection, at a valid sample index, having
+    /// cost no proof bytes and no replay.
+    pub(crate) fn bind(
+        &self,
+        part: &Participant<'_>,
+        plan: &EpochPlan,
+    ) -> Result<(), SampleVerdict> {
+        let prepared = plan.verification.as_ref().expect("a verifying scheme");
+        let last = prepared.segments.len();
+        let reject = |sample: usize, reason: RejectReason| SampleVerdict {
+            sample,
+            outcome: VerificationOutcome::Rejected(reason),
+            proof_bytes: 0,
+            replayed_steps: 0,
+            openings_elided: 0,
+        };
+        let submission = part.submission;
+        let commitment = submission
+            .commitment
+            .as_ref()
+            .filter(|c| plan.commit_mode().produces(c) && c.len() == last + 1)
+            .ok_or_else(|| reject(0, RejectReason::InputCommitmentMismatch))?;
+        let final_weights = &submission.final_weights;
+        if final_weights.len() != self.global.len() || !well_formed(commitment, final_weights) {
+            return Err(reject(last - 1, RejectReason::MalformedWeights));
+        }
+        if !binds(commitment, 0, &plan.start_binding) {
+            return Err(reject(0, RejectReason::InputCommitmentMismatch));
+        }
+        let submitted = plan.commit_mode().binding_of(final_weights);
+        if !binds(commitment, last, &submitted) {
+            return Err(reject(last - 1, RejectReason::OutputCommitmentMismatch));
+        }
+        Ok(())
+    }
+
     /// The `verify` stage's unit: replays `range` of one participant's
     /// prepared samples, in sample order, stopping after the first opening
     /// that cannot be fetched (the link is dead or exhausted — later
-    /// fetches would fail too). Requires only shared access to the
-    /// manager, so callers may fan out across threads: the whole range as
-    /// one task ([`Self::verify_worker`]) or one sample per task (the pool's
-    /// overlap branch). Either way the per-sample verdicts merged by
+    /// fetches would fail too). Openings of the two bound ends are served
+    /// from the manager's own copies ([`HeldEnds`]) on every source.
+    /// Requires only shared access to the manager, so callers may fan out
+    /// across threads: the whole range as one task
+    /// ([`Self::verify_worker`]) or one sample per task (the pool's overlap
+    /// branch). Either way the per-sample verdicts merged by
     /// [`WorkerVerdict::from_samples`] are bitwise identical — the verifier
     /// clones its pristine injector per sample and replay fully overwrites
     /// the pooled scratch model.
     ///
     /// # Panics
     ///
-    /// Panics under the baseline scheme: its plan schedules no samples.
+    /// Panics under the baseline scheme (its plan schedules no samples) and
+    /// on a participant [`Self::bind`] refused.
     pub(crate) fn verify_samples(
         &self,
         part: &Participant<'_>,
@@ -550,11 +652,13 @@ impl PoolManager {
     ) -> Vec<SampleVerdict> {
         let prepared = plan.verification.as_ref().expect("a verifying scheme");
         let assignment = &prepared.assignments[part.id];
-        let commitment = part
-            .submission
-            .commitment
-            .as_ref()
-            .expect("verified schemes commit");
+        let commitment = part.submission.commitment.as_ref().expect("bound");
+        let provider = HeldEnds {
+            inner: part.provider,
+            start: self.start_model(plan),
+            last: prepared.segments.len(),
+            final_weights: &part.submission.final_weights,
+        };
         let (mut scratch, arena) = self.checkout_replay_state();
         let mut verifier = Verifier::with_arena(
             &self.config,
@@ -571,18 +675,19 @@ impl PoolManager {
             commitment,
             &prepared.segments,
             &assignment.samples[range],
-            part.provider,
+            &provider,
         );
         self.checkin_replay_state((scratch, verifier.into_arena()));
         verdicts
     }
 
-    /// Verifies all of one participant's prepared samples under its
-    /// `rpol.verify.worker` span. Also the top manager's audit replay:
-    /// identical numerics to the first verification (same assignment,
-    /// nonce, noise seed, pooled replay states), so an honest committee's
-    /// audited verdict always matches bit for bit.
-    fn verify_worker(&self, part: &Participant<'_>, plan: &EpochPlan) -> WorkerVerdict {
+    /// Binds, then verifies all of one participant's prepared samples, under
+    /// its `rpol.verify.worker` span; beside the verdict, the openings it
+    /// did not fetch. Also the top manager's audit replay: identical
+    /// numerics to the first verification (same assignment, nonce, noise
+    /// seed, pooled replay states), so an honest committee's audited
+    /// verdict always matches bit for bit.
+    fn verify_worker(&self, part: &Participant<'_>, plan: &EpochPlan) -> Verified {
         let samples = plan.sample_count(part.id);
         let _g = span!(
             self.recorder,
@@ -591,7 +696,10 @@ impl PoolManager {
             worker = part.id,
             samples
         );
-        WorkerVerdict::from_samples(self.verify_samples(part, plan, 0..samples))
+        WorkerVerdict::merge_samples(match self.bind(part, plan) {
+            Ok(()) => self.verify_samples(part, plan, 0..samples),
+            Err(rejection) => vec![rejection],
+        })
     }
 
     /// `verify → settle` over one group whose submissions are in hand: one
@@ -657,15 +765,18 @@ impl PoolManager {
     /// quarantine per verdict, accepted updates folded into the
     /// order-invariant accumulator and credited, so the caller can drop the
     /// group's submissions before the next group runs. `verdicts` holds one
-    /// verdict per participant, in participant order, or `None` under the
-    /// baseline scheme (every delivered submission is aggregated). Under a
-    /// hierarchy the verdicts first make the committee round trip.
+    /// verdict per participant beside the openings it elided, in
+    /// participant order, or `None` under the baseline scheme (every
+    /// delivered submission of the model's shape is aggregated). Under a
+    /// hierarchy the verdicts first make the committee round trip. What
+    /// verification has to tell the recorder is said here, by the settling
+    /// thread, never from inside a verification task.
     pub(crate) fn settle_fold(
         &mut self,
         settlement: &mut Settlement,
         group: usize,
         participants: &[Participant<'_>],
-        verdicts: Option<Vec<WorkerVerdict>>,
+        verdicts: Option<Vec<Verified>>,
         plan: &EpochPlan,
     ) {
         if participants.is_empty() {
@@ -679,9 +790,15 @@ impl PoolManager {
         report.commit_bytes_hashed += commit_bytes;
         // Only one group's commitments are resident at a time.
         report.peak_commit_bytes = report.peak_commit_bytes.max(commit_bytes);
-        let Some(mut verdicts) = verdicts else {
+        let Some(verdicts) = verdicts else {
             for part in participants {
-                self.accept(settlement, part);
+                // Nothing to bind to without a commitment, but a vector of
+                // another length is not an update of this model.
+                if part.submission.final_weights.len() == self.global.len() {
+                    self.accept(settlement, part);
+                } else {
+                    settlement.report.rejected.push(part.id);
+                }
             }
             return;
         };
@@ -690,6 +807,9 @@ impl PoolManager {
             participants.len(),
             "one verdict per participant"
         );
+        let (mut verdicts, elided): (Vec<WorkerVerdict>, Vec<u64>) = verdicts.into_iter().unzip();
+        self.recorder
+            .counter_add("rpol.verify.openings_elided", elided.iter().sum());
         if settlement.hierarchy.is_some() {
             verdicts = self.committee_round_trip(
                 settlement,
@@ -705,6 +825,15 @@ impl PoolManager {
             report.comm.proof_bytes += verdict.proof_bytes;
             report.double_checks += verdict.double_checks();
             report.replayed_steps += verdict.replayed_steps;
+            if let Some(end) = verdict.unbound_end() {
+                event!(
+                    self.recorder,
+                    "rpol.verify.endpoint_mismatch",
+                    epoch = plan.epoch,
+                    worker = part.id,
+                    end
+                );
+            }
             if verdict.transport_failed() {
                 // Openings stopped arriving: a dead or exhausted link, not
                 // evidence of cheating.
@@ -784,7 +913,7 @@ impl PoolManager {
                 delivered.verify_inclusion(&proof, *w, committed),
                 "audited verdict failed its inclusion proof"
             );
-            let replayed = self.verify_worker(&participants[i], plan);
+            let (replayed, _) = self.verify_worker(&participants[i], plan);
             report.audits += 1;
             report.audit_replayed_steps += replayed.replayed_steps;
             report.audit_proof_bytes += replayed.proof_bytes;
@@ -1020,6 +1149,101 @@ mod tests {
         manager.run_epoch(&mut workers, 1);
         assert_eq!(manager.contributions().credits(&workers[0].address), 2);
         assert_eq!(manager.contributions().credits(&workers[1].address), 0);
+    }
+
+    /// A link-backed provider reduced to what its fault draws are keyed
+    /// by: every opening that is sent records `(seq, index)`, every opening
+    /// claims a `seq` whether sent or skipped.
+    #[derive(Default)]
+    struct SeqRecorder {
+        checkpoints: Vec<Vec<f32>>,
+        seq: std::cell::Cell<u64>,
+        sent: std::cell::RefCell<Vec<(u64, usize)>>,
+    }
+
+    impl SeqRecorder {
+        fn next_seq(&self) -> u64 {
+            self.seq.replace(self.seq.get() + 1)
+        }
+    }
+
+    impl ProofProvider for SeqRecorder {
+        fn open_checkpoint(&self, index: usize) -> Result<Cow<'_, [f32]>, ProofUnavailable> {
+            self.sent.borrow_mut().push((self.next_seq(), index));
+            Ok(Cow::Borrowed(&self.checkpoints[index]))
+        }
+
+        fn skip_opening(&self) {
+            self.next_seq();
+        }
+    }
+
+    /// The draws-only-disappear property: behind the adapter a provider
+    /// sends exactly the openings it sent without it minus the two held
+    /// ends, each under the `seq` it had — so every surviving exchange
+    /// keeps its `(epoch, worker, kind, seq, attempt, length)` fault draws.
+    #[test]
+    fn eliding_held_ends_leaves_every_other_opening_on_its_seq() {
+        use crate::commitment::EpochCommitment;
+        use crate::trainer::LocalTrainer;
+        let cfg = TaskConfig::tiny();
+        let data = SyntheticImages::generate(&cfg.spec, 64, &mut Pcg32::seed_from(1));
+        let mut model = cfg.build_model();
+        let mut trainer = LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::GA10, 11));
+        let trace = trainer.run_epoch(&mut model, 3, 8);
+        let last = trace.segments.len();
+        assert_eq!(last, 4, "a 4-segment epoch");
+        // v1 opens input and output of every sample: the most openings.
+        let commitment = EpochCommitment::commit_v1(&trace.checkpoints);
+        let mut elided_total = 0;
+        for skipped in 0..last {
+            // q = 3: every 3-subset of the 4 segments, in sample order.
+            let samples: Vec<usize> = (0..last).filter(|&j| j != skipped).collect();
+            let run = |held: bool| {
+                let link = SeqRecorder {
+                    checkpoints: trace.checkpoints.clone(),
+                    ..SeqRecorder::default()
+                };
+                let adapter = HeldEnds {
+                    inner: &link,
+                    start: &trace.checkpoints[0],
+                    last,
+                    final_weights: &trace.checkpoints[last],
+                };
+                let provider: &dyn ProofProvider = if held { &adapter } else { &link };
+                let noise = NoiseInjector::new(GpuModel::G3090, 99);
+                let verdict = Verifier::new(&cfg, &data, 3, 0.5, None, noise).verify_samples(
+                    &mut cfg.build_model(),
+                    &commitment,
+                    &trace.segments,
+                    &samples,
+                    provider,
+                );
+                assert!(
+                    verdict.all_accepted(),
+                    "{samples:?}: {:?}",
+                    verdict.outcomes
+                );
+                let sent = link.sent.borrow().clone();
+                (sent, link.seq.get(), verdict.proof_bytes)
+            };
+            let (all, scheduled, all_bytes) = run(false);
+            let (kept, scheduled_held, kept_bytes) = run(true);
+            let expected: Vec<(u64, usize)> = all
+                .iter()
+                .copied()
+                .filter(|&(_, index)| index != 0 && index != last)
+                .collect();
+            assert_eq!(kept, expected, "samples {samples:?}");
+            assert_eq!(scheduled_held, scheduled, "seq counts openings scheduled");
+            assert_eq!(all.len(), 6, "two openings per sample");
+            // Bytes are charged per opening that crossed, and only those.
+            let per_opening = all_bytes / all.len() as u64;
+            assert_eq!(kept_bytes, per_opening * kept.len() as u64);
+            elided_total += all.len() - kept.len();
+        }
+        // Segment 0 and segment 3 are each in three of the four sample sets.
+        assert_eq!(elided_total, 6);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::adversary::WorkerBehavior;
 use crate::committee::{partition, Hierarchy};
-use crate::manager::{CommStats, EpochPlan, EpochReport, Participant, PoolManager};
+use crate::manager::{CommStats, EpochPlan, EpochReport, Participant, PoolManager, Verified};
 use crate::tasks::TaskConfig;
 use crate::transport::{
     link_state, FaultConfig, LinkState, MsgKind, Transport, TransportError, TransportStats,
@@ -290,7 +290,8 @@ pub(crate) struct ProviderState {
 
 impl ProviderState {
     /// Claims the next opening's sequence number — part of its fault seed,
-    /// advanced even when the request leg then exhausts.
+    /// advanced even when the request leg then exhausts, and for an opening
+    /// the manager served itself: `seq` counts openings scheduled, not sent.
     pub(crate) fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
@@ -410,6 +411,10 @@ impl ProofProvider for TransportProvider<'_> {
         }
         // Decoded off the wire: necessarily an owned buffer.
         Ok(Cow::Owned(got_weights))
+    }
+
+    fn skip_opening(&self) {
+        self.state.lock().next_seq();
     }
 }
 
@@ -960,12 +965,12 @@ impl MiningPool {
         plan: &EpochPlan,
         mut link: Option<&mut Link>,
         comm: &mut CommStats,
-    ) -> (Vec<Option<EpochSubmission>>, Option<Vec<WorkerVerdict>>) {
+    ) -> (Vec<Option<EpochSubmission>>, Option<Vec<Verified>>) {
         let (workers, manager) = (&mut self.workers[..], &self.manager);
         let (exec, rec) = (self.executor.as_deref(), &*self.recorder);
         let epoch = plan.epoch;
         let tasks: Vec<Option<Task<'_>>> = match link.as_deref_mut() {
-            Some(link) => link.deliver_tasks(workers, manager.task_block(), plan, comm, rec),
+            Some(link) => link.deliver_tasks(workers, manager.task_block(plan), plan, comm, rec),
             None => members
                 .iter()
                 .map(|&w| {
@@ -1037,6 +1042,10 @@ impl MiningPool {
                             worker = w,
                             samples = verdicts.len()
                         );
+                        if let Err(rejection) = manager.bind(&part, plan) {
+                            *verdicts = vec![Some(rejection)];
+                            return;
+                        }
                         for (pos, verdict) in verdicts.iter_mut().enumerate() {
                             s.spawn(move || {
                                 *verdict = manager.verify_samples(&part, plan, pos..pos + 1).pop();
@@ -1060,7 +1069,7 @@ impl MiningPool {
             sample_verdicts
                 .into_iter()
                 .map(|samples| {
-                    WorkerVerdict::from_samples(
+                    WorkerVerdict::merge_samples(
                         samples.into_iter().map(|v| v.expect("sample verified")),
                     )
                 })

@@ -1636,6 +1636,10 @@ impl ProofProvider for SocketProvider<'_> {
             }
         }
     }
+
+    fn skip_opening(&self) {
+        self.state.lock().next_seq();
+    }
 }
 
 /// The manager, standing as a socket service: binds a listener, waits
@@ -1920,7 +1924,7 @@ impl PoolServer {
             under_epoch,
             &[("epoch", Value::from(epoch))],
         );
-        let block = self.pool.manager.task_block();
+        let block = self.pool.manager.task_block(&plan);
         let mut tasked = vec![false; n];
         #[allow(clippy::needless_range_loop)] // worker order fixes the chaos draw order
         for w in 0..n {

@@ -14,8 +14,9 @@
 use crate::commitment::EpochCommitment;
 use crate::tasks::TaskConfig;
 use crate::trainer::{LocalTrainer, Segment};
+use crate::worker::CommitMode;
 use rpol_crypto::commitment::Commitment as _;
-use rpol_crypto::sha256::sha256_f32;
+use rpol_crypto::sha256::Digest;
 use rpol_lsh::LshFamily;
 use rpol_nn::data::SyntheticImages;
 use rpol_nn::model::Sequential;
@@ -66,6 +67,18 @@ pub trait ProofProvider {
     /// exhausted transport link) — never for a *wrong* opening, which is
     /// a verification failure, not a transport one.
     fn open_checkpoint(&self, index: usize) -> Result<Cow<'_, [f32]>, ProofUnavailable>;
+
+    /// Whether `index` is served from a copy the verifying side already
+    /// holds, so opening it moves no bytes. The manager's endpoint adapter
+    /// answers `true` for both ends of the committed trajectory.
+    fn held(&self, _index: usize) -> bool {
+        false
+    }
+
+    /// An opening that was scheduled but never sent. Link-backed providers
+    /// advance their per-opening `seq` exactly as a sent one would, so
+    /// every exchange that still happens keeps its fault draws.
+    fn skip_opening(&self) {}
 }
 
 /// Why a sampled checkpoint was rejected.
@@ -92,8 +105,9 @@ pub enum RejectReason {
 pub enum VerificationOutcome {
     /// The checkpoint verified.
     Accepted {
-        /// Whether the raw-weight double-check was needed (RPoLv2 only:
-        /// an LSH mismatch on honest weights, i.e. an LSH false negative).
+        /// Whether the raw-weight double-check was needed (RPoLv2 and
+        /// RPoLv3: an LSH mismatch — under v3 also a single-group
+        /// borderline match — rescued by the distance check).
         double_checked: bool,
     },
     /// The checkpoint failed verification.
@@ -125,6 +139,9 @@ pub struct SampleVerdict {
     pub proof_bytes: u64,
     /// Training steps replayed for this sample.
     pub replayed_steps: u64,
+    /// Openings this sample was served from copies the manager holds
+    /// ([`ProofProvider::held`]) — scheduled, never sent, charged no bytes.
+    pub openings_elided: u64,
 }
 
 /// Result of verifying all sampled checkpoints of one worker's epoch.
@@ -159,22 +176,47 @@ impl WorkerVerdict {
     /// their proof bytes and replayed steps are not counted — exactly what
     /// a serial verifier would have skipped against a dead link.
     pub fn from_samples(verdicts: impl IntoIterator<Item = SampleVerdict>) -> Self {
+        Self::merge_samples(verdicts).0
+    }
+
+    /// [`from_samples`](Self::from_samples) plus the kept samples'
+    /// [`SampleVerdict::openings_elided`] — beside the verdict, not in it:
+    /// a verdict crosses the committee wire field for field.
+    pub(crate) fn merge_samples(verdicts: impl IntoIterator<Item = SampleVerdict>) -> (Self, u64) {
         let mut outcomes = Vec::new();
         let mut proof_bytes = 0u64;
         let mut replayed_steps = 0u64;
+        let mut openings_elided = 0u64;
         for v in verdicts {
             let stop = matches!(v.outcome, VerificationOutcome::Unavailable);
             proof_bytes += v.proof_bytes;
             replayed_steps += v.replayed_steps;
+            openings_elided += v.openings_elided;
             outcomes.push((v.sample, v.outcome));
             if stop {
                 break;
             }
         }
-        WorkerVerdict {
+        let verdict = WorkerVerdict {
             outcomes,
             proof_bytes,
             replayed_steps,
+        };
+        (verdict, openings_elided)
+    }
+
+    /// Which end of the committed trajectory failed to bind a model the
+    /// manager holds, when that is why the worker was rejected. A bind
+    /// rejection is the only one that cost nothing: a sampled segment's
+    /// rejection fetched its input or replayed it first.
+    pub fn unbound_end(&self) -> Option<&'static str> {
+        if self.proof_bytes != 0 || self.replayed_steps != 0 {
+            return None;
+        }
+        match self.outcomes.first()?.1 {
+            VerificationOutcome::Rejected(RejectReason::InputCommitmentMismatch) => Some("start"),
+            VerificationOutcome::Rejected(_) => Some("final"),
+            _ => None,
         }
     }
 
@@ -360,8 +402,13 @@ impl<'a> Verifier<'a> {
         let j = index;
         assert!(j + 1 < commitment.len(), "sample {j} beyond commitment");
         let model_bytes = (model.param_count() * 4) as u64;
-        let mut proof_bytes = 0u64;
-        let mut replayed_steps = 0u64;
+        // V3 openings travel as packed bf16 images: 2 bytes per weight
+        // instead of 4 (lattice checkpoints round-trip losslessly).
+        let opening_bytes = if matches!(commitment, EpochCommitment::V3(_)) {
+            model_bytes / 2
+        } else {
+            model_bytes
+        };
         let rec = self.rec;
         let segment = segments[j];
         let _sample_span = span!(
@@ -370,30 +417,28 @@ impl<'a> Verifier<'a> {
             sample = j,
             steps = segment.steps
         );
-        let verdict =
-            |outcome: VerificationOutcome, proof_bytes: u64, replayed_steps: u64| SampleVerdict {
-                sample: j,
-                outcome,
-                proof_bytes,
-                replayed_steps,
-            };
-        let input = match provider.open_checkpoint(j) {
-            Ok(weights) => weights,
-            Err(_) => {
-                event!(rec, "rpol.verify.unavailable", sample = j);
-                return verdict(
-                    VerificationOutcome::Unavailable,
-                    proof_bytes,
-                    replayed_steps,
-                );
-            }
+        // The sample's running tally; it reads `Unavailable` until a step
+        // below decides otherwise, which is what a failed fetch returns.
+        let mut tally = SampleVerdict {
+            sample: j,
+            outcome: VerificationOutcome::Unavailable,
+            proof_bytes: 0,
+            replayed_steps: 0,
+            openings_elided: 0,
         };
-        // V3 openings travel as packed bf16 images: 2 bytes per weight
-        // instead of 4 (lattice checkpoints round-trip losslessly).
-        proof_bytes += if matches!(commitment, EpochCommitment::V3(_)) {
-            model_bytes / 2
-        } else {
-            model_bytes
+        // One opening: bytes are charged only if it crossed the link — a
+        // checkpoint the manager holds is scheduled, not sent.
+        let open = |index: usize, tally: &mut SampleVerdict| {
+            let weights = provider.open_checkpoint(index);
+            match &weights {
+                Ok(_) if provider.held(index) => tally.openings_elided += 1,
+                Ok(_) => tally.proof_bytes += opening_bytes,
+                Err(_) => event!(rec, "rpol.verify.unavailable", sample = j),
+            }
+            weights
+        };
+        let Ok(input) = open(j, &mut tally) else {
+            return tally;
         };
 
         // Step 0: refuse numerically hostile payloads outright — a
@@ -402,24 +447,19 @@ impl<'a> Verifier<'a> {
         // lattice: the protocol trains on lattice points, and lattice
         // membership is what upgrades the packed-image digest to an exact
         // binding (off-lattice weights could share an image).
-        if !input.iter().all(|w| w.is_finite())
-            || (matches!(commitment, EpochCommitment::V3(_))
-                && !rpol_tensor::quant::is_bf16_lattice(&input))
-        {
-            return verdict(
-                VerificationOutcome::Rejected(RejectReason::MalformedWeights),
-                proof_bytes,
-                replayed_steps,
-            );
+        if !well_formed(commitment, &input) {
+            return SampleVerdict {
+                outcome: VerificationOutcome::Rejected(RejectReason::MalformedWeights),
+                ..tally
+            };
         }
 
         // Step 1: the opened input must match the commitment.
         if !self.check_commitment(commitment, j, &input) {
-            return verdict(
-                VerificationOutcome::Rejected(RejectReason::InputCommitmentMismatch),
-                proof_bytes,
-                replayed_steps,
-            );
+            return SampleVerdict {
+                outcome: VerificationOutcome::Rejected(RejectReason::InputCommitmentMismatch),
+                ..tally
+            };
         }
 
         // Step 2: replay the segment from the opened input. The replay
@@ -433,7 +473,7 @@ impl<'a> Verifier<'a> {
         );
         let mut replayed = trainer.replay_segment(model, &input, self.nonce, segment);
         self.arena = trainer.into_arena();
-        replayed_steps += segment.steps as u64;
+        tally.replayed_steps += segment.steps as u64;
         // RPoLv3 workers snap to the lattice at every segment boundary;
         // the replay mirrors that so signatures and distances compare
         // lattice point against lattice point.
@@ -441,82 +481,28 @@ impl<'a> Verifier<'a> {
             rpol_tensor::quant::snap_to_bf16(&mut replayed);
         }
 
-        // Step 3: compare with the committed output.
-        let outcome = match (commitment, self.family) {
-            (EpochCommitment::V1(list), _) => {
-                // Raw scheme: fetch the output weights too.
-                let output = match provider.open_checkpoint(j + 1) {
-                    Ok(weights) => weights,
-                    Err(_) => {
-                        event!(rec, "rpol.verify.unavailable", sample = j);
-                        return verdict(
-                            VerificationOutcome::Unavailable,
-                            proof_bytes,
-                            replayed_steps,
-                        );
-                    }
-                };
-                proof_bytes += model_bytes;
-                if !list.verify(j + 1, &sha256_f32(&output), &()) {
-                    VerificationOutcome::Rejected(RejectReason::OutputCommitmentMismatch)
-                } else if !output.iter().all(|w| w.is_finite()) {
-                    VerificationOutcome::Rejected(RejectReason::MalformedWeights)
-                } else {
-                    let distance = euclidean(&replayed, &output);
-                    if distance < self.beta {
-                        VerificationOutcome::Accepted {
-                            double_checked: false,
-                        }
-                    } else {
-                        VerificationOutcome::Rejected(RejectReason::DistanceExceeded {
-                            distance,
-                            beta: self.beta,
-                        })
-                    }
-                }
-            }
+        // Step 3: compare with the committed output. Fuzzy schemes first
+        // try to accept on the LSH signature alone; whoever does not is
+        // bound exactly to the raw output and distance-checked.
+        let double_checked = match (commitment, self.family) {
+            // Raw scheme: always fetch the output weights too.
+            (EpochCommitment::V1(_), _) => false,
             (EpochCommitment::V2(lsh_commit), Some(family)) => {
-                let replayed_sig = family.hash(&replayed);
-                if replayed_sig.matches_digests(lsh_commit.entry(j + 1)) {
-                    VerificationOutcome::Accepted {
-                        double_checked: false,
-                    }
-                } else {
-                    // Double-check: fetch raw output, re-bind to the
-                    // commitment, and fall back to a distance check so
-                    // LSH false negatives never penalize honesty.
-                    event!(rec, "rpol.verify.double_check", sample = j);
-                    let output = match provider.open_checkpoint(j + 1) {
-                        Ok(weights) => weights,
-                        Err(_) => {
-                            event!(rec, "rpol.verify.unavailable", sample = j);
-                            return verdict(
-                                VerificationOutcome::Unavailable,
-                                proof_bytes,
-                                replayed_steps,
-                            );
-                        }
+                if family
+                    .hash(&replayed)
+                    .matches_digests(lsh_commit.entry(j + 1))
+                {
+                    return SampleVerdict {
+                        outcome: VerificationOutcome::Accepted {
+                            double_checked: false,
+                        },
+                        ..tally
                     };
-                    proof_bytes += model_bytes;
-                    let output_sig = family.hash(&output);
-                    if !output.iter().all(|w| w.is_finite()) {
-                        VerificationOutcome::Rejected(RejectReason::MalformedWeights)
-                    } else if output_sig.group_digests() != lsh_commit.entry(j + 1) {
-                        VerificationOutcome::Rejected(RejectReason::OutputCommitmentMismatch)
-                    } else {
-                        let distance = euclidean(&replayed, &output);
-                        if distance < self.beta {
-                            VerificationOutcome::Accepted {
-                                double_checked: true,
-                            }
-                        } else {
-                            VerificationOutcome::Rejected(RejectReason::DistanceExceeded {
-                                distance,
-                                beta: self.beta,
-                            })
-                        }
-                    }
                 }
+                // Double-check: fetch raw output, re-bind to the
+                // commitment, and fall back to a distance check so LSH
+                // false negatives never penalize honesty.
+                true
             }
             (EpochCommitment::V3(qc), Some(family)) => {
                 // Two-tier accept: count agreeing groups against the
@@ -526,50 +512,19 @@ impl<'a> Verifier<'a> {
                 // double-check. Both sub-2 paths fetch the output, bind it
                 // exactly via the packed-image digest, and distance-check —
                 // a strictly tighter acceptance region than RPoLv2's.
-                let sig = family.hash(&replayed);
-                let agreeing = sig.matching_group_count(qc.entry(j + 1));
+                let agreeing = family.hash(&replayed).matching_group_count(qc.entry(j + 1));
                 if agreeing >= 2 {
-                    VerificationOutcome::Accepted {
-                        double_checked: false,
-                    }
-                } else {
-                    if agreeing == 1 {
-                        event!(rec, "rpol.verify.escape_hatch", sample = j);
-                    }
-                    event!(rec, "rpol.verify.double_check", sample = j);
-                    let output = match provider.open_checkpoint(j + 1) {
-                        Ok(weights) => weights,
-                        Err(_) => {
-                            event!(rec, "rpol.verify.unavailable", sample = j);
-                            return verdict(
-                                VerificationOutcome::Unavailable,
-                                proof_bytes,
-                                replayed_steps,
-                            );
-                        }
+                    return SampleVerdict {
+                        outcome: VerificationOutcome::Accepted {
+                            double_checked: false,
+                        },
+                        ..tally
                     };
-                    // V3 openings travel packed: 2 bytes per weight.
-                    proof_bytes += model_bytes / 2;
-                    if !output.iter().all(|w| w.is_finite())
-                        || !rpol_tensor::quant::is_bf16_lattice(&output)
-                    {
-                        VerificationOutcome::Rejected(RejectReason::MalformedWeights)
-                    } else if quant_digest_of(&output) != *qc.quant_digest(j + 1) {
-                        VerificationOutcome::Rejected(RejectReason::OutputCommitmentMismatch)
-                    } else {
-                        let distance = euclidean(&replayed, &output);
-                        if distance < self.beta {
-                            VerificationOutcome::Accepted {
-                                double_checked: true,
-                            }
-                        } else {
-                            VerificationOutcome::Rejected(RejectReason::DistanceExceeded {
-                                distance,
-                                beta: self.beta,
-                            })
-                        }
-                    }
                 }
+                if agreeing == 1 {
+                    event!(rec, "rpol.verify.escape_hatch", sample = j);
+                }
+                true
             }
             (EpochCommitment::V2(_), None) => {
                 panic!("RPoLv2 commitment but no LSH family configured")
@@ -578,40 +533,60 @@ impl<'a> Verifier<'a> {
                 panic!("RPoLv3 commitment but no LSH family configured")
             }
         };
-        verdict(outcome, proof_bytes, replayed_steps)
+        if double_checked {
+            event!(rec, "rpol.verify.double_check", sample = j);
+        }
+        let Ok(output) = open(j + 1, &mut tally) else {
+            return tally;
+        };
+        let outcome = if !well_formed(commitment, &output) {
+            VerificationOutcome::Rejected(RejectReason::MalformedWeights)
+        } else if !self.check_commitment(commitment, j + 1, &output) {
+            VerificationOutcome::Rejected(RejectReason::OutputCommitmentMismatch)
+        } else {
+            let distance = euclidean(&replayed, &output);
+            if distance < self.beta {
+                VerificationOutcome::Accepted { double_checked }
+            } else {
+                VerificationOutcome::Rejected(RejectReason::DistanceExceeded {
+                    distance,
+                    beta: self.beta,
+                })
+            }
+        };
+        SampleVerdict { outcome, ..tally }
     }
 
-    /// Checks an opened checkpoint against the commitment at `index`.
+    /// Checks an opened checkpoint against the commitment at `index`: the
+    /// digests the scheme binds these weights by
+    /// ([`CommitMode::binding_of`]) are what the entry carries ([`binds`]).
     fn check_commitment(
         &self,
         commitment: &EpochCommitment,
         index: usize,
         weights: &[f32],
     ) -> bool {
-        match (commitment, self.family) {
-            (EpochCommitment::V1(list), _) => list.verify(index, &sha256_f32(weights), &()),
-            (EpochCommitment::V2(lsh_commit), Some(family)) => {
-                // Exact binding: the worker computed these digests from
-                // exactly these weights, so all groups must agree.
-                family.hash(weights).group_digests() == lsh_commit.entry(index)
-            }
-            (EpochCommitment::V3(qc), _) => {
-                // Exact binding at half the bytes: the opened checkpoint is
-                // lattice-enforced upstream, so its packed 2-byte image
-                // determines the f32 weights uniquely and the image digest
-                // binds as strongly as V1's raw digest.
-                quant_digest_of(weights) == *qc.quant_digest(index)
-            }
-            (EpochCommitment::V2(_), None) => {
-                panic!("RPoLv2 commitment but no LSH family configured")
-            }
-        }
+        let mode = CommitMode::of(commitment, self.family);
+        binds(commitment, index, &mode.binding_of(weights))
     }
 }
 
-/// SHA-256 of the packed bf16 image — the RPoLv3 checkpoint digest.
-fn quant_digest_of(weights: &[f32]) -> rpol_crypto::Digest {
-    rpol_crypto::sha256(&rpol_crypto::bytes::bf16_as_le_bytes(weights))
+/// Whether a checkpoint may enter a replay or an aggregate at all: finite
+/// everywhere, and under RPoLv3 *on* the bf16 lattice.
+pub(crate) fn well_formed(commitment: &EpochCommitment, weights: &[f32]) -> bool {
+    weights.iter().all(|w| w.is_finite())
+        && (!matches!(commitment, EpochCommitment::V3(_))
+            || rpol_tensor::quant::is_bf16_lattice(weights))
+}
+
+/// Whether `commitment`'s entry `index` carries exactly `binding` (as
+/// [`CommitMode::binding_of`] computed it for the same scheme).
+pub(crate) fn binds(commitment: &EpochCommitment, index: usize, binding: &[Digest]) -> bool {
+    match commitment {
+        EpochCommitment::V1(list) => list.verify(index, &binding[0], &()),
+        EpochCommitment::V2(lsh_commit) => lsh_commit.entry(index) == binding,
+        EpochCommitment::V3(qc) => *qc.quant_digest(index) == binding[0],
+    }
 }
 
 /// Euclidean distance between two weight vectors, accumulated in f64.
@@ -1008,6 +983,7 @@ mod tests {
             outcome,
             proof_bytes: 10,
             replayed_steps: 2,
+            openings_elided: 0,
         };
         let merged = WorkerVerdict::from_samples(vec![
             mk(

@@ -5,6 +5,7 @@ use crate::commitment::EpochCommitment;
 use crate::tasks::TaskConfig;
 use crate::trainer::{epoch_segments, LocalTrainer, Segment};
 use crate::verify::ProofProvider;
+use rpol_crypto::sha256::Digest;
 use rpol_crypto::Address;
 use rpol_lsh::LshFamily;
 use rpol_nn::data::SyntheticImages;
@@ -27,7 +28,7 @@ pub enum CommitMode<'a> {
     V3(&'a LshFamily),
 }
 
-impl CommitMode<'_> {
+impl<'a> CommitMode<'a> {
     /// LSH hashes per group (`k`) of the epoch's family; 0 for the schemes
     /// without one. Together with the model size it fixes the commitment's
     /// hashing cost.
@@ -35,6 +36,58 @@ impl CommitMode<'_> {
         match self {
             CommitMode::V2(f) | CommitMode::V3(f) => f.params().k,
             CommitMode::Skip | CommitMode::V1 => 0,
+        }
+    }
+
+    /// Whether `commitment` is the kind this mode has workers build — a
+    /// delivered submission may carry any.
+    pub(crate) fn produces(&self, commitment: &EpochCommitment) -> bool {
+        matches!(
+            (self, commitment),
+            (CommitMode::V1, EpochCommitment::V1(_))
+                | (CommitMode::V2(_), EpochCommitment::V2(_))
+                | (CommitMode::V3(_), EpochCommitment::V3(_))
+        )
+    }
+
+    /// The mode that builds commitments of `commitment`'s kind, given the
+    /// verifier's family.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an LSH commitment without a family.
+    pub(crate) fn of(commitment: &EpochCommitment, family: Option<&'a LshFamily>) -> Self {
+        match (commitment, family) {
+            (EpochCommitment::V1(_), _) => CommitMode::V1,
+            (EpochCommitment::V2(_), Some(family)) => CommitMode::V2(family),
+            (EpochCommitment::V3(_), Some(family)) => CommitMode::V3(family),
+            (EpochCommitment::V2(_), None) => {
+                panic!("RPoLv2 commitment but no LSH family configured")
+            }
+            (EpochCommitment::V3(_), None) => {
+                panic!("RPoLv3 commitment but no LSH family configured")
+            }
+        }
+    }
+
+    /// The digests this scheme binds a checkpoint by — what the commitment
+    /// entry of exactly these weights carries. A function of the weights
+    /// alone, so the manager computes it once per epoch for the start
+    /// model every worker must have committed to.
+    pub(crate) fn binding_of(&self, weights: &[f32]) -> Vec<Digest> {
+        match self {
+            CommitMode::Skip => Vec::new(),
+            CommitMode::V1 => vec![rpol_crypto::sha256::sha256_f32(weights)],
+            // Exact binding: the worker computed these digests from exactly
+            // these weights, so all groups must agree.
+            CommitMode::V2(family) => family.hash(weights).group_digests(),
+            // Exact binding at half the bytes: an opened checkpoint is
+            // lattice-enforced, so its packed 2-byte image determines the
+            // f32 weights uniquely and the image digest binds as strongly
+            // as V1's raw digest.
+            CommitMode::V3(_) => vec![rpol_crypto::sha256(&rpol_crypto::bytes::bf16_as_le_bytes(
+                weights,
+            ))],
         }
     }
 }
@@ -206,10 +259,22 @@ impl PoolWorker {
             // Crash and straggler faults train honestly: the crash cuts off
             // *communication* (modelled by the transport layer, which stops
             // calling this worker), and the straggler is merely slow.
+            // The two endpoint cheats train honestly too: `SwapFinal` lies
+            // only in what it submits (below), `ForeignStart` only in where
+            // it starts — its own previous result, or before it has one the
+            // broadcast model halved.
             WorkerBehavior::Honest
             | WorkerBehavior::CrashAt { .. }
-            | WorkerBehavior::Straggler { .. } => {
-                self.model.load_params(global_weights);
+            | WorkerBehavior::Straggler { .. }
+            | WorkerBehavior::SwapFinal
+            | WorkerBehavior::ForeignStart => {
+                let foreign = matches!(self.behavior, WorkerBehavior::ForeignStart).then(|| {
+                    self.checkpoints
+                        .pop()
+                        .unwrap_or_else(|| global_weights.iter().map(|w| w * 0.5).collect())
+                });
+                self.model
+                    .load_params(foreign.as_deref().unwrap_or(global_weights));
                 let mut trainer =
                     LocalTrainer::new(config, &self.shard, self.noise.rerun(run_seed));
                 if quantized {
@@ -279,7 +344,12 @@ impl PoolWorker {
             CommitMode::V2(f) => Some(EpochCommitment::commit_v2(&checkpoints, f)),
             CommitMode::V3(f) => Some(EpochCommitment::commit_v3(&checkpoints, f)),
         };
-        let final_weights = checkpoints.last().expect("nonempty").clone();
+        let mut final_weights = checkpoints.last().expect("nonempty").clone();
+        if matches!(self.behavior, WorkerBehavior::SwapFinal) {
+            // Committed honestly, submitted sign-flipped (still on the
+            // lattice, still finite): only the binding can tell.
+            final_weights.iter_mut().for_each(|w| *w = -*w);
+        }
         let commit_bytes = commitment.as_ref().map_or(0, EpochCommitment::wire_size);
         let commit_bytes_hashed = commitment.as_ref().map_or(0, |c| {
             c.bytes_hashed(final_weights.len(), mode.hashes_per_group())
@@ -458,6 +528,8 @@ mod tests {
                 after_steps: 1,
             },
             WorkerBehavior::Straggler { slowdown: 4.0 },
+            WorkerBehavior::SwapFinal,
+            WorkerBehavior::ForeignStart,
         ];
         for behavior in behaviors {
             // A new behaviour must join the list above (and hold the
@@ -467,7 +539,9 @@ mod tests {
                 | WorkerBehavior::ReplayPrevious
                 | WorkerBehavior::PartialSpoof { .. }
                 | WorkerBehavior::CrashAt { .. }
-                | WorkerBehavior::Straggler { .. } => {}
+                | WorkerBehavior::Straggler { .. }
+                | WorkerBehavior::SwapFinal
+                | WorkerBehavior::ForeignStart => {}
             }
             let (cfg, mut from_f32, global) = setup(behavior);
             let (_, mut from_lattice, _) = setup(behavior);

@@ -25,9 +25,11 @@
 //! byte for byte; one threaded cell per scheme must repeat key and event
 //! multiset (its `exec.steals` / `exec.queue_depth_peak` are scheduling).
 //!
-//! The reference cells' keys are additionally pinned by one SHA-256,
-//! recorded on the five pre-refactor epoch drivers (see
-//! `REFERENCE_DIGEST`): same platform, like `tests/kernel_digest_pinning.rs`.
+//! The reference cells' keys are additionally pinned by one SHA-256
+//! (`REFERENCE_DIGEST`; same platform, like `tests/kernel_digest_pinning.rs`)
+//! and their decisions alone by a second (`DECISION_DIGEST`), so a change to
+//! what verification *fetches* can move the first and must not move the
+//! second.
 
 mod common;
 
@@ -53,13 +55,17 @@ const THREADS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(8)];
 const GROUPS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(6)];
 const FAULT_SEED: u64 = 0x9E;
 
-/// SHA-256 over the twelve reference cells' keys, in table order. Recorded
-/// at commit 49641cd by running this file, unchanged, against the five
-/// drivers `run_epoch{,_parallel,_hierarchical,_scoped,_transport}` the
-/// single plan → collect → verify → settle driver replaced; the refactor is
-/// held to those bits. Same-platform only (the LSH family and the noise
+/// SHA-256 over the twelve reference cells' keys, in table order. First
+/// recorded at commit 49641cd (`ee943d81…`) against the five drivers
+/// `run_epoch{,_parallel,_hierarchical,_scoped,_transport}` the single
+/// plan → collect → verify → settle driver replaced, and held there until
+/// the manager stopped fetching the two checkpoints it holds: re-recorded
+/// once, deliberately, for that change — the nine verified cells' proof
+/// bytes and exchange counts fell, the three Baseline cells' digests and
+/// every cell's `DECISION_DIGEST` line did not move (per-cell table in
+/// CHANGES.md, PR 22). Same-platform only (the LSH family and the noise
 /// model draw normals through the host's libm).
-const REFERENCE_DIGEST: &str = "ee943d81c9507cf9fcfa167f343d282e9c0e2f16e7832595ef083b339ea7ca37";
+const REFERENCE_DIGEST: &str = "d68b00f23f22e6e020d5c7c7078571b96a582e282bb49c961c92683e44a12a7a";
 
 /// SHA-256 over the twelve reference cells' *decisions*, per epoch:
 /// `accepted | rejected | quarantined | accuracy bits | double_checks |

@@ -841,3 +841,133 @@ fn readiness_and_scan_reactors_are_bitwise_identical_at_1024_connections() {
         "stitched traces must be byte-identical across reactor backends",
     );
 }
+
+/// `SwapFinal` and `ForeignStart` over real TCP: every sampled segment of
+/// their committed trajectories is honest training, so only the endpoint
+/// binding convicts them — and it must do so identically to the simulated
+/// link, exchange for exchange, on a link that drops and corrupts.
+#[test]
+fn endpoint_cheats_are_rejected_over_loopback_tcp_as_on_the_simulated_link() {
+    let behaviors = vec![
+        WorkerBehavior::Honest,
+        WorkerBehavior::SwapFinal,
+        WorkerBehavior::ForeignStart,
+    ];
+    for scheme in [Scheme::RPoLv1, Scheme::RPoLv2, Scheme::RPoLv3] {
+        let mut config = PoolConfig::tiny_demo(scheme);
+        config.epochs = 2;
+        config = config.with_faults(FaultConfig::lossy(0xE2D5));
+        let (simulated, socket) = assert_socket_matches_simulated(config, behaviors.clone());
+        for (e, record) in simulated.epochs.iter().enumerate() {
+            assert_eq!(record.report.accepted, vec![0], "{scheme} epoch {e}");
+            assert_eq!(record.report.rejected, vec![1, 2], "{scheme} epoch {e}");
+        }
+        // A cheat convicted at the binding is never asked for an opening.
+        assert_eq!(socket.clients[1].proofs_served, 0, "{scheme}");
+        assert_eq!(socket.clients[2].proofs_served, 0, "{scheme}");
+    }
+}
+
+/// A peer that speaks the framing but not the protocol: handshakes as
+/// `worker`, and answers each epoch's task with `forge(epoch, global)` as
+/// its submission payload. Returns when the server says shutdown.
+fn hostile_submitter(
+    addr: String,
+    worker: u32,
+    forge: impl Fn(u64, &[f32]) -> bytes::Bytes + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    use rpol::wire::{classify_payload, decode_epoch_task, split_traced, PayloadClass};
+    std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        send_control(
+            &mut stream,
+            &NetControl::Hello {
+                worker,
+                protocol: NET_PROTOCOL,
+            },
+        );
+        let mut assembler = FrameAssembler::new(1 << 22);
+        let mut chunk = [0u8; 8192];
+        loop {
+            let k = stream.read(&mut chunk).expect("read");
+            assert!(k > 0, "server closed before shutdown");
+            assembler.push(&chunk[..k]);
+            while let Some(payload) = assembler.next_frame().expect("clean frames") {
+                let (_, payload) = split_traced(&payload);
+                match classify_payload(&payload) {
+                    PayloadClass::EpochTask => {
+                        let task = decode_epoch_task(payload).expect("task decodes");
+                        let forged = forge(task.epoch, &task.global_weights);
+                        stream.write_all(&seal_frame(&forged)).expect("write");
+                    }
+                    PayloadClass::Control => {
+                        if let Ok(NetControl::Shutdown) = decode_net_control(payload) {
+                            return;
+                        }
+                    }
+                    other => panic!("a rejected worker was sent {other:?}"),
+                }
+            }
+        }
+    })
+}
+
+/// Hostile submission *shapes* over the real socket: each decodes cleanly
+/// (the codec checks framing, not meaning), so each reaches the manager —
+/// which must reject the worker before anything indexes the submission.
+/// At a73d092 the first of these killed the server on
+/// `.expect("verified schemes commit")`; a short commitment reached the
+/// verifier's `assert!(j + 1 < commitment.len())`, and a short weight
+/// vector that got as far as `accept` was `zip`-truncated into the
+/// aggregate.
+#[test]
+fn hostile_submission_shapes_are_rejected_over_the_socket_never_a_panic() {
+    use rpol::commitment::EpochCommitment;
+    use rpol::wire::encode_submission;
+
+    for scheme in [Scheme::RPoLv1, Scheme::RPoLv2, Scheme::RPoLv3] {
+        let mut config = PoolConfig::tiny_demo(scheme);
+        config.epochs = 4;
+        let behaviors = vec![WorkerBehavior::Honest; 2];
+        let pool = MiningPool::new(config, behaviors.clone());
+        let mut server =
+            PoolServer::bind(pool, &BindAddr::loopback(), ServerConfig::default()).expect("bind");
+        let addr = server.local_addr();
+
+        let honest = {
+            let worker = MiningPool::build_workers(config, &behaviors).remove(0);
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                rpol::client::WorkerClient::new(config, worker, addr, quick_tuning()).run()
+            })
+        };
+        let hostile = hostile_submitter(addr, 1, |epoch, global| {
+            let checkpoints = |n: usize| vec![global.to_vec(); n];
+            match epoch {
+                // No commitment at all under a verifying scheme.
+                0 => encode_submission(global, None),
+                // A commitment too short to hold any sampled segment.
+                1 => encode_submission(global, Some(&EpochCommitment::commit_v1(&checkpoints(1)))),
+                // The right kind for v1, one checkpoint short.
+                2 => encode_submission(global, Some(&EpochCommitment::commit_v1(&checkpoints(2)))),
+                // A well-committed vector of the wrong length.
+                _ => encode_submission(
+                    &global[..global.len() / 2],
+                    Some(&EpochCommitment::commit_v1(&checkpoints(3))),
+                ),
+            }
+        });
+
+        let report = server.run().expect("server run");
+        hostile.join().expect("hostile peer finished cleanly");
+        assert!(honest.join().expect("honest client").clean_shutdown);
+        for (e, record) in report.epochs.iter().enumerate() {
+            let r = &record.report;
+            assert_eq!(r.accepted, vec![0], "{scheme} epoch {e}: {r:?}");
+            assert_eq!(r.rejected, vec![1], "{scheme} epoch {e}: {r:?}");
+            assert!(r.quarantined.is_empty(), "{scheme} epoch {e}");
+            let verdict = &r.verdicts[1].1;
+            assert_eq!((verdict.proof_bytes, verdict.replayed_steps), (0, 0));
+        }
+    }
+}

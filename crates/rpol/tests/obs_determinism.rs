@@ -230,6 +230,99 @@ fn v3_byte_counters_equal_report_totals() {
     );
 }
 
+/// What verification did *not* fetch, and why a worker was turned away at
+/// the binding: both are recorded by the settling thread, so the exported
+/// counter equals what the report's verdicts imply and the events name
+/// exactly the workers the report rejected there — serial ≡ executor, on
+/// the direct source and over a lossy link.
+#[test]
+fn elided_openings_and_endpoint_mismatches_equal_what_the_report_implies() {
+    use rpol::verify::{RejectReason, VerificationOutcome};
+    let roster = vec![
+        WorkerBehavior::Honest,
+        WorkerBehavior::SwapFinal,
+        WorkerBehavior::ReplayPrevious,
+        WorkerBehavior::ForeignStart,
+        WorkerBehavior::Honest,
+    ];
+    for scheme in [Scheme::RPoLv1, Scheme::RPoLv2, Scheme::RPoLv3] {
+        for fault in [None, Some(FaultConfig::lossy(7))] {
+            let mut config = PoolConfig::tiny_demo(scheme);
+            config.steps_per_epoch = 8;
+            config.fault = fault;
+            let last = config.steps_per_epoch / config.task.checkpoint_interval;
+            let at = format!("{scheme}/{fault:?}");
+            let run = |parallel: bool| {
+                let rec = Arc::new(Recorder::logical());
+                let mut pool = MiningPool::new(config, roster.clone()).with_recorder(rec.clone());
+                let report = if parallel {
+                    pool.run_parallel()
+                } else {
+                    pool.run()
+                };
+                let mismatches: Vec<String> = sorted_multiset(&rec.events())
+                    .into_iter()
+                    .filter(|ev| ev.contains("rpol.verify.endpoint_mismatch"))
+                    .collect();
+                let elided = rec.snapshot().counter("rpol.verify.openings_elided");
+                (report, mismatches, elided)
+            };
+            let (report, mismatches, elided) = run(false);
+
+            // Every sample opens its input; raw v1 always opens the output,
+            // the fuzzy schemes only on the double-check path.
+            let opens_output = |outcome: &VerificationOutcome| match outcome {
+                VerificationOutcome::Accepted { double_checked } => {
+                    scheme == Scheme::RPoLv1 || *double_checked
+                }
+                VerificationOutcome::Rejected(RejectReason::DistanceExceeded { .. }) => true,
+                other => panic!("{at}: roster should not produce {other:?}"),
+            };
+            let mut implied = 0u64;
+            let mut unbound = Vec::new();
+            for record in &report.epochs {
+                for (w, verdict) in &record.report.verdicts {
+                    if let Some(end) = verdict.unbound_end() {
+                        unbound.push((record.report.epoch, *w, end));
+                        continue;
+                    }
+                    for (j, outcome) in &verdict.outcomes {
+                        implied += u64::from(*j == 0);
+                        implied += u64::from(j + 1 == last && opens_output(outcome));
+                    }
+                }
+            }
+            assert!(implied > 0, "{at}: vacuous");
+            assert_eq!(elided, implied, "{at}: openings_elided");
+            let epochs: Vec<u64> = (0..config.epochs as u64).collect();
+            let expected: Vec<(u64, usize, &str)> = epochs
+                .iter()
+                .flat_map(|&e| [(e, 1, "final"), (e, 3, "start")])
+                .collect();
+            assert_eq!(
+                unbound, expected,
+                "{at}: who was turned away at the binding"
+            );
+            let mut events: Vec<String> = expected
+                .iter()
+                .map(|(epoch, worker, end)| {
+                    format!(
+                        "Event|rpol.verify.endpoint_mismatch|[(\"epoch\", U64({epoch})), \
+                         (\"worker\", U64({worker})), (\"end\", Str(\"{end}\"))]"
+                    )
+                })
+                .collect();
+            events.sort();
+            assert_eq!(mismatches, events, "{at}: one event per binding rejection");
+
+            let (threaded, threaded_mismatches, threaded_elided) = run(true);
+            assert_eq!(threaded.total_comm_bytes(), report.total_comm_bytes());
+            assert_eq!(threaded_mismatches, mismatches, "{at}: serial ≡ executor");
+            assert_eq!(threaded_elided, elided, "{at}: serial ≡ executor");
+        }
+    }
+}
+
 #[test]
 fn disabled_recorder_emits_nothing() {
     let rec = Arc::new(Recorder::logical());

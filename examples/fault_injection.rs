@@ -1,7 +1,8 @@
 //! Drive the tiny demo pool over a fault-injecting transport from the
 //! command line: pick a loss profile (or individual drop/corrupt/truncate
-//! rates), crash or slow down specific workers, and watch the pool degrade
-//! gracefully — quarantining dead links instead of convicting them.
+//! rates), crash or slow down specific workers, seat an endpoint cheat, and
+//! watch the pool degrade gracefully — quarantining dead links instead of
+//! convicting them, and convicting the cheat on any link.
 //!
 //! All randomness derives from `--seed`, and the output contains no
 //! wall-clock fields, so two runs with the same arguments are
@@ -17,7 +18,7 @@ use rpol_sim::NetworkModel;
 const USAGE: &str = "\
 usage: fault_injection [options]
 
-  --scheme S        baseline | v1 | v2                  (default v2)
+  --scheme S        baseline | v1 | v2 | v3             (default v2)
   --profile P       none | lossy | harsh                (default lossy)
   --drop P          override drop probability           [0, 1)
   --corrupt P       override corruption probability     [0, 1)
@@ -27,9 +28,12 @@ usage: fault_injection [options]
   --workers N       pool size                           (default 3)
   --crash W@E       worker W crashes mid-epoch E        (repeatable)
   --straggler W@S   worker W runs S times slower        (repeatable)
+  --cheat W@K       worker W cheats at an endpoint, K = swap-final |
+                    foreign-start                       (repeatable)
   --net M,W,L       manager bps, worker bps, latency s  (default paper WAN)
   --parallel        verify workers on threads
-  --assert-honest   exit 1 if any honest worker is rejected
+  --assert-honest   exit 1 if any honest worker is rejected or any
+                    --cheat worker is accepted
   --help            print this message";
 
 struct Args {
@@ -40,6 +44,7 @@ struct Args {
     workers: usize,
     crashes: Vec<(usize, u64)>,
     stragglers: Vec<(usize, f32)>,
+    cheats: Vec<(usize, WorkerBehavior)>,
     net: NetworkModel,
     parallel: bool,
     assert_honest: bool,
@@ -80,6 +85,7 @@ fn parse_args() -> Args {
         workers: 3,
         crashes: Vec::new(),
         stragglers: Vec::new(),
+        cheats: Vec::new(),
         net: NetworkModel::paper_default(),
         parallel: false,
         assert_honest: false,
@@ -112,6 +118,15 @@ fn parse_args() -> Args {
             "--workers" => args.workers = parse(&flag, it.next()),
             "--crash" => args.crashes.push(parse_pair(&flag, it.next())),
             "--straggler" => args.stragglers.push(parse_pair(&flag, it.next())),
+            "--cheat" => {
+                let (w, kind): (usize, String) = parse_pair(&flag, it.next());
+                let behavior = match kind.as_str() {
+                    "swap-final" => WorkerBehavior::SwapFinal,
+                    "foreign-start" => WorkerBehavior::ForeignStart,
+                    other => fail(&format!("--cheat: unknown cheat {other:?}")),
+                };
+                args.cheats.push((w, behavior));
+            }
             "--net" => {
                 let raw: String = parse(&flag, it.next());
                 let parts: Vec<&str> = raw.split(',').collect();
@@ -172,6 +187,12 @@ fn main() {
         }
         behaviors[w] = WorkerBehavior::Straggler { slowdown };
     }
+    for &(w, cheat) in &args.cheats {
+        if w >= args.workers {
+            fail(&format!("--cheat: worker {w} out of range"));
+        }
+        behaviors[w] = cheat;
+    }
 
     let mut config = PoolConfig::tiny_demo(args.scheme).with_faults(fault);
     config.epochs = args.epochs;
@@ -191,6 +212,9 @@ fn main() {
     }
     for &(w, s) in &args.stragglers {
         println!("  worker {w} is a {s}x straggler");
+    }
+    for &(w, cheat) in &args.cheats {
+        println!("  worker {w} cheats: {cheat:?}");
     }
 
     let mut pool = MiningPool::new(config, behaviors.clone());
@@ -248,6 +272,16 @@ fn main() {
             .collect();
         if !honest_rejected.is_empty() {
             eprintln!("FAIL: honest workers rejected: {honest_rejected:?}");
+            std::process::exit(1);
+        }
+        let cheats_accepted: Vec<usize> = report
+            .epochs
+            .iter()
+            .flat_map(|e| e.report.accepted.iter().copied())
+            .filter(|&w| behaviors[w].is_adversarial())
+            .collect();
+        if !cheats_accepted.is_empty() {
+            eprintln!("FAIL: cheating workers accepted: {cheats_accepted:?}");
             std::process::exit(1);
         }
         println!("OK: no honest worker rejected");

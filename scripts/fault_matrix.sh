@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Fault-injection matrix: sweeps loss profiles, seeds, a worker crash and
-# an extreme straggler over the tiny demo pool, asserting on every cell
-# that no honest worker is rejected and that same-seed runs are
+# Fault-injection matrix: sweeps loss profiles, all four schemes, seeds, a
+# worker crash, an extreme straggler and the two endpoint cheats over the
+# tiny demo pool, asserting on every cell that no honest worker is
+# rejected and no cheat accepted, and that same-seed runs are
 # byte-identical. Exercises the transport end to end, beyond what the
 # unit suite samples.
 #
@@ -21,7 +22,7 @@ run() {
 
 echo "== profile x scheme x seed sweep"
 for profile in none lossy harsh; do
-    for scheme in baseline v1 v2; do
+    for scheme in baseline v1 v2 v3; do
         for seed in 1 2; do
             run --profile "$profile" --scheme "$scheme" --seed "$seed"
         done
@@ -35,6 +36,14 @@ echo "== crash + straggler degradation"
 run --crash 1@0 --seed 7
 run --straggler 1@1e6 --profile none --seed 7
 run --crash 1@1 --straggler 2@3 --workers 4 --seed 7
+
+echo "== endpoint cheats over a lossy link: rejected, the honest never"
+for scheme in v1 v2 v3; do
+    run --profile lossy --scheme "$scheme" --cheat 1@swap-final --seed 7
+    grep -q "rejected \[1\]" /tmp/fault_matrix_run.txt
+    run --profile lossy --scheme "$scheme" --cheat 1@foreign-start --seed 7
+    grep -q "rejected \[1\]" /tmp/fault_matrix_run.txt
+done
 
 echo "== determinism: same seed, serial vs parallel, twice"
 "$BIN" --profile lossy --crash 1@1 --seed 11 > /tmp/fault_a.txt

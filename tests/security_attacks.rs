@@ -211,3 +211,161 @@ fn cold_spoof_is_distance_rejected() {
         VerificationOutcome::Rejected(RejectReason::DistanceExceeded { .. })
     ));
 }
+
+/// The two cheats no sampled segment can catch: every step of their
+/// committed trajectory is honest training. What convicts them is that the
+/// trajectory does not *start* at the model the manager broadcast
+/// (`ForeignStart`) or does not *end* at the model they submit for
+/// aggregation (`SwapFinal`).
+mod endpoint_binding {
+    use rpol_repro::rpol::adversary::WorkerBehavior;
+    use rpol_repro::rpol::pool::{MiningPool, PoolConfig, PoolReport, Scheme};
+    use rpol_repro::rpol::transport::FaultConfig;
+    use rpol_repro::rpol::verify::{RejectReason, VerificationOutcome};
+    use std::collections::BTreeSet;
+
+    const VERIFIED: [Scheme; 3] = [Scheme::RPoLv1, Scheme::RPoLv2, Scheme::RPoLv3];
+    const SEEDS: [u64; 3] = [0xD00D, 0xBEEF, 0x5EED];
+    /// Three segments per epoch, one sampled: an epoch can sample the
+    /// first, the last, or neither end of the trajectory.
+    const SEGMENTS: usize = 3;
+    const SWAPPER: usize = 1;
+    const SQUATTER: usize = 2;
+
+    fn roster() -> Vec<WorkerBehavior> {
+        vec![
+            WorkerBehavior::Honest,
+            WorkerBehavior::SwapFinal,
+            WorkerBehavior::ForeignStart,
+            WorkerBehavior::Honest,
+        ]
+    }
+
+    fn config(scheme: Scheme, seed: u64, fault: Option<FaultConfig>) -> PoolConfig {
+        let mut cfg = PoolConfig::tiny_demo(scheme);
+        cfg.epochs = 3;
+        cfg.steps_per_epoch = SEGMENTS * cfg.task.checkpoint_interval;
+        cfg.q_samples = 1;
+        cfg.seed = seed;
+        cfg.fault = fault;
+        cfg
+    }
+
+    /// The segment the manager samples for `worker` in each epoch. The
+    /// schedule is drawn from the pool seed before anything trains, so an
+    /// all-honest pool of the same seed shows it in its verdicts.
+    fn sampled_segments(scheme: Scheme, seed: u64, worker: usize) -> Vec<usize> {
+        let twin = MiningPool::new(
+            config(scheme, seed, None),
+            vec![WorkerBehavior::Honest; roster().len()],
+        )
+        .run();
+        assert_eq!(twin.rejections(), 0, "{scheme}: honest twin convicted");
+        twin.epochs
+            .iter()
+            .map(|e| e.report.verdicts[worker].1.outcomes[0].0)
+            .collect()
+    }
+
+    fn assert_both_convicted_everywhere(report: &PoolReport, at: &str) {
+        for (e, record) in report.epochs.iter().enumerate() {
+            let r = &record.report;
+            assert_eq!(r.accepted, vec![0, 3], "{at} epoch {e}: honest peers");
+            assert_eq!(r.rejected, vec![SWAPPER, SQUATTER], "{at} epoch {e}");
+            assert!(r.quarantined.is_empty(), "{at} epoch {e}: {r:?}");
+            let reason = |w: usize| r.verdicts[w].1.outcomes[0].1;
+            assert_eq!(
+                reason(SWAPPER),
+                VerificationOutcome::Rejected(RejectReason::OutputCommitmentMismatch),
+                "{at} epoch {e}"
+            );
+            assert_eq!(
+                reason(SQUATTER),
+                VerificationOutcome::Rejected(RejectReason::InputCommitmentMismatch),
+                "{at} epoch {e}"
+            );
+            for w in [SWAPPER, SQUATTER] {
+                let verdict = &r.verdicts[w].1;
+                assert_eq!((verdict.proof_bytes, verdict.replayed_steps), (0, 0));
+            }
+        }
+    }
+
+    #[test]
+    fn swapped_final_and_foreign_start_are_rejected_in_every_epoch_at_every_sampled_index() {
+        for scheme in VERIFIED {
+            let mut sampled: [BTreeSet<usize>; 2] = Default::default();
+            for seed in SEEDS {
+                for (cheat, seen) in [SWAPPER, SQUATTER].into_iter().zip(&mut sampled) {
+                    seen.extend(sampled_segments(scheme, seed, cheat));
+                }
+                let sources = [
+                    ("direct", None),
+                    ("ideal link", Some(FaultConfig::ideal(seed))),
+                    ("lossy link", Some(FaultConfig::lossy(seed))),
+                ];
+                for (source, fault) in sources {
+                    let at = format!("{scheme}/{source}/seed {seed:#x}");
+                    let report = MiningPool::new(config(scheme, seed, fault), roster()).run();
+                    assert_both_convicted_everywhere(&report, &at);
+                    if source == "lossy link" {
+                        let retries = report.transport_totals().retries;
+                        assert!(retries > 0, "{at}: the link lost nothing");
+                    }
+                }
+            }
+            // Vacuity guard: between them the seeds put the one sample on
+            // every segment, for both cheats.
+            let all: BTreeSet<usize> = (0..SEGMENTS).collect();
+            assert_eq!(sampled, [all.clone(), all], "{scheme}: sampled segments");
+        }
+    }
+
+    /// Before the manager bound `commitment[last]` to the submitted
+    /// weights this worker was **accepted in every epoch** — also in the
+    /// epochs whose sample was the last segment, because the verifier
+    /// compared its replay with the committed (honest) output, never with
+    /// what was aggregated.
+    #[test]
+    fn swapped_final_model_is_rejected_even_when_the_last_segment_is_not_sampled() {
+        for scheme in VERIFIED {
+            let mut last_sampled = 0;
+            let mut last_unsampled = 0;
+            for seed in SEEDS {
+                let report = MiningPool::new(config(scheme, seed, None), roster()).run();
+                let sampled = sampled_segments(scheme, seed, SWAPPER);
+                for (record, segment) in report.epochs.iter().zip(sampled) {
+                    assert!(
+                        record.report.rejected.contains(&SWAPPER),
+                        "{scheme}/seed {seed:#x}: sampled segment {segment}, swapper accepted"
+                    );
+                    if segment + 1 == SEGMENTS {
+                        last_sampled += 1;
+                    } else {
+                        last_unsampled += 1;
+                    }
+                }
+            }
+            assert!(last_sampled > 0 && last_unsampled > 0, "{scheme}: vacuous");
+        }
+    }
+
+    /// A poisoned model never reaches the aggregate: a pool with the two
+    /// cheats learns exactly what the same pool learns with two free-riders
+    /// (rejected in every epoch too) in their seats.
+    #[test]
+    fn the_cheats_contribute_nothing_to_the_global_model() {
+        for scheme in VERIFIED {
+            let cheated = MiningPool::new(config(scheme, SEEDS[0], None), roster()).run();
+            let mut replayers = roster();
+            replayers[SWAPPER] = WorkerBehavior::ReplayPrevious;
+            replayers[SQUATTER] = WorkerBehavior::ReplayPrevious;
+            let reference = MiningPool::new(config(scheme, SEEDS[0], None), replayers).run();
+            assert_eq!(reference.acceptances(), cheated.acceptances());
+            let bits = |r: &PoolReport| -> Vec<u32> {
+                r.accuracy_curve().iter().map(|a| a.to_bits()).collect()
+            };
+            assert_eq!(bits(&cheated), bits(&reference), "{scheme}");
+        }
+    }
+}
