@@ -199,6 +199,11 @@ impl BytesMut {
         self.data.len()
     }
 
+    /// Reserves room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.data.reserve(additional);
+    }
+
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
@@ -210,6 +215,12 @@ impl BytesMut {
             data: self.data,
             cursor: 0,
         }
+    }
+}
+
+impl Extend<u8> for BytesMut {
+    fn extend<I: IntoIterator<Item = u8>>(&mut self, iter: I) {
+        self.data.extend(iter);
     }
 }
 

@@ -261,7 +261,7 @@ fn main() {
     // transport's `bytes_saved` counter measures against. The packed frame
     // must round-trip bit-for-bit before its size or encode rate counts.
     // `speedup_vs_scalar` carries the raw/packed *size* ratio — the wire
-    // compression factor the regression gate checks (1.67x ≙ 40% fewer
+    // compression factor the regression gate checks (2.5x ≙ 60% fewer
     // payload bytes).
     let lattice: Vec<Vec<f32>> = checkpoints
         .iter()

@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
+use crate::manager::count_hi_plane;
 use crate::pool::PoolConfig;
 use crate::server::{scheme_from_code, NetStream};
 use crate::transport::{FaultConfig, LinkState, MsgKind, RetryPolicy, Transport, TransportStats};
@@ -398,6 +399,7 @@ impl WorkerClient {
             mode,
         );
         let payload = wire::encode_submission(&sub.final_weights, sub.commitment.as_ref());
+        count_hi_plane(&recorder, wire::packed_hi_plane(&payload));
         let raw = wire::submission_raw_wire_size(sub.final_weights.len(), sub.commitment.as_ref());
         let out_ctx = tctx.map(|t| TraceContext {
             trace_id: t.trace_id,
@@ -458,6 +460,7 @@ impl WorkerClient {
         } else {
             wire::encode_proof_response(sample, &weights)
         };
+        count_hi_plane(&recorder, wire::packed_hi_plane(&payload));
         let raw = wire::proof_response_raw_wire_size(weights.len());
         drop(weights);
         let out_ctx = tctx.map(|t| TraceContext {

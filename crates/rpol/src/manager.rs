@@ -53,6 +53,20 @@ impl CommStats {
     }
 }
 
+/// Counts how a just-encoded packed block coded its hi plane, on the
+/// recorder of whoever encoded it (`wire` itself records nothing). `raw`
+/// moving off zero means a model stopped looking like weights.
+pub(crate) fn count_hi_plane(rec: &Recorder, chose: Option<crate::wire::HiPlane>) {
+    match chose {
+        Some(crate::wire::HiPlane::Dict { escapes }) => {
+            rec.counter_add("rpol.wire.packed_blocks_dict", 1);
+            rec.counter_add("rpol.wire.packed_escapes", escapes as u64);
+        }
+        Some(crate::wire::HiPlane::Raw) => rec.counter_add("rpol.wire.packed_blocks_raw", 1),
+        None => {}
+    }
+}
+
 /// Per-epoch accounting of the two-tier committee hierarchy. `None` on
 /// flat runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -425,10 +439,12 @@ impl PoolManager {
     pub(crate) fn task_block(&self, plan: &EpochPlan) -> crate::wire::TaskBlock {
         self.recorder
             .counter_add("rpol.wire.task_blocks_encoded", 1);
-        match &plan.start_image {
+        let block = match &plan.start_image {
             Some(image) => crate::wire::TaskBlock::packed(image),
             None => crate::wire::TaskBlock::raw(&self.global),
-        }
+        };
+        count_hi_plane(&self.recorder, block.hi_plane());
+        block
     }
 
     /// The model this epoch's workers train from, as checkpoint 0 holds
@@ -438,14 +454,15 @@ impl PoolManager {
     }
 
     /// Broadcast bytes the in-process paths charge for sending the global
-    /// model to `n_workers`: 4 bytes per weight, or the packed 2 under
-    /// RPoLv3 — the same story the wire tells (see [`Self::task_block`]).
-    pub(crate) fn broadcast_bytes(&self, n_workers: usize) -> u64 {
-        let per_weight = match self.scheme {
-            Scheme::RPoLv3 => 2,
-            Scheme::Baseline | Scheme::RPoLv1 | Scheme::RPoLv2 => 4,
+    /// model to `n_workers`: 4 bytes per weight, or under RPoLv3 the
+    /// length of the packed block [`Self::task_block`] would put on a
+    /// link — the same story the wire tells.
+    pub(crate) fn broadcast_bytes(&self, plan: &EpochPlan, n_workers: usize) -> u64 {
+        let per_worker = match &plan.start_image {
+            Some(image) => crate::wire::packed_block_len(image),
+            None => self.global.len() * 4,
         };
-        (self.global.len() * per_weight * n_workers) as u64
+        (per_worker * n_workers) as u64
     }
 
     /// The task configuration.
@@ -536,7 +553,7 @@ impl PoolManager {
             .map(|worker| Participant::in_process(worker, &submissions[worker.id]))
             .collect();
         let comm = CommStats {
-            broadcast_bytes: self.broadcast_bytes(n),
+            broadcast_bytes: self.broadcast_bytes(plan, n),
             submission_bytes: submissions.iter().map(|sub| sub.upload_bytes).sum(),
             proof_bytes: 0,
         };

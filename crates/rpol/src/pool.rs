@@ -4,7 +4,9 @@
 
 use crate::adversary::WorkerBehavior;
 use crate::committee::{partition, Hierarchy};
-use crate::manager::{CommStats, EpochPlan, EpochReport, Participant, PoolManager, Verified};
+use crate::manager::{
+    count_hi_plane, CommStats, EpochPlan, EpochReport, Participant, PoolManager, Verified,
+};
 use crate::tasks::TaskConfig;
 use crate::transport::{
     link_state, FaultConfig, LinkState, MsgKind, Transport, TransportError, TransportStats,
@@ -388,6 +390,7 @@ impl ProofProvider for TransportProvider<'_> {
         } else {
             wire::encode_proof_response(sample, &weights)
         };
+        count_hi_plane(self.rec, wire::packed_hi_plane(&response));
         stats.bytes_saved += (wire::proof_response_raw_wire_size(weights.len()) as u64)
             .saturating_sub(response.len() as u64);
         let delivered = self
@@ -552,6 +555,7 @@ impl Link {
             }
             let sub = local[w].take().expect("tasked live worker trained");
             let payload = wire::encode_submission(&sub.final_weights, sub.commitment.as_ref());
+            count_hi_plane(rec, wire::packed_hi_plane(&payload));
             self.stats.bytes_saved +=
                 (wire::submission_raw_wire_size(sub.final_weights.len(), sub.commitment.as_ref())
                     as u64)
@@ -850,7 +854,7 @@ impl MiningPool {
         let mut link = self.config.fault.map(|fault| Link::new(&fault));
         let mut comm = CommStats::default();
         if link.is_none() {
-            comm.broadcast_bytes = self.manager.broadcast_bytes(n);
+            comm.broadcast_bytes = self.manager.broadcast_bytes(&plan, n);
         }
         let mut settlement = self.manager.settle_begin(&plan, hierarchy);
 

@@ -401,13 +401,11 @@ impl<'a> Verifier<'a> {
     ) -> SampleVerdict {
         let j = index;
         assert!(j + 1 < commitment.len(), "sample {j} beyond commitment");
-        let model_bytes = (model.param_count() * 4) as u64;
-        // V3 openings travel as packed bf16 images: 2 bytes per weight
-        // instead of 4 (lattice checkpoints round-trip losslessly).
-        let opening_bytes = if matches!(commitment, EpochCommitment::V3(_)) {
-            model_bytes / 2
-        } else {
-            model_bytes
+        // V3 openings travel as packed bf16 blocks (lattice checkpoints
+        // round-trip losslessly), the others as 4 bytes per weight.
+        let opening_bytes = |weights: &[f32]| match commitment {
+            EpochCommitment::V3(_) => crate::wire::packed_block_len(weights) as u64,
+            _ => (weights.len() * 4) as u64,
         };
         let rec = self.rec;
         let segment = segments[j];
@@ -432,7 +430,7 @@ impl<'a> Verifier<'a> {
             let weights = provider.open_checkpoint(index);
             match &weights {
                 Ok(_) if provider.held(index) => tally.openings_elided += 1,
-                Ok(_) => tally.proof_bytes += opening_bytes,
+                Ok(opened) => tally.proof_bytes += opening_bytes(opened),
                 Err(_) => event!(rec, "rpol.verify.unavailable", sample = j),
             }
             weights

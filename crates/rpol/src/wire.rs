@@ -123,18 +123,88 @@ const TAG_COMMITTEE_BATCH: u8 = 0x40;
 /// versions they do not know with a clean [`DecodeError::Malformed`], and
 /// every pre-existing tag keeps its original raw-f32 framing, so old
 /// frames decode unchanged.
-const PACKED_WEIGHTS_V1: u8 = 1;
-/// Hi-plane encodings inside a [`PACKED_WEIGHTS_V1`] block.
+const PACKED_WEIGHTS_V2: u8 = 2;
+/// Hi-plane encodings inside a [`PACKED_WEIGHTS_V2`] block.
 const HI_PLANE_RAW: u8 = 0;
-const HI_PLANE_DELTA_RLE: u8 = 1;
+const HI_PLANE_DICT4: u8 = 1;
+/// The nibble code of a hi byte outside the dictionary, which therefore
+/// holds at most this many entries.
+const ESCAPE: u8 = 15;
+
+fn hi_byte(w: &f32) -> u8 {
+    (w.to_bits() >> 24) as u8
+}
+
+/// The dictionary of a hi plane: its ≤ 15 most frequent bytes, most
+/// frequent first, ties by byte value — a pure function of the image, so
+/// an image has exactly one encoding.
+struct HiDict {
+    table: [u8; ESCAPE as usize],
+    len: usize,
+    /// Weights whose hi byte the table does not hold.
+    escapes: usize,
+}
+
+impl HiDict {
+    fn of(weights: &[f32]) -> Self {
+        // One histogram per lane of four: a trained vector repeats a few
+        // hi bytes, and back-to-back increments of one counter serialise.
+        let mut lanes = [[0u32; 256]; 4];
+        let mut quads = weights.chunks_exact(4);
+        for quad in &mut quads {
+            for (lane, w) in lanes.iter_mut().zip(quad) {
+                lane[hi_byte(w) as usize] += 1;
+            }
+        }
+        for w in quads.remainder() {
+            lanes[0][hi_byte(w) as usize] += 1;
+        }
+        let counts: [usize; 256] =
+            std::array::from_fn(|v| lanes.iter().map(|lane| lane[v] as usize).sum());
+        let count = |v: &u8| counts[*v as usize];
+        let mut order: [u8; 256] = std::array::from_fn(|v| v as u8);
+        order.sort_unstable_by_key(|v| (std::cmp::Reverse(count(v)), *v));
+        let mut table = [0u8; ESCAPE as usize];
+        table.copy_from_slice(&order[..ESCAPE as usize]);
+        let len = table.iter().take_while(|v| count(v) > 0).count();
+        Self {
+            table,
+            len,
+            escapes: weights.len() - table[..len].iter().map(count).sum::<usize>(),
+        }
+    }
+
+    fn table(&self) -> &[u8] {
+        &self.table[..self.len]
+    }
+
+    /// Bytes of the dictionary-coded plane of `n` weights — table length,
+    /// table, a nibble per weight, escaped bytes — when that is shorter
+    /// than the `n`-byte plane itself.
+    fn coded_len(&self, n: usize) -> Option<usize> {
+        let coded = 1 + self.len + n.div_ceil(2) + self.escapes;
+        (coded < n).then_some(coded)
+    }
+}
+
+/// Bytes [`TaskBlock::packed`], a V3 submission or a packed opening spend
+/// on `weights`' block — one counting pass, nothing encoded — so paths
+/// that never build the block charge what the wire would carry.
+pub fn packed_block_len(weights: &[f32]) -> usize {
+    let n = weights.len();
+    6 + HiDict::of(weights).coded_len(n).unwrap_or(n) + n
+}
 
 /// Appends the versioned packed weight block: the 2-byte bf16 image of
-/// `weights` split into a hi-byte plane (sign + upper exponent bits —
-/// highly repetitive across a trained weight vector) and a lo-byte plane
-/// (near-uniform). The hi plane is delta-coded then run-length encoded
-/// when that actually shrinks it, with a flag byte falling back to the raw
-/// plane otherwise — so the block never exceeds `2·n + 10` bytes, a
-/// guaranteed ~50% cut versus raw f32 framing.
+/// `weights` split into a hi-byte plane (sign + upper exponent bits — a
+/// trained vector uses two dozen values of it) and a lo-byte plane
+/// (near-uniform, shipped as is). The hi plane is coded as `table_len |
+/// table | ⌈n/2⌉ nibble bytes | escaped bytes`: a nibble per weight, low
+/// nibble first, indexing the [`HiDict`] table, [`ESCAPE`] for a byte the
+/// table does not hold (those follow in order), a trailing pad nibble 0.
+/// When that is not shorter than the plane, a flag byte ships the plane
+/// raw — so the block never exceeds `2·n + 6` bytes and is ~`1.5·n` on
+/// weights.
 ///
 /// Callers must only pack weights already **on the bf16 lattice** (the
 /// RPoLv3 checkpoint invariant): packing truncates the low 16 bits, so an
@@ -144,147 +214,199 @@ fn put_weights_packed(out: &mut BytesMut, weights: &[f32]) {
         rpol_tensor::quant::is_bf16_lattice(weights),
         "packing off-lattice weights would lose bits"
     );
-    out.put_u8(PACKED_WEIGHTS_V1);
-    out.put_u32_le(weights.len() as u32);
     let n = weights.len();
-    let mut hi = vec![0u8; n];
-    let mut lo = vec![0u8; n];
-    for ((h, l), w) in hi.iter_mut().zip(&mut lo).zip(weights) {
-        let q = w.to_bits() >> 16;
-        *h = (q >> 8) as u8;
-        *l = q as u8;
-    }
-    match rle_hi_plane(&hi) {
-        Some(rle) => {
-            out.put_u8(HI_PLANE_DELTA_RLE);
-            out.put_u32_le(rle.len() as u32);
-            out.put_slice(&rle);
+    out.reserve(2 * n + 6);
+    out.put_u8(PACKED_WEIGHTS_V2);
+    out.put_u32_le(n as u32);
+    let dict = HiDict::of(weights);
+    if dict.coded_len(n).is_some() {
+        out.put_u8(HI_PLANE_DICT4);
+        out.put_u8(dict.len as u8);
+        out.put_slice(dict.table());
+        let mut code = [ESCAPE; 256];
+        for (c, &v) in dict.table().iter().enumerate() {
+            code[v as usize] = c as u8;
         }
-        None => {
-            // RLE would expand (noisy hi plane): ship the plane raw so the
-            // worst case stays at exactly 2 bytes per weight.
-            out.put_u8(HI_PLANE_RAW);
-            out.put_slice(&hi);
+        let nibble = |w: &f32| code[hi_byte(w) as usize];
+        let pairs = weights.chunks_exact(2);
+        let odd = pairs.remainder();
+        let nibbles_at = out.len();
+        out.extend(pairs.map(|pair| nibble(&pair[0]) | nibble(&pair[1]) << 4));
+        out.extend(odd.iter().map(nibble));
+        // The escaped bytes, in order. Escapes are a handful in 100,000
+        // weights: only a 128-weight block whose nibbles hold one is
+        // walked, which keeps the pass above free of a branch.
+        let mut escaped = Vec::with_capacity(dict.escapes);
+        for (block, coded) in weights
+            .chunks(128)
+            .zip(out.as_ref()[nibbles_at..].chunks(64))
+        {
+            if count_escapes(coded) > 0 {
+                escaped.extend(
+                    block
+                        .iter()
+                        .map(hi_byte)
+                        .filter(|&h| code[h as usize] == ESCAPE),
+                );
+            }
         }
+        out.put_slice(&escaped);
+    } else {
+        out.put_u8(HI_PLANE_RAW);
+        out.extend(weights.iter().map(hi_byte));
     }
-    out.put_slice(&lo);
+    out.extend(weights.iter().map(|w| (w.to_bits() >> 16) as u8));
 }
 
-/// Delta-codes the hi plane and run-length encodes the delta stream as
-/// (delta, run) byte pairs, runs capped at 255 — `Some` only when that is
-/// shorter than the plane itself. Trained weights cluster in a narrow
-/// exponent band, but sign and low exponent bit still vary from weight to
-/// weight, so at task scale the stream almost never wins: the pair count
-/// is bounded below by the number of maximal equal-delta runs (the cap
-/// only adds pairs), and one counting pass rules the stream out before
-/// any of it is built.
-fn rle_hi_plane(hi: &[u8]) -> Option<Vec<u8>> {
-    let n = hi.len();
-    let &first = hi.first()?;
-    // delta[0] = hi[0] - 0, delta[i] = hi[i] - hi[i-1]; a run ends where
-    // consecutive deltas differ. Counted in `u8` lanes over 128-element
-    // blocks: that shape compiles to 16-byte compares, a `usize`
-    // accumulator does not.
-    let mut runs = 1 + usize::from(n > 1 && hi[1].wrapping_sub(first) != first);
-    if n > 2 {
-        let blocks = hi[2..]
-            .chunks(128)
-            .zip(hi[1..].chunks(128))
-            .zip(hi.chunks(128));
-        for ((next, mid), prev) in blocks {
-            let mut changes = 0u8;
-            for ((&c, &b), &a) in next.iter().zip(mid).zip(prev) {
-                changes += u8::from(c.wrapping_sub(b) != b.wrapping_sub(a));
-            }
-            runs += usize::from(changes);
-        }
-    }
-    if 2 * runs >= n {
-        return None;
-    }
-    let mut rle = Vec::with_capacity(2 * runs);
-    let mut prev = 0u8;
-    let mut i = 0;
-    while i < n {
-        let delta = hi[i].wrapping_sub(prev);
-        let mut run = 1usize;
-        while i + run < n && hi[i + run].wrapping_sub(hi[i + run - 1]) == delta && run < 255 {
-            run += 1;
-        }
-        rle.push(delta);
-        rle.push(run as u8);
-        prev = hi[i + run - 1];
-        i += run;
-    }
-    (rle.len() < n).then_some(rle)
+/// Nibbles equal to [`ESCAPE`], counted in `u8` lanes (a block of 127
+/// bytes holds at most 254): that shape compiles to 16-byte compares, a
+/// `usize` accumulator does not.
+fn count_escapes(nibbles: &[u8]) -> usize {
+    let escapes = |&b: &u8| u8::from(b & 0x0F == ESCAPE) + u8::from(b >> 4 == ESCAPE);
+    nibbles
+        .chunks(127)
+        .map(|block| usize::from(block.iter().map(escapes).sum::<u8>()))
+        .sum()
 }
 
 /// Decodes a versioned packed weight block back into exact bf16-lattice
 /// `f32`s. Every length is validated against the bytes actually present
-/// before any allocation it sizes, and inconsistent RLE streams fail with
-/// [`DecodeError::Malformed`] — hostile input can never panic or
-/// over-allocate.
+/// before any allocation it sizes, and a block the encoder would not have
+/// written for the image it holds — a code beyond the table, a nonzero pad
+/// nibble, a table or a mode other than [`HiDict`]'s — fails with
+/// [`DecodeError::Malformed`]: hostile input can never panic or
+/// over-allocate, and two different blocks never decode to one image.
 fn get_weights_packed(buf: &mut Bytes) -> Result<Vec<f32>, DecodeError> {
     if buf.remaining() < 1 {
         return Err(DecodeError::Truncated);
     }
     let version = buf.get_u8();
-    if version != PACKED_WEIGHTS_V1 {
+    if version != PACKED_WEIGHTS_V2 {
         return Err(DecodeError::Malformed("unknown packed-weight version"));
     }
     let n = get_u32(buf)? as usize;
     if buf.remaining() < 1 {
         return Err(DecodeError::Truncated);
     }
-    let hi = match buf.get_u8() {
+    let weight = |hi: u32, lo: u8| f32::from_bits(hi | u32::from(lo) << 16);
+    let non_canonical = DecodeError::Malformed("not the encoder's hi plane");
+    match buf.get_u8() {
         HI_PLANE_RAW => {
             // Hi and lo planes are n bytes each.
             checked_count(buf, n, 2)?;
-            let hi = buf[..n].to_vec();
-            buf.advance(n);
-            hi
-        }
-        HI_PLANE_DELTA_RLE => {
-            let rle_len = get_u32(buf)? as usize;
-            if !rle_len.is_multiple_of(2) {
-                return Err(DecodeError::Malformed("ragged RLE stream"));
+            let (hi, lo) = buf[..2 * n].split_at(n);
+            let out: Vec<f32> = hi
+                .iter()
+                .zip(lo)
+                .map(|(&h, &l)| weight(u32::from(h) << 24, l))
+                .collect();
+            if HiDict::of(&out).coded_len(n).is_some() {
+                return Err(non_canonical);
             }
-            // The RLE stream plus the n-byte lo plane must be present.
-            let need = rle_len
+            buf.advance(2 * n);
+            Ok(out)
+        }
+        HI_PLANE_DICT4 => {
+            if buf.remaining() < 1 {
+                return Err(DecodeError::Truncated);
+            }
+            let len = buf.get_u8() as usize;
+            if len > ESCAPE as usize {
+                return Err(DecodeError::Malformed("dictionary too long"));
+            }
+            // Table, nibbles and lo plane must be present before the
+            // nibbles are read; the escapes they announce, before `out`
+            // is sized.
+            let nibbles_end = len + n.div_ceil(2);
+            let fixed = nibbles_end
                 .checked_add(n)
                 .ok_or(DecodeError::Malformed("count overflow"))?;
-            checked_count(buf, need, 1)?;
-            let mut hi = Vec::with_capacity(n);
-            let mut prev = 0u8;
-            for pair in buf[..rle_len].chunks_exact(2) {
-                let (delta, run) = (pair[0], pair[1] as usize);
-                if run == 0 {
-                    return Err(DecodeError::Malformed("zero RLE run"));
-                }
-                if hi.len() + run > n {
-                    return Err(DecodeError::Malformed("RLE run overflow"));
-                }
-                for _ in 0..run {
-                    prev = prev.wrapping_add(delta);
-                    hi.push(prev);
-                }
+            checked_count(buf, fixed, 1)?;
+            let (table, nibbles) = buf[..nibbles_end].split_at(len);
+            if n % 2 == 1 && nibbles[n / 2] >> 4 != 0 {
+                return Err(DecodeError::Malformed("nonzero pad nibble"));
             }
-            if hi.len() != n {
-                return Err(DecodeError::Malformed("RLE underrun"));
+            let escapes = count_escapes(nibbles);
+            checked_count(buf, fixed + escapes, 1)?;
+            let (escaped, lo) = buf[nibbles_end..fixed + escapes].split_at(escapes);
+            // Two weights per nibble byte through a 256-entry pair table;
+            // bit 0 (clear in every `hi << 24`) marks a nibble that is an
+            // escape or a code beyond the table, resolved one at a time.
+            let mut lut = [1u32; 16];
+            for (slot, &v) in lut.iter_mut().zip(table) {
+                *slot = u32::from(v) << 24;
             }
-            buf.advance(rle_len);
-            hi
+            let pairs: [[u32; 2]; 256] = std::array::from_fn(|b| [lut[b & 15], lut[b >> 4]]);
+            let mut escaped = escaped.iter();
+            let mut resolve = |code: u8| match lut[code as usize] {
+                hi if hi & 1 == 0 => Ok(hi),
+                _ if code == ESCAPE => {
+                    let byte = escaped.next().ok_or(DecodeError::Truncated)?;
+                    Ok(u32::from(*byte) << 24)
+                }
+                _ => Err(DecodeError::Malformed("code beyond the dictionary")),
+            };
+            let mut out = vec![0f32; n];
+            for ((pair, &b), l) in out.chunks_exact_mut(2).zip(nibbles).zip(lo.chunks_exact(2)) {
+                let mut his = pairs[b as usize];
+                if (his[0] | his[1]) & 1 != 0 {
+                    his = [resolve(b & 15)?, resolve(b >> 4)?];
+                }
+                pair[0] = weight(his[0], l[0]);
+                pair[1] = weight(his[1], l[1]);
+            }
+            if n % 2 == 1 {
+                out[n - 1] = weight(resolve(nibbles[n / 2])?, lo[n - 1]);
+            }
+            let canon = HiDict::of(&out);
+            if canon.coded_len(n).is_none() || canon.table() != table || canon.escapes != escapes {
+                return Err(non_canonical);
+            }
+            buf.advance(fixed + escapes);
+            Ok(out)
         }
-        _ => return Err(DecodeError::Malformed("unknown hi-plane mode")),
-    };
-    checked_count(buf, n, 1)?;
-    let mut out = Vec::with_capacity(n);
-    for (h, l) in hi.iter().zip(&buf[..n]) {
-        let q = ((*h as u32) << 8) | *l as u32;
-        out.push(f32::from_bits(q << 16));
+        _ => Err(DecodeError::Malformed("unknown hi-plane mode")),
     }
-    buf.advance(n);
-    Ok(out)
+}
+
+/// How a packed block coded its hi plane: the number an operator needs to
+/// tell "the model stopped looking like weights" from "a link is retrying".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HiPlane {
+    /// The dictionary lost; the plane shipped as is.
+    Raw,
+    /// Dictionary-coded, `escapes` weights outside the table.
+    Dict {
+        /// Weights whose hi byte travelled as an escaped byte.
+        escapes: usize,
+    },
+}
+
+/// Reads the encoder's choice back off a well-formed packed block.
+fn hi_plane_of(block: &[u8]) -> Option<HiPlane> {
+    let n = u32::from_le_bytes(block.get(1..5)?.try_into().ok()?) as usize;
+    match *block.get(5)? {
+        HI_PLANE_RAW => Some(HiPlane::Raw),
+        HI_PLANE_DICT4 => {
+            let nibbles = block.get(7..)?.get(*block.get(6)? as usize..)?;
+            let escapes = count_escapes(nibbles.get(..n.div_ceil(2))?);
+            Some(HiPlane::Dict { escapes })
+        }
+        _ => None,
+    }
+}
+
+/// [`HiPlane`] of the packed block a payload carries — an RPoLv3 task,
+/// submission or opening as this module encoded it; `None` for every
+/// other payload.
+pub fn packed_hi_plane(payload: &[u8]) -> Option<HiPlane> {
+    let block_at = match *payload.first()? {
+        TAG_SUBMISSION_V3 => 1,
+        TAG_PROOF_RESPONSE_PACKED => 1 + 4,
+        TAG_EPOCH_TASK_PACKED => TASK_HEADER_BYTES,
+        _ => return None,
+    };
+    hi_plane_of(payload.get(block_at..)?)
 }
 
 /// Wire bytes the raw f32 framing needs for `n` weights (length prefix +
@@ -679,7 +801,7 @@ impl TaskBlock {
     /// Packed bf16 framing (RPoLv3). `lattice_weights` must already be on
     /// the bf16 lattice — the image every v3 receiver snaps to anyway.
     pub fn packed(lattice_weights: &[f32]) -> Self {
-        let mut block = BytesMut::with_capacity(2 * lattice_weights.len() + 10);
+        let mut block = BytesMut::new();
         put_weights_packed(&mut block, lattice_weights);
         let saved = raw_weights_wire_size(lattice_weights.len()).saturating_sub(block.len());
         Self {
@@ -699,6 +821,11 @@ impl TaskBlock {
         out.put_u32_le(steps);
         out.put_slice(&self.block);
         out.freeze()
+    }
+
+    /// How the block's hi plane was coded; `None` for [`TaskBlock::raw`].
+    pub fn hi_plane(&self) -> Option<HiPlane> {
+        (self.tag == TAG_EPOCH_TASK_PACKED).then(|| hi_plane_of(&self.block))?
     }
 
     /// Payload bytes each framed task avoids versus raw f32 framing — the
@@ -1032,7 +1159,7 @@ pub fn classify_payload(payload: &[u8]) -> PayloadClass {
 /// proofs `0x1x`, tasks `0x2x`, control `0x3x`, committee `0x4x`), so a
 /// wrapped payload can never be mistaken for a bare message and vice versa.
 const TAG_TRACE_CTX: u8 = 0x54;
-/// Trace extension revision, bumped like `PACKED_WEIGHTS_V1` — receivers
+/// Trace extension revision, bumped like `PACKED_WEIGHTS_V2` — receivers
 /// reject unknown revisions by leaving the payload untouched (it then
 /// classifies as `Unknown`, exactly like any other foreign tag).
 const TRACE_CTX_V1: u8 = 1;
@@ -1576,8 +1703,8 @@ mod tests {
     #[test]
     fn v3_submission_shrinks_weight_bytes() {
         // Realistic weights: small values in a narrow exponent band, the
-        // case the hi-plane RLE is built for. The packed block must cut
-        // the weight payload by at least the guaranteed ~50%.
+        // case the hi-plane dictionary is built for. The packed block
+        // spends ~1.5 bytes a weight where raw framing spends 4.
         let mut rng = rpol_tensor::rng::Pcg32::seed_from(99);
         let mut weights: Vec<f32> = (0..4096).map(|_| rng.next_normal() * 0.05).collect();
         rpol_tensor::quant::snap_to_bf16(&mut weights);
@@ -1588,9 +1715,13 @@ mod tests {
         let raw = submission_raw_wire_size(weights.len(), Some(&commitment));
         let saved = raw - encoded.len();
         assert!(
-            saved * 10 >= raw * 4,
-            "only {saved} of {raw} bytes saved (<40%)"
+            saved * 20 >= raw * 11,
+            "only {saved} of {raw} bytes saved (<55%)"
         );
+        assert!(matches!(
+            packed_hi_plane(&encoded),
+            Some(HiPlane::Dict { .. })
+        ));
     }
 
     #[test]
@@ -1603,136 +1734,59 @@ mod tests {
         assert_eq!(w, weights);
     }
 
+    fn pack(weights: &[f32]) -> Bytes {
+        let mut out = BytesMut::new();
+        put_weights_packed(&mut out, weights);
+        out.freeze()
+    }
+
+    fn unpack(block: impl Into<Bytes>) -> Result<Vec<f32>, DecodeError> {
+        let mut buf = block.into();
+        let weights = get_weights_packed(&mut buf)?;
+        assert_eq!(buf.remaining(), 0, "the block was not consumed whole");
+        Ok(weights)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn packed_codec_falls_back_to_raw_hi_plane() {
-        // A uniformly random hi plane defeats delta-RLE: runs of equal
-        // deltas average barely more than one element, so RLE needs ~2
-        // bytes per weight. The flag byte must select the raw plane and
+        // A uniformly random hi plane defeats the dictionary: 15 entries
+        // cover a sixteenth of 256 values, the rest escape at a nibble
+        // *plus* a byte each. The flag byte must select the raw plane and
         // the block still round-trips.
         let mut rng = rpol_tensor::rng::Pcg32::seed_from(0xDEFEA7);
         let weights: Vec<f32> = (0..64)
             .map(|_| f32::from_bits((rng.next_u32() & 0xFFFF) << 16))
             .collect();
-        let mut out = BytesMut::new();
-        put_weights_packed(&mut out, &weights);
+        let block = pack(&weights);
         // version + count + mode + hi plane + lo plane: exactly 2n + 6.
-        assert_eq!(out.len(), 1 + 4 + 1 + 2 * weights.len());
-        let mut buf = out.freeze();
-        let back = get_weights_packed(&mut buf).expect("decodes");
-        assert_eq!(back, weights);
+        assert_eq!(block.len(), 1 + 4 + 1 + 2 * weights.len());
+        assert_eq!(hi_plane_of(&block), Some(HiPlane::Raw));
+        assert_eq!(bits(&unpack(block).expect("decodes")), bits(&weights));
     }
 
     #[test]
     fn packed_codec_rejects_unknown_version_and_mode() {
-        let weights = rpol_tensor::quant::bf16_image(&[1.0f32; 8]);
-        let mut out = BytesMut::new();
-        put_weights_packed(&mut out, &weights);
-        let good = out.freeze();
-
-        let mut bad_version = good.to_vec();
-        bad_version[0] = 0x7F;
-        assert_eq!(
-            get_weights_packed(&mut Bytes::from(bad_version)),
-            Err(DecodeError::Malformed("unknown packed-weight version"))
-        );
+        let good = pack(&rpol_tensor::quant::bf16_image(&[1.0f32; 8]));
+        // 1 is the retired raw | delta-RLE layout: a clean error, as any
+        // version this decoder was not taught.
+        for version in [0x7F, 1] {
+            let mut bad_version = good.to_vec();
+            bad_version[0] = version;
+            assert_eq!(
+                unpack(bad_version),
+                Err(DecodeError::Malformed("unknown packed-weight version"))
+            );
+        }
         let mut bad_mode = good.to_vec();
         bad_mode[5] = 0x7F;
         assert_eq!(
-            get_weights_packed(&mut Bytes::from(bad_mode)),
+            unpack(bad_mode),
             Err(DecodeError::Malformed("unknown hi-plane mode"))
         );
-    }
-
-    #[test]
-    fn packed_codec_rejects_inconsistent_rle() {
-        // Hand-build a delta-RLE block whose runs overshoot the count.
-        let mut out = BytesMut::new();
-        out.put_u8(PACKED_WEIGHTS_V1);
-        out.put_u32_le(3); // claims 3 weights
-        out.put_u8(HI_PLANE_DELTA_RLE);
-        out.put_u32_le(2); // one (delta, run) pair
-        out.put_u8(1);
-        out.put_u8(200); // run of 200 > 3
-        out.put_slice(&[0u8; 3]); // lo plane
-        assert_eq!(
-            get_weights_packed(&mut out.freeze()),
-            Err(DecodeError::Malformed("RLE run overflow"))
-        );
-        // And a zero-length run.
-        let mut out = BytesMut::new();
-        out.put_u8(PACKED_WEIGHTS_V1);
-        out.put_u32_le(3);
-        out.put_u8(HI_PLANE_DELTA_RLE);
-        out.put_u32_le(2);
-        out.put_u8(1);
-        out.put_u8(0);
-        out.put_slice(&[0u8; 3]);
-        assert_eq!(
-            get_weights_packed(&mut out.freeze()),
-            Err(DecodeError::Malformed("zero RLE run"))
-        );
-        // Runs that end short of the claimed count.
-        let mut out = BytesMut::new();
-        out.put_u8(PACKED_WEIGHTS_V1);
-        out.put_u32_le(3);
-        out.put_u8(HI_PLANE_DELTA_RLE);
-        out.put_u32_le(2);
-        out.put_u8(1);
-        out.put_u8(2); // only 2 of 3
-        out.put_slice(&[0u8; 3]);
-        assert_eq!(
-            get_weights_packed(&mut out.freeze()),
-            Err(DecodeError::Malformed("RLE underrun"))
-        );
-    }
-
-    /// The packed-block encoder as first shipped: planes pushed a byte at
-    /// a time, the RLE stream always built and then measured. Kept as the
-    /// byte-equality oracle for [`put_weights_packed`].
-    fn put_weights_packed_oracle(out: &mut BytesMut, weights: &[f32]) {
-        out.put_u8(PACKED_WEIGHTS_V1);
-        out.put_u32_le(weights.len() as u32);
-        let n = weights.len();
-        let mut hi = Vec::with_capacity(n);
-        let mut lo = Vec::with_capacity(n);
-        for &w in weights {
-            let q = (w.to_bits() >> 16) as u16;
-            hi.push((q >> 8) as u8);
-            lo.push((q & 0xFF) as u8);
-        }
-        let mut rle = Vec::new();
-        let mut prev = 0u8;
-        let mut i = 0;
-        while i < n {
-            let delta = hi[i].wrapping_sub(prev);
-            let mut run = 1usize;
-            while i + run < n && hi[i + run].wrapping_sub(hi[i + run - 1]) == delta && run < 255 {
-                run += 1;
-            }
-            rle.push(delta);
-            rle.push(run as u8);
-            prev = hi[i + run - 1];
-            i += run;
-        }
-        if rle.len() < n {
-            out.put_u8(HI_PLANE_DELTA_RLE);
-            out.put_u32_le(rle.len() as u32);
-            out.put_slice(&rle);
-        } else {
-            out.put_u8(HI_PLANE_RAW);
-            out.put_slice(&hi);
-        }
-        out.put_slice(&lo);
-    }
-
-    /// Both encoders over `weights`; returns the hi-plane mode byte.
-    fn assert_packs_like_the_oracle(weights: &[f32]) -> u8 {
-        let mut fast = BytesMut::new();
-        put_weights_packed(&mut fast, weights);
-        let mut oracle = BytesMut::new();
-        put_weights_packed_oracle(&mut oracle, weights);
-        assert_eq!(fast.as_ref(), oracle.as_ref(), "{} weights", weights.len());
-        fast.as_ref()[5]
     }
 
     /// A lattice vector whose hi plane is exactly `hi`.
@@ -1743,121 +1797,362 @@ mod tests {
             .collect()
     }
 
+    /// A hand-built dictionary block: the caller owns every field.
+    fn dict_block(n: u32, table: &[u8], nibbles: &[u8], escaped: &[u8], lo: &[u8]) -> Vec<u8> {
+        let mut block = vec![PACKED_WEIGHTS_V2];
+        block.extend_from_slice(&n.to_le_bytes());
+        block.extend_from_slice(&[HI_PLANE_DICT4, table.len() as u8]);
+        for part in [table, nibbles, escaped, lo] {
+            block.extend_from_slice(part);
+        }
+        block
+    }
+
+    #[test]
+    fn packed_codec_rejects_hostile_dictionary_blocks() {
+        // The honest block these are bent from: 10 weights, hi bytes
+        // 0x3C ×7, 0x3D ×2, 0xBC ×1.
+        let hi = [0x3C, 0x3D, 0x3C, 0xBC, 0x3C, 0x3C, 0x3D, 0x3C, 0x3C, 0x3C];
+        let weights = with_hi_plane(hi);
+        let table = [0x3C, 0x3D, 0xBC];
+        let nibbles = [0x10, 0x20, 0x00, 0x01, 0x00];
+        let lo: Vec<u8> = (0..10).collect();
+        let honest = dict_block(10, &table, &nibbles, &[], &lo);
+        assert_eq!(&pack(&weights)[..], &honest[..]);
+        assert_eq!(
+            bits(&unpack(honest.clone()).expect("decodes")),
+            bits(&weights)
+        );
+
+        // A table longer than a nibble can index, whatever follows it.
+        for table_len in [16u8, 255] {
+            let mut long = honest.clone();
+            long[6] = table_len;
+            long.resize(600, 0);
+            assert_eq!(
+                unpack(long),
+                Err(DecodeError::Malformed("dictionary too long"))
+            );
+        }
+        // A code of 14 under a 3-entry table.
+        assert_eq!(
+            unpack(dict_block(
+                10,
+                &table,
+                &[0x10, 0x20, 0x0E, 0x01, 0x00],
+                &[],
+                &lo
+            )),
+            Err(DecodeError::Malformed("code beyond the dictionary"))
+        );
+        // One escape announced, the body one byte short of holding it.
+        assert_eq!(
+            unpack(dict_block(
+                10,
+                &table,
+                &[0x10, 0x2F, 0x00, 0x01, 0x00],
+                &[],
+                &lo
+            )),
+            Err(DecodeError::Truncated)
+        );
+        // u32::MAX weights over a 20-byte body: refused on the length
+        // check, before anything is sized by it.
+        assert_eq!(
+            unpack(dict_block(u32::MAX, &table, &[0; 17], &[], &[])),
+            Err(DecodeError::Truncated)
+        );
+        // Odd count, nonzero pad nibble.
+        let odd = dict_block(9, &table, &[0x10, 0x20, 0x00, 0x01, 0x10], &[], &lo[..9]);
+        assert_eq!(
+            unpack(odd),
+            Err(DecodeError::Malformed("nonzero pad nibble"))
+        );
+
+        // Well-formed blocks that decode to the honest image but are not
+        // the block the encoder writes for it: each must be refused, or
+        // one image would have two encodings.
+        let non_canonical = Err(DecodeError::Malformed("not the encoder's hi plane"));
+        // Table in another order (codes permuted to match).
+        let swapped = [0x01, 0x21, 0x11, 0x10, 0x11];
+        assert_eq!(
+            unpack(dict_block(10, &[0x3D, 0x3C, 0xBC], &swapped, &[], &lo)),
+            non_canonical
+        );
+        // A value the table holds, escaped anyway.
+        let escaping = [0x10, 0xF0, 0x00, 0x01, 0x00];
+        assert_eq!(
+            unpack(dict_block(10, &table, &escaping, &[0xBC], &lo)),
+            non_canonical
+        );
+        // A value the image never uses, listed in the table.
+        assert_eq!(
+            unpack(dict_block(
+                10,
+                &[0x3C, 0x3D, 0xBC, 0x00],
+                &nibbles,
+                &[],
+                &lo
+            )),
+            non_canonical
+        );
+        // The raw plane where the dictionary is shorter…
+        let mut raw = vec![PACKED_WEIGHTS_V2, 10, 0, 0, 0, HI_PLANE_RAW];
+        raw.extend_from_slice(&hi);
+        raw.extend_from_slice(&lo);
+        assert_eq!(unpack(raw), non_canonical);
+        // …and the dictionary where it is not (2 + ⌈4/2⌉ = 4 bytes for a
+        // 4-byte plane).
+        let constant = with_hi_plane([0x3C; 4]);
+        assert_eq!(hi_plane_of(&pack(&constant)), Some(HiPlane::Raw));
+        let forced = dict_block(4, &[0x3C], &[0, 0], &[], &lo[..4]);
+        assert_eq!(unpack(forced), non_canonical);
+    }
+
+    /// The dictionary encoder written the slow way — a map for the
+    /// histogram, a table search per weight, one code per byte packed at
+    /// the end. The byte-equality oracle for [`put_weights_packed`].
+    fn put_weights_packed_oracle(out: &mut BytesMut, weights: &[f32]) {
+        let n = weights.len();
+        out.put_u8(PACKED_WEIGHTS_V2);
+        out.put_u32_le(n as u32);
+        let hi: Vec<u8> = weights.iter().map(|w| (w.to_bits() >> 24) as u8).collect();
+        let mut counts = std::collections::BTreeMap::new();
+        for &h in &hi {
+            *counts.entry(h).or_insert(0usize) += 1;
+        }
+        let mut ranked: Vec<(u8, usize)> = counts.into_iter().collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let table: Vec<u8> = ranked.iter().take(15).map(|&(v, _)| v).collect();
+        let mut codes = Vec::new();
+        let mut escaped = Vec::new();
+        for &h in &hi {
+            match table.iter().position(|&t| t == h) {
+                Some(code) => codes.push(code as u8),
+                None => {
+                    codes.push(15);
+                    escaped.push(h);
+                }
+            }
+        }
+        if n % 2 == 1 {
+            codes.push(0);
+        }
+        let nibbles: Vec<u8> = codes.chunks(2).map(|c| c[0] | c[1] << 4).collect();
+        if 1 + table.len() + nibbles.len() + escaped.len() < n {
+            out.put_u8(HI_PLANE_DICT4);
+            out.put_u8(table.len() as u8);
+            out.put_slice(&table);
+            out.put_slice(&nibbles);
+            out.put_slice(&escaped);
+        } else {
+            out.put_u8(HI_PLANE_RAW);
+            out.put_slice(&hi);
+        }
+        for w in weights {
+            out.put_u8((w.to_bits() >> 16) as u8);
+        }
+    }
+
+    /// Both encoders over `weights`, the counting pass, and the way back;
+    /// returns what the encoder chose.
+    fn assert_packs_like_the_oracle(weights: &[f32]) -> HiPlane {
+        let fast = pack(weights);
+        let mut oracle = BytesMut::new();
+        put_weights_packed_oracle(&mut oracle, weights);
+        assert_eq!(&fast[..], oracle.as_ref(), "{} weights", weights.len());
+        assert_eq!(packed_block_len(weights), fast.len());
+        assert!(fast.len() <= 2 * weights.len() + 6);
+        let back = unpack(fast.clone()).expect("the encoder's block decodes");
+        assert_eq!(bits(&back), bits(weights));
+        assert_eq!(&pack(&back)[..], &fast[..]);
+        hi_plane_of(&fast).expect("well-formed")
+    }
+
+    /// `len` weights over `distinct` hi bytes (all present once `len`
+    /// allows), skewed towards the first of them like a trained vector's
+    /// exponent band.
+    fn skewed_plane(rng: &mut rpol_tensor::rng::Pcg32, len: usize, distinct: u32) -> Vec<f32> {
+        with_hi_plane((0..len as u32).map(|i| {
+            let r = rng.next_u32();
+            let pick = if i < distinct {
+                i
+            } else {
+                (r % distinct).min((r >> 8) % distinct)
+            };
+            // Spread over the byte range, sign bit included.
+            (pick * 37 + 11) as u8
+        }))
+    }
+
     #[test]
     fn packed_encoder_matches_the_oracle_on_structured_planes() {
-        // Constant plane and a ramp: one or two delta runs, RLE wins.
-        for n in [5usize, 255, 256, 511, 4096] {
+        let dict = |escapes| HiPlane::Dict { escapes };
+        // A constant plane costs 2 + ⌈n/2⌉ bytes: the dictionary wins
+        // from n = 6, and loses the tie at 4 and 5.
+        for (n, chose) in [
+            (0usize, HiPlane::Raw),
+            (1, HiPlane::Raw),
+            (4, HiPlane::Raw),
+            (5, HiPlane::Raw),
+            (6, dict(0)),
+            (7, dict(0)),
+            (4096, dict(0)),
+        ] {
+            let plane = with_hi_plane((0..n).map(|_| 0x3C));
             assert_eq!(
-                assert_packs_like_the_oracle(&with_hi_plane((0..n).map(|_| 0x3C))),
-                HI_PLANE_DELTA_RLE,
+                assert_packs_like_the_oracle(&plane),
+                chose,
                 "constant, n = {n}"
             );
+        }
+        // A ramp over every byte value: 15 of 256 coded, the rest
+        // escaped at a nibble and a byte each — raw.
+        for n in [255usize, 256, 511, 4096] {
+            let ramp = with_hi_plane((0..n).map(|i| i as u8));
             assert_eq!(
-                assert_packs_like_the_oracle(&with_hi_plane((0..n).map(|i| i as u8))),
-                HI_PLANE_DELTA_RLE,
+                assert_packs_like_the_oracle(&ramp),
+                HiPlane::Raw,
                 "ramp, n = {n}"
             );
         }
-        // Two alternating values whose up and down steps differ mod 256
-        // (a bare sign flip is ±0x80, one constant delta): every delta
-        // differs from the last, RLE loses.
-        for n in [0usize, 1, 2, 3, 97, 4096] {
-            let plane = (0..n).map(|i| if i % 2 == 0 { 0x3C } else { 0xBD });
-            assert_eq!(
-                assert_packs_like_the_oracle(&with_hi_plane(plane)),
-                HI_PLANE_RAW,
-                "alternating, n = {n}"
-            );
+        // Equal counts: the table lists them by byte value, and with 16
+        // and 17 of them it is the largest that escape.
+        for (distinct, escapes) in [(3usize, 0usize), (15, 0), (16, 10), (17, 20)] {
+            let n = distinct * 10;
+            let plane = with_hi_plane((0..n).map(|i| 0xF0 - ((i % distinct) as u8) * 3));
+            let block = pack(&plane);
+            assert_eq!(assert_packs_like_the_oracle(&plane), dict(escapes));
+            let table = &block[7..7 + distinct.min(15)];
+            assert!(table.is_sorted(), "{distinct} tied values: {table:?}");
+            assert_eq!(table[0], 0xF0 - (distinct as u8 - 1) * 3);
         }
-        // Runs right at the break-even: period-p plateaus make n/p delta
-        // runs of zero plus n/p jumps, so p = 4 sits on `2·runs == n`.
-        for period in 2usize..=6 {
-            for n in [16usize, 64, 1000, 1001] {
-                let plane = (0..n).map(|i| ((i / period) * 7) as u8);
-                assert_packs_like_the_oracle(&with_hi_plane(plane));
+        // Odd and even lengths around a table that is exactly full, one
+        // over and two over, on a skewed plane.
+        let mut rng = rpol_tensor::rng::Pcg32::seed_from(15);
+        for distinct in [15u32, 16, 17] {
+            for n in [63usize, 64, 1000, 1001] {
+                let chose = assert_packs_like_the_oracle(&skewed_plane(&mut rng, n, distinct));
+                assert!(
+                    matches!(chose, HiPlane::Dict { escapes } if (escapes > 0) == (distinct > 15))
+                );
             }
         }
-        // Plateaus longer than the 255 run cap: pairs exceed delta runs.
-        for n in [256usize, 600, 4096] {
-            let plane = (0..n).map(|i| (i / 300) as u8);
-            assert_packs_like_the_oracle(&with_hi_plane(plane));
-        }
-        // Task P's size, on weights shaped like a trained vector.
+        // Task P's size, on weights shaped like a trained vector: the
+        // claim this format exists for.
         let mut rng = rpol_tensor::rng::Pcg32::seed_from(42);
         let mut weights: Vec<f32> = (0..97_320).map(|_| rng.next_normal() * 0.05).collect();
         rpol_tensor::quant::snap_to_bf16(&mut weights);
-        assert_eq!(assert_packs_like_the_oracle(&weights), HI_PLANE_RAW);
+        assert!(matches!(
+            assert_packs_like_the_oracle(&weights),
+            HiPlane::Dict { .. }
+        ));
+        assert!(packed_block_len(&weights) * 10 < weights.len() * 16);
+    }
+
+    /// A dictionary block with escapes and an odd count, and a raw one:
+    /// the two layouts the never-panics fuzzers bend.
+    fn fuzz_vectors() -> [Vec<f32>; 2] {
+        let mut rng = rpol_tensor::rng::Pcg32::seed_from(17);
+        let escaping = skewed_plane(&mut rng, 81, 17);
+        assert!(matches!(
+            hi_plane_of(&pack(&escaping)),
+            Some(HiPlane::Dict { escapes: 1.. })
+        ));
+        [escaping, with_hi_plane((0..40u8).map(|i| i * 5))]
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Round-trip: any lattice vector survives the packed codec
-        /// bit for bit, and the block never exceeds 2n + 10 bytes.
+        /// Round-trip: any lattice vector survives the packed codec bit
+        /// for bit, the block never exceeds 2n + 6 bytes, and the fast
+        /// encoder, the counting pass and the scalar oracle agree — over
+        /// every length 0..=4096, odd and even, on hi planes drawn like
+        /// weights (0), constant (1), with a table exactly full, one over
+        /// and two over (2–4), and uniformly random (5: raw).
+        #[test]
+        fn packed_encoder_matches_the_oracle(
+            seed in 0u64..10_000, len in 0usize..=4096, kind in 0u32..6
+        ) {
+            let mut rng = rpol_tensor::rng::Pcg32::seed_from(seed ^ 0x0A_C1E);
+            let weights = match kind {
+                0 => {
+                    let mut w: Vec<f32> = (0..len).map(|_| rng.next_normal() * 0.05).collect();
+                    rpol_tensor::quant::snap_to_bf16(&mut w);
+                    w
+                }
+                1 => with_hi_plane((0..len).map(|_| seed as u8)),
+                2..=4 => skewed_plane(&mut rng, len, 13 + kind),
+                _ => with_hi_plane((0..len).map(|_| rng.next_u32() as u8)),
+            };
+            let chose = assert_packs_like_the_oracle(&weights);
+            if kind == 5 && len >= 64 {
+                proptest::prop_assert_eq!(chose, HiPlane::Raw);
+            }
+            if kind < 5 && len >= 64 {
+                proptest::prop_assert!(matches!(chose, HiPlane::Dict { .. }));
+            }
+        }
+
+        /// Round-trip on arbitrary 16-bit images (NaNs, infinities and
+        /// subnormals included), short enough that every field is hit.
         #[test]
         fn packed_codec_roundtrips_lattice_vectors(seed in 0u64..1_000, len in 0usize..300) {
             let mut rng = rpol_tensor::rng::Pcg32::seed_from(seed ^ 0xB16_C0DE);
             let weights: Vec<f32> = (0..len)
                 .map(|_| f32::from_bits((rng.next_u32() & 0xFFFF_0000) >> 16 << 16))
                 .collect();
-            let mut out = BytesMut::new();
-            put_weights_packed(&mut out, &weights);
-            proptest::prop_assert!(out.len() <= 2 * len + 10);
-            let mut buf = out.freeze();
-            let back = get_weights_packed(&mut buf).expect("roundtrip");
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            proptest::prop_assert_eq!(bits(&back), bits(&weights));
-            proptest::prop_assert_eq!(buf.remaining(), 0);
+            assert_packs_like_the_oracle(&weights);
         }
 
-        /// The one-pass "RLE cannot win" decision never changes a byte:
-        /// random lattice vectors of every length 0..=4096, with hi planes
-        /// from uniformly noisy (few distinct values → raw) down to long
-        /// plateaus (RLE), encode exactly as the oracle does.
+        /// One encoding per image: whatever block the decoder accepts is
+        /// the block the encoder writes for what it decoded to. Honest
+        /// blocks of every shape, bent in up to three bytes — most die on
+        /// the canonical-form checks, a bent lo byte survives as another
+        /// image's honest block.
         #[test]
-        fn packed_encoder_matches_the_oracle(
-            seed in 0u64..10_000, len in 0usize..=4096, spread in 0u32..6
+        fn accepted_blocks_reencode_to_themselves(
+            seed in 0u64..100_000, len in 0usize..48, distinct in 1u32..20, flips in 1usize..=3
         ) {
-            let mut rng = rpol_tensor::rng::Pcg32::seed_from(seed ^ 0x0A_C1E);
-            // `spread` sets how often the hi byte changes: 0 → every
-            // element, 5 → about once in 32.
-            let mut hi = 0u32;
-            let weights: Vec<f32> = (0..len)
-                .map(|_| {
-                    let r = rng.next_u32();
-                    if r & ((1 << spread) - 1) == 0 {
-                        hi = (r >> 8) & 0xFF;
-                    }
-                    f32::from_bits((hi << 24) | (r & 0x00FF_0000))
-                })
-                .collect();
-            assert_packs_like_the_oracle(&weights);
+            let mut rng = rpol_tensor::rng::Pcg32::seed_from(seed);
+            let mut block = pack(&skewed_plane(&mut rng, len, distinct)).to_vec();
+            for _ in 0..flips {
+                // Skip the version byte: bending it is always fatal.
+                let pos = 1 + rng.next_u32() as usize % (block.len() - 1);
+                block[pos] ^= 1 << (rng.next_u32() % 8);
+            }
+            let mut buf = Bytes::from(block.clone());
+            if let Ok(image) = get_weights_packed(&mut buf) {
+                let consumed = block.len() - buf.remaining();
+                proptest::prop_assert_eq!(&pack(&image)[..], &block[..consumed]);
+            }
         }
 
         /// Fuzz: truncating a valid V3 submission at any byte must fail
         /// with a clean DecodeError — never panic, never misdecode.
         #[test]
-        fn truncated_v3_submission_never_panics(cut_seed in 0u64..200) {
-            let cps = lattice_checkpoints();
+        fn truncated_v3_submission_never_panics(cut_seed in 0u64..400) {
             let family = LshFamily::generate(12, LshParams::new(1.0, 2, 3), 5);
-            let commitment = EpochCommitment::commit_v3(&cps, &family);
-            let encoded = encode_submission(&cps[3], Some(&commitment));
-            let cut = (cut_seed as usize * 0x9E37) % encoded.len();
-            proptest::prop_assert!(decode_submission(encoded.slice(0..cut)).is_err());
+            let commitment = EpochCommitment::commit_v3(&lattice_checkpoints(), &family);
+            for weights in fuzz_vectors() {
+                let encoded = encode_submission(&weights, Some(&commitment));
+                let cut = (cut_seed as usize * 0x9E37) % encoded.len();
+                proptest::prop_assert!(decode_submission(encoded.slice(0..cut)).is_err());
+            }
         }
 
         /// Fuzz: a single corrupted byte in a packed proof response either
         /// decodes to *something* or errors — it must never panic.
         #[test]
         fn corrupt_packed_response_never_panics(pos_seed in 0u64..500, xor in 1u8..=255) {
-            let weights = rpol_tensor::quant::bf16_image(
-                &(0..40).map(|i| (i as f32) * 0.125 - 2.0).collect::<Vec<f32>>(),
-            );
-            let encoded = encode_proof_response_packed(3, &weights);
-            let pos = (pos_seed as usize * 0x5851) % encoded.len();
-            let mut bad = encoded.to_vec();
-            bad[pos] ^= xor;
-            let _ = decode_proof_response(Bytes::from(bad));
+            for weights in fuzz_vectors() {
+                let encoded = encode_proof_response_packed(3, &weights);
+                let pos = (pos_seed as usize * 0x5851) % encoded.len();
+                let mut bad = encoded.to_vec();
+                bad[pos] ^= xor;
+                let _ = decode_proof_response(Bytes::from(bad));
+            }
         }
     }
 
@@ -1994,6 +2289,9 @@ mod tests {
         assert_eq!(classify_payload(&payload), PayloadClass::EpochTask);
         // header + version + count + mode + two planes.
         assert_eq!(payload.len(), TASK_HEADER_BYTES + 6 + 2 * weights.len());
+        assert_eq!(block.hi_plane(), Some(HiPlane::Raw));
+        assert_eq!(packed_hi_plane(&payload), Some(HiPlane::Raw));
+        assert_eq!(TaskBlock::raw(&weights).hi_plane(), None);
         let raw_len = encode_epoch_task(&EpochTask {
             epoch: 3,
             nonce: 99,
@@ -2021,12 +2319,15 @@ mod tests {
             decode(zero_steps),
             Err(DecodeError::Malformed("empty epoch"))
         );
-        let mut bad_version = good.clone();
-        bad_version[TASK_HEADER_BYTES] = 0x7F;
-        assert_eq!(
-            decode(bad_version),
-            Err(DecodeError::Malformed("unknown packed-weight version"))
-        );
+        // An unknown version, and the retired V1 layout's.
+        for version in [0x7F, 1] {
+            let mut bad_version = good.clone();
+            bad_version[TASK_HEADER_BYTES] = version;
+            assert_eq!(
+                decode(bad_version),
+                Err(DecodeError::Malformed("unknown packed-weight version"))
+            );
+        }
         assert_eq!(
             decode(TaskBlock::packed(&[]).frame(1, 2, 4).to_vec()),
             Err(DecodeError::Malformed("empty global model"))
@@ -2037,17 +2338,6 @@ mod tests {
         hostile[TASK_HEADER_BYTES + 1..TASK_HEADER_BYTES + 5]
             .copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode(hostile), Err(DecodeError::Truncated));
-        // Ragged RLE stream (odd length) behind a task header.
-        let mut ragged = good[..TASK_HEADER_BYTES].to_vec();
-        ragged.push(PACKED_WEIGHTS_V1);
-        ragged.extend_from_slice(&3u32.to_le_bytes());
-        ragged.push(HI_PLANE_DELTA_RLE);
-        ragged.extend_from_slice(&3u32.to_le_bytes());
-        ragged.extend_from_slice(&[1, 3, 0, 0, 0, 0]);
-        assert_eq!(
-            decode(ragged),
-            Err(DecodeError::Malformed("ragged RLE stream"))
-        );
     }
 
     #[test]

@@ -354,10 +354,10 @@ impl PoolWorker {
         let commit_bytes_hashed = commitment.as_ref().map_or(0, |c| {
             c.bytes_hashed(final_weights.len(), mode.hashes_per_group())
         });
-        // V3 ships its lattice weights packed (2 bytes each, an upper
-        // bound: the hi-plane RLE can only shrink further).
+        // V3 ships its lattice weights as a packed block: charge the
+        // block's own length, ~1.5 bytes a weight.
         let weight_bytes = if quantized {
-            final_weights.len() * 2
+            crate::wire::packed_block_len(&final_weights)
         } else {
             final_weights.len() * 4
         };

@@ -63,15 +63,21 @@ const FAULT_SEED: u64 = 0x9E;
 /// once, deliberately, for that change — the nine verified cells' proof
 /// bytes and exchange counts fell, the three Baseline cells' digests and
 /// every cell's `DECISION_DIGEST` line did not move (per-cell table in
-/// CHANGES.md, PR 22). Same-platform only (the LSH family and the noise
+/// CHANGES.md, PR 22; `d68b00f2…`). Re-recorded a second time when the
+/// packed block's hi plane became a nibble dictionary: the three RPoLv3
+/// cells' bytes fell (and, on the lossy one, the fault draws that frame
+/// lengths feed moved), the nine Baseline / v1 / v2 cells' digests and
+/// every cell's `DECISION_DIGEST` line did not (per-cell table in
+/// CHANGES.md, PR 24). Same-platform only (the LSH family and the noise
 /// model draw normals through the host's libm).
-const REFERENCE_DIGEST: &str = "d68b00f23f22e6e020d5c7c7078571b96a582e282bb49c961c92683e44a12a7a";
+const REFERENCE_DIGEST: &str = "e6b54589c5458834fdfb21a64df08c394ae288e19938eb0b1b743b61c53f895a";
 
 /// SHA-256 over the twelve reference cells' *decisions*, per epoch:
 /// `accepted | rejected | quarantined | accuracy bits | double_checks |
 /// replayed_steps`. Recorded at commit a73d092, before the manager bound
 /// both ends of the committed trajectory and stopped fetching them; that
-/// change moved `REFERENCE_DIGEST` (bytes, exchanges) and not this.
+/// change moved `REFERENCE_DIGEST` (bytes, exchanges) and not this, and
+/// neither did the packed block shrinking by a quarter.
 const DECISION_DIGEST: &str = "d09f1ce02b13d2f4903743091618a1c021a77aa18179f7e8df2def728eed2907";
 
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -208,13 +208,16 @@ fn v3_socket_run_matches_simulated_run_on_ideal_and_lossy_links() {
     }
 }
 
-/// Broadcast accounting under RPoLv3: the socket charges exactly the task
+/// Byte accounting under RPoLv3: the socket charges exactly the task
 /// payloads it framed — one packed block behind each worker's header —
-/// the in-process pool charges the same block at 2 bytes per weight, the
-/// saving is counted once per task, and the block is encoded once an epoch.
+/// and the in-process pool, which builds no block, charges that block's
+/// length all the same; so `comm` agrees leg by leg, frame headers aside.
+/// The saving is counted once per task and the block encoded once an epoch.
 #[test]
 fn v3_broadcast_charges_the_packed_block_once_per_worker() {
-    use rpol::wire::{decode_epoch_task, encode_epoch_task, EpochTask, TaskBlock};
+    use rpol::wire::{
+        decode_epoch_task, encode_epoch_task, packed_block_len, EpochTask, TaskBlock,
+    };
 
     let behaviors = parity_roster();
     let n = behaviors.len() as u64;
@@ -244,12 +247,15 @@ fn v3_broadcast_charges_the_packed_block_once_per_worker() {
             .global_weights,
         lattice
     );
+    // The wire adds its 21-byte header to the block, whose hi plane is a
+    // nibble a weight: under 1.6 bytes per weight all told, not 2.
+    let block_len = packed_block_len(&lattice) as u64;
+    assert_eq!(payload.len() as u64, 21 + block_len);
+    assert!(block_len * 10 < dim * 16, "{block_len} B for {dim} weights");
 
     let in_process = MiningPool::new(config, behaviors.clone()).run();
-    assert_eq!(
-        in_process.epochs[0].report.comm.broadcast_bytes,
-        n * dim * 2
-    );
+    let direct = in_process.epochs[0].report.comm;
+    assert_eq!(direct.broadcast_bytes, n * block_len);
 
     let rec = Arc::new(Recorder::logical());
     let socket = run_socket_pool(
@@ -264,10 +270,16 @@ fn v3_broadcast_charges_the_packed_block_once_per_worker() {
     .expect("socket run");
     let report = &socket.report.epochs[0].report;
     assert_eq!(report.comm.broadcast_bytes, n * payload.len() as u64);
-    // The wire adds only framing to what the in-process pool charges: the
-    // 21-byte header and the block's version / count / mode bytes (the
-    // initial model's hi plane does not compress).
-    assert_eq!(payload.len() as u64, 21 + 6 + 2 * dim);
+    // Socket ≡ in-process on every leg: a task frame adds its header, a
+    // submission frame its tag and the commitment's two counts, an
+    // opening is charged by the same function of the same image.
+    assert_eq!(report.comm.broadcast_bytes, direct.broadcast_bytes + n * 21);
+    assert_eq!(
+        report.comm.submission_bytes,
+        direct.submission_bytes + n * (1 + 4 + 4)
+    );
+    assert!(direct.proof_bytes > 0, "the fixture must open checkpoints");
+    assert_eq!(report.comm.proof_bytes, direct.proof_bytes);
     // Submissions and openings save bytes too; the tasks' share is exact.
     assert!(report.transport.bytes_saved >= n * block.bytes_saved());
     let no_tasks = report.transport.bytes_saved - n * block.bytes_saved();
@@ -969,5 +981,71 @@ fn hostile_submission_shapes_are_rejected_over_the_socket_never_a_panic() {
             let verdict = &r.verdicts[1].1;
             assert_eq!((verdict.proof_bytes, verdict.replayed_steps), (0, 0));
         }
+    }
+}
+
+/// Packed blocks the decoder must refuse, over the real socket: the
+/// retired V1 layout's version byte, a dictionary longer than a nibble
+/// can index, and a well-formed raw plane where the encoder would have
+/// written the dictionary (a second encoding of one image). Each costs its
+/// sender the epoch — quarantined at ingest, nothing replayed — while the
+/// server keeps serving the honest peer and shuts both down cleanly.
+#[test]
+fn retired_and_malformed_packed_blocks_are_refused_over_the_socket() {
+    use rpol::wire::{encode_proof_response_packed, packed_hi_plane, HiPlane};
+
+    let mut config = PoolConfig::tiny_demo(Scheme::RPoLv3);
+    config.epochs = 3;
+    let behaviors = vec![WorkerBehavior::Honest; 2];
+    let pool = MiningPool::new(config, behaviors.clone());
+    let mut server =
+        PoolServer::bind(pool, &BindAddr::loopback(), ServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+
+    let honest = {
+        let worker = MiningPool::build_workers(config, &behaviors).remove(0);
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            rpol::client::WorkerClient::new(config, worker, addr, quick_tuning()).run()
+        })
+    };
+    let hostile = hostile_submitter(addr, 1, |epoch, global| {
+        // The honest block for the model the task carried, behind a V3
+        // submission's tag; the decoder never gets past the block.
+        let opening = encode_proof_response_packed(0, global);
+        assert!(matches!(
+            packed_hi_plane(&opening),
+            Some(HiPlane::Dict { .. })
+        ));
+        let mut forged = vec![0x04];
+        match epoch {
+            0 => {
+                forged.extend_from_slice(&opening[5..]);
+                forged[1] = 1; // PACKED_WEIGHTS_V1
+            }
+            1 => {
+                forged.extend_from_slice(&opening[5..]);
+                forged[1 + 6] = 16; // table_len
+            }
+            _ => {
+                forged.push(2);
+                forged.extend_from_slice(&(global.len() as u32).to_le_bytes());
+                forged.push(0); // HI_PLANE_RAW
+                forged.extend(global.iter().map(|w| (w.to_bits() >> 24) as u8));
+                forged.extend(global.iter().map(|w| (w.to_bits() >> 16) as u8));
+            }
+        }
+        assert!(rpol::wire::decode_submission(forged.clone().into()).is_err());
+        forged.into()
+    });
+
+    let report = server.run().expect("server run");
+    hostile.join().expect("hostile peer finished cleanly");
+    assert!(honest.join().expect("honest client").clean_shutdown);
+    for (e, record) in report.epochs.iter().enumerate() {
+        let r = &record.report;
+        assert_eq!(r.accepted, vec![0], "epoch {e}: {r:?}");
+        assert_eq!(r.quarantined, vec![1], "epoch {e}: {r:?}");
+        assert!(r.rejected.is_empty(), "epoch {e}");
     }
 }

@@ -230,6 +230,46 @@ fn v3_byte_counters_equal_report_totals() {
     );
 }
 
+/// How each packed block coded its hi plane is counted by whoever encoded
+/// it — the manager for the task block, the worker's side of the link for
+/// submissions and openings — so on a pool of weight-shaped models `dict`
+/// equals the blocks encoded and `raw` stays 0, serial ≡ executor.
+#[test]
+fn packed_block_counters_name_every_block_encoded() {
+    const COUNTERS: [&str; 3] = [
+        "rpol.wire.packed_blocks_dict",
+        "rpol.wire.packed_blocks_raw",
+        "rpol.wire.packed_escapes",
+    ];
+    let config = PoolConfig::tiny_demo(Scheme::RPoLv3).with_faults(FaultConfig::ideal(7));
+    let run = |parallel: bool| {
+        let rec = Arc::new(Recorder::logical());
+        let mut pool = MiningPool::new(config, behaviors()).with_recorder(rec.clone());
+        let report = if parallel {
+            pool.run_parallel()
+        } else {
+            pool.run()
+        };
+        (rec.snapshot(), report)
+    };
+    let (serial, report) = run(false);
+    let (threaded, _) = run(true);
+
+    // On an ideal link every exchange delivers: a task and a submission
+    // per worker per epoch, and two per opening fetched (request, response).
+    let epochs = report.epochs.len() as u64;
+    let per_epoch = 2 * behaviors().len() as u64;
+    let openings = (report.transport_totals().exchanges - epochs * per_epoch) / 2;
+    assert!(openings > 0, "the fixture must fetch openings");
+    // One task block an epoch, a submission per worker, a response per opening.
+    let blocks = epochs + epochs * per_epoch / 2 + openings;
+    assert_eq!(serial.counter(COUNTERS[0]), blocks);
+    assert_eq!(serial.counter(COUNTERS[1]), 0);
+    for name in COUNTERS {
+        assert_eq!(serial.counter(name), threaded.counter(name), "{name}");
+    }
+}
+
 /// What verification did *not* fetch, and why a worker was turned away at
 /// the binding: both are recorded by the settling thread, so the exported
 /// counter equals what the report's verdicts imply and the events name

@@ -83,12 +83,14 @@ print(f"commit_hash_quant: fresh smoke {fresh_edge:.2f}x over full-precision bat
 assert fresh_edge >= 1.2, f"fresh quantized digest edge {fresh_edge:.2f}x lost the byte-halving win"
 
 # --- Packed wire framing (RPoLv3): raw/packed size ratio is deterministic,
-# so it is gated at full strength in both baselines. 1.667x ≙ the 40%
-# payload-byte reduction the scheme promises on checkpoint submissions.
+# so it is gated at full strength in both baselines. 2.5x ≙ the 60%
+# payload-byte reduction of a ~1.5 B/weight block (lo plane + a nibble of
+# hi plane) against 4 B/weight; a block that fell back to the raw hi plane
+# reads 2x and fails.
 for name, doc in (("committed", base), ("fresh", fresh)):
     ratio = doc["wire_submission_packed"]["speedup_vs_scalar"]
-    print(f"wire_submission_packed ({name}): {ratio:.2f}x raw/packed (bar: 1.667x)")
-    assert ratio >= 1.667, f"{name} packed framing below the 40% reduction bar ({ratio:.2f}x)"
+    print(f"wire_submission_packed ({name}): {ratio:.2f}x raw/packed (bar: 2.5x)")
+    assert ratio >= 2.5, f"{name} packed framing below the 60% reduction bar ({ratio:.2f}x)"
 
 # The threaded e2e variant must be present in both baselines: its
 # equality assertion against the batch verdict is what keeps the

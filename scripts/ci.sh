@@ -28,8 +28,9 @@ RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test epoch_matrix
 echo "== GEMM on the executor: 8-thread invariance + quantizer determinism"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-tensor
 
-echo "== intrinsics tiers as production runs them: tensor + nn + crypto suites in --release"
+echo "== as production runs them: tensor + nn + crypto suites and the wire codec in --release"
 cargo test -q --release -p rpol-tensor -p rpol-nn -p rpol-crypto
+cargo test -q --release -p rpol --lib wire::
 
 echo "== Gaussian blocks: 2^28 draws against the libm expression, 0 mismatches"
 cargo test -q --release -p rpol-tensor -- --ignored fill_normal_soak --nocapture
