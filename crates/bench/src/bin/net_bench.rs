@@ -24,21 +24,7 @@
 //! and positivity (plus corrupt frames actually crossing the wire under
 //! churn) rather than cross-host wall ratios.
 //!
-//! A **connection sweep** then runs both reactor backends (scan and
-//! readiness) at 64/256/1024 concurrent connections: a small worker
-//! roster of pure replayers plus an idle-connection floor, stormed onto
-//! the listener in sub-backlog bursts with the clock running from bind.
-//! Each cell aggregates three fresh storms (total pristine over total
-//! wall), so a reactor that falls behind the offered rate and eats the
-//! kernel's SYN-drop retransmit stall keeps the stall in its sustained
-//! number. The readiness-vs-scan ratio at 1024 connections is the one
-//! cross-backend comparison that IS gated (same host, same run), in
-//! `scripts/bench_net.sh` at generation time and `scripts/check_bench.sh`
-//! against the committed baseline. Requires `ulimit -n` above ~2100 for
-//! the full sweep.
-//!
-//! `BENCH_SMOKE=1` shrinks the roster and the sweep (16/64 connections)
-//! for the CI gate; the committed baseline comes from a full run
+//! `BENCH_SMOKE=1` shrinks the roster for the CI gate; the committed baseline comes from a full run
 //! (`scripts/bench_net.sh`).
 //!
 //! Usage: `cargo run --release -p rpol-bench --bin net_bench [out.json]`
@@ -47,17 +33,12 @@
 //! [`WorkerClient`]: rpol::client::WorkerClient
 
 use rpol::adversary::WorkerBehavior;
-use rpol::client::{ClientTuning, WorkerClient};
-use rpol::pool::{MiningPool, PoolConfig, Scheme};
-use rpol::server::{
-    run_socket_pool, BindAddr, PoolServer, ReactorBackend, ServerConfig, SocketRunOptions,
-};
+use rpol::pool::{PoolConfig, Scheme};
+use rpol::server::{run_socket_pool, ServerConfig, SocketRunOptions};
 use rpol::transport::{FaultConfig, FaultProfile};
 use rpol_obs::Recorder;
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One churn regime's measured outcome.
 struct CaseResult {
@@ -155,166 +136,6 @@ fn run_case(
     }
 }
 
-/// One (backend × connection-count) cell of the reactor sweep.
-struct SweepResult {
-    backend: &'static str,
-    connections: usize,
-    idle_connections: usize,
-    submissions_per_s: f64,
-    pristine_submissions: u64,
-    wall_s: f64,
-}
-
-/// Measures end-to-end ingest throughput with `total - workers` idle
-/// connections parked on the reactor: the clock starts at bind and the
-/// measured window covers absorbing the full connection ramp, the worker
-/// handshakes, and every epoch. A scanning reactor pays O(total)
-/// non-blocking reads per pump — O(total²) syscalls across the ramp
-/// alone — where a readiness reactor pays O(active). The protocol
-/// outcome is backend-invariant (pinned by `tests/net_parity.rs`); only
-/// the wall clock moves.
-/// Aggregates [`sweep_rep`] over `SWEEP_REPS` fresh storms: sustained
-/// submissions/s = total pristine over total wall. A reactor that falls
-/// behind the storm and eats TCP retransmit stalls keeps them in its
-/// number — that collapse is the behaviour the cell exists to expose,
-/// not an outlier to discard.
-fn run_sweep_case(
-    backend: ReactorBackend,
-    total: usize,
-    workers: usize,
-    epochs: usize,
-    steps: usize,
-) -> SweepResult {
-    const SWEEP_REPS: usize = 3;
-    let mut pristine = 0u64;
-    let mut wall_s = 0.0f64;
-    for _ in 0..SWEEP_REPS {
-        let rep = sweep_rep(backend, total, workers, epochs, steps);
-        pristine += rep.pristine_submissions;
-        wall_s += rep.wall_s;
-    }
-    SweepResult {
-        backend: backend.name(),
-        connections: total,
-        idle_connections: total.saturating_sub(workers),
-        submissions_per_s: pristine as f64 / wall_s,
-        pristine_submissions: pristine,
-        wall_s,
-    }
-}
-
-fn sweep_rep(
-    backend: ReactorBackend,
-    total: usize,
-    workers: usize,
-    epochs: usize,
-    steps: usize,
-) -> SweepResult {
-    let idle = total.saturating_sub(workers);
-    let mut config = PoolConfig::tiny_demo(Scheme::RPoLv2).with_faults(FaultConfig::ideal(11));
-    config.epochs = epochs;
-    config.steps_per_epoch = steps;
-    config.q_samples = 1;
-    // Minimal compute per epoch: the cell measures reactor overhead, so
-    // training and verification work is held to the protocol floor —
-    // what is left of the wall clock is handshake + pump + wire time.
-    config.train_samples = (workers + 1) * 2;
-    config.test_samples = 8;
-    // Every worker replays: submissions are serialized and shipped
-    // without local training, so the cell measures the ingest plane —
-    // wire, decode, classify — not SGD throughput. All of them land in
-    // the rejected (pristine) set.
-    let behaviors = vec![WorkerBehavior::ReplayPrevious; workers];
-
-    let pool = MiningPool::new(config, behaviors.clone());
-    let server_cfg = ServerConfig {
-        backend,
-        // The idle floor must sit in the connection table untouched:
-        // sweeping or evicting it mid-run would shrink the very load the
-        // cell exists to measure.
-        max_connections: 4096,
-        handshake_timeout: Duration::from_secs(3600),
-        idle_timeout: Duration::from_secs(3600),
-        parallel_verify: true,
-        ..ServerConfig::default()
-    };
-    let mut server = PoolServer::bind(pool, &BindAddr::loopback(), server_cfg).expect("bind");
-    let addr = server.local_addr();
-
-    // The measured window opens at bind: it covers absorbing the full
-    // connection storm, the worker handshakes, and the epochs. The
-    // connector yields in sub-backlog bursts (listener backlog is 128)
-    // so the kernel never drops a SYN under a reactor that keeps pace
-    // with the offered rate; a reactor that falls behind eats the TCP
-    // retransmit stall it inflicts on real workers.
-    let t0 = Instant::now();
-    let idle_done = Arc::new(AtomicBool::new(false));
-    let idle_thread = {
-        let addr = addr.clone();
-        let done = Arc::clone(&idle_done);
-        std::thread::spawn(move || {
-            // One burst stays under the listener backlog (128), so a
-            // reactor that drains the accept queue between bursts never
-            // sees a kernel SYN drop; two un-drained bursts overflow it.
-            let burst: usize = std::env::var("RPOL_SWEEP_BURST")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(120);
-            let mut conns: Vec<TcpStream> = Vec::with_capacity(idle);
-            for i in 0..idle {
-                conns.push(TcpStream::connect(&addr).expect("idle connect"));
-                if i % burst == burst - 1 {
-                    std::thread::yield_now();
-                }
-            }
-            done.store(true, Ordering::Release);
-            conns
-        })
-    };
-    while !idle_done.load(Ordering::Acquire) {
-        // Never met (target above roster size): pumps the reactor so the
-        // listener backlog drains while the floor connects. The deadline
-        // is one pump-park quantum — any longer quantizes the ramp.
-        let _ = server.wait_for_workers(workers + 1, Duration::from_millis(1));
-    }
-
-    let tuning = ClientTuning {
-        read_timeout: Duration::from_millis(5),
-        backoff_scale: 0.005,
-        heartbeat_interval: Duration::from_secs(3600),
-        ..ClientTuning::default()
-    };
-    let handles: Vec<_> = MiningPool::build_workers(config, &behaviors)
-        .into_iter()
-        .map(|worker| {
-            let addr = addr.clone();
-            let tuning = tuning.clone();
-            std::thread::spawn(move || WorkerClient::new(config, worker, addr, tuning).run())
-        })
-        .collect();
-    let report = server.run().expect("sweep run");
-    let wall_s = t0.elapsed().as_secs_f64();
-    for h in handles {
-        assert!(h.join().expect("client thread").clean_shutdown);
-    }
-    drop(idle_thread.join().expect("idle connector"));
-
-    let pristine: u64 = report
-        .epochs
-        .iter()
-        .map(|e| (e.report.accepted.len() + e.report.rejected.len()) as u64)
-        .sum();
-    assert!(pristine > 0, "sweep cell decoded nothing");
-    SweepResult {
-        backend: backend.name(),
-        connections: total,
-        idle_connections: idle,
-        submissions_per_s: pristine as f64 / wall_s,
-        pristine_submissions: pristine,
-        wall_s,
-    }
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -346,32 +167,6 @@ fn main() {
         assert!(c.corrupt_frames > 0, "{}: no ghosts on the wire", c.churn);
     }
 
-    // Reactor sweep: the same tiny epoch workload with an ever larger
-    // idle-connection floor parked on the reactor, scan vs readiness.
-    // Scan pays O(connections) per pump, readiness O(active) — so the
-    // throughput gap must widen with the floor. check_bench.sh gates the
-    // committed baseline at >= 3x for readiness at the largest cell.
-    let (sweep_totals, sweep_workers, sweep_epochs): (&[usize], usize, usize) = if smoke {
-        (&[16, 64], 4, 1)
-    } else {
-        (&[64, 256, 1024], 4, 1)
-    };
-    let mut sweep = Vec::new();
-    for &total in sweep_totals {
-        for backend in [ReactorBackend::Scan, ReactorBackend::Readiness] {
-            let cell = run_sweep_case(backend, total, sweep_workers, sweep_epochs, 1);
-            println!(
-                "sweep {} @ {} conns ({} idle): {:.1} submissions/s ({:.2}s wall)",
-                cell.backend,
-                cell.connections,
-                cell.idle_connections,
-                cell.submissions_per_s,
-                cell.wall_s,
-            );
-            sweep.push(cell);
-        }
-    }
-
     let hw_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -396,24 +191,6 @@ fn main() {
             c.reconnects,
             c.wall_s,
             if i + 1 < cases.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"sweep_config\": {{\"workers\": {sweep_workers}, \"epochs\": {sweep_epochs}, \"steps_per_epoch\": 1, \"reps\": 3, \"behavior\": \"replay_all\", \"faults\": \"ideal\", \"readiness_available\": {}}},\n",
-        ReactorBackend::preferred() == ReactorBackend::Readiness
-    ));
-    json.push_str("  \"sweep\": [\n");
-    for (i, c) in sweep.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"connections\": {}, \"idle_connections\": {}, \"submissions_per_s\": {:.3}, \"pristine_submissions\": {}, \"wall_s\": {:.3}}}{}\n",
-            c.backend,
-            c.connections,
-            c.idle_connections,
-            c.submissions_per_s,
-            c.pristine_submissions,
-            c.wall_s,
-            if i + 1 < sweep.len() { "," } else { "" }
         ));
     }
     json.push_str("  ]\n}\n");

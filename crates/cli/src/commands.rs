@@ -9,9 +9,7 @@ use rpol::economics::EconomicModel;
 use rpol::mining::{DifficultyController, MiningCompetition};
 use rpol::pool::{MiningPool, PoolConfig, Scheme};
 use rpol::sampling::soundness_table;
-use rpol::server::{
-    run_socket_pool, BindAddr, PoolServer, ReactorBackend, ServerConfig, SocketRunOptions,
-};
+use rpol::server::{run_socket_pool, BindAddr, PoolServer, ServerConfig, SocketRunOptions};
 use rpol::tasks::TaskConfig;
 use rpol::timing::{epoch_breakdown, epoch_breakdown_faulty, TimingConfig};
 use rpol::transport::{FaultConfig, FaultProfile, RetryPolicy};
@@ -195,9 +193,6 @@ pub fn print_command_help(command: &str) {
              --adversaries=N           cheating workers among them (default 2)\n\
              --epochs=N                epochs to run (default 4)\n\
              --parallel-verify         verify sampled steps on threads\n\
-             --backend=scan|readiness  reactor backend (default: readiness where\n\
-             \x20                          the epoll shim exists, else scan; both\n\
-             \x20                          are wire-identical)\n\
              --committees=C            shard verification into C committees\n\
              --committee-audit=Q       top-tier spot-audits per committee (default 1)\n\
              --json                    emit the full report as JSON\n\
@@ -766,7 +761,7 @@ pub fn trace_check(raw: &[String]) -> Result<(), String> {
 /// `rpol serve` — stand the manager up as a socket server.
 pub fn serve(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw)?;
-    let mut allowed = vec!["listen", "loopback", "parallel-verify", "json", "backend"];
+    let mut allowed = vec!["listen", "loopback", "parallel-verify", "json"];
     allowed.extend(ROSTER_OPTIONS);
     allowed.extend(HIERARCHY_OPTIONS);
     allowed.extend(FAULT_OPTIONS);
@@ -777,14 +772,8 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
     config.hierarchy =
         hierarchy_config(&args, scheme, workers, config.fault.as_ref(), config.seed)?;
     let behaviors = roster_behaviors(workers, adversaries);
-    let backend = match args.get("backend") {
-        Some(v) => ReactorBackend::parse(v)
-            .ok_or_else(|| format!("--backend={v}: expected `scan` or `readiness`"))?,
-        None => ServerConfig::default().backend,
-    };
     let server_cfg = ServerConfig {
         parallel_verify: args.get("parallel-verify").is_some(),
-        backend,
         ..ServerConfig::default()
     };
     let sinks = obs_setup(&args);
@@ -846,7 +835,11 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
     println!(
         "{scheme} pool over sockets, {workers} workers ({adversaries} adversarial), \
          {epochs} epochs, {} reactor",
-        backend.name()
+        if net.reactor_fallbacks == 0 {
+            "readiness"
+        } else {
+            "scan"
+        }
     );
     for rec in &report.epochs {
         println!(

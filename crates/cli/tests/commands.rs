@@ -97,6 +97,15 @@ fn pool_hierarchy_flags_run_and_validate() {
 }
 
 #[test]
+fn serve_refuses_a_pinned_reactor_backend() {
+    let _g = lock();
+    // The platform picks the reactor; a script that still pins one must
+    // fail loudly before anything binds, not run on whatever it gets.
+    let err = commands::serve(&raw(&["--loopback", "--backend=scan"])).unwrap_err();
+    assert!(err.contains("unknown option --backend"), "got: {err}");
+}
+
+#[test]
 fn calibrate_runs_small() {
     let _g = lock();
     commands::calibrate(&raw(&["--epochs=1", "--steps=4"])).expect("calibrates");

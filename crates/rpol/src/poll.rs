@@ -1,6 +1,6 @@
 //! Minimal readiness source for the server reactor.
 //!
-//! The socket server's readiness backend needs exactly three operations:
+//! The socket server's readiness pump needs exactly three operations:
 //! register a socket under a `u64` token, wait (non-blocking) for readable
 //! sockets, and let closed sockets fall out of the interest set. On x86_64
 //! Linux this is `epoll` — invoked through raw syscalls because the
@@ -21,13 +21,6 @@
 //!   exists for the eviction path where the stream is swapped out before
 //!   being dropped, and tolerates `ENOENT`.
 
-/// Whether this build can construct a working [`Poller`].
-pub const READINESS_AVAILABLE: bool = cfg!(all(
-    feature = "epoll",
-    target_os = "linux",
-    target_arch = "x86_64"
-));
-
 /// One readiness notification: the token passed at registration time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ready {
@@ -35,7 +28,7 @@ pub struct Ready {
     pub token: u64,
 }
 
-#[cfg(all(feature = "epoll", target_os = "linux", target_arch = "x86_64"))]
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod imp {
     use super::Ready;
     use std::io;
@@ -177,7 +170,7 @@ mod imp {
     }
 }
 
-#[cfg(not(all(feature = "epoll", target_os = "linux", target_arch = "x86_64")))]
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 mod imp {
     use super::Ready;
     use std::io;
@@ -192,7 +185,7 @@ mod imp {
         pub fn new() -> io::Result<Self> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "readiness backend requires the `epoll` feature on x86_64 linux",
+                "the epoll shim exists only on x86_64 linux",
             ))
         }
 
@@ -219,7 +212,7 @@ pub use imp::Poller;
 mod tests {
     use super::*;
 
-    #[cfg(all(feature = "epoll", target_os = "linux", target_arch = "x86_64"))]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     #[test]
     fn epoll_reports_readable_tcp_data() {
         use std::io::Write;
@@ -270,15 +263,8 @@ mod tests {
     #[test]
     fn availability_matches_cfg() {
         assert_eq!(
-            READINESS_AVAILABLE,
-            cfg!(all(
-                feature = "epoll",
-                target_os = "linux",
-                target_arch = "x86_64"
-            ))
+            Poller::new().is_ok(),
+            cfg!(all(target_os = "linux", target_arch = "x86_64"))
         );
-        if READINESS_AVAILABLE {
-            assert!(Poller::new().is_ok());
-        }
     }
 }

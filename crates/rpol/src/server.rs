@@ -238,60 +238,12 @@ impl Write for NetStream {
     }
 }
 
-/// Which reactor drives [`NetCore::pump`]'s connection sweep.
-///
-/// Both backends are wire-identical: accept/reject/quarantine decisions,
-/// [`NetStats`] (minus the backend-dependent buffer-pool counters), and
-/// stitched traces match bit for bit under the same seed and faults
-/// (`tests/net_parity.rs`). They differ only in per-pump cost: `Scan`
-/// touches every connection (O(all)), `Readiness` touches only
-/// connections with kernel readiness, buffered frames, pending outboxes,
-/// or due timers (O(active)).
 /// Idle parking quantum for `NetCore::pump_or_wait`: `epoll_wait`
 /// timeouts have millisecond resolution, so one millisecond is the
 /// shortest real kernel wait. Parked waiters wake early the instant the
 /// kernel has an event for them — the quantum only bounds how long an
 /// *idle* reactor sleeps between timer checks.
 const PUMP_PARK: Duration = Duration::from_millis(1);
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReactorBackend {
-    /// Portable scan loop: every pump reads every connection.
-    Scan,
-    /// Readiness-driven pump fed by the epoll shim ([`crate::poll`]),
-    /// falling back to `Scan` where the shim is unavailable.
-    Readiness,
-}
-
-impl ReactorBackend {
-    /// The preferred backend for this build: `Readiness` when the epoll
-    /// shim exists (x86_64 Linux with the `epoll` feature), else `Scan`.
-    pub fn preferred() -> Self {
-        if poll::READINESS_AVAILABLE {
-            ReactorBackend::Readiness
-        } else {
-            ReactorBackend::Scan
-        }
-    }
-
-    /// Parses `"scan"` / `"readiness"` (as the CLI `--backend` flag and
-    /// the `RPOL_NET_BACKEND` environment variable spell them).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "scan" => Some(ReactorBackend::Scan),
-            "readiness" => Some(ReactorBackend::Readiness),
-            _ => None,
-        }
-    }
-
-    /// The canonical lowercase name (inverse of [`parse`](Self::parse)).
-    pub fn name(self) -> &'static str {
-        match self {
-            ReactorBackend::Scan => "scan",
-            ReactorBackend::Readiness => "readiness",
-        }
-    }
-}
 
 /// Service limits and deadlines for [`PoolServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -329,21 +281,10 @@ pub struct ServerConfig {
     pub connect_deadline: Duration,
     /// Verify participants on the persistent executor.
     pub parallel_verify: bool,
-    /// Reactor backend driving the pump (requested; the server falls back
-    /// to [`ReactorBackend::Scan`] when the readiness shim is unavailable
-    /// or its syscalls fail).
-    pub backend: ReactorBackend,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        // The environment override exists so harnesses (ci.sh, benches)
-        // can pin a backend without plumbing a flag through every entry
-        // point; unknown values fall through to the build's preference.
-        let backend = std::env::var("RPOL_NET_BACKEND")
-            .ok()
-            .and_then(|s| ReactorBackend::parse(&s))
-            .unwrap_or_else(ReactorBackend::preferred);
         Self {
             max_connections: 1024,
             max_inflight: 1024,
@@ -357,7 +298,6 @@ impl Default for ServerConfig {
             phase_timeout: Duration::from_secs(120),
             connect_deadline: Duration::from_secs(30),
             parallel_verify: false,
-            backend,
         }
     }
 }
@@ -406,6 +346,9 @@ pub struct NetStats {
     pub buf_pool_misses: u64,
     /// Total capacity (bytes) of recycled buffers handed back out.
     pub buf_pool_bytes_reused: u64,
+    /// 1 when the reactor fell back to the scan pump (epoll never built,
+    /// or a syscall failed mid-run), else 0: which reactor actually ran.
+    pub reactor_fallbacks: u64,
 }
 
 impl NetStats {
@@ -431,6 +374,7 @@ impl NetStats {
             buf_pool_hits: self.buf_pool_hits - earlier.buf_pool_hits,
             buf_pool_misses: self.buf_pool_misses - earlier.buf_pool_misses,
             buf_pool_bytes_reused: self.buf_pool_bytes_reused - earlier.buf_pool_bytes_reused,
+            reactor_fallbacks: self.reactor_fallbacks - earlier.reactor_fallbacks,
         }
     }
 
@@ -457,6 +401,7 @@ impl NetStats {
         rec.counter_add("net.buf_pool_hits", self.buf_pool_hits);
         rec.counter_add("net.buf_pool_misses", self.buf_pool_misses);
         rec.counter_add("net.buf_pool_bytes_reused", self.buf_pool_bytes_reused);
+        rec.counter_add("net.reactor_fallbacks", self.reactor_fallbacks);
     }
 }
 
@@ -500,7 +445,7 @@ pub struct ConnStatus {
 }
 
 /// Reactor pressure: how much work the next pump already has queued.
-/// Under the scan backend every queue reads zero (the scan visits
+/// Under the scan fallback every queue reads zero (the scan visits
 /// everything unconditionally, so nothing is ever *queued*).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct QueueDepths {
@@ -523,7 +468,7 @@ pub struct QueueDepths {
 pub struct StatusSnapshot {
     /// Wire protocol version ([`wire::NET_PROTOCOL`]).
     pub protocol: u32,
-    /// Reactor backend actually in use (`"scan"` or `"readiness"`).
+    /// Reactor in use: `"readiness"`, or `"scan"` after a fallback.
     pub backend: String,
     /// Size of the worker roster.
     pub workers: u64,
@@ -645,12 +590,10 @@ struct NetCore {
     published: NetStats,
     /// Epoch-pipeline progress, updated by the driver at epoch ends.
     progress: EpochProgress,
-    /// Reactor backend actually in use. Starts as the config's request and
-    /// degrades to `Scan` (permanently) if an epoll syscall ever fails.
-    backend: ReactorBackend,
-    /// The epoll instance behind [`ReactorBackend::Readiness`]; `None`
-    /// under `Scan`. Registration tokens are connection slot indices, with
-    /// `u64::MAX` for the listener.
+    /// The epoll instance behind the readiness pump; `None` means the scan
+    /// pump — where the platform has no epoll, or (permanently) after an
+    /// epoll syscall failed. Registration tokens are connection slot
+    /// indices, with `u64::MAX` for the listener.
     poller: Option<poll::Poller>,
     /// Reused readiness-event buffer (no per-pump allocation).
     ready_buf: Vec<poll::Ready>,
@@ -667,8 +610,8 @@ struct NetCore {
     /// be O(all connections) again).
     last_service: Vec<u64>,
     pump_seq: u64,
-    /// Next amortized timer sweep under the readiness backend (the scan
-    /// backend sweeps every pump, as it always did).
+    /// Next amortized timer sweep under the readiness pump (the scan pump
+    /// sweeps every pump, as it always did).
     next_timer_sweep: Instant,
     timer_granularity: Duration,
     /// Recycling arena for frame payloads, assembler backing stores, and
@@ -680,19 +623,20 @@ impl NetCore {
     /// One nonblocking pump: accept, read/route, flush, sweep timeouts.
     /// Safe to call from any thread holding the lock; never blocks.
     ///
-    /// Under [`ReactorBackend::Scan`] every connection is visited; under
-    /// [`ReactorBackend::Readiness`] only connections with kernel
-    /// readiness, buffered frames (dirty queue), pending outboxes (flush
-    /// queue), or a due timer sweep are touched — O(active), not O(all).
+    /// With a poller only connections with kernel readiness, buffered
+    /// frames (dirty queue), pending outboxes (flush queue), or a due
+    /// timer sweep are touched — O(active); the scan fallback visits every
+    /// connection.
     fn pump(&mut self) {
         // Wall-clock sweep latency: the pump cadence is timing-dependent,
         // so the measurement feeds a histogram only — never the trace
         // clock, which must stay a pure function of the protocol.
         let timed = self.rec.enabled().then(Instant::now);
         self.pump_seq += 1;
-        match self.backend {
-            ReactorBackend::Scan => self.pump_scan(),
-            ReactorBackend::Readiness => self.pump_readiness(0),
+        if self.poller.is_some() {
+            self.pump_readiness(0);
+        } else {
+            self.pump_scan();
         }
         if let Some(start) = timed {
             self.rec
@@ -700,21 +644,17 @@ impl NetCore {
         }
     }
 
-    /// Like [`pump`](Self::pump), but when the readiness backend has no
+    /// Like [`pump`](Self::pump), but when the readiness pump has no
     /// queued work it parks in `epoll_wait` for up to `max_wait`, waking
     /// the instant the kernel has a connection or bytes for it. Returns
     /// `true` when the pump parked (the caller's idle wait has already
     /// happened — loop straight back); `false` when the caller must pace
-    /// itself (scan backend, spill-over queues pending, or a timer sweep
+    /// itself (scan fallback, spill-over queues pending, or a timer sweep
     /// due sooner than a millisecond). Parked pumps are excluded from the
     /// `net.pump_latency` histogram: their wall time is kernel idle, not
     /// sweep cost.
     fn pump_or_wait(&mut self, max_wait: Duration) -> bool {
-        if self.backend != ReactorBackend::Readiness
-            || self.poller.is_none()
-            || !self.dirty.is_empty()
-            || !self.flush.is_empty()
-        {
+        if self.poller.is_none() || !self.dirty.is_empty() || !self.flush.is_empty() {
             self.pump();
             return false;
         }
@@ -744,20 +684,15 @@ impl NetCore {
         // the rest of the run — correctness never depends on epoll.
         let mut events = std::mem::take(&mut self.ready_buf);
         events.clear();
-        match self.poller.as_mut() {
-            Some(poller) => {
-                if poller.wait(&mut events, timeout_ms).is_err() {
-                    self.ready_buf = events;
-                    self.degrade_to_scan();
-                    self.pump_scan();
-                    return;
-                }
-            }
-            None => {
-                self.degrade_to_scan();
-                self.pump_scan();
-                return;
-            }
+        let waited = self
+            .poller
+            .as_mut()
+            .is_some_and(|poller| poller.wait(&mut events, timeout_ms).is_ok());
+        if !waited {
+            self.ready_buf = events;
+            self.degrade_to_scan();
+            self.pump_scan();
+            return;
         }
         if self.rec.enabled() {
             self.rec
@@ -834,22 +769,23 @@ impl NetCore {
         }
     }
 
-    /// Permanently falls back to the scan backend (epoll unavailable or a
-    /// syscall failed). The queues are cleared — the scan visits every
-    /// connection unconditionally, so queued work cannot be lost.
+    /// Permanently falls back to the scan pump (an epoll syscall failed).
+    /// The queues are cleared — the scan visits every connection
+    /// unconditionally, so queued work cannot be lost.
     fn degrade_to_scan(&mut self) {
-        self.backend = ReactorBackend::Scan;
-        self.poller = None;
+        if self.poller.take().is_some() {
+            self.stats.reactor_fallbacks += 1;
+        }
         self.dirty.clear();
         self.in_dirty.iter_mut().for_each(|d| *d = false);
         self.flush.clear();
         self.in_flush.iter_mut().for_each(|f| *f = false);
     }
 
-    /// Queues a slot for frame routing next pump (readiness backend only:
+    /// Queues a slot for frame routing next pump (readiness pump only:
     /// the scan visits everything, so queueing would only leak entries).
     fn mark_dirty(&mut self, idx: usize) {
-        if self.backend == ReactorBackend::Readiness && !self.in_dirty[idx] {
+        if self.poller.is_some() && !self.in_dirty[idx] {
             self.in_dirty[idx] = true;
             self.dirty.push_back(idx);
         }
@@ -857,7 +793,7 @@ impl NetCore {
 
     /// Queues a slot for an outbox flush next pump (readiness only).
     fn mark_flush(&mut self, idx: usize) {
-        if self.backend == ReactorBackend::Readiness && !self.in_flush[idx] {
+        if self.poller.is_some() && !self.in_flush[idx] {
             self.in_flush[idx] = true;
             self.flush.push_back(idx);
         }
@@ -866,7 +802,7 @@ impl NetCore {
     /// Re-queues whatever a just-serviced connection left behind: frames
     /// still buffered in its assembler, bytes still in its outbox.
     fn note_after_service(&mut self, idx: usize) {
-        if self.backend != ReactorBackend::Readiness {
+        if self.poller.is_none() {
             return;
         }
         let (buffered, pending) = match self.conns[idx].as_ref() {
@@ -954,7 +890,12 @@ impl NetCore {
             .collect();
         StatusSnapshot {
             protocol: wire::NET_PROTOCOL,
-            backend: self.backend.name().to_string(),
+            backend: (if self.poller.is_some() {
+                "readiness"
+            } else {
+                "scan"
+            })
+            .to_string(),
             workers: self.n_workers as u64,
             inflight: self.inflight as u64,
             queues: QueueDepths {
@@ -1678,22 +1619,15 @@ impl PoolServer {
         let listener = Listener::bind(addr)?;
         let local = listener.local_display();
         let n = pool.workers.len();
-        // Stand up the requested backend; any epoll failure here (or
-        // later) degrades to the portable scan loop rather than erroring.
-        let mut backend = cfg.backend;
-        let mut poller = None;
-        if backend == ReactorBackend::Readiness {
-            match poll::Poller::new() {
-                Ok(p) => {
-                    if p.add(listener.raw_fd(), u64::MAX).is_ok() {
-                        poller = Some(p);
-                    } else {
-                        backend = ReactorBackend::Scan;
-                    }
-                }
-                Err(_) => backend = ReactorBackend::Scan,
-            }
-        }
+        // Readiness wherever the platform has epoll; any epoll failure here
+        // (or later) degrades to the portable scan loop rather than erroring.
+        let poller = poll::Poller::new()
+            .ok()
+            .filter(|p| p.add(listener.raw_fd(), u64::MAX).is_ok());
+        let stats = NetStats {
+            reactor_fallbacks: u64::from(poller.is_none()),
+            ..NetStats::default()
+        };
         let timer_granularity = (cfg.handshake_timeout.min(cfg.idle_timeout) / 8)
             .clamp(Duration::from_millis(1), Duration::from_millis(25));
         let core = NetCore {
@@ -1702,13 +1636,12 @@ impl PoolServer {
             conns: Vec::new(),
             by_worker: HashMap::new(),
             mail: (0..n).map(|_| Mailbox::default()).collect(),
-            stats: NetStats::default(),
+            stats,
             inflight: 0,
             n_workers: n,
             rec: recorder.clone(),
             published: NetStats::default(),
             progress: EpochProgress::default(),
-            backend,
             poller,
             ready_buf: Vec::new(),
             dirty: VecDeque::new(),
@@ -2278,24 +2211,13 @@ pub fn run_socket_pool(
         pool = pool.with_recorder(rec);
     }
     let mut server = PoolServer::bind(pool, &BindAddr::loopback(), options.server)?;
-    let addr = server.local_addr();
-    let handles: Vec<std::thread::JoinHandle<crate::client::ClientReport>> =
-        MiningPool::build_workers(config, &behaviors)
-            .into_iter()
-            .enumerate()
-            .map(|(i, worker)| {
-                let addr = addr.clone();
-                let tuning = options.client.clone();
-                let rec = options.client_recorders.get(i).cloned();
-                std::thread::spawn(move || {
-                    let mut client = crate::client::WorkerClient::new(config, worker, addr, tuning);
-                    if let Some(rec) = rec {
-                        client = client.with_recorder(rec);
-                    }
-                    client.run()
-                })
-            })
-            .collect();
+    let handles = spawn_clients(
+        config,
+        &behaviors,
+        &server.local_addr(),
+        &options.client,
+        &options.client_recorders,
+    );
     let report = server.run()?;
     let net = server.net_stats();
     let clients = handles
@@ -2307,4 +2229,96 @@ pub fn run_socket_pool(
         net,
         clients,
     })
+}
+
+/// One [`WorkerClient`] thread per behaviour, connecting to `addr`.
+///
+/// [`WorkerClient`]: crate::client::WorkerClient
+fn spawn_clients(
+    config: PoolConfig,
+    behaviors: &[WorkerBehavior],
+    addr: &str,
+    tuning: &crate::client::ClientTuning,
+    recorders: &[Arc<Recorder>],
+) -> Vec<std::thread::JoinHandle<crate::client::ClientReport>> {
+    MiningPool::build_workers(config, behaviors)
+        .into_iter()
+        .enumerate()
+        .map(|(i, worker)| {
+            let addr = addr.to_string();
+            let tuning = tuning.clone();
+            let rec = recorders.get(i).cloned();
+            std::thread::spawn(move || {
+                let mut client = crate::client::WorkerClient::new(config, worker, addr, tuning);
+                if let Some(rec) = rec {
+                    client = client.with_recorder(rec);
+                }
+                client.run()
+            })
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The scan pump is what the reactor falls back to when epoll fails
+    /// (and the only pump off linux/x86-64): forced before the run, it
+    /// must hold the simulated link's parity contract exactly as the
+    /// readiness pump does in `tests/net_parity.rs`.
+    #[test]
+    fn scan_fallback_matches_simulated_run_under_lossy_faults() {
+        let behaviors = vec![
+            WorkerBehavior::Honest,
+            WorkerBehavior::ReplayPrevious,
+            WorkerBehavior::Honest,
+        ];
+        let mut config = PoolConfig::tiny_demo(Scheme::RPoLv2);
+        config.epochs = 2;
+        config = config.with_faults(FaultConfig::lossy(0x5CA7));
+        let simulated = MiningPool::new(config, behaviors.clone()).run();
+
+        let pool = MiningPool::new(config, behaviors.clone());
+        let mut server =
+            PoolServer::bind(pool, &BindAddr::loopback(), ServerConfig::default()).expect("bind");
+        server.core.lock().degrade_to_scan();
+        let tuning = crate::client::ClientTuning {
+            read_timeout: Duration::from_millis(5),
+            backoff_scale: 0.005,
+            ..crate::client::ClientTuning::default()
+        };
+        let handles = spawn_clients(config, &behaviors, &server.local_addr(), &tuning, &[]);
+        let socket = server.run().expect("socket run");
+        for h in handles {
+            assert!(h.join().expect("client thread").clean_shutdown);
+        }
+        assert_eq!(server.net_stats().reactor_fallbacks, 1, "the scan pump ran");
+
+        assert!(simulated.rejections() > 0, "the replayer must be caught");
+        assert!(
+            simulated.transport_totals().retries > 0,
+            "the link must be lossy"
+        );
+        assert_eq!(simulated.epochs.len(), socket.epochs.len());
+        for (sim, sock) in simulated.epochs.iter().zip(&socket.epochs) {
+            assert_eq!(sim.report.accepted, sock.report.accepted, "accepted set");
+            assert_eq!(sim.report.rejected, sock.report.rejected, "rejected set");
+            assert_eq!(
+                sim.report.quarantined, sock.report.quarantined,
+                "quarantine"
+            );
+            assert_eq!(
+                sim.report.transport, sock.report.transport,
+                "TransportStats"
+            );
+            assert_eq!(sim.transport_time, sock.transport_time, "simulated clock");
+            assert_eq!(sim.report.comm, sock.report.comm, "CommStats");
+            assert_eq!(
+                sim.test_accuracy.to_bits(),
+                sock.test_accuracy.to_bits(),
+                "global model must evolve identically"
+            );
+        }
+    }
 }

@@ -6,18 +6,15 @@
 //! the protocol runs over the simulated lossy link or over a real
 //! loopback TCP connection with the chaos proxy layered in front.
 
-mod common;
-
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::assert_same_text;
 use rpol::adversary::WorkerBehavior;
 use rpol::client::ClientTuning;
 use rpol::committee::Hierarchy;
-use rpol::pool::{MiningPool, PoolConfig, Scheme};
+use rpol::pool::{MiningPool, PoolConfig, PoolReport, Scheme};
 use rpol::server::{run_socket_pool, BindAddr, PoolServer, ServerConfig, SocketRunOptions};
 use rpol::transport::{FaultConfig, FaultProfile};
 use rpol::wire::{
@@ -101,12 +98,11 @@ fn hierarchical_socket_run_matches_flat_simulated_run() {
 }
 
 /// Runs `config` over the simulated lossy link and over loopback TCP
-/// behind the chaos proxy, and holds the two to the parity contract: every
-/// protocol-visible number of every epoch agrees bit for bit.
+/// behind the chaos proxy, and holds the two to the parity contract.
 fn assert_socket_matches_simulated(
     config: PoolConfig,
     behaviors: Vec<WorkerBehavior>,
-) -> (rpol::pool::PoolReport, rpol::server::SocketRunOutcome) {
+) -> (PoolReport, rpol::server::SocketRunOutcome) {
     let simulated = MiningPool::new(config, behaviors.clone()).run();
     let socket = run_socket_pool(
         config,
@@ -118,8 +114,15 @@ fn assert_socket_matches_simulated(
     )
     .expect("socket run");
 
-    assert_eq!(simulated.epochs.len(), socket.report.epochs.len());
-    for (sim, sock) in simulated.epochs.iter().zip(&socket.report.epochs) {
+    assert_same_epochs(&simulated, &socket.report);
+    (simulated, socket)
+}
+
+/// The parity contract: every protocol-visible number of every epoch
+/// agrees bit for bit between the simulated run and the socket run.
+fn assert_same_epochs(simulated: &PoolReport, socket: &PoolReport) {
+    assert_eq!(simulated.epochs.len(), socket.epochs.len());
+    for (sim, sock) in simulated.epochs.iter().zip(&socket.epochs) {
         assert_eq!(sim.report.accepted, sock.report.accepted, "accepted set");
         assert_eq!(sim.report.rejected, sock.report.rejected, "rejected set");
         assert_eq!(
@@ -147,7 +150,6 @@ fn assert_socket_matches_simulated(
             "global model must evolve identically"
         );
     }
-    (simulated, socket)
 }
 
 fn parity_roster() -> Vec<WorkerBehavior> {
@@ -551,6 +553,7 @@ fn exported_net_counters_equal_final_net_stats() {
         ("net.buf_pool_hits", net.buf_pool_hits),
         ("net.buf_pool_misses", net.buf_pool_misses),
         ("net.buf_pool_bytes_reused", net.buf_pool_bytes_reused),
+        ("net.reactor_fallbacks", net.reactor_fallbacks),
     ];
     for &(name, want) in expected {
         assert_eq!(
@@ -683,28 +686,26 @@ fn pre_buffered_frame_burst_drains_across_sweeps() {
     assert_eq!(pongs, (0..pings).collect::<Vec<_>>());
 }
 
-/// Drives one full socket run with an explicit reactor backend and a
-/// floor of `idle` extra raw TCP connections (connected, never
-/// handshaking) occupying the connection table — then returns the epoch
-/// reports, final socket counters, and the stitched multi-process trace.
-fn run_with_backend(
-    backend: rpol::server::ReactorBackend,
-    config: PoolConfig,
-    behaviors: &[WorkerBehavior],
-    idle: usize,
-) -> (rpol::pool::PoolReport, rpol::server::NetStats, String) {
-    use rpol_obs::export::events_to_jsonl;
-    use rpol_obs::stitch::stitch;
-    use std::sync::atomic::{AtomicBool, Ordering};
+#[test]
+fn readiness_reactor_matches_simulated_run_at_1024_connections() {
+    // With the same seed, harsh faults, an adversary in the roster, and
+    // 1024 sockets on the reactor (16 real workers + 1008 idle
+    // connections the readiness pump must skip), the socket run must be
+    // indistinguishable from the simulated link in every protocol-visible
+    // way — classification sets, transport accounting, the global model.
+    let n = 16;
+    let idle = 1008;
+    let mut behaviors = vec![WorkerBehavior::Honest; n];
+    behaviors[5] = WorkerBehavior::ReplayPrevious;
+    let mut config = PoolConfig::tiny_demo(Scheme::RPoLv2);
+    config.epochs = 1;
+    config.train_samples = (n + 1) * 4;
+    config.test_samples = 16;
+    config = config.with_faults(aggressive_faults(0xFACADE));
+    let simulated = MiningPool::new(config, behaviors.clone()).run();
 
-    let server_rec = Arc::new(Recorder::logical());
-    let client_recs: Vec<Arc<Recorder>> = behaviors
-        .iter()
-        .map(|_| Arc::new(Recorder::logical()))
-        .collect();
-    let pool = MiningPool::new(config, behaviors.to_vec()).with_recorder(server_rec.clone());
+    let pool = MiningPool::new(config, behaviors.clone());
     let server_cfg = ServerConfig {
-        backend,
         // The idle floor must never be swept or evicted: timeout churn
         // would make accept/disconnect counters timing-dependent.
         max_connections: 4096,
@@ -718,139 +719,59 @@ fn run_with_backend(
     // Raw idle connections, opened by a side thread while the main
     // thread pumps the reactor (the listener backlog is far smaller than
     // the floor, so accepting must interleave with connecting).
-    let idle_done = Arc::new(AtomicBool::new(false));
     let idle_thread = {
         let addr = addr.clone();
-        let done = Arc::clone(&idle_done);
         std::thread::spawn(move || {
-            let conns: Vec<TcpStream> = (0..idle)
+            (0..idle)
                 .map(|_| TcpStream::connect(&addr).expect("idle connect"))
-                .collect();
-            done.store(true, Ordering::Release);
-            conns // held open until joined after the run
+                .collect::<Vec<TcpStream>>() // held open until joined after the run
         })
     };
-    while !idle_done.load(std::sync::atomic::Ordering::Acquire) {
+    while !idle_thread.is_finished() {
         // Target above the roster size: never met, pumps for 20ms.
-        let _ = server.wait_for_workers(behaviors.len() + 1, Duration::from_millis(20));
+        let _ = server.wait_for_workers(n + 1, Duration::from_millis(20));
     }
 
     let tuning = ClientTuning {
         heartbeat_interval: Duration::from_secs(3600),
         ..quick_tuning()
     };
-    let handles: Vec<std::thread::JoinHandle<rpol::client::ClientReport>> =
-        MiningPool::build_workers(config, behaviors)
-            .into_iter()
-            .enumerate()
-            .map(|(i, worker)| {
-                let addr = addr.clone();
-                let tuning = tuning.clone();
-                let rec = client_recs[i].clone();
-                std::thread::spawn(move || {
-                    rpol::client::WorkerClient::new(config, worker, addr, tuning)
-                        .with_recorder(rec)
-                        .run()
-                })
+    let handles: Vec<_> = MiningPool::build_workers(config, &behaviors)
+        .into_iter()
+        .map(|worker| {
+            let addr = addr.clone();
+            let tuning = tuning.clone();
+            std::thread::spawn(move || {
+                rpol::client::WorkerClient::new(config, worker, addr, tuning).run()
             })
-            .collect();
-    let report = server.run().expect("socket run");
+        })
+        .collect();
+    let socket = server.run().expect("socket run");
     let net = server.net_stats();
     for h in handles {
         h.join().expect("client thread");
     }
     drop(idle_thread.join().expect("idle connector"));
-
-    let mut traces = vec![(
-        "manager".to_string(),
-        events_to_jsonl(&server_rec.events()).expect("manager trace"),
-    )];
-    for (i, rec) in client_recs.iter().enumerate() {
-        traces.push((
-            format!("worker-{i}"),
-            events_to_jsonl(&rec.events()).expect("worker trace"),
-        ));
-    }
-    let refs: Vec<(&str, &str)> = traces
-        .iter()
-        .map(|(name, jsonl)| (name.as_str(), jsonl.as_str()))
-        .collect();
-    (report, net, stitch(&refs).expect("stitch"))
-}
-
-#[test]
-fn readiness_and_scan_reactors_are_bitwise_identical_at_1024_connections() {
-    // The tentpole parity contract: with the same seed, harsh faults, an
-    // adversary in the roster, and 1024 sockets on the reactor (16 real
-    // workers + 1008 idle connections the readiness backend must skip),
-    // the scan and readiness backends must be indistinguishable in every
-    // protocol-visible way — classification sets, transport accounting,
-    // the global model, socket counters, and the stitched trace bytes.
-    let n = 16;
-    let idle = 1008;
-    let mut behaviors = vec![WorkerBehavior::Honest; n];
-    behaviors[5] = WorkerBehavior::ReplayPrevious;
-    let mut config = PoolConfig::tiny_demo(Scheme::RPoLv2);
-    config.epochs = 1;
-    config.train_samples = (n + 1) * 4;
-    config.test_samples = 16;
-    config = config.with_faults(aggressive_faults(0xFACADE));
-
-    let (scan_report, scan_net, scan_trace) =
-        run_with_backend(rpol::server::ReactorBackend::Scan, config, &behaviors, idle);
-    let (ready_report, ready_net, ready_trace) = run_with_backend(
-        rpol::server::ReactorBackend::Readiness,
-        config,
-        &behaviors,
-        idle,
+    assert_eq!(
+        net.reactor_fallbacks,
+        u64::from(!cfg!(all(target_os = "linux", target_arch = "x86_64"))),
+        "the readiness pump ran wherever the platform has epoll"
     );
 
-    assert_eq!(scan_report.epochs.len(), ready_report.epochs.len());
-    for (s, r) in scan_report.epochs.iter().zip(&ready_report.epochs) {
-        assert_eq!(s.report.accepted, r.report.accepted, "accepted set");
-        assert_eq!(s.report.rejected, r.report.rejected, "rejected set");
-        assert_eq!(s.report.quarantined, r.report.quarantined, "quarantine");
-        assert_eq!(s.report.verdicts, r.report.verdicts, "verdicts");
-        assert_eq!(s.report.transport, r.report.transport, "TransportStats");
-        assert_eq!(s.transport_time, r.transport_time, "simulated clock");
-        assert_eq!(s.report.comm, r.report.comm, "CommStats");
-        assert_eq!(
-            s.test_accuracy.to_bits(),
-            r.test_accuracy.to_bits(),
-            "global model must evolve identically across backends"
-        );
-    }
-
-    // Socket counters agree except the backend-dependent buffer-pool
-    // trio (different service batching ⇒ different recycling) and the
-    // timing-racy disconnect tally: zero both out, then compare whole.
-    let neutral = |mut net: rpol::server::NetStats| {
-        net.buf_pool_hits = 0;
-        net.buf_pool_misses = 0;
-        net.buf_pool_bytes_reused = 0;
-        net.disconnects = 0;
-        net
-    };
-    assert_eq!(neutral(scan_net), neutral(ready_net), "NetStats");
+    assert_same_epochs(&simulated, &socket);
     assert_eq!(
-        scan_net.accepted,
+        net.accepted,
         (n + idle) as u64,
         "the idle floor and every worker were accepted"
     );
     assert!(
-        scan_net.corrupt_frames > 0,
+        net.corrupt_frames > 0,
         "harsh faults must put ghosts on the wire"
     );
     assert!(
-        !scan_report.epochs[0].report.quarantined.is_empty()
-            || !scan_report.epochs[0].report.rejected.is_empty(),
+        !socket.epochs[0].report.quarantined.is_empty()
+            || !socket.epochs[0].report.rejected.is_empty(),
         "fixture must exercise non-accept classifications"
-    );
-
-    assert_same_text(
-        &scan_trace,
-        &ready_trace,
-        "stitched traces must be byte-identical across reactor backends",
     );
 }
 

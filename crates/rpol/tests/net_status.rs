@@ -63,7 +63,7 @@ fn read_control(stream: &mut TcpStream) -> io::Result<NetControl> {
     }
 }
 
-/// The 18 `NetStats` fields, named as they appear in both the report's
+/// The 19 `NetStats` fields, named as they appear in both the report's
 /// `net` object and the `net.*` counter family.
 const NET_FIELDS: &[&str] = &[
     "accepted",
@@ -84,6 +84,7 @@ const NET_FIELDS: &[&str] = &[
     "buf_pool_hits",
     "buf_pool_misses",
     "buf_pool_bytes_reused",
+    "reactor_fallbacks",
 ];
 
 #[test]

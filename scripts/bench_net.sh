@@ -10,20 +10,8 @@
 # churn regimes: ideal, lossy, and harsh. Absolute rates are
 # host-dependent; scripts/check_bench.sh gates structure and positivity
 # plus the churn regimes actually putting ghost frames on the wire.
-#
-# It also records the reactor connection sweep: scan vs readiness at
-# 64/256/1024 concurrent connections, each cell aggregating three fresh
-# connection storms. The readiness-vs-scan ratio at 1024 connections is
-# asserted >= 3x here at generation time (same host, same run) so a bad
-# baseline is never committed. The 1024-connection cells need a file
-# descriptor ceiling above ~2100, hence the ulimit below.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-# Sockets for the 1024-connection sweep cells: server + client + idle
-# floor on both ends. Best effort — if the hard limit forbids it, the
-# bench fails loudly on connect rather than silently shrinking.
-ulimit -n 20000 2>/dev/null || true
 
 export CARGO_NET_OFFLINE=true
 cargo run --release -p rpol-bench --bin net_bench -- BENCH_net.json
@@ -44,21 +32,5 @@ for name in ("ideal", "lossy", "harsh"):
     r = runs[name]
     print(f"  {name}: {r['submissions_per_s']:.1f} sub/s, "
           f"p99 epoch {r['p99_epoch_latency_s']:.3f}s, {r['corrupt_frames']} corrupt frames")
-
-sc = doc["sweep_config"]
-cells = {(c["backend"], c["connections"]): c for c in doc["sweep"]}
-assert set(cells) == {(b, t) for b in ("scan", "readiness") for t in (64, 256, 1024)}, \
-    f"sweep cells wrong: {sorted(cells)}"
-for (backend, conns), c in sorted(cells.items(), key=lambda kv: kv[0][1]):
-    assert c["pristine_submissions"] > 0, f"sweep {backend}@{conns}: nothing decoded"
-    print(f"  sweep {backend}@{conns}: {c['submissions_per_s']:.1f} sub/s "
-          f"({c['wall_s']:.2f}s over {sc['reps']} storms)")
-assert sc["readiness_available"], "readiness backend unavailable on this host"
-ratio = cells[("readiness", 1024)]["submissions_per_s"] \
-    / cells[("scan", 1024)]["submissions_per_s"]
-assert ratio >= 3.0, (
-    f"readiness@1024 only {ratio:.2f}x scan (gate: >=3x) — the storm outcome "
-    "is scheduler-sensitive; rerun on an otherwise idle host")
-print(f"  sweep gate: readiness@1024 is {ratio:.1f}x scan (>=3x required)")
 EOF
 echo "BENCH_net.json written"
