@@ -49,7 +49,7 @@ fn run(
         cfg.train_samples = 160 * (behaviors.len() + 1);
         cfg.seed ^= (rep as u64) << 32;
         let mut pool = MiningPool::new(cfg, behaviors.clone());
-        total += pool.run_parallel().final_accuracy();
+        total += pool.run().final_accuracy();
     }
     total / reps as f32
 }

@@ -168,7 +168,6 @@ pub fn print_command_help(command: &str) {
              --workers=N               pool size (default 6)\n\
              --adversaries=N           cheating workers among them (default 2)\n\
              --epochs=N                epochs to run (default 4)\n\
-             --parallel                train workers on threads\n\
              --committees=C            shard verification into C committees\n\
              \x20                          (two-tier hierarchy, DESIGN.md §15)\n\
              --committee-audit=Q       top-tier spot-audits per committee\n\
@@ -386,7 +385,7 @@ fn net_summary(net: &rpol::server::NetStats) -> String {
 /// `rpol pool` — run one pool and print its per-epoch report.
 pub fn pool(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw)?;
-    let mut allowed = vec!["parallel", "json"];
+    let mut allowed = vec!["json"];
     allowed.extend(ROSTER_OPTIONS);
     allowed.extend(HIERARCHY_OPTIONS);
     allowed.extend(FAULT_OPTIONS);
@@ -403,11 +402,7 @@ pub fn pool(raw: &[String]) -> Result<(), String> {
     if sinks.active() {
         pool = pool.with_recorder(rpol_obs::global().clone());
     }
-    let report = if args.get("parallel").is_some() {
-        pool.run_parallel()
-    } else {
-        pool.run()
-    };
+    let report = pool.run();
     let snapshot = obs_finish(&sinks)?;
 
     if args.get("json").is_some() {

@@ -15,6 +15,9 @@ use std::sync::{Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
+/// The executor width override `rpol_exec` reads.
+const THREADS_ENV: &str = "RPOL_EXEC_THREADS";
+
 fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -97,6 +100,15 @@ fn pool_hierarchy_flags_run_and_validate() {
 }
 
 #[test]
+fn pool_refuses_the_retired_parallel_flag() {
+    let _g = lock();
+    // Every pool runs on the executor; a script that still asks for it
+    // must fail loudly, not silently get what it always gets.
+    let err = commands::pool(&raw(&["--parallel"])).unwrap_err();
+    assert!(err.contains("unknown option --parallel"), "got: {err}");
+}
+
+#[test]
 fn serve_refuses_a_pinned_reactor_backend() {
     let _g = lock();
     // The platform picks the reactor; a script that still pins one must
@@ -118,6 +130,10 @@ fn pool_trace_out_is_deterministic_and_checkable() {
     let trace_b = tmp("trace-b.jsonl");
     let metrics_a = tmp("metrics-a.json");
     let metrics_b = tmp("metrics-b.json");
+    // Byte-identical traces are the width-1 contract: wider executors
+    // record training spans from concurrent tasks (DESIGN.md §12).
+    let width = std::env::var_os(THREADS_ENV);
+    std::env::set_var(THREADS_ENV, "1");
     let run = |trace: &PathBuf, metrics: &PathBuf| {
         commands::pool(&raw(&[
             "--workers=3",
@@ -131,6 +147,10 @@ fn pool_trace_out_is_deterministic_and_checkable() {
     };
     run(&trace_a, &metrics_a);
     run(&trace_b, &metrics_b);
+    match width {
+        Some(width) => std::env::set_var(THREADS_ENV, width),
+        None => std::env::remove_var(THREADS_ENV),
+    }
     let text = |path: &PathBuf| std::fs::read_to_string(path).expect("sink written");
     let trace = text(&trace_a);
     assert!(!trace.is_empty());

@@ -133,28 +133,41 @@ struct Shared {
 }
 
 impl Shared {
-    /// Pushes a job: onto the calling worker's own deque (LIFO end) when
-    /// the caller is a pool thread of this executor, else onto the
-    /// injector. Always wakes sleepers.
-    fn push(&self, job: Job) {
-        // Count the job BEFORE publishing it: a sibling can steal (and
-        // decrement) the instant it lands in a deque, and counting after
+    /// The calling thread's index when it is a pool thread of this executor.
+    fn own_worker(&self) -> Option<usize> {
+        match CURRENT_WORKER.with(|c| c.get()) {
+            Some((pool, idx)) if pool == self.pool_id => Some(idx),
+            _ => None,
+        }
+    }
+
+    /// Pushes jobs, in order: onto the calling worker's own deque (LIFO
+    /// end) when the caller is a pool thread of this executor, else onto
+    /// the injector. Always wakes sleepers.
+    fn push(&self, jobs: impl ExactSizeIterator<Item = Job>) {
+        let n = jobs.len();
+        if n == 0 {
+            return;
+        }
+        // Count the jobs BEFORE publishing them: a sibling can steal (and
+        // decrement) the instant one lands in a deque, and counting after
         // would let `queued` wrap below zero under that race.
-        let depth = self.queued.fetch_add(1, Ordering::SeqCst) + 1;
+        let depth = self.queued.fetch_add(n, Ordering::SeqCst) + n;
         let peak = self.queued_peak.fetch_max(depth, Ordering::SeqCst);
         if depth > peak && self.recorder.enabled() {
             self.recorder
                 .gauge_set("exec.queue_depth_peak", depth as f64);
         }
-        let me = CURRENT_WORKER.with(|c| c.get());
-        match me {
-            Some((pool, idx)) if pool == self.pool_id => {
-                self.locals[idx].lock().expect("local deque").push_back(job);
-            }
-            _ => {
-                self.injector.lock().expect("injector").push_front(job);
+        match self.own_worker() {
+            Some(idx) => self.locals[idx].lock().expect("local deque").extend(jobs),
+            None => {
+                let mut injector = self.injector.lock().expect("injector");
+                for job in jobs {
+                    injector.push_front(job);
+                }
+                drop(injector);
                 if self.recorder.enabled() {
-                    self.recorder.counter_add("exec.injected", 1);
+                    self.recorder.counter_add("exec.injected", n as u64);
                 }
             }
         }
@@ -235,6 +248,9 @@ struct ScopeState {
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     done: Condvar,
     done_lock: Mutex<()>,
+    /// Jobs spawned from outside the pool while the scope's body runs,
+    /// published together when it returns (`None` after that).
+    held: Mutex<Option<Vec<Job>>>,
 }
 
 impl ScopeState {
@@ -286,7 +302,13 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         let job: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(job)
         };
-        self.shared.push(job);
+        if self.shared.own_worker().is_none() {
+            if let Some(held) = self.state.held.lock().expect("held jobs").as_mut() {
+                held.push(job);
+                return;
+            }
+        }
+        self.shared.push(std::iter::once(job));
     }
 }
 
@@ -362,17 +384,27 @@ impl Executor {
     /// Runs `f` with a [`Scope`] for spawning borrowing tasks, then blocks
     /// until every spawned task (including nested spawns) finished. Task
     /// panics are propagated here, after all siblings completed.
+    ///
+    /// What `f` spawns from outside the pool is published when `f`
+    /// returns, all at once and in spawn order: one wake-up, and a queue
+    /// depth that does not depend on how fast a lane picks the first job
+    /// up — so at width 1 even the executor's metrics repeat run to run.
     pub fn scope<'env, F, R>(&self, f: F) -> R
     where
         F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
     {
         let scope = Scope {
             shared: Arc::clone(&self.shared),
-            state: Arc::new(ScopeState::default()),
+            state: Arc::new(ScopeState {
+                held: Mutex::new(Some(Vec::new())),
+                ..ScopeState::default()
+            }),
             scope: PhantomData,
             env: PhantomData,
         };
         let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
+        let held = scope.state.held.lock().expect("held jobs").take();
+        self.shared.push(held.unwrap_or_default().into_iter());
         self.wait_scope(&scope.state);
         if let Some(payload) = scope.state.panic.lock().expect("panic slot").take() {
             resume_unwind(payload);
@@ -387,9 +419,8 @@ impl Executor {
     /// itself a pool worker helps drain queues instead of sleeping, so
     /// nested scopes cannot deadlock the pool.
     fn wait_scope(&self, state: &ScopeState) {
-        let me = CURRENT_WORKER.with(|c| c.get());
-        match me {
-            Some((pool, idx)) if pool == self.shared.pool_id => {
+        match self.shared.own_worker() {
+            Some(idx) => {
                 let victims: Vec<usize> = (0..self.threads()).filter(|&v| v != idx).collect();
                 while state.pending.load(Ordering::SeqCst) != 0 {
                     match self.shared.find_task(idx, &victims) {
@@ -398,7 +429,7 @@ impl Executor {
                     }
                 }
             }
-            _ => {
+            None => {
                 let mut guard = self.shared.sleep.lock().expect("sleep lock");
                 drop(guard);
                 let mut done = state.done_lock.lock().expect("done lock");
@@ -427,11 +458,12 @@ impl Executor {
         F: FnOnce() + Send + 'static,
     {
         let shared = Arc::clone(&self.shared);
-        self.shared.push(Box::new(move || {
+        let job: Job = Box::new(move || {
             if catch_unwind(AssertUnwindSafe(f)).is_err() && shared.recorder.enabled() {
                 shared.recorder.counter_add("exec.detached_panics", 1);
             }
-        }));
+        });
+        self.shared.push(std::iter::once(job));
     }
 
     /// Deterministic indexed fan-out: computes `f(i)` for `i in 0..n` on
@@ -586,6 +618,20 @@ mod tests {
                 "round {round}"
             );
         }
+    }
+
+    /// A fan-out from outside the pool lands in one piece, so its queue
+    /// depth is the fan-out however fast the lane starts.
+    #[test]
+    fn external_spawns_are_published_together() {
+        let rec = Arc::new(Recorder::logical());
+        let exec = Executor::with_recorder(1, rec.clone());
+        for _ in 0..50 {
+            let _ = exec.run_indexed(32, |i| i);
+        }
+        let snap = rec.snapshot();
+        assert_eq!(snap.gauge("exec.queue_depth_peak"), 32.0);
+        assert_eq!(snap.counter("exec.injected"), 50 * 32);
     }
 
     #[test]

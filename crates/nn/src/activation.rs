@@ -1,6 +1,6 @@
 //! Elementwise activation layers.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{drop_kept, keep, keep_copy, Layer, Param};
 use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
 
@@ -55,10 +55,17 @@ impl Layer for Relu {
     }
 
     fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+        keep_copy(&mut self.cached_input, input, train, arena);
         map_into_arena(input, arena, |x| x.max(0.0))
+    }
+
+    fn forward_owned(&mut self, input: Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        if train {
+            drop_kept(&mut self.cached_input, arena);
+        }
+        let y = map_into_arena(&input, arena, |x| x.max(0.0));
+        keep(&mut self.cached_input, input, train, arena);
+        y
     }
 
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
@@ -67,6 +74,15 @@ impl Layer for Relu {
             .as_ref()
             .expect("backward before forward on Relu");
         zip_into_arena(input, grad_out, arena, |x, g| if x > 0.0 { g } else { 0.0 })
+    }
+
+    fn release(&mut self) {
+        self.cached_input = None;
+    }
+
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.cached_input.as_ref().map_or(0, Tensor::len)
     }
 
     fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
@@ -119,6 +135,15 @@ impl Layer for Tanh {
             .as_ref()
             .expect("backward before forward on Tanh");
         zip_into_arena(out, grad_out, arena, |y, g| (1.0 - y * y) * g)
+    }
+
+    fn release(&mut self) {
+        self.cached_output = None;
+    }
+
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.cached_output.as_ref().map_or(0, Tensor::len)
     }
 
     fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}

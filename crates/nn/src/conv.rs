@@ -1,6 +1,6 @@
 //! 2-D convolution.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{drop_kept, keep, keep_copy, Layer, Param};
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::{conv, Tensor};
@@ -137,11 +137,11 @@ impl Conv2d {
         (oh, ow)
     }
 
-    /// Forward body shared by the plain and arena entry points:
-    /// [`conv::shifted`] over the input padded by `pad`, from the bias —
-    /// each output element's chain is `bias + Σ taps` in `(ci, ky, kx)`
-    /// order, padded taps included as `weight · 0.0`.
-    fn forward_with(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+    /// Forward body shared by every entry point: [`conv::shifted`] over
+    /// the input padded by `pad`, from the bias — each output element's
+    /// chain is `bias + Σ taps` in `(ci, ky, kx)` order, padded taps
+    /// included as `weight · 0.0`. Keeps nothing.
+    fn forward_with(&self, input: &Tensor, arena: &mut ScratchArena) -> Tensor {
         assert_eq!(input.shape().rank(), 4, "conv expects [N, C, H, W]");
         let (n, c, h, w) = (
             input.shape().dim(0),
@@ -154,9 +154,6 @@ impl Conv2d {
             h + 2 * self.pad >= self.kernel && w + 2 * self.pad >= self.kernel,
             "input smaller than kernel"
         );
-        if train {
-            self.cached_input = Some(input.clone());
-        }
         let (oh, ow) = self.out_hw(h, w);
         let oc = self.out_channels();
         let mut out = arena.take_zeroed(n * oc * oh * ow);
@@ -305,8 +302,7 @@ fn rotate_kernels(wgt: &[f32], oc: usize, c: usize, k: usize, wrot: &mut [f32]) 
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut arena = ScratchArena::new();
-        self.forward_with(input, train, &mut arena)
+        self.forward_scratch(input, train, &mut ScratchArena::new())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -314,7 +310,26 @@ impl Layer for Conv2d {
     }
 
     fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
-        self.forward_with(input, train, arena)
+        keep_copy(&mut self.cached_input, input, train, arena);
+        self.forward_with(input, arena)
+    }
+
+    fn forward_owned(&mut self, input: Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        if train {
+            drop_kept(&mut self.cached_input, arena);
+        }
+        let y = self.forward_with(&input, arena);
+        keep(&mut self.cached_input, input, train, arena);
+        y
+    }
+
+    fn release(&mut self) {
+        self.cached_input = None;
+    }
+
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.cached_input.as_ref().map_or(0, Tensor::len)
     }
 
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {

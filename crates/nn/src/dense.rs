@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{drop_kept, keep, keep_copy, Layer, Param};
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::{gemm, Tensor};
@@ -81,20 +81,17 @@ impl Dense {
 }
 
 impl Dense {
-    /// Forward body shared by the plain and arena entry points: the output
-    /// buffer starts zeroed, `y = x · Wᵀ` accumulates into it via the
-    /// fused-transpose kernel, and the bias is added afterwards — the same
-    /// per-element chain `(Σ_p x·w) + b` as the original implementation.
-    fn forward_into(&mut self, input: &Tensor, train: bool, y: Vec<f32>) -> Tensor {
+    /// Forward body shared by every entry point: the output buffer starts
+    /// zeroed, `y = x · Wᵀ` accumulates into it via the fused-transpose
+    /// kernel, and the bias is added afterwards — the same per-element
+    /// chain `(Σ_p x·w) + b` as the original implementation. Keeps nothing.
+    fn forward_into(&self, input: &Tensor, y: Vec<f32>) -> Tensor {
         assert_eq!(input.shape().rank(), 2, "dense expects [N, in]");
         assert_eq!(
             input.shape().dim(1),
             self.in_features(),
             "dense input width mismatch"
         );
-        if train {
-            self.cached_input = Some(input.clone());
-        }
         let n = input.shape().dim(0);
         let out = self.out_features();
         let mut y = y;
@@ -183,8 +180,11 @@ impl Dense {
 
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        if train {
+            self.cached_input = Some(input.clone());
+        }
         let y = vec![0.0f32; input.shape().dim(0) * self.out_features()];
-        self.forward_into(input, train, y)
+        self.forward_into(input, y)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -194,8 +194,28 @@ impl Layer for Dense {
     }
 
     fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        keep_copy(&mut self.cached_input, input, train, arena);
         let y = arena.take_zeroed(input.shape().dim(0) * self.out_features());
-        self.forward_into(input, train, y)
+        self.forward_into(input, y)
+    }
+
+    fn forward_owned(&mut self, input: Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        if train {
+            drop_kept(&mut self.cached_input, arena);
+        }
+        let y = arena.take_zeroed(input.shape().dim(0) * self.out_features());
+        let y = self.forward_into(&input, y);
+        keep(&mut self.cached_input, input, train, arena);
+        y
+    }
+
+    fn release(&mut self) {
+        self.cached_input = None;
+    }
+
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.cached_input.as_ref().map_or(0, Tensor::len)
     }
 
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {

@@ -5,8 +5,9 @@
 //! its masks from a seeded PCG stream that the protocol can reset — the
 //! same discipline as the PRF-deterministic batch selection of §V-B.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{drop_kept, Layer, Param};
 use rpol_tensor::rng::Pcg32;
+use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
 
 /// Inverted dropout with a deterministic, reseedable mask stream.
@@ -69,6 +70,20 @@ impl Dropout {
     pub fn probability(&self) -> f32 {
         self.p
     }
+
+    /// Draws the next mask, shaped like `like`, into the empty `buf`.
+    fn draw_mask(&mut self, like: &Tensor, mut buf: Vec<f32>) -> Tensor {
+        let keep = 1.0 - self.p;
+        let scale = 1.0 / keep;
+        buf.extend((0..like.len()).map(|_| {
+            if self.rng.next_f32() < keep {
+                scale
+            } else {
+                0.0
+            }
+        }));
+        Tensor::from_vec(like.shape().dims(), buf)
+    }
 }
 
 impl Layer for Dropout {
@@ -76,23 +91,38 @@ impl Layer for Dropout {
         if !train || self.p == 0.0 {
             return input.clone();
         }
-        let keep = 1.0 - self.p;
-        let scale = 1.0 / keep;
-        let mask = Tensor::from_vec(
-            input.shape().dims(),
-            (0..input.len())
-                .map(|_| {
-                    if self.rng.next_f32() < keep {
-                        scale
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
-        );
+        let mask = self.draw_mask(input, Vec::new());
         let out = input.zip(&mask, |x, m| x * m);
         self.mask = Some(mask);
         out
+    }
+
+    /// Masks `input` in place: the output is the input's own buffer.
+    fn forward_owned(
+        &mut self,
+        mut input: Tensor,
+        train: bool,
+        arena: &mut ScratchArena,
+    ) -> Tensor {
+        if !train || self.p == 0.0 {
+            return input;
+        }
+        drop_kept(&mut self.mask, arena);
+        let mask = self.draw_mask(&input, arena.take_empty(input.len()));
+        for (x, &m) in input.data_mut().iter_mut().zip(mask.data()) {
+            *x *= m;
+        }
+        self.mask = Some(mask);
+        input
+    }
+
+    fn release(&mut self) {
+        self.mask = None;
+    }
+
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.mask.as_ref().map_or(0, Tensor::len)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -90,6 +90,28 @@ pub trait Layer: Send + Sync {
         self.forward(input, train)
     }
 
+    /// Like [`Layer::forward_scratch`], but owns `input`: a layer that
+    /// keeps its input for backward keeps this very buffer instead of a
+    /// copy, and a layer that does not hands it to `arena` once read. Same
+    /// bits as `forward`; what [`crate::model::Sequential`] calls for every
+    /// layer after the first, so each activation exists once.
+    fn forward_owned(&mut self, input: Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        let y = self.forward_scratch(&input, train, arena);
+        arena.recycle(input.into_vec());
+        y
+    }
+
+    /// Ends a pass: drops whatever the layer kept for backward, so between
+    /// passes it holds only its parameters. A later `backward` needs a
+    /// training-mode forward first.
+    fn release(&mut self) {}
+
+    /// Floats the layer keeps for backward (test probe).
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        0
+    }
+
     /// Like [`Layer::backward`], but may draw its output buffer from
     /// `arena`; bitwise-identical semantics, default ignores the arena.
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
@@ -135,6 +157,46 @@ pub trait Layer: Send + Sync {
     }
 }
 
+/// Hands what a layer kept for backward to `arena` — first thing in a
+/// training forward, so the layer's output can reuse the buffer.
+pub(crate) fn drop_kept(slot: &mut Option<Tensor>, arena: &mut ScratchArena) {
+    if let Some(kept) = slot.take() {
+        arena.recycle(kept.into_vec());
+    }
+}
+
+/// What a layer keeps for backward: `input` goes into `slot` when
+/// training and back to `arena` otherwise (an inference pass leaves
+/// `slot` alone).
+pub(crate) fn keep(
+    slot: &mut Option<Tensor>,
+    input: Tensor,
+    train: bool,
+    arena: &mut ScratchArena,
+) {
+    if train {
+        *slot = Some(input);
+    } else {
+        arena.recycle(input.into_vec());
+    }
+}
+
+/// [`keep`] for an input the layer only borrows: when training, a copy
+/// drawn from `arena`.
+pub(crate) fn keep_copy(
+    slot: &mut Option<Tensor>,
+    input: &Tensor,
+    train: bool,
+    arena: &mut ScratchArena,
+) {
+    if train {
+        drop_kept(slot, arena);
+        let mut copy = arena.take_empty(input.len());
+        copy.extend_from_slice(input.data());
+        *slot = Some(Tensor::from_vec(input.shape().dims(), copy));
+    }
+}
+
 /// Reshapes `[N, C, H, W]` (or any rank ≥ 2) into `[N, features]`.
 #[derive(Debug, Clone, Default)]
 pub struct Flatten {
@@ -146,18 +208,27 @@ impl Flatten {
     pub fn new() -> Self {
         Self { input_dims: None }
     }
+
+    /// The `[N, features]` shape of `input`, noting its own for backward.
+    fn flat_dims(&mut self, input: &Tensor, train: bool) -> [usize; 2] {
+        let dims = input.shape().dims();
+        assert!(dims.len() >= 2, "flatten expects a batch dimension");
+        if train {
+            self.input_dims = Some(dims.to_vec());
+        }
+        [dims[0], dims[1..].iter().product()]
+    }
 }
 
 impl Layer for Flatten {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let dims = input.shape().dims();
-        assert!(dims.len() >= 2, "flatten expects a batch dimension");
-        let n = dims[0];
-        let features: usize = dims[1..].iter().product();
-        if train {
-            self.input_dims = Some(dims.to_vec());
-        }
-        input.reshape(&[n, features])
+        input.reshape(&self.flat_dims(input, train))
+    }
+
+    /// Reshapes in place: the output is the input's own buffer.
+    fn forward_owned(&mut self, input: Tensor, train: bool, _arena: &mut ScratchArena) -> Tensor {
+        let dims = self.flat_dims(&input, train);
+        Tensor::from_vec(&dims, input.into_vec())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

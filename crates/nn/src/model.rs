@@ -34,8 +34,9 @@ use rpol_tensor::Tensor;
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     /// Recycles intermediate activation/gradient buffers between layers
-    /// and across steps; purely a memory optimization, invisible to the
-    /// computed values (and therefore to checkpoint digests).
+    /// and across steps during a pass, empty between passes; purely a
+    /// memory optimization, invisible to the computed values (and
+    /// therefore to checkpoint digests).
     arena: ScratchArena,
 }
 
@@ -74,9 +75,10 @@ impl Sequential {
         self.layers.remove(0)
     }
 
-    /// Forward pass through all layers. Intermediate activations are
-    /// recycled through the model's scratch arena, so steady-state passes
-    /// reuse the same buffers instead of allocating per layer.
+    /// Forward pass through all layers. Each activation is handed to the
+    /// layer that reads it, which keeps it for backward or recycles it:
+    /// a training forward holds every activation once, and steady-state
+    /// passes reuse scratch buffers instead of allocating per layer.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         if rpol_obs::global_enabled() {
             rpol_obs::global().counter_add("nn.model.forwards", 1);
@@ -85,11 +87,21 @@ impl Sequential {
         let first = layers.next().expect("model needs at least one layer");
         let mut x = first.forward_scratch(input, train, &mut self.arena);
         for layer in layers {
-            let y = layer.forward_scratch(&x, train, &mut self.arena);
-            self.arena.recycle(x.into_vec());
-            x = y;
+            x = layer.forward_owned(x, train, &mut self.arena);
         }
         x
+    }
+
+    /// Ends a pass — a training run, a replayed segment, an evaluation
+    /// batch: every layer drops what it kept for backward and the model
+    /// frees its scratch, on the thread that ran the pass (an executor
+    /// lane, whose allocator arena that lane's next pass reuses). Between
+    /// passes a model holds only its parameters.
+    pub fn end_pass(&mut self) {
+        for layer in &mut self.layers {
+            layer.release();
+        }
+        self.arena = ScratchArena::new();
     }
 
     /// The parameter-gradient pass: back-propagates `grad_out` from the
@@ -258,7 +270,9 @@ mod tests {
     use super::*;
     use crate::activation::Relu;
     use crate::dense::Dense;
+    use crate::dropout::Dropout;
     use crate::loss::softmax_cross_entropy;
+    use crate::norm::LayerNorm;
     use crate::optim::Sgd;
     use rpol_tensor::rng::Pcg32;
 
@@ -328,6 +342,86 @@ mod tests {
             model.flatten_params()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Floats the model's layers keep for backward.
+    fn held(model: &Sequential) -> usize {
+        model.layers.iter().map(|l| l.held()).sum()
+    }
+
+    /// Task P's dense head: every kind of layer that keeps something for
+    /// backward, and none that needs scratch of its own.
+    fn head(seed: u64) -> Sequential {
+        let mut rng = Pcg32::seed_from(seed);
+        Sequential::new(vec![
+            Box::new(Dense::new(12, 16, &mut rng)),
+            Box::new(LayerNorm::new(16)),
+            Box::new(Relu::new()),
+            Box::new(Dropout::new(0.2, 7)),
+            Box::new(Dense::new(16, 3, &mut rng)),
+        ])
+    }
+
+    /// `steps` training steps on one batch, ending the pass after each
+    /// `segment` of them when asked to; returns the weights.
+    fn train(model: &mut Sequential, steps: usize, segment: Option<usize>) -> Vec<f32> {
+        let x = Tensor::randn(&[8, 12], &mut Pcg32::seed_from(2));
+        let labels: Vec<usize> = (0..8).map(|i| i % 3).collect();
+        let mut opt = Sgd::new(0.1);
+        for s in 1..=steps {
+            let logits = model.forward(&x, true);
+            let (_, grad) = softmax_cross_entropy(&logits, &labels);
+            model.backward(&grad);
+            model.step(&mut opt);
+            if segment.is_some_and(|len| s % len == 0) {
+                model.end_pass();
+            }
+        }
+        model.flatten_params()
+    }
+
+    #[test]
+    fn between_passes_a_model_holds_only_its_parameters() {
+        let mut model = head(1);
+        let start = model.flatten_params();
+        // `LocalTrainer::run_epoch`: steps from the current weights.
+        train(&mut model, 3, None);
+        assert!(held(&model) > 0, "a training step keeps activations");
+        model.end_pass();
+        assert_eq!(held(&model), 0, "after an epoch");
+        assert_eq!(model.arena.pooled(), 0, "and no scratch");
+        // `replay_segment`: load a checkpoint, train, end.
+        model.load_params(&start);
+        train(&mut model, 2, Some(2));
+        assert_eq!(held(&model), 0, "after a replayed segment");
+        // An evaluation batch.
+        model.forward(&Tensor::ones(&[4, 12]), false);
+        model.end_pass();
+        assert_eq!(held(&model), 0, "after an eval forward");
+        assert_eq!(model.arena.pooled(), 0);
+    }
+
+    #[test]
+    fn a_training_forward_holds_each_activation_once() {
+        let mut model = head(3);
+        let logits = model.forward(&Tensor::randn(&[8, 12], &mut Pcg32::seed_from(4)), true);
+        assert_eq!(logits.len(), 8 * 3);
+        // The first layer copies the batch it borrows; every later one
+        // keeps the activation it was handed (LayerNorm with its row
+        // statistics, Dropout its mask) …
+        assert_eq!(
+            held(&model),
+            8 * 12 + (8 * 16 + 2 * 8) + 8 * 16 + 8 * 16 + 8 * 16
+        );
+        // … and no second copy of any of them waits in the scratch.
+        assert_eq!(model.arena.pooled(), 0);
+    }
+
+    #[test]
+    fn ending_passes_moves_no_bit() {
+        let whole = train(&mut head(5), 6, None);
+        let segmented = train(&mut head(5), 6, Some(2));
+        assert_eq!(whole, segmented);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! flat weight vector fully determines the computation.
 
 use crate::layer::{Layer, Param};
+use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
 
 /// Per-sample layer normalization over the feature dimension of `[N, F]`
@@ -55,17 +56,16 @@ impl LayerNorm {
     pub fn features(&self) -> usize {
         self.gain.value.len()
     }
-}
 
-impl Layer for LayerNorm {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    /// Forward body shared by both entry points, into the zeroed `out`:
+    /// the output plus each row's mean and inverse standard deviation.
+    fn normalize(&self, input: &Tensor, mut out: Vec<f32>) -> (Tensor, Vec<f32>, Vec<f32>) {
         assert_eq!(input.shape().rank(), 2, "LayerNorm expects [N, F]");
         let (n, f) = (input.shape().dim(0), input.shape().dim(1));
         assert_eq!(f, self.features(), "feature width mismatch");
         let x = input.data();
         let gain = self.gain.value.data();
         let bias = self.bias.value.data();
-        let mut out = vec![0.0f32; n * f];
         let mut means = Vec::with_capacity(n);
         let mut inv_stds = Vec::with_capacity(n);
         for i in 0..n {
@@ -79,10 +79,41 @@ impl Layer for LayerNorm {
             means.push(mean);
             inv_stds.push(inv_std);
         }
+        (Tensor::from_vec(&[n, f], out), means, inv_stds)
+    }
+}
+
+impl Layer for LayerNorm {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let (out, means, inv_stds) = self.normalize(input, vec![0.0f32; input.len()]);
         if train {
             self.cache = Some((input.clone(), means, inv_stds));
         }
-        Tensor::from_vec(&[n, f], out)
+        out
+    }
+
+    fn forward_owned(&mut self, input: Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        if let Some((kept, ..)) = self.cache.take_if(|_| train) {
+            arena.recycle(kept.into_vec());
+        }
+        let (out, means, inv_stds) = self.normalize(&input, arena.take_zeroed(input.len()));
+        if train {
+            self.cache = Some((input, means, inv_stds));
+        } else {
+            arena.recycle(input.into_vec());
+        }
+        out
+    }
+
+    fn release(&mut self) {
+        self.cache = None;
+    }
+
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.cache.as_ref().map_or(0, |(input, means, inv_stds)| {
+            input.len() + means.len() + inv_stds.len()
+        })
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -229,6 +229,16 @@ impl Layer for MaxPool2 {
         Tensor::from_vec(dims, dx)
     }
 
+    fn release(&mut self) {
+        self.input_dims = None;
+        self.argmax = Vec::new();
+    }
+
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.argmax.len()
+    }
+
     fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
     fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 }

@@ -66,6 +66,15 @@ impl Layer for Residual {
         &dinner + grad_out
     }
 
+    fn release(&mut self) {
+        self.inner.release();
+    }
+
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.inner.held()
+    }
+
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
         self.inner.visit_params(f);
     }

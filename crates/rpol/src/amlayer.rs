@@ -329,6 +329,12 @@ impl Layer for AmLayer {
         g.unwrap_or_else(|| grad_out.clone())
     }
 
+    fn release(&mut self) {
+        for block in &mut self.blocks {
+            block.release();
+        }
+    }
+
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
         for block in &self.blocks {
             block.visit_params(f);

@@ -12,12 +12,13 @@
 //! * LSH parameters solve Eq. 6 under `k·l ≤ K_lsh`.
 
 use crate::tasks::TaskConfig;
-use crate::trainer::{epoch_segments, LocalTrainer};
+use crate::trainer::{epoch_segments, LocalTrainer, ScratchPool};
 use crate::verify::euclidean;
 use rpol_exec::Executor;
 use rpol_lsh::tuning::{tune, TuningConfig, TuningOutcome};
 use rpol_lsh::{LshFamily, LshParams};
 use rpol_nn::data::SyntheticImages;
+use rpol_nn::model::Sequential;
 use rpol_obs::{event, span, Recorder};
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::stats::RunningStats;
@@ -139,6 +140,9 @@ pub struct Calibrator<'a> {
     gpus: (GpuModel, GpuModel),
     recorder: Arc<Recorder>,
     quantized: bool,
+    /// Where the runs borrow their models: the manager's scratch pool, or
+    /// one that lives for a single calibration.
+    scratch: Option<&'a ScratchPool>,
 }
 
 impl<'a> Calibrator<'a> {
@@ -156,7 +160,14 @@ impl<'a> Calibrator<'a> {
             gpus,
             recorder: rpol_obs::noop().clone(),
             quantized: false,
+            scratch: None,
         }
+    }
+
+    /// Borrows every run's model and staging from `scratch`.
+    pub(crate) fn with_scratch(mut self, scratch: &'a ScratchPool) -> Self {
+        self.scratch = Some(scratch);
+        self
     }
 
     /// Calibrates on the RPoLv3 quantized trajectory: the sub-task's
@@ -238,16 +249,27 @@ impl<'a> Calibrator<'a> {
             NoiseInjector::new(self.gpus.1, 0),
         );
         let run_seed = |run: u64| epoch.wrapping_mul(0x9E37).wrapping_add(run);
-        // Run A: train on the faster GPU.
-        let mut model_a = self.config.build_model_like(global_weights);
-        let mut trainer_a = LocalTrainer::new(self.config, self.shard, noise_a.rerun(run_seed(1)));
+        // Every run borrows a scratch state: a run loads its input weights
+        // and reseeds, which resets every piece of model state, so a
+        // calibration builds at most one model per lane — none once the
+        // manager's pool is warm.
+        let local = ScratchPool::default();
+        let scratch = self.scratch.unwrap_or(&local);
+        // Run A: train on the faster GPU, as one task.
         let trace = {
             let _g = span!(self.recorder, "rpol.calibrate.trace", epoch, steps);
-            if self.quantized {
-                trainer_a.run_epoch_quantized(&mut model_a, nonce, steps)
-            } else {
-                trainer_a.run_epoch(&mut model_a, nonce, steps)
-            }
+            let run_a = |_: usize| {
+                let noise = noise_a.rerun(run_seed(1));
+                self.on_scratch(scratch, global_weights, noise, |trainer, model| {
+                    model.load_params(global_weights);
+                    if self.quantized {
+                        trainer.run_epoch_quantized(model, nonce, steps)
+                    } else {
+                        trainer.run_epoch(model, nonce, steps)
+                    }
+                })
+            };
+            indexed(exec, 1, run_a).pop().expect("run A")
         };
 
         // Replay every segment on both top-2 GPUs (the paper's "execute
@@ -262,35 +284,20 @@ impl<'a> Calibrator<'a> {
                 (0..trace.segments.len()).map(move |j| (replay_idx as u64, noise, j))
             })
             .collect();
-        let measure = |&(replay_idx, noise, j): &(u64, &NoiseInjector, usize),
-                       model: &mut rpol_nn::model::Sequential|
-         -> f32 {
-            let mut trainer = LocalTrainer::new(
-                self.config,
-                self.shard,
-                noise.rerun(run_seed(2 + replay_idx)),
-            );
-            let replayed = if self.quantized {
-                trainer.replay_segment_quantized(
-                    model,
-                    &trace.checkpoints[j],
-                    nonce,
-                    trace.segments[j],
-                )
-            } else {
-                trainer.replay_segment(model, &trace.checkpoints[j], nonce, trace.segments[j])
-            };
+        let unit = |i: usize| {
+            let (replay_idx, noise, j) = units[i];
+            let noise = noise.rerun(run_seed(2 + replay_idx));
+            let (input, segment) = (&trace.checkpoints[j], trace.segments[j]);
+            let replayed = self.on_scratch(scratch, global_weights, noise, |trainer, model| {
+                if self.quantized {
+                    trainer.replay_segment_quantized(model, input, nonce, segment)
+                } else {
+                    trainer.replay_segment(model, input, nonce, segment)
+                }
+            });
             euclidean(&replayed, &trace.checkpoints[j + 1])
         };
-        // A replay loads its input checkpoint and reseeds, which resets
-        // every piece of model state, so the serial path keeps replaying on
-        // run A's model; pool threads each need their own.
-        let distances: Vec<f32> = match exec {
-            Some(exec) => exec.run_indexed(units.len(), |i| {
-                measure(&units[i], &mut self.config.build_model_like(global_weights))
-            }),
-            None => units.iter().map(|u| measure(u, &mut model_a)).collect(),
-        };
+        let distances = indexed(exec, units.len(), unit);
         // Recorded here, after the join and in index order — never from
         // inside a task, where pool threads would race for clock ticks.
         let mut stats = RunningStats::new();
@@ -335,9 +342,36 @@ impl<'a> Calibrator<'a> {
         (result, trace.final_weights().to_vec())
     }
 
+    /// Runs `f` on a state borrowed from `scratch` (built like
+    /// `global_weights` on a miss), with a trainer on `noise` staging
+    /// through the state's arena.
+    fn on_scratch<T>(
+        &self,
+        scratch: &ScratchPool,
+        global_weights: &[f32],
+        noise: NoiseInjector,
+        f: impl FnOnce(&mut LocalTrainer<'_>, &mut Sequential) -> T,
+    ) -> T {
+        let build = || self.config.build_model_like(global_weights);
+        let (mut model, arena) = scratch.checkout(&self.recorder, build);
+        let mut trainer = LocalTrainer::with_arena(self.config, self.shard, noise, arena);
+        let out = f(&mut trainer, &mut model);
+        scratch.checkin((model, trainer.into_arena()));
+        out
+    }
+
     /// Segment layout of a calibration epoch (same as any worker epoch).
     pub fn segments(&self, steps: usize) -> Vec<crate::trainer::Segment> {
         epoch_segments(steps, self.config.checkpoint_interval)
+    }
+}
+
+/// `f` over `0..n`, results in index order: on `exec` when given, else on
+/// the calling thread.
+fn indexed<T: Send>(exec: Option<&Executor>, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    match exec {
+        Some(exec) => exec.run_indexed(n, f),
+        None => (0..n).map(f).collect(),
     }
 }
 
@@ -345,7 +379,7 @@ impl TaskConfig {
     /// Builds a model of the geometry `weights` was flattened from — the
     /// bare task model, or the encoded one when the vector carries an
     /// AMLayer prefix — and loads them.
-    pub(crate) fn build_model_like(&self, weights: &[f32]) -> rpol_nn::model::Sequential {
+    pub(crate) fn build_model_like(&self, weights: &[f32]) -> Sequential {
         let mut model = self.build_model();
         if model.param_count() != weights.len() {
             // Encoded geometry: any address gives the right shape, and the

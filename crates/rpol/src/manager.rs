@@ -4,7 +4,7 @@
 use crate::calibrate::{CalibrationPolicy, CalibrationResult, Calibrator};
 use crate::pool::Scheme;
 use crate::tasks::TaskConfig;
-use crate::trainer::epoch_segments;
+use crate::trainer::{epoch_segments, ScratchPool, ScratchState};
 use crate::transport::TransportStats;
 use crate::verify::{
     binds, well_formed, ProofProvider, ProofUnavailable, RejectReason, SampleVerdict,
@@ -16,18 +16,12 @@ use rpol_crypto::Address;
 use rpol_exec::Executor;
 use rpol_lsh::LshFamily;
 use rpol_nn::data::SyntheticImages;
-use rpol_nn::model::Sequential;
 use rpol_obs::{event, span, Recorder};
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::rng::Pcg32;
-use rpol_tensor::scratch::ScratchArena;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::Arc;
-
-/// A pooled verification replay state: a scratch model sharing the global
-/// geometry plus the weight-sized staging arena its replay trainers use.
-type ReplayState = (Sequential, ScratchArena);
 
 /// Fixed-point scale of the order-invariant aggregation accumulator:
 /// per-weight deltas are quantized to multiples of 2⁻²⁴ and summed as
@@ -329,13 +323,13 @@ pub struct PoolManager {
     /// Observability handle shared with the pool (defaults to no-op).
     recorder: Arc<Recorder>,
     /// Persistent executor for calibration fan-out (verification takes its
-    /// executor per call). `None` on serial pools — the serial path never
-    /// constructs a thread pool.
+    /// executor per call): the pool's. `None` on a manager driven outside
+    /// a pool, which calibrates on the calling thread.
     executor: Option<Arc<Executor>>,
-    /// Pooled replay states, checked out per verification task and
-    /// returned afterwards, so steady-state verification stops allocating
-    /// scratch models and weight-sized staging buffers.
-    replay_pool: parking_lot::Mutex<Vec<ReplayState>>,
+    /// Scratch states lent to every replay, calibration run and evaluation
+    /// batch, so steady-state epochs stop allocating scratch models and
+    /// weight-sized staging buffers.
+    scratch: ScratchPool,
 }
 
 impl PoolManager {
@@ -373,7 +367,7 @@ impl PoolManager {
             contributions: ContributionLedger::new(),
             recorder: rpol_obs::noop().clone(),
             executor: None,
-            replay_pool: parking_lot::Mutex::new(Vec::new()),
+            scratch: ScratchPool::default(),
         }
     }
 
@@ -391,38 +385,21 @@ impl PoolManager {
     }
 
     /// Attaches a persistent executor: calibration fans out onto its
-    /// long-lived workers. Serial pools never call this.
+    /// long-lived workers. Every `MiningPool` attaches its own.
     pub fn set_executor(&mut self, exec: Arc<Executor>) {
         self.executor = Some(exec);
     }
 
-    /// Checks a replay state out of the pool, building a fresh one on a
-    /// miss. States recycle across epochs and samples: replay overwrites
-    /// every parameter via `load_params` and the arena only lends
-    /// capacity, so a reused state is bitwise-equivalent to a fresh one.
-    fn checkout_replay_state(&self) -> ReplayState {
-        let pooled = self.replay_pool.lock().pop();
-        if self.recorder.enabled() {
-            self.recorder.counter_add(
-                if pooled.is_some() {
-                    "rpol.verify.replay_pool_hits"
-                } else {
-                    "rpol.verify.replay_pool_misses"
-                },
-                1,
-            );
-        }
-        pooled.unwrap_or_else(|| {
-            (
-                self.config.build_model_like(&self.global),
-                ScratchArena::new(),
-            )
+    /// Lends a scratch state of the global geometry ([`ScratchPool`]).
+    pub(crate) fn checkout_scratch(&self) -> ScratchState {
+        self.scratch.checkout(&self.recorder, || {
+            self.config.build_model_like(&self.global)
         })
     }
 
-    /// Returns a replay state to the pool for reuse.
-    fn checkin_replay_state(&self, state: ReplayState) {
-        self.replay_pool.lock().push(state);
+    /// Returns a state [`Self::checkout_scratch`] lent.
+    pub(crate) fn checkin_scratch(&self, state: ScratchState) {
+        self.scratch.checkin(state);
     }
 
     /// The current global model weights.
@@ -610,11 +587,7 @@ impl PoolManager {
     /// samples is a path between those two, and what aggregation uses is
     /// its end. `Err` is the rejection, at a valid sample index, having
     /// cost no proof bytes and no replay.
-    pub(crate) fn bind(
-        &self,
-        part: &Participant<'_>,
-        plan: &EpochPlan,
-    ) -> Result<(), SampleVerdict> {
+    fn bind(&self, part: &Participant<'_>, plan: &EpochPlan) -> Result<(), SampleVerdict> {
         let prepared = plan.verification.as_ref().expect("a verifying scheme");
         let last = prepared.segments.len();
         let reject = |sample: usize, reason: RejectReason| SampleVerdict {
@@ -644,16 +617,13 @@ impl PoolManager {
         Ok(())
     }
 
-    /// The `verify` stage's unit: replays `range` of one participant's
-    /// prepared samples, in sample order, stopping after the first opening
-    /// that cannot be fetched (the link is dead or exhausted — later
-    /// fetches would fail too). Openings of the two bound ends are served
-    /// from the manager's own copies ([`HeldEnds`]) on every source.
-    /// Requires only shared access to the manager, so callers may fan out
-    /// across threads: the whole range as one task
-    /// ([`Self::verify_worker`]) or one sample per task (the pool's overlap
-    /// branch). Either way the per-sample verdicts merged by
-    /// [`WorkerVerdict::from_samples`] are bitwise identical — the verifier
+    /// The `verify` stage's unit: replays one participant's prepared
+    /// samples, in sample order, stopping after the first opening that
+    /// cannot be fetched (the link is dead or exhausted — later fetches
+    /// would fail too). Openings of the two bound ends are served from the
+    /// manager's own copies ([`HeldEnds`]) on every source. Requires only
+    /// shared access to the manager, so callers fan participants out across
+    /// threads; a verdict depends only on its own assignment — the verifier
     /// clones its pristine injector per sample and replay fully overwrites
     /// the pooled scratch model.
     ///
@@ -661,12 +631,7 @@ impl PoolManager {
     ///
     /// Panics under the baseline scheme (its plan schedules no samples) and
     /// on a participant [`Self::bind`] refused.
-    pub(crate) fn verify_samples(
-        &self,
-        part: &Participant<'_>,
-        plan: &EpochPlan,
-        range: std::ops::Range<usize>,
-    ) -> Vec<SampleVerdict> {
+    fn verify_samples(&self, part: &Participant<'_>, plan: &EpochPlan) -> Vec<SampleVerdict> {
         let prepared = plan.verification.as_ref().expect("a verifying scheme");
         let assignment = &prepared.assignments[part.id];
         let commitment = part.submission.commitment.as_ref().expect("bound");
@@ -676,7 +641,7 @@ impl PoolManager {
             last: prepared.segments.len(),
             final_weights: &part.submission.final_weights,
         };
-        let (mut scratch, arena) = self.checkout_replay_state();
+        let (mut scratch, arena) = self.checkout_scratch();
         let mut verifier = Verifier::with_arena(
             &self.config,
             part.shard,
@@ -691,10 +656,10 @@ impl PoolManager {
             &mut scratch,
             commitment,
             &prepared.segments,
-            &assignment.samples[range],
+            &assignment.samples,
             &provider,
         );
-        self.checkin_replay_state((scratch, verifier.into_arena()));
+        self.checkin_scratch((scratch, verifier.into_arena()));
         verdicts
     }
 
@@ -714,7 +679,7 @@ impl PoolManager {
             samples
         );
         WorkerVerdict::merge_samples(match self.bind(part, plan) {
-            Ok(()) => self.verify_samples(part, plan, 0..samples),
+            Ok(()) => self.verify_samples(part, plan),
             Err(rejection) => vec![rejection],
         })
     }
@@ -1002,11 +967,12 @@ impl PoolManager {
             self.calibration_gpus,
         )
         .with_recorder(self.recorder.clone())
+        .with_scratch(&self.scratch)
         .quantized(matches!(self.scheme, Scheme::RPoLv3));
         let nonce = self.rng.next_u64();
         // With an executor attached the per-(replay, segment) measurements
         // fan out onto its workers; `calibrate_with` is bitwise-identical
-        // either way, so serial and parallel pools calibrate alike.
+        // either way, at any width.
         let (cal, _trained) = calibrator.calibrate_with(
             &self.global,
             nonce,

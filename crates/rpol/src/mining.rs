@@ -195,7 +195,7 @@ impl MiningCompetition {
                 // and data draws.
                 config.seed ^= ((round_ix as u64) << 32) | ((ci as u64) << 16);
                 let mut pool = MiningPool::new(config, competitor.behaviors.clone());
-                pool.run_parallel();
+                pool.run();
                 let weights = pool.manager().global_weights().to_vec();
                 consensus.submit(Proposal {
                     block: Block::new(

@@ -4,14 +4,12 @@
 
 use crate::adversary::WorkerBehavior;
 use crate::committee::{partition, Hierarchy};
-use crate::manager::{
-    count_hi_plane, CommStats, EpochPlan, EpochReport, Participant, PoolManager, Verified,
-};
+use crate::manager::{count_hi_plane, CommStats, EpochPlan, EpochReport, Participant, PoolManager};
 use crate::tasks::TaskConfig;
 use crate::transport::{
     link_state, FaultConfig, LinkState, MsgKind, Transport, TransportError, TransportStats,
 };
-use crate::verify::{ProofProvider, ProofUnavailable, SampleVerdict, WorkerVerdict};
+use crate::verify::{ProofProvider, ProofUnavailable};
 use crate::wire;
 use crate::worker::{EpochSubmission, PoolWorker};
 use bytes::Bytes;
@@ -19,7 +17,6 @@ use rpol_crypto::Address;
 use rpol_exec::Executor;
 use rpol_nn::data::SyntheticImages;
 use rpol_nn::metrics::correct_count;
-use rpol_nn::model::Sequential;
 use rpol_obs::{event, span, Recorder};
 use rpol_sim::gpu::GpuModel;
 use rpol_sim::SimClock;
@@ -604,16 +601,10 @@ pub struct MiningPool {
     /// Observability handle: phase spans, per-epoch metric publication.
     /// Defaults to the shared no-op recorder (free when off).
     pub(crate) recorder: Arc<Recorder>,
-    /// The persistent executor behind every parallel run: constructed once
-    /// (lazily, on the first parallel epoch) and reused across all epochs
-    /// and phases. Serial runs never construct it.
-    executor: Option<Arc<Executor>>,
-    /// Requested executor width; `None` falls back to
-    /// [`Executor::default_threads`].
-    threads: Option<usize>,
-    /// Pooled evaluation models for [`MiningPool::test_accuracy`], built
-    /// once and reloaded with the current global weights per use.
-    eval_pool: parking_lot::Mutex<Vec<Sequential>>,
+    /// The persistent executor every epoch runs on, shared with the
+    /// manager: built with the pool and reused across all epochs and
+    /// phases. Width 1 is the reference every wider run must equal.
+    executor: Arc<Executor>,
 }
 
 /// The manager's reward address (defines the AMLayer geometry of every
@@ -692,47 +683,48 @@ impl MiningPool {
             [] => unreachable!("pool has workers"),
         };
         manager.set_calibration_gpus(top2);
-        Self {
+        let mut pool = Self {
             config,
             manager,
             workers,
             test_chunks,
             recorder: rpol_obs::noop().clone(),
-            executor: None,
-            threads: None,
-            eval_pool: parking_lot::Mutex::new(Vec::new()),
-        }
+            executor: Arc::new(Executor::new(Executor::default_threads())),
+        };
+        pool.manager.set_executor(Arc::clone(&pool.executor));
+        pool
     }
 
-    /// Sets the executor width for parallel runs. Must be called before
-    /// the first parallel epoch constructs the pool's persistent executor.
+    /// Runs the pool on `threads` executor lanes instead of
+    /// [`Executor::default_threads`]. Every width produces the same bytes;
+    /// 1 is the reference.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.rebuild_executor(threads);
         self
     }
 
-    /// The pool's persistent executor, constructed on first use and then
-    /// reused for every epoch and phase — parallel epochs spawn zero
-    /// threads after this. The manager shares the handle for verification
-    /// and calibration fan-out.
-    pub(crate) fn ensure_executor(&mut self) -> Arc<Executor> {
-        if self.executor.is_none() {
-            let threads = self.threads.unwrap_or_else(Executor::default_threads);
-            let exec = Arc::new(Executor::with_recorder(threads, self.recorder.clone()));
-            self.manager.set_executor(Arc::clone(&exec));
-            self.executor = Some(exec);
-        }
-        Arc::clone(self.executor.as_ref().expect("executor constructed"))
+    /// Replaces the executor with one of `threads` lanes that publishes to
+    /// the pool's recorder, and hands it to the manager.
+    fn rebuild_executor(&mut self, threads: usize) {
+        self.executor = Arc::new(Executor::with_recorder(threads, self.recorder.clone()));
+        self.manager.set_executor(Arc::clone(&self.executor));
+    }
+
+    /// The pool's persistent executor — the socket server runs on it too.
+    pub(crate) fn executor(&self) -> Arc<Executor> {
+        Arc::clone(&self.executor)
     }
 
     /// Attaches an observability recorder: epoch/phase spans, transport
-    /// events, and per-epoch metric publication all land on `rec`. The
-    /// manager (and through it the verifier) shares the same handle.
-    /// Metrics are mirrored from the epoch reports at deterministic merge
-    /// points, so exported totals always equal the report's own numbers.
+    /// events, executor counters and per-epoch metric publication all land
+    /// on `rec`. The manager (and through it the verifier) shares the same
+    /// handle. Metrics are mirrored from the epoch reports at deterministic
+    /// merge points, so exported totals always equal the report's own
+    /// numbers.
     pub fn with_recorder(mut self, rec: Arc<Recorder>) -> Self {
         self.manager.set_recorder(rec.clone());
         self.recorder = rec;
+        self.rebuild_executor(self.executor.threads());
         self
     }
 
@@ -765,27 +757,24 @@ impl MiningPool {
     }
 
     /// Current global-model accuracy on the held-out test set, evaluated
-    /// in fixed [`EVAL_CHUNK`]-row batches — on the persistent executor
-    /// when one is attached. Per-chunk integer correct-counts are merged
-    /// in index order, so serial and parallel evaluation agree bitwise.
+    /// in fixed [`EVAL_CHUNK`]-row batches on the pool's executor, one pass
+    /// each. Per-chunk integer correct-counts are merged in index order, so
+    /// every width agrees bitwise.
     pub fn test_accuracy(&self) -> f32 {
         let total: usize = self
             .test_chunks
             .iter()
             .map(|(_, labels)| labels.len())
             .sum();
-        let eval_chunk = |i: usize| {
+        let counts = self.executor.run_indexed(self.test_chunks.len(), |i| {
             let (inputs, labels) = &self.test_chunks[i];
-            let mut model = self.checkout_eval_model();
+            let (mut model, arena) = self.manager.checkout_scratch();
+            model.load_params(self.manager.global_weights());
             let logits = model.forward(inputs, false);
-            let correct = correct_count(&logits, labels);
-            self.eval_pool.lock().push(model);
-            correct
-        };
-        let counts: Vec<usize> = match &self.executor {
-            Some(exec) => exec.run_indexed(self.test_chunks.len(), eval_chunk),
-            None => (0..self.test_chunks.len()).map(eval_chunk).collect(),
-        };
+            model.end_pass();
+            self.manager.checkin_scratch((model, arena));
+            correct_count(&logits, labels)
+        });
         // Recorded here, after the join and in index order — never from
         // inside a task, where pool threads would race for clock ticks.
         for (chunk, (&correct, (_, labels))) in counts.iter().zip(&self.test_chunks).enumerate() {
@@ -798,18 +787,6 @@ impl MiningPool {
             );
         }
         counts.iter().sum::<usize>() as f32 / total as f32
-    }
-
-    /// Checks an evaluation model out of the pool (building one on a
-    /// miss) and loads the current global weights into it.
-    fn checkout_eval_model(&self) -> Sequential {
-        let mut model = self.eval_pool.lock().pop().unwrap_or_else(|| {
-            self.manager
-                .config()
-                .build_encoded_model(&self.manager.address)
-        });
-        model.load_params(self.manager.global_weights());
-        model
     }
 
     /// Runs one epoch — the paper's one protocol (§IV–V), written once as
@@ -827,13 +804,11 @@ impl MiningPool {
     ///    [`PoolManager::settle_finish`]: verdicts classified, accepted
     ///    updates aggregated (Eq. 1) and credited, the report built.
     ///
-    /// Runs on the pool's persistent executor when one was constructed
-    /// ([`MiningPool::run_parallel`]) and serially otherwise. The record is
-    /// bitwise identical either way, at every thread count and committee
-    /// count (`tests/epoch_matrix.rs`): no stage after `plan` is random,
-    /// every fault draw is keyed by its own coordinates, per-sample
-    /// verdicts merge in index order, the aggregate is an order-invariant
-    /// integer sum, and evaluation chunks are fixed.
+    /// Runs on the pool's executor. The record is bitwise identical at
+    /// every width and committee count (`tests/epoch_matrix.rs`): no stage
+    /// after `plan` is random, every fault draw is keyed by its own
+    /// coordinates, per-sample verdicts merge in index order, the aggregate
+    /// is an order-invariant integer sum, and evaluation chunks are fixed.
     ///
     /// # Panics
     ///
@@ -844,8 +819,7 @@ impl MiningPool {
         let recorder = self.recorder.clone();
         let rec: &Recorder = &recorder;
         let _epoch_span = span!(rec, "rpol.pool.epoch", epoch);
-        let executor = self.executor.clone();
-        let exec = executor.as_deref();
+        let executor = self.executor();
         let n = self.workers.len();
         let hierarchy = self.config.hierarchy;
         let packed = matches!(self.config.scheme, Scheme::RPoLv3);
@@ -871,7 +845,7 @@ impl MiningPool {
                     members = members.len()
                 )
             });
-            let (delivered, verdicts) = self.collect(members, &plan, link.as_mut(), &mut comm);
+            let delivered = self.collect(members, &plan, link.as_mut(), &mut comm);
 
             // Openings are served by the worker itself, or over the link
             // through a per-worker endpoint.
@@ -904,19 +878,13 @@ impl MiningPool {
                     }
                 })
                 .collect();
-            match verdicts {
-                Some(verdicts) => self.manager.settle_fold(
-                    &mut settlement,
-                    g,
-                    &participants,
-                    Some(verdicts),
-                    &plan,
-                ),
-                None => {
-                    self.manager
-                        .verify_and_fold(&mut settlement, g, &participants, &plan, exec)
-                }
-            }
+            self.manager.verify_and_fold(
+                &mut settlement,
+                g,
+                &participants,
+                &plan,
+                Some(&*executor),
+            );
             drop(participants);
             let proof_traffic: Vec<ProviderState> = providers
                 .into_iter()
@@ -944,9 +912,9 @@ impl MiningPool {
     }
 
     /// The `collect` stage for one group: the only stage that differs by
-    /// where submissions come from. Returns the group's delivered
-    /// submissions by member position (`None`: lost on the link) and, when
-    /// the overlap branch already verified them, the members' verdicts.
+    /// where submissions come from. Members train as one executor task
+    /// each; returns the group's delivered submissions by member position
+    /// (`None`: lost on the link).
     ///
     /// * **Direct** (`link` is `None`): a member's task is read off the
     ///   plan and its submission handed back as is.
@@ -954,24 +922,15 @@ impl MiningPool {
     ///   [`Link::deliver_tasks`] / [`Link::upload`], serially in worker
     ///   order around the training, so the executor changes scheduling but
     ///   never a fault draw; members train from the *delivered* task bytes.
-    ///
-    /// Members train serially in order without an executor, as one task
-    /// each with one. **Overlap branch** — direct source, executor,
-    /// verifying scheme: the moment a member's submission lands, one
-    /// verification task per sampled checkpoint is spawned from its
-    /// training task, while other members may still be training. Openings
-    /// served in process cannot fail, so sample order is free; a link
-    /// provider's fault draws are keyed by its request sequence, which is
-    /// why that source verifies worker-granular after the upload instead.
     fn collect(
         &mut self,
         members: &[usize],
         plan: &EpochPlan,
         mut link: Option<&mut Link>,
         comm: &mut CommStats,
-    ) -> (Vec<Option<EpochSubmission>>, Option<Vec<Verified>>) {
+    ) -> Vec<Option<EpochSubmission>> {
         let (workers, manager) = (&mut self.workers[..], &self.manager);
-        let (exec, rec) = (self.executor.as_deref(), &*self.recorder);
+        let (exec, rec) = (&*self.executor, &*self.recorder);
         let epoch = plan.epoch;
         let tasks: Vec<Option<Task<'_>>> = match link.as_deref_mut() {
             Some(link) => link.deliver_tasks(workers, manager.task_block(plan), plan, comm, rec),
@@ -1007,83 +966,36 @@ impl MiningPool {
                 plan.commit_mode(),
             )
         };
-        let overlap = exec.is_some() && link.is_none() && plan.verifies();
         let mut local: Vec<Option<EpochSubmission>> = members.iter().map(|_| None).collect();
-        let mut sample_verdicts: Vec<Vec<Option<SampleVerdict>>> = members
-            .iter()
-            .map(|&w| vec![None; if overlap { plan.sample_count(w) } else { 0 }])
-            .collect();
         // A member with no task, or whose link dies this epoch (its partial
         // steps would never be seen), skips the doomed compute.
         let jobs = members_mut(workers, members)
             .zip(&tasks)
-            .zip(local.iter_mut().zip(&mut sample_verdicts))
-            .filter_map(|(((w, worker), task), slots)| {
+            .zip(&mut local)
+            .filter_map(|(((w, worker), task), slot)| {
                 let up = link.is_none()
                     || link_state(&worker.behavior(), epoch, MsgKind::Submission).alive;
-                Some((w, worker, task.as_ref().filter(|_| up)?, slots))
+                Some((w, worker, task.as_ref().filter(|_| up)?, slot))
             });
-        match exec {
-            None => {
-                for (w, worker, task, (submission, _)) in jobs {
-                    *submission = Some(train(w, worker, task));
-                }
+        exec.scope(|s| {
+            for (w, worker, task, slot) in jobs {
+                let train = &train;
+                s.spawn(move || *slot = Some(train(w, worker, task)));
             }
-            Some(exec) => exec.scope(|s| {
-                for (w, worker, task, (submission, verdicts)) in jobs {
-                    let train = &train;
-                    s.spawn(move || {
-                        let submission: &EpochSubmission =
-                            submission.insert(train(w, worker, task));
-                        if !overlap {
-                            return;
-                        }
-                        let part = Participant::in_process(worker, submission);
-                        span!(
-                            rec,
-                            "rpol.verify.worker",
-                            epoch,
-                            worker = w,
-                            samples = verdicts.len()
-                        );
-                        if let Err(rejection) = manager.bind(&part, plan) {
-                            *verdicts = vec![Some(rejection)];
-                            return;
-                        }
-                        for (pos, verdict) in verdicts.iter_mut().enumerate() {
-                            s.spawn(move || {
-                                *verdict = manager.verify_samples(&part, plan, pos..pos + 1).pop();
-                            });
-                        }
-                    });
-                }
-            }),
-        }
+        });
         drop(phase);
 
-        let delivered = match link {
+        match link {
             Some(link) => link.upload(workers, &tasks, local, plan, comm, rec),
             None => {
                 comm.submission_bytes +=
                     local.iter().flatten().map(|s| s.upload_bytes).sum::<u64>();
                 local
             }
-        };
-        let verdicts = overlap.then(|| {
-            sample_verdicts
-                .into_iter()
-                .map(|samples| {
-                    WorkerVerdict::merge_samples(
-                        samples.into_iter().map(|v| v.expect("sample verified")),
-                    )
-                })
-                .collect()
-        });
-        (delivered, verdicts)
+        }
     }
 
-    /// Runs the configured number of epochs — serially, unless the pool's
-    /// executor already exists. Never constructs it.
+    /// Runs the configured number of epochs on the pool's executor.
     ///
     /// # Panics
     ///
@@ -1112,14 +1024,6 @@ impl MiningPool {
             report.worker_storage_bytes as f64,
         );
         report
-    }
-
-    /// [`MiningPool::run`] on the persistent executor, constructed here if
-    /// need be: members train concurrently and verification overlaps
-    /// training where the source allows ([`Self::collect`]).
-    pub fn run_parallel(&mut self) -> PoolReport {
-        self.ensure_executor();
-        self.run()
     }
 
     /// Mirrors one finished epoch into the recorder. Runs at the serial

@@ -1605,7 +1605,7 @@ impl PoolServer {
     ///
     /// `InvalidInput` for a pool configuration [`PoolConfig::validate`]
     /// refuses, else any socket `bind` error.
-    pub fn bind(mut pool: MiningPool, addr: &BindAddr, cfg: ServerConfig) -> io::Result<Self> {
+    pub fn bind(pool: MiningPool, addr: &BindAddr, cfg: ServerConfig) -> io::Result<Self> {
         pool.config()
             .validate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
@@ -1614,7 +1614,7 @@ impl PoolServer {
             .fault
             .unwrap_or_else(|| FaultConfig::ideal(pool.config().seed));
         let transport = Transport::new(&fault);
-        let exec = pool.ensure_executor();
+        let exec = pool.executor();
         let recorder = pool.recorder.clone();
         let listener = Listener::bind(addr)?;
         let local = listener.local_display();

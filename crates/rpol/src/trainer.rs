@@ -21,6 +21,7 @@ use rpol_crypto::prf::{deterministic_batch, Prf};
 use rpol_nn::data::SyntheticImages;
 use rpol_nn::loss::softmax_cross_entropy;
 use rpol_nn::model::Sequential;
+use rpol_obs::Recorder;
 use rpol_sim::gpu::NoiseInjector;
 use rpol_tensor::scratch::ScratchArena;
 
@@ -35,16 +36,26 @@ fn flatten_trainable_into(model: &Sequential, out: &mut Vec<f32>) {
     });
 }
 
-/// Euclidean distance between two flat vectors.
-fn distance(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = (x - y) as f64;
-            d * d
-        })
-        .sum::<f64>()
-        .sqrt() as f32
+/// Moves `weights` — the trainable parameters as flattened before a step —
+/// to the parameters after it, returning the Euclidean distance it moved
+/// them (summed in flattening order, in `f64`).
+fn advance_trainable(model: &Sequential, weights: &mut [f32]) -> f32 {
+    let mut sum = 0.0f64;
+    let mut offset = 0;
+    model.visit_params(&mut |p| {
+        if !p.frozen {
+            for (w, &now) in weights[offset..offset + p.len()]
+                .iter_mut()
+                .zip(p.value.data())
+            {
+                let d = (*w - now) as f64;
+                sum += d * d;
+                *w = now;
+            }
+            offset += p.len();
+        }
+    });
+    sum.sqrt() as f32
 }
 
 /// One checkpoint segment: the training steps between two consecutive
@@ -101,6 +112,43 @@ impl EpochTrace {
     }
 }
 
+/// A model of the pool's geometry plus the weight-sized staging arena its
+/// trainers use.
+pub(crate) type ScratchState = (Sequential, ScratchArena);
+
+/// The manager's scratch states, lent to one pass at a time — a replayed
+/// sample, a calibration run, an evaluation batch — so the pool holds as
+/// many as ever ran at once, not one per use. A pass starts from a full
+/// `load_params` and an arena only lends capacity, so a reused state is
+/// bitwise a fresh one.
+#[derive(Default)]
+pub(crate) struct ScratchPool(parking_lot::Mutex<Vec<ScratchState>>);
+
+impl ScratchPool {
+    /// Lends a state, building its model with `build` on a miss; hits and
+    /// misses are counted on `rec`.
+    pub(crate) fn checkout(
+        &self,
+        rec: &Recorder,
+        build: impl FnOnce() -> Sequential,
+    ) -> ScratchState {
+        let pooled = self.0.lock().pop();
+        if rec.enabled() {
+            let counter = match pooled {
+                Some(_) => "rpol.scratch.hits",
+                None => "rpol.scratch.misses",
+            };
+            rec.counter_add(counter, 1);
+        }
+        pooled.unwrap_or_else(|| (build(), ScratchArena::new()))
+    }
+
+    /// Returns a lent state.
+    pub(crate) fn checkin(&self, state: ScratchState) {
+        self.0.lock().push(state);
+    }
+}
+
 /// The deterministic trainer used by workers (to train) and by the manager
 /// (to replay and to calibrate).
 #[derive(Debug)]
@@ -109,7 +157,7 @@ pub struct LocalTrainer<'a> {
     shard: &'a SyntheticImages,
     noise: NoiseInjector,
     /// Recycled weight-sized working buffers: the per-step flatten /
-    /// noise staging copies reuse these instead of allocating. Purely a
+    /// noise staging copy reuses these instead of allocating. Purely a
     /// memory concern — values are identical to fresh allocations.
     arena: ScratchArena,
 }
@@ -171,13 +219,10 @@ impl<'a> LocalTrainer<'a> {
             total_loss += loss;
             model.backward(&grad);
 
-            let mut before = self.arena.take_empty(0);
-            flatten_trainable_into(model, &mut before);
-            model.step(opt.as_mut());
-            let mut noisy = self.arena.take_empty(before.len());
+            let mut noisy = self.arena.take_empty(0);
             flatten_trainable_into(model, &mut noisy);
-            let update_norm = distance(&before, &noisy);
-            self.arena.recycle(before);
+            model.step(opt.as_mut());
+            let update_norm = advance_trainable(model, &mut noisy);
 
             // Inject hardware nondeterminism into the trainable weights.
             self.noise.perturb_after_step(&mut noisy, update_norm);
@@ -197,7 +242,8 @@ impl<'a> LocalTrainer<'a> {
     }
 
     /// Trains one full epoch from the model's current weights, recording a
-    /// checkpoint at every segment boundary.
+    /// checkpoint at every segment boundary. One pass: the model holds
+    /// only its weights afterwards ([`Sequential::end_pass`]).
     pub fn run_epoch(
         &mut self,
         model: &mut Sequential,
@@ -211,6 +257,7 @@ impl<'a> LocalTrainer<'a> {
             loss_sum += self.run_segment(model, nonce, segment);
             checkpoints.push(model.flatten_params());
         }
+        model.end_pass();
         EpochTrace {
             checkpoints,
             mean_loss: loss_sum / segments.len() as f32,
@@ -245,6 +292,7 @@ impl<'a> LocalTrainer<'a> {
             model.load_params(&snapped);
             checkpoints.push(snapped);
         }
+        model.end_pass();
         EpochTrace {
             checkpoints,
             mean_loss: loss_sum / segments.len() as f32,
@@ -253,7 +301,8 @@ impl<'a> LocalTrainer<'a> {
     }
 
     /// Replays one segment from explicit input weights, returning the
-    /// resulting weights — the manager's verification primitive.
+    /// resulting weights — the manager's verification primitive. One pass,
+    /// like [`LocalTrainer::run_epoch`].
     pub fn replay_segment(
         &mut self,
         model: &mut Sequential,
@@ -263,6 +312,7 @@ impl<'a> LocalTrainer<'a> {
     ) -> Vec<f32> {
         model.load_params(input_weights);
         self.run_segment(model, nonce, segment);
+        model.end_pass();
         model.flatten_params()
     }
 
@@ -347,6 +397,24 @@ mod tests {
         }
     }
 
+    /// An epoch and a replay each end their pass: what a step kept for
+    /// backward is gone, so a backward without a new forward is refused.
+    #[test]
+    fn epochs_and_replays_end_their_pass() {
+        let (cfg, data) = setup();
+        let mut model = cfg.build_model();
+        let mut trainer = LocalTrainer::new(&cfg, &data, NoiseInjector::noiseless(GpuModel::G3090));
+        let grad = rpol_tensor::Tensor::ones(&[cfg.batch_size, cfg.spec.classes]);
+        let ended = |model: &mut Sequential| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.backward(&grad)))
+                .is_err()
+        };
+        let trace = trainer.run_epoch(&mut model, 7, 4);
+        assert!(ended(&mut model), "after run_epoch");
+        trainer.replay_segment(&mut model, &trace.checkpoints[0], 7, trace.segments[0]);
+        assert!(ended(&mut model), "after replay_segment");
+    }
+
     #[test]
     fn noisy_replay_is_close_but_not_exact() {
         let (cfg, data) = setup();
@@ -362,11 +430,11 @@ mod tests {
             7,
             trace.segments[0],
         );
-        let dist = distance(&replayed, &trace.checkpoints[1]);
+        let dist = crate::verify::euclidean(&replayed, &trace.checkpoints[1]);
         assert!(dist > 0.0, "noisy runs should differ");
         // Reproduction error is orders of magnitude below the weight-change
         // scale of a segment.
-        let progress = distance(&trace.checkpoints[0], &trace.checkpoints[1]);
+        let progress = crate::verify::euclidean(&trace.checkpoints[0], &trace.checkpoints[1]);
         assert!(
             dist < progress * 0.2,
             "repro error {dist} vs segment progress {progress}"

@@ -255,7 +255,7 @@ impl PoolWorker {
         // honest and adversarial alike — an off-lattice opening is
         // rejected as malformed before any replay.
         let quantized = matches!(mode, CommitMode::V3(_));
-        let checkpoints = match self.behavior {
+        let mut checkpoints = match self.behavior {
             // Crash and straggler faults train honestly: the crash cuts off
             // *communication* (modelled by the transport layer, which stops
             // calling this worker), and the straggler is merely slow.
@@ -277,14 +277,26 @@ impl PoolWorker {
                     .load_params(foreign.as_deref().unwrap_or(global_weights));
                 let mut trainer =
                     LocalTrainer::new(config, &self.shard, self.noise.rerun(run_seed));
-                if quantized {
-                    trainer
-                        .run_epoch_quantized(&mut self.model, nonce, total_steps)
-                        .checkpoints
-                } else {
-                    trainer
-                        .run_epoch(&mut self.model, nonce, total_steps)
-                        .checkpoints
+                match mode {
+                    // No proof storage: the final weights are the only
+                    // checkpoint anyone reads.
+                    CommitMode::Skip => {
+                        for &segment in &segments {
+                            trainer.run_segment(&mut self.model, nonce, segment);
+                        }
+                        self.model.end_pass();
+                        vec![self.model.flatten_params()]
+                    }
+                    CommitMode::V3(_) => {
+                        trainer
+                            .run_epoch_quantized(&mut self.model, nonce, total_steps)
+                            .checkpoints
+                    }
+                    _ => {
+                        trainer
+                            .run_epoch(&mut self.model, nonce, total_steps)
+                            .checkpoints
+                    }
                 }
             }
             WorkerBehavior::ReplayPrevious => {
@@ -326,6 +338,7 @@ impl PoolWorker {
                     }
                     checkpoints.push(cp);
                 }
+                self.model.end_pass();
                 // Spoof the rest by Eq. 12 extrapolation.
                 for _ in honest_segments..segments.len() {
                     let mut next = spoof_next_checkpoint(&checkpoints, lambda);
@@ -344,7 +357,12 @@ impl PoolWorker {
             CommitMode::V2(f) => Some(EpochCommitment::commit_v2(&checkpoints, f)),
             CommitMode::V3(f) => Some(EpochCommitment::commit_v3(&checkpoints, f)),
         };
-        let mut final_weights = checkpoints.last().expect("nonempty").clone();
+        // Baseline workers keep no proof storage (below), so their
+        // submission takes the final checkpoint instead of a copy.
+        let mut final_weights = match mode {
+            CommitMode::Skip => checkpoints.pop().expect("nonempty"),
+            _ => checkpoints.last().expect("nonempty").clone(),
+        };
         if matches!(self.behavior, WorkerBehavior::SwapFinal) {
             // Committed honestly, submitted sign-flipped (still on the
             // lattice, still finite): only the binding can tell.

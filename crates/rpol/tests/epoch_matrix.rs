@@ -1,20 +1,20 @@
 //! The epoch's determinism contract as one table (DESIGN.md §9, §12, §15):
 //!
 //! scheme {Baseline, v1, v2, v3} × source {direct, ideal link, lossy link}
-//! × threads {serial, 1, 2, 8} × groups {flat, C = 1, 2, 6}
+//! × executor width {1, 2, 8} × groups {flat, C = 1, 2, 6}
 //!
 //! on one six-worker roster, minus the combinations the config refuses
 //! (a hierarchy under the baseline scheme or over the in-process link).
-//! Every cell must reproduce its (scheme, source) **serial flat** reference
-//! bit for bit: the whole serialized `EpochReport`, the accuracy bits and
-//! the simulated clock — and the same sorted multiset of trace events.
-//! Scheduling, thread count and committee count may move *where* work
+//! Every cell must reproduce its (scheme, source) **width-1 flat**
+//! reference bit for bit: the whole serialized `EpochReport`, the accuracy
+//! bits and the simulated clock — and the same sorted multiset of trace
+//! events. Scheduling, width and committee count may move *where* work
 //! runs, never an outcome.
 //!
 //! Grouped cells differ from flat by construction in exactly three
 //! places — `peak_commit_bytes`, the `hierarchy` report and the extra
 //! committee / audit trace events — so they are held to the flat
-//! reference on everything else (the decision key), to the serial cell of
+//! reference on everything else (the decision key), to the width-1 cell of
 //! the same `C` on the full key and the event multiset, and to the flat
 //! reference's events by inclusion.
 //!
@@ -22,7 +22,7 @@
 //! where a warm process-wide cache or a once-per-process publication would
 //! show. Every reference cell is run a second time on a fresh recorder and
 //! must repeat its key, its whole metrics snapshot and its exported trace
-//! byte for byte; one threaded cell per scheme must repeat key and event
+//! byte for byte; one 8-wide cell per scheme must repeat key and event
 //! multiset (its `exec.steals` / `exec.queue_depth_peak` are scheduling).
 //!
 //! The reference cells' keys are additionally pinned by one SHA-256
@@ -49,8 +49,8 @@ const SCHEMES: [Scheme; 4] = [
     Scheme::RPoLv3,
 ];
 const SOURCES: [Source; 3] = [Source::Direct, Source::IdealLink, Source::LossyLink];
-/// `None` is `run()` — the serial reference that never builds an executor.
-const THREADS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(8)];
+/// Executor widths; 1 is the reference.
+const THREADS: [usize; 3] = [1, 2, 8];
 /// `None` is the flat roster; `Some(c)` shards it into `c` committees.
 const GROUPS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(6)];
 const FAULT_SEED: u64 = 0x9E;
@@ -119,7 +119,7 @@ struct Cell {
     metrics: MetricsSnapshot,
 }
 
-fn run(scheme: Scheme, source: Source, threads: Option<usize>, groups: Option<usize>) -> Cell {
+fn run(scheme: Scheme, source: Source, threads: usize, groups: Option<usize>) -> Cell {
     let mut cfg = PoolConfig::tiny_demo(scheme);
     match source {
         Source::Direct => {}
@@ -130,14 +130,10 @@ fn run(scheme: Scheme, source: Source, threads: Option<usize>, groups: Option<us
         cfg = cfg.with_hierarchy(hierarchy(c));
     }
     let rec = Arc::new(Recorder::logical());
-    let pool = MiningPool::new(cfg, behaviors()).with_recorder(rec.clone());
-    let report = match threads {
-        None => {
-            let mut pool = pool;
-            pool.run()
-        }
-        Some(t) => pool.with_threads(t).run_parallel(),
-    };
+    let report = MiningPool::new(cfg, behaviors())
+        .with_recorder(rec.clone())
+        .with_threads(threads)
+        .run();
     let events = rec.events();
     Cell {
         report,
@@ -209,7 +205,7 @@ fn multiset_included(small: &[String], big: &[String]) -> bool {
     small.iter().all(|want| rest.any(|have| have == want))
 }
 
-/// The serial flat run of every (scheme, source), in table order.
+/// The width-1 flat run of every (scheme, source), in table order.
 fn references() -> &'static Vec<(Scheme, Source, Cell)> {
     static REFS: OnceLock<Vec<(Scheme, Source, Cell)>> = OnceLock::new();
     REFS.get_or_init(|| {
@@ -218,7 +214,7 @@ fn references() -> &'static Vec<(Scheme, Source, Cell)> {
             .flat_map(|&scheme| {
                 SOURCES
                     .iter()
-                    .map(move |&source| (scheme, source, run(scheme, source, None, None)))
+                    .map(move |&source| (scheme, source, run(scheme, source, 1, None)))
             })
             .collect()
     })
@@ -320,7 +316,7 @@ fn reference_cells_are_not_vacuous() {
 fn a_second_run_in_the_same_process_repeats_the_first() {
     for (scheme, source, first) in references() {
         let at = format!("{scheme}/{source:?}");
-        let second = run(*scheme, *source, None, None);
+        let second = run(*scheme, *source, 1, None);
         assert_eq!(
             full_key(&second.report),
             full_key(&first.report),
@@ -331,8 +327,8 @@ fn a_second_run_in_the_same_process_repeats_the_first() {
     }
     for scheme in SCHEMES {
         let at = format!("{scheme}/Direct/threads 8");
-        let first = run(scheme, Source::Direct, Some(8), None);
-        let second = run(scheme, Source::Direct, Some(8), None);
+        let first = run(scheme, Source::Direct, 8, None);
+        let second = run(scheme, Source::Direct, 8, None);
         assert_eq!(
             full_key(&second.report),
             full_key(&first.report),
@@ -355,13 +351,13 @@ fn every_cell_matches_its_serial_flat_reference() {
             if groups.is_some() && (scheme == Scheme::Baseline || source != Source::Direct) {
                 continue; // refused by the config
             }
-            let serial_grouped = groups.map(|c| run(scheme, source, None, Some(c)));
+            let narrow_grouped = groups.map(|c| run(scheme, source, 1, Some(c)));
             for threads in THREADS {
-                let at = format!("{scheme}/{source:?}/threads {threads:?}/groups {groups:?}");
+                let at = format!("{scheme}/{source:?}/threads {threads}/groups {groups:?}");
                 let fresh;
-                let cell = match (threads, &serial_grouped) {
-                    (None, None) => reference,
-                    (None, Some(serial)) => serial,
+                let cell = match (threads, &narrow_grouped) {
+                    (1, None) => reference,
+                    (1, Some(narrow)) => narrow,
                     _ => {
                         fresh = run(scheme, source, threads, groups);
                         &fresh
@@ -369,14 +365,9 @@ fn every_cell_matches_its_serial_flat_reference() {
                 };
                 cells += 1;
 
-                // The executor exists iff the cell asked for one.
-                match threads {
-                    None => assert_eq!(cell.metrics.counter("exec.tasks"), 0, "{at}"),
-                    Some(t) => {
-                        assert!(cell.metrics.counter("exec.tasks") > 0, "{at}");
-                        assert_eq!(cell.metrics.gauge("exec.threads"), t as f64, "{at}");
-                    }
-                }
+                // Every cell ran on an executor of the width it asked for.
+                assert!(cell.metrics.counter("exec.tasks") > 0, "{at}");
+                assert_eq!(cell.metrics.gauge("exec.threads"), threads as f64, "{at}");
 
                 assert_eq!(
                     reference.report.accuracy_curve(),
@@ -392,7 +383,7 @@ fn every_cell_matches_its_serial_flat_reference() {
                     continue;
                 };
 
-                let serial = serial_grouped.as_ref().expect("grouped cell");
+                let narrow = narrow_grouped.as_ref().expect("grouped cell");
                 assert_eq!(
                     decision_key(&cell.report),
                     flat_decisions,
@@ -400,11 +391,11 @@ fn every_cell_matches_its_serial_flat_reference() {
                 );
                 assert_eq!(
                     full_key(&cell.report),
-                    full_key(&serial.report),
+                    full_key(&narrow.report),
                     "{at}: committee accounting moved with the thread count"
                 );
                 assert_eq!(
-                    cell.events, serial.events,
+                    cell.events, narrow.events,
                     "{at}: trace multiset moved with the thread count"
                 );
                 assert!(
@@ -453,6 +444,6 @@ fn every_cell_matches_its_serial_flat_reference() {
             }
         }
     }
-    // 4 baseline-direct + 3 × 16 verified-direct + 2 × 4 × 4 link cells.
-    assert_eq!(cells, 84, "the table lost cells");
+    // 3 baseline-direct + 3 × 12 verified-direct + 2 × 4 × 3 link cells.
+    assert_eq!(cells, 63, "the table lost cells");
 }

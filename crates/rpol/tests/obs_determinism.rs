@@ -1,10 +1,10 @@
 //! Trace-determinism contract for the observability layer (DESIGN.md §11).
 //!
-//! * Two same-seed faulty-pool runs must export byte-identical traces and
-//!   metrics snapshots.
-//! * A parallel pool schedules worker training on threads, so `seq`/`ts`/
-//!   `dur` may differ — but the *sorted multiset* of self-describing
-//!   events (name + kind + fields) must equal the serial run's.
+//! * Two same-seed faulty-pool runs on one executor lane must export
+//!   byte-identical traces and metrics snapshots.
+//! * A wider executor trains workers on several lanes at once, so `seq`/
+//!   `ts`/`dur` may differ — but the *sorted multiset* of self-describing
+//!   events (name + kind + fields) must equal the one-lane run's.
 //! * Registry counters are published at the serial epoch-merge point, so
 //!   they must equal the `EpochReport`/`PoolReport` totals exactly.
 
@@ -27,14 +27,13 @@ fn behaviors() -> Vec<WorkerBehavior> {
     ]
 }
 
-fn run_pool(parallel: bool) -> (Arc<Recorder>, PoolReport) {
+/// A run at executor width `threads`; width 1 is the byte-exact reference.
+fn run_pool(threads: usize) -> (Arc<Recorder>, PoolReport) {
     let rec = Arc::new(Recorder::logical());
-    let mut pool = MiningPool::new(faulty_config(), behaviors()).with_recorder(rec.clone());
-    let report = if parallel {
-        pool.run_parallel()
-    } else {
-        pool.run()
-    };
+    let report = MiningPool::new(faulty_config(), behaviors())
+        .with_recorder(rec.clone())
+        .with_threads(threads)
+        .run();
     (rec, report)
 }
 
@@ -52,8 +51,8 @@ fn sorted_multiset(events: &[Event]) -> Vec<String> {
 
 #[test]
 fn same_seed_serial_runs_are_byte_identical() {
-    let (rec_a, _) = run_pool(false);
-    let (rec_b, _) = run_pool(false);
+    let (rec_a, _) = run_pool(1);
+    let (rec_b, _) = run_pool(1);
     let trace_a = events_to_jsonl(&rec_a.events()).expect("serialize a");
     let trace_b = events_to_jsonl(&rec_b.events()).expect("serialize b");
     assert!(!trace_a.is_empty(), "faulty run must emit events");
@@ -68,8 +67,8 @@ fn same_seed_serial_runs_are_byte_identical() {
 
 #[test]
 fn parallel_run_emits_same_sorted_event_multiset_as_serial() {
-    let (serial, serial_report) = run_pool(false);
-    let (parallel, parallel_report) = run_pool(true);
+    let (serial, serial_report) = run_pool(1);
+    let (parallel, parallel_report) = run_pool(8);
     assert_eq!(
         serial_report.total_comm_bytes(),
         parallel_report.total_comm_bytes(),
@@ -84,7 +83,7 @@ fn parallel_run_emits_same_sorted_event_multiset_as_serial() {
 
 #[test]
 fn registry_counters_equal_report_totals() {
-    let (rec, report) = run_pool(false);
+    let (rec, report) = run_pool(1);
     let snapshot = rec.snapshot();
     let epochs = &report.epochs;
     assert_eq!(snapshot.counter("rpol.pool.epochs"), epochs.len() as u64);
@@ -233,7 +232,7 @@ fn v3_byte_counters_equal_report_totals() {
 /// How each packed block coded its hi plane is counted by whoever encoded
 /// it — the manager for the task block, the worker's side of the link for
 /// submissions and openings — so on a pool of weight-shaped models `dict`
-/// equals the blocks encoded and `raw` stays 0, serial ≡ executor.
+/// equals the blocks encoded and `raw` stays 0, one lane ≡ eight.
 #[test]
 fn packed_block_counters_name_every_block_encoded() {
     const COUNTERS: [&str; 3] = [
@@ -242,18 +241,16 @@ fn packed_block_counters_name_every_block_encoded() {
         "rpol.wire.packed_escapes",
     ];
     let config = PoolConfig::tiny_demo(Scheme::RPoLv3).with_faults(FaultConfig::ideal(7));
-    let run = |parallel: bool| {
+    let run = |threads: usize| {
         let rec = Arc::new(Recorder::logical());
-        let mut pool = MiningPool::new(config, behaviors()).with_recorder(rec.clone());
-        let report = if parallel {
-            pool.run_parallel()
-        } else {
-            pool.run()
-        };
+        let report = MiningPool::new(config, behaviors())
+            .with_recorder(rec.clone())
+            .with_threads(threads)
+            .run();
         (rec.snapshot(), report)
     };
-    let (serial, report) = run(false);
-    let (threaded, _) = run(true);
+    let (serial, report) = run(1);
+    let (threaded, _) = run(8);
 
     // On an ideal link every exchange delivers: a task and a submission
     // per worker per epoch, and two per opening fetched (request, response).
@@ -273,7 +270,7 @@ fn packed_block_counters_name_every_block_encoded() {
 /// What verification did *not* fetch, and why a worker was turned away at
 /// the binding: both are recorded by the settling thread, so the exported
 /// counter equals what the report's verdicts imply and the events name
-/// exactly the workers the report rejected there — serial ≡ executor, on
+/// exactly the workers the report rejected there — one lane ≡ eight, on
 /// the direct source and over a lossy link.
 #[test]
 fn elided_openings_and_endpoint_mismatches_equal_what_the_report_implies() {
@@ -292,14 +289,12 @@ fn elided_openings_and_endpoint_mismatches_equal_what_the_report_implies() {
             config.fault = fault;
             let last = config.steps_per_epoch / config.task.checkpoint_interval;
             let at = format!("{scheme}/{fault:?}");
-            let run = |parallel: bool| {
+            let run = |threads: usize| {
                 let rec = Arc::new(Recorder::logical());
-                let mut pool = MiningPool::new(config, roster.clone()).with_recorder(rec.clone());
-                let report = if parallel {
-                    pool.run_parallel()
-                } else {
-                    pool.run()
-                };
+                let report = MiningPool::new(config, roster.clone())
+                    .with_recorder(rec.clone())
+                    .with_threads(threads)
+                    .run();
                 let mismatches: Vec<String> = sorted_multiset(&rec.events())
                     .into_iter()
                     .filter(|ev| ev.contains("rpol.verify.endpoint_mismatch"))
@@ -307,7 +302,7 @@ fn elided_openings_and_endpoint_mismatches_equal_what_the_report_implies() {
                 let elided = rec.snapshot().counter("rpol.verify.openings_elided");
                 (report, mismatches, elided)
             };
-            let (report, mismatches, elided) = run(false);
+            let (report, mismatches, elided) = run(1);
 
             // Every sample opens its input; raw v1 always opens the output,
             // the fuzzy schemes only on the double-check path.
@@ -355,10 +350,10 @@ fn elided_openings_and_endpoint_mismatches_equal_what_the_report_implies() {
             events.sort();
             assert_eq!(mismatches, events, "{at}: one event per binding rejection");
 
-            let (threaded, threaded_mismatches, threaded_elided) = run(true);
+            let (threaded, threaded_mismatches, threaded_elided) = run(8);
             assert_eq!(threaded.total_comm_bytes(), report.total_comm_bytes());
-            assert_eq!(threaded_mismatches, mismatches, "{at}: serial ≡ executor");
-            assert_eq!(threaded_elided, elided, "{at}: serial ≡ executor");
+            assert_eq!(threaded_mismatches, mismatches, "{at}: one lane ≡ eight");
+            assert_eq!(threaded_elided, elided, "{at}: one lane ≡ eight");
         }
     }
 }

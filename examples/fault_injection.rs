@@ -31,7 +31,6 @@ usage: fault_injection [options]
   --cheat W@K       worker W cheats at an endpoint, K = swap-final |
                     foreign-start                       (repeatable)
   --net M,W,L       manager bps, worker bps, latency s  (default paper WAN)
-  --parallel        verify workers on threads
   --assert-honest   exit 1 if any honest worker is rejected or any
                     --cheat worker is accepted
   --help            print this message";
@@ -46,7 +45,6 @@ struct Args {
     stragglers: Vec<(usize, f32)>,
     cheats: Vec<(usize, WorkerBehavior)>,
     net: NetworkModel,
-    parallel: bool,
     assert_honest: bool,
 }
 
@@ -87,7 +85,6 @@ fn parse_args() -> Args {
         stragglers: Vec::new(),
         cheats: Vec::new(),
         net: NetworkModel::paper_default(),
-        parallel: false,
         assert_honest: false,
     };
     let mut it = std::env::args().skip(1);
@@ -143,7 +140,6 @@ fn parse_args() -> Args {
                 args.net = NetworkModel::new(nums[0], nums[1], nums[2])
                     .unwrap_or_else(|e| fail(&format!("--net: {e}")));
             }
-            "--parallel" => args.parallel = true,
             "--assert-honest" => args.assert_honest = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -217,12 +213,7 @@ fn main() {
         println!("  worker {w} cheats: {cheat:?}");
     }
 
-    let mut pool = MiningPool::new(config, behaviors.clone());
-    let report = if args.parallel {
-        pool.run_parallel()
-    } else {
-        pool.run()
-    };
+    let report = MiningPool::new(config, behaviors.clone()).run();
 
     println!();
     for (e, record) in report.epochs.iter().enumerate() {

@@ -23,7 +23,10 @@ done
 
 echo "== executor: 8-thread pass (scheduling + determinism under contention, exact exec.tasks count)"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-exec
-RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test epoch_matrix
+RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test epoch_matrix --test obs_determinism
+
+echo "== executor: 1-lane pass (the byte-exact reference as the default width)"
+RPOL_EXEC_THREADS=1 cargo test -q -p rpol --test epoch_matrix --test obs_determinism
 
 echo "== GEMM on the executor: 8-thread invariance + quantizer determinism"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-tensor

@@ -45,9 +45,9 @@ for scheme in v1 v2 v3; do
     grep -q "rejected \[1\]" /tmp/fault_matrix_run.txt
 done
 
-echo "== determinism: same seed, serial vs parallel, twice"
-"$BIN" --profile lossy --crash 1@1 --seed 11 > /tmp/fault_a.txt
-"$BIN" --profile lossy --crash 1@1 --seed 11 --parallel > /tmp/fault_b.txt
+echo "== determinism: same seed, one executor lane vs the default width"
+RPOL_EXEC_THREADS=1 "$BIN" --profile lossy --crash 1@1 --seed 11 > /tmp/fault_a.txt
+"$BIN" --profile lossy --crash 1@1 --seed 11 > /tmp/fault_b.txt
 diff /tmp/fault_a.txt /tmp/fault_b.txt
 echo "identical reports"
 

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Smoke test for the observability pipeline.
 #
-# Runs a 2-epoch faulty pool with --trace-out/--metrics-out, then uses
-# `rpol trace-check` to assert the trace parses line-by-line through
-# crates/json and contains the required span/event names. A second run
-# with the same seed must reproduce the trace byte-for-byte (the
-# determinism contract of DESIGN.md §11). A third run on the persistent
-# executor (--parallel) must export the executor's scheduling metrics —
-# task counts and the queue-depth peak (DESIGN.md §12); its trace is
-# *not* byte-compared (only the sorted event multiset is deterministic
-# under work stealing, which the rpol test suite asserts).
+# Runs a 2-epoch faulty pool on one executor lane with
+# --trace-out/--metrics-out, then uses `rpol trace-check` to assert the
+# trace parses line-by-line through crates/json and contains the required
+# span/event names. A second run with the same seed must reproduce the
+# trace byte-for-byte (the width-1 determinism contract of DESIGN.md §11,
+# §12). A third run four lanes wide must export the executor's scheduling
+# metrics — task counts and the queue-depth peak; its trace is *not*
+# byte-compared (only the sorted event multiset is deterministic under
+# work stealing, which the rpol test suite asserts).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,7 +20,7 @@ TRACE2=target/trace_smoke.again.jsonl
 METRICS=target/trace_smoke.metrics.json
 
 run_pool() {
-    cargo run --release -q -p rpol-cli --bin rpol -- pool \
+    RPOL_EXEC_THREADS=1 cargo run --release -q -p rpol-cli --bin rpol -- pool \
         --workers=3 --adversaries=1 --epochs=2 --faults=lossy \
         --trace-out="$1" --metrics-out="$METRICS" >/dev/null
 }
@@ -43,13 +43,13 @@ cmp -s "$TRACE" "$TRACE2" || {
     exit 1
 }
 
-# Executor queue-depth sanity: a --parallel run schedules every phase on
-# the persistent pool, so its metrics must include the executor counters
-# and a non-zero queue-depth peak gauge.
+# Executor queue-depth sanity: every run schedules every phase on the
+# persistent pool, so a four-lane run's metrics must include the executor
+# counters and a non-zero queue-depth peak gauge.
 TRACE_PAR=target/trace_smoke.parallel.jsonl
 METRICS_PAR=target/trace_smoke.parallel.metrics.json
 RPOL_EXEC_THREADS=4 cargo run --release -q -p rpol-cli --bin rpol -- pool \
-    --workers=3 --adversaries=1 --epochs=2 --parallel \
+    --workers=3 --adversaries=1 --epochs=2 \
     --trace-out="$TRACE_PAR" --metrics-out="$METRICS_PAR" >/dev/null
 cargo run --release -q -p rpol-cli --bin rpol -- trace-check \
     --file="$TRACE_PAR" \

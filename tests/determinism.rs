@@ -44,10 +44,12 @@ fn identical_seeds_identical_runs() {
 
 #[test]
 fn parallel_and_serial_runs_are_bit_identical() {
-    let serial = MiningPool::new(PoolConfig::tiny_demo(Scheme::RPoLv2), behaviors()).run();
-    let parallel =
-        MiningPool::new(PoolConfig::tiny_demo(Scheme::RPoLv2), behaviors()).run_parallel();
-    assert_eq!(fingerprint(&serial), fingerprint(&parallel));
+    let run = |threads| {
+        MiningPool::new(PoolConfig::tiny_demo(Scheme::RPoLv2), behaviors())
+            .with_threads(threads)
+            .run()
+    };
+    assert_eq!(fingerprint(&run(1)), fingerprint(&run(8)));
 }
 
 #[test]

@@ -126,8 +126,12 @@ fn parallel_faulty_run_matches_serial_exactly() {
             after_steps: 1,
         },
     ];
-    let serial = MiningPool::new(lossy_config(Scheme::RPoLv2, 0x9E), behaviors.clone()).run();
-    let parallel = MiningPool::new(lossy_config(Scheme::RPoLv2, 0x9E), behaviors).run_parallel();
+    let serial = MiningPool::new(lossy_config(Scheme::RPoLv2, 0x9E), behaviors.clone())
+        .with_threads(1)
+        .run();
+    let parallel = MiningPool::new(lossy_config(Scheme::RPoLv2, 0x9E), behaviors)
+        .with_threads(8)
+        .run();
     assert_eq!(
         fingerprint(&serial),
         fingerprint(&parallel),
