@@ -124,6 +124,21 @@ fn bench_lsh(c: &mut Criterion) {
     });
     let sig = family.hash(&x);
     c.bench_function("lsh_signature_digest", |b| b.iter(|| sig.digest()));
+
+    // A worker's whole use of an epoch's family at task P: key it, hash its
+    // three checkpoints once. Materializing the 16 × 97,320 matrix first
+    // against deriving each row inside the hash.
+    let (dim, params) = (TASK_P_CHECKPOINT / 4, LshParams::new(1.0, 4, 4));
+    let checkpoints: Vec<Vec<f32>> = (0..3)
+        .map(|_| (0..dim).map(|_| rng.next_normal()).collect())
+        .collect();
+    let refs: Vec<&[f32]> = checkpoints.iter().map(Vec::as_slice).collect();
+    c.bench_function("lsh/generate_then_hash_3x97k", |b| {
+        b.iter(|| LshFamily::generate(dim, params, 7).hash_batch(black_box(&refs)))
+    });
+    c.bench_function("lsh/streaming_hash_3x97k", |b| {
+        b.iter(|| LshFamily::streaming(dim, params, 7).hash_batch(black_box(&refs)))
+    });
 }
 
 /// One training step's worth of run-to-run noise at the epoch benchmark's

@@ -76,10 +76,10 @@ proptest! {
         prop_assert_eq!(sx.matches(&sy), sy.matches_digests(&sx.group_digests()));
     }
 
-    /// The GEMM-lowered hash paths must equal the scalar reference oracle
-    /// *bitwise* — same bucket IDs for every hash function — for random
-    /// weights and family parameters, and the batched path must be
-    /// invariant to the worker-thread count (1, 2 and 8 threads).
+    /// The GEMM-lowered and streamed hash paths must equal the scalar
+    /// reference oracle *bitwise* — same bucket IDs for every hash function
+    /// — for random weights and family parameters, and the batched path
+    /// must be invariant to the worker-thread count (1, 2 and 8 threads).
     #[test]
     fn gemm_lowered_digests_match_scalar_bitwise(
         dim in 1usize..96,
@@ -102,6 +102,11 @@ proptest! {
         }
         for (x, want) in refs.iter().zip(&scalar) {
             prop_assert_eq!(&family.hash(x), want);
+        }
+        let streaming = LshFamily::streaming(dim, LshParams::new(r, k, l), seed);
+        prop_assert_eq!(&streaming.hash_batch_threads(&refs, 2), &scalar);
+        for (x, want) in refs.iter().zip(&scalar) {
+            prop_assert_eq!(&streaming.hash_scalar(x), want);
         }
     }
 

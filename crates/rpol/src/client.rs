@@ -106,8 +106,10 @@ struct SpecState {
     epoch: u64,
     scheme: u8,
     family_spec: Option<FamilySpec>,
-    /// Generated on first use per `(epoch, dim)` — `LshFamily::generate`
-    /// is pure, so this matches the manager's family exactly.
+    /// Keyed on first use per `(epoch, dim)`: a streaming family, which
+    /// derives its projection rows inside the one commitment hash instead
+    /// of holding `k·l·dim` floats for the epoch, and hashes exactly like
+    /// the manager's materialized one.
     family: Option<LshFamily>,
 }
 
@@ -534,9 +536,9 @@ impl WorkerClient {
         write_all_vectored(stream, &writes)
     }
 
-    /// The commitment mode for this epoch, generating the LSH family on
-    /// first use (pure function of the spec's scalars and the model
-    /// dimension, so it matches the manager's family bit for bit).
+    /// The commitment mode for this epoch, keying the LSH family on first
+    /// use (a pure function of the spec's scalars and the model dimension,
+    /// so it hashes like the manager's family bit for bit).
     fn commit_mode(spec: &mut SpecState, dim: usize) -> CommitMode<'_> {
         let needs_family = matches!(scheme_from_code(spec.scheme), Some(s) if matches!(
             s,
@@ -545,7 +547,7 @@ impl WorkerClient {
         if needs_family && spec.family.is_none() {
             if let Some(fs) = spec.family_spec {
                 let params = LshParams::new(fs.r, fs.k as usize, fs.l as usize);
-                spec.family = Some(LshFamily::generate(dim, params, fs.seed));
+                spec.family = Some(LshFamily::streaming(dim, params, fs.seed));
             }
         }
         match (scheme_from_code(spec.scheme), &spec.family) {
@@ -592,4 +594,51 @@ fn write_all_vectored(stream: &mut NetStream, frames: &[Bytes]) -> io::Result<()
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::commitment::EpochCommitment;
+
+    #[test]
+    fn a_worker_holds_no_projection_matrix_and_commits_like_the_manager() {
+        let (dim, fs) = (
+            5_003,
+            FamilySpec {
+                r: 0.5,
+                k: 4,
+                l: 4,
+                seed: 11,
+            },
+        );
+        let held = LshFamily::generate(dim, LshParams::new(0.5, 4, 4), 11);
+        let mut rng = rpol_tensor::rng::Pcg32::seed_from(5);
+        let checkpoints: Vec<Vec<f32>> = (0..3)
+            .map(|_| (0..dim).map(|_| rng.next_normal()).collect())
+            .collect();
+        for scheme in [2, 3] {
+            let mut spec = SpecState {
+                epoch: 1,
+                scheme,
+                family_spec: Some(fs),
+                family: None,
+            };
+            let (got, want) = match WorkerClient::commit_mode(&mut spec, dim) {
+                CommitMode::V2(f) => (
+                    EpochCommitment::commit_v2(&checkpoints, f),
+                    EpochCommitment::commit_v2(&checkpoints, &held),
+                ),
+                CommitMode::V3(f) => (
+                    EpochCommitment::commit_v3(&checkpoints, f),
+                    EpochCommitment::commit_v3(&checkpoints, &held),
+                ),
+                CommitMode::Skip | CommitMode::V1 => panic!("scheme {scheme} commits by LSH"),
+            };
+            assert_eq!(got, want, "scheme {scheme}");
+            // The k·l offsets only: no 16 × dim matrix.
+            let family = spec.family.as_ref().expect("keyed on first use");
+            assert_eq!(family.resident_bytes(), 16 * 4, "scheme {scheme}");
+        }
+    }
 }

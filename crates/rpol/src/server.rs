@@ -1833,8 +1833,8 @@ impl PoolServer {
         self.core.lock().reset_epoch();
 
         // Commitment discipline first, on the reliable control plane: the
-        // few scalars of a FamilySpec stand in for the whole projection
-        // matrix (LshFamily::generate is pure).
+        // few scalars of a FamilySpec are the family's key, from which a
+        // worker derives the projection rows inside its commitment hash.
         let scheme = self.pool.config().scheme;
         let family = match scheme {
             Scheme::RPoLv2 | Scheme::RPoLv3 => plan.calibration.as_ref().map(|c| FamilySpec {

@@ -920,11 +920,12 @@ impl BusyReason {
 }
 
 /// The p-stable LSH family specification a worker needs to derive the
-/// epoch's commitment family locally: [`LshFamily::generate`] is a pure
-/// function of `(dim, params, seed)`, so shipping these few scalars is
-/// equivalent to shipping the whole projection matrix.
+/// epoch's commitment family locally: a family is a pure function of
+/// `(dim, params, seed)`, so shipping these few scalars is equivalent to
+/// shipping the whole projection matrix, which the worker never builds
+/// ([`LshFamily::streaming`]).
 ///
-/// [`LshFamily::generate`]: rpol_lsh::pstable::LshFamily::generate
+/// [`LshFamily::streaming`]: rpol_lsh::pstable::LshFamily::streaming
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FamilySpec {
     /// Bucket width `r`.

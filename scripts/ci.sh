@@ -31,8 +31,8 @@ RPOL_EXEC_THREADS=1 cargo test -q -p rpol --test epoch_matrix --test obs_determi
 echo "== GEMM on the executor: 8-thread invariance + quantizer determinism"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-tensor
 
-echo "== as production runs them: tensor + nn + crypto suites and the wire codec in --release"
-cargo test -q --release -p rpol-tensor -p rpol-nn -p rpol-crypto
+echo "== as production runs them: tensor + nn + crypto + lsh suites and the wire codec in --release"
+cargo test -q --release -p rpol-tensor -p rpol-nn -p rpol-crypto -p rpol-lsh
 cargo test -q --release -p rpol --lib wire::
 
 echo "== Gaussian blocks: 2^28 draws against the libm expression, 0 mismatches"
