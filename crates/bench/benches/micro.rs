@@ -116,7 +116,7 @@ fn bench_merkle(c: &mut Criterion) {
 
 fn bench_lsh(c: &mut Criterion) {
     let dim = 100_000;
-    let family = LshFamily::generate(dim, LshParams::new(1.0, 4, 4), 7);
+    let family = LshFamily::new(dim, LshParams::new(1.0, 4, 4), 7);
     let mut rng = Pcg32::seed_from(1);
     let x: Vec<f32> = (0..dim).map(|_| rng.next_normal()).collect();
     c.bench_function("lsh_sign_100k_weights_k4_l4", |b| {
@@ -126,19 +126,18 @@ fn bench_lsh(c: &mut Criterion) {
     c.bench_function("lsh_signature_digest", |b| b.iter(|| sig.digest()));
 
     // A worker's whole use of an epoch's family at task P: key it, hash its
-    // three checkpoints once. Materializing the 16 × 97,320 matrix first
-    // against deriving each row inside the hash.
+    // three checkpoints in one streamed pass, the rows on one lane or split
+    // across two.
     let (dim, params) = (TASK_P_CHECKPOINT / 4, LshParams::new(1.0, 4, 4));
     let checkpoints: Vec<Vec<f32>> = (0..3)
         .map(|_| (0..dim).map(|_| rng.next_normal()).collect())
         .collect();
     let refs: Vec<&[f32]> = checkpoints.iter().map(Vec::as_slice).collect();
-    c.bench_function("lsh/generate_then_hash_3x97k", |b| {
-        b.iter(|| LshFamily::generate(dim, params, 7).hash_batch(black_box(&refs)))
-    });
-    c.bench_function("lsh/streaming_hash_3x97k", |b| {
-        b.iter(|| LshFamily::streaming(dim, params, 7).hash_batch(black_box(&refs)))
-    });
+    for lanes in [1, 2] {
+        c.bench_function(&format!("lsh/streaming_hash_3x97k/{lanes}_lanes"), |b| {
+            b.iter(|| LshFamily::new(dim, params, 7).hash_batch_threads(black_box(&refs), lanes))
+        });
+    }
 }
 
 /// One training step's worth of run-to-run noise at the epoch benchmark's
@@ -217,7 +216,7 @@ fn bench_amlayer(c: &mut Criterion) {
 
 fn bench_commitments(c: &mut Criterion) {
     let checkpoints: Vec<Vec<f32>> = (0..10).map(|i| vec![i as f32; 10_000]).collect();
-    let family = LshFamily::generate(10_000, LshParams::new(1.0, 4, 4), 3);
+    let family = LshFamily::new(10_000, LshParams::new(1.0, 4, 4), 3);
     c.bench_function("commit_v1_10_checkpoints_10k", |b| {
         b.iter(|| EpochCommitment::commit_v1(black_box(&checkpoints)))
     });

@@ -2,8 +2,9 @@
 //!
 //! Finer-grained companions to `verify_bench` (which emits the
 //! `BENCH_verify.json` acceptance artifact): checkpoint commitment
-//! hashing portable vs production batch, LSH digests scalar vs GEMM-lowered, and the
-//! end-to-end `verify_samples` replay on the tiny task. Shapes are scaled
+//! hashing portable vs production batch, LSH digests scalar vs one
+//! streamed batch, and the end-to-end `verify_samples` replay on the tiny
+//! task. Shapes are scaled
 //! down from the standalone binary so `cargo bench` stays interactive.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -53,7 +54,7 @@ fn bench_verify(c: &mut Criterion) {
         bch.iter(|| sha256_f32_batch(black_box(&refs)))
     });
 
-    let family = LshFamily::generate(DIM, LshParams::new(4.0, 4, 8), 7);
+    let family = LshFamily::new(DIM, LshParams::new(4.0, 4, 8), 7);
     c.bench_function("lsh_digest_scalar", |bch| {
         bch.iter(|| {
             black_box(&refs)
@@ -62,9 +63,9 @@ fn bench_verify(c: &mut Criterion) {
                 .collect::<Vec<Vec<Digest>>>()
         })
     });
-    c.bench_function("lsh_digest_gemm_1t", |bch| {
+    c.bench_function("lsh_digest_streamed", |bch| {
         bch.iter(|| {
-            let sigs = family.hash_batch_threads(black_box(&refs), 1);
+            let sigs = family.hash_batch(black_box(&refs));
             Signature::group_digests_batch(&sigs)
         })
     });
@@ -75,7 +76,7 @@ fn bench_verify(c: &mut Criterion) {
     let mut trainer = LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::GA10, 11));
     let trace = trainer.run_epoch(&mut model, 5, 6);
     let model_dim = trace.checkpoints[0].len();
-    let e2e_family = LshFamily::generate(model_dim, LshParams::new(4.0, 4, 4), 7);
+    let e2e_family = LshFamily::new(model_dim, LshParams::new(4.0, 4, 4), 7);
     let commitment = EpochCommitment::commit_v2(&trace.checkpoints, &e2e_family);
     let provider = VecProvider(trace.checkpoints.clone());
     let mut verifier = Verifier::new(

@@ -202,17 +202,29 @@ fn sweep_double_check(trials: usize) {
             &shards[1],
             NoiseInjector::new(GpuModel::G3090, 0x8000 + trial as u64),
         );
-        for (j, seg) in trace.segments.iter().enumerate() {
-            let replayed =
-                verifier.replay_segment(&mut verify_model, &trace.checkpoints[j], nonce, *seg);
+        let replays: Vec<Vec<f32>> = trace
+            .segments
+            .iter()
+            .enumerate()
+            .map(|(j, seg)| {
+                verifier.replay_segment(&mut verify_model, &trace.checkpoints[j], nonce, *seg)
+            })
+            .collect();
+        // The trial's signatures in one streamed pass: every committed
+        // checkpoint and its replay.
+        let xs: Vec<&[f32]> = trace.checkpoints[1..]
+            .iter()
+            .chain(&replays)
+            .map(Vec::as_slice)
+            .collect();
+        let sigs = family.hash_batch(&xs);
+        let (committed, replayed) = sigs.split_at(replays.len());
+        for (j, (c, r)) in committed.iter().zip(replayed).enumerate() {
             total += 1;
-            if !family
-                .hash(&replayed)
-                .matches(&family.hash(&trace.checkpoints[j + 1]))
-            {
+            if !r.matches(c) {
                 lsh_fails += 1;
                 // The fallback: raw distance against β.
-                if euclidean(&replayed, &trace.checkpoints[j + 1]) >= cal.beta {
+                if euclidean(&replays[j], &trace.checkpoints[j + 1]) >= cal.beta {
                     distance_fails += 1;
                 }
             }

@@ -131,22 +131,25 @@ fn main() {
                     worker_shard,
                     NoiseInjector::new(GpuModel::G3090, 0x20_000 ^ seed),
                 );
-                for (j, seg) in trace.segments.iter().enumerate() {
-                    let replayed = verifier.replay_segment(
-                        &mut verify_model,
-                        &trace.checkpoints[j],
-                        nonce,
-                        *seg,
-                    );
-                    let dist = euclidean(&replayed, &trace.checkpoints[j + 1]);
+                let replays: Vec<Vec<f32>> = trace
+                    .segments
+                    .iter()
+                    .enumerate()
+                    .map(|(j, seg)| {
+                        verifier.replay_segment(
+                            &mut verify_model,
+                            &trace.checkpoints[j],
+                            nonce,
+                            *seg,
+                        )
+                    })
+                    .collect();
+                for (j, replayed) in replays.iter().enumerate() {
+                    let dist = euclidean(replayed, &trace.checkpoints[j + 1]);
                     stats.max_repro = stats.max_repro.max(dist);
                     stats.honest_total += 1;
                     if dist >= stats.beta {
                         stats.beta_covers_honest = false;
-                    }
-                    let committed = family.hash(&trace.checkpoints[j + 1]);
-                    if !family.hash(&replayed).matches(&committed) {
-                        stats.lsh_fails_honest += 1;
                     }
                 }
                 // Adversary: honest first third, Eq. 12 spoof for the rest.
@@ -155,16 +158,41 @@ fn main() {
                 for _ in honest_prefix..trace.segments.len() {
                     forged.push(spoof_next_checkpoint(&forged, 0.5));
                 }
-                for (j, seg) in trace.segments.iter().enumerate().skip(honest_prefix) {
-                    let replayed =
-                        verifier.replay_segment(&mut verify_model, &forged[j], nonce, *seg);
-                    let dist = euclidean(&replayed, &forged[j + 1]);
+                let spoofed: Vec<Vec<f32>> = (honest_prefix..trace.segments.len())
+                    .map(|j| {
+                        let seg = trace.segments[j];
+                        verifier.replay_segment(&mut verify_model, &forged[j], nonce, seg)
+                    })
+                    .collect();
+                for (j, replayed) in (honest_prefix..).zip(&spoofed) {
+                    let dist = euclidean(replayed, &forged[j + 1]);
                     stats.min_spoof = stats.min_spoof.min(dist);
                     stats.spoof_total += 1;
-                    if family.hash(&replayed).matches(&family.hash(&forged[j + 1])) {
-                        stats.lsh_passes_spoof += 1;
-                    }
                 }
+                // The trial's signatures in one streamed pass: every honest
+                // checkpoint and its replay, every forged one and its replay.
+                let n = replays.len();
+                let xs: Vec<&[f32]> = trace.checkpoints[1..]
+                    .iter()
+                    .chain(&replays)
+                    .chain(&forged[honest_prefix + 1..])
+                    .chain(&spoofed)
+                    .map(Vec::as_slice)
+                    .collect();
+                let sigs = family.hash_batch(&xs);
+                let (honest, spoof) = sigs.split_at(2 * n);
+                let (committed, replayed) = honest.split_at(n);
+                stats.lsh_fails_honest += committed
+                    .iter()
+                    .zip(replayed)
+                    .filter(|(c, r)| !r.matches(c))
+                    .count();
+                let (committed, replayed) = spoof.split_at(spoof.len() / 2);
+                stats.lsh_passes_spoof += committed
+                    .iter()
+                    .zip(replayed)
+                    .filter(|(c, r)| r.matches(c))
+                    .count();
             }
             global = next_global;
 

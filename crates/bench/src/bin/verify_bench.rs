@@ -12,7 +12,7 @@
 //!   `sha256_f32_batch` that `EpochCommitment::commit_v1` calls, on
 //!   whichever of those tiers the host detects;
 //! * **LSH digest computation** — per-checkpoint `hash_scalar` +
-//!   `group_digests` vs the GEMM-lowered `hash_batch` +
+//!   `group_digests` vs the one streamed `hash_batch` +
 //!   `group_digests_batch` used by `LshCommitment::commit`;
 //! * **end-to-end sampled replay** — `Verifier::verify_samples` on the
 //!   tiny task, the latency a manager pays per worker per epoch.
@@ -202,13 +202,24 @@ fn main() {
         speedup_vs_scalar: hash_scalar_ns / hash_quant_ns,
     });
 
-    // --- LSH digests: scalar chain vs GEMM lowering + batched SHA. ---
-    let family = LshFamily::generate(dim, LshParams::new(4.0, 4, 8), 7);
-    let scalar_sigs: Vec<Signature> = refs.iter().map(|w| family.hash_scalar(w)).collect();
+    // --- LSH digests: scalar chain vs one streamed batch + batched SHA.
+    // A streamed pass derives its k·l·dim rows once for the whole batch,
+    // so its MB/s grows with the batch: these rows keep the full shape in
+    // smoke mode too, and check_bench.sh gates the streamed row's MB/s. ---
+    let (lsh_m, lsh_dim) = (16usize, 100_000usize);
+    let lsh_shape = format!("{lsh_m}x{lsh_dim}");
+    let lsh_bytes = (lsh_m * lsh_dim * 4) as f64;
+    let mut lsh_rng = Pcg32::seed_from(43);
+    let lsh_inputs: Vec<Vec<f32>> = (0..lsh_m)
+        .map(|_| (0..lsh_dim).map(|_| lsh_rng.next_normal() * 0.05).collect())
+        .collect();
+    let lsh_refs: Vec<&[f32]> = lsh_inputs.iter().map(|w| w.as_slice()).collect();
+    let lsh_family = LshFamily::new(lsh_dim, LshParams::new(4.0, 4, 8), 7);
+    let scalar_sigs: Vec<Signature> = lsh_refs.iter().map(|w| lsh_family.hash_scalar(w)).collect();
     let scalar_entries: Vec<Vec<Digest>> = scalar_sigs.iter().map(|s| s.group_digests()).collect();
-    for threads in [1, gemm::default_threads()] {
-        let sigs = family.hash_batch_threads(&refs, threads);
-        assert_eq!(sigs, scalar_sigs, "GEMM lowering diverged at {threads}t");
+    for lanes in [1, gemm::default_threads()] {
+        let sigs = lsh_family.hash_batch_threads(&lsh_refs, lanes);
+        assert_eq!(sigs, scalar_sigs, "streamed hash diverged at {lanes} lanes");
         assert_eq!(
             Signature::group_digests_batch(&sigs),
             scalar_entries,
@@ -217,44 +228,30 @@ fn main() {
     }
     let lsh_scalar_ns = time_ns(&mut || {
         black_box(
-            black_box(&refs)
+            black_box(&lsh_refs)
                 .iter()
-                .map(|w| family.hash_scalar(w).group_digests())
+                .map(|w| lsh_family.hash_scalar(w).group_digests())
                 .collect::<Vec<Vec<Digest>>>(),
         );
     });
     records.push(Record {
         op: "lsh_digest_scalar",
-        shape: shape.clone(),
+        shape: lsh_shape.clone(),
         ns_per_iter: lsh_scalar_ns,
-        mb_per_s: bytes * 1000.0 / lsh_scalar_ns,
+        mb_per_s: lsh_bytes * 1000.0 / lsh_scalar_ns,
         speedup_vs_scalar: 1.0,
     });
-    let lsh_1t_ns = time_ns(&mut || {
-        let sigs = family.hash_batch_threads(black_box(&refs), 1);
+    let lsh_streamed_ns = time_ns(&mut || {
+        let sigs = lsh_family.hash_batch(black_box(&lsh_refs));
         black_box(Signature::group_digests_batch(&sigs));
     });
     records.push(Record {
-        op: "lsh_digest_gemm_1t",
-        shape: shape.clone(),
-        ns_per_iter: lsh_1t_ns,
-        mb_per_s: bytes * 1000.0 / lsh_1t_ns,
-        speedup_vs_scalar: lsh_scalar_ns / lsh_1t_ns,
+        op: "lsh_digest_streamed",
+        shape: lsh_shape.clone(),
+        ns_per_iter: lsh_streamed_ns,
+        mb_per_s: lsh_bytes * 1000.0 / lsh_streamed_ns,
+        speedup_vs_scalar: lsh_scalar_ns / lsh_streamed_ns,
     });
-    let threads = gemm::default_threads();
-    if threads > 1 {
-        let lsh_mt_ns = time_ns(&mut || {
-            let sigs = family.hash_batch(black_box(&refs));
-            black_box(Signature::group_digests_batch(&sigs));
-        });
-        records.push(Record {
-            op: "lsh_digest_gemm_mt",
-            shape: shape.clone(),
-            ns_per_iter: lsh_mt_ns,
-            mb_per_s: bytes * 1000.0 / lsh_mt_ns,
-            speedup_vs_scalar: lsh_scalar_ns / lsh_mt_ns,
-        });
-    }
 
     // --- Packed wire framing (RPoLv3): payload bytes of one epoch
     // submission (final weights + commitment) vs the raw f32 framing the
@@ -267,6 +264,7 @@ fn main() {
         .iter()
         .map(|w| rpol_tensor::quant::bf16_image(w))
         .collect();
+    let family = LshFamily::new(dim, LshParams::new(4.0, 4, 8), 7);
     let v3_commit = EpochCommitment::commit_v3(&lattice, &family);
     let final_w = lattice.last().expect("checkpoints nonempty");
     let packed_frame = wire::encode_submission(final_w, Some(&v3_commit));
@@ -310,7 +308,7 @@ fn main() {
     let mut trainer = LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::GA10, 11));
     let trace = trainer.run_epoch(&mut model, 5, 6);
     let model_dim = trace.checkpoints[0].len();
-    let e2e_family = LshFamily::generate(model_dim, LshParams::new(4.0, 4, 4), 7);
+    let e2e_family = LshFamily::new(model_dim, LshParams::new(4.0, 4, 4), 7);
     let commitment = EpochCommitment::commit_v2(&trace.checkpoints, &e2e_family);
     let provider = VecProvider(trace.checkpoints.clone());
     let e2e_samples: &[usize] = if smoke { &[0] } else { &[0, 1, 2] };

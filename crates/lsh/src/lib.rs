@@ -25,7 +25,7 @@
 //! use rpol_lsh::pstable::{LshFamily, LshParams};
 //!
 //! let params = LshParams::new(4.0, 4, 4);
-//! let family = LshFamily::generate(8, params, 42);
+//! let family = LshFamily::new(8, params, 42);
 //! let x = vec![1.0; 8];
 //! let mut y = x.clone();
 //! y[0] += 1e-4; // tiny "reproduction error"

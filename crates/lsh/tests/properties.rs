@@ -45,8 +45,8 @@ proptest! {
     #[test]
     fn family_generation_deterministic(dim in 1usize..64, seed in any::<u64>()) {
         let params = LshParams::new(1.0, 2, 3);
-        let a = LshFamily::generate(dim, params, seed);
-        let b = LshFamily::generate(dim, params, seed);
+        let a = LshFamily::new(dim, params, seed);
+        let b = LshFamily::new(dim, params, seed);
         prop_assert_eq!(a, b);
     }
 
@@ -55,7 +55,7 @@ proptest! {
         xs in proptest::collection::vec(-10.0f32..10.0, 1..64),
         seed in any::<u64>()
     ) {
-        let family = LshFamily::generate(xs.len(), LshParams::new(2.0, 3, 3), seed);
+        let family = LshFamily::new(xs.len(), LshParams::new(2.0, 3, 3), seed);
         let s1 = family.hash(&xs);
         let s2 = family.hash(&xs);
         prop_assert_eq!(&s1, &s2);
@@ -69,19 +69,19 @@ proptest! {
         ys in proptest::collection::vec(-5.0f32..5.0, 8),
         seed in any::<u64>()
     ) {
-        let family = LshFamily::generate(8, LshParams::new(1.0, 2, 4), seed);
+        let family = LshFamily::new(8, LshParams::new(1.0, 2, 4), seed);
         let sx = family.hash(&xs);
         let sy = family.hash(&ys);
         prop_assert_eq!(sx.matches(&sy), sy.matches(&sx));
         prop_assert_eq!(sx.matches(&sy), sy.matches_digests(&sx.group_digests()));
     }
 
-    /// The GEMM-lowered and streamed hash paths must equal the scalar
-    /// reference oracle *bitwise* — same bucket IDs for every hash function
-    /// — for random weights and family parameters, and the batched path
-    /// must be invariant to the worker-thread count (1, 2 and 8 threads).
+    /// The lane-split hash must equal the scalar reference oracle
+    /// *bitwise* — same bucket IDs for every hash function — for random
+    /// weights and family parameters, at every lane count (1, 2, 3 and 8),
+    /// whatever row a lane starts in.
     #[test]
-    fn gemm_lowered_digests_match_scalar_bitwise(
+    fn lane_split_digests_match_scalar_bitwise(
         dim in 1usize..96,
         n_inputs in 1usize..12,
         k in 1usize..5,
@@ -89,24 +89,19 @@ proptest! {
         r in 0.5f32..8.0,
         seed in any::<u64>()
     ) {
-        let family = LshFamily::generate(dim, LshParams::new(r, k, l), seed);
+        let family = LshFamily::new(dim, LshParams::new(r, k, l), seed);
         let mut rng = rpol_tensor::rng::Pcg32::seed_from(seed ^ 0x5eed);
         let inputs: Vec<Vec<f32>> = (0..n_inputs)
             .map(|_| (0..dim).map(|_| rng.next_normal() * 3.0).collect())
             .collect();
         let refs: Vec<&[f32]> = inputs.iter().map(|v| v.as_slice()).collect();
         let scalar: Vec<_> = refs.iter().map(|x| family.hash_scalar(x)).collect();
-        for threads in [1usize, 2, 8] {
+        for threads in [1usize, 2, 3, 8] {
             let batched = family.hash_batch_threads(&refs, threads);
             prop_assert_eq!(&batched, &scalar, "threads = {}", threads);
         }
         for (x, want) in refs.iter().zip(&scalar) {
             prop_assert_eq!(&family.hash(x), want);
-        }
-        let streaming = LshFamily::streaming(dim, LshParams::new(r, k, l), seed);
-        prop_assert_eq!(&streaming.hash_batch_threads(&refs, 2), &scalar);
-        for (x, want) in refs.iter().zip(&scalar) {
-            prop_assert_eq!(&streaming.hash_scalar(x), want);
         }
     }
 

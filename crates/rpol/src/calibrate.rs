@@ -52,9 +52,10 @@ pub struct CalibrationResult {
 }
 
 impl CalibrationResult {
-    /// Materializes the epoch's LSH family for a `dim`-dimensional model.
+    /// The epoch's LSH family for a `dim`-dimensional model: its key and
+    /// `k·l` offsets, the same on every party.
     pub fn family(&self, dim: usize) -> LshFamily {
-        LshFamily::generate(dim, self.params, self.family_seed)
+        LshFamily::new(dim, self.params, self.family_seed)
     }
 
     /// The Eq. 5 *expected* false-negative rate under the measured error
@@ -498,6 +499,56 @@ mod tests {
                 calibrator.calibrate_with(&global, 9, 6, 1, Some(&exec));
             assert_eq!(parallel, serial, "{threads} threads");
             assert_eq!(trained_parallel, trained_serial, "{threads} threads");
+        }
+    }
+
+    /// Quantized, with an uneven last segment (7 steps at interval 2): at
+    /// every executor width and on the calling thread, calibration keeps
+    /// pinned bits — the broadcast every worker derives its family from.
+    #[test]
+    fn quantized_calibration_keeps_the_pinned_bits() {
+        let (cfg, data) = setup();
+        let calibrator =
+            Calibrator::new(&cfg, &data, CalibrationPolicy::default(), GpuModel::top2())
+                .quantized(true);
+        assert_eq!(calibrator.segments(7).last().map(|s| s.steps), Some(1));
+        let global = cfg.build_model().flatten_params();
+        let check = |(cal, trained): (CalibrationResult, Vec<f32>), at: &str| {
+            let bits = (
+                cal.alpha.to_bits(),
+                cal.beta.to_bits(),
+                cal.params.r.to_bits(),
+                cal.params.k,
+                cal.params.l,
+                cal.max_observed_error.to_bits(),
+                cal.mean_error.to_bits(),
+                cal.std_error.to_bits(),
+            );
+            let want = (
+                0x3cc9_99ab,
+                0x3dfc_0016,
+                0x3df2_3bad,
+                4,
+                4,
+                0x3cb4_9708,
+                0x3c93_404e,
+                0x3b28_151b,
+            );
+            assert_eq!(bits, want, "{at}");
+            assert_eq!(
+                rpol_crypto::sha256::sha256_f32(&trained).to_hex(),
+                "8b58082d3c1d714e5b34feaf686b709eabd92bea2d8bed7262b9844a3ebdf434",
+                "{at}"
+            );
+        };
+        check(calibrator.calibrate(&global, 21, 7, 5), "calling thread");
+        for threads in [1, 2, 8] {
+            let exec = Executor::new(threads);
+            let at = format!("{threads} lanes");
+            check(
+                calibrator.calibrate_with(&global, 21, 7, 5, Some(&exec)),
+                &at,
+            );
         }
     }
 

@@ -106,10 +106,9 @@ struct SpecState {
     epoch: u64,
     scheme: u8,
     family_spec: Option<FamilySpec>,
-    /// Keyed on first use per `(epoch, dim)`: a streaming family, which
-    /// derives its projection rows inside the one commitment hash instead
-    /// of holding `k·l·dim` floats for the epoch, and hashes exactly like
-    /// the manager's materialized one.
+    /// Keyed on first use per `(epoch, dim)`: the family the manager
+    /// derives, its `k·l` offsets; the projection rows are derived inside
+    /// the one commitment hash.
     family: Option<LshFamily>,
 }
 
@@ -547,7 +546,7 @@ impl WorkerClient {
         if needs_family && spec.family.is_none() {
             if let Some(fs) = spec.family_spec {
                 let params = LshParams::new(fs.r, fs.k as usize, fs.l as usize);
-                spec.family = Some(LshFamily::streaming(dim, params, fs.seed));
+                spec.family = Some(LshFamily::new(dim, params, fs.seed));
             }
         }
         match (scheme_from_code(spec.scheme), &spec.family) {
@@ -601,44 +600,96 @@ mod tests {
     use super::*;
     use crate::commitment::EpochCommitment;
 
+    /// Every party holds the epoch's family as `k·l` offsets — the
+    /// manager's plan, the in-process worker committing with it, the
+    /// socket worker keying it from the broadcast scalars — and all three
+    /// commit the bytes the scalar oracle hashes.
     #[test]
     fn a_worker_holds_no_projection_matrix_and_commits_like_the_manager() {
-        let (dim, fs) = (
-            5_003,
-            FamilySpec {
-                r: 0.5,
-                k: 4,
-                l: 4,
-                seed: 11,
-            },
-        );
-        let held = LshFamily::generate(dim, LshParams::new(0.5, 4, 4), 11);
-        let mut rng = rpol_tensor::rng::Pcg32::seed_from(5);
-        let checkpoints: Vec<Vec<f32>> = (0..3)
-            .map(|_| (0..dim).map(|_| rng.next_normal()).collect())
-            .collect();
-        for scheme in [2, 3] {
+        use crate::adversary::WorkerBehavior;
+        use crate::manager::PoolManager;
+        use crate::pool::Scheme;
+        use crate::server::scheme_code;
+        use crate::tasks::TaskConfig;
+        use rpol_crypto::Address;
+        use rpol_nn::data::SyntheticImages;
+        use rpol_sim::gpu::GpuModel;
+
+        let cfg = TaskConfig::tiny();
+        let address = Address::from_seed(1);
+        let data =
+            SyntheticImages::generate(&cfg.spec, 64, &mut rpol_tensor::rng::Pcg32::seed_from(4));
+        let mut shards = data.shard(2);
+        let manager_shard = shards.pop().expect("manager shard");
+        for scheme in [Scheme::RPoLv2, Scheme::RPoLv3] {
+            let mut manager =
+                PoolManager::new(cfg, scheme, address, manager_shard.clone(), 1, 4, 99);
+            let plan = manager.begin_epoch(1, 0);
+            let (CommitMode::V2(family) | CommitMode::V3(family)) = plan.commit_mode() else {
+                panic!("{scheme} commits by LSH");
+            };
+            let kl = family.params().total_hashes();
+            assert_eq!(
+                family.resident_bytes(),
+                kl * 4,
+                "{scheme}: the plan's family"
+            );
+
+            let mut worker = PoolWorker::new(
+                0,
+                &cfg,
+                &address,
+                shards[0].clone(),
+                GpuModel::GA10,
+                WorkerBehavior::Honest,
+            );
+            let global = manager.global_weights();
+            let submission = worker.run_epoch(
+                &cfg,
+                global,
+                plan.nonces[0],
+                plan.steps,
+                0,
+                plan.commit_mode(),
+            );
+            let checkpoints: Vec<Vec<f32>> = (0..=worker.segments().len())
+                .map(|j| worker.open_checkpoint(j).expect("local").into_owned())
+                .collect();
+
+            let cal = plan.calibration.expect("calibrated");
             let mut spec = SpecState {
-                epoch: 1,
-                scheme,
-                family_spec: Some(fs),
+                epoch: 0,
+                scheme: scheme_code(scheme),
+                family_spec: Some(FamilySpec {
+                    r: cal.params.r,
+                    k: cal.params.k as u32,
+                    l: cal.params.l as u32,
+                    seed: cal.family_seed,
+                }),
                 family: None,
             };
-            let (got, want) = match WorkerClient::commit_mode(&mut spec, dim) {
-                CommitMode::V2(f) => (
-                    EpochCommitment::commit_v2(&checkpoints, f),
-                    EpochCommitment::commit_v2(&checkpoints, &held),
-                ),
-                CommitMode::V3(f) => (
-                    EpochCommitment::commit_v3(&checkpoints, f),
-                    EpochCommitment::commit_v3(&checkpoints, &held),
-                ),
-                CommitMode::Skip | CommitMode::V1 => panic!("scheme {scheme} commits by LSH"),
+            let socket = match WorkerClient::commit_mode(&mut spec, global.len()) {
+                CommitMode::V2(f) => EpochCommitment::commit_v2(&checkpoints, f),
+                CommitMode::V3(f) => EpochCommitment::commit_v3(&checkpoints, f),
+                CommitMode::Skip | CommitMode::V1 => panic!("{scheme} commits by LSH"),
             };
-            assert_eq!(got, want, "scheme {scheme}");
-            // The k·l offsets only: no 16 × dim matrix.
-            let family = spec.family.as_ref().expect("keyed on first use");
-            assert_eq!(family.resident_bytes(), 16 * 4, "scheme {scheme}");
+            let keyed = spec.family.as_ref().expect("keyed on first use");
+            assert_eq!(
+                keyed.resident_bytes(),
+                kl * 4,
+                "{scheme}: the socket worker's family"
+            );
+            assert_eq!(keyed, family, "{scheme}");
+            assert_eq!(Some(&socket), submission.commitment.as_ref(), "{scheme}");
+            for (j, cp) in checkpoints.iter().enumerate() {
+                let want = family.hash_scalar(cp).group_digests();
+                let entry = match &socket {
+                    EpochCommitment::V2(c) => c.entry(j),
+                    EpochCommitment::V3(c) => c.entry(j),
+                    EpochCommitment::V1(_) => unreachable!(),
+                };
+                assert_eq!(entry, want.as_slice(), "{scheme}: checkpoint {j}");
+            }
         }
     }
 }

@@ -37,9 +37,10 @@ impl LshCommitment {
     /// mismatches the family dimension.
     pub fn commit(checkpoints: &[Vec<f32>], family: &LshFamily) -> Self {
         assert!(!checkpoints.is_empty(), "no checkpoints to commit");
-        // One GEMM pass computes every checkpoint's projections, and one
-        // batch-hash pass digests every group — bitwise identical to the
-        // per-checkpoint `family.hash(w).group_digests()` chain.
+        // One streamed pass derives each projection row once for every
+        // checkpoint, and one batch-hash pass digests every group — bitwise
+        // identical to the per-checkpoint `family.hash(w).group_digests()`
+        // chain.
         let refs: Vec<&[f32]> = checkpoints.iter().map(|w| w.as_slice()).collect();
         let signatures = family.hash_batch(&refs);
         let entries = Signature::group_digests_batch(&signatures);
@@ -128,8 +129,8 @@ impl QuantCommitment {
     pub fn commit(checkpoints: &[Vec<f32>], family: &LshFamily) -> Self {
         assert!(!checkpoints.is_empty(), "no checkpoints to commit");
         // Snap every checkpoint onto the lattice (a no-op image copy for
-        // V3-trained checkpoints), then reuse the batched GEMM + multi-lane
-        // hash pipelines over the quantized weights.
+        // V3-trained checkpoints), then reuse the streamed LSH pass and the
+        // multi-lane hash pipelines over the quantized weights.
         let images: Vec<Vec<f32>> = checkpoints
             .iter()
             .map(|w| rpol_tensor::quant::bf16_image(w))
@@ -333,7 +334,7 @@ mod tests {
     }
 
     fn family(dim: usize) -> LshFamily {
-        LshFamily::generate(dim, LshParams::new(1.0, 4, 4), 42)
+        LshFamily::new(dim, LshParams::new(1.0, 4, 4), 42)
     }
 
     #[test]

@@ -2,25 +2,25 @@
 //! aggregation, and reward crediting (§III-A, §V).
 
 use crate::calibrate::{CalibrationPolicy, CalibrationResult, Calibrator};
+use crate::commitment::EpochCommitment;
 use crate::pool::Scheme;
 use crate::tasks::TaskConfig;
 use crate::trainer::{epoch_segments, ScratchPool, ScratchState};
 use crate::transport::TransportStats;
 use crate::verify::{
-    binds, well_formed, ProofProvider, ProofUnavailable, RejectReason, SampleVerdict,
-    VerificationOutcome, Verifier, WorkerVerdict,
+    binds, verify_ranked, well_formed, BoundEnds, Lanes, ProofProvider, RejectReason,
+    SampleVerdict, Subject, VerificationOutcome, Verifier, WorkerVerdict,
 };
 use crate::worker::{CommitMode, EpochSubmission, PoolWorker};
 use rpol_chain::rewards::ContributionLedger;
 use rpol_crypto::Address;
 use rpol_exec::Executor;
-use rpol_lsh::LshFamily;
+use rpol_lsh::{LshFamily, Signature};
 use rpol_nn::data::SyntheticImages;
-use rpol_obs::{event, span, Recorder};
+use rpol_obs::{event, Recorder};
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::rng::Pcg32;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Fixed-point scale of the order-invariant aggregation accumulator:
@@ -173,12 +173,6 @@ pub struct EpochPlan {
     /// workers train from, so what checkpoint 0 must be. Built once per
     /// epoch: the task broadcast ships it and sample 0 replays from it.
     start_image: Option<Vec<f32>>,
-    /// What every worker's commitment entry 0 must carry: the start
-    /// model's [`CommitMode::binding_of`], hashed once per epoch. Drawn up
-    /// with the plan rather than at the first worker's verification — a
-    /// small buffer born there outlives the epoch's large ones and pins
-    /// the heap under them (+4.4 MB peak RSS on `flat_v2`, measured).
-    start_binding: Vec<rpol_crypto::sha256::Digest>,
 }
 
 impl EpochPlan {
@@ -250,7 +244,7 @@ pub(crate) struct Participant<'a> {
     /// The delivered submission.
     pub(crate) submission: &'a EpochSubmission,
     /// Serves checkpoint openings; may fail over a faulty transport.
-    pub(crate) provider: &'a (dyn ProofProvider + Sync),
+    pub(crate) provider: &'a dyn ProofProvider,
 }
 
 impl<'a> Participant<'a> {
@@ -265,35 +259,6 @@ impl<'a> Participant<'a> {
             submission,
             provider: worker,
         }
-    }
-}
-
-/// Serves both ends of a bound trajectory from the manager's own copies —
-/// checkpoint 0 is the start model it broadcast, the last one the final
-/// weights it was sent — and delegates every other opening. An elided
-/// opening still claims its `seq` on a link-backed provider, so the
-/// exchanges that remain keep their fault draws: eliding can only remove
-/// exchanges, retries and failures, never add one.
-struct HeldEnds<'a> {
-    inner: &'a dyn ProofProvider,
-    start: &'a [f32],
-    last: usize,
-    final_weights: &'a [f32],
-}
-
-impl ProofProvider for HeldEnds<'_> {
-    fn open_checkpoint(&self, index: usize) -> Result<Cow<'_, [f32]>, ProofUnavailable> {
-        let held = match index {
-            0 => self.start,
-            i if i == self.last => self.final_weights,
-            _ => return self.inner.open_checkpoint(index),
-        };
-        self.inner.skip_opening();
-        Ok(Cow::Borrowed(held))
-    }
-
-    fn held(&self, index: usize) -> bool {
-        index == 0 || index == self.last
     }
 }
 
@@ -494,7 +459,7 @@ impl PoolManager {
         let verification = self.prepare_verification(epoch, n_workers);
         let start_image = matches!(self.scheme, Scheme::RPoLv3)
             .then(|| rpol_tensor::quant::bf16_image(&self.global));
-        let mut plan = EpochPlan {
+        EpochPlan {
             epoch,
             steps: self.steps_per_epoch,
             scheme: self.scheme,
@@ -503,10 +468,7 @@ impl PoolManager {
             family,
             verification,
             start_image,
-            start_binding: Vec::new(),
-        };
-        plan.start_binding = plan.commit_mode().binding_of(self.start_model(&plan));
-        plan
+        }
     }
 
     /// The rest of an epoch over in-process submissions, serially: reveal
@@ -579,118 +541,180 @@ impl PoolManager {
     }
 
     /// The `verify` stage's first step, once per worker per epoch and
-    /// before any opening or replay: the delivered submission has the
+    /// before any opening or replay: each delivered submission has the
     /// epoch's shape, and both ends of its committed trajectory are models
     /// the manager holds — `commitment[0]` binds the start model it
     /// broadcast, `commitment[last]` the final weights it would aggregate,
     /// each by the scheme's own commitment check. What verification then
     /// samples is a path between those two, and what aggregation uses is
-    /// its end. `Err` is the rejection, at a valid sample index, having
-    /// cost no proof bytes and no replay.
-    fn bind(&self, part: &Participant<'_>, plan: &EpochPlan) -> Result<(), SampleVerdict> {
+    /// its end. The start model and every well-shaped final vector are
+    /// bound in one pass: one LSH batch under RPoLv2, a SHA-256 each under
+    /// the other schemes. `Err` is the rejection, at a valid sample index,
+    /// having cost no proof bytes and no replay.
+    fn bind(
+        &self,
+        participants: &[Participant<'_>],
+        plan: &EpochPlan,
+    ) -> Vec<Result<(), SampleVerdict>> {
         let prepared = plan.verification.as_ref().expect("a verifying scheme");
         let last = prepared.segments.len();
-        let reject = |sample: usize, reason: RejectReason| SampleVerdict {
-            sample,
-            outcome: VerificationOutcome::Rejected(reason),
-            proof_bytes: 0,
-            replayed_steps: 0,
-            openings_elided: 0,
+        let mode = plan.commit_mode();
+        let reject = |sample: usize, reason| {
+            SampleVerdict::pending(sample).decided(VerificationOutcome::Rejected(reason))
         };
-        let submission = part.submission;
-        let commitment = submission
-            .commitment
-            .as_ref()
-            .filter(|c| plan.commit_mode().produces(c) && c.len() == last + 1)
-            .ok_or_else(|| reject(0, RejectReason::InputCommitmentMismatch))?;
-        let final_weights = &submission.final_weights;
-        if final_weights.len() != self.global.len() || !well_formed(commitment, final_weights) {
-            return Err(reject(last - 1, RejectReason::MalformedWeights));
-        }
-        if !binds(commitment, 0, &plan.start_binding) {
-            return Err(reject(0, RejectReason::InputCommitmentMismatch));
-        }
-        let submitted = plan.commit_mode().binding_of(final_weights);
-        if !binds(commitment, last, &submitted) {
-            return Err(reject(last - 1, RejectReason::OutputCommitmentMismatch));
-        }
-        Ok(())
+        let shaped: Vec<Result<&EpochCommitment, SampleVerdict>> = participants
+            .iter()
+            .map(|part| {
+                let submission = part.submission;
+                let commitment = submission
+                    .commitment
+                    .as_ref()
+                    .filter(|c| mode.produces(c) && c.len() == last + 1)
+                    .ok_or_else(|| reject(0, RejectReason::InputCommitmentMismatch))?;
+                let final_weights = &submission.final_weights;
+                if final_weights.len() != self.global.len()
+                    || !well_formed(commitment, final_weights)
+                {
+                    return Err(reject(last - 1, RejectReason::MalformedWeights));
+                }
+                Ok(commitment)
+            })
+            .collect();
+        let weights: Vec<&[f32]> = std::iter::once(self.start_model(plan))
+            .chain(
+                participants
+                    .iter()
+                    .zip(&shaped)
+                    .filter(|(_, shape)| shape.is_ok())
+                    .map(|(part, _)| part.submission.final_weights.as_slice()),
+            )
+            .collect();
+        let bindings = match mode {
+            CommitMode::V2(family) => {
+                Signature::group_digests_batch(&self.streamed_pass(family, &weights))
+            }
+            _ => weights.iter().map(|w| mode.binding_of(w)).collect(),
+        };
+        let (start, mut finals) = (&bindings[0], bindings[1..].iter());
+        shaped
+            .into_iter()
+            .map(|shape| {
+                let commitment = shape?;
+                let submitted = finals.next().expect("one binding per well-shaped final");
+                if !binds(commitment, 0, start) {
+                    return Err(reject(0, RejectReason::InputCommitmentMismatch));
+                }
+                if !binds(commitment, last, submitted) {
+                    return Err(reject(last - 1, RejectReason::OutputCommitmentMismatch));
+                }
+                Ok(())
+            })
+            .collect()
     }
 
-    /// The `verify` stage's unit: replays one participant's prepared
-    /// samples, in sample order, stopping after the first opening that
-    /// cannot be fetched (the link is dead or exhausted — later fetches
-    /// would fail too). Openings of the two bound ends are served from the
-    /// manager's own copies ([`HeldEnds`]) on every source. Requires only
-    /// shared access to the manager, so callers fan participants out across
-    /// threads; a verdict depends only on its own assignment — the verifier
-    /// clones its pristine injector per sample and replay fully overwrites
-    /// the pooled scratch model.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the baseline scheme (its plan schedules no samples) and
-    /// on a participant [`Self::bind`] refused.
-    fn verify_samples(&self, part: &Participant<'_>, plan: &EpochPlan) -> Vec<SampleVerdict> {
+    /// One pass of the epoch's family over `xs`, counted as
+    /// `rpol.lsh.streamed_passes`.
+    fn streamed_pass(&self, family: &LshFamily, xs: &[&[f32]]) -> Vec<Signature> {
+        self.recorder.counter_add("rpol.lsh.streamed_passes", 1);
+        family.hash_batch(xs)
+    }
+
+    /// The `verify` stage over one group (DESIGN.md §23): [`Self::bind`]
+    /// every participant, then [`verify_ranked`] the bound ones' prepared
+    /// samples — replays on `exec` when given, else on one scratch state;
+    /// hashes counted as streamed passes. Openings of the two bound ends
+    /// are served from the manager's own copies ([`BoundEnds`]) and never
+    /// hashed again. A verdict depends only on its own assignment: every
+    /// replay clones the verifier's pristine injector and fully overwrites
+    /// its scratch model, so neither grouping nor fan-out can change one,
+    /// and the top manager's audit (a group of one) repeats it bit for bit.
+    /// Beside each verdict, the openings it did not fetch.
+    pub(crate) fn verify_group(
+        &self,
+        participants: &[Participant<'_>],
+        plan: &EpochPlan,
+        exec: Option<&Executor>,
+    ) -> Vec<Verified> {
         let prepared = plan.verification.as_ref().expect("a verifying scheme");
-        let assignment = &prepared.assignments[part.id];
-        let commitment = part.submission.commitment.as_ref().expect("bound");
-        let provider = HeldEnds {
-            inner: part.provider,
-            start: self.start_model(plan),
-            last: prepared.segments.len(),
-            final_weights: &part.submission.final_weights,
+        let verifiers: Vec<Verifier<'_>> = participants
+            .iter()
+            .map(|part| {
+                event!(
+                    self.recorder,
+                    "rpol.verify.worker",
+                    epoch = plan.epoch,
+                    worker = part.id,
+                    samples = plan.sample_count(part.id)
+                );
+                Verifier::new(
+                    &self.config,
+                    part.shard,
+                    plan.nonces[part.id],
+                    self.cached_beta.expect("calibrated"),
+                    plan.family.as_ref(),
+                    self.verifier_noise
+                        .rerun(prepared.assignments[part.id].noise_seed),
+                )
+                .with_recorder(&self.recorder)
+            })
+            .collect();
+        let bound = self.bind(participants, plan);
+        let subjects: Vec<Subject<'_>> = (0..participants.len())
+            .filter(|&i| bound[i].is_ok())
+            .map(|i| {
+                let part = &participants[i];
+                Subject {
+                    verifier: &verifiers[i],
+                    commitment: part.submission.commitment.as_ref().expect("bound"),
+                    provider: part.provider,
+                    samples: &prepared.assignments[part.id].samples,
+                    ends: Some(BoundEnds {
+                        start: self.start_model(plan),
+                        last: prepared.segments.len(),
+                        final_weights: &part.submission.final_weights,
+                    }),
+                }
+            })
+            .collect();
+        let replay = |s: usize, input: &[f32], segment| {
+            let (mut model, mut arena) = self.checkout_scratch();
+            let replayed = subjects[s]
+                .verifier
+                .replay(&mut model, input, segment, &mut arena);
+            self.checkin_scratch((model, arena));
+            replayed
         };
-        let (mut scratch, arena) = self.checkout_scratch();
-        let mut verifier = Verifier::with_arena(
-            &self.config,
-            part.shard,
-            plan.nonces[part.id],
-            self.cached_beta.expect("calibrated"),
-            plan.family.as_ref(),
-            self.verifier_noise.rerun(assignment.noise_seed),
-            arena,
-        )
-        .with_recorder(&self.recorder);
-        let verdicts = verifier.verify_each(
-            &mut scratch,
-            commitment,
-            &prepared.segments,
-            &assignment.samples,
-            &provider,
-        );
-        self.checkin_scratch((scratch, verifier.into_arena()));
-        verdicts
+        let hash = |family: &LshFamily, xs: &[&[f32]]| self.streamed_pass(family, xs);
+        let verified = match exec {
+            Some(exec) => verify_ranked(
+                &subjects,
+                &prepared.segments,
+                Lanes::Exec(exec, &replay),
+                hash,
+            ),
+            None => {
+                let (mut model, mut arena) = self.checkout_scratch();
+                let lanes = Lanes::Serial(&mut model, &mut arena);
+                let verified = verify_ranked(&subjects, &prepared.segments, lanes, hash);
+                self.checkin_scratch((model, arena));
+                verified
+            }
+        };
+        let mut verified = verified.into_iter();
+        bound
+            .into_iter()
+            .map(|bound| {
+                WorkerVerdict::merge_samples(match bound {
+                    Ok(()) => verified.next().expect("one per bound participant"),
+                    Err(rejection) => vec![rejection],
+                })
+            })
+            .collect()
     }
 
-    /// Binds, then verifies all of one participant's prepared samples, under
-    /// its `rpol.verify.worker` span; beside the verdict, the openings it
-    /// did not fetch. Also the top manager's audit replay: identical
-    /// numerics to the first verification (same assignment, nonce, noise
-    /// seed, pooled replay states), so an honest committee's audited
-    /// verdict always matches bit for bit.
-    fn verify_worker(&self, part: &Participant<'_>, plan: &EpochPlan) -> Verified {
-        let samples = plan.sample_count(part.id);
-        let _g = span!(
-            self.recorder,
-            "rpol.verify.worker",
-            epoch = plan.epoch,
-            worker = part.id,
-            samples
-        );
-        WorkerVerdict::merge_samples(match self.bind(part, plan) {
-            Ok(()) => self.verify_samples(part, plan),
-            Err(rejection) => vec![rejection],
-        })
-    }
-
-    /// `verify → settle` over one group whose submissions are in hand: one
-    /// worker-granular verification per participant — on `exec` when given
-    /// — then [`Self::settle_fold`]. Worker-granular rather than per-sample
-    /// because a link-backed provider's fault draws are keyed by its own
-    /// request sequence, which must advance in sample order. The verdict
-    /// for a worker depends only on its own assignment, so neither the
-    /// grouping nor the fan-out can change any verdict.
+    /// `verify → settle` over one group whose submissions are in hand:
+    /// [`Self::verify_group`] — its per-sample stages on `exec` when given
+    /// — then [`Self::settle_fold`].
     pub(crate) fn verify_and_fold(
         &mut self,
         settlement: &mut Settlement,
@@ -699,13 +723,9 @@ impl PoolManager {
         plan: &EpochPlan,
         exec: Option<&Executor>,
     ) {
-        let verdicts = plan.verifies().then(|| {
-            let verify = |i: usize| self.verify_worker(&participants[i], plan);
-            match exec {
-                Some(exec) => exec.run_indexed(participants.len(), verify),
-                None => (0..participants.len()).map(verify).collect(),
-            }
-        });
+        let verdicts = plan
+            .verifies()
+            .then(|| self.verify_group(participants, plan, exec));
         self.settle_fold(settlement, group, participants, verdicts, plan);
     }
 
@@ -895,7 +915,10 @@ impl PoolManager {
                 delivered.verify_inclusion(&proof, *w, committed),
                 "audited verdict failed its inclusion proof"
             );
-            let (replayed, _) = self.verify_worker(&participants[i], plan);
+            let (replayed, _) = self
+                .verify_group(std::slice::from_ref(&participants[i]), plan, None)
+                .pop()
+                .expect("one participant, one verdict");
             report.audits += 1;
             report.audit_replayed_steps += replayed.replayed_steps;
             report.audit_proof_bytes += replayed.proof_bytes;
@@ -1000,6 +1023,8 @@ impl std::fmt::Debug for PoolManager {
 mod tests {
     use super::*;
     use crate::adversary::WorkerBehavior;
+    use crate::verify::ProofUnavailable;
+    use std::borrow::Cow;
 
     fn build_pool(scheme: Scheme, behaviors: &[WorkerBehavior]) -> (PoolManager, Vec<PoolWorker>) {
         let cfg = TaskConfig::tiny();
@@ -1140,19 +1165,19 @@ mod tests {
     #[derive(Default)]
     struct SeqRecorder {
         checkpoints: Vec<Vec<f32>>,
-        seq: std::cell::Cell<u64>,
-        sent: std::cell::RefCell<Vec<(u64, usize)>>,
+        seq: std::sync::atomic::AtomicU64,
+        sent: parking_lot::Mutex<Vec<(u64, usize)>>,
     }
 
     impl SeqRecorder {
         fn next_seq(&self) -> u64 {
-            self.seq.replace(self.seq.get() + 1)
+            self.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         }
     }
 
     impl ProofProvider for SeqRecorder {
         fn open_checkpoint(&self, index: usize) -> Result<Cow<'_, [f32]>, ProofUnavailable> {
-            self.sent.borrow_mut().push((self.next_seq(), index));
+            self.sent.lock().push((self.next_seq(), index));
             Ok(Cow::Borrowed(&self.checkpoints[index]))
         }
 
@@ -1161,9 +1186,9 @@ mod tests {
         }
     }
 
-    /// The draws-only-disappear property: behind the adapter a provider
-    /// sends exactly the openings it sent without it minus the two held
-    /// ends, each under the `seq` it had — so every surviving exchange
+    /// The draws-only-disappear property: with the two ends bound, a
+    /// provider sends exactly the openings it sent without them minus
+    /// those two, each under the `seq` it had — so every surviving exchange
     /// keeps its `(epoch, worker, kind, seq, attempt, length)` fault draws.
     #[test]
     fn eliding_held_ends_leaves_every_other_opening_on_its_seq() {
@@ -1187,28 +1212,29 @@ mod tests {
                     checkpoints: trace.checkpoints.clone(),
                     ..SeqRecorder::default()
                 };
-                let adapter = HeldEnds {
-                    inner: &link,
+                let ends = held.then(|| BoundEnds {
                     start: &trace.checkpoints[0],
                     last,
                     final_weights: &trace.checkpoints[last],
-                };
-                let provider: &dyn ProofProvider = if held { &adapter } else { &link };
+                });
                 let noise = NoiseInjector::new(GpuModel::G3090, 99);
-                let verdict = Verifier::new(&cfg, &data, 3, 0.5, None, noise).verify_samples(
-                    &mut cfg.build_model(),
-                    &commitment,
-                    &trace.segments,
-                    &samples,
-                    provider,
+                let verdict = WorkerVerdict::from_samples(
+                    Verifier::new(&cfg, &data, 3, 0.5, None, noise).verify_each(
+                        &mut cfg.build_model(),
+                        &commitment,
+                        &trace.segments,
+                        &samples,
+                        &link,
+                        ends,
+                    ),
                 );
                 assert!(
                     verdict.all_accepted(),
                     "{samples:?}: {:?}",
                     verdict.outcomes
                 );
-                let sent = link.sent.borrow().clone();
-                (sent, link.seq.get(), verdict.proof_bytes)
+                let sent = link.sent.lock().clone();
+                (sent, link.seq.into_inner(), verdict.proof_bytes)
             };
             let (all, scheduled, all_bytes) = run(false);
             let (kept, scheduled_held, kept_bytes) = run(true);

@@ -1236,6 +1236,38 @@ mod tests {
         }
     }
 
+    /// Per epoch at q = 1 the manager hashes in at least two and at most
+    /// three streamed passes under RPoLv2 (the binding, the replays, the
+    /// double-check outputs) and in exactly one under RPoLv3, whose
+    /// bindings are SHA-256.
+    #[test]
+    fn the_manager_hashes_an_epoch_in_at_most_three_streamed_passes() {
+        for scheme in [Scheme::RPoLv2, Scheme::RPoLv3] {
+            let config = PoolConfig {
+                q_samples: 1,
+                ..PoolConfig::tiny_demo(scheme)
+            };
+            let roster = vec![
+                WorkerBehavior::Honest,
+                WorkerBehavior::ReplayPrevious,
+                WorkerBehavior::Honest,
+            ];
+            let rec = Arc::new(Recorder::logical());
+            let report = MiningPool::new(config, roster)
+                .with_recorder(rec.clone())
+                .run();
+            let epochs = report.epochs.len() as u64;
+            let passes = rec.snapshot().counter("rpol.lsh.streamed_passes");
+            match scheme {
+                Scheme::RPoLv2 => assert!(
+                    (2 * epochs..=3 * epochs).contains(&passes),
+                    "{passes} passes in {epochs} epochs"
+                ),
+                _ => assert_eq!(passes, epochs, "{scheme}"),
+            }
+        }
+    }
+
     /// The fields are public, so a struct literal can dodge the builders:
     /// the run must refuse what they refuse, in the same words.
     #[test]

@@ -17,7 +17,8 @@ use crate::trainer::{LocalTrainer, Segment};
 use crate::worker::CommitMode;
 use rpol_crypto::commitment::Commitment as _;
 use rpol_crypto::sha256::Digest;
-use rpol_lsh::LshFamily;
+use rpol_exec::Executor;
+use rpol_lsh::{LshFamily, Signature};
 use rpol_nn::data::SyntheticImages;
 use rpol_nn::model::Sequential;
 use rpol_obs::{event, span, Recorder};
@@ -46,6 +47,8 @@ impl std::fmt::Display for ProofUnavailable {
 impl std::error::Error for ProofUnavailable {}
 
 /// Serves checkpoint openings on demand — implemented by pool workers.
+/// Shared by the verification lanes that fetch a rank's openings at once,
+/// hence `Sync`.
 ///
 /// Honest workers return their stored checkpoints; adversaries return
 /// whatever they committed to (they cannot do better: the commitment binds
@@ -53,7 +56,7 @@ impl std::error::Error for ProofUnavailable {}
 /// transport a fetch can *fail* ([`ProofUnavailable`]): the worker crashed
 /// or its link exhausted the retry budget. Local in-process providers are
 /// infallible and always return `Ok`.
-pub trait ProofProvider {
+pub trait ProofProvider: Sync {
     /// The committed weights of checkpoint `index`.
     ///
     /// In-process providers that keep their checkpoints resident return a
@@ -67,13 +70,6 @@ pub trait ProofProvider {
     /// exhausted transport link) — never for a *wrong* opening, which is
     /// a verification failure, not a transport one.
     fn open_checkpoint(&self, index: usize) -> Result<Cow<'_, [f32]>, ProofUnavailable>;
-
-    /// Whether `index` is served from a copy the verifying side already
-    /// holds, so opening it moves no bytes. The manager's endpoint adapter
-    /// answers `true` for both ends of the committed trajectory.
-    fn held(&self, _index: usize) -> bool {
-        false
-    }
 
     /// An opening that was scheduled but never sent. Link-backed providers
     /// advance their per-opening `seq` exactly as a sent one would, so
@@ -126,10 +122,10 @@ impl VerificationOutcome {
 }
 
 /// Outcome of verifying a single sampled segment, with the cost it
-/// incurred. The unit the executor schedules: one worker's verification
-/// decomposes into one `SampleVerdict` per sampled checkpoint, merged back
-/// into a [`WorkerVerdict`] in sample-index order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// incurred: one worker's verification decomposes into one
+/// `SampleVerdict` per sampled checkpoint, merged back into a
+/// [`WorkerVerdict`] in sample-index order.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SampleVerdict {
     /// The sampled checkpoint index.
     pub sample: usize,
@@ -139,9 +135,28 @@ pub struct SampleVerdict {
     pub proof_bytes: u64,
     /// Training steps replayed for this sample.
     pub replayed_steps: u64,
-    /// Openings this sample was served from copies the manager holds
-    /// ([`ProofProvider::held`]) — scheduled, never sent, charged no bytes.
+    /// Openings this sample was served from copies the manager holds —
+    /// scheduled, never sent, charged no bytes.
     pub openings_elided: u64,
+}
+
+impl SampleVerdict {
+    /// Sample `sample` before any stage ran: it reads `Unavailable` until
+    /// a stage decides otherwise, which is what a failed fetch returns.
+    pub(crate) fn pending(sample: usize) -> Self {
+        Self {
+            sample,
+            outcome: VerificationOutcome::Unavailable,
+            proof_bytes: 0,
+            replayed_steps: 0,
+            openings_elided: 0,
+        }
+    }
+
+    /// The tally so far, decided as `outcome`.
+    pub(crate) fn decided(self, outcome: VerificationOutcome) -> Self {
+        Self { outcome, ..self }
+    }
 }
 
 /// Result of verifying all sampled checkpoints of one worker's epoch.
@@ -249,10 +264,6 @@ pub struct Verifier<'a> {
     /// LSH family for RPoLv2; `None` selects RPoLv1 raw verification.
     family: Option<&'a LshFamily>,
     noise: NoiseInjector,
-    /// Weight-sized scratch buffers carried across the per-sample replay
-    /// trainers, so verifying a whole sample set allocates the flatten
-    /// staging buffers once instead of twice per training step.
-    arena: ScratchArena,
     /// Observability handle (replay spans, double-check events). Defaults
     /// to the shared no-op recorder.
     rec: &'a Recorder,
@@ -273,38 +284,6 @@ impl<'a> Verifier<'a> {
         noise: NoiseInjector,
     ) -> Self {
         assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
-        Self::with_arena(
-            config,
-            shard,
-            nonce,
-            beta,
-            family,
-            noise,
-            ScratchArena::new(),
-        )
-    }
-
-    /// Like [`new`], but seeded with an existing scratch arena, so a
-    /// manager verifying many workers on one thread carries the warmed
-    /// weight-sized buffers from verifier to verifier. Reclaim it with
-    /// [`into_arena`].
-    ///
-    /// [`new`]: Verifier::new
-    /// [`into_arena`]: Verifier::into_arena
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta > 0`.
-    pub fn with_arena(
-        config: &'a TaskConfig,
-        shard: &'a SyntheticImages,
-        nonce: u64,
-        beta: f32,
-        family: Option<&'a LshFamily>,
-        noise: NoiseInjector,
-        arena: ScratchArena,
-    ) -> Self {
-        assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
         Self {
             config,
             shard,
@@ -312,7 +291,6 @@ impl<'a> Verifier<'a> {
             beta,
             family,
             noise,
-            arena,
             rec: rpol_obs::noop().as_ref(),
         }
     }
@@ -325,12 +303,8 @@ impl<'a> Verifier<'a> {
         self
     }
 
-    /// Consumes the verifier, returning its scratch arena for reuse.
-    pub fn into_arena(self) -> ScratchArena {
-        self.arena
-    }
-
-    /// Verifies the sampled checkpoint indices of one worker.
+    /// Verifies the sampled checkpoint indices of one worker, checking
+    /// every opening against the commitment.
     ///
     /// `segments[j]` transforms checkpoint `j` into checkpoint `j+1`;
     /// sample index `j` therefore refers to the segment between committed
@@ -349,40 +323,14 @@ impl<'a> Verifier<'a> {
         provider: &dyn ProofProvider,
     ) -> WorkerVerdict {
         WorkerVerdict::from_samples(
-            self.verify_each(model, commitment, segments, samples, provider),
+            self.verify_each(model, commitment, segments, samples, provider, None),
         )
     }
 
-    /// [`verify_samples`](Verifier::verify_samples) before the merge: one
-    /// [`SampleVerdict`] per sample, in order, ending with the first
-    /// [`VerificationOutcome::Unavailable`] — a fetch failure means the
-    /// link is dead or exhausted, later fetches would fail too.
-    pub(crate) fn verify_each(
-        &mut self,
-        model: &mut Sequential,
-        commitment: &EpochCommitment,
-        segments: &[Segment],
-        samples: &[usize],
-        provider: &dyn ProofProvider,
-    ) -> Vec<SampleVerdict> {
-        let mut verdicts = Vec::with_capacity(samples.len());
-        for &j in samples {
-            let v = self.verify_sample(model, commitment, segments, j, provider);
-            let stop = matches!(v.outcome, VerificationOutcome::Unavailable);
-            verdicts.push(v);
-            if stop {
-                break;
-            }
-        }
-        verdicts
-    }
-
-    /// Verifies a single sampled checkpoint index — the segment-granular
-    /// unit the executor schedules independently. Behaves exactly like one
-    /// iteration of [`verify_samples`]: same spans, events, byte
-    /// accounting, and replay numerics. Sample outcomes are independent of
+    /// Verifies a single sampled checkpoint index: [`verify_samples`] of
+    /// one sample, before the merge. Sample outcomes are independent of
     /// each other (the replay noise stream is cloned per sample), so
-    /// verdicts computed on different threads merge back losslessly via
+    /// verdicts computed apart merge back losslessly via
     /// [`WorkerVerdict::from_samples`].
     ///
     /// [`verify_samples`]: Verifier::verify_samples
@@ -399,150 +347,114 @@ impl<'a> Verifier<'a> {
         index: usize,
         provider: &dyn ProofProvider,
     ) -> SampleVerdict {
-        let j = index;
-        assert!(j + 1 < commitment.len(), "sample {j} beyond commitment");
-        // V3 openings travel as packed bf16 blocks (lattice checkpoints
-        // round-trip losslessly), the others as 4 bytes per weight.
-        let opening_bytes = |weights: &[f32]| match commitment {
-            EpochCommitment::V3(_) => crate::wire::packed_block_len(weights) as u64,
-            _ => (weights.len() * 4) as u64,
-        };
-        let rec = self.rec;
-        let segment = segments[j];
-        let _sample_span = span!(
-            rec,
-            "rpol.verify.replay_segment",
-            sample = j,
-            steps = segment.steps
-        );
-        // The sample's running tally; it reads `Unavailable` until a step
-        // below decides otherwise, which is what a failed fetch returns.
-        let mut tally = SampleVerdict {
-            sample: j,
-            outcome: VerificationOutcome::Unavailable,
-            proof_bytes: 0,
-            replayed_steps: 0,
-            openings_elided: 0,
-        };
-        // One opening: bytes are charged only if it crossed the link — a
-        // checkpoint the manager holds is scheduled, not sent.
-        let open = |index: usize, tally: &mut SampleVerdict| {
-            let weights = provider.open_checkpoint(index);
-            match &weights {
-                Ok(_) if provider.held(index) => tally.openings_elided += 1,
-                Ok(opened) => tally.proof_bytes += opening_bytes(opened),
-                Err(_) => event!(rec, "rpol.verify.unavailable", sample = j),
-            }
-            weights
-        };
-        let Ok(input) = open(j, &mut tally) else {
-            return tally;
-        };
+        let mut verdicts = self.verify_each(model, commitment, segments, &[index], provider, None);
+        verdicts.pop().expect("one sample, one verdict")
+    }
 
-        // Step 0: refuse numerically hostile payloads outright — a
-        // NaN/∞ checkpoint would otherwise poison the replay. Under
-        // RPoLv3 an opened checkpoint must additionally sit *on* the bf16
-        // lattice: the protocol trains on lattice points, and lattice
-        // membership is what upgrades the packed-image digest to an exact
-        // binding (off-lattice weights could share an image).
-        if !well_formed(commitment, &input) {
-            return SampleVerdict {
-                outcome: VerificationOutcome::Rejected(RejectReason::MalformedWeights),
-                ..tally
-            };
-        }
+    /// [`verify_samples`](Verifier::verify_samples) before the merge:
+    /// [`verify_ranked`] over this one worker, every replay on `model`.
+    pub(crate) fn verify_each(
+        &self,
+        model: &mut Sequential,
+        commitment: &EpochCommitment,
+        segments: &[Segment],
+        samples: &[usize],
+        provider: &dyn ProofProvider,
+        ends: Option<BoundEnds<'_>>,
+    ) -> Vec<SampleVerdict> {
+        let subject = Subject {
+            verifier: self,
+            commitment,
+            provider,
+            samples,
+            ends,
+        };
+        let mut arena = ScratchArena::new();
+        let lanes = Lanes::Serial(model, &mut arena);
+        let hash = |family: &LshFamily, xs: &[&[f32]]| family.hash_batch(xs);
+        let mut verdicts = verify_ranked(&[subject], segments, lanes, hash);
+        verdicts.pop().expect("one subject")
+    }
 
-        // Step 1: the opened input must match the commitment.
-        if !self.check_commitment(commitment, j, &input) {
-            return SampleVerdict {
-                outcome: VerificationOutcome::Rejected(RejectReason::InputCommitmentMismatch),
-                ..tally
-            };
-        }
-
-        // Step 2: replay the segment from the opened input. The replay
-        // trainer borrows the verifier's scratch arena so consecutive
-        // samples reuse the same weight-sized staging buffers.
+    /// Replays one segment from `input` on `model`, its trainer staging
+    /// through `arena` so consecutive replays reuse the same weight-sized
+    /// buffers.
+    pub(crate) fn replay(
+        &self,
+        model: &mut Sequential,
+        input: &[f32],
+        segment: Segment,
+        arena: &mut ScratchArena,
+    ) -> Vec<f32> {
         let mut trainer = LocalTrainer::with_arena(
             self.config,
             self.shard,
             self.noise.clone(),
-            std::mem::take(&mut self.arena),
+            std::mem::take(arena),
         );
-        let mut replayed = trainer.replay_segment(model, &input, self.nonce, segment);
-        self.arena = trainer.into_arena();
-        tally.replayed_steps += segment.steps as u64;
-        // RPoLv3 workers snap to the lattice at every segment boundary;
-        // the replay mirrors that so signatures and distances compare
-        // lattice point against lattice point.
-        if matches!(commitment, EpochCommitment::V3(_)) {
-            rpol_tensor::quant::snap_to_bf16(&mut replayed);
-        }
+        let replayed = trainer.replay_segment(model, input, self.nonce, segment);
+        *arena = trainer.into_arena();
+        replayed
+    }
 
-        // Step 3: compare with the committed output. Fuzzy schemes first
-        // try to accept on the LSH signature alone; whoever does not is
-        // bound exactly to the raw output and distance-checked.
-        let double_checked = match (commitment, self.family) {
-            // Raw scheme: always fetch the output weights too.
-            (EpochCommitment::V1(_), _) => false,
-            (EpochCommitment::V2(lsh_commit), Some(family)) => {
-                if family
-                    .hash(&replayed)
-                    .matches_digests(lsh_commit.entry(j + 1))
-                {
-                    return SampleVerdict {
-                        outcome: VerificationOutcome::Accepted {
-                            double_checked: false,
-                        },
-                        ..tally
-                    };
-                }
-                // Double-check: fetch raw output, re-bind to the
-                // commitment, and fall back to a distance check so LSH
-                // false negatives never penalize honesty.
-                true
+    /// Compares the replay's signature with the committed output of sample
+    /// `j`. `None` is an accept on the signature alone; `Some` says the
+    /// output must be fetched, bound exactly and distance-checked, and
+    /// whether that is a double-check. The raw scheme (no signature)
+    /// always fetches the output.
+    ///
+    /// RPoLv3 counts agreeing groups instead of any-match: ≥ 2 is a
+    /// confident accept; 1 is a borderline match that must survive the
+    /// raw-weight escape hatch; 0 is the ordinary double-check — a strictly
+    /// tighter acceptance region than RPoLv2's.
+    fn lsh_match(
+        &self,
+        commitment: &EpochCommitment,
+        j: usize,
+        signature: Option<&Signature>,
+    ) -> Option<bool> {
+        let accepted = match (commitment, signature) {
+            (EpochCommitment::V1(_), _) => return Some(false),
+            (EpochCommitment::V2(lsh_commit), Some(sig)) => {
+                sig.matches_digests(lsh_commit.entry(j + 1))
             }
-            (EpochCommitment::V3(qc), Some(family)) => {
-                // Two-tier accept: count agreeing groups against the
-                // committed entry instead of any-match. ≥ 2 groups is a
-                // confident accept; 1 is a borderline match that must
-                // survive the raw-weight escape hatch; 0 is the ordinary
-                // double-check. Both sub-2 paths fetch the output, bind it
-                // exactly via the packed-image digest, and distance-check —
-                // a strictly tighter acceptance region than RPoLv2's.
-                let agreeing = family.hash(&replayed).matching_group_count(qc.entry(j + 1));
-                if agreeing >= 2 {
-                    return SampleVerdict {
-                        outcome: VerificationOutcome::Accepted {
-                            double_checked: false,
-                        },
-                        ..tally
-                    };
-                }
+            (EpochCommitment::V3(qc), Some(sig)) => {
+                let agreeing = sig.matching_group_count(qc.entry(j + 1));
                 if agreeing == 1 {
-                    event!(rec, "rpol.verify.escape_hatch", sample = j);
+                    event!(self.rec, "rpol.verify.escape_hatch", sample = j);
                 }
-                true
+                agreeing >= 2
             }
-            (EpochCommitment::V2(_), None) => {
-                panic!("RPoLv2 commitment but no LSH family configured")
-            }
-            (EpochCommitment::V3(_), None) => {
-                panic!("RPoLv3 commitment but no LSH family configured")
-            }
+            (_, None) => unreachable!("fuzzy schemes hash every replay"),
         };
-        if double_checked {
-            event!(rec, "rpol.verify.double_check", sample = j);
+        if accepted {
+            return None;
         }
-        let Ok(output) = open(j + 1, &mut tally) else {
-            return tally;
-        };
-        let outcome = if !well_formed(commitment, &output) {
+        // Double-check: fetch raw output, re-bind to the commitment, and
+        // fall back to a distance check so LSH false negatives never
+        // penalize honesty.
+        event!(self.rec, "rpol.verify.double_check", sample = j);
+        Some(true)
+    }
+
+    /// Judges the fetched output against the replay — well formed, bound
+    /// to the commitment (`bound` is asked only for a well-formed output),
+    /// and within `β`.
+    fn judge_output(
+        &self,
+        commitment: &EpochCommitment,
+        tally: SampleVerdict,
+        double_checked: bool,
+        replayed: &[f32],
+        output: &[f32],
+        bound: impl FnOnce() -> bool,
+    ) -> SampleVerdict {
+        tally.decided(if !well_formed(commitment, output) {
             VerificationOutcome::Rejected(RejectReason::MalformedWeights)
-        } else if !self.check_commitment(commitment, j + 1, &output) {
+        } else if !bound() {
             VerificationOutcome::Rejected(RejectReason::OutputCommitmentMismatch)
         } else {
-            let distance = euclidean(&replayed, &output);
+            let distance = euclidean(replayed, output);
             if distance < self.beta {
                 VerificationOutcome::Accepted { double_checked }
             } else {
@@ -551,8 +463,7 @@ impl<'a> Verifier<'a> {
                     beta: self.beta,
                 })
             }
-        };
-        SampleVerdict { outcome, ..tally }
+        })
     }
 
     /// Checks an opened checkpoint against the commitment at `index`: the
@@ -567,6 +478,329 @@ impl<'a> Verifier<'a> {
         let mode = CommitMode::of(commitment, self.family);
         binds(commitment, index, &mode.binding_of(weights))
     }
+}
+
+/// Both ends of a committed trajectory as the manager holds them, already
+/// bound to the commitment: checkpoint 0 is the start model it broadcast,
+/// checkpoint `last` the final weights it was sent. Their openings are
+/// served from here, charged no bytes and never checked again; the
+/// provider's `seq` still advances ([`ProofProvider::skip_opening`]), so
+/// the exchanges that remain keep their fault draws.
+#[derive(Clone, Copy)]
+pub(crate) struct BoundEnds<'a> {
+    pub(crate) start: &'a [f32],
+    pub(crate) last: usize,
+    pub(crate) final_weights: &'a [f32],
+}
+
+/// One worker's sampled segments, as [`verify_ranked`] sees them.
+pub(crate) struct Subject<'s> {
+    pub(crate) verifier: &'s Verifier<'s>,
+    pub(crate) commitment: &'s EpochCommitment,
+    pub(crate) provider: &'s dyn ProofProvider,
+    pub(crate) samples: &'s [usize],
+    /// Set only by the manager, after it bound both ends; without it every
+    /// opening is fetched and checked.
+    pub(crate) ends: Option<BoundEnds<'s>>,
+}
+
+/// A sample between its replay and its verdict.
+struct Flight<'p> {
+    tally: SampleVerdict,
+    /// A fetched input RPoLv2 binds by LSH, until the replays' batch has.
+    input: Option<Cow<'p, [f32]>>,
+    replayed: Vec<f32>,
+    double_checked: bool,
+}
+
+impl<'s> Subject<'s> {
+    /// Whether an opening of `index` still has to be bound by LSH — in
+    /// the next batch — rather than at once or not at all: fetched (not a
+    /// bound end) under RPoLv2.
+    fn lsh_bound(&self, index: usize) -> bool {
+        matches!(self.commitment, EpochCommitment::V2(_)) && !self.is_end(index)
+    }
+
+    fn is_end(&self, index: usize) -> bool {
+        self.ends.is_some_and(|e| index == 0 || index == e.last)
+    }
+
+    /// One opening: a bound end is served from the manager's copy, one
+    /// that crossed the link is charged its bytes. `None` when it could
+    /// not be fetched; `tally` then still reads `Unavailable`.
+    fn open(&self, index: usize, tally: &mut SampleVerdict) -> Option<Cow<'s, [f32]>> {
+        if let Some(ends) = self.ends.filter(|_| self.is_end(index)) {
+            self.provider.skip_opening();
+            tally.openings_elided += 1;
+            return Some(Cow::Borrowed(if index == 0 {
+                ends.start
+            } else {
+                ends.final_weights
+            }));
+        }
+        match self.provider.open_checkpoint(index) {
+            Ok(opened) => {
+                // V3 openings travel as packed bf16 blocks (lattice
+                // checkpoints round-trip losslessly), the others as 4
+                // bytes per weight.
+                tally.proof_bytes += match self.commitment {
+                    EpochCommitment::V3(_) => crate::wire::packed_block_len(&opened),
+                    _ => opened.len() * 4,
+                } as u64;
+                Some(opened)
+            }
+            Err(_) => {
+                event!(
+                    self.verifier.rec,
+                    "rpol.verify.unavailable",
+                    sample = tally.sample
+                );
+                None
+            }
+        }
+    }
+
+    /// Opens sample `j`'s input, refuses numerically hostile payloads — a
+    /// NaN/∞ checkpoint would poison the replay; under RPoLv3 an opening
+    /// must also sit *on* the bf16 lattice, which is what upgrades the
+    /// packed-image digest to an exact binding — binds it by SHA-256 when
+    /// the scheme does, then replays the segment through `replay`. RPoLv3
+    /// workers snap to the lattice at every segment boundary; the replay
+    /// mirrors that so signatures and distances compare lattice point
+    /// against lattice point. `Err` is the sample's final verdict.
+    fn replay(
+        &self,
+        j: usize,
+        segment: Segment,
+        replay: impl FnOnce(&[f32]) -> Vec<f32>,
+    ) -> Result<Flight<'s>, SampleVerdict> {
+        let commitment = self.commitment;
+        assert!(j + 1 < commitment.len(), "sample {j} beyond commitment");
+        let _span = span!(
+            self.verifier.rec,
+            "rpol.verify.replay_segment",
+            sample = j,
+            steps = segment.steps
+        );
+        let mut tally = SampleVerdict::pending(j);
+        let input = self.open(j, &mut tally).ok_or(tally)?;
+        let reject = |reason| Err(tally.decided(VerificationOutcome::Rejected(reason)));
+        if !well_formed(commitment, &input) {
+            return reject(RejectReason::MalformedWeights);
+        }
+        let sha_bound = !self.is_end(j) && !self.lsh_bound(j);
+        if sha_bound && !self.verifier.check_commitment(commitment, j, &input) {
+            return reject(RejectReason::InputCommitmentMismatch);
+        }
+        let mut replayed = replay(&input);
+        tally.replayed_steps += segment.steps as u64;
+        if matches!(commitment, EpochCommitment::V3(_)) {
+            rpol_tensor::quant::snap_to_bf16(&mut replayed);
+        }
+        Ok(Flight {
+            tally,
+            input: self.lsh_bound(j).then_some(input),
+            replayed,
+            double_checked: false,
+        })
+    }
+}
+
+/// Whether `commitment` compares replays by LSH signature.
+fn fuzzy(commitment: &EpochCommitment) -> bool {
+    !matches!(commitment, EpochCommitment::V1(_))
+}
+
+/// `replay(subject, input, segment)`: one replay, on whatever lane calls.
+pub(crate) type Replay<'a> = &'a (dyn Fn(usize, &[f32], Segment) -> Vec<f32> + Sync);
+
+/// Where [`verify_ranked`] replays and fetches.
+pub(crate) enum Lanes<'a> {
+    /// The calling thread, every replay on this one model and arena.
+    Serial(&'a mut Sequential, &'a mut ScratchArena),
+    /// The executor's lanes, each replay through the given [`Replay`].
+    Exec(&'a Executor, Replay<'a>),
+}
+
+impl Lanes<'_> {
+    /// `f` over `0..n`, results in index order.
+    fn run<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        match self {
+            Lanes::Exec(exec, _) => exec.run_indexed(n, f),
+            Lanes::Serial(..) => (0..n).map(f).collect(),
+        }
+    }
+}
+
+/// Verifies every subject's samples by rank (DESIGN.md §23). For rank
+/// `r`, the subjects still verifying go in batches of at most `k·l/2`
+/// (`k·l` floats per weight being what a projection matrix would have
+/// held; a lane's worth under RPoLv1, which hashes nothing): their `r`-th
+/// inputs are opened, checked and replayed on `lanes`, one `hash` pass
+/// signs the replays — after the inputs RPoLv2 binds by LSH, so a forged
+/// one costs its replay rather than a pass — the outputs the signatures
+/// did not accept are fetched, and under RPoLv2 one more pass binds them.
+/// A subject's openings keep their order (input, output if needed, next
+/// input, …) and stop after the first that cannot be fetched (the link is
+/// dead or exhausted — later fetches would fail too), so a link-backed
+/// provider's `seq`-keyed fault draws are a serial verifier's. Returns
+/// each subject's verdicts in sample order.
+pub(crate) fn verify_ranked(
+    subjects: &[Subject<'_>],
+    segments: &[Segment],
+    mut lanes: Lanes<'_>,
+    hash: impl Fn(&LshFamily, &[&[f32]]) -> Vec<Signature>,
+) -> Vec<Vec<SampleVerdict>> {
+    let family =
+        subjects
+            .iter()
+            .find_map(|s| match CommitMode::of(s.commitment, s.verifier.family) {
+                CommitMode::V2(f) | CommitMode::V3(f) => Some(f),
+                CommitMode::Skip | CommitMode::V1 => None,
+            });
+    let width = match (family, &lanes) {
+        (Some(f), _) => (f.params().k * f.params().l / 2).max(1),
+        (None, Lanes::Exec(exec, _)) => exec.threads(),
+        (None, Lanes::Serial(..)) => 1,
+    };
+    let signed = |xs: &[&[f32]]| match family {
+        Some(family) if !xs.is_empty() => hash(family, xs),
+        _ => Vec::new(),
+    };
+    let mut verdicts: Vec<Vec<SampleVerdict>> = vec![Vec::new(); subjects.len()];
+    for rank in 0.. {
+        let due: Vec<(usize, usize)> = verdicts
+            .iter()
+            .enumerate()
+            .filter(|(_, done)| {
+                !done
+                    .last()
+                    .is_some_and(|v| matches!(v.outcome, VerificationOutcome::Unavailable))
+            })
+            .filter_map(|(s, _)| Some((s, *subjects[s].samples.get(rank)?)))
+            .collect();
+        if due.is_empty() {
+            break;
+        }
+        for batch in due.chunks(width) {
+            let flights: Vec<Result<Flight<'_>, SampleVerdict>> = match &mut lanes {
+                Lanes::Serial(model, arena) => batch
+                    .iter()
+                    .map(|&(s, j)| {
+                        let subject = &subjects[s];
+                        subject.replay(j, segments[j], |input| {
+                            subject.verifier.replay(model, input, segments[j], arena)
+                        })
+                    })
+                    .collect(),
+                Lanes::Exec(exec, replay) => exec.run_indexed(batch.len(), |d| {
+                    let (s, j) = batch[d];
+                    subjects[s].replay(j, segments[j], |input| replay(s, input, segments[j]))
+                }),
+            };
+            // One pass: the inputs RPoLv2 binds by LSH, then the replays.
+            let flown = || {
+                flights
+                    .iter()
+                    .zip(batch)
+                    .filter_map(|(f, &(s, _))| Some((f.as_ref().ok()?, &subjects[s])))
+            };
+            let inputs: Vec<&[f32]> = flown().filter_map(|(f, _)| f.input.as_deref()).collect();
+            let replays = flown().filter(|(_, subject)| fuzzy(subject.commitment));
+            let xs: Vec<&[f32]> = (inputs.iter().copied())
+                .chain(replays.map(|(f, _)| &f.replayed[..]))
+                .collect();
+            let signatures = signed(&xs);
+            let (input_sigs, replay_sigs) = signatures.split_at(inputs.len().min(signatures.len()));
+            let (mut input_sigs, mut replay_sigs) = (input_sigs.iter(), replay_sigs.iter());
+            let flights: Vec<Result<Flight<'_>, SampleVerdict>> = flights
+                .into_iter()
+                .zip(batch)
+                .map(|(flight, &(s, j))| {
+                    let mut flight = flight?;
+                    let subject = &subjects[s];
+                    let input_sig = flight
+                        .input
+                        .take()
+                        .map(|_| input_sigs.next().expect("signed"));
+                    let sig =
+                        fuzzy(subject.commitment).then(|| replay_sigs.next().expect("signed"));
+                    let decide = |outcome| Err(flight.tally.decided(outcome));
+                    if input_sig
+                        .is_some_and(|sig| !binds(subject.commitment, j, &sig.group_digests()))
+                    {
+                        return decide(VerificationOutcome::Rejected(
+                            RejectReason::InputCommitmentMismatch,
+                        ));
+                    }
+                    match subject.verifier.lsh_match(subject.commitment, j, sig) {
+                        None => decide(VerificationOutcome::Accepted {
+                            double_checked: false,
+                        }),
+                        Some(double_checked) => Ok(Flight {
+                            double_checked,
+                            ..flight
+                        }),
+                    }
+                })
+                .collect();
+            // The outputs left to judge, each fetched after its sample's
+            // input.
+            let outputs = lanes.run(batch.len(), |d| {
+                let mut tally = flights[d].as_ref().ok()?.tally;
+                let (s, j) = batch[d];
+                let output = subjects[s].open(j + 1, &mut tally);
+                Some((tally, output))
+            });
+            // RPoLv2 binds a fetched, well-formed output by LSH.
+            let lsh_bound = |d: usize, output: &[f32]| {
+                let (s, j) = batch[d];
+                subjects[s].lsh_bound(j + 1) && well_formed(subjects[s].commitment, output)
+            };
+            let xs: Vec<&[f32]> = outputs
+                .iter()
+                .enumerate()
+                .filter_map(|(d, o)| Some((d, o.as_ref()?.1.as_deref()?)))
+                .filter(|&(d, output)| lsh_bound(d, output))
+                .map(|(_, output)| output)
+                .collect();
+            let output_sigs = signed(&xs);
+            let mut output_sigs = output_sigs.iter();
+            for (d, (flight, opened)) in flights.into_iter().zip(&outputs).enumerate() {
+                let (s, j) = batch[d];
+                let subject = &subjects[s];
+                let verdict = match (flight, opened) {
+                    (Err(done), _) => done,
+                    (Ok(_), Some((tally, None))) => *tally,
+                    (Ok(flight), Some((tally, Some(output)))) => {
+                        let sig = lsh_bound(d, output).then(|| output_sigs.next().expect("signed"));
+                        let commitment = subject.commitment;
+                        subject.verifier.judge_output(
+                            commitment,
+                            *tally,
+                            flight.double_checked,
+                            &flight.replayed,
+                            output,
+                            || match sig {
+                                Some(sig) => binds(commitment, j + 1, &sig.group_digests()),
+                                None => {
+                                    subject.is_end(j + 1)
+                                        || subject.verifier.check_commitment(
+                                            commitment,
+                                            j + 1,
+                                            output,
+                                        )
+                                }
+                            },
+                        )
+                    }
+                    (Ok(_), None) => unreachable!("every flight fetched its output"),
+                };
+                verdicts[s].push(verdict);
+            }
+        }
+    }
+    verdicts
 }
 
 /// Whether a checkpoint may enter a replay or an aggregate at all: finite
@@ -637,16 +871,17 @@ mod tests {
     /// A provider whose link dies after serving `alive` openings.
     struct FlakyProvider {
         checkpoints: Vec<Vec<f32>>,
-        alive: std::cell::Cell<usize>,
+        alive: std::sync::atomic::AtomicUsize,
     }
 
     impl ProofProvider for FlakyProvider {
         fn open_checkpoint(&self, index: usize) -> Result<Cow<'_, [f32]>, ProofUnavailable> {
-            let left = self.alive.get();
+            use std::sync::atomic::Ordering::Relaxed;
+            let left = self.alive.load(Relaxed);
             if left == 0 {
                 return Err(ProofUnavailable { index });
             }
-            self.alive.set(left - 1);
+            self.alive.store(left - 1, Relaxed);
             Ok(Cow::Borrowed(&self.checkpoints[index]))
         }
     }
@@ -763,7 +998,7 @@ mod tests {
         let trace = honest_trace(&cfg, &data, 5);
         let dim = trace.checkpoints[0].len();
         // Wide bucket: honest reproduction errors land in the same bucket.
-        let family = LshFamily::generate(dim, LshParams::new(4.0, 4, 4), 7);
+        let family = LshFamily::new(dim, LshParams::new(4.0, 4, 4), 7);
         let commitment = EpochCommitment::commit_v2(&trace.checkpoints, &family);
         let mut model = cfg.build_model();
         let mut verifier = Verifier::new(
@@ -797,7 +1032,7 @@ mod tests {
         let (cfg, data) = setup();
         let trace = honest_trace(&cfg, &data, 5);
         let dim = trace.checkpoints[0].len();
-        let family = LshFamily::generate(dim, LshParams::new(0.05, 4, 4), 7);
+        let family = LshFamily::new(dim, LshParams::new(0.05, 4, 4), 7);
         let mut forged = trace.checkpoints.clone();
         for w in forged[1].iter_mut() {
             *w += 0.3;
@@ -827,7 +1062,7 @@ mod tests {
         let (cfg, data) = setup();
         let trace = honest_trace(&cfg, &data, 5);
         let dim = trace.checkpoints[0].len();
-        let family = LshFamily::generate(dim, LshParams::new(4.0, 4, 4), 7);
+        let family = LshFamily::new(dim, LshParams::new(4.0, 4, 4), 7);
         // The worker commits to NaN-poisoned checkpoints and opens them.
         let mut forged = trace.checkpoints.clone();
         forged[0][0] = f32::NAN;
@@ -875,7 +1110,7 @@ mod tests {
         // through the V1 output fetch.
         let provider = FlakyProvider {
             checkpoints: trace.checkpoints.clone(),
-            alive: std::cell::Cell::new(1),
+            alive: std::sync::atomic::AtomicUsize::new(1),
         };
         let verdict = verifier.verify_samples(
             &mut model,
@@ -959,8 +1194,8 @@ mod tests {
             &[0, 1, 2],
             &provider,
         );
-        // Each sample through its own verifier (as the executor schedules
-        // them) merges into a bitwise-identical worker verdict.
+        // Each sample through its own verifier merges into a
+        // bitwise-identical worker verdict.
         let singles: Vec<SampleVerdict> = [0usize, 1, 2]
             .iter()
             .map(|&j| {
@@ -1020,7 +1255,7 @@ mod tests {
         let (cfg, data) = setup();
         let trace = quantized_trace(&cfg, &data, 5);
         let dim = trace.checkpoints[0].len();
-        let family = LshFamily::generate(dim, LshParams::new(4.0, 4, 4), 7);
+        let family = LshFamily::new(dim, LshParams::new(4.0, 4, 4), 7);
         let commitment = EpochCommitment::commit_v3(&trace.checkpoints, &family);
         let mut model = cfg.build_model();
         let mut verifier = Verifier::new(
@@ -1053,7 +1288,7 @@ mod tests {
         let (cfg, data) = setup();
         let trace = quantized_trace(&cfg, &data, 5);
         let dim = trace.checkpoints[0].len();
-        let family = LshFamily::generate(dim, LshParams::new(4.0, 4, 4), 7);
+        let family = LshFamily::new(dim, LshParams::new(4.0, 4, 4), 7);
         let commitment = EpochCommitment::commit_v3(&trace.checkpoints, &family);
         // The worker opens weights a sub-lattice nudge away from what it
         // committed — same packed image, different f32s. Lattice
@@ -1088,7 +1323,7 @@ mod tests {
         let (cfg, data) = setup();
         let trace = quantized_trace(&cfg, &data, 5);
         let dim = trace.checkpoints[0].len();
-        let family = LshFamily::generate(dim, LshParams::new(0.05, 4, 4), 7);
+        let family = LshFamily::new(dim, LshParams::new(0.05, 4, 4), 7);
         let mut forged = trace.checkpoints.clone();
         for w in forged[1].iter_mut() {
             *w += 0.25;
@@ -1126,7 +1361,7 @@ mod tests {
         let (cfg, data) = setup();
         let trace = quantized_trace(&cfg, &data, 5);
         let dim = trace.checkpoints[0].len();
-        let family = LshFamily::generate(dim, LshParams::new(4.0, 4, 4), 7);
+        let family = LshFamily::new(dim, LshParams::new(4.0, 4, 4), 7);
 
         // The far-away "output" the cheater actually serves.
         let mut far = trace.checkpoints[1].clone();
@@ -1196,6 +1431,106 @@ mod tests {
         );
     }
 
+    /// Outside the manager no end of the trajectory counts as bound: a
+    /// forged checkpoint 0 or a forged last checkpoint is caught by the
+    /// commitment check, by LSH under RPoLv2 and by SHA-256 under RPoLv3.
+    #[test]
+    fn public_verification_checks_both_ends_of_the_trajectory() {
+        let (cfg, data) = setup();
+        let trace = quantized_trace(&cfg, &data, 5);
+        let dim = trace.checkpoints[0].len();
+        let last = trace.segments.len();
+        // Narrow buckets: every replay is double-checked, so the last
+        // checkpoint is opened too.
+        let family = LshFamily::new(dim, LshParams::new(1e-6, 8, 2), 7);
+        let schemes = [
+            EpochCommitment::commit_v2(&trace.checkpoints, &family),
+            EpochCommitment::commit_v3(&trace.checkpoints, &family),
+        ];
+        for commitment in &schemes {
+            for (forged, sample, reason) in [
+                (0, 0, RejectReason::InputCommitmentMismatch),
+                (last, last - 1, RejectReason::OutputCommitmentMismatch),
+            ] {
+                let mut opened = trace.checkpoints.clone();
+                for w in opened[forged].iter_mut() {
+                    *w += 0.25;
+                }
+                rpol_tensor::quant::snap_to_bf16(&mut opened[forged]);
+                let mut verifier = Verifier::new(
+                    &cfg,
+                    &data,
+                    5,
+                    1e3, // the distance check would pass: only the binding can refuse
+                    Some(&family),
+                    NoiseInjector::new(GpuModel::G3090, 42),
+                );
+                let verdict = verifier.verify_samples(
+                    &mut cfg.build_model(),
+                    commitment,
+                    &trace.segments,
+                    &[sample],
+                    &VecProvider(opened),
+                );
+                assert_eq!(
+                    verdict.outcomes[0].1,
+                    VerificationOutcome::Rejected(reason),
+                    "checkpoint {forged} forged"
+                );
+            }
+        }
+    }
+
+    /// A rank goes in batches of at most `k·l/2` subjects: five workers at
+    /// `k·l = 4` hash each rank in three passes of at most two replays,
+    /// and every worker gets the verdicts it gets alone.
+    #[test]
+    fn a_rank_is_hashed_in_batches_of_at_most_half_k_l_subjects() {
+        let (cfg, data) = setup();
+        let trace = quantized_trace(&cfg, &data, 5);
+        let dim = trace.checkpoints[0].len();
+        let family = LshFamily::new(dim, LshParams::new(4.0, 2, 2), 7);
+        let commitment = EpochCommitment::commit_v3(&trace.checkpoints, &family);
+        let provider = VecProvider(trace.checkpoints.clone());
+        let verifier = Verifier::new(
+            &cfg,
+            &data,
+            5,
+            0.5,
+            Some(&family),
+            NoiseInjector::new(GpuModel::G3090, 42),
+        );
+        let samples = [0usize, 2];
+        let alone = verifier.verify_each(
+            &mut cfg.build_model(),
+            &commitment,
+            &trace.segments,
+            &samples,
+            &provider,
+            None,
+        );
+        assert!(alone.iter().all(|v| v.outcome.is_accepted()), "{alone:?}");
+        let subjects: Vec<Subject<'_>> = (0..5)
+            .map(|_| Subject {
+                verifier: &verifier,
+                commitment: &commitment,
+                provider: &provider,
+                samples: &samples,
+                ends: None,
+            })
+            .collect();
+        let passes = std::cell::Cell::new(0);
+        let (mut model, mut arena) = (cfg.build_model(), ScratchArena::new());
+        let lanes = Lanes::Serial(&mut model, &mut arena);
+        let verdicts = verify_ranked(&subjects, &trace.segments, lanes, |family, xs| {
+            assert!(xs.len() <= 2, "{} vectors in one pass", xs.len());
+            passes.set(passes.get() + 1);
+            family.hash_batch(xs)
+        });
+        assert!(verdicts.iter().all(|v| *v == alone));
+        assert_eq!(passes.get(), 2 * 3, "two ranks, three batches each");
+    }
+
     #[test]
     fn v2_double_check_rescues_lsh_false_negative() {
         let (cfg, data) = setup();
@@ -1203,7 +1538,7 @@ mod tests {
         let dim = trace.checkpoints[0].len();
         // Absurdly narrow buckets: even tiny reproduction errors miss,
         // forcing the double-check path for an honest worker.
-        let family = LshFamily::generate(dim, LshParams::new(1e-6, 8, 2), 7);
+        let family = LshFamily::new(dim, LshParams::new(1e-6, 8, 2), 7);
         let commitment = EpochCommitment::commit_v2(&trace.checkpoints, &family);
         let mut model = cfg.build_model();
         let mut verifier = Verifier::new(

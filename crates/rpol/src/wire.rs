@@ -922,10 +922,10 @@ impl BusyReason {
 /// The p-stable LSH family specification a worker needs to derive the
 /// epoch's commitment family locally: a family is a pure function of
 /// `(dim, params, seed)`, so shipping these few scalars is equivalent to
-/// shipping the whole projection matrix, which the worker never builds
-/// ([`LshFamily::streaming`]).
+/// shipping the whole projection matrix, which no party builds
+/// ([`LshFamily::new`]).
 ///
-/// [`LshFamily::streaming`]: rpol_lsh::pstable::LshFamily::streaming
+/// [`LshFamily::new`]: rpol_lsh::pstable::LshFamily::new
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FamilySpec {
     /// Bucket width `r`.
@@ -1663,7 +1663,7 @@ mod tests {
     #[test]
     fn v2_submission_roundtrip() {
         let cps = checkpoints();
-        let family = LshFamily::generate(12, LshParams::new(1.0, 2, 3), 5);
+        let family = LshFamily::new(12, LshParams::new(1.0, 2, 3), 5);
         let commitment = EpochCommitment::commit_v2(&cps, &family);
         let encoded = encode_submission(&cps[3], Some(&commitment));
         let (w, c) = decode_submission(encoded).expect("decodes");
@@ -1675,7 +1675,7 @@ mod tests {
     fn encoded_size_matches_accounting() {
         // Wire size of a v2 submission ≈ weights + 32·l per checkpoint.
         let cps = checkpoints();
-        let family = LshFamily::generate(12, LshParams::new(1.0, 2, 3), 5);
+        let family = LshFamily::new(12, LshParams::new(1.0, 2, 3), 5);
         let commitment = EpochCommitment::commit_v2(&cps, &family);
         let encoded = encode_submission(&cps[3], Some(&commitment));
         let expected = 1 + 4 + 12 * 4 + 8 + commitment.wire_size();
@@ -1693,7 +1693,7 @@ mod tests {
     #[test]
     fn v3_submission_roundtrip() {
         let cps = lattice_checkpoints();
-        let family = LshFamily::generate(12, LshParams::new(1.0, 2, 3), 5);
+        let family = LshFamily::new(12, LshParams::new(1.0, 2, 3), 5);
         let commitment = EpochCommitment::commit_v3(&cps, &family);
         let encoded = encode_submission(&cps[3], Some(&commitment));
         let (w, c) = decode_submission(encoded).expect("decodes");
@@ -1710,7 +1710,7 @@ mod tests {
         let mut weights: Vec<f32> = (0..4096).map(|_| rng.next_normal() * 0.05).collect();
         rpol_tensor::quant::snap_to_bf16(&mut weights);
         let cps = vec![weights.clone(); 3];
-        let family = LshFamily::generate(4096, LshParams::new(1.0, 2, 3), 5);
+        let family = LshFamily::new(4096, LshParams::new(1.0, 2, 3), 5);
         let commitment = EpochCommitment::commit_v3(&cps, &family);
         let encoded = encode_submission(&weights, Some(&commitment));
         let raw = submission_raw_wire_size(weights.len(), Some(&commitment));
@@ -2134,7 +2134,7 @@ mod tests {
         /// with a clean DecodeError — never panic, never misdecode.
         #[test]
         fn truncated_v3_submission_never_panics(cut_seed in 0u64..400) {
-            let family = LshFamily::generate(12, LshParams::new(1.0, 2, 3), 5);
+            let family = LshFamily::new(12, LshParams::new(1.0, 2, 3), 5);
             let commitment = EpochCommitment::commit_v3(&lattice_checkpoints(), &family);
             for weights in fuzz_vectors() {
                 let encoded = encode_submission(&weights, Some(&commitment));

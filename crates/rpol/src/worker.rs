@@ -508,7 +508,7 @@ mod tests {
         ] {
             let (cfg, mut worker, global) = setup(behavior);
             let dim = global.len();
-            let family = LshFamily::generate(dim, LshParams::new(1.0, 4, 4), 11);
+            let family = LshFamily::new(dim, LshParams::new(1.0, 4, 4), 11);
             let sub = worker.run_epoch(&cfg, &global, 1, 8, 0, CommitMode::V3(&family));
             assert!(
                 rpol_tensor::quant::is_bf16_lattice(&sub.final_weights),
@@ -565,7 +565,7 @@ mod tests {
             let (_, mut from_lattice, _) = setup(behavior);
             assert!(!rpol_tensor::quant::is_bf16_lattice(&global));
             let snapped = rpol_tensor::quant::bf16_image(&global);
-            let family = LshFamily::generate(global.len(), LshParams::new(1.0, 4, 4), 11);
+            let family = LshFamily::new(global.len(), LshParams::new(1.0, 4, 4), 11);
             let mode = CommitMode::V3(&family);
             let a = from_f32.run_epoch(&cfg, &global, 1, 8, 0, mode);
             let b = from_lattice.run_epoch(&cfg, &snapped, 1, 8, 0, mode);
@@ -598,7 +598,7 @@ mod tests {
         let sub_v1 = worker.run_epoch(&cfg, &global, 1, 4, 0, CommitMode::V1);
         let n = sub_v1.commitment.as_ref().expect("committed").len() as u64;
         assert_eq!(sub_v1.commit_bytes_hashed, n * dim as u64 * 4);
-        let family = LshFamily::generate(dim, LshParams::new(1.0, 4, 4), 11);
+        let family = LshFamily::new(dim, LshParams::new(1.0, 4, 4), 11);
         let sub_v3 = worker.run_epoch(&cfg, &global, 2, 4, 1, CommitMode::V3(&family));
         assert_eq!(sub_v3.commit_bytes_hashed, n * (dim as u64 * 2 + 4 * 4 * 8));
         let skip = worker.run_epoch(&cfg, &global, 3, 4, 2, CommitMode::Skip);

@@ -56,7 +56,7 @@ proptest! {
             .map(|i| (0..dim).map(|j| ((seed as usize + i * dim + j) % 97) as f32 * 0.1).collect())
             .collect();
         let v1 = EpochCommitment::commit_v1(&checkpoints);
-        let family = LshFamily::generate(dim, LshParams::new(0.5, 2, 2), seed);
+        let family = LshFamily::new(dim, LshParams::new(0.5, 2, 2), seed);
         let v2 = EpochCommitment::commit_v2(&checkpoints, &family);
         prop_assert_eq!(v1.len(), n);
         prop_assert_eq!(v2.len(), n);
@@ -120,7 +120,7 @@ proptest! {
     ) {
         let dim = 8;
         let checkpoints: Vec<Vec<f32>> = (0..n).map(|i| vec![i as f32; dim]).collect();
-        let family = LshFamily::generate(dim, LshParams::new(1.0, 2, l), 3);
+        let family = LshFamily::new(dim, LshParams::new(1.0, 2, l), 3);
         let c = EpochCommitment::commit_v2(&checkpoints, &family);
         prop_assert_eq!(c.wire_size(), n * l * 32);
     }

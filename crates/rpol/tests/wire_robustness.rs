@@ -36,7 +36,7 @@ proptest! {
         k in 1usize..4, l in 1usize..4, seed in any::<u64>()
     ) {
         let checkpoints = vec![weights.clone(), weights.iter().map(|w| w * 2.0).collect()];
-        let family = LshFamily::generate(weights.len(), LshParams::new(1.0, k, l), seed);
+        let family = LshFamily::new(weights.len(), LshParams::new(1.0, k, l), seed);
         let commitment = EpochCommitment::commit_v2(&checkpoints, &family);
         let encoded = encode_submission(&weights, Some(&commitment));
         let (w, c) = decode_submission(encoded).expect("roundtrip");

@@ -481,136 +481,6 @@ fn microkernel_edge(
     }
 }
 
-/// `C[m,n] = A·Bᵀ` over `f32` operands with **f64 accumulation** — the
-/// kernel the p-stable LSH digest computation lowers onto.
-///
-/// `a` is `[m × k]` row-major (the checkpoints, one per row) and `b` is
-/// `[n × k]` row-major used transposed (the `k·l` projection vectors of an
-/// LSH family, one per row). Each output element is one f64 accumulator
-/// chain `((0 + b₀·a₀) + b₁·a₁) + …` in strictly ascending `k` order with
-/// each product computed as `(b[p] as f64) * (a[p] as f64)` — exactly the
-/// fold the scalar `rpol-lsh` reference performs, so quantized bucket IDs
-/// derived from this kernel are bitwise identical to the scalar path.
-/// (Operand order inside the product is preserved too, so even NaN
-/// payload propagation matches.) Rust never contracts `x*y + z` into an
-/// FMA without explicit opt-in, so the rounding of every step matches.
-///
-/// The speedup comes from *where* the parallelism sits. The scalar path
-/// walks one projection row at a time — a latency-bound serial f64 add
-/// chain per digest — and re-streams the DRAM-resident B matrix once per
-/// input. Here a 4×8 register tile of C advances per `p`: four A rows ride
-/// each pass over eight B rows, so 32 independent chains hide the add
-/// latency and B traffic drops 4×, which is the budget for the tall-skinny
-/// shapes LSH produces (`k` ≫ `m, n`, all operands bigger than cache). All
-/// twelve operand streams are read sequentially; nothing is repacked,
-/// since a transposed copy of B would cost more memory traffic than it
-/// saves.
-///
-/// Threading shards disjoint row ranges of C; each chain involves only its
-/// own row of A, so results are bitwise identical for any thread count.
-///
-/// # Panics
-///
-/// Panics if operand lengths do not match `(m, n, k)`.
-pub fn matmul_nt_f64acc(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    threads: usize,
-) -> Vec<f64> {
-    assert_eq!(a.len(), m * k, "A operand length");
-    assert_eq!(b.len(), n * k, "B operand length");
-    let mut c = vec![0.0f64; m * n];
-    if m == 0 || n == 0 {
-        return c;
-    }
-    if rpol_obs::global_enabled() {
-        let rec = rpol_obs::global();
-        rec.counter_add("tensor.gemm.calls", 1);
-        rec.counter_add(
-            "tensor.gemm.flops_total",
-            2 * (m as u64) * (n as u64) * (k as u64),
-        );
-    }
-    let tiles = n / 8;
-    // Leftover columns past the last full tile: one direct dot, same chain.
-    let tail_dot = |arow: &[f32], j: usize| -> f64 {
-        let brow = &b[j * k..][..k];
-        let mut acc = 0.0f64;
-        for p in 0..k {
-            acc += brow[p] as f64 * arow[p] as f64;
-        }
-        acc
-    };
-    // Four A rows share every B tile pass (the matrices this kernel serves
-    // are DRAM-resident, so B traffic — not FLOPs — is the budget); each
-    // output element still owns exactly one ascending-p mul-then-add chain
-    // in `b·a` operand order.
-    let rows_f64acc = |a_rows: &[f32], c_rows: &mut [f64]| {
-        let nrows = a_rows.len() / k;
-        let mut i = 0;
-        while i + 4 <= nrows {
-            let ar: [&[f32]; 4] = std::array::from_fn(|r| &a_rows[(i + r) * k..][..k]);
-            for t in 0..tiles {
-                let br: [&[f32]; 8] = std::array::from_fn(|l| &b[(t * 8 + l) * k..][..k]);
-                let mut acc = [[0.0f64; 8]; 4];
-                for p in 0..k {
-                    let mut s = [0.0f64; 8];
-                    for l in 0..8 {
-                        s[l] = br[l][p] as f64;
-                    }
-                    for r in 0..4 {
-                        let av = ar[r][p] as f64;
-                        for l in 0..8 {
-                            acc[r][l] += s[l] * av;
-                        }
-                    }
-                }
-                for r in 0..4 {
-                    c_rows[(i + r) * n + t * 8..][..8].copy_from_slice(&acc[r]);
-                }
-            }
-            for j in tiles * 8..n {
-                for r in 0..4 {
-                    c_rows[(i + r) * n + j] = tail_dot(ar[r], j);
-                }
-            }
-            i += 4;
-        }
-        while i < nrows {
-            let arow = &a_rows[i * k..][..k];
-            for t in 0..tiles {
-                let br: [&[f32]; 8] = std::array::from_fn(|l| &b[(t * 8 + l) * k..][..k]);
-                let mut acc = [0.0f64; 8];
-                for p in 0..k {
-                    let av = arow[p] as f64;
-                    for l in 0..8 {
-                        acc[l] += br[l][p] as f64 * av;
-                    }
-                }
-                c_rows[i * n + t * 8..][..8].copy_from_slice(&acc);
-            }
-            for j in tiles * 8..n {
-                c_rows[i * n + j] = tail_dot(arow, j);
-            }
-            i += 1;
-        }
-    };
-    if threads <= 1 || m < 2 {
-        rows_f64acc(a, &mut c);
-        return c;
-    }
-    let chunk = m.div_ceil(threads.min(m));
-    rpol_exec::shared().scope(|scope| {
-        for (a_rows, c_rows) in a.chunks(chunk * k).zip(c.chunks_mut(chunk * n)) {
-            scope.spawn(move || rows_f64acc(a_rows, c_rows));
-        }
-    });
-    c
-}
-
 /// The original reference kernel (ikj order, one accumulator chain per
 /// element, `a == 0.0` rows skipped), kept verbatim as the ground truth
 /// the blocked kernels are tested bitwise-equal against, and as the
@@ -793,9 +663,6 @@ mod tests {
         for _ in 0..3 {
             let multi = matmul(m, n, k, &a, Trans::No, &b, Trans::No, 4);
             assert_eq!(bits(&serial), bits(&multi));
-            let f64acc = matmul_nt_f64acc(m, 9, k, &a, &b[..9 * k], 4);
-            let f64ref = matmul_nt_f64acc(m, 9, k, &a, &b[..9 * k], 1);
-            assert_eq!(f64acc, f64ref);
         }
         // Every call scheduled onto the same long-lived pool: no per-call
         // thread spawns anywhere in the threaded paths.

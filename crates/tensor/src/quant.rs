@@ -17,7 +17,7 @@
 //! A quantized weight is stored as the `u16` holding those top 16 bits;
 //! its exact `f32` image is that `u16` shifted back up with a zero low
 //! half. Everything downstream — SHA-256 commitment digests, the
-//! GEMM-lowered LSH projections, the packed wire blocks — operates on
+//! streamed LSH projections, the packed wire blocks — operates on
 //! either the 2-byte lattice points or their exact `f32` images, so the
 //! whole pipeline stays byte-deterministic while halving the bytes
 //! hashed, projected and shipped.

@@ -142,38 +142,6 @@ proptest! {
         prop_assert_eq!(bits(&fast), bits(&slow));
     }
 
-    /// The f64-accumulating NT kernel must reproduce the exact f64 bits of
-    /// the scalar fold `((0 + b₀·a₀) + b₁·a₁) + …` (ascending k, product
-    /// written `b·a`) for every output, for any thread count — this is the
-    /// chain the LSH digest path commits to.
-    #[test]
-    fn nt_f64acc_matches_scalar_chain_bitwise(
-        m in 1usize..24,
-        n in 1usize..48,
-        k in 1usize..80,
-        seed in proptest::arbitrary::any::<u32>(),
-    ) {
-        let mut rng = Pcg32::seed_from(0xf64acc ^ seed as u64);
-        let a = randn(m * k, &mut rng);
-        let b = randn(n * k, &mut rng);
-        let one = gemm::matmul_nt_f64acc(m, n, k, &a, &b, 1);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f64;
-                for p in 0..k {
-                    acc += b[j * k + p] as f64 * a[i * k + p] as f64;
-                }
-                prop_assert_eq!(one[i * n + j].to_bits(), acc.to_bits());
-            }
-        }
-        for threads in [2usize, 3, 8] {
-            let multi = gemm::matmul_nt_f64acc(m, n, k, &a, &b, threads);
-            let ob: Vec<u64> = one.iter().map(|x| x.to_bits()).collect();
-            let mb: Vec<u64> = multi.iter().map(|x| x.to_bits()).collect();
-            prop_assert_eq!(ob, mb, "threads = {}", threads);
-        }
-    }
-
     #[test]
     fn random_accumulate_preserves_preloaded_chain(
         m in 1usize..20,

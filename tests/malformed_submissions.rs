@@ -249,7 +249,7 @@ mod shapes {
         let as_v2 = |sub: &mut EpochSubmission| {
             use rpol_repro::lsh::{LshFamily, LshParams};
             let n = sub.commitment.as_ref().expect("committed").len();
-            let family = LshFamily::generate(sub.final_weights.len(), LshParams::new(1.0, 4, 4), 7);
+            let family = LshFamily::new(sub.final_weights.len(), LshParams::new(1.0, 4, 4), 7);
             let stub = vec![sub.final_weights.clone(); n];
             sub.commitment = Some(EpochCommitment::commit_v2(&stub, &family));
         };
