@@ -16,6 +16,11 @@ echo "== tier-1: build + every test of every crate (default-members = the worksp
 cargo build --release
 cargo test -q
 
+echo "== analytic paper tables: Table II and Table III byte-identical to results/"
+for bin in table2_epoch_time table3_overhead; do
+    cargo run -q --release -p rpol-bench --bin "$bin" | diff - "results/$bin.md"
+done
+
 echo "== stitched socket traces: byte-identical under contention, three times over"
 for _ in 1 2 3; do
     RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test net_parity --test net_status
