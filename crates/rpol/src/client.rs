@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::manager::count_hi_plane;
-use crate::pool::PoolConfig;
-use crate::server::{scheme_from_code, NetStream};
+use crate::pool::{Lattice, PoolConfig, Scheme};
+use crate::server::NetStream;
 use crate::transport::{FaultConfig, LinkState, MsgKind, RetryPolicy, Transport, TransportStats};
 use crate::verify::ProofProvider;
 use crate::wire::{self, BusyReason, FamilySpec, FrameAssembler, NetControl, PayloadClass};
@@ -101,10 +101,9 @@ pub struct ClientReport {
 
 /// The worker's commitment discipline for the current epoch, derived
 /// lazily from the latest [`NetControl::CommitSpec`].
-#[derive(Default)]
 struct SpecState {
     epoch: u64,
-    scheme: u8,
+    scheme: Scheme,
     family_spec: Option<FamilySpec>,
     /// Keyed on first use per `(epoch, dim)`: the family the manager
     /// derives, its `k·l` offsets; the projection rows are derived inside
@@ -185,7 +184,13 @@ impl WorkerClient {
         };
         let mut stats = TransportStats::default();
         let mut clock = SimClock::new();
-        let mut spec = SpecState::default();
+        // Until the first CommitSpec, a task is trained without a commitment.
+        let mut spec = SpecState {
+            epoch: 0,
+            scheme: Scheme::Baseline,
+            family_spec: None,
+            family: None,
+        };
         let mut proof_seq: u64 = 0;
         let mut current_epoch: u64 = 0;
         let mut sessions: u64 = 0;
@@ -455,7 +460,7 @@ impl WorkerClient {
         let Ok(weights) = self.worker.open_checkpoint(sample) else {
             return Ok(()); // nothing stored: the server's wait times out
         };
-        let packed = spec.scheme == 3;
+        let packed = spec.scheme.spec().lattice == Lattice::Bf16;
         let payload = if packed {
             wire::encode_proof_response_packed(sample, &weights)
         } else {
@@ -537,24 +542,14 @@ impl WorkerClient {
 
     /// The commitment mode for this epoch, keying the LSH family on first
     /// use (a pure function of the spec's scalars and the model dimension,
-    /// so it hashes like the manager's family bit for bit).
+    /// so it hashes like the manager's family bit for bit). The wire
+    /// delivers a family exactly with a scheme that hashes by one.
     fn commit_mode(spec: &mut SpecState, dim: usize) -> CommitMode<'_> {
-        let needs_family = matches!(scheme_from_code(spec.scheme), Some(s) if matches!(
-            s,
-            crate::pool::Scheme::RPoLv2 | crate::pool::Scheme::RPoLv3
-        ));
-        if needs_family && spec.family.is_none() {
-            if let Some(fs) = spec.family_spec {
-                let params = LshParams::new(fs.r, fs.k as usize, fs.l as usize);
-                spec.family = Some(LshFamily::new(dim, params, fs.seed));
-            }
+        if let (Some(fs), None) = (spec.family_spec, &spec.family) {
+            let params = LshParams::new(fs.r, fs.k as usize, fs.l as usize);
+            spec.family = Some(LshFamily::new(dim, params, fs.seed));
         }
-        match (scheme_from_code(spec.scheme), &spec.family) {
-            (Some(crate::pool::Scheme::RPoLv1), _) => CommitMode::V1,
-            (Some(crate::pool::Scheme::RPoLv2), Some(f)) => CommitMode::V2(f),
-            (Some(crate::pool::Scheme::RPoLv3), Some(f)) => CommitMode::V3(f),
-            _ => CommitMode::Skip,
-        }
+        CommitMode::new(spec.scheme.spec(), spec.family.as_ref())
     }
 }
 
@@ -608,8 +603,6 @@ mod tests {
     fn a_worker_holds_no_projection_matrix_and_commits_like_the_manager() {
         use crate::adversary::WorkerBehavior;
         use crate::manager::PoolManager;
-        use crate::pool::Scheme;
-        use crate::server::scheme_code;
         use crate::tasks::TaskConfig;
         use rpol_crypto::Address;
         use rpol_nn::data::SyntheticImages;
@@ -659,7 +652,7 @@ mod tests {
             let cal = plan.calibration.expect("calibrated");
             let mut spec = SpecState {
                 epoch: 0,
-                scheme: scheme_code(scheme),
+                scheme,
                 family_spec: Some(FamilySpec {
                     r: cal.params.r,
                     k: cal.params.k as u32,

@@ -17,6 +17,7 @@
 //!   the hashed bytes, and the LSH entries drive the fuzzy accept with a
 //!   raw-distance escape hatch for borderline (single-group) matches.
 
+use crate::pool::Scheme;
 use rpol_crypto::commitment::{Commitment, HashListCommitment};
 use rpol_crypto::sha256::{Digest, Sha256};
 use rpol_lsh::{LshFamily, Signature};
@@ -114,7 +115,7 @@ impl LshCommitment {
 /// binding as RPoLv1's 4-byte one at half the hashed bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuantCommitment {
-    entries: Vec<Vec<Digest>>,
+    lsh: LshCommitment,
     quant_digests: Vec<Digest>,
 }
 
@@ -127,7 +128,6 @@ impl QuantCommitment {
     /// Panics if `checkpoints` is empty or any checkpoint's length
     /// mismatches the family dimension.
     pub fn commit(checkpoints: &[Vec<f32>], family: &LshFamily) -> Self {
-        assert!(!checkpoints.is_empty(), "no checkpoints to commit");
         // Snap every checkpoint onto the lattice (a no-op image copy for
         // V3-trained checkpoints), then reuse the streamed LSH pass and the
         // multi-lane hash pipelines over the quantized weights.
@@ -135,14 +135,10 @@ impl QuantCommitment {
             .iter()
             .map(|w| rpol_tensor::quant::bf16_image(w))
             .collect();
+        let lsh = LshCommitment::commit(&images, family);
         let refs: Vec<&[f32]> = images.iter().map(|w| w.as_slice()).collect();
-        let signatures = family.hash_batch(&refs);
-        let entries = Signature::group_digests_batch(&signatures);
         let quant_digests = rpol_crypto::sha256_bf16_batch(&refs);
-        Self {
-            entries,
-            quant_digests,
-        }
+        Self { lsh, quant_digests }
     }
 
     /// Reassembles a commitment from raw per-checkpoint group digests and
@@ -153,20 +149,13 @@ impl QuantCommitment {
     /// Panics if the parts are empty, disagree in checkpoint count, or
     /// entries have inconsistent group counts.
     pub fn from_parts(entries: Vec<Vec<Digest>>, quant_digests: Vec<Digest>) -> Self {
-        assert!(!entries.is_empty(), "no committed checkpoints");
         assert_eq!(
             entries.len(),
             quant_digests.len(),
             "entry/digest count mismatch"
         );
-        let l = entries[0].len();
-        assert!(l > 0, "empty group digest list");
-        assert!(
-            entries.iter().all(|e| e.len() == l),
-            "inconsistent group counts"
-        );
         Self {
-            entries,
+            lsh: LshCommitment::from_entries(entries),
             quant_digests,
         }
     }
@@ -177,7 +166,7 @@ impl QuantCommitment {
     ///
     /// Panics if `index` is out of range.
     pub fn entry(&self, index: usize) -> &[Digest] {
-        &self.entries[index]
+        self.lsh.entry(index)
     }
 
     /// The committed packed-image digest for checkpoint `index`.
@@ -196,18 +185,18 @@ impl QuantCommitment {
 
     /// Number of committed checkpoints.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lsh.len()
     }
 
     /// Whether the commitment is empty (never true by construction).
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lsh.is_empty()
     }
 
     /// A single digest binding the whole commitment.
     pub fn value(&self) -> Digest {
         let mut h = Sha256::new();
-        for (entry, qd) in self.entries.iter().zip(&self.quant_digests) {
+        for (entry, qd) in self.lsh.entries.iter().zip(&self.quant_digests) {
             for d in entry {
                 h.update(d.as_bytes());
             }
@@ -219,7 +208,7 @@ impl QuantCommitment {
     /// Bytes crossing the wire when the commitment is submitted
     /// (`32 · (l + 1)` per checkpoint).
     pub fn wire_size(&self) -> usize {
-        self.entries.iter().map(|e| (e.len() + 1) * 32).sum()
+        self.lsh.wire_size() + self.quant_digests.len() * 32
     }
 }
 
@@ -274,6 +263,15 @@ impl EpochCommitment {
             rec.counter_add("rpol.commit.epochs", 1);
             rec.counter_add("rpol.commit.checkpoints", checkpoints as u64);
             rec.counter_add("rpol.commit.wire_bytes", self.wire_size() as u64);
+        }
+    }
+
+    /// The scheme whose workers build this kind of commitment.
+    pub(crate) fn scheme(&self) -> Scheme {
+        match self {
+            EpochCommitment::V1(_) => Scheme::RPoLv1,
+            EpochCommitment::V2(_) => Scheme::RPoLv2,
+            EpochCommitment::V3(_) => Scheme::RPoLv3,
         }
     }
 

@@ -3,7 +3,7 @@
 
 use crate::calibrate::{CalibrationPolicy, CalibrationResult, Calibrator};
 use crate::commitment::EpochCommitment;
-use crate::pool::Scheme;
+use crate::pool::{Calibration, Lattice, Scheme};
 use crate::tasks::TaskConfig;
 use crate::trainer::{epoch_segments, ScratchPool, ScratchState};
 use crate::transport::TransportStats;
@@ -190,15 +190,7 @@ impl EpochPlan {
 
     /// The commitment mode workers must use this epoch.
     pub fn commit_mode(&self) -> CommitMode<'_> {
-        match (self.scheme, &self.family) {
-            (Scheme::Baseline, _) => CommitMode::Skip,
-            (Scheme::RPoLv1, _) => CommitMode::V1,
-            (Scheme::RPoLv2, Some(f)) => CommitMode::V2(f),
-            (Scheme::RPoLv3, Some(f)) => CommitMode::V3(f),
-            (Scheme::RPoLv2 | Scheme::RPoLv3, None) => {
-                unreachable!("v2/v3 always have a family")
-            }
-        }
+        CommitMode::new(self.scheme.spec(), self.family.as_ref())
     }
 }
 
@@ -429,36 +421,26 @@ impl PoolManager {
     /// changes, and no later stage is random.
     pub fn begin_epoch(&mut self, n_workers: usize, epoch: u64) -> EpochPlan {
         assert!(n_workers > 0, "pool has no workers");
-        // Adaptive calibration: every epoch for v2, once for v1.
-        let calibration = match self.scheme {
-            Scheme::Baseline => None,
-            Scheme::RPoLv1 => {
-                if self.cached_beta.is_none() {
-                    let cal = self.calibrate(epoch);
-                    self.cached_beta = Some(cal.beta);
-                    Some(cal)
-                } else {
-                    None
-                }
-            }
-            Scheme::RPoLv2 | Scheme::RPoLv3 => {
-                let cal = self.calibrate(epoch);
-                self.cached_beta = Some(cal.beta);
-                Some(cal)
-            }
+        let spec = self.scheme.spec();
+        let calibrates = match spec.calibration {
+            Calibration::Never => false,
+            Calibration::Once => self.cached_beta.is_none(),
+            Calibration::EveryEpoch => true,
         };
-        let family: Option<LshFamily> = match self.scheme {
-            Scheme::RPoLv2 | Scheme::RPoLv3 => {
-                let cal = calibration.expect("v2/v3 calibrate every epoch");
-                Some(cal.family(self.global.len()))
-            }
-            _ => None,
-        };
+        let calibration = calibrates.then(|| {
+            let cal = self.calibrate(epoch);
+            self.cached_beta = Some(cal.beta);
+            cal
+        });
+        let family: Option<LshFamily> = spec.hashes_by_lsh().then(|| {
+            let cal = calibration.expect("an LSH scheme calibrates every epoch");
+            cal.family(self.global.len())
+        });
         // Per-worker nonces for stochastic-yet-deterministic selection.
         let nonces: Vec<u64> = (0..n_workers).map(|_| self.rng.next_u64()).collect();
         let verification = self.prepare_verification(epoch, n_workers);
-        let start_image = matches!(self.scheme, Scheme::RPoLv3)
-            .then(|| rpol_tensor::quant::bf16_image(&self.global));
+        let start_image =
+            (spec.lattice == Lattice::Bf16).then(|| rpol_tensor::quant::bf16_image(&self.global));
         EpochPlan {
             epoch,
             steps: self.steps_per_epoch,
@@ -513,7 +495,7 @@ impl PoolManager {
         epoch: u64,
         n_workers: usize,
     ) -> Option<PreparedVerification> {
-        if matches!(self.scheme, Scheme::Baseline) {
+        if !self.scheme.spec().verifies() {
             return None;
         }
         let segments = epoch_segments(self.steps_per_epoch, self.config.checkpoint_interval);
@@ -569,7 +551,7 @@ impl PoolManager {
                 let commitment = submission
                     .commitment
                     .as_ref()
-                    .filter(|c| mode.produces(c) && c.len() == last + 1)
+                    .filter(|c| c.scheme() == plan.scheme && c.len() == last + 1)
                     .ok_or_else(|| reject(0, RejectReason::InputCommitmentMismatch))?;
                 let final_weights = &submission.final_weights;
                 if final_weights.len() != self.global.len()
@@ -991,7 +973,7 @@ impl PoolManager {
         )
         .with_recorder(self.recorder.clone())
         .with_scratch(&self.scratch)
-        .quantized(matches!(self.scheme, Scheme::RPoLv3));
+        .quantized(self.scheme.spec().lattice == Lattice::Bf16);
         let nonce = self.rng.next_u64();
         // With an executor attached the per-(replay, segment) measurements
         // fan out onto its workers; `calibrate_with` is bitwise-identical

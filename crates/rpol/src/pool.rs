@@ -30,7 +30,8 @@ use std::sync::Arc;
 /// in index order, so their reported accuracy is bitwise identical.
 const EVAL_CHUNK: usize = 16;
 
-/// Which verification scheme the pool runs (§VII-E).
+/// Which verification scheme the pool runs (§VII-E). Each scheme is one
+/// row of settings, [`Scheme::spec`]; code reads the setting it needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Scheme {
     /// No verification — every submission is aggregated (insecure).
@@ -46,17 +47,139 @@ pub enum Scheme {
     RPoLv3,
 }
 
-impl std::fmt::Display for Scheme {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            Scheme::Baseline => "Baseline",
-            Scheme::RPoLv1 => "RPoLv1",
-            Scheme::RPoLv2 => "RPoLv2",
-            Scheme::RPoLv3 => "RPoLv3",
-        };
-        f.write_str(name)
+impl Scheme {
+    /// Every scheme, in wire-byte order.
+    pub const ALL: [Scheme; 4] = [
+        Scheme::Baseline,
+        Scheme::RPoLv1,
+        Scheme::RPoLv2,
+        Scheme::RPoLv3,
+    ];
+
+    /// This scheme's settings.
+    pub fn spec(self) -> &'static SchemeSpec {
+        &SCHEMES[self as usize]
     }
 }
+
+impl std::fmt::Display for Scheme {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.spec().name)
+    }
+}
+
+/// What a commitment entry binds a checkpoint by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Binding {
+    /// Nothing: no commitment, no verification.
+    None,
+    /// SHA-256 of the checkpoint's bytes (its bf16 image on that lattice).
+    Sha256,
+    /// The checkpoint's LSH group digests.
+    LshGroups,
+}
+
+/// What a replayed checkpoint is matched to the committed one by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MatchDigest {
+    /// The raw-weight distance to the opened checkpoint.
+    RawDistance,
+    /// Its LSH group digests, the opening fetched only to double-check.
+    LshGroups,
+}
+
+/// Where training checkpoints live.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lattice {
+    /// Raw f32 weights, 4 bytes each on the wire.
+    F32,
+    /// Snapped to bf16 at every checkpoint, packed on the wire.
+    Bf16,
+}
+
+/// How often the manager calibrates the tolerance `β` (§V-C).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Calibration {
+    /// Never: nothing is verified.
+    Never,
+    /// In the first epoch; later epochs reuse its `β`.
+    Once,
+    /// Every epoch, which also seeds the epoch's LSH family.
+    EveryEpoch,
+}
+
+/// One scheme's settings: a row of the table [`Scheme::spec`] reads.
+#[derive(Debug)]
+#[non_exhaustive]
+pub struct SchemeSpec {
+    /// Display name.
+    pub name: &'static str,
+    /// The CLI's `--scheme` value.
+    pub flag: &'static str,
+    /// The byte a [`CommitSpec`](crate::wire::NetControl::CommitSpec) carries.
+    pub wire: u8,
+    /// What a commitment binds.
+    pub binding: Binding,
+    /// What a replay is matched by.
+    pub digest: MatchDigest,
+    /// Where checkpoints live.
+    pub lattice: Lattice,
+    /// How often the manager calibrates.
+    pub calibration: Calibration,
+}
+
+impl SchemeSpec {
+    /// Whether submissions are committed and verified at all.
+    pub fn verifies(&self) -> bool {
+        self.binding != Binding::None
+    }
+
+    /// Whether commitments carry LSH group digests, so the epoch has a
+    /// family.
+    pub fn hashes_by_lsh(&self) -> bool {
+        self.digest == MatchDigest::LshGroups
+    }
+}
+
+/// The table, indexed by [`Scheme`] discriminant (declaration order).
+static SCHEMES: [SchemeSpec; 4] = [
+    SchemeSpec {
+        name: "Baseline",
+        flag: "baseline",
+        wire: 0,
+        binding: Binding::None,
+        digest: MatchDigest::RawDistance,
+        lattice: Lattice::F32,
+        calibration: Calibration::Never,
+    },
+    SchemeSpec {
+        name: "RPoLv1",
+        flag: "v1",
+        wire: 1,
+        binding: Binding::Sha256,
+        digest: MatchDigest::RawDistance,
+        lattice: Lattice::F32,
+        calibration: Calibration::Once,
+    },
+    SchemeSpec {
+        name: "RPoLv2",
+        flag: "v2",
+        wire: 2,
+        binding: Binding::LshGroups,
+        digest: MatchDigest::LshGroups,
+        lattice: Lattice::F32,
+        calibration: Calibration::EveryEpoch,
+    },
+    SchemeSpec {
+        name: "RPoLv3",
+        flag: "v3",
+        wire: 3,
+        binding: Binding::Sha256,
+        digest: MatchDigest::LshGroups,
+        lattice: Lattice::Bf16,
+        calibration: Calibration::EveryEpoch,
+    },
+];
 
 /// Pool-level configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -161,7 +284,7 @@ impl PoolConfig {
                 .map_err(|e| format!("invalid fault config: {e}"))?;
         }
         if self.hierarchy.is_some() {
-            if matches!(self.scheme, Scheme::Baseline) {
+            if !self.scheme.spec().verifies() {
                 return Err(
                     "hierarchy requires a verifying scheme: the baseline emits no verdicts to commit"
                         .to_string(),
@@ -822,7 +945,7 @@ impl MiningPool {
         let executor = self.executor();
         let n = self.workers.len();
         let hierarchy = self.config.hierarchy;
-        let packed = matches!(self.config.scheme, Scheme::RPoLv3);
+        let packed = self.config.scheme.spec().lattice == Lattice::Bf16;
 
         let plan = self.manager.begin_epoch(n, epoch);
         let mut link = self.config.fault.map(|fault| Link::new(&fault));

@@ -64,7 +64,7 @@ use crate::manager::{CommStats, Participant};
 use crate::poll;
 use crate::pool::{
     merge_proof_traffic, roster_groups, EpochRecord, MiningPool, PoolConfig, PoolReport,
-    ProviderState, Scheme,
+    ProviderState,
 };
 use crate::transport::{FaultConfig, LinkState, MsgKind, Transport, TransportStats};
 use crate::verify::{ProofProvider, ProofUnavailable};
@@ -76,27 +76,6 @@ use rpol_exec::Executor;
 use rpol_obs::{event, Recorder, TraceContext, Value};
 use rpol_sim::SimClock;
 use serde::Serialize;
-
-/// Wire discriminant for a [`Scheme`] in [`NetControl::CommitSpec`].
-pub(crate) fn scheme_code(scheme: Scheme) -> u8 {
-    match scheme {
-        Scheme::Baseline => 0,
-        Scheme::RPoLv1 => 1,
-        Scheme::RPoLv2 => 2,
-        Scheme::RPoLv3 => 3,
-    }
-}
-
-/// Inverse of [`scheme_code`].
-pub(crate) fn scheme_from_code(code: u8) -> Option<Scheme> {
-    match code {
-        0 => Some(Scheme::Baseline),
-        1 => Some(Scheme::RPoLv1),
-        2 => Some(Scheme::RPoLv2),
-        3 => Some(Scheme::RPoLv3),
-        _ => None,
-    }
-}
 
 /// Where the manager listens (or a worker connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1836,18 +1815,18 @@ impl PoolServer {
         // few scalars of a FamilySpec are the family's key, from which a
         // worker derives the projection rows inside its commitment hash.
         let scheme = self.pool.config().scheme;
-        let family = match scheme {
-            Scheme::RPoLv2 | Scheme::RPoLv3 => plan.calibration.as_ref().map(|c| FamilySpec {
+        let family = plan
+            .calibration
+            .filter(|_| scheme.spec().hashes_by_lsh())
+            .map(|c| FamilySpec {
                 r: c.params.r,
                 k: c.params.k as u32,
                 l: c.params.l as u32,
                 seed: c.family_seed,
-            }),
-            Scheme::Baseline | Scheme::RPoLv1 => None,
-        };
+            });
         self.core.lock().broadcast_control(&NetControl::CommitSpec {
             epoch,
-            scheme: scheme_code(scheme),
+            scheme,
             family,
         });
 
@@ -2262,6 +2241,7 @@ fn spawn_clients(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::Scheme;
 
     /// The scan pump is what the reactor falls back to when epoll fails
     /// (and the only pump off linux/x86-64): forced before the run, it

@@ -12,6 +12,7 @@
 //! region, so Theorem 2's soundness bound carries over unchanged.
 
 use crate::commitment::EpochCommitment;
+use crate::pool::{Binding, Lattice};
 use crate::tasks::TaskConfig;
 use crate::trainer::{LocalTrainer, Segment};
 use crate::worker::CommitMode;
@@ -475,7 +476,7 @@ impl<'a> Verifier<'a> {
         index: usize,
         weights: &[f32],
     ) -> bool {
-        let mode = CommitMode::of(commitment, self.family);
+        let mode = CommitMode::new(commitment.scheme().spec(), self.family);
         binds(commitment, index, &mode.binding_of(weights))
     }
 }
@@ -518,7 +519,7 @@ impl<'s> Subject<'s> {
     /// the next batch — rather than at once or not at all: fetched (not a
     /// bound end) under RPoLv2.
     fn lsh_bound(&self, index: usize) -> bool {
-        matches!(self.commitment, EpochCommitment::V2(_)) && !self.is_end(index)
+        self.commitment.scheme().spec().binding == Binding::LshGroups && !self.is_end(index)
     }
 
     fn is_end(&self, index: usize) -> bool {
@@ -540,12 +541,11 @@ impl<'s> Subject<'s> {
         }
         match self.provider.open_checkpoint(index) {
             Ok(opened) => {
-                // V3 openings travel as packed bf16 blocks (lattice
-                // checkpoints round-trip losslessly), the others as 4
-                // bytes per weight.
-                tally.proof_bytes += match self.commitment {
-                    EpochCommitment::V3(_) => crate::wire::packed_block_len(&opened),
-                    _ => opened.len() * 4,
+                // Lattice openings travel as packed bf16 blocks (they
+                // round-trip losslessly), the others as 4 bytes per weight.
+                tally.proof_bytes += match self.commitment.scheme().spec().lattice {
+                    Lattice::Bf16 => crate::wire::packed_block_len(&opened),
+                    Lattice::F32 => opened.len() * 4,
                 } as u64;
                 Some(opened)
             }
@@ -594,7 +594,7 @@ impl<'s> Subject<'s> {
         }
         let mut replayed = replay(&input);
         tally.replayed_steps += segment.steps as u64;
-        if matches!(commitment, EpochCommitment::V3(_)) {
+        if commitment.scheme().spec().lattice == Lattice::Bf16 {
             rpol_tensor::quant::snap_to_bf16(&mut replayed);
         }
         Ok(Flight {
@@ -608,7 +608,7 @@ impl<'s> Subject<'s> {
 
 /// Whether `commitment` compares replays by LSH signature.
 fn fuzzy(commitment: &EpochCommitment) -> bool {
-    !matches!(commitment, EpochCommitment::V1(_))
+    commitment.scheme().spec().hashes_by_lsh()
 }
 
 /// `replay(subject, input, segment)`: one replay, on whatever lane calls.
@@ -651,13 +651,9 @@ pub(crate) fn verify_ranked(
     mut lanes: Lanes<'_>,
     hash: impl Fn(&LshFamily, &[&[f32]]) -> Vec<Signature>,
 ) -> Vec<Vec<SampleVerdict>> {
-    let family =
-        subjects
-            .iter()
-            .find_map(|s| match CommitMode::of(s.commitment, s.verifier.family) {
-                CommitMode::V2(f) | CommitMode::V3(f) => Some(f),
-                CommitMode::Skip | CommitMode::V1 => None,
-            });
+    let family = subjects
+        .iter()
+        .find_map(|s| s.verifier.family.filter(|_| fuzzy(s.commitment)));
     let width = match (family, &lanes) {
         (Some(f), _) => (f.params().k * f.params().l / 2).max(1),
         (None, Lanes::Exec(exec, _)) => exec.threads(),
@@ -804,10 +800,10 @@ pub(crate) fn verify_ranked(
 }
 
 /// Whether a checkpoint may enter a replay or an aggregate at all: finite
-/// everywhere, and under RPoLv3 *on* the bf16 lattice.
+/// everywhere, and on a bf16-lattice scheme *on* the lattice.
 pub(crate) fn well_formed(commitment: &EpochCommitment, weights: &[f32]) -> bool {
     weights.iter().all(|w| w.is_finite())
-        && (!matches!(commitment, EpochCommitment::V3(_))
+        && (commitment.scheme().spec().lattice == Lattice::F32
             || rpol_tensor::quant::is_bf16_lattice(weights))
 }
 

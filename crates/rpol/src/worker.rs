@@ -2,6 +2,7 @@
 
 use crate::adversary::{spoof_next_checkpoint, WorkerBehavior};
 use crate::commitment::EpochCommitment;
+use crate::pool::{Binding, MatchDigest, SchemeSpec};
 use crate::tasks::TaskConfig;
 use crate::trainer::{epoch_segments, LocalTrainer, Segment};
 use crate::verify::ProofProvider;
@@ -29,6 +30,25 @@ pub enum CommitMode<'a> {
 }
 
 impl<'a> CommitMode<'a> {
+    /// The mode `spec`'s workers commit in, hashing by `family` when the
+    /// scheme's commitments carry LSH digests.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an LSH scheme without a family.
+    pub(crate) fn new(spec: &SchemeSpec, family: Option<&'a LshFamily>) -> Self {
+        let family = || {
+            family
+                .unwrap_or_else(|| panic!("{} commitment but no LSH family configured", spec.name))
+        };
+        match (spec.binding, spec.digest) {
+            (Binding::None, _) => CommitMode::Skip,
+            (Binding::Sha256, MatchDigest::RawDistance) => CommitMode::V1,
+            (Binding::LshGroups, _) => CommitMode::V2(family()),
+            (Binding::Sha256, MatchDigest::LshGroups) => CommitMode::V3(family()),
+        }
+    }
+
     /// LSH hashes per group (`k`) of the epoch's family; 0 for the schemes
     /// without one. Together with the model size it fixes the commitment's
     /// hashing cost.
@@ -36,37 +56,6 @@ impl<'a> CommitMode<'a> {
         match self {
             CommitMode::V2(f) | CommitMode::V3(f) => f.params().k,
             CommitMode::Skip | CommitMode::V1 => 0,
-        }
-    }
-
-    /// Whether `commitment` is the kind this mode has workers build — a
-    /// delivered submission may carry any.
-    pub(crate) fn produces(&self, commitment: &EpochCommitment) -> bool {
-        matches!(
-            (self, commitment),
-            (CommitMode::V1, EpochCommitment::V1(_))
-                | (CommitMode::V2(_), EpochCommitment::V2(_))
-                | (CommitMode::V3(_), EpochCommitment::V3(_))
-        )
-    }
-
-    /// The mode that builds commitments of `commitment`'s kind, given the
-    /// verifier's family.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an LSH commitment without a family.
-    pub(crate) fn of(commitment: &EpochCommitment, family: Option<&'a LshFamily>) -> Self {
-        match (commitment, family) {
-            (EpochCommitment::V1(_), _) => CommitMode::V1,
-            (EpochCommitment::V2(_), Some(family)) => CommitMode::V2(family),
-            (EpochCommitment::V3(_), Some(family)) => CommitMode::V3(family),
-            (EpochCommitment::V2(_), None) => {
-                panic!("RPoLv2 commitment but no LSH family configured")
-            }
-            (EpochCommitment::V3(_), None) => {
-                panic!("RPoLv3 commitment but no LSH family configured")
-            }
         }
     }
 

@@ -196,10 +196,42 @@ proptest! {
     }
 }
 
+use rpol::pool::Scheme;
 use rpol::wire::{
     decode_net_control, encode_net_control, BusyReason, FamilySpec, FrameAssembler, NetControl,
     NET_PROTOCOL,
 };
+
+/// A `CommitSpec` carries a family exactly when its scheme hashes by LSH.
+/// An RPoLv2/v3 spec without one would have the worker train and upload a
+/// submission with no commitment; a baseline/v1 spec with one names a
+/// family nobody hashes by. Both are refused at decode.
+#[test]
+fn commit_spec_family_flag_must_agree_with_the_scheme() {
+    let family = FamilySpec {
+        r: 4.0,
+        k: 2,
+        l: 3,
+        seed: 9,
+    };
+    for (scheme, family) in [
+        (Scheme::RPoLv2, None),
+        (Scheme::RPoLv3, None),
+        (Scheme::Baseline, Some(family)),
+        (Scheme::RPoLv1, Some(family)),
+    ] {
+        let bytes = encode_net_control(&NetControl::CommitSpec {
+            epoch: 3,
+            scheme,
+            family,
+        });
+        assert_eq!(
+            decode_net_control(bytes),
+            Err(DecodeError::Malformed("family flag disagrees with scheme")),
+            "{scheme} with family {family:?}"
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -260,10 +292,10 @@ proptest! {
             3 => NetControl::Ping { nonce: a },
             4 => NetControl::Pong { nonce: a },
             // Schemes 0/1 carry no family, 2/3 must.
-            5 => NetControl::CommitSpec { epoch: a, scheme: (b % 2) as u8, family: None },
+            5 => NetControl::CommitSpec { epoch: a, scheme: Scheme::ALL[(b % 2) as usize], family: None },
             6 => NetControl::CommitSpec {
                 epoch: a,
-                scheme: 2 + (b % 2) as u8,
+                scheme: Scheme::ALL[2 + (b % 2) as usize],
                 family: Some(FamilySpec { r, k, l, seed: b }),
             },
             7 => NetControl::ProofSeq { seq: a },
