@@ -159,6 +159,14 @@ fn bench_normals(c: &mut Criterion) {
             black_box(&mut out);
         })
     });
+    // The uniforms alone: what the normals above are fed by.
+    let (mut u1, mut u2) = (vec![0.0f64; 97_152 / 2], vec![0.0f64; 97_152 / 2]);
+    c.bench_function("rng/uniform_stream_97k", |b| {
+        b.iter(|| {
+            rng.fill_uniform_pairs(&mut u1, &mut u2);
+            black_box((&mut u1, &mut u2));
+        })
+    });
 }
 
 /// The three convolution products of one step at task P's conv2

@@ -256,7 +256,9 @@ impl<'a> Calibrator<'a> {
         // manager's pool is warm.
         let local = ScratchPool::default();
         let scratch = self.scratch.unwrap_or(&local);
-        // Run A: train on the faster GPU, as one task.
+        // Run A: train on the faster GPU, as one task of `exec`. In a
+        // pool's epoch the whole calibration is itself a task beside the
+        // workers' training, so run A and the replay units nest in it.
         let trace = {
             let _g = span!(self.recorder, "rpol.calibrate.trace", epoch, steps);
             let run_a = |_: usize| {

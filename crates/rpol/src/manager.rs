@@ -153,8 +153,9 @@ pub struct EpochReport {
     pub verdicts: Vec<(usize, WorkerVerdict)>,
 }
 
-/// The frozen outputs of [`PoolManager::begin_epoch`]: everything workers
-/// need to train this epoch, fixed before any submission arrives.
+/// The outputs of the `plan` stage ([`PoolManager::begin_epoch`]):
+/// everything workers need to train this epoch and, once the calibration
+/// is adopted, to commit — fixed before any submission arrives.
 #[derive(Debug, Clone)]
 pub struct EpochPlan {
     /// Epoch number.
@@ -164,6 +165,9 @@ pub struct EpochPlan {
     scheme: Scheme,
     /// Per-worker nonces `N_t^w`.
     pub nonces: Vec<u64>,
+    /// The nonce of this epoch's calibration between
+    /// [`PoolManager::plan`] and [`PoolManager::adopt`].
+    calibration_nonce: Option<u64>,
     /// This epoch's calibration, when one ran.
     pub calibration: Option<CalibrationResult>,
     family: Option<LshFamily>,
@@ -188,7 +192,16 @@ impl EpochPlan {
             .map_or(0, |v| v.assignments[worker].samples.len())
     }
 
+    /// The nonce of the calibration this plan still waits for, if any.
+    pub(crate) fn pending_calibration(&self) -> Option<u64> {
+        self.calibration_nonce
+    }
+
     /// The commitment mode workers must use this epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an LSH scheme's plan before its calibration was adopted.
     pub fn commit_mode(&self) -> CommitMode<'_> {
         CommitMode::new(self.scheme.spec(), self.family.as_ref())
     }
@@ -414,12 +427,25 @@ impl PoolManager {
         &self.contributions
     }
 
-    /// The `plan` stage of an epoch: calibrate (per scheme policy), fix the
-    /// per-worker nonces and the commitment mode, and draw the verification
-    /// schedule — every draw the epoch takes from the manager's RNG. After
-    /// this, workers can train **concurrently**: nothing in the plan
-    /// changes, and no later stage is random.
+    /// The whole `plan` stage of an epoch: [`Self::plan`], then the
+    /// epoch's calibration (per scheme policy) run and adopted in place.
+    /// After this, workers can train and commit **concurrently**: nothing
+    /// in the plan changes, and no later stage is random.
     pub fn begin_epoch(&mut self, n_workers: usize, epoch: u64) -> EpochPlan {
+        let mut plan = self.plan(n_workers, epoch);
+        let calibration = plan
+            .calibration_nonce
+            .map(|nonce| self.calibrate(nonce, epoch));
+        self.adopt(&mut plan, calibration);
+        plan
+    }
+
+    /// Every draw the epoch takes from the manager's RNG, in one fixed
+    /// order — the calibration nonce (when the scheme calibrates this
+    /// epoch), the per-worker nonces, the verification schedule — and
+    /// the start image. The plan has no calibration yet: workers may train
+    /// from it, but commit only after [`Self::adopt`].
+    pub(crate) fn plan(&mut self, n_workers: usize, epoch: u64) -> EpochPlan {
         assert!(n_workers > 0, "pool has no workers");
         let spec = self.scheme.spec();
         let calibrates = match spec.calibration {
@@ -427,15 +453,7 @@ impl PoolManager {
             Calibration::Once => self.cached_beta.is_none(),
             Calibration::EveryEpoch => true,
         };
-        let calibration = calibrates.then(|| {
-            let cal = self.calibrate(epoch);
-            self.cached_beta = Some(cal.beta);
-            cal
-        });
-        let family: Option<LshFamily> = spec.hashes_by_lsh().then(|| {
-            let cal = calibration.expect("an LSH scheme calibrates every epoch");
-            cal.family(self.global.len())
-        });
+        let calibration_nonce = calibrates.then(|| self.rng.next_u64());
         // Per-worker nonces for stochastic-yet-deterministic selection.
         let nonces: Vec<u64> = (0..n_workers).map(|_| self.rng.next_u64()).collect();
         let verification = self.prepare_verification(epoch, n_workers);
@@ -446,11 +464,36 @@ impl PoolManager {
             steps: self.steps_per_epoch,
             scheme: self.scheme,
             nonces,
-            calibration,
-            family,
+            calibration_nonce,
+            calibration: None,
+            family: None,
             verification,
             start_image,
         }
+    }
+
+    /// Completes `plan` with the calibration its nonce asked for: the
+    /// calibration itself, the epoch's LSH family, and `β` for this and
+    /// (under calibrate-once) every later epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `calibration` is present exactly when the plan still
+    /// waits for one.
+    pub(crate) fn adopt(&mut self, plan: &mut EpochPlan, calibration: Option<CalibrationResult>) {
+        assert_eq!(
+            plan.calibration_nonce.take().is_some(),
+            calibration.is_some(),
+            "a calibration exactly when the plan asked for one"
+        );
+        if let Some(cal) = &calibration {
+            self.cached_beta = Some(cal.beta);
+        }
+        plan.family = self.scheme.spec().hashes_by_lsh().then(|| {
+            let cal = calibration.expect("an LSH scheme calibrates every epoch");
+            cal.family(self.global.len())
+        });
+        plan.calibration = calibration;
     }
 
     /// The rest of an epoch over in-process submissions, serially: reveal
@@ -964,7 +1007,12 @@ impl PoolManager {
         indices
     }
 
-    fn calibrate(&mut self, epoch: u64) -> CalibrationResult {
+    /// The manager's §V-C sub-task for `epoch` from the current global
+    /// model, keyed by the plan's calibration `nonce`: pure, so it may run
+    /// beside the workers' training. With an executor attached its replay
+    /// units fan out onto it; the result is bitwise-identical either way,
+    /// at any width.
+    pub(crate) fn calibrate(&self, nonce: u64, epoch: u64) -> CalibrationResult {
         let calibrator = Calibrator::new(
             &self.config,
             &self.manager_shard,
@@ -974,10 +1022,6 @@ impl PoolManager {
         .with_recorder(self.recorder.clone())
         .with_scratch(&self.scratch)
         .quantized(self.scheme.spec().lattice == Lattice::Bf16);
-        let nonce = self.rng.next_u64();
-        // With an executor attached the per-(replay, segment) measurements
-        // fan out onto its workers; `calibrate_with` is bitwise-identical
-        // either way, at any width.
         let (cal, _trained) = calibrator.calibrate_with(
             &self.global,
             nonce,
@@ -1041,6 +1085,84 @@ mod tests {
                 })
                 .collect();
             self.finish_epoch(workers, &plan, &submissions)
+        }
+    }
+
+    /// The `begin_epoch` the plan stage had before calibration could run
+    /// beside training: the calibration nonce drawn, and the calibration
+    /// run and adopted, inline ahead of the worker nonces.
+    fn frozen_begin_epoch(m: &mut PoolManager, n_workers: usize, epoch: u64) -> EpochPlan {
+        let spec = m.scheme.spec();
+        let calibrates = match spec.calibration {
+            Calibration::Never => false,
+            Calibration::Once => m.cached_beta.is_none(),
+            Calibration::EveryEpoch => true,
+        };
+        let calibration = calibrates.then(|| {
+            let nonce = m.rng.next_u64();
+            let cal = m.calibrate(nonce, epoch);
+            m.cached_beta = Some(cal.beta);
+            cal
+        });
+        let family = spec
+            .hashes_by_lsh()
+            .then(|| calibration.expect("calibrated").family(m.global.len()));
+        let nonces = (0..n_workers).map(|_| m.rng.next_u64()).collect();
+        let verification = m.prepare_verification(epoch, n_workers);
+        let start_image =
+            (spec.lattice == Lattice::Bf16).then(|| rpol_tensor::quant::bf16_image(&m.global));
+        EpochPlan {
+            epoch,
+            steps: m.steps_per_epoch,
+            scheme: m.scheme,
+            nonces,
+            calibration_nonce: None,
+            calibration,
+            family,
+            verification,
+            start_image,
+        }
+    }
+
+    /// `begin_epoch`, and the pool's `plan → calibrate → adopt`, equal the
+    /// frozen `begin_epoch` on every scheme: nonces, schedule, calibration
+    /// bits and family (a plan's `Debug` prints every float round-trip
+    /// exactly), the cached `β`, and the manager RNG's next draw.
+    #[test]
+    fn begin_epoch_is_plan_calibrate_adopt() {
+        let behaviors = [
+            WorkerBehavior::Honest,
+            WorkerBehavior::Honest,
+            WorkerBehavior::ReplayPrevious,
+        ];
+        for scheme in Scheme::ALL {
+            let (mut frozen, _) = build_pool(scheme, &behaviors);
+            let (mut begun, _) = build_pool(scheme, &behaviors);
+            let (mut split, _) = build_pool(scheme, &behaviors);
+            for epoch in 0..2 {
+                let want = frozen_begin_epoch(&mut frozen, behaviors.len(), epoch);
+                let via_begin = begun.begin_epoch(behaviors.len(), epoch);
+                let mut via_split = split.plan(behaviors.len(), epoch);
+                let calibration = via_split
+                    .pending_calibration()
+                    .map(|nonce| split.calibrate(nonce, epoch));
+                split.adopt(&mut via_split, calibration);
+                for (path, m, plan) in [("begin", &begun, via_begin), ("split", &split, via_split)]
+                {
+                    let at = format!("{scheme} epoch {epoch} via {path}");
+                    assert_eq!(format!("{plan:?}"), format!("{want:?}"), "{at}");
+                    assert_eq!(
+                        m.cached_beta.map(f32::to_bits),
+                        frozen.cached_beta.map(f32::to_bits),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        m.rng.clone().next_u64(),
+                        frozen.rng.clone().next_u64(),
+                        "{at}"
+                    );
+                }
+            }
         }
     }
 

@@ -650,7 +650,7 @@ impl Link {
     fn upload(
         &mut self,
         workers: &[PoolWorker],
-        tasks: &[Option<Task<'_>>],
+        tasked: &[bool],
         mut local: Vec<Option<EpochSubmission>>,
         plan: &EpochPlan,
         comm: &mut CommStats,
@@ -659,7 +659,9 @@ impl Link {
         let epoch = plan.epoch;
         let _phase = span!(rec, "rpol.pool.submission", epoch);
         let mut upload = |(w, worker): (usize, &PoolWorker)| {
-            tasks[w].as_ref()?; // already lost at task delivery
+            if !tasked[w] {
+                return None; // already lost at task delivery
+            }
             if !link_state(&worker.behavior(), epoch, MsgKind::Submission).alive {
                 // The worker fell silent: the manager waits out one
                 // commitment deadline, then gives up on it.
@@ -915,13 +917,15 @@ impl MiningPool {
     /// Runs one epoch — the paper's one protocol (§IV–V), written once as
     /// four stages (DESIGN.md §22):
     ///
-    /// 1. **plan** — [`PoolManager::begin_epoch`]: calibration, nonces,
-    ///    commitment mode and the verification schedule, i.e. every draw
+    /// 1. **plan** — [`PoolManager::plan`]: the calibration nonce, the
+    ///    worker nonces and the verification schedule, i.e. every draw
     ///    from the manager's RNG, before anything trains.
     /// 2. **collect** — per group of the roster ([`roster_groups`]: one
     ///    group of everyone, or committee by committee so only one
     ///    committee's submissions are ever resident), deliver tasks, train,
-    ///    and bring the submissions back ([`Self::collect`]).
+    ///    commit, and bring the submissions back ([`Self::collect`]). The
+    ///    first group's training runs beside the epoch's calibration, which
+    ///    reads no worker's output and which no training reads.
     /// 3. **verify** — sampled replay of each delivered submission.
     /// 4. **settle** — [`PoolManager::settle_fold`] per group, then
     ///    [`PoolManager::settle_finish`]: verdicts classified, accepted
@@ -937,6 +941,17 @@ impl MiningPool {
     ///
     /// Panics if the configuration fails [`PoolConfig::validate`].
     pub fn run_epoch(&mut self, epoch: u64) -> EpochRecord {
+        self.run_planned(epoch, PoolManager::plan)
+    }
+
+    /// [`Self::run_epoch`] with its plan stage drawn by `plan`:
+    /// [`PoolManager::plan`], or [`PoolManager::begin_epoch`] for an epoch
+    /// whose calibration runs before anything trains.
+    fn run_planned(
+        &mut self,
+        epoch: u64,
+        plan: impl FnOnce(&mut PoolManager, usize, u64) -> EpochPlan,
+    ) -> EpochRecord {
         self.config.validate().unwrap_or_else(|e| panic!("{e}"));
         let start = std::time::Instant::now();
         let recorder = self.recorder.clone();
@@ -947,13 +962,13 @@ impl MiningPool {
         let hierarchy = self.config.hierarchy;
         let packed = self.config.scheme.spec().lattice == Lattice::Bf16;
 
-        let plan = self.manager.begin_epoch(n, epoch);
+        let mut plan = plan(&mut self.manager, n, epoch);
         let mut link = self.config.fault.map(|fault| Link::new(&fault));
         let mut comm = CommStats::default();
         if link.is_none() {
             comm.broadcast_bytes = self.manager.broadcast_bytes(&plan, n);
         }
-        let mut settlement = self.manager.settle_begin(&plan, hierarchy);
+        let mut settlement = None;
 
         for (g, members) in roster_groups(&self.config, n).iter().enumerate() {
             if members.is_empty() {
@@ -968,7 +983,9 @@ impl MiningPool {
                     members = members.len()
                 )
             });
-            let delivered = self.collect(members, &plan, link.as_mut(), &mut comm);
+            let delivered = self.collect(members, &mut plan, link.as_mut(), &mut comm);
+            let settlement =
+                settlement.get_or_insert_with(|| self.manager.settle_begin(&plan, hierarchy));
 
             // Openings are served by the worker itself, or over the link
             // through a per-worker endpoint.
@@ -1001,13 +1018,8 @@ impl MiningPool {
                     }
                 })
                 .collect();
-            self.manager.verify_and_fold(
-                &mut settlement,
-                g,
-                &participants,
-                &plan,
-                Some(&*executor),
-            );
+            self.manager
+                .verify_and_fold(settlement, g, &participants, &plan, Some(&*executor));
             drop(participants);
             let proof_traffic: Vec<ProviderState> = providers
                 .into_iter()
@@ -1024,6 +1036,7 @@ impl MiningPool {
         let (lost, stats, clock) = link
             .map(|link| (link.lost, link.stats, link.clock))
             .unwrap_or_default();
+        let settlement = settlement.expect("a pool has a non-empty group");
         let mut report = self.manager.settle_finish(settlement, comm, &lost);
         report.transport = stats;
         EpochRecord {
@@ -1036,8 +1049,10 @@ impl MiningPool {
 
     /// The `collect` stage for one group: the only stage that differs by
     /// where submissions come from. Members train as one executor task
-    /// each; returns the group's delivered submissions by member position
-    /// (`None`: lost on the link).
+    /// each, beside the plan's pending calibration (the first group's) as
+    /// one more; after the join the calibration is adopted and members
+    /// commit as one task each. Returns the group's delivered submissions
+    /// by member position (`None`: lost on the link).
     ///
     /// * **Direct** (`link` is `None`): a member's task is read off the
     ///   plan and its submission handed back as is.
@@ -1048,7 +1063,7 @@ impl MiningPool {
     fn collect(
         &mut self,
         members: &[usize],
-        plan: &EpochPlan,
+        plan: &mut EpochPlan,
         mut link: Option<&mut Link>,
         comm: &mut CommStats,
     ) -> Vec<Option<EpochSubmission>> {
@@ -1072,6 +1087,7 @@ impl MiningPool {
         let phase = link
             .is_some()
             .then(|| span!(rec, "rpol.pool.training", epoch));
+        let spec = self.config.scheme.spec();
         let train = |w: usize, worker: &mut PoolWorker, task: &Task<'_>| {
             let _g = span!(
                 rec,
@@ -1080,36 +1096,60 @@ impl MiningPool {
                 worker = w,
                 steps = task.steps
             );
-            worker.run_epoch(
+            worker.train(
                 manager.config(),
                 &task.global,
                 task.nonce,
                 task.steps,
                 epoch,
-                plan.commit_mode(),
+                spec,
             )
         };
-        let mut local: Vec<Option<EpochSubmission>> = members.iter().map(|_| None).collect();
+        let mut trained: Vec<Option<Vec<Vec<f32>>>> = members.iter().map(|_| None).collect();
         // A member with no task, or whose link dies this epoch (its partial
         // steps would never be seen), skips the doomed compute.
         let jobs = members_mut(workers, members)
             .zip(&tasks)
-            .zip(&mut local)
+            .zip(&mut trained)
             .filter_map(|(((w, worker), task), slot)| {
                 let up = link.is_none()
                     || link_state(&worker.behavior(), epoch, MsgKind::Submission).alive;
                 Some((w, worker, task.as_ref().filter(|_| up)?, slot))
             });
+        let pending = plan.pending_calibration();
+        let mut calibration = None;
         exec.scope(|s| {
+            if let Some(nonce) = pending {
+                let calibration = &mut calibration;
+                s.spawn(move || *calibration = Some(manager.calibrate(nonce, epoch)));
+            }
             for (w, worker, task, slot) in jobs {
                 let train = &train;
                 s.spawn(move || *slot = Some(train(w, worker, task)));
             }
         });
         drop(phase);
+        // Direct tasks borrow the global model: release them before the
+        // manager adopts the calibration.
+        let tasked: Vec<bool> = tasks.iter().map(Option::is_some).collect();
+        drop(tasks);
+        if pending.is_some() {
+            self.manager.adopt(plan, calibration);
+        }
+
+        let mode = plan.commit_mode();
+        let mut local: Vec<Option<EpochSubmission>> = members.iter().map(|_| None).collect();
+        exec.scope(|s| {
+            let members = members_mut(&mut self.workers, members);
+            for (((_, worker), checkpoints), slot) in members.zip(trained).zip(&mut local) {
+                if let Some(checkpoints) = checkpoints {
+                    s.spawn(move || *slot = Some(worker.commit(checkpoints, mode)));
+                }
+            }
+        });
 
         match link {
-            Some(link) => link.upload(workers, &tasks, local, plan, comm, rec),
+            Some(link) => link.upload(&self.workers, &tasked, local, plan, comm, rec),
             None => {
                 comm.submission_bytes +=
                     local.iter().flatten().map(|s| s.upload_bytes).sum::<u64>();
@@ -1388,6 +1428,63 @@ mod tests {
                 ),
                 _ => assert_eq!(passes, epochs, "{scheme}"),
             }
+        }
+    }
+
+    /// Calibrating beside the first group's training changes nothing: a
+    /// v2 epoch on the link source and one under two committees equal,
+    /// record and `rpol.calibrate.unit` events alike, the epoch whose
+    /// calibration ran in [`PoolManager::begin_epoch`] before anything
+    /// trained.
+    #[test]
+    fn calibrating_beside_training_equals_calibrating_first() {
+        let behaviors = vec![
+            WorkerBehavior::Honest,
+            WorkerBehavior::Honest,
+            WorkerBehavior::ReplayPrevious,
+            WorkerBehavior::PartialSpoof {
+                honest_fraction: 0.0,
+                lambda: 0.5,
+            },
+        ];
+        let configs = [
+            PoolConfig::tiny_demo(Scheme::RPoLv2).with_faults(FaultConfig::lossy(7)),
+            PoolConfig::tiny_demo(Scheme::RPoLv2)
+                .with_hierarchy(Hierarchy::new(2, 1).expect("valid hierarchy")),
+        ];
+        let units = |rec: &Recorder| -> Vec<String> {
+            rec.events()
+                .iter()
+                .filter(|ev| ev.name == "rpol.calibrate.unit")
+                .map(|ev| format!("{:?}", ev.fields))
+                .collect()
+        };
+        for config in configs {
+            let run = |begin_first: bool| {
+                let rec = Arc::new(Recorder::logical());
+                let mut pool = MiningPool::new(config, behaviors.clone())
+                    .with_recorder(rec.clone())
+                    .with_threads(2);
+                let records: Vec<String> = (0..2)
+                    .map(|epoch| {
+                        let record = if begin_first {
+                            pool.run_planned(epoch, PoolManager::begin_epoch)
+                        } else {
+                            pool.run_epoch(epoch)
+                        };
+                        format!(
+                            "{:?} {:?} {}",
+                            record.report,
+                            record.transport_time,
+                            record.test_accuracy.to_bits()
+                        )
+                    })
+                    .collect();
+                (records, units(&rec))
+            };
+            let (beside, first) = (run(false), run(true));
+            assert!(!first.1.is_empty(), "v2 calibrates every epoch");
+            assert_eq!(beside, first, "{config:?}");
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::adversary::{spoof_next_checkpoint, WorkerBehavior};
 use crate::commitment::EpochCommitment;
-use crate::pool::{Binding, MatchDigest, SchemeSpec};
+use crate::pool::{Binding, Lattice, MatchDigest, Scheme, SchemeSpec};
 use crate::tasks::TaskConfig;
 use crate::trainer::{epoch_segments, LocalTrainer, Segment};
 use crate::verify::ProofProvider;
@@ -46,6 +46,16 @@ impl<'a> CommitMode<'a> {
             (Binding::Sha256, MatchDigest::RawDistance) => CommitMode::V1,
             (Binding::LshGroups, _) => CommitMode::V2(family()),
             (Binding::Sha256, MatchDigest::LshGroups) => CommitMode::V3(family()),
+        }
+    }
+
+    /// The scheme whose workers commit in this mode.
+    pub(crate) fn scheme(&self) -> Scheme {
+        match self {
+            CommitMode::Skip => Scheme::Baseline,
+            CommitMode::V1 => Scheme::RPoLv1,
+            CommitMode::V2(_) => Scheme::RPoLv2,
+            CommitMode::V3(_) => Scheme::RPoLv3,
         }
     }
 
@@ -222,7 +232,8 @@ impl PoolWorker {
     }
 
     /// Runs one epoch per the worker's behaviour and returns the
-    /// submission. `mode` selects the commitment scheme.
+    /// submission: [`Self::train`] on `mode`'s scheme, then
+    /// [`Self::commit`] in `mode`.
     pub fn run_epoch(
         &mut self,
         config: &TaskConfig,
@@ -232,6 +243,26 @@ impl PoolWorker {
         epoch: u64,
         mode: CommitMode<'_>,
     ) -> EpochSubmission {
+        let spec = mode.scheme().spec();
+        let checkpoints = self.train(config, global_weights, nonce, total_steps, epoch, spec);
+        self.commit(checkpoints, mode)
+    }
+
+    /// Trains one epoch per the worker's behaviour and returns its
+    /// checkpoints, input first — what [`Self::commit`] binds. Reads two
+    /// settings of `spec`: the lattice training runs on, and whether any
+    /// checkpoint but the last is kept. Nothing here depends on the epoch's
+    /// calibration (a commitment's LSH family), which a worker may
+    /// therefore learn after training.
+    pub fn train(
+        &mut self,
+        config: &TaskConfig,
+        global_weights: &[f32],
+        nonce: u64,
+        total_steps: usize,
+        epoch: u64,
+        spec: &SchemeSpec,
+    ) -> Vec<Vec<f32>> {
         let segments = epoch_segments(total_steps, config.checkpoint_interval);
         let run_seed = (epoch << 20) ^ (self.id as u64) << 4 ^ nonce;
         debug_assert_eq!(
@@ -243,8 +274,8 @@ impl PoolWorker {
         // (epoch input, checkpoints, spoofed extrapolations) is snapped,
         // honest and adversarial alike — an off-lattice opening is
         // rejected as malformed before any replay.
-        let quantized = matches!(mode, CommitMode::V3(_));
-        let mut checkpoints = match self.behavior {
+        let quantized = spec.lattice == Lattice::Bf16;
+        let checkpoints = match self.behavior {
             // Crash and straggler faults train honestly: the crash cuts off
             // *communication* (modelled by the transport layer, which stops
             // calling this worker), and the straggler is merely slow.
@@ -266,26 +297,22 @@ impl PoolWorker {
                     .load_params(foreign.as_deref().unwrap_or(global_weights));
                 let mut trainer =
                     LocalTrainer::new(config, &self.shard, self.noise.rerun(run_seed));
-                match mode {
+                if !spec.verifies() {
                     // No proof storage: the final weights are the only
                     // checkpoint anyone reads.
-                    CommitMode::Skip => {
-                        for &segment in &segments {
-                            trainer.run_segment(&mut self.model, nonce, segment);
-                        }
-                        self.model.end_pass();
-                        vec![self.model.flatten_params()]
+                    for &segment in &segments {
+                        trainer.run_segment(&mut self.model, nonce, segment);
                     }
-                    CommitMode::V3(_) => {
-                        trainer
-                            .run_epoch_quantized(&mut self.model, nonce, total_steps)
-                            .checkpoints
-                    }
-                    _ => {
-                        trainer
-                            .run_epoch(&mut self.model, nonce, total_steps)
-                            .checkpoints
-                    }
+                    self.model.end_pass();
+                    vec![self.model.flatten_params()]
+                } else if quantized {
+                    trainer
+                        .run_epoch_quantized(&mut self.model, nonce, total_steps)
+                        .checkpoints
+                } else {
+                    trainer
+                        .run_epoch(&mut self.model, nonce, total_steps)
+                        .checkpoints
                 }
             }
             WorkerBehavior::ReplayPrevious => {
@@ -339,7 +366,18 @@ impl PoolWorker {
                 checkpoints
             }
         };
+        self.segments = segments;
+        checkpoints
+    }
 
+    /// Commits to the checkpoints [`Self::train`] returned, in `mode`, and
+    /// returns the submission; the worker keeps them as its proof storage
+    /// (none under [`CommitMode::Skip`]).
+    pub fn commit(
+        &mut self,
+        mut checkpoints: Vec<Vec<f32>>,
+        mode: CommitMode<'_>,
+    ) -> EpochSubmission {
         let commitment = match mode {
             CommitMode::Skip => None,
             CommitMode::V1 => Some(EpochCommitment::commit_v1(&checkpoints)),
@@ -363,7 +401,7 @@ impl PoolWorker {
         });
         // V3 ships its lattice weights as a packed block: charge the
         // block's own length, ~1.5 bytes a weight.
-        let weight_bytes = if quantized {
+        let weight_bytes = if matches!(mode, CommitMode::V3(_)) {
             crate::wire::packed_block_len(&final_weights)
         } else {
             final_weights.len() * 4
@@ -375,7 +413,6 @@ impl PoolWorker {
         } else {
             checkpoints
         };
-        self.segments = segments;
         EpochSubmission {
             worker_id: self.id,
             final_weights,
@@ -576,6 +613,59 @@ mod tests {
                 bits(&from_lattice.checkpoints),
                 "{behavior:?} stored checkpoints"
             );
+        }
+    }
+
+    /// The pool's path — `train` on the plan's scheme row, then `commit` in
+    /// the plan's mode — equals `run_epoch` in that mode, for every
+    /// behaviour on every scheme: submission bits, commitment, byte counts
+    /// and the stored checkpoints.
+    #[test]
+    fn run_epoch_is_train_then_commit() {
+        use rpol_lsh::{LshFamily, LshParams};
+        let behaviors = [
+            WorkerBehavior::Honest,
+            WorkerBehavior::ReplayPrevious,
+            WorkerBehavior::PartialSpoof {
+                honest_fraction: 0.5,
+                lambda: 0.5,
+            },
+            WorkerBehavior::CrashAt {
+                epoch: 9,
+                after_steps: 1,
+            },
+            WorkerBehavior::Straggler { slowdown: 4.0 },
+            WorkerBehavior::SwapFinal,
+            WorkerBehavior::ForeignStart,
+        ];
+        let bits = |cps: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            cps.iter()
+                .map(|cp| cp.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        for behavior in behaviors {
+            let (cfg, _, global) = setup(behavior);
+            let family = LshFamily::new(global.len(), LshParams::new(1.0, 4, 4), 11);
+            for scheme in Scheme::ALL {
+                let spec = scheme.spec();
+                let mode = CommitMode::new(spec, Some(&family));
+                let (_, mut whole, _) = setup(behavior);
+                let (_, mut split, _) = setup(behavior);
+                // Two epochs: `ForeignStart` starts its second from its own
+                // stored result.
+                for epoch in 0..2 {
+                    let a = whole.run_epoch(&cfg, &global, 1, 8, epoch, mode);
+                    let checkpoints = split.train(&cfg, &global, 1, 8, epoch, spec);
+                    let b = split.commit(checkpoints, mode);
+                    let at = format!("{behavior:?} on {scheme}, epoch {epoch}");
+                    assert_eq!(bits(&[a.final_weights]), bits(&[b.final_weights]), "{at}");
+                    assert_eq!(a.commitment, b.commitment, "{at}");
+                    assert_eq!(a.upload_bytes, b.upload_bytes, "{at}");
+                    assert_eq!(a.commit_bytes_hashed, b.commit_bytes_hashed, "{at}");
+                    assert_eq!(bits(&whole.checkpoints), bits(&split.checkpoints), "{at}");
+                    assert_eq!(whole.segments, split.segments, "{at}");
+                }
+            }
         }
     }
 

@@ -101,9 +101,7 @@ impl Pcg32 {
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
-        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
-        let rot = (old >> 59) as u32;
-        xorshifted.rotate_right(rot)
+        xsh_rr(old)
     }
 
     /// Moves the generator `delta` outputs ahead in `O(log delta)` steps:
@@ -123,6 +121,13 @@ impl Pcg32 {
     /// assert_eq!(a, b);
     /// ```
     pub fn advance(&mut self, delta: u64) {
+        let (mult, plus) = self.jump(delta);
+        self.state = mult.wrapping_mul(self.state).wrapping_add(plus);
+    }
+
+    /// The affine map `state ↦ mult·state + plus` that `delta` calls of
+    /// [`Pcg32::next_u32`] apply, as `(mult, plus)`.
+    fn jump(&self, delta: u64) -> (u64, u64) {
         let (mut acc_mult, mut acc_plus) = (1u64, 0u64);
         let (mut cur_mult, mut cur_plus) = (PCG_MULT, self.inc);
         let mut delta = delta;
@@ -135,7 +140,7 @@ impl Pcg32 {
             cur_mult = cur_mult.wrapping_mul(cur_mult);
             delta >>= 1;
         }
-        self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_plus);
+        (acc_mult, acc_plus)
     }
 
     /// Returns the next 64-bit output (two 32-bit draws).
@@ -150,7 +155,7 @@ impl Pcg32 {
 
     /// Returns a uniform draw in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        f64_of(self.next_u32(), self.next_u32())
     }
 
     /// Returns a uniform draw in `[lo, hi)`.
@@ -211,16 +216,61 @@ impl Pcg32 {
         (u1, self.next_f64())
     }
 
+    /// Fills `u1`/`u2` with the uniforms behind the next `u1.len()`
+    /// Box–Muller pairs of the normal stream, in stream order — what
+    /// [`Pcg32::fill_normal`] transforms — and leaves the generator where
+    /// drawing them leaves it. A pending cached normal is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn fill_uniform_pairs(&mut self, u1: &mut [f64], u2: &mut [f64]) {
+        assert_eq!(u1.len(), u2.len(), "one u2 per u1");
+        for (u1, u2) in u1.chunks_mut(BLOCK_PAIRS).zip(u2.chunks_mut(BLOCK_PAIRS)) {
+            self.uniform_pairs(true, u1, u2);
+        }
+    }
+
+    /// Fills `u1`/`u2` with what `u1.len()` (at most [`BLOCK_PAIRS`]) calls
+    /// of [`Pcg32::next_uniform_pair`] return, and leaves the generator
+    /// where they would. `wide` draws the block [`STREAM_LANES`] outputs at
+    /// a time where the host can ([`stream_wide`]; tests pass `false` for
+    /// the pairwise reference); a block in which some `u1 ≤ ε` would have
+    /// been redrawn is drawn again, pair by pair, from where it started.
+    fn uniform_pairs(&mut self, wide: bool, u1: &mut [f64], u2: &mut [f64]) {
+        let pairs = u1.len();
+        assert!(
+            pairs <= BLOCK_PAIRS && u2.len() == pairs,
+            "block of {pairs} pairs with mismatched or oversized buffers"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if wide && stream_wide() {
+            let stride = self.jump(STREAM_LANES as u64);
+            // SAFETY: `stream_wide` detected avx512f and avx512dq.
+            if unsafe { stream_block_avx512(self.state, self.inc, stride, u1, u2) } {
+                self.advance(4 * pairs as u64);
+                return;
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = wide;
+        for (a, b) in u1.iter_mut().zip(u2) {
+            (*a, *b) = self.next_uniform_pair();
+        }
+    }
+
     /// Fills `out` with exactly what `out.len()` calls of
     /// [`Pcg32::next_normal`] would return, and leaves the generator in the
     /// same state (a pending cached value is consumed first; an odd tail
     /// caches its unused second output).
     ///
-    /// Uniforms are drawn one by one in stream order; only the Box–Muller
-    /// arithmetic runs over blocks, with kernels that vectorise. A lane
-    /// whose result could round differently from the platform's math
-    /// library is recomputed by the scalar expression `next_normal` uses,
-    /// so the output does not depend on which kernels ran.
+    /// Both halves run over blocks of up to [`BLOCK_PAIRS`] pairs: the
+    /// uniforms [`STREAM_LANES`] outputs wide where the host has AVX-512
+    /// DQ (one by one elsewhere, or when a block redraws a `u1`), the
+    /// Box–Muller arithmetic with kernels that vectorise. A lane whose
+    /// result could round differently from the platform's math library is
+    /// recomputed by the scalar expression `next_normal` uses, so the
+    /// output does not depend on which kernels ran.
     ///
     /// # Examples
     ///
@@ -250,9 +300,7 @@ impl Pcg32 {
         let mut z1 = [0.0f32; BLOCK_PAIRS];
         while !out.is_empty() {
             let pairs = out.len().div_ceil(2).min(BLOCK_PAIRS);
-            for (a, b) in u1[..pairs].iter_mut().zip(&mut u2[..pairs]) {
-                (*a, *b) = self.next_uniform_pair();
-            }
+            self.uniform_pairs(true, &mut u1[..pairs], &mut u2[..pairs]);
             box_muller_block(
                 tier,
                 &u1[..pairs],
@@ -293,6 +341,85 @@ impl Pcg32 {
             xs.swap(i, j);
         }
     }
+}
+
+/// PCG's XSH-RR output function of the state an output is drawn from.
+#[inline(always)]
+fn xsh_rr(old: u64) -> u32 {
+    let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
+    let rot = (old >> 59) as u32;
+    xorshifted.rotate_right(rot)
+}
+
+/// `(u64 >> 11)·2⁻⁵³` of the `u64` two outputs make: [`Pcg32::next_f64`].
+#[inline(always)]
+fn f64_of(hi: u32, lo: u32) -> f64 {
+    ((((hi as u64) << 32) | lo as u64) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Generators the wide uniform stream steps at once: lane `j` starts `j`
+/// outputs ahead, and every lane steps `STREAM_LANES` outputs at a time.
+const STREAM_LANES: usize = 32;
+
+/// Whether [`Pcg32::fill_normal`] draws its uniforms [`STREAM_LANES`]
+/// wide: the lanes' 64-bit multiplies need AVX-512 DQ.
+fn stream_wide() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        crate::gemm::isa_tier() == 3 && std::arch::is_x86_feature_detected!("avx512dq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The next `words.len()` (a multiple of [`STREAM_LANES`]) outputs of a
+/// generator at `(state, inc)`, drawn by [`STREAM_LANES`] generators side
+/// by side: lane `j` starts `j` steps ahead and every lane steps by
+/// `stride`, the map `jump(STREAM_LANES)` — one 64-bit multiply-add per
+/// output, none waiting on another.
+#[inline(always)]
+fn stream_words(state: u64, inc: u64, (mult, plus): (u64, u64), words: &mut [u32]) {
+    let mut lanes = [0u64; STREAM_LANES];
+    let mut at = state;
+    for lane in &mut lanes {
+        *lane = at;
+        at = at.wrapping_mul(PCG_MULT).wrapping_add(inc);
+    }
+    for chunk in words.chunks_exact_mut(STREAM_LANES) {
+        for (word, lane) in chunk.iter_mut().zip(&mut lanes) {
+            *word = xsh_rr(*lane);
+            *lane = lane.wrapping_mul(mult).wrapping_add(plus);
+        }
+    }
+}
+
+/// The uniforms of `u1.len()` Box–Muller pairs drawn from a generator at
+/// `(state, inc)` as if no `u1` were redrawn: pair `p` is outputs `4p` to
+/// `4p + 3` of [`stream_words`]. Returns whether every `u1` exceeds `ε`,
+/// i.e. whether [`Pcg32::next_uniform_pair`] draws the same block.
+///
+/// # Safety
+///
+/// Callers must have verified `avx512f` and `avx512dq` support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn stream_block_avx512(
+    state: u64,
+    inc: u64,
+    stride: (u64, u64),
+    u1: &mut [f64],
+    u2: &mut [f64],
+) -> bool {
+    let mut words = [0u32; 4 * BLOCK_PAIRS];
+    let drawn = (4 * u1.len()).next_multiple_of(STREAM_LANES);
+    stream_words(state, inc, stride, &mut words[..drawn]);
+    let mut clean = true;
+    for ((a, b), w) in u1.iter_mut().zip(u2).zip(words.chunks_exact(4)) {
+        *a = f64_of(w[0], w[1]);
+        *b = f64_of(w[2], w[3]);
+        clean &= *a > f64::EPSILON;
+    }
+    clean
 }
 
 /// One Box–Muller pair through the platform's math library: the expression
@@ -758,11 +885,108 @@ mod tests {
         );
     }
 
+    /// The uniform streams this host can draw: one by one, and 32 lanes
+    /// wide where it has AVX-512 DQ.
+    fn host_streams() -> Vec<bool> {
+        let mut streams = vec![false];
+        if stream_wide() {
+            streams.push(true);
+        } else {
+            println!("no AVX-512 DQ: the wide stream is not exercised");
+        }
+        streams
+    }
+
+    /// `pairs` pairs through `uniform_pairs` on `wide`: the uniforms' bits
+    /// and the generator left behind.
+    fn drawn_block(start: &Pcg32, wide: bool, pairs: usize) -> (Vec<(u64, u64)>, Pcg32) {
+        let mut rng = start.clone();
+        let (mut u1, mut u2) = (vec![0.0; pairs], vec![0.0; pairs]);
+        rng.uniform_pairs(wide, &mut u1, &mut u2);
+        let bits = u1.iter().zip(&u2).map(|(a, b)| (a.to_bits(), b.to_bits()));
+        (bits.collect(), rng)
+    }
+
+    #[test]
+    fn the_wide_stream_equals_next_uniform_pair() {
+        for seed in 0..3u64 {
+            let mut start = Pcg32::seed_from(seed);
+            if seed == 2 {
+                start.next_normal();
+            }
+            for pairs in 1..=BLOCK_PAIRS {
+                let want = drawn_block(&start, false, pairs);
+                let mut scalar = start.clone();
+                let pairwise: Vec<(u64, u64)> = (0..pairs)
+                    .map(|_| scalar.next_uniform_pair())
+                    .map(|(a, b)| (a.to_bits(), b.to_bits()))
+                    .collect();
+                assert_eq!(want, (pairwise, scalar), "seed {seed} pairs {pairs}");
+                for wide in host_streams() {
+                    let got = drawn_block(&start, wide, pairs);
+                    assert_eq!(got, want, "seed {seed} pairs {pairs} wide {wide}");
+                }
+            }
+        }
+    }
+
+    /// A generator whose next two outputs are 0, so the next Box–Muller
+    /// pair draws `u1 = 0` and redraws it: PCG outputs 0 from any state
+    /// below 2²⁷, and the increment is chosen so that state 1 steps to
+    /// state 2.
+    fn rejecting_stream() -> Pcg32 {
+        let (target, inc) = (1u64, 2u64.wrapping_sub(PCG_MULT));
+        let stream = Pcg32 {
+            state: target,
+            inc,
+            cached_normal: None,
+        };
+        assert_eq!(
+            (stream.clone().next_u32(), stream.clone().next_u64()),
+            (0, 0)
+        );
+        stream
+    }
+
+    /// A block that redraws a `u1` — at its first, a middle or its last
+    /// pair — is drawn pair by pair: the same uniforms and the same
+    /// generator as [`Pcg32::next_uniform_pair`], and the normals of
+    /// `fill_normal` still equal a `next_normal` loop.
+    #[test]
+    fn a_rejected_uniform_falls_back_bit_exactly() {
+        let rejecting = rejecting_stream();
+        for (at, pairs) in [(0usize, 256usize), (100, 256), (255, 256), (0, 1), (6, 7)] {
+            let mut start = rejecting.clone();
+            start.advance((4 * at as u64).wrapping_neg());
+            let mut probe = start.clone();
+            probe.advance(4 * at as u64);
+            assert_eq!(probe.next_u64(), 0, "pair {at} draws u1 = 0");
+            let want = drawn_block(&start, false, pairs);
+            for wide in host_streams() {
+                let got = drawn_block(&start, wide, pairs);
+                assert_eq!(got, want, "rejection at pair {at} of {pairs}, wide {wide}");
+            }
+            let mut bulk = start.clone();
+            let mut out = vec![0.0f32; 2 * pairs + 1];
+            bulk.fill_normal(&mut out);
+            let mut scalar = start.clone();
+            for (i, z) in out.iter().enumerate() {
+                assert_eq!(z.to_bits(), scalar.next_normal().to_bits(), "draw {i}");
+            }
+            assert_eq!(bulk, scalar, "rejection at pair {at}");
+        }
+    }
+
     #[test]
     fn isa_tiers_produce_identical_output() {
         let mut rng = Pcg32::seed_from(77);
         let (mut u1, mut u2) = ([0.0; BLOCK_PAIRS], [0.0; BLOCK_PAIRS]);
         for _ in 0..64 {
+            let streams: Vec<_> = host_streams()
+                .into_iter()
+                .map(|wide| drawn_block(&rng, wide, BLOCK_PAIRS))
+                .collect();
+            assert!(streams.windows(2).all(|w| w[0] == w[1]), "wide stream");
             for (a, b) in u1.iter_mut().zip(&mut u2) {
                 (*a, *b) = rng.next_uniform_pair();
             }
@@ -821,5 +1045,40 @@ mod tests {
     #[ignore = "2^30 draws; run in release"]
     fn fill_normal_long_soak() {
         assert!(soak(1 << 30) < 2e-4);
+    }
+
+    /// [`stream_words`] compiled as the wide stream runs it.
+    ///
+    /// # Safety
+    ///
+    /// Callers must have verified `avx512f` and `avx512dq` support.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn stream_words_avx512(rng: &Pcg32, words: &mut [u32]) {
+        stream_words(rng.state, rng.inc, rng.jump(STREAM_LANES as u64), words);
+    }
+
+    /// 2²⁸ outputs of the 32-lane stream against `next_u32`, in blocks of
+    /// the size `fill_normal` draws. `scripts/ci.sh` runs it in release.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[ignore = "2^28 outputs; run in release"]
+    fn pcg_stream_soak() {
+        if !stream_wide() {
+            println!("no AVX-512 DQ: the wide stream is not exercised");
+            return;
+        }
+        let mut rng = Pcg32::seed_from(0x5EA4);
+        let mut words = [0u32; 4 * BLOCK_PAIRS];
+        let mut mismatches = 0u64;
+        for _ in 0..(1u64 << 28) / words.len() as u64 {
+            // SAFETY: `stream_wide` detected avx512f and avx512dq.
+            unsafe { stream_words_avx512(&rng, &mut words) };
+            for &word in &words {
+                mismatches += (word != rng.next_u32()) as u64;
+            }
+        }
+        println!("2^28 outputs of the 32-lane stream: {mismatches} mismatches");
+        assert_eq!(mismatches, 0);
     }
 }

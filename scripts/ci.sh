@@ -43,6 +43,9 @@ cargo test -q --release -p rpol --lib wire::
 echo "== Gaussian blocks: 2^28 draws against the libm expression, 0 mismatches"
 cargo test -q --release -p rpol-tensor -- --ignored fill_normal_soak --nocapture
 
+echo "== PCG stream: 2^28 outputs of the 32-lane block against next_u32, 0 mismatches"
+cargo test -q --release -p rpol-tensor -- --ignored pcg_stream_soak --nocapture
+
 echo "== fault-injection matrix"
 scripts/fault_matrix.sh
 
