@@ -943,7 +943,7 @@ pub struct FamilySpec {
 /// heartbeats, load shedding, epoch lifecycle, and the chaos-proxy
 /// side-channel). These frames never ride the fault-injecting chaos link:
 /// they model the *service*, not the lossy network, and keeping them
-/// reliable is what lets the socket path reproduce the simulated path's
+/// reliable is what lets a TCP run reproduce an in-memory run's
 /// quarantine decisions exactly (DESIGN.md §14).
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetControl {

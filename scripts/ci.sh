@@ -46,6 +46,9 @@ cargo test -q --release -p rpol-tensor -- --ignored fill_normal_soak --nocapture
 echo "== PCG stream: 2^28 outputs of the 32-lane block against next_u32, 0 mismatches"
 cargo test -q --release -p rpol-tensor -- --ignored pcg_stream_soak --nocapture
 
+echo "== hostile frames: 100k seeded byte sequences through the in-memory reactor, no panic, no leak"
+cargo test -q --release -p rpol --lib -- --ignored hostile_frames_soak
+
 echo "== fault-injection matrix"
 scripts/fault_matrix.sh
 
