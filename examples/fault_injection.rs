@@ -235,7 +235,7 @@ fn main() {
     println!();
     println!(
         "transport: {} exchanges, {} attempts ({} retries), {} drops, {} corruptions, \
-         {} truncations, {} timeouts, {} dead links, {:.1} KB on the wire",
+         {} truncations, {} timeouts, {} dead links, {:.1} KB on the wire, {} B saved by packing",
         t.exchanges,
         t.attempts,
         t.retries,
@@ -245,6 +245,7 @@ fn main() {
         t.timeouts,
         t.failures,
         t.wire_bytes as f64 / 1e3,
+        t.bytes_saved,
     );
     println!(
         "outcome: {} accepted, {} rejected, {} quarantine events, final accuracy {:.3}",

@@ -50,3 +50,6 @@ for scheme in v1 v2 v3; do
     cell --assert-honest --profile lossy --scheme "$scheme" --cheat 1@foreign-start --seed 7
 done
 cell --profile lossy --crash 1@1 --seed 11
+# Lost packed uploads: two submissions, then one opening, whose draws exhaust.
+cell --scheme v3 --drop 0.6 --workers 4 --seed 4
+cell --scheme v3 --drop 0.45 --corrupt 0.1 --truncate 0.05 --seed 1
