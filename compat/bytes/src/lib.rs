@@ -46,11 +46,21 @@ pub trait BufMut {
 }
 
 /// An immutable byte buffer with an internal read cursor.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Bytes {
     data: Vec<u8>,
     cursor: usize,
 }
+
+/// Equal when the unread bytes are, as for the real crate's `Bytes`: how
+/// far a buffer was advanced to reach them does not matter.
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_ref() == other.as_ref()
+    }
+}
+
+impl Eq for Bytes {}
 
 impl Bytes {
     /// Creates an empty buffer.

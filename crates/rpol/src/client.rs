@@ -16,10 +16,10 @@
 //!   server's slowloris sweep never mistakes a healthy-but-quiet worker
 //!   for a dead one.
 //! * **Chaos proxy** — every protocol upload runs through
-//!   [`Transport::chaos_frames`] first: ghost frames are written for the
-//!   server's assembler to reject, and an exhausted retry budget is
-//!   announced with [`NetControl::ChaosGone`] so the server re-derives
-//!   the identical fault accounting from its own copy of the seed.
+//!   [`Transport::chaos_send`]: ghost frames are written for the server's
+//!   assembler to reject, then the pristine frame — always, even when the
+//!   worker's own draws exhausted the retry budget. The server's draws,
+//!   from its own copy of the seed, decide whether it arrived.
 
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -31,9 +31,7 @@ use bytes::Bytes;
 use crate::manager::count_hi_plane;
 use crate::pool::{Lattice, PoolConfig, Scheme};
 use crate::server::NetStream;
-use crate::transport::{
-    link_state, FaultConfig, LinkState, MsgKind, RetryPolicy, Transport, TransportStats,
-};
+use crate::transport::{link_state, FaultConfig, MsgKind, RetryPolicy, Transport, TransportStats};
 use crate::verify::ProofProvider;
 use crate::wire::{
     self, BusyReason, EpochTask, FamilySpec, FrameAssembler, NetControl, PayloadClass,
@@ -44,6 +42,11 @@ use rpol_obs::{Recorder, TraceContext, Value};
 use rpol_sim::SimClock;
 use std::sync::Arc;
 
+/// TCP connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// A handshake not answered within this deadline is retried.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Client-side timeouts and reconnect policy.
 #[derive(Debug, Clone)]
 pub struct ClientTuning {
@@ -53,17 +56,11 @@ pub struct ClientTuning {
     /// Multiplier turning the policy's simulated backoff seconds into
     /// real sleep seconds (tests want fast reconnects).
     pub backoff_scale: f64,
-    /// TCP connect timeout.
-    pub connect_timeout: Duration,
     /// Poll tick: how long a blocking read waits before the idle path
     /// (heartbeats, shutdown checks) runs.
     pub read_timeout: Duration,
-    /// Give up on a handshake not answered within this deadline.
-    pub hello_timeout: Duration,
     /// Send a [`NetControl::Ping`] after this much link silence.
     pub heartbeat_interval: Duration,
-    /// Largest accepted frame.
-    pub max_frame_bytes: usize,
 }
 
 impl Default for ClientTuning {
@@ -71,11 +68,8 @@ impl Default for ClientTuning {
         Self {
             retry: RetryPolicy::default(),
             backoff_scale: 0.02,
-            connect_timeout: Duration::from_secs(2),
             read_timeout: Duration::from_millis(25),
-            hello_timeout: Duration::from_secs(5),
             heartbeat_interval: Duration::from_secs(5),
-            max_frame_bytes: 64 << 20,
         }
     }
 }
@@ -190,7 +184,7 @@ impl WorkerSession {
     /// extension first (all decoding sees the inner payload, identical to
     /// an untraced run), and absorbs `CommitSpec` / `ProofSeq`.
     pub(crate) fn receive(&mut self, payload: Bytes) -> Inbound {
-        let (tctx, payload) = wire::split_traced(&payload);
+        let (tctx, payload) = wire::split_traced(payload);
         match wire::classify_payload(&payload) {
             PayloadClass::Control => match wire::decode_net_control(payload) {
                 Ok(msg) => {
@@ -263,22 +257,25 @@ impl WorkerSession {
         );
         let payload = wire::encode_submission(&sub.final_weights, sub.commitment.as_ref());
         count_hi_plane(&self.counters, wire::packed_hi_plane(&payload));
-        let raw = wire::submission_raw_wire_size(sub.final_weights.len(), sub.commitment.as_ref());
         let out_ctx = tctx.map(|t| TraceContext {
             trace_id: t.trace_id,
             parent_span: train_sid,
-            watermark: 0, // stamped at the actual send in chaos_send
+            watermark: 0, // stamped at the send
         });
-        self.chaos_send(
-            worker.id,
-            task.epoch,
-            MsgKind::Submission,
-            0,
-            link,
-            &payload,
-            raw,
-            out_ctx,
-        )
+        self.transport
+            .chaos_send(
+                task.epoch,
+                worker.id,
+                MsgKind::Submission,
+                0,
+                &payload,
+                link,
+                out_ctx,
+                &mut self.stats,
+                &mut self.clock,
+                &self.trace,
+            )
+            .0
     }
 
     /// Opens the sampled checkpoint and returns the proof response's frames
@@ -311,73 +308,27 @@ impl WorkerSession {
             wire::encode_proof_response(sample, &weights)
         };
         count_hi_plane(&self.counters, wire::packed_hi_plane(&payload));
-        let raw = wire::proof_response_raw_wire_size(weights.len());
         drop(weights);
         let out_ctx = tctx.map(|t| TraceContext {
             trace_id: t.trace_id,
             parent_span: proof_sid,
-            watermark: 0, // stamped at the actual send in chaos_send
+            watermark: 0, // stamped at the send
         });
         let link = link_state(&worker.behavior(), epoch, MsgKind::ProofResponse);
-        self.chaos_send(
-            worker.id,
-            epoch,
-            MsgKind::ProofResponse,
-            seq,
-            link,
-            &payload,
-            raw,
-            out_ctx,
-        )
-    }
-
-    /// Runs a protocol upload through the chaos proxy: the frames the lossy
-    /// link would have produced (ghosts and, on success, the pristine copy),
-    /// or the ghosts plus a [`NetControl::ChaosGone`] announcing an exhausted
-    /// retry budget.
-    #[allow(clippy::too_many_arguments)]
-    fn chaos_send(
-        &mut self,
-        worker: usize,
-        epoch: u64,
-        kind: MsgKind,
-        seq: u64,
-        link: LinkState,
-        payload: &Bytes,
-        raw_len: usize,
-        tctx: Option<TraceContext>,
-    ) -> Vec<Bytes> {
-        let (mut writes, outcome) = self.transport.chaos_frames(
-            epoch,
-            worker,
-            kind,
-            seq,
-            payload,
-            link,
-            &mut self.stats,
-            &mut self.clock,
-            &self.trace,
-        );
-        // Wrap only the pristine frame (last write of a success), after the
-        // chaos draws, stamping the watermark at the actual send: ghosts and
-        // fault outcomes are byte-identical to an untraced run.
-        if self.trace.enabled() && outcome.is_ok() {
-            if let (Some(mut ctx), Some(last)) = (tctx, writes.last_mut()) {
-                ctx.watermark = self.trace.now_ns();
-                *last = wire::seal_frame(&wire::wrap_traced(ctx, payload));
-            }
-        }
-        if outcome.is_err() {
-            writes.push(wire::seal_frame(&wire::encode_net_control(
-                &NetControl::ChaosGone {
-                    kind: kind.wire_code(),
-                    seq,
-                    payload_len: payload.len() as u32,
-                    raw_len: raw_len as u32,
-                },
-            )));
-        }
-        writes
+        self.transport
+            .chaos_send(
+                epoch,
+                worker.id,
+                MsgKind::ProofResponse,
+                seq,
+                &payload,
+                link,
+                out_ctx,
+                &mut self.stats,
+                &mut self.clock,
+                &self.trace,
+            )
+            .0
     }
 
     /// The commitment mode for this epoch, keying the LSH family on first
@@ -442,7 +393,7 @@ impl WorkerClient {
                     .to_socket_addrs()?
                     .next()
                     .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "unresolvable"))?;
-                let s = TcpStream::connect_timeout(&addr, self.tuning.connect_timeout)?;
+                let s = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
                 s.set_nodelay(true)?;
                 s.set_read_timeout(timeout)?;
                 NetStream::Tcp(s)
@@ -492,9 +443,9 @@ impl WorkerClient {
                 report.reconnects += 1;
             }
 
-            let mut asm = FrameAssembler::new(self.tuning.max_frame_bytes);
+            let mut asm = FrameAssembler::new(wire::MAX_FRAME_BYTES);
             let mut welcomed = false;
-            let hello_deadline = Instant::now() + self.tuning.hello_timeout;
+            let hello_deadline = Instant::now() + HELLO_TIMEOUT;
             let mut last_activity = Instant::now();
             let mut ping_nonce: u64 = 0;
             let mut chunk = [0u8; 8192];
@@ -578,8 +529,8 @@ impl WorkerClient {
                         // EpochEnd is informational.
                         Inbound::Control(_) | Inbound::Ignored => continue,
                     };
-                    // One gathered write for the whole burst (retry ghosts +
-                    // pristine copy or ChaosGone).
+                    // One gathered write for the whole burst (retry ghosts,
+                    // then the pristine copy).
                     if write_all_vectored(&mut stream, &writes).is_err() {
                         continue 'outer;
                     }

@@ -28,27 +28,28 @@
 //! # Chaos proxy
 //!
 //! The seeded fault-injecting [`Transport`] sits *in front of* the
-//! connection: the sender runs [`Transport::chaos_frames`] to obtain the
+//! connection: the sender runs [`Transport::chaos_send`] to obtain the
 //! ghost frames (corrupted / truncated duplicates the lossy link would
-//! have produced) plus the delivered-or-exhausted outcome, writes the
-//! ghosts and (on success) the pristine frame, and the receiver
-//! re-derives the identical stats and clock charges from the exchange
-//! coordinates and payload length alone via [`Transport::chaos_outcome`].
-//! Both ends key the draws by the worker's [`link_state`] (a `CrashAt`
-//! peer is dead, a `Straggler` slow), and the receiver's draws decide: a
-//! pristine frame whose draws exhausted is lost. Control frames (`0x30`
-//! block) never ride the chaos link — they model the service, not the
-//! network — which is what lets a TCP run reproduce an in-memory run's
-//! quarantine decisions bit for bit under the same fault seed
-//! (`tests/net_parity.rs`).
+//! have produced) plus the delivered-or-exhausted outcome, and writes the
+//! ghosts and then the pristine frame. The manager writes its pristine
+//! frame only when its own draws deliver it; a worker's upload always ends
+//! with it. The manager judges every upload alone: one ingest re-derives
+//! the identical stats and clock charges from the exchange coordinates
+//! and payload length via [`Transport::chaos_outcome`], and a frame whose
+//! draws exhausted is lost. Both ends key the draws by the worker's
+//! [`link_state`] (a `CrashAt` peer is dead, a `Straggler` slow). Control
+//! frames (`0x30` block) never ride the chaos link — they model the
+//! service, not the network — which is what lets a TCP run reproduce an
+//! in-memory run's quarantine decisions bit for bit under the same fault
+//! seed (`tests/net_parity.rs`).
 //!
 //! # Scheduling
 //!
 //! The reactor is a nonblocking sweep ([`NetCore::pump`]) behind a mutex:
 //! any thread that is waiting on the network — the epoch driver or a
 //! verification task parked in [`ProofProvider::open_checkpoint`] —
-//! drives the sweep itself (cooperative pumping, deadlock-free at any
-//! executor width). During the training window, when the driver has
+//! drives the sweep itself through one wait (`NetCore::pump_until`;
+//! cooperative pumping, deadlock-free at any executor width). During the training window, when the driver has
 //! nothing else to do, a flag-bounded pump job is detached onto the
 //! pool's persistent executor ([`Executor::spawn`]) so the socket stays
 //! responsive without a dedicated OS thread. In memory nothing waits: the
@@ -77,7 +78,7 @@ use crate::pool::{roster_groups, EpochRecord, MiningPool, PoolConfig, PoolReport
 use crate::transport::{link_state, FaultConfig, LinkState, MsgKind, Transport, TransportStats};
 use crate::verify::{ProofProvider, ProofUnavailable};
 use crate::wire::{
-    self, BufPool, BusyReason, FamilySpec, FrameAssembler, NetControl, PayloadClass,
+    self, BufPool, BusyReason, DecodeError, FamilySpec, FrameAssembler, NetControl, PayloadClass,
 };
 use crate::worker::{EpochSubmission, PoolWorker};
 use rpol_exec::Executor;
@@ -335,6 +336,18 @@ impl MemPeer {
 /// kernel has an event for them — the quantum only bounds how long an
 /// *idle* reactor sleeps between timer checks.
 const PUMP_PARK: Duration = Duration::from_millis(1);
+/// How long a waiter sleeps between pumps that did not park (scan pump,
+/// or queued work left).
+const PUMP_PACE: Duration = Duration::from_micros(200);
+/// Frames a connection's outbox may hold before the peer is declared too
+/// slow and disconnected (backpressure bound).
+const OUTBOX_FRAMES: usize = 256;
+/// Bytes one connection may read per sweep (fairness budget).
+const READ_BUDGET_BYTES: usize = 1 << 20;
+/// Wall-clock deadline on each epoch phase's network wait.
+const PHASE_TIMEOUT: Duration = Duration::from_secs(120);
+/// How long [`PoolServer::run`] waits for the full roster to connect.
+const CONNECT_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Service limits and deadlines for [`PoolServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -345,11 +358,6 @@ pub struct ServerConfig {
     /// Submissions buffered at once before further ones are shed with
     /// `Busy { Shedding }`.
     pub max_inflight: usize,
-    /// Frames a connection's outbox may hold before the peer is declared
-    /// too slow and disconnected (backpressure bound).
-    pub outbox_frames: usize,
-    /// Bytes one connection may read per sweep (fairness budget).
-    pub read_budget_bytes: usize,
     /// Complete frames one connection may parse and route per sweep (the
     /// companion fairness bound): a peer that pre-buffered thousands of
     /// tiny frames yields the reactor after this many, and frames left in
@@ -366,10 +374,6 @@ pub struct ServerConfig {
     /// Minimum idleness before an established connection may be evicted
     /// to admit a newcomer at the connection cap.
     pub evict_min_idle: Duration,
-    /// Wall-clock deadline on each epoch phase's network wait.
-    pub phase_timeout: Duration,
-    /// How long [`PoolServer::run`] waits for the full roster to connect.
-    pub connect_deadline: Duration,
     /// Verify participants on the persistent executor.
     pub parallel_verify: bool,
 }
@@ -379,15 +383,11 @@ impl Default for ServerConfig {
         Self {
             max_connections: 1024,
             max_inflight: 1024,
-            outbox_frames: 256,
-            read_budget_bytes: 1 << 20,
             max_frames_per_conn_per_pump: 64,
-            max_frame_bytes: 64 << 20,
+            max_frame_bytes: wire::MAX_FRAME_BYTES,
             handshake_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(60),
             evict_min_idle: Duration::from_millis(250),
-            phase_timeout: Duration::from_secs(120),
-            connect_deadline: Duration::from_secs(30),
             parallel_verify: false,
         }
     }
@@ -427,7 +427,7 @@ pub struct NetStats {
     /// here by design).
     pub corrupt_frames: u64,
     /// Frames rejected as malformed (bad magic, oversized, wrong
-    /// direction).
+    /// direction, a proof response no opening awaits).
     pub malformed_frames: u64,
     /// Heartbeat pings answered.
     pub heartbeats: u64,
@@ -629,34 +629,36 @@ struct Conn {
     last_seen: Instant,
 }
 
+/// A worker's upload as routed: the trace context its pristine frame
+/// carried (stripped before classification, consumed at the serial ingest
+/// point), and the inner payload. Whether it arrived is the ingest's call.
+type Upload = (Option<TraceContext>, Bytes);
+
 /// A worker's submission slot for the current epoch.
 enum SubMail {
-    /// The payload arrived intact (its chaos draws succeeded), possibly
-    /// carrying the client's trace context (stripped before
-    /// classification, consumed at the serial ingest point).
-    Pristine(Option<TraceContext>, Bytes),
-    /// The worker's chaos draws exhausted the retry budget; only the
-    /// lengths crossed (via [`NetControl::ChaosGone`]) so the server can
-    /// re-derive the identical accounting.
-    Gone { payload_len: u32, raw_len: u32 },
+    /// The upload's pristine frame.
+    Pristine(Upload),
     /// Refused by load shedding; quarantine without any chaos accounting.
     Shed,
 }
 
-/// A worker's proof-response queue entry.
-enum ProofMail {
-    Pristine(Option<TraceContext>, Bytes),
-    Gone {
-        seq: u64,
-        payload_len: u32,
-        raw_len: u32,
-    },
+/// A worker's opening slot: at most one opening per worker is in flight
+/// (its provider serializes them), and only that one may be answered.
+#[derive(Default)]
+enum Opening {
+    /// Nothing asked: a proof response is unsolicited.
+    #[default]
+    Idle,
+    /// An opening was sent; its response has not arrived.
+    Awaiting,
+    /// The response to the opening in flight.
+    Answered(Upload),
 }
 
 #[derive(Default)]
 struct Mailbox {
     submission: Option<SubMail>,
-    proofs: VecDeque<ProofMail>,
+    opening: Opening,
 }
 
 /// The reactor state: listener, connection table, per-worker mailboxes,
@@ -1075,7 +1077,7 @@ impl NetCore {
         let json =
             rpol_json::to_string(&self.status_snapshot()).expect("status snapshot serializes");
         let framed = self.seal_control_pooled(&NetControl::StatusReport { json });
-        Self::enqueue(&self.cfg, conn, framed)
+        Self::enqueue(conn, framed)
     }
 
     fn accept_new(&mut self) {
@@ -1201,7 +1203,7 @@ impl NetCore {
         let Some(mut conn) = self.conns[idx].take() else {
             return;
         };
-        let mut budget = self.cfg.read_budget_bytes;
+        let mut budget = READ_BUDGET_BYTES;
         let mut frames = self.cfg.max_frames_per_conn_per_pump;
         let mut chunk = [0u8; 8192];
         let mut alive = self.drain_frames(idx, &mut conn, &mut frames);
@@ -1316,8 +1318,8 @@ impl NetCore {
 
     /// Enqueues one already-sealed frame, enforcing the backpressure
     /// bound.
-    fn enqueue(cfg: &ServerConfig, conn: &mut Conn, framed: OutFrame) -> RouteResult {
-        if conn.outbox.len() >= cfg.outbox_frames {
+    fn enqueue(conn: &mut Conn, framed: OutFrame) -> RouteResult {
+        if conn.outbox.len() >= OUTBOX_FRAMES {
             return RouteResult::Close;
         }
         conn.outbox.push_back(framed);
@@ -1356,7 +1358,7 @@ impl NetCore {
                 let welcome = self.seal_control_pooled(&NetControl::Welcome {
                     workers: self.n_workers as u32,
                 });
-                Self::enqueue(&self.cfg, conn, welcome)
+                Self::enqueue(conn, welcome)
             }
             ConnPhase::Ready(w) => {
                 // Strip the optional (chaos-exempt) trace extension first:
@@ -1365,9 +1367,9 @@ impl NetCore {
                 // perturbs fault draws or parity accounting. The context is
                 // stored with the mail and consumed at the serial ingest
                 // point — never traced at (nondeterministic) arrival time.
-                let (ctx, payload) = wire::split_traced_owned(payload);
+                let (ctx, payload) = wire::split_traced(payload);
                 match wire::classify_payload(&payload) {
-                    PayloadClass::Control => self.route_control(w, conn, payload),
+                    PayloadClass::Control => self.route_control(conn, payload),
                     PayloadClass::Submission => {
                         if self.mail[w].submission.is_some() {
                             self.pool.put(Vec::from(payload));
@@ -1380,16 +1382,22 @@ impl NetCore {
                             let busy = self.seal_control_pooled(&NetControl::Busy {
                                 reason: BusyReason::Shedding,
                             });
-                            return Self::enqueue(&self.cfg, conn, busy);
+                            return Self::enqueue(conn, busy);
                         }
                         self.inflight += 1;
-                        self.mail[w].submission = Some(SubMail::Pristine(ctx, payload));
+                        self.mail[w].submission = Some(SubMail::Pristine((ctx, payload)));
                         RouteResult::Keep
                     }
                     PayloadClass::ProofResponse => {
-                        self.mail[w]
-                            .proofs
-                            .push_back(ProofMail::Pristine(ctx, payload));
+                        let opening = &mut self.mail[w].opening;
+                        if let Opening::Awaiting = opening {
+                            *opening = Opening::Answered((ctx, payload));
+                        } else {
+                            // Unsolicited, or a second answer: counted and
+                            // recycled, never queued.
+                            self.stats.malformed_frames += 1;
+                            self.pool.put(Vec::from(payload));
+                        }
                         RouteResult::Keep
                     }
                     _ => {
@@ -1404,7 +1412,7 @@ impl NetCore {
         }
     }
 
-    fn route_control(&mut self, w: usize, conn: &mut Conn, mut payload: Bytes) -> RouteResult {
+    fn route_control(&mut self, conn: &mut Conn, mut payload: Bytes) -> RouteResult {
         let msg = wire::decode_net_control_in(&mut payload);
         self.pool.put(Vec::from(payload));
         let msg = match msg {
@@ -1419,33 +1427,7 @@ impl NetCore {
             NetControl::Ping { nonce } => {
                 self.stats.heartbeats += 1;
                 let pong = self.seal_control_pooled(&NetControl::Pong { nonce });
-                Self::enqueue(&self.cfg, conn, pong)
-            }
-            NetControl::ChaosGone {
-                kind,
-                seq,
-                payload_len,
-                raw_len,
-            } => {
-                match MsgKind::from_wire_code(kind) {
-                    Some(MsgKind::Submission) => {
-                        if self.mail[w].submission.is_none() {
-                            self.mail[w].submission = Some(SubMail::Gone {
-                                payload_len,
-                                raw_len,
-                            });
-                        }
-                    }
-                    Some(MsgKind::ProofResponse) => {
-                        self.mail[w].proofs.push_back(ProofMail::Gone {
-                            seq,
-                            payload_len,
-                            raw_len,
-                        });
-                    }
-                    _ => self.stats.malformed_frames += 1,
-                }
-                RouteResult::Keep
+                Self::enqueue(conn, pong)
             }
             // Hello after handshake, echoes of manager-side messages:
             // tolerated, not routed.
@@ -1490,8 +1472,7 @@ impl NetCore {
         let mut overflow = false;
         if let Some(conn) = self.conns[idx].as_mut() {
             for framed in frames {
-                if let RouteResult::Close = Self::enqueue(&self.cfg, conn, OutFrame::Shared(framed))
-                {
+                if let RouteResult::Close = Self::enqueue(conn, OutFrame::Shared(framed)) {
                     overflow = true;
                     break;
                 }
@@ -1518,7 +1499,7 @@ impl NetCore {
         for idx in 0..self.conns.len() {
             let enqueued = match self.conns[idx].as_mut() {
                 Some(conn) if matches!(conn.phase, ConnPhase::Ready(_)) => Some(matches!(
-                    Self::enqueue(&self.cfg, conn, OutFrame::Shared(framed.clone())),
+                    Self::enqueue(conn, OutFrame::Shared(framed.clone())),
                     RouteResult::Close
                 )),
                 _ => None,
@@ -1534,8 +1515,7 @@ impl NetCore {
     /// Clears every mailbox at an epoch boundary.
     fn reset_epoch(&mut self) {
         for mb in &mut self.mail {
-            mb.submission = None;
-            mb.proofs.clear();
+            *mb = Mailbox::default();
         }
         self.inflight = 0;
     }
@@ -1548,7 +1528,7 @@ impl NetCore {
 
     fn take_submission(&mut self, w: usize) -> Option<SubMail> {
         let mail = self.mail[w].submission.take();
-        if matches!(mail, Some(SubMail::Pristine(..))) {
+        if matches!(mail, Some(SubMail::Pristine(_))) {
             self.inflight = self.inflight.saturating_sub(1);
         }
         mail
@@ -1569,8 +1549,22 @@ impl NetCore {
             .collect()
     }
 
-    fn pop_proof(&mut self, w: usize) -> Option<ProofMail> {
-        self.mail[w].proofs.pop_front()
+    /// Opens `w`'s opening slot for the response to the request just
+    /// queued.
+    fn await_opening(&mut self, w: usize) {
+        self.mail[w].opening = Opening::Awaiting;
+    }
+
+    fn answered(&self, w: usize) -> bool {
+        matches!(self.mail[w].opening, Opening::Answered(_))
+    }
+
+    /// Closes `w`'s opening slot, taking its answer if one arrived.
+    fn take_answer(&mut self, w: usize) -> Option<Upload> {
+        match std::mem::take(&mut self.mail[w].opening) {
+            Opening::Answered(upload) => Some(upload),
+            _ => None,
+        }
     }
 
     fn outboxes_empty(&self) -> bool {
@@ -1578,6 +1572,34 @@ impl NetCore {
             .iter()
             .flatten()
             .all(|conn| conn.outbox.is_empty())
+    }
+
+    /// The one network wait: pumps `core` at least once, then until `done`
+    /// holds (`true`) or `timeout` passes (`false`), parking in the kernel
+    /// between pumps when the readiness pump can. The lock is released
+    /// between pumps, so concurrent waiters all drive the reactor.
+    fn pump_until(
+        core: &Mutex<NetCore>,
+        timeout: Duration,
+        mut done: impl FnMut(&NetCore) -> bool,
+    ) -> bool {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let parked = {
+                let mut core = core.lock();
+                let parked = core.pump_or_wait(PUMP_PARK);
+                if done(&core) {
+                    return true;
+                }
+                parked
+            };
+            if Instant::now() > deadline {
+                return false;
+            }
+            if !parked {
+                std::thread::sleep(PUMP_PACE);
+            }
+        }
     }
 }
 
@@ -1620,19 +1642,16 @@ fn merge_proof_traffic(
 
 /// A [`ProofProvider`] that reaches its worker over its connection, with
 /// the chaos proxy on both legs: the request's ghost frames and outcome
-/// come from the server's own draws, the response's are re-derived from
-/// the worker's [`NetControl::ChaosGone`] / pristine delivery. The
-/// per-opening `seq` advances even when a request leg exhausts and nothing
-/// ever reaches the worker.
+/// come from the server's own draws, and so does the response's fate, in
+/// the one ingest ([`Net::ingest`]). The per-opening `seq` advances even
+/// when a request leg exhausts and nothing ever reaches the worker.
 struct SocketProvider<'a> {
-    transport: &'a Transport,
-    core: &'a Mutex<NetCore>,
+    net: &'a Net,
     rec: &'a Recorder,
     worker: usize,
     epoch: u64,
     link_request: LinkState,
     link_response: LinkState,
-    timeout: Duration,
     /// In memory: the peer to step for an answer, and its worker.
     peer: Option<(&'a Mutex<MemPeer>, &'a PoolWorker)>,
     state: Mutex<ProviderState>,
@@ -1645,32 +1664,21 @@ struct SocketProvider<'a> {
 impl SocketProvider<'_> {
     /// The worker's answer to the opening just sent, if any arrives. In
     /// memory the peer answers when stepped, and everything it wrote is
-    /// routed before the mailbox is read; over a socket the wait pumps the
+    /// routed before the slot is read; over a socket the wait pumps the
     /// reactor cooperatively, so any number of concurrent openings make
     /// progress at any executor width.
-    fn await_proof(&self) -> Option<ProofMail> {
-        if let Some((peer, worker)) = self.peer {
-            peer.lock().step(Access::Open(worker));
-            let mut core = self.core.lock();
-            core.drain_mem();
-            return core.pop_proof(self.worker);
-        }
-        let deadline = Instant::now() + self.timeout;
-        loop {
-            let parked = {
-                let mut core = self.core.lock();
-                if let Some(mail) = core.pop_proof(self.worker) {
-                    return Some(mail);
-                }
-                core.pump_or_wait(PUMP_PARK)
-            };
-            if Instant::now() > deadline {
-                return None;
+    fn await_answer(&self) -> Option<Upload> {
+        let core = &*self.net.core;
+        match self.peer {
+            Some((peer, worker)) => {
+                peer.lock().step(Access::Open(worker));
+                core.lock().drain_mem();
             }
-            if !parked {
-                std::thread::sleep(Duration::from_micros(200));
+            None => {
+                NetCore::pump_until(core, PHASE_TIMEOUT, |core| core.answered(self.worker));
             }
         }
+        core.lock().take_answer(self.worker)
     }
 }
 
@@ -1686,32 +1694,25 @@ impl ProofProvider for SocketProvider<'_> {
 
         // Request leg: manager → worker, chaos draws on the sender.
         let request = wire::encode_proof_request(&[index]);
-        let (mut writes, outcome) = self.transport.chaos_frames(
+        let ctx = TraceContext {
+            trace_id: self.trace_id,
+            parent_span: self.parent_span,
+            watermark: 0,
+        };
+        let (writes, outcome) = self.net.transport.chaos_send(
             self.epoch,
             self.worker,
             MsgKind::ProofRequest,
             seq,
             &request,
             self.link_request,
+            Some(ctx),
             stats,
             clock,
             self.rec,
         );
-        // The trace extension rides only the pristine frame (always the
-        // last write of a successful exchange) and wraps *after* the chaos
-        // draws, so tracing never shifts a fault outcome.
-        if self.rec.enabled() && outcome.is_ok() {
-            let ctx = TraceContext {
-                trace_id: self.trace_id,
-                parent_span: self.parent_span,
-                watermark: self.rec.now_ns(),
-            };
-            if let Some(last) = writes.last_mut() {
-                *last = wire::seal_frame(&wire::wrap_traced(ctx, &request));
-            }
-        }
         let sent = {
-            let mut core = self.core.lock();
+            let mut core = self.net.core.lock();
             if outcome.is_ok() {
                 // Bind the worker's next response to this opening's fault
                 // draws before any request bytes arrive (same conn, so
@@ -1719,6 +1720,9 @@ impl ProofProvider for SocketProvider<'_> {
                 core.send_control_to_worker(self.worker, &NetControl::ProofSeq { seq });
             }
             let sent = core.send_framed_to_worker(self.worker, writes);
+            if outcome.is_ok() && sent {
+                core.await_opening(self.worker);
+            }
             core.pump();
             sent
         };
@@ -1726,70 +1730,29 @@ impl ProofProvider for SocketProvider<'_> {
             return Err(unavailable);
         }
 
-        // Response leg: the receiver's own draws decide whether it arrived.
-        match self.await_proof().ok_or(unavailable)? {
-            ProofMail::Pristine(ctx, payload) => {
-                if let Some(ctx) = ctx {
-                    // Consumed here — per opening, under the provider's
-                    // serialized seq — not at nondeterministic arrival time.
-                    self.rec.child_event(
-                        "rpol.server.ingest_proof",
-                        ctx,
-                        &[
-                            ("worker", Value::from(self.worker)),
-                            ("seq", Value::from(seq)),
-                        ],
-                    );
-                }
-                let payload_len = payload.len();
-                let outcome = self.transport.chaos_outcome(
-                    self.epoch,
-                    self.worker,
-                    MsgKind::ProofResponse,
-                    seq,
-                    payload_len,
-                    self.link_response,
-                    stats,
-                    clock,
-                    self.rec,
-                );
-                if outcome.is_err() {
-                    // A peer that skipped the chaos proxy: by the server's
-                    // draws this response never arrived.
-                    self.core.lock().pool.put(Vec::from(payload));
-                    return Err(unavailable);
-                }
-                let (got_index, got_weights) =
-                    wire::decode_proof_response(payload).map_err(|_| unavailable)?;
-                stats.bytes_saved += (wire::proof_response_raw_wire_size(got_weights.len()) as u64)
-                    .saturating_sub(payload_len as u64);
-                if got_index != index {
-                    return Err(unavailable);
-                }
-                Ok(std::borrow::Cow::Owned(got_weights))
+        // Response leg: the manager's own draws decide whether it arrived.
+        let answer = self.await_answer().ok_or(unavailable)?;
+        let opened = self.net.ingest(
+            self.rec,
+            self.epoch,
+            self.worker,
+            MsgKind::ProofResponse,
+            seq,
+            self.link_response,
+            answer,
+            stats,
+            clock,
+            |buf| {
+                let (got_index, weights) = wire::decode_proof_response_in(buf)?;
+                let raw = wire::proof_response_raw_wire_size(weights.len());
+                Ok(((got_index, weights), raw))
+            },
+        );
+        match opened {
+            Some((got_index, weights)) if got_index == index => {
+                Ok(std::borrow::Cow::Owned(weights))
             }
-            ProofMail::Gone {
-                seq: gone_seq,
-                payload_len,
-                raw_len,
-            } => {
-                if gone_seq == seq {
-                    // Lost whatever the draws say: only lengths crossed.
-                    stats.bytes_saved += u64::from(raw_len.saturating_sub(payload_len));
-                    let _ = self.transport.chaos_outcome(
-                        self.epoch,
-                        self.worker,
-                        MsgKind::ProofResponse,
-                        seq,
-                        payload_len as usize,
-                        self.link_response,
-                        stats,
-                        clock,
-                        self.rec,
-                    );
-                }
-                Err(unavailable)
-            }
+            _ => Err(unavailable),
         }
     }
 
@@ -1830,6 +1793,69 @@ impl Net {
             cfg,
             exec: pool.executor(),
         }
+    }
+
+    /// The one ingest of a worker's upload — a submission or an opening —
+    /// at a serialized point (worker order, or under the provider's seq),
+    /// never at nondeterministic arrival time: the trace edge, when the
+    /// frame carries a context (only a frame the worker's own draws
+    /// delivered does); the manager's draws over the frame's length, which
+    /// alone decide whether it arrived; the decode, whose `bytes_saved` is
+    /// charged for every decodable upload, delivered or lost; and the
+    /// buffer back to the pool. `decode` yields the message and the raw
+    /// wire size its encoding replaced. `None` for a lost or undecodable
+    /// upload.
+    #[allow(clippy::too_many_arguments)]
+    fn ingest<T>(
+        &self,
+        rec: &Recorder,
+        epoch: u64,
+        worker: usize,
+        kind: MsgKind,
+        seq: u64,
+        link: LinkState,
+        (ctx, mut payload): Upload,
+        stats: &mut TransportStats,
+        clock: &mut SimClock,
+        decode: impl FnOnce(&mut Bytes) -> Result<(T, usize), DecodeError>,
+    ) -> Option<T> {
+        if let Some(ctx) = ctx {
+            let (name, fields) = match kind {
+                MsgKind::Submission => (
+                    "rpol.server.ingest_submission",
+                    [
+                        ("epoch", Value::from(epoch)),
+                        ("worker", Value::from(worker)),
+                    ],
+                ),
+                _ => (
+                    "rpol.server.ingest_proof",
+                    [("worker", Value::from(worker)), ("seq", Value::from(seq))],
+                ),
+            };
+            rec.child_event(name, ctx, &fields);
+        }
+        let payload_len = payload.len();
+        let arrived = self
+            .transport
+            .chaos_outcome(
+                epoch,
+                worker,
+                kind,
+                seq,
+                payload_len,
+                link,
+                stats,
+                clock,
+                rec,
+            )
+            .is_ok();
+        let decoded = decode(&mut payload).ok().map(|(msg, raw)| {
+            stats.bytes_saved += (raw as u64).saturating_sub(payload_len as u64);
+            msg
+        });
+        self.core.lock().pool.put(Vec::from(payload));
+        decoded.filter(|_| arrived)
     }
 }
 
@@ -1884,25 +1910,13 @@ impl PoolServer {
     ///
     /// Returns `TimedOut` when the roster is still short at the deadline.
     pub fn wait_for_workers(&self, n: usize, deadline: Duration) -> io::Result<()> {
-        let end = Instant::now() + deadline;
-        loop {
-            let parked = {
-                let mut core = self.net.core.lock();
-                let parked = core.pump_or_wait(PUMP_PARK);
-                if core.by_worker.len() >= n {
-                    return Ok(());
-                }
-                parked
-            };
-            if Instant::now() > end {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "workers did not connect before the deadline",
-                ));
-            }
-            if !parked {
-                std::thread::sleep(Duration::from_micros(500));
-            }
+        if NetCore::pump_until(&self.net.core, deadline, |core| core.by_worker.len() >= n) {
+            Ok(())
+        } else {
+            Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "workers did not connect before the deadline",
+            ))
         }
     }
 
@@ -1918,7 +1932,7 @@ impl PoolServer {
         // Publish the epoch plan before the roster gathers so a status
         // probe during the connect phase already sees it.
         self.net.core.lock().progress.epochs_total = epochs_total as u64;
-        self.wait_for_workers(n, self.net.cfg.connect_deadline)?;
+        self.wait_for_workers(n, CONNECT_DEADLINE)?;
         let mut epochs = Vec::with_capacity(epochs_total);
         for e in 0..epochs_total {
             let record = serve_epoch(&mut self.pool, &self.net, None, e as u64);
@@ -1945,11 +1959,16 @@ impl PoolServer {
             }
             epochs.push(record);
         }
-        {
-            let mut core = self.net.core.lock();
-            core.broadcast_control(&NetControl::Shutdown);
-        }
-        self.drain(Duration::from_secs(2));
+        self.net
+            .core
+            .lock()
+            .broadcast_control(&NetControl::Shutdown);
+        // Pump until the shutdown notices actually reach the workers.
+        NetCore::pump_until(
+            &self.net.core,
+            Duration::from_secs(2),
+            NetCore::outboxes_empty,
+        );
         self.publish_net(None);
         Ok(PoolReport {
             scheme: self.pool.config().scheme,
@@ -1958,28 +1977,6 @@ impl PoolServer {
             // reported client-side (`ClientReport`), not here.
             worker_storage_bytes: 0,
         })
-    }
-
-    /// Pumps until every outbox is flushed (or the deadline passes), so
-    /// shutdown notices actually reach the workers.
-    fn drain(&self, deadline: Duration) {
-        let end = Instant::now() + deadline;
-        loop {
-            let parked = {
-                let mut core = self.net.core.lock();
-                let parked = core.pump_or_wait(PUMP_PARK);
-                if core.outboxes_empty() {
-                    return;
-                }
-                parked
-            };
-            if Instant::now() > end {
-                return;
-            }
-            if !parked {
-                std::thread::sleep(Duration::from_micros(500));
-            }
-        }
     }
 
     /// Publishes the `net.*` counter deltas since the last call (and the
@@ -2027,7 +2024,7 @@ pub(crate) fn run_link_epoch(pool: &mut MiningPool, epoch: u64) -> EpochRecord {
             Mutex::new(MemPeer {
                 session,
                 stream: worker_end,
-                asm: FrameAssembler::new(cfg.max_frame_bytes),
+                asm: FrameAssembler::new(wire::MAX_FRAME_BYTES),
             })
         })
         .collect();
@@ -2115,30 +2112,23 @@ fn serve_epoch(
         let payload = block.frame(epoch, plan.nonces[w], plan.steps as u32);
         comm.broadcast_bytes += payload.len() as u64;
         stats.bytes_saved += block.bytes_saved();
-        let (mut writes, outcome) = net.transport.chaos_frames(
+        let ctx = TraceContext {
+            trace_id,
+            parent_span: broadcast_sid,
+            watermark: 0,
+        };
+        let (writes, outcome) = net.transport.chaos_send(
             epoch,
             w,
             MsgKind::Task,
             0,
             &payload,
             link(w, MsgKind::Task),
+            Some(ctx),
             &mut stats,
             &mut clock,
             rec,
         );
-        // Wrap only the pristine frame (the last write of a successful
-        // exchange), after the chaos draws: ghosts stay byte-identical
-        // to the untraced run and fault outcomes never shift.
-        if recorder.enabled() && outcome.is_ok() {
-            let ctx = TraceContext {
-                trace_id,
-                parent_span: broadcast_sid,
-                watermark: recorder.now_ns(),
-            };
-            if let Some(last) = writes.last_mut() {
-                *last = wire::seal_frame(&wire::wrap_traced(ctx, &payload));
-            }
-        }
         let sent = {
             let mut core = net.core.lock();
             let sent = core.send_framed_to_worker(w, writes);
@@ -2196,30 +2186,16 @@ fn serve_epoch(
                     }
                 });
             }
-            let deadline = Instant::now() + net.cfg.phase_timeout;
-            loop {
-                let parked = {
-                    let mut core = net.core.lock();
-                    let parked = core.pump_or_wait(PUMP_PARK);
-                    if (0..n).all(|w| !awaited[w] || core.submission_settled(w)) {
-                        break;
-                    }
-                    parked
-                };
-                if Instant::now() > deadline {
-                    break;
-                }
-                if !parked {
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-            }
+            NetCore::pump_until(&net.core, PHASE_TIMEOUT, |core| {
+                (0..n).all(|w| !awaited[w] || core.submission_settled(w))
+            });
             waiting.store(false, Ordering::Release);
         }
     }
     drop(phase_training);
 
     // Phase 3 (manager side): drain every mailbox in ONE lock hold, then
-    // account the batch serially in worker order — chaos outcomes
+    // ingest the batch serially in worker order — chaos outcomes
     // recomputed from lengths, bit-for-bit with the sender's draws.
     let (phase_submission, submission_sid) = recorder.child_span(
         "rpol.pool.submission",
@@ -2242,8 +2218,6 @@ fn serve_epoch(
             ),
         ],
     );
-    // Spent pristine payload buffers, recycled in one re-lock below.
-    let mut spent: Vec<Vec<u8>> = Vec::new();
     let mut delivered: Vec<Option<EpochSubmission>> = (0..n).map(|_| None).collect();
     for (w, mail) in batch.into_iter().enumerate() {
         if !tasked[w] {
@@ -2259,78 +2233,44 @@ fn serve_epoch(
             );
             clock.tick("deadline_miss");
             event!(recorder, "rpol.pool.deadline_miss", epoch, worker = w);
-            if let Some(SubMail::Pristine(_, payload)) = mail {
-                spent.push(Vec::from(payload));
+            if let Some(SubMail::Pristine((_, payload))) = mail {
+                net.core.lock().pool.put(Vec::from(payload));
             }
             quarantined.push(w);
             continue;
         }
         match mail {
-            Some(SubMail::Pristine(ctx, mut payload)) => {
-                if let Some(ctx) = ctx {
-                    // Serial ingest point (worker-id order), so the
-                    // cross-process causal edge lands deterministically.
-                    recorder.child_event(
-                        "rpol.server.ingest_submission",
-                        ctx,
-                        &[("epoch", Value::from(epoch)), ("worker", Value::from(w))],
-                    );
-                }
-                let payload_len = payload.len();
-                let outcome = net.transport.chaos_outcome(
+            Some(SubMail::Pristine(upload)) => {
+                let payload_len = upload.1.len();
+                let submission = net.ingest(
+                    rec,
                     epoch,
                     w,
                     MsgKind::Submission,
                     0,
-                    payload_len,
                     link(w, MsgKind::Submission),
+                    upload,
                     &mut stats,
                     &mut clock,
-                    rec,
+                    |buf| {
+                        let (weights, commitment) = wire::decode_submission_in(buf)?;
+                        let raw =
+                            wire::submission_raw_wire_size(weights.len(), commitment.as_ref());
+                        Ok(((weights, commitment), raw))
+                    },
                 );
-                // A pristine frame whose draws exhausted came from a peer
-                // that skipped the chaos proxy: by the server's own draws it
-                // never arrived.
-                let decoded = outcome
-                    .is_ok()
-                    .then(|| wire::decode_submission_in(&mut payload));
-                spent.push(Vec::from(payload));
-                match decoded {
-                    Some(Ok((final_weights, commitment))) => {
-                        stats.bytes_saved += (wire::submission_raw_wire_size(
-                            final_weights.len(),
-                            commitment.as_ref(),
-                        ) as u64)
-                            .saturating_sub(payload_len as u64);
+                match submission {
+                    Some(submission) => {
                         comm.submission_bytes += payload_len as u64;
                         delivered[w] = Some(EpochSubmission::delivered(
                             w,
-                            (final_weights, commitment),
+                            submission,
                             payload_len,
                             plan.commit_mode(),
                         ));
                     }
-                    _ => quarantined.push(w),
+                    None => quarantined.push(w),
                 }
-            }
-            Some(SubMail::Gone {
-                payload_len,
-                raw_len,
-            }) => {
-                // Lost whatever the draws say: only lengths crossed.
-                stats.bytes_saved += u64::from(raw_len.saturating_sub(payload_len));
-                let _ = net.transport.chaos_outcome(
-                    epoch,
-                    w,
-                    MsgKind::Submission,
-                    0,
-                    payload_len as usize,
-                    link(w, MsgKind::Submission),
-                    &mut stats,
-                    &mut clock,
-                    rec,
-                );
-                quarantined.push(w);
             }
             Some(SubMail::Shed) => {
                 event!(recorder, "rpol.server.shed", epoch, worker = w);
@@ -2343,13 +2283,6 @@ fn serve_epoch(
         }
     }
     drop(batch_span);
-    if !spent.is_empty() {
-        // One re-lock recycles every decoded payload's backing store.
-        let mut core = net.core.lock();
-        for buf in spent {
-            core.pool.put(buf);
-        }
-    }
     drop(phase_submission);
 
     // Phase 4: verification over the survivors, openings served through
@@ -2364,14 +2297,12 @@ fn serve_epoch(
     let providers: Vec<Option<SocketProvider<'_>>> = (0..n)
         .map(|w| {
             delivered[w].as_ref().map(|_| SocketProvider {
-                transport: &net.transport,
-                core: &net.core,
+                net,
                 rec,
                 worker: w,
                 epoch,
                 link_request: link(w, MsgKind::ProofRequest),
                 link_response: link(w, MsgKind::ProofResponse),
-                timeout: net.cfg.phase_timeout,
                 peer: peers.map(|peers| (&peers[w], &pool.workers[w])),
                 state: Mutex::new(ProviderState::default()),
                 trace_id,
@@ -2564,10 +2495,11 @@ mod tests {
     ];
 
     /// One seeded hostile byte sequence: a few frames, each well-formed,
-    /// random-bodied, a repeated submission, a ChaosGone of any kind and
-    /// seq, a Hello after the handshake, a ghost, garbage, an oversized
-    /// length field — and, only last, a frame cut short, which swallows
-    /// the head of the next sequence as a real truncation would.
+    /// random-bodied, a repeated submission, protocol 1's retired `0x37`
+    /// lost-upload notice or an unsolicited opening, a Hello after the
+    /// handshake, a ghost, garbage, an oversized length field — and, only
+    /// last, a frame cut short, which swallows the head of the next
+    /// sequence as a real truncation would.
     fn hostile_sequence(g: &mut Pcg32, submission: &Bytes) -> Vec<u8> {
         let mut out = Vec::new();
         let items = 1 + g.next_below(4);
@@ -2585,13 +2517,17 @@ mod tests {
                     }
                 }
                 2 => {
-                    let msg = NetControl::ChaosGone {
-                        kind: [0, 1, 2, 3, 0xFF][g.next_below(5) as usize],
-                        seq: u64::from(g.next_below(4)),
-                        payload_len: g.next_u32(),
-                        raw_len: g.next_u32(),
+                    let payload = if g.next_below(2) == 0 {
+                        // kind, seq, payload length, raw length
+                        let mut notice = vec![0x37, [0, 1, 2, 3, 0xFF][g.next_below(5) as usize]];
+                        notice.extend_from_slice(&u64::from(g.next_below(4)).to_le_bytes());
+                        notice.extend_from_slice(&g.next_u32().to_le_bytes());
+                        notice.extend_from_slice(&g.next_u32().to_le_bytes());
+                        Bytes::from(notice)
+                    } else {
+                        wire::encode_proof_response(g.next_below(4) as usize, &[0.5; 3])
                     };
-                    out.extend_from_slice(&wire::seal_frame(&wire::encode_net_control(&msg)));
+                    out.extend_from_slice(&wire::seal_frame(&payload));
                 }
                 3 => {
                     let msg = match g.next_below(4) {
@@ -2659,8 +2595,9 @@ mod tests {
     /// mailed one submission. Nothing panics; every frame is counted as
     /// routed, corrupt or malformed, exactly as an assembler of the same
     /// bytes parses them; no worker ever has more than one submission
-    /// mailed; the honest mail is untouched; and the table never grows
-    /// past the roster plus one.
+    /// mailed, nor a proof response beyond its outstanding openings (none
+    /// here); the honest mail is untouched; and the table never grows past
+    /// the roster plus one.
     fn sweep_hostile_frames(sequences: u64) {
         let n = 3;
         let cfg = ServerConfig {
@@ -2717,6 +2654,12 @@ mod tests {
                 .count();
             assert_eq!(core.inflight, mailed, "case {case}");
             assert!(
+                core.mail
+                    .iter()
+                    .all(|mb| matches!(mb.opening, Opening::Idle)),
+                "case {case}: an unsolicited proof response was held"
+            );
+            assert!(
                 core.conns.len() <= n + 1,
                 "case {case}: {} slots",
                 core.conns.len()
@@ -2744,7 +2687,7 @@ mod tests {
             "the router refused nothing"
         );
         for (w, submission) in honest.iter().enumerate() {
-            let Some(SubMail::Pristine(None, payload)) = core.take_submission(w) else {
+            let Some(SubMail::Pristine((None, payload))) = core.take_submission(w) else {
                 panic!("worker {w}'s submission was disturbed");
             };
             assert_eq!(&payload, submission, "worker {w}");
@@ -2761,6 +2704,71 @@ mod tests {
     #[ignore = "soak: run with --ignored in release"]
     fn hostile_frames_soak() {
         sweep_hostile_frames(100_000);
+    }
+
+    /// A listener-less reactor for `n` workers with nothing timing out,
+    /// and one in-memory connection's worker end, not yet handshaken.
+    fn mem_core(n: usize) -> (NetCore, MemStream) {
+        let cfg = ServerConfig {
+            handshake_timeout: Duration::MAX,
+            idle_timeout: Duration::MAX,
+            ..ServerConfig::default()
+        };
+        let mut core = NetCore::new(None, cfg, n, rpol_obs::noop().clone());
+        let (server_end, worker_end) = mem_pair();
+        core.admit(NetStream::Mem(server_end));
+        (core, worker_end)
+    }
+
+    /// A worker cannot make the manager hold proof responses it never
+    /// asked for: 1,000 unsolicited 100 kB openings through one in-memory
+    /// connection are each counted malformed and their buffers recycled,
+    /// so one buffer serves them all.
+    #[test]
+    fn unsolicited_proof_responses_are_counted_and_never_held() {
+        let (mut core, mut worker) = mem_core(1);
+        worker
+            .write_all(&WorkerSession::hello(0))
+            .expect("in memory");
+        core.drain_mem();
+        assert!(core.connected(0));
+        let response = wire::seal_frame(&wire::encode_proof_response(0, &[0.5; 25_000]));
+        let (before, misses) = (core.stats, core.pool.misses);
+        for _ in 0..1_000 {
+            worker.write_all(&response).expect("in memory");
+            core.drain_mem();
+        }
+        let delta = core.stats.delta(&before);
+        assert_eq!(delta.frames_in, 1_000);
+        assert_eq!(delta.malformed_frames, 1_000, "every response counted");
+        assert!(
+            core.pool.misses - misses <= 1,
+            "{} fresh buffers: responses were held",
+            core.pool.misses - misses
+        );
+    }
+
+    /// A protocol-1 worker would announce a lost upload with the retired
+    /// `0x37` notice instead of sending it, and the manager would wait out
+    /// the phase for it: its Hello gets no Welcome, and the connection is
+    /// closed.
+    #[test]
+    fn a_protocol_1_hello_gets_no_welcome_and_is_closed() {
+        let (mut core, mut worker) = mem_core(1);
+        let hello = NetControl::Hello {
+            worker: 0,
+            protocol: 1,
+        };
+        worker
+            .write_all(&wire::seal_frame(&wire::encode_net_control(&hello)))
+            .expect("in memory");
+        core.drain_mem();
+        assert_eq!(core.stats.handshakes, 0);
+        assert!(!core.connected(0));
+        assert_eq!(core.active(), 0, "the connection is closed");
+        let mut replies = Vec::new();
+        worker.read_to_end(&mut replies).expect("end of stream");
+        assert!(replies.is_empty(), "no Welcome");
     }
 
     /// The scan pump is what the reactor falls back to when epoll fails

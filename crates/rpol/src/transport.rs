@@ -6,11 +6,13 @@
 //! frame, and pushed through a seeded chaos proxy that can **drop**,
 //! **corrupt** or **truncate** it, delay it past the sender's timeout, or
 //! find the peer crashed. The sender runs a bounded retry loop with
-//! exponential backoff ([`Transport::chaos_frames`]: the frames a stream
+//! exponential backoff ([`Transport::chaos_send`]: the frames a stream
 //! carries, ghosts included); the receiver re-derives the same outcome from
 //! the payload length ([`Transport::chaos_outcome`]). What survives is
 //! either the pristine frame or a [`TransportError::Exhausted`] that the
-//! server turns into an epoch quarantine (see DESIGN.md §14).
+//! server turns into an epoch quarantine (see DESIGN.md §14). The manager
+//! is the one judge of a worker's upload: the upload always ends with its
+//! pristine frame, and the manager's own draws decide whether it arrived.
 //!
 //! **Determinism contract.** Every fault draw comes from a PRNG seeded by
 //! `(fault seed, epoch, worker, message kind, sequence number, attempt)` —
@@ -19,8 +21,8 @@
 //! parallel pool replays the serial pool exactly.
 
 use crate::adversary::WorkerBehavior;
-use crate::wire::{open_frame, seal_frame, FRAME_HEADER_BYTES};
-use rpol_obs::{event, Recorder};
+use crate::wire::{open_frame, seal_frame, wrap_traced, FRAME_HEADER_BYTES};
+use rpol_obs::{event, Recorder, TraceContext};
 use rpol_sim::{NetworkModel, SimClock};
 use rpol_tensor::rng::{Pcg32, SplitMix64};
 use serde::{Deserialize, Serialize};
@@ -252,21 +254,9 @@ impl MsgKind {
         }
     }
 
-    /// Wire encoding of the discriminant, for control frames that name a
-    /// message kind (the chaos proxy's `ChaosGone` side-channel).
-    pub fn wire_code(self) -> u8 {
-        self.discriminant() as u8
-    }
-
-    /// Inverse of [`MsgKind::wire_code`].
-    pub fn from_wire_code(v: u8) -> Option<Self> {
-        match v {
-            1 => Some(MsgKind::Task),
-            2 => Some(MsgKind::Submission),
-            3 => Some(MsgKind::ProofRequest),
-            4 => Some(MsgKind::ProofResponse),
-            _ => None,
-        }
+    /// Worker → manager: an upload, whose fate the manager's draws decide.
+    fn is_upload(self) -> bool {
+        matches!(self, MsgKind::Submission | MsgKind::ProofResponse)
     }
 
     /// Clock category for time spent on this kind of exchange.
@@ -590,6 +580,42 @@ impl Transport {
             rec,
             Some(&mut writes),
         );
+        (writes, outcome)
+    }
+
+    /// One protocol send: [`chaos_frames`](Self::chaos_frames)' writes —
+    /// ghosts, then the pristine frame of a delivery, wrapped in `ctx`'s
+    /// trace extension when `rec` is enabled and its watermark stamped at
+    /// the send. The wrap comes after the draws, so ghosts and outcomes are
+    /// an untraced run's. An upload (submission or opening) always ends
+    /// with its pristine frame, even when the sender's own draws exhausted
+    /// — untraced then, and lost by the manager's identical draws over its
+    /// length; a manager's send its draws lose is ghosts alone.
+    #[allow(clippy::too_many_arguments)]
+    pub fn chaos_send(
+        &self,
+        epoch: u64,
+        worker: usize,
+        kind: MsgKind,
+        seq: u64,
+        payload: &Bytes,
+        link: LinkState,
+        ctx: Option<TraceContext>,
+        stats: &mut TransportStats,
+        clock: &mut SimClock,
+        rec: &Recorder,
+    ) -> (Vec<Bytes>, Result<(), TransportError>) {
+        let (mut writes, outcome) =
+            self.chaos_frames(epoch, worker, kind, seq, payload, link, stats, clock, rec);
+        match (outcome, ctx) {
+            (Ok(()), Some(mut ctx)) if rec.enabled() => {
+                ctx.watermark = rec.now_ns();
+                *writes.last_mut().expect("a delivery ends with its frame") =
+                    seal_frame(&wrap_traced(ctx, payload));
+            }
+            (Err(_), _) if kind.is_upload() => writes.push(seal_frame(payload)),
+            _ => {}
+        }
         (writes, outcome)
     }
 
@@ -1497,6 +1523,85 @@ mod tests {
             // so writes never exceed attempts.
             assert!(writes.len() as u64 <= stats.attempts);
         }
+    }
+
+    /// `chaos_send` is `chaos_frames` plus two rules: a delivered frame is
+    /// wrapped in the trace extension when the recorder is on, and an
+    /// upload the sender's draws lose still ends with its pristine frame,
+    /// untraced; a download they lose is ghosts alone.
+    #[test]
+    fn an_upload_always_ends_with_its_pristine_frame() {
+        let transport = Transport::new(&FaultConfig {
+            profile: FaultProfile::harsh(),
+            policy: RetryPolicy {
+                max_attempts: 2,
+                ..RetryPolicy::default()
+            },
+            net: NetworkModel::paper_default(),
+            seed: 5,
+        });
+        let rec = rpol_obs::Recorder::logical();
+        let ctx = TraceContext {
+            trace_id: 9,
+            parent_span: 4,
+            watermark: 0,
+        };
+        let kinds = [
+            MsgKind::Task,
+            MsgKind::Submission,
+            MsgKind::ProofRequest,
+            MsgKind::ProofResponse,
+        ];
+        let mut lost = [0; 4];
+        for seq in 0..64u64 {
+            for (k, kind) in kinds.into_iter().enumerate() {
+                let (mut frames_stats, mut frames_clock) =
+                    (TransportStats::default(), SimClock::new());
+                let (frames, outcome) = transport.chaos_frames(
+                    2,
+                    1,
+                    kind,
+                    seq,
+                    &payload(),
+                    LinkState::healthy(),
+                    &mut frames_stats,
+                    &mut frames_clock,
+                    rpol_obs::noop(),
+                );
+                let (mut stats, mut clock) = (TransportStats::default(), SimClock::new());
+                let (sent, sent_outcome) = transport.chaos_send(
+                    2,
+                    1,
+                    kind,
+                    seq,
+                    &payload(),
+                    LinkState::healthy(),
+                    Some(ctx),
+                    &mut stats,
+                    &mut clock,
+                    &rec,
+                );
+                assert_eq!(sent_outcome, outcome, "{kind:?} {seq}");
+                assert_eq!((stats, &clock), (frames_stats, &frames_clock));
+                lost[k] += u32::from(outcome.is_err());
+                if outcome.is_err() && !kind.is_upload() {
+                    assert_eq!(sent, frames, "{kind:?} {seq}");
+                    continue;
+                }
+                let (last, ghosts) = sent.split_last().expect("an upload ends with its frame");
+                let opened = open_frame(last.clone()).expect("pristine");
+                if outcome.is_ok() {
+                    assert_eq!(ghosts, &frames[..frames.len() - 1]);
+                    let (got, inner) = crate::wire::split_traced(opened);
+                    assert_eq!(got.map(|c| c.parent_span), Some(4), "{kind:?} {seq}");
+                    assert_eq!(inner, payload());
+                } else {
+                    assert_eq!(ghosts, &frames[..], "{kind:?} {seq}");
+                    assert_eq!(opened, payload(), "untraced");
+                }
+            }
+        }
+        assert!(lost.iter().all(|&n| n > 0), "vacuous: {lost:?}");
     }
 
     /// `chaos_outcome` agrees with the sender (`chaos_frames`) knowing only

@@ -884,7 +884,7 @@ const TAG_NET_PING: u8 = 0x33;
 const TAG_NET_PONG: u8 = 0x34;
 const TAG_NET_COMMIT_SPEC: u8 = 0x35;
 const TAG_NET_PROOF_SEQ: u8 = 0x36;
-const TAG_NET_CHAOS_GONE: u8 = 0x37;
+// 0x37 is retired — protocol 1's lost-upload notice — and never reassigned.
 const TAG_NET_EPOCH_END: u8 = 0x38;
 const TAG_NET_SHUTDOWN: u8 = 0x39;
 const TAG_NET_STATUS: u8 = 0x3A;
@@ -940,8 +940,9 @@ pub struct FamilySpec {
 }
 
 /// Connection-management messages for the socket transport (handshake,
-/// heartbeats, load shedding, epoch lifecycle, and the chaos-proxy
-/// side-channel). These frames never ride the fault-injecting chaos link:
+/// heartbeats, load shedding, the commitment discipline, proof sequence
+/// numbers and the epoch lifecycle). These frames never ride the
+/// fault-injecting chaos link:
 /// they model the *service*, not the lossy network, and keeping them
 /// reliable is what lets a TCP run reproduce an in-memory run's
 /// quarantine decisions exactly (DESIGN.md §14).
@@ -996,21 +997,6 @@ pub enum NetControl {
         /// Sequence number for the next opening's fault draws.
         seq: u64,
     },
-    /// Either direction: the sender's chaos draws exhausted the retry
-    /// budget for a protocol message, so nothing pristine will follow.
-    /// Carries the lengths the receiver needs to re-derive the identical
-    /// stats and byte accounting from its own copy of the fault config.
-    ChaosGone {
-        /// [`MsgKind`](crate::transport::MsgKind) discriminant.
-        kind: u8,
-        /// The exchange's sequence number.
-        seq: u64,
-        /// Encoded payload length of the doomed message.
-        payload_len: u32,
-        /// Raw (unpacked) wire size the payload replaced, for
-        /// `bytes_saved` accounting.
-        raw_len: u32,
-    },
     /// Manager → worker: the epoch's verdict for this worker.
     EpochEnd {
         /// Epoch number.
@@ -1033,8 +1019,14 @@ pub enum NetControl {
     },
 }
 
-/// Socket control-plane protocol revision.
-pub const NET_PROTOCOL: u32 = 1;
+/// Socket control-plane protocol revision. Revision 2 retired protocol
+/// 1's lost-upload notice (tag `0x37`): a worker's upload always ends with
+/// its pristine frame, and the manager's own fault draws decide whether it
+/// arrived.
+pub const NET_PROTOCOL: u32 = 2;
+
+/// Largest frame (header + payload) either end of the socket accepts.
+pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Encodes a control message.
 pub fn encode_net_control(msg: &NetControl) -> Bytes {
@@ -1083,18 +1075,6 @@ pub fn encode_net_control(msg: &NetControl) -> Bytes {
         NetControl::ProofSeq { seq } => {
             out.put_u8(TAG_NET_PROOF_SEQ);
             out.put_u64_le(seq);
-        }
-        NetControl::ChaosGone {
-            kind,
-            seq,
-            payload_len,
-            raw_len,
-        } => {
-            out.put_u8(TAG_NET_CHAOS_GONE);
-            out.put_u8(kind);
-            out.put_u64_le(seq);
-            out.put_u32_le(payload_len);
-            out.put_u32_le(raw_len);
         }
         NetControl::EpochEnd { epoch, status } => {
             out.put_u8(TAG_NET_EPOCH_END);
@@ -1192,22 +1172,10 @@ pub fn wrap_traced(ctx: TraceContext, payload: &[u8]) -> Bytes {
 /// simulated and socket paths draw faults over identical byte counts
 /// whether or not tracing is on. A payload without the extension (or with
 /// a truncated/unknown-revision one) comes back unchanged with `None`.
-pub fn split_traced(payload: &Bytes) -> (Option<TraceContext>, Bytes) {
-    if payload.len() >= TRACE_EXT_BYTES && payload[0] == TAG_TRACE_CTX && payload[1] == TRACE_CTX_V1
-    {
-        if let Some(ctx) = TraceContext::from_bytes(&payload[2..TRACE_EXT_BYTES]) {
-            return (Some(ctx), payload.slice(TRACE_EXT_BYTES..));
-        }
-    }
-    (None, payload.clone())
-}
-
-/// [`split_traced`] for an owned payload: strips the extension by
-/// advancing the buffer's read cursor, so neither arm copies — the inner
-/// payload keeps the original allocation, which is what lets the pooled
-/// ingest path recycle it after decoding. Splitting semantics (including
-/// the pass-through cases) are identical to [`split_traced`].
-pub fn split_traced_owned(mut payload: Bytes) -> (Option<TraceContext>, Bytes) {
+/// The extension is stripped by advancing the read cursor, so the inner
+/// payload keeps the original allocation and the pooled ingest path can
+/// recycle it after decoding.
+pub fn split_traced(mut payload: Bytes) -> (Option<TraceContext>, Bytes) {
     if payload.len() >= TRACE_EXT_BYTES && payload[0] == TAG_TRACE_CTX && payload[1] == TRACE_CTX_V1
     {
         if let Some(ctx) = TraceContext::from_bytes(&payload[2..TRACE_EXT_BYTES]) {
@@ -1373,21 +1341,6 @@ pub fn decode_net_control_in(buf: &mut Bytes) -> Result<NetControl, DecodeError>
             }
         }
         TAG_NET_PROOF_SEQ => NetControl::ProofSeq { seq: get_u64(buf)? },
-        TAG_NET_CHAOS_GONE => {
-            if buf.remaining() < 1 {
-                return Err(DecodeError::Truncated);
-            }
-            let kind = buf.get_u8();
-            if !(1..=4).contains(&kind) {
-                return Err(DecodeError::Malformed("unknown message kind"));
-            }
-            NetControl::ChaosGone {
-                kind,
-                seq: get_u64(buf)?,
-                payload_len: get_u32(buf)?,
-                raw_len: get_u32(buf)?,
-            }
-        }
         TAG_NET_EPOCH_END => {
             let epoch = get_u64(buf)?;
             if buf.remaining() < 1 {
@@ -2454,7 +2407,7 @@ mod tests {
         // A wrapped payload is not a control/submission/anything until it
         // is split — the 0x54 tag is outside every protocol block.
         assert_eq!(classify_payload(&wrapped), PayloadClass::Unknown);
-        let (got_ctx, got_inner) = split_traced(&wrapped);
+        let (got_ctx, got_inner) = split_traced(wrapped);
         assert_eq!(got_ctx, Some(ctx));
         assert_eq!(got_inner, inner);
         assert_eq!(classify_payload(&got_inner), PayloadClass::Control);
@@ -2470,7 +2423,7 @@ mod tests {
             encode_submission(&[1.0f32, 2.0], None),
         ];
         for payload in plain {
-            let (ctx, inner) = split_traced(&payload);
+            let (ctx, inner) = split_traced(payload.clone());
             assert_eq!(ctx, None);
             assert_eq!(inner, payload);
         }
@@ -2479,11 +2432,11 @@ mod tests {
         let ctx = TraceContext::default();
         let wrapped = wrap_traced(ctx, &encode_proof_request(&[3]));
         let truncated = wrapped.slice(0..TRACE_EXT_BYTES - 1);
-        assert_eq!(split_traced(&truncated).0, None);
+        assert_eq!(split_traced(truncated).0, None);
         let mut unknown_rev = wrapped.to_vec();
         unknown_rev[1] = 2;
         let unknown_rev = Bytes::from(unknown_rev);
-        assert_eq!(split_traced(&unknown_rev).0, None);
+        assert_eq!(split_traced(unknown_rev.clone()).0, None);
         assert_eq!(classify_payload(&unknown_rev), PayloadClass::Unknown);
     }
 }

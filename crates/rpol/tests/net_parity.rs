@@ -885,7 +885,7 @@ fn hostile_submitter(
             assert!(k > 0, "server closed before shutdown");
             assembler.push(&chunk[..k]);
             while let Some(payload) = assembler.next_frame().expect("clean frames") {
-                let (_, payload) = split_traced(&payload);
+                let (_, payload) = split_traced(payload);
                 match classify_payload(&payload) {
                     PayloadClass::EpochTask => {
                         let task = decode_epoch_task(payload).expect("task decodes");

@@ -299,12 +299,15 @@ proptest! {
                 family: Some(FamilySpec { r, k, l, seed: b }),
             },
             7 => NetControl::ProofSeq { seq: a },
-            8 => NetControl::ChaosGone {
-                kind: 1 + (b % 4) as u8,
-                seq: a,
-                payload_len: (a >> 32) as u32,
-                raw_len: (b >> 32) as u32,
-            },
+            8 => {
+                // Protocol 1's lost-upload notice: its tag stays retired.
+                let mut retired = vec![0x37, 1 + (b % 4) as u8];
+                retired.extend_from_slice(&a.to_le_bytes());
+                retired.extend_from_slice(&b.to_le_bytes());
+                let decoded = decode_net_control(Bytes::from(retired));
+                prop_assert!(matches!(decoded, Err(DecodeError::Malformed(_))), "{:?}", decoded);
+                return Ok(());
+            }
             9 => NetControl::EpochEnd { epoch: a, status: (b % 3) as u8 },
             _ => NetControl::Shutdown,
         };

@@ -21,6 +21,9 @@ for bin in table2_epoch_time table3_overhead; do
     cargo run -q --release -p rpol-bench --bin "$bin" | diff - "results/$bin.md"
 done
 
+echo "== protocol pins: epoch_bench passes and fault-matrix reports byte-identical to results/"
+scripts/protocol_pins.sh | diff results/protocol_pins.txt -
+
 echo "== stitched socket traces: byte-identical under contention, three times over"
 for _ in 1 2 3; do
     RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test net_parity --test net_status
