@@ -1,10 +1,10 @@
 //! The worker side of the socket service (DESIGN.md §14): a
 //! [`WorkerClient`] owns one [`PoolWorker`], connects to the manager's
 //! [`PoolServer`](crate::server::PoolServer), and serves the epoch
-//! protocol — train on delivered tasks, upload submissions, answer
-//! sampled-proof openings — over a blocking stream with read timeouts. The
-//! protocol itself is a sans-IO `WorkerSession`, which the in-process
-//! link drives over in-memory connections too
+//! protocol — train on delivered tasks, commit and upload at the epoch's
+//! `CommitSpec`, answer sampled-proof openings — over a blocking stream
+//! with read timeouts. The protocol itself is a sans-IO `WorkerSession`,
+//! which the in-process link drives over in-memory connections too
 //! ([`MiningPool::run_epoch`](crate::pool::MiningPool::run_epoch)).
 //!
 //! # Robustness
@@ -112,10 +112,22 @@ struct SpecState {
     family: Option<LshFamily>,
 }
 
+/// An epoch trained and not yet committed: protocol 3 sends the epoch's
+/// `CommitSpec` after its task, so the checkpoints wait here for it.
+struct Trained {
+    epoch: u64,
+    checkpoints: Vec<Vec<f32>>,
+    /// The server's trace context re-parented onto the train span, when
+    /// the task carried one.
+    ctx: Option<TraceContext>,
+}
+
 /// A worker-bound frame, as [`WorkerSession::receive`] classifies it.
 pub(crate) enum Inbound {
     /// A control message. `CommitSpec` and `ProofSeq` have already updated
-    /// the session; the rest (Welcome, Busy, Shutdown, …) are the caller's.
+    /// the session — a `CommitSpec` is then answered by
+    /// [`WorkerSession::commit`]; the rest (Welcome, Busy, Shutdown, …) are
+    /// the caller's.
     Control(NetControl),
     /// An epoch task to train, with the server's trace context.
     Task(EpochTask, Option<TraceContext>),
@@ -125,22 +137,28 @@ pub(crate) enum Inbound {
     Ignored,
 }
 
-/// The worker's half of the protocol, without I/O: the commitment
-/// discipline, the proof sequence number and the sender-side chaos
-/// accounting of one worker, fed one frame at a time. A [`WorkerClient`]
-/// drives it over a socket; the in-process link drives it over an
-/// in-memory connection. It takes the [`PoolWorker`] it speaks for by
-/// reference — mutably to train, shared to open — and answers with the
-/// frames to write.
+/// The worker's half of the protocol, without I/O: the trained epoch
+/// awaiting its spec, the commitment discipline, the proof sequence number
+/// and the sender-side chaos accounting of one worker, fed one frame at a
+/// time. A [`WorkerClient`] drives it over a socket; the in-process link
+/// drives it over an in-memory connection. It takes the [`PoolWorker`] it
+/// speaks for by reference — mutably to train and commit, shared to open —
+/// and answers with the frames to write.
 pub(crate) struct WorkerSession {
     task: crate::tasks::TaskConfig,
+    /// The pool's scheme: its lattice is what a task trains on, before the
+    /// epoch's spec has arrived.
+    scheme: Scheme,
     transport: Transport,
     /// Spans, propagated trace contexts and the sender's fault draws.
     trace: Arc<Recorder>,
     /// How each packed block this worker encodes coded its hi plane.
     counters: Arc<Recorder>,
-    /// Until the first CommitSpec, a task is trained without a commitment.
+    /// The latest CommitSpec: what the trained epoch commits in, and what
+    /// an opening encodes for.
     spec: SpecState,
+    /// The last task trained, until a `CommitSpec` takes it.
+    trained: Option<Trained>,
     proof_seq: u64,
     /// Sender-side chaos accounting (submission and proof-response legs).
     pub(crate) stats: TransportStats,
@@ -157,6 +175,7 @@ impl WorkerSession {
             .unwrap_or_else(|| FaultConfig::ideal(config.seed));
         Self {
             task: config.task,
+            scheme: config.scheme,
             transport: Transport::new(&fault),
             trace,
             counters,
@@ -166,6 +185,7 @@ impl WorkerSession {
                 family_spec: None,
                 family: None,
             },
+            trained: None,
             proof_seq: 0,
             stats: TransportStats::default(),
             clock: SimClock::new(),
@@ -222,22 +242,21 @@ impl WorkerSession {
         }
     }
 
-    /// Trains the task and returns the submission's frames through the
-    /// chaos proxy. A worker whose submission link is dead this epoch
-    /// (`CrashAt`) neither trains nor sends: the manager charges it one
-    /// commitment deadline.
+    /// Trains the task on the pool scheme's lattice and keeps the
+    /// checkpoints for the epoch's `CommitSpec`; writes nothing. A worker
+    /// whose submission link is dead this epoch (`CrashAt`) neither trains
+    /// nor sends: the manager charges it one commitment deadline.
     pub(crate) fn train(
         &mut self,
         worker: &mut PoolWorker,
         task: EpochTask,
         tctx: Option<TraceContext>,
-    ) -> Vec<Bytes> {
-        let link = link_state(&worker.behavior(), task.epoch, MsgKind::Submission);
-        if !link.alive {
-            return Vec::new();
+    ) {
+        self.trained = None;
+        if !link_state(&worker.behavior(), task.epoch, MsgKind::Submission).alive {
+            return;
         }
-        let trace = self.trace.clone();
-        let (_train_span, train_sid) = trace.child_span(
+        let (_train_span, train_sid) = self.trace.child_span(
             "rpol.client.train",
             tctx.unwrap_or_default(),
             &[
@@ -246,25 +265,58 @@ impl WorkerSession {
                 ("steps", Value::from(task.steps)),
             ],
         );
-        let mode = Self::commit_mode(&mut self.spec, task.global_weights.len());
-        let sub = worker.run_epoch(
+        let checkpoints = worker.train(
             &self.task,
             &task.global_weights,
             task.nonce,
             task.steps as usize,
             task.epoch,
-            mode,
+            self.scheme.spec(),
         );
+        self.trained = Some(Trained {
+            epoch: task.epoch,
+            checkpoints,
+            ctx: tctx.map(|t| TraceContext {
+                trace_id: t.trace_id,
+                parent_span: train_sid,
+                watermark: 0,
+            }),
+        });
+    }
+
+    /// Answers a `CommitSpec`: commits the epoch it names, if that epoch
+    /// was trained under the spec's scheme, and returns the submission's
+    /// frames through the chaos proxy. Anything else — a repeated spec, a
+    /// spec for another epoch or scheme, a spec whose task never arrived —
+    /// writes nothing.
+    pub(crate) fn commit(&mut self, worker: &mut PoolWorker) -> Vec<Bytes> {
+        let epoch = self.spec.epoch;
+        let Some(trained) = self.trained.take_if(|t| t.epoch == epoch) else {
+            return Vec::new();
+        };
+        if self.spec.scheme != self.scheme {
+            return Vec::new();
+        }
+        let (_commit_span, commit_sid) = self.trace.child_span(
+            "rpol.client.commit",
+            trained.ctx.unwrap_or_default(),
+            &[
+                ("epoch", Value::from(epoch)),
+                ("worker", Value::from(worker.id)),
+            ],
+        );
+        let dim = trained.checkpoints[0].len();
+        let sub = worker.commit(trained.checkpoints, Self::commit_mode(&mut self.spec, dim));
         let payload = wire::encode_submission(&sub.final_weights, sub.commitment.as_ref());
         count_hi_plane(&self.counters, wire::packed_hi_plane(&payload));
-        let out_ctx = tctx.map(|t| TraceContext {
-            trace_id: t.trace_id,
-            parent_span: train_sid,
-            watermark: 0, // stamped at the send
+        let out_ctx = trained.ctx.map(|t| TraceContext {
+            parent_span: commit_sid,
+            ..t // watermark stamped at the send
         });
+        let link = link_state(&worker.behavior(), epoch, MsgKind::Submission);
         self.transport
             .chaos_send(
-                task.epoch,
+                epoch,
                 worker.id,
                 MsgKind::Submission,
                 0,
@@ -519,7 +571,11 @@ impl WorkerClient {
                         }
                         Inbound::Task(task, tctx) => {
                             report.epochs_trained += 1;
-                            session.train(&mut self.worker, task, tctx)
+                            session.train(&mut self.worker, task, tctx);
+                            continue;
+                        }
+                        Inbound::Control(NetControl::CommitSpec { .. }) => {
+                            session.commit(&mut self.worker)
                         }
                         Inbound::ProofRequest(sample, tctx) => {
                             report.proofs_served += 1;

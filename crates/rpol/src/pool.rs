@@ -654,20 +654,20 @@ impl MiningPool {
         self.config.validate().unwrap_or_else(|e| panic!("{e}"));
         let recorder = self.recorder.clone();
         let _epoch_span = span!(recorder, "rpol.pool.epoch", epoch);
-        match self.config.fault {
-            Some(_) => crate::server::run_link_epoch(self, epoch),
-            None => self.run_planned(epoch, PoolManager::plan),
-        }
+        self.run_planned(epoch, PoolManager::plan)
     }
 
-    /// The in-process epoch with its plan stage drawn by `plan`:
-    /// [`PoolManager::plan`], or [`PoolManager::begin_epoch`] for an epoch
-    /// whose calibration runs before anything trains.
+    /// The epoch with its plan stage drawn by `plan`: [`PoolManager::plan`],
+    /// or [`PoolManager::begin_epoch`] for an epoch whose calibration runs
+    /// before anything trains.
     fn run_planned(
         &mut self,
         epoch: u64,
         plan: impl FnOnce(&mut PoolManager, usize, u64) -> EpochPlan,
     ) -> EpochRecord {
+        if self.config.fault.is_some() {
+            return crate::server::run_link_epoch(self, epoch, plan);
+        }
         let start = std::time::Instant::now();
         let recorder = self.recorder.clone();
         let rec: &Recorder = &recorder;
@@ -1047,11 +1047,12 @@ mod tests {
         }
     }
 
-    /// Calibrating beside the first group's training changes nothing: a
-    /// flat v2 epoch and one under two committees equal,
+    /// Calibrating beside the training changes nothing: an epoch equals,
     /// record and `rpol.calibrate.unit` events alike, the epoch whose
     /// calibration ran in [`PoolManager::begin_epoch`] before anything
-    /// trained.
+    /// trained — flat v2 and under two committees on the direct source, and
+    /// v2 and v3 over the ideal and the lossy in-memory link (whose
+    /// `CommitSpec` goes out after the tasks), at executor widths 1 and 2.
     #[test]
     fn calibrating_beside_training_equals_calibrating_first() {
         let behaviors = vec![
@@ -1063,11 +1064,21 @@ mod tests {
                 lambda: 0.5,
             },
         ];
-        let configs = [
-            PoolConfig::tiny_demo(Scheme::RPoLv2),
-            PoolConfig::tiny_demo(Scheme::RPoLv2)
-                .with_hierarchy(Hierarchy::new(2, 1).expect("valid hierarchy")),
+        let mut configs = vec![
+            (PoolConfig::tiny_demo(Scheme::RPoLv2), 2),
+            (
+                PoolConfig::tiny_demo(Scheme::RPoLv2)
+                    .with_hierarchy(Hierarchy::new(2, 1).expect("valid hierarchy")),
+                2,
+            ),
         ];
+        for scheme in [Scheme::RPoLv2, Scheme::RPoLv3] {
+            for fault in [FaultConfig::ideal(7), FaultConfig::lossy(7)] {
+                for threads in [1, 2] {
+                    configs.push((PoolConfig::tiny_demo(scheme).with_faults(fault), threads));
+                }
+            }
+        }
         let units = |rec: &Recorder| -> Vec<String> {
             rec.events()
                 .iter()
@@ -1075,12 +1086,12 @@ mod tests {
                 .map(|ev| format!("{:?}", ev.fields))
                 .collect()
         };
-        for config in configs {
+        for (config, threads) in configs {
             let run = |begin_first: bool| {
                 let rec = Arc::new(Recorder::logical());
                 let mut pool = MiningPool::new(config, behaviors.clone())
                     .with_recorder(rec.clone())
-                    .with_threads(2);
+                    .with_threads(threads);
                 let records: Vec<String> = (0..2)
                     .map(|epoch| {
                         let record = if begin_first {
@@ -1099,8 +1110,8 @@ mod tests {
                 (records, units(&rec))
             };
             let (beside, first) = (run(false), run(true));
-            assert!(!first.1.is_empty(), "v2 calibrates every epoch");
-            assert_eq!(beside, first, "{config:?}");
+            assert!(!first.1.is_empty(), "{config:?}: calibrates every epoch");
+            assert_eq!(beside, first, "{config:?} at {threads} lanes");
         }
     }
 

@@ -72,7 +72,7 @@ use parking_lot::Mutex;
 
 use crate::adversary::WorkerBehavior;
 use crate::client::{Inbound, WorkerSession};
-use crate::manager::{CommStats, Participant};
+use crate::manager::{CommStats, EpochPlan, Participant, PoolManager};
 use crate::poll;
 use crate::pool::{roster_groups, EpochRecord, MiningPool, PoolConfig, PoolReport};
 use crate::transport::{link_state, FaultConfig, LinkState, MsgKind, Transport, TransportStats};
@@ -298,9 +298,9 @@ enum Access<'a> {
 
 impl MemPeer {
     /// Feeds the session every frame the server has written so far and
-    /// writes its answers back. A task is trained only with
-    /// [`Access::Train`], which the driver grants during the training
-    /// window alone.
+    /// writes its answers back. A task is trained, and a `CommitSpec`
+    /// committed, only with [`Access::Train`], which `serve_epoch` grants
+    /// during the training window and the commit step alone.
     fn step(&mut self, mut access: Access<'_>) {
         let mut chunk = [0u8; 8192];
         while let Ok(k @ 1..) = self.stream.read(&mut chunk) {
@@ -314,7 +314,11 @@ impl MemPeer {
             };
             let writes = match (self.session.receive(payload), &mut access) {
                 (Inbound::Task(task, tctx), Access::Train(worker)) => {
-                    self.session.train(worker, task, tctx)
+                    self.session.train(worker, task, tctx);
+                    continue;
+                }
+                (Inbound::Control(NetControl::CommitSpec { .. }), Access::Train(worker)) => {
+                    self.session.commit(worker)
                 }
                 (Inbound::ProofRequest(sample, tctx), Access::Open(worker)) => {
                     self.session.open(worker, sample, tctx)
@@ -1935,7 +1939,7 @@ impl PoolServer {
         self.wait_for_workers(n, CONNECT_DEADLINE)?;
         let mut epochs = Vec::with_capacity(epochs_total);
         for e in 0..epochs_total {
-            let record = serve_epoch(&mut self.pool, &self.net, None, e as u64);
+            let record = serve_epoch(&mut self.pool, &self.net, None, e as u64, PoolManager::plan);
             self.pool.publish_epoch(&record);
             self.publish_net(Some(record.wall_seconds));
             {
@@ -2000,7 +2004,11 @@ impl PoolServer {
 /// worker's [`WorkerSession`] draws its sender-side faults on a silent
 /// recorder, as a remote client draws them on its own, so the pool's trace
 /// records every exchange once; what it encodes is counted on the pool's.
-pub(crate) fn run_link_epoch(pool: &mut MiningPool, epoch: u64) -> EpochRecord {
+pub(crate) fn run_link_epoch(
+    pool: &mut MiningPool,
+    epoch: u64,
+    plan: impl FnOnce(&mut PoolManager, usize, u64) -> EpochPlan,
+) -> EpochRecord {
     let cfg = ServerConfig {
         // Nothing in memory idles on a wall clock or waits for a slot.
         max_connections: usize::MAX,
@@ -2029,12 +2037,15 @@ pub(crate) fn run_link_epoch(pool: &mut MiningPool, epoch: u64) -> EpochRecord {
         })
         .collect();
     net.core.lock().drain_mem(); // Hello → Welcome
-    serve_epoch(pool, &net, Some(&peers), epoch)
+    serve_epoch(pool, &net, Some(&peers), epoch, plan)
 }
 
-/// The epoch body every source shares, phase by phase: commit spec, task
-/// broadcast, training, batched submission ingest, verification through a
-/// [`SocketProvider`] per delivered worker, verdicts. Every fault draw lands
+/// The epoch body every source shares, phase by phase (protocol 3): plan
+/// (by `plan`: [`PoolManager::plan`], or [`PoolManager::begin_epoch`] for
+/// an epoch calibrated before anything trains), task broadcast, training
+/// beside the plan's pending calibration, its adoption, the `CommitSpec`,
+/// batched submission ingest, verification through a [`SocketProvider`]
+/// per delivered worker, verdicts. Every fault draw lands
 /// in a serialized worker-id order, so stats, clock and quarantine decisions
 /// agree bit for bit between a TCP run (`peers` is `None`: remote clients,
 /// waited on) and an in-memory one (`peers` drives the pool's own workers).
@@ -2049,6 +2060,7 @@ fn serve_epoch(
     net: &Net,
     peers: Option<&[Mutex<MemPeer>]>,
     epoch: u64,
+    plan: impl FnOnce(&mut PoolManager, usize, u64) -> EpochPlan,
 ) -> EpochRecord {
     let start = Instant::now();
     let recorder = pool.recorder.clone();
@@ -2074,31 +2086,12 @@ fn serve_epoch(
     let n = pool.workers.len();
     let behaviors: Vec<WorkerBehavior> = pool.workers.iter().map(PoolWorker::behavior).collect();
     let link = |w: usize, kind: MsgKind| link_state(&behaviors[w], epoch, kind);
-    let plan = pool.manager.begin_epoch(n, epoch);
+    let mut plan = plan(&mut pool.manager, n, epoch);
     let mut stats = TransportStats::default();
     let mut clock = SimClock::new();
     let mut quarantined: Vec<usize> = Vec::new();
     let mut comm = CommStats::default();
     net.core.lock().reset_epoch();
-
-    // Commitment discipline first, on the reliable control plane: the
-    // few scalars of a FamilySpec are the family's key, from which a
-    // worker derives the projection rows inside its commitment hash.
-    let scheme = pool.config().scheme;
-    let family = plan
-        .calibration
-        .filter(|_| scheme.spec().hashes_by_lsh())
-        .map(|c| FamilySpec {
-            r: c.params.r,
-            k: c.params.k as u32,
-            l: c.params.l as u32,
-            seed: c.family_seed,
-        });
-    net.core.lock().broadcast_control(&NetControl::CommitSpec {
-        epoch,
-        scheme,
-        family,
-    });
 
     // Phase 1: task broadcast, serial in worker order.
     let (phase_broadcast, broadcast_sid) = recorder.child_span(
@@ -2143,8 +2136,10 @@ fn serve_epoch(
     }
     drop(phase_broadcast);
 
-    // Phases 2+3 (worker side): training then submission upload, from
-    // every tasked worker whose submission link is up.
+    // Phase 2: every tasked worker whose submission link is up trains while
+    // the manager calibrates — only a commitment needs the calibration's
+    // LSH family, and no training reads it (§22). Then the CommitSpec goes
+    // out, and each worker commits and uploads at it.
     let awaited: Vec<bool> = (0..n)
         .map(|w| tasked[w] && link(w, MsgKind::Submission).alive)
         .collect();
@@ -2153,18 +2148,72 @@ fn serve_epoch(
         under_epoch,
         &[("epoch", Value::from(epoch))],
     );
+    let pending = plan.pending_calibration();
+    let mut calibration = None;
     match peers {
-        // In memory: members train as one executor task each, then every
-        // byte they wrote is routed.
+        // In memory: the calibration and each member's training run as one
+        // executor task each.
         Some(peers) => {
-            let steps = plan.steps;
+            let (steps, manager) = (plan.steps, &pool.manager);
             net.exec.scope(|s| {
+                if let Some(nonce) = pending {
+                    let calibration = &mut calibration;
+                    s.spawn(move || *calibration = Some(manager.calibrate(nonce, epoch)));
+                }
                 let workers = pool.workers.iter_mut().zip(peers).enumerate();
                 for (w, (worker, peer)) in workers.filter(|&(w, _)| awaited[w]) {
                     s.spawn(move || {
                         let _g = span!(rec, "rpol.worker.train_epoch", epoch, worker = w, steps);
                         peer.lock().step(Access::Train(worker));
                     });
+                }
+            });
+        }
+        // Over sockets: once every task is flushed the remote workers train
+        // on their own, and the calibration fans out on both executor
+        // lanes from this thread. No worker uploads before its spec, so
+        // nothing needs pumping meanwhile.
+        None => {
+            // (The per-task pumps have usually flushed everything; a wait
+            // would park for nothing.)
+            if !net.core.lock().outboxes_empty() {
+                NetCore::pump_until(&net.core, PHASE_TIMEOUT, NetCore::outboxes_empty);
+            }
+            calibration = pending.map(|nonce| pool.manager.calibrate(nonce, epoch));
+        }
+    }
+    if pending.is_some() {
+        pool.manager.adopt(&mut plan, calibration);
+    }
+    // The few scalars of a FamilySpec are the family's key, from which a
+    // worker derives the projection rows inside its commitment hash.
+    let scheme = pool.config().scheme;
+    let family = plan
+        .calibration
+        .filter(|_| scheme.spec().hashes_by_lsh())
+        .map(|c| FamilySpec {
+            r: c.params.r,
+            k: c.params.k as u32,
+            l: c.params.l as u32,
+            seed: c.family_seed,
+        });
+    {
+        let mut core = net.core.lock();
+        core.broadcast_control(&NetControl::CommitSpec {
+            epoch,
+            scheme,
+            family,
+        });
+        core.pump();
+    }
+    match peers {
+        // In memory: members commit as one executor task each, then every
+        // byte they wrote is routed.
+        Some(peers) => {
+            net.exec.scope(|s| {
+                let workers = pool.workers.iter_mut().zip(peers).enumerate();
+                for (_, (worker, peer)) in workers.filter(|&(w, _)| awaited[w]) {
+                    s.spawn(move || peer.lock().step(Access::Train(worker)));
                 }
             });
             net.core.lock().drain_mem();
@@ -2484,6 +2533,7 @@ fn spawn_clients(
 mod tests {
     use super::*;
     use crate::pool::Scheme;
+    use crate::wire::EpochTask;
     use rpol_tensor::rng::Pcg32;
 
     /// First bytes covering every payload class: the four submission tags,
@@ -2748,27 +2798,107 @@ mod tests {
         );
     }
 
-    /// A protocol-1 worker would announce a lost upload with the retired
-    /// `0x37` notice instead of sending it, and the manager would wait out
-    /// the phase for it: its Hello gets no Welcome, and the connection is
+    /// An older worker cannot be served: a protocol-1 worker would announce
+    /// a lost upload with the retired `0x37` notice instead of sending it,
+    /// and a protocol-2 worker would upload at its task, before the epoch's
+    /// `CommitSpec`. Either's Hello gets no Welcome, and the connection is
     /// closed.
     #[test]
-    fn a_protocol_1_hello_gets_no_welcome_and_is_closed() {
-        let (mut core, mut worker) = mem_core(1);
-        let hello = NetControl::Hello {
-            worker: 0,
-            protocol: 1,
+    fn an_older_protocol_hello_gets_no_welcome_and_is_closed() {
+        for protocol in 1..wire::NET_PROTOCOL {
+            let (mut core, mut worker) = mem_core(1);
+            let hello = NetControl::Hello {
+                worker: 0,
+                protocol,
+            };
+            worker
+                .write_all(&wire::seal_frame(&wire::encode_net_control(&hello)))
+                .expect("in memory");
+            core.drain_mem();
+            assert_eq!(core.stats.handshakes, 0, "protocol {protocol}");
+            assert!(!core.connected(0), "protocol {protocol}");
+            assert_eq!(core.active(), 0, "protocol {protocol}: not closed");
+            let mut replies = Vec::new();
+            worker.read_to_end(&mut replies).expect("end of stream");
+            assert!(replies.is_empty(), "protocol {protocol}: a Welcome");
+        }
+    }
+
+    /// The worker's order contract (protocol 3): a task is trained and
+    /// kept, and the first `CommitSpec` for its epoch and scheme uploads it
+    /// once. A repeated spec, a spec for another epoch, a spec of another
+    /// scheme, or a spec whose task was lost writes nothing.
+    #[test]
+    fn a_worker_uploads_once_at_the_commit_spec_of_its_trained_epoch() {
+        let config = PoolConfig::tiny_demo(Scheme::RPoLv1);
+        let global = MiningPool::new(config, vec![WorkerBehavior::Honest])
+            .manager
+            .global_weights()
+            .to_vec();
+        let mut worker = MiningPool::build_workers(config, &[WorkerBehavior::Honest])
+            .pop()
+            .expect("one worker");
+        let (mut server_end, worker_end) = mem_pair();
+        let mut peer = MemPeer {
+            session: WorkerSession::new(
+                &config,
+                rpol_obs::noop().clone(),
+                rpol_obs::noop().clone(),
+            ),
+            stream: worker_end,
+            asm: FrameAssembler::new(wire::MAX_FRAME_BYTES),
         };
-        worker
-            .write_all(&wire::seal_frame(&wire::encode_net_control(&hello)))
-            .expect("in memory");
-        core.drain_mem();
-        assert_eq!(core.stats.handshakes, 0);
-        assert!(!core.connected(0));
-        assert_eq!(core.active(), 0, "the connection is closed");
-        let mut replies = Vec::new();
-        worker.read_to_end(&mut replies).expect("end of stream");
-        assert!(replies.is_empty(), "no Welcome");
+        // Writes one frame to the worker, steps it, and returns what it
+        // wrote back as opened payloads.
+        let mut asm = FrameAssembler::new(wire::MAX_FRAME_BYTES);
+        let mut send = |payload: Bytes| -> Vec<Bytes> {
+            server_end
+                .write_all(&wire::seal_frame(&payload))
+                .expect("in memory");
+            peer.step(Access::Train(&mut worker));
+            let mut written = Vec::new();
+            server_end.read_to_end(&mut written).ok();
+            asm.push(&written);
+            std::iter::from_fn(|| asm.next_frame().expect("no fault on an ideal link")).collect()
+        };
+        let task = |epoch| {
+            wire::encode_epoch_task(&EpochTask {
+                epoch,
+                nonce: 11,
+                steps: 2,
+                global_weights: global.clone(),
+            })
+        };
+        let spec = |epoch, scheme| {
+            wire::encode_net_control(&NetControl::CommitSpec {
+                epoch,
+                scheme,
+                family: None,
+            })
+        };
+
+        assert!(send(task(0)).is_empty(), "a task alone writes nothing");
+        let upload = send(spec(0, Scheme::RPoLv1));
+        assert_eq!(upload.len(), 1, "the spec uploads the trained epoch once");
+        let (weights, commitment) =
+            wire::decode_submission(upload[0].clone()).expect("a submission");
+        assert_eq!(weights.len(), global.len());
+        assert!(commitment.is_some(), "committed under v1");
+        assert!(send(spec(0, Scheme::RPoLv1)).is_empty(), "a repeated spec");
+
+        assert!(send(task(1)).is_empty());
+        assert!(send(spec(0, Scheme::RPoLv1)).is_empty(), "another epoch");
+        assert!(
+            send(spec(1, Scheme::Baseline)).is_empty(),
+            "a spec whose scheme differs from the trained one"
+        );
+        assert!(
+            send(spec(2, Scheme::RPoLv1)).is_empty(),
+            "a spec after a lost task"
+        );
+
+        assert!(send(task(3)).is_empty());
+        assert_eq!(send(spec(3, Scheme::RPoLv1)).len(), 1, "the next epoch");
     }
 
     /// The scan pump is what the reactor falls back to when epoll fails

@@ -975,9 +975,11 @@ pub enum NetControl {
         /// The [`NetControl::Ping`] nonce echoed back.
         nonce: u64,
     },
-    /// Manager → worker: this epoch's commitment discipline, sent before
-    /// the (chaos-exposed) epoch task so the worker can commit without
-    /// shipping the LSH projection matrix.
+    /// Manager → worker: this epoch's commitment discipline, sent after
+    /// the (chaos-exposed) epoch tasks once the manager's calibration is
+    /// adopted: a worker trains on its task and commits on this, deriving
+    /// the LSH family from its scalars instead of receiving a projection
+    /// matrix.
     CommitSpec {
         /// Epoch number.
         epoch: u64,
@@ -1022,8 +1024,10 @@ pub enum NetControl {
 /// Socket control-plane protocol revision. Revision 2 retired protocol
 /// 1's lost-upload notice (tag `0x37`): a worker's upload always ends with
 /// its pristine frame, and the manager's own fault draws decide whether it
-/// arrived.
-pub const NET_PROTOCOL: u32 = 2;
+/// arrived. Revision 3 sends an epoch's [`NetControl::CommitSpec`] after
+/// its tasks: a worker trains on the task and commits and uploads only at
+/// the spec, so the manager calibrates while its workers train.
+pub const NET_PROTOCOL: u32 = 3;
 
 /// Largest frame (header + payload) either end of the socket accepts.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;

@@ -33,8 +33,9 @@ echo "== executor: 8-thread pass (scheduling + determinism under contention, exa
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-exec
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test epoch_matrix --test obs_determinism
 
-echo "== executor: 1-lane pass (the byte-exact reference as the default width)"
+echo "== executor: 1-lane pass (the byte-exact reference as the default width; the socket server's calibration shares that lane with its training window)"
 RPOL_EXEC_THREADS=1 cargo test -q -p rpol --test epoch_matrix --test obs_determinism
+RPOL_EXEC_THREADS=1 cargo test -q -p rpol --test net_parity
 
 echo "== GEMM on the executor: 8-thread invariance + quantizer determinism"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-tensor
