@@ -142,21 +142,26 @@ impl Sequential {
             .expect("model needs at least one layer")
     }
 
-    /// Applies the optimizer to every non-frozen parameter, then zeroes
-    /// gradients. Frozen parameters (e.g. RPoL's AMLayer weights) keep
-    /// their values but still occupy an optimizer index so state stays
-    /// aligned if a layer is later unfrozen.
-    pub fn step(&mut self, opt: &mut dyn Optimizer) {
-        let mut index = 0;
+    /// Applies the optimizer to every non-frozen parameter and zeroes
+    /// every gradient, returning the step's Euclidean length: the squared
+    /// moves of the trainable weights, summed in `f64` in flattening order
+    /// by the update that writes them ([`Optimizer::update`]). Frozen
+    /// parameters (e.g. RPoL's AMLayer weights) keep their values but
+    /// still occupy an optimizer index so state stays aligned if a layer
+    /// is later unfrozen.
+    pub fn step(&mut self, opt: &mut dyn Optimizer) -> f32 {
+        let (mut index, mut sq_step) = (0, 0.0f64);
         for layer in &mut self.layers {
             layer.visit_params_mut(&mut |p| {
-                if !p.frozen {
-                    opt.update(index, p);
+                if p.frozen {
+                    p.zero_grad();
+                } else {
+                    opt.update(index, p, &mut sq_step);
                 }
-                p.zero_grad();
                 index += 1;
             });
         }
+        sq_step.sqrt() as f32
     }
 
     /// Zeroes all gradients.
@@ -176,6 +181,17 @@ impl Sequential {
     /// Total number of scalar parameters.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(|l| l.param_count()).sum()
+    }
+
+    /// Number of scalar parameters the optimizer moves (not frozen).
+    pub fn trainable_count(&self) -> usize {
+        let mut count = 0;
+        self.visit_params(&mut |p| {
+            if !p.frozen {
+                count += p.len();
+            }
+        });
+        count
     }
 
     /// Flattens all parameters into one vector, in deterministic layer

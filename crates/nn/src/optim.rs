@@ -4,6 +4,11 @@
 //! Optimizers are driven by [`crate::model::Sequential::step`], which
 //! visits parameters in deterministic order; per-parameter state is keyed
 //! by that visitation index.
+//!
+//! An update is the step's only pass over a parameter: as it writes each
+//! weight it adds the squared move `((old − new) as f64)²` to the caller's
+//! accumulator and zeroes the gradient it read, so the step's Euclidean
+//! length needs no copy of the weights from before it.
 
 use crate::layer::Param;
 use serde::{Deserialize, Serialize};
@@ -16,8 +21,9 @@ use serde::{Deserialize, Serialize};
 /// (guaranteed by [`crate::model::Sequential`]).
 pub trait Optimizer {
     /// Applies one update to parameter `index` using its accumulated
-    /// gradient.
-    fn update(&mut self, index: usize, param: &mut Param);
+    /// gradient, zeroing the gradient and adding each weight's squared
+    /// move `((old − new) as f64)²` to `sq_step`, in element order.
+    fn update(&mut self, index: usize, param: &mut Param, sq_step: &mut f64);
 
     /// The nominal learning rate (for reporting).
     fn learning_rate(&self) -> f32;
@@ -80,6 +86,16 @@ impl OptimizerSpec {
     }
 }
 
+/// Writes `new` over the weight `w`, adds its squared move to `sq_step`
+/// and zeroes the gradient `g` the move was computed from.
+#[inline(always)]
+fn write(w: &mut f32, g: &mut f32, new: f32, sq_step: &mut f64) {
+    let d = (*w - new) as f64;
+    *sq_step += d * d;
+    *w = new;
+    *g = 0.0;
+}
+
 fn check_lr(lr: f32) {
     assert!(
         lr.is_finite() && lr > 0.0,
@@ -106,10 +122,10 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn update(&mut self, _index: usize, param: &mut Param) {
+    fn update(&mut self, _index: usize, param: &mut Param, sq_step: &mut f64) {
         let lr = self.lr;
-        for (w, &g) in param.value.data_mut().iter_mut().zip(param.grad.data()) {
-            *w -= lr * g;
+        for (w, g) in param.value.data_mut().iter_mut().zip(param.grad.data_mut()) {
+            write(w, g, *w - lr * *g, sq_step);
         }
     }
 
@@ -151,7 +167,7 @@ impl SgdMomentum {
 }
 
 impl Optimizer for SgdMomentum {
-    fn update(&mut self, index: usize, param: &mut Param) {
+    fn update(&mut self, index: usize, param: &mut Param, sq_step: &mut f64) {
         if self.velocity.len() <= index {
             self.velocity.resize(index + 1, Vec::new());
         }
@@ -160,15 +176,15 @@ impl Optimizer for SgdMomentum {
             v.resize(param.len(), 0.0);
         }
         let (lr, mu) = (self.lr, self.momentum);
-        for ((w, &g), vi) in param
+        for ((w, g), vi) in param
             .value
             .data_mut()
             .iter_mut()
-            .zip(param.grad.data())
+            .zip(param.grad.data_mut())
             .zip(v.iter_mut())
         {
-            *vi = mu * *vi + g;
-            *w -= lr * *vi;
+            *vi = mu * *vi + *g;
+            write(w, g, *w - lr * *vi, sq_step);
         }
     }
 
@@ -209,7 +225,7 @@ impl RmsProp {
 }
 
 impl Optimizer for RmsProp {
-    fn update(&mut self, index: usize, param: &mut Param) {
+    fn update(&mut self, index: usize, param: &mut Param, sq_step: &mut f64) {
         if self.sq_avg.len() <= index {
             self.sq_avg.resize(index + 1, Vec::new());
         }
@@ -218,15 +234,15 @@ impl Optimizer for RmsProp {
             s.resize(param.len(), 0.0);
         }
         let (lr, rho, eps) = (self.lr, self.decay, self.eps);
-        for ((w, &g), si) in param
+        for ((w, g), si) in param
             .value
             .data_mut()
             .iter_mut()
-            .zip(param.grad.data())
+            .zip(param.grad.data_mut())
             .zip(s.iter_mut())
         {
-            *si = rho * *si + (1.0 - rho) * g * g;
-            *w -= lr * g / (si.sqrt() + eps);
+            *si = rho * *si + (1.0 - rho) * *g * *g;
+            write(w, g, *w - lr * *g / (si.sqrt() + eps), sq_step);
         }
     }
 
@@ -283,7 +299,7 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn update(&mut self, index: usize, param: &mut Param) {
+    fn update(&mut self, index: usize, param: &mut Param, sq_step: &mut f64) {
         // Advance the timestep when we revisit the first parameter.
         match self.first_index {
             None => {
@@ -305,19 +321,19 @@ impl Optimizer for Adam {
         let bc1 = 1.0 - b1.powi(t as i32);
         let bc2 = 1.0 - b2.powi(t as i32);
         let (ms, vs) = (&mut self.m[index], &mut self.v[index]);
-        for (((w, &g), mi), vi) in param
+        for (((w, g), mi), vi) in param
             .value
             .data_mut()
             .iter_mut()
-            .zip(param.grad.data())
+            .zip(param.grad.data_mut())
             .zip(ms.iter_mut())
             .zip(vs.iter_mut())
         {
-            *mi = b1 * *mi + (1.0 - b1) * g;
-            *vi = b2 * *vi + (1.0 - b2) * g * g;
+            *mi = b1 * *mi + (1.0 - b1) * *g;
+            *vi = b2 * *vi + (1.0 - b2) * *g * *g;
             let m_hat = *mi / bc1;
             let v_hat = *vi / bc2;
-            *w -= lr * m_hat / (v_hat.sqrt() + eps);
+            write(w, g, *w - lr * m_hat / (v_hat.sqrt() + eps), sq_step);
         }
     }
 
@@ -346,7 +362,7 @@ mod tests {
         for _ in 0..steps {
             let w = p.value.data()[0];
             p.grad.data_mut()[0] = 2.0 * w;
-            opt.update(0, &mut p);
+            opt.update(0, &mut p, &mut 0.0);
         }
         p.value.data()[0].abs()
     }
@@ -363,7 +379,7 @@ mod tests {
     fn sgd_known_step() {
         let mut p = quadratic_param(1.0);
         p.grad.data_mut()[0] = 0.5;
-        Sgd::new(0.1).update(0, &mut p);
+        Sgd::new(0.1).update(0, &mut p, &mut 0.0);
         assert!((p.value.data()[0] - 0.95).abs() < 1e-7);
     }
 
@@ -373,10 +389,10 @@ mod tests {
         let mut p = quadratic_param(0.0);
         // Constant gradient 1: first step -0.1, second step -(0.1 * 1.9).
         p.grad.data_mut()[0] = 1.0;
-        opt.update(0, &mut p);
+        opt.update(0, &mut p, &mut 0.0);
         assert!((p.value.data()[0] + 0.1).abs() < 1e-7);
         p.grad.data_mut()[0] = 1.0;
-        opt.update(0, &mut p);
+        opt.update(0, &mut p, &mut 0.0);
         assert!((p.value.data()[0] + 0.1 + 0.19).abs() < 1e-6);
     }
 
@@ -388,7 +404,7 @@ mod tests {
             for _ in 0..50 {
                 let w = p.value.data()[0];
                 p.grad.data_mut()[0] = 2.0 * w;
-                opt.update(0, &mut p);
+                opt.update(0, &mut p, &mut 0.0);
             }
             p.value.data()[0]
         };
@@ -427,10 +443,50 @@ mod tests {
         let mut b = quadratic_param(1.0);
         a.grad.data_mut()[0] = 1.0;
         b.grad.data_mut()[0] = -1.0;
-        opt.update(0, &mut a);
-        opt.update(1, &mut b);
+        opt.update(0, &mut a, &mut 0.0);
+        opt.update(1, &mut b, &mut 0.0);
         assert!((a.value.data()[0] - 0.9).abs() < 1e-7);
         assert!((b.value.data()[0] - 1.1).abs() < 1e-7);
+    }
+
+    /// Every optimizer adds exactly the squared moves of the weights it
+    /// wrote, in element order, and leaves the gradient zeroed.
+    #[test]
+    fn updates_measure_their_step_and_zero_the_gradient() {
+        let specs = [
+            OptimizerSpec::Sgd { lr: 0.1 },
+            OptimizerSpec::paper_default(),
+            OptimizerSpec::RmsProp {
+                lr: 0.01,
+                decay: 0.9,
+            },
+            OptimizerSpec::Adam {
+                lr: 1e-3,
+                beta1: 0.9,
+                beta2: 0.999,
+            },
+        ];
+        for spec in specs {
+            let mut opt = spec.build();
+            let mut p = Param::new(Tensor::from_vec(&[5], vec![1.0, -2.0, 0.5, 3.0, 0.0]));
+            for step in 0..3 {
+                let before = p.value.data().to_vec();
+                for (i, g) in p.grad.data_mut().iter_mut().enumerate() {
+                    *g = (i as f32 - 2.0) * 0.3 + step as f32;
+                }
+                let mut sq = 0.25;
+                opt.update(0, &mut p, &mut sq);
+                let want = before
+                    .iter()
+                    .zip(p.value.data())
+                    .fold(0.25, |acc, (&o, &n)| {
+                        let d = (o - n) as f64;
+                        acc + d * d
+                    });
+                assert_eq!(sq.to_bits(), want.to_bits(), "{} step {step}", opt.name());
+                assert!(p.grad.data().iter().all(|&g| g == 0.0), "{}", opt.name());
+            }
+        }
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl<'a> Calibrator<'a> {
         }
     }
 
-    /// Borrows every run's model and staging from `scratch`.
+    /// Borrows every run's model from `scratch`.
     pub(crate) fn with_scratch(mut self, scratch: &'a ScratchPool) -> Self {
         self.scratch = Some(scratch);
         self
@@ -250,7 +250,7 @@ impl<'a> Calibrator<'a> {
             NoiseInjector::new(self.gpus.1, 0),
         );
         let run_seed = |run: u64| epoch.wrapping_mul(0x9E37).wrapping_add(run);
-        // Every run borrows a scratch state: a run loads its input weights
+        // Every run borrows a scratch model: a run loads its input weights
         // and reseeds, which resets every piece of model state, so a
         // calibration builds at most one model per lane — none once the
         // manager's pool is warm.
@@ -345,9 +345,8 @@ impl<'a> Calibrator<'a> {
         (result, trace.final_weights().to_vec())
     }
 
-    /// Runs `f` on a state borrowed from `scratch` (built like
-    /// `global_weights` on a miss), with a trainer on `noise` staging
-    /// through the state's arena.
+    /// Runs `f` on a model borrowed from `scratch` (built like
+    /// `global_weights` on a miss), with a trainer on `noise`.
     fn on_scratch<T>(
         &self,
         scratch: &ScratchPool,
@@ -356,10 +355,10 @@ impl<'a> Calibrator<'a> {
         f: impl FnOnce(&mut LocalTrainer<'_>, &mut Sequential) -> T,
     ) -> T {
         let build = || self.config.build_model_like(global_weights);
-        let (mut model, arena) = scratch.checkout(&self.recorder, build);
-        let mut trainer = LocalTrainer::with_arena(self.config, self.shard, noise, arena);
+        let mut model = scratch.checkout(&self.recorder, build);
+        let mut trainer = LocalTrainer::new(self.config, self.shard, noise);
         let out = f(&mut trainer, &mut model);
-        scratch.checkin((model, trainer.into_arena()));
+        scratch.checkin(model);
         out
     }
 

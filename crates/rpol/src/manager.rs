@@ -5,7 +5,7 @@ use crate::calibrate::{CalibrationPolicy, CalibrationResult, Calibrator};
 use crate::commitment::EpochCommitment;
 use crate::pool::{Calibration, Lattice, Scheme};
 use crate::tasks::TaskConfig;
-use crate::trainer::{epoch_segments, ScratchPool, ScratchState};
+use crate::trainer::{epoch_segments, ScratchPool};
 use crate::transport::TransportStats;
 use crate::verify::{
     binds, verify_ranked, well_formed, BoundEnds, Lanes, ProofProvider, RejectReason,
@@ -17,6 +17,7 @@ use rpol_crypto::Address;
 use rpol_exec::Executor;
 use rpol_lsh::{LshFamily, Signature};
 use rpol_nn::data::SyntheticImages;
+use rpol_nn::model::Sequential;
 use rpol_obs::{event, Recorder};
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::rng::Pcg32;
@@ -360,16 +361,16 @@ impl PoolManager {
         self.executor = Some(exec);
     }
 
-    /// Lends a scratch state of the global geometry ([`ScratchPool`]).
-    pub(crate) fn checkout_scratch(&self) -> ScratchState {
+    /// Lends a scratch model of the global geometry ([`ScratchPool`]).
+    pub(crate) fn checkout_scratch(&self) -> Sequential {
         self.scratch.checkout(&self.recorder, || {
             self.config.build_model_like(&self.global)
         })
     }
 
-    /// Returns a state [`Self::checkout_scratch`] lent.
-    pub(crate) fn checkin_scratch(&self, state: ScratchState) {
-        self.scratch.checkin(state);
+    /// Returns a model [`Self::checkout_scratch`] lent.
+    pub(crate) fn checkin_scratch(&self, model: Sequential) {
+        self.scratch.checkin(model);
     }
 
     /// The current global model weights.
@@ -646,7 +647,7 @@ impl PoolManager {
 
     /// The `verify` stage over one group (DESIGN.md §23): [`Self::bind`]
     /// every participant, then [`verify_ranked`] the bound ones' prepared
-    /// samples — replays on `exec` when given, else on one scratch state;
+    /// samples — replays on `exec` when given, else on one scratch model;
     /// hashes counted as streamed passes. Openings of the two bound ends
     /// are served from the manager's own copies ([`BoundEnds`]) and never
     /// hashed again. A verdict depends only on its own assignment: every
@@ -702,11 +703,9 @@ impl PoolManager {
             })
             .collect();
         let replay = |s: usize, input: &[f32], segment| {
-            let (mut model, mut arena) = self.checkout_scratch();
-            let replayed = subjects[s]
-                .verifier
-                .replay(&mut model, input, segment, &mut arena);
-            self.checkin_scratch((model, arena));
+            let mut model = self.checkout_scratch();
+            let replayed = subjects[s].verifier.replay(&mut model, input, segment);
+            self.checkin_scratch(model);
             replayed
         };
         let hash = |family: &LshFamily, xs: &[&[f32]]| self.streamed_pass(family, xs);
@@ -718,10 +717,10 @@ impl PoolManager {
                 hash,
             ),
             None => {
-                let (mut model, mut arena) = self.checkout_scratch();
-                let lanes = Lanes::Serial(&mut model, &mut arena);
+                let mut model = self.checkout_scratch();
+                let lanes = Lanes::Serial(&mut model);
                 let verified = verify_ranked(&subjects, &prepared.segments, lanes, hash);
-                self.checkin_scratch((model, arena));
+                self.checkin_scratch(model);
                 verified
             }
         };

@@ -598,11 +598,11 @@ impl MiningPool {
             .sum();
         let counts = self.executor.run_indexed(self.test_chunks.len(), |i| {
             let (inputs, labels) = &self.test_chunks[i];
-            let (mut model, arena) = self.manager.checkout_scratch();
+            let mut model = self.manager.checkout_scratch();
             model.load_params(self.manager.global_weights());
             let logits = model.forward(inputs, false);
             model.end_pass();
-            self.manager.checkin_scratch((model, arena));
+            self.manager.checkin_scratch(model);
             correct_count(&logits, labels)
         });
         // Recorded here, after the join and in index order — never from

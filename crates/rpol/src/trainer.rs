@@ -23,40 +23,6 @@ use rpol_nn::loss::softmax_cross_entropy;
 use rpol_nn::model::Sequential;
 use rpol_obs::Recorder;
 use rpol_sim::gpu::NoiseInjector;
-use rpol_tensor::scratch::ScratchArena;
-
-/// Flattens only the trainable (non-frozen) parameters into `out`
-/// (cleared first), so callers can reuse a scratch buffer across steps.
-fn flatten_trainable_into(model: &Sequential, out: &mut Vec<f32>) {
-    out.clear();
-    model.visit_params(&mut |p| {
-        if !p.frozen {
-            out.extend_from_slice(p.value.data());
-        }
-    });
-}
-
-/// Moves `weights` — the trainable parameters as flattened before a step —
-/// to the parameters after it, returning the Euclidean distance it moved
-/// them (summed in flattening order, in `f64`).
-fn advance_trainable(model: &Sequential, weights: &mut [f32]) -> f32 {
-    let mut sum = 0.0f64;
-    let mut offset = 0;
-    model.visit_params(&mut |p| {
-        if !p.frozen {
-            for (w, &now) in weights[offset..offset + p.len()]
-                .iter_mut()
-                .zip(p.value.data())
-            {
-                let d = (*w - now) as f64;
-                sum += d * d;
-                *w = now;
-            }
-            offset += p.len();
-        }
-    });
-    sum.sqrt() as f32
-}
 
 /// One checkpoint segment: the training steps between two consecutive
 /// stored checkpoints.
@@ -112,26 +78,22 @@ impl EpochTrace {
     }
 }
 
-/// A model of the pool's geometry plus the weight-sized staging arena its
-/// trainers use.
-pub(crate) type ScratchState = (Sequential, ScratchArena);
-
-/// The manager's scratch states, lent to one pass at a time — a replayed
+/// The manager's scratch models, lent to one pass at a time — a replayed
 /// sample, a calibration run, an evaluation batch — so the pool holds as
 /// many as ever ran at once, not one per use. A pass starts from a full
-/// `load_params` and an arena only lends capacity, so a reused state is
-/// bitwise a fresh one.
+/// `load_params` and ends with [`Sequential::end_pass`], so a reused model
+/// is bitwise a fresh one.
 #[derive(Default)]
-pub(crate) struct ScratchPool(parking_lot::Mutex<Vec<ScratchState>>);
+pub(crate) struct ScratchPool(parking_lot::Mutex<Vec<Sequential>>);
 
 impl ScratchPool {
-    /// Lends a state, building its model with `build` on a miss; hits and
-    /// misses are counted on `rec`.
+    /// Lends a model, building it with `build` on a miss; hits and misses
+    /// are counted on `rec`.
     pub(crate) fn checkout(
         &self,
         rec: &Recorder,
         build: impl FnOnce() -> Sequential,
-    ) -> ScratchState {
+    ) -> Sequential {
         let pooled = self.0.lock().pop();
         if rec.enabled() {
             let counter = match pooled {
@@ -140,12 +102,12 @@ impl ScratchPool {
             };
             rec.counter_add(counter, 1);
         }
-        pooled.unwrap_or_else(|| (build(), ScratchArena::new()))
+        pooled.unwrap_or_else(build)
     }
 
-    /// Returns a lent state.
-    pub(crate) fn checkin(&self, state: ScratchState) {
-        self.0.lock().push(state);
+    /// Returns a lent model.
+    pub(crate) fn checkin(&self, model: Sequential) {
+        self.0.lock().push(model);
     }
 }
 
@@ -156,42 +118,16 @@ pub struct LocalTrainer<'a> {
     config: &'a TaskConfig,
     shard: &'a SyntheticImages,
     noise: NoiseInjector,
-    /// Recycled weight-sized working buffers: the per-step flatten /
-    /// noise staging copy reuses these instead of allocating. Purely a
-    /// memory concern — values are identical to fresh allocations.
-    arena: ScratchArena,
 }
 
 impl<'a> LocalTrainer<'a> {
     /// Creates a trainer over a data shard with a hardware-noise profile.
     pub fn new(config: &'a TaskConfig, shard: &'a SyntheticImages, noise: NoiseInjector) -> Self {
-        Self::with_arena(config, shard, noise, ScratchArena::new())
-    }
-
-    /// Like [`new`], but seeded with an existing scratch arena so a caller
-    /// replaying many segments (the verifier) carries warmed buffers from
-    /// one short-lived trainer to the next. Reclaim it with
-    /// [`into_arena`].
-    ///
-    /// [`new`]: LocalTrainer::new
-    /// [`into_arena`]: LocalTrainer::into_arena
-    pub fn with_arena(
-        config: &'a TaskConfig,
-        shard: &'a SyntheticImages,
-        noise: NoiseInjector,
-        arena: ScratchArena,
-    ) -> Self {
         Self {
             config,
             shard,
             noise,
-            arena,
         }
-    }
-
-    /// Consumes the trainer, returning its scratch arena for reuse.
-    pub fn into_arena(self) -> ScratchArena {
-        self.arena
     }
 
     /// Runs `segment.steps` deterministic training steps on `model`
@@ -204,6 +140,7 @@ impl<'a> LocalTrainer<'a> {
         model.reseed(nonce ^ (segment.start_step as u64).wrapping_mul(0x9E37_79B9));
         let mut opt = self.config.optimizer.build();
         let prf = Prf::from_nonce(nonce);
+        let trainable = model.trainable_count();
         let mut total_loss = 0.0;
         for s in 0..segment.steps {
             let step = segment.start_step + s;
@@ -219,24 +156,17 @@ impl<'a> LocalTrainer<'a> {
             total_loss += loss;
             model.backward(&grad);
 
-            let mut noisy = self.arena.take_empty(0);
-            flatten_trainable_into(model, &mut noisy);
-            model.step(opt.as_mut());
-            let update_norm = advance_trainable(model, &mut noisy);
-
-            // Inject hardware nondeterminism into the trainable weights.
-            self.noise.perturb_after_step(&mut noisy, update_norm);
-            let mut offset = 0;
-            model.visit_params_mut(&mut |p| {
-                if !p.frozen {
-                    let n = p.value.len();
-                    p.value
-                        .data_mut()
-                        .copy_from_slice(&noisy[offset..offset + n]);
-                    offset += n;
-                }
-            });
-            self.arena.recycle(noisy);
+            // Two passes over the trainable weights: the update, which
+            // measures its own length, and the hardware nondeterminism,
+            // injected in place.
+            let update_norm = model.step(opt.as_mut());
+            if let Some(mut noise) = self.noise.step_noise(trainable, update_norm) {
+                model.visit_params_mut(&mut |p| {
+                    if !p.frozen {
+                        noise.perturb(p.value.data_mut());
+                    }
+                });
+            }
         }
         total_loss / segment.steps as f32
     }
@@ -337,6 +267,7 @@ impl<'a> LocalTrainer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpol_nn::optim::OptimizerSpec;
     use rpol_sim::gpu::GpuModel;
     use rpol_tensor::rng::Pcg32;
 
@@ -344,6 +275,172 @@ mod tests {
         let cfg = TaskConfig::tiny();
         let data = SyntheticImages::generate(&cfg.spec, 64, &mut Pcg32::seed_from(1));
         (cfg, data)
+    }
+
+    /// The step as it ran before the optimizer measured its own update:
+    /// flatten the trainable weights into a copy, step, measure the
+    /// distance the step moved the copy while advancing it, perturb the
+    /// copy, copy it back. Returns each step's update norm.
+    fn five_pass_segment(
+        trainer: &mut LocalTrainer<'_>,
+        model: &mut Sequential,
+        nonce: u64,
+        segment: Segment,
+    ) -> Vec<f32> {
+        model.reseed(nonce ^ (segment.start_step as u64).wrapping_mul(0x9E37_79B9));
+        let mut opt = trainer.config.optimizer.build();
+        let prf = Prf::from_nonce(nonce);
+        let mut norms = Vec::new();
+        for s in 0..segment.steps {
+            let step = segment.start_step + s;
+            let indices = deterministic_batch(
+                &prf,
+                step as u64,
+                trainer.config.batch_size,
+                trainer.shard.len() as u64,
+            );
+            let (x, labels) = trainer.shard.batch(&indices);
+            let logits = model.forward(&x, true);
+            let (_, grad) = softmax_cross_entropy(&logits, &labels);
+            model.backward(&grad);
+
+            let mut noisy = Vec::new();
+            model.visit_params(&mut |p| {
+                if !p.frozen {
+                    noisy.extend_from_slice(p.value.data());
+                }
+            });
+            model.step(opt.as_mut());
+            let (mut sum, mut offset) = (0.0f64, 0);
+            model.visit_params(&mut |p| {
+                if !p.frozen {
+                    for (w, &now) in noisy[offset..offset + p.len()]
+                        .iter_mut()
+                        .zip(p.value.data())
+                    {
+                        let d = (*w - now) as f64;
+                        sum += d * d;
+                        *w = now;
+                    }
+                    offset += p.len();
+                }
+            });
+            let update_norm = sum.sqrt() as f32;
+            trainer.noise.perturb_after_step(&mut noisy, update_norm);
+            let mut offset = 0;
+            model.visit_params_mut(&mut |p| {
+                if !p.frozen {
+                    let n = p.len();
+                    p.value
+                        .data_mut()
+                        .copy_from_slice(&noisy[offset..offset + n]);
+                    offset += n;
+                }
+            });
+            norms.push(update_norm);
+        }
+        model.end_pass();
+        norms
+    }
+
+    fn bits(weights: &[f32]) -> Vec<u32> {
+        weights.iter().map(|w| w.to_bits()).collect()
+    }
+
+    /// The two-pass step (the optimizer measures its update, the noise
+    /// lands in place) is bitwise the five-pass one under every optimizer,
+    /// on the AMLayer-encoded model the pool trains: the frozen prefix is
+    /// skipped by both passes and the noise's 1,024-normal chunks run
+    /// across the trainable tensors' boundaries.
+    #[test]
+    fn the_two_pass_step_equals_the_five_pass_oracle() {
+        let mut cfg = TaskConfig::tiny();
+        cfg.arch = crate::tasks::ModelArch::MiniVgg16;
+        let data = SyntheticImages::generate(&cfg.spec, 64, &mut Pcg32::seed_from(4));
+        let address = rpol_crypto::Address::from_seed(0xA11);
+        let specs = [
+            OptimizerSpec::Sgd { lr: 0.05 },
+            OptimizerSpec::paper_default(),
+            OptimizerSpec::RmsProp {
+                lr: 0.01,
+                decay: 0.9,
+            },
+            OptimizerSpec::Adam {
+                lr: 1e-3,
+                beta1: 0.9,
+                beta2: 0.999,
+            },
+        ];
+        for spec in specs {
+            cfg.optimizer = spec;
+            let segment = Segment {
+                start_step: 3,
+                steps: 6,
+            };
+            let start = cfg.build_encoded_model(&address);
+            let noise = NoiseInjector::new(GpuModel::GA10, 9);
+            let (mut ours, mut theirs) = (
+                LocalTrainer::new(&cfg, &data, noise.clone()),
+                LocalTrainer::new(&cfg, &data, noise),
+            );
+            let (mut a, mut b) = (
+                cfg.build_encoded_model(&address),
+                cfg.build_encoded_model(&address),
+            );
+            ours.run_segment(&mut a, 5, segment);
+            a.end_pass();
+            let norms = five_pass_segment(&mut theirs, &mut b, 5, segment);
+            assert!(norms.iter().all(|n| n.is_finite() && *n > 0.0), "{spec:?}");
+            let (got, want) = (a.flatten_params(), b.flatten_params());
+            assert_ne!(got, start.flatten_params(), "{spec:?} trained nothing");
+            assert_eq!(bits(&got), bits(&want), "{spec:?}");
+        }
+    }
+
+    /// A step whose update norm is NaN or infinite draws no noise in
+    /// either path: the weights agree bit for bit, and the run's noise
+    /// stream is untouched, so a following segment from sane weights
+    /// equals a fresh trainer's.
+    #[test]
+    fn a_non_finite_update_skips_the_noise_in_both_paths() {
+        let mut cfg = TaskConfig::tiny();
+        cfg.arch = crate::tasks::ModelArch::MiniVgg16;
+        let data = SyntheticImages::generate(&cfg.spec, 64, &mut Pcg32::seed_from(5));
+        let address = rpol_crypto::Address::from_seed(0xA12);
+        let sane = cfg.build_encoded_model(&address).flatten_params();
+        let segment = Segment {
+            start_step: 0,
+            steps: 6,
+        };
+        for poison in [f32::NAN, f32::INFINITY] {
+            let mut bad = sane.clone();
+            *bad.last_mut().expect("weights") = poison;
+            let noise = NoiseInjector::new(GpuModel::G3090, 3);
+            let mut fresh = LocalTrainer::new(&cfg, &data, noise.clone());
+            let (mut ours, mut theirs) = (
+                LocalTrainer::new(&cfg, &data, noise.clone()),
+                LocalTrainer::new(&cfg, &data, noise),
+            );
+            let (mut a, mut b) = (
+                cfg.build_encoded_model(&address),
+                cfg.build_encoded_model(&address),
+            );
+            a.load_params(&bad);
+            b.load_params(&bad);
+            ours.run_segment(&mut a, 8, segment);
+            a.end_pass();
+            let norms = five_pass_segment(&mut theirs, &mut b, 8, segment);
+            assert!(norms.iter().all(|n| !n.is_finite()), "{poison}: {norms:?}");
+            assert_eq!(bits(&a.flatten_params()), bits(&b.flatten_params()));
+
+            let after = |trainer: &mut LocalTrainer<'_>| {
+                let mut model = cfg.build_encoded_model(&address);
+                trainer.replay_segment(&mut model, &sane, 8, segment)
+            };
+            let want = bits(&after(&mut fresh));
+            assert_eq!(bits(&after(&mut ours)), want, "{poison}: ours");
+            assert_eq!(bits(&after(&mut theirs)), want, "{poison}: oracle");
+        }
     }
 
     #[test]

@@ -24,7 +24,6 @@ use rpol_nn::data::SyntheticImages;
 use rpol_nn::model::Sequential;
 use rpol_obs::{event, span, Recorder};
 use rpol_sim::gpu::NoiseInjector;
-use rpol_tensor::scratch::ScratchArena;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -370,32 +369,21 @@ impl<'a> Verifier<'a> {
             samples,
             ends,
         };
-        let mut arena = ScratchArena::new();
-        let lanes = Lanes::Serial(model, &mut arena);
+        let lanes = Lanes::Serial(model);
         let hash = |family: &LshFamily, xs: &[&[f32]]| family.hash_batch(xs);
         let mut verdicts = verify_ranked(&[subject], segments, lanes, hash);
         verdicts.pop().expect("one subject")
     }
 
-    /// Replays one segment from `input` on `model`, its trainer staging
-    /// through `arena` so consecutive replays reuse the same weight-sized
-    /// buffers.
+    /// Replays one segment from `input` on `model`.
     pub(crate) fn replay(
         &self,
         model: &mut Sequential,
         input: &[f32],
         segment: Segment,
-        arena: &mut ScratchArena,
     ) -> Vec<f32> {
-        let mut trainer = LocalTrainer::with_arena(
-            self.config,
-            self.shard,
-            self.noise.clone(),
-            std::mem::take(arena),
-        );
-        let replayed = trainer.replay_segment(model, input, self.nonce, segment);
-        *arena = trainer.into_arena();
-        replayed
+        let mut trainer = LocalTrainer::new(self.config, self.shard, self.noise.clone());
+        trainer.replay_segment(model, input, self.nonce, segment)
     }
 
     /// Compares the replay's signature with the committed output of sample
@@ -616,8 +604,8 @@ pub(crate) type Replay<'a> = &'a (dyn Fn(usize, &[f32], Segment) -> Vec<f32> + S
 
 /// Where [`verify_ranked`] replays and fetches.
 pub(crate) enum Lanes<'a> {
-    /// The calling thread, every replay on this one model and arena.
-    Serial(&'a mut Sequential, &'a mut ScratchArena),
+    /// The calling thread, every replay on this one model.
+    Serial(&'a mut Sequential),
     /// The executor's lanes, each replay through the given [`Replay`].
     Exec(&'a Executor, Replay<'a>),
 }
@@ -680,12 +668,12 @@ pub(crate) fn verify_ranked(
         }
         for batch in due.chunks(width) {
             let flights: Vec<Result<Flight<'_>, SampleVerdict>> = match &mut lanes {
-                Lanes::Serial(model, arena) => batch
+                Lanes::Serial(model) => batch
                     .iter()
                     .map(|&(s, j)| {
                         let subject = &subjects[s];
                         subject.replay(j, segments[j], |input| {
-                            subject.verifier.replay(model, input, segments[j], arena)
+                            subject.verifier.replay(model, input, segments[j])
                         })
                     })
                     .collect(),
@@ -1516,8 +1504,8 @@ mod tests {
             })
             .collect();
         let passes = std::cell::Cell::new(0);
-        let (mut model, mut arena) = (cfg.build_model(), ScratchArena::new());
-        let lanes = Lanes::Serial(&mut model, &mut arena);
+        let mut model = cfg.build_model();
+        let lanes = Lanes::Serial(&mut model);
         let verdicts = verify_ranked(&subjects, &trace.segments, lanes, |family, xs| {
             assert!(xs.len() <= 2, "{} vectors in one pass", xs.len());
             passes.set(passes.get() + 1);

@@ -191,27 +191,38 @@ impl NoiseInjector {
     ///    share the drift (it cancels in their difference); runs on
     ///    different models do not, which is why the paper measures larger
     ///    errors for cross-GPU pairs — largest for the top-2 pair.
+    ///
+    /// The one-part case of [`NoiseInjector::step_noise`].
     pub fn perturb_after_step(&mut self, weights: &mut [f32], update_norm: f32) {
-        // Requiring a finite positive norm also skips NaN update norms —
-        // produced when a replay runs from adversarial NaN/Inf weights —
-        // instead of panicking the noise sampler.
+        if let Some(mut noise) = self.step_noise(weights.len(), update_norm) {
+            noise.perturb(weights);
+        }
+    }
+
+    /// The noise of one step over `len` weights that live in several
+    /// parts (a model's trainable tensors): hand the parts to
+    /// [`StepNoise::perturb`] in flattening order and each is perturbed in
+    /// place, bitwise as [`NoiseInjector::perturb_after_step`] perturbs
+    /// their concatenation. `None` when the step draws nothing — a
+    /// noiseless injector, no weights, or an update norm that is not
+    /// finite and positive (a replay from adversarial NaN/Inf weights),
+    /// which leaves the run's stream untouched.
+    pub fn step_noise(&mut self, len: usize, update_norm: f32) -> Option<StepNoise<'_>> {
         let valid_norm = update_norm.is_finite() && update_norm > 0.0;
-        if self.zero || !valid_norm || weights.is_empty() {
-            return;
+        if self.zero || !valid_norm || len == 0 {
+            return None;
         }
-        let sigma = self.model.noise_rel_sigma() * update_norm / (weights.len() as f32).sqrt();
+        let sigma = self.model.noise_rel_sigma() * update_norm / (len as f32).sqrt();
         assert!(sigma.is_finite() && sigma >= 0.0, "invalid std dev {sigma}");
-        let fingerprint = self.fingerprint(weights.len());
-        let mut normals = [0.0f32; 1024];
-        for (ws, fs) in weights.chunks_mut(1024).zip(fingerprint.chunks(1024)) {
-            let zs = &mut normals[..ws.len()];
-            self.rng.fill_normal(zs);
-            for ((w, &z), &f) in ws.iter_mut().zip(zs.iter()).zip(fs) {
-                // `0.0 + σ·z` is what `Pcg32::normal(0.0, σ)` computes; the
-                // addition turns a `-0.0` product into `+0.0`.
-                *w += (0.0 + sigma * z) + sigma * f;
-            }
-        }
+        let fingerprint = self.fingerprint(len);
+        Some(StepNoise {
+            rng: &mut self.rng,
+            fingerprint,
+            sigma,
+            normals: [0.0; NORMAL_CHUNK],
+            at: 0,
+            len,
+        })
     }
 
     /// At least the first `len` standard normals of the fingerprint
@@ -226,6 +237,58 @@ impl NoiseInjector {
             *cached = Arc::new(draws);
         }
         Arc::clone(&cached)
+    }
+}
+
+/// Run-to-run normals are drawn in chunks of this many over a step's
+/// flattened weight index.
+const NORMAL_CHUNK: usize = 1024;
+
+/// One step's noise, applied part by part ([`NoiseInjector::step_noise`]).
+#[derive(Debug)]
+pub struct StepNoise<'a> {
+    rng: &'a mut Pcg32,
+    fingerprint: Arc<Vec<f32>>,
+    sigma: f32,
+    /// The normals of the chunk holding weight `at`.
+    normals: [f32; NORMAL_CHUNK],
+    /// Weights of the step perturbed so far.
+    at: usize,
+    len: usize,
+}
+
+impl StepNoise<'_> {
+    /// Perturbs the step's next `part.len()` weights in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parts outgrow the step's `len`.
+    pub fn perturb(&mut self, mut part: &mut [f32]) {
+        assert!(
+            part.len() <= self.len - self.at,
+            "{} weights past the step's {}",
+            self.at + part.len(),
+            self.len
+        );
+        let sigma = self.sigma;
+        while !part.is_empty() {
+            let offset = self.at % NORMAL_CHUNK;
+            if offset == 0 {
+                let n = NORMAL_CHUNK.min(self.len - self.at);
+                self.rng.fill_normal(&mut self.normals[..n]);
+            }
+            let n = part.len().min(NORMAL_CHUNK - offset);
+            let (ws, rest) = std::mem::take(&mut part).split_at_mut(n);
+            let zs = &self.normals[offset..offset + n];
+            let fs = &self.fingerprint[self.at..self.at + n];
+            for ((w, &z), &f) in ws.iter_mut().zip(zs).zip(fs) {
+                // `0.0 + σ·z` is what `Pcg32::normal(0.0, σ)` computes; the
+                // addition turns a `-0.0` product into `+0.0`.
+                *w += (0.0 + sigma * z) + sigma * f;
+            }
+            self.at += n;
+            part = rest;
+        }
     }
 }
 
@@ -342,6 +405,15 @@ mod tests {
         let mut w = vec![1.0f32; 10];
         inj.perturb_after_step(&mut w, 5.0);
         assert_eq!(w, vec![1.0f32; 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the step's")]
+    fn parts_may_not_outgrow_their_step() {
+        let mut inj = NoiseInjector::new(GpuModel::GA10, 1);
+        let mut noise = inj.step_noise(10, 1.0).expect("a noisy step");
+        noise.perturb(&mut [0.0; 6]);
+        noise.perturb(&mut [0.0; 5]);
     }
 
     #[test]

@@ -27,6 +27,63 @@ fn bits(weights: &[f32]) -> Vec<u32> {
     weights.iter().map(|w| w.to_bits()).collect()
 }
 
+/// Perturbs `weights` in place as consecutive parts ending at `ends`
+/// (ascending, the last one `weights.len()`; a repeated end is an empty
+/// part), one [`NoiseInjector::step_noise`] over all of them.
+fn perturb_parts(inj: &mut NoiseInjector, weights: &mut [f32], ends: &[usize], update_norm: f32) {
+    let len = weights.len();
+    let Some(mut noise) = inj.step_noise(len, update_norm) else {
+        return;
+    };
+    let (mut rest, mut start) = (weights, 0);
+    for &end in ends {
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+        noise.perturb(part);
+        (rest, start) = (tail, end);
+    }
+    assert!(rest.is_empty(), "the parts cover the step");
+}
+
+fn ramp(len: usize) -> Vec<f32> {
+    (0..len).map(|j| j as f32 * 0.25 - 3.0).collect()
+}
+
+/// Hand-picked splits: empty parts at the front, in the middle and at the
+/// end, parts straddling the 1,024 and 2,048 chunk boundaries, a short
+/// tail, and one weight per part; each over two steps of one run.
+#[test]
+fn in_place_parts_at_chosen_splits_equal_the_uncached_expression() {
+    let one_each: Vec<usize> = (1..=70).collect();
+    let cases: [(usize, Vec<usize>); 5] = [
+        (2051, vec![0, 0, 1000, 1030, 1030, 2047, 2049, 2051, 2051]),
+        (1024, vec![1023, 1024]),
+        (1025, vec![1024, 1024, 1025]),
+        (3000, vec![512, 1536, 2560, 3000]),
+        (70, one_each),
+    ];
+    for (case, (len, ends)) in cases.iter().enumerate() {
+        for gpu in GpuModel::ALL {
+            let mut inj = NoiseInjector::new(gpu, 17 + case as u64);
+            let mut oracle = Pcg32::seed_from((17 + case as u64) ^ 0x6E01_5E00);
+            for step in 0..2 {
+                let norm = 0.5 + step as f32;
+                let (mut got, mut want) = (ramp(*len), ramp(*len));
+                perturb_parts(&mut inj, &mut got, ends, norm);
+                perturb_uncached(&mut oracle, gpu, &mut want, norm);
+                assert_eq!(bits(&got), bits(&want), "case {case} {gpu} step {step}");
+            }
+        }
+    }
+    let mut inj = NoiseInjector::new(GpuModel::GA10, 1);
+    assert!(inj.step_noise(0, 1.0).is_none(), "no weights");
+    assert!(inj.step_noise(8, f32::NAN).is_none(), "NaN norm");
+    assert!(inj.step_noise(8, f32::INFINITY).is_none(), "infinite norm");
+    assert!(inj.step_noise(8, 0.0).is_none(), "zero norm");
+    assert!(NoiseInjector::noiseless(GpuModel::GA10)
+        .step_noise(8, 1.0)
+        .is_none());
+}
+
 proptest! {
     #[test]
     fn compute_seconds_linear_in_flops(flops in 0.0f64..1e15, scale in 1.0f64..10.0) {
@@ -95,6 +152,32 @@ proptest! {
         let mut w = vec![0.5f32; len];
         silent.perturb_after_step(&mut w, norm);
         prop_assert!(w.iter().all(|&x| x == 0.5));
+    }
+
+    #[test]
+    fn in_place_parts_equal_the_uncached_expression(
+        seed in any::<u64>(),
+        gpu_pick in 0usize..4,
+        // Up to 3,200 weights over up to eight cuts: parts shorter and
+        // longer than a 1,024-normal chunk, empty ones where cuts repeat.
+        len in 0usize..3200,
+        cuts in proptest::collection::vec(0usize..3200, 0..8),
+        norm in 0.01f32..10.0,
+    ) {
+        let gpu = GpuModel::ALL[gpu_pick];
+        let mut inj = NoiseInjector::new(gpu, seed);
+        let mut oracle = Pcg32::seed_from(seed ^ 0x6E01_5E00);
+        let mut ends: Vec<usize> = cuts.iter().map(|c| c % (len + 1)).collect();
+        ends.push(len);
+        ends.sort_unstable();
+        // Two steps of one run: the first split at the cuts, the second
+        // whole, so a part that drew the wrong number of normals shows.
+        for (step, ends) in [&ends[..], &[len][..]].into_iter().enumerate() {
+            let (mut got, mut want) = (ramp(len), ramp(len));
+            perturb_parts(&mut inj, &mut got, ends, norm);
+            perturb_uncached(&mut oracle, gpu, &mut want, norm);
+            prop_assert_eq!(bits(&got), bits(&want), "step {}", step);
+        }
     }
 
     #[test]

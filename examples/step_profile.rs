@@ -5,8 +5,11 @@
 //! Each layer is fed its real input and its real output gradient through
 //! one shared arena; "bwd" is what the step runs for that layer (nothing
 //! for the frozen AMLayer, parameter gradients only for conv1, the full
-//! backward elsewhere). The last lines time the whole model and the whole
-//! `run_segment` step. Prints the median of `REPS` repetitions in µs.
+//! backward elsewhere). The last lines time the whole model, the rest of
+//! the step — the batch gather, the loss, the update (optimizer, update
+//! norm and zeroed gradients in one pass) and the noise (injected in
+//! place) — their sum, and the whole `run_segment` step. Prints the
+//! median of `REPS` repetitions in µs.
 //!
 //! ```text
 //! RPOL_GEMM_THREADS=2 cargo run --release --example step_profile
@@ -164,6 +167,43 @@ fn main() {
     let (_, grad) = softmax_cross_entropy(&logits, &labels);
     let back = median_us(|| model.backward(black_box(&grad)));
     println!("{:<12} {fwd:>10.1} {back:>10.1}", "model");
+
+    // The rest of the step, each part on its real inputs.
+    let indices: Vec<usize> = (0..cfg.batch_size).collect();
+    let batch = median_us(|| {
+        black_box(data.batch(black_box(&indices)));
+    });
+    let loss = median_us(|| {
+        black_box(softmax_cross_entropy(black_box(&logits), &labels));
+    });
+    let weights = model.flatten_params();
+    let mut opt = cfg.optimizer.build();
+    let update_norm = model.step(opt.as_mut());
+    let update = median_us(|| {
+        black_box(model.step(black_box(opt.as_mut())));
+    });
+    let trainable = model.trainable_count();
+    let mut injector = NoiseInjector::new(GpuModel::GA10, 5);
+    let noise = median_us(|| {
+        if let Some(mut noise) = injector.step_noise(trainable, update_norm) {
+            model.visit_params_mut(&mut |p| {
+                if !p.frozen {
+                    noise.perturb(p.value.data_mut());
+                }
+            });
+        }
+    });
+    model.load_params(&weights);
+    for (name, us) in [
+        ("batch", batch),
+        ("loss", loss),
+        ("update", update),
+        ("noise", noise),
+    ] {
+        println!("{name:<12} {us:>10.1}");
+    }
+    let parts = fwd + back + batch + loss + update + noise;
+    println!("{:<12} {parts:>10.1}", "parts");
 
     let mut trainer = LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::GA10, 5));
     let steps = 5;
