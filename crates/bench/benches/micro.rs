@@ -278,13 +278,14 @@ fn bench_wire(c: &mut Criterion) {
         b.iter(|| rpol::wire::decode_submission(black_box(encoded.clone())).expect("decodes"))
     });
 
-    // Task P's model (97,320 weights) shaped like a trained vector on the
-    // bf16 lattice: the packed block alone (behind a proof response's five
-    // header bytes), then a whole task broadcast payload — block plus one
-    // worker's header — in both framings.
+    // Task P's model (97,320 weights) shaped like a trained vector, on
+    // each lattice: the weight block alone (behind a proof response's
+    // five header bytes), then a whole task broadcast payload — block plus
+    // one worker's header.
+    use rpol::pool::Lattice;
     let mut rng = Pcg32::seed_from(42);
-    let mut model: Vec<f32> = (0..97_320).map(|_| rng.next_normal() * 0.05).collect();
-    rpol_tensor::quant::snap_to_bf16(&mut model);
+    let model_f32: Vec<f32> = (0..97_320).map(|_| rng.next_normal() * 0.05).collect();
+    let model = rpol_tensor::quant::bf16_image(&model_f32);
     c.bench_function("wire/pack_97k", |b| {
         b.iter(|| rpol::wire::encode_proof_response_packed(1, black_box(&model)))
     });
@@ -296,11 +297,22 @@ fn bench_wire(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
+    c.bench_function("wire/pack_f32_97k", |b| {
+        b.iter(|| rpol::wire::encode_proof_response(1, black_box(&model_f32)))
+    });
+    let packed_f32 = rpol::wire::encode_proof_response(1, &model_f32);
+    c.bench_function("wire/unpack_f32_97k", |b| {
+        b.iter_batched(
+            || packed_f32.clone(),
+            |p| rpol::wire::decode_proof_response(p).expect("decodes"),
+            BatchSize::LargeInput,
+        )
+    });
     c.bench_function("wire/encode_task_f32_97k", |b| {
-        b.iter(|| rpol::wire::TaskBlock::raw(black_box(&model)).frame(1, 2, 10))
+        b.iter(|| rpol::wire::TaskBlock::new(Lattice::F32, black_box(&model_f32)).frame(1, 2, 10))
     });
     c.bench_function("wire/encode_task_packed_97k", |b| {
-        b.iter(|| rpol::wire::TaskBlock::packed(black_box(&model)).frame(1, 2, 10))
+        b.iter(|| rpol::wire::TaskBlock::new(Lattice::Bf16, black_box(&model)).frame(1, 2, 10))
     });
 }
 

@@ -379,19 +379,17 @@ impl PoolManager {
     }
 
     /// This epoch's global-model block for the task broadcast, encoded
-    /// once and shared by every worker's task frame. Every RPoLv3 consumer
-    /// of a task starts from `snap_to_bf16(global)` (`PoolWorker::run_epoch`,
+    /// once on the scheme's lattice and shared by every worker's task
+    /// frame. Every RPoLv3 consumer of a task starts from
+    /// `snap_to_bf16(global)` (`PoolWorker::run_epoch`,
     /// `LocalTrainer::run_epoch_quantized`) and the snap is idempotent, so
-    /// v3 ships the packed lattice image; the other schemes ship raw f32.
+    /// v3 ships the lattice image; the other schemes ship the f32 model.
     /// The manager's own f32 aggregate is untouched.
     pub(crate) fn task_block(&self, plan: &EpochPlan) -> crate::wire::TaskBlock {
         self.recorder
             .counter_add("rpol.wire.task_blocks_encoded", 1);
-        let block = match &plan.start_image {
-            Some(image) => crate::wire::TaskBlock::packed(image),
-            None => crate::wire::TaskBlock::raw(&self.global),
-        };
-        count_hi_plane(&self.recorder, block.hi_plane());
+        let block = crate::wire::TaskBlock::new(plan.scheme.spec().lattice, self.start_model(plan));
+        count_hi_plane(&self.recorder, Some(block.hi_plane()));
         block
     }
 
@@ -402,14 +400,10 @@ impl PoolManager {
     }
 
     /// Broadcast bytes the in-process paths charge for sending the global
-    /// model to `n_workers`: 4 bytes per weight, or under RPoLv3 the
-    /// length of the packed block [`Self::task_block`] would put on a
-    /// link — the same story the wire tells.
+    /// model to `n_workers`: the length of the block [`Self::task_block`]
+    /// would put on a link — the same story the wire tells.
     pub(crate) fn broadcast_bytes(&self, plan: &EpochPlan, n_workers: usize) -> u64 {
-        let per_worker = match &plan.start_image {
-            Some(image) => crate::wire::packed_block_len(image),
-            None => self.global.len() * 4,
-        };
+        let per_worker = crate::wire::block_len(plan.scheme.spec().lattice, self.start_model(plan));
         (per_worker * n_workers) as u64
     }
 
@@ -1349,9 +1343,17 @@ mod tests {
             assert_eq!(kept, expected, "samples {samples:?}");
             assert_eq!(scheduled_held, scheduled, "seq counts openings scheduled");
             assert_eq!(all.len(), 6, "two openings per sample");
-            // Bytes are charged per opening that crossed, and only those.
-            let per_opening = all_bytes / all.len() as u64;
-            assert_eq!(kept_bytes, per_opening * kept.len() as u64);
+            // Bytes are charged per opening that crossed, and only those:
+            // each its checkpoint's block.
+            let charged = |sent: &[(u64, usize)]| -> u64 {
+                sent.iter()
+                    .map(|&(_, j)| {
+                        crate::wire::block_len(Lattice::F32, &trace.checkpoints[j]) as u64
+                    })
+                    .sum()
+            };
+            assert_eq!(all_bytes, charged(&all));
+            assert_eq!(kept_bytes, charged(&kept));
             elided_total += all.len() - kept.len();
         }
         // Segment 0 and segment 3 are each in three of the four sample sets.

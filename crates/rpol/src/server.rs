@@ -2335,9 +2335,9 @@ fn serve_epoch(
     drop(phase_submission);
 
     // Phase 4: verification over the survivors, openings served through
-    // per-worker providers. (RPoLv3's packed proof framing needs no
-    // server-side switch: the worker picks the encoding from the
-    // CommitSpec, and the decoder dispatches on the wire tag.)
+    // per-worker providers. (An opening's lattice needs no server-side
+    // switch: the worker picks it from the CommitSpec, and the block
+    // names it.)
     let (phase_verification, verify_sid) = recorder.child_span(
         "rpol.pool.verification",
         under_epoch,
@@ -2536,24 +2536,58 @@ mod tests {
     use crate::wire::EpochTask;
     use rpol_tensor::rng::Pcg32;
 
-    /// First bytes covering every payload class: the four submission tags,
-    /// proofs, tasks, a committee batch, every control tag, the trace
-    /// extension, and two no protocol revision knows.
-    const FIRST_BYTES: [u8; 24] = [
-        0x01, 0x02, 0x03, 0x04, 0x10, 0x11, 0x12, 0x20, 0x21, 0x40, 0x30, 0x31, 0x32, 0x33, 0x34,
-        0x35, 0x36, 0x37, 0x38, 0x39, 0x3A, 0x3B, 0x54, 0xFF,
+    /// First bytes covering every payload class: the submission, proof and
+    /// task tags, the model tags protocol 4 retired (`0x01`–`0x04`, `0x11`,
+    /// `0x20`), a committee batch, every control tag, the trace extension,
+    /// and two no protocol revision knows.
+    const FIRST_BYTES: [u8; 25] = [
+        0x01, 0x02, 0x03, 0x04, 0x05, 0x10, 0x11, 0x12, 0x20, 0x21, 0x40, 0x30, 0x31, 0x32, 0x33,
+        0x34, 0x35, 0x36, 0x37, 0x38, 0x39, 0x3A, 0x3B, 0x54, 0xFF,
     ];
 
+    /// The submissions a hostile sequence is seeded from: an RPoLv1 one (an
+    /// f32 block) and an RPoLv3 one (a bf16 block), each with escapes in
+    /// its hi-plane dictionary.
+    fn seed_submissions() -> [Bytes; 2] {
+        use crate::commitment::EpochCommitment;
+        let mut g = Pcg32::seed_from(0x5EED);
+        let weights: Vec<f32> = (0..40)
+            .map(|i| match i % 13 {
+                0 => f32::from_bits(g.next_u32()),
+                _ => g.next_normal() * 0.05,
+            })
+            .collect();
+        let image = rpol_tensor::quant::bf16_image(&weights);
+        let family = rpol_lsh::LshFamily::new(40, rpol_lsh::LshParams::new(1.0, 2, 2), 3);
+        [
+            wire::encode_submission(
+                &weights,
+                Some(&EpochCommitment::commit_v1(&[
+                    weights.clone(),
+                    weights.clone(),
+                ])),
+            ),
+            wire::encode_submission(
+                &image,
+                Some(&EpochCommitment::commit_v3(
+                    &[image.clone(), image.clone()],
+                    &family,
+                )),
+            ),
+        ]
+    }
+
     /// One seeded hostile byte sequence: a few frames, each well-formed,
-    /// random-bodied, a repeated submission, protocol 1's retired `0x37`
-    /// lost-upload notice or an unsolicited opening, a Hello after the
-    /// handshake, a ghost, garbage, an oversized length field — and, only
-    /// last, a frame cut short, which swallows the head of the next
-    /// sequence as a real truncation would.
-    fn hostile_sequence(g: &mut Pcg32, submission: &Bytes) -> Vec<u8> {
+    /// random-bodied, a repeated or bent (re-sealed, so it opens) seed
+    /// submission, protocol 1's retired `0x37` lost-upload notice or an
+    /// unsolicited opening, a Hello after the handshake, a ghost, garbage,
+    /// an oversized length field — and, only last, a frame cut short, which
+    /// swallows the head of the next sequence as a real truncation would.
+    fn hostile_sequence(g: &mut Pcg32, seeds: &[Bytes]) -> Vec<u8> {
         let mut out = Vec::new();
         let items = 1 + g.next_below(4);
         for item in 0..items {
+            let submission = &seeds[g.next_below(seeds.len() as u32) as usize];
             match g.next_below(9) {
                 0 => {
                     let tag = FIRST_BYTES[g.next_below(FIRST_BYTES.len() as u32) as usize];
@@ -2562,8 +2596,14 @@ mod tests {
                     out.extend_from_slice(&wire::seal_frame(&Bytes::from(body)));
                 }
                 1 => {
+                    let mut body = submission.to_vec();
+                    if g.next_below(2) == 0 {
+                        let pos = g.next_below(body.len() as u32) as usize;
+                        body[pos] ^= 1 + g.next_below(255) as u8;
+                    }
+                    let body = Bytes::from(body);
                     for _ in 0..=g.next_below(3) {
-                        out.extend_from_slice(&wire::seal_frame(submission));
+                        out.extend_from_slice(&wire::seal_frame(&body));
                     }
                 }
                 2 => {
@@ -2647,7 +2687,9 @@ mod tests {
     /// bytes parses them; no worker ever has more than one submission
     /// mailed, nor a proof response beyond its outstanding openings (none
     /// here); the honest mail is untouched; and the table never grows past
-    /// the roster plus one.
+    /// the roster plus one. What the hostile peer gets mailed is taken
+    /// after each sequence and decoded, as an epoch's ingest would: seeds
+    /// on both lattices decode, bent ones are mostly refused, none panics.
     fn sweep_hostile_frames(sequences: u64) {
         let n = 3;
         let cfg = ServerConfig {
@@ -2679,12 +2721,14 @@ mod tests {
         let before = core.stats;
 
         let hostile = n - 1;
-        let submission = wire::encode_submission(&[0.25f32; 7], None);
+        let seeds = seed_submissions();
         let mut oracle = FrameAssembler::new(cfg.max_frame_bytes);
         let mut expected = (0, 0, 0);
+        // Taken hostile submissions: (decoded, refused).
+        let mut decoded = (0u64, 0u64);
         let mut g = Pcg32::seed_from(0x4057_11E5);
         for case in 0..sequences {
-            let bytes = hostile_sequence(&mut g, &submission);
+            let bytes = hostile_sequence(&mut g, &seeds);
             let parsed = parse(&mut oracle, &bytes);
             expected = (
                 expected.0 + parsed.0,
@@ -2718,7 +2762,17 @@ mod tests {
                 core.connected(hostile),
                 "case {case}: the hostile peer was dropped"
             );
+            if let Some(SubMail::Pristine((_, payload))) = core.take_submission(hostile) {
+                match wire::decode_submission(payload) {
+                    Ok(_) => decoded.0 += 1,
+                    Err(_) => decoded.1 += 1,
+                }
+            }
         }
+        assert!(
+            decoded.0 > 0 && decoded.1 > 0,
+            "the decoder saw no seed or no bent seed: {decoded:?}"
+        );
         let delta = core.stats.delta(&before);
         assert!(
             expected.0 > sequences && expected.1 > 0 && expected.2 > 0,
@@ -2800,11 +2854,13 @@ mod tests {
 
     /// An older worker cannot be served: a protocol-1 worker would announce
     /// a lost upload with the retired `0x37` notice instead of sending it,
-    /// and a protocol-2 worker would upload at its task, before the epoch's
-    /// `CommitSpec`. Either's Hello gets no Welcome, and the connection is
-    /// closed.
+    /// a protocol-2 worker would upload at its task, before the epoch's
+    /// `CommitSpec`, and a protocol-3 worker would ship raw f32 weights
+    /// under the retired model tags. Each one's Hello gets no Welcome, and
+    /// the connection is closed.
     #[test]
     fn an_older_protocol_hello_gets_no_welcome_and_is_closed() {
+        assert_eq!(wire::NET_PROTOCOL, 4);
         for protocol in 1..wire::NET_PROTOCOL {
             let (mut core, mut worker) = mem_core(1);
             let hello = NetControl::Hello {

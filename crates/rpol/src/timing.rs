@@ -228,7 +228,8 @@ fn comm_legs(cfg: &TimingConfig) -> CommLegs {
         + 1;
     let spec = cfg.scheme.spec();
     // A sample opens its input and, under a raw-distance match, its output
-    // too; bf16 openings ride the packed 2-byte encoding.
+    // too. Analytic, as the paper counts them: 4 bytes a weight, 2 on the
+    // bf16 lattice — not the weight block's measured length (DESIGN §13).
     let openings = match spec.digest {
         MatchDigest::RawDistance => 2,
         MatchDigest::LshGroups => 1,

@@ -292,10 +292,10 @@ pub struct TransportStats {
     pub failures: u64,
     /// Physical bytes pushed onto the wire, retransmissions included.
     pub wire_bytes: u64,
-    /// Payload bytes the compressed wire encodings avoided sending,
-    /// relative to raw framing of the same messages (RPoLv3 packed
-    /// submissions and proof responses). Counted once per logical
-    /// message at encode time, so it is independent of retry luck.
+    /// Payload bytes the weight blocks avoided sending, relative to raw
+    /// f32 framing (4 bytes a weight) of the same messages: every task,
+    /// submission and proof response. Counted once per logical message at
+    /// encode time, so it is independent of retry luck.
     pub bytes_saved: u64,
 }
 

@@ -529,12 +529,9 @@ impl<'s> Subject<'s> {
         }
         match self.provider.open_checkpoint(index) {
             Ok(opened) => {
-                // Lattice openings travel as packed bf16 blocks (they
-                // round-trip losslessly), the others as 4 bytes per weight.
-                tally.proof_bytes += match self.commitment.scheme().spec().lattice {
-                    Lattice::Bf16 => crate::wire::packed_block_len(&opened),
-                    Lattice::F32 => opened.len() * 4,
-                } as u64;
+                // An opening travels as a block on its scheme's lattice.
+                tally.proof_bytes +=
+                    crate::wire::block_len(self.commitment.scheme().spec().lattice, &opened) as u64;
                 Some(opened)
             }
             Err(_) => {

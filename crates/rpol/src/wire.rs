@@ -6,8 +6,11 @@
 //! little-endian framing for every worker↔manager message and round-trips
 //! them through [`bytes::Bytes`] buffers.
 //!
-//! Layout conventions: all integers little-endian; weight vectors are
-//! length-prefixed `u32` counts of `f32` values; digests are 32 raw bytes.
+//! Layout conventions: all integers little-endian; digests are 32 raw
+//! bytes; every weight vector — a task's global model, a submission's
+//! final weights, an opened checkpoint — is one versioned block on its
+//! scheme's lattice (a dictionary-coded hi plane, then one lo plane for
+//! bf16 or three for f32; see `put_block`), lossless on that lattice.
 //!
 //! For transit over the (possibly lossy) transport layer, messages are
 //! wrapped in a checksummed frame ([`seal_frame`]/[`open_frame`]) so that
@@ -17,9 +20,8 @@
 //! would silently alter a model instead of failing decode.
 
 use crate::commitment::{EpochCommitment, LshCommitment, QuantCommitment};
-use crate::pool::Scheme;
+use crate::pool::{Lattice, Scheme};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use rpol_crypto::bytes as fbytes;
 use rpol_crypto::commitment::{Commitment as _, HashListCommitment};
 use rpol_crypto::sha256::{sha256, Digest};
 use rpol_obs::TraceContext;
@@ -76,24 +78,6 @@ fn checked_count(buf: &Bytes, n: usize, elem_bytes: usize) -> Result<(), DecodeE
     Ok(())
 }
 
-fn put_weights(out: &mut BytesMut, weights: &[f32]) {
-    out.put_u32_le(weights.len() as u32);
-    // One bulk append of the weights' little-endian byte image (zero-copy
-    // view on LE hosts) instead of a put_f32_le call per element.
-    out.put_slice(&fbytes::f32s_as_le_bytes(weights));
-}
-
-fn get_weights(buf: &mut Bytes) -> Result<Vec<f32>, DecodeError> {
-    let n = get_u32(buf)? as usize;
-    // One bounds check up front, then a single bulk byte→f32 conversion
-    // over the whole payload — no per-element cursor reads.
-    checked_count(buf, n, 4)?;
-    let mut out = Vec::new();
-    fbytes::copy_f32s_from_le(&buf[..n * 4], &mut out);
-    buf.advance(n * 4);
-    Ok(out)
-}
-
 fn put_digest(out: &mut BytesMut, d: &Digest) {
     out.put_slice(d.as_bytes());
 }
@@ -107,33 +91,69 @@ fn get_digest(buf: &mut Bytes) -> Result<Digest, DecodeError> {
     Ok(Digest(raw))
 }
 
-/// Message tags.
-const TAG_SUBMISSION_V1: u8 = 0x01;
-const TAG_SUBMISSION_V2: u8 = 0x02;
-const TAG_SUBMISSION_BARE: u8 = 0x03;
-const TAG_SUBMISSION_V3: u8 = 0x04;
+/// Message tags: one per message, whatever the scheme or lattice. Protocol
+/// 4 retired the per-commitment submission tags `0x01`–`0x04` and the raw
+/// f32 opening and task tags `0x11` and `0x20`; none is ever reassigned.
+const TAG_SUBMISSION: u8 = 0x05;
 const TAG_PROOF_REQUEST: u8 = 0x10;
-const TAG_PROOF_RESPONSE: u8 = 0x11;
-const TAG_PROOF_RESPONSE_PACKED: u8 = 0x12;
-const TAG_EPOCH_TASK: u8 = 0x20;
-const TAG_EPOCH_TASK_PACKED: u8 = 0x21;
+const TAG_PROOF_RESPONSE: u8 = 0x12;
+const TAG_EPOCH_TASK: u8 = 0x21;
 const TAG_COMMITTEE_BATCH: u8 = 0x40;
 
-/// Packed bf16 weight-block codec version. Bumping this (and teaching the
-/// decoder the new layout) is how the format evolves; decoders reject
-/// versions they do not know with a clean [`DecodeError::Malformed`], and
-/// every pre-existing tag keeps its original raw-f32 framing, so old
-/// frames decode unchanged.
-const PACKED_WEIGHTS_V2: u8 = 2;
-/// Hi-plane encodings inside a [`PACKED_WEIGHTS_V2`] block.
+/// Weight-block layout version, the low nibble of a block's first byte.
+/// Bumping it (and teaching the decoder the new layout) is how the format
+/// evolves; decoders reject versions they do not know with a clean
+/// [`DecodeError::Malformed`]. Version 1 was a raw | delta-RLE hi plane.
+const BLOCK_V2: u8 = 2;
+/// Hi-plane encodings inside a block.
 const HI_PLANE_RAW: u8 = 0;
 const HI_PLANE_DICT4: u8 = 1;
 /// The nibble code of a hi byte outside the dictionary, which therefore
 /// holds at most this many entries.
 const ESCAPE: u8 = 15;
+/// Version and lattice (1) + weight count (4) + hi-plane mode (1).
+const BLOCK_HEADER_BYTES: usize = 6;
+
+/// The high nibble of a block's first byte: the lattice its weights lie
+/// on, which fixes how many lo planes follow the hi plane. Bf16 is 0, so
+/// a bf16 block is byte for byte the version-2 block RPoLv3 shipped before
+/// the other schemes joined it.
+fn lattice_nibble(lattice: Lattice) -> u8 {
+    match lattice {
+        Lattice::Bf16 => 0,
+        Lattice::F32 => 1,
+    }
+}
+
+/// Right shifts of the lo planes that follow the hi plane, most
+/// significant first: a bf16 weight's second byte, or an f32 weight's
+/// three lower bytes.
+fn lo_shifts(lattice: Lattice) -> &'static [u32] {
+    match lattice {
+        Lattice::Bf16 => &[16],
+        Lattice::F32 => &[16, 8, 0],
+    }
+}
 
 fn hi_byte(w: &f32) -> u8 {
     (w.to_bits() >> 24) as u8
+}
+
+/// Counts of `key` over `items`, one histogram per lane of four: a trained
+/// vector repeats a few hi bytes, and back-to-back increments of one
+/// counter serialise.
+fn histogram<T>(items: &[T], key: impl Fn(&T) -> u8) -> [usize; 256] {
+    let mut lanes = [[0u32; 256]; 4];
+    let mut quads = items.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, x) in lanes.iter_mut().zip(quad) {
+            lane[key(x) as usize] += 1;
+        }
+    }
+    for x in quads.remainder() {
+        lanes[0][key(x) as usize] += 1;
+    }
+    std::array::from_fn(|v| lanes.iter().map(|lane| lane[v] as usize).sum())
 }
 
 /// The dictionary of a hi plane: its ≤ 15 most frequent bytes, most
@@ -148,20 +168,11 @@ struct HiDict {
 
 impl HiDict {
     fn of(weights: &[f32]) -> Self {
-        // One histogram per lane of four: a trained vector repeats a few
-        // hi bytes, and back-to-back increments of one counter serialise.
-        let mut lanes = [[0u32; 256]; 4];
-        let mut quads = weights.chunks_exact(4);
-        for quad in &mut quads {
-            for (lane, w) in lanes.iter_mut().zip(quad) {
-                lane[hi_byte(w) as usize] += 1;
-            }
-        }
-        for w in quads.remainder() {
-            lanes[0][hi_byte(w) as usize] += 1;
-        }
-        let counts: [usize; 256] =
-            std::array::from_fn(|v| lanes.iter().map(|lane| lane[v] as usize).sum());
+        Self::from_counts(&histogram(weights, hi_byte), weights.len())
+    }
+
+    /// The dictionary of a plane of `n` bytes, `counts[v]` of them `v`.
+    fn from_counts(counts: &[usize; 256], n: usize) -> Self {
         let count = |v: &u8| counts[*v as usize];
         let mut order: [u8; 256] = std::array::from_fn(|v| v as u8);
         order.sort_unstable_by_key(|v| (std::cmp::Reverse(count(v)), *v));
@@ -171,7 +182,7 @@ impl HiDict {
         Self {
             table,
             len,
-            escapes: weights.len() - table[..len].iter().map(count).sum::<usize>(),
+            escapes: n - table[..len].iter().map(count).sum::<usize>(),
         }
     }
 
@@ -188,39 +199,46 @@ impl HiDict {
     }
 }
 
-/// Bytes [`TaskBlock::packed`], a V3 submission or a packed opening spend
-/// on `weights`' block — one counting pass, nothing encoded — so paths
-/// that never build the block charge what the wire would carry.
-pub fn packed_block_len(weights: &[f32]) -> usize {
+/// Bytes the block of `weights` on `lattice` spends — one counting pass,
+/// nothing encoded — so paths that never build a frame (the in-process
+/// broadcast, a worker's upload, the verifier's openings) charge what the
+/// wire would carry.
+pub fn block_len(lattice: Lattice, weights: &[f32]) -> usize {
     let n = weights.len();
-    6 + HiDict::of(weights).coded_len(n).unwrap_or(n) + n
+    BLOCK_HEADER_BYTES
+        + HiDict::of(weights).coded_len(n).unwrap_or(n)
+        + lo_shifts(lattice).len() * n
 }
 
-/// Appends the versioned packed weight block: the 2-byte bf16 image of
-/// `weights` split into a hi-byte plane (sign + upper exponent bits — a
-/// trained vector uses two dozen values of it) and a lo-byte plane
-/// (near-uniform, shipped as is). The hi plane is coded as `table_len |
-/// table | ⌈n/2⌉ nibble bytes | escaped bytes`: a nibble per weight, low
-/// nibble first, indexing the [`HiDict`] table, [`ESCAPE`] for a byte the
-/// table does not hold (those follow in order), a trailing pad nibble 0.
-/// When that is not shorter than the plane, a flag byte ships the plane
-/// raw — so the block never exceeds `2·n + 6` bytes and is ~`1.5·n` on
-/// weights.
+/// Appends the versioned weight block of `weights` on `lattice` and
+/// returns how its hi plane was coded. The block is `version | lattice`,
+/// the weight count, then each weight's top byte (sign + upper exponent
+/// bits — a trained vector uses two dozen values of it) as a hi plane,
+/// then its lower bytes as lo planes shipped as is (near-uniform): one for
+/// bf16, three for f32. The hi plane is coded as `table_len | table |
+/// ⌈n/2⌉ nibble bytes | escaped bytes`: a nibble per weight, low nibble
+/// first, indexing the [`HiDict`] table, [`ESCAPE`] for a byte the table
+/// does not hold (those follow in order), a trailing pad nibble 0. When
+/// that is not shorter than the plane, a flag byte ships the plane raw —
+/// so the block never exceeds `(1 + planes)·n + 6` bytes and is about
+/// `planes + 0.5` bytes a weight on weights.
 ///
-/// Callers must only pack weights already **on the bf16 lattice** (the
-/// RPoLv3 checkpoint invariant): packing truncates the low 16 bits, so an
-/// off-lattice vector would decode to different weights.
-fn put_weights_packed(out: &mut BytesMut, weights: &[f32]) {
+/// Lossless on its lattice: an f32 block carries every bit of every
+/// weight. A bf16 block drops the low 16 bits, so callers must only put
+/// weights already **on the bf16 lattice** (the RPoLv3 checkpoint
+/// invariant) in one.
+fn put_block(out: &mut BytesMut, lattice: Lattice, weights: &[f32]) -> HiPlane {
     debug_assert!(
-        rpol_tensor::quant::is_bf16_lattice(weights),
-        "packing off-lattice weights would lose bits"
+        lattice == Lattice::F32 || rpol_tensor::quant::is_bf16_lattice(weights),
+        "a bf16 block of off-lattice weights would lose bits"
     );
     let n = weights.len();
-    out.reserve(2 * n + 6);
-    out.put_u8(PACKED_WEIGHTS_V2);
+    let shifts = lo_shifts(lattice);
+    out.reserve(BLOCK_HEADER_BYTES + (1 + shifts.len()) * n);
+    out.put_u8(lattice_nibble(lattice) << 4 | BLOCK_V2);
     out.put_u32_le(n as u32);
     let dict = HiDict::of(weights);
-    if dict.coded_len(n).is_some() {
+    let chose = if dict.coded_len(n).is_some() {
         out.put_u8(HI_PLANE_DICT4);
         out.put_u8(dict.len as u8);
         out.put_slice(dict.table());
@@ -252,11 +270,18 @@ fn put_weights_packed(out: &mut BytesMut, weights: &[f32]) {
             }
         }
         out.put_slice(&escaped);
+        HiPlane::Dict {
+            escapes: dict.escapes,
+        }
     } else {
         out.put_u8(HI_PLANE_RAW);
         out.extend(weights.iter().map(hi_byte));
+        HiPlane::Raw
+    };
+    for &shift in shifts {
+        out.extend(weights.iter().map(|w| (w.to_bits() >> shift) as u8));
     }
-    out.extend(weights.iter().map(|w| (w.to_bits() >> 16) as u8));
+    chose
 }
 
 /// Nibbles equal to [`ESCAPE`], counted in `u8` lanes (a block of 127
@@ -270,42 +295,54 @@ fn count_escapes(nibbles: &[u8]) -> usize {
         .sum()
 }
 
-/// Decodes a versioned packed weight block back into exact bf16-lattice
-/// `f32`s. Every length is validated against the bytes actually present
-/// before any allocation it sizes, and a block the encoder would not have
-/// written for the image it holds — a code beyond the table, a nonzero pad
-/// nibble, a table or a mode other than [`HiDict`]'s — fails with
-/// [`DecodeError::Malformed`]: hostile input can never panic or
-/// over-allocate, and two different blocks never decode to one image.
-fn get_weights_packed(buf: &mut Bytes) -> Result<Vec<f32>, DecodeError> {
+/// Decodes a versioned weight block back into the exact `f32`s put in it,
+/// on the lattice it names. `want`, when the message's scheme fixes a
+/// lattice, refuses a block naming the other one before anything is read
+/// past its first byte. Every length is validated against the bytes
+/// actually present before any allocation it sizes, and a block the
+/// encoder would not have written for the image it holds — a code beyond
+/// the table, a nonzero pad nibble, a table or a mode other than
+/// [`HiDict`]'s — fails with [`DecodeError::Malformed`]: hostile input can
+/// never panic or over-allocate, and two different blocks never decode to
+/// one image.
+fn get_block(buf: &mut Bytes, want: Option<Lattice>) -> Result<Vec<f32>, DecodeError> {
     if buf.remaining() < 1 {
         return Err(DecodeError::Truncated);
     }
-    let version = buf.get_u8();
-    if version != PACKED_WEIGHTS_V2 {
+    let head = buf.get_u8();
+    if head & 0x0F != BLOCK_V2 {
         return Err(DecodeError::Malformed("unknown packed-weight version"));
+    }
+    let lattice = [Lattice::Bf16, Lattice::F32]
+        .into_iter()
+        .find(|&l| lattice_nibble(l) == head >> 4)
+        .ok_or(DecodeError::Malformed("unknown packed-weight lattice"))?;
+    if want.is_some_and(|want| want != lattice) {
+        return Err(DecodeError::Malformed(
+            "block lattice disagrees with the scheme",
+        ));
     }
     let n = get_u32(buf)? as usize;
     if buf.remaining() < 1 {
         return Err(DecodeError::Truncated);
     }
-    let weight = |hi: u32, lo: u8| f32::from_bits(hi | u32::from(lo) << 16);
+    let shifts = lo_shifts(lattice);
+    let overflow = DecodeError::Malformed("count overflow");
+    let lo_len = n.checked_mul(shifts.len()).ok_or(overflow.clone())?;
     let non_canonical = DecodeError::Malformed("not the encoder's hi plane");
-    match buf.get_u8() {
+    // Each weight's hi byte in place (`hi << 24`), then the lo planes.
+    let (mut bits, hi_len) = match buf.get_u8() {
         HI_PLANE_RAW => {
-            // Hi and lo planes are n bytes each.
-            checked_count(buf, n, 2)?;
-            let (hi, lo) = buf[..2 * n].split_at(n);
-            let out: Vec<f32> = hi
-                .iter()
-                .zip(lo)
-                .map(|(&h, &l)| weight(u32::from(h) << 24, l))
-                .collect();
-            if HiDict::of(&out).coded_len(n).is_some() {
+            checked_count(buf, n, 1 + shifts.len())?;
+            let hi = &buf[..n];
+            if HiDict::from_counts(&histogram(hi, |&h| h), n)
+                .coded_len(n)
+                .is_some()
+            {
                 return Err(non_canonical);
             }
-            buf.advance(2 * n);
-            Ok(out)
+            let bits: Vec<u32> = hi.iter().map(|&h| u32::from(h) << 24).collect();
+            (bits, n)
         }
         HI_PLANE_DICT4 => {
             if buf.remaining() < 1 {
@@ -315,13 +352,11 @@ fn get_weights_packed(buf: &mut Bytes) -> Result<Vec<f32>, DecodeError> {
             if len > ESCAPE as usize {
                 return Err(DecodeError::Malformed("dictionary too long"));
             }
-            // Table, nibbles and lo plane must be present before the
-            // nibbles are read; the escapes they announce, before `out`
+            // Table, nibbles and lo planes must be present before the
+            // nibbles are read; the escapes they announce, before `bits`
             // is sized.
             let nibbles_end = len + n.div_ceil(2);
-            let fixed = nibbles_end
-                .checked_add(n)
-                .ok_or(DecodeError::Malformed("count overflow"))?;
+            let fixed = nibbles_end.checked_add(lo_len).ok_or(overflow)?;
             checked_count(buf, fixed, 1)?;
             let (table, nibbles) = buf[..nibbles_end].split_at(len);
             if n % 2 == 1 && nibbles[n / 2] >> 4 != 0 {
@@ -329,7 +364,7 @@ fn get_weights_packed(buf: &mut Bytes) -> Result<Vec<f32>, DecodeError> {
             }
             let escapes = count_escapes(nibbles);
             checked_count(buf, fixed + escapes, 1)?;
-            let (escaped, lo) = buf[nibbles_end..fixed + escapes].split_at(escapes);
+            let escaped = &buf[nibbles_end..nibbles_end + escapes];
             // Two weights per nibble byte through a 256-entry pair table;
             // bit 0 (clear in every `hi << 24`) marks a nibble that is an
             // escape or a code beyond the table, resolved one at a time.
@@ -338,40 +373,72 @@ fn get_weights_packed(buf: &mut Bytes) -> Result<Vec<f32>, DecodeError> {
                 *slot = u32::from(v) << 24;
             }
             let pairs: [[u32; 2]; 256] = std::array::from_fn(|b| [lut[b & 15], lut[b >> 4]]);
-            let mut escaped = escaped.iter();
+            let mut next_escaped = escaped.iter();
             let mut resolve = |code: u8| match lut[code as usize] {
                 hi if hi & 1 == 0 => Ok(hi),
                 _ if code == ESCAPE => {
-                    let byte = escaped.next().ok_or(DecodeError::Truncated)?;
+                    let byte = next_escaped.next().ok_or(DecodeError::Truncated)?;
                     Ok(u32::from(*byte) << 24)
                 }
                 _ => Err(DecodeError::Malformed("code beyond the dictionary")),
             };
-            let mut out = vec![0f32; n];
-            for ((pair, &b), l) in out.chunks_exact_mut(2).zip(nibbles).zip(lo.chunks_exact(2)) {
+            let mut bits = vec![0u32; n];
+            for (pair, &b) in bits.chunks_exact_mut(2).zip(nibbles) {
                 let mut his = pairs[b as usize];
                 if (his[0] | his[1]) & 1 != 0 {
                     his = [resolve(b & 15)?, resolve(b >> 4)?];
                 }
-                pair[0] = weight(his[0], l[0]);
-                pair[1] = weight(his[1], l[1]);
+                pair.copy_from_slice(&his);
             }
             if n % 2 == 1 {
-                out[n - 1] = weight(resolve(nibbles[n / 2])?, lo[n - 1]);
+                bits[n - 1] = resolve(nibbles[n / 2])?;
             }
-            let canon = HiDict::of(&out);
+            // The image's hi-byte counts, from the codes rather than the
+            // image: a histogram of n/2 nibble bytes, not of n weights.
+            let pair_counts = histogram(nibbles, |&b| b);
+            let mut code_counts = [0usize; 16];
+            for (b, &count) in pair_counts.iter().enumerate() {
+                code_counts[b & 15] += count;
+                code_counts[b >> 4] += count;
+            }
+            // The pad nibble is no weight.
+            code_counts[0] -= n % 2;
+            let mut counts = [0usize; 256];
+            for (&v, &count) in table.iter().zip(&code_counts) {
+                counts[v as usize] += count;
+            }
+            for &v in escaped {
+                counts[v as usize] += 1;
+            }
+            let canon = HiDict::from_counts(&counts, n);
             if canon.coded_len(n).is_none() || canon.table() != table || canon.escapes != escapes {
                 return Err(non_canonical);
             }
-            buf.advance(fixed + escapes);
-            Ok(out)
+            (bits, nibbles_end + escapes)
         }
-        _ => Err(DecodeError::Malformed("unknown hi-plane mode")),
+        _ => return Err(DecodeError::Malformed("unknown hi-plane mode")),
+    };
+    let lo = &buf[hi_len..hi_len + lo_len];
+    match *shifts {
+        [shift] => {
+            for (b, &l) in bits.iter_mut().zip(lo) {
+                *b |= u32::from(l) << shift;
+            }
+        }
+        _ => {
+            let (l16, rest) = lo.split_at(n);
+            let (l8, l0) = rest.split_at(n);
+            for (((b, &x), &y), &z) in bits.iter_mut().zip(l16).zip(l8).zip(l0) {
+                *b |= u32::from(x) << 16 | u32::from(y) << 8 | u32::from(z);
+            }
+        }
     }
+    buf.advance(hi_len + lo_len);
+    Ok(bits.into_iter().map(f32::from_bits).collect())
 }
 
-/// How a packed block coded its hi plane: the number an operator needs to
-/// tell "the model stopped looking like weights" from "a link is retrying".
+/// How a block coded its hi plane: the number an operator needs to tell
+/// "the model stopped looking like weights" from "a link is retrying".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HiPlane {
     /// The dictionary lost; the plane shipped as is.
@@ -383,7 +450,7 @@ pub enum HiPlane {
     },
 }
 
-/// Reads the encoder's choice back off a well-formed packed block.
+/// Reads the encoder's choice back off a well-formed block.
 fn hi_plane_of(block: &[u8]) -> Option<HiPlane> {
     let n = u32::from_le_bytes(block.get(1..5)?.try_into().ok()?) as usize;
     match *block.get(5)? {
@@ -397,22 +464,22 @@ fn hi_plane_of(block: &[u8]) -> Option<HiPlane> {
     }
 }
 
-/// [`HiPlane`] of the packed block a payload carries — an RPoLv3 task,
-/// submission or opening as this module encoded it; `None` for every
-/// other payload.
+/// [`HiPlane`] of the block a model payload carries — a task, submission
+/// or opening as this module encoded it, on either lattice; `None` for
+/// every other payload.
 pub fn packed_hi_plane(payload: &[u8]) -> Option<HiPlane> {
     let block_at = match *payload.first()? {
-        TAG_SUBMISSION_V3 => 1,
-        TAG_PROOF_RESPONSE_PACKED => 1 + 4,
-        TAG_EPOCH_TASK_PACKED => TASK_HEADER_BYTES,
+        TAG_SUBMISSION => SUBMISSION_HEADER_BYTES,
+        TAG_PROOF_RESPONSE => PROOF_RESPONSE_HEADER_BYTES,
+        TAG_EPOCH_TASK => TASK_HEADER_BYTES,
         _ => return None,
     };
     hi_plane_of(payload.get(block_at..)?)
 }
 
-/// Wire bytes the raw f32 framing needs for `n` weights (length prefix +
-/// 4 bytes each) — the baseline `bytes_saved` accounting measures packed
-/// encodings against.
+/// Wire bytes the raw f32 framing the blocks replaced spent on `n`
+/// weights (length prefix + 4 bytes each) — the baseline `bytes_saved`
+/// accounting measures blocks against.
 pub fn raw_weights_wire_size(n: usize) -> usize {
     4 + n * 4
 }
@@ -773,41 +840,27 @@ pub struct EpochTask {
 /// Task header: tag (1) + epoch (8) + nonce (8) + steps (4).
 const TASK_HEADER_BYTES: usize = 1 + 8 + 8 + 4;
 
-/// The global-model block of an epoch's task broadcast, encoded once and
-/// spliced behind every worker's 21-byte header by [`TaskBlock::frame`].
-///
-/// [`TaskBlock::raw`] frames are byte-identical to [`encode_epoch_task`];
-/// [`TaskBlock::packed`] ships the versioned packed bf16 block under its
-/// own tag. [`decode_epoch_task`] accepts both, so the encoding is
-/// negotiated by frame tag like every other packed message.
+/// The global-model block of an epoch's task broadcast, encoded once on
+/// the scheme's lattice and spliced behind every worker's 21-byte header
+/// by [`TaskBlock::frame`].
 #[derive(Debug, Clone)]
 pub struct TaskBlock {
-    tag: u8,
     block: Bytes,
+    hi_plane: HiPlane,
     saved: u64,
 }
 
 impl TaskBlock {
-    /// Raw f32 framing (Baseline / RPoLv1 / RPoLv2).
-    pub fn raw(global_weights: &[f32]) -> Self {
-        let mut block = BytesMut::with_capacity(raw_weights_wire_size(global_weights.len()));
-        put_weights(&mut block, global_weights);
-        Self {
-            tag: TAG_EPOCH_TASK,
-            block: block.freeze(),
-            saved: 0,
-        }
-    }
-
-    /// Packed bf16 framing (RPoLv3). `lattice_weights` must already be on
-    /// the bf16 lattice — the image every v3 receiver snaps to anyway.
-    pub fn packed(lattice_weights: &[f32]) -> Self {
+    /// The block of `global_weights` on `lattice`. Bf16 weights must
+    /// already lie on that lattice — the image every RPoLv3 receiver snaps
+    /// to anyway.
+    pub fn new(lattice: Lattice, global_weights: &[f32]) -> Self {
         let mut block = BytesMut::new();
-        put_weights_packed(&mut block, lattice_weights);
-        let saved = raw_weights_wire_size(lattice_weights.len()).saturating_sub(block.len());
+        let hi_plane = put_block(&mut block, lattice, global_weights);
+        let saved = raw_weights_wire_size(global_weights.len()).saturating_sub(block.len());
         Self {
-            tag: TAG_EPOCH_TASK_PACKED,
             block: block.freeze(),
+            hi_plane,
             saved: saved as u64,
         }
     }
@@ -816,7 +869,7 @@ impl TaskBlock {
     /// shared block.
     pub fn frame(&self, epoch: u64, nonce: u64, steps: u32) -> Bytes {
         let mut out = BytesMut::with_capacity(TASK_HEADER_BYTES + self.block.len());
-        out.put_u8(self.tag);
+        out.put_u8(TAG_EPOCH_TASK);
         out.put_u64_le(epoch);
         out.put_u64_le(nonce);
         out.put_u32_le(steps);
@@ -824,33 +877,32 @@ impl TaskBlock {
         out.freeze()
     }
 
-    /// How the block's hi plane was coded; `None` for [`TaskBlock::raw`].
-    pub fn hi_plane(&self) -> Option<HiPlane> {
-        (self.tag == TAG_EPOCH_TASK_PACKED).then(|| hi_plane_of(&self.block))?
+    /// How the block's hi plane was coded.
+    pub fn hi_plane(&self) -> HiPlane {
+        self.hi_plane
     }
 
     /// Payload bytes each framed task avoids versus raw f32 framing — the
-    /// per-message `bytes_saved` contribution (0 for [`TaskBlock::raw`]).
+    /// per-message `bytes_saved` contribution.
     pub fn bytes_saved(&self) -> u64 {
         self.saved
     }
 }
 
-/// Encodes an epoch task assignment with raw f32 weights.
+/// Encodes an epoch task assignment on the f32 lattice.
 pub fn encode_epoch_task(task: &EpochTask) -> Bytes {
-    TaskBlock::raw(&task.global_weights).frame(task.epoch, task.nonce, task.steps)
+    TaskBlock::new(Lattice::F32, &task.global_weights).frame(task.epoch, task.nonce, task.steps)
 }
 
-/// Decodes an epoch task assignment, raw or packed — the frame's tag
-/// selects the weight codec.
+/// Decodes an epoch task assignment, on whichever lattice its block names.
 ///
 /// # Errors
 ///
 /// Returns [`DecodeError`] on truncated or malformed input.
 pub fn decode_epoch_task(mut buf: Bytes) -> Result<EpochTask, DecodeError> {
-    let Some(&tag @ (TAG_EPOCH_TASK | TAG_EPOCH_TASK_PACKED)) = buf.first() else {
+    if buf.first() != Some(&TAG_EPOCH_TASK) {
         return Err(DecodeError::Malformed("not an epoch task"));
-    };
+    }
     buf.advance(1);
     let epoch = get_u64(&mut buf)?;
     let nonce = get_u64(&mut buf)?;
@@ -858,11 +910,7 @@ pub fn decode_epoch_task(mut buf: Bytes) -> Result<EpochTask, DecodeError> {
     if steps == 0 {
         return Err(DecodeError::Malformed("empty epoch"));
     }
-    let global_weights = if tag == TAG_EPOCH_TASK_PACKED {
-        get_weights_packed(&mut buf)?
-    } else {
-        get_weights(&mut buf)?
-    };
+    let global_weights = get_block(&mut buf, None)?;
     if global_weights.is_empty() {
         return Err(DecodeError::Malformed("empty global model"));
     }
@@ -1026,8 +1074,11 @@ pub enum NetControl {
 /// its pristine frame, and the manager's own fault draws decide whether it
 /// arrived. Revision 3 sends an epoch's [`NetControl::CommitSpec`] after
 /// its tasks: a worker trains on the task and commits and uploads only at
-/// the spec, so the manager calibrates while its workers train.
-pub const NET_PROTOCOL: u32 = 3;
+/// the spec, so the manager calibrates while its workers train. Revision
+/// 4 ships every model payload as one weight block on its scheme's
+/// lattice, under one tag per message: a submission names its scheme by
+/// the [`SchemeSpec::wire`](crate::pool::SchemeSpec::wire) byte.
+pub const NET_PROTOCOL: u32 = 4;
 
 /// Largest frame (header + payload) either end of the socket accepts.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
@@ -1111,13 +1162,13 @@ pub fn is_net_control(payload: &[u8]) -> bool {
 /// per-message decoders; this only picks which one to call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadClass {
-    /// An epoch submission (any commitment version).
+    /// An epoch submission (any scheme).
     Submission,
     /// A checkpoint-opening request.
     ProofRequest,
-    /// A checkpoint opening (raw or packed).
+    /// A checkpoint opening.
     ProofResponse,
-    /// An epoch assignment (raw or packed).
+    /// An epoch assignment.
     EpochTask,
     /// A Merkle-committed committee verdict batch (sub-manager → top
     /// manager).
@@ -1131,12 +1182,10 @@ pub enum PayloadClass {
 /// Classifies a verified frame payload (see [`PayloadClass`]).
 pub fn classify_payload(payload: &[u8]) -> PayloadClass {
     match payload.first() {
-        Some(
-            &(TAG_SUBMISSION_V1 | TAG_SUBMISSION_V2 | TAG_SUBMISSION_BARE | TAG_SUBMISSION_V3),
-        ) => PayloadClass::Submission,
+        Some(&TAG_SUBMISSION) => PayloadClass::Submission,
         Some(&TAG_PROOF_REQUEST) => PayloadClass::ProofRequest,
-        Some(&(TAG_PROOF_RESPONSE | TAG_PROOF_RESPONSE_PACKED)) => PayloadClass::ProofResponse,
-        Some(&(TAG_EPOCH_TASK | TAG_EPOCH_TASK_PACKED)) => PayloadClass::EpochTask,
+        Some(&TAG_PROOF_RESPONSE) => PayloadClass::ProofResponse,
+        Some(&TAG_EPOCH_TASK) => PayloadClass::EpochTask,
         Some(&TAG_COMMITTEE_BATCH) => PayloadClass::CommitteeBatch,
         Some(&t) if (TAG_NET_HELLO..=TAG_NET_LAST).contains(&t) => PayloadClass::Control,
         _ => PayloadClass::Unknown,
@@ -1306,11 +1355,7 @@ pub fn decode_net_control_in(buf: &mut Bytes) -> Result<NetControl, DecodeError>
             if buf.remaining() < 2 {
                 return Err(DecodeError::Truncated);
             }
-            let code = buf.get_u8();
-            let scheme = Scheme::ALL
-                .into_iter()
-                .find(|s| s.spec().wire == code)
-                .ok_or(DecodeError::Malformed("unknown scheme"))?;
+            let scheme = scheme_of(buf.get_u8())?;
             let family = match buf.get_u8() {
                 0 => None,
                 1 => {
@@ -1375,25 +1420,37 @@ pub fn decode_net_control_in(buf: &mut Bytes) -> Result<NetControl, DecodeError>
     Ok(msg)
 }
 
-/// Encodes a worker's epoch submission (final weights + commitment).
+/// The scheme whose [`SchemeSpec::wire`](crate::pool::SchemeSpec::wire)
+/// byte is `code`.
+fn scheme_of(code: u8) -> Result<Scheme, DecodeError> {
+    Scheme::ALL
+        .into_iter()
+        .find(|s| s.spec().wire == code)
+        .ok_or(DecodeError::Malformed("unknown scheme"))
+}
+
+/// Submission header: tag (1) + the scheme's wire byte (1).
+const SUBMISSION_HEADER_BYTES: usize = 2;
+
+/// Encodes a worker's epoch submission: tag, the scheme's wire byte (the
+/// commitment's scheme, Baseline without one), the final weights as a
+/// block on that scheme's lattice, then the commitment.
 pub fn encode_submission(final_weights: &[f32], commitment: Option<&EpochCommitment>) -> Bytes {
+    let scheme = commitment.map_or(Scheme::Baseline, EpochCommitment::scheme);
+    let spec = scheme.spec();
     let mut out = BytesMut::new();
+    out.put_u8(TAG_SUBMISSION);
+    out.put_u8(spec.wire);
+    put_block(&mut out, spec.lattice, final_weights);
     match commitment {
-        None => {
-            out.put_u8(TAG_SUBMISSION_BARE);
-            put_weights(&mut out, final_weights);
-        }
+        None => {}
         Some(EpochCommitment::V1(list)) => {
-            out.put_u8(TAG_SUBMISSION_V1);
-            put_weights(&mut out, final_weights);
             out.put_u32_le(list.len() as u32);
             for i in 0..list.len() {
                 put_digest(&mut out, &list.digest_at(i));
             }
         }
         Some(EpochCommitment::V2(lsh)) => {
-            out.put_u8(TAG_SUBMISSION_V2);
-            put_weights(&mut out, final_weights);
             out.put_u32_le(lsh.len() as u32);
             out.put_u32_le(lsh.entry(0).len() as u32);
             for i in 0..lsh.len() {
@@ -1403,11 +1460,8 @@ pub fn encode_submission(final_weights: &[f32], commitment: Option<&EpochCommitm
             }
         }
         Some(EpochCommitment::V3(qc)) => {
-            // V3 weights live on the bf16 lattice, so the final weights
-            // ship as a packed block; each checkpoint entry carries its l
-            // group digests followed by the packed-image digest.
-            out.put_u8(TAG_SUBMISSION_V3);
-            put_weights_packed(&mut out, final_weights);
+            // Each checkpoint entry carries its l group digests followed
+            // by the packed-image digest.
             out.put_u32_le(qc.len() as u32);
             out.put_u32_le(qc.entry(0).len() as u32);
             for i in 0..qc.len() {
@@ -1421,11 +1475,12 @@ pub fn encode_submission(final_weights: &[f32], commitment: Option<&EpochCommitm
     out.freeze()
 }
 
-/// Wire bytes an uncompressed encoding of the same submission would
-/// occupy — the baseline the transport's `bytes_saved` counter measures
-/// [`encode_submission`] against.
+/// Wire bytes the same submission would occupy with its weights in the
+/// raw f32 framing — the baseline the transport's `bytes_saved` counter
+/// measures [`encode_submission`] against.
 pub fn submission_raw_wire_size(n_weights: usize, commitment: Option<&EpochCommitment>) -> usize {
-    1 + raw_weights_wire_size(n_weights)
+    SUBMISSION_HEADER_BYTES
+        + raw_weights_wire_size(n_weights)
         + match commitment {
             None => 0,
             Some(c @ EpochCommitment::V1(_)) => 4 + c.wire_size(),
@@ -1437,7 +1492,8 @@ pub fn submission_raw_wire_size(n_weights: usize, commitment: Option<&EpochCommi
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on truncated or malformed input.
+/// Returns [`DecodeError`] on truncated or malformed input, including a
+/// weight block on a lattice other than the named scheme's.
 pub fn decode_submission(
     mut buf: Bytes,
 ) -> Result<(Vec<f32>, Option<EpochCommitment>), DecodeError> {
@@ -1453,15 +1509,17 @@ pub fn decode_submission_in(
     if buf.remaining() < 1 {
         return Err(DecodeError::Truncated);
     }
-    let tag = buf.get_u8();
-    let weights = if tag == TAG_SUBMISSION_V3 {
-        get_weights_packed(buf)?
-    } else {
-        get_weights(buf)?
-    };
-    let commitment = match tag {
-        TAG_SUBMISSION_BARE => None,
-        TAG_SUBMISSION_V1 => {
+    if buf.get_u8() != TAG_SUBMISSION {
+        return Err(DecodeError::Malformed("unknown submission tag"));
+    }
+    if buf.remaining() < 1 {
+        return Err(DecodeError::Truncated);
+    }
+    let scheme = scheme_of(buf.get_u8())?;
+    let weights = get_block(buf, Some(scheme.spec().lattice))?;
+    let commitment = match scheme {
+        Scheme::Baseline => None,
+        Scheme::RPoLv1 => {
             let n = get_u32(buf)? as usize;
             if n == 0 {
                 return Err(DecodeError::Malformed("empty commitment"));
@@ -1470,8 +1528,8 @@ pub fn decode_submission_in(
             let digests: Result<Vec<Digest>, _> = (0..n).map(|_| get_digest(buf)).collect();
             Some(EpochCommitment::V1(HashListCommitment::commit(&digests?)))
         }
-        TAG_SUBMISSION_V2 | TAG_SUBMISSION_V3 => {
-            let quant = tag == TAG_SUBMISSION_V3;
+        Scheme::RPoLv2 | Scheme::RPoLv3 => {
+            let quant = scheme == Scheme::RPoLv3;
             let n = get_u32(buf)? as usize;
             let l = get_u32(buf)? as usize;
             if n == 0 || l == 0 {
@@ -1497,7 +1555,6 @@ pub fn decode_submission_in(
                 EpochCommitment::V2(LshCommitment::from_entries(entries))
             })
         }
-        _ => return Err(DecodeError::Malformed("unknown submission tag")),
     };
     Ok((weights, commitment))
 }
@@ -1529,34 +1586,38 @@ pub fn decode_proof_request(mut buf: Bytes) -> Result<Vec<usize>, DecodeError> {
         .collect()
 }
 
-/// Encodes a proof response: one opened checkpoint.
-pub fn encode_proof_response(index: usize, weights: &[f32]) -> Bytes {
+/// Proof response header: tag (1) + checkpoint index (4).
+const PROOF_RESPONSE_HEADER_BYTES: usize = 1 + 4;
+
+/// One opened checkpoint: tag, index, the weights' block on `lattice`.
+fn encode_opening(index: usize, lattice: Lattice, weights: &[f32]) -> Bytes {
     let mut out = BytesMut::new();
     out.put_u8(TAG_PROOF_RESPONSE);
     out.put_u32_le(index as u32);
-    put_weights(&mut out, weights);
+    put_block(&mut out, lattice, weights);
     out.freeze()
 }
 
-/// Encodes a proof response with the packed bf16 weight block (RPoLv3
-/// openings: the checkpoint lives on the lattice, so the packed image
-/// round-trips losslessly at ~half the bytes).
+/// Encodes a proof response: one opened checkpoint, on the f32 lattice
+/// (Baseline / RPoLv1 / RPoLv2 checkpoints).
+pub fn encode_proof_response(index: usize, weights: &[f32]) -> Bytes {
+    encode_opening(index, Lattice::F32, weights)
+}
+
+/// Encodes a proof response on the bf16 lattice (RPoLv3 openings: the
+/// checkpoint lives on the lattice, so its bf16 block round-trips
+/// losslessly at about 1.5 bytes a weight).
 pub fn encode_proof_response_packed(index: usize, weights: &[f32]) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u8(TAG_PROOF_RESPONSE_PACKED);
-    out.put_u32_le(index as u32);
-    put_weights_packed(&mut out, weights);
-    out.freeze()
+    encode_opening(index, Lattice::Bf16, weights)
 }
 
-/// Wire bytes an uncompressed [`encode_proof_response`] of `n_weights`
-/// occupies — the `bytes_saved` baseline for packed openings.
+/// Wire bytes an opening of `n_weights` would occupy in the raw f32
+/// framing — the `bytes_saved` baseline for openings.
 pub fn proof_response_raw_wire_size(n_weights: usize) -> usize {
-    1 + 4 + raw_weights_wire_size(n_weights)
+    PROOF_RESPONSE_HEADER_BYTES + raw_weights_wire_size(n_weights)
 }
 
-/// Decodes a proof response, raw or packed — the frame's tag selects the
-/// weight codec, so pre-V3 peers interoperate unchanged.
+/// Decodes a proof response, on whichever lattice its block names.
 ///
 /// # Errors
 ///
@@ -1571,17 +1632,11 @@ pub fn decode_proof_response_in(buf: &mut Bytes) -> Result<(usize, Vec<f32>), De
     if buf.remaining() < 1 {
         return Err(DecodeError::Truncated);
     }
-    let tag = buf.get_u8();
-    if tag != TAG_PROOF_RESPONSE && tag != TAG_PROOF_RESPONSE_PACKED {
+    if buf.get_u8() != TAG_PROOF_RESPONSE {
         return Err(DecodeError::Malformed("not a proof response"));
     }
     let index = get_u32(buf)? as usize;
-    let weights = if tag == TAG_PROOF_RESPONSE_PACKED {
-        get_weights_packed(buf)?
-    } else {
-        get_weights(buf)?
-    };
-    Ok((index, weights))
+    Ok((index, get_block(buf, None)?))
 }
 
 #[cfg(test)]
@@ -1668,13 +1723,16 @@ mod tests {
 
     #[test]
     fn encoded_size_matches_accounting() {
-        // Wire size of a v2 submission ≈ weights + 32·l per checkpoint.
+        // Wire size of a v2 submission: tag and scheme, the weights' f32
+        // block, the two counts, 32·l bytes per checkpoint.
         let cps = checkpoints();
         let family = LshFamily::new(12, LshParams::new(1.0, 2, 3), 5);
         let commitment = EpochCommitment::commit_v2(&cps, &family);
         let encoded = encode_submission(&cps[3], Some(&commitment));
-        let expected = 1 + 4 + 12 * 4 + 8 + commitment.wire_size();
+        let expected = 2 + block_len(Lattice::F32, &cps[3]) + 8 + commitment.wire_size();
         assert_eq!(encoded.len(), expected);
+        // Twelve equal weights: a one-entry dictionary, a nibble each.
+        assert_eq!(block_len(Lattice::F32, &cps[3]), 6 + 2 + 6 + 3 * 12);
     }
 
     /// Lattice checkpoints (low 16 bits zero) for V3 wire tests.
@@ -1699,7 +1757,7 @@ mod tests {
     #[test]
     fn v3_submission_shrinks_weight_bytes() {
         // Realistic weights: small values in a narrow exponent band, the
-        // case the hi-plane dictionary is built for. The packed block
+        // case the hi-plane dictionary is built for. The bf16 block
         // spends ~1.5 bytes a weight where raw framing spends 4.
         let mut rng = rpol_tensor::rng::Pcg32::seed_from(99);
         let mut weights: Vec<f32> = (0..4096).map(|_| rng.next_normal() * 0.05).collect();
@@ -1730,21 +1788,50 @@ mod tests {
         assert_eq!(w, weights);
     }
 
-    fn pack(weights: &[f32]) -> Bytes {
+    const LATTICES: [Lattice; 2] = [Lattice::Bf16, Lattice::F32];
+
+    fn pack(lattice: Lattice, weights: &[f32]) -> Bytes {
         let mut out = BytesMut::new();
-        put_weights_packed(&mut out, weights);
+        put_block(&mut out, lattice, weights);
         out.freeze()
     }
 
     fn unpack(block: impl Into<Bytes>) -> Result<Vec<f32>, DecodeError> {
         let mut buf = block.into();
-        let weights = get_weights_packed(&mut buf)?;
+        let weights = get_block(&mut buf, None)?;
         assert_eq!(buf.remaining(), 0, "the block was not consumed whole");
         Ok(weights)
     }
 
+    /// The lattice a well-formed block's first byte names.
+    fn lattice_of(block: &[u8]) -> Lattice {
+        if block[0] >> 4 == lattice_nibble(Lattice::F32) {
+            Lattice::F32
+        } else {
+            Lattice::Bf16
+        }
+    }
+
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `weights` with their low 16 bits filled: the f32 vector whose hi
+    /// plane and first lo plane are those of `weights`.
+    fn fill_low_bits(weights: &[f32]) -> Vec<f32> {
+        weights
+            .iter()
+            .enumerate()
+            .map(|(i, w)| f32::from_bits(w.to_bits() | (i as u32).wrapping_mul(0x9E37_79B9) >> 16))
+            .collect()
+    }
+
+    /// The lo planes of `weights` on `lattice`, as a block ships them.
+    fn lo_planes(lattice: Lattice, weights: &[f32]) -> Vec<u8> {
+        lo_shifts(lattice)
+            .iter()
+            .flat_map(|&s| weights.iter().map(move |w| (w.to_bits() >> s) as u8))
+            .collect()
     }
 
     #[test]
@@ -1752,36 +1839,155 @@ mod tests {
         // A uniformly random hi plane defeats the dictionary: 15 entries
         // cover a sixteenth of 256 values, the rest escape at a nibble
         // *plus* a byte each. The flag byte must select the raw plane and
-        // the block still round-trips.
+        // the block still round-trips, on either lattice.
         let mut rng = rpol_tensor::rng::Pcg32::seed_from(0xDEFEA7);
         let weights: Vec<f32> = (0..64)
             .map(|_| f32::from_bits((rng.next_u32() & 0xFFFF) << 16))
             .collect();
-        let block = pack(&weights);
-        // version + count + mode + hi plane + lo plane: exactly 2n + 6.
-        assert_eq!(block.len(), 1 + 4 + 1 + 2 * weights.len());
-        assert_eq!(hi_plane_of(&block), Some(HiPlane::Raw));
-        assert_eq!(bits(&unpack(block).expect("decodes")), bits(&weights));
+        for (lattice, weights) in [
+            (Lattice::Bf16, weights.clone()),
+            (Lattice::F32, fill_low_bits(&weights)),
+        ] {
+            let block = pack(lattice, &weights);
+            // header + count + mode + hi plane + lo planes: (1 + planes)·n + 6.
+            let planes = lo_shifts(lattice).len();
+            assert_eq!(block.len(), 6 + (1 + planes) * weights.len());
+            assert_eq!(hi_plane_of(&block), Some(HiPlane::Raw));
+            assert_eq!(bits(&unpack(block).expect("decodes")), bits(&weights));
+        }
     }
 
     #[test]
     fn packed_codec_rejects_unknown_version_and_mode() {
-        let good = pack(&rpol_tensor::quant::bf16_image(&[1.0f32; 8]));
-        // 1 is the retired raw | delta-RLE layout: a clean error, as any
-        // version this decoder was not taught.
-        for version in [0x7F, 1] {
-            let mut bad_version = good.to_vec();
-            bad_version[0] = version;
+        for lattice in LATTICES {
+            let good = pack(lattice, &rpol_tensor::quant::bf16_image(&[1.0f32; 8]));
+            // 1 is the retired raw | delta-RLE layout: a clean error, as any
+            // version this decoder was not taught.
+            for version in [0xF, 1] {
+                let mut bad_version = good.to_vec();
+                bad_version[0] = lattice_nibble(lattice) << 4 | version;
+                assert_eq!(
+                    unpack(bad_version),
+                    Err(DecodeError::Malformed("unknown packed-weight version"))
+                );
+            }
+            let mut bad_mode = good.to_vec();
+            bad_mode[5] = 0x7F;
             assert_eq!(
-                unpack(bad_version),
-                Err(DecodeError::Malformed("unknown packed-weight version"))
+                unpack(bad_mode),
+                Err(DecodeError::Malformed("unknown hi-plane mode"))
             );
         }
-        let mut bad_mode = good.to_vec();
-        bad_mode[5] = 0x7F;
+    }
+
+    #[test]
+    fn packed_codec_rejects_unknown_lattice() {
+        // Lattice nibbles past the two there are.
+        for head in [0x22, 0x72, 0xF2] {
+            let mut bad_lattice = pack(Lattice::F32, &[1.0f32; 8]).to_vec();
+            bad_lattice[0] = head;
+            assert_eq!(
+                unpack(bad_lattice),
+                Err(DecodeError::Malformed("unknown packed-weight lattice"))
+            );
+        }
+    }
+
+    /// A submission's block must lie on the lattice of the scheme it
+    /// names: a v3 submission of an f32 block and a v1 submission of a
+    /// bf16 block are each refused, whatever the block holds.
+    #[test]
+    fn a_submission_block_must_lie_on_its_schemes_lattice() {
+        let cps = lattice_checkpoints();
+        let family = LshFamily::new(12, LshParams::new(1.0, 2, 3), 5);
+        let v1 = encode_submission(&cps[3], Some(&EpochCommitment::commit_v1(&cps)));
+        let v3 = encode_submission(&cps[3], Some(&EpochCommitment::commit_v3(&cps, &family)));
+        assert_eq!((v1[1], lattice_of(&v1[2..])), (1, Lattice::F32));
+        assert_eq!((v3[1], lattice_of(&v3[2..])), (3, Lattice::Bf16));
+        for (payload, scheme) in [(&v1, Scheme::RPoLv3), (&v3, Scheme::RPoLv1)] {
+            let mut renamed = payload.to_vec();
+            renamed[1] = scheme.spec().wire;
+            assert_eq!(
+                decode_submission(Bytes::from(renamed)),
+                Err(DecodeError::Malformed(
+                    "block lattice disagrees with the scheme"
+                )),
+                "{scheme}"
+            );
+        }
+        // A scheme byte past the last scheme.
+        let mut unknown = v1.to_vec();
+        unknown[1] = 4;
         assert_eq!(
-            unpack(bad_mode),
-            Err(DecodeError::Malformed("unknown hi-plane mode"))
+            decode_submission(Bytes::from(unknown)),
+            Err(DecodeError::Malformed("unknown scheme"))
+        );
+    }
+
+    /// Every cut inside a block's lo planes is a clean `Truncated`, on
+    /// both lattices, behind a dictionary and behind a raw hi plane.
+    #[test]
+    fn truncated_lo_planes_are_refused() {
+        let mut rng = rpol_tensor::rng::Pcg32::seed_from(21);
+        let dict = skewed_plane(&mut rng, 41, 17);
+        let raw = with_hi_plane((0..40u8).map(|i| i * 5));
+        for weights in [dict, raw] {
+            for (lattice, weights) in [
+                (Lattice::Bf16, weights.clone()),
+                (Lattice::F32, fill_low_bits(&weights)),
+            ] {
+                let block = pack(lattice, &weights);
+                let lo_at = block.len() - lo_shifts(lattice).len() * weights.len();
+                for cut in lo_at..block.len() {
+                    assert_eq!(
+                        unpack(block.slice(0..cut)),
+                        Err(DecodeError::Truncated),
+                        "{lattice:?}: cut at {cut} of {}",
+                        block.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every f32 bit pattern survives the f32 block: NaN payloads (quiet
+    /// and signalling, either sign), ±0, subnormals and ±∞ — escaped inside
+    /// a weight-shaped vector, and on a raw hi plane alone — and a vector
+    /// of uniform bit patterns, whose hi plane defeats the dictionary.
+    #[test]
+    fn f32_block_carries_every_bit_pattern() {
+        let specials: [u32; 12] = [
+            0x7FC0_0000,
+            0x7FC0_0001,
+            0x7F80_0001,
+            0xFFFF_FFFF,
+            0x0000_0000,
+            0x8000_0000,
+            0x0000_0001,
+            0x807F_FFFF,
+            0x7F80_0000,
+            0xFF80_0000,
+            0x7F7F_FFFF,
+            0x3F80_0001,
+        ];
+        let mut rng = rpol_tensor::rng::Pcg32::seed_from(7);
+        let mut weights: Vec<f32> = (0..1000).map(|_| rng.next_normal() * 0.05).collect();
+        for (i, &b) in specials.iter().enumerate() {
+            weights[i * 83] = f32::from_bits(b);
+        }
+        assert!(matches!(
+            assert_packs_like_the_oracle(Lattice::F32, &weights),
+            HiPlane::Dict { escapes: 1.. }
+        ));
+        let alone = specials.map(f32::from_bits);
+        assert_eq!(
+            assert_packs_like_the_oracle(Lattice::F32, &alone),
+            HiPlane::Raw
+        );
+        let uniform: Vec<f32> = (0..4096).map(|_| f32::from_bits(rng.next_u32())).collect();
+        assert_eq!(
+            assert_packs_like_the_oracle(Lattice::F32, &uniform),
+            HiPlane::Raw
         );
     }
 
@@ -1794,8 +2000,15 @@ mod tests {
     }
 
     /// A hand-built dictionary block: the caller owns every field.
-    fn dict_block(n: u32, table: &[u8], nibbles: &[u8], escaped: &[u8], lo: &[u8]) -> Vec<u8> {
-        let mut block = vec![PACKED_WEIGHTS_V2];
+    fn dict_block(
+        lattice: Lattice,
+        n: u32,
+        table: &[u8],
+        nibbles: &[u8],
+        escaped: &[u8],
+        lo: &[u8],
+    ) -> Vec<u8> {
+        let mut block = vec![lattice_nibble(lattice) << 4 | BLOCK_V2];
         block.extend_from_slice(&n.to_le_bytes());
         block.extend_from_slice(&[HI_PLANE_DICT4, table.len() as u8]);
         for part in [table, nibbles, escaped, lo] {
@@ -1806,19 +2019,32 @@ mod tests {
 
     #[test]
     fn packed_codec_rejects_hostile_dictionary_blocks() {
+        for lattice in LATTICES {
+            hostile_dictionary_blocks_are_refused(lattice);
+        }
+    }
+
+    fn hostile_dictionary_blocks_are_refused(lattice: Lattice) {
+        let on_lattice = |weights: Vec<f32>| match lattice {
+            Lattice::Bf16 => weights,
+            Lattice::F32 => fill_low_bits(&weights),
+        };
         // The honest block these are bent from: 10 weights, hi bytes
         // 0x3C ×7, 0x3D ×2, 0xBC ×1.
         let hi = [0x3C, 0x3D, 0x3C, 0xBC, 0x3C, 0x3C, 0x3D, 0x3C, 0x3C, 0x3C];
-        let weights = with_hi_plane(hi);
+        let weights = on_lattice(with_hi_plane(hi));
         let table = [0x3C, 0x3D, 0xBC];
         let nibbles = [0x10, 0x20, 0x00, 0x01, 0x00];
-        let lo: Vec<u8> = (0..10).collect();
-        let honest = dict_block(10, &table, &nibbles, &[], &lo);
-        assert_eq!(&pack(&weights)[..], &honest[..]);
+        let lo = lo_planes(lattice, &weights);
+        let honest = dict_block(lattice, 10, &table, &nibbles, &[], &lo);
+        assert_eq!(&pack(lattice, &weights)[..], &honest[..]);
         assert_eq!(
             bits(&unpack(honest.clone()).expect("decodes")),
             bits(&weights)
         );
+        let block = |n, table: &[u8], nibbles: &[u8], escaped: &[u8], lo: &[u8]| {
+            unpack(dict_block(lattice, n, table, nibbles, escaped, lo))
+        };
 
         // A table longer than a nibble can index, whatever follows it.
         for table_len in [16u8, 255] {
@@ -1832,36 +2058,30 @@ mod tests {
         }
         // A code of 14 under a 3-entry table.
         assert_eq!(
-            unpack(dict_block(
-                10,
-                &table,
-                &[0x10, 0x20, 0x0E, 0x01, 0x00],
-                &[],
-                &lo
-            )),
+            block(10, &table, &[0x10, 0x20, 0x0E, 0x01, 0x00], &[], &lo),
             Err(DecodeError::Malformed("code beyond the dictionary"))
         );
         // One escape announced, the body one byte short of holding it.
         assert_eq!(
-            unpack(dict_block(
-                10,
-                &table,
-                &[0x10, 0x2F, 0x00, 0x01, 0x00],
-                &[],
-                &lo
-            )),
+            block(10, &table, &[0x10, 0x2F, 0x00, 0x01, 0x00], &[], &lo),
             Err(DecodeError::Truncated)
         );
-        // u32::MAX weights over a 20-byte body: refused on the length
+        // u32::MAX weights over a short body: refused on the length
         // check, before anything is sized by it.
         assert_eq!(
-            unpack(dict_block(u32::MAX, &table, &[0; 17], &[], &[])),
+            block(u32::MAX, &table, &[0; 17], &[], &[]),
             Err(DecodeError::Truncated)
         );
         // Odd count, nonzero pad nibble.
-        let odd = dict_block(9, &table, &[0x10, 0x20, 0x00, 0x01, 0x10], &[], &lo[..9]);
+        let odd = on_lattice(with_hi_plane(hi[..9].iter().copied()));
         assert_eq!(
-            unpack(odd),
+            block(
+                9,
+                &table,
+                &[0x10, 0x20, 0x00, 0x01, 0x10],
+                &[],
+                &lo_planes(lattice, &odd)
+            ),
             Err(DecodeError::Malformed("nonzero pad nibble"))
         );
 
@@ -1872,45 +2092,48 @@ mod tests {
         // Table in another order (codes permuted to match).
         let swapped = [0x01, 0x21, 0x11, 0x10, 0x11];
         assert_eq!(
-            unpack(dict_block(10, &[0x3D, 0x3C, 0xBC], &swapped, &[], &lo)),
+            block(10, &[0x3D, 0x3C, 0xBC], &swapped, &[], &lo),
             non_canonical
         );
         // A value the table holds, escaped anyway.
         let escaping = [0x10, 0xF0, 0x00, 0x01, 0x00];
-        assert_eq!(
-            unpack(dict_block(10, &table, &escaping, &[0xBC], &lo)),
-            non_canonical
-        );
+        assert_eq!(block(10, &table, &escaping, &[0xBC], &lo), non_canonical);
         // A value the image never uses, listed in the table.
         assert_eq!(
-            unpack(dict_block(
-                10,
-                &[0x3C, 0x3D, 0xBC, 0x00],
-                &nibbles,
-                &[],
-                &lo
-            )),
+            block(10, &[0x3C, 0x3D, 0xBC, 0x00], &nibbles, &[], &lo),
+            non_canonical
+        );
+        // A value listed twice.
+        assert_eq!(
+            block(10, &[0x3C, 0x3D, 0xBC, 0x3C], &nibbles, &[], &lo),
             non_canonical
         );
         // The raw plane where the dictionary is shorter…
-        let mut raw = vec![PACKED_WEIGHTS_V2, 10, 0, 0, 0, HI_PLANE_RAW];
+        let mut raw = vec![honest[0], 10, 0, 0, 0, HI_PLANE_RAW];
         raw.extend_from_slice(&hi);
         raw.extend_from_slice(&lo);
         assert_eq!(unpack(raw), non_canonical);
         // …and the dictionary where it is not (2 + ⌈4/2⌉ = 4 bytes for a
         // 4-byte plane).
-        let constant = with_hi_plane([0x3C; 4]);
-        assert_eq!(hi_plane_of(&pack(&constant)), Some(HiPlane::Raw));
-        let forced = dict_block(4, &[0x3C], &[0, 0], &[], &lo[..4]);
-        assert_eq!(unpack(forced), non_canonical);
+        let constant = on_lattice(with_hi_plane([0x3C; 4]));
+        assert_eq!(hi_plane_of(&pack(lattice, &constant)), Some(HiPlane::Raw));
+        assert_eq!(
+            block(4, &[0x3C], &[0, 0], &[], &lo_planes(lattice, &constant)),
+            non_canonical
+        );
     }
 
-    /// The dictionary encoder written the slow way — a map for the
-    /// histogram, a table search per weight, one code per byte packed at
-    /// the end. The byte-equality oracle for [`put_weights_packed`].
-    fn put_weights_packed_oracle(out: &mut BytesMut, weights: &[f32]) {
+    /// The block encoder written the slow way — a map for the histogram, a
+    /// table search per weight, one code per byte packed at the end, each
+    /// lo plane a byte at a time. The byte-equality oracle for
+    /// [`put_block`], on either lattice.
+    fn put_block_oracle(out: &mut BytesMut, lattice: Lattice, weights: &[f32]) {
         let n = weights.len();
-        out.put_u8(PACKED_WEIGHTS_V2);
+        let (head, shifts): (u8, &[u32]) = match lattice {
+            Lattice::Bf16 => (0x02, &[16]),
+            Lattice::F32 => (0x12, &[16, 8, 0]),
+        };
+        out.put_u8(head);
         out.put_u32_le(n as u32);
         let hi: Vec<u8> = weights.iter().map(|w| (w.to_bits() >> 24) as u8).collect();
         let mut counts = std::collections::BTreeMap::new();
@@ -1945,24 +2168,38 @@ mod tests {
             out.put_u8(HI_PLANE_RAW);
             out.put_slice(&hi);
         }
-        for w in weights {
-            out.put_u8((w.to_bits() >> 16) as u8);
+        for &shift in shifts {
+            for w in weights {
+                out.put_u8((w.to_bits() >> shift) as u8);
+            }
         }
     }
 
-    /// Both encoders over `weights`, the counting pass, and the way back;
-    /// returns what the encoder chose.
-    fn assert_packs_like_the_oracle(weights: &[f32]) -> HiPlane {
-        let fast = pack(weights);
+    /// Both encoders over `weights` on `lattice`, the counting pass, and
+    /// the way back; returns what the encoder chose.
+    fn assert_packs_like_the_oracle(lattice: Lattice, weights: &[f32]) -> HiPlane {
+        let fast = pack(lattice, weights);
         let mut oracle = BytesMut::new();
-        put_weights_packed_oracle(&mut oracle, weights);
-        assert_eq!(&fast[..], oracle.as_ref(), "{} weights", weights.len());
-        assert_eq!(packed_block_len(weights), fast.len());
-        assert!(fast.len() <= 2 * weights.len() + 6);
+        put_block_oracle(&mut oracle, lattice, weights);
+        let n = weights.len();
+        assert_eq!(&fast[..], oracle.as_ref(), "{lattice:?}, {n} weights");
+        assert_eq!(block_len(lattice, weights), fast.len());
+        assert!(fast.len() <= (1 + lo_shifts(lattice).len()) * n + 6);
         let back = unpack(fast.clone()).expect("the encoder's block decodes");
         assert_eq!(bits(&back), bits(weights));
-        assert_eq!(&pack(&back)[..], &fast[..]);
+        assert_eq!(&pack(lattice, &back)[..], &fast[..]);
         hi_plane_of(&fast).expect("well-formed")
+    }
+
+    /// [`assert_packs_like_the_oracle`] on the bf16 vector `weights` and on
+    /// it with its low 16 bits filled as f32: one hi plane, one choice.
+    fn assert_packs_like_the_oracle_on_both(weights: &[f32]) -> HiPlane {
+        let chose = assert_packs_like_the_oracle(Lattice::Bf16, weights);
+        assert_eq!(
+            assert_packs_like_the_oracle(Lattice::F32, &fill_low_bits(weights)),
+            chose
+        );
+        chose
     }
 
     /// `len` weights over `distinct` hi bytes (all present once `len`
@@ -1997,7 +2234,7 @@ mod tests {
         ] {
             let plane = with_hi_plane((0..n).map(|_| 0x3C));
             assert_eq!(
-                assert_packs_like_the_oracle(&plane),
+                assert_packs_like_the_oracle_on_both(&plane),
                 chose,
                 "constant, n = {n}"
             );
@@ -2007,7 +2244,7 @@ mod tests {
         for n in [255usize, 256, 511, 4096] {
             let ramp = with_hi_plane((0..n).map(|i| i as u8));
             assert_eq!(
-                assert_packs_like_the_oracle(&ramp),
+                assert_packs_like_the_oracle_on_both(&ramp),
                 HiPlane::Raw,
                 "ramp, n = {n}"
             );
@@ -2017,8 +2254,8 @@ mod tests {
         for (distinct, escapes) in [(3usize, 0usize), (15, 0), (16, 10), (17, 20)] {
             let n = distinct * 10;
             let plane = with_hi_plane((0..n).map(|i| 0xF0 - ((i % distinct) as u8) * 3));
-            let block = pack(&plane);
-            assert_eq!(assert_packs_like_the_oracle(&plane), dict(escapes));
+            let block = pack(Lattice::Bf16, &plane);
+            assert_eq!(assert_packs_like_the_oracle_on_both(&plane), dict(escapes));
             let table = &block[7..7 + distinct.min(15)];
             assert!(table.is_sorted(), "{distinct} tied values: {table:?}");
             assert_eq!(table[0], 0xF0 - (distinct as u8 - 1) * 3);
@@ -2028,22 +2265,29 @@ mod tests {
         let mut rng = rpol_tensor::rng::Pcg32::seed_from(15);
         for distinct in [15u32, 16, 17] {
             for n in [63usize, 64, 1000, 1001] {
-                let chose = assert_packs_like_the_oracle(&skewed_plane(&mut rng, n, distinct));
+                let chose =
+                    assert_packs_like_the_oracle_on_both(&skewed_plane(&mut rng, n, distinct));
                 assert!(
                     matches!(chose, HiPlane::Dict { escapes } if (escapes > 0) == (distinct > 15))
                 );
             }
         }
         // Task P's size, on weights shaped like a trained vector: the
-        // claim this format exists for.
+        // claim this format exists for — under 1.6 bytes a weight on the
+        // bf16 lattice, under 3.6 on f32.
         let mut rng = rpol_tensor::rng::Pcg32::seed_from(42);
-        let mut weights: Vec<f32> = (0..97_320).map(|_| rng.next_normal() * 0.05).collect();
-        rpol_tensor::quant::snap_to_bf16(&mut weights);
+        let weights: Vec<f32> = (0..97_320).map(|_| rng.next_normal() * 0.05).collect();
+        let lattice = rpol_tensor::quant::bf16_image(&weights);
         assert!(matches!(
-            assert_packs_like_the_oracle(&weights),
+            assert_packs_like_the_oracle(Lattice::Bf16, &lattice),
             HiPlane::Dict { .. }
         ));
-        assert!(packed_block_len(&weights) * 10 < weights.len() * 16);
+        assert!(block_len(Lattice::Bf16, &lattice) * 10 < weights.len() * 16);
+        assert!(matches!(
+            assert_packs_like_the_oracle(Lattice::F32, &weights),
+            HiPlane::Dict { .. }
+        ));
+        assert!(block_len(Lattice::F32, &weights) * 10 < weights.len() * 36);
     }
 
     /// A dictionary block with escapes and an odd count, and a raw one:
@@ -2052,7 +2296,7 @@ mod tests {
         let mut rng = rpol_tensor::rng::Pcg32::seed_from(17);
         let escaping = skewed_plane(&mut rng, 81, 17);
         assert!(matches!(
-            hi_plane_of(&pack(&escaping)),
+            hi_plane_of(&pack(Lattice::Bf16, &escaping)),
             Some(HiPlane::Dict { escapes: 1.. })
         ));
         [escaping, with_hi_plane((0..40u8).map(|i| i * 5))]
@@ -2061,15 +2305,17 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Round-trip: any lattice vector survives the packed codec bit
-        /// for bit, the block never exceeds 2n + 6 bytes, and the fast
-        /// encoder, the counting pass and the scalar oracle agree — over
-        /// every length 0..=4096, odd and even, on hi planes drawn like
-        /// weights (0), constant (1), with a table exactly full, one over
-        /// and two over (2–4), and uniformly random (5: raw).
+        /// Round-trip: any vector survives the block of its lattice bit
+        /// for bit, the block never exceeds (1 + planes)·n + 6 bytes, and
+        /// the fast encoder, the counting pass and the scalar oracle agree
+        /// — over every length 0..=4096, odd and even, on both lattices, on
+        /// hi planes drawn like weights (0), constant (1), with a table
+        /// exactly full, one over and two over (2–4), and uniformly random
+        /// (5: raw).
         #[test]
         fn packed_encoder_matches_the_oracle(
-            seed in 0u64..10_000, len in 0usize..=4096, kind in 0u32..6
+            seed in 0u64..10_000, len in 0usize..=4096, kind in 0u32..6,
+            f32_lattice in proptest::prelude::any::<bool>()
         ) {
             let mut rng = rpol_tensor::rng::Pcg32::seed_from(seed ^ 0x0A_C1E);
             let weights = match kind {
@@ -2082,7 +2328,12 @@ mod tests {
                 2..=4 => skewed_plane(&mut rng, len, 13 + kind),
                 _ => with_hi_plane((0..len).map(|_| rng.next_u32() as u8)),
             };
-            let chose = assert_packs_like_the_oracle(&weights);
+            let (lattice, weights) = if f32_lattice {
+                (Lattice::F32, fill_low_bits(&weights))
+            } else {
+                (Lattice::Bf16, weights)
+            };
+            let chose = assert_packs_like_the_oracle(lattice, &weights);
             if kind == 5 && len >= 64 {
                 proptest::prop_assert_eq!(chose, HiPlane::Raw);
             }
@@ -2099,29 +2350,60 @@ mod tests {
             let weights: Vec<f32> = (0..len)
                 .map(|_| f32::from_bits((rng.next_u32() & 0xFFFF_0000) >> 16 << 16))
                 .collect();
-            assert_packs_like_the_oracle(&weights);
+            assert_packs_like_the_oracle(Lattice::Bf16, &weights);
         }
 
-        /// One encoding per image: whatever block the decoder accepts is
-        /// the block the encoder writes for what it decoded to. Honest
-        /// blocks of every shape, bent in up to three bytes — most die on
-        /// the canonical-form checks, a bent lo byte survives as another
-        /// image's honest block.
+        /// Round-trip on arbitrary `u32` bit patterns through the f32
+        /// block: uniform (a raw hi plane), and weight-shaped with every
+        /// third weight's bits drawn uniformly (escapes), or with its low
+        /// 24 bits drawn uniformly (a dictionary over full mantissas).
+        #[test]
+        fn f32_block_roundtrips_any_bit_pattern(
+            seed in 0u64..10_000, len in 0usize..600, kind in 0u32..3
+        ) {
+            let mut rng = rpol_tensor::rng::Pcg32::seed_from(seed ^ 0xF32_B175);
+            let weights: Vec<f32> = (0..len)
+                .map(|i| {
+                    let shaped = (rng.next_normal() * 0.05).to_bits();
+                    let any = rng.next_u32();
+                    f32::from_bits(match kind {
+                        0 => any,
+                        1 if i % 3 == 0 => any,
+                        1 => shaped,
+                        _ => shaped & 0xFF00_0000 | any >> 8,
+                    })
+                })
+                .collect();
+            assert_packs_like_the_oracle(Lattice::F32, &weights);
+        }
+
+        /// One encoding per image, on both lattices: whatever block the
+        /// decoder accepts is the block the encoder writes for what it
+        /// decoded to. Honest blocks of every shape, bent in up to three
+        /// bytes — most die on the canonical-form checks, a bent lo byte
+        /// survives as another image's honest block, a bent lattice
+        /// nibble as an empty block's on the other lattice.
         #[test]
         fn accepted_blocks_reencode_to_themselves(
-            seed in 0u64..100_000, len in 0usize..48, distinct in 1u32..20, flips in 1usize..=3
+            seed in 0u64..100_000, len in 0usize..48, distinct in 1u32..20, flips in 1usize..=3,
+            f32_lattice in proptest::prelude::any::<bool>()
         ) {
             let mut rng = rpol_tensor::rng::Pcg32::seed_from(seed);
-            let mut block = pack(&skewed_plane(&mut rng, len, distinct)).to_vec();
+            let weights = skewed_plane(&mut rng, len, distinct);
+            let mut block = if f32_lattice {
+                pack(Lattice::F32, &fill_low_bits(&weights))
+            } else {
+                pack(Lattice::Bf16, &weights)
+            }
+            .to_vec();
             for _ in 0..flips {
-                // Skip the version byte: bending it is always fatal.
-                let pos = 1 + rng.next_u32() as usize % (block.len() - 1);
+                let pos = rng.next_u32() as usize % block.len();
                 block[pos] ^= 1 << (rng.next_u32() % 8);
             }
             let mut buf = Bytes::from(block.clone());
-            if let Ok(image) = get_weights_packed(&mut buf) {
+            if let Ok(image) = get_block(&mut buf, None) {
                 let consumed = block.len() - buf.remaining();
-                proptest::prop_assert_eq!(&pack(&image)[..], &block[..consumed]);
+                proptest::prop_assert_eq!(&pack(lattice_of(&block), &image)[..], &block[..consumed]);
             }
         }
 
@@ -2146,6 +2428,26 @@ mod tests {
                 let encoded = encode_proof_response_packed(3, &weights);
                 let pos = (pos_seed as usize * 0x5851) % encoded.len();
                 let mut bad = encoded.to_vec();
+                bad[pos] ^= xor;
+                let _ = decode_proof_response(Bytes::from(bad));
+            }
+        }
+
+        /// The same two fuzzers on the f32 lattice: a v1 submission cut
+        /// anywhere fails cleanly, an f32 opening bent anywhere decodes or
+        /// errors, and neither panics.
+        #[test]
+        fn f32_payloads_cut_or_bent_never_panic(
+            cut_seed in 0u64..400, pos_seed in 0u64..500, xor in 1u8..=255
+        ) {
+            let commitment = EpochCommitment::commit_v1(&checkpoints());
+            for weights in fuzz_vectors().map(|w| fill_low_bits(&w)) {
+                let encoded = encode_submission(&weights, Some(&commitment));
+                let cut = (cut_seed as usize * 0x9E37) % encoded.len();
+                proptest::prop_assert!(decode_submission(encoded.slice(0..cut)).is_err());
+                let opening = encode_proof_response(3, &weights);
+                let pos = (pos_seed as usize * 0x5851) % opening.len();
+                let mut bad = opening.to_vec();
                 bad[pos] ^= xor;
                 let _ = decode_proof_response(Bytes::from(bad));
             }
@@ -2183,13 +2485,16 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        let mut out = BytesMut::new();
-        out.put_u8(0xEE);
-        out.put_u32_le(0);
-        assert_eq!(
-            decode_submission(out.freeze()),
-            Err(DecodeError::Malformed("unknown submission tag"))
-        );
+        // The retired per-commitment tags included.
+        for tag in [0xEE, 0x01, 0x02, 0x03, 0x04] {
+            let mut out = BytesMut::new();
+            out.put_u8(tag);
+            out.put_u32_le(0);
+            assert_eq!(
+                decode_submission(out.freeze()),
+                Err(DecodeError::Malformed("unknown submission tag"))
+            );
+        }
     }
 
     #[test]
@@ -2200,17 +2505,21 @@ mod tests {
 
     #[test]
     fn hostile_length_prefix_rejected_without_allocation() {
-        // A submission whose weight count claims u32::MAX values: the
-        // decoder must fail on the length check, never reserve ~16 GB.
+        // A submission whose block claims u32::MAX weights: the decoder
+        // must fail on the length check, never reserve ~16 GB.
         let mut out = BytesMut::new();
-        out.put_u8(TAG_SUBMISSION_BARE);
+        out.put_u8(TAG_SUBMISSION);
+        out.put_u8(Scheme::Baseline.spec().wire);
+        out.put_u8(lattice_nibble(Lattice::F32) << 4 | BLOCK_V2);
         out.put_u32_le(u32::MAX);
+        out.put_u8(HI_PLANE_RAW);
         out.put_f32_le(1.0);
         assert_eq!(decode_submission(out.freeze()), Err(DecodeError::Truncated));
         // Same for a v2 commitment with hostile n×l.
         let mut out = BytesMut::new();
-        out.put_u8(TAG_SUBMISSION_V2);
-        out.put_u32_le(0); // no weights
+        out.put_u8(TAG_SUBMISSION);
+        out.put_u8(Scheme::RPoLv2.spec().wire);
+        out.put_slice(&pack(Lattice::F32, &[])); // no weights
         out.put_u32_le(u32::MAX);
         out.put_u32_le(u32::MAX);
         assert!(decode_submission(out.freeze()).is_err());
@@ -2250,90 +2559,106 @@ mod tests {
         assert!(decode_epoch_task(encode_epoch_task(&task)).is_err());
     }
 
-    /// The parent commit's task encoding, written out field by field: the
-    /// raw block spliced behind a header must reproduce it byte for byte,
-    /// or every lossy fault draw keyed on frame bytes would move.
+    /// The RPoLv3 task frame of protocol 3, written out field by field: a
+    /// bf16 block behind the header must reproduce it byte for byte, so
+    /// no v3 task, nor any fault draw keyed on its length, moved when the
+    /// other schemes joined the codec.
     #[test]
-    fn raw_task_frame_is_byte_identical_to_the_parent_encoding() {
-        let weights = [0.25f32, -1.5, 3.0, f32::MIN_POSITIVE, -0.0];
-        let mut golden = vec![0x20u8];
+    fn bf16_task_frame_is_byte_identical_to_the_parent_encoding() {
+        let weights =
+            rpol_tensor::quant::bf16_image(&[0.25f32, -1.5, 3.0, f32::MIN_POSITIVE, -0.0]);
+        let mut golden = vec![0x21u8];
         golden.extend_from_slice(&7u64.to_le_bytes());
         golden.extend_from_slice(&0xDEAD_BEEFu64.to_le_bytes());
         golden.extend_from_slice(&15u32.to_le_bytes());
+        // PACKED_WEIGHTS_V2, the count, a raw hi plane, the lo plane.
+        golden.push(2);
         golden.extend_from_slice(&(weights.len() as u32).to_le_bytes());
-        for w in weights {
-            golden.extend_from_slice(&w.to_le_bytes());
-        }
-        let block = TaskBlock::raw(&weights);
+        golden.push(0);
+        golden.extend(weights.iter().map(|w| w.to_le_bytes()[3]));
+        golden.extend(weights.iter().map(|w| w.to_le_bytes()[2]));
+        let block = TaskBlock::new(Lattice::Bf16, &weights);
         assert_eq!(&block.frame(7, 0xDEAD_BEEF, 15)[..], &golden[..]);
-        assert_eq!(block.bytes_saved(), 0);
-        let task = EpochTask {
-            epoch: 7,
-            nonce: 0xDEAD_BEEF,
-            steps: 15,
-            global_weights: weights.to_vec(),
-        };
-        assert_eq!(&encode_epoch_task(&task)[..], &golden[..]);
+        assert_eq!(
+            block.bytes_saved() as usize,
+            raw_weights_wire_size(weights.len()) - (golden.len() - TASK_HEADER_BYTES)
+        );
     }
 
     #[test]
     fn packed_task_roundtrips_classifies_and_counts_its_saving() {
         let weights = rpol_tensor::quant::bf16_image(&[0.5f32, -0.25, 1.5e-3, 0.0, -7.25, 3.0]);
-        let block = TaskBlock::packed(&weights);
-        let payload = block.frame(3, 99, 10);
-        assert_eq!(payload[0], 0x21);
-        assert_eq!(classify_payload(&payload), PayloadClass::EpochTask);
-        // header + version + count + mode + two planes.
-        assert_eq!(payload.len(), TASK_HEADER_BYTES + 6 + 2 * weights.len());
-        assert_eq!(block.hi_plane(), Some(HiPlane::Raw));
-        assert_eq!(packed_hi_plane(&payload), Some(HiPlane::Raw));
-        assert_eq!(TaskBlock::raw(&weights).hi_plane(), None);
-        let raw_len = encode_epoch_task(&EpochTask {
-            epoch: 3,
-            nonce: 99,
-            steps: 10,
-            global_weights: weights.clone(),
-        })
-        .len();
-        assert_eq!(block.bytes_saved(), (raw_len - payload.len()) as u64);
-        let task = decode_epoch_task(payload).expect("decodes");
-        assert_eq!((task.epoch, task.nonce, task.steps), (3, 99, 10));
-        assert_eq!(task.global_weights, weights);
+        for (lattice, weights) in [
+            (Lattice::Bf16, weights.clone()),
+            (Lattice::F32, fill_low_bits(&weights)),
+        ] {
+            let block = TaskBlock::new(lattice, &weights);
+            let payload = block.frame(3, 99, 10);
+            assert_eq!(payload[0], 0x21);
+            assert_eq!(classify_payload(&payload), PayloadClass::EpochTask);
+            // header + version + count + mode + hi plane + lo planes.
+            let planes = lo_shifts(lattice).len();
+            assert_eq!(
+                payload.len(),
+                TASK_HEADER_BYTES + 6 + (1 + planes) * weights.len()
+            );
+            assert_eq!(block.hi_plane(), HiPlane::Raw);
+            assert_eq!(packed_hi_plane(&payload), Some(HiPlane::Raw));
+            let raw_len = TASK_HEADER_BYTES + raw_weights_wire_size(weights.len());
+            assert_eq!(
+                block.bytes_saved(),
+                raw_len.saturating_sub(payload.len()) as u64
+            );
+            let task = decode_epoch_task(payload).expect("decodes");
+            assert_eq!((task.epoch, task.nonce, task.steps), (3, 99, 10));
+            assert_eq!(bits(&task.global_weights), bits(&weights));
+        }
     }
 
     #[test]
     fn packed_task_rejects_degenerate_and_hostile_fields() {
         let weights = rpol_tensor::quant::bf16_image(&[1.0f32; 8]);
-        let good = TaskBlock::packed(&weights).frame(1, 2, 4).to_vec();
-        let decode = |bytes: Vec<u8>| decode_epoch_task(Bytes::from(bytes));
-        for cut in 0..good.len() {
-            assert!(decode(good[..cut].to_vec()).is_err(), "cut at {cut}");
-        }
-        let mut zero_steps = good.clone();
-        zero_steps[17..21].copy_from_slice(&0u32.to_le_bytes());
-        assert_eq!(
-            decode(zero_steps),
-            Err(DecodeError::Malformed("empty epoch"))
-        );
-        // An unknown version, and the retired V1 layout's.
-        for version in [0x7F, 1] {
-            let mut bad_version = good.clone();
-            bad_version[TASK_HEADER_BYTES] = version;
+        for lattice in LATTICES {
+            let good = TaskBlock::new(lattice, &weights).frame(1, 2, 4).to_vec();
+            let decode = |bytes: Vec<u8>| decode_epoch_task(Bytes::from(bytes));
+            for cut in 0..good.len() {
+                assert!(decode(good[..cut].to_vec()).is_err(), "cut at {cut}");
+            }
+            let mut zero_steps = good.clone();
+            zero_steps[17..21].copy_from_slice(&0u32.to_le_bytes());
             assert_eq!(
-                decode(bad_version),
-                Err(DecodeError::Malformed("unknown packed-weight version"))
+                decode(zero_steps),
+                Err(DecodeError::Malformed("empty epoch"))
             );
+            // An unknown version, and the retired V1 layout's.
+            for version in [0xF, 1] {
+                let mut bad_version = good.clone();
+                bad_version[TASK_HEADER_BYTES] = lattice_nibble(lattice) << 4 | version;
+                assert_eq!(
+                    decode(bad_version),
+                    Err(DecodeError::Malformed("unknown packed-weight version"))
+                );
+            }
+            assert_eq!(
+                decode(TaskBlock::new(lattice, &[]).frame(1, 2, 4).to_vec()),
+                Err(DecodeError::Malformed("empty global model"))
+            );
+            // A count of u32::MAX weights must fail the length check before
+            // any plane is allocated.
+            let mut hostile = good.clone();
+            hostile[TASK_HEADER_BYTES + 1..TASK_HEADER_BYTES + 5]
+                .copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(decode(hostile), Err(DecodeError::Truncated));
         }
+        // The retired raw f32 task tag.
+        let mut retired = TaskBlock::new(Lattice::F32, &weights)
+            .frame(1, 2, 4)
+            .to_vec();
+        retired[0] = 0x20;
         assert_eq!(
-            decode(TaskBlock::packed(&[]).frame(1, 2, 4).to_vec()),
-            Err(DecodeError::Malformed("empty global model"))
+            decode_epoch_task(Bytes::from(retired)),
+            Err(DecodeError::Malformed("not an epoch task"))
         );
-        // A count of u32::MAX weights must fail the length check before
-        // any plane is allocated.
-        let mut hostile = good.clone();
-        hostile[TASK_HEADER_BYTES + 1..TASK_HEADER_BYTES + 5]
-            .copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode(hostile), Err(DecodeError::Truncated));
     }
 
     #[test]

@@ -103,8 +103,9 @@ pub struct EpochSubmission {
     /// Commitment over the ordered checkpoint sequence (`None` under
     /// [`CommitMode::Skip`]).
     pub commitment: Option<EpochCommitment>,
-    /// Bytes uploaded for this submission (weights + commitment). V3
-    /// final weights are counted at their packed 2-bytes-per-weight size.
+    /// Bytes uploaded for this submission (weights + commitment). The
+    /// final weights are counted at their block's length on the scheme's
+    /// lattice ([`block_len`](crate::wire::block_len)).
     pub upload_bytes: u64,
     /// Bytes the worker's digest pipeline hashed to build the commitment
     /// (see [`EpochCommitment::bytes_hashed`]); 0 under
@@ -399,13 +400,10 @@ impl PoolWorker {
         let commit_bytes_hashed = commitment.as_ref().map_or(0, |c| {
             c.bytes_hashed(final_weights.len(), mode.hashes_per_group())
         });
-        // V3 ships its lattice weights as a packed block: charge the
-        // block's own length, ~1.5 bytes a weight.
-        let weight_bytes = if matches!(mode, CommitMode::V3(_)) {
-            crate::wire::packed_block_len(&final_weights)
-        } else {
-            final_weights.len() * 4
-        };
+        // The final weights ship as a block on the scheme's lattice:
+        // charge the block's own length, ~1.5 bytes a weight on bf16 and
+        // ~3.5 on f32.
+        let weight_bytes = crate::wire::block_len(mode.scheme().spec().lattice, &final_weights);
         let upload_bytes = (weight_bytes + commit_bytes) as u64;
         // Baseline workers keep no proof storage.
         self.checkpoints = if matches!(mode, CommitMode::Skip) {
@@ -688,6 +686,8 @@ mod tests {
     fn upload_accounts_commitment_bytes() {
         let (cfg, mut worker, global) = setup(WorkerBehavior::Honest);
         let sub = worker.run_epoch(&cfg, &global, 5, 4, 0, CommitMode::V1);
-        assert!(sub.upload_bytes > (sub.final_weights.len() * 4) as u64);
+        let block = crate::wire::block_len(Lattice::F32, &sub.final_weights);
+        let commitment = sub.commitment.as_ref().expect("v1 commits");
+        assert_eq!(sub.upload_bytes, (block + commitment.wire_size()) as u64);
     }
 }

@@ -68,9 +68,15 @@ const FAULT_SEED: u64 = 0x9E;
 /// cells' bytes fell (and, on the lossy one, the fault draws that frame
 /// lengths feed moved), the nine Baseline / v1 / v2 cells' digests and
 /// every cell's `DECISION_DIGEST` line did not (per-cell table in
-/// CHANGES.md, PR 24). Same-platform only (the LSH family and the noise
-/// model draw normals through the host's libm).
-const REFERENCE_DIGEST: &str = "e6b54589c5458834fdfb21a64df08c394ae288e19938eb0b1b743b61c53f895a";
+/// CHANGES.md, PR 24). Re-recorded a third time when every scheme's
+/// weights joined the hi-plane block (4 → about 3.5 bytes a weight on f32)
+/// and a submission gained its scheme byte: the nine Baseline / v1 / v2
+/// cells' byte counters and the simulated net seconds they drive fell, the
+/// three RPoLv3 cells' did not except one byte per submission frame, and
+/// no transport count, accuracy bit or `DECISION_DIGEST` line moved
+/// (per-cell table in CHANGES.md, PR 38). Same-platform only (the LSH
+/// family and the noise model draw normals through the host's libm).
+const REFERENCE_DIGEST: &str = "22c9d8ff2b506cb46c8bb3c4e1ada0a9e515fbbfd3bf95bbdcce67dc0caf940b";
 
 /// SHA-256 over the twelve reference cells' *decisions*, per epoch:
 /// `accepted | rejected | quarantined | accuracy bits | double_checks |

@@ -302,9 +302,8 @@ fn crash_and_straggler_links_fail_alike_over_tcp_and_in_memory() {
 /// The saving is counted once per task and the block encoded once an epoch.
 #[test]
 fn v3_broadcast_charges_the_packed_block_once_per_worker() {
-    use rpol::wire::{
-        decode_epoch_task, encode_epoch_task, packed_block_len, EpochTask, TaskBlock,
-    };
+    use rpol::pool::Lattice;
+    use rpol::wire::{block_len, decode_epoch_task, raw_weights_wire_size, TaskBlock};
 
     let behaviors = parity_roster();
     let n = behaviors.len() as u64;
@@ -316,17 +315,11 @@ fn v3_broadcast_charges_the_packed_block_once_per_worker() {
     let global = fresh.manager().global_weights().to_vec();
     let dim = global.len() as u64;
     let lattice = rpol_tensor::quant::bf16_image(&global);
-    let block = TaskBlock::packed(&lattice);
+    let block = TaskBlock::new(Lattice::Bf16, &lattice);
     let payload = block.frame(0, 0, config.steps_per_epoch as u32);
-    let raw_payload = encode_epoch_task(&EpochTask {
-        epoch: 0,
-        nonce: 0,
-        steps: config.steps_per_epoch as u32,
-        global_weights: global,
-    });
     assert_eq!(
         block.bytes_saved(),
-        (raw_payload.len() - payload.len()) as u64
+        (21 + raw_weights_wire_size(global.len()) - payload.len()) as u64
     );
     assert_eq!(
         decode_epoch_task(payload.clone())
@@ -336,7 +329,7 @@ fn v3_broadcast_charges_the_packed_block_once_per_worker() {
     );
     // The wire adds its 21-byte header to the block, whose hi plane is a
     // nibble a weight: under 1.6 bytes per weight all told, not 2.
-    let block_len = packed_block_len(&lattice) as u64;
+    let block_len = block_len(Lattice::Bf16, &lattice) as u64;
     assert_eq!(payload.len() as u64, 21 + block_len);
     assert!(block_len * 10 < dim * 16, "{block_len} B for {dim} weights");
 
@@ -358,12 +351,12 @@ fn v3_broadcast_charges_the_packed_block_once_per_worker() {
     let report = &socket.report.epochs[0].report;
     assert_eq!(report.comm.broadcast_bytes, n * payload.len() as u64);
     // Socket ≡ in-process on every leg: a task frame adds its header, a
-    // submission frame its tag and the commitment's two counts, an
-    // opening is charged by the same function of the same image.
+    // submission frame its tag, its scheme byte and the commitment's two
+    // counts, an opening is charged by the same function of the same image.
     assert_eq!(report.comm.broadcast_bytes, direct.broadcast_bytes + n * 21);
     assert_eq!(
         report.comm.submission_bytes,
-        direct.submission_bytes + n * (1 + 4 + 4)
+        direct.submission_bytes + n * (1 + 1 + 4 + 4)
     );
     assert!(direct.proof_bytes > 0, "the fixture must open checkpoints");
     assert_eq!(report.comm.proof_bytes, direct.proof_bytes);
@@ -966,16 +959,19 @@ fn hostile_submission_shapes_are_rejected_over_the_socket_never_a_panic() {
 
 /// Packed blocks the decoder must refuse, over the real socket: the
 /// retired V1 layout's version byte, a dictionary longer than a nibble
-/// can index, and a well-formed raw plane where the encoder would have
-/// written the dictionary (a second encoding of one image). Each costs its
-/// sender the epoch — quarantined at ingest, nothing replayed — while the
-/// server keeps serving the honest peer and shuts both down cleanly.
+/// can index, a well-formed raw plane where the encoder would have
+/// written the dictionary (a second encoding of one image), and an f32
+/// block under the v3 scheme byte. Each costs its sender the epoch —
+/// quarantined at ingest, nothing replayed — while the server keeps
+/// serving the honest peer and shuts both down cleanly.
 #[test]
 fn retired_and_malformed_packed_blocks_are_refused_over_the_socket() {
-    use rpol::wire::{encode_proof_response_packed, packed_hi_plane, HiPlane};
+    use rpol::wire::{
+        encode_proof_response, encode_proof_response_packed, packed_hi_plane, HiPlane,
+    };
 
     let mut config = PoolConfig::tiny_demo(Scheme::RPoLv3);
-    config.epochs = 3;
+    config.epochs = 4;
     let behaviors = vec![WorkerBehavior::Honest; 2];
     let pool = MiningPool::new(config, behaviors.clone());
     let mut server =
@@ -990,30 +986,32 @@ fn retired_and_malformed_packed_blocks_are_refused_over_the_socket() {
         })
     };
     let hostile = hostile_submitter(addr, 1, |epoch, global| {
-        // The honest block for the model the task carried, behind a V3
-        // submission's tag; the decoder never gets past the block.
+        // The honest block for the model the task carried, behind a
+        // submission's tag and the v3 scheme byte; the decoder never gets
+        // past the block.
         let opening = encode_proof_response_packed(0, global);
         assert!(matches!(
             packed_hi_plane(&opening),
             Some(HiPlane::Dict { .. })
         ));
-        let mut forged = vec![0x04];
+        let mut forged = vec![0x05, Scheme::RPoLv3.spec().wire];
         match epoch {
             0 => {
                 forged.extend_from_slice(&opening[5..]);
-                forged[1] = 1; // PACKED_WEIGHTS_V1
+                forged[2] = 1; // PACKED_WEIGHTS_V1
             }
             1 => {
                 forged.extend_from_slice(&opening[5..]);
-                forged[1 + 6] = 16; // table_len
+                forged[2 + 6] = 16; // table_len
             }
-            _ => {
+            2 => {
                 forged.push(2);
                 forged.extend_from_slice(&(global.len() as u32).to_le_bytes());
                 forged.push(0); // HI_PLANE_RAW
                 forged.extend(global.iter().map(|w| (w.to_bits() >> 24) as u8));
                 forged.extend(global.iter().map(|w| (w.to_bits() >> 16) as u8));
             }
+            _ => forged.extend_from_slice(&encode_proof_response(0, global)[5..]),
         }
         assert!(rpol::wire::decode_submission(forged.clone().into()).is_err());
         forged.into()
@@ -1049,8 +1047,10 @@ fn a_pristine_submission_the_servers_draws_lose_is_quarantined() {
         .manager()
         .global_weights()
         .to_vec();
-    // What each side puts on the wire: a raw task frame each, and a bare
-    // submission the size of the model from each (honest or forged).
+    // What each side puts on the wire: a task frame each, and a bare
+    // submission from each (honest or forged). A drop-only profile draws
+    // by exchange, not by length, so the forged one's length stands for
+    // both submissions.
     let task_len = encode_epoch_task(&EpochTask {
         epoch: 0,
         nonce: 0,
@@ -1111,16 +1111,21 @@ fn a_pristine_submission_the_servers_draws_lose_is_quarantined() {
     let hostile = hostile_submitter(addr, 1, move |_, _| forged.clone());
     let report = server.run().expect("server run");
     hostile.join().expect("hostile peer finished cleanly");
-    assert!(honest.join().expect("honest client").clean_shutdown);
+    let honest = honest.join().expect("honest client");
+    assert!(honest.clean_shutdown);
 
     let epoch = &report.epochs[0].report;
     assert_eq!(epoch.accepted, vec![0]);
     assert_eq!(epoch.quarantined, vec![1], "lost by the server's own draws");
     assert_eq!(epoch.transport.failures, 1, "the one failure is that loss");
-    assert_eq!(epoch.comm.submission_bytes, forged_len(&global));
-}
-
-/// A bare submission's payload length for a model like `global`.
-fn forged_len(global: &[f32]) -> u64 {
-    rpol::wire::encode_submission(global, None).len() as u64
+    // The honest submission is charged — its one frame, header aside —
+    // and the lost one is not.
+    assert_eq!(
+        (honest.transport.exchanges, honest.transport.attempts),
+        (1, 1)
+    );
+    assert_eq!(
+        epoch.comm.submission_bytes,
+        honest.transport.wire_bytes - rpol::wire::seal_frame(&bytes::Bytes::new()).len() as u64
+    );
 }

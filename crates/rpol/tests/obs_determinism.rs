@@ -232,7 +232,8 @@ fn v3_byte_counters_equal_report_totals() {
 /// How each packed block coded its hi plane is counted by whoever encoded
 /// it — the manager for the task block, the worker's side of the link for
 /// submissions and openings — so on a pool of weight-shaped models `dict`
-/// equals the blocks encoded and `raw` stays 0, one lane ≡ eight.
+/// equals the blocks encoded and `raw` stays 0, one lane ≡ eight, on the
+/// f32 lattice (RPoLv1) as on bf16 (RPoLv3).
 #[test]
 fn packed_block_counters_name_every_block_encoded() {
     const COUNTERS: [&str; 3] = [
@@ -240,30 +241,38 @@ fn packed_block_counters_name_every_block_encoded() {
         "rpol.wire.packed_blocks_raw",
         "rpol.wire.packed_escapes",
     ];
-    let config = PoolConfig::tiny_demo(Scheme::RPoLv3).with_faults(FaultConfig::ideal(7));
-    let run = |threads: usize| {
-        let rec = Arc::new(Recorder::logical());
-        let report = MiningPool::new(config, behaviors())
-            .with_recorder(rec.clone())
-            .with_threads(threads)
-            .run();
-        (rec.snapshot(), report)
-    };
-    let (serial, report) = run(1);
-    let (threaded, _) = run(8);
+    for scheme in [Scheme::RPoLv1, Scheme::RPoLv3] {
+        let config = PoolConfig::tiny_demo(scheme).with_faults(FaultConfig::ideal(7));
+        let run = |threads: usize| {
+            let rec = Arc::new(Recorder::logical());
+            let report = MiningPool::new(config, behaviors())
+                .with_recorder(rec.clone())
+                .with_threads(threads)
+                .run();
+            (rec.snapshot(), report)
+        };
+        let (serial, report) = run(1);
+        let (threaded, _) = run(8);
 
-    // On an ideal link every exchange delivers: a task and a submission
-    // per worker per epoch, and two per opening fetched (request, response).
-    let epochs = report.epochs.len() as u64;
-    let per_epoch = 2 * behaviors().len() as u64;
-    let openings = (report.transport_totals().exchanges - epochs * per_epoch) / 2;
-    assert!(openings > 0, "the fixture must fetch openings");
-    // One task block an epoch, a submission per worker, a response per opening.
-    let blocks = epochs + epochs * per_epoch / 2 + openings;
-    assert_eq!(serial.counter(COUNTERS[0]), blocks);
-    assert_eq!(serial.counter(COUNTERS[1]), 0);
-    for name in COUNTERS {
-        assert_eq!(serial.counter(name), threaded.counter(name), "{name}");
+        // On an ideal link every exchange delivers: a task and a
+        // submission per worker per epoch, and two per opening fetched
+        // (request, response).
+        let epochs = report.epochs.len() as u64;
+        let per_epoch = 2 * behaviors().len() as u64;
+        let openings = (report.transport_totals().exchanges - epochs * per_epoch) / 2;
+        assert!(openings > 0, "{scheme}: the fixture must fetch openings");
+        // One task block an epoch, a submission per worker, a response per
+        // opening.
+        let blocks = epochs + epochs * per_epoch / 2 + openings;
+        assert_eq!(serial.counter(COUNTERS[0]), blocks, "{scheme}");
+        assert_eq!(serial.counter(COUNTERS[1]), 0, "{scheme}");
+        for name in COUNTERS {
+            assert_eq!(
+                serial.counter(name),
+                threaded.counter(name),
+                "{scheme}: {name}"
+            );
+        }
     }
 }
 

@@ -5,6 +5,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use rpol::commitment::EpochCommitment;
 use rpol::committee::CommitteeBatch;
+use rpol::pool::Lattice;
 use rpol::verify::{RejectReason, VerificationOutcome, WorkerVerdict};
 use rpol::wire::{
     classify_payload, decode_committee_batch, decode_epoch_task, decode_proof_request,
@@ -121,7 +122,7 @@ proptest! {
     ) {
         let weights: Vec<f32> =
             quants.iter().map(|&q| f32::from_bits(u32::from(q) << 16)).collect();
-        let payload = TaskBlock::packed(&weights).frame(epoch, nonce, steps);
+        let payload = TaskBlock::new(Lattice::Bf16, &weights).frame(epoch, nonce, steps);
         prop_assert_eq!(classify_payload(&payload), PayloadClass::EpochTask);
         let task = decode_epoch_task(payload.clone()).expect("roundtrip");
         prop_assert_eq!((task.epoch, task.nonce, task.steps), (epoch, nonce, steps));
