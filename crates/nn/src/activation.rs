@@ -76,8 +76,8 @@ impl Layer for Relu {
         zip_into_arena(input, grad_out, arena, |x, g| if x > 0.0 { g } else { 0.0 })
     }
 
-    fn release(&mut self) {
-        self.cached_input = None;
+    fn release(&mut self, arena: &mut ScratchArena) {
+        drop_kept(&mut self.cached_input, arena);
     }
 
     #[cfg(test)]
@@ -137,8 +137,8 @@ impl Layer for Tanh {
         zip_into_arena(out, grad_out, arena, |y, g| (1.0 - y * y) * g)
     }
 
-    fn release(&mut self) {
-        self.cached_output = None;
+    fn release(&mut self, arena: &mut ScratchArena) {
+        drop_kept(&mut self.cached_output, arena);
     }
 
     #[cfg(test)]

@@ -323,8 +323,8 @@ impl Layer for Conv2d {
         y
     }
 
-    fn release(&mut self) {
-        self.cached_input = None;
+    fn release(&mut self, arena: &mut ScratchArena) {
+        drop_kept(&mut self.cached_input, arena);
     }
 
     #[cfg(test)]

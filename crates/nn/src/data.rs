@@ -8,6 +8,7 @@
 //! through a mild nonlinearity so linear models cannot saturate instantly.
 
 use rpol_tensor::rng::Pcg32;
+use rpol_tensor::scratch;
 use rpol_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -202,7 +203,7 @@ impl SyntheticImages {
         assert!(!indices.is_empty(), "empty batch");
         let spec = &self.spec;
         let pixels = spec.pixel_count();
-        let mut data = Vec::with_capacity(indices.len() * pixels);
+        let mut data = scratch::take_empty(indices.len() * pixels);
         let mut labels = Vec::with_capacity(indices.len());
         for &i in indices {
             assert!(i < self.len(), "sample index {i} out of range");

@@ -209,8 +209,8 @@ impl Layer for Dense {
         y
     }
 
-    fn release(&mut self) {
-        self.cached_input = None;
+    fn release(&mut self, arena: &mut ScratchArena) {
+        drop_kept(&mut self.cached_input, arena);
     }
 
     #[cfg(test)]

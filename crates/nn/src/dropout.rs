@@ -116,8 +116,8 @@ impl Layer for Dropout {
         input
     }
 
-    fn release(&mut self) {
-        self.mask = None;
+    fn release(&mut self, arena: &mut ScratchArena) {
+        drop_kept(&mut self.mask, arena);
     }
 
     #[cfg(test)]

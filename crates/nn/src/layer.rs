@@ -101,10 +101,12 @@ pub trait Layer: Send + Sync {
         y
     }
 
-    /// Ends a pass: drops whatever the layer kept for backward, so between
-    /// passes it holds only its parameters. A later `backward` needs a
-    /// training-mode forward first.
-    fn release(&mut self) {}
+    /// Ends a pass: hands whatever the layer kept for backward to `arena`,
+    /// so between passes it holds only its parameters. A later `backward`
+    /// needs a training-mode forward first.
+    fn release(&mut self, arena: &mut ScratchArena) {
+        let _ = arena;
+    }
 
     /// Floats the layer keeps for backward (test probe).
     #[cfg(test)]
@@ -237,6 +239,17 @@ impl Layer for Flatten {
             .as_ref()
             .expect("backward before forward on Flatten");
         grad_out.reshape(dims)
+    }
+
+    /// The reshape's copy, into a buffer drawn from `arena`.
+    fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
+        let dims = self
+            .input_dims
+            .as_ref()
+            .expect("backward before forward on Flatten");
+        let mut dx = arena.take_empty(grad_out.len());
+        dx.extend_from_slice(grad_out.data());
+        Tensor::from_vec(dims, dx)
     }
 
     fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}

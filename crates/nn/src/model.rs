@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, Param};
 use crate::optim::Optimizer;
-use rpol_tensor::scratch::ScratchArena;
+use rpol_tensor::scratch::{self, ScratchArena};
 use rpol_tensor::Tensor;
 
 /// A sequential stack of layers.
@@ -93,13 +93,14 @@ impl Sequential {
     }
 
     /// Ends a pass — a training run, a replayed segment, an evaluation
-    /// batch: every layer drops what it kept for backward and the model
-    /// frees its scratch, on the thread that ran the pass (an executor
-    /// lane, whose allocator arena that lane's next pass reuses). Between
-    /// passes a model holds only its parameters.
+    /// batch: every layer hands what it kept for backward to the scratch
+    /// arena, whose epoch-sized buffers are in the process pool
+    /// ([`rpol_tensor::scratch`]) for any thread's next pass, and the
+    /// model drops the arena's small ones. Between passes a model holds
+    /// only its parameters.
     pub fn end_pass(&mut self) {
         for layer in &mut self.layers {
-            layer.release();
+            layer.release(&mut self.arena);
         }
         self.arena = ScratchArena::new();
     }
@@ -195,9 +196,11 @@ impl Sequential {
     }
 
     /// Flattens all parameters into one vector, in deterministic layer
-    /// order. This is the paper's "model weights θ".
+    /// order. This is the paper's "model weights θ". The vector comes from
+    /// the process pool ([`rpol_tensor::scratch`]); a caller done with it
+    /// may put it back.
     pub fn flatten_params(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
+        let mut out = scratch::take_empty(self.param_count());
         for layer in &self.layers {
             layer.visit_params(&mut |p| out.extend_from_slice(p.value.data()));
         }

@@ -105,8 +105,12 @@ impl Layer for LayerNorm {
         out
     }
 
-    fn release(&mut self) {
-        self.cache = None;
+    fn release(&mut self, arena: &mut ScratchArena) {
+        if let Some((input, means, inv_stds)) = self.cache.take() {
+            arena.recycle(input.into_vec());
+            arena.recycle(means);
+            arena.recycle(inv_stds);
+        }
     }
 
     #[cfg(test)]

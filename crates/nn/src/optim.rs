@@ -11,6 +11,7 @@
 //! length needs no copy of the weights from before it.
 
 use crate::layer::Param;
+use rpol_tensor::scratch;
 use serde::{Deserialize, Serialize};
 
 /// An optimizer updating one parameter per call, identified by a stable
@@ -138,12 +139,40 @@ impl Optimizer for Sgd {
     }
 }
 
+/// Per-parameter optimizer state: one buffer per parameter index, zeroed
+/// when first sized, drawn from and — when the optimizer drops, at the end
+/// of every segment — returned to the process pool.
+#[derive(Debug, Clone, Default)]
+struct State(Vec<Vec<f32>>);
+
+impl State {
+    /// Parameter `index`'s state, `len` floats.
+    fn slot(&mut self, index: usize, len: usize) -> &mut [f32] {
+        if self.0.len() <= index {
+            self.0.resize_with(index + 1, Vec::new);
+        }
+        let s = &mut self.0[index];
+        if s.is_empty() {
+            *s = scratch::take_zeroed(len);
+        } else if s.len() != len {
+            s.resize(len, 0.0);
+        }
+        s
+    }
+}
+
+impl Drop for State {
+    fn drop(&mut self) {
+        self.0.drain(..).for_each(scratch::put);
+    }
+}
+
 /// SGD with classical momentum: `v ← μ·v + g; θ ← θ − η·v`.
 #[derive(Debug, Clone)]
 pub struct SgdMomentum {
     lr: f32,
     momentum: f32,
-    velocity: Vec<Vec<f32>>,
+    velocity: State,
 }
 
 impl SgdMomentum {
@@ -161,20 +190,14 @@ impl SgdMomentum {
         Self {
             lr,
             momentum,
-            velocity: Vec::new(),
+            velocity: State::default(),
         }
     }
 }
 
 impl Optimizer for SgdMomentum {
     fn update(&mut self, index: usize, param: &mut Param, sq_step: &mut f64) {
-        if self.velocity.len() <= index {
-            self.velocity.resize(index + 1, Vec::new());
-        }
-        let v = &mut self.velocity[index];
-        if v.len() != param.len() {
-            v.resize(param.len(), 0.0);
-        }
+        let v = self.velocity.slot(index, param.len());
         let (lr, mu) = (self.lr, self.momentum);
         for ((w, g), vi) in param
             .value
@@ -203,7 +226,7 @@ pub struct RmsProp {
     lr: f32,
     decay: f32,
     eps: f32,
-    sq_avg: Vec<Vec<f32>>,
+    sq_avg: State,
 }
 
 impl RmsProp {
@@ -219,20 +242,14 @@ impl RmsProp {
             lr,
             decay,
             eps: 1e-8,
-            sq_avg: Vec::new(),
+            sq_avg: State::default(),
         }
     }
 }
 
 impl Optimizer for RmsProp {
     fn update(&mut self, index: usize, param: &mut Param, sq_step: &mut f64) {
-        if self.sq_avg.len() <= index {
-            self.sq_avg.resize(index + 1, Vec::new());
-        }
-        let s = &mut self.sq_avg[index];
-        if s.len() != param.len() {
-            s.resize(param.len(), 0.0);
-        }
+        let s = self.sq_avg.slot(index, param.len());
         let (lr, rho, eps) = (self.lr, self.decay, self.eps);
         for ((w, g), si) in param
             .value
@@ -263,8 +280,8 @@ pub struct Adam {
     beta2: f32,
     eps: f32,
     t: u64,
-    m: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
+    m: State,
+    v: State,
     /// Index of the first parameter seen each step, used to advance `t`
     /// exactly once per optimization step.
     first_index: Option<usize>,
@@ -286,8 +303,8 @@ impl Adam {
             beta2,
             eps: 1e-8,
             t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
+            m: State::default(),
+            v: State::default(),
             first_index: None,
         }
     }
@@ -309,18 +326,13 @@ impl Optimizer for Adam {
             Some(first) if first == index => self.t += 1,
             _ => {}
         }
-        if self.m.len() <= index {
-            self.m.resize(index + 1, Vec::new());
-            self.v.resize(index + 1, Vec::new());
-        }
-        if self.m[index].len() != param.len() {
-            self.m[index].resize(param.len(), 0.0);
-            self.v[index].resize(param.len(), 0.0);
-        }
         let (lr, b1, b2, eps, t) = (self.lr, self.beta1, self.beta2, self.eps, self.t);
         let bc1 = 1.0 - b1.powi(t as i32);
         let bc2 = 1.0 - b2.powi(t as i32);
-        let (ms, vs) = (&mut self.m[index], &mut self.v[index]);
+        let (ms, vs) = (
+            self.m.slot(index, param.len()),
+            self.v.slot(index, param.len()),
+        );
         for (((w, g), mi), vi) in param
             .value
             .data_mut()

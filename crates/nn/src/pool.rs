@@ -1,7 +1,7 @@
 //! Pooling layers.
 
 use crate::layer::{Layer, Param};
-use rpol_tensor::scratch::ScratchArena;
+use rpol_tensor::scratch::{self, ScratchArena};
 use rpol_tensor::Tensor;
 
 /// 2×2 average pooling with stride 2.
@@ -195,6 +195,9 @@ impl Layer for MaxPool2 {
         let row_pairs = input.data().chunks_exact(2 * w);
         if train {
             self.input_dims = Some(input.shape().dims().to_vec());
+            if self.argmax.capacity() == 0 {
+                self.argmax = scratch::take_empty(out.len());
+            }
             self.argmax.resize(out.len(), 0);
             let slots = out
                 .chunks_exact_mut(ow)
@@ -229,9 +232,9 @@ impl Layer for MaxPool2 {
         Tensor::from_vec(dims, dx)
     }
 
-    fn release(&mut self) {
+    fn release(&mut self, _arena: &mut ScratchArena) {
         self.input_dims = None;
-        self.argmax = Vec::new();
+        scratch::put(std::mem::take(&mut self.argmax));
     }
 
     #[cfg(test)]

@@ -6,6 +6,7 @@
 //! mapping (Behrmann et al., "Invertible residual networks").
 
 use crate::layer::{Layer, Param};
+use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
 
 /// A residual block wrapping an inner layer: `y = x + inner(x)`.
@@ -66,8 +67,8 @@ impl Layer for Residual {
         &dinner + grad_out
     }
 
-    fn release(&mut self) {
-        self.inner.release();
+    fn release(&mut self, arena: &mut ScratchArena) {
+        self.inner.release(arena);
     }
 
     #[cfg(test)]

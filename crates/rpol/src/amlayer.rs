@@ -329,9 +329,9 @@ impl Layer for AmLayer {
         g.unwrap_or_else(|| grad_out.clone())
     }
 
-    fn release(&mut self) {
+    fn release(&mut self, arena: &mut ScratchArena) {
         for block in &mut self.blocks {
-            block.release();
+            block.release(arena);
         }
     }
 

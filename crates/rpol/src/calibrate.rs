@@ -21,6 +21,7 @@ use rpol_nn::data::SyntheticImages;
 use rpol_nn::model::Sequential;
 use rpol_obs::{event, span, Recorder};
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
+use rpol_tensor::scratch;
 use rpol_tensor::stats::RunningStats;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -298,7 +299,9 @@ impl<'a> Calibrator<'a> {
                     trainer.replay_segment(model, input, nonce, segment)
                 }
             });
-            euclidean(&replayed, &trace.checkpoints[j + 1])
+            let distance = euclidean(&replayed, &trace.checkpoints[j + 1]);
+            scratch::put(replayed);
+            distance
         };
         let distances = indexed(exec, units.len(), unit);
         // Recorded here, after the join and in index order — never from
@@ -342,7 +345,7 @@ impl<'a> Calibrator<'a> {
             mean_error: stats.mean(),
             std_error: stats.std_dev(),
         };
-        (result, trace.final_weights().to_vec())
+        (result, trace.into_final_weights())
     }
 
     /// Runs `f` on a model borrowed from `scratch` (built like

@@ -40,6 +40,7 @@ use crate::worker::{CommitMode, PoolWorker};
 use rpol_lsh::{LshFamily, LshParams};
 use rpol_obs::{Recorder, TraceContext, Value};
 use rpol_sim::SimClock;
+use rpol_tensor::scratch;
 use std::sync::Arc;
 
 /// TCP connect timeout.
@@ -228,10 +229,15 @@ impl WorkerSession {
                 }
                 Err(_) => Inbound::Ignored,
             },
-            PayloadClass::EpochTask => match wire::decode_epoch_task(payload) {
-                Ok(task) => Inbound::Task(task, tctx),
-                Err(_) => Inbound::Ignored,
-            },
+            PayloadClass::EpochTask => {
+                let mut payload = payload;
+                let task = wire::decode_epoch_task_in(&mut payload);
+                scratch::put(Vec::from(payload));
+                match task {
+                    Ok(task) => Inbound::Task(task, tctx),
+                    Err(_) => Inbound::Ignored,
+                }
+            }
             PayloadClass::ProofRequest => match wire::decode_proof_request(payload) {
                 Ok(samples) => samples.first().map_or(Inbound::Ignored, |&sample| {
                     Inbound::ProofRequest(sample, tctx)
@@ -273,6 +279,7 @@ impl WorkerSession {
             task.epoch,
             self.scheme.spec(),
         );
+        scratch::put(task.global_weights);
         self.trained = Some(Trained {
             epoch: task.epoch,
             checkpoints,
@@ -308,26 +315,27 @@ impl WorkerSession {
         let dim = trained.checkpoints[0].len();
         let sub = worker.commit(trained.checkpoints, Self::commit_mode(&mut self.spec, dim));
         let payload = wire::encode_submission(&sub.final_weights, sub.commitment.as_ref());
+        scratch::put(sub.final_weights);
         count_hi_plane(&self.counters, wire::packed_hi_plane(&payload));
         let out_ctx = trained.ctx.map(|t| TraceContext {
             parent_span: commit_sid,
             ..t // watermark stamped at the send
         });
         let link = link_state(&worker.behavior(), epoch, MsgKind::Submission);
-        self.transport
-            .chaos_send(
-                epoch,
-                worker.id,
-                MsgKind::Submission,
-                0,
-                &payload,
-                link,
-                out_ctx,
-                &mut self.stats,
-                &mut self.clock,
-                &self.trace,
-            )
-            .0
+        let (writes, _) = self.transport.chaos_send(
+            epoch,
+            worker.id,
+            MsgKind::Submission,
+            0,
+            &payload,
+            link,
+            out_ctx,
+            &mut self.stats,
+            &mut self.clock,
+            &self.trace,
+        );
+        scratch::put(Vec::from(payload));
+        writes
     }
 
     /// Opens the sampled checkpoint and returns the proof response's frames
@@ -367,20 +375,20 @@ impl WorkerSession {
             watermark: 0, // stamped at the send
         });
         let link = link_state(&worker.behavior(), epoch, MsgKind::ProofResponse);
-        self.transport
-            .chaos_send(
-                epoch,
-                worker.id,
-                MsgKind::ProofResponse,
-                seq,
-                &payload,
-                link,
-                out_ctx,
-                &mut self.stats,
-                &mut self.clock,
-                &self.trace,
-            )
-            .0
+        let (writes, _) = self.transport.chaos_send(
+            epoch,
+            worker.id,
+            MsgKind::ProofResponse,
+            seq,
+            &payload,
+            link,
+            out_ctx,
+            &mut self.stats,
+            &mut self.clock,
+            &self.trace,
+        );
+        scratch::put(Vec::from(payload));
+        writes
     }
 
     /// The commitment mode for this epoch, keying the LSH family on first
@@ -587,7 +595,11 @@ impl WorkerClient {
                     };
                     // One gathered write for the whole burst (retry ghosts,
                     // then the pristine copy).
-                    if write_all_vectored(&mut stream, &writes).is_err() {
+                    let written = write_all_vectored(&mut stream, &writes);
+                    writes
+                        .into_iter()
+                        .for_each(|frame| scratch::put(Vec::from(frame)));
+                    if written.is_err() {
                         continue 'outer;
                     }
                     last_activity = Instant::now();

@@ -21,6 +21,7 @@ use rpol_nn::model::Sequential;
 use rpol_obs::{event, Recorder};
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::rng::Pcg32;
+use rpol_tensor::scratch;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -1015,13 +1016,14 @@ impl PoolManager {
         .with_recorder(self.recorder.clone())
         .with_scratch(&self.scratch)
         .quantized(self.scheme.spec().lattice == Lattice::Bf16);
-        let (cal, _trained) = calibrator.calibrate_with(
+        let (cal, trained) = calibrator.calibrate_with(
             &self.global,
             nonce,
             self.steps_per_epoch,
             epoch,
             self.executor.as_deref(),
         );
+        scratch::put(trained);
         cal
     }
 }

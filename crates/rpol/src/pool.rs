@@ -16,6 +16,7 @@ use rpol_obs::{event, span, Recorder};
 use rpol_sim::gpu::GpuModel;
 use rpol_sim::SimClock;
 use rpol_tensor::rng::Pcg32;
+use rpol_tensor::scratch;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -707,8 +708,11 @@ impl MiningPool {
                 .collect();
             self.manager
                 .verify_and_fold(settlement, g, &participants, &plan, Some(&*executor));
-            // `submissions` drops here: the next group starts from a clean
-            // memory floor.
+            // The next group starts from a clean memory floor.
+            drop(participants);
+            for sub in submissions {
+                scratch::put(sub.final_weights);
+            }
         }
 
         let settlement = settlement.expect("a pool has a non-empty group");

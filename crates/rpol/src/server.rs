@@ -84,6 +84,7 @@ use crate::worker::{EpochSubmission, PoolWorker};
 use rpol_exec::Executor;
 use rpol_obs::{event, span, Recorder, TraceContext, Value};
 use rpol_sim::SimClock;
+use rpol_tensor::scratch;
 use serde::Serialize;
 
 /// Where the manager listens (or a worker connects).
@@ -1071,7 +1072,7 @@ impl NetCore {
     /// path for per-connection replies (pongs, welcomes, busy notices).
     fn seal_control_pooled(&mut self, msg: &NetControl) -> OutFrame {
         let payload = wire::encode_net_control(msg);
-        let mut buf = self.pool.get();
+        let mut buf = self.pool.get(wire::FRAME_HEADER_BYTES + payload.len());
         wire::seal_frame_into(&payload, &mut buf);
         OutFrame::Pooled(buf)
     }
@@ -1126,9 +1127,10 @@ impl NetCore {
         let fd = stream.raw_fd();
         let conn = Conn {
             stream,
-            // Stream buffers recycle through the pool too: a reconnect
-            // inherits a previous connection's grown buffer.
-            asm: FrameAssembler::with_buffer(self.cfg.max_frame_bytes, self.pool.get()),
+            // The stream buffer grows from empty, doubling from the read
+            // chunk onto the pool's power-of-two classes, and goes back to
+            // the pool when the connection closes.
+            asm: FrameAssembler::with_buffer(self.cfg.max_frame_bytes, self.pool.get(0)),
             outbox: VecDeque::new(),
             written: 0,
             phase: ConnPhase::AwaitHello,
@@ -1309,8 +1311,12 @@ impl NetCore {
                     remaining -= front_left;
                     conn.written = 0;
                     stats.frames_out += 1;
-                    if let Some(OutFrame::Pooled(buf)) = conn.outbox.pop_front() {
-                        pool.put(buf);
+                    match conn.outbox.pop_front() {
+                        Some(OutFrame::Pooled(buf)) => pool.put(buf),
+                        // Back to the process pool, uncounted: the
+                        // server's hits and misses are its own requests.
+                        Some(OutFrame::Shared(frame)) => scratch::put(Vec::from(frame)),
+                        None => {}
                     }
                 } else {
                     conn.written += remaining;
@@ -2122,6 +2128,7 @@ fn serve_epoch(
             &mut clock,
             rec,
         );
+        scratch::put(Vec::from(payload));
         let sent = {
             let mut core = net.core.lock();
             let sent = core.send_framed_to_worker(w, writes);
@@ -2404,6 +2411,9 @@ fn serve_epoch(
         &mut stats,
         &mut clock,
     );
+    for sub in delivered.into_iter().flatten() {
+        scratch::put(sub.final_weights);
+    }
     report.transport = stats;
     drop(phase_verification);
 

@@ -23,6 +23,7 @@ use rpol_nn::loss::softmax_cross_entropy;
 use rpol_nn::model::Sequential;
 use rpol_obs::Recorder;
 use rpol_sim::gpu::NoiseInjector;
+use rpol_tensor::scratch;
 
 /// One checkpoint segment: the training steps between two consecutive
 /// stored checkpoints.
@@ -75,6 +76,14 @@ impl EpochTrace {
     /// The epoch's final weights.
     pub fn final_weights(&self) -> &[f32] {
         self.checkpoints.last().expect("nonempty trace")
+    }
+
+    /// The epoch's final weights, moved out; every other checkpoint goes
+    /// back to the process pool ([`rpol_tensor::scratch`]).
+    pub fn into_final_weights(mut self) -> Vec<f32> {
+        let last = self.checkpoints.pop().expect("nonempty trace");
+        self.checkpoints.into_iter().for_each(scratch::put);
+        last
     }
 }
 
@@ -152,6 +161,8 @@ impl<'a> LocalTrainer<'a> {
             );
             let (x, labels) = self.shard.batch(&indices);
             let logits = model.forward(&x, true);
+            // The first layer keeps a copy of what it borrowed.
+            scratch::put(x.into_vec());
             let (loss, grad) = softmax_cross_entropy(&logits, &labels);
             total_loss += loss;
             model.backward(&grad);

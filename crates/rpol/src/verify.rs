@@ -24,6 +24,7 @@ use rpol_nn::data::SyntheticImages;
 use rpol_nn::model::Sequential;
 use rpol_obs::{event, span, Recorder};
 use rpol_sim::gpu::NoiseInjector;
+use rpol_tensor::scratch;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -582,12 +583,26 @@ impl<'s> Subject<'s> {
         if commitment.scheme().spec().lattice == Lattice::Bf16 {
             rpol_tensor::quant::snap_to_bf16(&mut replayed);
         }
+        let input = if self.lsh_bound(j) {
+            Some(input)
+        } else {
+            recycle(input);
+            None
+        };
         Ok(Flight {
             tally,
-            input: self.lsh_bound(j).then_some(input),
+            input,
             replayed,
             double_checked: false,
         })
+    }
+}
+
+/// Hands an opening the link delivered, once read, back to the process
+/// pool ([`rpol_tensor::scratch`]); a borrowed one is left alone.
+fn recycle(opened: Cow<'_, [f32]>) {
+    if let Cow::Owned(weights) = opened {
+        scratch::put(weights);
     }
 }
 
@@ -700,29 +715,31 @@ pub(crate) fn verify_ranked(
                 .map(|(flight, &(s, j))| {
                     let mut flight = flight?;
                     let subject = &subjects[s];
-                    let input_sig = flight
-                        .input
-                        .take()
-                        .map(|_| input_sigs.next().expect("signed"));
+                    let input_sig = flight.input.take().map(|input| {
+                        recycle(input);
+                        input_sigs.next().expect("signed")
+                    });
                     let sig =
                         fuzzy(subject.commitment).then(|| replay_sigs.next().expect("signed"));
-                    let decide = |outcome| Err(flight.tally.decided(outcome));
-                    if input_sig
+                    let outcome = if input_sig
                         .is_some_and(|sig| !binds(subject.commitment, j, &sig.group_digests()))
                     {
-                        return decide(VerificationOutcome::Rejected(
-                            RejectReason::InputCommitmentMismatch,
-                        ));
-                    }
-                    match subject.verifier.lsh_match(subject.commitment, j, sig) {
-                        None => decide(VerificationOutcome::Accepted {
-                            double_checked: false,
-                        }),
-                        Some(double_checked) => Ok(Flight {
-                            double_checked,
-                            ..flight
-                        }),
-                    }
+                        VerificationOutcome::Rejected(RejectReason::InputCommitmentMismatch)
+                    } else {
+                        match subject.verifier.lsh_match(subject.commitment, j, sig) {
+                            None => VerificationOutcome::Accepted {
+                                double_checked: false,
+                            },
+                            Some(double_checked) => {
+                                return Ok(Flight {
+                                    double_checked,
+                                    ..flight
+                                })
+                            }
+                        }
+                    };
+                    scratch::put(flight.replayed);
+                    Err(flight.tally.decided(outcome))
                 })
                 .collect();
             // The outputs left to judge, each fetched after its sample's
@@ -752,11 +769,14 @@ pub(crate) fn verify_ranked(
                 let subject = &subjects[s];
                 let verdict = match (flight, opened) {
                     (Err(done), _) => done,
-                    (Ok(_), Some((tally, None))) => *tally,
+                    (Ok(flight), Some((tally, None))) => {
+                        scratch::put(flight.replayed);
+                        *tally
+                    }
                     (Ok(flight), Some((tally, Some(output)))) => {
                         let sig = lsh_bound(d, output).then(|| output_sigs.next().expect("signed"));
                         let commitment = subject.commitment;
-                        subject.verifier.judge_output(
+                        let verdict = subject.verifier.judge_output(
                             commitment,
                             *tally,
                             flight.double_checked,
@@ -773,12 +793,19 @@ pub(crate) fn verify_ranked(
                                         )
                                 }
                             },
-                        )
+                        );
+                        scratch::put(flight.replayed);
+                        verdict
                     }
                     (Ok(_), None) => unreachable!("every flight fetched its output"),
                 };
                 verdicts[s].push(verdict);
             }
+            outputs
+                .into_iter()
+                .flatten()
+                .filter_map(|(_, output)| output)
+                .for_each(recycle);
         }
     }
     verdicts

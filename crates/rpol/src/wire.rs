@@ -25,6 +25,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rpol_crypto::commitment::{Commitment as _, HashListCommitment};
 use rpol_crypto::sha256::{sha256, Digest};
 use rpol_obs::TraceContext;
+use rpol_tensor::scratch;
 
 /// Errors produced while decoding a wire message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +79,7 @@ fn checked_count(buf: &Bytes, n: usize, elem_bytes: usize) -> Result<(), DecodeE
     Ok(())
 }
 
-fn put_digest(out: &mut BytesMut, d: &Digest) {
+fn put_digest(out: &mut impl BufMut, d: &Digest) {
     out.put_slice(d.as_bytes());
 }
 
@@ -227,14 +228,14 @@ pub fn block_len(lattice: Lattice, weights: &[f32]) -> usize {
 /// weight. A bf16 block drops the low 16 bits, so callers must only put
 /// weights already **on the bf16 lattice** (the RPoLv3 checkpoint
 /// invariant) in one.
-fn put_block(out: &mut BytesMut, lattice: Lattice, weights: &[f32]) -> HiPlane {
+fn put_block(out: &mut Vec<u8>, lattice: Lattice, weights: &[f32]) -> HiPlane {
     debug_assert!(
         lattice == Lattice::F32 || rpol_tensor::quant::is_bf16_lattice(weights),
         "a bf16 block of off-lattice weights would lose bits"
     );
     let n = weights.len();
     let shifts = lo_shifts(lattice);
-    out.reserve(BLOCK_HEADER_BYTES + (1 + shifts.len()) * n);
+    out.reserve(block_capacity(lattice, n));
     out.put_u8(lattice_nibble(lattice) << 4 | BLOCK_V2);
     out.put_u32_le(n as u32);
     let dict = HiDict::of(weights);
@@ -256,10 +257,7 @@ fn put_block(out: &mut BytesMut, lattice: Lattice, weights: &[f32]) -> HiPlane {
         // weights: only a 128-weight block whose nibbles hold one is
         // walked, which keeps the pass above free of a branch.
         let mut escaped = Vec::with_capacity(dict.escapes);
-        for (block, coded) in weights
-            .chunks(128)
-            .zip(out.as_ref()[nibbles_at..].chunks(64))
-        {
+        for (block, coded) in weights.chunks(128).zip(out[nibbles_at..].chunks(64)) {
             if count_escapes(coded) > 0 {
                 escaped.extend(
                     block
@@ -282,6 +280,12 @@ fn put_block(out: &mut BytesMut, lattice: Lattice, weights: &[f32]) -> HiPlane {
         out.extend(weights.iter().map(|w| (w.to_bits() >> shift) as u8));
     }
     chose
+}
+
+/// The most bytes a block of `n` weights on `lattice` spends: the header
+/// and a raw hi plane (a dictionary is chosen only when it is shorter).
+fn block_capacity(lattice: Lattice, n: usize) -> usize {
+    BLOCK_HEADER_BYTES + (1 + lo_shifts(lattice).len()) * n
 }
 
 /// Nibbles equal to [`ESCAPE`], counted in `u8` lanes (a block of 127
@@ -341,7 +345,8 @@ fn get_block(buf: &mut Bytes, want: Option<Lattice>) -> Result<Vec<f32>, DecodeE
             {
                 return Err(non_canonical);
             }
-            let bits: Vec<u32> = hi.iter().map(|&h| u32::from(h) << 24).collect();
+            let mut bits = pooled_bits(n);
+            bits.extend(hi.iter().map(|&h| u32::from(h) << 24));
             (bits, n)
         }
         HI_PLANE_DICT4 => {
@@ -382,7 +387,8 @@ fn get_block(buf: &mut Bytes, want: Option<Lattice>) -> Result<Vec<f32>, DecodeE
                 }
                 _ => Err(DecodeError::Malformed("code beyond the dictionary")),
             };
-            let mut bits = vec![0u32; n];
+            let mut bits = pooled_bits(n);
+            bits.resize(n, 0);
             for (pair, &b) in bits.chunks_exact_mut(2).zip(nibbles) {
                 let mut his = pairs[b as usize];
                 if (his[0] | his[1]) & 1 != 0 {
@@ -435,6 +441,16 @@ fn get_block(buf: &mut Bytes, want: Option<Lattice>) -> Result<Vec<f32>, DecodeE
     }
     buf.advance(hi_len + lo_len);
     Ok(bits.into_iter().map(f32::from_bits).collect())
+}
+
+/// An empty buffer for `n` weights' bits, from the process pool of `f32`
+/// buffers: the conversions in and out of bits keep the allocation, so the
+/// decoded weights are a pooled `Vec<f32>` their reader may put back.
+fn pooled_bits(n: usize) -> Vec<u32> {
+    scratch::take_empty::<f32>(n)
+        .into_iter()
+        .map(f32::to_bits)
+        .collect()
 }
 
 /// How a block coded its hi plane: the number an operator needs to tell
@@ -494,7 +510,7 @@ pub(crate) const FRAME_HEADER_BYTES: usize = 4 + 4 + 8;
 /// both, so corrupted or truncated deliveries fail decoding deterministically
 /// instead of smuggling flipped bytes into weight vectors.
 pub fn seal_frame(payload: &Bytes) -> Bytes {
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    let mut out = scratch::take_empty(FRAME_HEADER_BYTES + payload.len());
     seal_frame_into(payload, &mut out);
     Bytes::from(out)
 }
@@ -512,73 +528,54 @@ pub fn seal_frame_into(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(payload);
 }
 
-/// A recycling arena of `Vec<u8>` buffers for the steady-state network
-/// path: frame payloads, outbox frames, and assembler backing stores all
-/// draw from and return to one pool per reactor, so pumping at a stable
-/// working set allocates nothing.
+/// One server's view of the process pool of `Vec<u8>` buffers
+/// ([`rpol_tensor::scratch`]): frame payloads, outbox frames and assembler
+/// backing stores are taken from and returned to it, so pumping at a
+/// stable working set allocates nothing, and a frame freed by one thread
+/// serves the next on another.
 ///
-/// The pool is deliberately dumb — a LIFO free list with no size classes.
-/// Network buffers here cluster around two sizes (control frames and
-/// weight payloads), and LIFO reuse keeps the hottest (cache-warm, already
-/// grown) buffer on top. Counters feed the `net.buf_pool.*` metrics:
-/// `hits`/`misses` split requests by whether a recycled buffer was
-/// available, and `bytes_reused` totals the recycled capacity that did not
-/// have to be re-allocated.
+/// Counters feed the `net.buf_pool.*` metrics and read only this server's
+/// own traffic, never the process pool's state: a request is a hit when
+/// the server has returned a buffer it has not drawn back since, and
+/// `bytes_reused` totals the capacity handed out on hits.
 #[derive(Debug, Default)]
 pub struct BufPool {
-    free: Vec<Vec<u8>>,
-    /// Requests served from the free list.
+    /// Buffers this server returned and has not drawn back.
+    returned: u64,
+    /// Requests made while a returned buffer was outstanding.
     pub hits: u64,
-    /// Requests that fell through to a fresh allocation.
+    /// Requests made with none.
     pub misses: u64,
-    /// Total capacity (bytes) of recycled buffers handed back out.
+    /// Total capacity (bytes) of the buffers handed out on hits.
     pub bytes_reused: u64,
 }
 
 impl BufPool {
-    /// Free-list depth cap: beyond this, returned buffers are dropped.
-    const MAX_FREE: usize = 1024;
-    /// Largest capacity worth retaining — one-off giant buffers (a full
-    /// model payload on an otherwise idle pool) should not be hoarded.
-    const MAX_RETAINED: usize = 1 << 22;
-
     /// An empty pool.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Takes a cleared buffer, recycling one when available.
-    pub fn get(&mut self) -> Vec<u8> {
-        match self.free.pop() {
-            Some(mut buf) => {
-                self.hits += 1;
-                self.bytes_reused += buf.capacity() as u64;
-                buf.clear();
-                buf
-            }
-            None => {
-                self.misses += 1;
-                Vec::new()
-            }
+    /// Takes an empty buffer with room for at least `len` bytes.
+    pub fn get(&mut self, len: usize) -> Vec<u8> {
+        let buf = scratch::take_empty(len);
+        if self.returned > 0 {
+            self.returned -= 1;
+            self.hits += 1;
+            self.bytes_reused += buf.capacity() as u64;
+        } else {
+            self.misses += 1;
         }
+        buf
     }
 
-    /// Returns a buffer to the pool. Capacity-less, oversized, or
-    /// beyond-cap buffers are simply dropped.
-    pub fn put(&mut self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0
-            || buf.capacity() > Self::MAX_RETAINED
-            || self.free.len() >= Self::MAX_FREE
-        {
+    /// Returns a buffer (one without capacity is dropped uncounted).
+    pub fn put(&mut self, buf: Vec<u8>) {
+        if buf.capacity() == 0 {
             return;
         }
-        buf.clear();
-        self.free.push(buf);
-    }
-
-    /// Buffers currently parked in the free list.
-    pub fn idle(&self) -> usize {
-        self.free.len()
+        self.returned += 1;
+        scratch::put(buf);
     }
 }
 
@@ -799,8 +796,8 @@ impl FrameAssembler {
             return Err(DecodeError::ChecksumMismatch);
         }
         let mut out = match pool {
-            Some(pool) => pool.get(),
-            None => Vec::with_capacity(len),
+            Some(pool) => pool.get(len),
+            None => scratch::take_empty(len),
         };
         out.extend_from_slice(payload);
         self.start += total;
@@ -855,11 +852,11 @@ impl TaskBlock {
     /// already lie on that lattice — the image every RPoLv3 receiver snaps
     /// to anyway.
     pub fn new(lattice: Lattice, global_weights: &[f32]) -> Self {
-        let mut block = BytesMut::new();
+        let mut block = scratch::take_empty(block_capacity(lattice, global_weights.len()));
         let hi_plane = put_block(&mut block, lattice, global_weights);
         let saved = raw_weights_wire_size(global_weights.len()).saturating_sub(block.len());
         Self {
-            block: block.freeze(),
+            block: Bytes::from(block),
             hi_plane,
             saved: saved as u64,
         }
@@ -868,13 +865,13 @@ impl TaskBlock {
     /// One worker's task payload: tag, `epoch`, `nonce`, `steps`, then the
     /// shared block.
     pub fn frame(&self, epoch: u64, nonce: u64, steps: u32) -> Bytes {
-        let mut out = BytesMut::with_capacity(TASK_HEADER_BYTES + self.block.len());
+        let mut out = scratch::take_empty(TASK_HEADER_BYTES + self.block.len());
         out.put_u8(TAG_EPOCH_TASK);
         out.put_u64_le(epoch);
         out.put_u64_le(nonce);
         out.put_u32_le(steps);
         out.put_slice(&self.block);
-        out.freeze()
+        Bytes::from(out)
     }
 
     /// How the block's hi plane was coded.
@@ -889,6 +886,12 @@ impl TaskBlock {
     }
 }
 
+impl Drop for TaskBlock {
+    fn drop(&mut self) {
+        scratch::put(Vec::from(std::mem::take(&mut self.block)));
+    }
+}
+
 /// Encodes an epoch task assignment on the f32 lattice.
 pub fn encode_epoch_task(task: &EpochTask) -> Bytes {
     TaskBlock::new(Lattice::F32, &task.global_weights).frame(task.epoch, task.nonce, task.steps)
@@ -900,17 +903,27 @@ pub fn encode_epoch_task(task: &EpochTask) -> Bytes {
 ///
 /// Returns [`DecodeError`] on truncated or malformed input.
 pub fn decode_epoch_task(mut buf: Bytes) -> Result<EpochTask, DecodeError> {
+    decode_epoch_task_in(&mut buf)
+}
+
+/// [`decode_epoch_task`] reading through `buf`, which the caller keeps —
+/// to hand its storage back to the process pool after the decode.
+///
+/// # Errors
+///
+/// As [`decode_epoch_task`].
+pub fn decode_epoch_task_in(buf: &mut Bytes) -> Result<EpochTask, DecodeError> {
     if buf.first() != Some(&TAG_EPOCH_TASK) {
         return Err(DecodeError::Malformed("not an epoch task"));
     }
     buf.advance(1);
-    let epoch = get_u64(&mut buf)?;
-    let nonce = get_u64(&mut buf)?;
-    let steps = get_u32(&mut buf)?;
+    let epoch = get_u64(buf)?;
+    let nonce = get_u64(buf)?;
+    let steps = get_u32(buf)?;
     if steps == 0 {
         return Err(DecodeError::Malformed("empty epoch"));
     }
-    let global_weights = get_block(&mut buf, None)?;
+    let global_weights = get_block(buf, None)?;
     if global_weights.is_empty() {
         return Err(DecodeError::Malformed("empty global model"));
     }
@@ -1438,7 +1451,11 @@ const SUBMISSION_HEADER_BYTES: usize = 2;
 pub fn encode_submission(final_weights: &[f32], commitment: Option<&EpochCommitment>) -> Bytes {
     let scheme = commitment.map_or(Scheme::Baseline, EpochCommitment::scheme);
     let spec = scheme.spec();
-    let mut out = BytesMut::new();
+    let mut out = scratch::take_empty(
+        SUBMISSION_HEADER_BYTES
+            + block_capacity(spec.lattice, final_weights.len())
+            + commitment.map_or(0, |c| 8 + c.wire_size()),
+    );
     out.put_u8(TAG_SUBMISSION);
     out.put_u8(spec.wire);
     put_block(&mut out, spec.lattice, final_weights);
@@ -1472,7 +1489,7 @@ pub fn encode_submission(final_weights: &[f32], commitment: Option<&EpochCommitm
             }
         }
     }
-    out.freeze()
+    Bytes::from(out)
 }
 
 /// Wire bytes the same submission would occupy with its weights in the
@@ -1591,11 +1608,12 @@ const PROOF_RESPONSE_HEADER_BYTES: usize = 1 + 4;
 
 /// One opened checkpoint: tag, index, the weights' block on `lattice`.
 fn encode_opening(index: usize, lattice: Lattice, weights: &[f32]) -> Bytes {
-    let mut out = BytesMut::new();
+    let mut out =
+        scratch::take_empty(PROOF_RESPONSE_HEADER_BYTES + block_capacity(lattice, weights.len()));
     out.put_u8(TAG_PROOF_RESPONSE);
     out.put_u32_le(index as u32);
     put_block(&mut out, lattice, weights);
-    out.freeze()
+    Bytes::from(out)
 }
 
 /// Encodes a proof response: one opened checkpoint, on the f32 lattice
@@ -1791,9 +1809,9 @@ mod tests {
     const LATTICES: [Lattice; 2] = [Lattice::Bf16, Lattice::F32];
 
     fn pack(lattice: Lattice, weights: &[f32]) -> Bytes {
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         put_block(&mut out, lattice, weights);
-        out.freeze()
+        Bytes::from(out)
     }
 
     fn unpack(block: impl Into<Bytes>) -> Result<Vec<f32>, DecodeError> {

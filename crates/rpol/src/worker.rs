@@ -12,6 +12,7 @@ use rpol_lsh::LshFamily;
 use rpol_nn::data::SyntheticImages;
 use rpol_nn::model::Sequential;
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
+use rpol_tensor::scratch;
 
 /// Which commitment (if any) a worker produces for the epoch.
 #[derive(Debug, Clone, Copy)]
@@ -276,6 +277,16 @@ impl PoolWorker {
         // honest and adversarial alike — an off-lattice opening is
         // rejected as malformed before any replay.
         let quantized = spec.lattice == Lattice::Bf16;
+        // The last epoch's proofs are served: its checkpoints go back to
+        // the process pool before this epoch's are taken, but for the
+        // previous result a foreign start trains from.
+        let mut previous = std::mem::take(&mut self.checkpoints);
+        let foreign = matches!(self.behavior, WorkerBehavior::ForeignStart).then(|| {
+            previous
+                .pop()
+                .unwrap_or_else(|| global_weights.iter().map(|w| w * 0.5).collect())
+        });
+        previous.into_iter().for_each(scratch::put);
         let checkpoints = match self.behavior {
             // Crash and straggler faults train honestly: the crash cuts off
             // *communication* (modelled by the transport layer, which stops
@@ -289,11 +300,6 @@ impl PoolWorker {
             | WorkerBehavior::Straggler { .. }
             | WorkerBehavior::SwapFinal
             | WorkerBehavior::ForeignStart => {
-                let foreign = matches!(self.behavior, WorkerBehavior::ForeignStart).then(|| {
-                    self.checkpoints
-                        .pop()
-                        .unwrap_or_else(|| global_weights.iter().map(|w| w * 0.5).collect())
-                });
                 self.model
                     .load_params(foreign.as_deref().unwrap_or(global_weights));
                 let mut trainer =
@@ -318,11 +324,14 @@ impl PoolWorker {
             }
             WorkerBehavior::ReplayPrevious => {
                 // Adv1: zero effort — every "checkpoint" is the input.
-                let mut input = global_weights.to_vec();
+                let mut input = pooled_copy(global_weights);
                 if quantized {
                     rpol_tensor::quant::snap_to_bf16(&mut input);
                 }
-                vec![input; segments.len() + 1]
+                let mut checkpoints: Vec<Vec<f32>> =
+                    (0..segments.len()).map(|_| pooled_copy(&input)).collect();
+                checkpoints.push(input);
+                checkpoints
             }
             WorkerBehavior::PartialSpoof {
                 honest_fraction,
@@ -338,7 +347,7 @@ impl PoolWorker {
                 } else {
                     0
                 };
-                let mut input = global_weights.to_vec();
+                let mut input = pooled_copy(global_weights);
                 if quantized {
                     rpol_tensor::quant::snap_to_bf16(&mut input);
                 }
@@ -389,7 +398,7 @@ impl PoolWorker {
         // submission takes the final checkpoint instead of a copy.
         let mut final_weights = match mode {
             CommitMode::Skip => checkpoints.pop().expect("nonempty"),
-            _ => checkpoints.last().expect("nonempty").clone(),
+            _ => pooled_copy(checkpoints.last().expect("nonempty")),
         };
         if matches!(self.behavior, WorkerBehavior::SwapFinal) {
             // Committed honestly, submitted sign-flipped (still on the
@@ -419,6 +428,13 @@ impl PoolWorker {
             commit_bytes_hashed,
         }
     }
+}
+
+/// A copy of `weights` in a buffer from the process pool.
+fn pooled_copy(weights: &[f32]) -> Vec<f32> {
+    let mut copy = scratch::take_empty(weights.len());
+    copy.extend_from_slice(weights);
+    copy
 }
 
 impl ProofProvider for PoolWorker {

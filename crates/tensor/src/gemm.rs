@@ -25,6 +25,7 @@
 //! Rust never contracts `a * b + c` into an FMA without explicit opt-in,
 //! so mul-then-add rounding matches the reference kernel exactly.
 
+use crate::scratch;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -186,8 +187,11 @@ fn gemm_rows(
 ) {
     let row0 = rows.start;
     let m = rows.len();
-    let mut packed_a = Vec::new();
-    let mut packed_b = Vec::new();
+    // Sized for the call's largest blocks, so a repeated shape draws the
+    // same pooled pair every time.
+    let kc_max = KC.min(k);
+    let mut packed_a = scratch::take_empty(MC.min(m).next_multiple_of(MR) * kc_max);
+    let mut packed_b = scratch::take_empty(NC.min(n).next_multiple_of(NR) * kc_max);
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         // K blocks ascend so each C element accumulates its chain in order.
@@ -216,6 +220,8 @@ fn gemm_rows(
             }
         }
     }
+    scratch::put(packed_a);
+    scratch::put(packed_b);
 }
 
 /// Packs an `mc × kc` block of A into `⌈mc/MR⌉` panels laid out

@@ -15,8 +15,10 @@
 //!   one-chain-per-element contract as [`gemm`],
 //! * [`quant`] — the deterministic bf16-pattern weight quantizer behind
 //!   RPoLv3's halved commitment and wire bytes,
-//! * [`scratch`] — a recycling pool for activation-sized work buffers so
-//!   steady-state training steps run allocation-free,
+//! * [`scratch`] — one process-wide pool for every epoch-sized buffer
+//!   (activations, weight vectors, frames), shared by all threads, so
+//!   steady-state epochs run allocation-free and no thread's allocator
+//!   keeps a pass,
 //! * [`rng::Pcg32`] / [`rng::SplitMix64`] — small, fully deterministic
 //!   pseudo-random generators (protocol-critical randomness in RPoL must be
 //!   reproducible by the verifier, so we do not rely on OS entropy),

@@ -9,7 +9,10 @@
 //! the step — the batch gather, the loss, the update (optimizer, update
 //! norm and zeroed gradients in one pass) and the noise (injected in
 //! place) — their sum, and the whole `run_segment` step. Prints the
-//! median of `REPS` repetitions in µs.
+//! median of `REPS` repetitions in µs. The last line counts the minor page
+//! faults (`/proc/self/stat` minflt) one replayed five-step segment takes —
+//! a verifier's whole pass: load, train, end the pass, flatten — median
+//! of `REPS` replays.
 //!
 //! ```text
 //! RPOL_GEMM_THREADS=2 cargo run --release --example step_profile
@@ -24,7 +27,7 @@ use rpol_nn::norm::LayerNorm;
 use rpol_nn::prelude::*;
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::rng::Pcg32;
-use rpol_tensor::scratch::ScratchArena;
+use rpol_tensor::scratch::{self, ScratchArena};
 use rpol_tensor::Tensor;
 use std::hint::black_box;
 use std::time::Instant;
@@ -46,6 +49,19 @@ fn median_us(mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(f64::total_cmp);
     samples[REPS / 2]
+}
+
+/// Minor page faults the process has taken so far (`/proc/self/stat`,
+/// field 10; 0 where there is no procfs).
+fn minor_faults() -> u64 {
+    std::fs::read_to_string("/proc/self/stat")
+        .ok()
+        .and_then(|stat| {
+            // Fields after the parenthesized command name start at 3.
+            let fields = stat.rsplit_once(')')?.1;
+            fields.split_whitespace().nth(7)?.parse().ok()
+        })
+        .unwrap_or(0)
 }
 
 /// What a training step asks of a layer on the way back.
@@ -215,4 +231,21 @@ fn main() {
         black_box(trainer.run_segment(&mut model, 7, segment));
     });
     println!("{:<12} {:>10.1}", "step", segment / steps as f64);
+
+    let segment = Segment {
+        start_step: 0,
+        steps,
+    };
+    let mut replay = || {
+        let before = minor_faults();
+        let out = trainer.replay_segment(&mut model, &weights, 7, segment);
+        scratch::put(black_box(out));
+        minor_faults() - before
+    };
+    for _ in 0..WARMUP {
+        replay();
+    }
+    let mut faults: Vec<u64> = (0..REPS).map(|_| replay()).collect();
+    faults.sort_unstable();
+    println!("{:<12} {:>10}", "faults/replay", faults[REPS / 2]);
 }

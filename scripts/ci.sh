@@ -61,6 +61,9 @@ scripts/fault_matrix.sh
 echo "== bench smoke: verification data plane vs committed baseline"
 scripts/check_bench.sh
 
+echo "== peak memory by construction: socket_v1_lossy under glibc defaults vs one arena + fixed mmap threshold"
+scripts/alloc_weather.sh
+
 echo "== epoch benchmark gates: equivalence, socket-vs-in-process parity, 0 failed operations"
 cargo run --release -p rpol-bench --bin epoch_bench -- --smoke
 cargo test -q -p rpol-bench --bin epoch_bench
