@@ -14,15 +14,7 @@ use rpol_lsh::tuning::{tune, TuningConfig};
 use rpol_nn::data::SyntheticImages;
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::rng::Pcg32;
-use rpol_tensor::stats;
-
-fn euclidean(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| ((x - y) as f64).powi(2))
-        .sum::<f64>()
-        .sqrt() as f32
-}
+use rpol_tensor::stats::{self, euclidean};
 
 /// Sweep 1: evasion probability vs sample count `q` for a worker that
 /// spoofs two of three segments (h_A = 1/3), measured empirically against

@@ -19,15 +19,7 @@ use rpol_bench::{arg_usize, print_table};
 use rpol_nn::data::SyntheticImages;
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::rng::Pcg32;
-use rpol_tensor::stats;
-
-fn euclidean(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| ((x - y) as f64).powi(2))
-        .sum::<f64>()
-        .sqrt() as f32
-}
+use rpol_tensor::stats::{self, euclidean};
 
 /// Per-checkpoint reproduction distances for one (train GPU, replay GPU,
 /// shard) combination.

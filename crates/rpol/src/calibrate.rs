@@ -5,16 +5,18 @@
 //! its *own* i.i.d. sub-task once on each of the pool's top-2 GPUs — the
 //! pairing that maximizes observed errors — replaying each checkpoint
 //! segment on the second GPU from the first GPU's checkpoints, exactly
-//! mirroring verification. Then
+//! mirroring verification: run A is a worker's [`LocalTrainer::train`],
+//! the replays a verifier's, on its `Lanes`. What is left here is the
+//! arithmetic, [`CalibrationResult::from_distances`]:
 //!
 //! * `α` = maximum + standard deviation of the per-checkpoint distances,
 //! * `β` = `x·α + y` (defaults `x = 5`, `y = 0`),
 //! * LSH parameters solve Eq. 6 under `k·l ≤ K_lsh`.
 
+use crate::pool::Lattice;
 use crate::tasks::TaskConfig;
-use crate::trainer::{epoch_segments, LocalTrainer, ScratchPool};
-use crate::verify::euclidean;
-use rpol_exec::Executor;
+use crate::trainer::{epoch_segments, EpochTrace, LocalTrainer};
+use crate::verify::{euclidean, Lanes, Verifier};
 use rpol_lsh::tuning::{tune, TuningConfig, TuningOutcome};
 use rpol_lsh::{LshFamily, LshParams};
 use rpol_nn::data::SyntheticImages;
@@ -53,6 +55,37 @@ pub struct CalibrationResult {
 }
 
 impl CalibrationResult {
+    /// The calibration of the replay `distances` (in unit order) and each
+    /// segment's `progress` (the distance between its two checkpoints).
+    /// The max, not the mean, is what makes `β = x·α` cover the heavy
+    /// tail of replay divergence; `β` is lifted to the gate-flip floor
+    /// ([`CalibrationPolicy::progress_floor`]). Panics on no distances.
+    pub fn from_distances(
+        epoch: u64,
+        policy: &CalibrationPolicy,
+        distances: &[f32],
+        progress: &[f32],
+    ) -> Self {
+        let mut stats = RunningStats::new();
+        distances.iter().for_each(|&d| stats.push(d));
+        let alpha = (stats.max() + stats.std_dev()).max(1e-9);
+        let max_progress = progress.iter().copied().fold(0.0f32, f32::max);
+        let beta =
+            (policy.beta_x * alpha + policy.beta_y).max(policy.progress_floor * max_progress);
+        let tuning = tune(&TuningConfig::new(alpha as f64, beta as f64).with_budget(policy.k_lsh));
+        Self {
+            epoch,
+            alpha,
+            beta,
+            params: tuning.params,
+            family_seed: 0xCA11_B000 ^ epoch,
+            tuning,
+            max_observed_error: stats.max(),
+            mean_error: stats.mean(),
+            std_error: stats.std_dev(),
+        }
+    }
+
     /// The epoch's LSH family for a `dim`-dimensional model: its key and
     /// `k·l` offsets, the same on every party.
     pub fn family(&self, dim: usize) -> LshFamily {
@@ -139,12 +172,11 @@ pub struct Calibrator<'a> {
     config: &'a TaskConfig,
     shard: &'a SyntheticImages,
     policy: CalibrationPolicy,
-    gpus: (GpuModel, GpuModel),
+    /// GPU A and GPU B: one injector each, rerun for run A and every
+    /// replay, so a GPU's fingerprint is drawn once per calibrator.
+    gpus: [NoiseInjector; 2],
     recorder: Arc<Recorder>,
-    quantized: bool,
-    /// Where the runs borrow their models: the manager's scratch pool, or
-    /// one that lives for a single calibration.
-    scratch: Option<&'a ScratchPool>,
+    lattice: Lattice,
 }
 
 impl<'a> Calibrator<'a> {
@@ -159,54 +191,47 @@ impl<'a> Calibrator<'a> {
             config,
             shard,
             policy,
-            gpus,
+            gpus: [NoiseInjector::new(gpus.0, 0), NoiseInjector::new(gpus.1, 0)],
             recorder: rpol_obs::noop().clone(),
-            quantized: false,
-            scratch: None,
+            lattice: Lattice::F32,
         }
     }
 
-    /// Borrows every run's model from `scratch`.
-    pub(crate) fn with_scratch(mut self, scratch: &'a ScratchPool) -> Self {
-        self.scratch = Some(scratch);
-        self
-    }
-
-    /// Calibrates on the RPoLv3 quantized trajectory: the sub-task's
-    /// checkpoints are snapped to the bf16 lattice and every replay is
-    /// snapped the same way, so `α` and `β` absorb the quantization error
-    /// under exactly the conditions verification later reproduces.
+    /// Calibrates on the RPoLv3 trajectory, [`Lattice::Bf16`], when `on`;
+    /// else on f32.
     #[must_use]
-    pub fn quantized(mut self, on: bool) -> Self {
-        self.quantized = on;
+    pub fn quantized(self, on: bool) -> Self {
+        self.on(if on { Lattice::Bf16 } else { Lattice::F32 })
+    }
+
+    /// Calibrates on `lattice`: run A and every replay snap to it, so `α`
+    /// and `β` absorb the quantization error as verification sees it.
+    pub(crate) fn on(mut self, lattice: Lattice) -> Self {
+        self.lattice = lattice;
         self
     }
 
-    /// Attaches a recorder; the calibrator then emits a
-    /// `rpol.calibrate.trace` span around its sub-task training run and
-    /// one `rpol.calibrate.unit` event per `(replay, segment)` replay
-    /// measurement carrying the measured `distance`, emitted by the
-    /// calling thread in index order — so the trace is byte-identical
-    /// whether the units ran serially or on an executor.
+    /// Attaches a recorder: a `rpol.calibrate.trace` span around run A,
+    /// then one `rpol.calibrate.unit` event per replay with its `distance`,
+    /// from the calling thread in unit order, on any lanes.
     #[must_use]
     pub fn with_recorder(mut self, rec: Arc<Recorder>) -> Self {
         self.recorder = rec;
         self
     }
 
-    /// Runs the calibration sub-task for one epoch.
+    /// Runs the calibration sub-task for one epoch on the calling thread,
+    /// on one model.
     ///
     /// Trains from `global_weights` for `steps` on GPU A, then replays each
-    /// segment on GPU B from GPU A's checkpoints; the per-checkpoint
-    /// distances are the measured reproduction errors. The trained result
-    /// is *useful work* — the caller may aggregate it like any worker
-    /// update (the paper notes the sub-task "is not useless work").
+    /// segment on GPU B and again on GPU A from GPU A's checkpoints; the
+    /// per-checkpoint distances are the measured reproduction errors. The
+    /// trained result is *useful work* — the caller may aggregate it like
+    /// any worker update (the paper notes the sub-task "is not useless
+    /// work").
     ///
-    /// Returns the calibration plus GPU A's trained final weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps == 0`.
+    /// Returns the calibration plus GPU A's trained final weights. Panics
+    /// if `steps == 0`.
     pub fn calibrate(
         &self,
         global_weights: &[f32],
@@ -214,202 +239,186 @@ impl<'a> Calibrator<'a> {
         steps: usize,
         epoch: u64,
     ) -> (CalibrationResult, Vec<f32>) {
-        self.calibrate_with(global_weights, nonce, steps, epoch, None)
+        let mut model = self.config.build_model_like(global_weights);
+        let trace = {
+            let _g = span!(self.recorder, "rpol.calibrate.trace", epoch, steps);
+            self.train(&mut model, global_weights, nonce, steps, epoch)
+        };
+        let [gpu_b, gpu_a] = self.replayers(nonce, epoch);
+        self.measure(trace, &[&gpu_b, &gpu_a], Lanes::Serial(&mut model), epoch)
     }
 
-    /// Like [`calibrate`], optionally fanning the replay measurements out
-    /// over a persistent executor.
-    ///
-    /// Each of the `2 × segments` replay units is independent: it replays
-    /// one segment from GPU A's checkpoint with a **fresh** noise injector
-    /// seeded per replay pass — exactly the conditions a verifier later
-    /// reproduces, where every sampled segment starts from a freshly
-    /// cloned injector. Distances are reduced into the running statistics
-    /// in `(replay pass, segment)` index order on the calling thread, so
-    /// the result is bitwise identical whether the units run serially or
-    /// on any number of pool threads.
-    ///
-    /// [`calibrate`]: Calibrator::calibrate
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps == 0`.
-    pub fn calibrate_with(
+    /// Run A: a worker's epoch on `model` from `global_weights`, under
+    /// GPU A's noise, on the calibration's lattice. The caller opens the
+    /// `rpol.calibrate.trace` span around it, outside any executor task.
+    pub(crate) fn train(
         &self,
+        model: &mut Sequential,
         global_weights: &[f32],
         nonce: u64,
         steps: usize,
         epoch: u64,
-        exec: Option<&Executor>,
-    ) -> (CalibrationResult, Vec<f32>) {
+    ) -> EpochTrace {
         assert!(steps > 0, "empty calibration run");
-        // One injector per calibration GPU, rerun for run A and every
-        // replay unit, so each GPU's fingerprint is drawn once per
-        // calibration instead of once per run.
-        let (noise_a, noise_b) = (
-            NoiseInjector::new(self.gpus.0, 0),
-            NoiseInjector::new(self.gpus.1, 0),
-        );
-        let run_seed = |run: u64| epoch.wrapping_mul(0x9E37).wrapping_add(run);
-        // Every run borrows a scratch model: a run loads its input weights
-        // and reseeds, which resets every piece of model state, so a
-        // calibration builds at most one model per lane — none once the
-        // manager's pool is warm.
-        let local = ScratchPool::default();
-        let scratch = self.scratch.unwrap_or(&local);
-        // Run A: train on the faster GPU, as one task of `exec`. In a
-        // pool's epoch the whole calibration is itself a task beside the
-        // workers' training, so run A and the replay units nest in it.
-        let trace = {
-            let _g = span!(self.recorder, "rpol.calibrate.trace", epoch, steps);
-            let run_a = |_: usize| {
-                let noise = noise_a.rerun(run_seed(1));
-                self.on_scratch(scratch, global_weights, noise, |trainer, model| {
-                    model.load_params(global_weights);
-                    if self.quantized {
-                        trainer.run_epoch_quantized(model, nonce, steps)
-                    } else {
-                        trainer.run_epoch(model, nonce, steps)
-                    }
-                })
-            };
-            indexed(exec, 1, run_a).pop().expect("run A")
-        };
+        model.load_params(global_weights);
+        let mut trainer =
+            LocalTrainer::new(self.config, self.shard, self.gpus[0].rerun(seed(epoch, 1)));
+        let segments = epoch_segments(steps, self.config.checkpoint_interval);
+        trainer.train(model, nonce, &segments, self.lattice)
+    }
 
-        // Replay every segment on both top-2 GPUs (the paper's "execute
-        // the sub-task twice on the current top-2 best-performant GPUs"),
-        // measuring per-checkpoint distances exactly as verification
-        // would. Two independent replays per segment double the sample
-        // count behind the tail estimate for α.
-        let units: Vec<(u64, &NoiseInjector, usize)> = [&noise_b, &noise_a]
-            .into_iter()
-            .enumerate()
-            .flat_map(|(replay_idx, noise)| {
-                (0..trace.segments.len()).map(move |j| (replay_idx as u64, noise, j))
-            })
-            .collect();
-        let unit = |i: usize| {
-            let (replay_idx, noise, j) = units[i];
-            let noise = noise.rerun(run_seed(2 + replay_idx));
-            let (input, segment) = (&trace.checkpoints[j], trace.segments[j]);
-            let replayed = self.on_scratch(scratch, global_weights, noise, |trainer, model| {
-                if self.quantized {
-                    trainer.replay_segment_quantized(model, input, nonce, segment)
-                } else {
-                    trainer.replay_segment(model, input, nonce, segment)
-                }
-            });
-            let distance = euclidean(&replayed, &trace.checkpoints[j + 1]);
+    /// The two replay passes as verifiers (their `β` is never read):
+    /// subject 0 replays on GPU B, 1 on GPU A, each replay from a fresh
+    /// injector, as verification replays.
+    pub(crate) fn replayers(&self, nonce: u64, epoch: u64) -> [Verifier<'a>; 2] {
+        [(1, 2), (0, 3)].map(|(gpu, run)| {
+            let noise = self.gpus[gpu].rerun(seed(epoch, run));
+            Verifier::new(self.config, self.shard, nonce, f32::MAX, None, noise)
+        })
+    }
+
+    /// Replays every segment of run A's `trace` on `lanes` once per pass
+    /// (unit `i`: pass `i / S`, segment `i % S`), snapped, and measures
+    /// each against the checkpoint it should land on; reduced in unit
+    /// order, so any lanes give the same bits. Returns the calibration
+    /// and run A's final weights.
+    pub(crate) fn measure(
+        &self,
+        trace: EpochTrace,
+        replayers: &[&Verifier<'_>; 2],
+        mut lanes: Lanes<'_>,
+        epoch: u64,
+    ) -> (CalibrationResult, Vec<f32>) {
+        let (cps, segments) = (&trace.checkpoints, trace.segments.len());
+        let distances = lanes.replays(replayers, 2 * segments, |i, replay| {
+            let j = i % segments;
+            let mut replayed = replay(i / segments, &cps[j], trace.segments[j]);
+            self.lattice.snap(&mut replayed);
+            let distance = euclidean(&replayed, &cps[j + 1]);
             scratch::put(replayed);
             distance
-        };
-        let distances = indexed(exec, units.len(), unit);
+        });
         // Recorded here, after the join and in index order — never from
         // inside a task, where pool threads would race for clock ticks.
-        let mut stats = RunningStats::new();
-        for (&(replay, _, segment), &distance) in units.iter().zip(&distances) {
-            event!(
-                self.recorder,
-                "rpol.calibrate.unit",
-                epoch,
-                replay,
-                segment,
-                distance
-            );
-            stats.push(distance);
+        let rec = &self.recorder;
+        for (i, &distance) in distances.iter().enumerate() {
+            let (replay, segment) = ((i / segments) as u64, i % segments);
+            event!(rec, "rpol.calibrate.unit", epoch, replay, segment, distance);
         }
-
-        // §V-C: "α is set as the measured maximum reproduction error plus
-        // the standard deviation" — the max (not the mean) is what makes
-        // β = 5α cover the heavy tail of replay divergence.
-        let alpha = (stats.max() + stats.std_dev()).max(1e-9);
-        // Gate-flip floor: see `CalibrationPolicy::progress_floor`.
-        let max_progress = trace
-            .segments
-            .iter()
-            .enumerate()
-            .map(|(j, _)| euclidean(&trace.checkpoints[j], &trace.checkpoints[j + 1]))
-            .fold(0.0f32, f32::max);
-        let beta = (self.policy.beta_x * alpha + self.policy.beta_y)
-            .max(self.policy.progress_floor * max_progress);
-        let tuning =
-            tune(&TuningConfig::new(alpha as f64, beta as f64).with_budget(self.policy.k_lsh));
-        let result = CalibrationResult {
-            epoch,
-            alpha,
-            beta,
-            params: tuning.params,
-            family_seed: 0xCA11_B000 ^ epoch,
-            tuning,
-            max_observed_error: stats.max(),
-            mean_error: stats.mean(),
-            std_error: stats.std_dev(),
-        };
+        let progress: Vec<f32> = (0..segments)
+            .map(|j| euclidean(&cps[j], &cps[j + 1]))
+            .collect();
+        let result = CalibrationResult::from_distances(epoch, &self.policy, &distances, &progress);
         (result, trace.into_final_weights())
     }
-
-    /// Runs `f` on a model borrowed from `scratch` (built like
-    /// `global_weights` on a miss), with a trainer on `noise`.
-    fn on_scratch<T>(
-        &self,
-        scratch: &ScratchPool,
-        global_weights: &[f32],
-        noise: NoiseInjector,
-        f: impl FnOnce(&mut LocalTrainer<'_>, &mut Sequential) -> T,
-    ) -> T {
-        let build = || self.config.build_model_like(global_weights);
-        let mut model = scratch.checkout(&self.recorder, build);
-        let mut trainer = LocalTrainer::new(self.config, self.shard, noise);
-        let out = f(&mut trainer, &mut model);
-        scratch.checkin(model);
-        out
-    }
-
-    /// Segment layout of a calibration epoch (same as any worker epoch).
-    pub fn segments(&self, steps: usize) -> Vec<crate::trainer::Segment> {
-        epoch_segments(steps, self.config.checkpoint_interval)
-    }
 }
 
-/// `f` over `0..n`, results in index order: on `exec` when given, else on
-/// the calling thread.
-fn indexed<T: Send>(exec: Option<&Executor>, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    match exec {
-        Some(exec) => exec.run_indexed(n, f),
-        None => (0..n).map(f).collect(),
-    }
-}
-
-impl TaskConfig {
-    /// Builds a model of the geometry `weights` was flattened from — the
-    /// bare task model, or the encoded one when the vector carries an
-    /// AMLayer prefix — and loads them.
-    pub(crate) fn build_model_like(&self, weights: &[f32]) -> Sequential {
-        let mut model = self.build_model();
-        if model.param_count() != weights.len() {
-            // Encoded geometry: any address gives the right shape, and the
-            // load below overwrites the frozen prefix with the true values.
-            self.prepend_amlayer(&mut model, &rpol_crypto::Address::from_seed(0));
-        }
-        assert_eq!(
-            model.param_count(),
-            weights.len(),
-            "weight vector matches neither bare nor encoded model geometry"
-        );
-        model.load_params(weights);
-        model
-    }
+/// The noise seed of `epoch`'s run A (`run` 1) and replay passes (2, 3).
+fn seed(epoch: u64, run: u64) -> u64 {
+    epoch.wrapping_mul(0x9E37).wrapping_add(run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpol_exec::Executor;
+    use rpol_obs::Value;
     use rpol_tensor::rng::Pcg32;
 
     fn setup() -> (TaskConfig, SyntheticImages) {
         let cfg = TaskConfig::tiny();
         let data = SyntheticImages::generate(&cfg.spec, 64, &mut Pcg32::seed_from(2));
         (cfg, data)
+    }
+
+    /// What `PoolManager::calibrate` does with an executor, each model
+    /// built fresh: run A as one task, then the replay units on the
+    /// executor's lanes.
+    fn calibrate_on(
+        calibrator: &Calibrator<'_>,
+        global: &[f32],
+        (nonce, steps, epoch): (u64, usize, u64),
+        exec: &Executor,
+    ) -> (CalibrationResult, Vec<f32>) {
+        let model = || calibrator.config.build_model_like(global);
+        let run_a = |_: usize| calibrator.train(&mut model(), global, nonce, steps, epoch);
+        let trace = exec.run_indexed(1, run_a).pop().expect("run A");
+        let [gpu_b, gpu_a] = calibrator.replayers(nonce, epoch);
+        let replayers = [&gpu_b, &gpu_a];
+        let replay =
+            |s: usize, input: &[f32], segment| replayers[s].replay(&mut model(), input, segment);
+        calibrator.measure(trace, &replayers, Lanes::Exec(exec, &replay), epoch)
+    }
+
+    /// The arithmetic alone, on distances whose statistics are exact:
+    /// `α` is max + std, `β = x·α + y`, and `β` is lifted to
+    /// `progress_floor · max progress` when that is larger.
+    #[test]
+    fn alpha_and_beta_are_the_section_v_c_arithmetic() {
+        let policy = CalibrationPolicy {
+            beta_y: 0.5,
+            ..CalibrationPolicy::default()
+        };
+        // [1, 3]: max 3, mean 2, population std 1, so α = 4 and
+        // β = 5·4 + 0.5 = 20.5 above the floor 0.05 · 10.
+        let cal = CalibrationResult::from_distances(7, &policy, &[1.0, 3.0], &[10.0, 4.0]);
+        assert_eq!(
+            (cal.max_observed_error, cal.mean_error, cal.std_error),
+            (3.0, 2.0, 1.0)
+        );
+        assert_eq!((cal.alpha, cal.beta), (4.0, 20.5));
+        let tuning = tune(&TuningConfig::new(4.0, 20.5).with_budget(policy.k_lsh));
+        assert_eq!((cal.params, cal.tuning), (tuning.params, tuning));
+        assert_eq!((cal.epoch, cal.family_seed), (7, 0xCA11_B000 ^ 7));
+        // Equal distances have no spread: α is their maximum.
+        let flat = CalibrationResult::from_distances(7, &policy, &[2.0; 4], &[10.0]);
+        assert_eq!((flat.alpha, flat.std_error), (2.0, 0.0));
+        assert_eq!(flat.beta, 10.5);
+        // A segment that moved 500 lifts β to 0.05 · 500 > 20.5.
+        let lifted = CalibrationResult::from_distances(7, &policy, &[1.0, 3.0], &[10.0, 500.0]);
+        assert_eq!(lifted.alpha, 4.0);
+        assert_eq!(lifted.beta, policy.progress_floor * 500.0);
+        assert!(lifted.beta > 20.5);
+    }
+
+    /// A calibration replay unit measures what a `Verifier` on the same
+    /// injector does — `Verifier::replay`, then the lattice snap — bit for
+    /// bit, on both lattices.
+    #[test]
+    fn a_replay_unit_is_a_verifier_replay_then_the_snap() {
+        let (cfg, data) = setup();
+        let global = cfg.build_model().flatten_params();
+        let (nonce, steps, epoch) = (21, 7, 5);
+        let (gpu_a, gpu_b) = GpuModel::top2();
+        for lattice in [Lattice::F32, Lattice::Bf16] {
+            let rec = Arc::new(Recorder::logical());
+            let calibrator =
+                Calibrator::new(&cfg, &data, CalibrationPolicy::default(), (gpu_a, gpu_b))
+                    .on(lattice)
+                    .with_recorder(rec.clone());
+            calibrator.calibrate(&global, nonce, steps, epoch);
+            let units: Vec<u32> = (rec.events().iter())
+                .filter(|ev| ev.name == "rpol.calibrate.unit")
+                .map(|ev| match ev.fields.iter().find(|(k, _)| k == "distance") {
+                    Some((_, Value::F64(d))) => (*d as f32).to_bits(),
+                    other => panic!("distance field: {other:?}"),
+                })
+                .collect();
+            let mut model = cfg.build_model_like(&global);
+            let trace = calibrator.train(&mut model, &global, nonce, steps, epoch);
+            let mut want = Vec::new();
+            for (gpu, run) in [(gpu_b, 2), (gpu_a, 3)] {
+                let noise = NoiseInjector::new(gpu, seed(epoch, run));
+                let verifier = Verifier::new(&cfg, &data, nonce, 1.0, None, noise);
+                for (j, &segment) in trace.segments.iter().enumerate() {
+                    let mut replayed = verifier.replay(&mut model, &trace.checkpoints[j], segment);
+                    lattice.snap(&mut replayed);
+                    want.push(euclidean(&replayed, &trace.checkpoints[j + 1]).to_bits());
+                }
+            }
+            assert_eq!(units.len(), 2 * trace.segments.len(), "{lattice:?}");
+            assert_eq!(units, want, "{lattice:?}");
+        }
     }
 
     #[test]
@@ -499,8 +508,7 @@ mod tests {
         let (serial, trained_serial) = calibrator.calibrate(&global, 9, 6, 1);
         for threads in [1, 2, 8] {
             let exec = Executor::new(threads);
-            let (parallel, trained_parallel) =
-                calibrator.calibrate_with(&global, 9, 6, 1, Some(&exec));
+            let (parallel, trained_parallel) = calibrate_on(&calibrator, &global, (9, 6, 1), &exec);
             assert_eq!(parallel, serial, "{threads} threads");
             assert_eq!(trained_parallel, trained_serial, "{threads} threads");
         }
@@ -515,7 +523,8 @@ mod tests {
         let calibrator =
             Calibrator::new(&cfg, &data, CalibrationPolicy::default(), GpuModel::top2())
                 .quantized(true);
-        assert_eq!(calibrator.segments(7).last().map(|s| s.steps), Some(1));
+        let segments = epoch_segments(7, cfg.checkpoint_interval);
+        assert_eq!(segments.last().map(|s| s.steps), Some(1));
         let global = cfg.build_model().flatten_params();
         let check = |(cal, trained): (CalibrationResult, Vec<f32>), at: &str| {
             let bits = (
@@ -549,10 +558,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let exec = Executor::new(threads);
             let at = format!("{threads} lanes");
-            check(
-                calibrator.calibrate_with(&global, 21, 7, 5, Some(&exec)),
-                &at,
-            );
+            check(calibrate_on(&calibrator, &global, (21, 7, 5), &exec), &at);
         }
     }
 

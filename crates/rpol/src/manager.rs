@@ -18,7 +18,7 @@ use rpol_exec::Executor;
 use rpol_lsh::{LshFamily, Signature};
 use rpol_nn::data::SyntheticImages;
 use rpol_nn::model::Sequential;
-use rpol_obs::{event, Recorder};
+use rpol_obs::{event, span, Recorder};
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch;
@@ -381,10 +381,11 @@ impl PoolManager {
 
     /// This epoch's global-model block for the task broadcast, encoded
     /// once on the scheme's lattice and shared by every worker's task
-    /// frame. Every RPoLv3 consumer of a task starts from
-    /// `snap_to_bf16(global)` (`PoolWorker::run_epoch`,
-    /// `LocalTrainer::run_epoch_quantized`) and the snap is idempotent, so
-    /// v3 ships the lattice image; the other schemes ship the f32 model.
+    /// frame. Every consumer of a task snaps it onto the scheme's lattice
+    /// before first use ([`Lattice::snap`], in `LocalTrainer::train` and
+    /// the adversaries' arms of `PoolWorker::train`) and the snap is
+    /// idempotent, so v3 ships the lattice image; the other schemes ship
+    /// the f32 model.
     /// The manager's own f32 aggregate is untouched.
     pub(crate) fn task_block(&self, plan: &EpochPlan) -> crate::wire::TaskBlock {
         self.recorder
@@ -697,28 +698,11 @@ impl PoolManager {
                 }
             })
             .collect();
-        let replay = |s: usize, input: &[f32], segment| {
-            let mut model = self.checkout_scratch();
-            let replayed = subjects[s].verifier.replay(&mut model, input, segment);
-            self.checkin_scratch(model);
-            replayed
-        };
+        let by_subject: Vec<&Verifier<'_>> = subjects.iter().map(|s| s.verifier).collect();
         let hash = |family: &LshFamily, xs: &[&[f32]]| self.streamed_pass(family, xs);
-        let verified = match exec {
-            Some(exec) => verify_ranked(
-                &subjects,
-                &prepared.segments,
-                Lanes::Exec(exec, &replay),
-                hash,
-            ),
-            None => {
-                let mut model = self.checkout_scratch();
-                let lanes = Lanes::Serial(&mut model);
-                let verified = verify_ranked(&subjects, &prepared.segments, lanes, hash);
-                self.checkin_scratch(model);
-                verified
-            }
-        };
+        let verified = self.on_lanes(exec, &by_subject, |lanes| {
+            verify_ranked(&subjects, &prepared.segments, lanes, hash)
+        });
         let mut verified = verified.into_iter();
         bound
             .into_iter()
@@ -1001,11 +985,41 @@ impl PoolManager {
         indices
     }
 
+    /// `f` on `exec`'s lanes, each replay through `verifiers[s]` on a
+    /// scratch model lent for that replay; else on one scratch model on
+    /// the calling thread.
+    fn on_lanes<T>(
+        &self,
+        exec: Option<&Executor>,
+        verifiers: &[&Verifier<'_>],
+        f: impl FnOnce(Lanes<'_>) -> T,
+    ) -> T {
+        match exec {
+            Some(exec) => {
+                let replay = |s: usize, input: &[f32], segment| {
+                    let mut model = self.checkout_scratch();
+                    let replayed = verifiers[s].replay(&mut model, input, segment);
+                    self.checkin_scratch(model);
+                    replayed
+                };
+                f(Lanes::Exec(exec, &replay))
+            }
+            None => {
+                let mut model = self.checkout_scratch();
+                let out = f(Lanes::Serial(&mut model));
+                self.checkin_scratch(model);
+                out
+            }
+        }
+    }
+
     /// The manager's §V-C sub-task for `epoch` from the current global
     /// model, keyed by the plan's calibration `nonce`: pure, so it may run
-    /// beside the workers' training. With an executor attached its replay
-    /// units fan out onto it; the result is bitwise-identical either way,
-    /// at any width.
+    /// beside the workers' training. Run A is one task of the attached
+    /// executor and its replays are verification's lanes ([`Self::on_lanes`],
+    /// subject 0 replaying on GPU B, 1 on GPU A); without an executor both
+    /// run on the calling thread. The result is bitwise identical either
+    /// way, at any width.
     pub(crate) fn calibrate(&self, nonce: u64, epoch: u64) -> CalibrationResult {
         let calibrator = Calibrator::new(
             &self.config,
@@ -1014,15 +1028,26 @@ impl PoolManager {
             self.calibration_gpus,
         )
         .with_recorder(self.recorder.clone())
-        .with_scratch(&self.scratch)
-        .quantized(self.scheme.spec().lattice == Lattice::Bf16);
-        let (cal, trained) = calibrator.calibrate_with(
-            &self.global,
-            nonce,
-            self.steps_per_epoch,
-            epoch,
-            self.executor.as_deref(),
-        );
+        .on(self.scheme.spec().lattice);
+        let (exec, steps) = (self.executor.as_deref(), self.steps_per_epoch);
+        let run_a = |_: usize| {
+            let mut model = self.checkout_scratch();
+            let trace = calibrator.train(&mut model, &self.global, nonce, steps, epoch);
+            self.checkin_scratch(model);
+            trace
+        };
+        let trace = {
+            let _g = span!(self.recorder, "rpol.calibrate.trace", epoch, steps);
+            match exec {
+                Some(exec) => exec.run_indexed(1, run_a).pop().expect("run A"),
+                None => run_a(0),
+            }
+        };
+        let [gpu_b, gpu_a] = calibrator.replayers(nonce, epoch);
+        let replayers = [&gpu_b, &gpu_a];
+        let (cal, trained) = self.on_lanes(exec, &replayers, |lanes| {
+            calibrator.measure(trace, &replayers, lanes, epoch)
+        });
         scratch::put(trained);
         cal
     }

@@ -93,6 +93,16 @@ pub enum Lattice {
     Bf16,
 }
 
+impl Lattice {
+    /// Moves `weights` onto the lattice: nothing on `F32`, the bf16 snap
+    /// on `Bf16`. Idempotent either way.
+    pub fn snap(self, weights: &mut [f32]) {
+        if self == Lattice::Bf16 {
+            rpol_tensor::quant::snap_to_bf16(weights);
+        }
+    }
+}
+
 /// How often the manager calibrates the tolerance `β` (§V-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Calibration {
@@ -858,6 +868,26 @@ impl MiningPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `F32.snap` moves no bit; `Bf16.snap` lands on the lattice and a
+    /// second snap moves nothing.
+    #[test]
+    fn f32_snap_is_the_identity_and_bf16_snap_is_idempotent() {
+        let mut rng = Pcg32::seed_from(0x5A1);
+        let mut weights: Vec<f32> = (0..257).map(|_| rng.next_normal()).collect();
+        weights.extend([0.0, -0.0, f32::MIN_POSITIVE, f32::INFINITY, f32::NAN]);
+        let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut f32s = weights.clone();
+        Lattice::F32.snap(&mut f32s);
+        assert_eq!(bits(&f32s), bits(&weights));
+        let mut once = weights.clone();
+        Lattice::Bf16.snap(&mut once);
+        assert!(rpol_tensor::quant::is_bf16_lattice(&once));
+        assert_ne!(bits(&once), bits(&weights));
+        let mut twice = once.clone();
+        Lattice::Bf16.snap(&mut twice);
+        assert_eq!(bits(&twice), bits(&once));
+    }
 
     #[test]
     fn honest_pool_trains_and_passes() {

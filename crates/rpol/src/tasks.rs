@@ -208,6 +208,25 @@ impl TaskConfig {
         self.arch.build(&self.spec, self.init_seed)
     }
 
+    /// Builds a model of the geometry `weights` was flattened from — the
+    /// bare task model, or the encoded one when the vector carries an
+    /// AMLayer prefix — and loads them.
+    pub(crate) fn build_model_like(&self, weights: &[f32]) -> Sequential {
+        let mut model = self.build_model();
+        if model.param_count() != weights.len() {
+            // Encoded geometry: any address gives the right shape, and the
+            // load below overwrites the frozen prefix with the true values.
+            self.prepend_amlayer(&mut model, &Address::from_seed(0));
+        }
+        assert_eq!(
+            model.param_count(),
+            weights.len(),
+            "weight vector matches neither bare nor encoded model geometry"
+        );
+        model.load_params(weights);
+        model
+    }
+
     /// Builds the address-encoded model: AMLayer for `address` in front of
     /// the task model (§V-A).
     pub fn build_encoded_model(&self, address: &Address) -> Sequential {

@@ -16,6 +16,7 @@
 //! checkpoints, and resetting it per segment is the only choice that makes
 //! honest replay reproducible without shipping optimizer state in proofs.
 
+use crate::pool::Lattice;
 use crate::tasks::TaskConfig;
 use rpol_crypto::prf::{deterministic_batch, Prf};
 use rpol_nn::data::SyntheticImages;
@@ -182,9 +183,42 @@ impl<'a> LocalTrainer<'a> {
         total_loss / segment.steps as f32
     }
 
-    /// Trains one full epoch from the model's current weights, recording a
-    /// checkpoint at every segment boundary. One pass: the model holds
-    /// only its weights afterwards ([`Sequential::end_pass`]).
+    /// Trains `segments` from the model's current weights on `lattice`,
+    /// recording a checkpoint at every segment boundary — the one epoch
+    /// loop workers and calibration run. The weights are snapped onto the
+    /// lattice before the first step and at every boundary, so each
+    /// checkpoint is a lattice point and the next segment trains on from
+    /// it; steps inside a segment run in full f32 (on `Bf16` the
+    /// quantized-descent trick that makes the packed image a lossless,
+    /// exactly replayable encoding). One pass: the model holds only its
+    /// weights afterwards ([`Sequential::end_pass`]).
+    pub fn train(
+        &mut self,
+        model: &mut Sequential,
+        nonce: u64,
+        segments: &[Segment],
+        lattice: Lattice,
+    ) -> EpochTrace {
+        let checkpoint = |model: &mut Sequential| {
+            model.visit_params_mut(&mut |p| lattice.snap(p.value.data_mut()));
+            model.flatten_params()
+        };
+        let mut checkpoints = vec![checkpoint(model)];
+        let mut loss_sum = 0.0;
+        for &segment in segments {
+            loss_sum += self.run_segment(model, nonce, segment);
+            checkpoints.push(checkpoint(model));
+        }
+        model.end_pass();
+        EpochTrace {
+            checkpoints,
+            mean_loss: loss_sum / segments.len() as f32,
+            segments: segments.to_vec(),
+        }
+    }
+
+    /// [`train`](LocalTrainer::train) over a whole epoch of `total_steps`
+    /// on [`Lattice::F32`].
     pub fn run_epoch(
         &mut self,
         model: &mut Sequential,
@@ -192,28 +226,11 @@ impl<'a> LocalTrainer<'a> {
         total_steps: usize,
     ) -> EpochTrace {
         let segments = epoch_segments(total_steps, self.config.checkpoint_interval);
-        let mut checkpoints = vec![model.flatten_params()];
-        let mut loss_sum = 0.0;
-        for &segment in &segments {
-            loss_sum += self.run_segment(model, nonce, segment);
-            checkpoints.push(model.flatten_params());
-        }
-        model.end_pass();
-        EpochTrace {
-            checkpoints,
-            mean_loss: loss_sum / segments.len() as f32,
-            segments,
-        }
+        self.train(model, nonce, &segments, Lattice::F32)
     }
 
-    /// Trains one full epoch **on the bf16 lattice** (RPoLv3): weights are
-    /// snapped to the lattice before the first step and again at every
-    /// segment boundary, so every recorded checkpoint is exactly
-    /// representable in 2 bytes per weight. Gradient steps inside a
-    /// segment still run in full f32 — only the protocol-visible states
-    /// (the checkpoints the worker commits to and trains onward from) live
-    /// on the lattice, the quantized-descent trick that makes the packed
-    /// image a lossless, exactly replayable encoding.
+    /// [`train`](LocalTrainer::train) over a whole epoch of `total_steps`
+    /// on [`Lattice::Bf16`] (RPoLv3).
     pub fn run_epoch_quantized(
         &mut self,
         model: &mut Sequential,
@@ -221,29 +238,30 @@ impl<'a> LocalTrainer<'a> {
         total_steps: usize,
     ) -> EpochTrace {
         let segments = epoch_segments(total_steps, self.config.checkpoint_interval);
-        let mut input = model.flatten_params();
-        rpol_tensor::quant::snap_to_bf16(&mut input);
-        model.load_params(&input);
-        let mut checkpoints = vec![input];
-        let mut loss_sum = 0.0;
-        for &segment in &segments {
-            loss_sum += self.run_segment(model, nonce, segment);
-            let mut snapped = model.flatten_params();
-            rpol_tensor::quant::snap_to_bf16(&mut snapped);
-            model.load_params(&snapped);
-            checkpoints.push(snapped);
-        }
-        model.end_pass();
-        EpochTrace {
-            checkpoints,
-            mean_loss: loss_sum / segments.len() as f32,
-            segments,
-        }
+        self.train(model, nonce, &segments, Lattice::Bf16)
     }
 
-    /// Replays one segment from explicit input weights, returning the
-    /// resulting weights — the manager's verification primitive. One pass,
-    /// like [`LocalTrainer::run_epoch`].
+    /// Replays one segment from explicit input weights and snaps the
+    /// result onto `lattice`, as an honest worker recorded the segment's
+    /// end — the manager's verification primitive. One pass, like
+    /// [`LocalTrainer::train`].
+    pub fn replay(
+        &mut self,
+        model: &mut Sequential,
+        input_weights: &[f32],
+        nonce: u64,
+        segment: Segment,
+        lattice: Lattice,
+    ) -> Vec<f32> {
+        model.load_params(input_weights);
+        self.run_segment(model, nonce, segment);
+        model.end_pass();
+        let mut replayed = model.flatten_params();
+        lattice.snap(&mut replayed);
+        replayed
+    }
+
+    /// [`replay`](LocalTrainer::replay) on [`Lattice::F32`].
     pub fn replay_segment(
         &mut self,
         model: &mut Sequential,
@@ -251,17 +269,10 @@ impl<'a> LocalTrainer<'a> {
         nonce: u64,
         segment: Segment,
     ) -> Vec<f32> {
-        model.load_params(input_weights);
-        self.run_segment(model, nonce, segment);
-        model.end_pass();
-        model.flatten_params()
+        self.replay(model, input_weights, nonce, segment, Lattice::F32)
     }
 
-    /// [`replay_segment`] with the RPoLv3 lattice snap applied to the
-    /// result, mirroring what an honest quantized worker recorded at the
-    /// segment's end.
-    ///
-    /// [`replay_segment`]: LocalTrainer::replay_segment
+    /// [`replay`](LocalTrainer::replay) on [`Lattice::Bf16`] (RPoLv3).
     pub fn replay_segment_quantized(
         &mut self,
         model: &mut Sequential,
@@ -269,9 +280,7 @@ impl<'a> LocalTrainer<'a> {
         nonce: u64,
         segment: Segment,
     ) -> Vec<f32> {
-        let mut replayed = self.replay_segment(model, input_weights, nonce, segment);
-        rpol_tensor::quant::snap_to_bf16(&mut replayed);
-        replayed
+        self.replay(model, input_weights, nonce, segment, Lattice::Bf16)
     }
 }
 

@@ -580,9 +580,7 @@ impl<'s> Subject<'s> {
         }
         let mut replayed = replay(&input);
         tally.replayed_steps += segment.steps as u64;
-        if commitment.scheme().spec().lattice == Lattice::Bf16 {
-            rpol_tensor::quant::snap_to_bf16(&mut replayed);
-        }
+        commitment.scheme().spec().lattice.snap(&mut replayed);
         let input = if self.lsh_bound(j) {
             Some(input)
         } else {
@@ -630,6 +628,32 @@ impl Lanes<'_> {
             Lanes::Serial(..) => (0..n).map(f).collect(),
         }
     }
+
+    /// [`Lanes::run`], handing `f` the lane's `replay(s, input, segment)`:
+    /// subject `s`'s [`Verifier::replay`] on the serial model, or the
+    /// executor's [`Replay`].
+    pub(crate) fn replays<T: Send>(
+        &mut self,
+        verifiers: &[&Verifier<'_>],
+        n: usize,
+        f: impl Fn(usize, &mut dyn FnMut(usize, &[f32], Segment) -> Vec<f32>) -> T + Sync,
+    ) -> Vec<T> {
+        match self {
+            Lanes::Serial(model) => (0..n)
+                .map(|d| {
+                    f(d, &mut |s, input, segment| {
+                        verifiers[s].replay(model, input, segment)
+                    })
+                })
+                .collect(),
+            Lanes::Exec(exec, replay) => {
+                let replay = *replay;
+                exec.run_indexed(n, |d| {
+                    f(d, &mut |s, input, segment| replay(s, input, segment))
+                })
+            }
+        }
+    }
 }
 
 /// Verifies every subject's samples by rank (DESIGN.md §23). For rank
@@ -663,6 +687,7 @@ pub(crate) fn verify_ranked(
         Some(family) if !xs.is_empty() => hash(family, xs),
         _ => Vec::new(),
     };
+    let verifiers: Vec<&Verifier<'_>> = subjects.iter().map(|s| s.verifier).collect();
     let mut verdicts: Vec<Vec<SampleVerdict>> = vec![Vec::new(); subjects.len()];
     for rank in 0.. {
         let due: Vec<(usize, usize)> = verdicts
@@ -679,21 +704,10 @@ pub(crate) fn verify_ranked(
             break;
         }
         for batch in due.chunks(width) {
-            let flights: Vec<Result<Flight<'_>, SampleVerdict>> = match &mut lanes {
-                Lanes::Serial(model) => batch
-                    .iter()
-                    .map(|&(s, j)| {
-                        let subject = &subjects[s];
-                        subject.replay(j, segments[j], |input| {
-                            subject.verifier.replay(model, input, segments[j])
-                        })
-                    })
-                    .collect(),
-                Lanes::Exec(exec, replay) => exec.run_indexed(batch.len(), |d| {
-                    let (s, j) = batch[d];
-                    subjects[s].replay(j, segments[j], |input| replay(s, input, segments[j]))
-                }),
-            };
+            let flights = lanes.replays(&verifiers, batch.len(), |d, replay| {
+                let (s, j) = batch[d];
+                subjects[s].replay(j, segments[j], |input| replay(s, input, segments[j]))
+            });
             // One pass: the inputs RPoLv2 binds by LSH, then the replays.
             let flown = || {
                 flights
@@ -837,8 +851,8 @@ pub(crate) fn binds(commitment: &EpochCommitment, index: usize, binding: &[Diges
 /// floating-point summation *order* versus a sequential fold, so results
 /// may differ from the scalar oracle in the last few ulps; the distance
 /// thresholds in force (`β`, calibration `α`) are orders of magnitude
-/// wider. Training-side checkpoint numerics (`trainer::distance`) are
-/// pinned elsewhere and do not route through this function.
+/// wider. The sequential fold is [`rpol_tensor::stats::euclidean`], which
+/// the figure binaries and `Tensor::euclidean_distance` use.
 pub(crate) fn euclidean(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "weight vector length mismatch");
     let mut acc = [0.0f64; 4];
@@ -1140,19 +1154,6 @@ mod tests {
             .any(|(_, o)| matches!(o, VerificationOutcome::Rejected(_))));
     }
 
-    /// The sequential-fold oracle the 4-lane `euclidean` must agree with
-    /// (up to summation-order rounding).
-    fn euclidean_scalar(a: &[f32], b: &[f32]) -> f32 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| {
-                let d = (x - y) as f64;
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt() as f32
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
         #[test]
@@ -1161,7 +1162,8 @@ mod tests {
             let a: Vec<f32> = (0..len).map(|_| rng.next_normal()).collect();
             let b: Vec<f32> = (0..len).map(|_| rng.next_normal()).collect();
             let lanes = euclidean(&a, &b);
-            let oracle = euclidean_scalar(&a, &b);
+            // The sequential fold, equal up to summation-order rounding.
+            let oracle = rpol_tensor::stats::euclidean(&a, &b);
             let tol = 1e-5_f32 * oracle.max(1.0);
             proptest::prop_assert!(
                 (lanes - oracle).abs() <= tol,

@@ -2,7 +2,7 @@
 
 use crate::adversary::{spoof_next_checkpoint, WorkerBehavior};
 use crate::commitment::EpochCommitment;
-use crate::pool::{Binding, Lattice, MatchDigest, Scheme, SchemeSpec};
+use crate::pool::{Binding, MatchDigest, Scheme, SchemeSpec};
 use crate::tasks::TaskConfig;
 use crate::trainer::{epoch_segments, LocalTrainer, Segment};
 use crate::verify::ProofProvider;
@@ -276,7 +276,7 @@ impl PoolWorker {
         // (epoch input, checkpoints, spoofed extrapolations) is snapped,
         // honest and adversarial alike — an off-lattice opening is
         // rejected as malformed before any replay.
-        let quantized = spec.lattice == Lattice::Bf16;
+        let lattice = spec.lattice;
         // The last epoch's proofs are served: its checkpoints go back to
         // the process pool before this epoch's are taken, but for the
         // previous result a foreign start trains from.
@@ -312,22 +312,16 @@ impl PoolWorker {
                     }
                     self.model.end_pass();
                     vec![self.model.flatten_params()]
-                } else if quantized {
-                    trainer
-                        .run_epoch_quantized(&mut self.model, nonce, total_steps)
-                        .checkpoints
                 } else {
                     trainer
-                        .run_epoch(&mut self.model, nonce, total_steps)
+                        .train(&mut self.model, nonce, &segments, lattice)
                         .checkpoints
                 }
             }
             WorkerBehavior::ReplayPrevious => {
                 // Adv1: zero effort — every "checkpoint" is the input.
                 let mut input = pooled_copy(global_weights);
-                if quantized {
-                    rpol_tensor::quant::snap_to_bf16(&mut input);
-                }
+                lattice.snap(&mut input);
                 let mut checkpoints: Vec<Vec<f32>> =
                     (0..segments.len()).map(|_| pooled_copy(&input)).collect();
                 checkpoints.push(input);
@@ -347,30 +341,17 @@ impl PoolWorker {
                 } else {
                     0
                 };
-                let mut input = pooled_copy(global_weights);
-                if quantized {
-                    rpol_tensor::quant::snap_to_bf16(&mut input);
-                }
-                self.model.load_params(&input);
+                self.model.load_params(global_weights);
                 let mut trainer =
                     LocalTrainer::new(config, &self.shard, self.noise.rerun(run_seed));
-                let mut checkpoints = vec![input];
-                for seg in &segments[..honest_segments] {
-                    trainer.run_segment(&mut self.model, nonce, *seg);
-                    let mut cp = self.model.flatten_params();
-                    if quantized {
-                        rpol_tensor::quant::snap_to_bf16(&mut cp);
-                        self.model.load_params(&cp);
-                    }
-                    checkpoints.push(cp);
-                }
-                self.model.end_pass();
+                let honest = &segments[..honest_segments];
+                let mut checkpoints = trainer
+                    .train(&mut self.model, nonce, honest, lattice)
+                    .checkpoints;
                 // Spoof the rest by Eq. 12 extrapolation.
                 for _ in honest_segments..segments.len() {
                     let mut next = spoof_next_checkpoint(&checkpoints, lambda);
-                    if quantized {
-                        rpol_tensor::quant::snap_to_bf16(&mut next);
-                    }
+                    lattice.snap(&mut next);
                     checkpoints.push(next);
                 }
                 checkpoints
@@ -702,7 +683,7 @@ mod tests {
     fn upload_accounts_commitment_bytes() {
         let (cfg, mut worker, global) = setup(WorkerBehavior::Honest);
         let sub = worker.run_epoch(&cfg, &global, 5, 4, 0, CommitMode::V1);
-        let block = crate::wire::block_len(Lattice::F32, &sub.final_weights);
+        let block = crate::wire::block_len(crate::pool::Lattice::F32, &sub.final_weights);
         let commitment = sub.commitment.as_ref().expect("v1 commits");
         assert_eq!(sub.upload_bytes, (block + commitment.wire_size()) as u64);
     }

@@ -48,6 +48,25 @@ pub fn min(xs: &[f32]) -> f32 {
     xs.iter().copied().fold(f32::INFINITY, f32::min)
 }
 
+/// The Euclidean distance between two same-length slices: one sequential
+/// `f64` fold of the squared differences, so a long weight vector's
+/// distance stays stable.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn euclidean(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "distance length mismatch");
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| {
+            let d = (x - y) as f64;
+            d * d
+        })
+        .sum::<f64>()
+        .sqrt() as f32
+}
+
 /// The error function `erf(x)`, via the Abramowitz–Stegun 7.1.26
 /// approximation (|error| ≤ 1.5e-7), sufficient for LSH probability
 /// modelling and KS testing.

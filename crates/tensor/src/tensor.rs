@@ -248,24 +248,14 @@ impl Tensor {
             .sqrt() as f32
     }
 
-    /// The Euclidean distance between two same-length tensors, computed in
-    /// `f64` to keep checkpoint-distance measurements stable for very long
-    /// weight vectors.
+    /// The Euclidean distance between two same-length tensors:
+    /// [`stats::euclidean`](crate::stats::euclidean) of their data.
     ///
     /// # Panics
     ///
     /// Panics if the element counts differ.
     pub fn euclidean_distance(&self, other: &Self) -> f32 {
-        assert_eq!(self.len(), other.len(), "distance length mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| {
-                let d = (a - b) as f64;
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt() as f32
+        crate::stats::euclidean(&self.data, &other.data)
     }
 
     /// The index of the maximum element (first on ties).

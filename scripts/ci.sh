@@ -40,9 +40,10 @@ RPOL_EXEC_THREADS=1 cargo test -q -p rpol --test net_parity
 echo "== GEMM on the executor: 8-thread invariance + quantizer determinism"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-tensor
 
-echo "== as production runs them: tensor + nn + sim + crypto + lsh suites, the training step and the wire codec (with its hostile-input properties) in --release"
+echo "== as production runs them: tensor + nn + sim + crypto + lsh suites, the training step, the calibration pins and the wire codec (with its hostile-input properties) in --release"
 cargo test -q --release -p rpol-tensor -p rpol-nn -p rpol-sim -p rpol-crypto -p rpol-lsh
 cargo test -q --release -p rpol --lib trainer::
+cargo test -q --release -p rpol --lib calibrate::
 cargo test -q --release -p rpol --lib wire::
 cargo test -q --release -p rpol --test wire_robustness
 
