@@ -71,13 +71,6 @@ impl Value {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),

@@ -61,11 +61,6 @@ impl Dropout {
         self.rng = Pcg32::seed_from(self.seed);
     }
 
-    /// The construction-time base seed.
-    pub fn base_seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The drop probability.
     pub fn probability(&self) -> f32 {
         self.p

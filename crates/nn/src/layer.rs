@@ -27,13 +27,6 @@ impl Param {
         }
     }
 
-    /// Wraps a tensor as a frozen (non-trainable) parameter.
-    pub fn new_frozen(value: Tensor) -> Self {
-        let mut p = Self::new(value);
-        p.frozen = true;
-        p
-    }
-
     /// Zeroes the accumulated gradient.
     pub fn zero_grad(&mut self) {
         self.grad.map_inplace(|_| 0.0);

@@ -54,11 +54,6 @@ impl Sequential {
         }
     }
 
-    /// Number of layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Inserts a layer at the front (how RPoL prepends the AMLayer).
     pub fn push_front(&mut self, layer: Box<dyn Layer>) {
         self.layers.insert(0, layer);

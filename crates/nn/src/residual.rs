@@ -38,11 +38,6 @@ impl Residual {
     pub fn inner(&self) -> &dyn Layer {
         self.inner.as_ref()
     }
-
-    /// Mutable access to the wrapped layer.
-    pub fn inner_mut(&mut self) -> &mut dyn Layer {
-        self.inner.as_mut()
-    }
 }
 
 impl std::fmt::Debug for Residual {

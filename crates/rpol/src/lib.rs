@@ -46,7 +46,6 @@ pub mod calibrate;
 pub mod client;
 pub mod commitment;
 pub mod committee;
-pub mod decentralized;
 pub mod economics;
 pub mod judge;
 pub mod manager;

@@ -211,11 +211,6 @@ impl PoolWorker {
         self.behavior
     }
 
-    /// The worker's data shard size.
-    pub fn shard_len(&self) -> usize {
-        self.shard.len()
-    }
-
     /// The worker's shard (the manager holds a copy too — it created the
     /// shards — so verification can replay against identical data).
     pub fn shard(&self) -> &SyntheticImages {

@@ -75,16 +75,6 @@ impl DatasetKind {
             DatasetKind::ImageNet => 1_281_167,
         }
     }
-
-    /// Bytes per raw sample.
-    pub fn bytes_per_sample(&self) -> u64 {
-        match self {
-            // 32·32·3 bytes.
-            DatasetKind::Cifar10 | DatasetKind::Cifar100 => 3_072,
-            // ImageNet JPEG average ≈ 110 KB.
-            DatasetKind::ImageNet => 110_000,
-        }
-    }
 }
 
 impl fmt::Display for DatasetKind {

@@ -9,6 +9,17 @@ export CARGO_NET_OFFLINE=true
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "== DESIGN.md: no larger than its committed byte cap, every code reference resolves"
+# Lower the cap whenever DESIGN.md shrinks; never raise it.
+DESIGN_MAX_BYTES=161278
+design_bytes=$(wc -c < DESIGN.md)
+if [ "$design_bytes" -gt "$DESIGN_MAX_BYTES" ]; then
+    echo "DESIGN.md is $design_bytes bytes, over its cap of $DESIGN_MAX_BYTES"
+    exit 1
+fi
+scripts/design_refs.py
+scripts/design_refs.py --self-test
+
 echo "== cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
