@@ -438,6 +438,21 @@ mod tests {
         assert_eq!(a.quantile(0.99), 1024);
         assert_eq!(a.count, 1000);
         assert_eq!(a.sum, 500_500);
+        // A heavy-tailed input (1 µs .. 1,000 s) through both bound sets:
+        // bucket upper bounds keep p50 ≤ p90 ≤ p99 by construction.
+        for v in 1..=1000u64 {
+            reg.observe_log("lat.tail_log", v * v * v);
+            reg.observe_latency("lat.tail_fine", v * v * v);
+        }
+        let snap = reg.snapshot();
+        for name in ["lat.a", "lat.tail_log", "lat.tail_fine"] {
+            let h = &snap.histograms[name];
+            let (p50, p90, p99) = (h.quantile(0.5), h.quantile(0.9), h.quantile(0.99));
+            assert!(
+                0 < p50 && p50 <= p90 && p90 <= p99,
+                "{name}: {p50} {p90} {p99}"
+            );
+        }
     }
 
     #[test]

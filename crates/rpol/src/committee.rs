@@ -1,8 +1,7 @@
-//! Hierarchical committee sharding: the two-tier verification topology
-//! that takes the pool from table-scale to 10⁴–10⁶ workers.
+//! Hierarchical committee sharding: the two-tier verification topology.
 //!
-//! The flat manager replays sampled batches for every worker, so its
-//! memory and replay time grow linearly with pool size. Here workers are
+//! The flat manager holds every worker's commitments at once, so its
+//! peak memory grows linearly with pool size. Here workers are
 //! deterministically partitioned into committees by rendezvous (highest-
 //! random-weight) hashing — churn moves only O(1/C) of the roster — and
 //! each committee's sub-manager runs the existing sampled-replay
@@ -298,11 +297,6 @@ impl CommitteeBatch {
         }
     }
 
-    /// The Merkle tree over the batch's canonical leaves.
-    pub fn tree(&self) -> MerkleTree {
-        Self::tree_of(&self.verdicts)
-    }
-
     fn tree_of(verdicts: &[(usize, WorkerVerdict)]) -> MerkleTree {
         let leaves: Vec<Vec<u8>> = verdicts
             .iter()
@@ -312,19 +306,16 @@ impl CommitteeBatch {
         MerkleTree::from_leaves(&refs)
     }
 
-    /// Whether the stored root matches the verdict list — the first thing
-    /// the top manager checks on ingest (a mismatch is equivocation).
-    pub fn root_consistent(&self) -> bool {
-        self.tree().root() == self.root
-    }
-
-    /// An inclusion proof for the verdict at position `index`.
+    /// The top manager's ingest check, from one tree build: `None` when the
+    /// stored root does not cover the verdict list (equivocation), else an
+    /// inclusion proof for each position in `indices`.
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range.
-    pub fn prove(&self, index: usize) -> MerkleProof {
-        self.tree().prove(index)
+    /// Panics if an index is out of range.
+    pub fn audit_proofs(&self, indices: &[usize]) -> Option<Vec<MerkleProof>> {
+        let tree = Self::tree_of(&self.verdicts);
+        (tree.root() == self.root).then(|| indices.iter().map(|&i| tree.prove(i)).collect())
     }
 
     /// Verifies that `(worker, verdict)` sits at `proof.leaf_index` under
@@ -336,16 +327,6 @@ impl CommitteeBatch {
         verdict: &WorkerVerdict,
     ) -> bool {
         proof.verify(self.root, &encode_verdict_leaf(worker, verdict))
-    }
-
-    /// Total proof bytes across the batch's verdicts.
-    pub fn proof_bytes(&self) -> u64 {
-        self.verdicts.iter().map(|(_, v)| v.proof_bytes).sum()
-    }
-
-    /// Total replayed steps across the batch's verdicts.
-    pub fn replayed_steps(&self) -> u64 {
-        self.verdicts.iter().map(|(_, v)| v.replayed_steps).sum()
     }
 }
 
@@ -479,14 +460,15 @@ mod tests {
         let verdicts: Vec<(usize, WorkerVerdict)> =
             (0..5).map(|w| (w, sample_verdict(w as u32))).collect();
         let batch = CommitteeBatch::from_verdicts(2, 1, verdicts, 4096);
-        assert!(batch.root_consistent());
-        for i in 0..5 {
-            let proof = batch.prove(i);
+        let proofs = batch
+            .audit_proofs(&[0, 1, 2, 3, 4])
+            .expect("root covers the verdicts");
+        for (i, proof) in proofs.iter().enumerate() {
             let (w, v) = &batch.verdicts[i];
-            assert!(batch.verify_inclusion(&proof, *w, v));
+            assert!(batch.verify_inclusion(proof, *w, v));
             // A swapped verdict fails inclusion.
             let other = &batch.verdicts[(i + 1) % 5];
-            assert!(!batch.verify_inclusion(&proof, other.0, &other.1));
+            assert!(!batch.verify_inclusion(proof, other.0, &other.1));
         }
     }
 
@@ -496,7 +478,7 @@ mod tests {
             (0..4).map(|w| (w, sample_verdict(w as u32))).collect();
         let mut batch = CommitteeBatch::from_verdicts(0, 0, verdicts, 0);
         batch.verdicts[2].1.proof_bytes ^= 1;
-        assert!(!batch.root_consistent());
+        assert!(batch.audit_proofs(&[]).is_none());
     }
 
     #[test]

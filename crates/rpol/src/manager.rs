@@ -871,8 +871,8 @@ impl PoolManager {
     ///
     /// 1. **Sub-manager**: the group's verdicts are Merkle-committed into a
     ///    [`CommitteeBatch`](crate::committee::CommitteeBatch).
-    /// 2. **Wire**: the batch is encoded, framed, and decoded back — the
-    ///    byte accounting and codec are the real thing, not a model.
+    /// 2. **Wire**: the batch is encoded and decoded back through the real
+    ///    codec, and charged its framed size (header + payload).
     /// 3. **Top manager**: root-consistency check (anything else is
     ///    sub-manager equivocation), then `q_top` spot-audits — Merkle
     ///    inclusion proof plus a full re-replay of the audited worker —
@@ -897,25 +897,24 @@ impl PoolManager {
             commit_bytes,
         );
         let payload = crate::wire::encode_committee_batch(&batch);
-        report.batch_bytes += crate::wire::seal_frame(&payload).len() as u64;
+        report.batch_bytes += (crate::wire::FRAME_HEADER_BYTES + payload.len()) as u64;
         let delivered = crate::wire::decode_committee_batch(payload)
             .expect("self-encoded committee batch decodes");
-        assert!(
-            delivered.root_consistent(),
-            "committee batch equivocation: root does not cover the shipped verdicts"
-        );
-        for &i in &audit_indices(
+        let audited = audit_indices(
             self.seed,
             plan.epoch,
             committee,
             hierarchy.q_top,
             delivered.verdicts.len(),
-        ) {
+        );
+        let proofs = delivered
+            .audit_proofs(&audited)
+            .expect("committee batch equivocation: root does not cover the shipped verdicts");
+        for (&i, proof) in audited.iter().zip(&proofs) {
             let (w, committed) = &delivered.verdicts[i];
             debug_assert_eq!(*w, participants[i].id, "batch order is participant order");
-            let proof = delivered.prove(i);
             assert!(
-                delivered.verify_inclusion(&proof, *w, committed),
+                delivered.verify_inclusion(proof, *w, committed),
                 "audited verdict failed its inclusion proof"
             );
             let (replayed, _) = self

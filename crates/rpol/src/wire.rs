@@ -1277,10 +1277,10 @@ pub fn encode_committee_batch(batch: &crate::committee::CommitteeBatch) -> Bytes
 /// Decodes a committee verdict batch.
 ///
 /// Validates shape only — the returned batch's root is the **claimed**
-/// root; callers must check [`root_consistent`] before trusting it, since
-/// a sub-manager could commit to one verdict set and ship another.
+/// root; callers must check it with [`audit_proofs`] before trusting it,
+/// since a sub-manager could commit to one verdict set and ship another.
 ///
-/// [`root_consistent`]: crate::committee::CommitteeBatch::root_consistent
+/// [`audit_proofs`]: crate::committee::CommitteeBatch::audit_proofs
 ///
 /// # Errors
 ///

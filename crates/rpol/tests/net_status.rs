@@ -173,6 +173,10 @@ fn status_report_counters_equal_embedded_net_stats() {
         NET_FIELDS.len(),
         "latency metrics must ride histograms, not counters"
     );
+    assert_eq!(
+        snapshot.histograms["net.epoch_latency"].count, 2,
+        "one epoch-latency observation per epoch"
+    );
 }
 
 /// One fully traced loopback run: logical recorders on the manager and
