@@ -928,21 +928,22 @@ pub fn status(raw: &[String]) -> Result<(), String> {
         .write_all(&framed)
         .map_err(|e| format!("cannot send status probe: {e}"))?;
 
-    let mut buf = Vec::new();
+    let mut asm = wire::FrameAssembler::new(wire::MAX_FRAME_BYTES);
     let mut chunk = [0u8; 4096];
     let payload = loop {
+        if let Some(payload) = asm
+            .next_frame()
+            .map_err(|e| format!("malformed status frame: {e:?}"))?
+        {
+            break payload;
+        }
         let k = stream
             .read(&mut chunk)
             .map_err(|e| format!("reading status report: {e}"))?;
         if k == 0 {
             return Err("manager closed the connection before answering".to_string());
         }
-        buf.extend_from_slice(&chunk[..k]);
-        if buf.len() >= 16 {
-            if let Ok(payload) = wire::open_frame(bytes::Bytes::from(buf.clone())) {
-                break payload;
-            }
-        }
+        asm.push(&chunk[..k]);
     };
     let NetControl::StatusReport { json } =
         wire::decode_net_control(payload).map_err(|e| format!("malformed status report: {e:?}"))?

@@ -9,9 +9,14 @@
 mod common;
 
 use common::assert_same_text;
+use rpol::adversary::WorkerBehavior;
+use rpol::pool::{MiningPool, PoolConfig, Scheme};
+use rpol::server::{BindAddr, PoolServer, ServerConfig};
 use rpol_cli::commands;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -115,6 +120,37 @@ fn serve_refuses_a_pinned_reactor_backend() {
     // fail loudly before anything binds, not run on whatever it gets.
     let err = commands::serve(&raw(&["--loopback", "--backend=scan"])).unwrap_err();
     assert!(err.contains("unknown option --backend"), "got: {err}");
+}
+
+/// `rpol status` against a live loopback server that a thread pumps:
+/// the probe gets its report without joining the roster.
+#[test]
+fn status_probes_a_live_server() {
+    let _g = lock();
+    let pool = MiningPool::new(
+        PoolConfig::tiny_demo(Scheme::RPoLv2),
+        vec![WorkerBehavior::Honest],
+    );
+    let server =
+        PoolServer::bind(pool, &BindAddr::loopback(), ServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let probed = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !probed.load(Ordering::Acquire) {
+                let pumped = server.wait_for_workers(1, Duration::from_millis(20));
+                assert!(pumped.is_err(), "no worker ever connects");
+            }
+        });
+        let status = commands::status(&raw(&[&format!("--connect={addr}"), "--json"]));
+        probed.store(true, Ordering::Release);
+        status.expect("the live server answers the probe");
+    });
+    assert_eq!(
+        server.net_stats().handshakes,
+        0,
+        "the probe joined the roster"
+    );
 }
 
 #[test]

@@ -446,26 +446,6 @@ impl Executor {
         }
     }
 
-    /// Fire-and-forget: runs `f` on the pool with no completion handle.
-    /// The job owns its captures (`'static`), so it may outlive the call
-    /// site — the shape background tick loops (e.g. the socket server's
-    /// reactor pump) need. A panic inside `f` is swallowed (and counted
-    /// as `exec.detached_panics` when metrics are enabled) rather than
-    /// unwinding a pool thread: detached jobs have no joiner to rethrow
-    /// into.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let shared = Arc::clone(&self.shared);
-        let job: Job = Box::new(move || {
-            if catch_unwind(AssertUnwindSafe(f)).is_err() && shared.recorder.enabled() {
-                shared.recorder.counter_add("exec.detached_panics", 1);
-            }
-        });
-        self.shared.push(std::iter::once(job));
-    }
-
     /// Deterministic indexed fan-out: computes `f(i)` for `i in 0..n` on
     /// the pool and returns the results **in index order** — the canonical
     /// reduction shape for bitwise-reproducible parallel verification.
@@ -653,30 +633,6 @@ mod tests {
         assert!(shared().threads() >= 1);
         // The shared pool is reusable like any other executor.
         assert_eq!(shared().run_indexed(4, |i| i * 2), vec![0, 2, 4, 6]);
-    }
-
-    #[test]
-    fn detached_spawn_runs_and_survives_panics() {
-        let exec = Executor::new(2);
-        let hits = Arc::new(AtomicU64::new(0));
-        for _ in 0..16 {
-            let hits = Arc::clone(&hits);
-            exec.spawn(move || {
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        // A panicking detached job must not take a pool thread down.
-        exec.spawn(|| panic!("detached panic"));
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hits.load(Ordering::SeqCst) < 16 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "detached jobs never ran"
-            );
-            std::thread::yield_now();
-        }
-        // The pool still executes structured work after the panic.
-        assert_eq!(exec.run_indexed(4, |i| i + 1), vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -45,25 +45,22 @@
 //!
 //! # Scheduling
 //!
-//! The reactor is a nonblocking sweep ([`NetCore::pump`]) behind a mutex:
-//! any thread that is waiting on the network — the epoch driver or a
-//! verification task parked in [`ProofProvider::open_checkpoint`] —
-//! drives the sweep itself through one wait (`NetCore::pump_until`;
-//! cooperative pumping, deadlock-free at any executor width). During the training window, when the driver has
-//! nothing else to do, a flag-bounded pump job is detached onto the
-//! pool's persistent executor ([`Executor::spawn`]) so the socket stays
-//! responsive without a dedicated OS thread. In memory nothing waits: the
-//! driver steps each peer's session (training as one executor task per
-//! worker, an opening when its provider asks) and pumps until every byte
-//! it wrote is routed.
+//! The reactor is one pump ([`NetCore::pump`]) behind a mutex, and no
+//! thread of its own: any thread that is waiting on the network — the
+//! epoch driver or a verification task parked in
+//! [`ProofProvider::open_checkpoint`] — drives it through one wait
+//! (`NetCore::pump_until`; cooperative pumping, deadlock-free at any
+//! executor width). In memory nothing waits: the driver steps each peer's
+//! session (training as one executor task per worker, an opening when its
+//! provider asks) and pumps until every byte it wrote is routed.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -127,9 +124,11 @@ impl Listener {
                 Ok(Listener::Tcp(l))
             }
             BindAddr::Unix(path) => {
-                // A stale socket file from a previous run would fail the
-                // bind; this service owns the path.
-                let _ = std::fs::remove_file(path);
+                // A stale socket from a previous run would fail the bind,
+                // so it goes; anything else at the path fails the bind.
+                if std::fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_socket()) {
+                    std::fs::remove_file(path)?;
+                }
                 let l = UnixListener::bind(path)?;
                 l.set_nonblocking(true)?;
                 Ok(Listener::Unix(l, path.clone()))
@@ -200,7 +199,7 @@ impl Read for NetStream {
 
 impl NetStream {
     /// The socket's descriptor; an in-memory stream has none, and is only
-    /// ever served by the scan pump, which registers nothing.
+    /// ever served by a core without a poller, which registers nothing.
     fn raw_fd(&self) -> i32 {
         match self {
             NetStream::Tcp(s) => s.as_raw_fd(),
@@ -335,13 +334,13 @@ impl MemPeer {
     }
 }
 
-/// Idle parking quantum for `NetCore::pump_or_wait`: `epoll_wait`
+/// Idle parking quantum for a waiting `NetCore::pump`: `epoll_wait`
 /// timeouts have millisecond resolution, so one millisecond is the
 /// shortest real kernel wait. Parked waiters wake early the instant the
 /// kernel has an event for them — the quantum only bounds how long an
 /// *idle* reactor sleeps between timer checks.
 const PUMP_PARK: Duration = Duration::from_millis(1);
-/// How long a waiter sleeps between pumps that did not park (scan pump,
+/// How long a waiter sleeps between pumps that did not park (no poller,
 /// or queued work left).
 const PUMP_PACE: Duration = Duration::from_micros(200);
 /// Frames a connection's outbox may hold before the peer is declared too
@@ -442,8 +441,8 @@ pub struct NetStats {
     pub buf_pool_misses: u64,
     /// Total capacity (bytes) of recycled buffers handed back out.
     pub buf_pool_bytes_reused: u64,
-    /// 1 when the reactor fell back to the scan pump (epoll never built,
-    /// or a syscall failed mid-run), else 0: which reactor actually ran.
+    /// 1 when the reactor ran without a poller, every connection ready
+    /// every pump (epoll never built, or a syscall failed mid-run), else 0.
     pub reactor_fallbacks: u64,
 }
 
@@ -541,8 +540,6 @@ pub struct ConnStatus {
 }
 
 /// Reactor pressure: how much work the next pump already has queued.
-/// Under the scan fallback every queue reads zero (the scan visits
-/// everything unconditionally, so nothing is ever *queued*).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct QueueDepths {
     /// Connections with assembler-buffered frames awaiting routing (the
@@ -690,12 +687,13 @@ struct NetCore {
     published: NetStats,
     /// Epoch-pipeline progress, updated by the driver at epoch ends.
     progress: EpochProgress,
-    /// The epoll instance behind the readiness pump; `None` means the scan
-    /// pump — where the platform has no epoll, or (permanently) after an
-    /// epoll syscall failed. Registration tokens are connection slot
-    /// indices, with `u64::MAX` for the listener.
+    /// The epoll instance that names the ready connections; `None` — no
+    /// listener, no epoll on the platform, or (permanently) after an epoll
+    /// syscall failed — makes every connection and the listener ready
+    /// every pump. Tokens are connection slot indices, with `u64::MAX` for
+    /// the listener.
     poller: Option<poll::Poller>,
-    /// Reused readiness-event buffer (no per-pump allocation).
+    /// Reused ready-set buffer (no per-pump allocation).
     ready_buf: Vec<poll::Ready>,
     /// Slots with assembler-buffered frames that still need routing —
     /// userspace bytes epoll cannot see. Drained (bounded) every pump.
@@ -710,8 +708,7 @@ struct NetCore {
     /// be O(all connections) again).
     last_service: Vec<u64>,
     pump_seq: u64,
-    /// Next amortized timer sweep under the readiness pump (the scan pump
-    /// sweeps every pump, as it always did).
+    /// Next amortized timer sweep.
     next_timer_sweep: Instant,
     timer_granularity: Duration,
     /// Recycling arena for frame payloads, assembler backing stores, and
@@ -720,9 +717,9 @@ struct NetCore {
 }
 
 impl NetCore {
-    /// A reactor for `n_workers`: readiness-driven when it has a listener
-    /// and the platform has epoll; any epoll failure here (or later)
-    /// degrades to the portable scan loop rather than erroring.
+    /// A reactor for `n_workers`, with a poller when it has a listener and
+    /// the platform has epoll; any epoll failure here (or later) drops the
+    /// poller rather than erroring.
     fn new(
         listener: Option<Listener>,
         cfg: ServerConfig,
@@ -774,83 +771,61 @@ impl NetCore {
             conn.asm.ready() || matches!(&conn.stream, NetStream::Mem(mem) if mem.pending())
         };
         while self.conns.iter().flatten().any(unrouted) {
-            self.pump();
+            self.pump(Duration::ZERO);
         }
     }
 
-    /// One nonblocking pump: accept, read/route, flush, sweep timeouts.
-    /// Safe to call from any thread holding the lock; never blocks.
+    /// One pump: accept, read / route, flush, sweep timeouts. Safe to call
+    /// from any thread holding the lock.
     ///
-    /// With a poller only connections with kernel readiness, buffered
-    /// frames (dirty queue), pending outboxes (flush queue), or a due
-    /// timer sweep are touched — O(active); the scan fallback visits every
-    /// connection.
-    fn pump(&mut self) {
-        // Wall-clock sweep latency: the pump cadence is timing-dependent,
-        // so the measurement feeds a histogram only — never the trace
-        // clock, which must stay a pure function of the protocol.
-        let timed = self.rec.enabled().then(Instant::now);
-        self.pump_seq += 1;
-        if self.poller.is_some() {
-            self.pump_readiness(0);
-        } else {
-            self.pump_scan();
-        }
-        if let Some(start) = timed {
-            self.rec
-                .observe_latency("net.pump_latency", start.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Like [`pump`](Self::pump), but when the readiness pump has no
-    /// queued work it parks in `epoll_wait` for up to `max_wait`, waking
+    /// The ready set is what the kernel reports when there is a poller —
+    /// O(active) — and every connection plus the listener when there is
+    /// none. Everything after is shared: a slot named twice in one pump is
+    /// serviced once, slots whose assemblers still hold frames (the dirty
+    /// queue) and pending outboxes (the flush queue) are retried, and
+    /// deadlines are swept every `timer_granularity`.
+    ///
+    /// With nothing queued and a poller, the pump parks in `epoll_wait` for
+    /// up to `max_wait` (and no later than the next timer sweep), waking
     /// the instant the kernel has a connection or bytes for it. Returns
-    /// `true` when the pump parked (the caller's idle wait has already
-    /// happened — loop straight back); `false` when the caller must pace
-    /// itself (scan fallback, spill-over queues pending, or a timer sweep
-    /// due sooner than a millisecond). Parked pumps are excluded from the
-    /// `net.pump_latency` histogram: their wall time is kernel idle, not
-    /// sweep cost.
-    fn pump_or_wait(&mut self, max_wait: Duration) -> bool {
-        if self.poller.is_none() || !self.dirty.is_empty() || !self.flush.is_empty() {
-            self.pump();
-            return false;
-        }
-        let until_sweep = self
-            .next_timer_sweep
-            .saturating_duration_since(Instant::now());
-        let timeout_ms = max_wait.min(until_sweep).as_millis() as i32;
-        if timeout_ms == 0 {
-            self.pump();
-            return false;
-        }
+    /// whether it parked: the caller's idle wait has then already happened.
+    /// Parked pumps stay out of the `net.pump_latency` histogram — their
+    /// wall time is kernel idle, not sweep cost. That histogram is wall
+    /// clock only, never the trace clock, which must stay a pure function
+    /// of the protocol.
+    fn pump(&mut self, max_wait: Duration) -> bool {
+        let timeout_ms = if self.poller.is_some() && self.dirty.is_empty() && self.flush.is_empty()
+        {
+            let until_sweep = self
+                .next_timer_sweep
+                .saturating_duration_since(Instant::now());
+            max_wait.min(until_sweep).as_millis() as i32
+        } else {
+            0
+        };
+        let timed = (self.rec.enabled() && timeout_ms == 0).then(Instant::now);
         self.pump_seq += 1;
-        self.pump_readiness(timeout_ms);
-        true
-    }
-
-    fn pump_scan(&mut self) {
-        self.accept_new();
-        for idx in 0..self.conns.len() {
-            self.service_conn(idx);
-        }
-        self.sweep_timeouts();
-    }
-
-    fn pump_readiness(&mut self, timeout_ms: i32) {
-        // 1. Kernel readiness. A failed wait degrades to the scan loop for
-        // the rest of the run — correctness never depends on epoll.
+        // 1. Kernel readiness. A failed wait drops the poller for the rest
+        // of the run — correctness never depends on epoll.
         let mut events = std::mem::take(&mut self.ready_buf);
         events.clear();
         let waited = self
             .poller
             .as_mut()
-            .is_some_and(|poller| poller.wait(&mut events, timeout_ms).is_ok());
-        if !waited {
-            self.ready_buf = events;
+            .map(|poller| poller.wait(&mut events, timeout_ms).is_ok());
+        if waited == Some(false) {
             self.degrade_to_scan();
-            self.pump_scan();
-            return;
+        }
+        // 2. Accept when the listener is ready (level-triggered: any
+        // backlog left un-accepted re-fires next pump). Without a poller
+        // everything is ready, the connections just accepted included.
+        let scan = waited != Some(true);
+        if scan || events.iter().any(|ev| ev.token == u64::MAX) {
+            self.accept_new();
+        }
+        if scan {
+            events.clear();
+            events.extend((0..self.conns.len() as u64).map(|token| poll::Ready { token }));
         }
         if self.rec.enabled() {
             self.rec
@@ -860,16 +835,8 @@ impl NetCore {
             self.rec
                 .observe_log("net.pump.writable_depth", self.flush.len() as u64);
         }
-        // 2. Accept when the listener is ready (level-triggered: any
-        // backlog left un-accepted re-fires next pump).
-        if events.iter().any(|ev| ev.token == u64::MAX) {
-            self.accept_new();
-        }
-        // 3. Service kernel-ready connections, once each per pump.
+        // 3. Service ready connections, once each per pump.
         for ev in &events {
-            if ev.token == u64::MAX {
-                continue;
-            }
             let idx = ev.token as usize;
             if idx < self.conns.len() && self.last_service[idx] != self.pump_seq {
                 self.last_service[idx] = self.pump_seq;
@@ -887,11 +854,11 @@ impl NetCore {
             };
             self.in_dirty[idx] = false;
             if self.last_service[idx] == self.pump_seq {
-                // Already serviced this pump via a kernel event. Dropping
-                // the entry would orphan whatever that service left
-                // buffered (its own re-mark may have landed *before* this
-                // stale entry was popped) — re-note so leftovers queue for
-                // the next pump.
+                // Already serviced this pump as ready. Dropping the entry
+                // would orphan whatever that service left buffered (its
+                // own re-mark may have landed *before* this stale entry
+                // was popped) — re-note so leftovers queue for the next
+                // pump.
                 self.note_after_service(idx);
                 continue;
             }
@@ -899,8 +866,7 @@ impl NetCore {
             self.service_conn(idx);
         }
         // 5. Flush queue: pending outboxes retry while the socket refuses
-        // bytes. Serviced connections already flushed above, so this only
-        // touches write-blocked peers.
+        // bytes.
         for _ in 0..self.flush.len() {
             let Some(idx) = self.flush.pop_front() else {
                 break;
@@ -925,33 +891,32 @@ impl NetCore {
             self.sweep_timeouts();
             self.next_timer_sweep = now + self.timer_granularity;
         }
+        if let Some(start) = timed {
+            self.rec
+                .observe_latency("net.pump_latency", start.elapsed().as_nanos() as u64);
+        }
+        waited == Some(true) && timeout_ms > 0
     }
 
-    /// Permanently falls back to the scan pump (an epoll syscall failed).
-    /// The queues are cleared — the scan visits every connection
-    /// unconditionally, so queued work cannot be lost.
+    /// Drops the poller for good (an epoll syscall failed): from then on
+    /// every connection is ready every pump.
     fn degrade_to_scan(&mut self) {
         if self.poller.take().is_some() {
             self.stats.reactor_fallbacks += 1;
         }
-        self.dirty.clear();
-        self.in_dirty.iter_mut().for_each(|d| *d = false);
-        self.flush.clear();
-        self.in_flush.iter_mut().for_each(|f| *f = false);
     }
 
-    /// Queues a slot for frame routing next pump (readiness pump only:
-    /// the scan visits everything, so queueing would only leak entries).
+    /// Queues a slot for frame routing next pump.
     fn mark_dirty(&mut self, idx: usize) {
-        if self.poller.is_some() && !self.in_dirty[idx] {
+        if !self.in_dirty[idx] {
             self.in_dirty[idx] = true;
             self.dirty.push_back(idx);
         }
     }
 
-    /// Queues a slot for an outbox flush next pump (readiness only).
+    /// Queues a slot for an outbox flush next pump.
     fn mark_flush(&mut self, idx: usize) {
-        if self.poller.is_some() && !self.in_flush[idx] {
+        if !self.in_flush[idx] {
             self.in_flush[idx] = true;
             self.flush.push_back(idx);
         }
@@ -960,9 +925,6 @@ impl NetCore {
     /// Re-queues whatever a just-serviced connection left behind: frames
     /// still buffered in its assembler, bytes still in its outbox.
     fn note_after_service(&mut self, idx: usize) {
-        if self.poller.is_none() {
-            return;
-        }
         let (buffered, pending) = match self.conns[idx].as_ref() {
             Some(conn) => (conn.asm.ready(), !conn.outbox.is_empty()),
             None => return,
@@ -1152,8 +1114,8 @@ impl NetCore {
         };
         if let Some(poller) = &self.poller {
             if poller.add(fd, slot as u64).is_err() {
-                // Interest registration failed: the readiness source can no
-                // longer see every connection, so scan from here on.
+                // Interest registration failed: the poller can no longer
+                // see every connection, so every one is ready from here on.
                 self.degrade_to_scan();
             }
         }
@@ -1586,8 +1548,8 @@ impl NetCore {
 
     /// The one network wait: pumps `core` at least once, then until `done`
     /// holds (`true`) or `timeout` passes (`false`), parking in the kernel
-    /// between pumps when the readiness pump can. The lock is released
-    /// between pumps, so concurrent waiters all drive the reactor.
+    /// between pumps when the pump can. The lock is released between
+    /// pumps, so concurrent waiters all drive the reactor.
     fn pump_until(
         core: &Mutex<NetCore>,
         timeout: Duration,
@@ -1597,7 +1559,7 @@ impl NetCore {
         loop {
             let parked = {
                 let mut core = core.lock();
-                let parked = core.pump_or_wait(PUMP_PARK);
+                let parked = core.pump(PUMP_PARK);
                 if done(&core) {
                     return true;
                 }
@@ -1733,7 +1695,7 @@ impl ProofProvider for SocketProvider<'_> {
             if outcome.is_ok() && sent {
                 core.await_opening(self.worker);
             }
-            core.pump();
+            core.pump(Duration::ZERO);
             sent
         };
         if outcome.is_err() || !sent {
@@ -2132,7 +2094,7 @@ fn serve_epoch(
         let sent = {
             let mut core = net.core.lock();
             let sent = core.send_framed_to_worker(w, writes);
-            core.pump();
+            core.pump(Duration::ZERO);
             sent
         };
         if outcome.is_ok() && sent {
@@ -2211,7 +2173,7 @@ fn serve_epoch(
             scheme,
             family,
         });
-        core.pump();
+        core.pump(Duration::ZERO);
     }
     match peers {
         // In memory: members commit as one executor task each, then every
@@ -2225,27 +2187,12 @@ fn serve_epoch(
             });
             net.core.lock().drain_mem();
         }
-        // Over sockets: the driver waits on the mailboxes; a flag-bounded
-        // pump job keeps the reactor live on the persistent executor
-        // meanwhile.
+        // Over sockets: the driver pumps until every awaited mailbox
+        // settles.
         None => {
-            let waiting = Arc::new(AtomicBool::new(true));
-            {
-                let core = Arc::clone(&net.core);
-                let flag = Arc::clone(&waiting);
-                net.exec.spawn(move || {
-                    while flag.load(Ordering::Acquire) {
-                        let parked = core.lock().pump_or_wait(PUMP_PARK);
-                        if !parked {
-                            std::thread::park_timeout(Duration::from_micros(500));
-                        }
-                    }
-                });
-            }
             NetCore::pump_until(&net.core, PHASE_TIMEOUT, |core| {
                 (0..n).all(|w| !awaited[w] || core.submission_settled(w))
             });
-            waiting.store(false, Ordering::Release);
         }
     }
     drop(phase_training);
@@ -2430,7 +2377,7 @@ fn serve_epoch(
         for (w, &status) in status.iter().enumerate() {
             core.send_control_to_worker(w, &NetControl::EpochEnd { epoch, status });
         }
-        core.pump();
+        core.pump(Duration::ZERO);
     }
 
     EpochRecord {
@@ -2967,10 +2914,154 @@ mod tests {
         assert_eq!(send(spec(3, Scheme::RPoLv1)).len(), 1, "the next epoch");
     }
 
-    /// The scan pump is what the reactor falls back to when epoll fails
-    /// (and the only pump off linux/x86-64): forced before the run, it
-    /// must hold the simulated link's parity contract exactly as the
-    /// readiness pump does in `tests/net_parity.rs`.
+    /// A burst pre-buffered past the frame budget drains across pumps
+    /// without a poller too: nine pings written at once on one in-memory
+    /// connection, at two frames per connection per pump, draw nine pongs
+    /// in nonce order over five pumps, and the peer writes no further
+    /// byte. The leftovers ride the dirty queue both kinds of core share.
+    #[test]
+    fn a_ping_burst_drains_across_pumps_without_a_poller() {
+        let cfg = ServerConfig {
+            max_frames_per_conn_per_pump: 2,
+            handshake_timeout: Duration::MAX,
+            idle_timeout: Duration::MAX,
+            ..ServerConfig::default()
+        };
+        let mut core = NetCore::new(None, cfg, 1, rpol_obs::noop().clone());
+        let (server_end, mut worker) = mem_pair();
+        core.admit(NetStream::Mem(server_end));
+        worker
+            .write_all(&WorkerSession::hello(0))
+            .expect("in memory");
+        core.drain_mem();
+        assert!(core.connected(0));
+        std::io::copy(&mut worker, &mut std::io::sink()).ok(); // the Welcome
+
+        let burst: Vec<u8> = (0..9)
+            .flat_map(|nonce| {
+                let ping = wire::encode_net_control(&NetControl::Ping { nonce });
+                wire::seal_frame(&ping).to_vec()
+            })
+            .collect();
+        worker.write_all(&burst).expect("in memory");
+        let mut asm = FrameAssembler::new(wire::MAX_FRAME_BYTES);
+        let mut pongs = Vec::new();
+        let mut pumps = 0;
+        while pongs.len() < 9 && pumps < 9 {
+            core.pump(Duration::ZERO);
+            pumps += 1;
+            let before = pongs.len();
+            let mut written = Vec::new();
+            worker.read_to_end(&mut written).ok();
+            asm.push(&written);
+            while let Some(payload) = asm.next_frame().expect("pristine frames") {
+                match wire::decode_net_control(payload) {
+                    Ok(NetControl::Pong { nonce }) => pongs.push(nonce),
+                    other => panic!("pump {pumps}: {other:?}"),
+                }
+            }
+            assert!(pongs.len() - before <= 2, "pump {pumps} broke the budget");
+            assert_eq!(
+                core.dirty.len(),
+                usize::from(pongs.len() < 9),
+                "pump {pumps}"
+            );
+        }
+        assert_eq!(pongs, (0..9).collect::<Vec<u64>>());
+        assert_eq!(pumps, 5);
+        assert_eq!(core.stats.heartbeats, 9);
+    }
+
+    /// A fresh directory for a Unix socket, unique to this process and
+    /// `name`.
+    fn socket_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rpol-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    /// A Unix-socket epoch decides what a loopback-TCP epoch of the same
+    /// config decides, and the socket file goes with the server.
+    #[test]
+    fn a_unix_socket_epoch_decides_as_loopback_tcp_does() {
+        let behaviors = vec![
+            WorkerBehavior::Honest,
+            WorkerBehavior::ReplayPrevious,
+            WorkerBehavior::CrashAt {
+                epoch: 0,
+                after_steps: 1,
+            },
+            WorkerBehavior::Honest,
+        ];
+        let mut config = PoolConfig::tiny_demo(Scheme::RPoLv2);
+        config.epochs = 1;
+        config = config.with_faults(FaultConfig::lossy(0x50C7));
+        let tuning = crate::client::ClientTuning {
+            read_timeout: Duration::from_millis(5),
+            backoff_scale: 0.005,
+            ..crate::client::ClientTuning::default()
+        };
+        let options = SocketRunOptions {
+            client: tuning.clone(),
+            ..SocketRunOptions::default()
+        };
+        let tcp = run_socket_pool(config, behaviors.clone(), options).expect("tcp run");
+
+        let dir = socket_dir("unix-epoch");
+        let path = dir.join("pool.sock");
+        let pool = MiningPool::new(config, behaviors.clone());
+        let mut server =
+            PoolServer::bind(pool, &BindAddr::Unix(path.clone()), ServerConfig::default())
+                .expect("bind a unix socket");
+        assert_eq!(server.local_addr(), format!("unix:{}", path.display()));
+        let handles = spawn_clients(config, &behaviors, &server.local_addr(), &tuning, &[]);
+        let unix = server.run().expect("unix run");
+        for h in handles {
+            assert!(h.join().expect("client thread").clean_shutdown);
+        }
+        drop(server);
+        assert!(!path.exists(), "the socket file outlived its server");
+        std::fs::remove_dir_all(&dir).ok();
+
+        let (tcp, unix) = (&tcp.report.epochs[0].report, &unix.epochs[0].report);
+        assert!(
+            !tcp.accepted.is_empty() && !tcp.rejected.is_empty() && !tcp.quarantined.is_empty(),
+            "vacuous: {:?} / {:?} / {:?}",
+            tcp.accepted,
+            tcp.rejected,
+            tcp.quarantined
+        );
+        assert_eq!(unix.accepted, tcp.accepted, "accepted set");
+        assert_eq!(unix.rejected, tcp.rejected, "rejected set");
+        assert_eq!(unix.quarantined, tcp.quarantined, "quarantine");
+    }
+
+    /// Binding a Unix socket over a regular file fails and leaves the file
+    /// as it was.
+    #[test]
+    fn a_unix_bind_over_a_regular_file_fails_and_keeps_it() {
+        let dir = socket_dir("unix-file");
+        let path = dir.join("precious.txt");
+        let bytes = b"not a socket\n";
+        std::fs::write(&path, bytes).expect("write the file");
+        let pool = MiningPool::new(
+            PoolConfig::tiny_demo(Scheme::RPoLv2),
+            vec![WorkerBehavior::Honest],
+        );
+        let bound = PoolServer::bind(pool, &BindAddr::Unix(path.clone()), ServerConfig::default());
+        assert!(bound.is_err(), "bound over a regular file");
+        assert_eq!(
+            std::fs::read(&path).expect("the file is still there"),
+            bytes
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Without a poller — after an epoll failure, and always off
+    /// linux/x86-64 — every connection is ready every pump. Forced before
+    /// the run, that must hold the simulated link's parity contract exactly
+    /// as the kernel's ready set does in `tests/net_parity.rs`.
     #[test]
     fn scan_fallback_matches_simulated_run_under_lossy_faults() {
         let behaviors = vec![
@@ -2997,7 +3088,7 @@ mod tests {
         for h in handles {
             assert!(h.join().expect("client thread").clean_shutdown);
         }
-        assert_eq!(server.net_stats().reactor_fallbacks, 1, "the scan pump ran");
+        assert_eq!(server.net_stats().reactor_fallbacks, 1, "no poller ran");
 
         assert!(simulated.rejections() > 0, "the replayer must be caught");
         assert!(
