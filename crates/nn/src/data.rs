@@ -92,6 +92,10 @@ impl ImageSpec {
     }
 }
 
+/// One sample of [`SyntheticImages::synthesize`]'s loop: sample `i`'s
+/// image, drawn from the generator into its row.
+type SampleDraw<'a> = dyn Fn(&mut Pcg32, usize, &mut Vec<f32>) + Sync + 'a;
+
 /// A labelled synthetic image dataset.
 ///
 /// # Examples
@@ -118,10 +122,30 @@ impl SyntheticImages {
     /// Generates `n` samples with labels cycling through the classes, then
     /// shuffled with `rng`.
     ///
+    /// Sample `i` is the serial loop's: its image is the next
+    /// `pixel_count` normals of `rng` around class `i % classes`'s
+    /// prototype. The samples are drawn on the lanes of the shared
+    /// executor ([`Pcg32::draw_each`]), which hands back exactly what that
+    /// loop draws and leaves `rng` where it leaves it, at any width.
+    ///
     /// # Panics
     ///
     /// Panics if `n == 0` or the spec is invalid.
     pub fn generate(spec: &ImageSpec, n: usize, rng: &mut Pcg32) -> Self {
+        Self::synthesize(spec, n, rng, |rng, rows, draw| {
+            rng.draw_each(rows, spec.pixel_count(), draw);
+        })
+    }
+
+    /// [`SyntheticImages::generate`] with the sample loop run by `run`,
+    /// which must equal `for (i, row) in rows.iter_mut().enumerate() {
+    /// draw(rng, i, row) }` in rows and generator state.
+    fn synthesize(
+        spec: &ImageSpec,
+        n: usize,
+        rng: &mut Pcg32,
+        run: impl FnOnce(&mut Pcg32, &mut [Vec<f32>], &SampleDraw<'_>),
+    ) -> Self {
         spec.validate();
         assert!(n > 0, "empty dataset");
         // Class prototypes from the task seed: every shard of the same task
@@ -137,26 +161,25 @@ impl SyntheticImages {
             })
             .collect();
 
-        let mut images = Vec::with_capacity(n);
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
-            let label = i % spec.classes;
-            let mut img = vec![0.0; pixels];
-            rng.fill_normal(&mut img);
-            for (z, &p) in img.iter_mut().zip(&prototypes[label]) {
+        let draw = |rng: &mut Pcg32, i: usize, img: &mut Vec<f32>| {
+            rng.fill_normal(img);
+            for (z, &p) in img.iter_mut().zip(&prototypes[i % spec.classes]) {
                 let raw = p + *z * spec.noise;
                 // Mild nonlinearity keeps the task from being linearly
                 // separable at zero effort.
                 *z = raw.tanh() + 0.1 * raw;
             }
-            images.push(img);
-            labels.push(label);
-        }
+        };
+        let mut images = vec![vec![0.0; pixels]; n];
+        run(rng, &mut images, &draw);
         // Shuffle sample order (labels follow their images).
         let mut order: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut order);
-        let images = order.iter().map(|&i| images[i].clone()).collect();
-        let labels = order.iter().map(|&i| labels[i]).collect();
+        let images = order
+            .iter()
+            .map(|&i| std::mem::take(&mut images[i]))
+            .collect();
+        let labels = order.iter().map(|&i| i % spec.classes).collect();
         Self {
             spec: *spec,
             images,
@@ -234,14 +257,25 @@ impl SyntheticImages {
     ///
     /// Panics if `n == 0` or there are fewer than `n` samples.
     pub fn shard(&self, n: usize) -> Vec<SyntheticImages> {
+        self.clone().into_shards(n)
+    }
+
+    /// [`SyntheticImages::shard`] that moves the rows into the shards
+    /// instead of copying them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or there are fewer than `n` samples.
+    pub fn into_shards(self, n: usize) -> Vec<SyntheticImages> {
         assert!(n > 0, "need at least one shard");
         assert!(self.len() >= n, "fewer samples than shards");
         let per = self.len() / n;
+        let (mut images, mut labels) = (self.images.into_iter(), self.labels.into_iter());
         (0..n)
-            .map(|s| SyntheticImages {
+            .map(|_| SyntheticImages {
                 spec: self.spec,
-                images: self.images[s * per..(s + 1) * per].to_vec(),
-                labels: self.labels[s * per..(s + 1) * per].to_vec(),
+                images: images.by_ref().take(per).collect(),
+                labels: labels.by_ref().take(per).collect(),
             })
             .collect()
     }
@@ -328,6 +362,88 @@ mod tests {
             assert_eq!(bits(&got), bits(&want));
             assert_eq!(rng, oracle_rng, "generator state after generation");
         }
+    }
+
+    /// [`SyntheticImages::generate`] on the lanes of `exec`.
+    fn generate_on(
+        exec: &rpol_exec::Executor,
+        spec: &ImageSpec,
+        n: usize,
+        rng: &mut Pcg32,
+    ) -> SyntheticImages {
+        SyntheticImages::synthesize(spec, n, rng, |rng, rows, draw| {
+            rng.draw_each_on(exec, rows, spec.pixel_count(), draw);
+        })
+    }
+
+    /// Rows' bits, labels and the generator left behind.
+    type Drawn = (Vec<Vec<u32>>, Vec<usize>, Pcg32);
+
+    fn drawn(data: &SyntheticImages, rng: Pcg32) -> Drawn {
+        let row = |img: &Vec<f32>| img.iter().map(|p| p.to_bits()).collect();
+        (
+            data.images.iter().map(row).collect(),
+            data.labels.clone(),
+            rng,
+        )
+    }
+
+    /// `generate` at executor width 1, 2 and 8 against the element-wise
+    /// oracle, from `start`.
+    fn assert_every_width_draws_the_oracle(spec: &ImageSpec, n: usize, start: &Pcg32) {
+        let mut oracle_rng = start.clone();
+        let oracle = generate_elementwise(spec, n, &mut oracle_rng);
+        let want = drawn(&oracle, oracle_rng);
+        for width in [1, 2, 8] {
+            let exec = rpol_exec::Executor::new(width);
+            let mut rng = start.clone();
+            let got = generate_on(&exec, spec, n, &mut rng);
+            assert_eq!(drawn(&got, rng), want, "width {width} n {n}");
+        }
+    }
+
+    #[test]
+    fn every_width_draws_the_serial_loop() {
+        for n in [1, 7, 257, 640, 641] {
+            assert_every_width_draws_the_oracle(&ImageSpec::tiny(), n, &Pcg32::seed_from(n as u64));
+        }
+        // Odd pixel counts and a pending cached normal: the serial loop.
+        let mut odd = ImageSpec::tiny();
+        (odd.channels, odd.height, odd.width) = (3, 5, 7);
+        assert_every_width_draws_the_oracle(&odd, 65, &Pcg32::seed_from(2));
+        let mut pending = Pcg32::seed_from(3);
+        pending.next_normal();
+        assert_every_width_draws_the_oracle(&ImageSpec::tiny(), 65, &pending);
+    }
+
+    /// A generator whose next two outputs are 0, so the next Box–Muller
+    /// pair draws `u1 = 0` and redraws it (PCG outputs 0 from state 1; the
+    /// increment makes state 1 step to state 2).
+    fn rejecting_stream() -> Pcg32 {
+        const MULT: u64 = 6_364_136_223_846_793_005;
+        let (target, inc) = (1u64, 2u64.wrapping_sub(MULT));
+        // `Pcg32::new(s, stream)` lands on `(inc + s)·MULT + inc`.
+        let mut inverse = MULT;
+        for _ in 0..5 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(MULT.wrapping_mul(inverse)));
+        }
+        let s = target
+            .wrapping_sub(inc)
+            .wrapping_mul(inverse)
+            .wrapping_sub(inc);
+        let stream = Pcg32::new(s, inc >> 1);
+        assert_eq!(stream.clone().next_u64(), 0);
+        stream
+    }
+
+    #[test]
+    fn a_redrawn_u1_in_a_middle_block_falls_back_bit_exactly() {
+        // 16 pixels a sample, 32 outputs: sample 27's second pair draws
+        // u1 = 0, inside the fourth of eight blocks at width 2.
+        let (sample, pair) = (27u64, 1u64);
+        let mut start = rejecting_stream();
+        start.advance((32 * sample + 4 * pair).wrapping_neg());
+        assert_every_width_draws_the_oracle(&ImageSpec::tiny(), 64, &start);
     }
 
     #[test]

@@ -1,20 +1,22 @@
 //! Minimal readiness source for the server reactor.
 //!
-//! The socket server's readiness pump needs exactly three operations:
-//! register a socket under a `u64` token, wait (non-blocking) for readable
-//! sockets, and let closed sockets fall out of the interest set. On x86_64
-//! Linux this is `epoll` — invoked through raw syscalls because the
-//! workspace carries no `libc` (every external dependency is an offline
-//! compat stand-in). Everywhere else [`Poller::new`] reports
-//! `Unsupported` and the server falls back to its portable scan loop.
+//! The socket server's readiness pump needs exactly four operations:
+//! register a socket under a `u64` token, switch its writable interest on
+//! and off, wait for ready sockets, and let closed sockets fall out of the
+//! interest set. On x86_64 Linux this is `epoll` — invoked through raw
+//! syscalls because the workspace carries no `libc` (every external
+//! dependency is an offline compat stand-in). Everywhere else
+//! [`Poller::new`] reports `Unsupported` and the server falls back to its
+//! portable scan loop.
 //!
 //! Design notes:
 //!
-//! - **Level-triggered, read-interest only.** The reactor drains each
-//!   ready socket up to its budget and relies on level-triggering to be
-//!   re-woken for leftovers; write-interest is tracked in userspace (the
-//!   flush queue) because outboxes drain in the same pump that fills them
-//!   in the common case.
+//! - **Level-triggered, read interest always, write interest while
+//!   blocked.** The reactor drains each ready socket up to its budget and
+//!   relies on level-triggering to be re-woken for leftovers. Outboxes
+//!   drain in the same pump that fills them in the common case; only a
+//!   socket that refused bytes gets writable interest ([`Poller::modify`]),
+//!   until its outbox is empty.
 //! - **No explicit deregistration on close.** The kernel removes an fd
 //!   from every epoll interest list when its last descriptor closes,
 //!   which is exactly when the reactor drops a `Conn`. [`Poller::del`]
@@ -41,7 +43,9 @@ mod imp {
     const EPOLL_CLOEXEC: u64 = 0x80000;
     const EPOLL_CTL_ADD: u64 = 1;
     const EPOLL_CTL_DEL: u64 = 2;
+    const EPOLL_CTL_MOD: u64 = 3;
     const EPOLLIN: u32 = 0x001;
+    const EPOLLOUT: u32 = 0x004;
 
     const ENOENT: i64 = 2;
 
@@ -103,15 +107,30 @@ mod imp {
 
         /// Registers `fd` for level-triggered read readiness under `token`.
         pub fn add(&self, fd: i32, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, token, EPOLLIN)
+        }
+
+        /// Sets whether the registered `fd` is also reported when it is
+        /// writable; read readiness stays on either way.
+        pub fn modify(&self, fd: i32, token: u64, writable: bool) -> io::Result<()> {
+            let events = if writable {
+                EPOLLIN | EPOLLOUT
+            } else {
+                EPOLLIN
+            };
+            self.ctl(EPOLL_CTL_MOD, fd, token, events)
+        }
+
+        fn ctl(&self, op: u64, fd: i32, token: u64, events: u32) -> io::Result<()> {
             let ev = EpollEvent {
-                events: EPOLLIN,
+                events,
                 data: token,
             };
             check(unsafe {
                 syscall4(
                     SYS_EPOLL_CTL,
                     self.epfd as u64,
-                    EPOLL_CTL_ADD,
+                    op,
                     fd as u64,
                     &ev as *const EpollEvent as u64,
                 )
@@ -195,6 +214,11 @@ mod imp {
         }
 
         /// Unreachable (the stub never constructs).
+        pub fn modify(&self, _fd: i32, _token: u64, _writable: bool) -> io::Result<()> {
+            unreachable!("stub poller cannot be constructed")
+        }
+
+        /// Unreachable (the stub never constructs).
         pub fn del(&self, _fd: i32) -> io::Result<()> {
             unreachable!("stub poller cannot be constructed")
         }
@@ -252,6 +276,21 @@ mod tests {
         ready.clear();
         poller.wait(&mut ready, 0).expect("wait");
         assert_eq!(ready, vec![Ready { token: 7 }]);
+
+        // Writable interest reports the idle socket until switched off.
+        poller
+            .modify(server_side.as_raw_fd(), 7, true)
+            .expect("modify");
+        let mut reader = &server_side;
+        std::io::Read::read(&mut reader, &mut [0u8; 4]).expect("drain ping");
+        ready.clear();
+        poller.wait(&mut ready, 0).expect("wait");
+        assert_eq!(ready, vec![Ready { token: 7 }]);
+        poller
+            .modify(server_side.as_raw_fd(), 7, false)
+            .expect("modify");
+        ready.clear();
+        assert_eq!(poller.wait(&mut ready, 0).expect("wait"), 0);
 
         // Deregistration stops notifications; double-del is tolerated.
         poller.del(server_side.as_raw_fd()).expect("del");

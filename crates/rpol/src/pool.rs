@@ -466,7 +466,7 @@ fn build_roster(
     assert!(!behaviors.is_empty(), "pool needs at least one worker");
     let mut rng = Pcg32::seed_from(config.seed);
     let data = SyntheticImages::generate(&config.task.spec, config.train_samples, &mut rng);
-    let mut shards = data.shard(behaviors.len() + 1);
+    let mut shards = data.into_shards(behaviors.len() + 1);
     let manager_shard = shards.pop().expect("manager shard");
     let address = manager_address(config);
     let workers = behaviors

@@ -629,6 +629,9 @@ struct Conn {
     phase: ConnPhase,
     opened: Instant,
     last_seen: Instant,
+    /// Flushes that found bytes to write.
+    #[cfg(test)]
+    flushes: u64,
 }
 
 /// A worker's upload as routed: the trace context its pristine frame
@@ -699,9 +702,14 @@ struct NetCore {
     /// userspace bytes epoll cannot see. Drained (bounded) every pump.
     dirty: VecDeque<usize>,
     in_dirty: Vec<bool>,
-    /// Slots with pending outbox bytes awaiting socket writability.
+    /// Slots with outbox bytes no flush has tried yet. A slot whose socket
+    /// refused bytes waits here too when there is no poller.
     flush: VecDeque<usize>,
     in_flush: Vec<bool>,
+    /// Slots whose socket refused bytes, registered for writable
+    /// readiness: the kernel names them once they can take more, so they
+    /// neither sit in the flush queue nor keep a waiter from parking.
+    write_wait: Vec<bool>,
     /// Per-slot stamp of the pump that last serviced it: a slot named by
     /// several sources in one pump (kernel event + dirty queue) is
     /// serviced once. Cheaper than clearing a visited bitmap (which would
@@ -755,6 +763,7 @@ impl NetCore {
             in_dirty: Vec::new(),
             flush: VecDeque::new(),
             in_flush: Vec::new(),
+            write_wait: Vec::new(),
             last_service: Vec::new(),
             pump_seq: 0,
             next_timer_sweep: Instant::now(),
@@ -786,9 +795,12 @@ impl NetCore {
     /// deadlines are swept every `timer_granularity`.
     ///
     /// With nothing queued and a poller, the pump parks in `epoll_wait` for
-    /// up to `max_wait` (and no later than the next timer sweep), waking
-    /// the instant the kernel has a connection or bytes for it. Returns
-    /// whether it parked: the caller's idle wait has then already happened.
+    /// up to `max_wait`, waking the instant the kernel has a connection,
+    /// bytes, or room in a socket that refused bytes. A wait ends at most a
+    /// millisecond (`epoll_wait`'s resolution) after the next timer sweep
+    /// is due: rounded down, the last millisecond before it would spin.
+    /// Returns whether it parked: the caller's idle wait has then already
+    /// happened.
     /// Parked pumps stay out of the `net.pump_latency` histogram — their
     /// wall time is kernel idle, not sweep cost. That histogram is wall
     /// clock only, never the trace clock, which must stay a pure function
@@ -799,7 +811,7 @@ impl NetCore {
             let until_sweep = self
                 .next_timer_sweep
                 .saturating_duration_since(Instant::now());
-            max_wait.min(until_sweep).as_millis() as i32
+            max_wait.min(until_sweep).as_micros().div_ceil(1000) as i32
         } else {
             0
         };
@@ -865,13 +877,18 @@ impl NetCore {
             self.last_service[idx] = self.pump_seq;
             self.service_conn(idx);
         }
-        // 5. Flush queue: pending outboxes retry while the socket refuses
-        // bytes.
+        // 5. Flush queue: outboxes no flush has tried yet. A slot serviced
+        // this pump was flushed there; trying again before the peer reads
+        // would only be refused again.
         for _ in 0..self.flush.len() {
             let Some(idx) = self.flush.pop_front() else {
                 break;
             };
             self.in_flush[idx] = false;
+            if self.last_service[idx] == self.pump_seq {
+                self.note_after_service(idx);
+                continue;
+            }
             let Some(mut conn) = self.conns[idx].take() else {
                 continue;
             };
@@ -904,6 +921,7 @@ impl NetCore {
         if self.poller.take().is_some() {
             self.stats.reactor_fallbacks += 1;
         }
+        self.write_wait.fill(false);
     }
 
     /// Queues a slot for frame routing next pump.
@@ -914,26 +932,43 @@ impl NetCore {
         }
     }
 
-    /// Queues a slot for an outbox flush next pump.
+    /// Queues a slot for an outbox flush next pump, unless it already waits
+    /// for the kernel to report it writable.
     fn mark_flush(&mut self, idx: usize) {
-        if !self.in_flush[idx] {
+        if !self.in_flush[idx] && !self.write_wait[idx] {
             self.in_flush[idx] = true;
             self.flush.push_back(idx);
         }
     }
 
     /// Re-queues whatever a just-serviced connection left behind: frames
-    /// still buffered in its assembler, bytes still in its outbox.
+    /// still buffered in its assembler, and bytes its socket refused — with
+    /// a poller, as writable interest, dropped once the outbox drains.
     fn note_after_service(&mut self, idx: usize) {
-        let (buffered, pending) = match self.conns[idx].as_ref() {
-            Some(conn) => (conn.asm.ready(), !conn.outbox.is_empty()),
+        let (buffered, pending, fd) = match self.conns[idx].as_ref() {
+            Some(conn) => (
+                conn.asm.ready(),
+                !conn.outbox.is_empty(),
+                conn.stream.raw_fd(),
+            ),
             None => return,
         };
         if buffered {
             self.mark_dirty(idx);
         }
-        if pending {
-            self.mark_flush(idx);
+        let Some(poller) = &self.poller else {
+            if pending {
+                self.mark_flush(idx);
+            }
+            return;
+        };
+        if pending != self.write_wait[idx] {
+            if poller.modify(fd, idx as u64, pending).is_err() {
+                self.degrade_to_scan();
+                self.note_after_service(idx);
+                return;
+            }
+            self.write_wait[idx] = pending;
         }
     }
 
@@ -1098,6 +1133,8 @@ impl NetCore {
             phase: ConnPhase::AwaitHello,
             opened: now,
             last_seen: now,
+            #[cfg(test)]
+            flushes: 0,
         };
         let slot = match self.conns.iter().position(|c| c.is_none()) {
             Some(slot) => {
@@ -1108,6 +1145,7 @@ impl NetCore {
                 self.conns.push(Some(conn));
                 self.in_dirty.push(false);
                 self.in_flush.push(false);
+                self.write_wait.push(false);
                 self.last_service.push(0);
                 self.conns.len() - 1
             }
@@ -1137,6 +1175,7 @@ impl NetCore {
     }
 
     fn close(&mut self, idx: usize) {
+        self.write_wait[idx] = false;
         if let Some(conn) = self.conns[idx].take() {
             if let Some(poller) = &self.poller {
                 // Interest-set hygiene; the kernel would also auto-remove
@@ -1242,6 +1281,10 @@ impl NetCore {
         /// Frames gathered per writev (the kernel caps total iovecs at
         /// 1024; 16 covers every realistic burst here).
         const GATHER: usize = 16;
+        #[cfg(test)]
+        {
+            conn.flushes += u64::from(!conn.outbox.is_empty());
+        }
         loop {
             if conn.outbox.is_empty() {
                 return true;
@@ -2970,6 +3013,117 @@ mod tests {
         assert_eq!(pongs, (0..9).collect::<Vec<u64>>());
         assert_eq!(pumps, 5);
         assert_eq!(core.stats.heartbeats, 9);
+    }
+
+    /// A connection whose peer stops reading is flushed at most once a
+    /// pump, also in pumps where it is readable, with a poller and without.
+    /// With one, the waiter parks: the socket waits on writable interest,
+    /// not in the flush queue. Once the peer reads, every frame arrives
+    /// byte for byte, in order, and the interest goes. A Unix socket keeps
+    /// its buffers while the peer does not read; loopback TCP's receive
+    /// buffer grows, up to `tcp_rmem`'s maximum, until the outbox drains.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn a_write_blocked_connection_is_flushed_once_a_pump_and_parks() {
+        let dir = socket_dir("write-blocked");
+        for scan in [false, true] {
+            write_blocked_round(&dir.join("pool.sock"), scan);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One connection at `path` through
+    /// [`a_write_blocked_connection_is_flushed_once_a_pump_and_parks`], on
+    /// a core that drops its poller when `scan`.
+    fn write_blocked_round(path: &std::path::Path, scan: bool) {
+        let cfg = ServerConfig {
+            handshake_timeout: Duration::MAX,
+            idle_timeout: Duration::MAX,
+            ..ServerConfig::default()
+        };
+        let listener = Listener::bind(&BindAddr::Unix(path.to_path_buf())).expect("bind");
+        let mut client = UnixStream::connect(path).expect("connect");
+        let mut core = NetCore::new(Some(listener), cfg, 1, rpol_obs::noop().clone());
+        assert!(core.poller.is_some(), "the test needs epoll");
+        if scan {
+            core.degrade_to_scan();
+        }
+        let deadline = Instant::now() + Duration::from_secs(20);
+        client.write_all(&WorkerSession::hello(0)).expect("hello");
+        while !core.connected(0) {
+            assert!(Instant::now() < deadline, "no handshake");
+            core.pump(PUMP_PARK);
+        }
+        let slot = core.by_worker[&0];
+        let conn = |core: &NetCore| -> (u64, bool) {
+            let conn = core.conns[slot].as_ref().expect("open");
+            (conn.flushes, !conn.outbox.is_empty())
+        };
+
+        // 1 MiB frames until the socket refuses bytes.
+        let mut sent: Vec<Bytes> = Vec::new();
+        while !conn(&core).1 {
+            assert!(sent.len() < 64, "64 MiB went out unread");
+            let payload: Vec<u8> = (0..1 << 20).map(|i| (i * 7 + sent.len()) as u8).collect();
+            let payload = Bytes::from(payload);
+            assert!(core.send_framed_to_worker(0, vec![wire::seal_frame(&payload)]));
+            sent.push(payload);
+            core.pump(Duration::ZERO);
+        }
+        assert_eq!(core.write_wait[slot], !scan, "scan {scan}");
+        assert_eq!(core.flush.is_empty(), !scan, "scan {scan}");
+
+        // Readable and write-blocked at once: each pump flushes once.
+        for nonce in 0..4u64 {
+            let ping = wire::encode_net_control(&NetControl::Ping { nonce });
+            client.write_all(&wire::seal_frame(&ping)).expect("ping");
+            while core.stats.heartbeats <= nonce {
+                assert!(Instant::now() < deadline, "ping {nonce} never routed");
+                let before = conn(&core).0;
+                core.pump(PUMP_PARK);
+                let flushed = conn(&core).0 - before;
+                assert!(flushed <= 1, "scan {scan}, ping {nonce}: {flushed} flushes");
+            }
+        }
+        if !scan {
+            // Nothing to read, nothing the socket takes: the waiter parks.
+            let parked = (0..3).filter(|_| core.pump(PUMP_PARK)).count();
+            assert_eq!(parked, 3, "parked in {parked} of 3 pumps while blocked");
+            assert!(conn(&core).1, "the outbox drained unread");
+        }
+
+        let mut asm = FrameAssembler::new(wire::MAX_FRAME_BYTES);
+        let mut frames = Vec::new();
+        client.set_nonblocking(true).expect("nonblocking");
+        let mut chunk = vec![0u8; 1 << 16];
+        while frames.len() < 1 + sent.len() + 4 {
+            assert!(Instant::now() < deadline, "{} frames read", frames.len());
+            match client.read(&mut chunk) {
+                Ok(0) => panic!("the server closed the connection"),
+                Ok(k) => asm.push(&chunk[..k]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    core.pump(PUMP_PARK);
+                }
+                Err(e) => panic!("read: {e}"),
+            }
+            while let Some(frame) = asm.next_frame().expect("pristine frames") {
+                frames.push(frame);
+            }
+        }
+        assert!(matches!(
+            wire::decode_net_control(frames[0].clone()),
+            Ok(NetControl::Welcome { .. })
+        ));
+        for (i, (got, want)) in frames[1..].iter().zip(&sent).enumerate() {
+            assert!(got == want, "scan {scan}: frame {i} arrived altered");
+        }
+        let pongs: Vec<NetControl> = frames[1 + sent.len()..]
+            .iter()
+            .map(|f| wire::decode_net_control(f.clone()).expect("a pong"))
+            .collect();
+        let want: Vec<NetControl> = (0..4).map(|nonce| NetControl::Pong { nonce }).collect();
+        assert_eq!(pongs, want, "scan {scan}");
+        assert!(!conn(&core).1 && !core.write_wait[slot], "scan {scan}");
     }
 
     /// A fresh directory for a Unix socket, unique to this process and

@@ -26,7 +26,8 @@ use rpol::client::{ClientTuning, WorkerClient};
 use rpol::pool::{MiningPool, PoolConfig, PoolReport, Scheme};
 use rpol::server::{run_socket_pool, BindAddr, PoolServer, ServerConfig, SocketRunOptions};
 use rpol::wire::{
-    decode_net_control, encode_net_control, open_frame, seal_frame, NetControl, NET_PROTOCOL,
+    decode_net_control, encode_net_control, seal_frame, FrameAssembler, NetControl,
+    MAX_FRAME_BYTES, NET_PROTOCOL,
 };
 use rpol_obs::export::events_to_jsonl;
 use rpol_obs::stitch::stitch;
@@ -45,21 +46,23 @@ fn send_control(stream: &mut TcpStream, msg: &NetControl) {
     stream.write_all(&framed).expect("write frame");
 }
 
-/// Reads one control frame (of any size) off a blocking stream.
+/// Reads one control frame (of any size) off a blocking stream. A frame
+/// that fails to decode is an error, not a reason to read on.
 fn read_control(stream: &mut TcpStream) -> io::Result<NetControl> {
-    let mut buf = Vec::new();
+    let mut asm = FrameAssembler::new(MAX_FRAME_BYTES);
     let mut chunk = [0u8; 4096];
     loop {
+        let frame = asm
+            .next_frame()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
+        if let Some(payload) = frame {
+            return Ok(decode_net_control(payload).expect("control frame"));
+        }
         let k = stream.read(&mut chunk)?;
         if k == 0 {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed"));
         }
-        buf.extend_from_slice(&chunk[..k]);
-        if buf.len() >= 16 {
-            if let Ok(payload) = open_frame(bytes::Bytes::from(buf.clone())) {
-                return Ok(decode_net_control(payload).expect("control frame"));
-            }
-        }
+        asm.push(&chunk[..k]);
     }
 }
 

@@ -14,6 +14,8 @@
 //! [`Pcg32::fill_normal`] reproduces that platform's stream bit for bit
 //! (DESIGN.md §6 and §19).
 
+use rpol_exec::Executor;
+
 /// SplitMix64: a tiny, high-quality 64-bit generator.
 ///
 /// Used both directly and as a seeder for [`Pcg32`]. The state transition is
@@ -321,6 +323,106 @@ impl Pcg32 {
         }
     }
 
+    /// [`Pcg32::draw_each_on`] on the lanes of the process's shared
+    /// executor ([`rpol_exec::shared`]).
+    pub fn draw_each<T: Send>(
+        &mut self,
+        items: &mut [T],
+        normals: usize,
+        draw: impl Fn(&mut Pcg32, usize, &mut T) + Sync,
+    ) -> bool {
+        self.draw_each_on(rpol_exec::shared(), items, normals, draw)
+    }
+
+    /// The serial loop `for (i, item) in items.iter_mut().enumerate() {
+    /// draw(self, i, item) }`, where each call draws `normals` normals from
+    /// the generator and nothing else, run in blocks on the lanes of
+    /// `exec`. The loop is the definition; the lanes only accelerate it.
+    ///
+    /// A block starts from a clone [`advance`]d `2·normals` outputs per
+    /// item before it: where the stream stands if no Box–Muller pair
+    /// redraws a `u1`. A block that does not end where its successor
+    /// started drew a redraw, and from that successor on the loop runs
+    /// serially from where the block really ended. One lane, an odd
+    /// `normals`, or a cached normal pending on entry takes the serial loop
+    /// from the start. `draw` must set its item from the generator and the index
+    /// alone. Returns whether every block's result stood.
+    ///
+    /// [`advance`]: Pcg32::advance
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rpol_exec::Executor;
+    /// use rpol_tensor::rng::Pcg32;
+    ///
+    /// let draw = |rng: &mut Pcg32, _: usize, row: &mut Vec<f32>| rng.fill_normal(row);
+    /// let (mut lanes, mut serial) = (Pcg32::seed_from(3), Pcg32::seed_from(3));
+    /// let mut rows = vec![vec![0.0f32; 4]; 9];
+    /// assert!(lanes.draw_each_on(&Executor::new(2), &mut rows, 4, draw));
+    /// for (i, row) in rows.iter().enumerate() {
+    ///     let mut want = vec![0.0f32; 4];
+    ///     draw(&mut serial, i, &mut want);
+    ///     assert_eq!(*row, want);
+    /// }
+    /// assert_eq!(lanes, serial);
+    /// ```
+    pub fn draw_each_on<T: Send>(
+        &mut self,
+        exec: &Executor,
+        items: &mut [T],
+        normals: usize,
+        draw: impl Fn(&mut Pcg32, usize, &mut T) + Sync,
+    ) -> bool {
+        let n = items.len();
+        let blocks = (BLOCKS_PER_LANE * exec.threads()).min(n);
+        if exec.threads() == 1 || blocks < 2 || normals % 2 == 1 || self.cached_normal.is_some() {
+            for (i, item) in items.iter_mut().enumerate() {
+                draw(self, i, item);
+            }
+            return false;
+        }
+        // Block `b` draws items `bounds[b]..bounds[b + 1]`.
+        let bounds: Vec<usize> = (0..=blocks).map(|b| b * n / blocks).collect();
+        let starts: Vec<Pcg32> = bounds[..blocks]
+            .iter()
+            .map(|&first| {
+                let mut at = self.clone();
+                at.advance(2 * normals as u64 * first as u64);
+                at
+            })
+            .collect();
+        let mut ends: Vec<Option<Pcg32>> = vec![None; blocks];
+        exec.scope(|scope| {
+            let (draw, mut rest) = (&draw, &mut *items);
+            for ((block, start), end) in bounds.windows(2).zip(&starts).zip(&mut ends) {
+                let (chunk, tail) = rest.split_at_mut(block[1] - block[0]);
+                rest = tail;
+                let first = block[0];
+                scope.spawn(move || {
+                    let mut rng = start.clone();
+                    for (k, item) in chunk.iter_mut().enumerate() {
+                        draw(&mut rng, first + k, item);
+                    }
+                    *end = Some(rng);
+                });
+            }
+        });
+        let ends: Vec<Pcg32> = ends
+            .into_iter()
+            .map(|end| end.expect("block ran"))
+            .collect();
+        if let Some(b) = (1..blocks).find(|&b| ends[b - 1] != starts[b]) {
+            *self = ends[b - 1].clone();
+            for (i, item) in items.iter_mut().enumerate().skip(bounds[b]) {
+                draw(self, i, item);
+            }
+            return false;
+        }
+        *self = ends[blocks - 1].clone();
+        true
+    }
+
     /// Returns a normal draw with the given mean and standard deviation.
     ///
     /// # Panics
@@ -342,6 +444,10 @@ impl Pcg32 {
         }
     }
 }
+
+/// Blocks [`Pcg32::draw_each_on`] cuts per executor lane, so a lane that
+/// finishes early takes another block instead of idling.
+const BLOCKS_PER_LANE: usize = 4;
 
 /// PCG's XSH-RR output function of the state an output is drawn from.
 #[inline(always)]
@@ -974,6 +1080,87 @@ mod tests {
                 assert_eq!(z.to_bits(), scalar.next_normal().to_bits(), "draw {i}");
             }
             assert_eq!(bulk, scalar, "rejection at pair {at}");
+        }
+    }
+
+    /// One item of the block-driver tests: a row of normals, tagged with
+    /// its index so a block that passes the wrong one shows.
+    fn draw_row(rng: &mut Pcg32, i: usize, row: &mut [f32]) {
+        rng.fill_normal(row);
+        row[0] += i as f32;
+    }
+
+    /// `n` rows of `normals` through `draw_each_on` at `width`: the rows'
+    /// bits, the generator left behind, and whether the lanes' result stood.
+    fn drawn_rows(
+        start: &Pcg32,
+        width: Option<usize>,
+        n: usize,
+        normals: usize,
+    ) -> (Vec<Vec<u32>>, Pcg32, bool) {
+        let mut rng = start.clone();
+        let mut rows = vec![vec![f32::NAN; normals]; n];
+        let stood = match width {
+            Some(width) => {
+                let draw = |rng: &mut Pcg32, i, row: &mut Vec<f32>| draw_row(rng, i, row);
+                rng.draw_each_on(&Executor::new(width), &mut rows, normals, draw)
+            }
+            None => {
+                for (i, row) in rows.iter_mut().enumerate() {
+                    draw_row(&mut rng, i, row);
+                }
+                false
+            }
+        };
+        let bits = rows.iter().map(|r| r.iter().map(|z| z.to_bits()).collect());
+        (bits.collect(), rng, stood)
+    }
+
+    #[test]
+    fn draw_each_equals_the_serial_loop_at_any_width() {
+        for width in [1usize, 2, 8] {
+            for n in [0, 1, width - 1, 257, 640, 641] {
+                let start = Pcg32::seed_from(n as u64);
+                let (want_rows, want_rng, _) = drawn_rows(&start, None, n, 6);
+                let (rows, rng, stood) = drawn_rows(&start, Some(width), n, 6);
+                assert_eq!(rows, want_rows, "width {width} n {n}");
+                assert_eq!(rng, want_rng, "width {width} n {n}");
+                assert_eq!(stood, width > 1 && n > 1, "width {width} n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn odd_normals_and_a_pending_normal_take_the_serial_loop() {
+        let mut pending = Pcg32::seed_from(4);
+        pending.next_normal();
+        for (start, normals) in [(Pcg32::seed_from(4), 5), (pending, 6)] {
+            let want = drawn_rows(&start, None, 100, normals);
+            for width in [2, 8] {
+                let got = drawn_rows(&start, Some(width), 100, normals);
+                assert_eq!(got, want, "width {width} normals {normals}");
+            }
+        }
+    }
+
+    /// A `u1` redrawn in a middle block moves every later block's start:
+    /// the blocks after it are drawn again from where it really ended.
+    #[test]
+    fn a_redrawn_u1_in_a_middle_block_falls_back_bit_exactly() {
+        // 64 rows of 6 normals: 8 blocks of 8 rows at width 2, 32 of 2 at
+        // width 8. Row 27's second pair draws u1 = 0.
+        let (n, normals, row, pair) = (64usize, 6usize, 27u64, 1u64);
+        let mut start = rejecting_stream();
+        start.advance((2 * normals as u64 * row + 4 * pair).wrapping_neg());
+        let mut probe = start.clone();
+        probe.advance(2 * normals as u64 * row + 4 * pair);
+        assert_eq!(probe.next_u64(), 0, "row {row} pair {pair} draws u1 = 0");
+        let (want_rows, want_rng, _) = drawn_rows(&start, None, n, normals);
+        for width in [2, 8] {
+            let (rows, rng, stood) = drawn_rows(&start, Some(width), n, normals);
+            assert!(!stood, "width {width}: the redraw must be caught");
+            assert_eq!(rows, want_rows, "width {width}");
+            assert_eq!(rng, want_rng, "width {width}");
         }
     }
 
