@@ -40,7 +40,6 @@ use rpol_exec::Executor;
 use rpol_lsh::{LshFamily, LshParams, Signature};
 use rpol_nn::data::SyntheticImages;
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
-use rpol_tensor::gemm;
 use rpol_tensor::rng::Pcg32;
 use std::hint::black_box;
 use std::time::Instant;
@@ -217,7 +216,7 @@ fn main() {
     let lsh_family = LshFamily::new(lsh_dim, LshParams::new(4.0, 4, 8), 7);
     let scalar_sigs: Vec<Signature> = lsh_refs.iter().map(|w| lsh_family.hash_scalar(w)).collect();
     let scalar_entries: Vec<Vec<Digest>> = scalar_sigs.iter().map(|s| s.group_digests()).collect();
-    for lanes in [1, gemm::default_threads()] {
+    for lanes in [1, rpol_exec::shared().threads()] {
         let sigs = lsh_family.hash_batch_threads(&lsh_refs, lanes);
         assert_eq!(sigs, scalar_sigs, "streamed hash diverged at {lanes} lanes");
         assert_eq!(

@@ -143,25 +143,6 @@ pub fn bf16_as_le_bytes(src: &[f32]) -> Vec<u8> {
     out
 }
 
-/// Decodes a packed little-endian bf16 image back into exact `f32` lattice
-/// points (low 16 bits zero), appending to `out`.
-///
-/// # Panics
-///
-/// Panics unless `bytes.len()` is a multiple of 2.
-pub fn copy_bf16_from_le(bytes: &[u8], out: &mut Vec<f32>) {
-    assert!(
-        bytes.len().is_multiple_of(2),
-        "byte length {} not a multiple of 2",
-        bytes.len()
-    );
-    out.reserve(bytes.len() / 2);
-    for pair in bytes.chunks_exact(2) {
-        let q = u16::from_le_bytes([pair[0], pair[1]]);
-        out.push(f32::from_bits((q as u32) << 16));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,23 +189,18 @@ mod tests {
             .collect();
         let packed = bf16_as_le_bytes(&xs);
         assert_eq!(packed.len(), xs.len() * 2);
-        let mut back = Vec::new();
-        copy_bf16_from_le(&packed, &mut back);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back), bits(&xs));
+        // Each 2-byte word is the high half of its lattice point.
+        let back: Vec<u32> = packed
+            .chunks_exact(2)
+            .map(|pair| (u16::from_le_bytes([pair[0], pair[1]]) as u32) << 16)
+            .collect();
+        let bits: Vec<u32> = xs.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(back, bits);
     }
 
     #[test]
     fn bf16_image_truncates_off_lattice_values() {
         let x = f32::from_bits(0x3F80_1234);
-        let mut back = Vec::new();
-        copy_bf16_from_le(&bf16_as_le_bytes(&[x]), &mut back);
-        assert_eq!(back[0].to_bits(), 0x3F80_0000);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of 2")]
-    fn ragged_bf16_byte_length_rejected() {
-        copy_bf16_from_le(&[1], &mut Vec::new());
+        assert_eq!(bf16_as_le_bytes(&[x]), [0x80, 0x3F]);
     }
 }

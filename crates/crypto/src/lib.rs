@@ -13,10 +13,8 @@
 //! * [`prf`] — the keyed pseudo-random function used for
 //!   stochastic-yet-deterministic batch selection (§V-B) and for expanding
 //!   a blockchain address into AMLayer weights (§V-A),
-//! * [`merkle`] — Merkle hash trees for checkpoint commitments (§V-B),
-//! * [`address`] — blockchain addresses identifying consensus nodes,
-//! * [`commitment`] — the two commitment constructions the paper describes
-//!   (ordered hash list and Merkle root) with opening proofs.
+//! * [`merkle`] — Merkle hash trees (the committee batch's root),
+//! * [`address`] — blockchain addresses identifying consensus nodes.
 //!
 //! # Examples
 //!
@@ -32,7 +30,6 @@
 
 pub mod address;
 pub mod bytes;
-pub mod commitment;
 pub mod hmac;
 pub mod merkle;
 pub mod prf;
@@ -40,7 +37,6 @@ pub mod sha256;
 pub mod sha256x8;
 
 pub use address::Address;
-pub use commitment::{Commitment, HashListCommitment, MerkleCommitment};
 pub use merkle::MerkleTree;
 pub use prf::Prf;
 pub use sha256::{sha256, Digest};

@@ -1,7 +1,6 @@
 //! Property-based tests for the crypto substrate.
 
 use proptest::prelude::*;
-use rpol_crypto::commitment::{Commitment, HashListCommitment, MerkleCommitment};
 use rpol_crypto::hmac::hmac_sha256;
 use rpol_crypto::merkle::MerkleTree;
 use rpol_crypto::prf::{deterministic_batch, Prf};
@@ -64,36 +63,6 @@ proptest! {
             if &forged != leaf {
                 prop_assert!(!proof.verify(tree.root(), &forged));
             }
-        }
-    }
-
-    #[test]
-    fn commitments_bind_position_and_content(
-        n in 2usize..12,
-        tamper in 0usize..12,
-        seed in any::<u64>()
-    ) {
-        let tamper = tamper % n;
-        let digests: Vec<_> = (0..n)
-            .map(|i| sha256(&(seed ^ i as u64).to_be_bytes()))
-            .collect();
-        let hl = HashListCommitment::commit(&digests);
-        let mk = MerkleCommitment::commit(&digests);
-        for (i, d) in digests.iter().enumerate() {
-            prop_assert!(hl.verify(i, d, &hl.open(i)));
-            prop_assert!(mk.verify(i, d, &mk.open(i)));
-            // Wrong position fails.
-            let other = (i + 1) % n;
-            if digests[other] != *d {
-                prop_assert!(!hl.verify(other, d, &hl.open(other)));
-                prop_assert!(!mk.verify(other, d, &mk.open(other)));
-            }
-        }
-        // Tampered digest fails at its own position.
-        let forged = sha256(b"forged");
-        if digests[tamper] != forged {
-            prop_assert!(!hl.verify(tamper, &forged, &hl.open(tamper)));
-            prop_assert!(!mk.verify(tamper, &forged, &mk.open(tamper)));
         }
     }
 

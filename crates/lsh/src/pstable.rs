@@ -187,7 +187,7 @@ impl LshFamily {
     /// Hashes many vectors in one pass over the projection rows: each row
     /// is derived once and every input's chain walks it, so a batch pays
     /// the generation once however many inputs it holds. Splits the rows
-    /// over the workspace default GEMM thread count, one lane per
+    /// over the lanes of the shared executor it runs on, one lane per
     /// `LANE_NORMALS` (2¹⁶) normals at least, so a small family is not split
     /// into lanes that cost more to dispatch than to derive; signatures
     /// are bitwise identical for any lane count (see
@@ -200,7 +200,9 @@ impl LshFamily {
     /// Panics if any input's length differs from `self.dim()`.
     pub fn hash_batch(&self, xs: &[&[f32]]) -> Vec<Signature> {
         let normals = self.params.total_hashes() * self.dim;
-        let lanes = rpol_tensor::gemm::default_threads().min(normals.div_ceil(LANE_NORMALS));
+        let lanes = rpol_exec::shared()
+            .threads()
+            .min(normals.div_ceil(LANE_NORMALS));
         self.hash_batch_threads(xs, lanes)
     }
 

@@ -120,12 +120,6 @@ impl Conv2d {
         self.weight.value.shape().dim(1)
     }
 
-    /// Direct access to the weight parameter; RPoL's AMLayer freezes and
-    /// spectrally normalizes these weights in place.
-    pub fn weight_mut(&mut self) -> &mut Param {
-        &mut self.weight
-    }
-
     /// Direct access to the weight parameter.
     pub fn weight(&self) -> &Param {
         &self.weight
@@ -702,9 +696,9 @@ mod tests {
         conv.visit_params(&mut |p| analytic.push(p.grad.clone()));
         for idx in [0usize, 9, 26] {
             let mut plus = conv.clone();
-            plus.weight_mut().value.data_mut()[idx] += eps;
+            plus.weight.value.data_mut()[idx] += eps;
             let mut minus = conv.clone();
-            minus.weight_mut().value.data_mut()[idx] -= eps;
+            minus.weight.value.data_mut()[idx] -= eps;
             let numeric = (loss(&mut plus, &x) - loss(&mut minus, &x)) / (2.0 * eps);
             let got = analytic[0].data()[idx];
             assert!(

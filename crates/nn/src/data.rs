@@ -280,29 +280,6 @@ impl SyntheticImages {
             .collect()
     }
 
-    /// Splits off the last `count` samples as a held-out set, returning
-    /// `(train, test)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < count < len`.
-    pub fn split_off(&self, count: usize) -> (SyntheticImages, SyntheticImages) {
-        assert!(count > 0 && count < self.len(), "invalid split size");
-        let cut = self.len() - count;
-        (
-            SyntheticImages {
-                spec: self.spec,
-                images: self.images[..cut].to_vec(),
-                labels: self.labels[..cut].to_vec(),
-            },
-            SyntheticImages {
-                spec: self.spec,
-                images: self.images[cut..].to_vec(),
-                labels: self.labels[cut..].to_vec(),
-            },
-        )
-    }
-
     /// Dataset size in bytes as raw `f32` pixels (for storage accounting).
     pub fn byte_size(&self) -> usize {
         self.len() * self.spec.pixel_count() * 4
@@ -504,15 +481,6 @@ mod tests {
                 assert!((8..=35).contains(&count), "class {class}: {count}");
             }
         }
-    }
-
-    #[test]
-    fn split_off_sizes() {
-        let spec = ImageSpec::tiny();
-        let data = SyntheticImages::generate(&spec, 50, &mut Pcg32::seed_from(7));
-        let (train, test) = data.split_off(10);
-        assert_eq!(train.len(), 40);
-        assert_eq!(test.len(), 10);
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl Dropout {
         }
     }
 
-    /// Resets the mask stream to its initial state — the verifier calls
-    /// this before replaying a segment so masks line up with the worker's.
-    pub fn reset_stream(&mut self) {
-        self.rng = Pcg32::seed_from(self.seed);
-    }
-
     /// The drop probability.
     pub fn probability(&self) -> f32 {
         self.p
@@ -163,16 +157,20 @@ mod tests {
         assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
     }
 
+    /// The protocol resets the mask stream by reseeding: the verifier
+    /// reseeds before replaying a segment so masks line up with the
+    /// worker's.
     #[test]
     fn stream_reset_reproduces_masks() {
         let mut d = Dropout::new(0.3, 7);
         let x = Tensor::ones(&[1, 64]);
+        d.reseed(11);
         let y1 = d.forward(&x, true);
         let y2 = d.forward(&x, true);
         assert_ne!(y1, y2, "stream should advance");
-        d.reset_stream();
+        d.reseed(11);
         let y1_again = d.forward(&x, true);
-        assert_eq!(y1, y1_again, "reset must replay the same masks");
+        assert_eq!(y1, y1_again, "reseeding must replay the same masks");
     }
 
     #[test]

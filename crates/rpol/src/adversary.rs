@@ -1,7 +1,7 @@
 //! Adversarial worker behaviours (§III-B threat model, §VII-D attacker,
 //! §VII-E Adv1/Adv2) and the address-replacing attack (§VII-B).
 
-use crate::amlayer::{AmLayer, AmLayerSpec};
+use crate::amlayer::AmLayer;
 use crate::tasks::TaskConfig;
 use rpol_crypto::Address;
 use serde::{Deserialize, Serialize};
@@ -167,11 +167,6 @@ pub fn replace_amlayer(config: &TaskConfig, flat: &[f32], thief: &Address) -> Ve
     forged
 }
 
-/// Number of leading weights occupied by the AMLayer for a task.
-pub fn amlayer_prefix_len(spec: AmLayerSpec) -> usize {
-    AmLayer::weight_count(spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +210,7 @@ mod tests {
         let flat = model.flatten_params();
         let forged = replace_amlayer(&cfg, &flat, &thief);
         assert_eq!(forged.len(), flat.len());
-        let prefix = amlayer_prefix_len(cfg.amlayer_spec());
+        let prefix = AmLayer::weight_count(cfg.amlayer_spec());
         // Kernel prefix changed...
         assert_ne!(
             &forged[..prefix - cfg.spec.channels],

@@ -244,34 +244,6 @@ impl AmLayer {
     pub fn weight_count(spec: AmLayerSpec) -> usize {
         spec.depth * (spec.channels * spec.channels * spec.kernel * spec.kernel + spec.channels)
     }
-
-    /// Empirically estimates each block's residual-map Lipschitz ratio on
-    /// random input pairs; used by tests and the Table I harness to
-    /// confirm Eq. 3 block by block.
-    pub fn empirical_block_lipschitz(
-        &mut self,
-        trials: usize,
-        hw: usize,
-        rng: &mut Pcg32,
-    ) -> Vec<f32> {
-        let channels = self.spec.channels;
-        self.blocks
-            .iter_mut()
-            .map(|block| {
-                let mut worst = 0.0f32;
-                for _ in 0..trials {
-                    let x1 = Tensor::randn(&[1, channels, hw, hw], rng);
-                    let x2 = Tensor::randn(&[1, channels, hw, hw], rng);
-                    let f1 = block.forward(&x1, false);
-                    let f2 = block.forward(&x2, false);
-                    let num = f1.euclidean_distance(&f2);
-                    let den = x1.euclidean_distance(&x2).max(1e-12);
-                    worst = worst.max(num / den);
-                }
-                worst
-            })
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for AmLayer {
@@ -415,12 +387,39 @@ mod tests {
         assert!(!layer.verify_encodes(&Address::from_seed(4)));
     }
 
+    /// Each block's residual-map Lipschitz ratio, estimated on `trials`
+    /// random input pairs: Eq. 3 block by block.
+    fn empirical_block_lipschitz(
+        layer: &mut AmLayer,
+        trials: usize,
+        hw: usize,
+        rng: &mut Pcg32,
+    ) -> Vec<f32> {
+        let channels = layer.spec.channels;
+        layer
+            .blocks
+            .iter_mut()
+            .map(|block| {
+                let mut worst = 0.0f32;
+                for _ in 0..trials {
+                    let x1 = Tensor::randn(&[1, channels, hw, hw], rng);
+                    let x2 = Tensor::randn(&[1, channels, hw, hw], rng);
+                    let f1 = block.forward(&x1, false);
+                    let f2 = block.forward(&x2, false);
+                    let num = f1.euclidean_distance(&f2);
+                    let den = x1.euclidean_distance(&x2).max(1e-12);
+                    worst = worst.max(num / den);
+                }
+                worst
+            })
+            .collect()
+    }
+
     #[test]
     fn block_lipschitz_constraint_holds() {
         let mut rng = Pcg32::seed_from(5);
         let mut layer = AmLayer::generate(&Address::from_seed(5), spec(), 0.9);
-        for (i, ratio) in layer
-            .empirical_block_lipschitz(40, 8, &mut rng)
+        for (i, ratio) in empirical_block_lipschitz(&mut layer, 40, 8, &mut rng)
             .into_iter()
             .enumerate()
         {

@@ -736,12 +736,11 @@ mod tests {
             assert_eq!(Some(&socket), submission.commitment.as_ref(), "{scheme}");
             for (j, cp) in checkpoints.iter().enumerate() {
                 let want = family.hash_scalar(cp).group_digests();
-                let entry = match &socket {
-                    EpochCommitment::V2(c) => c.entry(j),
-                    EpochCommitment::V3(c) => c.entry(j),
-                    EpochCommitment::V1(_) => unreachable!(),
-                };
-                assert_eq!(entry, want.as_slice(), "{scheme}: checkpoint {j}");
+                assert_eq!(
+                    socket.groups(j),
+                    want.as_slice(),
+                    "{scheme}: checkpoint {j}"
+                );
             }
         }
     }

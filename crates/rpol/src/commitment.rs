@@ -1,226 +1,44 @@
 //! Epoch commitments over checkpoint sequences (§V-B, §V-C).
 //!
 //! At the end of an epoch a worker commits to its ordered checkpoints
-//! *before* learning which ones will be sampled:
+//! *before* learning which ones will be sampled. Every scheme commits the
+//! same shape — one row of 32-byte digests per checkpoint — and its
+//! [`SchemeSpec`] fixes what fills the row, in wire order:
 //!
-//! * **RPoLv1** commits to the SHA-256 of each checkpoint's raw weights;
-//!   opening a sample means shipping both raw weight vectors.
-//! * **RPoLv2** commits to the per-group LSH digests of each checkpoint's
-//!   weights; opening a sample means shipping only the *input* weights —
-//!   the output is checked by fuzzy-matching the replayed weights' LSH
-//!   signature against the committed group digests.
-//! * **RPoLv3** commits to the bf16 **lattice image** of each checkpoint:
-//!   the LSH group digests of the quantized weights plus one SHA-256 over
-//!   the packed 2-byte image. V3 workers train *on* the lattice (weights
-//!   are snapped at every checkpoint boundary), so the image is the
-//!   checkpoint — the quant digest is an exact V1-grade binding at half
-//!   the hashed bytes, and the LSH entries drive the fuzzy accept with a
-//!   raw-distance escape hatch for borderline (single-group) matches.
+//! * the `l` LSH group digests of the checkpoint's lattice image, when the
+//!   scheme matches replays by LSH ([`SchemeSpec::hashes_by_lsh`]);
+//! * then one SHA-256 of that image's bytes, when the scheme binds by
+//!   SHA-256 ([`Binding::Sha256`]): the raw f32 bytes on the f32 lattice,
+//!   the packed 2-byte image on the bf16 one.
+//!
+//! So an **RPoLv1** row is the f32 SHA-256 alone (opening a sample ships
+//! both raw weight vectors); an **RPoLv2** row is the `l` group digests
+//! (opening ships only the input; the output is fuzzy-matched against
+//! the row); an **RPoLv3** row is the `l` group digests of the bf16 image,
+//! then its SHA-256. V3 workers train *on* the lattice (weights are
+//! snapped at every checkpoint boundary), so the image is the checkpoint:
+//! the trailing digest is a V1-grade exact binding at half the hashed
+//! bytes, and the group digests drive the fuzzy accept.
 
-use crate::pool::Scheme;
-use rpol_crypto::commitment::{Commitment, HashListCommitment};
-use rpol_crypto::sha256::{Digest, Sha256};
+use crate::pool::{Binding, Lattice, Scheme, SchemeSpec};
+use rpol_crypto::sha256::Digest;
 use rpol_lsh::{LshFamily, Signature};
-use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
-/// An RPoLv2 commitment: ordered per-checkpoint LSH group digests.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LshCommitment {
-    entries: Vec<Vec<Digest>>,
+/// A scheme's epoch commitment: one row of digests per checkpoint, laid
+/// out as the scheme's [`SchemeSpec`] says (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EpochCommitment {
+    scheme: Scheme,
+    /// LSH group digests leading each row (`l`); 0 without LSH.
+    groups: usize,
+    /// Every row, in checkpoint order, flat.
+    digests: Vec<Digest>,
 }
 
-impl LshCommitment {
-    /// Commits to checkpoints by hashing each with the epoch's LSH family.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `checkpoints` is empty or any checkpoint's length
-    /// mismatches the family dimension.
-    pub fn commit(checkpoints: &[Vec<f32>], family: &LshFamily) -> Self {
-        assert!(!checkpoints.is_empty(), "no checkpoints to commit");
-        // One streamed pass derives each projection row once for every
-        // checkpoint, and one batch-hash pass digests every group — bitwise
-        // identical to the per-checkpoint `family.hash(w).group_digests()`
-        // chain.
-        let refs: Vec<&[f32]> = checkpoints.iter().map(|w| w.as_slice()).collect();
-        let signatures = family.hash_batch(&refs);
-        let entries = Signature::group_digests_batch(&signatures);
-        Self { entries }
-    }
-
-    /// Reassembles a commitment from raw per-checkpoint group digests
-    /// (the wire-decoding path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is empty, any entry is empty, or entries have
-    /// unequal group counts.
-    pub fn from_entries(entries: Vec<Vec<Digest>>) -> Self {
-        assert!(!entries.is_empty(), "no committed checkpoints");
-        let l = entries[0].len();
-        assert!(l > 0, "empty group digest list");
-        assert!(
-            entries.iter().all(|e| e.len() == l),
-            "inconsistent group counts"
-        );
-        Self { entries }
-    }
-
-    /// The committed group digests for checkpoint `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn entry(&self, index: usize) -> &[Digest] {
-        &self.entries[index]
-    }
-
-    /// Number of committed checkpoints.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the commitment is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// A single digest binding the whole commitment.
-    pub fn value(&self) -> Digest {
-        let mut h = Sha256::new();
-        for entry in &self.entries {
-            for d in entry {
-                h.update(d.as_bytes());
-            }
-        }
-        h.finalize()
-    }
-
-    /// Bytes crossing the wire when the commitment is submitted
-    /// (`32 · l` per checkpoint).
-    pub fn wire_size(&self) -> usize {
-        self.entries.iter().map(|e| e.len() * 32).sum()
-    }
-}
-
-/// An RPoLv3 commitment: per-checkpoint LSH group digests over the bf16
-/// lattice image, plus one SHA-256 of the packed 2-byte image.
-///
-/// Committing always quantizes: the committed object is the checkpoint's
-/// bf16 image regardless of what the caller passes. V3 workers keep their
-/// checkpoints *on* the lattice (the trainer snaps at every boundary), so
-/// for them the image is the checkpoint itself and the quant digest binds
-/// the full-precision weights exactly — the verifier enforces lattice
-/// membership on every opened checkpoint, making the 2-byte digest as
-/// binding as RPoLv1's 4-byte one at half the hashed bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QuantCommitment {
-    lsh: LshCommitment,
-    quant_digests: Vec<Digest>,
-}
-
-impl QuantCommitment {
-    /// Commits to the bf16 images of `checkpoints` with the epoch's LSH
-    /// family.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `checkpoints` is empty or any checkpoint's length
-    /// mismatches the family dimension.
-    pub fn commit(checkpoints: &[Vec<f32>], family: &LshFamily) -> Self {
-        // Snap every checkpoint onto the lattice (a no-op image copy for
-        // V3-trained checkpoints), then reuse the streamed LSH pass and the
-        // multi-lane hash pipelines over the quantized weights.
-        let images: Vec<Vec<f32>> = checkpoints
-            .iter()
-            .map(|w| rpol_tensor::quant::bf16_image(w))
-            .collect();
-        let lsh = LshCommitment::commit(&images, family);
-        let refs: Vec<&[f32]> = images.iter().map(|w| w.as_slice()).collect();
-        let quant_digests = rpol_crypto::sha256_bf16_batch(&refs);
-        Self { lsh, quant_digests }
-    }
-
-    /// Reassembles a commitment from raw per-checkpoint group digests and
-    /// packed-image digests (the wire-decoding path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parts are empty, disagree in checkpoint count, or
-    /// entries have inconsistent group counts.
-    pub fn from_parts(entries: Vec<Vec<Digest>>, quant_digests: Vec<Digest>) -> Self {
-        assert_eq!(
-            entries.len(),
-            quant_digests.len(),
-            "entry/digest count mismatch"
-        );
-        Self {
-            lsh: LshCommitment::from_entries(entries),
-            quant_digests,
-        }
-    }
-
-    /// The committed LSH group digests for checkpoint `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn entry(&self, index: usize) -> &[Digest] {
-        self.lsh.entry(index)
-    }
-
-    /// The committed packed-image digest for checkpoint `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn quant_digest(&self, index: usize) -> &Digest {
-        &self.quant_digests[index]
-    }
-
-    /// All committed packed-image digests, in checkpoint order.
-    pub fn quant_digests(&self) -> &[Digest] {
-        &self.quant_digests
-    }
-
-    /// Number of committed checkpoints.
-    pub fn len(&self) -> usize {
-        self.lsh.len()
-    }
-
-    /// Whether the commitment is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.lsh.is_empty()
-    }
-
-    /// A single digest binding the whole commitment.
-    pub fn value(&self) -> Digest {
-        let mut h = Sha256::new();
-        for (entry, qd) in self.lsh.entries.iter().zip(&self.quant_digests) {
-            for d in entry {
-                h.update(d.as_bytes());
-            }
-            h.update(qd.as_bytes());
-        }
-        h.finalize()
-    }
-
-    /// Bytes crossing the wire when the commitment is submitted
-    /// (`32 · (l + 1)` per checkpoint).
-    pub fn wire_size(&self) -> usize {
-        self.lsh.wire_size() + self.quant_digests.len() * 32
-    }
-}
-
-/// A scheme-tagged epoch commitment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum EpochCommitment {
-    /// Raw-hash commitment (RPoLv1).
-    V1(HashListCommitment),
-    /// LSH commitment (RPoLv2).
-    V2(LshCommitment),
-    /// Quantized lattice commitment (RPoLv3).
-    V3(QuantCommitment),
+/// Digests in one row of `spec`'s commitment with `groups` LSH groups.
+pub(crate) fn row_width(spec: &SchemeSpec, groups: usize) -> usize {
+    groups + usize::from(spec.binding == Binding::Sha256)
 }
 
 impl EpochCommitment {
@@ -230,28 +48,100 @@ impl EpochCommitment {
     ///
     /// Panics if `checkpoints` is empty.
     pub fn commit_v1(checkpoints: &[Vec<f32>]) -> Self {
-        assert!(!checkpoints.is_empty(), "no checkpoints to commit");
-        // All checkpoint digests in one multi-lane pass: checkpoints share
-        // a length, so the batch hasher keeps every SIMD lane occupied.
-        let refs: Vec<&[f32]> = checkpoints.iter().map(|w| w.as_slice()).collect();
-        let digests: Vec<Digest> = rpol_crypto::sha256_f32_batch(&refs);
-        let commitment = EpochCommitment::V1(HashListCommitment::commit(&digests));
-        commitment.count_commit(checkpoints.len());
-        commitment
+        Self::commit(Scheme::RPoLv1, checkpoints, None)
     }
 
     /// Builds the RPoLv2 commitment with the epoch's LSH family.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `checkpoints` is empty or any checkpoint's length
+    /// mismatches the family dimension.
     pub fn commit_v2(checkpoints: &[Vec<f32>], family: &LshFamily) -> Self {
-        let commitment = EpochCommitment::V2(LshCommitment::commit(checkpoints, family));
+        Self::commit(Scheme::RPoLv2, checkpoints, Some(family))
+    }
+
+    /// Builds the RPoLv3 commitment, over the checkpoints' bf16 images,
+    /// with the epoch's LSH family.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `checkpoints` is empty or any checkpoint's length
+    /// mismatches the family dimension.
+    pub fn commit_v3(checkpoints: &[Vec<f32>], family: &LshFamily) -> Self {
+        Self::commit(Scheme::RPoLv3, checkpoints, Some(family))
+    }
+
+    /// Commits `scheme`'s rows. Every checkpoint is first moved onto the
+    /// scheme's lattice (a no-op copy for lattice-trained checkpoints);
+    /// then one streamed LSH pass signs every image and one batch pass
+    /// digests every group — bitwise the per-checkpoint
+    /// `family.hash(w).group_digests()` chain — and one multi-lane SHA-256
+    /// pass digests every image (checkpoints share a length, so the batch
+    /// hasher keeps every lane occupied).
+    fn commit(scheme: Scheme, checkpoints: &[Vec<f32>], family: Option<&LshFamily>) -> Self {
+        assert!(!checkpoints.is_empty(), "no checkpoints to commit");
+        let spec = scheme.spec();
+        let images: Vec<Cow<'_, [f32]>> = checkpoints
+            .iter()
+            .map(|w| match spec.lattice {
+                Lattice::F32 => Cow::Borrowed(&w[..]),
+                Lattice::Bf16 => Cow::Owned(rpol_tensor::quant::bf16_image(w)),
+            })
+            .collect();
+        let refs: Vec<&[f32]> = images.iter().map(|w| &w[..]).collect();
+        let groups = if spec.hashes_by_lsh() {
+            let family = family.unwrap_or_else(|| panic!("{} commits by LSH", spec.name));
+            Signature::group_digests_batch(&family.hash_batch(&refs))
+        } else {
+            Vec::new()
+        };
+        let shas = match (spec.binding, spec.lattice) {
+            (Binding::Sha256, Lattice::F32) => rpol_crypto::sha256_f32_batch(&refs),
+            (Binding::Sha256, Lattice::Bf16) => rpol_crypto::sha256_bf16_batch(&refs),
+            _ => Vec::new(),
+        };
+        let l = groups.first().map_or(0, Vec::len);
+        let mut digests = Vec::with_capacity(checkpoints.len() * row_width(spec, l));
+        for i in 0..checkpoints.len() {
+            digests.extend(groups.get(i).into_iter().flatten());
+            digests.extend(shas.get(i));
+        }
+        let commitment = Self {
+            scheme,
+            groups: l,
+            digests,
+        };
         commitment.count_commit(checkpoints.len());
         commitment
     }
 
-    /// Builds the RPoLv3 quantized commitment with the epoch's LSH family.
-    pub fn commit_v3(checkpoints: &[Vec<f32>], family: &LshFamily) -> Self {
-        let commitment = EpochCommitment::V3(QuantCommitment::commit(checkpoints, family));
-        commitment.count_commit(checkpoints.len());
-        commitment
+    /// Reassembles a commitment from its rows, flat in checkpoint order
+    /// (the wire-decoding path).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `digests` holds at least one whole row of `scheme`'s
+    /// width with `groups` LSH groups, and whole rows only.
+    pub(crate) fn from_rows(scheme: Scheme, groups: usize, digests: Vec<Digest>) -> Self {
+        let spec = scheme.spec();
+        assert_eq!(
+            groups > 0,
+            spec.hashes_by_lsh(),
+            "{} group count",
+            spec.name
+        );
+        let width = row_width(spec, groups);
+        assert!(
+            width > 0 && !digests.is_empty() && digests.len().is_multiple_of(width),
+            "{} digests do not make whole rows of {width}",
+            digests.len()
+        );
+        Self {
+            scheme,
+            groups,
+            digests,
+        }
     }
 
     /// Bumps the process-wide commit counters. Workers commit from inside
@@ -266,57 +156,88 @@ impl EpochCommitment {
         }
     }
 
-    /// The scheme whose workers build this kind of commitment.
+    /// The scheme whose workers build this commitment.
     pub(crate) fn scheme(&self) -> Scheme {
-        match self {
-            EpochCommitment::V1(_) => Scheme::RPoLv1,
-            EpochCommitment::V2(_) => Scheme::RPoLv2,
-            EpochCommitment::V3(_) => Scheme::RPoLv3,
-        }
+        self.scheme
+    }
+
+    fn width(&self) -> usize {
+        row_width(self.scheme.spec(), self.groups)
     }
 
     /// Number of committed checkpoints.
     pub fn len(&self) -> usize {
-        match self {
-            EpochCommitment::V1(c) => c.len(),
-            EpochCommitment::V2(c) => c.len(),
-            EpochCommitment::V3(c) => c.len(),
-        }
+        self.digests.len() / self.width()
     }
 
     /// Whether no checkpoints are committed (never true by construction).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.digests.is_empty()
     }
 
-    /// Bytes crossing the wire at submission time.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            EpochCommitment::V1(c) => c.wire_size(),
-            EpochCommitment::V2(c) => c.wire_size(),
-            EpochCommitment::V3(c) => c.wire_size(),
+    /// LSH group digests per row (`l`); 0 for a scheme without LSH.
+    pub(crate) fn group_count(&self) -> usize {
+        self.groups
+    }
+
+    /// Every row, flat in checkpoint order: the bytes the wire carries.
+    pub(crate) fn digests(&self) -> &[Digest] {
+        &self.digests
+    }
+
+    /// Checkpoint `index`'s row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub(crate) fn row(&self, index: usize) -> &[Digest] {
+        let width = self.width();
+        &self.digests[index * width..(index + 1) * width]
+    }
+
+    /// The LSH group digests of checkpoint `index` (empty without LSH).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub(crate) fn groups(&self, index: usize) -> &[Digest] {
+        &self.row(index)[..self.groups]
+    }
+
+    /// The digests that bind checkpoint `index` exactly: the scheme's
+    /// [`Binding`] — its trailing SHA-256, or its group digests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub(crate) fn binding(&self, index: usize) -> &[Digest] {
+        let row = self.row(index);
+        match self.scheme.spec().binding {
+            Binding::Sha256 => &row[self.groups..],
+            Binding::LshGroups | Binding::None => &row[..self.groups],
         }
+    }
+
+    /// Bytes crossing the wire at submission time: 32 per digest.
+    pub fn wire_size(&self) -> usize {
+        self.digests.len() * 32
     }
 
     /// Bytes *hashed* to build this commitment, the throughput currency of
     /// the digest pipeline. Deterministic in the commitment's shape so the
     /// worker (in-process) and the manager (after transport decode) agree:
-    ///
-    /// * V1 digests each checkpoint's raw f32 image — `len · 4` per
-    ///   checkpoint;
-    /// * V2 digests `l` group messages of `k` 8-byte values;
-    /// * V3 digests the packed 2-byte bf16 image *and* the `l` group
-    ///   messages.
+    /// per checkpoint, `l` group messages of `k` 8-byte values, plus the
+    /// checkpoint's image on its lattice when the row binds by SHA-256
+    /// (`len · 4` bytes on f32, `len · 2` on bf16).
     pub fn bytes_hashed(&self, model_len: usize, hashes_per_group: usize) -> u64 {
-        let n = self.len() as u64;
-        match self {
-            EpochCommitment::V1(_) => n * model_len as u64 * 4,
-            EpochCommitment::V2(c) => n * c.entry(0).len() as u64 * hashes_per_group as u64 * 8,
-            EpochCommitment::V3(c) => {
-                let lsh = c.entry(0).len() as u64 * hashes_per_group as u64 * 8;
-                n * (model_len as u64 * 2 + lsh)
-            }
-        }
+        let spec = self.scheme.spec();
+        let image = match (spec.binding, spec.lattice) {
+            (Binding::Sha256, Lattice::F32) => model_len * 4,
+            (Binding::Sha256, Lattice::Bf16) => model_len * 2,
+            _ => 0,
+        };
+        let lsh = self.groups * hashes_per_group * 8;
+        self.len() as u64 * (image + lsh) as u64
     }
 }
 
@@ -351,13 +272,38 @@ mod tests {
         // The batched commitment path must reproduce the scalar
         // per-checkpoint digests exactly.
         let cps = checkpoints(5, 33);
-        match EpochCommitment::commit_v1(&cps) {
-            EpochCommitment::V1(list) => {
-                for (i, cp) in cps.iter().enumerate() {
-                    assert_eq!(list.digest_at(i), rpol_crypto::sha256::sha256_f32(cp));
-                }
+        let c = EpochCommitment::commit_v1(&cps);
+        for (i, cp) in cps.iter().enumerate() {
+            assert_eq!(c.row(i), [rpol_crypto::sha256::sha256_f32(cp)]);
+        }
+    }
+
+    /// Each scheme's row is what its spec says: `l` group digests when it
+    /// hashes by LSH, then one SHA-256 when it binds by one; the binding
+    /// is the trailing SHA-256, or the groups themselves.
+    #[test]
+    fn rows_follow_the_scheme_spec() {
+        let cps = checkpoints(3, 8);
+        let fam = family(8); // l = 4
+        let commitments = [
+            EpochCommitment::commit_v1(&cps),
+            EpochCommitment::commit_v2(&cps, &fam),
+            EpochCommitment::commit_v3(&cps, &fam),
+        ];
+        for (c, (width, groups)) in commitments.iter().zip([(1, 0), (4, 4), (5, 4)]) {
+            let scheme = c.scheme();
+            assert_eq!(c.len(), 3, "{scheme}");
+            assert_eq!(c.group_count(), groups, "{scheme}");
+            for i in 0..c.len() {
+                let row = c.row(i);
+                assert_eq!(row.len(), width, "{scheme}");
+                assert_eq!(c.groups(i), &row[..groups], "{scheme}");
+                let binding = match scheme.spec().binding {
+                    Binding::Sha256 => &row[width - 1..],
+                    _ => &row[..groups],
+                };
+                assert_eq!(c.binding(i), binding, "{scheme}");
             }
-            _ => unreachable!("commit_v1 built a non-V1 commitment"),
         }
     }
 
@@ -365,41 +311,45 @@ mod tests {
     fn v2_entries_match_family_hash() {
         let cps = checkpoints(3, 8);
         let fam = family(8);
-        let c = LshCommitment::commit(&cps, &fam);
+        let c = EpochCommitment::commit_v2(&cps, &fam);
         for (i, cp) in cps.iter().enumerate() {
-            assert_eq!(c.entry(i), fam.hash(cp).group_digests().as_slice());
+            assert_eq!(c.row(i), fam.hash(cp).group_digests().as_slice());
         }
     }
 
     #[test]
     fn v2_wire_size_is_l_digests_per_checkpoint() {
         let cps = checkpoints(5, 8);
-        let c = LshCommitment::commit(&cps, &family(8));
+        let c = EpochCommitment::commit_v2(&cps, &family(8));
         assert_eq!(c.wire_size(), 5 * 4 * 32); // l = 4 groups
     }
 
+    /// The rows — all a commitment's value is — bind checkpoint order.
     #[test]
     fn v2_value_binds_order() {
         let cps = checkpoints(3, 8);
         let fam = family(8);
-        let a = LshCommitment::commit(&cps, &fam).value();
+        let a = EpochCommitment::commit_v2(&cps, &fam);
         let mut swapped = cps.clone();
         swapped.swap(0, 2);
-        let b = LshCommitment::commit(&swapped, &fam).value();
+        let b = EpochCommitment::commit_v2(&swapped, &fam);
         assert_ne!(a, b);
+        assert_eq!(a.row(0), b.row(2));
     }
 
     #[test]
     fn v3_commits_the_lattice_image() {
         let cps = checkpoints(3, 8);
         let fam = family(8);
-        let c = QuantCommitment::commit(&cps, &fam);
+        let c = EpochCommitment::commit_v3(&cps, &fam);
         for (i, cp) in cps.iter().enumerate() {
             let image = rpol_tensor::quant::bf16_image(cp);
-            assert_eq!(c.entry(i), fam.hash(&image).group_digests().as_slice());
+            assert_eq!(c.groups(i), fam.hash(&image).group_digests().as_slice());
             assert_eq!(
-                *c.quant_digest(i),
-                rpol_crypto::sha256(&rpol_crypto::bytes::bf16_as_le_bytes(cp))
+                c.binding(i),
+                [rpol_crypto::sha256(&rpol_crypto::bytes::bf16_as_le_bytes(
+                    cp
+                ))]
             );
         }
         // Sub-lattice perturbations vanish in the image: committing the
@@ -409,7 +359,7 @@ mod tests {
             .iter()
             .map(|w| rpol_tensor::quant::bf16_image(w))
             .collect();
-        assert_eq!(c, QuantCommitment::commit(&snapped, &fam));
+        assert_eq!(c, EpochCommitment::commit_v3(&snapped, &fam));
     }
 
     #[test]
@@ -419,30 +369,44 @@ mod tests {
             .map(|w| rpol_tensor::quant::bf16_image(w))
             .collect();
         let fam = family(8);
-        let a = QuantCommitment::commit(&cps, &fam);
+        let a = EpochCommitment::commit_v3(&cps, &fam);
         let mut tampered = cps.clone();
         // One lattice step on one weight: the smallest representable change.
         tampered[1][3] = f32::from_bits(tampered[1][3].to_bits() + 0x1_0000);
-        let b = QuantCommitment::commit(&tampered, &fam);
-        assert_ne!(a.quant_digest(1), b.quant_digest(1));
-        assert_ne!(a.value(), b.value());
+        let b = EpochCommitment::commit_v3(&tampered, &fam);
+        assert_ne!(a.binding(1), b.binding(1));
+        assert_ne!(a, b);
     }
 
     #[test]
     fn v3_wire_size_adds_one_digest_per_checkpoint() {
         let cps = checkpoints(5, 8);
-        let c = QuantCommitment::commit(&cps, &family(8));
+        let c = EpochCommitment::commit_v3(&cps, &family(8));
         assert_eq!(c.wire_size(), 5 * (4 + 1) * 32); // l = 4 groups + quant digest
     }
 
     #[test]
-    fn v3_from_parts_round_trips() {
+    fn from_rows_round_trips() {
         let cps = checkpoints(3, 8);
-        let c = QuantCommitment::commit(&cps, &family(8));
-        let entries: Vec<Vec<Digest>> = (0..c.len()).map(|i| c.entry(i).to_vec()).collect();
-        let rebuilt = QuantCommitment::from_parts(entries, c.quant_digests().to_vec());
-        assert_eq!(rebuilt, c);
-        assert_eq!(rebuilt.value(), c.value());
+        let fam = family(8);
+        for c in [
+            EpochCommitment::commit_v1(&cps),
+            EpochCommitment::commit_v2(&cps, &fam),
+            EpochCommitment::commit_v3(&cps, &fam),
+        ] {
+            let rebuilt =
+                EpochCommitment::from_rows(c.scheme(), c.group_count(), c.digests().to_vec());
+            assert_eq!(rebuilt, c);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole rows")]
+    fn from_rows_refuses_a_partial_row() {
+        let c = EpochCommitment::commit_v3(&checkpoints(2, 8), &family(8));
+        let mut digests = c.digests().to_vec();
+        digests.pop();
+        EpochCommitment::from_rows(Scheme::RPoLv3, 4, digests);
     }
 
     #[test]
@@ -466,7 +430,7 @@ mod tests {
         // with model size.
         let dim = 10_000;
         let cps = checkpoints(2, dim);
-        let c = LshCommitment::commit(&cps, &family(dim));
+        let c = EpochCommitment::commit_v2(&cps, &family(dim));
         assert!(c.wire_size() < dim); // 256 bytes vs 40 KB of weights
     }
 }

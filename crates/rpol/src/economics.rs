@@ -114,16 +114,6 @@ impl EconomicModel {
         let q = (cost.ln() / p1.ln()).ceil().max(1.0);
         q as u32
     }
-
-    /// The smallest `q` deterring *every* honesty ratio on a grid — what a
-    /// pool manager actually configures (the paper settles on 3).
-    pub fn samples_to_deter_all(&self, ratios: &[f64]) -> u32 {
-        ratios
-            .iter()
-            .map(|&h| self.samples_to_deter(h))
-            .max()
-            .unwrap_or(1)
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +132,9 @@ mod tests {
     fn q3_deters_the_paper_grid() {
         let m = EconomicModel::paper_example();
         let grid: Vec<f64> = (1..10).map(|i| i as f64 / 10.0).collect();
-        let q = m.samples_to_deter_all(&grid);
+        // The smallest q deterring every ratio on the grid — what a pool
+        // manager configures.
+        let q = grid.iter().map(|&h| m.samples_to_deter(h)).max().unwrap();
         assert_eq!(q, 3);
         for &h in &grid {
             assert!(

@@ -48,6 +48,7 @@ mod imp {
     const EPOLLOUT: u32 = 0x004;
 
     const ENOENT: i64 = 2;
+    const EINTR: i64 = 4;
 
     /// Kernel ABI layout for `struct epoll_event` on x86_64 (packed: the
     /// kernel declares it with `__attribute__((packed))` on this arch).
@@ -85,6 +86,15 @@ mod imp {
         } else {
             Ok(ret)
         }
+    }
+
+    /// What an `epoll_wait` returned, as an event count: a wait a signal
+    /// interrupted (`EINTR`) returned none; any other error stays one.
+    pub(super) fn waited(ret: i64) -> io::Result<usize> {
+        if ret == -EINTR {
+            return Ok(0);
+        }
+        check(ret).map(|n| n as usize)
     }
 
     /// An epoll instance owning its descriptor.
@@ -162,9 +172,10 @@ mod imp {
         /// polls without blocking (the cooperative pump); a positive
         /// timeout parks the caller in the kernel until an event fires or
         /// the timeout lapses — the reactor's idle wait. Returns the
-        /// number of events appended.
+        /// number of events appended; a wait a signal interrupted appended
+        /// none ([`waited`]).
         pub fn wait(&mut self, out: &mut Vec<Ready>, timeout_ms: i32) -> io::Result<usize> {
-            let n = check(unsafe {
+            let n = waited(unsafe {
                 syscall4(
                     SYS_EPOLL_WAIT,
                     self.epfd as u64,
@@ -172,7 +183,7 @@ mod imp {
                     self.events.len() as u64,
                     timeout_ms.max(0) as u64,
                 )
-            })? as usize;
+            })?;
             for ev in &self.events[..n] {
                 out.push(Ready { token: ev.data });
             }
@@ -297,6 +308,20 @@ mod tests {
         poller.del(server_side.as_raw_fd()).expect("del again");
         ready.clear();
         assert_eq!(poller.wait(&mut ready, 0).expect("wait"), 0);
+    }
+
+    /// A signal interrupting the wait (a profiler's `SIGPROF`, say) is a
+    /// wait without events, so the reactor keeps its poller; any other
+    /// failure is still an error, which drops it.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn an_interrupted_wait_returns_no_events() {
+        use std::io::ErrorKind;
+        assert_eq!(imp::waited(3).expect("events"), 3);
+        assert_eq!(imp::waited(-4).expect("EINTR is no error"), 0);
+        let bad = imp::waited(-9).expect_err("EBADF");
+        assert_eq!(bad.raw_os_error(), Some(9));
+        assert_ne!(bad.kind(), ErrorKind::Interrupted);
     }
 
     #[test]

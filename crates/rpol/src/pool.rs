@@ -585,17 +585,34 @@ impl MiningPool {
         &self.config
     }
 
-    /// Only the workers of the pool [`MiningPool::new`] would build — the
-    /// client side of a socket run. Data generation and sharding go
-    /// through the same code on the same seeded stream, so every shard
-    /// matches the server's replica bit for bit; the test set, manager
-    /// and evaluation state are never built.
+    /// Only the workers of the pool [`MiningPool::new`] would build — for a
+    /// worker process (`rpol worker`) or a test that binds its own server.
+    /// Data generation and sharding go through the same code on the same
+    /// seeded stream, so every shard matches the server's replica bit for
+    /// bit; the test set, manager and evaluation state are never built.
+    /// (A socket run in one process copies its pool's shards instead:
+    /// [`MiningPool::fresh_workers`].)
     ///
     /// # Panics
     ///
     /// As [`MiningPool::new`].
     pub fn build_workers(config: PoolConfig, behaviors: &[WorkerBehavior]) -> Vec<PoolWorker> {
         build_roster(&config, behaviors).0
+    }
+
+    /// Fresh copies of this pool's workers — same id, address, GPU,
+    /// behaviour and shard, each with a new model — without drawing the
+    /// training set again: the client side of a socket run in this
+    /// process, built before the pool moves into the server.
+    pub(crate) fn fresh_workers(&self) -> Vec<PoolWorker> {
+        let address = manager_address(&self.config);
+        self.workers
+            .iter()
+            .map(|w| {
+                let (task, shard) = (&self.config.task, w.shard().clone());
+                PoolWorker::new(w.id, task, &address, shard, w.gpu, w.behavior())
+            })
+            .collect()
     }
 
     /// Current global-model accuracy on the held-out test set, evaluated
@@ -903,9 +920,11 @@ mod tests {
     }
 
     /// The client half of a socket run builds workers without the rest of
-    /// the pool; they must be the workers `MiningPool::new` builds — same
-    /// shards bit for bit, same GPUs, behaviours and addresses — or the
-    /// server's replay would run on different data than the client trained on.
+    /// the pool — drawn again by `build_workers`, or copied from the pool by
+    /// `fresh_workers`; either must be the workers `MiningPool::new` builds
+    /// — same shards bit for bit, same GPUs, behaviours and addresses — so
+    /// the two equal each other shard for shard, or the server's replay
+    /// would run on different data than the client trained on.
     #[test]
     fn build_workers_yields_the_full_pools_workers() {
         let behaviors = vec![
@@ -917,16 +936,17 @@ mod tests {
         let config = PoolConfig::tiny_demo(Scheme::RPoLv3);
         let pool = MiningPool::new(config, behaviors.clone());
         let alone = MiningPool::build_workers(config, &behaviors);
-        assert_eq!(alone.len(), pool.workers().len());
-        for (a, b) in alone.iter().zip(pool.workers()) {
-            assert_eq!((a.id, a.gpu, a.address), (b.id, b.gpu, b.address));
-            assert_eq!(a.behavior(), b.behavior());
-            let ((xa, ya), (xb, yb)) = (a.shard().full_batch(), b.shard().full_batch());
-            assert_eq!(ya, yb);
-            let bits = |t: &rpol_tensor::Tensor| -> Vec<u32> {
-                t.data().iter().map(|x| x.to_bits()).collect()
-            };
-            assert_eq!(bits(&xa), bits(&xb), "worker {} shard", a.id);
+        let fresh = pool.fresh_workers();
+        let bits = |xs: &[f32]| -> Vec<u32> { xs.iter().map(|x| x.to_bits()).collect() };
+        for copies in [&alone, &fresh] {
+            assert_eq!(copies.len(), pool.workers().len());
+            for (a, b) in copies.iter().zip(pool.workers()) {
+                assert_eq!((a.id, a.gpu, a.address), (b.id, b.gpu, b.address));
+                assert_eq!(a.behavior(), b.behavior());
+                let ((xa, ya), (xb, yb)) = (a.shard().full_batch(), b.shard().full_batch());
+                assert_eq!(ya, yb);
+                assert_eq!(bits(xa.data()), bits(xb.data()), "worker {} shard", a.id);
+            }
         }
     }
 

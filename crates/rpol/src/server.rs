@@ -818,7 +818,8 @@ impl NetCore {
         let timed = (self.rec.enabled() && timeout_ms == 0).then(Instant::now);
         self.pump_seq += 1;
         // 1. Kernel readiness. A failed wait drops the poller for the rest
-        // of the run — correctness never depends on epoll.
+        // of the run — correctness never depends on epoll. (A wait a
+        // signal interrupted is no failure: it returned no events.)
         let mut events = std::mem::take(&mut self.ready_buf);
         events.clear();
         let waited = self
@@ -2460,11 +2461,11 @@ pub struct SocketRunOutcome {
 /// port, spawns one [`WorkerClient`] thread per behaviour, runs every
 /// epoch over TCP, and joins the clients.
 ///
-/// Both sides derive their workers from the shared config seed through
-/// the same roster build, so data sharding and training match the
-/// in-process pool bit for bit: the server builds the whole
-/// [`MiningPool`] (the manager, plus worker replicas for their shard
-/// handles), the clients only [`MiningPool::build_workers`].
+/// The server builds the whole [`MiningPool`] (the manager, plus worker
+/// replicas for their shard handles); the clients get fresh copies of its
+/// workers over the same shards ([`MiningPool::fresh_workers`]), so data
+/// sharding and training match the in-process pool bit for bit and the
+/// training set is drawn once.
 ///
 /// # Errors
 ///
@@ -2476,14 +2477,15 @@ pub fn run_socket_pool(
     behaviors: Vec<WorkerBehavior>,
     options: SocketRunOptions,
 ) -> io::Result<SocketRunOutcome> {
-    let mut pool = MiningPool::new(config, behaviors.clone());
+    let mut pool = MiningPool::new(config, behaviors);
     if let Some(rec) = options.recorder {
         pool = pool.with_recorder(rec);
     }
+    let workers = pool.fresh_workers();
     let mut server = PoolServer::bind(pool, &BindAddr::loopback(), options.server)?;
     let handles = spawn_clients(
         config,
-        &behaviors,
+        workers,
         &server.local_addr(),
         &options.client,
         &options.client_recorders,
@@ -2501,17 +2503,17 @@ pub fn run_socket_pool(
     })
 }
 
-/// One [`WorkerClient`] thread per behaviour, connecting to `addr`.
+/// One [`WorkerClient`] thread per worker, connecting to `addr`.
 ///
 /// [`WorkerClient`]: crate::client::WorkerClient
 fn spawn_clients(
     config: PoolConfig,
-    behaviors: &[WorkerBehavior],
+    workers: Vec<PoolWorker>,
     addr: &str,
     tuning: &crate::client::ClientTuning,
     recorders: &[Arc<Recorder>],
 ) -> Vec<std::thread::JoinHandle<crate::client::ClientReport>> {
-    MiningPool::build_workers(config, behaviors)
+    workers
         .into_iter()
         .enumerate()
         .map(|(i, worker)| {
@@ -3169,7 +3171,8 @@ mod tests {
             PoolServer::bind(pool, &BindAddr::Unix(path.clone()), ServerConfig::default())
                 .expect("bind a unix socket");
         assert_eq!(server.local_addr(), format!("unix:{}", path.display()));
-        let handles = spawn_clients(config, &behaviors, &server.local_addr(), &tuning, &[]);
+        let workers = MiningPool::build_workers(config, &behaviors);
+        let handles = spawn_clients(config, workers, &server.local_addr(), &tuning, &[]);
         let unix = server.run().expect("unix run");
         for h in handles {
             assert!(h.join().expect("client thread").clean_shutdown);
@@ -3237,7 +3240,8 @@ mod tests {
             backoff_scale: 0.005,
             ..crate::client::ClientTuning::default()
         };
-        let handles = spawn_clients(config, &behaviors, &server.local_addr(), &tuning, &[]);
+        let workers = MiningPool::build_workers(config, &behaviors);
+        let handles = spawn_clients(config, workers, &server.local_addr(), &tuning, &[]);
         let socket = server.run().expect("socket run");
         for h in handles {
             assert!(h.join().expect("client thread").clean_shutdown);

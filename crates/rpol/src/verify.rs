@@ -16,7 +16,6 @@ use crate::pool::{Binding, Lattice};
 use crate::tasks::TaskConfig;
 use crate::trainer::{LocalTrainer, Segment};
 use crate::worker::CommitMode;
-use rpol_crypto::commitment::Commitment as _;
 use rpol_crypto::sha256::Digest;
 use rpol_exec::Executor;
 use rpol_lsh::{LshFamily, Signature};
@@ -393,29 +392,29 @@ impl<'a> Verifier<'a> {
     /// whether that is a double-check. The raw scheme (no signature)
     /// always fetches the output.
     ///
-    /// RPoLv3 counts agreeing groups instead of any-match: ≥ 2 is a
-    /// confident accept; 1 is a borderline match that must survive the
-    /// raw-weight escape hatch; 0 is the ordinary double-check — a strictly
-    /// tighter acceptance region than RPoLv2's.
+    /// Where the group digests are the binding (RPoLv2), any agreeing
+    /// group accepts. Where an exact SHA-256 backs them (RPoLv3), the
+    /// count decides: ≥ 2 is a confident accept; 1 is a borderline match
+    /// that must survive the raw-weight escape hatch; 0 is the ordinary
+    /// double-check — a strictly tighter acceptance region than RPoLv2's.
     fn lsh_match(
         &self,
         commitment: &EpochCommitment,
         j: usize,
         signature: Option<&Signature>,
     ) -> Option<bool> {
-        let accepted = match (commitment, signature) {
-            (EpochCommitment::V1(_), _) => return Some(false),
-            (EpochCommitment::V2(lsh_commit), Some(sig)) => {
-                sig.matches_digests(lsh_commit.entry(j + 1))
+        let Some(sig) = signature else {
+            return Some(false);
+        };
+        let groups = commitment.groups(j + 1);
+        let accepted = if commitment.scheme().spec().binding == Binding::LshGroups {
+            sig.matches_digests(groups)
+        } else {
+            let agreeing = sig.matching_group_count(groups);
+            if agreeing == 1 {
+                event!(self.rec, "rpol.verify.escape_hatch", sample = j);
             }
-            (EpochCommitment::V3(qc), Some(sig)) => {
-                let agreeing = sig.matching_group_count(qc.entry(j + 1));
-                if agreeing == 1 {
-                    event!(self.rec, "rpol.verify.escape_hatch", sample = j);
-                }
-                agreeing >= 2
-            }
-            (_, None) => unreachable!("fuzzy schemes hash every replay"),
+            agreeing >= 2
         };
         if accepted {
             return None;
@@ -833,14 +832,10 @@ pub(crate) fn well_formed(commitment: &EpochCommitment, weights: &[f32]) -> bool
             || rpol_tensor::quant::is_bf16_lattice(weights))
 }
 
-/// Whether `commitment`'s entry `index` carries exactly `binding` (as
+/// Whether `commitment`'s row `index` binds by exactly `binding` (as
 /// [`CommitMode::binding_of`] computed it for the same scheme).
 pub(crate) fn binds(commitment: &EpochCommitment, index: usize, binding: &[Digest]) -> bool {
-    match commitment {
-        EpochCommitment::V1(list) => list.verify(index, &binding[0], &()),
-        EpochCommitment::V2(lsh_commit) => lsh_commit.entry(index) == binding,
-        EpochCommitment::V3(qc) => *qc.quant_digest(index) == binding[0],
-    }
+    commitment.binding(index) == binding
 }
 
 /// Euclidean distance between two weight vectors, accumulated in f64.
@@ -1398,20 +1393,13 @@ mod tests {
             .matches_digests(&collided));
 
         let honest = EpochCommitment::commit_v3(&trace.checkpoints, &family);
-        let (entries, digests) = match &honest {
-            EpochCommitment::V3(qc) => {
-                let mut entries: Vec<Vec<rpol_crypto::Digest>> =
-                    (0..qc.len()).map(|i| qc.entry(i).to_vec()).collect();
-                let mut digests = qc.quant_digests().to_vec();
-                entries[1] = collided;
-                digests[1] = rpol_crypto::sha256(&rpol_crypto::bytes::bf16_as_le_bytes(&far));
-                (entries, digests)
-            }
-            _ => unreachable!(),
-        };
-        let commitment = EpochCommitment::V3(crate::commitment::QuantCommitment::from_parts(
-            entries, digests,
-        ));
+        // Row 1 carries the colliding groups, then the far output's digest.
+        let mut digests = honest.digests().to_vec();
+        let width = honest.row(1).len();
+        let far_digest = rpol_crypto::sha256(&rpol_crypto::bytes::bf16_as_le_bytes(&far));
+        digests[width..2 * width].copy_from_slice(&[collided, vec![far_digest]].concat());
+        let commitment =
+            EpochCommitment::from_rows(crate::pool::Scheme::RPoLv3, honest.group_count(), digests);
         let mut opened = trace.checkpoints.clone();
         opened[1] = far;
 

@@ -19,10 +19,9 @@
 //! no internal redundancy, so without the frame digest a flipped byte
 //! would silently alter a model instead of failing decode.
 
-use crate::commitment::{EpochCommitment, LshCommitment, QuantCommitment};
+use crate::commitment::{row_width, EpochCommitment};
 use crate::pool::{Lattice, Scheme};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use rpol_crypto::commitment::{Commitment as _, HashListCommitment};
 use rpol_crypto::sha256::{sha256, Digest};
 use rpol_obs::TraceContext;
 use rpol_tensor::scratch;
@@ -1445,48 +1444,35 @@ fn scheme_of(code: u8) -> Result<Scheme, DecodeError> {
 /// Submission header: tag (1) + the scheme's wire byte (1).
 const SUBMISSION_HEADER_BYTES: usize = 2;
 
+/// Bytes `c` occupies in a submission: its count `n`, its group count `l`
+/// when its rows lead with LSH group digests, then its rows.
+fn commitment_bytes(c: &EpochCommitment) -> usize {
+    4 + 4 * usize::from(c.scheme().spec().hashes_by_lsh()) + c.wire_size()
+}
+
 /// Encodes a worker's epoch submission: tag, the scheme's wire byte (the
 /// commitment's scheme, Baseline without one), the final weights as a
-/// block on that scheme's lattice, then the commitment.
+/// block on that scheme's lattice, then the commitment: its checkpoint
+/// count `n`, its group count `l` when the scheme hashes by LSH, and its
+/// `n` rows of digests.
 pub fn encode_submission(final_weights: &[f32], commitment: Option<&EpochCommitment>) -> Bytes {
     let scheme = commitment.map_or(Scheme::Baseline, EpochCommitment::scheme);
     let spec = scheme.spec();
     let mut out = scratch::take_empty(
         SUBMISSION_HEADER_BYTES
             + block_capacity(spec.lattice, final_weights.len())
-            + commitment.map_or(0, |c| 8 + c.wire_size()),
+            + commitment.map_or(0, commitment_bytes),
     );
     out.put_u8(TAG_SUBMISSION);
     out.put_u8(spec.wire);
     put_block(&mut out, spec.lattice, final_weights);
-    match commitment {
-        None => {}
-        Some(EpochCommitment::V1(list)) => {
-            out.put_u32_le(list.len() as u32);
-            for i in 0..list.len() {
-                put_digest(&mut out, &list.digest_at(i));
-            }
+    if let Some(c) = commitment {
+        out.put_u32_le(c.len() as u32);
+        if spec.hashes_by_lsh() {
+            out.put_u32_le(c.group_count() as u32);
         }
-        Some(EpochCommitment::V2(lsh)) => {
-            out.put_u32_le(lsh.len() as u32);
-            out.put_u32_le(lsh.entry(0).len() as u32);
-            for i in 0..lsh.len() {
-                for d in lsh.entry(i) {
-                    put_digest(&mut out, d);
-                }
-            }
-        }
-        Some(EpochCommitment::V3(qc)) => {
-            // Each checkpoint entry carries its l group digests followed
-            // by the packed-image digest.
-            out.put_u32_le(qc.len() as u32);
-            out.put_u32_le(qc.entry(0).len() as u32);
-            for i in 0..qc.len() {
-                for d in qc.entry(i) {
-                    put_digest(&mut out, d);
-                }
-                put_digest(&mut out, qc.quant_digest(i));
-            }
+        for d in c.digests() {
+            put_digest(&mut out, d);
         }
     }
     Bytes::from(out)
@@ -1498,11 +1484,7 @@ pub fn encode_submission(final_weights: &[f32], commitment: Option<&EpochCommitm
 pub fn submission_raw_wire_size(n_weights: usize, commitment: Option<&EpochCommitment>) -> usize {
     SUBMISSION_HEADER_BYTES
         + raw_weights_wire_size(n_weights)
-        + match commitment {
-            None => 0,
-            Some(c @ EpochCommitment::V1(_)) => 4 + c.wire_size(),
-            Some(c @ (EpochCommitment::V2(_) | EpochCommitment::V3(_))) => 8 + c.wire_size(),
-        }
+        + commitment.map_or(0, commitment_bytes)
 }
 
 /// Decodes an epoch submission.
@@ -1510,7 +1492,8 @@ pub fn submission_raw_wire_size(n_weights: usize, commitment: Option<&EpochCommi
 /// # Errors
 ///
 /// Returns [`DecodeError`] on truncated or malformed input, including a
-/// weight block on a lattice other than the named scheme's.
+/// weight block on a lattice other than the named scheme's, an empty
+/// commitment, and bytes past the commitment's last row.
 pub fn decode_submission(
     mut buf: Bytes,
 ) -> Result<(Vec<f32>, Option<EpochCommitment>), DecodeError> {
@@ -1533,47 +1516,38 @@ pub fn decode_submission_in(
         return Err(DecodeError::Truncated);
     }
     let scheme = scheme_of(buf.get_u8())?;
-    let weights = get_block(buf, Some(scheme.spec().lattice))?;
-    let commitment = match scheme {
-        Scheme::Baseline => None,
-        Scheme::RPoLv1 => {
-            let n = get_u32(buf)? as usize;
-            if n == 0 {
-                return Err(DecodeError::Malformed("empty commitment"));
-            }
-            checked_count(buf, n, 32)?;
-            let digests: Result<Vec<Digest>, _> = (0..n).map(|_| get_digest(buf)).collect();
-            Some(EpochCommitment::V1(HashListCommitment::commit(&digests?)))
-        }
-        Scheme::RPoLv2 | Scheme::RPoLv3 => {
-            let quant = scheme == Scheme::RPoLv3;
-            let n = get_u32(buf)? as usize;
-            let l = get_u32(buf)? as usize;
-            if n == 0 || l == 0 {
-                return Err(DecodeError::Malformed("empty commitment"));
-            }
-            // l group digests per checkpoint, then V3's quant digest.
-            let per_entry = (l + usize::from(quant))
-                .checked_mul(32)
-                .ok_or(DecodeError::Malformed("count overflow"))?;
-            checked_count(buf, n, per_entry)?;
-            let mut entries = Vec::with_capacity(n);
-            let mut quant_digests = Vec::new();
-            for _ in 0..n {
-                let entry: Result<Vec<Digest>, _> = (0..l).map(|_| get_digest(buf)).collect();
-                entries.push(entry?);
-                if quant {
-                    quant_digests.push(get_digest(buf)?);
-                }
-            }
-            Some(if quant {
-                EpochCommitment::V3(QuantCommitment::from_parts(entries, quant_digests))
-            } else {
-                EpochCommitment::V2(LshCommitment::from_entries(entries))
-            })
-        }
+    let spec = scheme.spec();
+    let weights = get_block(buf, Some(spec.lattice))?;
+    let commitment = if spec.verifies() {
+        Some(get_commitment(buf, scheme)?)
+    } else {
+        None
     };
+    if buf.remaining() > 0 {
+        return Err(DecodeError::Malformed("trailing submission bytes"));
+    }
     Ok((weights, commitment))
+}
+
+/// Reads `scheme`'s commitment as [`encode_submission`] wrote it.
+fn get_commitment(buf: &mut Bytes, scheme: Scheme) -> Result<EpochCommitment, DecodeError> {
+    let spec = scheme.spec();
+    let n = get_u32(buf)? as usize;
+    let l = if spec.hashes_by_lsh() {
+        get_u32(buf)? as usize
+    } else {
+        0
+    };
+    if n == 0 || (spec.hashes_by_lsh() && l == 0) {
+        return Err(DecodeError::Malformed("empty commitment"));
+    }
+    let width = row_width(spec, l);
+    let row_bytes = width
+        .checked_mul(32)
+        .ok_or(DecodeError::Malformed("count overflow"))?;
+    checked_count(buf, n, row_bytes)?;
+    let digests: Result<Vec<Digest>, _> = (0..n * width).map(|_| get_digest(buf)).collect();
+    Ok(EpochCommitment::from_rows(scheme, l, digests?))
 }
 
 /// Encodes a proof request: the sampled checkpoint indices.
@@ -1737,6 +1711,50 @@ mod tests {
         let (w, c) = decode_submission(encoded).expect("decodes");
         assert_eq!(w, cps[3]);
         assert_eq!(c, Some(commitment));
+    }
+
+    /// The submission bytes of one seeded v1, v2 and v3 epoch, pinned by
+    /// SHA-256 (recorded before the commitment became one row shape), with
+    /// the raw-framing size `bytes_saved` is measured against.
+    #[test]
+    fn submission_bytes_are_pinned() {
+        let mut rng = rpol_tensor::rng::Pcg32::seed_from(45);
+        let cps: Vec<Vec<f32>> = (0..5)
+            .map(|_| (0..64).map(|_| rng.next_normal() * 0.1).collect())
+            .collect();
+        let lattice: Vec<Vec<f32>> = cps
+            .iter()
+            .map(|cp| rpol_tensor::quant::bf16_image(cp))
+            .collect();
+        let family = LshFamily::new(64, LshParams::new(1.0, 3, 4), 7);
+        let cases = [
+            (
+                EpochCommitment::commit_v1(&cps),
+                &cps[4],
+                "6296d04dc3330bdb05027c80f19b8774e983b33f31a3bceb208cedc9d9f05251",
+                426,
+            ),
+            (
+                EpochCommitment::commit_v2(&cps, &family),
+                &cps[4],
+                "ac68f0a8d58c863cc0b7ec36f4871c7231e92df28bc76b10b090baf46feacfcb",
+                910,
+            ),
+            (
+                EpochCommitment::commit_v3(&lattice, &family),
+                &lattice[4],
+                "3d1e882d3fe063aac80be591f8f8592531bf2862e3a2099f62e769917c13c117",
+                1070,
+            ),
+        ];
+        for (commitment, weights, digest, raw) in cases {
+            let encoded = encode_submission(weights, Some(&commitment));
+            assert_eq!(sha256(&encoded).to_hex(), digest, "{}", commitment.scheme());
+            assert_eq!(
+                submission_raw_wire_size(weights.len(), Some(&commitment)),
+                raw
+            );
+        }
     }
 
     #[test]
@@ -2498,6 +2516,40 @@ mod tests {
                 decode_submission(sliced).is_err(),
                 "truncation at {cut} accepted"
             );
+        }
+    }
+
+    #[test]
+    fn empty_or_overlong_commitments_rejected() {
+        let cps = checkpoints();
+        let family = LshFamily::new(12, LshParams::new(1.0, 2, 3), 5);
+        for commitment in [
+            EpochCommitment::commit_v1(&cps),
+            EpochCommitment::commit_v2(&cps, &family),
+            EpochCommitment::commit_v3(&lattice_checkpoints(), &family),
+        ] {
+            let scheme = commitment.scheme();
+            let encoded = encode_submission(&cps[0], Some(&commitment)).to_vec();
+            let counts = encoded.len() - commitment_bytes(&commitment);
+            // A byte past the last row.
+            let mut longer = encoded.clone();
+            longer.push(0);
+            assert_eq!(
+                decode_submission(Bytes::from(longer)),
+                Err(DecodeError::Malformed("trailing submission bytes")),
+                "{scheme}"
+            );
+            // n = 0, then (with LSH) l = 0.
+            let zeroed = |at: usize| {
+                let mut bytes = encoded.clone();
+                bytes[at..at + 4].fill(0);
+                decode_submission(Bytes::from(bytes))
+            };
+            let empty = Err(DecodeError::Malformed("empty commitment"));
+            assert_eq!(zeroed(counts), empty, "{scheme}");
+            if scheme.spec().hashes_by_lsh() {
+                assert_eq!(zeroed(counts + 4), empty, "{scheme}");
+            }
         }
     }
 

@@ -45,6 +45,22 @@ proptest! {
         prop_assert_eq!(c, Some(commitment));
     }
 
+    #[test]
+    fn submission_roundtrip_v3(
+        weights in proptest::collection::vec(-1e3f32..1e3, 4..32),
+        k in 1usize..4, l in 1usize..4, seed in any::<u64>()
+    ) {
+        let snap = |w: Vec<f32>| rpol_tensor::quant::bf16_image(&w);
+        let weights = snap(weights);
+        let checkpoints = vec![weights.clone(), snap(weights.iter().map(|w| w * 2.0).collect())];
+        let family = LshFamily::new(weights.len(), LshParams::new(1.0, k, l), seed);
+        let commitment = EpochCommitment::commit_v3(&checkpoints, &family);
+        let encoded = encode_submission(&weights, Some(&commitment));
+        let (w, c) = decode_submission(encoded).expect("roundtrip");
+        prop_assert_eq!(w, weights);
+        prop_assert_eq!(c, Some(commitment));
+    }
+
     /// The bulk weight framing must round-trip *bit-exactly* for odd
     /// (non-power-of-two, non-SIMD-width) element counts, including NaN
     /// and subnormal bit patterns that `==` cannot compare.

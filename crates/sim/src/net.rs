@@ -114,11 +114,6 @@ impl NetworkModel {
     pub fn gather_seconds(&self, bytes: u64, n: usize) -> f64 {
         self.broadcast_seconds(bytes, n)
     }
-
-    /// Total bytes moved in a broadcast or gather of `bytes` per worker.
-    pub fn fanout_bytes(&self, bytes: u64, n: usize) -> u64 {
-        bytes * n as u64
-    }
 }
 
 #[cfg(test)]
@@ -159,12 +154,6 @@ mod tests {
             net.gather_seconds(1_000_000, 10),
             net.broadcast_seconds(1_000_000, 10)
         );
-    }
-
-    #[test]
-    fn fanout_bytes_multiplies() {
-        let net = NetworkModel::paper_default();
-        assert_eq!(net.fanout_bytes(100, 10), 1000);
     }
 
     #[test]

@@ -360,26 +360,6 @@ impl Tensor {
         Tensor::from_vec(&[m, n], out)
     }
 
-    /// Matrix multiplication that skips zero elements of `self` row-wise —
-    /// the former default kernel, kept as an explicit entry point for
-    /// genuinely sparse left operands (e.g. masked or pruned matrices).
-    /// For finite inputs the result is bitwise identical to
-    /// [`Tensor::matmul`]; it is only a performance trade-off.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both operands are rank 2 with compatible inner
-    /// dimensions.
-    pub fn matmul_sparse(&self, other: &Self) -> Self {
-        assert_eq!(self.shape.rank(), 2, "matmul lhs must be rank 2");
-        assert_eq!(other.shape.rank(), 2, "matmul rhs must be rank 2");
-        let (m, k) = (self.shape.dim(0), self.shape.dim(1));
-        let (k2, n) = (other.shape.dim(0), other.shape.dim(1));
-        assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-        let out = gemm::matmul_naive(m, n, k, &self.data, &other.data);
-        Tensor::from_vec(&[m, n], out)
-    }
-
     /// Matrix–vector product for a rank-2 tensor and a rank-1 tensor:
     /// `[m,k] x [k] -> [m]`.
     ///

@@ -101,17 +101,6 @@ fn fused_transpose_variants_match_materialized_transpose() {
 }
 
 #[test]
-fn sparse_entry_point_matches_dense() {
-    // matmul_sparse keeps the zero-skip fast path; for finite inputs it
-    // must still agree bitwise with the dense kernel.
-    let mut rng = Pcg32::seed_from(105);
-    let a =
-        Tensor::from_vec(&[9, 14], randn(9 * 14, &mut rng)).map(|v| if v < 0.0 { 0.0 } else { v });
-    let b = Tensor::from_vec(&[14, 6], randn(14 * 6, &mut rng));
-    assert_eq!(bits(a.matmul_sparse(&b).data()), bits(a.matmul(&b).data()));
-}
-
-#[test]
 fn blocked_transpose_is_an_involution_and_matches_indexing() {
     let mut rng = Pcg32::seed_from(106);
     for &(r, c) in &[(1, 1), (1, 97), (97, 1), (31, 33), (130, 70)] {
