@@ -2,15 +2,12 @@
 //!
 //! Implements the serialization half of serde's data model — the
 //! [`Serialize`]/[`Serializer`] traits plus impls for the std types this
-//! workspace serializes — and a marker [`Deserialize`] trait so
-//! `#[derive(Deserialize)]` compiles (nothing in the workspace ever
-//! deserializes; the JSON crate is serialize-only).
+//! workspace serializes. Nothing in the workspace deserializes: the JSON
+//! crate serializes, or parses into its own `Value`.
 
-pub mod de;
 pub mod ser;
 
-pub use de::Deserialize;
 pub use ser::{Serialize, Serializer};
 
 #[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;

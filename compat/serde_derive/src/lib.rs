@@ -1,6 +1,6 @@
 //! Offline stand-in for `serde_derive` (see `compat/README.md`).
 //!
-//! Hand-rolled `#[derive(Serialize, Deserialize)]` without `syn`/`quote`:
+//! Hand-rolled `#[derive(Serialize)]` without `syn`/`quote`:
 //! a small token-tree parser covering the shapes this workspace actually
 //! derives — non-generic structs (named, tuple, unit) and enums (unit,
 //! newtype, tuple and struct variants). Generic types and `#[serde(...)]`
@@ -114,17 +114,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     output
         .parse()
         .expect("serde_derive stub generated invalid Rust")
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let (name, _shape) = parse_item(input);
-    format!(
-        "#[automatically_derived]\n\
-         impl<'de> ::serde::Deserialize<'de> for {name} {{}}\n"
-    )
-    .parse()
-    .expect("serde_derive stub generated invalid Rust")
 }
 
 /// Parses a struct/enum item into its name and shape.

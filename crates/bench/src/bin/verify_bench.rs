@@ -204,7 +204,7 @@ fn main() {
     // --- LSH digests: scalar chain vs one streamed batch + batched SHA.
     // A streamed pass derives its k·l·dim rows once for the whole batch,
     // so its MB/s grows with the batch: these rows keep the full shape in
-    // smoke mode too, and check_bench.sh gates the streamed row's MB/s. ---
+    // smoke mode too, and check_bench.sh gates the streamed row's speedup. ---
     let (lsh_m, lsh_dim) = (16usize, 100_000usize);
     let lsh_shape = format!("{lsh_m}x{lsh_dim}");
     let lsh_bytes = (lsh_m * lsh_dim * 4) as f64;

@@ -6,8 +6,7 @@ use rpol::tasks::TaskConfig;
 use rpol::trainer::LocalTrainer;
 use rpol_crypto::Address;
 use rpol_nn::data::SyntheticImages;
-use rpol_nn::metrics::accuracy;
-use rpol_nn::model::Sequential;
+use rpol_nn::metrics::evaluate;
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::Tensor;
@@ -84,12 +83,6 @@ pub fn train_single(cfg: &TaskConfig, owner: Option<&Address>, spec: &RunSpec) -
         epoch_seconds,
         final_weights: model.flatten_params(),
     }
-}
-
-/// Evaluates a model on a prepared test batch.
-pub fn evaluate(model: &mut Sequential, test_x: &Tensor, test_y: &[usize]) -> f32 {
-    let logits = model.forward(test_x, false);
-    accuracy(&logits, test_y)
 }
 
 /// Scores a flat encoded-weight vector on a prepared test batch.

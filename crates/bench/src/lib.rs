@@ -40,18 +40,6 @@ pub fn arg_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Reads a `--name=value` float argument from the command line.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    let prefix = format!("--{name}=");
-    std::env::args()
-        .find_map(|a| a.strip_prefix(&prefix).map(str::to_string))
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("invalid float for --{name}: {v}"))
-        })
-        .unwrap_or(default)
-}
-
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -86,6 +74,5 @@ mod tests {
     #[test]
     fn arg_defaults_apply() {
         assert_eq!(arg_usize("definitely-not-passed", 7), 7);
-        assert_eq!(arg_f64("definitely-not-passed", 0.5), 0.5);
     }
 }

@@ -2,7 +2,7 @@
 
 use rpol_crypto::sha256::{sha256_f32, Digest, Sha256};
 use rpol_crypto::Address;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A block proposed by a consensus node (stage C of §III-A).
 ///
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// digest of the submitted model weights; the winning model's rewards are
 /// sent to the *address encoded inside the model* (via the AMLayer), which
 /// consensus checks against `proposer`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Block {
     /// Height in the chain (genesis = 0).
     pub height: u64,

@@ -96,7 +96,7 @@ impl<'a> ConsensusRound<'a> {
     }
 
     /// Whether the test set may be released.
-    pub fn can_close(&self) -> bool {
+    fn can_close(&self) -> bool {
         self.proposals.len() >= self.min_proposals
     }
 
@@ -107,8 +107,8 @@ impl<'a> ConsensusRound<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`ConsensusRound::can_close`] — the test set
-    /// must stay hidden until enough independent proposals arrived.
+    /// Panics with fewer than `min_proposals` proposals — the test set must
+    /// stay hidden until enough independent proposals arrived.
     pub fn close(self, judge: &dyn ModelJudge) -> Option<RoundOutcome> {
         assert!(
             self.can_close(),

@@ -19,11 +19,11 @@
 
 use rpol_crypto::sha256::Digest;
 use rpol_crypto::Address;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Contract lifecycle states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum EscrowState {
     /// Funded and accepting attestations.
     Active,
@@ -34,7 +34,7 @@ pub enum EscrowState {
 }
 
 /// Errors raised by contract calls.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum EscrowError {
     /// The caller is not a registered party.
     UnknownWorker(Address),
@@ -60,8 +60,8 @@ impl std::fmt::Display for EscrowError {
 impl std::error::Error for EscrowError {}
 
 /// One epoch's verification attestation for one worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Attestation {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+struct Attestation {
     /// The epoch attested.
     pub epoch: u64,
     /// Whether the worker's submission verified.
@@ -86,7 +86,7 @@ pub struct Attestation {
 /// let payout = escrow.settle().unwrap();
 /// assert_eq!(payout, vec![(workers[0], 10.0)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Escrow {
     manager: Address,
     state: EscrowState,
@@ -122,11 +122,6 @@ impl Escrow {
     /// The contract state.
     pub fn state(&self) -> EscrowState {
         self.state
-    }
-
-    /// The escrowed balance.
-    pub fn balance(&self) -> f64 {
-        self.balance
     }
 
     /// The funding manager.
@@ -171,7 +166,7 @@ impl Escrow {
     }
 
     /// Verified-epoch count for `worker`.
-    pub fn verified_epochs(&self, worker: &Address) -> u64 {
+    fn verified_epochs(&self, worker: &Address) -> u64 {
         self.attestations
             .get(worker)
             .map(|slots| slots.values().filter(|a| a.verified).count() as u64)
@@ -269,7 +264,7 @@ mod tests {
         assert_eq!(get(&w[1]), Some(3.0));
         assert_eq!(get(&w[2]), None);
         assert_eq!(escrow.state(), EscrowState::Settled);
-        assert_eq!(escrow.balance(), 0.0);
+        assert_eq!(escrow.balance, 0.0);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use rpol_crypto::Digest;
 ///
 /// let ledger = Ledger::new();
 /// assert_eq!(ledger.height(), 0);
-/// assert_eq!(ledger.tip().height, 0); // genesis
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ledger {
@@ -34,7 +33,7 @@ impl Ledger {
     }
 
     /// The tip (latest agreed block).
-    pub fn tip(&self) -> &Block {
+    fn tip(&self) -> &Block {
         self.blocks.last().expect("genesis always present")
     }
 

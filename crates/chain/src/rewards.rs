@@ -7,11 +7,11 @@
 //! of RPoL.
 
 use rpol_crypto::Address;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Tracks per-worker verified contributions across an entire mining round.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ContributionLedger {
     /// Verified work units (e.g. accepted epoch submissions) per worker.
     credits: BTreeMap<Address, u64>,

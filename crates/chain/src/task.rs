@@ -2,14 +2,14 @@
 
 use rpol_nn::data::{ImageSpec, SyntheticImages};
 use rpol_tensor::rng::Pcg32;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A DNN training task published on chain.
 ///
 /// The task fixes the data distribution (via `spec` and seeds) but the
 /// *test* dataset seed is withheld until the consensus round releases it —
 /// consensus nodes cannot train on the test set (§III-A).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrainingTask {
     /// Unique task id.
     pub id: u64,
@@ -54,12 +54,6 @@ impl TrainingTask {
             test_seed: seed ^ 0x7E57_DA7A,
             epoch_limit,
         }
-    }
-
-    /// Materializes the public training dataset (anyone may call this).
-    pub fn training_data(&self) -> SyntheticImages {
-        let mut rng = Pcg32::seed_from(self.train_seed);
-        SyntheticImages::generate(&self.spec, self.train_samples, &mut rng)
     }
 
     /// Materializes the withheld test dataset. Only the consensus layer
@@ -132,18 +126,13 @@ mod tests {
     }
 
     #[test]
-    fn training_data_is_reproducible() {
-        let t = task(1);
-        let a = t.training_data();
-        let b = t.training_data();
-        assert_eq!(a.labels(), b.labels());
-        assert_eq!(a.len(), 40);
-    }
-
-    #[test]
     fn test_data_differs_from_training_data() {
         let t = task(1);
-        let train = t.training_data();
+        let train = SyntheticImages::generate(
+            &t.spec,
+            t.train_samples,
+            &mut Pcg32::seed_from(t.train_seed),
+        );
         let test = t.test_data();
         assert_eq!(test.len(), 16);
         // Same distribution but different draws.

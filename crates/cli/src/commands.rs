@@ -521,9 +521,10 @@ pub fn calibrate(raw: &[String]) -> Result<(), String> {
 pub fn soundness(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw)?;
     args.expect_only(&["pr-err", "pr-beta", "c-train"])?;
+    let paper = EconomicModel::paper_example();
     let pr_err = args.f64("pr-err", 0.01)?;
-    let pr_beta = args.f64("pr-beta", 0.05)?;
-    let c_train = args.f64("c-train", 0.88)?;
+    let pr_beta = args.f64("pr-beta", paper.pr_lsh_beta)?;
+    let c_train = args.f64("c-train", paper.c_train)?;
     if !(0.0..1.0).contains(&pr_err) || pr_err <= 0.0 {
         return Err("--pr-err must be in (0, 1)".to_string());
     }
@@ -546,7 +547,7 @@ pub fn soundness(raw: &[String]) -> Result<(), String> {
     let econ = EconomicModel {
         c_train,
         pr_lsh_beta: pr_beta,
-        ..EconomicModel::paper_example()
+        ..paper
     };
     println!("\nTheorem 3 — economic deterrence (C_train = {c_train}):");
     println!("{:>8} {:>6} {:>14}", "h_A", "q", "gain at that q");

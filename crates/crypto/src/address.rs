@@ -7,7 +7,7 @@
 //! (§V-A), so it must be canonical and deterministic.
 
 use crate::sha256::sha256;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A 20-byte blockchain address.
@@ -21,7 +21,7 @@ use std::fmt;
 /// assert_eq!(addr, Address::derive(b"node-public-key"));
 /// assert_ne!(addr, Address::derive(b"other-key"));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Address(pub [u8; 20]);
 
 impl Address {

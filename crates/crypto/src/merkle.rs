@@ -3,11 +3,10 @@
 //! §V-B allows the training commitment to be either an ordered list of
 //! checkpoint hashes or the root of a Merkle tree whose leaves are the
 //! checkpoint proofs in order. This module implements the tree with
-//! logarithmic inclusion proofs; `commitment.rs` wraps both constructions
-//! behind one trait.
+//! logarithmic inclusion proofs.
 
 use crate::sha256::{Digest, Sha256};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Domain-separation prefixes preventing leaf/node second-preimage tricks.
 const LEAF_PREFIX: u8 = 0x00;
@@ -40,14 +39,14 @@ fn hash_node(left: &Digest, right: &Digest) -> Digest {
 /// assert!(proof.verify(tree.root(), b"b"));
 /// assert!(!proof.verify(tree.root(), b"x"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MerkleTree {
     /// `levels[0]` is the leaf layer; the last level holds the single root.
     levels: Vec<Vec<Digest>>,
 }
 
 /// An inclusion proof: sibling digests from the leaf to the root.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MerkleProof {
     /// The 0-based index of the proven leaf.
     pub leaf_index: usize,
@@ -66,21 +65,7 @@ impl MerkleTree {
     /// Panics if `leaves` is empty.
     pub fn from_leaves(leaves: &[&[u8]]) -> Self {
         assert!(!leaves.is_empty(), "Merkle tree needs at least one leaf");
-        let leaf_hashes: Vec<Digest> = leaves.iter().map(|l| hash_leaf(l)).collect();
-        Self::from_leaf_hashes(leaf_hashes)
-    }
-
-    /// Builds a tree over pre-hashed leaves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf_hashes` is empty.
-    pub fn from_leaf_hashes(leaf_hashes: Vec<Digest>) -> Self {
-        assert!(
-            !leaf_hashes.is_empty(),
-            "Merkle tree needs at least one leaf"
-        );
-        let mut levels = vec![leaf_hashes];
+        let mut levels = vec![leaves.iter().map(|l| hash_leaf(l)).collect::<Vec<_>>()];
         while levels.last().expect("nonempty").len() > 1 {
             let prev = levels.last().expect("nonempty");
             let mut next = Vec::with_capacity(prev.len().div_ceil(2));
@@ -129,14 +114,7 @@ impl MerkleTree {
 impl MerkleProof {
     /// Verifies that `payload` is the leaf at `self.leaf_index` under `root`.
     pub fn verify(&self, root: Digest, payload: &[u8]) -> bool {
-        self.verify_hash(root, hash_leaf(payload))
-    }
-
-    /// Verifies a pre-hashed leaf. Callers that hash model weights with
-    /// [`crate::sha256::sha256_f32`] must wrap the digest with
-    /// [`hash_leaf_digest`] first; this method takes the final leaf hash.
-    pub fn verify_hash(&self, root: Digest, leaf_hash: Digest) -> bool {
-        let mut acc = leaf_hash;
+        let mut acc = hash_leaf(payload);
         let mut ix = self.leaf_index;
         for sibling in &self.siblings {
             acc = if ix.is_multiple_of(2) {
@@ -148,11 +126,6 @@ impl MerkleProof {
         }
         acc == root
     }
-}
-
-/// Hashes an already-computed digest as a Merkle leaf (domain separated).
-pub fn hash_leaf_digest(digest: &Digest) -> Digest {
-    hash_leaf(digest.as_bytes())
 }
 
 #[cfg(test)]
@@ -226,15 +199,5 @@ mod tests {
         concat.extend_from_slice(sha256(b"b").as_bytes());
         let one = MerkleTree::from_leaves(&[concat.as_slice()]);
         assert_ne!(two.root(), one.root());
-    }
-
-    #[test]
-    fn prehased_leaf_roundtrip() {
-        let digests: Vec<Digest> = (0..5).map(|i| sha256(&[i])).collect();
-        let leaf_hashes: Vec<Digest> = digests.iter().map(hash_leaf_digest).collect();
-        let tree = MerkleTree::from_leaf_hashes(leaf_hashes);
-        let proof = tree.prove(2);
-        assert!(proof.verify_hash(tree.root(), hash_leaf_digest(&digests[2])));
-        assert!(!proof.verify_hash(tree.root(), hash_leaf_digest(&digests[3])));
     }
 }

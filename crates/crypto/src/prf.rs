@@ -15,7 +15,7 @@
 //! arbitrary-length keystream (`fill_bytes`) and derived numeric streams.
 
 use crate::hmac::hmac_sha256;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A keyed PRF based on HMAC-SHA-256.
 ///
@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// // Deterministic: the verifier recomputes the same indices.
 /// assert_eq!(prf.index(5, 10_000), Prf::new(b"worker-7-epoch-3").index(5, 10_000));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Prf {
     key: Vec<u8>,
 }
@@ -46,7 +46,7 @@ impl Prf {
     }
 
     /// Evaluates the PRF on a 128-bit input, returning a 64-bit output.
-    pub fn eval(&self, input: u128) -> u64 {
+    fn eval(&self, input: u128) -> u64 {
         hmac_sha256(&self.key, &input.to_be_bytes()).to_u64()
     }
 
@@ -62,7 +62,7 @@ impl Prf {
 
     /// Fills `out` with keystream bytes for stream id `stream`
     /// (HMAC in counter mode).
-    pub fn fill_bytes(&self, stream: u64, out: &mut [u8]) {
+    fn fill_bytes(&self, stream: u64, out: &mut [u8]) {
         let mut counter: u64 = 0;
         let mut offset = 0;
         while offset < out.len() {

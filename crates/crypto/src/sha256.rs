@@ -1,6 +1,6 @@
 //! FIPS 180-4 SHA-256, implemented from scratch.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A 256-bit digest.
@@ -16,7 +16,7 @@ use std::fmt;
 ///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 /// );
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {

@@ -1,7 +1,7 @@
 //! LSH signatures: comparison and commitment digests.
 
 use rpol_crypto::sha256::{Digest, Sha256};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The LSH signature of a vector: `l` groups of `k` quantized projections.
 ///
@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let b = Signature::new(vec![vec![9, 9], vec![3, 4]]);
 /// assert!(a.matches(&b)); // second group agrees
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Signature {
     groups: Vec<Vec<i64>>,
 }

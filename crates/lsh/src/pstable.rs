@@ -3,7 +3,7 @@
 use crate::matching::Signature;
 use rpol_crypto::Prf;
 use rpol_tensor::rng::Pcg32;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// LSH family parameters `{r, k, l}` (§II-C).
 ///
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let p = LshParams::new(4.0, 4, 4);
 /// assert_eq!(p.total_hashes(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LshParams {
     /// Bucket width `r` (same unit as the Euclidean distances being hashed).
     pub r: f32,
@@ -77,7 +77,7 @@ impl LshParams {
 /// assert_eq!(f1.hash(&x), f2.hash_scalar(&x));
 /// assert_eq!(f1, f2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LshFamily {
     params: LshParams,
     dim: usize,

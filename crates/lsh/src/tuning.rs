@@ -17,10 +17,10 @@
 
 use crate::probability::matching_probability;
 use crate::pstable::LshParams;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration for the Eq. 6 optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TuningConfig {
     /// Distance that honest reproduction errors must not exceed; the
     /// optimizer maximizes `Pr_lsh(alpha)`.
@@ -66,25 +66,11 @@ impl TuningConfig {
         self.k_lsh = k_lsh;
         self
     }
-
-    /// Sets the false-negative weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < weight_fnr < 1`.
-    pub fn with_fnr_weight(mut self, weight_fnr: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&weight_fnr) && weight_fnr > 0.0,
-            "weight must be in (0, 1)"
-        );
-        self.weight_fnr = weight_fnr;
-        self
-    }
 }
 
 /// The optimizer's result: chosen parameters plus the theoretical operating
 /// point, reported alongside measured rates in Fig. 5.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TuningOutcome {
     /// The optimal parameters.
     pub params: LshParams,
@@ -92,20 +78,6 @@ pub struct TuningOutcome {
     pub pr_alpha: f64,
     /// `Pr_lsh(beta)` under the chosen parameters (ideally ≈ 0.05).
     pub pr_beta: f64,
-}
-
-impl TuningOutcome {
-    /// Theoretical false-negative bound `1 − Pr_lsh(α)` for honest workers
-    /// whose errors do not exceed `α` (worst case of Eq. 5).
-    pub fn fnr_bound(&self) -> f64 {
-        1.0 - self.pr_alpha
-    }
-
-    /// Theoretical false-positive bound `Pr_lsh(β)` for spoof distances of
-    /// at least `β` (worst case of Eq. 5).
-    pub fn fpr_bound(&self) -> f64 {
-        self.pr_beta
-    }
 }
 
 /// Solves Eq. 6 for the optimal `{r, k, l}`.
@@ -211,8 +183,12 @@ mod tests {
 
     #[test]
     fn fnr_weighting_shifts_tradeoff() {
-        let fnr_heavy = tune(&TuningConfig::new(1.0, 5.0).with_fnr_weight(0.9));
-        let fpr_heavy = tune(&TuningConfig::new(1.0, 5.0).with_fnr_weight(0.1));
+        let weighted = |weight_fnr| TuningConfig {
+            weight_fnr,
+            ..TuningConfig::new(1.0, 5.0)
+        };
+        let fnr_heavy = tune(&weighted(0.9));
+        let fpr_heavy = tune(&weighted(0.1));
         assert!(fnr_heavy.pr_alpha >= fpr_heavy.pr_alpha);
         assert!(fnr_heavy.pr_beta >= fpr_heavy.pr_beta);
     }
@@ -221,12 +197,5 @@ mod tests {
     #[should_panic(expected = "alpha < beta")]
     fn alpha_must_precede_beta() {
         TuningConfig::new(5.0, 1.0);
-    }
-
-    #[test]
-    fn outcome_bounds_accessors() {
-        let out = tune(&TuningConfig::new(1.0, 5.0));
-        assert!((out.fnr_bound() - (1.0 - out.pr_alpha)).abs() < 1e-12);
-        assert!((out.fpr_bound() - out.pr_beta).abs() < 1e-12);
     }
 }

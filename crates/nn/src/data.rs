@@ -10,10 +10,10 @@
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch;
 use rpol_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Geometry and difficulty of a synthetic image dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ImageSpec {
     /// Number of classes (10 for the CIFAR-10 stand-in, 20 for the
     /// CIFAR-100 stand-in scaled to CPU budgets).
@@ -278,11 +278,6 @@ impl SyntheticImages {
                 labels: labels.by_ref().take(per).collect(),
             })
             .collect()
-    }
-
-    /// Dataset size in bytes as raw `f32` pixels (for storage accounting).
-    pub fn byte_size(&self) -> usize {
-        self.len() * self.spec.pixel_count() * 4
     }
 }
 

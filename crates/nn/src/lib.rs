@@ -58,10 +58,10 @@ pub mod prelude {
     pub use crate::dense::Dense;
     pub use crate::dropout::Dropout;
     pub use crate::layer::{Flatten, Layer, Param};
-    pub use crate::loss::{mse, softmax_cross_entropy};
+    pub use crate::loss::softmax_cross_entropy;
     pub use crate::metrics::accuracy;
     pub use crate::model::Sequential;
     pub use crate::optim::{Adam, Optimizer, RmsProp, Sgd, SgdMomentum};
-    pub use crate::pool::{AvgPool2, GlobalAvgPool, MaxPool2};
+    pub use crate::pool::{AvgPool2, MaxPool2};
     pub use crate::residual::Residual;
 }

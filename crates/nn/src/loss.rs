@@ -54,22 +54,6 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
     )
 }
 
-/// Mean-squared error between predictions and targets.
-///
-/// Returns `(mean loss, ∂L/∂pred)`.
-///
-/// # Panics
-///
-/// Panics if shapes differ.
-pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let n = pred.len() as f32;
-    let diff = pred - target;
-    let loss = diff.data().iter().map(|&d| d * d).sum::<f32>() / n;
-    let grad = diff.map(|d| 2.0 * d / n);
-    (loss, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,22 +119,5 @@ mod tests {
     #[should_panic(expected = "label out of range")]
     fn bad_label_rejected() {
         softmax_cross_entropy(&Tensor::zeros(&[1, 3]), &[3]);
-    }
-
-    #[test]
-    fn mse_known_values() {
-        let pred = Tensor::from_vec(&[2], vec![1.0, 2.0]);
-        let target = Tensor::from_vec(&[2], vec![0.0, 0.0]);
-        let (loss, grad) = mse(&pred, &target);
-        assert!((loss - 2.5).abs() < 1e-6);
-        assert_eq!(grad.data(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn mse_zero_at_target() {
-        let t = Tensor::from_vec(&[3], vec![1.0, -1.0, 0.5]);
-        let (loss, grad) = mse(&t, &t);
-        assert_eq!(loss, 0.0);
-        assert!(grad.data().iter().all(|&g| g == 0.0));
     }
 }

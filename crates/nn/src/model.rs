@@ -241,12 +241,6 @@ impl Sequential {
             layer.visit_params_mut(f);
         }
     }
-
-    /// Model size in bytes when serialized as raw `f32` weights; drives the
-    /// communication accounting.
-    pub fn byte_size(&self) -> usize {
-        self.param_count() * 4
-    }
 }
 
 impl std::fmt::Debug for Sequential {

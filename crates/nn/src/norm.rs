@@ -206,8 +206,10 @@ mod tests {
         let mut ln = LayerNorm::new(5);
         let mut rng = Pcg32::seed_from(3);
         // Non-identity params to exercise all gradient paths.
-        ln.gain.value = Tensor::rand_uniform(&[5], 0.5, 1.5, &mut rng);
-        ln.bias.value = Tensor::rand_uniform(&[5], -0.5, 0.5, &mut rng);
+        let mut uniform =
+            |lo, hi| Tensor::from_vec(&[5], (0..5).map(|_| rng.uniform(lo, hi)).collect());
+        ln.gain.value = uniform(0.5, 1.5);
+        ln.bias.value = uniform(-0.5, 0.5);
         let x = Tensor::randn(&[2, 5], &mut rng);
         let y = ln.forward(&x, true);
         let grad_out = y.map(|v| 2.0 * v);

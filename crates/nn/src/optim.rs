@@ -12,7 +12,7 @@
 
 use crate::layer::Param;
 use rpol_tensor::scratch;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An optimizer updating one parameter per call, identified by a stable
 /// index.
@@ -35,7 +35,7 @@ pub trait Optimizer {
 
 /// Identifies an optimizer family plus hyper-parameters; the pool manager
 /// broadcasts this so workers and verifier run the *same* update rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum OptimizerSpec {
     /// Plain stochastic gradient descent.
     Sgd {
@@ -308,11 +308,6 @@ impl Adam {
             first_index: None,
         }
     }
-
-    /// Adam with the conventional defaults (1e-3, 0.9, 0.999).
-    pub fn standard() -> Self {
-        Self::new(1e-3, 0.9, 0.999)
-    }
 }
 
 impl Optimizer for Adam {
@@ -411,7 +406,7 @@ mod tests {
     #[test]
     fn optimizers_are_deterministic() {
         let run = || {
-            let mut opt = Adam::standard();
+            let mut opt = Adam::new(1e-3, 0.9, 0.999);
             let mut p = quadratic_param(2.0);
             for _ in 0..50 {
                 let w = p.value.data()[0];

@@ -78,62 +78,6 @@ impl Layer for AvgPool2 {
     fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 }
 
-/// Global average pooling: `[N, C, H, W] -> [N, C]`.
-#[derive(Debug, Clone, Default)]
-pub struct GlobalAvgPool {
-    input_dims: Option<Vec<usize>>,
-}
-
-impl GlobalAvgPool {
-    /// Creates a global average-pooling layer.
-    pub fn new() -> Self {
-        Self { input_dims: None }
-    }
-}
-
-impl Layer for GlobalAvgPool {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(input.shape().rank(), 4, "pool expects [N, C, H, W]");
-        let (n, c, h, w) = (
-            input.shape().dim(0),
-            input.shape().dim(1),
-            input.shape().dim(2),
-            input.shape().dim(3),
-        );
-        if train {
-            self.input_dims = Some(input.shape().dims().to_vec());
-        }
-        let x = input.data();
-        let area = (h * w) as f32;
-        let mut out = vec![0.0f32; n * c];
-        for nc in 0..n * c {
-            out[nc] = x[nc * h * w..(nc + 1) * h * w].iter().sum::<f32>() / area;
-        }
-        Tensor::from_vec(&[n, c], out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let dims = self
-            .input_dims
-            .as_ref()
-            .expect("backward before forward on GlobalAvgPool");
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let area = (h * w) as f32;
-        let g = grad_out.data();
-        let mut dx = vec![0.0f32; n * c * h * w];
-        for nc in 0..n * c {
-            let go = g[nc] / area;
-            for v in &mut dx[nc * h * w..(nc + 1) * h * w] {
-                *v = go;
-            }
-        }
-        Tensor::from_vec(&[n, c, h, w], dx)
-    }
-
-    fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
-    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-}
-
 /// 2×2 max pooling with stride 2.
 ///
 /// Input `[N, C, H, W]` with even `H` and `W`; output `[N, C, H/2, W/2]`.
@@ -367,18 +311,6 @@ mod tests {
         let g = Tensor::ones(&[1, 1, 2, 2]);
         let dx = pool.backward(&g);
         assert!(dx.data().iter().all(|&v| (v - 0.25).abs() < 1e-7));
-    }
-
-    #[test]
-    fn global_pool_known_values() {
-        let mut pool = GlobalAvgPool::new();
-        let x = Tensor::from_vec(&[1, 2, 2, 2], vec![1., 1., 1., 1., 2., 2., 2., 2.]);
-        let y = pool.forward(&x, true);
-        assert_eq!(y.shape().dims(), &[1, 2]);
-        assert_eq!(y.data(), &[1.0, 2.0]);
-        let g = Tensor::from_vec(&[1, 2], vec![4.0, 8.0]);
-        let dx = pool.backward(&g);
-        assert_eq!(dx.data(), &[1., 1., 1., 1., 2., 2., 2., 2.]);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //!   gauges, and fixed-bucket histograms, merged on [`Recorder::snapshot`]
 //!   with deterministic name-sorted ordering;
 //! * a structured span/event tracer ([`span!`], [`event!`]) stamped by a
-//!   pluggable [`Clock`] — [`WallClock`] in production, [`LogicalClock`] in
-//!   tests and exports so same-seed runs emit byte-identical traces;
+//!   logical clock, so same-seed runs emit byte-identical traces;
 //! * JSONL / metrics-JSON / summary-table exporters built on `rpol-json`
 //!   ([`export`]).
 //!
@@ -48,9 +47,7 @@ pub mod stitch;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use trace::{
-    Clock, Event, EventKind, LogicalClock, Recorder, SpanGuard, TraceContext, Value, WallClock,
-};
+pub use trace::{Event, EventKind, Recorder, SpanGuard, TraceContext, Value};
 
 use std::sync::{Arc, LazyLock};
 

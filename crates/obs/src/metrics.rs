@@ -103,13 +103,13 @@ impl Gauge {
 
 /// Default histogram bucket upper bounds (inclusive); the overflow bucket is
 /// implicit. Tuned for small discrete quantities like retry attempts.
-pub const DEFAULT_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
+const DEFAULT_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
 
 /// Power-of-two bucket bounds `1, 2, 4, …, 2^62` for HDR-style log-bucketed
 /// histograms: ~50% worst-case relative quantile error over the full u64
 /// range at 63 buckets, which is what latency recording wants — cheap,
 /// bounded memory, and deterministic quantiles independent of sample order.
-pub fn log2_bounds() -> &'static [u64] {
+fn log2_bounds() -> &'static [u64] {
     static BOUNDS: LazyLock<Vec<u64>> = LazyLock::new(|| (0..63).map(|e| 1u64 << e).collect());
     &BOUNDS
 }
@@ -121,7 +121,7 @@ pub fn log2_bounds() -> &'static [u64] {
 /// [`log2_bounds`], whose one-bucket-per-octave resolution collapses
 /// sub-second epoch latencies onto a single bound (p50 == p99).
 /// Still fixed-bucket, so quantiles stay deterministic and order-free.
-pub fn latency_bounds() -> &'static [u64] {
+fn latency_bounds() -> &'static [u64] {
     static BOUNDS: LazyLock<Vec<u64>> = LazyLock::new(|| {
         let mut v: Vec<u64> = (1..=16).collect();
         for scale in 0..=57u32 {
@@ -197,33 +197,6 @@ pub struct HistogramSnapshot {
     pub counts: Vec<u64>,
     pub sum: u64,
     pub count: u64,
-}
-
-impl HistogramSnapshot {
-    /// Deterministic quantile estimate: the upper bound of the bucket holding
-    /// the `ceil(q·count)`-th observation. Because buckets are fixed, the
-    /// answer depends only on the observed multiset — never on insertion
-    /// order or thread interleaving — which is what lets benches report
-    /// p50/p90/p99 without keeping raw samples. Returns 0 for an empty
-    /// histogram; observations in the overflow bucket report the last bound
-    /// (the estimate saturates rather than invents a value).
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return self.bounds.get(i).copied().unwrap_or_else(|| {
-                    // Overflow bucket: saturate at the largest bound.
-                    self.bounds.last().copied().unwrap_or(u64::MAX)
-                });
-            }
-        }
-        self.bounds.last().copied().unwrap_or(u64::MAX)
-    }
 }
 
 /// Registry of named metrics. Lookup takes a read lock on the fast path and
@@ -374,6 +347,30 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HistogramSnapshot {
+        /// The quantile a reader of the exported snapshot computes: the upper
+        /// bound of the bucket holding the `ceil(q·count)`-th observation, 0
+        /// for an empty histogram, the last bound for the overflow bucket.
+        /// Fixed buckets make it depend only on the observed multiset.
+        fn quantile(&self, q: f64) -> u64 {
+            if self.count == 0 {
+                return 0;
+            }
+            let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+            let mut cum = 0u64;
+            for (i, c) in self.counts.iter().enumerate() {
+                cum += c;
+                if cum >= rank {
+                    return self.bounds.get(i).copied().unwrap_or_else(|| {
+                        // Overflow bucket: saturate at the largest bound.
+                        self.bounds.last().copied().unwrap_or(u64::MAX)
+                    });
+                }
+            }
+            self.bounds.last().copied().unwrap_or(u64::MAX)
+        }
+    }
 
     #[test]
     fn counter_sums_across_threads() {

@@ -1,11 +1,10 @@
-//! Structured span/event tracer with a pluggable clock.
+//! Structured span/event tracer on a logical clock.
 //!
 //! Every record is an [`Event`]: a named point (`kind: "event"`) or a closed
 //! span (`kind: "span"`, with `ts` = start and `dur` = elapsed). Spans are
 //! recorded when their guard drops, so the trace never needs back-patching
-//! and a single append-only buffer suffices. Timestamps come from a [`Clock`]
-//! implementation: [`WallClock`] in production, [`LogicalClock`] in tests and
-//! exports where same-seed runs must emit byte-identical traces.
+//! and a single append-only buffer suffices. Timestamps come from a logical
+//! clock that ticks, so same-seed runs emit byte-identical traces.
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use serde::ser::{Serialize, SerializeMap, Serializer};
@@ -13,51 +12,17 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
-/// Source of monotonic timestamps for the tracer.
-pub trait Clock: Send + Sync {
-    /// Current timestamp in nanoseconds (or logical ticks).
-    fn now_ns(&self) -> u64;
-    /// Advance the clock by `ns` (no-op for wall clocks). The pool uses this
-    /// to fold simulated transport seconds into logical traces.
-    fn advance_ns(&self, _ns: u64) {}
-    /// Adopt a remote watermark: after `witness(ts)` every later `now_ns`
-    /// must return a value `> ts` (Lamport merge). No-op for wall clocks,
-    /// which are already monotone against any sane peer.
-    fn witness(&self, _ts: u64) {}
-    /// Rewind to zero if the clock supports it (no-op for wall clocks).
-    fn reset(&self) {}
-}
-
-/// Wall-clock time relative to clock creation.
-pub struct WallClock {
-    base: Instant,
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self {
-            base: Instant::now(),
-        }
-    }
-}
-
-impl Clock for WallClock {
-    fn now_ns(&self) -> u64 {
-        self.base.elapsed().as_nanos() as u64
-    }
-}
-
-/// Deterministic clock: every `now_ns` call returns the next tick, and
-/// `advance_ns` jumps forward, so identical call sequences yield identical
+/// The tracer's deterministic clock: every `now_ns` call returns the next
+/// tick, and `advance_ns` jumps forward (the pool folds simulated transport
+/// seconds in this way), so identical call sequences yield identical
 /// timestamps regardless of host speed.
 #[derive(Default)]
-pub struct LogicalClock {
+struct LogicalClock {
     ticks: AtomicU64,
 }
 
-impl Clock for LogicalClock {
+impl LogicalClock {
     fn now_ns(&self) -> u64 {
         self.ticks.fetch_add(1, Ordering::Relaxed)
     }
@@ -66,6 +31,8 @@ impl Clock for LogicalClock {
         self.ticks.fetch_add(ns, Ordering::Relaxed);
     }
 
+    /// Adopts a remote watermark: every later `now_ns` returns a value
+    /// `> ts` (Lamport merge).
     fn witness(&self, ts: u64) {
         // Lamport: local time jumps past the remote watermark so events that
         // causally follow the message stamp later than its send.
@@ -287,7 +254,7 @@ pub struct Recorder {
     /// `enable()` so that code holding the shared no-op handle can never
     /// switch on instrumentation for unrelated components.
     locked_off: bool,
-    clock: Box<dyn Clock>,
+    clock: LogicalClock,
     metrics: MetricsRegistry,
     tracer: Tracer,
     /// Next span id handed out by [`Recorder::child_span`]; 0 means "no
@@ -314,28 +281,17 @@ thread_local! {
 }
 
 impl Recorder {
-    /// Recorder with the given clock, enabled.
-    pub fn new(clock: Box<dyn Clock>) -> Self {
+    /// Deterministic recorder (logical clock), enabled.
+    pub fn logical() -> Self {
         Self {
             enabled: AtomicBool::new(true),
             locked_off: false,
-            clock,
+            clock: LogicalClock::default(),
             metrics: MetricsRegistry::new(),
             tracer: Tracer::default(),
             span_seq: AtomicU64::new(0),
             profile: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// Deterministic recorder (logical clock), enabled. The right choice for
-    /// tests and reproducible exports.
-    pub fn logical() -> Self {
-        Self::new(Box::new(LogicalClock::default()))
-    }
-
-    /// Wall-clock recorder, enabled.
-    pub fn wall() -> Self {
-        Self::new(Box::new(WallClock::default()))
     }
 
     pub(crate) fn new_noop() -> Self {
@@ -365,23 +321,15 @@ impl Recorder {
         self.clock.now_ns()
     }
 
-    /// Advance the clock (logical clocks only; wall clocks ignore it).
+    /// Advance the clock.
     pub fn advance_ns(&self, ns: u64) {
         if self.enabled() {
             self.clock.advance_ns(ns);
         }
     }
 
-    /// Adopt a remote clock watermark (Lamport merge; see
-    /// [`Clock::witness`]). No-op when disabled or on wall clocks.
-    pub fn witness(&self, watermark: u64) {
-        if self.enabled() {
-            self.clock.witness(watermark);
-        }
-    }
-
     /// Allocate a fresh span id (1-based; 0 means "no parent").
-    pub fn next_span_id(&self) -> u64 {
+    fn next_span_id(&self) -> u64 {
         self.span_seq.fetch_add(1, Ordering::Relaxed) + 1
     }
 

@@ -4,10 +4,10 @@
 use crate::amlayer::AmLayer;
 use crate::tasks::TaskConfig;
 use rpol_crypto::Address;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a pool worker behaves during an epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum WorkerBehavior {
     /// Trains every step faithfully.
     Honest,
@@ -70,15 +70,6 @@ impl WorkerBehavior {
                 | WorkerBehavior::PartialSpoof { .. }
                 | WorkerBehavior::SwapFinal
                 | WorkerBehavior::ForeignStart
-        )
-    }
-
-    /// Whether this behaviour models a benign fault (crash/straggler)
-    /// rather than honest-and-healthy or adversarial operation.
-    pub fn is_faulty(&self) -> bool {
-        matches!(
-            self,
-            WorkerBehavior::CrashAt { .. } | WorkerBehavior::Straggler { .. }
         )
     }
 
@@ -234,12 +225,10 @@ mod tests {
             after_steps: 2,
         };
         let slow = WorkerBehavior::Straggler { slowdown: 8.0 };
-        assert!(!crash.is_adversarial() && crash.is_faulty());
-        assert!(!slow.is_adversarial() && slow.is_faulty());
-        assert!(!WorkerBehavior::Honest.is_faulty());
-        assert!(!WorkerBehavior::ReplayPrevious.is_faulty());
+        assert!(!crash.is_adversarial());
+        assert!(!slow.is_adversarial());
         for cheat in [WorkerBehavior::SwapFinal, WorkerBehavior::ForeignStart] {
-            assert!(cheat.is_adversarial() && !cheat.is_faulty());
+            assert!(cheat.is_adversarial());
         }
     }
 

@@ -84,7 +84,6 @@ impl AmLayerSpec {
 /// let x = Tensor::ones(&[1, 3, 8, 8]);
 /// let y = layer.forward(&x, false);
 /// assert_eq!(y.shape(), x.shape());
-/// assert!(layer.verify_encodes(&addr));
 /// ```
 pub struct AmLayer {
     address: Address,
@@ -186,16 +185,6 @@ impl AmLayer {
     /// The layer's geometry.
     pub fn spec(&self) -> AmLayerSpec {
         self.spec
-    }
-
-    /// Whether this layer's weights equal the canonical expansion of
-    /// `address` — what a consensus node checks before paying out.
-    pub fn verify_encodes(&self, address: &Address) -> bool {
-        let expected = Self::derive_weight_stack(address, self.spec, self.lipschitz_c);
-        self.blocks
-            .iter()
-            .zip(expected.iter())
-            .all(|(block, kernel)| block.weight().value == *kernel)
     }
 
     /// Verifies that the leading weights of a flattened model vector are
@@ -382,9 +371,14 @@ mod tests {
     #[test]
     fn verification_accepts_own_address_only() {
         let addr = Address::from_seed(3);
-        let layer = AmLayer::generate(&addr, spec(), 0.9);
-        assert!(layer.verify_encodes(&addr));
-        assert!(!layer.verify_encodes(&Address::from_seed(4)));
+        let flat = flat_of(&AmLayer::generate(&addr, spec(), 0.9));
+        assert!(AmLayer::verify_flat_prefix(&flat, &addr, spec(), 0.9));
+        assert!(!AmLayer::verify_flat_prefix(
+            &flat,
+            &Address::from_seed(4),
+            spec(),
+            0.9
+        ));
     }
 
     /// Each block's residual-map Lipschitz ratio, estimated on `trials`

@@ -231,11 +231,9 @@ impl EpochCommitment {
     /// (`len · 4` bytes on f32, `len · 2` on bf16).
     pub fn bytes_hashed(&self, model_len: usize, hashes_per_group: usize) -> u64 {
         let spec = self.scheme.spec();
-        let image = match (spec.binding, spec.lattice) {
-            (Binding::Sha256, Lattice::F32) => model_len * 4,
-            (Binding::Sha256, Lattice::Bf16) => model_len * 2,
-            _ => 0,
-        };
+        let image = usize::from(spec.binding == Binding::Sha256)
+            * model_len
+            * spec.lattice.bytes_per_weight();
         let lsh = self.groups * hashes_per_group * 8;
         self.len() as u64 * (image + lsh) as u64
     }

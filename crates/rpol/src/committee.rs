@@ -22,12 +22,12 @@ use crate::verify::{RejectReason, VerificationOutcome, WorkerVerdict};
 use rpol_crypto::merkle::{MerkleProof, MerkleTree};
 use rpol_crypto::Digest;
 use rpol_tensor::rng::Pcg32;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Two-tier verification parameters: how many committees the roster is
 /// sharded into and how many verdicts the top manager re-audits per
 /// committee batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Hierarchy {
     /// Number of committees `C` the roster is rendezvous-partitioned into.
     pub committees: usize,
@@ -109,7 +109,7 @@ fn hrw_weight(seed: u64, worker: usize, committee: usize) -> u64 {
 /// # Panics
 ///
 /// Panics if `committees == 0`.
-pub fn rendezvous_committee(seed: u64, worker: usize, committees: usize) -> usize {
+fn rendezvous_committee(seed: u64, worker: usize, committees: usize) -> usize {
     assert!(committees > 0, "need at least one committee");
     (0..committees)
         .max_by_key(|&c| (hrw_weight(seed, worker, c), std::cmp::Reverse(c)))
@@ -258,7 +258,7 @@ pub fn decode_verdict_leaf(bytes: &[u8]) -> Result<(usize, WorkerVerdict), &'sta
 /// manager ingests from a sub-manager besides byte counts: the root binds
 /// every member verdict, the verdict list is the opening the top manager
 /// spot-audits against it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CommitteeBatch {
     /// Epoch the batch belongs to.
     pub epoch: u64,

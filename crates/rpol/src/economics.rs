@@ -8,7 +8,7 @@
 //! example: 2–3 samples instead of 47).
 
 use crate::sampling::{evasion_probability, per_sample_pass_probability};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Cost/benefit parameters of Eq. 9, normalized so one successfully
 /// verified epoch submission earns reward 1.
@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(m.adversary_gain(0.90, 3) < 0.0);
 /// assert!(m.honest_gain(3) > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EconomicModel {
     /// Computation cost of one fully honest epoch (paper: 0.88, the 2022
     /// electricity-to-income ratio of Bitcoin mining).

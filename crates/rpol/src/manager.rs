@@ -22,7 +22,7 @@ use rpol_obs::{event, span, Recorder};
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Fixed-point scale of the order-invariant aggregation accumulator:
@@ -32,7 +32,7 @@ use std::sync::Arc;
 const AGG_SCALE: f64 = (1u64 << 24) as f64;
 
 /// Per-epoch communication accounting (bytes over the star topology).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CommStats {
     /// Manager → workers: global model broadcast.
     pub broadcast_bytes: u64,
@@ -65,7 +65,7 @@ pub(crate) fn count_hi_plane(rec: &Recorder, chose: Option<crate::wire::HiPlane>
 
 /// Per-epoch accounting of the two-tier committee hierarchy. `None` on
 /// flat runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct HierarchyReport {
     /// Committees the roster was rendezvous-partitioned into.
     pub committees: usize,
@@ -116,7 +116,7 @@ pub(crate) struct Settlement {
 }
 
 /// What happened in one epoch of pooled training.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EpochReport {
     /// Epoch number (0-based).
     pub epoch: u64,

@@ -16,7 +16,7 @@ use rpol_chain::block::Block;
 use rpol_chain::consensus::{ConsensusRound, Proposal};
 use rpol_chain::task::TrainingTask;
 use rpol_chain::Ledger;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Adjusts the per-round epoch budget so block production stays near a
 /// target cadence — the paper's future-work "difficulty level" control,
@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// If the winner overshoots the target accuracy, later rounds get fewer
 /// epochs (blocks were "too easy"); undershooting buys more epochs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DifficultyController {
     /// Desired winning accuracy per round.
     pub target_accuracy: f32,
@@ -81,7 +81,7 @@ struct Competitor {
 }
 
 /// The outcome of a full competition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CompetitionReport {
     /// `(competitor name, rounds won, total rewards)` in registration order.
     pub standings: Vec<(String, usize, f64)>,

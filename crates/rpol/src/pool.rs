@@ -17,7 +17,7 @@ use rpol_sim::gpu::GpuModel;
 use rpol_sim::SimClock;
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Fixed evaluation chunk (rows per forward pass). Serial and parallel
@@ -27,7 +27,7 @@ const EVAL_CHUNK: usize = 16;
 
 /// Which verification scheme the pool runs (§VII-E). Each scheme is one
 /// row of settings, [`Scheme::spec`]; code reads the setting it needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Scheme {
     /// No verification — every submission is aggregated (insecure).
     Baseline,
@@ -94,6 +94,14 @@ pub enum Lattice {
 }
 
 impl Lattice {
+    /// Bytes one weight takes on the lattice: 4 on `F32`, 2 on `Bf16`.
+    pub fn bytes_per_weight(self) -> usize {
+        match self {
+            Lattice::F32 => 4,
+            Lattice::Bf16 => 2,
+        }
+    }
+
     /// Moves `weights` onto the lattice: nothing on `F32`, the bf16 snap
     /// on `Bf16`. Idempotent either way.
     pub fn snap(self, weights: &mut [f32]) {
@@ -188,7 +196,7 @@ static SCHEMES: [SchemeSpec; 4] = [
 ];
 
 /// Pool-level configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PoolConfig {
     /// The training task.
     pub task: TaskConfig,
@@ -320,7 +328,7 @@ pub(crate) fn roster_groups(config: &PoolConfig, n: usize) -> Vec<Vec<usize>> {
 }
 
 /// One epoch's row in the pool report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EpochRecord {
     /// The manager's protocol report.
     pub report: EpochReport,
@@ -336,7 +344,7 @@ pub struct EpochRecord {
 }
 
 /// The full run record (returned by [`MiningPool::run`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PoolReport {
     /// The scheme that produced this report.
     pub scheme: Scheme,

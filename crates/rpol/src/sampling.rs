@@ -7,7 +7,7 @@
 //! evasion probability by `p₁^q`. Inverting gives the minimum sample count
 //! for a target soundness error (Eq. 8).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-sample pass probability `h_A + (1 − h_A)·Pr_lsh(β)` for an
 /// adversary.
@@ -71,7 +71,7 @@ pub fn samples_for_soundness(pr_err: f64, honesty_ratio: f64, pr_lsh_beta: f64) 
 }
 
 /// A row of the soundness table: the paper's worked example grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SoundnessPoint {
     /// Adversary honesty ratio `h_A`.
     pub honesty_ratio: f64,

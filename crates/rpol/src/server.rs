@@ -504,7 +504,7 @@ impl NetStats {
 /// Updated by the driver at serial epoch boundaries, so a status poll
 /// always sees a consistent picture (never a half-accounted epoch).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct EpochProgress {
+struct EpochProgress {
     /// Epochs fully accounted so far.
     pub epochs_done: u64,
     /// Epochs the run will drive in total.
@@ -526,7 +526,7 @@ pub struct EpochProgress {
 
 /// One live connection-table row in a [`StatusSnapshot`].
 #[derive(Debug, Clone, Serialize)]
-pub struct ConnStatus {
+struct ConnStatus {
     /// Connection-table slot index.
     pub slot: u64,
     /// Worker id, or `-1` before the handshake completes.
@@ -541,7 +541,7 @@ pub struct ConnStatus {
 
 /// Reactor pressure: how much work the next pump already has queued.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct QueueDepths {
+struct QueueDepths {
     /// Connections with assembler-buffered frames awaiting routing (the
     /// userspace readable backlog epoll cannot see).
     pub readable: u64,
@@ -558,7 +558,7 @@ pub struct QueueDepths {
 /// folding in every pending delta, so `counters["net.x"]` equals the
 /// matching `net` field in the same report.
 #[derive(Debug, Clone, Serialize)]
-pub struct StatusSnapshot {
+struct StatusSnapshot {
     /// Wire protocol version ([`wire::NET_PROTOCOL`]).
     pub protocol: u32,
     /// Reactor in use: `"readiness"`, or `"scan"` after a fallback.

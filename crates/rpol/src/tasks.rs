@@ -20,10 +20,10 @@ use rpol_nn::optim::OptimizerSpec;
 use rpol_nn::pool::{AvgPool2, MaxPool2};
 use rpol_nn::residual::Residual;
 use rpol_tensor::rng::Pcg32;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The task architectures of the paper's evaluation, miniaturized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ModelArch {
     /// Stand-in for ResNet18: one conv stem + one residual block.
     MiniResNet18,
@@ -107,7 +107,7 @@ impl ModelArch {
 }
 
 /// Full configuration of a pool training task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TaskConfig {
     /// Architecture to train.
     pub arch: ModelArch,

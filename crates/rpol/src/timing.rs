@@ -24,16 +24,16 @@
 //!   verification and calibration overlap with the next epoch and are
 //!   reported separately, matching Table III's per-role computation rows.
 
-use crate::pool::{Binding, Calibration, Lattice, MatchDigest, Scheme, SchemeSpec};
+use crate::pool::{Binding, Calibration, MatchDigest, Scheme};
 use crate::transport::{FaultProfile, RetryPolicy};
 use rpol_sim::cost::CostModel;
 use rpol_sim::gpu::GpuModel;
 use rpol_sim::net::NetworkModel;
 use rpol_sim::workload::Workload;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Inputs of the analytic model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TimingConfig {
     /// The paper-scale workload (model + dataset + batch size).
     pub workload: Workload,
@@ -76,7 +76,7 @@ impl TimingConfig {
 }
 
 /// The model's outputs for one epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EpochBreakdown {
     /// Per-worker training compute (seconds).
     pub worker_compute_s: f64,
@@ -182,7 +182,8 @@ pub fn epoch_breakdown(cfg: &TimingConfig) -> EpochBreakdown {
         1
     };
     let lsh = u64::from(spec.hashes_by_lsh());
-    let storage_per_worker_bytes = stored * w_bytes / lattice_div(spec) + lsh * cfg.k_lsh * w_bytes;
+    let lattice_bytes = w_bytes / 4 * spec.lattice.bytes_per_weight() as u64;
+    let storage_per_worker_bytes = stored * lattice_bytes + lsh * cfg.k_lsh * w_bytes;
 
     EpochBreakdown {
         worker_compute_s,
@@ -235,7 +236,7 @@ fn comm_legs(cfg: &TimingConfig) -> CommLegs {
         MatchDigest::LshGroups => 1,
     };
     let proof_per_worker = if spec.verifies() {
-        cfg.q_samples * w_bytes * openings / lattice_div(spec)
+        cfg.q_samples * (w_bytes / 4 * spec.lattice.bytes_per_weight() as u64) * openings
     } else {
         0
     };
@@ -248,14 +249,6 @@ fn comm_legs(cfg: &TimingConfig) -> CommLegs {
         model: w_bytes * n,
         commit: commit_per_worker * n,
         proof: proof_per_worker * n,
-    }
-}
-
-/// 2 on the bf16 lattice (2 bytes a weight), else 1.
-fn lattice_div(spec: &SchemeSpec) -> u64 {
-    match spec.lattice {
-        Lattice::F32 => 1,
-        Lattice::Bf16 => 2,
     }
 }
 

@@ -25,13 +25,13 @@ use crate::wire::{open_frame, seal_frame, wrap_traced, FRAME_HEADER_BYTES};
 use rpol_obs::{event, Recorder, TraceContext};
 use rpol_sim::{NetworkModel, SimClock};
 use rpol_tensor::rng::{Pcg32, SplitMix64};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use bytes::Bytes;
 
 /// Per-link fault probabilities and latency jitter, applied independently
 /// to every transmission attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultProfile {
     /// Probability an attempt is silently dropped (sender sees a timeout).
     pub drop_prob: f64,
@@ -113,7 +113,7 @@ impl FaultProfile {
 
 /// Sender-side retry discipline: per-attempt timeout plus capped
 /// exponential backoff with multiplicative jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RetryPolicy {
     /// Total transmission attempts before the exchange is abandoned.
     pub max_attempts: u32,
@@ -189,7 +189,7 @@ impl RetryPolicy {
 }
 
 /// Everything the pool needs to stand up a faulty transport.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultConfig {
     /// Per-attempt fault probabilities.
     pub profile: FaultProfile,
@@ -231,7 +231,7 @@ impl FaultConfig {
 
 /// Which protocol message an exchange carries — part of the fault seed, so
 /// faults on one leg never shift draws on another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MsgKind {
     /// Manager → worker epoch assignment (nonce + global model).
     Task,
@@ -271,7 +271,7 @@ impl MsgKind {
 }
 
 /// Counters describing what the transport did and suffered.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TransportStats {
     /// Logical exchanges requested (successful or not).
     pub exchanges: u64,

@@ -24,7 +24,7 @@ use rpol_nn::model::Sequential;
 use rpol_obs::{event, span, Recorder};
 use rpol_sim::gpu::NoiseInjector;
 use rpol_tensor::scratch;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::borrow::Cow;
 
 /// A checkpoint opening could not be obtained: the link to the worker is
@@ -32,7 +32,7 @@ use std::borrow::Cow;
 /// permanently. This is a **transport** verdict, not a verification one —
 /// the manager quarantines the worker for the epoch instead of flagging
 /// it as a cheater.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ProofUnavailable {
     /// The checkpoint index whose opening failed.
     pub index: usize,
@@ -78,7 +78,7 @@ pub trait ProofProvider: Sync {
 }
 
 /// Why a sampled checkpoint was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum RejectReason {
     /// The opened input weights do not match the commitment.
     InputCommitmentMismatch,
@@ -97,7 +97,7 @@ pub enum RejectReason {
 }
 
 /// Outcome of verifying one sampled checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum VerificationOutcome {
     /// The checkpoint verified.
     Accepted {
@@ -125,7 +125,7 @@ impl VerificationOutcome {
 /// incurred: one worker's verification decomposes into one
 /// `SampleVerdict` per sampled checkpoint, merged back into a
 /// [`WorkerVerdict`] in sample-index order.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SampleVerdict {
     /// The sampled checkpoint index.
     pub sample: usize,
@@ -160,7 +160,7 @@ impl SampleVerdict {
 }
 
 /// Result of verifying all sampled checkpoints of one worker's epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorkerVerdict {
     /// Per-sample outcomes, in sample order.
     pub outcomes: Vec<(usize, VerificationOutcome)>,

@@ -949,9 +949,9 @@ const TAG_NET_EPOCH_END: u8 = 0x38;
 const TAG_NET_SHUTDOWN: u8 = 0x39;
 const TAG_NET_STATUS: u8 = 0x3A;
 const TAG_NET_STATUS_REPORT: u8 = 0x3B;
-/// Last tag of the control block; `is_net_control`/`classify_payload`
-/// dispatch on `TAG_NET_HELLO..=TAG_NET_LAST`, so new control tags must be
-/// appended before this bound.
+/// Last tag of the control block; `classify_payload` dispatches on
+/// `TAG_NET_HELLO..=TAG_NET_LAST`, so new control tags must be appended
+/// before this bound.
 const TAG_NET_LAST: u8 = TAG_NET_STATUS_REPORT;
 
 /// Why the server refused service with a [`NetControl::Busy`] frame.
@@ -1163,12 +1163,6 @@ pub fn encode_net_control(msg: &NetControl) -> Bytes {
     out.freeze()
 }
 
-/// Whether a frame payload starts with a control-plane tag (so a router
-/// can dispatch without attempting a full decode).
-pub fn is_net_control(payload: &[u8]) -> bool {
-    matches!(payload.first(), Some(&t) if (TAG_NET_HELLO..=TAG_NET_LAST).contains(&t))
-}
-
 /// Coarse payload classification by leading tag — the socket router's
 /// dispatch key. Full decoding (and validation) happens downstream in the
 /// per-message decoders; this only picks which one to call.
@@ -1214,7 +1208,7 @@ const TAG_TRACE_CTX: u8 = 0x54;
 /// classifies as `Unknown`, exactly like any other foreign tag).
 const TRACE_CTX_V1: u8 = 1;
 /// Total prefix size the extension adds to a payload.
-pub const TRACE_EXT_BYTES: usize = 2 + TraceContext::WIRE_BYTES;
+const TRACE_EXT_BYTES: usize = 2 + TraceContext::WIRE_BYTES;
 
 /// Prefix a payload with a [`TraceContext`] extension. The wrapped payload
 /// still travels in an ordinary checksummed frame; receivers that know the
@@ -2781,7 +2775,6 @@ mod tests {
             },
         ] {
             let encoded = encode_net_control(&msg);
-            assert!(is_net_control(&encoded));
             assert_eq!(classify_payload(&encoded), PayloadClass::Control);
             assert_eq!(decode_net_control(encoded).expect("decodes"), msg);
         }

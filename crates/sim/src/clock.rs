@@ -1,6 +1,6 @@
 //! A simulated clock accumulating time by category.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -24,7 +24,7 @@ use std::fmt;
 /// assert_eq!(clock.total(), 45.0);
 /// assert_eq!(clock.events("retry"), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SimClock {
     buckets: BTreeMap<String, f64>,
     counters: BTreeMap<String, u64>,
@@ -70,7 +70,7 @@ impl SimClock {
     }
 
     /// Adds `n` events under `category`.
-    pub fn add_events(&mut self, category: &str, n: u64) {
+    fn add_events(&mut self, category: &str, n: u64) {
         *self.counters.entry(category.to_string()).or_insert(0) += n;
     }
 

@@ -1,6 +1,6 @@
 //! Capital-cost model with the paper's Alibaba-cloud prices (§VII-E).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Unit prices for compute, wide-area traffic, and storage.
 ///
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let usd = m.total_usd(3600.0, 10_000_000_000, 0, 0.0);
 /// assert!((usd - 2.53).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CostModel {
     /// GPU rent in USD per hour (paper: $1.33/h for GA10).
     pub gpu_per_hour: f64,
@@ -58,15 +58,6 @@ impl CostModel {
             + self.storage_per_gb_month * storage_bytes as f64 / gb * storage_months
     }
 }
-
-/// The approximate Bitcoin block reward the paper cites for perspective
-/// (~$133,000 in January 2023).
-pub const MINING_REWARD_USD_JAN_2023: f64 = 133_000.0;
-
-/// The paper's electricity-to-income ratio for Bitcoin miners in 2022
-/// (Digiconomist): training cost `C_train = 0.88` when one verified
-/// submission's reward is normalized to 1 (used in Theorem 3).
-pub const C_TRAIN_RATIO: f64 = 0.88;
 
 #[cfg(test)]
 mod tests {

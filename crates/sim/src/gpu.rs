@@ -21,13 +21,13 @@
 //! optimizer; (6) because variances add across the steps of an interval.
 
 use rpol_tensor::rng::Pcg32;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// The four GPU models of the paper's evaluation (§VII-C), ordered by
 /// descending FP32 throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum GpuModel {
     /// NVIDIA GeForce RTX 3090 — 35.7 TFLOPS FP32 ("G3090").
     G3090,
@@ -70,13 +70,6 @@ impl GpuModel {
         // constant-magnitude tail that real cuDNN atomics noise (relative
         // error ~1e-7) essentially never triggers.
         (5e-6 * (self.fp32_tflops() / 10.0).sqrt()) as f32
-    }
-
-    /// Hourly rent in USD on Alibaba cloud. The paper prices GA10 at
-    /// $1.33/h (G3090 is not offered); other models are scaled by relative
-    /// throughput for the cost extrapolations.
-    pub fn price_per_hour(&self) -> f64 {
-        1.33 * self.fp32_tflops() / GpuModel::GA10.fp32_tflops()
     }
 
     /// Wall-clock seconds to execute `flops` floating-point operations at
@@ -308,11 +301,6 @@ mod tests {
     fn noise_grows_with_gpu_speed() {
         let s: Vec<f32> = GpuModel::ALL.iter().map(|g| g.noise_rel_sigma()).collect();
         assert!(s.windows(2).all(|w| w[0] > w[1]), "not descending: {s:?}");
-    }
-
-    #[test]
-    fn ga10_price_matches_paper() {
-        assert!((GpuModel::GA10.price_per_hour() - 1.33).abs() < 1e-9);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! fan-in to `n` workers runs the worker links in parallel but cannot
 //! exceed the manager's aggregate link.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Why a [`NetworkModel`] could not be constructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +40,7 @@ impl std::error::Error for NetModelError {}
 /// let t = net.broadcast_seconds(90_700_000, 10);
 /// assert!((t - 7.3).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NetworkModel {
     /// Manager uplink/downlink in bits per second.
     pub manager_bps: f64,

@@ -6,11 +6,11 @@
 //! constants plus standard per-sample FLOP counts so the analytic timing
 //! model can regenerate the tables.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The DNN architectures appearing in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ModelKind {
     /// ResNet-18 (11.7 M parameters).
     ResNet18,
@@ -31,7 +31,7 @@ impl ModelKind {
     }
 
     /// Forward-pass FLOPs per 224×224 sample (standard published numbers).
-    pub fn flops_per_sample(&self) -> f64 {
+    fn flops_per_sample(&self) -> f64 {
         match self {
             ModelKind::ResNet18 => 1.8e9,
             ModelKind::ResNet50 => 4.1e9,
@@ -57,7 +57,7 @@ impl fmt::Display for ModelKind {
 }
 
 /// The datasets appearing in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DatasetKind {
     /// CIFAR-10: 50,000 training images of 32×32×3.
     Cifar10,
@@ -99,7 +99,7 @@ impl fmt::Display for DatasetKind {
 /// assert_eq!(w.samples_per_worker(100), 12_811);
 /// assert_eq!(w.checkpoints_per_worker(100, 5), 21);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Workload {
     /// The architecture being trained.
     pub model: ModelKind,

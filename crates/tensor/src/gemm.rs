@@ -31,17 +31,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Micro-kernel tile rows (M-unroll); 8 independent accumulator rows keep
 /// the add-latency chain covered on wide cores.
-pub const MR: usize = 8;
+const MR: usize = 8;
 /// Micro-kernel tile columns (N-unroll); 16-wide so the inner loop maps to
 /// whole SIMD registers under autovectorization (one ZMM, two YMM, or four
 /// XMM per accumulator row depending on the dispatched ISA tier).
-pub const NR: usize = 16;
+const NR: usize = 16;
 /// Row-block size: `MC × KC` packed A panels stay L2-resident.
 pub const MC: usize = 64;
 /// Depth-block size: one `KC × NR` packed B panel is 8 KiB, L1-resident.
-pub const KC: usize = 256;
+const KC: usize = 256;
 /// Column-block size for packed B.
-pub const NC: usize = 512;
+const NC: usize = 512;
 
 /// Whether an operand is used as stored (`No`) or logically transposed
 /// (`Yes`). Transposition is fused into packing — no transposed copy of

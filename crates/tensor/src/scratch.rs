@@ -28,7 +28,7 @@ use std::sync::Mutex;
 /// Smallest buffer, in bytes, the process pool keeps. Below it the
 /// allocator's own bins recycle as well and nothing epoch-sized is at
 /// stake.
-pub const POOLED_BYTES: usize = 64 * 1024;
+const POOLED_BYTES: usize = 64 * 1024;
 
 /// Free buffers of one capacity, and how many are out.
 #[derive(Debug)]

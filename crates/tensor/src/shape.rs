@@ -1,6 +1,6 @@
 //! Dimension bookkeeping for dense row-major arrays.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The dimensions of a dense, row-major tensor.
@@ -18,7 +18,7 @@ use std::fmt;
 /// assert_eq!(s.rank(), 3);
 /// assert_eq!(s.offset(&[1, 2, 3]), 23);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Shape {
     dims: Vec<usize>,
 }

@@ -70,7 +70,7 @@ pub fn euclidean(a: &[f32], b: &[f32]) -> f32 {
 /// The error function `erf(x)`, via the Abramowitz–Stegun 7.1.26
 /// approximation (|error| ≤ 1.5e-7), sufficient for LSH probability
 /// modelling and KS testing.
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     const A1: f64 = 0.254829592;

@@ -3,7 +3,7 @@
 use crate::gemm;
 use crate::rng::Pcg32;
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
@@ -24,7 +24,7 @@ use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 /// let c = &a + &b;
 /// assert_eq!(c.data(), &[2.0, 3.0, 4.0, 5.0]);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -84,13 +84,6 @@ impl Tensor {
         let shape = Shape::new(dims);
         let mut data = vec![0.0; shape.len()];
         rng.fill_normal(&mut data);
-        Self { shape, data }
-    }
-
-    /// Creates a tensor of uniform draws in `[lo, hi)`.
-    pub fn rand_uniform(dims: &[usize], lo: f32, hi: f32, rng: &mut Pcg32) -> Self {
-        let shape = Shape::new(dims);
-        let data = (0..shape.len()).map(|_| rng.uniform(lo, hi)).collect();
         Self { shape, data }
     }
 

@@ -1,0 +1,291 @@
+#!/usr/bin/env python3
+"""Counts library lines and lists public items that nothing calls.
+
+Library code is every `.rs` file under `crates/*/src`, without `src/bin/`.
+For each crate the script prints its lines outside `#[cfg(test)]` items.
+
+A `pub` item (`fn`, `const`, `static`, `struct`, `enum`, `trait`, `type`) of
+library code is *unused* when its name appears in no other `.rs` file under
+`crates/`, `src/`, `tests/` or `examples/`. Comments, string literals,
+`#[cfg(test)]` items, `pub use` re-exports and other definitions of the same
+name do not count as an appearance. A used item also uses what its interface
+names in its own file: the types in a `pub fn`'s signature, in a struct's
+`pub` fields, in an enum's variants. `crates/bench/src/bin/epoch_bench/` is
+frozen: it is neither scanned nor counted as a caller. Names on ALLOW are left
+out, each with its reason; an entry that no longer matches an unused item is
+stale and fails the check too.
+
+Usage: scripts/size.py                   # print lines and the unused list
+       scripts/size.py --max-unused N    # also exit 1 if more than N are unused
+       scripts/size.py --self-test
+  The self-test builds a fixture tree (one used `pub fn` and the type it
+  returns, one unused `pub fn`, one allowlisted item, one item used only
+  under `#[cfg(test)]`) and checks the unused list and the line count the
+  script reports for it.
+"""
+import os
+import re
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+FROZEN = os.path.join("crates", "bench", "src", "bin", "epoch_bench")
+
+# `crate-relative file::name` -> why the item stays public without a caller.
+ALLOW = {
+    "lsh/src/pstable.rs::resident_bytes": "rpol's client tests hold every party's family to k·l offsets",
+    "nn/src/data.rs::pixel_count": "the nn crate's doctest sizes its first Dense layer with it",
+    "rpol/src/calibrate.rs::quantized": "frozen epoch_bench surface (traced run), until ROADMAP item 22",
+    "rpol/src/trainer.rs::replay_segment_quantized": "frozen epoch_bench surface (traced run), until ROADMAP item 22",
+    "tensor/src/rng.rs::draw_each_on": "its doctest drives the block driver at a chosen executor width",
+}
+
+PUB_ITEM = re.compile(
+    r"\bpub\s+(?:unsafe\s+|const\s+(?=(?:unsafe\s+)?fn\b)|extern\s+\S+\s+)*"
+    r"(fn|const|static|struct|enum|trait|type)\s+(?:mut\s+)?(" + IDENT + ")"
+)
+DEFINITION = re.compile(r"\b(?:fn|const|static|struct|enum|trait|type|mod)\s+(?:mut\s+)?" + IDENT)
+REEXPORT = re.compile(r"\bpub(?:\([^)]*\))?\s+use\b[^;]*;")
+CFG_TEST = "#[cfg(test)]"
+RAW_STRING = re.compile(r'b?r(#*)"')
+CHAR = re.compile(r"'(?:\\(?:x..|u\{[^}]*\}|.)|[^\\'])'")
+ATTRIBUTE = re.compile(r"\s*#\[")
+SEMICOLON_ITEM = re.compile(r"\s*(?:pub(?:\([^)]*\))?\s+)?(?:use|const|static|type)\b")
+
+
+def strip(text):
+    """Blanks comments and string and char literals, keeping every newline."""
+    out, i, n = [], 0, len(text)
+
+    def blank(j):
+        out.append(re.sub(r"[^\n]", " ", text[i:j]))
+        return j
+
+    while i < n:
+        c = text[i]
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            i = blank(n if j < 0 else j)
+        elif text.startswith("/*", i):
+            depth, j = 1, i + 2
+            while j < n and depth:
+                if text.startswith("/*", j):
+                    depth, j = depth + 1, j + 2
+                elif text.startswith("*/", j):
+                    depth, j = depth - 1, j + 2
+                else:
+                    j += 1
+            i = blank(j)
+        elif (m := RAW_STRING.match(text, i)) and (i == 0 or not re.match(r"\w", text[i - 1])):
+            end = text.find('"' + m.group(1), m.end())
+            i = blank(n if end < 0 else end + 1 + len(m.group(1)))
+        elif c == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                j += 2 if text[j] == "\\" else 1
+            i = blank(j + 1)
+        elif c == "'" and (m := CHAR.match(text, i)):
+            i = blank(m.end())
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
+
+
+def item_end(text, i):
+    """Index just past the item that starts at `i` (attributes skipped)."""
+    while m := ATTRIBUTE.match(text, i):
+        i = close(text, m.end() - 1)
+    semicolon_item = SEMICOLON_ITEM.match(text, i)
+    depth = 0
+    for j in range(i, len(text)):
+        c = text[j]
+        if c in "([" or (c == "{" and semicolon_item):
+            depth += 1
+        elif c in ")]" or (c == "}" and semicolon_item):
+            depth -= 1
+        elif c == "{" and depth == 0:
+            return close(text, j)
+        elif c == ";" and depth == 0:
+            return j + 1
+    return len(text)
+
+
+def close(text, i):
+    """Index just past the bracket that closes the one at `i`."""
+    depth = 0
+    for j in range(i, len(text)):
+        if text[j] in "([{":
+            depth += 1
+        elif text[j] in ")]}":
+            depth -= 1
+            if depth == 0:
+                return j + 1
+    return len(text)
+
+
+def without_tests(code):
+    """`code` with every `#[cfg(test)]` item blanked; also its count of test lines."""
+    test_lines = 0
+    while (start := code.find(CFG_TEST)) >= 0:
+        end = item_end(code, start + len(CFG_TEST))
+        test_lines += code.count("\n", start, end) + 1
+        code = code[:start] + re.sub(r"[^\n]", " ", code[start:end]) + code[end:]
+    return code, test_lines
+
+
+def interface(code, m):
+    """Names a caller of the pub item `m` matches reaches through it: a fn's
+    signature, a struct's pub fields, the whole of any other item."""
+    kind, end = m.group(1), item_end(code, m.start())
+    text = code[m.end() : end]
+    if kind == "fn":
+        body = text.find("{")
+        text = text if body < 0 else text[:body]
+    elif kind == "struct":
+        text = "\n".join(line for line in text.split("\n") if re.search(r"\bpub\b", line))
+    return set(re.findall(IDENT, text))
+
+
+def rust_files(root):
+    out = {}
+    for top in ("crates", "src", "tests", "examples"):
+        for dirpath, dirnames, names in os.walk(os.path.join(root, top)):
+            dirnames[:] = sorted(d for d in dirnames if d != "target")
+            rel_dir = os.path.relpath(dirpath, root)
+            if rel_dir == FROZEN or rel_dir.startswith(FROZEN + os.sep):
+                continue
+            for name in sorted(names):
+                if name.endswith(".rs"):
+                    with open(os.path.join(dirpath, name), encoding="utf-8") as f:
+                        out[os.path.join(rel_dir, name)] = f.read()
+    return out
+
+
+def is_library(path):
+    parts = path.split(os.sep)
+    return len(parts) > 3 and parts[0] == "crates" and parts[2] == "src" and parts[3] != "bin"
+
+
+def scan(root, allow):
+    """Returns (lines per crate, unused items as (path, line, kind, name), stale allowlist keys).
+
+    An item is used when another file names it, or when a used item of its
+    own file names it in its interface (a type a used fn returns)."""
+    lines, defined, words = {}, [], {}
+    for path, text in rust_files(root).items():
+        code, test_lines = without_tests(strip(text))
+        if is_library(path):
+            crate = path.split(os.sep)[1]
+            lines[crate] = lines.get(crate, 0) + text.count("\n") - test_lines
+            for m in PUB_ITEM.finditer(code):
+                line = code.count("\n", 0, m.start()) + 1
+                defined.append((path, line, m.group(1), m.group(2), interface(code, m)))
+        callers = DEFINITION.sub(" ", REEXPORT.sub(" ", code))
+        words[path] = set(re.findall(IDENT, callers))
+    used = {i for i, (path, _, _, name, _) in enumerate(defined) if any(name in w for p, w in words.items() if p != path)}
+    while grown := {
+        i
+        for i, (path, _, _, name, _) in enumerate(defined)
+        if i not in used and any(defined[j][0] == path and name in defined[j][4] for j in used)
+    }:
+        used |= grown
+    unused, allowed = [], set()
+    for i, (path, line, kind, name, _) in enumerate(defined):
+        if i in used:
+            continue
+        key = path.split(os.sep, 1)[1] + "::" + name
+        if key in allow:
+            allowed.add(key)
+        else:
+            unused.append((path, line, kind, name))
+    return lines, unused, sorted(set(allow) - allowed)
+
+
+def report(root, allow):
+    lines, unused, stale = scan(root, allow)
+    print("library lines outside #[cfg(test)] (crates/*/src, without src/bin/):")
+    for crate in sorted(lines):
+        print(f"  {crate:<8} {lines[crate]:>6}")
+    print(f"  {'total':<8} {sum(lines.values()):>6}")
+    print(f"unused pub items (no caller in another file; {len(allow) - len(stale)} allowlisted):")
+    for path, line, kind, name in unused:
+        print(f"  {path}:{line}: {kind} {name}")
+    for key in stale:
+        print(f"  stale allowlist entry (remove it): {key}")
+    print(f"{len(unused)} unused")
+    return unused, stale
+
+
+FIXTURE = {
+    "crates/demo/src/lib.rs": """\
+//! Fixture crate.
+pub mod other;
+
+/// Named by no other file, but returned by a used fn.
+pub struct Out(pub u32);
+
+pub fn used_fn() -> Out {
+    Out(1)
+}
+
+pub fn unused_fn() -> u32 {
+    2
+}
+
+pub struct Allowed;
+
+pub const ONLY_TESTED: u32 = 3;
+""",
+    "crates/demo/src/other.rs": """\
+// unused_fn is named in a comment, which is no call.
+pub(crate) fn call() -> u32 {
+    let _ = "unused_fn";
+    crate::used_fn().0
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn only_tested() {
+        assert_eq!(crate::ONLY_TESTED, 3);
+    }
+}
+""",
+    "crates/demo/src/bin/tool.rs": "fn main() {}\n",
+}
+
+
+def self_test():
+    with tempfile.TemporaryDirectory() as tmp:
+        for path, text in FIXTURE.items():
+            os.makedirs(os.path.dirname(os.path.join(tmp, path)), exist_ok=True)
+            with open(os.path.join(tmp, path), "w", encoding="utf-8") as f:
+                f.write(text)
+        lines, unused, stale = scan(tmp, {"demo/src/lib.rs::Allowed": "fixture"})
+    got = (lines, [(kind, name) for _, _, kind, name in unused], stale)
+    want = ({"demo": 17 + 6}, [("fn", "unused_fn"), ("const", "ONLY_TESTED")], [])
+    if got == want:
+        print("self-test: the fixture's unused list and line count are as built")
+        return 0
+    print("self-test FAILED: expected", want, "got", got)
+    return 1
+
+
+def main(argv):
+    if argv[1:] == ["--self-test"]:
+        return self_test()
+    unused, stale = report(ROOT, ALLOW)
+    if argv[1:2] == ["--max-unused"]:
+        cap = int(argv[2])
+        if len(unused) > cap:
+            print(f"{len(unused)} unused pub items, over the cap of {cap}")
+            return 1
+        if stale:
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
