@@ -85,13 +85,18 @@ impl Bencher {
 #[derive(Default)]
 pub struct Criterion {
     filter: Option<String>,
+    /// `--exact`: the filter names one benchmark instead of a substring.
+    exact: bool,
 }
 
 impl Criterion {
-    /// Honours the positional filter `cargo bench -- <filter>` passes.
+    /// Honours the positional filter `cargo bench -- <filter>` passes, and
+    /// `--exact`.
     pub fn configure_from_args(mut self) -> Self {
-        self.filter = std::env::args()
-            .skip(1)
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        self.exact = args.iter().any(|a| a == "--exact");
+        self.filter = args
+            .into_iter()
             .find(|a| !a.starts_with('-'))
             .filter(|a| !a.is_empty());
         self
@@ -103,7 +108,12 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         if let Some(filter) = &self.filter {
-            if !id.contains(filter.as_str()) {
+            let selected = if self.exact {
+                id == filter
+            } else {
+                id.contains(filter.as_str())
+            };
+            if !selected {
                 return self;
             }
         }

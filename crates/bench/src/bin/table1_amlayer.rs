@@ -11,7 +11,7 @@
 use rpol::adversary::replace_amlayer;
 use rpol::tasks::TaskConfig;
 use rpol_bench::harness::{evaluate_flat, task_data, train_single, RunSpec};
-use rpol_bench::{arg_usize, pct, print_table, secs};
+use rpol_bench::{arg_usize, pct, print_table};
 use rpol_crypto::Address;
 use rpol_tensor::stats;
 
@@ -44,14 +44,14 @@ fn main() {
         rows.push(vec![
             format!("{label} ({})", cfg.arch.name()),
             "Origin".into(),
-            secs(plain.mean_epoch_seconds()),
+            millis(plain.mean_epoch_seconds()),
             pct(plain.final_accuracy() as f64),
             "—".into(),
         ]);
         rows.push(vec![
             String::new(),
             "AMLayer".into(),
-            secs(encoded.mean_epoch_seconds()),
+            millis(encoded.mean_epoch_seconds()),
             pct(encoded.final_accuracy() as f64),
             format!(
                 "{} ± {}",
@@ -80,4 +80,10 @@ fn main() {
         ],
         &rows,
     );
+}
+
+/// An epoch time in milliseconds: a mini-model epoch takes tens of them,
+/// which whole tenths of a second would print as `0.0s`.
+fn millis(seconds: f64) -> String {
+    format!("{:.1} ms", seconds * 1e3)
 }

@@ -1,7 +1,7 @@
 //! Elementwise activation layers.
 
-use crate::layer::{drop_kept, keep, keep_copy, Layer, Param};
-use rpol_tensor::scratch::ScratchArena;
+use crate::layer::{byte_slot, drop_kept, kept_bytes, Layer, Param};
+use rpol_tensor::scratch::{self, ScratchArena};
 use rpol_tensor::Tensor;
 
 /// Maps `src` elementwise into a buffer drawn from `arena`, producing a
@@ -26,63 +26,78 @@ fn zip_into_arena(
 }
 
 /// Rectified linear unit.
+///
+/// Backward reads only the sign of the input, so a training forward keeps
+/// a one-byte gate per element (`x > 0.0`) instead of a copy of it.
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
-    cached_input: Option<Tensor>,
+    /// `(x > 0.0) as u8` for every input of the last training forward.
+    gate: Option<Vec<u8>>,
 }
 
 impl Relu {
     /// Creates a ReLU layer.
     pub fn new() -> Self {
-        Self { cached_input: None }
+        Self { gate: None }
+    }
+
+    /// Records the gate of a training forward's `input`, in the buffer the
+    /// last one used when it has room.
+    fn keep_gate(&mut self, input: &Tensor) {
+        let mut gate = byte_slot(self.gate.take(), input.len());
+        gate.extend(input.data().iter().map(|&x| u8::from(x > 0.0)));
+        self.gate = Some(gate);
     }
 }
 
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
-        input.map(|x| x.max(0.0))
+        self.forward_scratch(input, train, &mut ScratchArena::new())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward before forward on Relu");
-        input.zip(grad_out, |x, g| if x > 0.0 { g } else { 0.0 })
+        self.backward_scratch(grad_out, &mut ScratchArena::new())
     }
 
     fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
-        keep_copy(&mut self.cached_input, input, train, arena);
+        if train {
+            self.keep_gate(input);
+        }
         map_into_arena(input, arena, |x| x.max(0.0))
     }
 
-    fn forward_owned(&mut self, input: Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+    /// Rectifies in place: the output is the input's own buffer.
+    fn forward_owned(
+        &mut self,
+        mut input: Tensor,
+        train: bool,
+        _arena: &mut ScratchArena,
+    ) -> Tensor {
         if train {
-            drop_kept(&mut self.cached_input, arena);
+            self.keep_gate(&input);
         }
-        let y = map_into_arena(&input, arena, |x| x.max(0.0));
-        keep(&mut self.cached_input, input, train, arena);
-        y
+        input.map_inplace(|x| x.max(0.0));
+        input
     }
 
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward before forward on Relu");
-        zip_into_arena(input, grad_out, arena, |x, g| if x > 0.0 { g } else { 0.0 })
+        let gate = self.gate.as_ref().expect("backward before forward on Relu");
+        assert_eq!(gate.len(), grad_out.len(), "grad shape");
+        let mut dx = arena.take_empty(grad_out.len());
+        dx.extend(
+            gate.iter()
+                .zip(grad_out.data())
+                .map(|(&open, &g)| if open != 0 { g } else { 0.0 }),
+        );
+        Tensor::from_vec(grad_out.shape().dims(), dx)
     }
 
-    fn release(&mut self, arena: &mut ScratchArena) {
-        drop_kept(&mut self.cached_input, arena);
+    fn release(&mut self, _arena: &mut ScratchArena) {
+        self.gate.take().into_iter().for_each(scratch::put);
     }
 
-    #[cfg(test)]
-    fn held(&self) -> usize {
-        self.cached_input.as_ref().map_or(0, Tensor::len)
+    fn held_bytes(&self) -> usize {
+        self.gate.as_ref().map_or(0, Vec::len)
     }
 
     fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
@@ -141,9 +156,8 @@ impl Layer for Tanh {
         drop_kept(&mut self.cached_output, arena);
     }
 
-    #[cfg(test)]
-    fn held(&self) -> usize {
-        self.cached_output.as_ref().map_or(0, Tensor::len)
+    fn held_bytes(&self) -> usize {
+        kept_bytes(&self.cached_output)
     }
 
     fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
@@ -164,6 +178,61 @@ mod tests {
         let dx = relu.backward(&g);
         assert_eq!(dx.data(), &[0.0, 0.0, 1.0, 0.0]);
         assert_eq!(relu.param_count(), 0);
+    }
+
+    /// The ReLU gate against the `f32` compare it replaces — forward
+    /// `x.max(0.0)`, backward `if x > 0.0 { g } else { 0.0 }` on a kept
+    /// copy of the input — bit for bit on NaNs of both signs, ±0.0, ±inf,
+    /// subnormals and the smallest normals, through every entry point.
+    #[test]
+    fn relu_gate_is_the_compare_it_replaces() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let edges = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_0001),
+            f32::from_bits(0xFF80_0001),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 2.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1.5,
+            -2.0,
+        ];
+        let n = edges.len();
+        // Every input meets every gradient, the edges included.
+        let x: Vec<f32> = (0..n * n).map(|i| edges[i / n]).collect();
+        let g: Vec<f32> = (0..n * n).map(|i| edges[i % n]).collect();
+        let x = Tensor::from_vec(&[n, n], x);
+        let g = Tensor::from_vec(&[n, n], g);
+        let want_y = bits(x.map(|v| v.max(0.0)).data());
+        let want_dx = bits(x.zip(&g, |v, g| if v > 0.0 { g } else { 0.0 }).data());
+
+        let mut arena = ScratchArena::new();
+        let mut relu = Relu::new();
+        assert_eq!(bits(relu.forward(&x, true).data()), want_y);
+        assert_eq!(bits(relu.backward(&g).data()), want_dx);
+        assert_eq!(
+            bits(relu.forward_scratch(&x, true, &mut arena).data()),
+            want_y
+        );
+        assert_eq!(relu.held_bytes(), n * n, "one byte per element");
+        assert_eq!(bits(relu.backward_scratch(&g, &mut arena).data()), want_dx);
+        let y = relu.forward_owned(x.clone(), true, &mut arena);
+        assert_eq!(bits(y.data()), want_y);
+        // Inference, owned or borrowed, leaves the gate alone.
+        let other = Tensor::from_vec(&[n, n], vec![1.0; n * n]);
+        relu.forward_owned(other.clone(), false, &mut arena);
+        relu.forward_scratch(&other, false, &mut arena);
+        assert_eq!(bits(relu.backward_scratch(&g, &mut arena).data()), want_dx);
+        relu.release(&mut arena);
+        assert_eq!(relu.held_bytes(), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! 2-D convolution.
 
-use crate::layer::{drop_kept, keep, keep_copy, Layer, Param};
+use crate::layer::{drop_kept, keep, keep_copy, kept_bytes, Layer, Param};
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::{conv, Tensor};
@@ -317,13 +317,19 @@ impl Layer for Conv2d {
         y
     }
 
+    /// The forward alone: training and inference differ only in the input
+    /// a training forward keeps.
+    fn forward_frozen(&mut self, input: &Tensor, arena: &mut ScratchArena) -> Tensor {
+        drop_kept(&mut self.cached_input, arena);
+        self.forward_with(input, arena)
+    }
+
     fn release(&mut self, arena: &mut ScratchArena) {
         drop_kept(&mut self.cached_input, arena);
     }
 
-    #[cfg(test)]
-    fn held(&self) -> usize {
-        self.cached_input.as_ref().map_or(0, Tensor::len)
+    fn held_bytes(&self) -> usize {
+        kept_bytes(&self.cached_input)
     }
 
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {

@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use crate::layer::{drop_kept, keep, keep_copy, Layer, Param};
+use crate::layer::{drop_kept, keep, keep_copy, kept_bytes, Layer, Param};
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::{gemm, Tensor};
@@ -213,9 +213,8 @@ impl Layer for Dense {
         drop_kept(&mut self.cached_input, arena);
     }
 
-    #[cfg(test)]
-    fn held(&self) -> usize {
-        self.cached_input.as_ref().map_or(0, Tensor::len)
+    fn held_bytes(&self) -> usize {
+        kept_bytes(&self.cached_input)
     }
 
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {

@@ -5,7 +5,7 @@
 //! its masks from a seeded PCG stream that the protocol can reset — the
 //! same discipline as the PRF-deterministic batch selection of §V-B.
 
-use crate::layer::{drop_kept, Layer, Param};
+use crate::layer::{drop_kept, kept_bytes, Layer, Param};
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
@@ -109,9 +109,8 @@ impl Layer for Dropout {
         drop_kept(&mut self.mask, arena);
     }
 
-    #[cfg(test)]
-    fn held(&self) -> usize {
-        self.mask.as_ref().map_or(0, Tensor::len)
+    fn held_bytes(&self) -> usize {
+        kept_bytes(&self.mask)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -1,6 +1,6 @@
 //! The layer abstraction: explicit forward/backward with cached state.
 
-use rpol_tensor::scratch::ScratchArena;
+use rpol_tensor::scratch::{self, ScratchArena};
 use rpol_tensor::Tensor;
 
 /// A trainable parameter: value plus accumulated gradient.
@@ -94,6 +94,19 @@ pub trait Layer: Send + Sync {
         y
     }
 
+    /// A training forward whose backward never runs — a layer of the
+    /// frozen prefix [`crate::model::Sequential::backward`] never enters:
+    /// the bits and the draws of `forward_scratch(input, true, arena)`,
+    /// keeping nothing. The default runs that forward and [`Layer::release`]s
+    /// what it kept; a layer whose training forward differs from its
+    /// inference one only in what it keeps overrides it to keep nothing in
+    /// the first place.
+    fn forward_frozen(&mut self, input: &Tensor, arena: &mut ScratchArena) -> Tensor {
+        let y = self.forward_scratch(input, true, arena);
+        self.release(arena);
+        y
+    }
+
     /// Ends a pass: hands whatever the layer kept for backward to `arena`,
     /// so between passes it holds only its parameters. A later `backward`
     /// needs a training-mode forward first.
@@ -101,9 +114,8 @@ pub trait Layer: Send + Sync {
         let _ = arena;
     }
 
-    /// Floats the layer keeps for backward (test probe).
-    #[cfg(test)]
-    fn held(&self) -> usize {
+    /// Bytes the layer keeps for backward.
+    fn held_bytes(&self) -> usize {
         0
     }
 
@@ -190,6 +202,27 @@ pub(crate) fn keep_copy(
         copy.extend_from_slice(input.data());
         *slot = Some(Tensor::from_vec(input.shape().dims(), copy));
     }
+}
+
+/// `kept`, emptied, when it has room for `len` bytes; else a buffer from
+/// the process pool, and `kept` goes back to it. Where a layer's byte-wide
+/// record of a training forward (a ReLU gate, a max-pool argmax) lives.
+pub(crate) fn byte_slot(kept: Option<Vec<u8>>, len: usize) -> Vec<u8> {
+    match kept {
+        Some(mut buf) if buf.capacity() >= len => {
+            buf.clear();
+            buf
+        }
+        other => {
+            other.into_iter().for_each(scratch::put);
+            scratch::take_empty(len)
+        }
+    }
+}
+
+/// Bytes of an `f32` tensor a layer keeps, if any.
+pub(crate) fn kept_bytes(slot: &Option<Tensor>) -> usize {
+    slot.as_ref().map_or(0, |t| 4 * t.len())
 }
 
 /// Reshapes `[N, C, H, W]` (or any rank ≥ 2) into `[N, features]`.

@@ -72,19 +72,67 @@ impl Sequential {
 
     /// Forward pass through all layers. Each activation is handed to the
     /// layer that reads it, which keeps it for backward or recycles it:
-    /// a training forward holds every activation once, and steady-state
-    /// passes reuse scratch buffers instead of allocating per layer.
+    /// a training forward holds every activation [`Sequential::backward`]
+    /// reads once, and steady-state passes reuse scratch buffers instead
+    /// of allocating per layer. The frozen prefix that backward never
+    /// enters (RPoL's AMLayer) keeps nothing ([`Layer::forward_frozen`]);
+    /// [`Sequential::forward_keep_all`] is the training forward for
+    /// [`Sequential::backward_to_input`].
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let frozen = if train {
+            self.first_trainable().unwrap_or(self.layers.len())
+        } else {
+            0
+        };
+        self.forward_from(input, train, frozen)
+    }
+
+    /// A training forward in which every layer, the frozen prefix too,
+    /// keeps what its backward reads: what
+    /// [`Sequential::backward_to_input`] needs. Same output bits and draws
+    /// as `forward(input, true)`.
+    pub fn forward_keep_all(&mut self, input: &Tensor) -> Tensor {
+        self.forward_from(input, true, 0)
+    }
+
+    /// The forward with its first `frozen` layers run by
+    /// [`Layer::forward_frozen`].
+    fn forward_from(&mut self, input: &Tensor, train: bool, frozen: usize) -> Tensor {
         if rpol_obs::global_enabled() {
             rpol_obs::global().counter_add("nn.model.forwards", 1);
         }
-        let mut layers = self.layers.iter_mut();
-        let first = layers.next().expect("model needs at least one layer");
-        let mut x = first.forward_scratch(input, train, &mut self.arena);
-        for layer in layers {
-            x = layer.forward_owned(x, train, &mut self.arena);
+        let arena = &mut self.arena;
+        let mut x: Option<Tensor> = None;
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            let y = match x.take() {
+                None if i < frozen => layer.forward_frozen(input, arena),
+                None => layer.forward_scratch(input, train, arena),
+                Some(x) if i < frozen => {
+                    let y = layer.forward_frozen(&x, arena);
+                    arena.recycle(x.into_vec());
+                    y
+                }
+                Some(x) => layer.forward_owned(x, train, arena),
+            };
+            x = Some(y);
         }
-        x
+        x.expect("model needs at least one layer")
+    }
+
+    /// Index of the first layer that owns a non-frozen [`Param`], if any:
+    /// where [`Sequential::backward`] stops.
+    fn first_trainable(&self) -> Option<usize> {
+        self.layers.iter().position(|l| {
+            let mut trainable = false;
+            l.visit_params(&mut |p| trainable |= !p.frozen);
+            trainable
+        })
+    }
+
+    /// Bytes the layers keep for backward — the activations (or their
+    /// gates) of the last training forward, until [`Sequential::end_pass`].
+    pub fn held_bytes(&self) -> usize {
+        self.layers.iter().map(|l| l.held_bytes()).sum()
     }
 
     /// Ends a pass — a training run, a replayed segment, an evaluation
@@ -112,11 +160,7 @@ impl Sequential {
         if rpol_obs::global_enabled() {
             rpol_obs::global().counter_add("nn.model.backwards", 1);
         }
-        let Some(first) = self.layers.iter().position(|l| {
-            let mut trainable = false;
-            l.visit_params(&mut |p| trainable |= !p.frozen);
-            trainable
-        }) else {
+        let Some(first) = self.first_trainable() else {
             return;
         };
         let (head, tail) = self.layers[first..]
@@ -131,7 +175,8 @@ impl Sequential {
 
     /// The full backward chain through every layer, frozen or not:
     /// accumulates all parameter gradients and returns `∂L/∂input` — for
-    /// gradient checks and input-space attacks. Training uses
+    /// gradient checks and input-space attacks. It needs
+    /// [`Sequential::forward_keep_all`] first; training uses
     /// [`Sequential::backward`].
     pub fn backward_to_input(&mut self, grad_out: &Tensor) -> Tensor {
         backward_chain(&mut self.layers, grad_out, &mut self.arena)
@@ -352,11 +397,6 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// Floats the model's layers keep for backward.
-    fn held(model: &Sequential) -> usize {
-        model.layers.iter().map(|l| l.held()).sum()
-    }
-
     /// Task P's dense head: every kind of layer that keeps something for
     /// backward, and none that needs scratch of its own.
     fn head(seed: u64) -> Sequential {
@@ -394,18 +434,18 @@ mod tests {
         let start = model.flatten_params();
         // `LocalTrainer::run_epoch`: steps from the current weights.
         train(&mut model, 3, None);
-        assert!(held(&model) > 0, "a training step keeps activations");
+        assert!(model.held_bytes() > 0, "a training step keeps activations");
         model.end_pass();
-        assert_eq!(held(&model), 0, "after an epoch");
+        assert_eq!(model.held_bytes(), 0, "after an epoch");
         assert_eq!(model.arena.pooled(), 0, "and no scratch");
         // `replay_segment`: load a checkpoint, train, end.
         model.load_params(&start);
         train(&mut model, 2, Some(2));
-        assert_eq!(held(&model), 0, "after a replayed segment");
+        assert_eq!(model.held_bytes(), 0, "after a replayed segment");
         // An evaluation batch.
         model.forward(&Tensor::ones(&[4, 12]), false);
         model.end_pass();
-        assert_eq!(held(&model), 0, "after an eval forward");
+        assert_eq!(model.held_bytes(), 0, "after an eval forward");
         assert_eq!(model.arena.pooled(), 0);
     }
 
@@ -416,10 +456,11 @@ mod tests {
         assert_eq!(logits.len(), 8 * 3);
         // The first layer copies the batch it borrows; every later one
         // keeps the activation it was handed (LayerNorm with its row
-        // statistics, Dropout its mask) …
+        // statistics), except that ReLU keeps a byte per element and
+        // Dropout its mask …
         assert_eq!(
-            held(&model),
-            8 * 12 + (8 * 16 + 2 * 8) + 8 * 16 + 8 * 16 + 8 * 16
+            model.held_bytes(),
+            4 * (8 * 12) + 4 * (8 * 16 + 2 * 8) + 8 * 16 + 4 * (8 * 16) + 4 * (8 * 16)
         );
         // … and no second copy of any of them waits in the scratch.
         assert_eq!(model.arena.pooled(), 0);

@@ -113,10 +113,9 @@ impl Layer for LayerNorm {
         }
     }
 
-    #[cfg(test)]
-    fn held(&self) -> usize {
+    fn held_bytes(&self) -> usize {
         self.cache.as_ref().map_or(0, |(input, means, inv_stds)| {
-            input.len() + means.len() + inv_stds.len()
+            4 * (input.len() + means.len() + inv_stds.len())
         })
     }
 

@@ -1,6 +1,6 @@
 //! Pooling layers.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{byte_slot, Layer, Param};
 use rpol_tensor::scratch::{self, ScratchArena};
 use rpol_tensor::Tensor;
 
@@ -85,9 +85,10 @@ impl Layer for AvgPool2 {
 #[derive(Debug, Clone, Default)]
 pub struct MaxPool2 {
     input_dims: Option<Vec<usize>>,
-    /// Flat input index of each output's maximum; refilled in place by
-    /// every training-mode forward, untouched by inference.
-    argmax: Vec<u32>,
+    /// Where each output's maximum sits in its window, one byte each
+    /// (0 top-left, 1 top-right, 2 bottom-left, 3 bottom-right); refilled
+    /// by every training-mode forward, untouched by inference.
+    argmax: Option<Vec<u8>>,
 }
 
 impl MaxPool2 {
@@ -98,18 +99,18 @@ impl MaxPool2 {
 }
 
 /// The maximum of window `ox` of a row pair (`rows` = two rows of `w`)
-/// and its offset within the pair. Compared with `>` against the running
-/// best in the order top-left, top-right, bottom-left, bottom-right: the
-/// first maximum wins ties and a NaN never replaces the best. Written as
-/// selects — which of four random activations is largest is not a branch
-/// a predictor can learn.
+/// and its place in the window (see [`MaxPool2`]). Compared with `>`
+/// against the running best in the order top-left, top-right,
+/// bottom-left, bottom-right: the first maximum wins ties and a NaN never
+/// replaces the best. Written as selects — which of four random
+/// activations is largest is not a branch a predictor can learn.
 #[inline(always)]
-fn window_max(rows: &[f32], w: usize, ox: usize) -> (f32, usize) {
-    let (mut best, mut at) = (rows[2 * ox], 2 * ox);
-    for i in [2 * ox + 1, w + 2 * ox, w + 2 * ox + 1] {
+fn window_max(rows: &[f32], w: usize, ox: usize) -> (f32, u8) {
+    let (mut best, mut at) = (rows[2 * ox], 0);
+    for (place, i) in [(1, 2 * ox + 1), (2, w + 2 * ox), (3, w + 2 * ox + 1)] {
         let take = rows[i] > best;
         best = if take { rows[i] } else { best };
-        at = if take { i } else { at };
+        at = if take { place } else { at };
     }
     (best, at)
 }
@@ -133,26 +134,20 @@ impl Layer for MaxPool2 {
             input.shape().dim(3),
         );
         assert!(h % 2 == 0 && w % 2 == 0, "MaxPool2 needs even H and W");
-        assert!(input.len() <= u32::MAX as usize, "MaxPool2 input too large");
         let (oh, ow) = (h / 2, w / 2);
         let mut out = arena.take_zeroed(n * c * oh * ow);
         let row_pairs = input.data().chunks_exact(2 * w);
         if train {
             self.input_dims = Some(input.shape().dims().to_vec());
-            if self.argmax.capacity() == 0 {
-                self.argmax = scratch::take_empty(out.len());
-            }
-            self.argmax.resize(out.len(), 0);
-            let slots = out
-                .chunks_exact_mut(ow)
-                .zip(self.argmax.chunks_exact_mut(ow));
-            for ((pair, rows), (out_row, at_row)) in row_pairs.enumerate().zip(slots) {
+            let mut argmax = byte_slot(self.argmax.take(), out.len());
+            argmax.resize(out.len(), 0);
+            let slots = out.chunks_exact_mut(ow).zip(argmax.chunks_exact_mut(ow));
+            for (rows, (out_row, at_row)) in row_pairs.zip(slots) {
                 for (ox, (o, at)) in out_row.iter_mut().zip(at_row).enumerate() {
-                    let (best, offset) = window_max(rows, w, ox);
-                    *o = best;
-                    *at = (pair * 2 * w + offset) as u32;
+                    (*o, *at) = window_max(rows, w, ox);
                 }
             }
+            self.argmax = Some(argmax);
         } else {
             for (rows, out_row) in row_pairs.zip(out.chunks_exact_mut(ow)) {
                 for (ox, o) in out_row.iter_mut().enumerate() {
@@ -164,26 +159,32 @@ impl Layer for MaxPool2 {
     }
 
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
-        let dims = self
-            .input_dims
-            .as_ref()
-            .expect("backward before forward on MaxPool2");
-        assert_eq!(grad_out.len(), self.argmax.len(), "grad shape");
+        let (Some(dims), Some(argmax)) = (self.input_dims.as_ref(), self.argmax.as_ref()) else {
+            panic!("backward before forward on MaxPool2");
+        };
+        assert_eq!(grad_out.len(), argmax.len(), "grad shape");
+        let w = dims[3];
+        let ow = w / 2;
         let mut dx = arena.take_zeroed(dims.iter().product());
-        for (&at, &g) in self.argmax.iter().zip(grad_out.data()) {
-            dx[at as usize] += g;
+        let places = argmax
+            .chunks_exact(ow)
+            .zip(grad_out.data().chunks_exact(ow));
+        for (rows, (at_row, g_row)) in dx.chunks_exact_mut(2 * w).zip(places) {
+            for (ox, (&at, &g)) in at_row.iter().zip(g_row).enumerate() {
+                let at = usize::from(at);
+                rows[(at >> 1) * w + 2 * ox + (at & 1)] += g;
+            }
         }
         Tensor::from_vec(dims, dx)
     }
 
     fn release(&mut self, _arena: &mut ScratchArena) {
         self.input_dims = None;
-        scratch::put(std::mem::take(&mut self.argmax));
+        self.argmax.take().into_iter().for_each(scratch::put);
     }
 
-    #[cfg(test)]
-    fn held(&self) -> usize {
-        self.argmax.len()
+    fn held_bytes(&self) -> usize {
+        self.argmax.as_ref().map_or(0, Vec::len)
     }
 
     fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}

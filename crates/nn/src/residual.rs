@@ -66,9 +66,8 @@ impl Layer for Residual {
         self.inner.release(arena);
     }
 
-    #[cfg(test)]
-    fn held(&self) -> usize {
-        self.inner.held()
+    fn held_bytes(&self) -> usize {
+        self.inner.held_bytes()
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {

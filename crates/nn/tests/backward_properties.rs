@@ -83,7 +83,7 @@ proptest! {
             let labels = [0usize, 1, 2];
             let (_, grad) = softmax_cross_entropy(&partial.forward(&x, true), &labels);
             partial.backward(&grad);
-            let (_, grad_full) = softmax_cross_entropy(&full.forward(&x, true), &labels);
+            let (_, grad_full) = softmax_cross_entropy(&full.forward_keep_all(&x), &labels);
             prop_assert_eq!(&grad, &grad_full);
             let dx = full.backward_to_input(&grad_full);
             prop_assert_eq!(dx.shape(), x.shape());

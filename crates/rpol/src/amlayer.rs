@@ -229,6 +229,30 @@ impl AmLayer {
         true
     }
 
+    /// `x ↦ x + block(x)` through the stack, each block run by `forward`.
+    fn chain(
+        &mut self,
+        input: &Tensor,
+        arena: &mut ScratchArena,
+        mut forward: impl FnMut(&mut Conv2d, &Tensor, &mut ScratchArena) -> Tensor,
+    ) -> Tensor {
+        let mut x: Option<Tensor> = None;
+        for block in &mut self.blocks {
+            let cur = x.as_ref().unwrap_or(input);
+            let mut y = forward(block, cur, arena);
+            assert_eq!(
+                y.shape(),
+                cur.shape(),
+                "AMLayer blocks must preserve shape (equal channels, same-size conv)"
+            );
+            y += cur;
+            if let Some(spent) = x.replace(y) {
+                arena.recycle(spent.into_vec());
+            }
+        }
+        x.unwrap_or_else(|| input.clone())
+    }
+
     /// Parameter count of the whole stack (kernels + biases), all frozen.
     pub fn weight_count(spec: AmLayerSpec) -> usize {
         spec.depth * (spec.channels * spec.channels * spec.kernel * spec.kernel + spec.channels)
@@ -258,21 +282,17 @@ impl Layer for AmLayer {
     }
 
     fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
-        let mut x: Option<Tensor> = None;
-        for block in &mut self.blocks {
-            let cur = x.as_ref().unwrap_or(input);
-            let mut y = block.forward_scratch(cur, train, arena);
-            assert_eq!(
-                y.shape(),
-                cur.shape(),
-                "AMLayer blocks must preserve shape (equal channels, same-size conv)"
-            );
-            y += cur;
-            if let Some(spent) = x.replace(y) {
-                arena.recycle(spent.into_vec());
-            }
-        }
-        x.unwrap_or_else(|| input.clone())
+        self.chain(input, arena, |block, x, arena| {
+            block.forward_scratch(x, train, arena)
+        })
+    }
+
+    /// Every block's forward alone: in a model's frozen prefix the stack
+    /// copies none of its inputs.
+    fn forward_frozen(&mut self, input: &Tensor, arena: &mut ScratchArena) -> Tensor {
+        self.chain(input, arena, |block, x, arena| {
+            block.forward_frozen(x, arena)
+        })
     }
 
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
@@ -294,6 +314,10 @@ impl Layer for AmLayer {
         for block in &mut self.blocks {
             block.release(arena);
         }
+    }
+
+    fn held_bytes(&self) -> usize {
+        self.blocks.iter().map(|b| b.held_bytes()).sum()
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
@@ -321,6 +345,38 @@ mod tests {
         let mut flat = Vec::new();
         layer.visit_params(&mut |p| flat.extend_from_slice(p.value.data()));
         flat
+    }
+
+    /// Task P's encoded MiniVgg16 (24×24 images, batch 16): a training
+    /// forward keeps nothing in the AMLayer, which backward never enters,
+    /// and a byte per element in every ReLU and max-pool.
+    #[test]
+    fn a_training_forward_keeps_nothing_in_the_frozen_prefix() {
+        let mut task = crate::tasks::TaskConfig::task_c();
+        (task.spec.height, task.spec.width) = (24, 24);
+        let [c, side, batch] = [task.spec.channels, 24, task.batch_size];
+        let x = Tensor::randn(&[batch, c, side, side], &mut Pcg32::seed_from(1));
+        let mut model = task.build_encoded_model(&Address::from_seed(5));
+        // Each forward from the same dropout seed, as a step's is.
+        model.reseed(9);
+        let y = model.forward(&x, true);
+        let kept = model.held_bytes();
+        // conv1's input 110,592 + ReLU 92,160 + conv2's input 368,640 +
+        // ReLU 92,160 + max-pool 23,040 + the dense head 115,440.
+        assert!(kept <= 796_032, "a training forward keeps {kept} B");
+        model.reseed(9);
+        let all = model.forward_keep_all(&x);
+        assert_eq!(all, y, "same bits either way");
+        let image = 4 * x.len();
+        assert_eq!(
+            model.held_bytes(),
+            kept + AmLayerSpec::DEFAULT_DEPTH * image,
+            "keep-all: every AMLayer block copies its input"
+        );
+        model.forward(&x, true);
+        assert_eq!(model.held_bytes(), kept);
+        let am = model.pop_front();
+        assert_eq!(am.held_bytes(), 0, "the AMLayer holds nothing");
     }
 
     #[test]

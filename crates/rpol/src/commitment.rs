@@ -73,7 +73,8 @@ impl EpochCommitment {
     }
 
     /// Commits `scheme`'s rows. Every checkpoint is first moved onto the
-    /// scheme's lattice (a no-op copy for lattice-trained checkpoints);
+    /// scheme's lattice (a copy only for a checkpoint off it: a
+    /// lattice-trained one is its own image);
     /// then one streamed LSH pass signs every image and one batch pass
     /// digests every group — bitwise the per-checkpoint
     /// `family.hash(w).group_digests()` chain — and one multi-lane SHA-256
@@ -86,6 +87,7 @@ impl EpochCommitment {
             .iter()
             .map(|w| match spec.lattice {
                 Lattice::F32 => Cow::Borrowed(&w[..]),
+                Lattice::Bf16 if rpol_tensor::quant::is_bf16_lattice(w) => Cow::Borrowed(&w[..]),
                 Lattice::Bf16 => Cow::Owned(rpol_tensor::quant::bf16_image(w)),
             })
             .collect();

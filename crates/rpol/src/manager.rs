@@ -857,7 +857,7 @@ impl PoolManager {
     fn accept(&mut self, settlement: &mut Settlement, part: &Participant<'_>) {
         settlement.report.accepted.push(part.id);
         if settlement.acc.is_empty() {
-            settlement.acc = vec![0i64; self.global.len()];
+            settlement.acc = scratch::take_zeroed(self.global.len());
         }
         let deltas = self.global.iter().zip(&part.submission.final_weights);
         for (a, (&cur, &fin)) in settlement.acc.iter_mut().zip(deltas) {
@@ -968,6 +968,7 @@ impl PoolManager {
                 *g = (*g as f64 + weight * (a as f64 / AGG_SCALE)) as f32;
             }
         }
+        scratch::put(acc);
         report.comm.broadcast_bytes += comm.broadcast_bytes;
         report.comm.submission_bytes += comm.submission_bytes;
         report.comm.proof_bytes += comm.proof_bytes;

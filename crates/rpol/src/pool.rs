@@ -934,6 +934,19 @@ mod tests {
     /// the two equal each other shard for shard, or the server's replay
     /// would run on different data than the client trained on.
     #[test]
+    fn workers_build_their_models_when_they_first_train() {
+        let behaviors = vec![WorkerBehavior::Honest, WorkerBehavior::ReplayPrevious];
+        let mut pool = MiningPool::new(PoolConfig::tiny_demo(Scheme::RPoLv2), behaviors);
+        assert!(
+            pool.workers().iter().all(|w| !w.holds_model()),
+            "a new pool holds no worker model"
+        );
+        pool.run_epoch(0);
+        let built: Vec<bool> = pool.workers().iter().map(PoolWorker::holds_model).collect();
+        assert_eq!(built, [true, false], "the zero-effort cheat never trains");
+    }
+
+    #[test]
     fn build_workers_yields_the_full_pools_workers() {
         let behaviors = vec![
             WorkerBehavior::Honest,

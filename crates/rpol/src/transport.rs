@@ -21,10 +21,11 @@
 //! parallel pool replays the serial pool exactly.
 
 use crate::adversary::WorkerBehavior;
-use crate::wire::{open_frame, seal_frame, wrap_traced, FRAME_HEADER_BYTES};
+use crate::wire::{frame_payload, seal_frame, wrap_traced, FRAME_HEADER_BYTES};
 use rpol_obs::{event, Recorder, TraceContext};
 use rpol_sim::{NetworkModel, SimClock};
 use rpol_tensor::rng::{Pcg32, SplitMix64};
+use rpol_tensor::scratch;
 use serde::Serialize;
 
 use bytes::Bytes;
@@ -421,7 +422,7 @@ pub fn link_state(behavior: &WorkerBehavior, epoch: u64, kind: MsgKind) -> LinkS
 ///   resynchronizes on the very next byte — even in the astronomically
 ///   rare case where remapped flips cancel each other out.
 fn stream_safe_ghost(framed: &Bytes, flips: &[(usize, u8)], trunc_keep: Option<usize>) -> Bytes {
-    let mut ghost = framed.to_vec();
+    let mut ghost = pooled_copy(framed);
     let payload_len = framed.len() - FRAME_HEADER_BYTES;
     for &(pos, mask) in flips {
         ghost[FRAME_HEADER_BYTES + pos % payload_len.max(1)] ^= mask;
@@ -437,22 +438,28 @@ fn stream_safe_ghost(framed: &Bytes, flips: &[(usize, u8)], trunc_keep: Option<u
     Bytes::from(ghost)
 }
 
-/// What the receiver's checksum makes of a frame the link flipped and
-/// truncated: the payload if it still opens (flips that cancel each
-/// other leave it intact), `None` for everything else.
-fn reopen_mutated(
-    framed: &Bytes,
-    flips: &[(usize, u8)],
-    trunc_keep: Option<usize>,
-) -> Option<Bytes> {
-    let mut delivered = framed.to_vec();
+/// Whether the receiver's checksum lets through a frame the link flipped
+/// and truncated: flips that cancel each other leave it intact; nothing
+/// else opens.
+fn reopens(framed: &Bytes, flips: &[(usize, u8)], trunc_keep: Option<usize>) -> bool {
+    let mut delivered = pooled_copy(framed);
     for &(pos, mask) in flips {
         delivered[pos] ^= mask;
     }
     if let Some(keep) = trunc_keep {
         delivered.truncate(keep);
     }
-    open_frame(Bytes::from(delivered)).ok()
+    let opens = frame_payload(&delivered).is_ok();
+    scratch::put(delivered);
+    opens
+}
+
+/// A copy of a sealed frame in a buffer from the process pool: a mutated
+/// attempt's copies go back to it, not to the sending thread's heap.
+fn pooled_copy(framed: &[u8]) -> Vec<u8> {
+    let mut copy = scratch::take_empty(framed.len());
+    copy.extend_from_slice(framed);
+    copy
 }
 
 /// What an exchange carries. The sender has the bytes; the receiving side
@@ -478,7 +485,12 @@ impl Cargo<'_> {
     fn seal(&self) -> Bytes {
         match *self {
             Cargo::Payload(p) => seal_frame(p),
-            Cargo::Len(n) => seal_frame(&Bytes::from(vec![0u8; n])),
+            Cargo::Len(n) => {
+                let zeros = Bytes::from(scratch::take_zeroed(n));
+                let framed = seal_frame(&zeros);
+                scratch::put(Vec::from(zeros));
+                framed
+            }
         }
     }
 }
@@ -797,13 +809,14 @@ impl Transport {
 
             let opened = flips.is_empty() && trunc_keep.is_none() || {
                 let framed = framed.get_or_insert_with(|| cargo.seal());
-                reopen_mutated(framed, &flips, trunc_keep).is_some()
+                reopens(framed, &flips, trunc_keep)
             };
             if opened {
                 if let Some(taps) = taps.as_deref_mut() {
                     taps.push(framed.take().unwrap_or_else(|| cargo.seal()));
                 }
                 done(attempt + 1, true, rec);
+                framed.into_iter().for_each(|f| scratch::put(Vec::from(f)));
                 return Ok(());
             }
             // The checksum caught the mutation — indistinguishable from a
@@ -813,6 +826,7 @@ impl Transport {
                 taps.push(stream_safe_ghost(framed, &flips, trunc_keep));
             }
         }
+        framed.into_iter().for_each(|f| scratch::put(Vec::from(f)));
         stats.failures += 1;
         clock.tick("exchange_failure");
         done(self.policy.max_attempts, false, rec);
@@ -825,7 +839,7 @@ impl Transport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::encode_proof_request;
+    use crate::wire::{encode_proof_request, open_frame};
 
     fn payload() -> Bytes {
         encode_proof_request(&[1, 2, 3, 4])
@@ -1175,14 +1189,12 @@ mod tests {
     fn cancelling_flips_still_deliver() {
         let framed = seal_frame(&payload());
         for pos in [0, 5, 9, FRAME_HEADER_BYTES, framed.len() - 1] {
-            let got = reopen_mutated(&framed, &[(pos, 0x5A), (pos, 0x5A)], None);
-            assert_eq!(got, Some(payload()), "pos {pos}");
-            // One of the pair alone does not.
-            assert_eq!(
-                reopen_mutated(&framed, &[(pos, 0x5A)], None),
-                None,
+            assert!(
+                reopens(&framed, &[(pos, 0x5A), (pos, 0x5A)], None),
                 "pos {pos}"
             );
+            // One of the pair alone does not.
+            assert!(!reopens(&framed, &[(pos, 0x5A)], None), "pos {pos}");
         }
     }
 
@@ -1194,19 +1206,11 @@ mod tests {
         let framed = seal_frame(&payload());
         for pos in 4..8 {
             for mask in [0x01, 0x80, 0xFF] {
-                assert_eq!(
-                    reopen_mutated(&framed, &[(pos, mask)], None),
-                    None,
-                    "pos {pos}"
-                );
+                assert!(!reopens(&framed, &[(pos, mask)], None), "pos {pos}");
             }
         }
         for keep in 0..framed.len() {
-            assert_eq!(
-                reopen_mutated(&framed, &[], Some(keep)),
-                None,
-                "keep {keep}"
-            );
+            assert!(!reopens(&framed, &[], Some(keep)), "keep {keep}");
         }
     }
 

@@ -586,28 +586,32 @@ impl BufPool {
 /// [`DecodeError::Malformed`] on a bad magic or trailing garbage, and
 /// [`DecodeError::ChecksumMismatch`] when the payload digest disagrees
 /// with the header.
-pub fn open_frame(mut buf: Bytes) -> Result<Bytes, DecodeError> {
-    if buf.remaining() < FRAME_HEADER_BYTES {
+pub fn open_frame(buf: Bytes) -> Result<Bytes, DecodeError> {
+    frame_payload(&buf)?;
+    Ok(buf.slice(FRAME_HEADER_BYTES..))
+}
+
+/// [`open_frame`]'s checks on a borrowed frame, in its order: whether the
+/// receiver would get its payload (`frame[FRAME_HEADER_BYTES..]`).
+pub(crate) fn frame_payload(frame: &[u8]) -> Result<(), DecodeError> {
+    let Some((header, payload)) = frame.split_first_chunk::<FRAME_HEADER_BYTES>() else {
         return Err(DecodeError::Truncated);
-    }
-    if buf.get_u32_le() != FRAME_MAGIC {
+    };
+    let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    if word(0) != FRAME_MAGIC {
         return Err(DecodeError::Malformed("bad frame magic"));
     }
-    let len = buf.get_u32_le() as usize;
-    let mut expect = [0u8; 8];
-    buf.copy_to_slice(&mut expect);
-    if buf.remaining() < len {
+    let len = word(4) as usize;
+    if payload.len() < len {
         return Err(DecodeError::Truncated);
     }
-    if buf.remaining() > len {
+    if payload.len() > len {
         return Err(DecodeError::Malformed("frame length mismatch"));
     }
-    // Rebase onto the unread tail so the caller sees exactly the payload.
-    let payload = buf.slice(..);
-    if sha256(&payload).as_bytes()[..8] != expect {
+    if sha256(payload).as_bytes()[..8] != header[8..] {
         return Err(DecodeError::ChecksumMismatch);
     }
-    Ok(payload)
+    Ok(())
 }
 
 /// Incremental frame reassembly for byte streams (TCP / Unix sockets),
@@ -656,6 +660,13 @@ pub struct FrameAssembler {
     max_frame: usize,
 }
 
+/// The store goes back to the process pool.
+impl Drop for FrameAssembler {
+    fn drop(&mut self) {
+        scratch::put(std::mem::take(&mut self.buf));
+    }
+}
+
 impl FrameAssembler {
     /// Dead-prefix size beyond which `push` compacts unconditionally.
     const COMPACT_BYTES: usize = 4096;
@@ -680,11 +691,13 @@ impl FrameAssembler {
 
     /// Surrenders the backing store (buffered-but-unconsumed bytes are
     /// discarded with it) so it can return to a [`BufPool`].
-    pub fn into_buffer(self) -> Vec<u8> {
-        self.buf
+    pub fn into_buffer(mut self) -> Vec<u8> {
+        std::mem::take(&mut self.buf)
     }
 
-    /// Appends raw stream bytes.
+    /// Appends raw stream bytes. The store grows by doubling, each larger
+    /// buffer taken from the process pool and the outgrown one put back
+    /// there, so a stream's growth leaves nothing in its thread's heap.
     pub fn push(&mut self, chunk: &[u8]) {
         if self.start > 0
             && (self.start >= self.buf.len() - self.start || self.start >= Self::COMPACT_BYTES)
@@ -695,6 +708,12 @@ impl FrameAssembler {
             let live = self.buf.len() - self.start;
             self.buf.truncate(live);
             self.start = 0;
+        }
+        let need = self.buf.len() + chunk.len();
+        if need > self.buf.capacity() {
+            let mut grown = scratch::take_empty(need.max(2 * self.buf.capacity()));
+            grown.extend_from_slice(&self.buf);
+            scratch::put(std::mem::replace(&mut self.buf, grown));
         }
         self.buf.extend_from_slice(chunk);
     }

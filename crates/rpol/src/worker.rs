@@ -175,7 +175,14 @@ pub struct PoolWorker {
     /// `rerun`s it, so the GPU's fingerprint is drawn once per worker.
     noise: NoiseInjector,
     shard: SyntheticImages,
-    model: Sequential,
+    /// The task and the manager whose address its AMLayer encodes: what
+    /// the model is built from.
+    task: TaskConfig,
+    manager: Address,
+    /// Built by the first [`Self::train`] that trains: a worker that never
+    /// trains here (a socket server's roster, whose clients train) or
+    /// never trains at all (a zero-effort cheat) holds none.
+    model: Option<Sequential>,
     /// Checkpoints of the most recent epoch (the worker's local "proof"
     /// storage that openings are served from).
     checkpoints: Vec<Vec<f32>>,
@@ -200,7 +207,9 @@ impl PoolWorker {
             behavior,
             noise: NoiseInjector::new(gpu, 0),
             shard,
-            model: config.build_encoded_model(manager),
+            task: *config,
+            manager: *manager,
+            model: None,
             checkpoints: Vec::new(),
             segments: Vec::new(),
         }
@@ -221,6 +230,12 @@ impl PoolWorker {
     /// overhead).
     pub fn storage_bytes(&self) -> u64 {
         self.checkpoints.iter().map(|c| c.len() as u64 * 4).sum()
+    }
+
+    /// Whether the worker has built its model (test probe).
+    #[cfg(test)]
+    pub(crate) fn holds_model(&self) -> bool {
+        self.model.is_some()
     }
 
     /// Segment layout of the last epoch.
@@ -295,22 +310,22 @@ impl PoolWorker {
             | WorkerBehavior::Straggler { .. }
             | WorkerBehavior::SwapFinal
             | WorkerBehavior::ForeignStart => {
-                self.model
-                    .load_params(foreign.as_deref().unwrap_or(global_weights));
+                let model = self
+                    .model
+                    .get_or_insert_with(|| self.task.build_encoded_model(&self.manager));
+                model.load_params(foreign.as_deref().unwrap_or(global_weights));
                 let mut trainer =
                     LocalTrainer::new(config, &self.shard, self.noise.rerun(run_seed));
                 if !spec.verifies() {
                     // No proof storage: the final weights are the only
                     // checkpoint anyone reads.
                     for &segment in &segments {
-                        trainer.run_segment(&mut self.model, nonce, segment);
+                        trainer.run_segment(model, nonce, segment);
                     }
-                    self.model.end_pass();
-                    vec![self.model.flatten_params()]
+                    model.end_pass();
+                    vec![model.flatten_params()]
                 } else {
-                    trainer
-                        .train(&mut self.model, nonce, &segments, lattice)
-                        .checkpoints
+                    trainer.train(model, nonce, &segments, lattice).checkpoints
                 }
             }
             WorkerBehavior::ReplayPrevious => {
@@ -336,13 +351,14 @@ impl PoolWorker {
                 } else {
                     0
                 };
-                self.model.load_params(global_weights);
+                let model = self
+                    .model
+                    .get_or_insert_with(|| self.task.build_encoded_model(&self.manager));
+                model.load_params(global_weights);
                 let mut trainer =
                     LocalTrainer::new(config, &self.shard, self.noise.rerun(run_seed));
                 let honest = &segments[..honest_segments];
-                let mut checkpoints = trainer
-                    .train(&mut self.model, nonce, honest, lattice)
-                    .checkpoints;
+                let mut checkpoints = trainer.train(model, nonce, honest, lattice).checkpoints;
                 // Spoof the rest by Eq. 12 extrapolation.
                 for _ in honest_segments..segments.len() {
                     let mut next = spoof_next_checkpoint(&checkpoints, lambda);

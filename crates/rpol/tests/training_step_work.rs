@@ -42,7 +42,7 @@ fn run_segment_skips_the_frozen_prefix_and_conv1_input_gradient() {
     // The same step through the full chain, for the difference.
     let (x, labels) = data.batch(&(0..cfg.batch_size).collect::<Vec<_>>());
     let before = gemm_calls();
-    let (_, grad) = softmax_cross_entropy(&model.forward(&x, true), &labels);
+    let (_, grad) = softmax_cross_entropy(&model.forward_keep_all(&x), &labels);
     model.backward_to_input(&grad);
     let full_chain = gemm_calls() - before;
     rpol_obs::global().disable();

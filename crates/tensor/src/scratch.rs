@@ -197,6 +197,13 @@ impl Element for u8 {
     }
 }
 
+impl Element for i64 {
+    fn pool() -> &'static Pool<i64> {
+        static POOL: Pool<i64> = Pool::new();
+        &POOL
+    }
+}
+
 fn is_pooled<T>(capacity: usize) -> bool {
     capacity.saturating_mul(std::mem::size_of::<T>()) >= POOLED_BYTES
 }

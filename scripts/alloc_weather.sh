@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Peak memory by construction: the `socket_v1_lossy` pass must not depend on
-# how glibc's allocator is tuned. Runs the pass three times under glibc's
-# defaults and three times under one malloc arena with a fixed mmap
-# threshold, and fails unless
+# how glibc's allocator is tuned. Runs the pass RUNS times under glibc's
+# defaults and RUNS times under one malloc arena with a fixed mmap
+# threshold, alternating the two settings run by run, and fails unless
 #   - every run prints the same JSON outside its wall / cpu / rss fields;
 #   - the two settings' median `peak_rss_kb` lie within 4 MB.
 # Per-thread arenas that each keep a freed pass put them ~14 MB apart; the
 # process-wide buffer pool (`rpol_tensor::scratch`) keeps them together.
-# Three runs a side, because one run's peak moves by ~2 MB with how the
-# threads' passes happen to overlap.
+# One run's peak moves by ~2 MB with how the threads' passes happen to
+# overlap, and a loaded host can spike a couple of runs in a row: five
+# runs a side, interleaved so a busy spell falls on both settings, and
+# medians compared.
 #
 # Usage: scripts/alloc_weather.sh [release-dir]
 # release-dir defaults to target/release (built here when it is the default).
@@ -29,11 +31,15 @@ peak_kb() {
     sed -E 's/.*"peak_rss_kb":([0-9]+).*/\1/'
 }
 
+RUNS=5
 want=""
-declare -A peaks
-for setting in default pinned; do
-    runs=()
-    for _ in 1 2 3; do
+declare -A runs=([default]="" [pinned]="")
+for i in $(seq "$RUNS"); do
+    order="default pinned"
+    if [ $((i % 2)) -eq 0 ]; then
+        order="pinned default"
+    fi
+    for setting in $order; do
         if [ "$setting" = default ]; then
             line=$(env -u MALLOC_ARENA_MAX -u MALLOC_MMAP_THRESHOLD_ \
                 "$DIR/epoch_bench" pass socket_v1_lossy native 42 3 full)
@@ -49,10 +55,14 @@ for setting in default pinned; do
             diff <(echo "$want") <(echo "$got") >&2 || true
             exit 1
         fi
-        runs+=("$(peak_kb <<<"$line")")
+        runs[$setting]+="$(peak_kb <<<"$line") "
     done
-    peaks[$setting]=$(printf '%s\n' "${runs[@]}" | sort -n | sed -n 2p)
-    echo "$setting: peak_rss_kb ${runs[*]} (median ${peaks[$setting]})"
+done
+
+declare -A peaks
+for setting in default pinned; do
+    peaks[$setting]=$(printf '%s\n' ${runs[$setting]} | sort -n | sed -n "$(((RUNS + 1) / 2))p")
+    echo "$setting: peak_rss_kb ${runs[$setting]}(median ${peaks[$setting]})"
 done
 
 gap=$((peaks[default] - peaks[pinned]))

@@ -25,8 +25,21 @@ BENCH_SMOKE=1 cargo run --release -p rpol-bench --bin verify_bench -- target/BEN
 # Observability overhead on the verify hot path: the criterion bench's
 # three e2e variants (noop recorder, real-but-disabled recorder, fully
 # recording recorder) must all run, and the obs cost must stay bounded.
-cargo bench -p rpol-bench --bench verify -- verify_samples_e2e_v2 \
-    | tee target/bench_obs_overhead.txt
+# Each case is timed for 0.25 s, so one round's ratio moves with whatever
+# else the host runs in that second: three rounds, each case its own run,
+# the order reversed every other round, and the median ratio gated.
+OBS_CASES=(verify_samples_e2e_v2 verify_samples_e2e_v2_obs_disabled verify_samples_e2e_v2_obs_enabled)
+: >target/bench_obs_overhead.txt
+for round in 1 2 3; do
+    order="0 1 2"
+    if [ $((round % 2)) -eq 0 ]; then
+        order="2 1 0"
+    fi
+    for c in $order; do
+        cargo bench -q -p rpol-bench --bench verify -- --exact "${OBS_CASES[$c]}" \
+            | sed "s/^/round $round /" | tee -a target/bench_obs_overhead.txt
+    done
+done
 
 python3 - <<'EOF'
 import json
@@ -100,23 +113,32 @@ for name, doc in (("committed", base), ("fresh", fresh)):
     assert "verify_samples_e2e_v3" in doc, f"verify_samples_e2e_v3 missing from {name} BENCH_verify"
 print("verify_samples_e2e_{v2,v3,mt} present in committed and fresh baselines")
 
-# --- Observability overhead (criterion, this host, same run): all three
-# verify-path variants must be present, and attaching a recorder must not
-# blow up the replay loop. Bars are loose because both sides were timed
-# moments apart on a possibly noisy host: a *disabled* recorder (pure
-# enabled() guards) may cost at most 25%, full recording at most 75%.
-cases = {}
+# --- Observability overhead (criterion, this host): all three
+# verify-path variants must be present in every round, and attaching a
+# recorder must not blow up the replay loop. Each round's ratios divide
+# by that round's noop time; the median over the rounds is gated. Bars
+# are loose because the sides were timed moments apart on a possibly
+# noisy host: a *disabled* recorder (pure enabled() guards) may cost at
+# most 25%, full recording at most 75%.
+import statistics
+rounds = {}
 for line in open("target/bench_obs_overhead.txt"):
     parts = line.split()
-    if "time:" in line and parts:
-        cases[parts[0]] = float(parts[parts.index("time:") + 1])
-for need in ("verify_samples_e2e_v2", "verify_samples_e2e_v2_obs_disabled",
-             "verify_samples_e2e_v2_obs_enabled"):
-    assert need in cases, f"criterion obs-overhead bench missing case {need}"
-plain = cases["verify_samples_e2e_v2"]
-off = cases["verify_samples_e2e_v2_obs_disabled"] / plain
-on = cases["verify_samples_e2e_v2_obs_enabled"] / plain
-print(f"obs overhead on verify: disabled {off:.3f}x, enabled {on:.3f}x of noop")
+    if "time:" in parts and parts[0] == "round":
+        rounds.setdefault(int(parts[1]), {})[parts[2]] = float(parts[parts.index("time:") + 1])
+assert len(rounds) >= 3, f"obs-overhead bench ran {len(rounds)} rounds, want 3"
+offs, ons = [], []
+for r, cases in sorted(rounds.items()):
+    for need in ("verify_samples_e2e_v2", "verify_samples_e2e_v2_obs_disabled",
+                 "verify_samples_e2e_v2_obs_enabled"):
+        assert need in cases, f"criterion obs-overhead bench missing case {need} in round {r}"
+    plain = cases["verify_samples_e2e_v2"]
+    offs.append(cases["verify_samples_e2e_v2_obs_disabled"] / plain)
+    ons.append(cases["verify_samples_e2e_v2_obs_enabled"] / plain)
+off, on = statistics.median(offs), statistics.median(ons)
+print("obs overhead on verify, per round: disabled "
+      + ", ".join(f"{x:.3f}x" for x in offs) + "; enabled " + ", ".join(f"{x:.3f}x" for x in ons))
+print(f"obs overhead on verify (median): disabled {off:.3f}x, enabled {on:.3f}x of noop")
 assert off <= 1.25, f"disabled recorder costs {off:.2f}x on the verify path (bar: 1.25x)"
 assert on <= 1.75, f"enabled recorder costs {on:.2f}x on the verify path (bar: 1.75x)"
 EOF
