@@ -11,6 +11,7 @@ use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch;
 use rpol_tensor::Tensor;
 use serde::Serialize;
+use std::sync::Arc;
 
 /// Geometry and difficulty of a synthetic image dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -98,6 +99,10 @@ type SampleDraw<'a> = dyn Fn(&mut Pcg32, usize, &mut Vec<f32>) + Sync + 'a;
 
 /// A labelled synthetic image dataset.
 ///
+/// Rows are immutable and shared: a clone, a [`SyntheticImages::shard`]
+/// and the dataset it was cut from all read the same pixels, so the
+/// process holds each sample once however many parties train on it.
+///
 /// # Examples
 ///
 /// ```
@@ -114,7 +119,7 @@ type SampleDraw<'a> = dyn Fn(&mut Pcg32, usize, &mut Vec<f32>) + Sync + 'a;
 pub struct SyntheticImages {
     spec: ImageSpec,
     /// Flattened images, one row of `pixel_count` floats each.
-    images: Vec<Vec<f32>>,
+    images: Vec<Arc<Vec<f32>>>,
     labels: Vec<usize>,
 }
 
@@ -177,7 +182,7 @@ impl SyntheticImages {
         rng.shuffle(&mut order);
         let images = order
             .iter()
-            .map(|&i| std::mem::take(&mut images[i]))
+            .map(|&i| Arc::new(std::mem::take(&mut images[i])))
             .collect();
         let labels = order.iter().map(|&i| i % spec.classes).collect();
         Self {
@@ -216,6 +221,15 @@ impl SyntheticImages {
         &self.labels
     }
 
+    /// The pixels of sample `i`, flattened.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn image(&self, i: usize) -> &[f32] {
+        &self.images[i]
+    }
+
     /// Assembles a batch `[B, C, H, W]` plus labels from sample indices.
     /// Indices may repeat (sampling with replacement).
     ///
@@ -251,7 +265,8 @@ impl SyntheticImages {
     /// Splits into `n` equal contiguous shards — the manager's "randomly
     /// shuffle, then divide equally" (§III-A). Samples are already
     /// shuffled, so contiguous shards are i.i.d.; a trailing remainder of
-    /// fewer than `n` samples is dropped to keep shards equal.
+    /// fewer than `n` samples is dropped to keep shards equal. The shards
+    /// share their rows with `self`.
     ///
     /// # Panics
     ///
@@ -261,7 +276,7 @@ impl SyntheticImages {
     }
 
     /// [`SyntheticImages::shard`] that moves the rows into the shards
-    /// instead of copying them.
+    /// instead of sharing them.
     ///
     /// # Panics
     ///
@@ -311,7 +326,7 @@ mod tests {
         rng.shuffle(&mut order);
         SyntheticImages {
             spec: *spec,
-            images: order.iter().map(|&i| images[i].clone()).collect(),
+            images: order.iter().map(|&i| Arc::new(images[i].clone())).collect(),
             labels: order.iter().map(|&i| labels[i]).collect(),
         }
     }
@@ -328,7 +343,7 @@ mod tests {
             let want = generate_elementwise(&spec, n, &mut oracle_rng);
             assert_eq!(got.labels, want.labels);
             let bits = |d: &SyntheticImages| -> Vec<Vec<u32>> {
-                let row = |img: &Vec<f32>| img.iter().map(|p| p.to_bits()).collect();
+                let row = |img: &Arc<Vec<f32>>| img.iter().map(|p| p.to_bits()).collect();
                 d.images.iter().map(row).collect()
             };
             assert_eq!(bits(&got), bits(&want));
@@ -352,7 +367,7 @@ mod tests {
     type Drawn = (Vec<Vec<u32>>, Vec<usize>, Pcg32);
 
     fn drawn(data: &SyntheticImages, rng: Pcg32) -> Drawn {
-        let row = |img: &Vec<f32>| img.iter().map(|p| p.to_bits()).collect();
+        let row = |img: &Arc<Vec<f32>>| img.iter().map(|p| p.to_bits()).collect();
         (
             data.images.iter().map(row).collect(),
             data.labels.clone(),
@@ -466,6 +481,22 @@ mod tests {
     }
 
     #[test]
+    fn clones_and_shards_share_rows_with_their_source() {
+        let data = SyntheticImages::generate(&ImageSpec::tiny(), 40, &mut Pcg32::seed_from(5));
+        let same_row = |a: &SyntheticImages, i: usize, b: &SyntheticImages, j: usize| {
+            std::ptr::eq(a.image(i), b.image(j))
+        };
+        let copy = data.clone();
+        assert!((0..data.len()).all(|i| same_row(&data, i, &copy, i)));
+        for (k, shard) in data.shard(4).iter().enumerate() {
+            assert!((0..shard.len()).all(|i| same_row(shard, i, &data, 10 * k + i)));
+        }
+        // Moved, not copied: the shards hold the clone's rows.
+        let moved = copy.into_shards(4);
+        assert!(same_row(&moved[3], 9, &data, 39));
+    }
+
+    #[test]
     fn shards_have_similar_class_balance() {
         let spec = ImageSpec::cifar10_like();
         let data = SyntheticImages::generate(&spec, 1000, &mut Pcg32::seed_from(6));
@@ -486,7 +517,7 @@ mod tests {
         let a = SyntheticImages::generate(&spec, 400, &mut Pcg32::seed_from(8));
         let b = SyntheticImages::generate(&spec, 400, &mut Pcg32::seed_from(9));
         let class_mean = |d: &SyntheticImages, class: usize| -> f32 {
-            let rows: Vec<&Vec<f32>> = d
+            let rows: Vec<&Arc<Vec<f32>>> = d
                 .images
                 .iter()
                 .zip(d.labels())

@@ -172,9 +172,9 @@ pub struct Calibrator<'a> {
     config: &'a TaskConfig,
     shard: &'a SyntheticImages,
     policy: CalibrationPolicy,
-    /// GPU A and GPU B: one injector each, rerun for run A and every
-    /// replay, so a GPU's fingerprint is drawn once per calibrator.
-    gpus: [NoiseInjector; 2],
+    /// GPU A and GPU B. Run A and every replay build their own injector;
+    /// a GPU's fingerprint is drawn once per process.
+    gpus: [GpuModel; 2],
     recorder: Arc<Recorder>,
     lattice: Lattice,
 }
@@ -191,7 +191,7 @@ impl<'a> Calibrator<'a> {
             config,
             shard,
             policy,
-            gpus: [NoiseInjector::new(gpus.0, 0), NoiseInjector::new(gpus.1, 0)],
+            gpus: [gpus.0, gpus.1],
             recorder: rpol_obs::noop().clone(),
             lattice: Lattice::F32,
         }
@@ -261,8 +261,8 @@ impl<'a> Calibrator<'a> {
     ) -> EpochTrace {
         assert!(steps > 0, "empty calibration run");
         model.load_params(global_weights);
-        let mut trainer =
-            LocalTrainer::new(self.config, self.shard, self.gpus[0].rerun(seed(epoch, 1)));
+        let noise = NoiseInjector::new(self.gpus[0], seed(epoch, 1));
+        let mut trainer = LocalTrainer::new(self.config, self.shard, noise);
         let segments = epoch_segments(steps, self.config.checkpoint_interval);
         trainer.train(model, nonce, &segments, self.lattice)
     }
@@ -272,7 +272,7 @@ impl<'a> Calibrator<'a> {
     /// injector, as verification replays.
     pub(crate) fn replayers(&self, nonce: u64, epoch: u64) -> [Verifier<'a>; 2] {
         [(1, 2), (0, 3)].map(|(gpu, run)| {
-            let noise = self.gpus[gpu].rerun(seed(epoch, run));
+            let noise = NoiseInjector::new(self.gpus[gpu], seed(epoch, run));
             Verifier::new(self.config, self.shard, nonce, f32::MAX, None, noise)
         })
     }

@@ -31,6 +31,9 @@ use std::sync::Arc;
 /// ≤ 2¹⁵ gives 2³⁹ per worker, ~2⁵⁹ at 10⁶ workers — no overflow.
 const AGG_SCALE: f64 = (1u64 << 24) as f64;
 
+/// The GPU the manager replays sampled segments on.
+const VERIFIER_GPU: GpuModel = GpuModel::G3090;
+
 /// Per-epoch communication accounting (bytes over the star topology).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CommStats {
@@ -175,10 +178,6 @@ pub struct EpochPlan {
     family: Option<LshFamily>,
     /// The verification schedule (`None` under the baseline scheme).
     verification: Option<PreparedVerification>,
-    /// The bf16 lattice image of the global model under RPoLv3 — what its
-    /// workers train from, so what checkpoint 0 must be. Built once per
-    /// epoch: the task broadcast ships it and sample 0 replays from it.
-    start_image: Option<Vec<f32>>,
 }
 
 impl EpochPlan {
@@ -236,6 +235,32 @@ struct PreparedVerification {
     assignments: Vec<VerificationAssignment>,
 }
 
+/// What [`PoolManager::start_model`] hands out: the global model itself,
+/// or its lattice image in a process-pool buffer that goes back on drop.
+enum StartModel<'a> {
+    Global(&'a [f32]),
+    Image(Vec<f32>),
+}
+
+impl std::ops::Deref for StartModel<'_> {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        match self {
+            Self::Global(weights) => weights,
+            Self::Image(image) => image,
+        }
+    }
+}
+
+impl Drop for StartModel<'_> {
+    fn drop(&mut self) {
+        if let Self::Image(image) = self {
+            scratch::put(std::mem::take(image));
+        }
+    }
+}
+
 /// One worker whose submission actually reached the manager this epoch,
 /// with whatever channel serves its checkpoint openings: the worker itself
 /// (in-process pools) or a fault-injecting transport endpoint. Workers
@@ -280,10 +305,6 @@ pub struct PoolManager {
     q_samples: usize,
     steps_per_epoch: usize,
     policy: CalibrationPolicy,
-    /// Injector of the GPU the manager verifies on, never run itself:
-    /// every verification `rerun`s it, so the GPU's fingerprint is drawn
-    /// once per manager.
-    verifier_noise: NoiseInjector,
     calibration_gpus: (GpuModel, GpuModel),
     rng: Pcg32,
     /// The pool seed: keys the top tier's audit PRF, which deliberately
@@ -331,7 +352,6 @@ impl PoolManager {
             q_samples,
             steps_per_epoch,
             policy: CalibrationPolicy::default(),
-            verifier_noise: NoiseInjector::new(GpuModel::G3090, 0),
             calibration_gpus: GpuModel::top2(),
             rng: Pcg32::seed_from(seed ^ 0x4D47_5200),
             seed,
@@ -390,22 +410,34 @@ impl PoolManager {
     pub(crate) fn task_block(&self, plan: &EpochPlan) -> crate::wire::TaskBlock {
         self.recorder
             .counter_add("rpol.wire.task_blocks_encoded", 1);
-        let block = crate::wire::TaskBlock::new(plan.scheme.spec().lattice, self.start_model(plan));
+        let block =
+            crate::wire::TaskBlock::new(plan.scheme.spec().lattice, &self.start_model(plan));
         count_hi_plane(&self.recorder, Some(block.hi_plane()));
         block
     }
 
-    /// The model this epoch's workers train from, as checkpoint 0 holds
-    /// it: the global model, or its lattice image under RPoLv3.
-    fn start_model<'a>(&'a self, plan: &'a EpochPlan) -> &'a [f32] {
-        plan.start_image.as_deref().unwrap_or(&self.global)
+    /// The model `plan`'s workers train from, as checkpoint 0 holds it:
+    /// the global model, or under RPoLv3 its lattice image, drawn into a
+    /// process-pool buffer by each stage that reads it (the task block,
+    /// the broadcast charge, a group's binding and bound ends) and put
+    /// back when that stage is done. The global model moves only when the
+    /// epoch settles, so every read sees the same bits.
+    fn start_model(&self, plan: &EpochPlan) -> StartModel<'_> {
+        if plan.scheme.spec().lattice != Lattice::Bf16 {
+            return StartModel::Global(&self.global);
+        }
+        let mut image = scratch::take_empty(self.global.len());
+        image.extend_from_slice(&self.global);
+        rpol_tensor::quant::snap_to_bf16(&mut image);
+        StartModel::Image(image)
     }
 
     /// Broadcast bytes the in-process paths charge for sending the global
     /// model to `n_workers`: the length of the block [`Self::task_block`]
     /// would put on a link — the same story the wire tells.
     pub(crate) fn broadcast_bytes(&self, plan: &EpochPlan, n_workers: usize) -> u64 {
-        let per_worker = crate::wire::block_len(plan.scheme.spec().lattice, self.start_model(plan));
+        let per_worker =
+            crate::wire::block_len(plan.scheme.spec().lattice, &self.start_model(plan));
         (per_worker * n_workers) as u64
     }
 
@@ -438,10 +470,10 @@ impl PoolManager {
     }
 
     /// Every draw the epoch takes from the manager's RNG, in one fixed
-    /// order — the calibration nonce (when the scheme calibrates this
-    /// epoch), the per-worker nonces, the verification schedule — and
-    /// the start image. The plan has no calibration yet: workers may train
-    /// from it, but commit only after [`Self::adopt`].
+    /// order: the calibration nonce (when the scheme calibrates this
+    /// epoch), the per-worker nonces, the verification schedule. The plan
+    /// has no calibration yet: workers may train from it, but commit only
+    /// after [`Self::adopt`].
     pub(crate) fn plan(&mut self, n_workers: usize, epoch: u64) -> EpochPlan {
         assert!(n_workers > 0, "pool has no workers");
         let spec = self.scheme.spec();
@@ -454,8 +486,6 @@ impl PoolManager {
         // Per-worker nonces for stochastic-yet-deterministic selection.
         let nonces: Vec<u64> = (0..n_workers).map(|_| self.rng.next_u64()).collect();
         let verification = self.prepare_verification(epoch, n_workers);
-        let start_image =
-            (spec.lattice == Lattice::Bf16).then(|| rpol_tensor::quant::bf16_image(&self.global));
         EpochPlan {
             epoch,
             steps: self.steps_per_epoch,
@@ -465,7 +495,6 @@ impl PoolManager {
             calibration: None,
             family: None,
             verification,
-            start_image,
         }
     }
 
@@ -577,6 +606,7 @@ impl PoolManager {
         &self,
         participants: &[Participant<'_>],
         plan: &EpochPlan,
+        start_model: &[f32],
     ) -> Vec<Result<(), SampleVerdict>> {
         let prepared = plan.verification.as_ref().expect("a verifying scheme");
         let last = prepared.segments.len();
@@ -602,7 +632,7 @@ impl PoolManager {
                 Ok(commitment)
             })
             .collect();
-        let weights: Vec<&[f32]> = std::iter::once(self.start_model(plan))
+        let weights: Vec<&[f32]> = std::iter::once(start_model)
             .chain(
                 participants
                     .iter()
@@ -674,13 +704,13 @@ impl PoolManager {
                     plan.nonces[part.id],
                     self.cached_beta.expect("calibrated"),
                     plan.family.as_ref(),
-                    self.verifier_noise
-                        .rerun(prepared.assignments[part.id].noise_seed),
+                    NoiseInjector::new(VERIFIER_GPU, prepared.assignments[part.id].noise_seed),
                 )
                 .with_recorder(&self.recorder)
             })
             .collect();
-        let bound = self.bind(participants, plan);
+        let start = self.start_model(plan);
+        let bound = self.bind(participants, plan, &start);
         let subjects: Vec<Subject<'_>> = (0..participants.len())
             .filter(|&i| bound[i].is_ok())
             .map(|i| {
@@ -691,7 +721,7 @@ impl PoolManager {
                     provider: part.provider,
                     samples: &prepared.assignments[part.id].samples,
                     ends: Some(BoundEnds {
-                        start: self.start_model(plan),
+                        start: &start,
                         last: prepared.segments.len(),
                         final_weights: &part.submission.final_weights,
                     }),
@@ -1129,8 +1159,6 @@ mod tests {
             .then(|| calibration.expect("calibrated").family(m.global.len()));
         let nonces = (0..n_workers).map(|_| m.rng.next_u64()).collect();
         let verification = m.prepare_verification(epoch, n_workers);
-        let start_image =
-            (spec.lattice == Lattice::Bf16).then(|| rpol_tensor::quant::bf16_image(&m.global));
         EpochPlan {
             epoch,
             steps: m.steps_per_epoch,
@@ -1140,7 +1168,6 @@ mod tests {
             calibration,
             family,
             verification,
-            start_image,
         }
     }
 
@@ -1184,6 +1211,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Task P's geometry: a weight vector the process pool keeps.
+    fn pooled_task() -> TaskConfig {
+        let mut cfg = TaskConfig::task_c();
+        (cfg.spec.height, cfg.spec.width) = (24, 24);
+        cfg
+    }
+
+    #[test]
+    fn the_v3_start_image_is_a_pool_buffer_put_back_after_each_read() {
+        let cfg = pooled_task();
+        let shard = SyntheticImages::generate(&cfg.spec, 8, &mut Pcg32::seed_from(4));
+        let address = Address::from_seed(1);
+        let mut v3 = PoolManager::new(cfg, Scheme::RPoLv3, address, shard.clone(), 1, 4, 9);
+        let plan = v3.plan(2, 0);
+        let len = v3.global.len();
+        // The pool is the process's: another test's pass may take the
+        // buffer between the put and the take below, so one of three
+        // reads must see it come back.
+        let came_back = (0..3).any(|_| {
+            let image = v3.start_model(&plan);
+            let StartModel::Image(buf) = &image else {
+                panic!("RPoLv3 starts from the lattice image");
+            };
+            assert_eq!(buf.capacity(), len.next_power_of_two(), "a pool class");
+            assert_eq!(**buf, rpol_tensor::quant::bf16_image(&v3.global));
+            let at = buf.as_ptr();
+            drop(image);
+            let next = scratch::take_empty::<f32>(len);
+            let same = next.as_ptr() == at;
+            scratch::put(next);
+            same
+        });
+        assert!(came_back, "the image goes back to the pool when dropped");
+        // The other schemes read the global model in place.
+        let mut v2 = PoolManager::new(cfg, Scheme::RPoLv2, address, shard, 1, 4, 9);
+        let plan = v2.plan(2, 0);
+        assert!(
+            matches!(v2.start_model(&plan), StartModel::Global(w) if std::ptr::eq(w, &v2.global[..]))
+        );
     }
 
     #[test]

@@ -598,7 +598,7 @@ impl MiningPool {
     /// Data generation and sharding go through the same code on the same
     /// seeded stream, so every shard matches the server's replica bit for
     /// bit; the test set, manager and evaluation state are never built.
-    /// (A socket run in one process copies its pool's shards instead:
+    /// (A socket run in one process shares its pool's shards instead:
     /// [`MiningPool::fresh_workers`].)
     ///
     /// # Panics
@@ -610,8 +610,9 @@ impl MiningPool {
 
     /// Fresh copies of this pool's workers — same id, address, GPU,
     /// behaviour and shard, each with a new model — without drawing the
-    /// training set again: the client side of a socket run in this
-    /// process, built before the pool moves into the server.
+    /// training set again or copying it: a copy's shard reads its
+    /// original's rows. The client side of a socket run in this process,
+    /// built before the pool moves into the server.
     pub(crate) fn fresh_workers(&self) -> Vec<PoolWorker> {
         let address = manager_address(&self.config);
         self.workers
@@ -927,12 +928,6 @@ mod tests {
         assert!(report.worker_storage_bytes > 0);
     }
 
-    /// The client half of a socket run builds workers without the rest of
-    /// the pool — drawn again by `build_workers`, or copied from the pool by
-    /// `fresh_workers`; either must be the workers `MiningPool::new` builds
-    /// — same shards bit for bit, same GPUs, behaviours and addresses — so
-    /// the two equal each other shard for shard, or the server's replay
-    /// would run on different data than the client trained on.
     #[test]
     fn workers_build_their_models_when_they_first_train() {
         let behaviors = vec![WorkerBehavior::Honest, WorkerBehavior::ReplayPrevious];
@@ -946,6 +941,12 @@ mod tests {
         assert_eq!(built, [true, false], "the zero-effort cheat never trains");
     }
 
+    /// The client half of a socket run builds workers without the rest of
+    /// the pool — drawn again by `build_workers`, or shared with the pool by
+    /// `fresh_workers`; either must be the workers `MiningPool::new` builds
+    /// — same shards bit for bit, same GPUs, behaviours and addresses — so
+    /// the two equal each other shard for shard, or the server's replay
+    /// would run on different data than the client trained on.
     #[test]
     fn build_workers_yields_the_full_pools_workers() {
         let behaviors = vec![
@@ -968,6 +969,21 @@ mod tests {
                 assert_eq!(ya, yb);
                 assert_eq!(bits(xa.data()), bits(xb.data()), "worker {} shard", a.id);
             }
+        }
+    }
+
+    #[test]
+    fn fresh_workers_read_the_pools_rows() {
+        let behaviors = vec![WorkerBehavior::Honest; 3];
+        let pool = MiningPool::new(PoolConfig::tiny_demo(Scheme::RPoLv3), behaviors);
+        for (copy, replica) in pool.fresh_workers().iter().zip(pool.workers()) {
+            let (a, b) = (copy.shard(), replica.shard());
+            assert_eq!(a.len(), b.len());
+            assert!(
+                (0..a.len()).all(|i| std::ptr::eq(a.image(i), b.image(i))),
+                "worker {} holds its own pixels",
+                copy.id
+            );
         }
     }
 

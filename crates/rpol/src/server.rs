@@ -2465,7 +2465,8 @@ pub struct SocketRunOutcome {
 /// replicas for their shard handles); the clients get fresh copies of its
 /// workers over the same shards ([`MiningPool::fresh_workers`]), so data
 /// sharding and training match the in-process pool bit for bit and the
-/// training set is drawn once.
+/// training set is drawn once and held once: a replica and its client
+/// read the same rows.
 ///
 /// # Errors
 ///

@@ -171,9 +171,6 @@ pub struct PoolWorker {
     /// reproduction-error magnitude).
     pub gpu: GpuModel,
     behavior: WorkerBehavior,
-    /// Injector of the registered GPU, never run itself: every epoch
-    /// `rerun`s it, so the GPU's fingerprint is drawn once per worker.
-    noise: NoiseInjector,
     shard: SyntheticImages,
     /// The task and the manager whose address its AMLayer encodes: what
     /// the model is built from.
@@ -205,7 +202,6 @@ impl PoolWorker {
             address: Address::from_seed(0xF00D_0000 ^ id as u64),
             gpu,
             behavior,
-            noise: NoiseInjector::new(gpu, 0),
             shard,
             task: *config,
             manager: *manager,
@@ -277,11 +273,6 @@ impl PoolWorker {
     ) -> Vec<Vec<f32>> {
         let segments = epoch_segments(total_steps, config.checkpoint_interval);
         let run_seed = (epoch << 20) ^ (self.id as u64) << 4 ^ nonce;
-        debug_assert_eq!(
-            self.noise.model(),
-            self.gpu,
-            "`gpu` changed after registration"
-        );
         // RPoLv3 trains on the bf16 lattice: every protocol-visible state
         // (epoch input, checkpoints, spoofed extrapolations) is snapped,
         // honest and adversarial alike — an off-lattice opening is
@@ -314,8 +305,8 @@ impl PoolWorker {
                     .model
                     .get_or_insert_with(|| self.task.build_encoded_model(&self.manager));
                 model.load_params(foreign.as_deref().unwrap_or(global_weights));
-                let mut trainer =
-                    LocalTrainer::new(config, &self.shard, self.noise.rerun(run_seed));
+                let noise = NoiseInjector::new(self.gpu, run_seed);
+                let mut trainer = LocalTrainer::new(config, &self.shard, noise);
                 if !spec.verifies() {
                     // No proof storage: the final weights are the only
                     // checkpoint anyone reads.
@@ -355,8 +346,8 @@ impl PoolWorker {
                     .model
                     .get_or_insert_with(|| self.task.build_encoded_model(&self.manager));
                 model.load_params(global_weights);
-                let mut trainer =
-                    LocalTrainer::new(config, &self.shard, self.noise.rerun(run_seed));
+                let noise = NoiseInjector::new(self.gpu, run_seed);
+                let mut trainer = LocalTrainer::new(config, &self.shard, noise);
                 let honest = &segments[..honest_segments];
                 let mut checkpoints = trainer.train(model, nonce, honest, lattice).checkpoints;
                 // Spoof the rest by Eq. 12 extrapolation.

@@ -23,7 +23,7 @@
 use rpol_tensor::rng::Pcg32;
 use serde::Serialize;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The four GPU models of the paper's evaluation (§VII-C), ordered by
 /// descending FP32 throughput.
@@ -122,11 +122,11 @@ pub struct NoiseInjector {
     rng: Pcg32,
     /// When set, the injector is a deterministic-hardware baseline.
     zero: bool,
-    /// The leading draws of the GPU model's fingerprint stream, built on
-    /// first use, regrown when a longer weight vector arrives and shared
-    /// with every clone (the verifier clones one injector per sample) and
-    /// every [`NoiseInjector::rerun`].
-    fingerprint: Arc<Mutex<Arc<Vec<f32>>>>,
+    /// The leading draws of the GPU model's fingerprint stream, as the
+    /// process's [`FINGERPRINTS`] held them when this injector last looked;
+    /// shared with every clone (the verifier clones one injector per
+    /// sample).
+    fingerprint: Arc<Vec<f32>>,
 }
 
 impl NoiseInjector {
@@ -134,29 +134,10 @@ impl NoiseInjector {
     pub fn new(model: GpuModel, run_seed: u64) -> Self {
         Self {
             model,
-            rng: Self::run_rng(run_seed),
+            rng: Pcg32::seed_from(run_seed ^ 0x6E01_5E00),
             zero: false,
-            fingerprint: Arc::default(),
+            fingerprint: lock_fingerprints().at_least(model, 0),
         }
-    }
-
-    /// An injector for another run on the same hardware: what
-    /// [`NoiseInjector::new`] would build for this model (a noiseless
-    /// template stays noiseless) with `run_seed`, except that it shares
-    /// this injector's fingerprint cache. An owner that starts many runs on
-    /// one GPU keeps a template and `rerun`s it, so the fingerprint is
-    /// drawn once per owner instead of once per run.
-    pub fn rerun(&self, run_seed: u64) -> Self {
-        Self {
-            model: self.model,
-            rng: Self::run_rng(run_seed),
-            zero: self.zero,
-            fingerprint: Arc::clone(&self.fingerprint),
-        }
-    }
-
-    fn run_rng(run_seed: u64) -> Pcg32 {
-        Pcg32::seed_from(run_seed ^ 0x6E01_5E00)
     }
 
     /// A silent injector useful as a "perfectly deterministic hardware"
@@ -207,29 +188,60 @@ impl NoiseInjector {
         }
         let sigma = self.model.noise_rel_sigma() * update_norm / (len as f32).sqrt();
         assert!(sigma.is_finite() && sigma >= 0.0, "invalid std dev {sigma}");
-        let fingerprint = self.fingerprint(len);
+        if self.fingerprint.len() < len {
+            self.fingerprint = lock_fingerprints().at_least(self.model, len);
+        }
         Some(StepNoise {
             rng: &mut self.rng,
-            fingerprint,
+            fingerprint: &self.fingerprint,
             sigma,
             normals: [0.0; NORMAL_CHUNK],
             at: 0,
             len,
         })
     }
+}
 
-    /// At least the first `len` standard normals of the fingerprint
-    /// stream. The direction is a pure function of the GPU model, so it
-    /// is drawn once per injector family instead of once per step.
-    fn fingerprint(&self, len: usize) -> Arc<Vec<f32>> {
-        let mut cached = self.fingerprint.lock().expect("fingerprint cache poisoned");
-        if cached.len() < len {
-            let mut rng = Pcg32::seed_from(0xF17E_0000 ^ self.model.fp32_tflops().to_bits());
-            let mut draws = vec![0.0; len];
-            rng.fill_normal(&mut draws);
-            *cached = Arc::new(draws);
+/// Every GPU model's fingerprint: a pure function of the model, so the
+/// process holds one vector per model, shared by every injector. An
+/// injector reads the table when it is built and again only when a step
+/// needs more draws than its vector holds; the step path takes no lock.
+static FINGERPRINTS: Mutex<Fingerprints> = Mutex::new(Fingerprints([None, None, None, None]));
+
+/// The leading draws of each model's fingerprint stream, indexed by
+/// position in [`GpuModel::ALL`], regrown to the longest length asked.
+#[derive(Debug, Default)]
+struct Fingerprints([Option<Arc<Vec<f32>>>; 4]);
+
+/// The process's fingerprints, also after a panic elsewhere while they were
+/// locked: a slot only ever moves from one complete vector to another.
+fn lock_fingerprints() -> MutexGuard<'static, Fingerprints> {
+    FINGERPRINTS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+impl Fingerprints {
+    fn slot(&mut self, model: GpuModel) -> &mut Option<Arc<Vec<f32>>> {
+        let i = GpuModel::ALL.iter().position(|&m| m == model);
+        &mut self.0[i.expect("every model is in the catalogue")]
+    }
+
+    /// At least the first `len` standard normals of `model`'s fingerprint
+    /// stream. A longer draw replaces the held vector; element `i` is the
+    /// stream's `i`-th normal at any length ([`Pcg32::fill_normal`]), so
+    /// the order in which lengths are asked changes no bit.
+    fn at_least(&mut self, model: GpuModel, len: usize) -> Arc<Vec<f32>> {
+        let slot = self.slot(model);
+        match slot {
+            Some(held) if held.len() >= len => Arc::clone(held),
+            _ => {
+                let mut rng = Pcg32::seed_from(0xF17E_0000 ^ model.fp32_tflops().to_bits());
+                let mut draws = vec![0.0; len];
+                rng.fill_normal(&mut draws);
+                Arc::clone(slot.insert(Arc::new(draws)))
+            }
         }
-        Arc::clone(&cached)
     }
 }
 
@@ -241,7 +253,7 @@ const NORMAL_CHUNK: usize = 1024;
 #[derive(Debug)]
 pub struct StepNoise<'a> {
     rng: &'a mut Pcg32,
-    fingerprint: Arc<Vec<f32>>,
+    fingerprint: &'a [f32],
     sigma: f32,
     /// The normals of the chunk holding weight `at`.
     normals: [f32; NORMAL_CHUNK],
@@ -404,21 +416,43 @@ mod tests {
         noise.perturb(&mut [0.0; 5]);
     }
 
+    /// More weights than any other test of this crate perturbs on
+    /// [`GpuModel::GP100`], which none of them uses: no test regrows its
+    /// fingerprint under this one.
+    const GP100_LONGEST: usize = 20_000;
+
     #[test]
-    fn rerun_shares_the_fingerprint_cache() {
-        let template = NoiseInjector::new(GpuModel::GA10, 1);
-        let mut first = template.rerun(2);
-        first.perturb_after_step(&mut [0.0f32; 100], 1.0);
-        // The draw made through one rerun serves the template and every
-        // later rerun: all of them hand out the same allocation.
-        let second = template.rerun(3);
-        assert!(Arc::ptr_eq(&template.fingerprint, &second.fingerprint));
-        let drawn = first.fingerprint(100);
-        assert!(Arc::ptr_eq(&drawn, &template.fingerprint(50)));
-        assert!(Arc::ptr_eq(&drawn, &second.fingerprint(100)));
-        // A fresh injector has a cache of its own.
-        let fresh = NoiseInjector::new(GpuModel::GA10, 3);
-        assert!(!Arc::ptr_eq(&drawn, &fresh.fingerprint(100)));
+    fn injectors_of_one_model_share_its_fingerprint() {
+        let mut first = NoiseInjector::new(GpuModel::GP100, 1);
+        first.perturb_after_step(&mut vec![0.0f32; GP100_LONGEST], 1.0);
+        let mut second = NoiseInjector::new(GpuModel::GP100, 2);
+        assert!(Arc::ptr_eq(&first.fingerprint, &second.fingerprint));
+        // A shorter step keeps the vector the injector holds.
+        second.perturb_after_step(&mut [0.0f32; 100], 1.0);
+        assert!(Arc::ptr_eq(&first.fingerprint, &second.fingerprint));
+        assert!(Arc::ptr_eq(&first.fingerprint, &second.clone().fingerprint));
+        let mut other = NoiseInjector::new(GpuModel::GT4, 1);
+        other.perturb_after_step(&mut [0.0f32; 100], 1.0);
+        assert!(!Arc::ptr_eq(&first.fingerprint, &other.fingerprint));
+    }
+
+    #[test]
+    fn the_order_of_lengths_changes_no_fingerprint_bit() {
+        // The trainable weights of task P and of `TaskConfig::tiny`.
+        let (long, short) = (97_152, 1_852);
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        for model in GpuModel::ALL {
+            let (mut short_first, mut long_first) =
+                (Fingerprints::default(), Fingerprints::default());
+            let early = short_first.at_least(model, short);
+            let late = short_first.at_least(model, long);
+            let held = long_first.at_least(model, long);
+            assert_eq!(bits(&late), bits(&held), "{model}");
+            assert_eq!(bits(&early), bits(&held[..short]), "{model}");
+            // A shorter ask is served from the longer vector.
+            assert!(Arc::ptr_eq(&held, &long_first.at_least(model, short)));
+            assert_eq!(late.len(), long);
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! The `TASK_P_*` constants pin the epoch benchmark's own 97,320-weight
 //! task, the one `epoch_bench`'s performance claims are made on. They were
 //! recorded on commit 2f6422c, before Gaussians were drawn in blocks
-//! (`Pcg32::fill_normal`) and before owners started sharing one GPU
-//! fingerprint through `NoiseInjector::rerun`.
+//! (`Pcg32::fill_normal`) and before a GPU fingerprint was shared, first
+//! by every run of one owner, now by every injector of the process.
 
 use rpol_repro::crypto::sha256::sha256_f32;
 use rpol_repro::crypto::Address;
