@@ -17,12 +17,12 @@ use rpol_tensor::{conv, Tensor};
 ///
 /// ```
 /// use rpol_nn::prelude::*;
-/// use rpol_tensor::{rng::Pcg32, Tensor};
+/// use rpol_tensor::{rng::Pcg32, scratch::ScratchArena, Tensor};
 ///
 /// let mut rng = Pcg32::seed_from(0);
 /// let mut conv = Conv2d::new(3, 8, 3, 1, &mut rng);
 /// let x = Tensor::ones(&[2, 3, 8, 8]);
-/// let y = conv.forward(&x, false);
+/// let y = conv.forward(&x, false, &mut ScratchArena::new());
 /// assert_eq!(y.shape().dims(), &[2, 8, 8, 8]); // same-size with pad 1
 /// ```
 #[derive(Debug, Clone)]
@@ -295,15 +295,7 @@ fn rotate_kernels(wgt: &[f32], oc: usize, c: usize, k: usize, wrot: &mut [f32]) 
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        self.forward_scratch(input, train, &mut ScratchArena::new())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_scratch(grad_out, &mut ScratchArena::new())
-    }
-
-    fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
         keep_copy(&mut self.cached_input, input, train, arena);
         self.forward_with(input, arena)
     }
@@ -332,12 +324,12 @@ impl Layer for Conv2d {
         kept_bytes(&self.cached_input)
     }
 
-    fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
         self.param_grads_with(grad_out, arena);
         self.input_grad_with(grad_out, arena)
     }
 
-    fn backward_params_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) {
+    fn backward_params(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) {
         self.param_grads_with(grad_out, arena);
     }
 
@@ -618,7 +610,8 @@ mod tests {
             let dims = [n, c, h, w];
             let x = Tensor::from_vec(&dims, draw(n * c * h * w));
 
-            let y = conv.forward(&x, true);
+            let mut arena = ScratchArena::new();
+            let y = conv.forward(&x, true, &mut arena);
             let want = lowered::forward(geo, &wgt, &bias, x.data(), dims);
             proptest::prop_assert_eq!(bits(y.data()), bits(&want));
 
@@ -626,7 +619,7 @@ mod tests {
             conv.weight.grad = Tensor::from_vec(&[oc, c, k, k], draw(oc * c * k * k));
             let mut dw = conv.weight.grad.data().to_vec();
             for _ in 0..2 {
-                let dx = conv.backward(&g);
+                let dx = conv.backward(&g, &mut arena);
                 lowered::weight_grad(geo, g.data(), x.data(), dims, &mut dw);
                 proptest::prop_assert_eq!(bits(conv.weight.grad.data()), bits(&dw));
                 let want = lowered::input_grad(geo, &wgt, g.data(), dims);
@@ -637,50 +630,64 @@ mod tests {
 
     #[test]
     fn identity_kernel_passthrough() {
+        let mut arena = ScratchArena::new();
         // 1x1 kernel with weight 1: output == input per channel.
         let weight = Tensor::ones(&[1, 1, 1, 1]);
         let bias = Tensor::zeros(&[1]);
         let mut conv = Conv2d::from_parts(weight, bias, 0);
         let x = Tensor::from_vec(&[1, 1, 2, 2], vec![1., 2., 3., 4.]);
-        let y = conv.forward(&x, false);
+        let y = conv.forward(&x, false, &mut arena);
         assert_eq!(y.data(), x.data());
     }
 
     #[test]
     fn known_3x3_sum_kernel() {
+        let mut arena = ScratchArena::new();
         // All-ones 3x3 kernel with pad 1 computes neighbourhood sums.
         let weight = Tensor::ones(&[1, 1, 3, 3]);
         let bias = Tensor::zeros(&[1]);
         let mut conv = Conv2d::from_parts(weight, bias, 1);
         let x = Tensor::ones(&[1, 1, 3, 3]);
-        let y = conv.forward(&x, false);
+        let y = conv.forward(&x, false, &mut arena);
         // Corners see 4 neighbours, edges 6, center 9.
         assert_eq!(y.data(), &[4., 6., 4., 6., 9., 6., 4., 6., 4.]);
     }
 
     #[test]
     fn shape_with_padding() {
+        let mut arena = ScratchArena::new();
         let mut rng = Pcg32::seed_from(0);
         let mut conv = Conv2d::new(3, 5, 3, 1, &mut rng);
         let x = Tensor::ones(&[2, 3, 8, 8]);
-        assert_eq!(conv.forward(&x, false).shape().dims(), &[2, 5, 8, 8]);
+        assert_eq!(
+            conv.forward(&x, false, &mut arena).shape().dims(),
+            &[2, 5, 8, 8]
+        );
         let mut conv0 = Conv2d::new(3, 5, 3, 0, &mut rng);
-        assert_eq!(conv0.forward(&x, false).shape().dims(), &[2, 5, 6, 6]);
+        assert_eq!(
+            conv0.forward(&x, false, &mut arena).shape().dims(),
+            &[2, 5, 6, 6]
+        );
     }
 
     #[test]
     fn gradient_check() {
+        let mut arena = ScratchArena::new();
         let mut rng = Pcg32::seed_from(7);
         let mut conv = Conv2d::new(2, 3, 3, 1, &mut rng);
         let x = Tensor::randn(&[1, 2, 4, 4], &mut rng);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x, true, &mut arena);
         let grad_out = y.map(|v| 2.0 * v);
         conv.zero_grads();
-        let dx = conv.backward(&grad_out);
+        let dx = conv.backward(&grad_out, &mut arena);
 
         let eps = 1e-2f32;
-        let loss = |c: &mut Conv2d, xv: &Tensor| -> f32 {
-            c.forward(xv, false).data().iter().map(|v| v * v).sum()
+        let mut loss = |c: &mut Conv2d, xv: &Tensor| -> f32 {
+            c.forward(xv, false, &mut arena)
+                .data()
+                .iter()
+                .map(|v| v * v)
+                .sum()
         };
 
         // Input gradient at a few coordinates.
@@ -723,14 +730,19 @@ mod tests {
 
     #[test]
     fn stride_halves_spatial_dims() {
+        let mut arena = ScratchArena::new();
         let mut rng = Pcg32::seed_from(1);
         let mut conv = Conv2d::with_stride(3, 6, 3, 1, 2, &mut rng);
         let x = Tensor::ones(&[1, 3, 8, 8]);
-        assert_eq!(conv.forward(&x, false).shape().dims(), &[1, 6, 4, 4]);
+        assert_eq!(
+            conv.forward(&x, false, &mut arena).shape().dims(),
+            &[1, 6, 4, 4]
+        );
     }
 
     #[test]
     fn stride_2_subsamples_stride_1_outputs() {
+        let mut arena = ScratchArena::new();
         // A stride-2 conv output equals the stride-1 output sampled at
         // every other position.
         let mut rng = Pcg32::seed_from(2);
@@ -738,8 +750,8 @@ mod tests {
         let mut s2 = s1.clone();
         s2.stride = 2;
         let x = Tensor::randn(&[1, 2, 6, 6], &mut rng);
-        let y1 = s1.forward(&x, false);
-        let y2 = s2.forward(&x, false);
+        let y1 = s1.forward(&x, false, &mut arena);
+        let y2 = s2.forward(&x, false, &mut arena);
         for oc in 0..3 {
             for oy in 0..3 {
                 for ox in 0..3 {
@@ -755,16 +767,21 @@ mod tests {
 
     #[test]
     fn strided_gradient_check() {
+        let mut arena = ScratchArena::new();
         let mut rng = Pcg32::seed_from(9);
         let mut conv = Conv2d::with_stride(2, 2, 3, 1, 2, &mut rng);
         let x = Tensor::randn(&[1, 2, 6, 6], &mut rng);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x, true, &mut arena);
         let grad_out = y.map(|v| 2.0 * v);
         conv.zero_grads();
-        let dx = conv.backward(&grad_out);
+        let dx = conv.backward(&grad_out, &mut arena);
         let eps = 1e-2f32;
-        let loss = |c: &mut Conv2d, xv: &Tensor| -> f32 {
-            c.forward(xv, false).data().iter().map(|v| v * v).sum()
+        let mut loss = |c: &mut Conv2d, xv: &Tensor| -> f32 {
+            c.forward(xv, false, &mut arena)
+                .data()
+                .iter()
+                .map(|v| v * v)
+                .sum()
         };
         for idx in [0usize, 13, 31, 50, 71] {
             let mut xp = x.clone();

@@ -216,11 +216,6 @@ impl SyntheticImages {
         self.labels[i]
     }
 
-    /// All labels.
-    pub fn labels(&self) -> &[usize] {
-        &self.labels
-    }
-
     /// The pixels of sample `i`, flattened.
     ///
     /// # Panics
@@ -438,7 +433,7 @@ mod tests {
         let spec = ImageSpec::tiny();
         let a = SyntheticImages::generate(&spec, 20, &mut Pcg32::seed_from(1));
         let b = SyntheticImages::generate(&spec, 20, &mut Pcg32::seed_from(1));
-        assert_eq!(a.labels(), b.labels());
+        assert_eq!(a.labels, b.labels);
         assert_eq!(a.images[0], b.images[0]);
         let c = SyntheticImages::generate(&spec, 20, &mut Pcg32::seed_from(2));
         assert_ne!(a.images[0], c.images[0]);
@@ -449,7 +444,7 @@ mod tests {
         let spec = ImageSpec::cifar10_like();
         let data = SyntheticImages::generate(&spec, 100, &mut Pcg32::seed_from(3));
         let mut seen = vec![false; spec.classes];
-        for &l in data.labels() {
+        for &l in &data.labels {
             seen[l] = true;
         }
         assert!(seen.iter().all(|&s| s), "missing classes");
@@ -502,7 +497,7 @@ mod tests {
         let data = SyntheticImages::generate(&spec, 1000, &mut Pcg32::seed_from(6));
         for shard in data.shard(5) {
             for class in 0..spec.classes {
-                let count = shard.labels().iter().filter(|&&l| l == class).count();
+                let count = shard.labels.iter().filter(|&&l| l == class).count();
                 // 20 expected per class per 200-sample shard.
                 assert!((8..=35).contains(&count), "class {class}: {count}");
             }
@@ -520,7 +515,7 @@ mod tests {
             let rows: Vec<&Arc<Vec<f32>>> = d
                 .images
                 .iter()
-                .zip(d.labels())
+                .zip(&d.labels)
                 .filter(|(_, &l)| l == class)
                 .map(|(img, _)| img)
                 .collect();

@@ -13,12 +13,12 @@ use rpol_tensor::{gemm, Tensor};
 ///
 /// ```
 /// use rpol_nn::prelude::*;
-/// use rpol_tensor::{rng::Pcg32, Tensor};
+/// use rpol_tensor::{rng::Pcg32, scratch::ScratchArena, Tensor};
 ///
 /// let mut rng = Pcg32::seed_from(1);
 /// let mut layer = Dense::new(4, 3, &mut rng);
 /// let x = Tensor::ones(&[2, 4]);
-/// let y = layer.forward(&x, true);
+/// let y = layer.forward(&x, true, &mut ScratchArena::new());
 /// assert_eq!(y.shape().dims(), &[2, 3]);
 /// ```
 #[derive(Debug, Clone)]
@@ -81,11 +81,11 @@ impl Dense {
 }
 
 impl Dense {
-    /// Forward body shared by every entry point: the output buffer starts
-    /// zeroed, `y = x · Wᵀ` accumulates into it via the fused-transpose
-    /// kernel, and the bias is added afterwards — the same per-element
-    /// chain `(Σ_p x·w) + b` as the original implementation. Keeps nothing.
-    fn forward_into(&self, input: &Tensor, y: Vec<f32>) -> Tensor {
+    /// Forward body of both entry points: the output buffer, drawn zeroed
+    /// from `arena`, accumulates `y = x · Wᵀ` via the fused-transpose
+    /// kernel, and the bias is added afterwards — the per-element chain
+    /// `(Σ_p x·w) + b`. Keeps nothing.
+    fn forward_with(&self, input: &Tensor, arena: &mut ScratchArena) -> Tensor {
         assert_eq!(input.shape().rank(), 2, "dense expects [N, in]");
         assert_eq!(
             input.shape().dim(1),
@@ -94,8 +94,7 @@ impl Dense {
         );
         let n = input.shape().dim(0);
         let out = self.out_features();
-        let mut y = y;
-        debug_assert_eq!(y.len(), n * out);
+        let mut y = arena.take_zeroed(n * out);
         gemm::gemm_into(
             n,
             out,
@@ -115,10 +114,52 @@ impl Dense {
         }
         Tensor::from_vec(&[n, out], y)
     }
+}
 
-    /// Parameter-gradient half of the backward pass. `dw` is a zeroed
-    /// buffer for the weight-gradient temporary, returned for recycling.
-    fn param_grads_into(&mut self, grad_out: &Tensor, mut dw: Vec<f32>) -> Vec<f32> {
+impl Layer for Dense {
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        keep_copy(&mut self.cached_input, input, train, arena);
+        self.forward_with(input, arena)
+    }
+
+    fn forward_owned(&mut self, input: Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        if train {
+            drop_kept(&mut self.cached_input, arena);
+        }
+        let y = self.forward_with(&input, arena);
+        keep(&mut self.cached_input, input, train, arena);
+        y
+    }
+
+    fn release(&mut self, arena: &mut ScratchArena) {
+        drop_kept(&mut self.cached_input, arena);
+    }
+
+    fn held_bytes(&self) -> usize {
+        kept_bytes(&self.cached_input)
+    }
+
+    /// The parameter gradients, then `dx = g · W` into a zeroed buffer.
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
+        self.backward_params(grad_out, arena);
+        let n = grad_out.shape().dim(0);
+        let inf = self.in_features();
+        let mut dx = arena.take_zeroed(n * inf);
+        gemm::gemm_into(
+            n,
+            inf,
+            self.out_features(),
+            grad_out.data(),
+            gemm::Trans::No,
+            self.weight.value.data(),
+            gemm::Trans::No,
+            &mut dx,
+            gemm::default_threads(),
+        );
+        Tensor::from_vec(&[n, inf], dx)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) {
         let input = self
             .cached_input
             .as_ref()
@@ -126,10 +167,10 @@ impl Dense {
         let n = grad_out.shape().dim(0);
         let out = self.out_features();
         let inf = self.in_features();
-        // dW = gᵀ · x via the fused kernel (no transpose materialized),
-        // then accumulated into the persistent gradient in one axpy pass —
-        // matching the original dW-then-axpy chain exactly.
-        debug_assert_eq!(dw.len(), out * inf);
+        // dW = gᵀ · x via the fused kernel (no transpose materialized) into
+        // a zeroed temporary, then accumulated into the persistent gradient
+        // in one axpy pass.
+        let mut dw = arena.take_zeroed(out * inf);
         gemm::gemm_into(
             out,
             inf,
@@ -144,6 +185,7 @@ impl Dense {
         for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(&dw) {
             *g += d;
         }
+        arena.recycle(dw);
         // db = Σ_batch g, summed per column in batch order.
         let g = grad_out.data();
         let db = self.bias.grad.data_mut();
@@ -154,79 +196,6 @@ impl Dense {
             }
             *dbj += s;
         }
-        dw
-    }
-
-    /// Input-gradient half of the backward pass: `dx = g · W` into the
-    /// zeroed buffer `dx`.
-    fn input_grad_into(&self, grad_out: &Tensor, mut dx: Vec<f32>) -> Tensor {
-        let n = grad_out.shape().dim(0);
-        let inf = self.in_features();
-        debug_assert_eq!(dx.len(), n * inf);
-        gemm::gemm_into(
-            n,
-            inf,
-            self.out_features(),
-            grad_out.data(),
-            gemm::Trans::No,
-            self.weight.value.data(),
-            gemm::Trans::No,
-            &mut dx,
-            gemm::default_threads(),
-        );
-        Tensor::from_vec(&[n, inf], dx)
-    }
-}
-
-impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
-        let y = vec![0.0f32; input.shape().dim(0) * self.out_features()];
-        self.forward_into(input, y)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.param_grads_into(grad_out, vec![0.0f32; self.weight.value.len()]);
-        let dx = vec![0.0f32; grad_out.shape().dim(0) * self.in_features()];
-        self.input_grad_into(grad_out, dx)
-    }
-
-    fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
-        keep_copy(&mut self.cached_input, input, train, arena);
-        let y = arena.take_zeroed(input.shape().dim(0) * self.out_features());
-        self.forward_into(input, y)
-    }
-
-    fn forward_owned(&mut self, input: Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
-        if train {
-            drop_kept(&mut self.cached_input, arena);
-        }
-        let y = arena.take_zeroed(input.shape().dim(0) * self.out_features());
-        let y = self.forward_into(&input, y);
-        keep(&mut self.cached_input, input, train, arena);
-        y
-    }
-
-    fn release(&mut self, arena: &mut ScratchArena) {
-        drop_kept(&mut self.cached_input, arena);
-    }
-
-    fn held_bytes(&self) -> usize {
-        kept_bytes(&self.cached_input)
-    }
-
-    fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
-        self.backward_params_scratch(grad_out, arena);
-        let dx = arena.take_zeroed(grad_out.shape().dim(0) * self.in_features());
-        self.input_grad_into(grad_out, dx)
-    }
-
-    fn backward_params_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) {
-        let dw = arena.take_zeroed(self.weight.value.len());
-        let dw = self.param_grads_into(grad_out, dw);
-        arena.recycle(dw);
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
@@ -247,14 +216,15 @@ mod tests {
     /// Numeric gradient check on a scalar loss L = Σ y².
     #[test]
     fn gradient_check() {
+        let mut arena = ScratchArena::new();
         let mut rng = Pcg32::seed_from(42);
         let mut layer = Dense::new(3, 2, &mut rng);
         let x = Tensor::randn(&[4, 3], &mut rng);
 
-        let y = layer.forward(&x, true);
+        let y = layer.forward(&x, true, &mut arena);
         let grad_out = y.map(|v| 2.0 * v); // dL/dy for L = Σ y²
         layer.zero_grads();
-        let dx = layer.backward(&grad_out);
+        let dx = layer.backward(&grad_out, &mut arena);
 
         let eps = 1e-3;
         // Check weight gradient numerically.
@@ -277,8 +247,18 @@ mod tests {
                 }
                 idx += 1;
             });
-            let lp: f32 = plus.forward(&x, false).data().iter().map(|v| v * v).sum();
-            let lm: f32 = minus.forward(&x, false).data().iter().map(|v| v * v).sum();
+            let lp: f32 = plus
+                .forward(&x, false, &mut arena)
+                .data()
+                .iter()
+                .map(|v| v * v)
+                .sum();
+            let lm: f32 = minus
+                .forward(&x, false, &mut arena)
+                .data()
+                .iter()
+                .map(|v| v * v)
+                .sum();
             let numeric = (lp - lm) / (2.0 * eps);
             let got = analytic[pi].data()[sample_idx];
             assert!(
@@ -293,8 +273,18 @@ mod tests {
             xp.data_mut()[sample_idx] += eps;
             let mut xm = x.clone();
             xm.data_mut()[sample_idx] -= eps;
-            let lp: f32 = layer.forward(&xp, false).data().iter().map(|v| v * v).sum();
-            let lm: f32 = layer.forward(&xm, false).data().iter().map(|v| v * v).sum();
+            let lp: f32 = layer
+                .forward(&xp, false, &mut arena)
+                .data()
+                .iter()
+                .map(|v| v * v)
+                .sum();
+            let lm: f32 = layer
+                .forward(&xm, false, &mut arena)
+                .data()
+                .iter()
+                .map(|v| v * v)
+                .sum();
             let numeric = (lp - lm) / (2.0 * eps);
             let got = dx.data()[sample_idx];
             assert!(
@@ -306,11 +296,12 @@ mod tests {
 
     #[test]
     fn forward_known_values() {
+        let mut arena = ScratchArena::new();
         let weight = Tensor::from_vec(&[2, 3], vec![1., 0., 0., 0., 1., 0.]);
         let bias = Tensor::from_vec(&[2], vec![10., 20.]);
         let mut layer = Dense::from_parts(weight, bias);
         let x = Tensor::from_vec(&[1, 3], vec![1., 2., 3.]);
-        let y = layer.forward(&x, false);
+        let y = layer.forward(&x, false, &mut arena);
         assert_eq!(y.data(), &[11., 22.]);
     }
 
@@ -323,16 +314,17 @@ mod tests {
 
     #[test]
     fn grads_accumulate_until_zeroed() {
+        let mut arena = ScratchArena::new();
         let mut rng = Pcg32::seed_from(1);
         let mut layer = Dense::new(2, 2, &mut rng);
         let x = Tensor::ones(&[1, 2]);
         let g = Tensor::ones(&[1, 2]);
-        layer.forward(&x, true);
-        layer.backward(&g);
+        layer.forward(&x, true, &mut arena);
+        layer.backward(&g, &mut arena);
         let mut first = Vec::new();
         layer.visit_params(&mut |p| first.push(p.grad.clone()));
-        layer.forward(&x, true);
-        layer.backward(&g);
+        layer.forward(&x, true, &mut arena);
+        layer.backward(&g, &mut arena);
         let mut second = Vec::new();
         layer.visit_params(&mut |p| second.push(p.grad.clone()));
         for (a, b) in first.iter().zip(&second) {

@@ -5,7 +5,7 @@
 //! its masks from a seeded PCG stream that the protocol can reset — the
 //! same discipline as the PRF-deterministic batch selection of §V-B.
 
-use crate::layer::{drop_kept, kept_bytes, Layer, Param};
+use crate::layer::{copy_of, drop_kept, kept_bytes, Layer, Param};
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
@@ -21,11 +21,11 @@ use rpol_tensor::Tensor;
 /// ```
 /// use rpol_nn::dropout::Dropout;
 /// use rpol_nn::layer::Layer;
-/// use rpol_tensor::Tensor;
+/// use rpol_tensor::{scratch::ScratchArena, Tensor};
 ///
 /// let mut layer = Dropout::new(0.5, 42);
 /// let x = Tensor::ones(&[1, 100]);
-/// let inference = layer.forward(&x, false);
+/// let inference = layer.forward(&x, false, &mut ScratchArena::new());
 /// assert_eq!(inference, x); // identity at inference time
 /// ```
 #[derive(Debug, Clone)]
@@ -76,14 +76,8 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train || self.p == 0.0 {
-            return input.clone();
-        }
-        let mask = self.draw_mask(input, Vec::new());
-        let out = input.zip(&mask, |x, m| x * m);
-        self.mask = Some(mask);
-        out
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        self.forward_owned(copy_of(input, arena), train, arena)
     }
 
     /// Masks `input` in place: the output is the input's own buffer.
@@ -113,12 +107,16 @@ impl Layer for Dropout {
         kept_bytes(&self.mask)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
         let mask = self
             .mask
             .as_ref()
             .expect("backward before forward on Dropout");
-        grad_out.zip(mask, |g, m| g * m)
+        let mut dx = copy_of(grad_out, arena);
+        for (d, &m) in dx.data_mut().iter_mut().zip(mask.data()) {
+            *d *= m;
+        }
+        dx
     }
 
     fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
@@ -137,16 +135,18 @@ mod tests {
 
     #[test]
     fn inference_is_identity() {
+        let mut arena = ScratchArena::new();
         let mut d = Dropout::new(0.7, 1);
         let x = Tensor::from_vec(&[2, 3], vec![1., 2., 3., 4., 5., 6.]);
-        assert_eq!(d.forward(&x, false), x);
+        assert_eq!(d.forward(&x, false, &mut arena), x);
     }
 
     #[test]
     fn training_drops_and_rescales() {
+        let mut arena = ScratchArena::new();
         let mut d = Dropout::new(0.5, 2);
         let x = Tensor::ones(&[1, 10_000]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x, true, &mut arena);
         let dropped = y.data().iter().filter(|&&v| v == 0.0).count();
         // Roughly half dropped.
         assert!((4_500..5_500).contains(&dropped), "dropped {dropped}");
@@ -161,24 +161,26 @@ mod tests {
     /// worker's.
     #[test]
     fn stream_reset_reproduces_masks() {
+        let mut arena = ScratchArena::new();
         let mut d = Dropout::new(0.3, 7);
         let x = Tensor::ones(&[1, 64]);
         d.reseed(11);
-        let y1 = d.forward(&x, true);
-        let y2 = d.forward(&x, true);
+        let y1 = d.forward(&x, true, &mut arena);
+        let y2 = d.forward(&x, true, &mut arena);
         assert_ne!(y1, y2, "stream should advance");
         d.reseed(11);
-        let y1_again = d.forward(&x, true);
+        let y1_again = d.forward(&x, true, &mut arena);
         assert_eq!(y1, y1_again, "reseeding must replay the same masks");
     }
 
     #[test]
     fn backward_masks_gradients() {
+        let mut arena = ScratchArena::new();
         let mut d = Dropout::new(0.5, 3);
         let x = Tensor::ones(&[1, 32]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x, true, &mut arena);
         let g = Tensor::ones(&[1, 32]);
-        let dx = d.backward(&g);
+        let dx = d.backward(&g, &mut arena);
         for (yv, dv) in y.data().iter().zip(dx.data()) {
             assert_eq!(*yv == 0.0, *dv == 0.0, "gradient must follow the mask");
         }
@@ -186,9 +188,10 @@ mod tests {
 
     #[test]
     fn zero_probability_is_identity_even_in_training() {
+        let mut arena = ScratchArena::new();
         let mut d = Dropout::new(0.0, 4);
         let x = Tensor::ones(&[2, 8]);
-        assert_eq!(d.forward(&x, true), x);
+        assert_eq!(d.forward(&x, true, &mut arena), x);
     }
 
     #[test]

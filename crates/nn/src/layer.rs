@@ -45,64 +45,52 @@ impl Param {
 
 /// A neural-network layer with explicit gradients.
 ///
-/// The contract mirrors classic define-by-hand frameworks:
+/// The contract mirrors classic define-by-hand frameworks, with one pass
+/// per direction and every buffer drawn from the caller's [`ScratchArena`]:
 ///
 /// * [`Layer::forward`] consumes a batch-first input (`[N, features]` or
-///   `[N, C, H, W]`), caches whatever it needs, and returns the output;
+///   `[N, C, H, W]`), keeps what its backward reads when training, and
+///   returns the output;
 /// * [`Layer::backward`] consumes `∂L/∂output`, accumulates `∂L/∂params`
 ///   into its [`Param`]s, and returns `∂L/∂input`
-///   ([`Layer::backward_params_scratch`] is the same minus the return);
+///   ([`Layer::backward_params`] is the same minus the return);
 /// * parameter traversal ([`Layer::visit_params`]/[`Layer::visit_params_mut`])
 ///   exposes parameters in a stable, deterministic order so optimizers can
 ///   key per-parameter state by index and RPoL can flatten the model into
 ///   one weight vector for hashing and distance measurement.
 ///
+/// Every entry point of one direction gives the same bits and the same
+/// random draws; only what is kept and which buffer is reused differ.
 /// Frozen layers (like RPoL's AMLayer) simply expose no parameters.
 ///
 /// `Send + Sync` are supertraits so models can move between (and be read
 /// from) worker threads in the parallel pool runtime; layers are plain
 /// data and satisfy both trivially.
 pub trait Layer: Send + Sync {
-    /// Runs the layer on a batch. `train` enables training-time behaviour
-    /// (e.g. caching inputs for backward); inference may skip it.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// Runs the layer on a batch, its output drawn from `arena`. `train`
+    /// keeps what backward reads; inference leaves the kept state alone.
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor;
 
-    /// Back-propagates `grad_out`, accumulating parameter gradients.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if called before a training-mode forward pass.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// Like [`Layer::forward`], but may draw its output buffer from
-    /// `arena` instead of allocating. Semantics are identical to
-    /// `forward` — bitwise, not just numerically — so containers can use
-    /// this unconditionally; the default ignores the arena.
-    fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
-        let _ = arena;
-        self.forward(input, train)
-    }
-
-    /// Like [`Layer::forward_scratch`], but owns `input`: a layer that
-    /// keeps its input for backward keeps this very buffer instead of a
-    /// copy, and a layer that does not hands it to `arena` once read. Same
-    /// bits as `forward`; what [`crate::model::Sequential`] calls for every
-    /// layer after the first, so each activation exists once.
+    /// [`Layer::forward`] on an owned `input`: a layer that keeps its input
+    /// for backward keeps this very buffer instead of a copy, and a layer
+    /// that does not hands it to `arena` once read. What
+    /// [`crate::model::Sequential`] calls for every layer after the first,
+    /// so each activation exists once.
     fn forward_owned(&mut self, input: Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
-        let y = self.forward_scratch(&input, train, arena);
+        let y = self.forward(&input, train, arena);
         arena.recycle(input.into_vec());
         y
     }
 
     /// A training forward whose backward never runs — a layer of the
     /// frozen prefix [`crate::model::Sequential::backward`] never enters:
-    /// the bits and the draws of `forward_scratch(input, true, arena)`,
-    /// keeping nothing. The default runs that forward and [`Layer::release`]s
-    /// what it kept; a layer whose training forward differs from its
-    /// inference one only in what it keeps overrides it to keep nothing in
-    /// the first place.
+    /// the bits and the draws of `forward(input, true, arena)`, keeping
+    /// nothing. The default runs that forward and [`Layer::release`]s what
+    /// it kept; a layer whose training forward differs from its inference
+    /// one only in what it keeps overrides it to keep nothing in the first
+    /// place.
     fn forward_frozen(&mut self, input: &Tensor, arena: &mut ScratchArena) -> Tensor {
-        let y = self.forward_scratch(input, true, arena);
+        let y = self.forward(input, true, arena);
         self.release(arena);
         y
     }
@@ -119,20 +107,21 @@ pub trait Layer: Send + Sync {
         0
     }
 
-    /// Like [`Layer::backward`], but may draw its output buffer from
-    /// `arena`; bitwise-identical semantics, default ignores the arena.
-    fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
-        let _ = arena;
-        self.backward(grad_out)
-    }
+    /// Back-propagates `grad_out`, accumulating parameter gradients; the
+    /// input gradient is drawn from `arena`.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if called before a training-mode forward pass.
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor;
 
-    /// Accumulates `∂L/∂params` exactly as [`Layer::backward_scratch`]
-    /// does, without producing `∂L/∂input` — what a model asks of its
-    /// first trainable layer, whose input gradient nobody reads. The
-    /// default runs the full backward and recycles the result; layers
-    /// whose input gradient is separable work override it to skip that.
-    fn backward_params_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) {
-        let dx = self.backward_scratch(grad_out, arena);
+    /// Accumulates `∂L/∂params` exactly as [`Layer::backward`] does,
+    /// without producing `∂L/∂input` — what a model asks of its first
+    /// trainable layer, whose input gradient nobody reads. The default runs
+    /// the full backward and recycles the result; layers whose input
+    /// gradient is separable work override it to skip that.
+    fn backward_params(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) {
+        let dx = self.backward(grad_out, arena);
         arena.recycle(dx.into_vec());
     }
 
@@ -198,10 +187,16 @@ pub(crate) fn keep_copy(
 ) {
     if train {
         drop_kept(slot, arena);
-        let mut copy = arena.take_empty(input.len());
-        copy.extend_from_slice(input.data());
-        *slot = Some(Tensor::from_vec(input.shape().dims(), copy));
+        *slot = Some(copy_of(input, arena));
     }
+}
+
+/// A copy of `input` in a buffer drawn from `arena`: how a layer that
+/// works in place ([`Layer::forward_owned`]) runs on a borrowed input.
+pub(crate) fn copy_of(input: &Tensor, arena: &mut ScratchArena) -> Tensor {
+    let mut copy = arena.take_empty(input.len());
+    copy.extend_from_slice(input.data());
+    Tensor::from_vec(input.shape().dims(), copy)
 }
 
 /// `kept`, emptied, when it has room for `len` bytes; else a buffer from
@@ -249,8 +244,8 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        input.reshape(&self.flat_dims(input, train))
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        self.forward_owned(copy_of(input, arena), train, arena)
     }
 
     /// Reshapes in place: the output is the input's own buffer.
@@ -259,23 +254,13 @@ impl Layer for Flatten {
         Tensor::from_vec(&dims, input.into_vec())
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let dims = self
-            .input_dims
-            .as_ref()
-            .expect("backward before forward on Flatten");
-        grad_out.reshape(dims)
-    }
-
     /// The reshape's copy, into a buffer drawn from `arena`.
-    fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
         let dims = self
             .input_dims
             .as_ref()
             .expect("backward before forward on Flatten");
-        let mut dx = arena.take_empty(grad_out.len());
-        dx.extend_from_slice(grad_out.data());
-        Tensor::from_vec(dims, dx)
+        Tensor::from_vec(dims, copy_of(grad_out, arena).into_vec())
     }
 
     fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
@@ -290,7 +275,7 @@ mod tests {
     #[test]
     fn param_zero_grad() {
         let mut p = Param::new(Tensor::ones(&[3]));
-        p.grad = Tensor::full(&[3], 2.0);
+        p.grad = Tensor::from_vec(&[3], vec![2.0; 3]);
         p.zero_grad();
         assert_eq!(p.grad.data(), &[0.0, 0.0, 0.0]);
         assert_eq!(p.len(), 3);
@@ -299,10 +284,11 @@ mod tests {
     #[test]
     fn flatten_roundtrip() {
         let mut fl = Flatten::new();
+        let mut arena = ScratchArena::new();
         let x = Tensor::from_vec(&[2, 2, 2, 2], (0..16).map(|i| i as f32).collect());
-        let y = fl.forward(&x, true);
+        let y = fl.forward(&x, true, &mut arena);
         assert_eq!(y.shape().dims(), &[2, 8]);
-        let back = fl.backward(&y);
+        let back = fl.backward(&y, &mut arena);
         assert_eq!(back, x);
         assert_eq!(fl.param_count(), 0);
     }
@@ -311,6 +297,6 @@ mod tests {
     #[should_panic(expected = "backward before forward")]
     fn flatten_backward_requires_forward() {
         let mut fl = Flatten::new();
-        fl.backward(&Tensor::ones(&[1, 4]));
+        fl.backward(&Tensor::ones(&[1, 4]), &mut ScratchArena::new());
     }
 }

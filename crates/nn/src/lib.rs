@@ -52,7 +52,7 @@ pub mod residual;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::activation::{Relu, Tanh};
+    pub use crate::activation::Relu;
     pub use crate::conv::Conv2d;
     pub use crate::data::{ImageSpec, SyntheticImages};
     pub use crate::dense::Dense;

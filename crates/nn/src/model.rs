@@ -106,7 +106,7 @@ impl Sequential {
         for (i, layer) in self.layers.iter_mut().enumerate() {
             let y = match x.take() {
                 None if i < frozen => layer.forward_frozen(input, arena),
-                None => layer.forward_scratch(input, train, arena),
+                None => layer.forward(input, train, arena),
                 Some(x) if i < frozen => {
                     let y = layer.forward_frozen(&x, arena);
                     arena.recycle(x.into_vec());
@@ -167,7 +167,7 @@ impl Sequential {
             .split_first_mut()
             .expect("position is in range");
         let g = backward_chain(tail, grad_out, &mut self.arena);
-        head.backward_params_scratch(g.as_ref().unwrap_or(grad_out), &mut self.arena);
+        head.backward_params(g.as_ref().unwrap_or(grad_out), &mut self.arena);
         if let Some(spent) = g {
             self.arena.recycle(spent.into_vec());
         }
@@ -310,7 +310,7 @@ fn backward_chain(
 ) -> Option<Tensor> {
     let mut g: Option<Tensor> = None;
     for layer in layers.iter_mut().rev() {
-        let g_next = layer.backward_scratch(g.as_ref().unwrap_or(grad_out), arena);
+        let g_next = layer.backward(g.as_ref().unwrap_or(grad_out), arena);
         if let Some(spent) = g.replace(g_next) {
             arena.recycle(spent.into_vec());
         }

@@ -7,7 +7,7 @@
 //! on the fly (stateless) with learnable gain and bias, so a checkpoint's
 //! flat weight vector fully determines the computation.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{copy_of, Layer, Param};
 use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
 
@@ -19,11 +19,11 @@ use rpol_tensor::Tensor;
 /// ```
 /// use rpol_nn::norm::LayerNorm;
 /// use rpol_nn::layer::Layer;
-/// use rpol_tensor::Tensor;
+/// use rpol_tensor::{scratch::ScratchArena, Tensor};
 ///
 /// let mut ln = LayerNorm::new(4);
 /// let x = Tensor::from_vec(&[1, 4], vec![1.0, 2.0, 3.0, 4.0]);
-/// let y = ln.forward(&x, false);
+/// let y = ln.forward(&x, false, &mut ScratchArena::new());
 /// // Unit gain / zero bias: output is standardized.
 /// assert!(y.mean().abs() < 1e-6);
 /// ```
@@ -57,7 +57,7 @@ impl LayerNorm {
         self.gain.value.len()
     }
 
-    /// Forward body shared by both entry points, into the zeroed `out`:
+    /// The forward's arithmetic, into the zeroed `out`:
     /// the output plus each row's mean and inverse standard deviation.
     fn normalize(&self, input: &Tensor, mut out: Vec<f32>) -> (Tensor, Vec<f32>, Vec<f32>) {
         assert_eq!(input.shape().rank(), 2, "LayerNorm expects [N, F]");
@@ -84,12 +84,8 @@ impl LayerNorm {
 }
 
 impl Layer for LayerNorm {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let (out, means, inv_stds) = self.normalize(input, vec![0.0f32; input.len()]);
-        if train {
-            self.cache = Some((input.clone(), means, inv_stds));
-        }
-        out
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        self.forward_owned(copy_of(input, arena), train, arena)
     }
 
     fn forward_owned(&mut self, input: Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
@@ -119,7 +115,7 @@ impl Layer for LayerNorm {
         })
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
         let (input, means, inv_stds) = self
             .cache
             .as_ref()
@@ -130,7 +126,7 @@ impl Layer for LayerNorm {
         let gain = self.gain.value.data();
         let dgain = self.gain.grad.data_mut();
         let dbias = self.bias.grad.data_mut();
-        let mut dx = vec![0.0f32; n * f];
+        let mut dx = arena.take_zeroed(n * f);
         for i in 0..n {
             let mean = means[i];
             let inv_std = inv_stds[i];
@@ -174,10 +170,11 @@ mod tests {
 
     #[test]
     fn output_standardized_with_identity_params() {
+        let mut arena = ScratchArena::new();
         let mut ln = LayerNorm::new(8);
         let mut rng = Pcg32::seed_from(1);
         let x = Tensor::randn(&[4, 8], &mut rng);
-        let y = ln.forward(&x, false);
+        let y = ln.forward(&x, false, &mut arena);
         for i in 0..4 {
             let row = &y.data()[i * 8..(i + 1) * 8];
             let mean = row.iter().sum::<f32>() / 8.0;
@@ -189,12 +186,13 @@ mod tests {
 
     #[test]
     fn shift_and_scale_invariance() {
+        let mut arena = ScratchArena::new();
         // LayerNorm(a·x + b) == LayerNorm(x) for scalar a > 0, b.
         let mut ln = LayerNorm::new(6);
         let x = Tensor::from_vec(&[1, 6], vec![1., 2., 3., 4., 5., 6.]);
         let x2 = x.map(|v| 3.0 * v + 7.0);
-        let y1 = ln.forward(&x, false);
-        let y2 = ln.forward(&x2, false);
+        let y1 = ln.forward(&x, false, &mut arena);
+        let y2 = ln.forward(&x2, false, &mut arena);
         for (a, b) in y1.data().iter().zip(y2.data()) {
             assert!((a - b).abs() < 1e-4);
         }
@@ -202,6 +200,7 @@ mod tests {
 
     #[test]
     fn gradient_check() {
+        let mut arena = ScratchArena::new();
         let mut ln = LayerNorm::new(5);
         let mut rng = Pcg32::seed_from(3);
         // Non-identity params to exercise all gradient paths.
@@ -210,14 +209,18 @@ mod tests {
         ln.gain.value = uniform(0.5, 1.5);
         ln.bias.value = uniform(-0.5, 0.5);
         let x = Tensor::randn(&[2, 5], &mut rng);
-        let y = ln.forward(&x, true);
+        let y = ln.forward(&x, true, &mut arena);
         let grad_out = y.map(|v| 2.0 * v);
         ln.zero_grads();
-        let dx = ln.backward(&grad_out);
+        let dx = ln.backward(&grad_out, &mut arena);
 
         let eps = 1e-3f32;
-        let loss = |l: &mut LayerNorm, xv: &Tensor| -> f32 {
-            l.forward(xv, false).data().iter().map(|v| v * v).sum()
+        let mut loss = |l: &mut LayerNorm, xv: &Tensor| -> f32 {
+            l.forward(xv, false, &mut arena)
+                .data()
+                .iter()
+                .map(|v| v * v)
+                .sum()
         };
         for idx in [0usize, 3, 7, 9] {
             let mut xp = x.clone();
@@ -255,6 +258,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "feature width mismatch")]
     fn width_checked() {
-        LayerNorm::new(4).forward(&Tensor::ones(&[1, 5]), false);
+        let mut arena = ScratchArena::new();
+        LayerNorm::new(4).forward(&Tensor::ones(&[1, 5]), false, &mut arena);
     }
 }

@@ -20,7 +20,7 @@ impl AvgPool2 {
 }
 
 impl Layer for AvgPool2 {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
         assert_eq!(input.shape().rank(), 4, "pool expects [N, C, H, W]");
         let (n, c, h, w) = (
             input.shape().dim(0),
@@ -34,7 +34,7 @@ impl Layer for AvgPool2 {
         }
         let (oh, ow) = (h / 2, w / 2);
         let x = input.data();
-        let mut out = vec![0.0f32; n * c * oh * ow];
+        let mut out = arena.take_zeroed(n * c * oh * ow);
         for nc in 0..n * c {
             for oy in 0..oh {
                 for ox in 0..ow {
@@ -50,7 +50,7 @@ impl Layer for AvgPool2 {
         Tensor::from_vec(&[n, c, oh, ow], out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
         let dims = self
             .input_dims
             .as_ref()
@@ -58,7 +58,7 @@ impl Layer for AvgPool2 {
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let (oh, ow) = (h / 2, w / 2);
         let g = grad_out.data();
-        let mut dx = vec![0.0f32; n * c * h * w];
+        let mut dx = arena.take_zeroed(n * c * h * w);
         for nc in 0..n * c {
             for oy in 0..oh {
                 for ox in 0..ow {
@@ -71,7 +71,7 @@ impl Layer for AvgPool2 {
                 }
             }
         }
-        Tensor::from_vec(&[n, c, h, w], dx)
+        Tensor::from_vec(dims, dx)
     }
 
     fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
@@ -116,16 +116,8 @@ fn window_max(rows: &[f32], w: usize, ox: usize) -> (f32, u8) {
 }
 
 impl Layer for MaxPool2 {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        self.forward_scratch(input, train, &mut ScratchArena::new())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_scratch(grad_out, &mut ScratchArena::new())
-    }
-
     /// Walks two input rows per output row ([`window_max`] per window).
-    fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
         assert_eq!(input.shape().rank(), 4, "pool expects [N, C, H, W]");
         let (n, c, h, w) = (
             input.shape().dim(0),
@@ -158,7 +150,7 @@ impl Layer for MaxPool2 {
         Tensor::from_vec(&[n, c, oh, ow], out)
     }
 
-    fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
         let (Some(dims), Some(argmax)) = (self.input_dims.as_ref(), self.argmax.as_ref()) else {
             panic!("backward before forward on MaxPool2");
         };
@@ -256,16 +248,16 @@ mod tests {
             let g = Tensor::from_vec(&[dims[0], dims[1], dims[2] / 2, dims[3] / 2], draw(len / 4));
             let (want_y, want_dx) = maxpool_oracle(x.data(), dims, g.data());
 
-            let y = pool.forward_scratch(&x, true, &mut arena);
+            let y = pool.forward(&x, true, &mut arena);
             assert_eq!(bits(y.data()), bits(&want_y), "round {round}");
             // An inference pass in between leaves the routing alone.
             let other = Tensor::from_vec(&dims, draw(len));
-            let y_eval = pool.forward_scratch(&other, false, &mut arena);
+            let y_eval = pool.forward(&other, false, &mut arena);
             assert_eq!(
                 bits(y_eval.data()),
                 bits(&maxpool_oracle(other.data(), dims, g.data()).0)
             );
-            let dx = pool.backward_scratch(&g, &mut arena);
+            let dx = pool.backward(&g, &mut arena);
             assert_eq!(bits(dx.data()), bits(&want_dx), "round {round}");
             for spent in [y, y_eval, dx] {
                 arena.recycle(spent.into_vec());
@@ -275,13 +267,14 @@ mod tests {
 
     #[test]
     fn maxpool_known_values() {
+        let mut arena = ScratchArena::new();
         let mut pool = MaxPool2::new();
         let x = Tensor::from_vec(&[1, 1, 4, 4], (0..16).map(|i| i as f32).collect());
-        let y = pool.forward(&x, true);
+        let y = pool.forward(&x, true, &mut arena);
         assert_eq!(y.data(), &[5.0, 7.0, 13.0, 15.0]);
         // Gradient routes only to the maxima.
         let g = Tensor::ones(&[1, 1, 2, 2]);
-        let dx = pool.backward(&g);
+        let dx = pool.backward(&g, &mut arena);
         let nonzero: Vec<usize> = dx
             .data()
             .iter()
@@ -294,29 +287,32 @@ mod tests {
 
     #[test]
     fn maxpool_is_invariant_to_nonmax_perturbation() {
+        let mut arena = ScratchArena::new();
         let mut pool = MaxPool2::new();
         let mut x = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 2.0, 3.0, 9.0]);
-        let y1 = pool.forward(&x, false);
+        let y1 = pool.forward(&x, false, &mut arena);
         x.data_mut()[0] = 1.5; // not the max
-        let y2 = pool.forward(&x, false);
+        let y2 = pool.forward(&x, false, &mut arena);
         assert_eq!(y1, y2);
     }
 
     #[test]
     fn avgpool_known_values() {
+        let mut arena = ScratchArena::new();
         let mut pool = AvgPool2::new();
         let x = Tensor::from_vec(&[1, 1, 4, 4], (0..16).map(|i| i as f32).collect());
-        let y = pool.forward(&x, true);
+        let y = pool.forward(&x, true, &mut arena);
         assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[2.5, 4.5, 10.5, 12.5]);
         let g = Tensor::ones(&[1, 1, 2, 2]);
-        let dx = pool.backward(&g);
+        let dx = pool.backward(&g, &mut arena);
         assert!(dx.data().iter().all(|&v| (v - 0.25).abs() < 1e-7));
     }
 
     #[test]
     #[should_panic(expected = "even H and W")]
     fn avgpool_odd_rejected() {
-        AvgPool2::new().forward(&Tensor::ones(&[1, 1, 3, 4]), false);
+        let mut arena = ScratchArena::new();
+        AvgPool2::new().forward(&Tensor::ones(&[1, 1, 3, 4]), false, &mut arena);
     }
 }

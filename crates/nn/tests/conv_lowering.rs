@@ -7,6 +7,7 @@
 
 use rpol_nn::prelude::*;
 use rpol_tensor::rng::Pcg32;
+use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
 
 #[derive(Debug, Clone, Copy)]
@@ -244,7 +245,8 @@ fn check(geo: Geometry, rng: &mut Pcg32) {
     });
 
     let x = Tensor::from_vec(&[n, c, h, w], draw(n * c * h * w, rng));
-    let y = conv.forward(&x, true);
+    let mut arena = ScratchArena::new();
+    let y = conv.forward(&x, true, &mut arena);
     assert_eq!(y.shape().dims(), &[n, oc, oh, ow], "{geo:?}");
     assert_eq!(
         bits(y.data()),
@@ -256,7 +258,7 @@ fn check(geo: Geometry, rng: &mut Pcg32) {
     let want_dx = geo.input_grad(&wgt, g.data());
     // Twice without `zero_grads`: the second pass continues every chain.
     for pass in 0..2 {
-        let dx = conv.backward(&g);
+        let dx = conv.backward(&g, &mut arena);
         geo.param_grads(g.data(), x.data(), &mut dw, &mut db);
         assert_eq!(bits(dx.data()), bits(&want_dx), "dx pass {pass} {geo:?}");
         let mut grads = Vec::new();

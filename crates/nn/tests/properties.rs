@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use rpol_nn::prelude::*;
 use rpol_tensor::rng::Pcg32;
+use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
 
 fn small_model(seed: u64) -> Sequential {
@@ -90,7 +91,7 @@ proptest! {
     #[test]
     fn relu_output_nonnegative(xs in proptest::collection::vec(-100.0f32..100.0, 8)) {
         let mut relu = Relu::new();
-        let y = relu.forward(&Tensor::from_vec(&[1, 8], xs), false);
+        let y = relu.forward(&Tensor::from_vec(&[1, 8], xs), false, &mut ScratchArena::new());
         prop_assert!(y.data().iter().all(|&v| v >= 0.0));
     }
 

@@ -136,7 +136,7 @@ fn latency_bounds() -> &'static [u64] {
 /// `v <= bounds[i]` (and `> bounds[i-1]`); one extra overflow bucket catches
 /// the rest. All cells are relaxed atomics, so like counters the merged
 /// totals are scheduling-independent.
-pub struct Histogram {
+struct Histogram {
     bounds: Vec<u64>,
     counts: Vec<AtomicU64>,
     sum: AtomicU64,
@@ -238,7 +238,7 @@ impl MetricsRegistry {
         get_or_insert(&self.gauges, name, Gauge::default)
     }
 
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
+    fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
         get_or_insert(&self.histograms, name, || Histogram::new(bounds))
     }
 

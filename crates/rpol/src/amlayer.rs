@@ -77,12 +77,12 @@ impl AmLayerSpec {
 /// use rpol::amlayer::{AmLayer, AmLayerSpec};
 /// use rpol_crypto::Address;
 /// use rpol_nn::layer::Layer;
-/// use rpol_tensor::Tensor;
+/// use rpol_tensor::{scratch::ScratchArena, Tensor};
 ///
 /// let addr = Address::from_seed(42);
 /// let mut layer = AmLayer::generate(&addr, AmLayerSpec::for_channels(3), 0.9);
 /// let x = Tensor::ones(&[1, 3, 8, 8]);
-/// let y = layer.forward(&x, false);
+/// let y = layer.forward(&x, false, &mut ScratchArena::new());
 /// assert_eq!(y.shape(), x.shape());
 /// ```
 pub struct AmLayer {
@@ -176,12 +176,6 @@ impl AmLayer {
         &self.address
     }
 
-    /// The per-block Lipschitz scaling coefficient `c` (submitted on chain
-    /// with the model).
-    pub fn lipschitz_c(&self) -> f32 {
-        self.lipschitz_c
-    }
-
     /// The layer's geometry.
     pub fn spec(&self) -> AmLayerSpec {
         self.spec
@@ -273,17 +267,9 @@ impl std::fmt::Debug for AmLayer {
 }
 
 impl Layer for AmLayer {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        self.forward_scratch(input, train, &mut ScratchArena::new())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_scratch(grad_out, &mut ScratchArena::new())
-    }
-
-    fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
         self.chain(input, arena, |block, x, arena| {
-            block.forward_scratch(x, train, arena)
+            block.forward(x, train, arena)
         })
     }
 
@@ -295,13 +281,13 @@ impl Layer for AmLayer {
         })
     }
 
-    fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
         // Chain through the stack in reverse; parameter gradients are
         // accumulated but never applied (frozen).
         let mut g: Option<Tensor> = None;
         for block in self.blocks.iter_mut().rev() {
             let cur = g.as_ref().unwrap_or(grad_out);
-            let mut dx = block.backward_scratch(cur, arena);
+            let mut dx = block.backward(cur, arena);
             dx += cur;
             if let Some(spent) = g.replace(dx) {
                 arena.recycle(spent.into_vec());
@@ -446,6 +432,7 @@ mod tests {
         rng: &mut Pcg32,
     ) -> Vec<f32> {
         let channels = layer.spec.channels;
+        let mut arena = ScratchArena::new();
         layer
             .blocks
             .iter_mut()
@@ -454,8 +441,8 @@ mod tests {
                 for _ in 0..trials {
                     let x1 = Tensor::randn(&[1, channels, hw, hw], rng);
                     let x2 = Tensor::randn(&[1, channels, hw, hw], rng);
-                    let f1 = block.forward(&x1, false);
-                    let f2 = block.forward(&x2, false);
+                    let f1 = block.forward(&x1, false, &mut arena);
+                    let f2 = block.forward(&x2, false, &mut arena);
                     let num = f1.euclidean_distance(&f2);
                     let den = x1.euclidean_distance(&x2).max(1e-12);
                     worst = worst.max(num / den);
@@ -496,8 +483,9 @@ mod tests {
         let mut rng = Pcg32::seed_from(9);
         let x1 = Tensor::randn(&[2, 3, 8, 8], &mut rng);
         let x2 = Tensor::randn(&[2, 3, 8, 8], &mut rng);
-        let y1 = layer.forward(&x1, false);
-        let y2 = layer.forward(&x2, false);
+        let mut arena = ScratchArena::new();
+        let y1 = layer.forward(&x1, false, &mut arena);
+        let y2 = layer.forward(&x2, false, &mut arena);
         assert_eq!(y1.shape(), x1.shape());
         // Composition of invertible residuals: distinct inputs stay
         // distinct with margin ≥ Π(1−c) per block.
@@ -514,9 +502,9 @@ mod tests {
         let x = Tensor::randn(&[1, 3, 8, 8], &mut rng);
         let mut owner = AmLayer::generate(&Address::from_seed(1), spec(), 0.9);
         let mut thief = AmLayer::generate(&Address::from_seed(2), spec(), 0.9);
-        let diff = owner
-            .forward(&x, false)
-            .euclidean_distance(&thief.forward(&x, false));
+        let mut arena = ScratchArena::new();
+        let y = thief.forward(&x, false, &mut arena);
+        let diff = owner.forward(&x, false, &mut arena).euclidean_distance(&y);
         assert!(
             diff > 0.5 * x.norm(),
             "swap perturbation too weak: {diff} vs input {}",

@@ -93,17 +93,6 @@ pub struct CompetitionReport {
     pub chain_height: u64,
 }
 
-impl CompetitionReport {
-    /// Rounds won by `name` (0 when unknown).
-    pub fn wins(&self, name: &str) -> usize {
-        self.standings
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .map(|(_, w, _)| *w)
-            .unwrap_or(0)
-    }
-}
-
 /// Runs a mining competition between pools over `rounds` consensus rounds.
 ///
 /// Every round each competitor trains a *fresh* pool (fresh model, same
@@ -251,6 +240,16 @@ mod tests {
         (TrainingTask::new(0, cfg.spec, 120, 40, 1, 2), cfg)
     }
 
+    /// Rounds won by `name` (0 when unknown).
+    fn wins(report: &CompetitionReport, name: &str) -> usize {
+        report
+            .standings
+            .iter()
+            .find(|(n, _, _)| n == name)
+            .map(|(_, w, _)| *w)
+            .unwrap_or(0)
+    }
+
     #[test]
     fn verified_pool_outcompetes_infiltrated_baseline() {
         let (task, cfg) = tiny_task();
@@ -275,11 +274,11 @@ mod tests {
         assert_eq!(report.chain_height, 4);
         assert_eq!(report.winning_accuracies.len(), 4);
         assert!(
-            report.wins("verified") + report.wins("unverified") == 4,
+            wins(&report, "verified") + wins(&report, "unverified") == 4,
             "every round has a winner"
         );
         assert!(
-            report.wins("verified") >= report.wins("unverified"),
+            wins(&report, "verified") >= wins(&report, "unverified"),
             "verification should win at least as often: {:?}",
             report.standings
         );

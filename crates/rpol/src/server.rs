@@ -449,7 +449,7 @@ pub struct NetStats {
 impl NetStats {
     /// Field-wise difference against an earlier snapshot.
     #[must_use]
-    pub fn delta(&self, earlier: &NetStats) -> NetStats {
+    fn delta(&self, earlier: &NetStats) -> NetStats {
         NetStats {
             accepted: self.accepted - earlier.accepted,
             handshakes: self.handshakes - earlier.handshakes,

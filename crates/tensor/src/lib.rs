@@ -6,10 +6,10 @@
 //! * [`Shape`] — dimension bookkeeping for dense arrays,
 //! * [`Tensor`] — a dense, row-major `f32` n-d array with the elementwise,
 //!   matrix and reduction operations needed for neural-network training,
-//! * [`gemm`] — the cache-blocked, packed matrix-multiply backend behind
-//!   [`Tensor::matmul`] and its fused-transpose variants; every kernel is
-//!   bitwise deterministic across blockings and thread counts because
-//!   checkpoint commitments hash exact `f32` bytes,
+//! * [`gemm`] — the cache-blocked, packed matrix multiply (transposes fused
+//!   into packing) behind every dense layer; every kernel is bitwise
+//!   deterministic across blockings and thread counts because checkpoint
+//!   commitments hash exact `f32` bytes,
 //! * [`conv`] — the two implicit-operand products `Conv2d` lowers onto:
 //!   im2col read through an offset table instead of built, under the same
 //!   one-chain-per-element contract as [`gemm`],
@@ -29,13 +29,15 @@
 //! # Examples
 //!
 //! ```
-//! use rpol_tensor::{Tensor, rng::Pcg32};
+//! use rpol_tensor::gemm::{self, Trans};
+//! use rpol_tensor::{rng::Pcg32, Tensor};
 //!
 //! let mut rng = Pcg32::seed_from(42);
 //! let a = Tensor::randn(&[2, 3], &mut rng);
 //! let b = Tensor::randn(&[3, 2], &mut rng);
-//! let c = a.matmul(&b);
-//! assert_eq!(c.shape().dims(), &[2, 2]);
+//! // [2, 3] · [3, 2], both operands as stored, on one thread.
+//! let c = gemm::matmul(2, 2, 3, a.data(), Trans::No, b.data(), Trans::No, 1);
+//! assert_eq!(c.len(), 4);
 //! ```
 
 pub mod conv;

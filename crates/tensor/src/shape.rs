@@ -40,11 +40,6 @@ impl Shape {
         }
     }
 
-    /// Creates a scalar shape (rank 0, one element).
-    pub fn scalar() -> Self {
-        Self { dims: Vec::new() }
-    }
-
     /// The dimension sizes.
     pub fn dims(&self) -> &[usize] {
         &self.dims
@@ -130,7 +125,7 @@ mod tests {
 
     #[test]
     fn scalar_has_one_element() {
-        let s = Shape::scalar();
+        let s = Shape::new(&[]);
         assert_eq!(s.rank(), 0);
         assert_eq!(s.len(), 1);
         assert_eq!(s.offset(&[]), 0);

@@ -1,11 +1,10 @@
 //! Dense, row-major `f32` n-d arrays.
 
-use crate::gemm;
 use crate::rng::Pcg32;
 use crate::shape::Shape;
 use serde::Serialize;
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
+use std::ops::{AddAssign, Mul};
 
 /// A dense, row-major `f32` tensor.
 ///
@@ -19,10 +18,9 @@ use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 /// ```
 /// use rpol_tensor::Tensor;
 ///
-/// let a = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-/// let b = Tensor::ones(&[2, 2]);
-/// let c = &a + &b;
-/// assert_eq!(c.data(), &[2.0, 3.0, 4.0, 5.0]);
+/// let mut a = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
+/// a += &Tensor::ones(&[2, 2]);
+/// assert_eq!(a.data(), &[2.0, 3.0, 4.0, 5.0]);
 /// ```
 #[derive(Clone, PartialEq, Serialize)]
 pub struct Tensor {
@@ -48,16 +46,6 @@ impl Tensor {
         Self {
             shape,
             data: vec![1.0; len],
-        }
-    }
-
-    /// Creates a tensor filled with a constant.
-    pub fn full(dims: &[usize], value: f32) -> Self {
-        let shape = Shape::new(dims);
-        let len = shape.len();
-        Self {
-            shape,
-            data: vec![value; len],
         }
     }
 
@@ -126,16 +114,6 @@ impl Tensor {
         self.data[self.shape.offset(index)]
     }
 
-    /// Writes the element at a multi-index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    pub fn set(&mut self, index: &[usize], value: f32) {
-        let off = self.shape.offset(index);
-        self.data[off] = value;
-    }
-
     /// Returns a tensor with the same data and a new shape.
     ///
     /// # Panics
@@ -170,24 +148,6 @@ impl Tensor {
         }
     }
 
-    /// Combines two tensors elementwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn zip(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
-        self.check_same_shape(other);
-        Self {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
-    }
-
     /// `self += alpha * other`, the BLAS `axpy` primitive used by every
     /// optimizer in the workspace.
     ///
@@ -218,20 +178,6 @@ impl Tensor {
         self.sum() / self.len() as f32
     }
 
-    /// The dot product of the flattened tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn dot(&self, other: &Self) -> f32 {
-        assert_eq!(self.len(), other.len(), "dot length mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| a * b)
-            .sum()
-    }
-
     /// The Euclidean (L2) norm of the flattened tensor.
     pub fn norm(&self) -> f32 {
         self.data
@@ -249,108 +195,6 @@ impl Tensor {
     /// Panics if the element counts differ.
     pub fn euclidean_distance(&self, other: &Self) -> f32 {
         crate::stats::euclidean(&self.data, &other.data)
-    }
-
-    /// The index of the maximum element (first on ties).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is empty (cannot happen by construction).
-    pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        for (i, &x) in self.data.iter().enumerate() {
-            if x > self.data[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Matrix multiplication for rank-2 tensors: `[m,k] x [k,n] -> [m,n]`.
-    ///
-    /// Runs on the cache-blocked packed kernel in [`crate::gemm`]; the
-    /// result is bitwise identical to the naive reference kernel
-    /// ([`crate::gemm::matmul_naive`]) and to itself under any thread
-    /// count, which the checkpoint-commitment protocol depends on.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both operands are rank 2 with compatible inner
-    /// dimensions.
-    pub fn matmul(&self, other: &Self) -> Self {
-        assert_eq!(self.shape.rank(), 2, "matmul lhs must be rank 2");
-        assert_eq!(other.shape.rank(), 2, "matmul rhs must be rank 2");
-        let (m, k) = (self.shape.dim(0), self.shape.dim(1));
-        let (k2, n) = (other.shape.dim(0), other.shape.dim(1));
-        assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-        let out = gemm::matmul(
-            m,
-            n,
-            k,
-            &self.data,
-            gemm::Trans::No,
-            &other.data,
-            gemm::Trans::No,
-            gemm::default_threads(),
-        );
-        Tensor::from_vec(&[m, n], out)
-    }
-
-    /// Fused `self · otherᵀ` for rank-2 tensors: `[m,k] x [n,k] -> [m,n]`.
-    ///
-    /// Bitwise equal to `self.matmul(&other.transpose())` without ever
-    /// materializing the transpose — the kernel reads `other` rows as
-    /// packed B columns directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both operands are rank 2 with matching inner (last)
-    /// dimensions.
-    pub fn matmul_nt(&self, other: &Self) -> Self {
-        assert_eq!(self.shape.rank(), 2, "matmul_nt lhs must be rank 2");
-        assert_eq!(other.shape.rank(), 2, "matmul_nt rhs must be rank 2");
-        let (m, k) = (self.shape.dim(0), self.shape.dim(1));
-        let (n, k2) = (other.shape.dim(0), other.shape.dim(1));
-        assert_eq!(k, k2, "matmul_nt inner dimension mismatch: {k} vs {k2}");
-        let out = gemm::matmul(
-            m,
-            n,
-            k,
-            &self.data,
-            gemm::Trans::No,
-            &other.data,
-            gemm::Trans::Yes,
-            gemm::default_threads(),
-        );
-        Tensor::from_vec(&[m, n], out)
-    }
-
-    /// Fused `selfᵀ · other` for rank-2 tensors: `[k,m] x [k,n] -> [m,n]`.
-    ///
-    /// Bitwise equal to `self.transpose().matmul(other)` without ever
-    /// materializing the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both operands are rank 2 with matching outer (first)
-    /// dimensions.
-    pub fn matmul_tn(&self, other: &Self) -> Self {
-        assert_eq!(self.shape.rank(), 2, "matmul_tn lhs must be rank 2");
-        assert_eq!(other.shape.rank(), 2, "matmul_tn rhs must be rank 2");
-        let (k, m) = (self.shape.dim(0), self.shape.dim(1));
-        let (k2, n) = (other.shape.dim(0), other.shape.dim(1));
-        assert_eq!(k, k2, "matmul_tn inner dimension mismatch: {k} vs {k2}");
-        let out = gemm::matmul(
-            m,
-            n,
-            k,
-            &self.data,
-            gemm::Trans::Yes,
-            &other.data,
-            gemm::Trans::No,
-            gemm::default_threads(),
-        );
-        Tensor::from_vec(&[m, n], out)
     }
 
     /// Matrix–vector product for a rank-2 tensor and a rank-1 tensor:
@@ -430,20 +274,6 @@ impl fmt::Debug for Tensor {
     }
 }
 
-impl Add for &Tensor {
-    type Output = Tensor;
-    fn add(self, rhs: &Tensor) -> Tensor {
-        self.zip(rhs, |a, b| a + b)
-    }
-}
-
-impl Sub for &Tensor {
-    type Output = Tensor;
-    fn sub(self, rhs: &Tensor) -> Tensor {
-        self.zip(rhs, |a, b| a - b)
-    }
-}
-
 impl Mul<f32> for &Tensor {
     type Output = Tensor;
     fn mul(self, rhs: f32) -> Tensor {
@@ -457,15 +287,17 @@ impl AddAssign<&Tensor> for Tensor {
     }
 }
 
-impl SubAssign<&Tensor> for Tensor {
-    fn sub_assign(&mut self, rhs: &Tensor) {
-        self.axpy(-1.0, rhs);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::{self, Trans};
+
+    /// `a · b` for rank-2 tensors, by the GEMM kernel the layers call.
+    fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k, n) = (a.shape().dim(0), a.shape().dim(1), b.shape().dim(1));
+        let c = gemm::matmul(m, n, k, a.data(), Trans::No, b.data(), Trans::No, 1);
+        Tensor::from_vec(&[m, n], c)
+    }
 
     #[test]
     fn construction_and_accessors() {
@@ -487,15 +319,15 @@ mod tests {
     fn matmul_identity() {
         let a = Tensor::from_vec(&[2, 2], vec![1., 2., 3., 4.]);
         let id = Tensor::from_vec(&[2, 2], vec![1., 0., 0., 1.]);
-        assert_eq!(a.matmul(&id), a);
-        assert_eq!(id.matmul(&a), a);
+        assert_eq!(matmul(&a, &id), a);
+        assert_eq!(matmul(&id, &a), a);
     }
 
     #[test]
     fn matmul_known_product() {
         let a = Tensor::from_vec(&[2, 3], vec![1., 2., 3., 4., 5., 6.]);
         let b = Tensor::from_vec(&[3, 2], vec![7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
+        let c = matmul(&a, &b);
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
     }
 
@@ -520,7 +352,8 @@ mod tests {
         let b = Tensor::from_vec(&[3], vec![10., 20., 30.]);
         a.axpy(0.5, &b);
         assert_eq!(a.data(), &[6., 12., 18.]);
-        let c = &a - &b;
+        let mut c = a.clone();
+        c.axpy(-1.0, &b);
         assert_eq!(c.data(), &[-4., -8., -12.]);
         let d = &c * 0.25;
         assert_eq!(d.data(), &[-1., -2., -3.]);
@@ -540,12 +373,6 @@ mod tests {
         let a = Tensor::randn(&[100], &mut rng);
         let z = Tensor::zeros(&[100]);
         assert!((a.norm() - a.euclidean_distance(&z)).abs() < 1e-4);
-    }
-
-    #[test]
-    fn argmax_first_on_ties() {
-        let t = Tensor::from_vec(&[4], vec![1., 5., 5., 2.]);
-        assert_eq!(t.argmax(), 1);
     }
 
     #[test]

@@ -86,15 +86,33 @@ fn fused_transpose_variants_match_materialized_transpose() {
         let b = Tensor::from_vec(&[k, n], randn(k * n, &mut rng));
         let bt = b.transpose(); // stored [n, k]
         let at = a.transpose(); // stored [k, m]
-        let plain = a.matmul(&b);
+        let plain = gemm::matmul(m, n, k, a.data(), Trans::No, b.data(), Trans::No, 1);
         assert_eq!(
-            bits(a.matmul_nt(&bt).data()),
-            bits(plain.data()),
+            bits(&gemm::matmul(
+                m,
+                n,
+                k,
+                a.data(),
+                Trans::No,
+                bt.data(),
+                Trans::Yes,
+                1
+            )),
+            bits(&plain),
             "nt {m}x{n}x{k}"
         );
         assert_eq!(
-            bits(at.matmul_tn(&b).data()),
-            bits(plain.data()),
+            bits(&gemm::matmul(
+                m,
+                n,
+                k,
+                at.data(),
+                Trans::Yes,
+                b.data(),
+                Trans::No,
+                1
+            )),
+            bits(&plain),
             "tn {m}x{n}x{k}"
         );
     }

@@ -1,8 +1,23 @@
 //! Property-based tests for the tensor substrate.
 
 use proptest::prelude::*;
+use rpol_tensor::gemm::{self, Trans};
 use rpol_tensor::rng::{Pcg32, SplitMix64};
 use rpol_tensor::{stats, Shape, Tensor};
+
+/// `a · b` for rank-2 tensors, by the GEMM kernel the layers call.
+fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k, n) = (a.shape().dim(0), a.shape().dim(1), b.shape().dim(1));
+    let c = gemm::matmul(m, n, k, a.data(), Trans::No, b.data(), Trans::No, 1);
+    Tensor::from_vec(&[m, n], c)
+}
+
+/// `a + b`, elementwise.
+fn sum(a: &Tensor, b: &Tensor) -> Tensor {
+    let mut out = a.clone();
+    out += b;
+    out
+}
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-100.0f32..100.0, len)
@@ -43,13 +58,6 @@ proptest! {
     }
 
     #[test]
-    fn addition_commutes(a in finite_vec(16), b in finite_vec(16)) {
-        let ta = Tensor::from_vec(&[4, 4], a);
-        let tb = Tensor::from_vec(&[4, 4], b);
-        prop_assert_eq!(&ta + &tb, &tb + &ta);
-    }
-
-    #[test]
     fn axpy_matches_scalar_math(a in finite_vec(8), b in finite_vec(8), alpha in -10.0f32..10.0) {
         let mut t = Tensor::from_vec(&[8], a.clone());
         let tb = Tensor::from_vec(&[8], b.clone());
@@ -67,8 +75,8 @@ proptest! {
         let ta = Tensor::from_vec(&[2, 3], a);
         let tb = Tensor::from_vec(&[3, 2], b);
         let tc = Tensor::from_vec(&[3, 2], c);
-        let lhs = ta.matmul(&(&tb + &tc));
-        let rhs = &ta.matmul(&tb) + &ta.matmul(&tc);
+        let lhs = matmul(&ta, &sum(&tb, &tc));
+        let rhs = sum(&matmul(&ta, &tb), &matmul(&ta, &tc));
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 0.3 + 1e-3 * x.abs().max(y.abs()),
                 "{x} vs {y}");
@@ -80,8 +88,8 @@ proptest! {
         // (A·B)ᵀ == Bᵀ·Aᵀ.
         let ta = Tensor::from_vec(&[2, 3], a);
         let tb = Tensor::from_vec(&[3, 2], b);
-        let lhs = ta.matmul(&tb).transpose();
-        let rhs = tb.transpose().matmul(&ta.transpose());
+        let lhs = matmul(&ta, &tb).transpose();
+        let rhs = matmul(&tb.transpose(), &ta.transpose());
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 1e-2);
         }

@@ -69,7 +69,7 @@ fn minor_faults() -> u64 {
 enum Bwd {
     /// Behind no trainable layer: never entered.
     Skipped,
-    /// First trainable layer: `backward_params_scratch`.
+    /// First trainable layer: `backward_params`.
     ParamsOnly,
     Full,
 }
@@ -134,7 +134,7 @@ fn main() {
     let mut arena = ScratchArena::new();
     let mut inputs = vec![x.clone()];
     for (_, _, layer) in &mut layers {
-        let y = layer.forward_scratch(inputs.last().expect("seeded"), true, &mut arena);
+        let y = layer.forward(inputs.last().expect("seeded"), true, &mut arena);
         inputs.push(y);
     }
     let (_, loss_grad) = softmax_cross_entropy(inputs.last().expect("seeded"), &labels);
@@ -145,7 +145,7 @@ fn main() {
         if *bwd != Bwd::Full {
             break;
         }
-        g = layer.backward_scratch(&g, &mut arena);
+        g = layer.backward(&g, &mut arena);
     }
 
     println!(
@@ -157,16 +157,16 @@ fn main() {
     let (mut fwd_sum, mut bwd_sum) = (0.0, 0.0);
     for (i, (name, bwd, layer)) in layers.iter_mut().enumerate() {
         let fwd = median_us(|| {
-            let y = layer.forward_scratch(black_box(&inputs[i]), true, &mut arena);
+            let y = layer.forward(black_box(&inputs[i]), true, &mut arena);
             arena.recycle(black_box(y).into_vec());
         });
         let back = match (*bwd, &grads[i]) {
             (Bwd::Full, Some(g)) => median_us(|| {
-                let dx = layer.backward_scratch(black_box(g), &mut arena);
+                let dx = layer.backward(black_box(g), &mut arena);
                 arena.recycle(black_box(dx).into_vec());
             }),
             (Bwd::ParamsOnly, Some(g)) => {
-                median_us(|| layer.backward_params_scratch(black_box(g), &mut arena))
+                median_us(|| layer.backward_params(black_box(g), &mut arena))
             }
             _ => 0.0,
         };

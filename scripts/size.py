@@ -6,7 +6,10 @@ For each crate the script prints its lines outside `#[cfg(test)]` items.
 
 A `pub` item (`fn`, `const`, `static`, `struct`, `enum`, `trait`, `type`) of
 library code is *unused* when its name appears in no other `.rs` file under
-`crates/`, `src/`, `tests/` or `examples/`. Comments, string literals,
+`crates/`, `src/`, `tests/` or `examples/`. A `pub fn` inside an `impl` block
+(a method or an associated fn) appears only as a call or a path: `.name(`,
+`.name::<` or `::name`, so a field or a local of the same name hides nothing.
+Comments, string literals,
 `#[cfg(test)]` items, `pub use` re-exports and other definitions of the same
 name do not count as an appearance. A used item also uses what its interface
 names in its own file: the types in a `pub fn`'s signature, in a struct's
@@ -20,8 +23,9 @@ Usage: scripts/size.py                   # print lines and the unused list
        scripts/size.py --self-test
   The self-test builds a fixture tree (one used `pub fn` and the type it
   returns, one unused `pub fn`, one allowlisted item, one item used only
-  under `#[cfg(test)]`) and checks the unused list and the line count the
-  script reports for it.
+  under `#[cfg(test)]`, a method called and one reached by its path, and a
+  method whose name is only a field elsewhere) and checks the unused list
+  and the line count the script reports for it.
 """
 import os
 import re
@@ -34,11 +38,14 @@ FROZEN = os.path.join("crates", "bench", "src", "bin", "epoch_bench")
 
 # `crate-relative file::name` -> why the item stays public without a caller.
 ALLOW = {
+    "crypto/src/prf.rs::index": "the paper's PRF(input) mod n data-selection map, shown by the crate's doctest",
     "lsh/src/pstable.rs::resident_bytes": "rpol's client tests hold every party's family to k·l offsets",
+    "nn/src/data.rs::image": "rpol's pool tests check that a clone shares its rows by pointer",
     "nn/src/data.rs::pixel_count": "the nn crate's doctest sizes its first Dense layer with it",
     "rpol/src/calibrate.rs::quantized": "frozen epoch_bench surface (traced run), until ROADMAP item 22",
     "rpol/src/trainer.rs::replay_segment_quantized": "frozen epoch_bench surface (traced run), until ROADMAP item 22",
     "tensor/src/rng.rs::draw_each_on": "its doctest drives the block driver at a chosen executor width",
+    "tensor/src/scratch.rs::pooled": "rpol-nn's model tests check that an ended pass holds no small buffer",
 }
 
 PUB_ITEM = re.compile(
@@ -47,6 +54,9 @@ PUB_ITEM = re.compile(
 )
 DEFINITION = re.compile(r"\b(?:fn|const|static|struct|enum|trait|type|mod)\s+(?:mut\s+)?" + IDENT)
 REEXPORT = re.compile(r"\bpub(?:\([^)]*\))?\s+use\b[^;]*;")
+IMPL = re.compile(r"^[ \t]*(?:unsafe\s+)?impl\b", re.MULTILINE)
+# How a method is named where it is used: called, or reached by its path.
+METHOD_USE = re.compile(r"\.\s*(" + IDENT + r")\s*(?:\(|::\s*<)|::\s*(" + IDENT + ")")
 CFG_TEST = "#[cfg(test)]"
 RAW_STRING = re.compile(r'b?r(#*)"')
 CHAR = re.compile(r"'(?:\\(?:x..|u\{[^}]*\}|.)|[^\\'])'")
@@ -173,26 +183,35 @@ def scan(root, allow):
 
     An item is used when another file names it, or when a used item of its
     own file names it in its interface (a type a used fn returns)."""
-    lines, defined, words = {}, [], {}
+    lines, defined, words, methods = {}, [], {}, {}
     for path, text in rust_files(root).items():
-        code, test_lines = without_tests(strip(text))
+        stripped = strip(text)
+        code, test_lines = without_tests(stripped)
         if is_library(path):
             crate = path.split(os.sep)[1]
             lines[crate] = lines.get(crate, 0) + text.count("\n") - test_lines
+            # Spans from the code with its tests, whose brackets all pair up.
+            impls = [(m.start(), item_end(stripped, m.start())) for m in IMPL.finditer(stripped)]
             for m in PUB_ITEM.finditer(code):
                 line = code.count("\n", 0, m.start()) + 1
-                defined.append((path, line, m.group(1), m.group(2), interface(code, m)))
+                method = m.group(1) == "fn" and any(a < m.start() < b for a, b in impls)
+                defined.append((path, line, m.group(1), m.group(2), interface(code, m), method))
         callers = DEFINITION.sub(" ", REEXPORT.sub(" ", code))
         words[path] = set(re.findall(IDENT, callers))
-    used = {i for i, (path, _, _, name, _) in enumerate(defined) if any(name in w for p, w in words.items() if p != path)}
+        methods[path] = {a or b for a, b in METHOD_USE.findall(callers)}
+    used = {
+        i
+        for i, (path, _, _, name, _, method) in enumerate(defined)
+        if any(name in (methods if method else words)[p] for p in words if p != path)
+    }
     while grown := {
         i
-        for i, (path, _, _, name, _) in enumerate(defined)
+        for i, (path, _, _, name, _, _) in enumerate(defined)
         if i not in used and any(defined[j][0] == path and name in defined[j][4] for j in used)
     }:
         used |= grown
     unused, allowed = [], set()
-    for i, (path, line, kind, name, _) in enumerate(defined):
+    for i, (path, line, kind, name, _, _) in enumerate(defined):
         if i in used:
             continue
         key = path.split(os.sep, 1)[1] + "::" + name
@@ -237,12 +256,36 @@ pub fn unused_fn() -> u32 {
 pub struct Allowed;
 
 pub const ONLY_TESTED: u32 = 3;
+
+impl Out {
+    pub fn called(&self) -> u32 {
+        self.0
+    }
+
+    pub fn by_path() -> u32 {
+        4
+    }
+
+    /// Only a field and a local elsewhere: never called.
+    pub fn hits(&self) -> u32 {
+        self.0
+    }
+}
 """,
     "crates/demo/src/other.rs": """\
 // unused_fn is named in a comment, which is no call.
 pub(crate) fn call() -> u32 {
     let _ = "unused_fn";
     crate::used_fn().0
+}
+
+struct Stats {
+    hits: u32,
+}
+
+pub(crate) fn tally(s: Stats) -> u32 {
+    let hits = s.hits;
+    hits + crate::used_fn().called() + crate::Out::by_path()
 }
 
 #[cfg(test)]
@@ -265,7 +308,7 @@ def self_test():
                 f.write(text)
         lines, unused, stale = scan(tmp, {"demo/src/lib.rs::Allowed": "fixture"})
     got = (lines, [(kind, name) for _, _, kind, name in unused], stale)
-    want = ({"demo": 17 + 6}, [("fn", "unused_fn"), ("const", "ONLY_TESTED")], [])
+    want = ({"demo": 32 + 15}, [("fn", "unused_fn"), ("const", "ONLY_TESTED"), ("fn", "hits")], [])
     if got == want:
         print("self-test: the fixture's unused list and line count are as built")
         return 0
