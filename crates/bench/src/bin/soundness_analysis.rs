@@ -9,21 +9,25 @@
 //! Usage: `cargo run --release -p rpol-bench --bin soundness_analysis`
 
 use rpol::economics::EconomicModel;
-use rpol::sampling::{evasion_probability, soundness_table};
+use rpol::sampling::{evasion_probability, samples_for_soundness};
 use rpol_bench::{pct, print_table};
 
 fn main() {
     let ratios: Vec<f64> = (1..10).map(|i| i as f64 / 10.0).collect();
 
     // Theorem 2.
-    let t2 = soundness_table(0.01, 0.05, &ratios);
-    let rows: Vec<Vec<String>> = t2
+    let q2: Vec<u32> = ratios
         .iter()
-        .map(|p| {
+        .map(|&h| samples_for_soundness(0.01, h, 0.05).expect("h < 1 always yields finite q"))
+        .collect();
+    let rows: Vec<Vec<String>> = ratios
+        .iter()
+        .zip(&q2)
+        .map(|(&h, &q)| {
             vec![
-                pct(p.honesty_ratio),
-                p.q.to_string(),
-                format!("{:.3}%", p.achieved_error * 100.0),
+                pct(h),
+                q.to_string(),
+                format!("{:.3}%", evasion_probability(q, h, 0.05) * 100.0),
             ]
         })
         .collect();
@@ -34,7 +38,7 @@ fn main() {
     );
     println!(
         "paper checks: h=10% → q={} (paper 3); h=90% → q={} (paper 47)",
-        t2[0].q, t2[8].q
+        q2[0], q2[8]
     );
 
     // Theorem 3.

@@ -68,23 +68,6 @@ impl Ledger {
         Ok(())
     }
 
-    /// All blocks, genesis first.
-    pub fn blocks(&self) -> &[Block] {
-        &self.blocks
-    }
-
-    /// Reconstructs a ledger from blocks received off the network
-    /// **without** link validation — callers must run
-    /// [`Ledger::validate`] before trusting it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks` is empty (a chain always has its genesis).
-    pub fn from_blocks_unchecked(blocks: Vec<Block>) -> Self {
-        assert!(!blocks.is_empty(), "a chain always contains genesis");
-        Self { blocks }
-    }
-
     /// Verifies the whole chain's hash links.
     pub fn validate(&self) -> bool {
         self.blocks
@@ -96,6 +79,7 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rpol_crypto::Address;
 
     fn child_of(ledger: &Ledger, task_id: u64) -> Block {
@@ -118,7 +102,7 @@ mod tests {
         }
         assert_eq!(ledger.height(), 5);
         assert!(ledger.validate());
-        assert_eq!(ledger.blocks().len(), 6);
+        assert_eq!(ledger.blocks.len(), 6);
     }
 
     #[test]
@@ -135,6 +119,24 @@ mod tests {
         let mut block = child_of(&ledger, 1);
         block.parent = Digest::ZERO;
         assert!(ledger.append(block).is_err());
+    }
+
+    proptest! {
+        #[test]
+        fn ledger_accepts_exactly_well_linked_chains(n in 2usize..15, tamper in 0usize..15) {
+            let mut ledger = Ledger::new();
+            for i in 0..n {
+                let block = child_of(&ledger, i as u64);
+                ledger.append(block).expect("valid chain extension");
+            }
+            prop_assert!(ledger.validate());
+            prop_assert_eq!(ledger.height(), n as u64);
+            // Any tamper of a *non-tip* block breaks validation (the tip has
+            // no child link to protect it; consensus agreement covers it).
+            let mut forked = ledger.clone();
+            forked.blocks[tamper % (n - 1) + 1].task_id ^= 0xFFFF;
+            prop_assert!(!forked.validate());
+        }
     }
 
     #[test]

@@ -23,7 +23,6 @@
 
 pub mod block;
 pub mod consensus;
-pub mod escrow;
 pub mod ledger;
 pub mod rewards;
 pub mod task;

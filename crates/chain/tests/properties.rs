@@ -1,38 +1,10 @@
 //! Property-based tests for the PoUW chain substrate.
 
 use proptest::prelude::*;
-use rpol_chain::block::Block;
-use rpol_chain::escrow::Escrow;
 use rpol_chain::rewards::ContributionLedger;
-use rpol_chain::Ledger;
-use rpol_crypto::sha256::sha256;
 use rpol_crypto::Address;
 
 proptest! {
-    #[test]
-    fn ledger_accepts_exactly_well_linked_chains(n in 2usize..15, tamper in 0usize..15) {
-        let mut ledger = Ledger::new();
-        for i in 0..n {
-            let block = Block::new(
-                ledger.height() + 1,
-                ledger.tip_hash(),
-                i as u64,
-                Address::from_seed(i as u64),
-                &[i as f32],
-                0.5,
-            );
-            ledger.append(block).expect("valid chain extension");
-        }
-        prop_assert!(ledger.validate());
-        prop_assert_eq!(ledger.height(), n as u64);
-        // Any tamper of a *non-tip* block breaks validation (the tip has
-        // no child link to protect it; consensus agreement covers it).
-        let tamper = tamper % (n - 1);
-        let mut forked = ledger.clone();
-        forked_tamper(&mut forked, tamper + 1);
-        prop_assert!(!forked.validate());
-    }
-
     #[test]
     fn contribution_split_conserves_and_orders(
         credits in proptest::collection::vec(0u64..20, 1..10),
@@ -67,41 +39,4 @@ proptest! {
             prop_assert!(payout.is_empty());
         }
     }
-
-    #[test]
-    fn escrow_settlement_conserves_funds(
-        attested in proptest::collection::vec((0usize..4, any::<bool>()), 1..20),
-        amount in 0.1f64..1000.0
-    ) {
-        let manager = Address::from_seed(0xAA);
-        let workers: Vec<Address> = (0..4).map(|i| Address::from_seed(i as u64)).collect();
-        let mut escrow = Escrow::fund(manager, workers.clone(), amount, 100);
-        for (epoch, &(w, ok)) in attested.iter().enumerate() {
-            escrow
-                .attest(workers[w], epoch as u64, ok, sha256(&[epoch as u8]))
-                .expect("unique (worker, epoch)");
-        }
-        let payout = escrow.settle().expect("settles once");
-        let total: f64 = payout.iter().map(|(_, v)| v).sum();
-        prop_assert!((total - amount).abs() < 1e-9 * amount.max(1.0));
-    }
-}
-
-/// Tamper helper: flips a field in block `index` (1-based past genesis).
-fn forked_tamper(ledger: &mut Ledger, index: usize) {
-    // Safety: test-only access through a rebuild.
-    let mut blocks = ledger.blocks().to_vec();
-    blocks[index].task_id ^= 0xFFFF;
-    *ledger = rebuild_unchecked(blocks);
-}
-
-/// Rebuilds a ledger bypassing append validation (to host tampered data).
-fn rebuild_unchecked(blocks: Vec<Block>) -> Ledger {
-    // The public API validates on append, so reconstruct by serializing
-    // the tampered chain through Ledger's Debug-independent path: start
-    // fresh and push valid blocks until the tamper point, then force the
-    // tampered suffix via append of *re-linked* blocks... Instead, rely on
-    // `Ledger::validate` being a pure function of `blocks()`: emulate a
-    // received-from-network chain with a dedicated constructor.
-    Ledger::from_blocks_unchecked(blocks)
 }

@@ -2,28 +2,20 @@
 
 use crate::args::Args;
 use rpol::adversary::WorkerBehavior;
-use rpol::calibrate::{CalibrationPolicy, Calibrator};
 use rpol::client::{ClientTuning, WorkerClient};
 use rpol::committee::Hierarchy;
-use rpol::economics::EconomicModel;
-use rpol::mining::{DifficultyController, MiningCompetition};
 use rpol::pool::{MiningPool, PoolConfig, Scheme};
-use rpol::sampling::soundness_table;
 use rpol::server::{run_socket_pool, BindAddr, PoolServer, ServerConfig, SocketRunOptions};
 use rpol::tasks::TaskConfig;
 use rpol::timing::{epoch_breakdown, epoch_breakdown_faulty, TimingConfig};
 use rpol::transport::{FaultConfig, FaultProfile, RetryPolicy};
 use rpol::wire::{self, NetControl};
-use rpol_chain::task::TrainingTask;
 use rpol_json::Value;
-use rpol_nn::data::SyntheticImages;
 use rpol_obs::export::{events_to_jsonl, render_table, snapshot_to_json};
 use rpol_obs::MetricsSnapshot;
 use rpol_sim::cost::CostModel;
-use rpol_sim::gpu::GpuModel;
 use rpol_sim::net::NetworkModel;
 use rpol_sim::workload::{DatasetKind, ModelKind, Workload};
-use rpol_tensor::rng::Pcg32;
 use std::fs;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -164,7 +156,7 @@ pub fn print_command_help(command: &str) {
     let text = match command {
         "pool" => {
             "rpol pool — run a mining pool\n\
-             --scheme=baseline|v1|v2   verification scheme (default v2)\n\
+             --scheme=baseline|v1|v2|v3  verification scheme (default v2)\n\
              --workers=N               pool size (default 6)\n\
              --adversaries=N           cheating workers among them (default 2)\n\
              --epochs=N                epochs to run (default 4)\n\
@@ -237,22 +229,6 @@ pub fn print_command_help(command: &str) {
              `proc` field naming its source process. With logical clocks\n\
              and propagated trace contexts the merged timeline is causally\n\
              ordered and byte-identical across same-seed runs."
-        }
-        "calibrate" => {
-            "rpol calibrate — trace adaptive LSH calibration\n\
-             --epochs=N   epochs to trace (default 4)\n\
-             --steps=N    steps per epoch (default 20)"
-        }
-        "soundness" => {
-            "rpol soundness — Theorem 2/3 analysis\n\
-             --pr-err=F       target soundness error (default 0.01)\n\
-             --pr-beta=F      Pr_lsh(beta) (default 0.05)\n\
-             --c-train=F      honest training cost (default 0.88)"
-        }
-        "compete" => {
-            "rpol compete — verified vs unverified pool over consensus rounds\n\
-             --rounds=N    rounds to race (default 4)\n\
-             --workers=N   workers per pool (default 5)"
         }
         "overhead" => {
             "rpol overhead — Table II/III analytic model\n\
@@ -476,126 +452,6 @@ pub fn pool(raw: &[String]) -> Result<(), String> {
             println!("\nper-phase breakdown (metrics registry):");
             print!("{table}");
         }
-    }
-    Ok(())
-}
-
-/// `rpol calibrate` — print per-epoch α/β/LSH parameters.
-pub fn calibrate(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
-    args.expect_only(&["epochs", "steps"])?;
-    let epochs = args.usize("epochs", 4)? as u64;
-    let steps = args.usize("steps", 20)?;
-
-    let cfg = TaskConfig::task_a();
-    let data = SyntheticImages::generate(&cfg.spec, 400, &mut Pcg32::seed_from(0xC11));
-    let shards = data.shard(2);
-    let calibrator = Calibrator::new(
-        &cfg,
-        &shards[0],
-        CalibrationPolicy::default(),
-        GpuModel::top2(),
-    );
-    let mut global = cfg.build_model().flatten_params();
-    println!(
-        "{:>6} {:>12} {:>12} {:>14} {:>12} {:>12}",
-        "epoch", "alpha", "beta", "LSH {r,k,l}", "Pr_lsh(α)", "Pr_lsh(β)"
-    );
-    for epoch in 0..epochs {
-        let (cal, trained) = calibrator.calibrate(&global, 0xA0 ^ epoch, steps, epoch);
-        println!(
-            "{:>6} {:>12.3e} {:>12.3e} {:>14} {:>11.1}% {:>11.1}%",
-            epoch + 1,
-            cal.alpha,
-            cal.beta,
-            format!("{{{:.1e},{},{}}}", cal.params.r, cal.params.k, cal.params.l),
-            cal.tuning.pr_alpha * 100.0,
-            cal.tuning.pr_beta * 100.0,
-        );
-        global = trained;
-    }
-    Ok(())
-}
-
-/// `rpol soundness` — Theorem 2/3 tables.
-pub fn soundness(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
-    args.expect_only(&["pr-err", "pr-beta", "c-train"])?;
-    let paper = EconomicModel::paper_example();
-    let pr_err = args.f64("pr-err", 0.01)?;
-    let pr_beta = args.f64("pr-beta", paper.pr_lsh_beta)?;
-    let c_train = args.f64("c-train", paper.c_train)?;
-    if !(0.0..1.0).contains(&pr_err) || pr_err <= 0.0 {
-        return Err("--pr-err must be in (0, 1)".to_string());
-    }
-    let ratios: Vec<f64> = (1..10).map(|i| i as f64 / 10.0).collect();
-
-    println!(
-        "Theorem 2 — samples for soundness error ≤ {:.2}%:",
-        pr_err * 100.0
-    );
-    println!("{:>8} {:>6} {:>16}", "h_A", "q", "achieved error");
-    for point in soundness_table(pr_err, pr_beta, &ratios) {
-        println!(
-            "{:>7.0}% {:>6} {:>15.3}%",
-            point.honesty_ratio * 100.0,
-            point.q,
-            point.achieved_error * 100.0
-        );
-    }
-
-    let econ = EconomicModel {
-        c_train,
-        pr_lsh_beta: pr_beta,
-        ..paper
-    };
-    println!("\nTheorem 3 — economic deterrence (C_train = {c_train}):");
-    println!("{:>8} {:>6} {:>14}", "h_A", "q", "gain at that q");
-    for &h in &ratios {
-        let q = econ.samples_to_deter(h);
-        println!(
-            "{:>7.0}% {:>6} {:>+14.3}",
-            h * 100.0,
-            q,
-            econ.adversary_gain(h, q)
-        );
-    }
-    Ok(())
-}
-
-/// `rpol compete` — verified vs unverified pool.
-pub fn compete(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
-    args.expect_only(&["rounds", "workers"])?;
-    let rounds = args.usize("rounds", 4)?;
-    let workers = args.usize("workers", 5)?;
-    if workers < 3 {
-        return Err("--workers must be at least 3".to_string());
-    }
-
-    let cfg = TaskConfig::task_a();
-    let task = TrainingTask::new(0, cfg.spec, 160 * (workers + 1), 300, 0x0C0, 3);
-    let controller = DifficultyController::new(0.90, 3, 2, 6);
-    let mut competition = MiningCompetition::new(task, cfg, controller, 100.0);
-    let mut behaviors = vec![WorkerBehavior::Honest; workers];
-    for (i, b) in behaviors.iter_mut().take(workers * 2 / 5).enumerate() {
-        *b = if i % 2 == 0 {
-            WorkerBehavior::adv2_default()
-        } else {
-            WorkerBehavior::ReplayPrevious
-        };
-    }
-    let mut config = PoolConfig::paper_like(cfg, Scheme::RPoLv2, 3);
-    config.train_samples = 160 * (workers + 1);
-    competition.register("rpol-pool", config, behaviors.clone());
-    let mut config = PoolConfig::paper_like(cfg, Scheme::Baseline, 3);
-    config.train_samples = 160 * (workers + 1);
-    competition.register("baseline-pool", config, behaviors);
-
-    println!("racing {rounds} rounds, {workers} workers per pool (~40% adversarial)...");
-    let report = competition.run(rounds);
-    for (name, wins, rewards) in &report.standings {
-        println!("{name:<14} won {wins}/{rounds} blocks, {rewards:.0} reward units");
     }
     Ok(())
 }

@@ -6,9 +6,6 @@
 //! rpol worker      run one worker client against a remote manager
 //! rpol status      probe a running manager's live introspection plane
 //! rpol stitch      merge per-process JSONL traces into one timeline
-//! rpol calibrate   trace the adaptive LSH calibration across epochs
-//! rpol soundness   print the Theorem 2/3 sample-count analysis
-//! rpol compete     race a verified pool against an unverified one
 //! rpol overhead    print the Table II/III analytic overhead model
 //! rpol trace-check validate a --trace-out JSONL trace
 //! ```
@@ -35,9 +32,6 @@ fn main() -> ExitCode {
         "worker" => commands::worker(rest),
         "status" => commands::status(rest),
         "stitch" => commands::stitch(rest),
-        "calibrate" => commands::calibrate(rest),
-        "soundness" => commands::soundness(rest),
-        "compete" => commands::compete(rest),
         "overhead" => commands::overhead(rest),
         "trace-check" => commands::trace_check(rest),
         "help" | "--help" | "-h" => {
@@ -68,9 +62,6 @@ fn print_usage() {
          \x20 worker      run one worker client against a remote manager\n\
          \x20 status      probe a running manager's live introspection plane\n\
          \x20 stitch      merge per-process JSONL traces into one timeline\n\
-         \x20 calibrate   trace the adaptive LSH calibration across epochs\n\
-         \x20 soundness   print the Theorem 2/3 sample-count analysis\n\
-         \x20 compete     race a verified pool against an unverified one\n\
          \x20 overhead    print the Table II/III analytic overhead model\n\
          \x20 trace-check validate a --trace-out JSONL trace\n\
          \x20 help        show this message\n\

@@ -22,11 +22,13 @@ use serde::Serialize;
 /// # Examples
 ///
 /// ```
-/// use rpol_crypto::Prf;
+/// use rpol_crypto::prf::{deterministic_batch, Prf};
 ///
-/// let prf = Prf::new(b"worker-7-epoch-3");
+/// let prf = Prf::from_nonce(7);
 /// // Deterministic: the verifier recomputes the same indices.
-/// assert_eq!(prf.index(5, 10_000), Prf::new(b"worker-7-epoch-3").index(5, 10_000));
+/// let batch = deterministic_batch(&prf, 3, 8, 10_000);
+/// assert_eq!(batch, deterministic_batch(&Prf::from_nonce(7), 3, 8, 10_000));
+/// assert!(batch.iter().all(|&i| i < 10_000));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Prf {
@@ -55,7 +57,7 @@ impl Prf {
     /// # Panics
     ///
     /// Panics if `modulus == 0`.
-    pub fn index(&self, input: u128, modulus: u64) -> u64 {
+    fn index(&self, input: u128, modulus: u64) -> u64 {
         assert!(modulus > 0, "modulus must be positive");
         self.eval(input) % modulus
     }

@@ -54,7 +54,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Environment variable overriding [`Executor::default_threads`].
-pub const THREADS_ENV: &str = "RPOL_EXEC_THREADS";
+const THREADS_ENV: &str = "RPOL_EXEC_THREADS";
 
 /// The process-wide shared executor, built on first use.
 static SHARED: OnceLock<Arc<Executor>> = OnceLock::new();
@@ -610,7 +610,7 @@ mod tests {
             let _ = exec.run_indexed(32, |i| i);
         }
         let snap = rec.snapshot();
-        assert_eq!(snap.gauge("exec.queue_depth_peak"), 32.0);
+        assert_eq!(snap.gauges["exec.queue_depth_peak"], 32.0);
         assert_eq!(snap.counter("exec.injected"), 50 * 32);
     }
 

@@ -38,6 +38,6 @@ pub mod pstable;
 pub mod tuning;
 
 pub use matching::Signature;
-pub use probability::{collision_probability, matching_probability};
+pub use probability::matching_probability;
 pub use pstable::{LshFamily, LshParams};
 pub use tuning::{tune, TuningConfig, TuningOutcome};

@@ -29,7 +29,7 @@ use rpol_tensor::stats::norm_cdf;
 /// # Panics
 ///
 /// Panics if `c` or `r` is negative or non-finite.
-pub fn collision_probability(c: f64, r: f64) -> f64 {
+fn collision_probability(c: f64, r: f64) -> f64 {
     assert!(c.is_finite() && c >= 0.0, "invalid distance {c}");
     assert!(r.is_finite() && r >= 0.0, "invalid bucket width {r}");
     if c == 0.0 {
@@ -115,29 +115,6 @@ pub fn expected_fnr(
     assert!(beta > 0.0, "beta must be positive");
     integrate_rate(p_repr, 0.0, beta, steps, |c| {
         1.0 - matching_probability(c, r, k, l)
-    })
-}
-
-/// The Eq. 5 expected false-positive rate:
-/// `FPR_lsh = ∫_β^∞ p_spoof(c) · Pr_lsh(c) dc`,
-/// with the upper limit truncated at `c_max` (densities of interest decay
-/// fast; pick `c_max` a few times the spoof-distance scale).
-///
-/// # Panics
-///
-/// Panics if `c_max <= beta`, `steps < 2`, or the density integrates to ~0.
-pub fn expected_fpr(
-    p_spoof: impl Fn(f64) -> f64,
-    beta: f64,
-    c_max: f64,
-    r: f64,
-    k: usize,
-    l: usize,
-    steps: usize,
-) -> f64 {
-    assert!(c_max > beta, "integration range must extend past beta");
-    integrate_rate(p_spoof, beta, c_max, steps, |c| {
-        matching_probability(c, r, k, l)
     })
 }
 
@@ -272,21 +249,5 @@ mod tests {
         let fnr = expected_fnr(spread, alpha, 4.0, 4, 4, 2000);
         let worst = 1.0 - matching_probability(alpha, 4.0, 4, 4);
         assert!(fnr <= worst + 1e-9, "{fnr} > {worst}");
-    }
-
-    #[test]
-    fn eq5_fpr_below_worst_case_for_distant_spoofs() {
-        let beta = 5.0;
-        let spoof = |c: f64| norm_pdf((c - 2.0 * beta) / beta);
-        let fpr = expected_fpr(spoof, beta, 10.0 * beta, 4.0, 4, 4, 2000);
-        let worst = matching_probability(beta, 4.0, 4, 4);
-        assert!(fpr <= worst + 1e-9, "{fpr} > {worst}");
-        assert!(fpr >= 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "extend past beta")]
-    fn eq5_fpr_range_checked() {
-        expected_fpr(|_| 1.0, 5.0, 4.0, 1.0, 2, 2, 100);
     }
 }

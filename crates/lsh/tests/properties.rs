@@ -1,9 +1,14 @@
 //! Property-based tests for the LSH crate.
 
 use proptest::prelude::*;
-use rpol_lsh::probability::{collision_probability, matching_probability};
+use rpol_lsh::probability::matching_probability;
 use rpol_lsh::tuning::{tune, TuningConfig};
 use rpol_lsh::{LshFamily, LshParams, Signature};
+
+/// The per-hash collision probability `p(c, r)`: a family of one hash.
+fn collision_probability(c: f64, r: f64) -> f64 {
+    matching_probability(c, r, 1, 1)
+}
 
 proptest! {
     #[test]

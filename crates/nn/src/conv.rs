@@ -756,8 +756,8 @@ mod tests {
             for oy in 0..3 {
                 for ox in 0..3 {
                     assert_eq!(
-                        y2.at(&[0, oc, oy, ox]),
-                        y1.at(&[0, oc, 2 * oy, 2 * ox]),
+                        y2.data()[y2.shape().offset(&[0, oc, oy, ox])],
+                        y1.data()[y1.shape().offset(&[0, oc, 2 * oy, 2 * ox])],
                         "({oc},{oy},{ox})"
                     );
                 }

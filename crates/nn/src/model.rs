@@ -205,13 +205,6 @@ impl Sequential {
         sq_step.sqrt() as f32
     }
 
-    /// Zeroes all gradients.
-    pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
-    }
-
     /// Reseeds every stochastic layer (see [`Layer::reseed`]).
     pub fn reseed(&mut self, seed: u64) {
         for layer in &mut self.layers {

@@ -46,7 +46,7 @@ pub mod metrics;
 pub mod stitch;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Counter, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use trace::{Event, EventKind, Recorder, SpanGuard, TraceContext, Value};
 
 use std::sync::{Arc, LazyLock};

@@ -322,6 +322,7 @@ impl Layer for AmLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpol_tensor::stats::euclidean;
 
     fn spec() -> AmLayerSpec {
         AmLayerSpec::for_channels(3)
@@ -443,8 +444,8 @@ mod tests {
                     let x2 = Tensor::randn(&[1, channels, hw, hw], rng);
                     let f1 = block.forward(&x1, false, &mut arena);
                     let f2 = block.forward(&x2, false, &mut arena);
-                    let num = f1.euclidean_distance(&f2);
-                    let den = x1.euclidean_distance(&x2).max(1e-12);
+                    let num = euclidean(f1.data(), f2.data());
+                    let den = euclidean(x1.data(), x2.data()).max(1e-12);
                     worst = worst.max(num / den);
                 }
                 worst
@@ -489,8 +490,8 @@ mod tests {
         assert_eq!(y1.shape(), x1.shape());
         // Composition of invertible residuals: distinct inputs stay
         // distinct with margin ≥ Π(1−c) per block.
-        let dist_in = x1.euclidean_distance(&x2);
-        let dist_out = y1.euclidean_distance(&y2);
+        let dist_in = euclidean(x1.data(), x2.data());
+        let dist_out = euclidean(y1.data(), y2.data());
         assert!(dist_out > 1e-4 * dist_in, "information collapsed");
     }
 
@@ -504,7 +505,7 @@ mod tests {
         let mut thief = AmLayer::generate(&Address::from_seed(2), spec(), 0.9);
         let mut arena = ScratchArena::new();
         let y = thief.forward(&x, false, &mut arena);
-        let diff = owner.forward(&x, false, &mut arena).euclidean_distance(&y);
+        let diff = euclidean(owner.forward(&x, false, &mut arena).data(), y.data());
         assert!(
             diff > 0.5 * x.norm(),
             "swap perturbation too weak: {diff} vs input {}",

@@ -108,32 +108,6 @@ impl CalibrationResult {
             512,
         )
     }
-
-    /// The Eq. 5 expected false-positive rate for spoof distances modelled
-    /// as normal around `spoof_mean` with deviation `spoof_std` (measured
-    /// from an attack study such as Fig. 5):
-    /// `∫_β^∞ p_spoof(c)·Pr_lsh(c) dc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `spoof_mean > β` (a spoof distribution centred inside
-    /// the acceptance region is not a spoof model).
-    pub fn expected_fpr(&self, spoof_mean: f32, spoof_std: f32) -> f64 {
-        assert!(
-            spoof_mean > self.beta,
-            "spoof distances must centre beyond beta"
-        );
-        let (mean, std) = (spoof_mean as f64, (spoof_std as f64).max(1e-12));
-        rpol_lsh::probability::expected_fpr(
-            move |c| rpol_tensor::stats::norm_pdf((c - mean) / std),
-            self.beta as f64,
-            mean + 6.0 * std,
-            self.params.r as f64,
-            self.params.k,
-            self.params.l,
-            512,
-        )
-    }
 }
 
 /// Calibration policy knobs.
@@ -469,9 +443,6 @@ mod tests {
         let fnr = cal.expected_fnr();
         assert!(fnr <= 1.0 - cal.tuning.pr_alpha + 1e-9, "{fnr}");
         assert!(fnr < 0.25, "expected FNR suspiciously high: {fnr}");
-        // Spoofs an order of magnitude beyond β almost never match.
-        let fpr = cal.expected_fpr(cal.beta * 10.0, cal.beta);
-        assert!(fpr < 0.05, "expected FPR too high: {fpr}");
     }
 
     #[test]

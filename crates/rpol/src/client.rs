@@ -231,7 +231,7 @@ impl WorkerSession {
             },
             PayloadClass::EpochTask => {
                 let mut payload = payload;
-                let task = wire::decode_epoch_task_in(&mut payload);
+                let task = wire::decode_epoch_task(&mut payload);
                 scratch::put(Vec::from(payload));
                 match task {
                     Ok(task) => Inbound::Task(task, tctx),

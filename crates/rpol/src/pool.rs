@@ -355,11 +355,6 @@ pub struct PoolReport {
 }
 
 impl PoolReport {
-    /// The accuracy curve across epochs.
-    pub fn accuracy_curve(&self) -> Vec<f32> {
-        self.epochs.iter().map(|e| e.test_accuracy).collect()
-    }
-
     /// Final test accuracy.
     pub fn final_accuracy(&self) -> f32 {
         self.epochs.last().map(|e| e.test_accuracy).unwrap_or(0.0)
@@ -394,13 +389,6 @@ impl PoolReport {
     /// in `k` epochs counts `k` times).
     pub fn quarantine_events(&self) -> usize {
         self.epochs.iter().map(|e| e.report.quarantined.len()).sum()
-    }
-
-    /// Whether `worker` was quarantined in every epoch of the run.
-    pub fn quarantined_throughout(&self, worker: usize) -> bool {
-        self.epochs
-            .iter()
-            .all(|e| e.report.quarantined.contains(&worker))
     }
 
     /// Merged transport counters across the run (all zero without a
@@ -1253,6 +1241,10 @@ mod tests {
         let mut cfg = PoolConfig::tiny_demo(Scheme::Baseline);
         cfg.epochs = 3;
         let report = MiningPool::new(cfg, vec![WorkerBehavior::Honest; 2]).run();
-        assert_eq!(report.accuracy_curve().len(), 3);
+        assert_eq!(report.epochs.len(), 3);
+        assert!(report
+            .epochs
+            .iter()
+            .all(|e| (0.0..=1.0).contains(&e.test_accuracy)));
     }
 }

@@ -2535,8 +2535,7 @@ fn spawn_clients(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::Scheme;
-    use crate::wire::EpochTask;
+    use crate::pool::{Lattice, Scheme};
     use rpol_tensor::rng::Pcg32;
 
     /// First bytes covering every payload class: the submission, proof and
@@ -2920,14 +2919,7 @@ mod tests {
             asm.push(&written);
             std::iter::from_fn(|| asm.next_frame().expect("no fault on an ideal link")).collect()
         };
-        let task = |epoch| {
-            wire::encode_epoch_task(&EpochTask {
-                epoch,
-                nonce: 11,
-                steps: 2,
-                global_weights: global.clone(),
-            })
-        };
+        let task = |epoch| wire::TaskBlock::new(Lattice::F32, &global).frame(epoch, 11, 2);
         let spec = |epoch, scheme| {
             wire::encode_net_control(&NetControl::CommitSpec {
                 epoch,

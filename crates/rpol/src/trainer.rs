@@ -346,7 +346,9 @@ mod tests {
                 }
             });
             let update_norm = sum.sqrt() as f32;
-            trainer.noise.perturb_after_step(&mut noisy, update_norm);
+            if let Some(mut noise) = trainer.noise.step_noise(noisy.len(), update_norm) {
+                noise.perturb(&mut noisy);
+            }
             let mut offset = 0;
             model.visit_params_mut(&mut |p| {
                 if !p.frozen {

@@ -116,7 +116,7 @@ pub enum VerificationOutcome {
 
 impl VerificationOutcome {
     /// Whether the checkpoint passed.
-    pub fn is_accepted(&self) -> bool {
+    fn is_accepted(&self) -> bool {
         matches!(self, VerificationOutcome::Accepted { .. })
     }
 }

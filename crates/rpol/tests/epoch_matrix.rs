@@ -186,14 +186,19 @@ fn key(report: &PoolReport, decisions_only: bool) -> Vec<String> {
                 body.hierarchy = None;
             }
             let body = rpol_json::to_string(&body).expect("serialize epoch report");
+            // The clock's event counters, in category order, as it
+            // publishes them.
+            let published = Recorder::logical();
+            rec.transport_time.publish(&published, "clock");
+            let events = published.snapshot().counters_with_prefix("clock.events.");
             let clock: Vec<String> = rec
                 .transport_time
                 .iter()
                 .map(|(phase, s)| format!("{phase}={:016x}", s.to_bits()))
                 .chain(
-                    rec.transport_time
-                        .iter_events()
-                        .map(|(what, n)| format!("{what}#{n}")),
+                    events
+                        .iter()
+                        .map(|(what, n)| format!("{}#{n}", &what["clock.events.".len()..])),
                 )
                 .collect();
             format!(
@@ -373,11 +378,14 @@ fn every_cell_matches_its_serial_flat_reference() {
 
                 // Every cell ran on an executor of the width it asked for.
                 assert!(cell.metrics.counter("exec.tasks") > 0, "{at}");
-                assert_eq!(cell.metrics.gauge("exec.threads"), threads as f64, "{at}");
+                assert_eq!(cell.metrics.gauges["exec.threads"], threads as f64, "{at}");
 
+                let curve = |r: &PoolReport| -> Vec<f32> {
+                    r.epochs.iter().map(|e| e.test_accuracy).collect()
+                };
                 assert_eq!(
-                    reference.report.accuracy_curve(),
-                    cell.report.accuracy_curve(),
+                    curve(&reference.report),
+                    curve(&cell.report),
                     "{at}: accuracy curve diverged"
                 );
                 let Some(c) = groups else {

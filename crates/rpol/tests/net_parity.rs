@@ -19,8 +19,7 @@ use rpol::pool::{MiningPool, PoolConfig, PoolReport, Scheme};
 use rpol::server::{run_socket_pool, BindAddr, PoolServer, ServerConfig, SocketRunOptions};
 use rpol::transport::{FaultConfig, FaultProfile};
 use rpol::wire::{
-    decode_net_control, encode_net_control, open_frame, seal_frame, FrameAssembler, NetControl,
-    NET_PROTOCOL,
+    decode_net_control, encode_net_control, seal_frame, FrameAssembler, NetControl, NET_PROTOCOL,
 };
 use rpol_obs::Recorder;
 
@@ -278,13 +277,7 @@ fn crash_and_straggler_links_fail_alike_over_tcp_and_in_memory() {
             "the replayer is caught"
         );
     }
-    let deadlines = |e: usize| {
-        simulated.epochs[e]
-            .transport_time
-            .iter_events()
-            .find(|&(what, _)| what == "deadline_miss")
-            .map_or(0, |(_, n)| n)
-    };
+    let deadlines = |e: usize| simulated.epochs[e].transport_time.events("deadline_miss");
     assert_eq!(
         (deadlines(0), deadlines(1), deadlines(2)),
         (0, 1, 0),
@@ -303,7 +296,7 @@ fn crash_and_straggler_links_fail_alike_over_tcp_and_in_memory() {
 #[test]
 fn v3_broadcast_charges_the_packed_block_once_per_worker() {
     use rpol::pool::Lattice;
-    use rpol::wire::{block_len, decode_epoch_task, raw_weights_wire_size, TaskBlock};
+    use rpol::wire::{block_len, decode_epoch_task, TaskBlock};
 
     let behaviors = parity_roster();
     let n = behaviors.len() as u64;
@@ -319,10 +312,11 @@ fn v3_broadcast_charges_the_packed_block_once_per_worker() {
     let payload = block.frame(0, 0, config.steps_per_epoch as u32);
     assert_eq!(
         block.bytes_saved(),
-        (21 + raw_weights_wire_size(global.len()) - payload.len()) as u64
+        // Against raw f32 framing: a length prefix and 4 bytes a weight.
+        (21 + 4 + 4 * global.len() - payload.len()) as u64
     );
     assert_eq!(
-        decode_epoch_task(payload.clone())
+        decode_epoch_task(&mut payload.clone())
             .expect("decodes")
             .global_weights,
         lattice
@@ -461,18 +455,14 @@ fn send_control(stream: &mut TcpStream, msg: &NetControl) {
 }
 
 fn read_control(stream: &mut TcpStream) -> NetControl {
-    let mut buf = Vec::new();
+    let mut asm = FrameAssembler::new(1 << 20);
     let mut chunk = [0u8; 256];
     loop {
         let k = stream.read(&mut chunk).expect("read frame");
         assert!(k > 0, "peer closed before a frame arrived");
-        buf.extend_from_slice(&chunk[..k]);
-        // Frames here are tiny; try a whole-buffer decode once the header
-        // could be complete.
-        if buf.len() >= 16 {
-            if let Ok(payload) = open_frame(bytes::Bytes::from(buf.clone())) {
-                return decode_net_control(payload).expect("control frame");
-            }
+        asm.push(&chunk[..k]);
+        if let Some(payload) = asm.next_frame().expect("clean frame") {
+            return decode_net_control(payload).expect("control frame");
         }
     }
 }
@@ -878,10 +868,10 @@ fn hostile_submitter(
             assert!(k > 0, "server closed before shutdown");
             assembler.push(&chunk[..k]);
             while let Some(payload) = assembler.next_frame().expect("clean frames") {
-                let (_, payload) = split_traced(payload);
+                let (_, mut payload) = split_traced(payload);
                 match classify_payload(&payload) {
                     PayloadClass::EpochTask => {
-                        let task = decode_epoch_task(payload).expect("task decodes");
+                        let task = decode_epoch_task(&mut payload).expect("task decodes");
                         let forged = forge(task.epoch, &task.global_weights);
                         stream.write_all(&seal_frame(&forged)).expect("write");
                     }
@@ -1036,8 +1026,9 @@ fn retired_and_malformed_packed_blocks_are_refused_over_the_socket() {
 /// server accepted the submission it counted as failed.
 #[test]
 fn a_pristine_submission_the_servers_draws_lose_is_quarantined() {
+    use rpol::pool::Lattice;
     use rpol::transport::{MsgKind, RetryPolicy, Transport, TransportStats};
-    use rpol::wire::{encode_epoch_task, encode_submission, EpochTask};
+    use rpol::wire::{encode_submission, TaskBlock};
     use rpol_sim::SimClock;
 
     let mut config = PoolConfig::tiny_demo(Scheme::Baseline);
@@ -1051,13 +1042,9 @@ fn a_pristine_submission_the_servers_draws_lose_is_quarantined() {
     // submission from each (honest or forged). A drop-only profile draws
     // by exchange, not by length, so the forged one's length stands for
     // both submissions.
-    let task_len = encode_epoch_task(&EpochTask {
-        epoch: 0,
-        nonce: 0,
-        steps: config.steps_per_epoch as u32,
-        global_weights: global.clone(),
-    })
-    .len();
+    let task_len = TaskBlock::new(Lattice::F32, &global)
+        .frame(0, 0, config.steps_per_epoch as u32)
+        .len();
     let forged = encode_submission(&global, None);
     // A fault seed under which both tasks and the honest submission cross
     // on their one attempt, and the hostile worker's submission does not.

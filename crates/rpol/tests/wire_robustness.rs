@@ -9,11 +9,18 @@ use rpol::pool::Lattice;
 use rpol::verify::{RejectReason, VerificationOutcome, WorkerVerdict};
 use rpol::wire::{
     classify_payload, decode_committee_batch, decode_epoch_task, decode_proof_request,
-    decode_proof_response, decode_submission, encode_committee_batch, encode_epoch_task,
-    encode_proof_request, encode_proof_response, encode_submission, open_frame, seal_frame,
-    DecodeError, EpochTask, PayloadClass, TaskBlock,
+    decode_proof_response, decode_submission, encode_committee_batch, encode_proof_request,
+    encode_proof_response, encode_submission, seal_frame, DecodeError, EpochTask, FrameAssembler,
+    PayloadClass, TaskBlock,
 };
 use rpol_lsh::{LshFamily, LshParams};
+
+/// Opens one frame as a socket peer does: through a fresh assembler.
+fn open(frame: &[u8]) -> Result<Option<Bytes>, DecodeError> {
+    let mut asm = FrameAssembler::new(1 << 20);
+    asm.push(frame);
+    asm.next_frame()
+}
 
 proptest! {
     #[test]
@@ -126,7 +133,8 @@ proptest! {
         weights in proptest::collection::vec(-1e3f32..1e3, 1..64)
     ) {
         let task = EpochTask { epoch, nonce, steps, global_weights: weights };
-        let decoded = decode_epoch_task(encode_epoch_task(&task)).expect("roundtrip");
+        let mut payload = TaskBlock::new(Lattice::F32, &task.global_weights).frame(epoch, nonce, steps);
+        let decoded = decode_epoch_task(&mut payload).expect("roundtrip");
         prop_assert_eq!(decoded, task);
     }
 
@@ -140,25 +148,25 @@ proptest! {
             quants.iter().map(|&q| f32::from_bits(u32::from(q) << 16)).collect();
         let payload = TaskBlock::new(Lattice::Bf16, &weights).frame(epoch, nonce, steps);
         prop_assert_eq!(classify_payload(&payload), PayloadClass::EpochTask);
-        let task = decode_epoch_task(payload.clone()).expect("roundtrip");
+        let task = decode_epoch_task(&mut payload.clone()).expect("roundtrip");
         prop_assert_eq!((task.epoch, task.nonce, task.steps), (epoch, nonce, steps));
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&task.global_weights), bits(&weights));
         // Any strict prefix is an error; any flipped byte errors or
         // decodes to something, and neither panics.
         let cut = (payload.len() as u64 * u64::from(cut_ppm) / 1_000_000) as usize;
-        prop_assert!(decode_epoch_task(payload.slice(0..cut)).is_err());
+        prop_assert!(decode_epoch_task(&mut payload.slice(0..cut)).is_err());
         let mut bad = payload.to_vec();
         let pos = (bad.len() as u64 * u64::from(pos_ppm) / 1_000_000) as usize;
         bad[pos] ^= xor;
-        let _ = decode_epoch_task(Bytes::from(bad));
+        let _ = decode_epoch_task(&mut Bytes::from(bad));
     }
 
     #[test]
     fn epoch_task_decoder_never_panics_on_garbage(
         bytes in proptest::collection::vec(any::<u8>(), 0..256)
     ) {
-        let _ = decode_epoch_task(Bytes::from(bytes));
+        let _ = decode_epoch_task(&mut Bytes::from(bytes));
     }
 
     #[test]
@@ -166,8 +174,7 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..512)
     ) {
         let payload = Bytes::from(bytes);
-        let opened = open_frame(seal_frame(&payload)).expect("clean frame opens");
-        prop_assert_eq!(opened, payload);
+        prop_assert_eq!(open(&seal_frame(&payload)), Ok(Some(payload)));
     }
 
     #[test]
@@ -177,12 +184,13 @@ proptest! {
         mask in 1u8..=255
     ) {
         // Seeded single-byte corruption at an arbitrary position: the
-        // frame checksum must catch every flip as a DecodeError.
+        // frame checksum catches every flip, so no payload is delivered
+        // (a flipped length leaves the frame waiting for bytes instead).
         let framed = seal_frame(&encode_submission(&weights, None));
         let pos = (framed.len() as u64 * pos_ppm as u64 / 1_000_000) as usize;
         let mut bad = framed.to_vec();
         bad[pos.min(framed.len() - 1)] ^= mask;
-        prop_assert!(open_frame(Bytes::from(bad)).is_err());
+        prop_assert!(!matches!(open(&bad), Ok(Some(_))));
     }
 
     #[test]
@@ -193,7 +201,7 @@ proptest! {
         let framed = seal_frame(&encode_submission(&weights, None));
         let cut = (framed.len() as u64 * cut_ppm as u64 / 1_000_000) as usize;
         if cut < framed.len() {
-            prop_assert!(open_frame(framed.slice(0..cut)).is_err());
+            prop_assert_eq!(open(&framed[..cut]), Ok(None));
         }
     }
 
@@ -215,8 +223,7 @@ proptest! {
 
 use rpol::pool::Scheme;
 use rpol::wire::{
-    decode_net_control, encode_net_control, BusyReason, FamilySpec, FrameAssembler, NetControl,
-    NET_PROTOCOL,
+    decode_net_control, encode_net_control, BusyReason, FamilySpec, NetControl, NET_PROTOCOL,
 };
 
 /// A `CommitSpec` carries a family exactly when its scheme hashes by LSH.
@@ -286,7 +293,9 @@ proptest! {
 
         prop_assert_eq!(&got_trickled, &payloads);
         prop_assert_eq!(got_whole, payloads);
-        prop_assert_eq!(trickled.buffered(), 0);
+        // Nothing is left over: the next frame comes through whole.
+        trickled.push(&seal_frame(&Bytes::from(b"next".to_vec())));
+        prop_assert_eq!(trickled.next_frame(), Ok(Some(Bytes::from(b"next".to_vec()))));
     }
 
     /// Every control-plane message survives an encode/decode round trip.
@@ -538,7 +547,15 @@ proptest! {
         }
 
         prop_assert_eq!(&got_fresh, &got_pooled);
-        prop_assert_eq!(fresh.buffered(), pooled.buffered());
+        // Both hold the same unconsumed tail: a frame pushed after it
+        // comes out of each the same way.
+        let tail = seal_frame(&Bytes::from(b"tail".to_vec()));
+        let (mut tail_fresh, mut tail_pooled) = (Vec::new(), Vec::new());
+        fresh.push(&tail);
+        drain(&mut fresh, None, &mut tail_fresh);
+        pooled.push(&tail);
+        drain(&mut pooled, Some(&mut pool), &mut tail_pooled);
+        prop_assert_eq!(tail_fresh, tail_pooled);
 
         // Recycling the assembler's own backing store mid-stream is also
         // lossless: a second pass over the same stream through the reused

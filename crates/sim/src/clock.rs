@@ -80,7 +80,7 @@ impl SimClock {
     }
 
     /// Iterates `(category, events)` in category order.
-    pub fn iter_events(&self) -> impl Iterator<Item = (&str, u64)> {
+    fn iter_events(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
@@ -201,7 +201,7 @@ mod tests {
         c.publish(&rec, "sim.clock");
         c.publish(&rec, "sim.clock"); // accumulates like merge would
         let snap = rec.snapshot();
-        assert_eq!(snap.gauge("sim.clock.time.net:task"), 4.0);
+        assert_eq!(snap.gauges["sim.clock.time.net:task"], 4.0);
         assert_eq!(snap.counter("sim.clock.events.retry"), 2);
         assert_eq!(snap.counter("sim.clock.events.drop"), 4);
     }

@@ -62,7 +62,7 @@ impl GpuModel {
     /// per-weight noise as a fraction of the RMS weight update. Calibrated
     /// so faster GPUs (more parallel reduction orders) produce larger
     /// errors, matching the paper's Fig. 4 ordering.
-    pub fn noise_rel_sigma(&self) -> f32 {
+    fn noise_rel_sigma(&self) -> f32 {
         // ~ 5e-6 · sqrt(TFLOPS / 10) — calibrated so replayed segments
         // stay in the regime where divergence accumulates roughly
         // linearly rather than chaotically: with larger σ the noise
@@ -113,7 +113,9 @@ impl fmt::Display for GpuModel {
 /// let mut inj = NoiseInjector::new(GpuModel::G3090, 42);
 /// let mut weights = vec![1.0f32; 100];
 /// let before = weights.clone();
-/// inj.perturb_after_step(&mut weights, 0.5);
+/// if let Some(mut noise) = inj.step_noise(weights.len(), 0.5) {
+///     noise.perturb(&mut weights);
+/// }
 /// assert_ne!(weights, before);
 /// ```
 #[derive(Debug, Clone)]
@@ -141,7 +143,7 @@ impl NoiseInjector {
     }
 
     /// A silent injector useful as a "perfectly deterministic hardware"
-    /// baseline: [`NoiseInjector::perturb_after_step`] becomes a no-op.
+    /// baseline: [`NoiseInjector::step_noise`] draws nothing.
     pub fn noiseless(model: GpuModel) -> Self {
         let mut inj = Self::new(model, 0);
         inj.zero = true;
@@ -153,9 +155,8 @@ impl NoiseInjector {
         self.model
     }
 
-    /// Adds the two components of training nondeterminism to `weights`
-    /// after an optimizer step whose update had Euclidean norm
-    /// `update_norm`:
+    /// The two components of training nondeterminism an optimizer step
+    /// whose update had Euclidean norm `update_norm` adds to `len` weights:
     ///
     /// 1. **run-to-run noise** — i.i.d. Gaussian per element with std
     ///    `σ_rel · update_norm / √d` (atomics reduction-order effects);
@@ -166,18 +167,10 @@ impl NoiseInjector {
     ///    different models do not, which is why the paper measures larger
     ///    errors for cross-GPU pairs — largest for the top-2 pair.
     ///
-    /// The one-part case of [`NoiseInjector::step_noise`].
-    pub fn perturb_after_step(&mut self, weights: &mut [f32], update_norm: f32) {
-        if let Some(mut noise) = self.step_noise(weights.len(), update_norm) {
-            noise.perturb(weights);
-        }
-    }
-
-    /// The noise of one step over `len` weights that live in several
-    /// parts (a model's trainable tensors): hand the parts to
-    /// [`StepNoise::perturb`] in flattening order and each is perturbed in
-    /// place, bitwise as [`NoiseInjector::perturb_after_step`] perturbs
-    /// their concatenation. `None` when the step draws nothing — a
+    /// The weights may live in several parts (a model's trainable
+    /// tensors): hand the parts to [`StepNoise::perturb`] in flattening
+    /// order and each is perturbed in place, bitwise as one part holding
+    /// their concatenation would be. `None` when the step draws nothing — a
     /// noiseless injector, no weights, or an update norm that is not
     /// finite and positive (a replay from adversarial NaN/Inf weights),
     /// which leaves the run's stream untouched.
@@ -287,8 +280,8 @@ impl StepNoise<'_> {
             let zs = &self.normals[offset..offset + n];
             let fs = &self.fingerprint[self.at..self.at + n];
             for ((w, &z), &f) in ws.iter_mut().zip(zs).zip(fs) {
-                // `0.0 + σ·z` is what `Pcg32::normal(0.0, σ)` computes; the
-                // addition turns a `-0.0` product into `+0.0`.
+                // A zero-mean draw `0.0 + σ·z`: the addition turns a
+                // `-0.0` product into `+0.0`.
                 *w += (0.0 + sigma * z) + sigma * f;
             }
             self.at += n;
@@ -301,6 +294,13 @@ impl StepNoise<'_> {
 mod tests {
     use super::*;
     use rpol_tensor::stats;
+
+    /// One step's noise over the whole of `weights`.
+    fn perturb(inj: &mut NoiseInjector, weights: &mut [f32], update_norm: f32) {
+        if let Some(mut noise) = inj.step_noise(weights.len(), update_norm) {
+            noise.perturb(weights);
+        }
+    }
 
     #[test]
     fn gpu_ordering_matches_paper() {
@@ -327,8 +327,8 @@ mod tests {
         let mut b = NoiseInjector::new(GpuModel::GT4, 2);
         let mut wa = vec![0.0f32; 1000];
         let mut wb = vec![0.0f32; 1000];
-        a.perturb_after_step(&mut wa, 1.0);
-        b.perturb_after_step(&mut wb, 1.0);
+        perturb(&mut a, &mut wa, 1.0);
+        perturb(&mut b, &mut wb, 1.0);
         assert_ne!(wa, wb);
         // Both nonzero.
         assert!(wa.iter().any(|&x| x != 0.0));
@@ -342,7 +342,7 @@ mod tests {
         let d = 10_000;
         let update_norm = 2.0f32;
         let mut w = vec![0.0f32; d];
-        inj.perturb_after_step(&mut w, update_norm);
+        perturb(&mut inj, &mut w, update_norm);
         let err: f32 = w.iter().map(|&x| x * x).sum::<f32>().sqrt();
         let expected = std::f32::consts::SQRT_2 * GpuModel::G3090.noise_rel_sigma() * update_norm;
         assert!(
@@ -358,7 +358,7 @@ mod tests {
         let run = |seed: u64| {
             let mut inj = NoiseInjector::new(GpuModel::GA10, seed);
             let mut w = vec![0.0f32; 5_000];
-            inj.perturb_after_step(&mut w, 1.0);
+            perturb(&mut inj, &mut w, 1.0);
             w
         };
         let (a, b) = (run(1), run(2));
@@ -384,7 +384,7 @@ mod tests {
         let run = |model: GpuModel, seed: u64| {
             let mut inj = NoiseInjector::new(model, seed);
             let mut w = vec![0.0f32; 5_000];
-            inj.perturb_after_step(&mut w, 1.0);
+            perturb(&mut inj, &mut w, 1.0);
             w
         };
         let dist = |a: &[f32], b: &[f32]| -> f32 {
@@ -403,7 +403,7 @@ mod tests {
     fn noiseless_is_noop() {
         let mut inj = NoiseInjector::noiseless(GpuModel::G3090);
         let mut w = vec![1.0f32; 10];
-        inj.perturb_after_step(&mut w, 5.0);
+        perturb(&mut inj, &mut w, 5.0);
         assert_eq!(w, vec![1.0f32; 10]);
     }
 
@@ -424,15 +424,15 @@ mod tests {
     #[test]
     fn injectors_of_one_model_share_its_fingerprint() {
         let mut first = NoiseInjector::new(GpuModel::GP100, 1);
-        first.perturb_after_step(&mut vec![0.0f32; GP100_LONGEST], 1.0);
+        perturb(&mut first, &mut vec![0.0f32; GP100_LONGEST], 1.0);
         let mut second = NoiseInjector::new(GpuModel::GP100, 2);
         assert!(Arc::ptr_eq(&first.fingerprint, &second.fingerprint));
         // A shorter step keeps the vector the injector holds.
-        second.perturb_after_step(&mut [0.0f32; 100], 1.0);
+        perturb(&mut second, &mut [0.0f32; 100], 1.0);
         assert!(Arc::ptr_eq(&first.fingerprint, &second.fingerprint));
         assert!(Arc::ptr_eq(&first.fingerprint, &second.clone().fingerprint));
         let mut other = NoiseInjector::new(GpuModel::GT4, 1);
-        other.perturb_after_step(&mut [0.0f32; 100], 1.0);
+        perturb(&mut other, &mut [0.0f32; 100], 1.0);
         assert!(!Arc::ptr_eq(&first.fingerprint, &other.fingerprint));
     }
 
@@ -468,8 +468,8 @@ mod tests {
             let mut wa = vec![0.0f32; d];
             let mut wb = vec![0.0f32; d];
             for _ in 0..steps {
-                a.perturb_after_step(&mut wa, 1.0);
-                b.perturb_after_step(&mut wb, 1.0);
+                perturb(&mut a, &mut wa, 1.0);
+                perturb(&mut b, &mut wb, 1.0);
             }
             let dist: f32 = wa
                 .iter()
@@ -491,7 +491,7 @@ mod tests {
             let mut a = NoiseInjector::new(GpuModel::G3090, seed);
             let mut w = vec![0.0f32; 5000];
             for _ in 0..steps {
-                a.perturb_after_step(&mut w, 1.0);
+                perturb(&mut a, &mut w, 1.0);
             }
             w
         };

@@ -69,7 +69,7 @@ pub enum DatasetKind {
 
 impl DatasetKind {
     /// Number of training samples.
-    pub fn train_samples(&self) -> u64 {
+    fn train_samples(&self) -> u64 {
         match self {
             DatasetKind::Cifar10 | DatasetKind::Cifar100 => 50_000,
             DatasetKind::ImageNet => 1_281_167,
@@ -96,7 +96,6 @@ impl fmt::Display for DatasetKind {
 /// use rpol_sim::workload::{DatasetKind, ModelKind, Workload};
 ///
 /// let w = Workload::new(ModelKind::ResNet50, DatasetKind::ImageNet);
-/// assert_eq!(w.samples_per_worker(100), 12_811);
 /// assert_eq!(w.checkpoints_per_worker(100, 5), 21);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -124,13 +123,13 @@ impl Workload {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn samples_per_worker(&self, n: usize) -> u64 {
+    fn samples_per_worker(&self, n: usize) -> u64 {
         assert!(n > 0, "no workers");
         self.dataset.train_samples() / n as u64
     }
 
     /// SGD steps per worker per epoch.
-    pub fn steps_per_worker(&self, n: usize) -> u64 {
+    fn steps_per_worker(&self, n: usize) -> u64 {
         self.samples_per_worker(n).div_ceil(self.batch_size)
     }
 

@@ -8,19 +8,26 @@ use rpol_sim::workload::{DatasetKind, ModelKind, Workload};
 use rpol_sim::SimClock;
 use rpol_tensor::rng::Pcg32;
 
-/// `NoiseInjector::perturb_after_step` as it was before the fingerprint
-/// was cached and the normals were drawn in blocks: one `next_normal` per
-/// element from each stream, the per-GPU stream re-derived from its seed
-/// on every call.
+/// One [`NoiseInjector::step_noise`] over a whole weight vector as it was
+/// before the fingerprint was cached and the normals were drawn in blocks:
+/// one `next_normal` per element from each stream, the per-GPU stream
+/// re-derived from its seed on every call, `σ_rel` written out.
 fn perturb_uncached(rng: &mut Pcg32, gpu: GpuModel, weights: &mut [f32], update_norm: f32) {
     if !(update_norm.is_finite() && update_norm > 0.0) || weights.is_empty() {
         return;
     }
-    let sigma = gpu.noise_rel_sigma() * update_norm / (weights.len() as f32).sqrt();
+    let sigma_rel = (5e-6 * (gpu.fp32_tflops() / 10.0).sqrt()) as f32;
+    let sigma = sigma_rel * update_norm / (weights.len() as f32).sqrt();
     let mut fingerprint = Pcg32::seed_from(0xF17E_0000 ^ gpu.fp32_tflops().to_bits());
     for w in weights.iter_mut() {
-        *w += rng.normal(0.0, sigma) + sigma * fingerprint.next_normal();
+        *w += (0.0 + sigma * rng.next_normal()) + sigma * fingerprint.next_normal();
     }
+}
+
+/// One step's noise over the whole of `weights`: a single part.
+fn perturb(inj: &mut NoiseInjector, weights: &mut [f32], update_norm: f32) {
+    let len = weights.len();
+    perturb_parts(inj, weights, &[len], update_norm);
 }
 
 fn bits(weights: &[f32]) -> Vec<u32> {
@@ -99,7 +106,7 @@ proptest! {
         let run = |s: u64| {
             let mut inj = NoiseInjector::new(GpuModel::GA10, s);
             let mut w = vec![0.5f32; 64];
-            inj.perturb_after_step(&mut w, norm);
+            perturb(&mut inj, &mut w, norm);
             w
         };
         prop_assert_eq!(run(seed), run(seed));
@@ -143,14 +150,14 @@ proptest! {
             };
             let mut got: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 3.0).collect();
             let mut want = got.clone();
-            inj.perturb_after_step(&mut got, update_norm);
+            perturb(inj, &mut got, update_norm);
             perturb_uncached(oracle, gpu, &mut want, update_norm);
             prop_assert_eq!(bits(&got), bits(&want), "step {}", i);
         }
 
         let mut silent = NoiseInjector::noiseless(gpu);
         let mut w = vec![0.5f32; len];
-        silent.perturb_after_step(&mut w, norm);
+        perturb(&mut silent, &mut w, norm);
         prop_assert!(w.iter().all(|&x| x == 0.5));
     }
 
@@ -194,14 +201,14 @@ proptest! {
         // Another run regrows the process's fingerprint of `gpu` past every
         // length below; its own noise stream may not leak.
         let longest = lens.iter().max().expect("one length") + extra;
-        NoiseInjector::new(gpu, other_seed).perturb_after_step(&mut vec![0.0; longest], norm);
+        perturb(&mut NoiseInjector::new(gpu, other_seed), &mut vec![0.0; longest], norm);
         let mut after = NoiseInjector::new(gpu, run_seed);
         prop_assert_eq!(after.model(), gpu);
         for (step, &n) in lens.iter().enumerate() {
             let mut got: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 3.0).collect();
             let mut want = got.clone();
-            after.perturb_after_step(&mut got, norm);
-            before.perturb_after_step(&mut want, norm);
+            perturb(&mut after, &mut got, norm);
+            perturb(&mut before, &mut want, norm);
             prop_assert_eq!(bits(&got), bits(&want), "step {}", step);
         }
     }
@@ -211,7 +218,7 @@ proptest! {
         let err = |n: f32| {
             let mut inj = NoiseInjector::new(GpuModel::G3090, seed);
             let mut w = vec![0.0f32; 4096];
-            inj.perturb_after_step(&mut w, n);
+            perturb(&mut inj, &mut w, n);
             w.iter().map(|&x| x * x).sum::<f32>().sqrt()
         };
         let e1 = err(norm);
@@ -246,11 +253,14 @@ proptest! {
     #[test]
     fn workload_partitions_conserve_samples(n in 1usize..1000) {
         let w = Workload::new(ModelKind::ResNet50, DatasetKind::ImageNet);
-        let per = w.samples_per_worker(n);
-        prop_assert!(per * n as u64 <= DatasetKind::ImageNet.train_samples());
-        prop_assert!((per + 1) * n as u64 >= DatasetKind::ImageNet.train_samples());
-        // Steps cover the per-worker samples.
-        prop_assert!(w.steps_per_worker(n) * w.batch_size >= per);
+        // Each worker's share of the paper's 1,281,167 ImageNet samples.
+        let per = 1_281_167 / n as u64;
+        // A checkpoint every step counts the steps: the fewest batches
+        // that cover the share.
+        let steps = w.checkpoints_per_worker(n, 1);
+        prop_assert!(steps * w.batch_size >= per);
+        prop_assert!(steps == 0 || (steps - 1) * w.batch_size < per);
+        prop_assert_eq!(w.flops_per_worker(n), per as f64 * w.model.train_flops_per_sample());
     }
 
     #[test]

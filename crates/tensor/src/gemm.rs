@@ -37,7 +37,7 @@ const MR: usize = 8;
 /// XMM per accumulator row depending on the dispatched ISA tier).
 const NR: usize = 16;
 /// Row-block size: `MC × KC` packed A panels stay L2-resident.
-pub const MC: usize = 64;
+const MC: usize = 64;
 /// Depth-block size: one `KC × NR` packed B panel is 8 KiB, L1-resident.
 const KC: usize = 256;
 /// Column-block size for packed B.

@@ -423,19 +423,6 @@ impl Pcg32 {
         true
     }
 
-    /// Returns a normal draw with the given mean and standard deviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or non-finite.
-    pub fn normal(&mut self, mean: f32, std_dev: f32) -> f32 {
-        assert!(
-            std_dev.is_finite() && std_dev >= 0.0,
-            "invalid std dev {std_dev}"
-        );
-        mean + std_dev * self.next_normal()
-    }
-
     /// Fisher–Yates shuffles a slice in place.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {

@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn ks_accepts_normal_sample() {
         let mut rng = Pcg32::seed_from(42);
-        let xs: Vec<f32> = (0..500).map(|_| rng.normal(3.0, 0.5)).collect();
+        let xs: Vec<f32> = (0..500).map(|_| 3.0 + 0.5 * rng.next_normal()).collect();
         let ks = ks_normality_test(&xs);
         assert!(ks.is_normal(0.05), "normal sample rejected: {ks:?}");
     }
@@ -285,9 +285,9 @@ mod tests {
         let xs: Vec<f32> = (0..1000)
             .map(|i| {
                 if i % 2 == 0 {
-                    rng.normal(-4.0, 0.3)
+                    -4.0 + 0.3 * rng.next_normal()
                 } else {
-                    rng.normal(4.0, 0.3)
+                    4.0 + 0.3 * rng.next_normal()
                 }
             })
             .collect();
@@ -297,7 +297,7 @@ mod tests {
     #[test]
     fn running_stats_matches_batch() {
         let mut rng = Pcg32::seed_from(3);
-        let xs: Vec<f32> = (0..1000).map(|_| rng.normal(1.0, 2.0)).collect();
+        let xs: Vec<f32> = (0..1000).map(|_| 1.0 + 2.0 * rng.next_normal()).collect();
         let mut rs = RunningStats::new();
         for &x in &xs {
             rs.push(x);

@@ -105,15 +105,6 @@ impl Tensor {
         self.data
     }
 
-    /// Reads the element at a multi-index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    pub fn at(&self, index: &[usize]) -> f32 {
-        self.data[self.shape.offset(index)]
-    }
-
     /// Returns a tensor with the same data and a new shape.
     ///
     /// # Panics
@@ -148,19 +139,6 @@ impl Tensor {
         }
     }
 
-    /// `self += alpha * other`, the BLAS `axpy` primitive used by every
-    /// optimizer in the workspace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Self) {
-        self.check_same_shape(other);
-        for (x, &y) in self.data.iter_mut().zip(&other.data) {
-            *x += alpha * y;
-        }
-    }
-
     /// Multiplies every element by `alpha` in place.
     pub fn scale(&mut self, alpha: f32) {
         for x in &mut self.data {
@@ -185,16 +163,6 @@ impl Tensor {
             .map(|&x| (x as f64) * (x as f64))
             .sum::<f64>()
             .sqrt() as f32
-    }
-
-    /// The Euclidean distance between two same-length tensors:
-    /// [`stats::euclidean`](crate::stats::euclidean) of their data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn euclidean_distance(&self, other: &Self) -> f32 {
-        crate::stats::euclidean(&self.data, &other.data)
     }
 
     /// Matrix–vector product for a rank-2 tensor and a rank-1 tensor:
@@ -274,6 +242,20 @@ impl fmt::Debug for Tensor {
     }
 }
 
+/// Element-wise `self += rhs`: a residual connection's sum.
+///
+/// # Panics
+///
+/// Panics if the shapes differ.
+impl AddAssign<&Tensor> for Tensor {
+    fn add_assign(&mut self, rhs: &Tensor) {
+        self.check_same_shape(rhs);
+        for (x, &y) in self.data.iter_mut().zip(&rhs.data) {
+            *x += y;
+        }
+    }
+}
+
 impl Mul<f32> for &Tensor {
     type Output = Tensor;
     fn mul(self, rhs: f32) -> Tensor {
@@ -281,16 +263,11 @@ impl Mul<f32> for &Tensor {
     }
 }
 
-impl AddAssign<&Tensor> for Tensor {
-    fn add_assign(&mut self, rhs: &Tensor) {
-        self.axpy(1.0, rhs);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::{self, Trans};
+    use crate::stats;
 
     /// `a · b` for rank-2 tensors, by the GEMM kernel the layers call.
     fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
@@ -302,8 +279,8 @@ mod tests {
     #[test]
     fn construction_and_accessors() {
         let t = Tensor::from_vec(&[2, 3], vec![1., 2., 3., 4., 5., 6.]);
-        assert_eq!(t.at(&[0, 0]), 1.0);
-        assert_eq!(t.at(&[1, 2]), 6.0);
+        assert_eq!(t.data()[0], 1.0);
+        assert_eq!(t.data()[5], 6.0);
         assert_eq!(t.len(), 6);
         assert_eq!(t.sum(), 21.0);
         assert!((t.mean() - 3.5).abs() < 1e-6);
@@ -348,23 +325,21 @@ mod tests {
 
     #[test]
     fn axpy_and_ops() {
-        let mut a = Tensor::from_vec(&[3], vec![1., 2., 3.]);
-        let b = Tensor::from_vec(&[3], vec![10., 20., 30.]);
-        a.axpy(0.5, &b);
-        assert_eq!(a.data(), &[6., 12., 18.]);
-        let mut c = a.clone();
-        c.axpy(-1.0, &b);
-        assert_eq!(c.data(), &[-4., -8., -12.]);
+        let mut c = Tensor::from_vec(&[3], vec![-4., -8., -12.]);
         let d = &c * 0.25;
         assert_eq!(d.data(), &[-1., -2., -3.]);
+        c.scale(-0.5);
+        assert_eq!(c.data(), &[2., 4., 6.]);
+        c.map_inplace(|x| x + 1.0);
+        assert_eq!(c.data(), &[3., 5., 7.]);
     }
 
     #[test]
     fn euclidean_distance_basic() {
         let a = Tensor::from_vec(&[2], vec![0., 0.]);
         let b = Tensor::from_vec(&[2], vec![3., 4.]);
-        assert!((a.euclidean_distance(&b) - 5.0).abs() < 1e-6);
-        assert_eq!(a.euclidean_distance(&a), 0.0);
+        assert!((stats::euclidean(a.data(), b.data()) - 5.0).abs() < 1e-6);
+        assert_eq!(stats::euclidean(a.data(), a.data()), 0.0);
     }
 
     #[test]
@@ -372,7 +347,7 @@ mod tests {
         let mut rng = Pcg32::seed_from(9);
         let a = Tensor::randn(&[100], &mut rng);
         let z = Tensor::zeros(&[100]);
-        assert!((a.norm() - a.euclidean_distance(&z)).abs() < 1e-4);
+        assert!((a.norm() - stats::euclidean(a.data(), z.data())).abs() < 1e-4);
     }
 
     #[test]

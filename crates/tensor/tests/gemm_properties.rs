@@ -7,7 +7,10 @@
 //! proptest-driven random ones, and check that thread count is invisible.
 
 use proptest::prelude::*;
-use rpol_tensor::gemm::{self, Trans, MC};
+use rpol_tensor::gemm::{self, Trans};
+
+/// The kernel's row-block size (`gemm::MC`): shapes at and across it.
+const MC: usize = 64;
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::Tensor;
 
@@ -126,7 +129,10 @@ fn blocked_transpose_is_an_involution_and_matches_indexing() {
         let tt = t.transpose();
         for i in 0..r {
             for j in 0..c {
-                assert_eq!(t.at(&[i, j]).to_bits(), tt.at(&[j, i]).to_bits());
+                assert_eq!(
+                    t.data()[i * c + j].to_bits(),
+                    tt.data()[j * r + i].to_bits()
+                );
             }
         }
         assert_eq!(bits(tt.transpose().data()), bits(t.data()), "{r}x{c}");

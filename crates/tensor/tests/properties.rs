@@ -58,16 +58,6 @@ proptest! {
     }
 
     #[test]
-    fn axpy_matches_scalar_math(a in finite_vec(8), b in finite_vec(8), alpha in -10.0f32..10.0) {
-        let mut t = Tensor::from_vec(&[8], a.clone());
-        let tb = Tensor::from_vec(&[8], b.clone());
-        t.axpy(alpha, &tb);
-        for i in 0..8 {
-            prop_assert!((t.data()[i] - (a[i] + alpha * b[i])).abs() < 1e-3);
-        }
-    }
-
-    #[test]
     fn matmul_distributes_over_addition(
         a in finite_vec(6), b in finite_vec(6), c in finite_vec(6)
     ) {
@@ -99,15 +89,12 @@ proptest! {
     fn euclidean_distance_is_a_metric(
         a in finite_vec(10), b in finite_vec(10), c in finite_vec(10)
     ) {
-        let ta = Tensor::from_vec(&[10], a);
-        let tb = Tensor::from_vec(&[10], b);
-        let tc = Tensor::from_vec(&[10], c);
-        let dab = ta.euclidean_distance(&tb);
-        let dba = tb.euclidean_distance(&ta);
+        let dab = stats::euclidean(&a, &b);
+        let dba = stats::euclidean(&b, &a);
         prop_assert!((dab - dba).abs() < 1e-4, "symmetry");
-        prop_assert!(ta.euclidean_distance(&ta) == 0.0, "identity");
-        let dac = ta.euclidean_distance(&tc);
-        let dcb = tc.euclidean_distance(&tb);
+        prop_assert!(stats::euclidean(&a, &a) == 0.0, "identity");
+        let dac = stats::euclidean(&a, &c);
+        let dcb = stats::euclidean(&c, &b);
         prop_assert!(dab <= dac + dcb + 1e-3, "triangle inequality");
     }
 

@@ -3,7 +3,10 @@
 //! profiler behind EXPERIMENTS.md's "Training-step budget".
 //!
 //! Each layer is fed its real input and its real output gradient through
-//! one shared arena; "bwd" is what the step runs for that layer (nothing
+//! one shared arena, as the step feeds it: the first layer borrows the
+//! batch, every later one owns its input (`forward_owned`, on a copy drawn
+//! from the arena outside the timing). "bwd" is what the step runs for
+//! that layer (nothing
 //! for the frozen AMLayer, parameter gradients only for conv1, the full
 //! backward elsewhere). The last lines time the whole model, the rest of
 //! the step — the batch gather, the loss, the update (optimizer, update
@@ -35,20 +38,23 @@ use std::time::Instant;
 const WARMUP: usize = 20;
 const REPS: usize = 200;
 
-/// Median wall time of `f` in µs.
-fn median_us(mut f: impl FnMut()) -> f64 {
+/// Median of `REPS` samples in µs, after `WARMUP` discarded ones.
+fn median_of(mut sample_us: impl FnMut() -> f64) -> f64 {
     for _ in 0..WARMUP {
-        f();
+        sample_us();
     }
-    let mut samples: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
+    let mut samples: Vec<f64> = (0..REPS).map(|_| sample_us()).collect();
     samples.sort_by(f64::total_cmp);
     samples[REPS / 2]
+}
+
+/// Median wall time of `f` in µs.
+fn median_us(mut f: impl FnMut()) -> f64 {
+    median_of(|| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64() * 1e6
+    })
 }
 
 /// Minor page faults the process has taken so far (`/proc/self/stat`,
@@ -156,10 +162,22 @@ fn main() {
     println!("{:<12} {:>10} {:>10}", "layer", "fwd", "bwd");
     let (mut fwd_sum, mut bwd_sum) = (0.0, 0.0);
     for (i, (name, bwd, layer)) in layers.iter_mut().enumerate() {
-        let fwd = median_us(|| {
-            let y = layer.forward(black_box(&inputs[i]), true, &mut arena);
-            arena.recycle(black_box(y).into_vec());
-        });
+        let fwd = if i == 0 {
+            median_us(|| {
+                let y = layer.forward(black_box(&inputs[i]), true, &mut arena);
+                arena.recycle(black_box(y).into_vec());
+            })
+        } else {
+            median_of(|| {
+                let mut owned = arena.take_empty(inputs[i].len());
+                owned.extend_from_slice(inputs[i].data());
+                let owned = Tensor::from_vec(inputs[i].shape().dims(), owned);
+                let t = Instant::now();
+                let y = layer.forward_owned(black_box(owned), true, &mut arena);
+                arena.recycle(black_box(y).into_vec());
+                t.elapsed().as_secs_f64() * 1e6
+            })
+        };
         let back = match (*bwd, &grads[i]) {
             (Bwd::Full, Some(g)) => median_us(|| {
                 let dx = layer.backward(black_box(g), &mut arena);

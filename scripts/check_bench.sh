@@ -6,10 +6,11 @@
 # shorter timing budget — the same regimes at a fraction of the
 # wall-clock) and fails if a headline number fell too far below its
 # committed baseline in BENCH_verify.json. Every throughput gate compares
-# a speedup *ratio*: the fast row against a reference row timed in the
-# same process moments apart, on code that still differs from it. A host
-# whose speed drifts moves both sides of the ratio together, so the gate
-# holds on unchanged code; absolute MB/s are printed for information.
+# a speedup *ratio*: the fast row against a reference row that runs code
+# still differing from it, the two timed in five interleaved rounds (the
+# order reversed every other round) and the median per-round ratio kept.
+# A host whose speed drifts moves both sides of a round together, so the
+# gate holds on unchanged code; absolute MB/s are printed for information.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,16 +27,15 @@ BENCH_SMOKE=1 cargo run --release -p rpol-bench --bin verify_bench -- target/BEN
 # three e2e variants (noop recorder, real-but-disabled recorder, fully
 # recording recorder) must all run, and the obs cost must stay bounded.
 # Each case is timed for 0.25 s, so one round's ratio moves with whatever
-# else the host runs in that second: three rounds, each case its own run,
-# the order reversed every other round, and the median ratio gated.
+# else the host runs in that second (a replay reads ≈ 250 or ≈ 380 µs, by
+# spells of seconds): five rounds, each case its own run, the order rotated
+# so that every case runs first, second and last, and the median ratio
+# gated.
 OBS_CASES=(verify_samples_e2e_v2 verify_samples_e2e_v2_obs_disabled verify_samples_e2e_v2_obs_enabled)
 : >target/bench_obs_overhead.txt
-for round in 1 2 3; do
-    order="0 1 2"
-    if [ $((round % 2)) -eq 0 ]; then
-        order="2 1 0"
-    fi
-    for c in $order; do
+for round in 1 2 3 4 5; do
+    first=$((round % 3))
+    for c in $first $(((first + 1) % 3)) $(((first + 2) % 3)); do
         cargo bench -q -p rpol-bench --bench verify -- --exact "${OBS_CASES[$c]}" \
             | sed "s/^/round $round /" | tee -a target/bench_obs_overhead.txt
     done
@@ -45,8 +45,8 @@ python3 - <<'EOF'
 import json
 
 # --- Verification data plane. Each hashing row carries its
-# `speedup_vs_scalar`, timed in the same process against a reference that
-# runs different code: commitment hashing against the portable
+# `speedup_vs_scalar`, the median of five interleaved rounds against a
+# reference that runs different code: commitment hashing against the portable
 # one-stream-per-checkpoint SHA-256 (`commit_hash_portable`), the streamed
 # LSH hash against the scalar chain (`lsh_digest_scalar`). A fresh ratio
 # must keep 0.8x of the committed one. The committed file carries one row
@@ -131,7 +131,7 @@ for line in open("target/bench_obs_overhead.txt"):
     parts = line.split()
     if "time:" in parts and parts[0] == "round":
         rounds.setdefault(int(parts[1]), {})[parts[2]] = float(parts[parts.index("time:") + 1])
-assert len(rounds) >= 3, f"obs-overhead bench ran {len(rounds)} rounds, want 3"
+assert len(rounds) >= 5, f"obs-overhead bench ran {len(rounds)} rounds, want 5"
 offs, ons = [], []
 for r, cases in sorted(rounds.items()):
     for need in ("verify_samples_e2e_v2", "verify_samples_e2e_v2_obs_disabled",

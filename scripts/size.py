@@ -2,30 +2,35 @@
 """Counts library lines and lists public items that nothing calls.
 
 Library code is every `.rs` file under `crates/*/src`, without `src/bin/`.
-For each crate the script prints its lines outside `#[cfg(test)]` items.
+For each crate the script prints its lines outside `#[cfg(test)]` code.
 
-A `pub` item (`fn`, `const`, `static`, `struct`, `enum`, `trait`, `type`) of
-library code is *unused* when its name appears in no other `.rs` file under
-`crates/`, `src/`, `tests/` or `examples/`. A `pub fn` inside an `impl` block
-(a method or an associated fn) appears only as a call or a path: `.name(`,
-`.name::<` or `::name`, so a field or a local of the same name hides nothing.
-Comments, string literals,
-`#[cfg(test)]` items, `pub use` re-exports and other definitions of the same
-name do not count as an appearance. A used item also uses what its interface
-names in its own file: the types in a `pub fn`'s signature, in a struct's
-`pub` fields, in an enum's variants. `crates/bench/src/bin/epoch_bench/` is
-frozen: it is neither scanned nor counted as a caller. Names on ALLOW are left
-out, each with its reason; an entry that no longer matches an unused item is
-stale and fails the check too.
+A caller is code that runs outside a test: every `.rs` file under
+`crates/`, `src/` and `examples/` (library code, every `src/bin` program,
+`crates/bench/benches`) but not `tests/` or `crates/*/tests/`, and none of
+its `#[cfg(test)]` code. A `pub` item (`fn`, `const`, `static`, `struct`,
+`enum`, `trait`, `type`) of library code is *unused* when its name appears
+in no caller other than its own file. A `pub fn` inside an `impl` block (a
+method or an associated fn) appears only as a call or a path: `.name(`,
+`.name::<` or `::name`, so a field or a local of the same name hides
+nothing. Comments, string literals, `pub use` re-exports and other
+definitions of the same name do not count as an appearance. A used item
+also uses what its interface names in its own file: the types in a `pub
+fn`'s signature, in a struct's `pub` fields, in an enum's variants. A
+`#[cfg(test)]` on an item blanks the item; on a field, an initialiser, a
+statement or a block it blanks only that. Names on ALLOW are left out, each
+with its reason; an entry that no longer matches an unused item is stale
+and fails the check too.
 
 Usage: scripts/size.py                   # print lines and the unused list
        scripts/size.py --max-unused N    # also exit 1 if more than N are unused
        scripts/size.py --self-test
   The self-test builds a fixture tree (one used `pub fn` and the type it
   returns, one unused `pub fn`, one allowlisted item, one item used only
-  under `#[cfg(test)]`, a method called and one reached by its path, and a
-  method whose name is only a field elsewhere) and checks the unused list
-  and the line count the script reports for it.
+  under `#[cfg(test)]`, a method called and one reached by its path, a
+  method whose name is only a field elsewhere, items called only from a
+  crate's `tests/`, from its `benches/` and from a `src/bin` program, and a
+  struct with a `#[cfg(test)]` field before an unused item) and checks the
+  unused list and the line count the script reports for it.
 """
 import os
 import re
@@ -34,18 +39,24 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-FROZEN = os.path.join("crates", "bench", "src", "bin", "epoch_bench")
 
-# `crate-relative file::name` -> why the item stays public without a caller.
+# `crate-relative file::name` -> the test that calls the item, and why that
+# test cannot go through an entry point that runs outside a test.
 ALLOW = {
-    "crypto/src/prf.rs::index": "the paper's PRF(input) mod n data-selection map, shown by the crate's doctest",
-    "lsh/src/pstable.rs::resident_bytes": "rpol's client tests hold every party's family to k·l offsets",
-    "nn/src/data.rs::image": "rpol's pool tests check that a clone shares its rows by pointer",
-    "nn/src/data.rs::pixel_count": "the nn crate's doctest sizes its first Dense layer with it",
-    "rpol/src/calibrate.rs::quantized": "frozen epoch_bench surface (traced run), until ROADMAP item 22",
-    "rpol/src/trainer.rs::replay_segment_quantized": "frozen epoch_bench surface (traced run), until ROADMAP item 22",
-    "tensor/src/rng.rs::draw_each_on": "its doctest drives the block driver at a chosen executor width",
-    "tensor/src/scratch.rs::pooled": "rpol-nn's model tests check that an ended pass holds no small buffer",
+    "crypto/src/sha256.rs::host_tiers": "crypto's `cavp` tests run the vectors on every tier the host has; production runs only the best one",
+    "lsh/src/pstable.rs::resident_bytes": "rpol's client tests hold every party's family to k·l offsets; no running program asks a family its size",
+    "nn/src/data.rs::image": "rpol's pool tests compare a clone's rows with the original's by pointer; training reads rows through batches",
+    "nn/src/data.rs::pixel_count": "the nn crate's doctest sizes its first Dense layer with it; tasks size layers from their spec",
+    "nn/src/model.rs::backward_to_input": "nn's `backward_properties` and rpol's `training_step_work` check the input gradient, which training never computes",
+    "nn/src/model.rs::forward_keep_all": "the oracle forward that `backward_to_input` needs, for the same two tests",
+    "rpol/src/pool.rs::with_threads": "`epoch_matrix`, `obs_determinism` and the root `determinism` tests run one pool at several executor widths in one process; a program reads RPOL_EXEC_THREADS once",
+    "rpol/src/server.rs::loopback": "`net_parity`, `net_status` and the CLI tests bind an ephemeral loopback port; `rpol serve` parses its address",
+    "rpol/src/server.rs::wait_for_workers": "`net_parity` and the CLI's status test probe a server between joins and the epoch; `PoolServer::run` waits inside its run",
+    "sim/src/gpu.rs::noiseless": "the trainer's and sim's tests replay without GPU noise to show replay is exact; every running worker models a GPU",
+    "tensor/src/gemm.rs::set_default_threads": "`kernel_digest_pinning` pins digests at several GEMM widths in one process; a program reads RPOL_GEMM_THREADS once",
+    "tensor/src/rng.rs::draw_each_on": "its doctest drives the block driver at a chosen executor width; data generation uses the shared executor",
+    "tensor/src/scratch.rs::pooled": "rpol-nn's model tests check that an ended pass holds no small buffer; nothing running asks",
+    "tensor/src/shape.rs::offset": "the row-major layout oracle: tensor's `shape_offset_bijective` and shape tests, and nn's stride test, index with it; every kernel computes its offsets inline",
 }
 
 PUB_ITEM = re.compile(
@@ -61,7 +72,12 @@ CFG_TEST = "#[cfg(test)]"
 RAW_STRING = re.compile(r'b?r(#*)"')
 CHAR = re.compile(r"'(?:\\(?:x..|u\{[^}]*\}|.)|[^\\'])'")
 ATTRIBUTE = re.compile(r"\s*#\[")
-SEMICOLON_ITEM = re.compile(r"\s*(?:pub(?:\([^)]*\))?\s+)?(?:use|const|static|type)\b")
+VISIBILITY = r"\s*(?:pub(?:\([^)]*\))?\s+)?"
+SEMICOLON_ITEM = re.compile(VISIBILITY + r"(?:use|const|static|type)\b")
+# An item that ends at its block (or at a `;` before one), and a bare block.
+BRACED_ITEM = re.compile(
+    VISIBILITY + r"(?:(?:unsafe|async|const|extern\s+\S+)\s+)*(?:fn|mod|impl|struct|enum|union|trait|extern|macro_rules!)\b|\s*\{"
+)
 
 
 def strip(text):
@@ -104,20 +120,27 @@ def strip(text):
 
 
 def item_end(text, i):
-    """Index just past the item that starts at `i` (attributes skipped)."""
+    """Index just past the item that starts at `i` (attributes skipped). What
+    is neither an item nor a block (a field, an initialiser, a statement)
+    ends at its `,` or `;`, or before the bracket that closes around it."""
     while m := ATTRIBUTE.match(text, i):
         i = close(text, m.end() - 1)
     semicolon_item = SEMICOLON_ITEM.match(text, i)
+    braced_item = BRACED_ITEM.match(text, i)
     depth = 0
     for j in range(i, len(text)):
         c = text[j]
-        if c in "([" or (c == "{" and semicolon_item):
+        if c in "([" or (c == "{" and not braced_item):
             depth += 1
-        elif c in ")]" or (c == "}" and semicolon_item):
+        elif c in ")]" or (c == "}" and not braced_item):
             depth -= 1
+            if depth < 0:
+                return j
         elif c == "{" and depth == 0:
             return close(text, j)
         elif c == ";" and depth == 0:
+            return j + 1
+        elif c == "," and depth == 0 and not (semicolon_item or braced_item):
             return j + 1
     return len(text)
 
@@ -164,8 +187,6 @@ def rust_files(root):
         for dirpath, dirnames, names in os.walk(os.path.join(root, top)):
             dirnames[:] = sorted(d for d in dirnames if d != "target")
             rel_dir = os.path.relpath(dirpath, root)
-            if rel_dir == FROZEN or rel_dir.startswith(FROZEN + os.sep):
-                continue
             for name in sorted(names):
                 if name.endswith(".rs"):
                     with open(os.path.join(dirpath, name), encoding="utf-8") as f:
@@ -178,11 +199,18 @@ def is_library(path):
     return len(parts) > 3 and parts[0] == "crates" and parts[2] == "src" and parts[3] != "bin"
 
 
+def is_test(path):
+    """A file of `tests/` or `crates/*/tests/`: it runs only under a test."""
+    parts = path.split(os.sep)
+    return parts[0] == "tests" or (parts[0] == "crates" and len(parts) > 3 and parts[2] == "tests")
+
+
 def scan(root, allow):
     """Returns (lines per crate, unused items as (path, line, kind, name), stale allowlist keys).
 
-    An item is used when another file names it, or when a used item of its
-    own file names it in its interface (a type a used fn returns)."""
+    An item is used when another file's code outside a test names it, or when
+    a used item of its own file names it in its interface (a type a used fn
+    returns)."""
     lines, defined, words, methods = {}, [], {}, {}
     for path, text in rust_files(root).items():
         stripped = strip(text)
@@ -196,6 +224,8 @@ def scan(root, allow):
                 line = code.count("\n", 0, m.start()) + 1
                 method = m.group(1) == "fn" and any(a < m.start() < b for a, b in impls)
                 defined.append((path, line, m.group(1), m.group(2), interface(code, m), method))
+        if is_test(path):
+            continue
         callers = DEFINITION.sub(" ", REEXPORT.sub(" ", code))
         words[path] = set(re.findall(IDENT, callers))
         methods[path] = {a or b for a, b in METHOD_USE.findall(callers)}
@@ -271,6 +301,26 @@ impl Out {
         self.0
     }
 }
+
+pub fn only_in_tests() -> u32 {
+    5
+}
+
+pub fn in_bench() -> u32 {
+    6
+}
+
+pub fn in_bin() -> u32 {
+    7
+}
+
+pub struct Counters {
+    pub seen: u32,
+    #[cfg(test)]
+    flushes: u32,
+}
+
+pub const AFTER_FIELD: u32 = 8;
 """,
     "crates/demo/src/other.rs": """\
 // unused_fn is named in a comment, which is no call.
@@ -296,7 +346,14 @@ mod tests {
     }
 }
 """,
-    "crates/demo/src/bin/tool.rs": "fn main() {}\n",
+    "crates/demo/src/bin/tool.rs": "fn main() {\n    let _ = demo::in_bin();\n}\n",
+    "crates/demo/benches/b.rs": "fn main() {\n    let _ = demo::in_bench();\n}\n",
+    "crates/demo/tests/t.rs": """\
+#[test]
+fn only_in_tests() {
+    assert_eq!(demo::only_in_tests() + demo::AFTER_FIELD + demo::Counters { seen: 0 }.seen, 13);
+}
+""",
 }
 
 
@@ -308,7 +365,18 @@ def self_test():
                 f.write(text)
         lines, unused, stale = scan(tmp, {"demo/src/lib.rs::Allowed": "fixture"})
     got = (lines, [(kind, name) for _, _, kind, name in unused], stale)
-    want = ({"demo": 32 + 15}, [("fn", "unused_fn"), ("const", "ONLY_TESTED"), ("fn", "hits")], [])
+    want = (
+        {"demo": 50 + 15},
+        [
+            ("fn", "unused_fn"),
+            ("const", "ONLY_TESTED"),
+            ("fn", "hits"),
+            ("fn", "only_in_tests"),
+            ("struct", "Counters"),
+            ("const", "AFTER_FIELD"),
+        ],
+        [],
+    )
     if got == want:
         print("self-test: the fixture's unused list and line count are as built")
         return 0

@@ -19,9 +19,9 @@ fn behaviors() -> Vec<WorkerBehavior> {
 fn fingerprint(report: &PoolReport) -> (Vec<u32>, Vec<Vec<usize>>, u64, u64) {
     (
         report
-            .accuracy_curve()
+            .epochs
             .iter()
-            .map(|a| a.to_bits())
+            .map(|e| e.test_accuracy.to_bits())
             .collect(),
         report
             .epochs

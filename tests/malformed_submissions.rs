@@ -6,7 +6,7 @@ use rpol_repro::nn::data::SyntheticImages;
 use rpol_repro::rpol::commitment::EpochCommitment;
 use rpol_repro::rpol::tasks::TaskConfig;
 use rpol_repro::rpol::trainer::epoch_segments;
-use rpol_repro::rpol::verify::{ProofProvider, ProofUnavailable, Verifier};
+use rpol_repro::rpol::verify::{ProofProvider, ProofUnavailable, VerificationOutcome, Verifier};
 use rpol_repro::sim::gpu::{GpuModel, NoiseInjector};
 use rpol_repro::tensor::rng::Pcg32;
 
@@ -65,7 +65,7 @@ fn verify_hostile(poison: f32) {
     // Every sampled segment whose claimed output is poisoned is rejected.
     for (j, outcome) in &verdict.outcomes {
         assert!(
-            !outcome.is_accepted(),
+            !matches!(outcome, VerificationOutcome::Accepted { .. }),
             "segment {j} accepted a {poison} payload"
         );
     }

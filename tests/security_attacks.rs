@@ -150,7 +150,7 @@ fn partial_spoof_caught_exactly_on_spoofed_segments() {
     let accepted: Vec<bool> = verdict
         .outcomes
         .iter()
-        .map(|(_, o)| o.is_accepted())
+        .map(|(_, o)| matches!(o, VerificationOutcome::Accepted { .. }))
         .collect();
     assert!(accepted[0], "honest segment 0 must pass");
     assert!(accepted[1], "honest segment 1 must pass");
@@ -363,7 +363,7 @@ mod endpoint_binding {
             let reference = MiningPool::new(config(scheme, SEEDS[0], None), replayers).run();
             assert_eq!(reference.acceptances(), cheated.acceptances());
             let bits = |r: &PoolReport| -> Vec<u32> {
-                r.accuracy_curve().iter().map(|a| a.to_bits()).collect()
+                r.epochs.iter().map(|e| e.test_accuracy.to_bits()).collect()
             };
             assert_eq!(bits(&cheated), bits(&reference), "{scheme}");
         }
