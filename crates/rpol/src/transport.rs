@@ -839,7 +839,7 @@ impl Transport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{encode_proof_request, open_frame};
+    use crate::wire::encode_proof_request;
 
     fn payload() -> Bytes {
         encode_proof_request(&[1, 2, 3, 4])
@@ -892,8 +892,9 @@ mod tests {
             "the receiver's account"
         );
         let got = outcome.map(|()| {
-            open_frame(writes.last().expect("a delivered exchange writes").clone())
-                .expect("the last write of a delivered exchange is pristine")
+            let last = writes.last().expect("a delivered exchange writes");
+            frame_payload(last).expect("the last write of a delivered exchange is pristine");
+            last.slice(FRAME_HEADER_BYTES..)
         });
         (got, stats, clock)
     }
@@ -1042,13 +1043,13 @@ mod tests {
                     trunc_keep = Some(keep);
                 }
 
-                match open_frame(Bytes::from(delivered)) {
-                    Ok(verified) => {
+                match frame_payload(&delivered) {
+                    Ok(()) => {
                         if let Some(taps) = taps.as_deref_mut() {
                             taps.push(framed.clone());
                         }
                         done(attempt + 1, true, rec);
-                        return Ok(verified);
+                        return Ok(Bytes::from(delivered).slice(FRAME_HEADER_BYTES..));
                     }
                     Err(_) => {
                         if let Some(taps) = taps.as_deref_mut() {
@@ -1154,7 +1155,8 @@ mod tests {
             let ((writes, outcome), sent_stats, sent_clock, _) = &got_tap;
             if outcome.is_ok() {
                 let last = writes.last().expect("a delivered exchange writes").clone();
-                assert_eq!(open_frame(last).as_ref(), Ok(&payload), "case {case}");
+                assert_eq!(frame_payload(&last), Ok(()), "case {case}");
+                assert_eq!(last.slice(FRAME_HEADER_BYTES..), payload, "case {case}");
             }
 
             let want_len = observe(|s, c, r| {
@@ -1478,7 +1480,7 @@ mod tests {
         assert_eq!(explosive.backoff_s(63), explosive.backoff_cap_s);
     }
 
-    /// A sender's writes are ghosts that fail `open_frame` without breaking
+    /// A sender's writes are ghosts that fail `frame_payload` without breaking
     /// stream framing, then the pristine frame iff the exchange delivered —
     /// never more writes than attempts.
     #[test]
@@ -1513,9 +1515,10 @@ mod tests {
             );
             for (i, frame) in writes.iter().enumerate() {
                 let last = i + 1 == writes.len();
-                let opened = open_frame(frame.clone());
+                let opened = frame_payload(frame);
                 if last && outcome.is_ok() {
-                    assert_eq!(opened.expect("pristine"), payload(), "seq {seq}");
+                    opened.expect("pristine");
+                    assert_eq!(frame.slice(FRAME_HEADER_BYTES..), payload(), "seq {seq}");
                 } else {
                     assert!(opened.is_err(), "ghost {i} of seq {seq} opened");
                     let framed_len =
@@ -1593,7 +1596,8 @@ mod tests {
                     continue;
                 }
                 let (last, ghosts) = sent.split_last().expect("an upload ends with its frame");
-                let opened = open_frame(last.clone()).expect("pristine");
+                frame_payload(last).expect("pristine");
+                let opened = last.slice(FRAME_HEADER_BYTES..);
                 if outcome.is_ok() {
                     assert_eq!(ghosts, &frames[..frames.len() - 1]);
                     let (got, inner) = crate::wire::split_traced(opened);
