@@ -17,14 +17,18 @@
 //!   (`lsh_digest_streamed`), and as production runs it, split across the
 //!   shared executor's lanes (`lsh_digest_streamed_lanes`, information);
 //! * **end-to-end sampled replay** — `Verifier::verify_samples` on the
-//!   tiny task, the latency a manager pays per worker per epoch.
+//!   tiny task, the latency a manager pays per worker per epoch: RPoLv2
+//!   on the noop recorder (the reference), on an attached but disabled
+//!   recorder and on a recording one (the observability overhead
+//!   `scripts/check_bench.sh` gates), and RPoLv3.
 //!
-//! Every vectorized result is asserted bitwise-equal to its scalar oracle
-//! before being timed — a benchmark of a wrong kernel is worthless here.
-//! A hashing row's `speedup_vs_scalar` is the median of [`ROUNDS`]
-//! per-round ratios, its reference and fast passes timed in interleaved
-//! rounds (see [`interleaved`]): one pass of the scalar LSH chain alone
-//! ranges over ±30 % with what the host's other tenants run.
+//! Every vectorized result is asserted bitwise-equal to its scalar oracle,
+//! and every replay variant to the reference's verdict, before being
+//! timed — a benchmark of a wrong path is worthless here. A row's
+//! `speedup_vs_scalar` is the median of [`ROUNDS`] per-round
+//! `reference / row` ratios, its reference and fast passes timed in
+//! interleaved rounds (see [`interleaved`]): one pass of the scalar LSH
+//! chain alone ranges over ±30 % with what the host's other tenants run.
 //!
 //! `BENCH_SMOKE=1` shrinks shapes and timing budgets for the CI
 //! regression gate (`scripts/check_bench.sh`); the committed baseline is
@@ -34,7 +38,7 @@
 
 use rpol::commitment::EpochCommitment;
 use rpol::tasks::TaskConfig;
-use rpol::trainer::LocalTrainer;
+use rpol::trainer::{EpochTrace, LocalTrainer};
 use rpol::verify::{ProofProvider, ProofUnavailable, Verifier, WorkerVerdict};
 use rpol::wire;
 use rpol_crypto::bytes::bf16_as_le_bytes;
@@ -42,9 +46,10 @@ use rpol_crypto::bytes::f32s_as_le_bytes;
 use rpol_crypto::sha256::{sha256_with, Digest, Tier};
 use rpol_crypto::sha256x8::sha256_batch_with;
 use rpol_crypto::{sha256_bf16_batch, sha256_f32_batch};
-use rpol_exec::Executor;
 use rpol_lsh::{LshFamily, LshParams, Signature};
 use rpol_nn::data::SyntheticImages;
+use rpol_nn::model::Sequential;
+use rpol_obs::{EventKind, Recorder};
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::rng::Pcg32;
 use std::hint::black_box;
@@ -90,14 +95,14 @@ fn time_ns_cfg(min_ms: u128, samples: usize, mut f: impl FnMut()) -> f64 {
 
 /// Times `reference` and each of `fast` in [`ROUNDS`] interleaved rounds,
 /// the order reversed every other round, so that a host whose speed
-/// drifts moves both sides of a round's ratio together. Returns the
-/// reference's median time and, per fast path, its median time and the
-/// median of its per-round `reference / fast` ratios.
+/// drifts moves both sides of a round's ratio together. Returns, for the
+/// reference and then each fast path, its median time and its per-round
+/// `reference / path` ratios.
 fn interleaved(
     time_ns: &dyn Fn(&mut dyn FnMut()) -> f64,
     reference: &mut dyn FnMut(),
     fast: &mut [Pass<'_>],
-) -> (f64, Vec<(f64, f64)>) {
+) -> Vec<(f64, Vec<f64>)> {
     let mut reference_ns = Vec::with_capacity(ROUNDS);
     let mut fast_ns = vec![Vec::with_capacity(ROUNDS); fast.len()];
     for round in 0..ROUNDS {
@@ -113,14 +118,37 @@ fn interleaved(
             reference_ns.push(time_ns(reference));
         }
     }
-    let rows = fast_ns
-        .into_iter()
+    std::iter::once(reference_ns.clone())
+        .chain(fast_ns)
         .map(|ns| {
             let ratios = reference_ns.iter().zip(&ns).map(|(r, f)| r / f).collect();
-            (median(ns), median(ratios))
+            (median(ns), ratios)
         })
-        .collect();
-    (median(reference_ns), rows)
+        .collect()
+}
+
+/// One row per path [`interleaved`] timed, named by `ops` in its order
+/// (the reference first): the per-round ratios printed, their median
+/// recorded.
+fn push_rows(
+    records: &mut Vec<Record>,
+    ops: &[&'static str],
+    timed: Vec<(f64, Vec<f64>)>,
+    shape: &str,
+    bytes: f64,
+) {
+    assert_eq!(ops.len(), timed.len(), "one name per timed path");
+    for (&op, (ns, ratios)) in ops.iter().zip(timed) {
+        let rounds: Vec<String> = ratios.iter().map(|r| format!("{r:.3}x")).collect();
+        println!("{op}: per round {}", rounds.join(", "));
+        records.push(Record {
+            op,
+            shape: shape.to_string(),
+            ns_per_iter: ns,
+            mb_per_s: bytes * 1000.0 / ns,
+            speedup_vs_scalar: median(ratios),
+        });
+    }
 }
 
 struct Record {
@@ -131,14 +159,35 @@ struct Record {
     speedup_vs_scalar: f64,
 }
 
-struct VecProvider(Vec<Vec<f32>>);
+struct VecProvider<'a>(&'a [Vec<f32>]);
 
-impl ProofProvider for VecProvider {
+impl ProofProvider for VecProvider<'_> {
     fn open_checkpoint(
         &self,
         index: usize,
     ) -> Result<std::borrow::Cow<'_, [f32]>, ProofUnavailable> {
         Ok(std::borrow::Cow::Borrowed(&self.0[index]))
+    }
+}
+
+/// One worker's epoch replayed end to end on a verifier and its own model.
+struct Replay<'a> {
+    verifier: Verifier<'a>,
+    model: Sequential,
+    trace: &'a EpochTrace,
+    commitment: &'a EpochCommitment,
+    samples: &'a [usize],
+}
+
+impl Replay<'_> {
+    fn run(&mut self) -> WorkerVerdict {
+        self.verifier.verify_samples(
+            &mut self.model,
+            self.commitment,
+            &self.trace.segments,
+            black_box(self.samples),
+            &VecProvider(&self.trace.checkpoints),
+        )
     }
 }
 
@@ -191,7 +240,8 @@ fn main() {
     // packed image.
     let byte_refs = &byte_refs;
     let refs = &refs;
-    let (mut hash_ops, mut hash_passes): (Vec<&'static str>, Vec<Pass<'_>>) = (vec![], vec![]);
+    let (mut hash_ops, mut hash_passes): (Vec<&'static str>, Vec<Pass<'_>>) =
+        (vec!["commit_hash_portable"], vec![]);
     for (tier, op) in [
         (Tier::Avx2Lanes, "commit_hash_lanes8"),
         (Tier::ShaNi, "commit_hash_sha_ni"),
@@ -227,29 +277,14 @@ fn main() {
     hash_passes.push(Box::new(|| {
         black_box(sha256_bf16_batch(black_box(refs)));
     }));
-    let (hash_scalar_ns, timed) = interleaved(
+    let timed = interleaved(
         &time_ns,
         &mut || {
             black_box(portable(black_box(byte_refs)));
         },
         &mut hash_passes,
     );
-    records.push(Record {
-        op: "commit_hash_portable",
-        shape: shape.clone(),
-        ns_per_iter: hash_scalar_ns,
-        mb_per_s: bytes * 1000.0 / hash_scalar_ns,
-        speedup_vs_scalar: 1.0,
-    });
-    for (op, (ns, speedup)) in hash_ops.into_iter().zip(timed) {
-        records.push(Record {
-            op,
-            shape: shape.clone(),
-            ns_per_iter: ns,
-            mb_per_s: bytes * 1000.0 / ns,
-            speedup_vs_scalar: speedup,
-        });
-    }
+    push_rows(&mut records, &hash_ops, timed, &shape, bytes);
 
     // --- LSH digests: scalar chain vs one streamed batch + batched SHA.
     // A streamed pass derives its k·l·dim rows once for the whole batch,
@@ -277,21 +312,17 @@ fn main() {
             "batched group digests diverged"
         );
     }
-    let lsh_rows = [
-        ("lsh_digest_streamed", 1),
-        ("lsh_digest_streamed_lanes", rpol_exec::shared().threads()),
-    ];
     let (family, inputs) = (&lsh_family, &lsh_refs);
-    let mut streamed: Vec<Pass<'_>> = lsh_rows
-        .iter()
-        .map(|&(_, lanes)| -> Pass<'_> {
+    let mut streamed: Vec<Pass<'_>> = [1, rpol_exec::shared().threads()]
+        .into_iter()
+        .map(|lanes| -> Pass<'_> {
             Box::new(move || {
                 let sigs = family.hash_batch_threads(black_box(inputs), lanes);
                 black_box(Signature::group_digests_batch(&sigs));
             })
         })
         .collect();
-    let (lsh_scalar_ns, timed) = interleaved(
+    let timed = interleaved(
         &time_ns,
         &mut || {
             black_box(
@@ -303,22 +334,17 @@ fn main() {
         },
         &mut streamed,
     );
-    records.push(Record {
-        op: "lsh_digest_scalar",
-        shape: lsh_shape.clone(),
-        ns_per_iter: lsh_scalar_ns,
-        mb_per_s: lsh_bytes * 1000.0 / lsh_scalar_ns,
-        speedup_vs_scalar: 1.0,
-    });
-    for (&(op, _), (ns, speedup)) in lsh_rows.iter().zip(timed) {
-        records.push(Record {
-            op,
-            shape: lsh_shape.clone(),
-            ns_per_iter: ns,
-            mb_per_s: lsh_bytes * 1000.0 / ns,
-            speedup_vs_scalar: speedup,
-        });
-    }
+    push_rows(
+        &mut records,
+        &[
+            "lsh_digest_scalar",
+            "lsh_digest_streamed",
+            "lsh_digest_streamed_lanes",
+        ],
+        timed,
+        &lsh_shape,
+        lsh_bytes,
+    );
 
     // --- Packed wire framing (RPoLv3): payload bytes of one epoch
     // submission (final weights + commitment) vs the raw f32 framing the
@@ -368,152 +394,104 @@ fn main() {
         speedup_vs_scalar: raw_size as f64 / packed_frame.len() as f64,
     });
 
-    // --- End-to-end sampled replay on the tiny task (RPoLv2). ---
+    // --- End-to-end sampled replay on the tiny task, the latency a manager
+    // pays per worker per epoch: RPoLv2 on the shared noop recorder (the
+    // reference), the same with an attached but disabled recorder (every
+    // span and event site pays its `enabled()` guard), with a recording one
+    // (drained each pass, so its buffer cannot grow), and RPoLv3 over a
+    // quantized (bf16-lattice) trajectory and commitment. One replay reads
+    // ≈ 250 or ≈ 380 µs by spells of seconds; interleaved rounds move both
+    // sides of a ratio together. ---
     let cfg = TaskConfig::tiny();
     let data = SyntheticImages::generate(&cfg.spec, 64, &mut Pcg32::seed_from(1));
-    let mut model = cfg.build_model();
-    let mut trainer = LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::GA10, 11));
-    let trace = trainer.run_epoch(&mut model, 5, 6);
+    let trainer = || LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::GA10, 11));
+    let trace = trainer().run_epoch(&mut cfg.build_model(), 5, 6);
+    let q_trace = trainer().run_epoch_quantized(&mut cfg.build_model(), 5, 6);
     let model_dim = trace.checkpoints[0].len();
     let e2e_family = LshFamily::new(model_dim, LshParams::new(4.0, 4, 4), 7);
     let commitment = EpochCommitment::commit_v2(&trace.checkpoints, &e2e_family);
-    let provider = VecProvider(trace.checkpoints.clone());
+    let q_commitment = EpochCommitment::commit_v3(&q_trace.checkpoints, &e2e_family);
     let e2e_samples: &[usize] = if smoke { &[0] } else { &[0, 1, 2] };
-    let mut verifier = Verifier::new(
-        &cfg,
-        &data,
-        5,
-        0.5,
-        Some(&e2e_family),
-        NoiseInjector::new(GpuModel::G3090, 42),
-    );
-    let verdict = verifier.verify_samples(
-        &mut model,
-        &commitment,
-        &trace.segments,
-        e2e_samples,
-        &provider,
-    );
+    let verifier = || {
+        Verifier::new(
+            &cfg,
+            &data,
+            5,
+            0.5,
+            Some(&e2e_family),
+            NoiseInjector::new(GpuModel::G3090, 42),
+        )
+    };
+    let rec_off = Recorder::logical();
+    rec_off.disable();
+    let rec_on = Recorder::logical();
+    let replay = |verifier, trace, commitment| Replay {
+        verifier,
+        model: cfg.build_model(),
+        trace,
+        commitment,
+        samples: e2e_samples,
+    };
+    let mut noop = replay(verifier(), &trace, &commitment);
+    let mut off = replay(verifier().with_recorder(&rec_off), &trace, &commitment);
+    let mut on = replay(verifier().with_recorder(&rec_on), &trace, &commitment);
+    let mut v3 = replay(verifier(), &q_trace, &q_commitment);
+    let verdict = noop.run();
     assert!(
         verdict.all_accepted(),
         "honest e2e replay rejected: {:?}",
         verdict.outcomes
     );
-    let e2e_ns = time_ns(&mut || {
-        black_box(verifier.verify_samples(
-            &mut model,
-            &commitment,
-            &trace.segments,
-            black_box(e2e_samples),
-            &provider,
-        ));
-    });
-    records.push(Record {
-        op: "verify_samples_e2e_v2",
-        shape: format!("{}samples x {}w", e2e_samples.len(), model_dim),
-        ns_per_iter: e2e_ns,
-        mb_per_s: (e2e_samples.len() * model_dim * 4) as f64 * 1000.0 / e2e_ns,
-        speedup_vs_scalar: 1.0,
-    });
-
-    // --- Threaded e2e: the same samples fanned out per-segment on the
-    // persistent executor (the manager's overlapped scheduling unit), one
-    // verifier lane per sample, merged in index order. Asserted equal to
-    // the batch verdict before timing. On a single hardware thread this
-    // mostly measures scheduling overhead; with cores it measures the
-    // per-worker verification latency the pool actually pays.
-    let exec = Executor::new(Executor::default_threads());
-    let lanes: Vec<std::sync::Mutex<(Verifier, rpol_nn::model::Sequential)>> = e2e_samples
+    assert_eq!(off.run(), verdict, "a disabled recorder moved the verdict");
+    assert!(rec_off.events().is_empty(), "a disabled recorder recorded");
+    assert_eq!(on.run(), verdict, "a recording recorder moved the verdict");
+    let spans = rec_on
+        .drain_events()
         .iter()
-        .map(|_| {
-            std::sync::Mutex::new((
-                Verifier::new(
-                    &cfg,
-                    &data,
-                    5,
-                    0.5,
-                    Some(&e2e_family),
-                    NoiseInjector::new(GpuModel::G3090, 42),
-                ),
-                cfg.build_model(),
-            ))
-        })
-        .collect();
-    let verify_mt = || {
-        let verdicts = exec.run_indexed(e2e_samples.len(), |i| {
-            let mut lane = lanes[i].lock().unwrap();
-            let (v, m) = &mut *lane;
-            v.verify_sample(m, &commitment, &trace.segments, e2e_samples[i], &provider)
-        });
-        WorkerVerdict::from_samples(verdicts)
-    };
+        .filter(|e| e.kind == EventKind::Span && e.name == "rpol.verify.replay_segment")
+        .count();
     assert_eq!(
-        verify_mt(),
-        verdict,
-        "per-sample executor fan-out diverged from the batch verdict"
+        spans,
+        e2e_samples.len(),
+        "the recording recorder missed replay spans"
     );
-    let e2e_mt_ns = time_ns(&mut || {
-        black_box(verify_mt());
-    });
-    records.push(Record {
-        op: "verify_samples_e2e_mt",
-        shape: format!(
-            "{}samples x {}w x {}t",
-            e2e_samples.len(),
-            model_dim,
-            exec.threads()
-        ),
-        ns_per_iter: e2e_mt_ns,
-        mb_per_s: (e2e_samples.len() * model_dim * 4) as f64 * 1000.0 / e2e_mt_ns,
-        speedup_vs_scalar: e2e_ns / e2e_mt_ns,
-    });
-
-    // --- End-to-end sampled replay under RPoLv3: the same manager-side
-    // latency with a quantized (bf16-lattice) trajectory and a quantized
-    // commitment. `speedup_vs_scalar` compares against the v2 e2e row —
-    // the quantized scheme must not make per-worker verification slower.
-    let mut q_model = cfg.build_model();
-    let mut q_trainer = LocalTrainer::new(&cfg, &data, NoiseInjector::new(GpuModel::GA10, 11));
-    let q_trace = q_trainer.run_epoch_quantized(&mut q_model, 5, 6);
-    let q_commitment = EpochCommitment::commit_v3(&q_trace.checkpoints, &e2e_family);
-    let q_provider = VecProvider(q_trace.checkpoints.clone());
-    let mut q_verifier = Verifier::new(
-        &cfg,
-        &data,
-        5,
-        0.5,
-        Some(&e2e_family),
-        NoiseInjector::new(GpuModel::G3090, 42),
-    );
-    let mut q_replay = cfg.build_model();
-    let q_verdict = q_verifier.verify_samples(
-        &mut q_replay,
-        &q_commitment,
-        &q_trace.segments,
-        e2e_samples,
-        &q_provider,
-    );
+    let q_verdict = v3.run();
     assert!(
         q_verdict.all_accepted(),
         "honest v3 e2e replay rejected: {:?}",
         q_verdict.outcomes
     );
-    let e2e_v3_ns = time_ns(&mut || {
-        black_box(q_verifier.verify_samples(
-            &mut q_replay,
-            &q_commitment,
-            &q_trace.segments,
-            black_box(e2e_samples),
-            &q_provider,
-        ));
-    });
-    records.push(Record {
-        op: "verify_samples_e2e_v3",
-        shape: format!("{}samples x {}w", e2e_samples.len(), model_dim),
-        ns_per_iter: e2e_v3_ns,
-        mb_per_s: (e2e_samples.len() * model_dim * 4) as f64 * 1000.0 / e2e_v3_ns,
-        speedup_vs_scalar: e2e_ns / e2e_v3_ns,
-    });
+    let mut e2e_passes: Vec<Pass<'_>> = vec![
+        Box::new(|| {
+            black_box(off.run());
+        }),
+        Box::new(|| {
+            black_box(on.run());
+            black_box(rec_on.drain_events());
+        }),
+        Box::new(|| {
+            black_box(v3.run());
+        }),
+    ];
+    let timed = interleaved(
+        &time_ns,
+        &mut || {
+            black_box(noop.run());
+        },
+        &mut e2e_passes,
+    );
+    push_rows(
+        &mut records,
+        &[
+            "verify_samples_e2e_v2",
+            "verify_samples_e2e_v2_obs_disabled",
+            "verify_samples_e2e_v2_obs_enabled",
+            "verify_samples_e2e_v3",
+        ],
+        timed,
+        &format!("{}samples x {}w", e2e_samples.len(), model_dim),
+        (e2e_samples.len() * model_dim * 4) as f64,
+    );
 
     let mut json = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
@@ -532,7 +510,7 @@ fn main() {
 
     for r in &records {
         println!(
-            "{:<22} {:>16} {:>16.1} ns/iter {:>9.1} MB/s {:>6.2}x",
+            "{:<34} {:>16} {:>16.1} ns/iter {:>9.1} MB/s {:>6.2}x",
             r.op, r.shape, r.ns_per_iter, r.mb_per_s, r.speedup_vs_scalar
         );
     }

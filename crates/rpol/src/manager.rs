@@ -1414,7 +1414,7 @@ mod tests {
                     final_weights: &trace.checkpoints[last],
                 });
                 let noise = NoiseInjector::new(GpuModel::G3090, 99);
-                let verdict = WorkerVerdict::from_samples(
+                let verdict = WorkerVerdict::merge_samples(
                     Verifier::new(&cfg, &data, 3, 0.5, None, noise).verify_each(
                         &mut cfg.build_model(),
                         &commitment,
@@ -1423,7 +1423,8 @@ mod tests {
                         &link,
                         ends,
                     ),
-                );
+                )
+                .0;
                 assert!(
                     verdict.all_accepted(),
                     "{samples:?}: {:?}",

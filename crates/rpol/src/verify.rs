@@ -189,14 +189,10 @@ impl WorkerVerdict {
     /// verdict, reproducing the serial early-stop contract: verdicts after
     /// the first [`VerificationOutcome::Unavailable`] are discarded, and
     /// their proof bytes and replayed steps are not counted — exactly what
-    /// a serial verifier would have skipped against a dead link.
-    pub fn from_samples(verdicts: impl IntoIterator<Item = SampleVerdict>) -> Self {
-        Self::merge_samples(verdicts).0
-    }
-
-    /// [`from_samples`](Self::from_samples) plus the kept samples'
-    /// [`SampleVerdict::openings_elided`] — beside the verdict, not in it:
-    /// a verdict crosses the committee wire field for field.
+    /// a serial verifier would have skipped against a dead link. Beside
+    /// the verdict, not in it: the kept samples'
+    /// [`SampleVerdict::openings_elided`] — a verdict crosses the committee
+    /// wire field for field.
     pub(crate) fn merge_samples(verdicts: impl IntoIterator<Item = SampleVerdict>) -> (Self, u64) {
         let mut outcomes = Vec::new();
         let mut proof_bytes = 0u64;
@@ -322,33 +318,10 @@ impl<'a> Verifier<'a> {
         samples: &[usize],
         provider: &dyn ProofProvider,
     ) -> WorkerVerdict {
-        WorkerVerdict::from_samples(
+        WorkerVerdict::merge_samples(
             self.verify_each(model, commitment, segments, samples, provider, None),
         )
-    }
-
-    /// Verifies a single sampled checkpoint index: [`verify_samples`] of
-    /// one sample, before the merge. Sample outcomes are independent of
-    /// each other (the replay noise stream is cloned per sample), so
-    /// verdicts computed apart merge back losslessly via
-    /// [`WorkerVerdict::from_samples`].
-    ///
-    /// [`verify_samples`]: Verifier::verify_samples
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` has no successor checkpoint in the commitment
-    /// (programming error in the sampler).
-    pub fn verify_sample(
-        &mut self,
-        model: &mut Sequential,
-        commitment: &EpochCommitment,
-        segments: &[Segment],
-        index: usize,
-        provider: &dyn ProofProvider,
-    ) -> SampleVerdict {
-        let mut verdicts = self.verify_each(model, commitment, segments, &[index], provider, None);
-        verdicts.pop().expect("one sample, one verdict")
+        .0
     }
 
     /// [`verify_samples`](Verifier::verify_samples) before the merge:
@@ -847,7 +820,7 @@ pub(crate) fn binds(commitment: &EpochCommitment, index: usize, binding: &[Diges
 /// may differ from the scalar oracle in the last few ulps; the distance
 /// thresholds in force (`β`, calibration `α`) are orders of magnitude
 /// wider. The sequential fold is [`rpol_tensor::stats::euclidean`], which
-/// the figure binaries and `Tensor::euclidean_distance` use.
+/// the figure binaries use.
 pub(crate) fn euclidean(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "weight vector length mismatch");
     let mut acc = [0.0f64; 4];
@@ -1176,7 +1149,7 @@ mod tests {
     }
 
     #[test]
-    fn verify_sample_agrees_with_verify_samples() {
+    fn samples_verified_apart_merge_to_the_batch_verdict() {
         let (cfg, data) = setup();
         let trace = honest_trace(&cfg, &data, 3);
         let commitment = EpochCommitment::commit_v1(&trace.checkpoints);
@@ -1199,23 +1172,29 @@ mod tests {
             &[0, 1, 2],
             &provider,
         );
-        // Each sample through its own verifier merges into a
-        // bitwise-identical worker verdict.
-        let singles: Vec<SampleVerdict> = [0usize, 1, 2]
-            .iter()
-            .map(|&j| {
-                let mut model = cfg.build_model();
-                mk().verify_sample(&mut model, &commitment, &trace.segments, j, &provider)
-            })
-            .collect();
-        let merged = WorkerVerdict::from_samples(singles);
+        // Sample outcomes are independent of each other (the replay noise
+        // stream is cloned per sample): each sample through its own
+        // verifier adds up to a bitwise-identical worker verdict.
+        let mut merged = WorkerVerdict {
+            outcomes: vec![],
+            proof_bytes: 0,
+            replayed_steps: 0,
+        };
+        for j in [0usize, 1, 2] {
+            let mut model = cfg.build_model();
+            let single =
+                mk().verify_samples(&mut model, &commitment, &trace.segments, &[j], &provider);
+            merged.outcomes.extend(single.outcomes);
+            merged.proof_bytes += single.proof_bytes;
+            merged.replayed_steps += single.replayed_steps;
+        }
         assert_eq!(merged.outcomes, batch.outcomes);
         assert_eq!(merged.proof_bytes, batch.proof_bytes);
         assert_eq!(merged.replayed_steps, batch.replayed_steps);
     }
 
     #[test]
-    fn from_samples_truncates_at_first_unavailable() {
+    fn merge_samples_truncates_at_first_unavailable() {
         let mk = |sample, outcome| SampleVerdict {
             sample,
             outcome,
@@ -1223,7 +1202,7 @@ mod tests {
             replayed_steps: 2,
             openings_elided: 0,
         };
-        let merged = WorkerVerdict::from_samples(vec![
+        let (merged, _) = WorkerVerdict::merge_samples(vec![
             mk(
                 0,
                 VerificationOutcome::Accepted {

@@ -7,9 +7,7 @@
 # portable compression, `commit_hash_portable`; one further row per faster
 # SHA-256 tier the host has). The acceptance bar below: >= 2x on
 # checkpoint commitment hashing (what `commit_v1` dispatches to vs the
-# portable compression), single-threaded. The criterion benches
-# (`cargo bench -p rpol-bench --bench verify`) give finer-grained numbers
-# when needed.
+# portable compression), single-threaded.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -11,7 +11,7 @@ cargo fmt --all -- --check
 
 echo "== DESIGN.md: no larger than its committed byte cap, every code reference resolves"
 # Lower the cap whenever DESIGN.md shrinks; never raise it.
-DESIGN_MAX_BYTES=150256
+DESIGN_MAX_BYTES=150199
 design_bytes=$(wc -c < DESIGN.md)
 if [ "$design_bytes" -gt "$DESIGN_MAX_BYTES" ]; then
     echo "DESIGN.md is $design_bytes bytes, over its cap of $DESIGN_MAX_BYTES"

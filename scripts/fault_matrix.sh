@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Fault-injection matrix: sweeps loss profiles, all four schemes, seeds, a
+# Fault-injection checks that scripts/protocol_pins.sh does not make. The
+# matrix itself — loss profiles × all four schemes × seeds, custom rates, a
 # worker crash, an extreme straggler and the two endpoint cheats over the
-# tiny demo pool, asserting on every cell that no honest worker is
-# rejected and no cheat accepted, and that same-seed runs are
-# byte-identical. Exercises the transport end to end, beyond what the
-# unit suite samples.
+# tiny demo pool — runs once, in protocol_pins.sh: every cell with
+# `--assert-honest` (no honest worker rejected), its full report diffed
+# against results/protocol_pins.txt by scripts/ci.sh (each cheat cell's
+# pinned epochs read `rejected [1]`). Here: one lossy, crashing cell at one
+# executor lane against the default width, the `rpol pool` fault flags,
+# and the refusal of a bad network model.
 #
 # Usage: scripts/fault_matrix.sh
 set -euo pipefail
@@ -13,37 +16,6 @@ export CARGO_NET_OFFLINE=true
 
 BIN=target/release/examples/fault_injection
 cargo build --release --example fault_injection
-
-run() {
-    echo "-- fault_injection $*"
-    "$BIN" --assert-honest "$@" > /tmp/fault_matrix_run.txt
-    tail -n 2 /tmp/fault_matrix_run.txt
-}
-
-echo "== profile x scheme x seed sweep"
-for profile in none lossy harsh; do
-    for scheme in baseline v1 v2 v3; do
-        for seed in 1 2; do
-            run --profile "$profile" --scheme "$scheme" --seed "$seed"
-        done
-    done
-done
-
-echo "== custom rates"
-run --drop 0.2 --corrupt 0.05 --truncate 0.02 --seed 5
-
-echo "== crash + straggler degradation"
-run --crash 1@0 --seed 7
-run --straggler 1@1e6 --profile none --seed 7
-run --crash 1@1 --straggler 2@3 --workers 4 --seed 7
-
-echo "== endpoint cheats over a lossy link: rejected, the honest never"
-for scheme in v1 v2 v3; do
-    run --profile lossy --scheme "$scheme" --cheat 1@swap-final --seed 7
-    grep -q "rejected \[1\]" /tmp/fault_matrix_run.txt
-    run --profile lossy --scheme "$scheme" --cheat 1@foreign-start --seed 7
-    grep -q "rejected \[1\]" /tmp/fault_matrix_run.txt
-done
 
 echo "== determinism: same seed, one executor lane vs the default width"
 RPOL_EXEC_THREADS=1 "$BIN" --profile lossy --crash 1@1 --seed 11 > /tmp/fault_a.txt

@@ -3,7 +3,11 @@
 # fixed across a refactor of the link or the socket: one `epoch_bench pass`
 # per workload (native, plus the link source of the two socket workloads)
 # with its wall / cpu / rss fields stripped, and the full `fault_injection`
-# report of every cell `scripts/fault_matrix.sh` runs.
+# report of every cell of the fault matrix: loss profiles x schemes x seeds,
+# custom rates, crash and straggler, the endpoint cheats (each run with
+# `--assert-honest`, which exits 1 if an honest worker is rejected or a
+# cheat accepted) and three cells without it. The matrix runs only here;
+# scripts/fault_matrix.sh adds the checks a pinned report cannot make.
 #
 # Usage: scripts/protocol_pins.sh [release-dir] > /tmp/pins.txt
 #        diff results/protocol_pins.txt /tmp/pins.txt
