@@ -65,16 +65,17 @@ fn bench_transport(c: &mut Criterion) {
     let payload = rpol::wire::encode_submission(&vec![0.5f32; TASK_P_CHECKPOINT / 4], None);
     let rec = rpol_obs::noop();
     let mut seq = 0u64;
-    c.bench_function("transport/chaos_frames_389k", |b| {
+    c.bench_function("transport/chaos_send_389k", |b| {
         b.iter(|| {
             seq += 1;
-            transport.chaos_frames(
+            transport.chaos_send(
                 1,
                 3,
                 MsgKind::ProofResponse,
                 seq,
                 black_box(&payload),
                 LinkState::healthy(),
+                None,
                 &mut TransportStats::default(),
                 &mut SimClock::new(),
                 rec,

@@ -119,17 +119,12 @@ fn phase_breakdown_table(snapshot: &MetricsSnapshot) -> String {
     let mut rows = Vec::new();
     for (name, seconds) in &snapshot.gauges {
         if let Some(phase) = name.strip_prefix("sim.clock.time.") {
-            let events = snapshot.counter(&format!("sim.clock.events.{phase}"));
-            rows.push(vec![
-                phase.to_string(),
-                format!("{seconds:.3}"),
-                events.to_string(),
-            ]);
+            rows.push(vec![phase.to_string(), format!("{seconds:.3}")]);
         }
     }
     let mut out = String::new();
     if !rows.is_empty() {
-        out.push_str(&render_table(&["phase", "seconds", "events"], &rows));
+        out.push_str(&render_table(&["phase", "seconds"], &rows));
     }
     let traffic: Vec<Vec<String>> = [
         ("broadcast", "rpol.comm.broadcast_bytes"),
@@ -787,7 +782,7 @@ pub fn status(raw: &[String]) -> Result<(), String> {
 
     let mut asm = wire::FrameAssembler::new(wire::MAX_FRAME_BYTES);
     let mut chunk = [0u8; 4096];
-    let payload = loop {
+    let mut payload = loop {
         if let Some(payload) = asm
             .next_frame()
             .map_err(|e| format!("malformed status frame: {e:?}"))?
@@ -802,8 +797,8 @@ pub fn status(raw: &[String]) -> Result<(), String> {
         }
         asm.push(&chunk[..k]);
     };
-    let NetControl::StatusReport { json } =
-        wire::decode_net_control(payload).map_err(|e| format!("malformed status report: {e:?}"))?
+    let NetControl::StatusReport { json } = wire::decode_net_control(&mut payload)
+        .map_err(|e| format!("malformed status report: {e:?}"))?
     else {
         return Err("manager answered with a non-status control frame".to_string());
     };

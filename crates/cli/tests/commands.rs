@@ -198,6 +198,56 @@ fn pool_trace_out_is_deterministic_and_checkable() {
     }
 }
 
+/// `rpol pool`'s per-phase table, as the binary prints it: one row per
+/// link leg, each with the seconds that leg cost, and no column that
+/// reads 0 in every row.
+#[test]
+fn pool_phase_table_reports_every_leg() {
+    let _g = lock();
+    let metrics = tmp("phase-metrics.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rpol"))
+        .args([
+            "pool",
+            "--faults=lossy",
+            "--epochs=1",
+            &format!("--metrics-out={}", metrics.display()),
+        ])
+        .output()
+        .expect("rpol runs");
+    let _ = std::fs::remove_file(metrics);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    let rows: Vec<Vec<&str>> = stdout
+        .split("per-phase breakdown (metrics registry):\n")
+        .nth(1)
+        .expect("a per-phase table")
+        .lines()
+        .skip(2) // header and rule
+        .take_while(|line| !line.is_empty())
+        .map(|line| line.split_whitespace().collect())
+        .collect();
+    let mut legs: Vec<&str> = rows.iter().map(|row| row[0]).collect();
+    legs.sort_unstable();
+    assert_eq!(
+        legs,
+        [
+            "net:proof_req",
+            "net:proof_resp",
+            "net:submission",
+            "net:task"
+        ],
+        "{stdout}"
+    );
+    let seconds = |row: &Vec<&str>, column: usize| row[column].parse::<f64>().expect("a number");
+    assert!(rows.iter().all(|row| seconds(row, 1) > 0.0), "{stdout}");
+    for column in 1..rows[0].len() {
+        assert!(
+            rows.iter().any(|row| seconds(row, column) > 0.0),
+            "column {column} is 0 in every row:\n{stdout}"
+        );
+    }
+}
+
 #[test]
 fn overhead_metrics_out_parses_and_covers_schemes() {
     let _g = lock();

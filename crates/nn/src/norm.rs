@@ -57,17 +57,18 @@ impl LayerNorm {
         self.gain.value.len()
     }
 
-    /// The forward's arithmetic, into the zeroed `out`:
-    /// the output plus each row's mean and inverse standard deviation.
-    fn normalize(&self, input: &Tensor, mut out: Vec<f32>) -> (Tensor, Vec<f32>, Vec<f32>) {
+    /// The forward's arithmetic: the output plus each row's mean and
+    /// inverse standard deviation, all three drawn from `arena`.
+    fn normalize(&self, input: &Tensor, arena: &mut ScratchArena) -> (Tensor, Vec<f32>, Vec<f32>) {
         assert_eq!(input.shape().rank(), 2, "LayerNorm expects [N, F]");
         let (n, f) = (input.shape().dim(0), input.shape().dim(1));
         assert_eq!(f, self.features(), "feature width mismatch");
+        let mut out = arena.take_zeroed(n * f);
         let x = input.data();
         let gain = self.gain.value.data();
         let bias = self.bias.value.data();
-        let mut means = Vec::with_capacity(n);
-        let mut inv_stds = Vec::with_capacity(n);
+        let mut means = arena.take_empty(n);
+        let mut inv_stds = arena.take_empty(n);
         for i in 0..n {
             let row = &x[i * f..(i + 1) * f];
             let mean = row.iter().sum::<f32>() / f as f32;
@@ -89,14 +90,16 @@ impl Layer for LayerNorm {
     }
 
     fn forward_owned(&mut self, input: Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
-        if let Some((kept, ..)) = self.cache.take_if(|_| train) {
-            arena.recycle(kept.into_vec());
+        if train {
+            self.release(arena);
         }
-        let (out, means, inv_stds) = self.normalize(&input, arena.take_zeroed(input.len()));
+        let (out, means, inv_stds) = self.normalize(&input, arena);
         if train {
             self.cache = Some((input, means, inv_stds));
         } else {
             arena.recycle(input.into_vec());
+            arena.recycle(means);
+            arena.recycle(inv_stds);
         }
         out
     }
@@ -247,6 +250,26 @@ mod tests {
             "dgain: {numeric} vs {}",
             analytic[0].data()[2]
         );
+    }
+
+    /// Every forward hands the arena back what the layer no longer needs:
+    /// an inference forward its input and both row statistics, a training
+    /// forward all three of what the previous one kept.
+    #[test]
+    fn forwards_return_the_row_statistics_to_the_arena() {
+        let mut rng = Pcg32::seed_from(5);
+        let mut ln = LayerNorm::new(8);
+        let mut arena = ScratchArena::new();
+        ln.forward_owned(Tensor::randn(&[4, 8], &mut rng), false, &mut arena);
+        assert_eq!(arena.pooled(), 3, "input, means and inv_stds");
+
+        let mut arena = ScratchArena::new();
+        ln.forward_owned(Tensor::randn(&[4, 8], &mut rng), true, &mut arena);
+        assert_eq!(arena.pooled(), 0, "a training forward keeps all three");
+        // Fewer rows: no request of this forward fits a kept buffer, so
+        // all three stay in the arena.
+        ln.forward_owned(Tensor::randn(&[2, 8], &mut rng), true, &mut arena);
+        assert_eq!(arena.pooled(), 3, "the first forward's three");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! Components that can thread a handle take an explicit `Arc<Recorder>`
 //! (`MiningPool::with_recorder`, `Verifier::set_recorder`, the transport's
-//! `chaos_frames`), defaulting to the shared [`noop`] recorder, so tests get
+//! `chaos_send`), defaulting to the shared [`noop`] recorder, so tests get
 //! fully isolated recorders and library users pay a single relaxed atomic
 //! load when observability is off. Leaf layers that cannot thread a
 //! parameter (tensor GEMM, nn forward/backward) bump counters on the

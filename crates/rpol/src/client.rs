@@ -19,7 +19,9 @@
 //!   [`Transport::chaos_send`]: ghost frames are written for the server's
 //!   assembler to reject, then the pristine frame — always, even when the
 //!   worker's own draws exhausted the retry budget. The server's draws,
-//!   from its own copy of the seed, decide whether it arrived.
+//!   the same keyed function over the same length from its own copy of
+//!   the seed, decide whether it arrived; the worker's decide only which
+//!   ghosts precede the frame, and fill `ClientReport::transport`.
 
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -205,32 +207,33 @@ impl WorkerSession {
     /// extension first (all decoding sees the inner payload, identical to
     /// an untraced run), and absorbs `CommitSpec` / `ProofSeq`.
     pub(crate) fn receive(&mut self, payload: Bytes) -> Inbound {
-        let (tctx, payload) = wire::split_traced(payload);
+        let (tctx, mut payload) = wire::split_traced(payload);
         match wire::classify_payload(&payload) {
-            PayloadClass::Control => match wire::decode_net_control(payload) {
-                Ok(msg) => {
-                    match msg {
-                        NetControl::CommitSpec {
+            PayloadClass::Control => {
+                let msg = wire::decode_net_control(&mut payload);
+                scratch::put(Vec::from(payload));
+                let Ok(msg) = msg else {
+                    return Inbound::Ignored;
+                };
+                match msg {
+                    NetControl::CommitSpec {
+                        epoch,
+                        scheme,
+                        family,
+                    } => {
+                        self.spec = SpecState {
                             epoch,
                             scheme,
-                            family,
-                        } => {
-                            self.spec = SpecState {
-                                epoch,
-                                scheme,
-                                family_spec: family,
-                                family: None,
-                            };
-                        }
-                        NetControl::ProofSeq { seq } => self.proof_seq = seq,
-                        _ => {}
+                            family_spec: family,
+                            family: None,
+                        };
                     }
-                    Inbound::Control(msg)
+                    NetControl::ProofSeq { seq } => self.proof_seq = seq,
+                    _ => {}
                 }
-                Err(_) => Inbound::Ignored,
-            },
+                Inbound::Control(msg)
+            }
             PayloadClass::EpochTask => {
-                let mut payload = payload;
                 let task = wire::decode_epoch_task(&mut payload);
                 scratch::put(Vec::from(payload));
                 match task {

@@ -291,8 +291,9 @@ impl PoolConfig {
     /// # Errors
     ///
     /// An invalid fault config; a hierarchy under the baseline scheme (no
-    /// verdicts to commit) or over the in-process link (streaming by
-    /// committee would reorder the simulated clock's additions).
+    /// verdicts to commit) or over the in-process link (the top tier's
+    /// audits would fetch their openings over the link a second time, so
+    /// its stats and clock would no longer be the flat run's).
     pub fn validate(&self) -> Result<(), String> {
         if let Some(fault) = &self.fault {
             fault

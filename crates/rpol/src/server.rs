@@ -33,11 +33,11 @@
 //! have produced) plus the delivered-or-exhausted outcome, and writes the
 //! ghosts and then the pristine frame. The manager writes its pristine
 //! frame only when its own draws deliver it; a worker's upload always ends
-//! with it. The manager judges every upload alone: one ingest re-derives
-//! the identical stats and clock charges from the exchange coordinates
-//! and payload length via [`Transport::chaos_outcome`], and a frame whose
-//! draws exhausted is lost. Both ends key the draws by the worker's
-//! [`link_state`] (a `CrashAt` peer is dead, a `Straggler` slow). Control
+//! with it. The manager judges every upload alone: one ingest runs the
+//! same draw from the exchange coordinates and payload length via
+//! [`Transport::chaos_outcome`] — identical stats and clock seconds, no
+//! frame built — and a frame whose draws exhausted is lost. Both ends key
+//! the draws by the worker's [`link_state`] (a `CrashAt` peer is dead, a `Straggler` slow). Control
 //! frames (`0x30` block) never ride the chaos link — they model the
 //! service, not the network — which is what lets a TCP run reproduce an
 //! in-memory run's quarantine decisions bit for bit under the same fault
@@ -1346,7 +1346,7 @@ impl NetCore {
         match conn.phase {
             ConnPhase::AwaitHello => {
                 let mut payload = payload;
-                let msg = wire::decode_net_control_in(&mut payload);
+                let msg = wire::decode_net_control(&mut payload);
                 self.pool.put(Vec::from(payload));
                 if matches!(msg, Ok(NetControl::Status)) {
                     // Introspection probes (`rpol status`) never complete
@@ -1429,7 +1429,7 @@ impl NetCore {
     }
 
     fn route_control(&mut self, conn: &mut Conn, mut payload: Bytes) -> RouteResult {
-        let msg = wire::decode_net_control_in(&mut payload);
+        let msg = wire::decode_net_control(&mut payload);
         self.pool.put(Vec::from(payload));
         let msg = match msg {
             Ok(msg) => msg,
@@ -2278,7 +2278,6 @@ fn serve_epoch(
                 MsgKind::Submission.label(),
                 net.transport.policy().timeout_s,
             );
-            clock.tick("deadline_miss");
             event!(recorder, "rpol.pool.deadline_miss", epoch, worker = w);
             if let Some(SubMail::Pristine((_, payload))) = mail {
                 net.core.lock().pool.put(Vec::from(payload));
@@ -2992,8 +2991,8 @@ mod tests {
             let mut written = Vec::new();
             worker.read_to_end(&mut written).ok();
             asm.push(&written);
-            while let Some(payload) = asm.next_frame().expect("pristine frames") {
-                match wire::decode_net_control(payload) {
+            while let Some(mut payload) = asm.next_frame().expect("pristine frames") {
+                match wire::decode_net_control(&mut payload) {
                     Ok(NetControl::Pong { nonce }) => pongs.push(nonce),
                     other => panic!("pump {pumps}: {other:?}"),
                 }
@@ -3106,7 +3105,7 @@ mod tests {
             }
         }
         assert!(matches!(
-            wire::decode_net_control(frames[0].clone()),
+            wire::decode_net_control(&mut frames[0].clone()),
             Ok(NetControl::Welcome { .. })
         ));
         for (i, (got, want)) in frames[1..].iter().zip(&sent).enumerate() {
@@ -3114,7 +3113,7 @@ mod tests {
         }
         let pongs: Vec<NetControl> = frames[1 + sent.len()..]
             .iter()
-            .map(|f| wire::decode_net_control(f.clone()).expect("a pong"))
+            .map(|f| wire::decode_net_control(&mut f.clone()).expect("a pong"))
             .collect();
         let want: Vec<NetControl> = (0..4).map(|nonce| NetControl::Pong { nonce }).collect();
         assert_eq!(pongs, want, "scan {scan}");

@@ -5,14 +5,17 @@
 //! response — is encoded through [`crate::wire`], sealed in a checksummed
 //! frame, and pushed through a seeded chaos proxy that can **drop**,
 //! **corrupt** or **truncate** it, delay it past the sender's timeout, or
-//! find the peer crashed. The sender runs a bounded retry loop with
-//! exponential backoff ([`Transport::chaos_send`]: the frames a stream
-//! carries, ghosts included); the receiver re-derives the same outcome from
-//! the payload length ([`Transport::chaos_outcome`]). What survives is
-//! either the pristine frame or a [`TransportError::Exhausted`] that the
-//! server turns into an epoch quarantine (see DESIGN.md §14). The manager
-//! is the one judge of a worker's upload: the upload always ends with its
-//! pristine frame, and the manager's own draws decide whether it arrived.
+//! find the peer crashed. One draw decides an exchange: a bounded retry
+//! loop with exponential backoff over the framed *length*, in which a
+//! mutated attempt arrives only if its flips cancel and nothing was cut.
+//! The sender runs it and writes the frames a stream carries, ghosts
+//! included ([`Transport::chaos_send`]); the receiver runs the same draw
+//! from the payload length, building no frame
+//! ([`Transport::chaos_outcome`]). What survives is either the pristine
+//! frame or a [`TransportError::Exhausted`] that the server turns into an
+//! epoch quarantine (see DESIGN.md §14). The manager is the one judge of a
+//! worker's upload: the upload always ends with its pristine frame, and
+//! the manager's own draws decide whether it arrived.
 //!
 //! **Determinism contract.** Every fault draw comes from a PRNG seeded by
 //! `(fault seed, epoch, worker, message kind, sequence number, attempt)` —
@@ -21,7 +24,7 @@
 //! parallel pool replays the serial pool exactly.
 
 use crate::adversary::WorkerBehavior;
-use crate::wire::{frame_payload, seal_frame, wrap_traced, FRAME_HEADER_BYTES};
+use crate::wire::{seal_frame, wrap_traced, FRAME_HEADER_BYTES};
 use rpol_obs::{event, Recorder, TraceContext};
 use rpol_sim::{NetworkModel, SimClock};
 use rpol_tensor::rng::{Pcg32, SplitMix64};
@@ -407,6 +410,39 @@ pub fn link_state(behavior: &WorkerBehavior, epoch: u64, kind: MsgKind) -> LinkS
     }
 }
 
+/// What the link did to one attempt that arrived mutated: 1–4 byte flips
+/// (frame position, nonzero mask), a cut to `keep` bytes, or both.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mutation {
+    flips: [(usize, u8); 4],
+    n_flips: usize,
+    keep: Option<usize>,
+}
+
+impl Mutation {
+    fn flips(&self) -> &[(usize, u8)] {
+        &self.flips[..self.n_flips]
+    }
+
+    /// Whether the receiver opens the frame anyway: only when nothing was
+    /// cut and the masks at each flipped position XOR to zero, i.e. the
+    /// frame arrived intact. Any net change fails the magic, the length
+    /// or the truncated-SHA-256 check, short of a 2⁻⁶⁴ digest collision —
+    /// the same assumption the receiver makes by drawing from the length
+    /// alone (DESIGN.md §21).
+    fn delivers(&self) -> bool {
+        let flips = self.flips();
+        self.keep.is_none()
+            && flips.iter().all(|&(pos, _)| {
+                flips
+                    .iter()
+                    .filter(|&&(at, _)| at == pos)
+                    .fold(0, |x, &(_, mask)| x ^ mask)
+                    == 0
+            })
+    }
+}
+
 /// Builds the byte image a chaos proxy puts on a *stream* for a faulty
 /// attempt. The link model mutates frames anywhere (including the
 /// header), which a datagram can absorb but a TCP stream cannot: a flipped
@@ -421,8 +457,11 @@ pub fn link_state(behavior: &WorkerBehavior, epoch: u64, kind: MsgKind) -> LinkS
 ///   [`DecodeError::ChecksumMismatch`](crate::wire::DecodeError) and
 ///   resynchronizes on the very next byte — even in the astronomically
 ///   rare case where remapped flips cancel each other out.
+///
+/// The copy comes from the process pool, not the sending thread's heap.
 fn stream_safe_ghost(framed: &Bytes, flips: &[(usize, u8)], trunc_keep: Option<usize>) -> Bytes {
-    let mut ghost = pooled_copy(framed);
+    let mut ghost = scratch::take_empty(framed.len());
+    ghost.extend_from_slice(framed);
     let payload_len = framed.len() - FRAME_HEADER_BYTES;
     for &(pos, mask) in flips {
         ghost[FRAME_HEADER_BYTES + pos % payload_len.max(1)] ^= mask;
@@ -436,63 +475,6 @@ fn stream_safe_ghost(framed: &Bytes, flips: &[(usize, u8)], trunc_keep: Option<u
         ghost[4..8].copy_from_slice(&(kept_payload as u32).to_le_bytes());
     }
     Bytes::from(ghost)
-}
-
-/// Whether the receiver's checksum lets through a frame the link flipped
-/// and truncated: flips that cancel each other leave it intact; nothing
-/// else opens.
-fn reopens(framed: &Bytes, flips: &[(usize, u8)], trunc_keep: Option<usize>) -> bool {
-    let mut delivered = pooled_copy(framed);
-    for &(pos, mask) in flips {
-        delivered[pos] ^= mask;
-    }
-    if let Some(keep) = trunc_keep {
-        delivered.truncate(keep);
-    }
-    let opens = frame_payload(&delivered).is_ok();
-    scratch::put(delivered);
-    opens
-}
-
-/// A copy of a sealed frame in a buffer from the process pool: a mutated
-/// attempt's copies go back to it, not to the sending thread's heap.
-fn pooled_copy(framed: &[u8]) -> Vec<u8> {
-    let mut copy = scratch::take_empty(framed.len());
-    copy.extend_from_slice(framed);
-    copy
-}
-
-/// What an exchange carries. The sender has the bytes; the receiving side
-/// of a chaos-proxied socket accounts the same exchange from their length
-/// (no fault draw depends on content).
-#[derive(Clone, Copy)]
-enum Cargo<'a> {
-    Payload(&'a Bytes),
-    Len(usize),
-}
-
-impl Cargo<'_> {
-    fn len(&self) -> usize {
-        match *self {
-            Cargo::Payload(p) => p.len(),
-            Cargo::Len(n) => n,
-        }
-    }
-
-    /// The sealed frame — built at most once per exchange, and only when a
-    /// stream tap or a mutated attempt needs real bytes. A bare length is
-    /// stood in for by zeros.
-    fn seal(&self) -> Bytes {
-        match *self {
-            Cargo::Payload(p) => seal_frame(p),
-            Cargo::Len(n) => {
-                let zeros = Bytes::from(scratch::take_zeroed(n));
-                let framed = seal_frame(&zeros);
-                scratch::put(Vec::from(zeros));
-                framed
-            }
-        }
-    }
 }
 
 /// The fault-injecting channel. Stateless apart from its configuration:
@@ -552,13 +534,18 @@ impl Transport {
         Pcg32::seed_from(h)
     }
 
-    /// The sender's side of one exchange: runs the retry loop's fault draws
-    /// and returns the frames a byte stream should carry for them —
-    /// mutilated "ghost" frames for corrupted/truncated attempts
-    /// (stream-safe: header length stays consistent and the digest field is
-    /// poisoned, so the receiver's [`FrameAssembler`] discards them without
-    /// desyncing), nothing for dropped/timed-out attempts, and the pristine
-    /// frame, last, for the delivering attempt.
+    /// One protocol send: the exchange's draws, then the frames a byte
+    /// stream carries for them — a mutilated "ghost" for each corrupted or
+    /// truncated attempt (stream-safe: header length stays consistent and
+    /// the digest field is poisoned, so the receiver's [`FrameAssembler`]
+    /// discards it without desyncing), nothing for dropped or timed-out
+    /// attempts, and the delivered frame last: wrapped in `ctx`'s trace
+    /// extension when `rec` is enabled (watermark stamped at the send),
+    /// pristine otherwise. An upload (submission or opening) always ends
+    /// with its pristine frame, even when the sender's own draws exhausted
+    /// — lost then by the manager's identical draws over its length; a
+    /// manager's send its draws lose is ghosts alone. Each distinct frame
+    /// is sealed at most once.
     ///
     /// Stats, clock charges, events, and the delivered/exhausted outcome are
     /// what [`chaos_outcome`](Self::chaos_outcome) re-derives on the
@@ -566,43 +553,6 @@ impl Transport {
     /// in-memory run and a TCP run agree bit for bit (`tests/net_parity.rs`).
     ///
     /// [`FrameAssembler`]: crate::wire::FrameAssembler
-    #[allow(clippy::too_many_arguments)]
-    pub fn chaos_frames(
-        &self,
-        epoch: u64,
-        worker: usize,
-        kind: MsgKind,
-        seq: u64,
-        payload: &Bytes,
-        link: LinkState,
-        stats: &mut TransportStats,
-        clock: &mut SimClock,
-        rec: &Recorder,
-    ) -> (Vec<Bytes>, Result<(), TransportError>) {
-        let mut writes = Vec::new();
-        let outcome = self.exchange_tapped(
-            epoch,
-            worker,
-            kind,
-            seq,
-            Cargo::Payload(payload),
-            link,
-            stats,
-            clock,
-            rec,
-            Some(&mut writes),
-        );
-        (writes, outcome)
-    }
-
-    /// One protocol send: [`chaos_frames`](Self::chaos_frames)' writes —
-    /// ghosts, then the pristine frame of a delivery, wrapped in `ctx`'s
-    /// trace extension when `rec` is enabled and its watermark stamped at
-    /// the send. The wrap comes after the draws, so ghosts and outcomes are
-    /// an untraced run's. An upload (submission or opening) always ends
-    /// with its pristine frame, even when the sender's own draws exhausted
-    /// — untraced then, and lost by the manager's identical draws over its
-    /// length; a manager's send its draws lose is ghosts alone.
     #[allow(clippy::too_many_arguments)]
     pub fn chaos_send(
         &self,
@@ -617,17 +567,40 @@ impl Transport {
         clock: &mut SimClock,
         rec: &Recorder,
     ) -> (Vec<Bytes>, Result<(), TransportError>) {
-        let (mut writes, outcome) =
-            self.chaos_frames(epoch, worker, kind, seq, payload, link, stats, clock, rec);
-        match (outcome, ctx) {
-            (Ok(()), Some(mut ctx)) if rec.enabled() => {
+        let (rejected, outcome) = self.exchange(
+            epoch,
+            worker,
+            kind,
+            seq,
+            payload.len(),
+            link,
+            stats,
+            clock,
+            rec,
+        );
+        let traced = match ctx {
+            Some(mut ctx) if outcome.is_ok() && rec.enabled() => {
                 ctx.watermark = rec.now_ns();
-                *writes.last_mut().expect("a delivery ends with its frame") =
-                    seal_frame(&wrap_traced(ctx, payload));
+                Some(seal_frame(&wrap_traced(ctx, payload)))
             }
-            (Err(_), _) if kind.is_upload() => writes.push(seal_frame(payload)),
-            _ => {}
+            _ => None,
+        };
+        let ends_pristine = traced.is_none() && (outcome.is_ok() || kind.is_upload());
+        let mut writes = Vec::with_capacity(rejected.len() + 1);
+        if ends_pristine || !rejected.is_empty() {
+            let framed = seal_frame(payload);
+            writes.extend(
+                rejected
+                    .iter()
+                    .map(|m| stream_safe_ghost(&framed, m.flips(), m.keep)),
+            );
+            if ends_pristine {
+                writes.push(framed);
+            } else {
+                scratch::put(Vec::from(framed));
+            }
         }
+        writes.extend(traced);
         (writes, outcome)
     }
 
@@ -636,10 +609,7 @@ impl Transport {
     /// exchange coordinates and the framed length — never on payload
     /// content — so the receiving side of a chaos-proxied socket can
     /// account an exchange it did not send and agree bit-for-bit with the
-    /// sender. Nothing proportional to
-    /// `payload_len` is allocated or hashed unless an attempt draws a
-    /// corruption or truncation; that attempt re-opens a mutated frame of
-    /// zeros, which fails or survives exactly as the sender's does.
+    /// sender. No frame is built and nothing is hashed.
     #[allow(clippy::too_many_arguments)]
     pub fn chaos_outcome(
         &self,
@@ -653,42 +623,40 @@ impl Transport {
         clock: &mut SimClock,
         rec: &Recorder,
     ) -> Result<(), TransportError> {
-        self.exchange_tapped(
+        self.exchange(
             epoch,
             worker,
             kind,
             seq,
-            Cargo::Len(payload_len),
+            payload_len,
             link,
             stats,
             clock,
             rec,
-            None,
         )
+        .1
     }
 
-    /// The one body behind [`chaos_frames`](Self::chaos_frames) and
-    /// [`chaos_outcome`](Self::chaos_outcome). Every draw and every charge
-    /// needs only the framed *length*; bytes are sealed (once, lazily) for
-    /// a stream tap or for an attempt that drew a mutation, and only such
-    /// an attempt is re-opened — an untouched copy of a frame this call
-    /// would have sealed itself can only open (DESIGN.md §21).
+    /// The one draw behind [`chaos_send`](Self::chaos_send) and
+    /// [`chaos_outcome`](Self::chaos_outcome): the retry loop over the
+    /// framed length, charging stats, clock seconds and trace events, and
+    /// deciding each mutated attempt by [`Mutation::delivers`]. Returns the
+    /// mutated attempts the receiver rejects, in order, with the outcome.
     #[allow(clippy::too_many_arguments)]
-    fn exchange_tapped(
+    fn exchange(
         &self,
         epoch: u64,
         worker: usize,
         kind: MsgKind,
         seq: u64,
-        cargo: Cargo<'_>,
+        payload_len: usize,
         link: LinkState,
         stats: &mut TransportStats,
         clock: &mut SimClock,
         rec: &Recorder,
-        mut taps: Option<&mut Vec<Bytes>>,
-    ) -> Result<(), TransportError> {
-        let framed_len = FRAME_HEADER_BYTES + cargo.len();
-        let mut framed: Option<Bytes> = None;
+    ) -> (Vec<Mutation>, Result<(), TransportError>) {
+        let framed_len = FRAME_HEADER_BYTES + payload_len;
+        let mut rejected = Vec::new();
         stats.exchanges += 1;
         let done = |attempts: u32, ok: bool, rec: &Recorder| {
             rec.observe("rpol.transport.attempts_per_exchange", u64::from(attempts));
@@ -708,7 +676,6 @@ impl Transport {
             stats.attempts += 1;
             if attempt > 0 {
                 stats.retries += 1;
-                clock.tick("retry");
                 let jitter = 1.0 + self.policy.jitter_frac * (rng.next_f64() - 0.5);
                 clock.add(kind.label(), self.policy.backoff_s(attempt) * jitter);
             }
@@ -743,7 +710,6 @@ impl Transport {
             let latency = base + jitter;
             if latency > self.policy.timeout_s {
                 stats.timeouts += 1;
-                clock.tick("latency_timeout");
                 clock.add(kind.label(), self.policy.timeout_s);
                 event!(
                     rec,
@@ -759,7 +725,6 @@ impl Transport {
             if rng.next_f64() < self.profile.drop_prob {
                 stats.drops += 1;
                 stats.timeouts += 1;
-                clock.tick("drop");
                 clock.add(kind.label(), self.policy.timeout_s);
                 event!(
                     rec,
@@ -773,11 +738,9 @@ impl Transport {
             }
 
             clock.add(kind.label(), latency);
-            let mut flips: Vec<(usize, u8)> = Vec::new();
-            let mut trunc_keep: Option<usize> = None;
+            let mut mutation = Mutation::default();
             if rng.next_f64() < self.profile.corrupt_prob {
                 stats.corruptions += 1;
-                clock.tick("corruption");
                 event!(
                     rec,
                     "rpol.transport.corruption",
@@ -786,16 +749,15 @@ impl Transport {
                     kind = kind.label(),
                     attempt
                 );
-                let n_flips = 1 + rng.next_below(4) as usize;
-                for _ in 0..n_flips {
+                mutation.n_flips = 1 + rng.next_below(4) as usize;
+                for flip in &mut mutation.flips[..mutation.n_flips] {
                     let pos = rng.next_below(framed_len as u32) as usize;
                     let mask = (rng.next_u32() % 255 + 1) as u8; // never 0: always a real flip
-                    flips.push((pos, mask));
+                    *flip = (pos, mask);
                 }
             }
             if rng.next_f64() < self.profile.truncate_prob {
                 stats.truncations += 1;
-                clock.tick("truncation");
                 event!(
                     rec,
                     "rpol.transport.truncation",
@@ -804,42 +766,30 @@ impl Transport {
                     kind = kind.label(),
                     attempt
                 );
-                trunc_keep = Some(rng.next_below(framed_len as u32) as usize);
+                mutation.keep = Some(rng.next_below(framed_len as u32) as usize);
             }
 
-            let opened = flips.is_empty() && trunc_keep.is_none() || {
-                let framed = framed.get_or_insert_with(|| cargo.seal());
-                reopens(framed, &flips, trunc_keep)
-            };
-            if opened {
-                if let Some(taps) = taps.as_deref_mut() {
-                    taps.push(framed.take().unwrap_or_else(|| cargo.seal()));
-                }
+            if mutation.delivers() {
                 done(attempt + 1, true, rec);
-                framed.into_iter().for_each(|f| scratch::put(Vec::from(f)));
-                return Ok(());
+                return (rejected, Ok(()));
             }
             // The checksum caught the mutation — indistinguishable from a
             // drop to the protocol, so retry.
-            if let Some(taps) = taps.as_deref_mut() {
-                let framed = framed.as_ref().expect("a mutated attempt sealed the frame");
-                taps.push(stream_safe_ghost(framed, &flips, trunc_keep));
-            }
+            rejected.push(mutation);
         }
-        framed.into_iter().for_each(|f| scratch::put(Vec::from(f)));
         stats.failures += 1;
-        clock.tick("exchange_failure");
         done(self.policy.max_attempts, false, rec);
-        Err(TransportError::Exhausted {
+        let outcome = Err(TransportError::Exhausted {
             attempts: self.policy.max_attempts,
-        })
+        });
+        (rejected, outcome)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::encode_proof_request;
+    use crate::wire::{encode_proof_request, frame_payload};
 
     fn payload() -> Bytes {
         encode_proof_request(&[1, 2, 3, 4])
@@ -862,13 +812,14 @@ mod tests {
         });
         let mut stats = TransportStats::default();
         let mut clock = SimClock::new();
-        let (writes, outcome) = transport.chaos_frames(
+        let (writes, outcome) = transport.chaos_send(
             0,
             0,
             MsgKind::ProofRequest,
             7,
             &payload(),
             link,
+            None,
             &mut stats,
             &mut clock,
             rpol_obs::noop(),
@@ -899,8 +850,9 @@ mod tests {
         (got, stats, clock)
     }
 
-    /// The body `exchange_tapped` replaced, kept verbatim as the oracle:
-    /// seal up front, copy, flip and truncate the copy, and re-open every
+    /// The exchange body before delivery was decided by arithmetic, kept
+    /// verbatim (less the clock's retired event ticks) as the oracle: seal
+    /// up front, copy, flip and truncate the copy, and re-open every
     /// attempt that arrives — mutated or not.
     impl Transport {
         #[allow(clippy::too_many_arguments)]
@@ -937,7 +889,6 @@ mod tests {
                 stats.attempts += 1;
                 if attempt > 0 {
                     stats.retries += 1;
-                    clock.tick("retry");
                     let jitter = 1.0 + self.policy.jitter_frac * (rng.next_f64() - 0.5);
                     clock.add(kind.label(), self.policy.backoff_s(attempt) * jitter);
                 }
@@ -972,7 +923,6 @@ mod tests {
                 let latency = base + jitter;
                 if latency > self.policy.timeout_s {
                     stats.timeouts += 1;
-                    clock.tick("latency_timeout");
                     clock.add(kind.label(), self.policy.timeout_s);
                     event!(
                         rec,
@@ -988,7 +938,6 @@ mod tests {
                 if rng.next_f64() < self.profile.drop_prob {
                     stats.drops += 1;
                     stats.timeouts += 1;
-                    clock.tick("drop");
                     clock.add(kind.label(), self.policy.timeout_s);
                     event!(
                         rec,
@@ -1008,7 +957,6 @@ mod tests {
                 let mut trunc_keep: Option<usize> = None;
                 if rng.next_f64() < self.profile.corrupt_prob {
                     stats.corruptions += 1;
-                    clock.tick("corruption");
                     event!(
                         rec,
                         "rpol.transport.corruption",
@@ -1028,7 +976,6 @@ mod tests {
                 }
                 if rng.next_f64() < self.profile.truncate_prob {
                     stats.truncations += 1;
-                    clock.tick("truncation");
                     event!(
                         rec,
                         "rpol.transport.truncation",
@@ -1064,7 +1011,6 @@ mod tests {
                 }
             }
             stats.failures += 1;
-            clock.tick("exchange_failure");
             done(self.policy.max_attempts, false, rec);
             Err(TransportError::Exhausted {
                 attempts: self.policy.max_attempts,
@@ -1085,11 +1031,12 @@ mod tests {
         (got, stats, clock, rec.events())
     }
 
-    /// `chaos_frames` and `chaos_outcome(len)` against the
+    /// `chaos_send` (untraced) and `chaos_outcome(len)` against the
     /// always-seal-always-reopen oracle: same outcome, same counters, same
-    /// clock, same events and (for the sender) the same bytes, over random
-    /// profiles — certain corruption, certain truncation, both, neither —
-    /// seeds, coordinates and payload lengths.
+    /// clock, same events and (for the sender) the same bytes — plus the
+    /// pristine frame a lost upload ends with — over random profiles
+    /// (certain corruption, certain truncation, both, neither), seeds,
+    /// coordinates and payload lengths.
     #[test]
     fn lazy_sealing_matches_the_always_reopen_oracle() {
         const CASES: u64 = 12_000;
@@ -1146,12 +1093,15 @@ mod tests {
                         Some(&mut writes),
                     )
                     .map(|_| ());
+                if out.is_err() && kind.is_upload() {
+                    writes.push(seal_frame(&payload));
+                }
                 (writes, out)
             });
             let got_tap = observe(|s, c, r| {
-                transport.chaos_frames(epoch, worker, kind, seq, &payload, link, s, c, r)
+                transport.chaos_send(epoch, worker, kind, seq, &payload, link, None, s, c, r)
             });
-            assert_eq!(got_tap, want_tap, "chaos_frames, case {case}");
+            assert_eq!(got_tap, want_tap, "chaos_send, case {case}");
             let ((writes, outcome), sent_stats, sent_clock, _) = &got_tap;
             if outcome.is_ok() {
                 let last = writes.last().expect("a delivered exchange writes").clone();
@@ -1185,18 +1135,104 @@ mod tests {
         assert!(mutated_attempts > CASES);
     }
 
+    /// `framed` as the link delivers it under `mutation`.
+    fn mutated(framed: &[u8], mutation: &Mutation) -> Vec<u8> {
+        let mut delivered = framed.to_vec();
+        for &(pos, mask) in mutation.flips() {
+            delivered[pos] ^= mask;
+        }
+        if let Some(keep) = mutation.keep {
+            delivered.truncate(keep);
+        }
+        delivered
+    }
+
+    fn flipped(flips: &[(usize, u8)], keep: Option<usize>) -> Mutation {
+        let mut mutation = Mutation {
+            n_flips: flips.len(),
+            keep,
+            ..Mutation::default()
+        };
+        mutation.flips[..flips.len()].copy_from_slice(flips);
+        mutation
+    }
+
+    /// The delivery predicate, held to the receiver's real check on
+    /// `cases` sealed frames (payload lengths 1..=4,096), each mutated by
+    /// 1–4 flips anywhere (magic, length field, digest, payload; half of
+    /// them aimed at the header), a forced cancelling pair or triple (with
+    /// or without a stray flip), a truncation, or flips and a cut together.
+    fn check_delivery_predicate(cases: u64) {
+        let (mut opened, mut header_flips) = (0u64, 0u64);
+        for case in 0..cases {
+            let mut g = Pcg32::seed_from(0xF1A9 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let len = 1 + g.next_below(4096) as usize;
+            let payload = Bytes::from((0..len).map(|_| g.next_u32() as u8).collect::<Vec<u8>>());
+            let framed = seal_frame(&payload);
+            let n = framed.len() as u32;
+            let pos = |g: &mut Pcg32| {
+                let header = g.next_below(2) == 0;
+                g.next_below(if header { FRAME_HEADER_BYTES as u32 } else { n }) as usize
+            };
+            let mask = |g: &mut Pcg32| (g.next_u32() % 255 + 1) as u8;
+            let mut flips = Vec::new();
+            let style = g.next_below(4);
+            if style == 1 {
+                // Flips that cancel at one position, sometimes beside one
+                // that does not.
+                let (at, a, b) = (pos(&mut g), mask(&mut g), mask(&mut g));
+                flips.extend([(at, a), (at, b)]);
+                if a != b {
+                    flips.push((at, a ^ b));
+                }
+                if g.next_below(2) == 0 {
+                    flips.push((pos(&mut g), mask(&mut g)));
+                }
+            } else if style != 2 {
+                for _ in 0..1 + g.next_below(4) {
+                    flips.push((pos(&mut g), mask(&mut g)));
+                }
+            }
+            let keep = (style >= 2).then(|| g.next_below(n) as usize);
+            let mutation = flipped(&flips, keep);
+            let opens = frame_payload(&mutated(&framed, &mutation)).is_ok();
+            assert_eq!(mutation.delivers(), opens, "case {case}: {mutation:?}");
+            opened += u64::from(opens);
+            header_flips += u64::from(flips.iter().any(|&(at, _)| (4..8).contains(&at)));
+        }
+        // Both answers, and flips of the length field, are exercised.
+        assert!(opened > cases / 20 && opened < cases / 2, "opened {opened}");
+        assert!(
+            header_flips > cases / 20,
+            "length-field flips {header_flips}"
+        );
+    }
+
+    #[test]
+    fn delivery_predicate_matches_frame_payload() {
+        check_delivery_predicate(10_000);
+    }
+
+    /// The predicate over 10⁶ mutated frames (`scripts/ci.sh`).
+    #[test]
+    #[ignore = "soak: run with --ignored in release"]
+    fn delivery_predicate_soak() {
+        check_delivery_predicate(1_000_000);
+    }
+
     /// Two flips on one byte with one mask cancel: the frame is intact and
     /// the checksum — really run — lets it through.
     #[test]
     fn cancelling_flips_still_deliver() {
         let framed = seal_frame(&payload());
         for pos in [0, 5, 9, FRAME_HEADER_BYTES, framed.len() - 1] {
-            assert!(
-                reopens(&framed, &[(pos, 0x5A), (pos, 0x5A)], None),
-                "pos {pos}"
-            );
+            let pair = flipped(&[(pos, 0x5A), (pos, 0x5A)], None);
+            assert!(pair.delivers(), "pos {pos}");
+            assert_eq!(frame_payload(&mutated(&framed, &pair)), Ok(()), "pos {pos}");
             // One of the pair alone does not.
-            assert!(!reopens(&framed, &[(pos, 0x5A)], None), "pos {pos}");
+            let one = flipped(&[(pos, 0x5A)], None);
+            assert!(!one.delivers(), "pos {pos}");
+            assert!(frame_payload(&mutated(&framed, &one)).is_err(), "pos {pos}");
         }
     }
 
@@ -1206,13 +1242,15 @@ mod tests {
     #[test]
     fn length_field_flips_and_truncations_never_open() {
         let framed = seal_frame(&payload());
-        for pos in 4..8 {
-            for mask in [0x01, 0x80, 0xFF] {
-                assert!(!reopens(&framed, &[(pos, mask)], None), "pos {pos}");
-            }
-        }
-        for keep in 0..framed.len() {
-            assert!(!reopens(&framed, &[], Some(keep)), "keep {keep}");
+        let cases = (4..8)
+            .flat_map(|pos| [0x01, 0x80, 0xFF].map(|mask| flipped(&[(pos, mask)], None)))
+            .chain((0..framed.len()).map(|keep| flipped(&[], Some(keep))));
+        for mutation in cases {
+            assert!(!mutation.delivers(), "{mutation:?}");
+            assert!(
+                frame_payload(&mutated(&framed, &mutation)).is_err(),
+                "{mutation:?}"
+            );
         }
     }
 
@@ -1396,13 +1434,14 @@ mod tests {
         let transport = Transport::new(&FaultConfig::lossy(5));
         let mut stats = TransportStats::default();
         let mut clock = SimClock::new();
-        let (_, got) = transport.chaos_frames(
+        let (_, got) = transport.chaos_send(
             0,
             1,
             MsgKind::Task,
             0,
             &payload(),
             LinkState::healthy(),
+            None,
             &mut stats,
             &mut clock,
             &rec,
@@ -1481,10 +1520,10 @@ mod tests {
     }
 
     /// A sender's writes are ghosts that fail `frame_payload` without breaking
-    /// stream framing, then the pristine frame iff the exchange delivered —
-    /// never more writes than attempts.
+    /// stream framing — never more than attempts — then the pristine frame,
+    /// which an upload writes even when its draws exhausted.
     #[test]
-    fn chaos_frames_write_ghosts_that_never_open() {
+    fn chaos_send_writes_ghosts_that_never_open() {
         let profile = FaultProfile {
             drop_prob: 0.3,
             corrupt_prob: 0.3,
@@ -1502,40 +1541,39 @@ mod tests {
         for seq in 0..64u64 {
             let mut stats = TransportStats::default();
             let mut clock = SimClock::new();
-            let (writes, outcome) = transport.chaos_frames(
+            let (writes, _) = transport.chaos_send(
                 3,
                 seq as usize % 7,
                 MsgKind::ProofResponse,
                 seq,
                 &payload(),
                 LinkState::healthy(),
+                None,
                 &mut stats,
                 &mut clock,
                 rec,
             );
-            for (i, frame) in writes.iter().enumerate() {
-                let last = i + 1 == writes.len();
-                let opened = frame_payload(frame);
-                if last && outcome.is_ok() {
-                    opened.expect("pristine");
-                    assert_eq!(frame.slice(FRAME_HEADER_BYTES..), payload(), "seq {seq}");
-                } else {
-                    assert!(opened.is_err(), "ghost {i} of seq {seq} opened");
-                    let framed_len =
-                        u32::from_le_bytes(frame[4..8].try_into().expect("len field")) as usize;
-                    assert_eq!(frame.len(), FRAME_HEADER_BYTES + framed_len, "seq {seq}");
-                }
+            let (last, ghosts) = writes.split_last().expect("an upload ends with its frame");
+            frame_payload(last).expect("pristine");
+            assert_eq!(last.slice(FRAME_HEADER_BYTES..), payload(), "seq {seq}");
+            for (i, frame) in ghosts.iter().enumerate() {
+                assert!(
+                    frame_payload(frame).is_err(),
+                    "ghost {i} of seq {seq} opened"
+                );
+                let framed_len =
+                    u32::from_le_bytes(frame[4..8].try_into().expect("len field")) as usize;
+                assert_eq!(frame.len(), FRAME_HEADER_BYTES + framed_len, "seq {seq}");
             }
-            // Mutated attempts emit ghosts; drops/timeouts emit nothing —
-            // so writes never exceed attempts.
-            assert!(writes.len() as u64 <= stats.attempts);
+            // Mutated attempts emit ghosts; drops/timeouts emit nothing.
+            assert!(ghosts.len() as u64 <= stats.attempts);
         }
     }
 
-    /// `chaos_send` is `chaos_frames` plus two rules: a delivered frame is
-    /// wrapped in the trace extension when the recorder is on, and an
-    /// upload the sender's draws lose still ends with its pristine frame,
-    /// untraced; a download they lose is ghosts alone.
+    /// A traced send is an untraced one with its delivered frame wrapped
+    /// in the trace extension; an upload the sender's draws lose still ends
+    /// with its pristine frame, untraced; a download they lose is ghosts
+    /// alone.
     #[test]
     fn an_upload_always_ends_with_its_pristine_frame() {
         let transport = Transport::new(&FaultConfig {
@@ -1564,13 +1602,14 @@ mod tests {
             for (k, kind) in kinds.into_iter().enumerate() {
                 let (mut frames_stats, mut frames_clock) =
                     (TransportStats::default(), SimClock::new());
-                let (frames, outcome) = transport.chaos_frames(
+                let (frames, outcome) = transport.chaos_send(
                     2,
                     1,
                     kind,
                     seq,
                     &payload(),
                     LinkState::healthy(),
+                    Some(ctx),
                     &mut frames_stats,
                     &mut frames_clock,
                     rpol_obs::noop(),
@@ -1591,20 +1630,21 @@ mod tests {
                 assert_eq!(sent_outcome, outcome, "{kind:?} {seq}");
                 assert_eq!((stats, &clock), (frames_stats, &frames_clock));
                 lost[k] += u32::from(outcome.is_err());
-                if outcome.is_err() && !kind.is_upload() {
+                if outcome.is_err() {
                     assert_eq!(sent, frames, "{kind:?} {seq}");
-                    continue;
+                    if !kind.is_upload() {
+                        continue;
+                    }
                 }
                 let (last, ghosts) = sent.split_last().expect("an upload ends with its frame");
                 frame_payload(last).expect("pristine");
                 let opened = last.slice(FRAME_HEADER_BYTES..);
+                assert_eq!(ghosts, &frames[..frames.len() - 1], "{kind:?} {seq}");
                 if outcome.is_ok() {
-                    assert_eq!(ghosts, &frames[..frames.len() - 1]);
                     let (got, inner) = crate::wire::split_traced(opened);
                     assert_eq!(got.map(|c| c.parent_span), Some(4), "{kind:?} {seq}");
                     assert_eq!(inner, payload());
                 } else {
-                    assert_eq!(ghosts, &frames[..], "{kind:?} {seq}");
                     assert_eq!(opened, payload(), "untraced");
                 }
             }
@@ -1612,7 +1652,7 @@ mod tests {
         assert!(lost.iter().all(|&n| n > 0), "vacuous: {lost:?}");
     }
 
-    /// `chaos_outcome` agrees with the sender (`chaos_frames`) knowing only
+    /// `chaos_outcome` agrees with the sender (`chaos_send`) knowing only
     /// the length.
     #[test]
     fn chaos_outcome_agrees_from_length_alone() {
@@ -1626,13 +1666,14 @@ mod tests {
         for seq in 0..32u64 {
             let mut a_stats = TransportStats::default();
             let mut a_clock = SimClock::new();
-            let (_, sent) = transport.chaos_frames(
+            let (_, sent) = transport.chaos_send(
                 1,
                 2,
                 MsgKind::Submission,
                 seq,
                 &payload(),
                 LinkState::healthy(),
+                None,
                 &mut a_stats,
                 &mut a_clock,
                 rec,

@@ -581,7 +581,8 @@ impl BufPool {
 
 /// Checks a whole frame's magic, length and checksum, in that order:
 /// whether the receiver would get its payload
-/// (`frame[FRAME_HEADER_BYTES..]`).
+/// (`frame[FRAME_HEADER_BYTES..]`). The oracle the transport's delivery
+/// arithmetic and the frame tests are held to.
 ///
 /// # Errors
 ///
@@ -589,6 +590,7 @@ impl BufPool {
 /// [`DecodeError::Malformed`] on a bad magic or trailing garbage, and
 /// [`DecodeError::ChecksumMismatch`] when the payload digest disagrees
 /// with the header.
+#[cfg(test)]
 pub(crate) fn frame_payload(frame: &[u8]) -> Result<(), DecodeError> {
     let Some((header, payload)) = frame.split_first_chunk::<FRAME_HEADER_BYTES>() else {
         return Err(DecodeError::Truncated);
@@ -1314,19 +1316,14 @@ pub fn decode_committee_batch(
     })
 }
 
-/// Decodes a control message.
+/// Decodes a control message, reading through a borrowed buffer so the
+/// caller keeps ownership of the underlying allocation and can recycle it
+/// into a [`BufPool`] after the decode.
 ///
 /// # Errors
 ///
 /// [`DecodeError`] on unknown tags, truncation, or invalid fields.
-pub fn decode_net_control(mut buf: Bytes) -> Result<NetControl, DecodeError> {
-    decode_net_control_in(&mut buf)
-}
-
-/// [`decode_net_control`] reading through a borrowed buffer, so the caller
-/// keeps ownership of the underlying allocation and can recycle it into a
-/// [`BufPool`] after the decode.
-pub fn decode_net_control_in(buf: &mut Bytes) -> Result<NetControl, DecodeError> {
+pub fn decode_net_control(buf: &mut Bytes) -> Result<NetControl, DecodeError> {
     if buf.remaining() < 1 {
         return Err(DecodeError::Truncated);
     }
@@ -1492,7 +1489,7 @@ pub fn decode_submission(
 }
 
 /// [`decode_submission`] reading through a borrowed buffer (see
-/// [`decode_net_control_in`] for why: the ingest path recycles the payload
+/// [`decode_net_control`] for why: the ingest path recycles the payload
 /// allocation after decoding).
 pub fn decode_submission_in(
     buf: &mut Bytes,
@@ -1610,7 +1607,7 @@ pub fn decode_proof_response(mut buf: Bytes) -> Result<(usize, Vec<f32>), Decode
 }
 
 /// [`decode_proof_response`] reading through a borrowed buffer (see
-/// [`decode_net_control_in`]).
+/// [`decode_net_control`]).
 pub fn decode_proof_response_in(buf: &mut Bytes) -> Result<(usize, Vec<f32>), DecodeError> {
     if buf.remaining() < 1 {
         return Err(DecodeError::Truncated);
@@ -1657,9 +1654,9 @@ mod tests {
                 scheme,
                 family: lsh.then_some(family),
             };
-            let bytes = encode_net_control(&msg);
+            let mut bytes = encode_net_control(&msg);
             assert_eq!(bytes[1 + 8], byte, "{scheme}");
-            assert_eq!(decode_net_control(bytes), Ok(msg), "{scheme}");
+            assert_eq!(decode_net_control(&mut bytes), Ok(msg), "{scheme}");
         }
         let mut bytes = encode_net_control(&NetControl::CommitSpec {
             epoch: 7,
@@ -1669,7 +1666,7 @@ mod tests {
         .to_vec();
         bytes[1 + 8] = 4;
         assert_eq!(
-            decode_net_control(Bytes::from(bytes)),
+            decode_net_control(&mut Bytes::from(bytes)),
             Err(DecodeError::Malformed("unknown scheme"))
         );
     }
@@ -2776,16 +2773,16 @@ mod tests {
                 json: "{\"net\":{\"accepted\":3}}".to_string(),
             },
         ] {
-            let encoded = encode_net_control(&msg);
+            let mut encoded = encode_net_control(&msg);
             assert_eq!(classify_payload(&encoded), PayloadClass::Control);
-            assert_eq!(decode_net_control(encoded).expect("decodes"), msg);
+            assert_eq!(decode_net_control(&mut encoded).expect("decodes"), msg);
         }
         // Non-UTF-8 report bodies must be rejected, not mangled.
         let mut bad = BytesMut::new();
         bad.put_u8(0x3B);
         bad.put_u32_le(2);
         bad.put_slice(&[0xFF, 0xFE]);
-        assert!(decode_net_control(bad.freeze()).is_err());
+        assert!(decode_net_control(&mut bad.freeze()).is_err());
     }
 
     #[test]

@@ -74,9 +74,13 @@ const FAULT_SEED: u64 = 0x9E;
 /// cells' byte counters and the simulated net seconds they drive fell, the
 /// three RPoLv3 cells' did not except one byte per submission frame, and
 /// no transport count, accuracy bit or `DECISION_DIGEST` line moved
-/// (per-cell table in CHANGES.md, PR 38). Same-platform only (the LSH
+/// (per-cell table in CHANGES.md, PR 38). Re-recorded a fourth time when
+/// the simulated clock stopped counting events beside its seconds: the key
+/// lost its `what#n` entries and nothing else — the cells of the commit
+/// before hash to the new value with those entries dropped (CHANGES.md,
+/// the entry that retires `SimClock::tick`). Same-platform only (the LSH
 /// family and the noise model draw normals through the host's libm).
-const REFERENCE_DIGEST: &str = "22c9d8ff2b506cb46c8bb3c4e1ada0a9e515fbbfd3bf95bbdcce67dc0caf940b";
+const REFERENCE_DIGEST: &str = "4cd30fe0375f7ce5311f2448121d264916155881517750f13cfee9f7a680d3a9";
 
 /// SHA-256 over the twelve reference cells' *decisions*, per epoch:
 /// `accepted | rejected | quarantined | accuracy bits | double_checks |
@@ -186,20 +190,10 @@ fn key(report: &PoolReport, decisions_only: bool) -> Vec<String> {
                 body.hierarchy = None;
             }
             let body = rpol_json::to_string(&body).expect("serialize epoch report");
-            // The clock's event counters, in category order, as it
-            // publishes them.
-            let published = Recorder::logical();
-            rec.transport_time.publish(&published, "clock");
-            let events = published.snapshot().counters_with_prefix("clock.events.");
             let clock: Vec<String> = rec
                 .transport_time
                 .iter()
                 .map(|(phase, s)| format!("{phase}={:016x}", s.to_bits()))
-                .chain(
-                    events
-                        .iter()
-                        .map(|(what, n)| format!("{}#{n}", &what["clock.events.".len()..])),
-                )
                 .collect();
             format!(
                 "{body}|acc={:08x}|clock={}",

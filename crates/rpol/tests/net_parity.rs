@@ -21,7 +21,7 @@ use rpol::transport::{FaultConfig, FaultProfile};
 use rpol::wire::{
     decode_net_control, encode_net_control, seal_frame, FrameAssembler, NetControl, NET_PROTOCOL,
 };
-use rpol_obs::Recorder;
+use rpol_obs::{Recorder, Value};
 
 /// A fault config aggressive enough that some exchanges exhaust their
 /// retry budget (so the parity test exercises quarantine decisions, not
@@ -256,7 +256,7 @@ fn crash_and_straggler_links_fail_alike_over_tcp_and_in_memory() {
     config.epochs = 3;
     config.train_samples = 6 * 40;
     config = config.with_faults(FaultConfig::lossy(0x57A6));
-    let (simulated, socket) = assert_socket_matches_simulated(config, roster);
+    let (simulated, socket) = assert_socket_matches_simulated(config, roster.clone());
 
     let quarantined: Vec<Vec<usize>> = simulated
         .epochs
@@ -277,11 +277,25 @@ fn crash_and_straggler_links_fail_alike_over_tcp_and_in_memory() {
             "the replayer is caught"
         );
     }
-    let deadlines = |e: usize| simulated.epochs[e].transport_time.events("deadline_miss");
+    // A traced run decides alike and records each missed deadline.
+    let rec = Arc::new(Recorder::logical());
+    let traced = MiningPool::new(config, roster)
+        .with_recorder(rec.clone())
+        .run();
+    assert_same_epochs(&simulated, &traced);
+    let deadlines: Vec<_> = rec
+        .events()
+        .into_iter()
+        .filter(|ev| ev.name == "rpol.pool.deadline_miss")
+        .map(|ev| ev.fields)
+        .collect();
     assert_eq!(
-        (deadlines(0), deadlines(1), deadlines(2)),
-        (0, 1, 0),
-        "one deadline, in the crash epoch"
+        deadlines,
+        [vec![
+            ("epoch".to_string(), Value::U64(1)),
+            ("worker".to_string(), Value::U64(1))
+        ]],
+        "one deadline, the crashed worker's, in the crash epoch"
     );
     // Every client stayed connected; the slow one never got a task through.
     assert!(socket.clients.iter().all(|c| c.clean_shutdown));
@@ -461,8 +475,8 @@ fn read_control(stream: &mut TcpStream) -> NetControl {
         let k = stream.read(&mut chunk).expect("read frame");
         assert!(k > 0, "peer closed before a frame arrived");
         asm.push(&chunk[..k]);
-        if let Some(payload) = asm.next_frame().expect("clean frame") {
-            return decode_net_control(payload).expect("control frame");
+        if let Some(mut payload) = asm.next_frame().expect("clean frame") {
+            return decode_net_control(&mut payload).expect("control frame");
         }
     }
 }
@@ -742,8 +756,8 @@ fn pre_buffered_frame_burst_drains_across_sweeps() {
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
             Err(e) => panic!("read failed: {e}"),
         }
-        while let Some(payload) = assembler.next_frame().expect("clean frames") {
-            match decode_net_control(payload).expect("control frame") {
+        while let Some(mut payload) = assembler.next_frame().expect("clean frames") {
+            match decode_net_control(&mut payload).expect("control frame") {
                 NetControl::Pong { nonce } => pongs.push(nonce),
                 other => panic!("expected pong, got {other:?}"),
             }
@@ -876,7 +890,7 @@ fn hostile_submitter(
                         stream.write_all(&seal_frame(&forged)).expect("write");
                     }
                     PayloadClass::Control => {
-                        if let Ok(NetControl::Shutdown) = decode_net_control(payload) {
+                        if let Ok(NetControl::Shutdown) = decode_net_control(&mut payload) {
                             return;
                         }
                     }

@@ -55,8 +55,8 @@ fn read_control(stream: &mut TcpStream) -> io::Result<NetControl> {
         let frame = asm
             .next_frame()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
-        if let Some(payload) = frame {
-            return Ok(decode_net_control(payload).expect("control frame"));
+        if let Some(mut payload) = frame {
+            return Ok(decode_net_control(&mut payload).expect("control frame"));
         }
         let k = stream.read(&mut chunk)?;
         if k == 0 {

@@ -244,13 +244,13 @@ fn commit_spec_family_flag_must_agree_with_the_scheme() {
         (Scheme::Baseline, Some(family)),
         (Scheme::RPoLv1, Some(family)),
     ] {
-        let bytes = encode_net_control(&NetControl::CommitSpec {
+        let mut bytes = encode_net_control(&NetControl::CommitSpec {
             epoch: 3,
             scheme,
             family,
         });
         assert_eq!(
-            decode_net_control(bytes),
+            decode_net_control(&mut bytes),
             Err(DecodeError::Malformed("family flag disagrees with scheme")),
             "{scheme} with family {family:?}"
         );
@@ -330,14 +330,14 @@ proptest! {
                 let mut retired = vec![0x37, 1 + (b % 4) as u8];
                 retired.extend_from_slice(&a.to_le_bytes());
                 retired.extend_from_slice(&b.to_le_bytes());
-                let decoded = decode_net_control(Bytes::from(retired));
+                let decoded = decode_net_control(&mut Bytes::from(retired));
                 prop_assert!(matches!(decoded, Err(DecodeError::Malformed(_))), "{:?}", decoded);
                 return Ok(());
             }
             9 => NetControl::EpochEnd { epoch: a, status: (b % 3) as u8 },
             _ => NetControl::Shutdown,
         };
-        let decoded = decode_net_control(encode_net_control(&msg)).expect("roundtrip");
+        let decoded = decode_net_control(&mut encode_net_control(&msg)).expect("roundtrip");
         prop_assert_eq!(decoded, msg);
     }
 
@@ -346,7 +346,7 @@ proptest! {
     fn net_control_decoder_never_panics_on_garbage(
         bytes in proptest::collection::vec(any::<u8>(), 0..64)
     ) {
-        let _ = decode_net_control(Bytes::from(bytes));
+        let _ = decode_net_control(&mut Bytes::from(bytes));
     }
 
     /// Committee verdict batches (DESIGN.md §15) round-trip through the

@@ -11,7 +11,7 @@ cargo fmt --all -- --check
 
 echo "== DESIGN.md: no larger than its committed byte cap, every code reference resolves"
 # Lower the cap whenever DESIGN.md shrinks; never raise it.
-DESIGN_MAX_BYTES=150199
+DESIGN_MAX_BYTES=149979
 design_bytes=$(wc -c < DESIGN.md)
 if [ "$design_bytes" -gt "$DESIGN_MAX_BYTES" ]; then
     echo "DESIGN.md is $design_bytes bytes, over its cap of $DESIGN_MAX_BYTES"
@@ -81,8 +81,8 @@ cargo test -q --release -p rpol-tensor -- --ignored fill_normal_soak --nocapture
 echo "== PCG stream: 2^28 outputs of the 32-lane block against next_u32, 0 mismatches"
 cargo test -q --release -p rpol-tensor -- --ignored pcg_stream_soak --nocapture
 
-echo "== hostile frames: 100k seeded byte sequences through the in-memory reactor, no panic, no leak"
-cargo test -q --release -p rpol --lib -- --ignored hostile_frames_soak
+echo "== hostile frames: 100k seeded byte sequences through the in-memory reactor, no panic, no leak; the link's delivery predicate against frame_payload on 10^6 mutated frames"
+cargo test -q --release -p rpol --lib -- --ignored hostile_frames_soak delivery_predicate_soak
 
 echo "== fault-injection matrix"
 scripts/fault_matrix.sh
